@@ -169,8 +169,8 @@ func BenchmarkIVB_SpaceSize(b *testing.B) {
 	b.ReportMetric(adv, "log10_advantage_M36_N8")
 }
 
-// --- DSE session benchmarks (BENCH_2): cold vs warm shared cache,
-// single-seed vs portfolio restarts. ---
+// --- DSE session benchmarks: cold vs warm shared cache, single-seed vs
+// portfolio restarts. ---
 
 // sweepBench returns a small GArch72-class candidate sweep. Candidates and
 // models are rebuilt per call; callers that want warm-cache behavior must
@@ -250,81 +250,6 @@ func BenchmarkDSESweepRestarts1(b *testing.B) { benchRestarts(b, 1) }
 // BenchmarkDSESweepRestarts4 runs a 4-seed SA portfolio per (candidate,
 // model) cell; the shared cache keeps the cost well under 4x restarts=1.
 func BenchmarkDSESweepRestarts4(b *testing.B) { benchRestarts(b, 4) }
-
-// --- Sweep scheduler benchmarks (BENCH_3): grid vs bound-ordered dispatch,
-// fixed vs adaptive SA portfolios, under bound pruning. ---
-
-// schedulerBench returns a pruning-friendly sweep: the three GArch72-class
-// variants of sweepBench plus five down-clocked (same monetary cost, 64-256x
-// lower peak throughput) candidates whose delay lower bound is hopeless
-// under MC*E*D once any full-speed candidate has finished. The weak
-// candidates come FIRST in grid order, so the naive schedule maps all of
-// them before the incumbent exists, while the bound-ordered schedule runs
-// the full-speed candidates first and prunes the weak tail without mapping
-// it. Workers are pinned so the schedule (and therefore the headline) does
-// not depend on the host's core count.
-func schedulerBench() ([]arch.Config, []*dnn.Graph, dse.Options) {
-	strong, models, opt := sweepBench()
-	var cands []arch.Config
-	for _, div := range []float64{64, 96, 128, 192, 256} {
-		w := arch.GArch72()
-		w.FreqGHz /= div
-		w.Name = fmt.Sprintf("%s-slow%d", w.Name, int(div))
-		cands = append(cands, w)
-	}
-	cands = append(cands, strong...)
-	opt.Prune = true
-	opt.Restarts = 4
-	opt.Workers = 4
-	return cands, models, opt
-}
-
-// benchScheduler runs the scheduler sweep at the given order/patience and
-// reports the scheduler's work-saved accounting as custom metrics.
-func benchScheduler(b *testing.B, order dse.SweepOrder, patience int) *dse.CandidateResult {
-	cands, models, opt := schedulerBench()
-	opt.Order = order
-	opt.Patience = patience
-	var best *dse.CandidateResult
-	var stats dse.SweepStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ses := dse.NewSession()
-		best = dse.Best(ses.Run(cands, models, opt))
-		if best == nil {
-			b.Fatal("no feasible candidate")
-		}
-		stats = ses.LastSweepStats()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(stats.PrunedCandidates), "pruned_candidates")
-	b.ReportMetric(float64(stats.AbandonedRestarts), "abandoned_restarts")
-	b.ReportMetric(float64(stats.SkippedRestarts), "skipped_restarts")
-	return best
-}
-
-// BenchmarkDSESweepGridFixed is the pre-scheduler baseline: grid dispatch
-// order, full fixed 4-restart portfolios.
-func BenchmarkDSESweepGridFixed(b *testing.B) { benchScheduler(b, dse.OrderGrid, 0) }
-
-// BenchmarkDSESweepOrdered dispatches in ascending lower-bound order with
-// the same fixed portfolios: pruning soundness guarantees the same best
-// result, the weak tail just never gets mapped.
-func BenchmarkDSESweepOrdered(b *testing.B) {
-	got := benchScheduler(b, dse.OrderBound, 0)
-	b.StopTimer()
-	cands, models, opt := schedulerBench()
-	opt.Order = dse.OrderGrid
-	want := dse.Best(dse.Run(cands, models, opt))
-	if want == nil || got.Obj != want.Obj || got.Cfg.Name != want.Cfg.Name {
-		b.Fatalf("ordered sweep best %s (%g) differs from grid %s (%g)",
-			got.Cfg.Name, got.Obj, want.Cfg.Name, want.Obj)
-	}
-}
-
-// BenchmarkDSESweepAdaptive adds the adaptive portfolio: bound order plus
-// patience-1 early stopping of non-improving restarts.
-func BenchmarkDSESweepAdaptive(b *testing.B) { benchScheduler(b, dse.OrderBound, 1) }
 
 // --- Micro-benchmarks of the framework's hot paths. ---
 
@@ -590,18 +515,16 @@ func BenchmarkAblation_GraphPartitionDP(b *testing.B) {
 	b.ReportMetric(ratio, "naive_over_dp_cost_x")
 }
 
-// --- Pruning engine v2 benchmarks (BENCH_5): compulsory-traffic bounds,
-// in-loop abandonment, disk-backed cache warmth. ---
+// --- Pruning engine benchmarks: compulsory-traffic bounds, in-loop
+// abandonment, disk-backed cache warmth. ---
 
 // weakDRAMBench returns the weak-first pruning workload for the bound
 // benchmarks: the three full-speed sweepBench variants plus five
 // DRAM-starved candidates (64-128x less DRAM bandwidth at nearly the same
-// monetary cost). Their compute and weight-DRAM floors stay harmless — the
-// PR 3 bound maps all five in full — but their compulsory activation
-// traffic already exceeds any full-speed candidate's objective, so the
-// compulsory-traffic bound prunes them without mapping. Weak candidates
-// come FIRST in grid order; workers are pinned so the schedule does not
-// depend on the host's core count.
+// monetary cost). Their compute and weight-DRAM floors stay harmless, but
+// their compulsory activation traffic already exceeds any full-speed
+// candidate's objective, so the bound prunes them without mapping. Workers
+// are pinned so the schedule does not depend on the host's core count.
 func weakDRAMBench() ([]arch.Config, []*dnn.Graph, dse.Options) {
 	strong, models, opt := sweepBench()
 	var cands []arch.Config
@@ -613,65 +536,18 @@ func weakDRAMBench() ([]arch.Config, []*dnn.Graph, dse.Options) {
 	}
 	cands = append(cands, strong...)
 	opt.Prune = true
-	opt.Order = dse.OrderBound
 	opt.Restarts = 4
 	opt.Workers = 4
 	return cands, models, opt
 }
 
-// benchBoundLevel runs the weak-first sweep at one bound level and reports
-// the scheduler's pruning and iteration accounting.
-func benchBoundLevel(b *testing.B, level dse.BoundLevel) *dse.CandidateResult {
-	cands, models, opt := weakDRAMBench()
-	opt.Bound = level
-	var best *dse.CandidateResult
-	var stats dse.SweepStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ses := dse.NewSession()
-		best = dse.Best(ses.Run(cands, models, opt))
-		if best == nil {
-			b.Fatal("no feasible candidate")
-		}
-		stats = ses.LastSweepStats()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(stats.PrunedCandidates), "pruned_candidates")
-	b.ReportMetric(float64(stats.SAIterations), "sa_iterations")
-	return best
-}
-
-// BenchmarkDSESweepPR3Bound is the baseline: the compute + weight-DRAM
-// bound cannot see the starved candidates' compulsory activation traffic,
-// so the whole weak tail is mapped in full.
-func BenchmarkDSESweepPR3Bound(b *testing.B) { benchBoundLevel(b, dse.BoundComputeDRAM) }
-
-// BenchmarkDSESweepTightBound runs the identical sweep under the
-// compulsory-traffic bound: the weak tail is pruned without mapping, and —
-// soundness, asserted here — the best candidate and objective are
-// bit-identical to the PR 3 bound's.
-func BenchmarkDSESweepTightBound(b *testing.B) {
-	got := benchBoundLevel(b, dse.BoundCompulsory)
-	b.StopTimer()
-	cands, models, opt := weakDRAMBench()
-	opt.Bound = dse.BoundComputeDRAM
-	want := dse.Best(dse.Run(cands, models, opt))
-	if want == nil || got.Obj != want.Obj || got.Cfg.Name != want.Cfg.Name {
-		b.Fatalf("tight-bound sweep best %s (%g) differs from PR 3 bound %s (%g): the new bound is unsound",
-			got.Cfg.Name, got.Obj, want.Cfg.Name, want.Obj)
-	}
-}
-
-// BenchmarkDSESweepHardened re-runs the tight-bound weak-first sweep with
-// the fault-tolerance machinery fully armed — a retry policy, a per-cell
+// BenchmarkDSESweepHardened runs the DRAM-starved pruning sweep with the
+// fault-tolerance machinery fully armed — a retry policy, a per-cell
 // deadline (which moves every attempt onto the watchdog goroutine path),
-// and no faults firing — so it measures exactly what hardening costs a
-// healthy sweep vs BenchmarkDSESweepTightBound, its fault-free twin in the
-// same run. The bench-compare -hardened-factor gate holds the pair within a
-// few percent: arming the machinery must cost ~nothing when nothing fails.
+// and no faults firing. Asserted in-bench: no fault is recorded and the best
+// is bit-identical to the bare sweep's.
 func BenchmarkDSESweepHardened(b *testing.B) {
 	cands, models, opt := weakDRAMBench()
-	opt.Bound = dse.BoundCompulsory
 	opt.Retry = dse.RetryPolicy{Max: 2, BaseDelay: time.Millisecond}
 	opt.CellTimeout = time.Minute
 	var best *dse.CandidateResult
@@ -691,7 +567,6 @@ func BenchmarkDSESweepHardened(b *testing.B) {
 	}
 	// Soundness: the hardened sweep finds the same best as the bare one.
 	cands, models, opt = weakDRAMBench()
-	opt.Bound = dse.BoundCompulsory
 	want := dse.Best(dse.Run(cands, models, opt))
 	if want == nil || best.Obj != want.Obj || best.Cfg.Name != want.Cfg.Name {
 		b.Fatalf("hardened sweep best %s (%g) differs from bare %s (%g)",
@@ -704,10 +579,9 @@ func BenchmarkDSESweepHardened(b *testing.B) {
 // BenchmarkDSESweepInLoopAbandon measures the in-loop abandonment mechanism
 // on a dominated cell at a deterministic domination point: a 4-restart
 // portfolio whose candidate becomes dominated a third of the way into the
-// second restart. The Dominated hook stops it within one polling stride;
-// the between-restart baseline (same domination point exposed only through
-// the Stop gate) burns the rest of the restart first. The strict iteration
-// reduction is asserted in-bench and both counts are reported.
+// second restart. The Dominated hook must stop it within one polling stride
+// — asserted in-bench as strictly fewer iterations than the two full
+// restarts a between-restart check would have burned.
 func BenchmarkDSESweepInLoopAbandon(b *testing.B) {
 	cfg := arch.GArch72()
 	g := dnn.TinyCNN()
@@ -724,49 +598,31 @@ func BenchmarkDSESweepInLoopAbandon(b *testing.B) {
 	pollsPerRestart := opt.Iterations/opt.CheckEvery - 1
 	fireAfter := pollsPerRestart + pollsPerRestart/3 + 1
 
-	runPortfolio := func(inLoop bool) sa.Portfolio {
+	var pf sa.Portfolio
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		polls := 0
 		o := opt
-		ao := sa.AdaptiveOptions{}
-		dominated := func() bool {
+		o.Dominated = func(float64) bool {
 			polls++
 			return polls > fireAfter
 		}
-		if inLoop {
-			o.Dominated = func(float64) bool { return dominated() }
-		} else {
-			// Between-restart checks only: poll on the same schedule (the
-			// Stop gate runs once per restart boundary), so the domination
-			// point is identical but only boundaries can act on it.
-			o.Dominated = func(float64) bool { dominated(); return false }
-			ao.Stop = func() bool { return polls > fireAfter }
-		}
-		return sa.MultiStartAdaptive(part.Scheme, eval.New(&cfg), o, restarts, ao)
-	}
-
-	var inLoop sa.Portfolio
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inLoop = runPortfolio(true)
+		pf = sa.MultiStartAdaptive(part.Scheme, eval.New(&cfg), o, restarts, sa.AdaptiveOptions{})
 	}
 	b.StopTimer()
-	boundary := runPortfolio(false)
-	if !inLoop.Abandoned || !boundary.Abandoned {
-		b.Fatalf("dominated portfolio not abandoned: in-loop %v, boundary %v", inLoop.Abandoned, boundary.Abandoned)
+	if !pf.Abandoned {
+		b.Fatal("dominated portfolio not abandoned")
 	}
-	if inLoop.Iterations >= boundary.Iterations {
-		b.Fatalf("in-loop abandonment saved nothing: %d vs %d iterations", inLoop.Iterations, boundary.Iterations)
+	if pf.Iterations <= opt.Iterations || pf.Iterations >= 2*opt.Iterations {
+		b.Fatalf("abandoned after %d iterations, want mid-restart 2 (%d..%d)", pf.Iterations, opt.Iterations, 2*opt.Iterations)
 	}
-	b.ReportMetric(float64(inLoop.Iterations), "sa_iterations")
-	b.ReportMetric(float64(boundary.Iterations), "boundary_sa_iterations")
+	b.ReportMetric(float64(pf.Iterations), "sa_iterations")
 }
 
 // BenchmarkDSESweepDiskWarm is BenchmarkDSESessionSweepWarm with the warmth
 // coming from a predecessor process's disk spill instead of this process's
 // own priming run: a fresh session loads the spill, then re-runs the sweep
-// with per-iteration seeds. The bench-compare gate holds it within 1.5x of
-// the in-process warm sweep — the claim is that cross-process warmth costs
-// almost nothing over in-process warmth. The background saver is exercised
+// with per-iteration seeds. The background saver is exercised
 // by the priming run (and its correctness by the race tests), but excluded
 // from the timed loop: its cost amortizes over real sweep durations, not
 // over a benchmark iteration shorter than one cache serialization. After
@@ -817,8 +673,8 @@ func BenchmarkDSESweepDiskWarm(b *testing.B) {
 	}
 }
 
-// --- Search engine v3 benchmarks (BENCH_8): racing restart allocation and
-// the per-cut bisection delay bound. ---
+// --- Search engine benchmarks: racing restart allocation and the per-cut
+// bisection delay bound. ---
 
 // racingBench returns the racing workload: eight GArch72 variants spanning a
 // wide quality range (degraded NoC, D2D and DRAM bandwidth, doubled GLB),
@@ -859,8 +715,7 @@ func racingBench() ([]arch.Config, []*dnn.Graph, dse.Options) {
 // at least 1.5x fewer total SA iterations than its uniform twin while
 // finding the bit-identical best candidate (finalists run the full
 // portfolio width, so racing may only cheapen the losers). Both iteration
-// counts are reported; the bench-compare -racing-factor gate holds the
-// ratio.
+// counts are reported.
 func BenchmarkDSESweepRacing(b *testing.B) {
 	cands, models, opt := racingBench()
 	opt.Racing = true
@@ -894,10 +749,11 @@ func BenchmarkDSESweepRacing(b *testing.B) {
 
 // cutBoundBench returns the cut-bound pruning workload: two healthy
 // candidates plus four whose D2D links starve the chiplet bisection (the
-// aggregate link sum stays huge, so the compulsory bound cannot see the
-// choke point), under a single dominant-FC-weight model whose one explicit
-// weight flow must cross the bisection. Weak candidates come FIRST in grid
-// order; the bound dispatch order and pruning are on.
+// aggregate link sum stays huge, so only the per-cut term of the bound sees
+// the choke point), under a single dominant-FC-weight model whose one
+// explicit weight flow must cross the bisection. One worker, so the healthy
+// candidates (lowest bounds) settle before any starved one is dispatched and
+// the pruned count does not depend on scheduling.
 func cutBoundBench(b *testing.B) ([]arch.Config, []*dnn.Graph, dse.Options) {
 	var cands []arch.Config
 	for _, bw := range []float64{1, 1.5, 2, 2.5} {
@@ -923,16 +779,17 @@ func cutBoundBench(b *testing.B) ([]arch.Config, []*dnn.Graph, dse.Options) {
 	opt.Batch = 8
 	opt.SAIterations = 150
 	opt.Restarts = 2
-	opt.Workers = 4
+	opt.Workers = 1
 	opt.Prune = true
-	opt.Order = dse.OrderBound
 	return cands, []*dnn.Graph{g}, opt
 }
 
-// benchCutBoundLevel runs the cut-bound workload at one bound level.
-func benchCutBoundLevel(b *testing.B, level dse.BoundLevel) (*dse.CandidateResult, dse.SweepStats) {
+// BenchmarkDSESweepCutBound runs the D2D-starved sweep under pruning and
+// asserts in-bench that the per-cut bisection floor does its job: all four
+// starved multi-chiplet candidates are pruned, and the best is bit-identical
+// to the unpruned sweep's (soundness).
+func BenchmarkDSESweepCutBound(b *testing.B) {
 	cands, models, opt := cutBoundBench(b)
-	opt.Bound = level
 	var best *dse.CandidateResult
 	var stats dse.SweepStats
 	b.ResetTimer()
@@ -945,34 +802,20 @@ func benchCutBoundLevel(b *testing.B, level dse.BoundLevel) (*dse.CandidateResul
 		stats = ses.LastSweepStats()
 	}
 	b.StopTimer()
-	return best, stats
-}
-
-// BenchmarkDSESweepCutBound runs the D2D-starved sweep under the per-cut
-// bisection bound and asserts the tentpole claim in-bench: the cut bound
-// prunes strictly more multi-chiplet candidates than BoundCompulsory on the
-// identical sweep, and both find the bit-identical best. Both pruned counts
-// are reported; the bench-compare -cutbound-factor gate holds the gap.
-func BenchmarkDSESweepCutBound(b *testing.B) {
-	best, stats := benchCutBoundLevel(b, dse.BoundCut)
-	cands, models, opt := cutBoundBench(b)
-	opt.Bound = dse.BoundCompulsory
-	ses := dse.NewSession()
-	want := dse.Best(ses.Run(cands, models, opt))
-	cstats := ses.LastSweepStats()
+	opt.Prune = false
+	want := dse.Best(dse.Run(cands, models, opt))
 	if want == nil || best.Obj != want.Obj || best.Cfg.Name != want.Cfg.Name {
-		b.Fatalf("cut-bound sweep best %s (%g) differs from compulsory %s (%g): the cut bound is unsound",
+		b.Fatalf("cut-bound sweep best %s (%g) differs from the unpruned sweep's %s (%g): the bound is unsound",
 			best.Cfg.Name, best.Obj, want.Cfg.Name, want.Obj)
 	}
-	if stats.PrunedCandidates <= cstats.PrunedCandidates {
-		b.Fatalf("cut bound pruned %d candidates, compulsory pruned %d: the bisection floor bought nothing",
-			stats.PrunedCandidates, cstats.PrunedCandidates)
+	if stats.PrunedCandidates < 4 {
+		b.Fatalf("pruned %d candidates, want the 4 D2D-starved ones: the bisection floor bought nothing",
+			stats.PrunedCandidates)
 	}
 	b.ReportMetric(float64(stats.PrunedCandidates), "pruned_candidates")
-	b.ReportMetric(float64(cstats.PrunedCandidates), "compulsory_pruned_candidates")
 }
 
-// --- Distributed fleet benchmarks (BENCH_10): shard the grid, broadcast
+// --- Distributed fleet benchmarks: shard the grid, broadcast
 // the incumbent, merge checkpoints. ---
 
 // fleetBenchSpec is the fleet benchmark workload: four full-speed GArch72
@@ -1081,8 +924,7 @@ func runFleetBench(b *testing.B, spec dse.Spec, shards, workers int, share bool)
 // skipped work alone and adds near-linear scaling on top when the workers
 // have real cores to spread over. Soundness is asserted in-bench: all runs
 // end at the bit-identical best, and the fleet's total SA iteration count
-// is strictly below the independent twin's. The bench-compare -fleet-factor
-// gate holds the wall-clock ratio and the strict iteration inequality.
+// is strictly below the independent twin's.
 func BenchmarkFleetSweep(b *testing.B) {
 	spec, cands := fleetBenchSpec(b)
 	shards := len(cands)

@@ -44,8 +44,9 @@
 // All of this is deterministic: a fixed SA seed yields a bit-identical best
 // cost and scheme whether results come from the memo or from scratch (see
 // TestGoldenSAResNet50), and the DSE layer's (candidate, model) worker pool
-// only reorders work, never results. Hot-loop throughput is tracked in
-// BENCH_1.json via BenchmarkSAOptimize and BenchmarkEvaluateGroup.
+// only reorders work, never results. Hot-loop throughput is measured by
+// BenchmarkSAOptimize and BenchmarkEvaluateGroup, and layer by layer by
+// `go run ./bench`.
 package gemini
 
 import (

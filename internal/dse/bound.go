@@ -20,32 +20,6 @@ import (
 	"gemini/internal/noc"
 )
 
-// BoundLevel selects the lower-bound formulation used for pruning and
-// bound-ordered dispatch. Bounds only schedule and prune — they never change
-// a mapping — so the level is excluded from the checkpoint fingerprint.
-type BoundLevel string
-
-const (
-	// BoundCompulsory (and the zero value) is the full compulsory-traffic
-	// bound: compute and weight-DRAM floors plus compulsory activation DRAM
-	// traffic, GLB-capacity weight streaming, inter-layer transfer energy
-	// and the aggregate interconnect capacity. It is the tightest sound
-	// bound the engine knows and the default.
-	BoundCompulsory BoundLevel = "compulsory"
-	// BoundComputeDRAM is the earlier compute + weight-DRAM-only bound. It
-	// ignores all activation and interconnect traffic; it is kept so the
-	// benchmark suite can quantify the compulsory-traffic gain and so sweeps
-	// can be replayed against the historical schedule.
-	BoundComputeDRAM BoundLevel = "compute-dram"
-	// BoundCut adds the per-cut bisection delay floor on top of the full
-	// compulsory-traffic bound: for every chiplet-level bisection of the mesh
-	// it charges the narrowest sustained path each explicit DRAM flow can
-	// take — across the cut when interleaved, through a single controller
-	// when pinned — instead of only the aggregate link-bandwidth sum. See
-	// cutFloor for the soundness argument.
-	BoundCut BoundLevel = "cut"
-)
-
 // modelDemand aggregates the per-sample compulsory quantities of one DNN.
 // Everything in it is a property of the graph alone — independent of the
 // architecture, batch and mapping options — so it is computed once per graph
@@ -259,18 +233,15 @@ func minPasses(opt Options) int {
 }
 
 // lowerBoundED returns provable lower bounds on the total energy (J) and
-// delay (s) of any feasible mapping of g on cfg under opt.
-//
-// The BoundComputeDRAM terms rest on two invariants of the evaluation model:
+// delay (s) of any feasible mapping of g on cfg under opt. There is one
+// bound: energy sums the energy floors below and delay takes the largest
+// delay floor, each resting on an invariant of the evaluation model:
 //
 //   - every MAC executes on a PE array whose aggregate throughput is
 //     Cores * MACsPerCore per cycle, and costs at least MACpJ;
 //   - every stationary weight byte is read from DRAM at least once
 //     (resident slices load once, streaming slices more), over a DRAM
-//     system of DRAMBW GB/s, at DRAMpJPerByte.
-//
-// The BoundCompulsory level adds floors the evaluator also always charges:
-//
+//     system of DRAMBW GB/s, at DRAMpJPerByte;
 //   - vector ops at VecOppJ and one GLB write per produced output byte
 //     (the intra-core engine's traffic term is >= OutBytes per pass);
 //   - compulsory activation DRAM traffic: external-input reads and
@@ -290,12 +261,10 @@ func minPasses(opt Options) int {
 //   - interconnect capacity: each compulsory DRAM byte occupies a DRAM
 //     controller and each inter-layer byte occupies a link or a controller,
 //     and a sum of per-pass maxima is at least the total load over the total
-//     bandwidth, so delay >= (dram + inter) / (DRAMBW + LinkBWSum).
-//
-// The BoundCut level keeps every BoundCompulsory term and additionally
-// floors delay by the per-cut bisection rate of the largest explicit DRAM
-// flow (see cutFloor), which tightens the delay bound on multi-chiplet
-// meshes whose narrow cuts — not the aggregate link sum — gate traffic.
+//     bandwidth, so delay >= (dram + inter) / (DRAMBW + LinkBWSum);
+//   - the per-cut bisection rate of the largest explicit DRAM flow (see
+//     cutFloor), which tightens the delay bound on multi-chiplet meshes
+//     whose narrow cuts — not the aggregate link sum — gate traffic.
 //
 // Every term only charges costs the evaluator actually charges and never
 // more of them than any reachable scheme incurs, so the bound can never
@@ -313,20 +282,17 @@ func lowerBoundED(cfg *arch.Config, g *dnn.Graph, p *eval.Params, opt Options) (
 		dLB = macs / peakMACsPerSec
 	}
 
-	dramBytes := d.weightBytes
-	full := opt.Bound != BoundComputeDRAM
-	if full {
-		dramBytes += (d.extReadBytes + d.outWriteBytes) * batch
-		if pm := minPasses(opt); pm > 1 {
-			agg := float64(cfg.Cores()) * float64(cfg.GLBPerCore)
-			excess := 0.0
-			for _, wb := range d.layerWeightBytes {
-				if wb > agg {
-					excess += wb - agg
-				}
+	pm := minPasses(opt)
+	dramBytes := d.weightBytes + (d.extReadBytes+d.outWriteBytes)*batch
+	if pm > 1 {
+		agg := float64(cfg.Cores()) * float64(cfg.GLBPerCore)
+		excess := 0.0
+		for _, wb := range d.layerWeightBytes {
+			if wb > agg {
+				excess += wb - agg
 			}
-			dramBytes += float64(pm-1) * excess
 		}
+		dramBytes += float64(pm-1) * excess
 	}
 	if dram := cfg.DRAMBW * 1e9; dram > 0 {
 		if t := dramBytes / dram; t > dLB {
@@ -334,34 +300,30 @@ func lowerBoundED(cfg *arch.Config, g *dnn.Graph, p *eval.Params, opt Options) (
 		}
 	}
 
+	inter := d.interBytes * batch
+	hop := p.NoCHoppJPerByte + p.RouterpJPerByte
+	if v := p.D2DpJPerByte + p.RouterpJPerByte; v < hop {
+		hop = v
+	}
+	if p.DRAMpJPerByte < hop {
+		hop = p.DRAMpJPerByte
+	}
 	eLB = macs*p.MACpJ*1e-12 + dramBytes*p.DRAMpJPerByte*1e-12
-	if full {
-		inter := d.interBytes * batch
-		hop := p.NoCHoppJPerByte + p.RouterpJPerByte
-		if v := p.D2DpJPerByte + p.RouterpJPerByte; v < hop {
-			hop = v
+	eLB += d.vecOps*batch*p.VecOppJ*1e-12 +
+		d.ofmapBytes*batch*p.GLBpJPerByte*1e-12 +
+		inter*hop*1e-12
+	if cap := (cfg.DRAMBW + noc.LinkBWSum(cfg)) * 1e9; cap > 0 {
+		if t := (dramBytes + inter) / cap; t > dLB {
+			dLB = t
 		}
-		if p.DRAMpJPerByte < hop {
-			hop = p.DRAMpJPerByte
-		}
-		eLB += d.vecOps*batch*p.VecOppJ*1e-12 +
-			d.ofmapBytes*batch*p.GLBpJPerByte*1e-12 +
-			inter*hop*1e-12
-		if cap := (cfg.DRAMBW + noc.LinkBWSum(cfg)) * 1e9; cap > 0 {
-			if t := (dramBytes + inter) / cap; t > dLB {
-				dLB = t
-			}
-		}
-		if opt.Bound == BoundCut {
-			if t := cutFloor(cfg, d, batch, minPasses(opt)); t > dLB {
-				dLB = t
-			}
-		}
+	}
+	if t := cutFloor(cfg, d, batch, pm); t > dLB {
+		dLB = t
 	}
 	return eLB, dLB
 }
 
-// cutFloor is the per-cut bisection delay floor of BoundCut: the largest
+// cutFloor is the per-cut bisection delay floor: the largest
 // compulsory volume any single explicit flow-of-data channel must move,
 // times the worst per-byte rate the flow cannot escape.
 //
@@ -469,37 +431,6 @@ func cutFloor(cfg *arch.Config, d *modelDemand, batch float64, pm int) float64 {
 		}
 	}
 	return maxVol * rate / 1e9
-}
-
-// boundParams resolves the technology constants the lower bounds use:
-// Options.BoundParams when set, otherwise the evaluator defaults. The
-// session's evaluators always charge eval.DefaultParams(), so an override
-// is clamped to never exceed the defaults on any constant the bound
-// consumes — a "lower bound" computed from larger constants than the
-// evaluation actually charges would not bound the evaluated objective, and
-// pruning could discard the true optimum. The clamp covers every constant
-// the compulsory-traffic bound reads (MAC, vector, GLB, NoC hop, router,
-// D2D and DRAM energies); the bound is monotone increasing in each, so
-// overrides can only loosen (lower) it, never unsoundly tighten it. Bounds
-// only schedule and prune, so the choice is not part of the checkpoint
-// fingerprint.
-func boundParams(opt Options) *eval.Params {
-	p := eval.DefaultParams()
-	if bp := opt.BoundParams; bp != nil {
-		clamp := func(dst *float64, v float64) {
-			if v < *dst {
-				*dst = v
-			}
-		}
-		clamp(&p.MACpJ, bp.MACpJ)
-		clamp(&p.VecOppJ, bp.VecOppJ)
-		clamp(&p.GLBpJPerByte, bp.GLBpJPerByte)
-		clamp(&p.NoCHoppJPerByte, bp.NoCHoppJPerByte)
-		clamp(&p.RouterpJPerByte, bp.RouterpJPerByte)
-		clamp(&p.D2DpJPerByte, bp.D2DpJPerByte)
-		clamp(&p.DRAMpJPerByte, bp.DRAMpJPerByte)
-	}
-	return &p
 }
 
 // pruneBound computes the candidate's objective lower bound over a model

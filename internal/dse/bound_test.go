@@ -1,10 +1,12 @@
 package dse
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"gemini/internal/arch"
+	"gemini/internal/cost"
 	"gemini/internal/dnn"
 	"gemini/internal/eval"
 )
@@ -81,30 +83,6 @@ func TestBoundSoundnessRandomized(t *testing.T) {
 		if dLB > mr.Delay {
 			t.Errorf("%s/%s: delay bound %v exceeds achieved %v", cfg.Name, g.Name, dLB, mr.Delay)
 		}
-		// The v2 bound must dominate (be at least as tight as) the v1 bound:
-		// it only adds non-negative compulsory terms.
-		v1 := opt
-		v1.Bound = BoundComputeDRAM
-		e1, d1 := lowerBoundED(&cfg, g, &p, v1)
-		if eLB < e1 || dLB < d1 {
-			t.Errorf("%s/%s: compulsory bound (%v, %v) below compute-dram bound (%v, %v)",
-				cfg.Name, g.Name, eLB, dLB, e1, d1)
-		}
-		// The v3 per-cut bisection bound must also stay below the achieved
-		// outcome, and dominate the compulsory bound it extends.
-		v3 := opt
-		v3.Bound = BoundCut
-		e3, d3 := lowerBoundED(&cfg, g, &p, v3)
-		if e3 > mr.Energy {
-			t.Errorf("%s/%s: cut energy bound %v exceeds achieved %v", cfg.Name, g.Name, e3, mr.Energy)
-		}
-		if d3 > mr.Delay {
-			t.Errorf("%s/%s: cut delay bound %v exceeds achieved %v", cfg.Name, g.Name, d3, mr.Delay)
-		}
-		if e3 < eLB || d3 < dLB {
-			t.Errorf("%s/%s: cut bound (%v, %v) below compulsory bound (%v, %v)",
-				cfg.Name, g.Name, e3, d3, eLB, dLB)
-		}
 	}
 	if checked == 0 {
 		t.Fatal("no feasible pair was checked; the property test is vacuous")
@@ -130,13 +108,20 @@ func TestBoundGLBStreamingExcess(t *testing.T) {
 	p := eval.DefaultParams()
 	eLB, dLB := lowerBoundED(&cfg, g, &p, opt)
 
-	v1 := opt
-	v1.Bound = BoundComputeDRAM
-	e1, d1 := lowerBoundED(&cfg, g, &p, v1)
 	// weights alone: 128 MB; excess (128-72) MB streams on >= 3 more passes,
-	// so the v2 DRAM floor must clearly exceed the load-once floor.
-	if eLB <= e1 || dLB <= d1 {
-		t.Fatalf("capacity term missing: v2 (%v, %v) vs v1 (%v, %v)", eLB, dLB, e1, d1)
+	// so the DRAM floor must reach the streamed volume, clearly above the
+	// load-once floor.
+	wb := demandFor(g).weightBytes
+	agg := float64(cfg.Cores()) * float64(cfg.GLBPerCore)
+	streamed := wb + float64(minPasses(opt)-1)*(wb-agg)
+	if streamed < 2*wb {
+		t.Fatalf("workload streams only %v bytes over %v of weights", streamed, wb)
+	}
+	if want := streamed / (cfg.DRAMBW * 1e9); dLB < want {
+		t.Fatalf("capacity term missing from the delay floor: %v < %v", dLB, want)
+	}
+	if want := streamed * p.DRAMpJPerByte * 1e-12; eLB < want {
+		t.Fatalf("capacity term missing from the energy floor: %v < %v", eLB, want)
 	}
 
 	mr, err := MapModel(&cfg, g, opt)
@@ -185,13 +170,14 @@ func TestCoveredDim(t *testing.T) {
 	}
 }
 
-// TestBoundCutTightensOnStarvedD2D: on a multi-chiplet candidate whose
+// TestCutFloorTightensOnStarvedD2D: on a multi-chiplet candidate whose
 // bisection bandwidth is far below the aggregate link sum, a model with one
-// dominant weight channel must get a strictly tighter delay floor from the
-// per-cut bound than from the compulsory aggregate — that gap is what the
-// BenchmarkDSESweepCutBound pruning gate measures — while still bounding
-// the real mapped outcome from below.
-func TestBoundCutTightensOnStarvedD2D(t *testing.T) {
+// dominant weight channel must get its delay floor from the per-cut term —
+// strictly above what the same candidate with healthy D2D links gets, which
+// is the gap BenchmarkDSESweepCutBound's pruning rests on — while still
+// bounding the real mapped outcome from below.
+func TestCutFloorTightensOnStarvedD2D(t *testing.T) {
+	healthy := arch.GArch72()
 	cfg := arch.GArch72()
 	cfg.D2DBW = 1 // 12 GB/s bisection vs 144 GB/s DRAM + ~3.8 TB/s link sum
 	cfg.Name = cfg.String()
@@ -204,42 +190,96 @@ func TestBoundCutTightensOnStarvedD2D(t *testing.T) {
 	}
 	p := eval.DefaultParams()
 	opt := testOptions()
-	v3 := opt
-	v3.Bound = BoundCut
-	e2, d2 := lowerBoundED(&cfg, g, &p, opt)
-	e3, d3 := lowerBoundED(&cfg, g, &p, v3)
-	if d3 <= d2 {
-		t.Errorf("cut delay bound did not tighten: v3 %v <= v2 %v", d3, d2)
+	eH, dH := lowerBoundED(&healthy, g, &p, opt)
+	eS, dS := lowerBoundED(&cfg, g, &p, opt)
+	if dS <= dH {
+		t.Errorf("starved bisection did not tighten the delay bound: %v <= healthy %v", dS, dH)
 	}
-	if e3 != e2 {
-		t.Errorf("cut bound changed the energy floor: v3 %v vs v2 %v", e3, e2)
+	if cut := cutFloor(&cfg, demandFor(g), float64(opt.Batch), minPasses(opt)); dS != cut {
+		t.Errorf("delay bound %v is not the per-cut floor %v", dS, cut)
+	}
+	if eS != eH {
+		t.Errorf("the cut term changed the energy floor: %v vs %v", eS, eH)
 	}
 	mr, err := MapModel(&cfg, g, opt)
 	if err != nil {
 		t.Fatalf("dominant-FC model unexpectedly unmappable: %v", err)
 	}
-	if d3 > mr.Delay {
-		t.Fatalf("cut bound %v exceeds achieved delay %v", d3, mr.Delay)
+	if dS > mr.Delay {
+		t.Fatalf("cut bound %v exceeds achieved delay %v", dS, mr.Delay)
 	}
 }
 
-// TestBoundTightensOrdering: on a memory-starved candidate the
-// compulsory-traffic bound must be strictly tighter than the compute-DRAM
-// bound (that gap is what buys the earlier pruning the benchmarks gate on).
+// TestBoundTightensOrdering: on a memory-starved candidate the bound must
+// be strictly tighter than its compute + weight-DRAM terms alone (the
+// compulsory activation and interconnect floors are what buy the earlier
+// pruning).
 func TestBoundTightensOrdering(t *testing.T) {
 	cfg := arch.GArch72()
 	cfg.DRAMBW = 32 // memory-bound: activation floors dominate
 	cfg.Name = cfg.String()
 	p := eval.DefaultParams()
 	opt := testOptions()
-	v1 := opt
-	v1.Bound = BoundComputeDRAM
-	e2, d2 := lowerBoundED(&cfg, testCNN, &p, opt)
-	e1, d1 := lowerBoundED(&cfg, testCNN, &p, v1)
-	if e2 <= e1 {
-		t.Errorf("energy bound did not tighten: v2 %v <= v1 %v", e2, e1)
+	eLB, dLB := lowerBoundED(&cfg, testCNN, &p, opt)
+	d := demandFor(testCNN)
+	macs := d.macs * float64(opt.Batch)
+	e1 := macs*p.MACpJ*1e-12 + d.weightBytes*p.DRAMpJPerByte*1e-12
+	d1 := math.Max(macs/(float64(cfg.Cores())*float64(cfg.MACsPerCore)*cfg.FreqGHz*1e9), d.weightBytes/(cfg.DRAMBW*1e9))
+	if eLB <= e1 {
+		t.Errorf("energy bound did not tighten: %v <= compute+weight floor %v", eLB, e1)
 	}
-	if d2 < d1 {
-		t.Errorf("delay bound regressed: v2 %v < v1 %v", d2, d1)
+	if dLB < d1 {
+		t.Errorf("delay bound regressed: %v < compute+weight floor %v", dLB, d1)
+	}
+}
+
+// TestBoundSoundOnRealZoo checks the bound where sweeps actually use it: a
+// fixed sample of reduced 72-TOPs multi-chiplet candidates (the ones with
+// chiplet cuts, so the per-cut term is live) against resnet50 and
+// transformer, each mapped for real. The candidate's pruneBound must not
+// exceed its achieved objective, nor any per-model floor its achieved value.
+func TestBoundSoundOnRealZoo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("maps real zoo models")
+	}
+	var multi []arch.Config
+	for _, c := range Space72().Reduced().Enumerate() {
+		if c.Chiplets() > 1 {
+			multi = append(multi, c)
+		}
+	}
+	if len(multi) < 4 {
+		t.Fatalf("reduced 72-TOPs space has %d multi-chiplet candidates", len(multi))
+	}
+	models := []*dnn.Graph{dnn.ResNet50(), dnn.Transformer()}
+	opt := DefaultOptions()
+	opt.SAIterations = 60
+	p := eval.DefaultParams()
+	mce := cost.New()
+	cutLive := 0
+	for i := 0; i < 4; i++ {
+		cfg := multi[i*len(multi)/4]
+		per := make([]pairOutcome, len(models))
+		for mi, g := range models {
+			mr, err := MapModel(&cfg, g, opt)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", cfg.Name, g.Name, err)
+			}
+			eLB, dLB := lowerBoundED(&cfg, g, &p, opt)
+			if eLB > mr.Energy || dLB > mr.Delay {
+				t.Errorf("%s/%s: bound (%v J, %v s) exceeds achieved (%v J, %v s)", cfg.Name, g.Name, eLB, dLB, mr.Energy, mr.Delay)
+			}
+			if cutFloor(&cfg, demandFor(g), float64(opt.Batch), minPasses(opt)) > 0 {
+				cutLive++
+			}
+			per[mi] = mr.asOutcome()
+		}
+		cr := reduceCandidate(&cfg, per, models, mce, opt)
+		if lb := pruneBound(&cfg, models, &p, opt, cr.MC.Total()); !cr.Feasible || lb > cr.Obj {
+			t.Errorf("%s: pruneBound %v exceeds achieved objective %v", cfg.Name, lb, cr.Obj)
+		}
+	}
+	if cutLive == 0 {
+		t.Error("the per-cut term was zero on every sampled cell; the sample does not exercise it")
 	}
 }

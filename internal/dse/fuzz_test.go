@@ -23,12 +23,12 @@ func FuzzSpecUnmarshal(f *testing.F) {
 		`"sweep"`,
 		`{"space":{"tops":72,"reduced":true},"models":["tinycnn"]}`,
 		`{"id":"full","space":{"tops":128},"models":["resnet50","transformer"],` +
-			`"tenant":"acme","priority":"batch","order":"bound","bound":"cut",` +
+			`"tenant":"acme","priority":"batch",` +
 			`"racing":true,"racing_keep":0.5,"workers":2,"seed":7,"restarts":4,` +
 			`"sa_iterations":100,"batch":16,"batch_units":[1,2],"patience":3,` +
 			`"objective":{"alpha":1,"beta":2,"gamma":0.5},"prune":true,` +
 			`"retry":{"max":2,"base_delay_ms":5,"max_delay_ms":50},` +
-			`"cell_timeout_ms":1000,"abandon_every":-1,"max_group_layers":4}`,
+			`"cell_timeout_ms":1000,"max_group_layers":4}`,
 		`{"space":{"tops":42},"models":["tinycnn"]}`,
 		`{"space":{"tops":72},"models":["unknown-model"]}`,
 		`{"space":{"tops":72},"models":["tinycnn"],"tenant":"../etc"}`,
@@ -39,7 +39,7 @@ func FuzzSpecUnmarshal(f *testing.F) {
 		`{"space":{"tops":72,"glb_kb":[0]},"models":["tinycnn"]}`,
 		`{"space":{"tops":72,"cuts":[1,2],"macs":[1024],"glb_kb":[512],` +
 			`"noc_gbps":[32],"d2d_ratios":[0.5],"dram_per_tops":[1]},` +
-			`"models":["tinycnn"],"order":"grid","bound":"compulsory"}`,
+			`"models":["tinycnn"]}`,
 		`{"space":{"tops":72},`,
 	}
 	// One seed past the grid cap: 64 cuts (squared by XCut x YCut) times 512

@@ -59,14 +59,9 @@ type Options struct {
 	// for monotone objectives). The incumbent is live: it is re-read before
 	// every cell and between SA restarts, and it is seeded from checkpointed
 	// cells on resumed sessions, so the gate tightens as early as possible.
+	// Candidates always dispatch in ascending lower-bound order, pruning or
+	// not, so the cheap candidates that tighten the incumbent run first.
 	Prune bool
-	// Order selects the candidate dispatch order: OrderBound schedules
-	// candidates in ascending objective-lower-bound order so the pruning
-	// incumbent tightens before expensive candidates run; OrderGrid (and
-	// the zero value) keeps enumeration order. Order never changes which
-	// results are computed when pruning is off, only their schedule, so it
-	// is excluded from the checkpoint fingerprint.
-	Order SweepOrder
 	// Patience makes the per-cell SA portfolio adaptive: the portfolio
 	// stops after this many consecutive non-improving restarts. 0 (and any
 	// value >= Restarts) runs the full fixed schedule, bit-identical to the
@@ -98,31 +93,6 @@ type Options struct {
 	// completes (no calls unless Racing is on). Calls are serialized in rung
 	// order. Purely observational — excluded from the checkpoint fingerprint.
 	OnRung func(RungStats) `json:"-"`
-	// AbandonEvery controls in-loop abandonment: with pruning active, every
-	// cell's SA search polls the scheduler's live incumbent on this
-	// iteration stride and walks away mid-anneal once its candidate is
-	// dominated (on top of the existing between-restart checks). 0 uses the
-	// engine default (32); < 0 disables the in-loop check, restoring the
-	// between-restarts-only behavior. Abandoned cells are never settled or
-	// checkpointed, so the option only schedules — like Order it is excluded
-	// from the checkpoint fingerprint and non-abandoned results stay
-	// bit-identical.
-	AbandonEvery int `json:"abandon_every,omitempty"`
-	// Bound selects the lower-bound formulation behind Prune and OrderBound:
-	// BoundCompulsory (the zero value) is the full compulsory-traffic bound;
-	// BoundComputeDRAM is the historical compute+weight-DRAM bound, kept for
-	// benchmarking the compulsory-traffic gain. Like Order it only schedules
-	// and prunes — it never changes a mapping — so it is excluded from the
-	// checkpoint fingerprint.
-	Bound BoundLevel `json:"bound,omitempty"`
-	// BoundParams loosens the technology constants the pruning lower
-	// bounds are computed from (default: eval.DefaultParams()). Because the
-	// evaluation itself always charges the defaults, overrides are clamped
-	// to never exceed them — raising a bound constant above what the
-	// evaluator charges would let pruning discard the true optimum. Bounds
-	// only schedule and prune — they never change a mapping — so the field
-	// is excluded from the checkpoint fingerprint.
-	BoundParams *eval.Params `json:"-"`
 	// CacheDir, when set, backs the session's shared evaluation cache with a
 	// disk spill in this directory: RunContext warms the cache from the
 	// directory's spill file once per session, re-saves it in the background
@@ -146,12 +116,11 @@ type Options struct {
 	// pull from instead. The sweep service uses this to bind sweeps to queue
 	// slots and to gate a preempted sweep's feed shut. A feed only schedules
 	// — cells it never delivers are reported as canceled, not computed — so
-	// like Order it is excluded from the checkpoint fingerprint.
+	// it is excluded from the checkpoint fingerprint.
 	Dispatch func(Dispatcher) Dispatcher `json:"-"`
 	// SweepID optionally names the sweep for logs and SweepStats; the sweep
-	// service keys server-side checkpoints by it. Like Order it only
-	// labels/schedules — it never changes a mapping — so it is excluded
-	// from the checkpoint fingerprint.
+	// service keys server-side checkpoints by it. It only labels — it never
+	// changes a mapping — so it is excluded from the checkpoint fingerprint.
 	SweepID string `json:"sweep_id,omitempty"`
 	// Retry bounds transient-failure retries per (candidate, model) cell:
 	// panics, per-cell deadline expiries and transient I/O errors re-run the
@@ -213,7 +182,6 @@ func DefaultOptions() Options {
 		Restarts:     1,
 		Seed:         1,
 		BatchUnits:   []int{1, 2, 4, 8},
-		Order:        OrderBound,
 	}
 }
 
@@ -284,6 +252,13 @@ func mapModelEval(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Option
 	return mapModelRange(ev, cfg, g, opt, stop, 0, effectiveRestarts(opt))
 }
 
+// abandonStride is the in-loop abandonment polling stride, in SA iterations:
+// with a stop gate present, every cell's annealing loop polls the scheduler's
+// live incumbent this often and walks away mid-anneal once its candidate is
+// dominated (on top of the between-restart checks). Abandoned cells are never
+// settled or checkpointed, so the stride only schedules.
+const abandonStride = 32
+
 // mapModelRange is mapModelEval restricted to the restart window [from, to)
 // of the portfolio opt defines. Restart i always anneals with the same
 // derived seed regardless of the window, so the session layer can widen a
@@ -312,12 +287,12 @@ func mapModelRange(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Optio
 	so.Iterations = opt.SAIterations
 	so.Seed = opt.Seed
 	so.Beta, so.Gamma = opt.Objective.Beta, opt.Objective.Gamma
-	if stop != nil && opt.AbandonEvery >= 0 {
+	if stop != nil {
 		// In-loop abandonment: the scheduler's stop gate also interrupts the
 		// annealing hot loop itself, not just the gaps between restarts, so
-		// a cell dominated mid-anneal stops within AbandonEvery iterations.
+		// a cell dominated mid-anneal stops within abandonStride iterations.
 		so.Dominated = func(float64) bool { return stop() }
-		so.CheckEvery = opt.AbandonEvery
+		so.CheckEvery = abandonStride
 	}
 	pf := sa.MultiStartRange(part.Scheme, ev, so, from, to,
 		sa.AdaptiveOptions{Patience: activePatience(opt), Stop: stop})

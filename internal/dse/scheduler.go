@@ -1,13 +1,12 @@
 // Sweep scheduler: decides the order (candidate, model) cells are
 // dispatched in, owns the live pruning incumbent, and accounts for the work
-// the bound gate saved. The naive grid feed evaluates candidates in
-// enumeration order, so the incumbent tightens only after whatever happens
-// to be enumerated first completes; the bound-ordered schedule dispatches
-// cells in ascending objective-lower-bound order instead, so the candidates
-// most likely to produce a tight incumbent run first and the expensive,
-// hopeless tail is pruned without ever being mapped. On resumed sessions
-// the incumbent is additionally seeded from fully checkpointed candidates,
-// so pruning is active from the very first task.
+// the bound gate saved. Cells dispatch in ascending objective-lower-bound
+// order (ties keep enumeration order), so the candidates most likely to
+// produce a tight incumbent run first and the expensive, hopeless tail is
+// pruned without ever being mapped; with pruning off the order only
+// schedules, never changes results. On resumed sessions the incumbent is
+// additionally seeded from fully checkpointed candidates, so pruning is
+// active from the very first task.
 package dse
 
 import (
@@ -24,20 +23,6 @@ import (
 	"gemini/internal/cost"
 	"gemini/internal/dnn"
 	"gemini/internal/eval"
-)
-
-// SweepOrder selects the candidate dispatch order of a sweep.
-type SweepOrder string
-
-const (
-	// OrderGrid dispatches candidates in enumeration (grid) order. The
-	// zero value "" behaves like OrderGrid.
-	OrderGrid SweepOrder = "grid"
-	// OrderBound dispatches candidates in ascending objective-lower-bound
-	// order, so cheap candidates tighten the pruning incumbent before
-	// expensive ones are attempted. With pruning off this only changes
-	// scheduling, never results.
-	OrderBound SweepOrder = "bound"
 )
 
 // RungStats records one completed rung of a racing (successive-halving)
@@ -70,8 +55,6 @@ type IncumbentStep struct {
 type SweepStats struct {
 	// SweepID echoes Options.SweepID (empty for unnamed sweeps).
 	SweepID string
-	// Order is the dispatch order the sweep actually used.
-	Order SweepOrder
 	// Candidates is the number of architecture candidates in the sweep.
 	Candidates int
 	// Cells is the total (candidate, model) grid size.
@@ -198,7 +181,7 @@ func (in *incumbent) trajectory() []IncumbentStep {
 type candState struct {
 	remaining atomic.Int32
 	pruned    atomic.Bool
-	lb        float64 // objective lower bound (0 when bounds are not in use)
+	lb        float64 // objective lower bound
 }
 
 // scheduler runs one sweep's (candidate, model) grid.
@@ -276,43 +259,36 @@ func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models 
 	if opt.Prune && !sc.prune {
 		s.logf("dse: pruning disabled: objective %+v is not monotone", opt.Objective)
 	}
-	ordered := opt.Order == OrderBound
+	params := eval.DefaultParams()
+	eLBs := make([]float64, len(models))
+	dLBs := make([]float64, len(models))
 	for ci := range cands {
-		sc.states[ci] = &candState{}
-		sc.states[ci].remaining.Store(int32(len(models)))
+		st := &candState{}
+		st.remaining.Store(int32(len(models)))
+		sc.states[ci] = st
 		sc.order[ci] = ci
-	}
-	if sc.prune || ordered {
-		params := boundParams(opt)
-		eLBs := make([]float64, len(models))
-		dLBs := make([]float64, len(models))
-		for ci := range cands {
-			mc := sc.mce.Evaluate(&cands[ci]).Total()
-			for mi, g := range models {
-				eLBs[mi], dLBs[mi] = lowerBoundED(&cands[ci], g, params, opt)
+		mc := sc.mce.Evaluate(&cands[ci]).Total()
+		for mi, g := range models {
+			eLBs[mi], dLBs[mi] = lowerBoundED(&cands[ci], g, &params, opt)
+		}
+		st.lb = mixedBound(mc, eLBs, dLBs, nil, opt.Objective)
+		if sc.prune {
+			// Bound-aware seeding breadth: a partially checkpointed
+			// candidate's own bound tightens by substituting the actual
+			// (restored-verbatim) energies and delays of its settled
+			// cells for their lower bounds. The mix stays a lower bound
+			// on the candidate's final objective — never an incumbent:
+			// an unachieved value must not prune *other* candidates, but
+			// it may prune its own, so partial resumes cut dominated
+			// candidates off before their missing cells are mapped.
+			if mixed := sc.partialCheckpointBound(ci, mc, eLBs, dLBs); mixed > st.lb {
+				st.lb = mixed
 			}
-			lb := mixedBound(mc, eLBs, dLBs, nil, opt.Objective)
-			if sc.prune {
-				// Bound-aware seeding breadth: a partially checkpointed
-				// candidate's own bound tightens by substituting the actual
-				// (restored-verbatim) energies and delays of its settled
-				// cells for their lower bounds. The mix stays a lower bound
-				// on the candidate's final objective — never an incumbent:
-				// an unachieved value must not prune *other* candidates, but
-				// it may prune its own, so partial resumes cut dominated
-				// candidates off before their missing cells are mapped.
-				if mixed := sc.partialCheckpointBound(ci, mc, eLBs, dLBs); mixed > lb {
-					lb = mixed
-				}
-			}
-			sc.states[ci].lb = lb
 		}
 	}
-	if ordered {
-		sort.SliceStable(sc.order, func(a, b int) bool {
-			return sc.states[sc.order[a]].lb < sc.states[sc.order[b]].lb
-		})
-	}
+	sort.SliceStable(sc.order, func(a, b int) bool {
+		return sc.states[sc.order[a]].lb < sc.states[sc.order[b]].lb
+	})
 	if sc.prune {
 		sc.seedIncumbent()
 	}
@@ -486,29 +462,14 @@ func (sc *scheduler) run() []CandidateResult {
 		return results
 	}
 
-	workers := sc.workerCount(total)
-	// The feed walks the schedule candidate-major, so a candidate's cells
-	// complete (and its objective lands in the incumbent) as early as
-	// possible; Options.Dispatch may wrap it (queue binding, preemption).
-	feed := sc.feed(sc.order, nm)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k, ok := feed.Next()
-				if !ok {
-					return
-				}
-				sc.runTaskGuarded(k, nm, per, effectiveRestarts(sc.opt), true)
-				if sc.states[k/nm].remaining.Add(-1) == 0 {
-					finish(k / nm)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	// A uniform sweep is a single rung at the full portfolio width. The feed
+	// walks the schedule candidate-major, so a candidate's cells complete
+	// (and its objective lands in the incumbent) as early as possible.
+	sc.dispatchRung(sc.order, nm, per, effectiveRestarts(sc.opt), true, func(ci int) {
+		if sc.states[ci].remaining.Add(-1) == 0 {
+			finish(ci)
+		}
+	})
 	// A wrapped feed may shut before delivering every cell (a preempted
 	// sweep): candidates with undelivered cells never hit remaining == 0, so
 	// fill the gaps with a cancellation error and finish them here — an
@@ -594,7 +555,7 @@ func (sc *scheduler) runRacing(nm int, per [][]pairOutcome, finish func(ci int))
 	budgets := racingBudgets(effectiveRestarts(sc.opt))
 	for r, budget := range budgets {
 		entered := len(surviving)
-		sc.dispatchRung(surviving, nm, per, budget, r == 0)
+		sc.dispatchRung(surviving, nm, per, budget, r == 0, nil)
 
 		// Candidates the bound gate pruned mid-rung are decided: emit their
 		// Pruned rows and drop them from the race.
@@ -692,8 +653,10 @@ func (sc *scheduler) onRungGuarded(rs RungStats) {
 // cumulative width on a fresh worker pool and barriers on completion.
 // countRestores is true only on rung 0: a cell checkpointed at full width
 // restores verbatim on every rung it touches, and counting each rung would
-// inflate ResumedCells.
-func (sc *scheduler) dispatchRung(surviving []int, nm int, per [][]pairOutcome, target int, countRestores bool) {
+// inflate ResumedCells. cellDone, when non-nil, runs on the worker after each
+// delivered cell with the cell's candidate index; Options.Dispatch may wrap
+// the feed (queue binding, preemption).
+func (sc *scheduler) dispatchRung(surviving []int, nm int, per [][]pairOutcome, target int, countRestores bool, cellDone func(ci int)) {
 	total := len(surviving) * nm
 	if total == 0 {
 		return
@@ -710,6 +673,9 @@ func (sc *scheduler) dispatchRung(surviving []int, nm int, per [][]pairOutcome, 
 					return
 				}
 				sc.runTaskGuarded(k, nm, per, target, countRestores)
+				if cellDone != nil {
+					cellDone(k / nm)
+				}
 			}
 		}()
 	}
@@ -810,13 +776,8 @@ func (sc *scheduler) runTask(k, nm int, per [][]pairOutcome, target int, countRe
 // publishStats folds the counters into the session's last-sweep stats and
 // logs the one-line summary.
 func (sc *scheduler) publishStats() {
-	order := sc.opt.Order
-	if order == "" {
-		order = OrderGrid
-	}
 	stats := SweepStats{
 		SweepID:           sc.opt.SweepID,
-		Order:             order,
 		Candidates:        len(sc.cands),
 		Cells:             len(sc.cands) * len(sc.models),
 		Canceled:          sc.ctx.Err() != nil,
@@ -842,8 +803,8 @@ func (sc *scheduler) publishStats() {
 	if stats.Canceled {
 		state = "canceled"
 	}
-	sc.ses.logf("dse: sweep %s %s (order %s): %d candidates (%d pruned), %d cells (%d resumed), %d restarts abandoned, %d skipped by patience, incumbent %.6g",
-		sweepName(sc.opt.SweepID), state, order, stats.Candidates, stats.PrunedCandidates, stats.Cells, stats.ResumedCells,
+	sc.ses.logf("dse: sweep %s %s: %d candidates (%d pruned), %d cells (%d resumed), %d restarts abandoned, %d skipped by patience, incumbent %.6g",
+		sweepName(sc.opt.SweepID), state, stats.Candidates, stats.PrunedCandidates, stats.Cells, stats.ResumedCells,
 		stats.AbandonedRestarts, stats.SkippedRestarts, sc.inc.get())
 	if stats.Racing {
 		for _, r := range stats.Rungs {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,9 +16,21 @@ import (
 	"gemini/internal/eval"
 )
 
+// gridOrder is a test Options.Dispatch wrapper that re-sorts the scheduler's
+// bound-ordered feed into enumeration (grid) order, so a test can stage a
+// dominated candidate ahead of the one that dominates it.
+func gridOrder(d Dispatcher) Dispatcher {
+	var cells []int
+	for k, ok := d.Next(); ok; k, ok = d.Next() {
+		cells = append(cells, k)
+	}
+	sort.Ints(cells)
+	return newSliceDispatcher(cells)
+}
+
 // TestOrderedMatchesGridWithoutPruning pins the determinism satellite: with
 // pruning off, the bound-ordered schedule changes only dispatch order, so
-// the sorted result set must be bit-identical to grid order.
+// the sorted result set must be bit-identical to a grid-order feed's.
 func TestOrderedMatchesGridWithoutPruning(t *testing.T) {
 	cands := testCands()
 	big, err := ScaleUp(cands[0], 2)
@@ -27,22 +40,14 @@ func TestOrderedMatchesGridWithoutPruning(t *testing.T) {
 	cands = append(cands, big)
 	models := []*dnn.Graph{testCNN, testTF}
 
-	grid := testOptions()
-	grid.Order = OrderGrid
-	grid.Prune = false
-	bound := grid
-	bound.Order = OrderBound
+	bound := testOptions()
+	bound.Prune = false
+	grid := bound
+	grid.Dispatch = gridOrder
 
 	want := NewSession().Run(cands, models, grid)
 	got := NewSession().Run(cands, models, bound)
 	resultsEqual(t, want, got, "bound-ordered vs grid")
-
-	// The scheduler must report the order it used.
-	ses := NewSession()
-	ses.Run(cands, models, bound)
-	if st := ses.LastSweepStats(); st.Order != OrderBound {
-		t.Errorf("stats order = %q, want %q", st.Order, OrderBound)
-	}
 }
 
 // TestBoundOrderDispatchesCheapFirst: the dispatch permutation must sort
@@ -54,7 +59,6 @@ func TestBoundOrderDispatchesCheapFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := testOptions()
-	opt.Order = OrderBound
 	opt.Objective = Objective{Alpha: 8, Beta: 1, Gamma: 1}
 
 	// big first in grid order; the scheduler must flip them (its 4x MC at
@@ -82,7 +86,7 @@ func TestCheckpointSeededIncumbentPrunes(t *testing.T) {
 	opt := testOptions()
 	opt.Workers = 1
 	opt.Prune = true
-	opt.Order = OrderGrid
+	opt.Dispatch = gridOrder
 	opt.Objective = Objective{Alpha: 8, Beta: 1, Gamma: 1}
 	models := []*dnn.Graph{testCNN}
 
@@ -259,64 +263,6 @@ func TestSweepStatsTrajectory(t *testing.T) {
 	}
 }
 
-// TestBoundParamsOverride: overrides may only loosen the bound — the
-// evaluation always charges eval.DefaultParams(), so constants above the
-// defaults are clamped (an inflated "lower bound" could prune the true
-// optimum), while smaller constants lower the bound as requested.
-func TestBoundParamsOverride(t *testing.T) {
-	cfg := arch.GArch72()
-	opt := testOptions()
-	p := eval.DefaultParams()
-	def := pruneBound(&cfg, []*dnn.Graph{testCNN}, &p, opt, 100)
-
-	// The clamp must cover every constant the v2 bound consumes: inflating
-	// any one of them (and all of them) must leave the bound at the default.
-	inflate := []func(*eval.Params){
-		func(q *eval.Params) { q.MACpJ *= 10 },
-		func(q *eval.Params) { q.VecOppJ *= 10 },
-		func(q *eval.Params) { q.GLBpJPerByte *= 10 },
-		func(q *eval.Params) { q.NoCHoppJPerByte *= 10 },
-		func(q *eval.Params) { q.RouterpJPerByte *= 10 },
-		func(q *eval.Params) { q.D2DpJPerByte *= 10 },
-		func(q *eval.Params) { q.DRAMpJPerByte *= 10 },
-	}
-	all := p
-	for i, f := range inflate {
-		hot := p
-		f(&hot)
-		f(&all)
-		opt.BoundParams = &hot
-		if got := pruneBound(&cfg, []*dnn.Graph{testCNN}, boundParams(opt), opt, 100); got != def {
-			t.Errorf("inflated constant #%d must be clamped to the defaults: %g vs %g", i, got, def)
-		}
-	}
-	opt.BoundParams = &all
-	if got := pruneBound(&cfg, []*dnn.Graph{testCNN}, boundParams(opt), opt, 100); got != def {
-		t.Errorf("all constants inflated must be clamped to the defaults: %g vs %g", got, def)
-	}
-
-	cool := p
-	cool.MACpJ /= 10
-	cool.DRAMpJPerByte /= 10
-	opt.BoundParams = &cool
-	if got := pruneBound(&cfg, []*dnn.Graph{testCNN}, boundParams(opt), opt, 100); got >= def {
-		t.Errorf("0.1x energy constants did not lower the bound: %g vs %g", got, def)
-	}
-	// Loosening the interconnect constants must also only lower the bound.
-	coolNet := p
-	coolNet.NoCHoppJPerByte /= 10
-	coolNet.RouterpJPerByte /= 10
-	opt.BoundParams = &coolNet
-	if got := pruneBound(&cfg, []*dnn.Graph{testCNN}, boundParams(opt), opt, 100); got > def {
-		t.Errorf("0.1x interconnect constants raised the bound: %g vs %g", got, def)
-	}
-
-	opt.BoundParams = nil
-	if b := pruneBound(&cfg, []*dnn.Graph{testCNN}, boundParams(opt), opt, 100); b != def {
-		t.Errorf("default bound params diverged: %g vs %g", b, def)
-	}
-}
-
 // TestAbandonedErrorNotInfeasible: the sentinel must never be mistaken for
 // infeasibility or surface as a user-visible error class.
 func TestAbandonedErrorNotInfeasible(t *testing.T) {
@@ -357,7 +303,7 @@ func TestResumedSweepRestoresDominatedCandidate(t *testing.T) {
 	}
 	opt := testOptions()
 	opt.Workers = 1
-	opt.Order = OrderGrid
+	opt.Dispatch = gridOrder
 	opt.Objective = Objective{Alpha: 8, Beta: 1, Gamma: 1}
 	models := []*dnn.Graph{testCNN}
 	cands := []arch.Config{big, base}
@@ -413,7 +359,7 @@ func TestPartialCheckpointBoundPrunes(t *testing.T) {
 	opt := testOptions()
 	opt.Workers = 1
 	opt.Prune = true
-	opt.Order = OrderGrid // dispatch weak first: only the refined bound can save it
+	opt.Dispatch = gridOrder // dispatch weak first: only the refined bound can save it
 
 	// Session A settles exactly half of weak's cells (model 1 of 2) plus all
 	// of strong's, then checkpoints. Cell keys ignore the model list, so the
@@ -478,9 +424,10 @@ func TestPartialCheckpointBoundPrunes(t *testing.T) {
 }
 
 // TestInLoopAbandonBitIdenticalWhenNeverDominated: the in-loop hook is
-// active on every sweep with pruning, so a workload where nothing is ever
-// dominated must produce bit-identical results and identical SA iteration
-// counts with the hook on (default), on with a custom stride, and off.
+// active on every cell the scheduler runs, so a workload where nothing is
+// ever dominated must produce bit-identical results and identical SA
+// iteration counts with the hook installed and with the stop gate withheld
+// from the mapping pipeline (no hook, no between-restart checks).
 func TestInLoopAbandonBitIdenticalWhenNeverDominated(t *testing.T) {
 	cands := testCands()
 	models := []*dnn.Graph{testCNN, testTF}
@@ -488,40 +435,40 @@ func TestInLoopAbandonBitIdenticalWhenNeverDominated(t *testing.T) {
 	opt.Prune = true
 	opt.Restarts = 2
 
-	run := func(abandonEvery int) ([]CandidateResult, SweepStats) {
-		o := opt
-		o.AbandonEvery = abandonEvery
+	run := func() ([]CandidateResult, SweepStats) {
 		ses := NewSession()
-		rs := ses.Run(cands, models, o)
+		rs := ses.Run(cands, models, opt)
 		return rs, ses.LastSweepStats()
 	}
 
-	off, offSt := run(-1)
-	for i := range off {
-		if off[i].Pruned {
-			t.Fatalf("%s pruned; this workload must have no dominated candidate", off[i].Cfg.Name)
+	on, onSt := run()
+	for i := range on {
+		if on[i].Pruned {
+			t.Fatalf("%s pruned; this workload must have no dominated candidate", on[i].Cfg.Name)
 		}
 	}
-	def, defSt := run(0)
-	custom, customSt := run(5)
-	resultsEqual(t, off, def, "in-loop default vs off")
-	resultsEqual(t, off, custom, "in-loop stride-5 vs off")
+	orig := mapModelFn
+	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, _ func() bool, from, to int) (*MapResult, error) {
+		return orig(ev, cfg, g, o, nil, from, to)
+	}
+	defer func() { mapModelFn = orig }()
+	off, offSt := run()
+	resultsEqual(t, off, on, "in-loop hook vs no stop gate")
 	if offSt.SAIterations == 0 {
 		t.Fatal("stats recorded no SA iterations")
 	}
-	if defSt.SAIterations != offSt.SAIterations || customSt.SAIterations != offSt.SAIterations {
-		t.Errorf("never-firing hook changed SA iteration counts: off=%d def=%d custom=%d",
-			offSt.SAIterations, defSt.SAIterations, customSt.SAIterations)
+	if onSt.SAIterations != offSt.SAIterations {
+		t.Errorf("never-firing hook changed SA iteration counts: off=%d on=%d", offSt.SAIterations, onSt.SAIterations)
 	}
 }
 
 // TestInLoopAbandonSavesIterations: on a workload where dominated cells are
-// already mid-anneal when the incumbent lands, the in-loop check must
-// strictly reduce total SA iterations versus between-restart checks alone
-// (with one restart per cell, the between-restart gate can save nothing),
-// while preserving the winning candidate. Mid-cell domination only happens
-// under concurrency, so the injected mapModel holds the strong candidate's
-// result back until both weak cells have entered their search.
+// already mid-anneal when the incumbent lands, the in-loop check must stop
+// them within one polling stride (with one restart per cell, the
+// between-restart gate can save nothing), while preserving the winning
+// candidate. Mid-cell domination only happens under concurrency, so the
+// injected mapModel holds the strong candidate's result back until both
+// weak cells have entered their search.
 func TestInLoopAbandonSavesIterations(t *testing.T) {
 	strong := arch.GArch72()
 	var weak []arch.Config
@@ -535,61 +482,51 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 	models := []*dnn.Graph{testCNN}
 	opt := testOptions()
 	opt.Prune = true
-	opt.Order = OrderBound // strong dispatches first
-	opt.Restarts = 1       // no between-restart gaps: only the in-loop check can save work
-	opt.Workers = 3        // strong + both weak cells run concurrently
+	opt.Restarts = 1 // no between-restart gaps: only the in-loop check can save work
+	opt.Workers = 3  // strong + both weak cells run concurrently
 	opt.SAIterations = 400
 
 	orig := mapModelFn
 	defer func() { mapModelFn = orig }()
 
-	run := func(abandonEvery int) (*CandidateResult, SweepStats) {
-		var weakStarted atomic.Int32
-		strongDone := make(chan struct{})
-		mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
-			if cfg.Name == strong.Name {
-				// Let the dominated cells pass their pre-cell bound check and
-				// enter their mapModel call before the incumbent exists, so
-				// only the in-loop poll can cut them off.
-				for weakStarted.Load() < 2 {
-					runtime.Gosched()
-				}
-				mr, err := orig(ev, cfg, g, o, stop, from, to)
-				close(strongDone)
-				return mr, err
+	var weakStarted atomic.Int32
+	strongDone := make(chan struct{})
+	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+		if cfg.Name == strong.Name {
+			// Let the dominated cells pass their pre-cell bound check and
+			// enter their mapModel call before the incumbent exists, so
+			// only the in-loop poll can cut them off.
+			for weakStarted.Load() < 2 {
+				runtime.Gosched()
 			}
-			weakStarted.Add(1)
-			// Hold the dominated cells — already past their pre-cell gate —
-			// until the strong result exists, so the incumbent lands within
-			// their first few abandonment polls instead of racing their last:
-			// the saved iterations don't depend on wall-clock interleaving.
-			<-strongDone
-			return orig(ev, cfg, g, o, stop, from, to)
+			mr, err := orig(ev, cfg, g, o, stop, from, to)
+			close(strongDone)
+			return mr, err
 		}
-		o := opt
-		o.AbandonEvery = abandonEvery
-		ses := NewSession()
-		best := Best(ses.Run(cands, models, o))
-		if best == nil {
-			t.Fatal("no feasible candidate")
-		}
-		return best, ses.LastSweepStats()
+		weakStarted.Add(1)
+		// Hold the dominated cells — already past their pre-cell gate —
+		// until the strong result exists, so the incumbent lands before
+		// their first abandonment poll instead of racing their last: the
+		// saved iterations don't depend on wall-clock interleaving.
+		<-strongDone
+		return orig(ev, cfg, g, o, stop, from, to)
 	}
-
-	bestOff, offSt := run(-1)
-	bestOn, onSt := run(8)
-	if bestOn.Cfg.Name != bestOff.Cfg.Name || bestOn.Obj != bestOff.Obj {
-		t.Fatalf("in-loop abandonment changed the winner: %s (%g) vs %s (%g)",
-			bestOn.Cfg.Name, bestOn.Obj, bestOff.Cfg.Name, bestOff.Obj)
+	ses := NewSession()
+	best := Best(ses.Run(cands, models, opt))
+	if best == nil || best.Cfg.Name != strong.Name {
+		t.Fatalf("in-loop abandonment changed the winner: %+v", best)
 	}
-	// Off: every weak cell anneals to completion (the pre-cell and
-	// between-restart gates cannot fire mid-cell). On: both weak cells stop
-	// at an abandonment poll.
-	if offSt.SAIterations != 3*opt.SAIterations {
-		t.Fatalf("off-run iterations = %d, want %d (all cells complete)", offSt.SAIterations, 3*opt.SAIterations)
+	// Strong anneals to completion; each weak cell, which would otherwise
+	// burn all SAIterations (the pre-cell and between-restart gates cannot
+	// fire mid-cell), stops at one of its first abandonment polls — the
+	// incumbent lands a few microseconds after the hold releases, well
+	// inside the first half of the anneal.
+	st := ses.LastSweepStats()
+	if st.PrunedCandidates != 2 {
+		t.Errorf("pruned %d candidates, want both weak ones", st.PrunedCandidates)
 	}
-	if onSt.SAIterations >= offSt.SAIterations {
-		t.Errorf("in-loop abandonment saved nothing: %d vs %d iterations (pruned %d/%d)",
-			onSt.SAIterations, offSt.SAIterations, onSt.PrunedCandidates, offSt.PrunedCandidates)
+	if want := 2 * opt.SAIterations; st.SAIterations > want {
+		t.Errorf("in-loop abandonment saved too little: %d SA iterations, want <= %d (of %d without it)",
+			st.SAIterations, want, 3*opt.SAIterations)
 	}
 }

@@ -197,7 +197,7 @@ func (s *Session) SettledCells(cands []arch.Config, models []*dnn.Graph, opt Opt
 }
 
 // LastSweepStats returns the scheduler's observability record of the most
-// recent Run/JointRun sweep: dispatch order, pruned candidates, restarts
+// recent Run/JointRun sweep: pruned candidates, restarts
 // saved by the live incumbent and by portfolio patience, and the incumbent
 // trajectory.
 func (s *Session) LastSweepStats() SweepStats {
@@ -270,10 +270,10 @@ func (s *Session) Run(cands []arch.Config, models []*dnn.Graph, opt Options) []C
 // RunContext is Run with cancellation and per-sweep stats. When ctx is
 // canceled mid-sweep the remaining (candidate, model) cells fail fast with
 // an error wrapping ctx.Err() (in-flight SA portfolios abandon between
-// restarts and, unless Options.AbandonEvery disables the in-loop check,
-// mid-anneal), already-settled cells stay checkpointed, and the partial
-// results are returned together with a non-nil error — so a canceled sweep
-// can be checkpointed and resumed without recomputing its completed cells.
+// restarts and mid-anneal), already-settled cells stay checkpointed, and the
+// partial results are returned together with a non-nil error — so a canceled
+// sweep can be checkpointed and resumed without recomputing its completed
+// cells.
 // The returned SweepStats belongs to this sweep, which is the race-free way
 // to read stats when several sweeps share the session.
 func (s *Session) RunContext(ctx context.Context, cands []arch.Config, models []*dnn.Graph, opt Options) ([]CandidateResult, SweepStats, error) {
@@ -780,10 +780,6 @@ func fnvWord(h, v uint64) uint64 {
 var optsFingerprintExclusions = map[string]string{
 	"Workers":       "parallelism only; any worker count computes identical cells",
 	"Prune":         "pruning skips whole cells, it never changes a computed cell",
-	"Order":         "dispatch order only; checkpoints must survive reordering",
-	"AbandonEvery":  "abandonment stride only gates early exits against the live incumbent; completed cells are unchanged",
-	"Bound":         "bound formulation feeds pruning/abandonment thresholds, not the mapping itself",
-	"BoundParams":   "evaluator params for bound computation; never touch a cell's SA search",
 	"CacheDir":      "storage location, not content; moving the cache must not invalidate it",
 	"OnResult":      "observer callback; notification cannot alter results",
 	"Dispatch":      "cell-feed wrapper; it schedules or withholds cells, never changes a computed cell",
@@ -800,11 +796,10 @@ var optsFingerprintExclusions = map[string]string{
 // optsFingerprint hashes every Options field the mapping result depends on.
 // Alpha is deliberately excluded: it only ranks candidates, it never changes
 // a (candidate, model) mapping, so checkpoints survive re-ranking sweeps.
-// Order and SweepID are likewise excluded (one only schedules, the other
-// only labels — a renamed sweep must keep hitting its old cells), and
-// Patience is folded in only when it can actually change a portfolio
-// (0 < Patience < restarts), so pre-adaptive checkpoints keep matching
-// non-adaptive sweeps. The full field-by-field accounting lives in
+// SweepID is likewise excluded (it only labels — a renamed sweep must keep
+// hitting its old cells), and Patience is folded in only when it can actually
+// change a portfolio (0 < Patience < restarts), so pre-adaptive checkpoints
+// keep matching non-adaptive sweeps. The full field-by-field accounting lives in
 // optsFingerprintExclusions and is enforced by the fingerprintcomplete
 // analyzer.
 //

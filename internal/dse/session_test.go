@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -169,6 +170,55 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 	b.Run(cands, models, opt2)
 	if calls == 0 {
 		t.Error("changed options should have forced re-mapping")
+	}
+}
+
+// TestCellKeysPinned pins the checkpoint cell keying to its PR 11 values:
+// the options fingerprint of the defaults and of one all-fields-set case,
+// and the key layout. A change here orphans every checkpoint on disk.
+func TestCellKeysPinned(t *testing.T) {
+	if got := optsFingerprint(DefaultOptions()); got != 0x99ce5b311a3445a8 {
+		t.Errorf("optsFingerprint(DefaultOptions()) = %#016x, want 0x99ce5b311a3445a8", got)
+	}
+	o := DefaultOptions()
+	o.Batch, o.SAIterations, o.Restarts, o.Patience, o.Seed = 8, 150, 4, 2, 7
+	o.Objective = Objective{Alpha: 2, Beta: 1, Gamma: 0.5}
+	o.MaxGroupLayers, o.BatchUnits = 7, []int{1, 2}
+	if got := optsFingerprint(o); got != 0xf14ddcb32630a786 {
+		t.Errorf("optsFingerprint(non-default) = %#016x, want 0xf14ddcb32630a786", got)
+	}
+	if got, want := cellKey(0xabc, "resnet50", 0x99ce5b311a3445a8), "0000000000000abc/resnet50/99ce5b311a3445a8"; got != want {
+		t.Errorf("cellKey = %q, want %q", got, want)
+	}
+}
+
+// TestParentCommitCheckpointResumes loads a checkpoint file written by the
+// PR 11 engine (GArch72 x {tinycnn, tinytransformer}, testOptions at two
+// restarts) and re-runs that sweep: every cell must restore, none re-map.
+func TestParentCommitCheckpointResumes(t *testing.T) {
+	f, err := os.Open("testdata/parent_pr11.ckpt.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ses := NewSession()
+	if err := ses.LoadCheckpoint(f); err != nil {
+		t.Fatal(err)
+	}
+	orig := mapModelFn
+	mapModelFn = func(*eval.Evaluator, *arch.Config, *dnn.Graph, Options, func() bool, int, int) (*MapResult, error) {
+		t.Error("a checkpointed cell was re-mapped")
+		return nil, ErrInfeasible
+	}
+	defer func() { mapModelFn = orig }()
+	opt := testOptions()
+	opt.Restarts = 2
+	cands, models := testCands()[:1], []*dnn.Graph{testCNN, testTF}
+	if Best(ses.Run(cands, models, opt)) == nil {
+		t.Fatal("restored sweep has no feasible candidate")
+	}
+	if st := ses.LastSweepStats(); st.ResumedCells != len(cands)*len(models) || ses.CheckpointCells() != st.ResumedCells {
+		t.Errorf("resumed %d of %d cells (checkpoint holds %d)", st.ResumedCells, len(cands)*len(models), ses.CheckpointCells())
 	}
 }
 

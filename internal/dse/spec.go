@@ -147,21 +147,12 @@ type Spec struct {
 	Objective *ObjectiveSpec `json:"objective,omitempty"`
 	// Prune enables bound-based candidate pruning.
 	Prune bool `json:"prune,omitempty"`
-	// Order is the dispatch order: "bound" (default) or "grid".
-	Order string `json:"order,omitempty"`
-	// Bound is the lower-bound formulation: "compulsory" (default),
-	// "cut" (compulsory plus the per-cut bisection delay floor) or
-	// "compute-dram" (the legacy compute+weight bound).
-	Bound string `json:"bound,omitempty"`
 	// Racing allocates restart budget by successive halving across
 	// candidates instead of running every cell at the full width.
 	Racing bool `json:"racing,omitempty"`
 	// RacingKeep is the fraction of candidates promoted at each racing rung,
 	// strictly inside (0, 1); 0 means the default 1/2.
 	RacingKeep float64 `json:"racing_keep,omitempty"`
-	// AbandonEvery is the in-loop abandonment stride (0 = engine default,
-	// negative = between-restart checks only).
-	AbandonEvery int `json:"abandon_every,omitempty"`
 	// Retry bounds transient-failure retries per (candidate, model) cell
 	// (nil = no retry, the pre-hardening behavior).
 	Retry *RetrySpec `json:"retry,omitempty"`
@@ -225,7 +216,7 @@ var tenantPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 const maxSpecGrid = 1 << 20
 
 // Validate checks the spec without enumerating the space: space selection,
-// model names, order keyword and numeric ranges. It returns the first
+// model names, priority keyword and numeric ranges. It returns the first
 // problem found, phrased for an API client.
 func (s *Spec) Validate() error {
 	sp, err := s.Space.Space()
@@ -267,17 +258,6 @@ func (s *Spec) Validate() error {
 		if !dnn.HasModel(name) {
 			return fmt.Errorf("dse: unknown model %q (have %v)", name, dnn.ModelNames())
 		}
-	}
-	switch SweepOrder(s.Order) {
-	case "", OrderBound, OrderGrid:
-	default:
-		return fmt.Errorf("dse: unsupported order %q (want %q or %q)", s.Order, OrderBound, OrderGrid)
-	}
-	switch BoundLevel(s.Bound) {
-	case "", BoundCompulsory, BoundComputeDRAM, BoundCut:
-	default:
-		return fmt.Errorf("dse: unsupported bound %q (want %q, %q or %q)",
-			s.Bound, BoundCompulsory, BoundCut, BoundComputeDRAM)
 	}
 	if s.RacingKeep != 0 && (s.RacingKeep <= 0 || s.RacingKeep >= 1) {
 		return fmt.Errorf("dse: spec racing_keep = %v, want inside (0, 1)", s.RacingKeep)
@@ -370,15 +350,8 @@ func (s *Spec) Options() Options {
 		opt.Objective = Objective{Alpha: s.Objective.Alpha, Beta: s.Objective.Beta, Gamma: s.Objective.Gamma}
 	}
 	opt.Prune = s.Prune
-	if s.Order != "" {
-		opt.Order = SweepOrder(s.Order)
-	}
-	if s.Bound != "" {
-		opt.Bound = BoundLevel(s.Bound)
-	}
 	opt.Racing = s.Racing
 	opt.RacingKeep = s.RacingKeep
-	opt.AbandonEvery = s.AbandonEvery
 	if r := s.Retry; r != nil {
 		opt.Retry = RetryPolicy{
 			Max:       r.Max,

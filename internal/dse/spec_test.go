@@ -30,7 +30,7 @@ func TestSpecDefaults(t *testing.T) {
 	opt := s.Options()
 	def := DefaultOptions()
 	if opt.Batch != def.Batch || opt.SAIterations != def.SAIterations ||
-		opt.Restarts != def.Restarts || opt.Seed != def.Seed || opt.Order != def.Order {
+		opt.Restarts != def.Restarts || opt.Seed != def.Seed {
 		t.Errorf("zero spec fields must take DefaultOptions defaults, got %+v", opt)
 	}
 	if opt.Objective != MCED {
@@ -46,7 +46,7 @@ func TestSpecOverrides(t *testing.T) {
 		"batch": 8, "sa_iterations": 50, "restarts": 3, "patience": 1,
 		"workers": 2, "seed": 7, "batch_units": [1, 2],
 		"objective": {"alpha": 1, "beta": 2, "gamma": 0},
-		"prune": true, "order": "grid"
+		"prune": true
 	}`
 	var s Spec
 	if err := json.Unmarshal([]byte(raw), &s); err != nil {
@@ -58,7 +58,7 @@ func TestSpecOverrides(t *testing.T) {
 	opt := s.Options()
 	if opt.SweepID != "s1" || opt.Batch != 8 || opt.SAIterations != 50 ||
 		opt.Restarts != 3 || opt.Patience != 1 || opt.Workers != 2 || opt.Seed != 7 ||
-		!opt.Prune || opt.Order != OrderGrid {
+		!opt.Prune {
 		t.Errorf("spec fields not mapped: %+v", opt)
 	}
 	if opt.Objective != (Objective{Alpha: 1, Beta: 2, Gamma: 0}) {
@@ -87,7 +87,6 @@ func TestSpecValidateRejects(t *testing.T) {
 		{"bad tops", func(s *Spec) { s.Space.TOPS = 100 }, "tops"},
 		{"no models", func(s *Spec) { s.Models = nil }, "no models"},
 		{"unknown model", func(s *Spec) { s.Models = []string{"nope"} }, "unknown model"},
-		{"bad order", func(s *Spec) { s.Order = "random" }, "order"},
 		{"negative restarts", func(s *Spec) { s.Restarts = -1 }, "restarts"},
 		{"negative seed", func(s *Spec) { s.Seed = -4 }, "seed"},
 		{"zero batch unit", func(s *Spec) { s.BatchUnits = []int{0} }, "batch_units"},
@@ -180,7 +179,6 @@ func TestRunContextCancelMidSweep(t *testing.T) {
 	models := []*dnn.Graph{testCNN, testTF}
 	opt := testOptions()
 	opt.Workers = 1
-	opt.Order = OrderGrid
 
 	ses := NewSession()
 	ctx, cancel := context.WithCancel(context.Background())

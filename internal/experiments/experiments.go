@@ -34,11 +34,9 @@ type Options struct {
 
 	// Restarts widens the per-cell SA portfolio; Patience stops a cell's
 	// portfolio after that many consecutive non-improving restarts (0 =
-	// fixed schedule). Order overrides the sweep dispatch order ("" keeps
-	// the DSE default, ascending lower bound).
+	// fixed schedule).
 	Restarts int
 	Patience int
-	Order    dse.SweepOrder
 
 	// Session, when set, runs every figure's sweeps and mappings through
 	// one shared DSE session, so the figures reuse each other's warm
@@ -170,9 +168,6 @@ func (o Options) dseOptions(batch int) dse.Options {
 		d.Restarts = o.Restarts
 	}
 	d.Patience = o.Patience
-	if o.Order != "" {
-		d.Order = o.Order
-	}
 	if o.Quick {
 		d.MaxGroupLayers = 7
 		d.BatchUnits = []int{1, 2}

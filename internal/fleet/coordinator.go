@@ -21,6 +21,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"regexp"
@@ -263,8 +264,7 @@ func (c *Coordinator) reapLocked(now time.Time) {
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
+	if !decodeBody(w, r, controlBodyLimit, true, "submit body", &req) {
 		return
 	}
 	spec := req.Spec
@@ -408,8 +408,7 @@ func (c *Coordinator) statusLocked(fs *fleetSweep) SweepStatus {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad lease request: %v", err)
+	if !decodeBody(w, r, controlBodyLimit, false, "lease request", &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -503,8 +502,7 @@ func (c *Coordinator) findLeaseLocked(fs *fleetSweep, leaseID string) int {
 
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req RenewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad renew request: %v", err)
+	if !decodeBody(w, r, controlBodyLimit, false, "renew request", &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -546,8 +544,7 @@ func (fs *fleetSweep) foldIncumbentLocked(candidate string, obj float64) bool {
 
 func (c *Coordinator) handleIncumbent(w http.ResponseWriter, r *http.Request) {
 	var up IncumbentUpdate
-	if err := json.NewDecoder(r.Body).Decode(&up); err != nil {
-		writeError(w, http.StatusBadRequest, "bad incumbent update: %v", err)
+	if !decodeBody(w, r, controlBodyLimit, false, "incumbent update", &up) {
 		return
 	}
 	if err := up.Validate(); err != nil {
@@ -574,8 +571,7 @@ func (c *Coordinator) handleIncumbent(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	var up CheckpointUpload
-	if err := json.NewDecoder(r.Body).Decode(&up); err != nil {
-		writeError(w, http.StatusBadRequest, "bad checkpoint upload: %v", err)
+	if !decodeBody(w, r, checkpointBodyLimit, false, "checkpoint upload", &up) {
 		return
 	}
 	if err := up.Validate(); err != nil {
@@ -734,6 +730,39 @@ func newFleetID() string {
 type errorBody struct {
 	// Error is the human-readable failure description.
 	Error string `json:"error"`
+}
+
+// Request body limits. Submit, lease, renew and incumbent messages are at
+// most spec-sized (the sweep service's POST /sweep limit); a checkpoint
+// upload carries every settled cell of a worker session at roughly 600
+// bytes per cell, so it gets room for about 10^5 cells — several full
+// Table I grids.
+const (
+	controlBodyLimit    = 1 << 20
+	checkpointBodyLimit = 64 << 20
+)
+
+// decodeBody decodes a request's JSON body into v, reading at most limit
+// bytes, and on failure answers the request itself: 413 past the limit, 400
+// for anything else. strict additionally rejects unknown fields, as POST
+// /sweep does for client specs; worker messages stay lenient so a fleet can
+// be upgraded one process at a time. what names the message in the error.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, strict bool, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "bad %s: %v", what, err)
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

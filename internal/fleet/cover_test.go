@@ -223,6 +223,40 @@ func TestCoordinatorSurface(t *testing.T) {
 	}
 }
 
+// TestBoundedDecode: every POST endpoint reads at most its body limit and
+// answers 413 past it, and submit — the one client-facing message — rejects
+// unknown fields by name, so a removed spec knob is a 400 here exactly as it
+// is on POST /sweep.
+func TestBoundedDecode(t *testing.T) {
+	srv := httptest.NewServer(NewCoordinator(CoordinatorConfig{}))
+	defer srv.Close()
+
+	for path, limit := range map[string]int{
+		"/sweeps": controlBodyLimit, "/lease": controlBodyLimit, "/renew": controlBodyLimit,
+		"/incumbent": controlBodyLimit, "/checkpoint": checkpointBodyLimit,
+	} {
+		body := `{"worker":"` + strings.Repeat("w", limit) + `"}`
+		if code := postRaw(t, srv.URL+path, body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body answered %d, want 413", path, len(body), code)
+		}
+	}
+
+	for _, knob := range []string{`"order":"grid"`, `"bound":"cut"`, `"abandon_every":8`} {
+		body := `{"shards":1,"spec":{"space":{"tops":72},"models":["tinycnn"],` + knob + `}}`
+		resp, err := http.Post(srv.URL+"/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		derr := json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		name := knob[:strings.Index(knob, ":")]
+		if derr != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "unknown field "+name) {
+			t.Errorf("submit with %s: code=%d msg=%q (%v), want 400 naming the unknown field", knob, resp.StatusCode, eb.Error, derr)
+		}
+	}
+}
+
 // TestSubmitGuards covers the grid cap and the corrupt-prior-checkpoint
 // conflict.
 func TestSubmitGuards(t *testing.T) {

@@ -3,6 +3,10 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -38,6 +42,8 @@ func FuzzFleetWire(f *testing.F) {
 		`[1,2,3]`,
 		`"just a string"`,
 		`{"worker":"x\\ud800"}`,
+		// Past the body limit: must be refused, never decoded.
+		`{"sweep_id":"s","lease_id":"l","worker":"` + strings.Repeat("w", fuzzBodyLimit) + `"}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -60,12 +66,22 @@ type validatable interface {
 	Validate() error
 }
 
-// checkRoundTrip decodes data as T exactly like the handlers do and, when
-// the value decodes and validates, requires marshal → decode → validate to
-// survive unchanged in validity.
+// fuzzBodyLimit stands in for the handlers' body limits: small, so the
+// oversized seed and its mutations stay cheap to execute.
+const fuzzBodyLimit = 4 << 10
+
+// checkRoundTrip decodes data as T through the handlers' own bounded decode
+// and, when the value decodes and validates, requires marshal → decode →
+// validate to survive unchanged in validity. A refused body must have been
+// answered 413 exactly when it is over the limit.
 func checkRoundTrip[T any](t *testing.T, data []byte) {
 	var v T
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
+	rec := httptest.NewRecorder()
+	req := &http.Request{Body: io.NopCloser(bytes.NewReader(data))}
+	if !decodeBody(rec, req, fuzzBodyLimit, false, "fuzzed message", &v) {
+		if tooBig := rec.Code == http.StatusRequestEntityTooLarge; tooBig && len(data) <= fuzzBodyLimit {
+			t.Fatalf("%d-byte body refused as too large (limit %d)", len(data), fuzzBodyLimit)
+		}
 		return
 	}
 	validator, ok := any(&v).(validatable)

@@ -4,7 +4,7 @@ import "testing"
 
 // TestMovePathAllocFree pins the //gemini:noalloc annotations on measure and
 // (*state).cost: after warm-up, one SA move's re-measurement and cost fold
-// perform zero heap allocations. BenchmarkEvaluateGroup (BENCH_1) pins the
+// perform zero heap allocations. internal/eval/alloc_test.go pins the
 // evaluator side of the hot loop; this covers the sa-side helpers so the
 // hotpathalloc analyzer's annotation set stays tied to measured behavior.
 func TestMovePathAllocFree(t *testing.T) {

@@ -1,7 +1,8 @@
 // End-to-end preemption over HTTP: an interactive sweep arriving on a full
 // 1-slot pool preempts a running batch sweep, which checkpoints, parks,
 // resumes after the interactive sweep finishes, and completes having
-// recomputed zero settled cells — the PR's acceptance criterion.
+// recomputed zero settled cells and streamed every candidate exactly once —
+// same-named ones included.
 package serve
 
 import (
@@ -17,7 +18,10 @@ import (
 func TestPreemptionResumesWithZeroRecompute(t *testing.T) {
 	_, hs := newTestServer(t, Config{DataDir: t.TempDir(), WorkerSlots: 1})
 
-	batch := tinySpec("bulk-sweep", 8, 16, 32, 64)
+	// Cuts 1x2 and 2x1 give two of the four candidates the same display
+	// name; the cross-round result dedupe must still tell them apart.
+	batch := tinySpec("bulk-sweep")
+	batch.Space.Cuts = []int{1, 2}
 	batch.Tenant = "bulk"
 	batch.Priority = string(dse.PriorityBatch)
 	batch.Workers = 1
@@ -47,8 +51,10 @@ func TestPreemptionResumesWithZeroRecompute(t *testing.T) {
 	}
 	// Let at least one candidate settle so the preemption has cells to
 	// carry across.
+	results := map[int]bool{}
 	for {
 		if ev := next(); ev.Type == "result" {
+			results[ev.Seq] = true
 			break
 		}
 	}
@@ -105,10 +111,18 @@ func TestPreemptionResumesWithZeroRecompute(t *testing.T) {
 			resumed = ev
 		case "done":
 			done = ev
-		case "result", "rung":
+		case "result":
+			if results[ev.Seq] {
+				t.Errorf("result seq %d streamed twice", ev.Seq)
+			}
+			results[ev.Seq] = true
+		case "rung":
 		default:
 			t.Fatalf("unexpected batch event: %+v", ev)
 		}
+	}
+	if len(results) != 4 {
+		t.Errorf("streamed %d result events across the preemption, want one per candidate (4)", len(results))
 	}
 	if preempted.Type == "" || resumed.Type == "" {
 		t.Fatalf("batch stream missing preemption cycle: preempted=%q resumed=%q", preempted.Type, resumed.Type)

@@ -171,10 +171,14 @@ func TestSweepRoundTrip(t *testing.T) {
 }
 
 // TestStreamOrder pins the NDJSON framing contract: start first, done last,
-// result seq strictly 1..N in stream order.
+// result seq strictly 1..N in stream order — one per candidate, including
+// candidates that share a display name (the 7-tuple omits cut orientation,
+// so the 1x2 and 2x1 cuts of this grid print alike).
 func TestStreamOrder(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
-	events := runSweep(t, hs.URL, tinySpec("ordered", 8, 16, 32, 64))
+	spec := tinySpec("ordered", 32, 64)
+	spec.Space.Cuts = []int{1, 2}
+	events := runSweep(t, hs.URL, spec)
 	if events[0].Type != "start" {
 		t.Fatalf("first event %q, want start", events[0].Type)
 	}
@@ -182,14 +186,22 @@ func TestStreamOrder(t *testing.T) {
 		t.Fatalf("last event %q, want done", events[len(events)-1].Type)
 	}
 	seq := 0
+	names := make(map[string]bool)
 	for _, ev := range events[1 : len(events)-1] {
 		seq++
 		if ev.Type != "result" || ev.Seq != seq {
-			t.Errorf("event %d: type=%s seq=%d, want result seq=%d", seq, ev.Type, ev.Seq, seq)
+			t.Fatalf("event %d: type=%s seq=%d, want result seq=%d", seq, ev.Type, ev.Seq, seq)
 		}
+		names[ev.Result.Arch] = true
 	}
-	if seq != 4 {
-		t.Errorf("streamed %d results, want 4", seq)
+	if seq != 8 || events[0].Candidates != 8 {
+		t.Errorf("streamed %d results for %d candidates, want 8", seq, events[0].Candidates)
+	}
+	if len(names) != 6 {
+		t.Errorf("grid has %d distinct names, want 6 (two same-named pairs)", len(names))
+	}
+	if st, _ := getStatus(t, hs.URL, "ordered"); st.DoneCandidates != 8 {
+		t.Errorf("status done_candidates = %d, want 8", st.DoneCandidates)
 	}
 }
 
@@ -397,6 +409,9 @@ func TestSweepValidationErrors(t *testing.T) {
 	}{
 		{"garbage", "{", "decoding"},
 		{"unknown field", `{"space":{"tops":72},"models":["tinycnn"],"bogus":1}`, "unknown field"},
+		{"removed order", `{"space":{"tops":72},"models":["tinycnn"],"order":"grid"}`, `unknown field "order"`},
+		{"removed bound", `{"space":{"tops":72},"models":["tinycnn"],"bound":"cut"}`, `unknown field "bound"`},
+		{"removed abandon_every", `{"space":{"tops":72},"models":["tinycnn"],"abandon_every":8}`, `unknown field "abandon_every"`},
 		{"bad space", `{"space":{"tops":3},"models":["tinycnn"]}`, "tops"},
 		{"unknown model", `{"space":{"tops":72},"models":["nope"]}`, "unknown model"},
 		{"bad id", `{"id":"../etc/passwd","space":{"tops":72},"models":["tinycnn"]}`, "sweep id"},
@@ -731,6 +746,23 @@ func TestSweepHistorySurvivesRestart(t *testing.T) {
 	ev := runSweep(t, hsB.URL, tinySpec("history-1", 32, 64))
 	if done := ev[len(ev)-1]; done.Type != "done" || done.Stats.ResumedCells != done.Stats.Cells {
 		t.Errorf("resume over restored history record failed: %+v", ev[len(ev)-1])
+	}
+}
+
+// TestParentCommitStatusRecordLoads: a status record written before the
+// dispatch-order knob was removed carries stats.order; it must still load.
+func TestParentCommitStatusRecordLoads(t *testing.T) {
+	dir := t.TempDir()
+	rec := `{"id":"pr11-record","state":"done","candidates":2,"cells":2,"done_candidates":2,
+		"stats":{"order":"bound","candidates":2,"cells":2,"resumed_cells":1,"pruned_candidates":0,"abandoned_restarts":0,"skipped_restarts":0},
+		"started_at":"2026-09-01T00:00:00Z","finished_at":"2026-09-01T00:00:01Z"}`
+	if err := os.WriteFile(filepath.Join(dir, "pr11-record.status.json"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, hs := newTestServer(t, Config{DataDir: dir})
+	st, code := getStatus(t, hs.URL, "pr11-record")
+	if code != http.StatusOK || st.State != StateDone || st.Stats == nil || st.Stats.Cells != 2 || st.Stats.ResumedCells != 1 {
+		t.Fatalf("parent-commit status record not restored: %d %+v", code, st)
 	}
 }
 

@@ -132,7 +132,7 @@ func TestEventSchemaGolden(t *testing.T) {
 		{Type: "preempted", SweepID: "s1", Tenant: "acme", Priority: "batch", CheckpointCells: 2},
 		{Type: "resumed", SweepID: "s1", Tenant: "acme", Priority: "batch", CheckpointCells: 2},
 		{Type: "done", SweepID: "s1", Best: &CandidateSummary{Arch: "x4g1024n32d0.5", Status: "ok"}, Stats: &StatsSummary{
-			Order: "bound", Candidates: 2, Cells: 2, ResumedCells: 2,
+			Candidates: 2, Cells: 2, ResumedCells: 2,
 		}},
 		{Type: "error", SweepID: "s1", Error: "sweep canceled: context canceled"},
 	}

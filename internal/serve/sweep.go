@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"gemini/internal/dse"
+	"gemini/internal/eval"
 	"gemini/internal/faultinject"
 )
 
@@ -111,8 +112,6 @@ func summarize(r *dse.CandidateResult) *CandidateSummary {
 // StatsSummary is the JSON shape of dse.SweepStats (which itself is not
 // JSON-safe: an unseeded incumbent is +Inf).
 type StatsSummary struct {
-	// Order is the dispatch order the sweep used ("bound" or "grid").
-	Order string `json:"order"`
 	// Candidates and Cells size the sweep grid.
 	Candidates int `json:"candidates"`
 	// Cells is the total (candidate, model) cell count.
@@ -175,7 +174,6 @@ type TrajectoryStep struct {
 // summarizeStats converts dse.SweepStats to its wire shape.
 func summarizeStats(st dse.SweepStats) *StatsSummary {
 	out := &StatsSummary{
-		Order:             string(st.Order),
 		Candidates:        st.Candidates,
 		Cells:             st.Cells,
 		Canceled:          st.Canceled,
@@ -951,9 +949,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var seqMu sync.Mutex
 	seq := 0
 	// streamed dedupes result events across dispatch rounds: a preempted
-	// sweep re-reduces every candidate after resume, but each architecture
-	// streams exactly once.
-	streamed := make(map[string]bool)
+	// sweep re-reduces every candidate after resume, but each candidate
+	// streams exactly once. Keyed by structural fingerprint: display names
+	// are not unique (the 7-tuple omits cut orientation).
+	streamed := make(map[uint64]bool)
 	opt.OnResult = func(cr dse.CandidateResult) {
 		roundMu.Lock()
 		rc := runCtx
@@ -965,12 +964,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		cs := summarize(&cr)
+		fp := eval.ConfigFingerprint(&cr.Cfg)
 		seqMu.Lock()
-		if streamed[cs.Arch] {
+		if streamed[fp] {
 			seqMu.Unlock()
 			return
 		}
-		streamed[cs.Arch] = true
+		streamed[fp] = true
 		seq++
 		n := seq
 		seqMu.Unlock()
