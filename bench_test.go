@@ -353,6 +353,51 @@ func BenchmarkGraphPartitionResNet50(b *testing.B) {
 	}
 }
 
+// BenchmarkPartitionSiblings partitions ResNet-50 on four bandwidth siblings
+// of G-Arch (NoC x D2D) through one shared eval.Cache and asserts the sharing
+// in-bench: the first sibling pays for every group summary, siblings 2-4 add
+// zero cache misses, and each returns the groups, batch units and cost a
+// private evaluator returns, bit for bit. SA is left out on purpose: sibling
+// anneals diverge, so only the partitioner's lookups are guaranteed hits.
+func BenchmarkPartitionSiblings(b *testing.B) {
+	g := dnn.ResNet50()
+	opt := graphpart.DefaultOptions()
+	var sibs []arch.Config
+	var want []*graphpart.Result
+	for _, nocBW := range []float64{32, 64} {
+		for _, ratio := range []float64{0.25, 0.5} {
+			cfg := arch.GArch72()
+			cfg.NoCBW, cfg.D2DBW = nocBW, nocBW*ratio
+			r, err := graphpart.Partition(g, &cfg, eval.New(&cfg), 64, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sibs, want = append(sibs, cfg), append(want, r)
+		}
+	}
+	var st eval.CacheStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cache := eval.NewCache()
+		for si := range sibs {
+			paid := cache.Stats().Misses
+			got, err := graphpart.Partition(g, &sibs[si], eval.NewWithCache(&sibs[si], cache), 64, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if added := cache.Stats().Misses - paid; (si == 0) != (added > 0) {
+				b.Fatalf("sibling %d added %d cache misses; only the first may pay", si+1, added)
+			}
+			if got.Cost != want[si].Cost || fmt.Sprint(got.Groups, got.BatchUnits) != fmt.Sprint(want[si].Groups, want[si].BatchUnits) {
+				b.Fatalf("sibling %d: shared-cache partition (cost %v) differs from a private evaluator's (cost %v)", si+1, got.Cost, want[si].Cost)
+			}
+		}
+		st = cache.Stats()
+	}
+	b.ReportMetric(float64(st.Misses), "misses")
+	b.ReportMetric(100*st.HitRate(), "cache_hit_%")
+}
+
 func BenchmarkMapTransformerFull(b *testing.B) {
 	cfg := arch.GArch72()
 	g := dnn.Transformer()

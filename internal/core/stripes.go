@@ -203,7 +203,26 @@ func LargestFeasible(l *dnn.Layer, batchUnit, n int) int {
 // first partitions, and interleaved DRAM flows. This is both the T-Map
 // baseline and the SA's initial scheme (paper Sec. V-B1).
 func Stripes(g *dnn.Graph, layers []int, cfg *arch.Config, batchUnit int) (*LMS, error) {
-	alloc, err := AllocateCores(g, layers, cfg.Cores(), batchUnit)
+	return stripes(g, layers, SnakeOrder(cfg), batchUnit)
+}
+
+// Striper builds stripe LMSs over one architecture's snake order, computed
+// once: the graph partitioner stripes thousands of candidate segments per
+// architecture.
+type Striper struct{ order []arch.CoreID }
+
+// NewStriper returns the Striper for cfg.
+func NewStriper(cfg *arch.Config) Striper { return Striper{order: SnakeOrder(cfg)} }
+
+// Stripes is core.Stripes on the Striper's architecture.
+func (st Striper) Stripes(g *dnn.Graph, layers []int, batchUnit int) (*LMS, error) {
+	return stripes(g, layers, st.order, batchUnit)
+}
+
+// stripes is Stripes over a precomputed snake order of the core array; it
+// only reads order.
+func stripes(g *dnn.Graph, layers []int, order []arch.CoreID, batchUnit int) (*LMS, error) {
+	alloc, err := AllocateCores(g, layers, len(order), batchUnit)
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +230,6 @@ func Stripes(g *dnn.Graph, layers []int, cfg *arch.Config, batchUnit int) (*LMS,
 	for _, id := range layers {
 		group[id] = true
 	}
-	order := SnakeOrder(cfg)
 	lms := &LMS{BatchUnit: batchUnit}
 	pos := 0
 	for i, id := range layers {
@@ -247,8 +265,9 @@ func StripeScheme(g *dnn.Graph, cfg *arch.Config, groups [][]int, batchUnits []i
 		return nil, fmt.Errorf("core: %d groups but %d batch units", len(groups), len(batchUnits))
 	}
 	s := &Scheme{Graph: g, Batch: batch, Groups: make([]*LMS, len(groups))}
+	order := SnakeOrder(cfg)
 	for i, layers := range groups {
-		lms, err := Stripes(g, layers, cfg, batchUnits[i])
+		lms, err := stripes(g, layers, order, batchUnits[i])
 		if err != nil {
 			return nil, err
 		}

@@ -23,7 +23,7 @@ var (
 )
 
 // GraphFingerprint hashes the structural content of a DNN graph —
-// everything a GroupResult can depend on: layer kinds, output cubes, kernel
+// everything a group evaluation can depend on: layer kinds, output cubes, kernel
 // geometry, channel layout and the typed edge list. The graph's name is
 // ignored, so two structurally identical graphs share cache entries
 // (results are bit-identical by construction). Unlike the pointer identity
@@ -87,8 +87,30 @@ func ConfigFingerprint(cfg *arch.Config) uint64 {
 	return h
 }
 
-// CacheKey addresses one group evaluation in a shared Cache: the
-// architecture fingerprint, the graph fingerprint, and the group
+// AnalysisFingerprint hashes what a bandwidth-free group summary can depend
+// on: ConfigFingerprint's fields minus the three bandwidths, plus the DRAM
+// controller count. The count is derived from DRAMBW but is geometry, not
+// speed — it decides where the DRAM ports attach and how interleaved flows
+// split, so two DRAM bandwidths share summaries exactly when they imply the
+// same count. Configs with equal analysis fingerprints are bandwidth
+// siblings: one summary in a shared Cache serves them all, each finishing it
+// at its own NoCBW/D2DBW/DRAMBW.
+func AnalysisFingerprint(cfg *arch.Config) uint64 {
+	h := uint64(fnvOffset)
+	for _, v := range [...]uint64{
+		uint64(cfg.CoresX), uint64(cfg.CoresY),
+		uint64(cfg.XCut), uint64(cfg.YCut),
+		uint64(cfg.DRAMControllers()),
+		uint64(cfg.MACsPerCore), uint64(cfg.GLBPerCore),
+		math.Float64bits(cfg.FreqGHz), uint64(cfg.Topology),
+	} {
+		h = fnv1a(h, v)
+	}
+	return h
+}
+
+// CacheKey addresses one group summary in a shared Cache: the analysis
+// fingerprint of the architecture, the graph fingerprint, and the group
 // fingerprint (encoding + batch + params + cross-group context). All three
 // components are stable across processes, so a cache can round-trip through
 // SaveDisk/LoadDisk and keep serving.
@@ -107,11 +129,11 @@ const cacheShards = 64
 // is far below the limit, and a flush only costs recomputation).
 const cacheShardLimit = 1 << 14
 
-// cacheEntry is one stored result plus its provenance: disk marks entries
+// cacheEntry is one stored summary plus its provenance: disk marks entries
 // merged in by LoadDisk, so hit accounting can tell cross-process warmth
 // from in-process warmth.
 type cacheEntry struct {
-	r    GroupResult
+	sum  groupSummary
 	disk bool
 }
 
@@ -120,11 +142,13 @@ type cacheShard struct {
 	m  map[CacheKey]cacheEntry
 }
 
-// Cache is a concurrency-safe group-result store shared across evaluators —
+// Cache is a concurrency-safe group-summary store shared across evaluators —
 // and therefore across architecture candidates, models, SA restarts and
 // whole DSE runs. It memoizes exactly what the per-evaluator memo does, so
-// serving from the cache is bit-identical to recomputing. SaveDisk and
-// LoadDisk spill and restore it across process boundaries.
+// serving from the cache is bit-identical to recomputing; because summaries
+// are bandwidth-free, a hit may have been paid for by a bandwidth sibling of
+// the asking evaluator. SaveDisk and LoadDisk spill and restore it across
+// process boundaries.
 type Cache struct {
 	shards                [cacheShards]cacheShard
 	hits, misses, flushes atomic.Int64
@@ -145,33 +169,35 @@ func (c *Cache) shard(k CacheKey) *cacheShard {
 	return &c.shards[(k.Arch^k.FP)%cacheShards]
 }
 
-// get returns the cached result for k, counting the hit or miss (and,
-// separately, hits served by disk-loaded entries).
-func (c *Cache) get(k CacheKey) (GroupResult, bool) {
+// get copies the cached summary for k into *out and reports whether there
+// was one, counting the hit or miss (and, separately, hits served by
+// disk-loaded entries).
+func (c *Cache) get(k CacheKey, out *groupSummary) bool {
 	s := c.shard(k)
 	s.mu.RLock()
 	e, ok := s.m[k]
 	s.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		if e.disk {
-			c.diskHits.Add(1)
-		}
-	} else {
+	if !ok {
 		c.misses.Add(1)
+		return false
 	}
-	return e.r, ok
+	*out = e.sum
+	c.hits.Add(1)
+	if e.disk {
+		c.diskHits.Add(1)
+	}
+	return true
 }
 
-// put stores a computed result, flushing the shard if it is full.
-func (c *Cache) put(k CacheKey, r GroupResult) {
+// put stores a computed summary, flushing the shard if it is full.
+func (c *Cache) put(k CacheKey, sum *groupSummary) {
 	s := c.shard(k)
 	s.mu.Lock()
 	if len(s.m) >= cacheShardLimit {
 		clear(s.m)
 		c.flushes.Add(1)
 	}
-	s.m[k] = cacheEntry{r: r}
+	s.m[k] = cacheEntry{sum: *sum}
 	s.mu.Unlock()
 }
 

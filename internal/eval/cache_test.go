@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -39,6 +40,106 @@ func TestConfigFingerprint(t *testing.T) {
 	d.GLBPerCore *= 2
 	if ConfigFingerprint(&a) == ConfigFingerprint(&d) {
 		t.Error("fingerprint misses GLBPerCore")
+	}
+}
+
+// TestAnalysisFingerprint: bandwidth siblings share one analysis key, and
+// everything a bandwidth-free summary can depend on splits it — including the
+// DRAM controller count, which is derived from DRAMBW but moves the ports.
+func TestAnalysisFingerprint(t *testing.T) {
+	base := arch.GArch72()
+	with := func(mut func(*arch.Config)) *arch.Config {
+		c := base
+		mut(&c)
+		return &c
+	}
+	key := AnalysisFingerprint(&base)
+	for name, sib := range map[string]*arch.Config{
+		"name":  with(func(c *arch.Config) { c.Name = "renamed" }),
+		"NoCBW": with(func(c *arch.Config) { c.NoCBW = 64 }),
+		"D2DBW": with(func(c *arch.Config) { c.D2DBW = 4 }),
+		// 144 and 147.456 GB/s both round up to five 32 GB/s controllers.
+		"DRAMBW within one controller count": with(func(c *arch.Config) { c.DRAMBW = 147.456 }),
+	} {
+		if sib.DRAMControllers() != base.DRAMControllers() {
+			t.Fatalf("%s: test sibling changes the controller count", name)
+		}
+		if AnalysisFingerprint(sib) != key {
+			t.Errorf("analysis fingerprint depends on %s", name)
+		}
+	}
+	for name, other := range map[string]*arch.Config{
+		"CoresX":      with(func(c *arch.Config) { c.CoresX *= 2 }),
+		"CoresY":      with(func(c *arch.Config) { c.CoresY *= 2 }),
+		"XCut":        with(func(c *arch.Config) { c.XCut = 1 }),
+		"YCut":        with(func(c *arch.Config) { c.YCut = 2 }),
+		"MACsPerCore": with(func(c *arch.Config) { c.MACsPerCore *= 2 }),
+		"GLBPerCore":  with(func(c *arch.Config) { c.GLBPerCore *= 2 }),
+		"FreqGHz":     with(func(c *arch.Config) { c.FreqGHz = 2 }),
+		"Topology":    with(func(c *arch.Config) { c.Topology = arch.FoldedTorus }),
+		// 64 GB/s is two controllers, 144 GB/s five: the ports attach to
+		// different edge routers and interleaved flows split differently.
+		"DRAM controller count": with(func(c *arch.Config) { c.DRAMBW = 64 }),
+	} {
+		if AnalysisFingerprint(other) == key {
+			t.Errorf("analysis fingerprint misses %s", name)
+		}
+	}
+	if two := with(func(c *arch.Config) { c.DRAMBW = 64 }); two.DRAMControllers() != 2 || base.DRAMControllers() != 5 {
+		t.Errorf("controller counts %d / %d, want 2 / 5", two.DRAMControllers(), base.DRAMControllers())
+	}
+}
+
+// TestSiblingSummaryInvariance is the eval-level half of the sibling oracle
+// (internal/dse/sibling_test.go runs it over SA outputs on the real zoo): a
+// summary one evaluator computed, finished by a bandwidth sibling, equals
+// what the sibling's private evaluator computes from scratch, bit for bit,
+// under both D2D energy models — and costs the sibling no miss. A config
+// with another controller count shares nothing.
+func TestSiblingSummaryInvariance(t *testing.T) {
+	a := arch.GArch72()
+	b := arch.GArch72()
+	b.NoCBW, b.D2DBW, b.DRAMBW = 8, 2, 130 // slower everywhere, still five controllers
+	two := arch.GArch72()
+	two.DRAMBW = 64
+	for _, model := range []D2DModel{GRS, SerDes} {
+		cache := NewCache()
+		evaluators := map[*arch.Config]*Evaluator{}
+		for _, cfg := range []*arch.Config{&a, &b, &two} {
+			ev := NewWithCache(cfg, cache)
+			ev.Params.D2DModel = model
+			evaluators[cfg] = ev
+		}
+		for _, pair := range [][2]*arch.Config{{&a, &b}, {&b, &a}} {
+			primer, asker := pair[0], pair[1]
+			s := perLayerScheme(t, asker)
+			evaluators[primer].Evaluate(s)
+			before := cache.Stats().Misses
+			got := evaluators[asker].Evaluate(s)
+			if m := cache.Stats().Misses - before; m != 0 {
+				t.Errorf("model %d: sibling %s recomputed %d groups primed by %s", model, asker, m, primer)
+			}
+			private := New(asker)
+			private.Params.D2DModel = model
+			if want := private.Evaluate(s); !want.Feasible || !reflect.DeepEqual(got, want) {
+				t.Errorf("model %d: %s served by %s's summaries diverged:\n got %+v\nwant %+v", model, asker, primer, got, want)
+			}
+		}
+		if ra, rb := evaluators[&a].Evaluate(perLayerScheme(t, &a)), evaluators[&b].Evaluate(perLayerScheme(t, &b)); ra.Delay >= rb.Delay {
+			t.Errorf("model %d: the slower sibling is not slower (%v vs %v): finish ignores the bandwidths", model, ra.Delay, rb.Delay)
+		}
+
+		s := perLayerScheme(t, &two)
+		before := cache.Stats()
+		got := evaluators[&two].Evaluate(s)
+		if st := cache.Stats(); st.Hits != before.Hits || st.Misses-before.Misses != int64(len(s.Groups)) {
+			t.Errorf("model %d: a two-controller config hit five-controller summaries: %+v -> %+v", model, before, st)
+		}
+		private := New(&two)
+		private.Params.D2DModel = model
+		if want := private.Evaluate(s); !reflect.DeepEqual(got, want) {
+			t.Errorf("model %d: two-controller result diverged", model)
+		}
 	}
 }
 

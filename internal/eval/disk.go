@@ -1,5 +1,5 @@
-// Disk spill for the shared evaluation cache. Group results are pure
-// functions of their (arch, graph, group) fingerprints, so a cache written
+// Disk spill for the shared evaluation cache. Group summaries are pure
+// functions of their (analysis, graph, group) fingerprints, so a cache written
 // by one process is valid input for any other: a restarted service warms
 // from its predecessor's cells instead of recomputing them.
 //
@@ -10,7 +10,7 @@
 // file too broken to parse degrades to a cold cache rather than an error.
 // Float fields survive the JSON round trip bit-exactly (Go encodes the
 // shortest representation that parses back to the same value), so a
-// disk-served result is bit-identical to the recomputation it replaces.
+// disk-served summary is bit-identical to the recomputation it replaces.
 package eval
 
 import (
@@ -28,18 +28,21 @@ type diskHeader struct {
 	Version int    `json:"version"`
 }
 
+// diskVersion 2 stores bandwidth-free summaries under the analysis key.
+// Version 1 stored finished GroupResults under ConfigFingerprint: neither its
+// keys nor its values mean anything here, so such a file loads as cold.
 const (
 	diskKind    = "gemini-eval-cache"
-	diskVersion = 1
+	diskVersion = 2
 )
 
 // diskEntry is one cache cell on disk. Fingerprints are hex strings: JSON
 // numbers are float64 and would corrupt uint64 keys past 2^53.
 type diskEntry struct {
-	Arch   string      `json:"a"`
-	Graph  string      `json:"g"`
-	FP     string      `json:"f"`
-	Result GroupResult `json:"r"`
+	Arch    string       `json:"a"`
+	Graph   string       `json:"g"`
+	FP      string       `json:"f"`
+	Summary groupSummary `json:"s"`
 }
 
 // SaveDisk atomically writes a snapshot of every cache entry (locally
@@ -90,10 +93,10 @@ func (c *Cache) SaveDisk(path string) error {
 	}
 	for _, e := range all {
 		de := diskEntry{
-			Arch:   fmt.Sprintf("%016x", e.k.Arch),
-			Graph:  fmt.Sprintf("%016x", e.k.Graph),
-			FP:     fmt.Sprintf("%016x", e.k.FP),
-			Result: e.e.r,
+			Arch:    fmt.Sprintf("%016x", e.k.Arch),
+			Graph:   fmt.Sprintf("%016x", e.k.Graph),
+			FP:      fmt.Sprintf("%016x", e.k.FP),
+			Summary: e.e.sum,
 		}
 		if err := enc.Encode(de); err != nil {
 			tmp.Close()
@@ -118,7 +121,7 @@ func (c *Cache) SaveDisk(path string) error {
 // reports how many entries it added. A missing file is a cold start, not an
 // error. Corruption is tolerated at entry granularity: undecodable lines
 // (and anything past a truncation point) are skipped, a header from an
-// unknown version or kind skips the whole file, and in every such case the
+// other version or kind skips the whole file, and in every such case the
 // cache simply stays colder — LoadDisk errors only on real I/O failure.
 // Entries already present in memory are kept (they are bit-identical by key
 // determinism, and keeping them preserves the locally-computed provenance
@@ -154,7 +157,7 @@ func (c *Cache) LoadDisk(path string) (int, error) {
 		if !parseHexFP(de.Arch, &k.Arch) || !parseHexFP(de.Graph, &k.Graph) || !parseHexFP(de.FP, &k.FP) {
 			continue
 		}
-		if c.insertFromDisk(k, de.Result) {
+		if c.insertFromDisk(k, de.Summary) {
 			loaded++
 		}
 	}
@@ -166,7 +169,7 @@ func (c *Cache) LoadDisk(path string) (int, error) {
 
 // insertFromDisk adds a disk entry unless the key is already present,
 // respecting the shard size bound.
-func (c *Cache) insertFromDisk(k CacheKey, r GroupResult) bool {
+func (c *Cache) insertFromDisk(k CacheKey, sum groupSummary) bool {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -177,7 +180,7 @@ func (c *Cache) insertFromDisk(k CacheKey, r GroupResult) bool {
 		clear(s.m)
 		c.flushes.Add(1)
 	}
-	s.m[k] = cacheEntry{r: r, disk: true}
+	s.m[k] = cacheEntry{sum: sum, disk: true}
 	return true
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,23 +14,29 @@ import (
 	"gemini/internal/dnn"
 )
 
-func populatedCache(t *testing.T) (*Cache, int) {
+// perLayerScheme stripes TinyCNN with one group per layer, so evaluating it
+// fills a cache with several distinct entries.
+func perLayerScheme(t *testing.T, cfg *arch.Config) *core.Scheme {
 	t.Helper()
-	cfg := arch.GArch72()
 	g := dnn.TinyCNN()
-	// One group per layer, so the cache holds several distinct entries.
 	groups := make([][]int, len(g.Layers))
 	bus := make([]int, len(g.Layers))
 	for i := range g.Layers {
 		groups[i] = []int{i}
 		bus[i] = 1
 	}
-	s, err := core.StripeScheme(g, &cfg, groups, bus, 4)
+	s, err := core.StripeScheme(g, cfg, groups, bus, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+func populatedCache(t *testing.T) (*Cache, int) {
+	t.Helper()
+	cfg := arch.GArch72()
 	cache := NewCache()
-	NewWithCache(&cfg, cache).Evaluate(s)
+	NewWithCache(&cfg, cache).Evaluate(perLayerScheme(t, &cfg))
 	n := cache.Stats().Entries
 	if n < 3 {
 		t.Fatalf("populated cache has only %d entries; corruption cases need more", n)
@@ -162,6 +169,38 @@ func TestDiskLoadCorruptionTolerance(t *testing.T) {
 			t.Errorf("%s: loaded %d entries, want in [%d, %d] of %d",
 				name, n, minLoaded[name], maxLoaded[name], total)
 		}
+	}
+}
+
+// TestDiskV1FileLoadsCold: testdata/cache_v1.ndjson is a spill the parent
+// commit wrote from populatedCache's evaluation — finished GroupResults keyed
+// by ConfigFingerprint. Version 2 stores summaries under the analysis key, so
+// the old file must load as a cold cache (0 entries, no error) and never
+// serve a hit: decoded as version-2 entries its lines would be infeasible
+// summaries.
+func TestDiskV1FileLoadsCold(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "cache_v1.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(raw), `{"kind":"gemini-eval-cache","version":1}`+"\n") {
+		t.Fatal("fixture is not a version-1 spill")
+	}
+	c := NewCache()
+	n, err := c.LoadDisk(filepath.Join("testdata", "cache_v1.ndjson"))
+	if err != nil || n != 0 || c.Stats().Entries != 0 {
+		t.Fatalf("v1 file: loaded %d entries (%d resident), err=%v; want a cold cache", n, c.Stats().Entries, err)
+	}
+
+	// The same evaluation the fixture was written from: all misses.
+	cfg := arch.GArch72()
+	s := perLayerScheme(t, &cfg)
+	got, want := NewWithCache(&cfg, c).Evaluate(s), New(&cfg).Evaluate(s)
+	if !want.Feasible || !reflect.DeepEqual(got, want) {
+		t.Fatalf("evaluation after a v1 load diverged: %+v vs %+v", got, want)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.DiskHits != 0 || st.Misses != int64(len(s.Groups)) {
+		t.Fatalf("v1 file served lookups: %+v", st)
 	}
 }
 

@@ -72,14 +72,17 @@ func AvgLayersPerGroup(s *core.Scheme) float64 {
 // Evaluator evaluates schemes for one architecture. It is safe for
 // concurrent use.
 //
-// The evaluator memoizes GroupResults keyed by a fingerprint of the group's
-// encoding (plus the cross-group flow-of-data context it reads), so SA
-// states that revisit a previously seen group configuration skip the whole
-// Analyze/explore/traffic pipeline. Graphs are identified by pointer: a
-// *dnn.Graph must not be mutated after schemes referencing it have been
-// evaluated. Params may change between evaluations (it is hashed into the
-// fingerprint) but must not be written concurrently with an in-flight
-// evaluation.
+// Evaluation is two-phase. The Analyze/explore/traffic pipeline produces a
+// bandwidth-free groupSummary; finish turns a summary into a GroupResult by
+// applying this evaluator's NoC/D2D/DRAM bandwidths. The evaluator memoizes
+// summaries keyed by a fingerprint of the group's encoding (plus the
+// cross-group flow-of-data context it reads), so SA states that revisit a
+// previously seen group configuration — on this architecture or, through a
+// shared Cache, on any bandwidth sibling of it — skip the whole pipeline.
+// Graphs are identified by pointer: a *dnn.Graph must not be mutated after
+// schemes referencing it have been evaluated. Params may change between
+// evaluations (it is hashed into the fingerprint) but must not be written
+// concurrently with an in-flight evaluation.
 type Evaluator struct {
 	Cfg    *arch.Config
 	Net    *noc.Network
@@ -90,13 +93,33 @@ type Evaluator struct {
 	scratch   sync.Pool
 
 	memoMu    sync.Mutex
-	groupMemo map[groupKey]GroupResult
+	groupMemo map[groupKey]groupSummary
 
 	// shared, when set, replaces the per-evaluator memo with a cache shared
-	// across evaluators (and so across DSE candidates and runs); archFP is
-	// this evaluator's ConfigFingerprint, computed once.
-	shared *Cache
-	archFP uint64
+	// across evaluators (and so across DSE candidates and runs); analysisFP
+	// is this evaluator's AnalysisFingerprint, computed once.
+	shared     *Cache
+	analysisFP uint64
+}
+
+// groupSummary is the bandwidth-free half of a group evaluation: everything
+// the Analyze/explore/traffic pipeline derives from the group encoding, the
+// core array, the chiplet cuts, the topology and the DRAM controller
+// placement — and nothing that depends on how fast a link or a controller
+// drains. It is what both memos store; finish completes it in O(1). The
+// MAC/GLB energies are summed per core under the evaluator's Params, which
+// the group fingerprint hashes.
+type groupSummary struct {
+	Feasible  bool    `json:"ok,omitempty"`
+	BatchUnit int     `json:"bu,omitempty"`
+	Depth     int     `json:"dp,omitempty"`
+	MaxComp   float64 `json:"tc,omitempty"` // slowest core's compute seconds per pass
+	MAC       float64 `json:"em,omitempty"` // joules per pass
+	GLB       float64 `json:"eg,omitempty"` // joules per pass
+	AvgUtil   float64 `json:"u,omitempty"`
+
+	PerPass noc.Digest `json:"p"` // activation and streamed-weight traffic of one pass
+	Once    noc.Digest `json:"o"` // GLB-resident weights, loaded once per run
 }
 
 type groupKey struct {
@@ -128,7 +151,7 @@ func New(cfg *arch.Config) *Evaluator {
 		Net:       noc.New(cfg),
 		Memo:      intracore.NewMemo(),
 		Params:    DefaultParams(),
-		groupMemo: make(map[groupKey]GroupResult),
+		groupMemo: make(map[groupKey]groupSummary),
 	}
 	for _, l := range e.Net.Links {
 		if l.D2D {
@@ -152,10 +175,10 @@ func New(cfg *arch.Config) *Evaluator {
 // computed ones: the cache stores exactly what the private memo would.
 func (e *Evaluator) UseCache(c *Cache) {
 	e.shared = c
-	e.archFP = ConfigFingerprint(e.Cfg)
+	e.analysisFP = AnalysisFingerprint(e.Cfg)
 }
 
-// NewWithCache builds an evaluator whose group-result memo is the shared
+// NewWithCache builds an evaluator whose group-summary memo is the shared
 // cache c instead of a private map.
 func NewWithCache(cfg *arch.Config, c *Cache) *Evaluator {
 	e := New(cfg)
@@ -167,61 +190,73 @@ func (e *Evaluator) coreParams() intracore.Core {
 	return intracore.Core{MACs: e.Cfg.MACsPerCore, GLB: e.Cfg.GLBPerCore, FreqGHz: e.Cfg.FreqGHz}
 }
 
-// EvaluateGroup evaluates one layer group of a validated scheme, consulting
-// the group-result memo first: a group configuration seen before (same
-// encoding, batch, cross-group data placement and energy parameters) is
-// returned without re-analysis.
+// EvaluateGroup evaluates one layer group of a validated scheme: the
+// memoized (or freshly computed) bandwidth-free summary, finished at this
+// evaluator's bandwidths. Summary and result travel through out-parameters
+// so the hit path copies neither.
 //
 //gemini:noalloc
-func (e *Evaluator) EvaluateGroup(s *core.Scheme, gi int) GroupResult {
+func (e *Evaluator) EvaluateGroup(s *core.Scheme, gi int) (res GroupResult) {
+	var sum groupSummary
+	e.summary(s, gi, &sum)
+	e.finish(&sum, s.Batch, &res)
+	return
+}
+
+// summary stores the group's summary in *sum, consulting the memo first: a
+// group configuration seen before (same encoding, batch, cross-group data
+// placement and energy parameters) is returned without re-analysis.
+//
+//gemini:noalloc
+func (e *Evaluator) summary(s *core.Scheme, gi int, sum *groupSummary) {
 	fp := e.groupFingerprint(s, gi)
 	if e.shared != nil {
-		key := CacheKey{Arch: e.archFP, Graph: GraphFingerprint(s.Graph), FP: fp}
-		if r, ok := e.shared.get(key); ok {
-			return r
+		key := CacheKey{Arch: e.analysisFP, Graph: GraphFingerprint(s.Graph), FP: fp}
+		if !e.shared.get(key, sum) {
+			*sum = e.summarizeGroup(s, gi)
+			e.shared.put(key, sum)
 		}
-		r := e.computeGroup(s, gi)
-		e.shared.put(key, r)
-		return r
+		return
 	}
 
 	key := groupKey{graph: s.Graph, fp: fp}
 	e.memoMu.Lock()
-	if r, ok := e.groupMemo[key]; ok {
-		e.memoMu.Unlock()
-		return r
-	}
+	hit, ok := e.groupMemo[key]
 	e.memoMu.Unlock()
+	if ok {
+		*sum = hit
+		return
+	}
 
-	r := e.computeGroup(s, gi)
+	*sum = e.summarizeGroup(s, gi)
 
 	e.memoMu.Lock()
 	if len(e.groupMemo) >= groupMemoLimit {
 		clear(e.groupMemo)
 	}
-	e.groupMemo[key] = r
+	e.groupMemo[key] = *sum
 	e.memoMu.Unlock()
-	return r
 }
 
-// computeGroup runs the Analyze/explore/traffic pipeline for one group.
+// summarizeGroup runs the Analyze/explore/traffic pipeline for one group.
 //
 //gemini:noalloc
-func (e *Evaluator) computeGroup(s *core.Scheme, gi int) GroupResult {
+func (e *Evaluator) summarizeGroup(s *core.Scheme, gi int) groupSummary {
 	sc := e.scratch.Get().(*evalScratch)
-	var r GroupResult
+	var sum groupSummary
 	if err := core.AnalyzeInto(sc.an, s, gi, e.Cfg); err == nil {
-		r = e.evaluateAnalysis(sc, s.Batch)
+		sum = e.summarizeAnalysis(sc)
 	}
 	e.scratch.Put(sc)
-	return r
+	return sum
 }
 
-// evaluateAnalysis turns one parsed group analysis into a GroupResult using
-// the scratch buffers only.
+// summarizeAnalysis turns one parsed group analysis into a groupSummary
+// using the scratch buffers only. It must not read NoCBW, D2DBW or DRAMBW:
+// the summary is shared by every configuration with this AnalysisFingerprint.
 //
 //gemini:noalloc
-func (e *Evaluator) evaluateAnalysis(sc *evalScratch, batch int) GroupResult {
+func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 	an := sc.an
 	cp := e.coreParams()
 	freqHz := e.Cfg.FreqGHz * 1e9
@@ -230,8 +265,7 @@ func (e *Evaluator) evaluateAnalysis(sc *evalScratch, batch int) GroupResult {
 	// ID and only written for occupied cores — exactly the cores the weight
 	// flows below can reference — so stale entries are never read and the
 	// buffer needs no clearing between evaluations.
-	var maxComp float64
-	var compEnergy EnergyBreakdown
+	sum := groupSummary{Feasible: true, BatchUnit: an.BatchUnit, Depth: an.Depth}
 	var utilSum float64
 	nUtil := 0
 	resident := sc.resident
@@ -245,22 +279,25 @@ func (e *Evaluator) evaluateAnalysis(sc *evalScratch, batch int) GroupResult {
 		w := an.Works[c]
 		r := e.Memo.Explore(w, cp)
 		if !r.Feasible {
-			return GroupResult{}
+			return groupSummary{}
 		}
 		resident[c] = r.WeightsResident
 		cycles := r.Cycles
 		if r.VecCycles > cycles {
 			cycles = r.VecCycles
 		}
-		if t := float64(cycles) / freqHz; t > maxComp {
-			maxComp = t
+		if t := float64(cycles) / freqHz; t > sum.MaxComp {
+			sum.MaxComp = t
 		}
-		compEnergy.MAC += float64(w.MACs)*e.Params.MACpJ*pJ + float64(w.VecOps)*e.Params.VecOppJ*pJ
-		compEnergy.GLB += r.GLBBytes * e.Params.GLBpJPerByte * pJ
+		sum.MAC += float64(w.MACs)*e.Params.MACpJ*pJ + float64(w.VecOps)*e.Params.VecOppJ*pJ
+		sum.GLB += r.GLBBytes * e.Params.GLBpJPerByte * pJ
 		if w.MACs > 0 {
 			utilSum += r.Util
 			nUtil++
 		}
+	}
+	if nUtil > 0 {
+		sum.AvgUtil = utilSum / float64(nUtil)
 	}
 
 	// Per-pass activation traffic.
@@ -298,59 +335,62 @@ func (e *Evaluator) evaluateAnalysis(sc *evalScratch, batch int) GroupResult {
 			tr.AddDRAMReadMulticast(f.Ctrl, str, f.Bytes)
 		}
 	}
-
-	passes := (batch + an.BatchUnit - 1) / an.BatchUnit
-	commTime := tr.BottleneckTime()
-	stage := math.Max(maxComp, commTime)
-	if stage <= 0 {
-		return GroupResult{}
-	}
-	preload := wOnce.BottleneckTime()
-	delay := float64(passes+an.Depth-1)*stage + preload
-
-	res := GroupResult{
-		Feasible:  true,
-		Passes:    passes,
-		Depth:     an.Depth,
-		StageTime: stage,
-		Delay:     delay,
-	}
-	res.NoCBytes, res.D2DBytes, res.DRAMBytes = tr.TotalBytes()
-	res.MaxLinkLoad, _ = tr.MaxLinkLoad()
-	if nUtil > 0 {
-		res.AvgUtil = utilSum / float64(nUtil)
-	}
-
-	perPass := e.transferEnergy(tr)
-	once := e.transferEnergy(wOnce)
-	res.Energy.add(compEnergy, float64(passes))
-	res.Energy.add(perPass, float64(passes))
-	res.Energy.add(once, 1)
-
-	if e.Params.D2DModel == SerDes && e.Cfg.Chiplets() > 1 {
-		// Clock-embedded D2D: interfaces burn power for the whole group
-		// runtime regardless of traffic.
-		powerW := e.Cfg.D2DBW * 1e9 * 8 * e.Params.SerDesPJPerBit * pJ
-		res.Energy.D2D = float64(e.d2dIfaces) * powerW * delay
-	}
-	res.DRAMBytes *= float64(passes)
-	res.NoCBytes *= float64(passes)
-	res.D2DBytes *= float64(passes)
-	ow, dw, drw := wOnce.TotalBytes()
-	res.NoCBytes += ow
-	res.D2DBytes += dw
-	res.DRAMBytes += drw
-	return res
+	sum.PerPass = tr.Digest()
+	sum.Once = wOnce.Digest()
+	return sum
 }
 
-// transferEnergy converts accumulated traffic into a per-pass energy
-// breakdown under the clock-forwarding (volume-proportional) model.
-func (e *Evaluator) transferEnergy(tr *noc.Traffic) EnergyBreakdown {
-	onchip, d2d, dram := tr.TotalBytes()
+// finish completes a summary into *res, which must be zero. It is the only
+// place the link and controller bandwidths enter an evaluation, so it may
+// read anything of the evaluator — Cfg's bandwidths, Params, the D2D
+// interface count — but nothing of the scheme beyond the batch: whatever else
+// a result depends on must already be in the summary and its key.
+//
+//gemini:noalloc
+func (e *Evaluator) finish(sum *groupSummary, batch int, res *GroupResult) {
+	if !sum.Feasible {
+		return
+	}
+	cfg := e.Cfg
+	dramCtrlBW := cfg.DRAMBW / float64(e.Net.Controllers())
+	passes := (batch + sum.BatchUnit - 1) / sum.BatchUnit
+	commTime := sum.PerPass.BottleneckTime(cfg.NoCBW, cfg.D2DBW, dramCtrlBW)
+	stage := math.Max(sum.MaxComp, commTime)
+	if stage <= 0 {
+		return
+	}
+	preload := sum.Once.BottleneckTime(cfg.NoCBW, cfg.D2DBW, dramCtrlBW)
+	delay := float64(passes+sum.Depth-1)*stage + preload
+
+	res.Feasible = true
+	res.Passes = passes
+	res.Depth = sum.Depth
+	res.StageTime = stage
+	res.Delay = delay
+	res.MaxLinkLoad = max(sum.PerPass.PeakNoC, sum.PerPass.PeakD2D)
+	res.AvgUtil = sum.AvgUtil
+	res.Energy.add(EnergyBreakdown{MAC: sum.MAC, GLB: sum.GLB}, float64(passes))
+	res.Energy.add(e.transferEnergy(sum.PerPass), float64(passes))
+	res.Energy.add(e.transferEnergy(sum.Once), 1)
+
+	if e.Params.D2DModel == SerDes && cfg.Chiplets() > 1 {
+		// Clock-embedded D2D: interfaces burn power for the whole group
+		// runtime regardless of traffic.
+		powerW := cfg.D2DBW * 1e9 * 8 * e.Params.SerDesPJPerBit * pJ
+		res.Energy.D2D = float64(e.d2dIfaces) * powerW * delay
+	}
+	res.NoCBytes = sum.PerPass.NoCBytes*float64(passes) + sum.Once.NoCBytes
+	res.D2DBytes = sum.PerPass.D2DBytes*float64(passes) + sum.Once.D2DBytes
+	res.DRAMBytes = sum.PerPass.DRAMBytes*float64(passes) + sum.Once.DRAMBytes
+}
+
+// transferEnergy converts digested traffic into an energy breakdown under
+// the clock-forwarding (volume-proportional) model.
+func (e *Evaluator) transferEnergy(d noc.Digest) EnergyBreakdown {
 	var b EnergyBreakdown
-	b.NoC = onchip * (e.Params.NoCHoppJPerByte + e.Params.RouterpJPerByte) * pJ
-	b.D2D = d2d * (e.Params.D2DpJPerByte + e.Params.RouterpJPerByte) * pJ
-	b.DRAM = dram * e.Params.DRAMpJPerByte * pJ
+	b.NoC = d.NoCBytes * (e.Params.NoCHoppJPerByte + e.Params.RouterpJPerByte) * pJ
+	b.D2D = d.D2DBytes * (e.Params.D2DpJPerByte + e.Params.RouterpJPerByte) * pJ
+	b.DRAM = d.DRAMBytes * e.Params.DRAMpJPerByte * pJ
 	return b
 }
 
@@ -370,8 +410,8 @@ func fnv1a(h, v uint64) uint64 {
 	return h
 }
 
-// groupFingerprint hashes everything EvaluateGroup's result depends on
-// beyond the architecture itself: the energy parameters (the Params field is
+// groupFingerprint hashes everything a group's summary — and finish — depends
+// on beyond the architecture itself: the energy parameters (the Params field is
 // mutable), the batch, the group's full encoding, and — for inputs produced
 // outside the group — the DRAM where the producer stored its ofmaps.
 func (e *Evaluator) groupFingerprint(s *core.Scheme, gi int) uint64 {

@@ -47,6 +47,57 @@ type Result struct {
 	Cost       float64
 }
 
+// segmenter scores candidate DP segments. It owns what every segment of one
+// Partition call shares — the architecture's striper, the layer-ID slice
+// whose [j,i) windows name the segments, and the one-group scheme handed to
+// the evaluator — so scoring a segment allocates its stripe LMS and nothing
+// else.
+type segmenter struct {
+	g       *dnn.Graph
+	ev      *eval.Evaluator
+	opt     Options
+	striper core.Striper
+	ids     []int
+	scheme  core.Scheme
+}
+
+func newSegmenter(g *dnn.Graph, cfg *arch.Config, ev *eval.Evaluator, batch int, opt Options) *segmenter {
+	sg := &segmenter{
+		g: g, ev: ev, opt: opt,
+		striper: core.NewStriper(cfg),
+		ids:     make([]int, len(g.Layers)),
+		scheme:  core.Scheme{Graph: g, Batch: batch, Groups: make([]*core.LMS, 1)},
+	}
+	for i := range sg.ids {
+		sg.ids[i] = i
+	}
+	return sg
+}
+
+// cost is the DP cost of mapping layers [j,i) as one stripe group at batch
+// unit bu, +Inf when the segment does not fit.
+func (sg *segmenter) cost(j, i, bu int) float64 {
+	lms, err := sg.striper.Stripes(sg.g, sg.ids[j:i], bu)
+	if err != nil {
+		return math.Inf(1)
+	}
+	sg.scheme.Groups[0] = lms
+	gr := sg.ev.EvaluateGroup(&sg.scheme, 0)
+	if !gr.Feasible {
+		return math.Inf(1)
+	}
+	// Normalize the objective to be 1-homogeneous in workload size:
+	// summing raw E^b * D^g over segments would reward splitting (two
+	// halves score 2*(E/2)^b*(D/2)^g < E^b*D^g for b+g > 1). The
+	// (b+g)-th root keeps the DP size-unbiased while preserving the
+	// objective's E/D weighting; for pure-delay objectives it is exact.
+	c := math.Pow(gr.Energy.Total(), sg.opt.Beta) * math.Pow(gr.Delay, sg.opt.Gamma)
+	if exp := sg.opt.Beta + sg.opt.Gamma; exp > 1 {
+		c = math.Pow(c, 1/exp)
+	}
+	return c
+}
+
 // Partition runs the DP over topological segments and returns the stripe-
 // mapped scheme (the SA engine refines it afterwards).
 func Partition(g *dnn.Graph, cfg *arch.Config, ev *eval.Evaluator, batch int, opt Options) (*Result, error) {
@@ -84,31 +135,7 @@ func Partition(g *dnn.Graph, cfg *arch.Config, ev *eval.Evaluator, batch int, op
 		dp[i] = math.Inf(1)
 	}
 
-	segCost := func(j, i, bu int) float64 {
-		layers := make([]int, 0, i-j)
-		for id := j; id < i; id++ {
-			layers = append(layers, id)
-		}
-		lms, err := core.Stripes(g, layers, cfg, bu)
-		if err != nil {
-			return math.Inf(1)
-		}
-		s := &core.Scheme{Graph: g, Batch: batch, Groups: []*core.LMS{lms}}
-		gr := ev.EvaluateGroup(s, 0)
-		if !gr.Feasible {
-			return math.Inf(1)
-		}
-		// Normalize the objective to be 1-homogeneous in workload size:
-		// summing raw E^b * D^g over segments would reward splitting (two
-		// halves score 2*(E/2)^b*(D/2)^g < E^b*D^g for b+g > 1). The
-		// (b+g)-th root keeps the DP size-unbiased while preserving the
-		// objective's E/D weighting; for pure-delay objectives it is exact.
-		c := math.Pow(gr.Energy.Total(), opt.Beta) * math.Pow(gr.Delay, opt.Gamma)
-		if exp := opt.Beta + opt.Gamma; exp > 1 {
-			c = math.Pow(c, 1/exp)
-		}
-		return c
-	}
+	seg := newSegmenter(g, cfg, ev, batch, opt)
 
 	for i := 1; i <= n; i++ {
 		lo := i - maxLen
@@ -120,7 +147,7 @@ func Partition(g *dnn.Graph, cfg *arch.Config, ev *eval.Evaluator, batch int, op
 				continue
 			}
 			for _, bu := range bus {
-				c := segCost(j, i, bu)
+				c := seg.cost(j, i, bu)
 				if dp[j]+c < dp[i] {
 					dp[i] = dp[j] + c
 					ch[i] = choice{from: j, bu: bu}

@@ -107,10 +107,12 @@ func TestNoallocAnnotationsMatchBenchCoverage(t *testing.T) {
 		"internal/eval/alloc_test.go:TestEvaluateGroupAllocFree": {
 			"gemini/internal/core.AnalyzeInto",
 			"gemini/internal/eval.Evaluator.EvaluateGroup",
-			"gemini/internal/eval.Evaluator.evaluateAnalysis",
-			// computeGroup is exactly the two calls above around a
-			// sync.Pool Get/Put of their scratch.
-			"gemini/internal/eval.Evaluator.computeGroup",
+			"gemini/internal/eval.Evaluator.summary",
+			"gemini/internal/eval.Evaluator.finish",
+			"gemini/internal/eval.Evaluator.summarizeAnalysis",
+			// summarizeGroup is exactly AnalyzeInto and summarizeAnalysis
+			// around a sync.Pool Get/Put of their scratch.
+			"gemini/internal/eval.Evaluator.summarizeGroup",
 		},
 		"internal/sa/alloc_test.go:TestMovePathAllocFree": {
 			"gemini/internal/sa.measure",

@@ -483,30 +483,77 @@ func (t *Traffic) AddFrom(o *Traffic, factor float64) {
 	t.D2DHops += o.D2DHops * factor
 }
 
-// BottleneckTime returns the seconds needed to drain the accumulated loads:
-// the maximum over links of load/bandwidth and over DRAM controllers of
-// traffic/controller-bandwidth. Bandwidths are GB/s (1e9 bytes/s).
-func (t *Traffic) BottleneckTime() float64 {
-	worst := 0.0
+// Digest is the bandwidth-free summary of a Traffic: the peak load of each
+// bandwidth class and the byte totals. Every delay and energy term the
+// evaluator derives from a Traffic is a function of its Digest and the
+// bandwidths alone, so a Digest computed once serves every configuration
+// that shares the link graph and the controller placement.
+type Digest struct {
+	// PeakNoC, PeakD2D and PeakDRAM are the largest byte load on any on-chip
+	// link, any D2D link and any DRAM controller (reads plus writes).
+	PeakNoC  float64 `json:"pn,omitempty"`
+	PeakD2D  float64 `json:"pd,omitempty"`
+	PeakDRAM float64 `json:"pm,omitempty"`
+	// NoCBytes and D2DBytes are byte-hops over each link class, DRAMBytes
+	// the total controller traffic (what TotalBytes returns).
+	NoCBytes  float64 `json:"n,omitempty"`
+	D2DBytes  float64 `json:"d,omitempty"`
+	DRAMBytes float64 `json:"m,omitempty"`
+}
+
+// Digest summarizes the accumulated loads.
+func (t *Traffic) Digest() Digest {
+	d := Digest{NoCBytes: t.Hops, D2DBytes: t.D2DHops}
 	for i, load := range t.Load {
-		if load == 0 {
-			continue
+		if t.net.Links[i].D2D {
+			if load > d.PeakD2D {
+				d.PeakD2D = load
+			}
+		} else if load > d.PeakNoC {
+			d.PeakNoC = load
 		}
-		bw := t.net.LinkBW(i)
-		if bw <= 0 {
-			return inf
+	}
+	for i := range t.DRAMRead {
+		v := t.DRAMRead[i] + t.DRAMWrite[i]
+		if v > d.PeakDRAM {
+			d.PeakDRAM = v
 		}
-		if s := load / (bw * 1e9); s > worst {
+		d.DRAMBytes += v
+	}
+	return d
+}
+
+// BottleneckTime returns the seconds needed to drain the digested loads: the
+// maximum over links of load/bandwidth and over DRAM controllers of
+// traffic/controller-bandwidth. Bandwidths are GB/s (1e9 bytes/s); dramCtrlBW
+// is the share of one controller. Dividing by a positive bandwidth is
+// monotone, so the peak load of a class over its bandwidth is exactly the
+// maximum of the per-link quotients. A loaded link class without bandwidth
+// never drains.
+func (d Digest) BottleneckTime(nocBW, d2dBW, dramCtrlBW float64) float64 {
+	if (d.PeakNoC > 0 && nocBW <= 0) || (d.PeakD2D > 0 && d2dBW <= 0) {
+		return inf
+	}
+	worst := 0.0
+	if d.PeakNoC > 0 {
+		worst = d.PeakNoC / (nocBW * 1e9)
+	}
+	if d.PeakD2D > 0 {
+		if s := d.PeakD2D / (d2dBW * 1e9); s > worst {
 			worst = s
 		}
 	}
-	per := t.net.Cfg.DRAMBW / float64(t.net.Controllers()) * 1e9
-	for i := range t.DRAMRead {
-		if s := (t.DRAMRead[i] + t.DRAMWrite[i]) / per; s > worst {
-			worst = s
-		}
+	if s := d.PeakDRAM / (dramCtrlBW * 1e9); s > worst {
+		worst = s
 	}
 	return worst
+}
+
+// BottleneckTime returns the seconds needed to drain the accumulated loads
+// at the network configuration's bandwidths.
+func (t *Traffic) BottleneckTime() float64 {
+	cfg := t.net.Cfg
+	return t.Digest().BottleneckTime(cfg.NoCBW, cfg.D2DBW, cfg.DRAMBW/float64(t.net.Controllers()))
 }
 
 // TotalBytes returns aggregate on-chip and D2D byte-hops plus total DRAM

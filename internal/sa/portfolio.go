@@ -79,7 +79,7 @@ type AdaptiveOptions struct {
 
 // MultiStart anneals the scheme restarts times with deterministically
 // derived seeds and folds the runs to the best result. The restarts share
-// the evaluator — and therefore its group-result memo or shared cache — so
+// the evaluator — and therefore its group-summary memo or shared cache — so
 // later restarts race over mostly warm entries. The fold is a pure
 // deterministic reduction: lowest cost wins, ties break to the lowest
 // restart index, and NaN costs never beat non-NaN ones, so a fixed

@@ -389,10 +389,17 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 type SessionHealth struct {
 	// Index is the session's pool slot.
 	Index int `json:"index"`
-	// CacheHits / CacheMisses / CacheEntries mirror eval.CacheStats.
+	// CacheHits / CacheMisses / CacheEntries mirror eval.CacheStats. A hit
+	// is a group evaluation served from a stored bandwidth-free summary —
+	// one this architecture computed or one a bandwidth sibling (same core
+	// array, cuts and DRAM controller count) did.
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int   `json:"cache_entries"`
+	// CacheFlushes counts wholesale shard flushes: each dropped up to 16384
+	// entries because a shard filled. Nonzero means the working set of the
+	// session's sweeps exceeds the cache.
+	CacheFlushes int64 `json:"cache_flushes"`
 	// CacheHitRate is hits / (hits + misses), 0 when idle.
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	// CacheDiskHits counts cache hits served by entries loaded from the
@@ -547,6 +554,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			CacheHits:       cs.Hits,
 			CacheMisses:     cs.Misses,
 			CacheEntries:    cs.Entries,
+			CacheFlushes:    cs.Flushes,
 			CacheHitRate:    cs.HitRate(),
 			CacheDiskHits:   cs.DiskHits,
 			CacheDiskLoaded: cs.DiskLoaded,

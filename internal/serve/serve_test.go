@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -583,8 +584,12 @@ func TestHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err := json.Unmarshal(raw, &h); err != nil {
 		t.Fatal(err)
 	}
 	if h.Status != "ok" {
@@ -592,6 +597,10 @@ func TestHealthz(t *testing.T) {
 	}
 	if len(h.Sessions) != 2 {
 		t.Fatalf("%d sessions, want 2", len(h.Sessions))
+	}
+	// A tiny sweep never fills a shard; the counter is reported, not omitted.
+	if n := strings.Count(string(raw), `"cache_flushes": 0`); n != 2 {
+		t.Errorf("%d sessions report cache_flushes 0, want 2: %s", n, raw)
 	}
 	var cells int
 	for _, sh := range h.Sessions {
