@@ -173,8 +173,7 @@ func BenchmarkIVB_SpaceSize(b *testing.B) {
 // portfolio restarts. ---
 
 // sweepBench returns a small GArch72-class candidate sweep. Candidates and
-// models are rebuilt per call; callers that want warm-cache behavior must
-// hold on to one return value (cache keys include graph identity).
+// models are rebuilt per call.
 func sweepBench() ([]arch.Config, []*dnn.Graph, dse.Options) {
 	v1 := arch.GArch72()
 	v2 := arch.GArch72()
@@ -586,6 +585,21 @@ func weakDRAMBench() ([]arch.Config, []*dnn.Graph, dse.Options) {
 	return cands, models, opt
 }
 
+// benchSweep runs one sweep on a fresh session and returns its best feasible
+// candidate with the sweep's own stats.
+func benchSweep(b *testing.B, cands []arch.Config, models []*dnn.Graph, opt dse.Options) (*dse.CandidateResult, dse.SweepStats) {
+	b.Helper()
+	rs, stats, err := dse.NewSession().RunContext(context.Background(), cands, models, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	best := dse.Best(rs)
+	if best == nil {
+		b.Fatal("no feasible candidate")
+	}
+	return best, stats
+}
+
 // BenchmarkDSESweepHardened runs the DRAM-starved pruning sweep with the
 // fault-tolerance machinery fully armed — a retry policy, a per-cell
 // deadline (which moves every attempt onto the watchdog goroutine path),
@@ -599,12 +613,7 @@ func BenchmarkDSESweepHardened(b *testing.B) {
 	var stats dse.SweepStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ses := dse.NewSession()
-		best = dse.Best(ses.Run(cands, models, opt))
-		if best == nil {
-			b.Fatal("no feasible candidate")
-		}
-		stats = ses.LastSweepStats()
+		best, stats = benchSweep(b, cands, models, opt)
 	}
 	b.StopTimer()
 	if stats.Retries != 0 || stats.Panics != 0 || stats.DeadlineExceeded != 0 {
@@ -768,19 +777,12 @@ func BenchmarkDSESweepRacing(b *testing.B) {
 	var stats dse.SweepStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ses := dse.NewSession()
-		best = dse.Best(ses.Run(cands, models, opt))
-		if best == nil {
-			b.Fatal("no feasible candidate")
-		}
-		stats = ses.LastSweepStats()
+		best, stats = benchSweep(b, cands, models, opt)
 	}
 	b.StopTimer()
 	opt.Racing = false
-	ses := dse.NewSession()
-	want := dse.Best(ses.Run(cands, models, opt))
-	ustats := ses.LastSweepStats()
-	if want == nil || best.Obj != want.Obj || best.Cfg.Name != want.Cfg.Name {
+	want, ustats := benchSweep(b, cands, models, opt)
+	if best.Obj != want.Obj || best.Cfg.Name != want.Cfg.Name {
 		b.Fatalf("racing best %s (%g) differs from uniform %s (%g): the race changed the winner",
 			best.Cfg.Name, best.Obj, want.Cfg.Name, want.Obj)
 	}
@@ -839,12 +841,7 @@ func BenchmarkDSESweepCutBound(b *testing.B) {
 	var stats dse.SweepStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ses := dse.NewSession()
-		best = dse.Best(ses.Run(cands, models, opt))
-		if best == nil {
-			b.Fatal("no feasible candidate")
-		}
-		stats = ses.LastSweepStats()
+		best, stats = benchSweep(b, cands, models, opt)
 	}
 	b.StopTimer()
 	opt.Prune = false
@@ -906,9 +903,8 @@ func fleetBenchSpec(b *testing.B) (dse.Spec, []arch.Config) {
 // runFleetBench drains one fleet sweep of the benchmark grid — coordinator
 // plus `workers` loopback worker loops, one shard per candidate, each
 // worker pinned to one in-shard slot — and returns the drain wall time and
-// the coordinator's final status. share=false runs the no-incumbent-sharing
-// twin: the same shards as N independent single-candidate sweeps.
-func runFleetBench(b *testing.B, spec dse.Spec, shards, workers int, share bool) (time.Duration, fleet.SweepStatus) {
+// the coordinator's final status.
+func runFleetBench(b *testing.B, spec dse.Spec, shards, workers int) (time.Duration, fleet.SweepStatus) {
 	b.Helper()
 	coord := fleet.NewCoordinator(fleet.CoordinatorConfig{LeaseTTL: time.Minute})
 	srv := httptest.NewServer(coord)
@@ -935,11 +931,10 @@ func runFleetBench(b *testing.B, spec dse.Spec, shards, workers int, share bool)
 		go func(i int) {
 			defer wg.Done()
 			errs[i] = fleet.RunWorker(context.Background(), fleet.WorkerConfig{
-				Coordinator:    srv.URL,
-				Name:           fmt.Sprintf("bench-w%d", i),
-				Workers:        1,
-				DisableSharing: !share,
-				ExitWhenIdle:   true,
+				Coordinator:  srv.URL,
+				Name:         fmt.Sprintf("bench-w%d", i),
+				Workers:      1,
+				ExitWhenIdle: true,
 			})
 		}(i)
 	}
@@ -961,56 +956,71 @@ func runFleetBench(b *testing.B, spec dse.Spec, shards, workers int, share bool)
 }
 
 // BenchmarkFleetSweep is the distributed-fleet twin run. Per iteration it
-// drains the identical 8-shard grid twice: once as N independent shards
-// (one worker, incumbent sharing off — what splitting the grid across
-// machines without a coordinator buys) and once as the 2-worker fleet with
-// the incumbent broadcast on. The fleet prunes the starved half of the
-// grid pre-cell off the broadcast incumbent, so it wins on one core by
-// skipped work alone and adds near-linear scaling on top when the workers
-// have real cores to spread over. Soundness is asserted in-bench: all runs
-// end at the bit-identical best, and the fleet's total SA iteration count
-// is strictly below the independent twin's.
+// maps the identical 8-candidate grid twice: once as an unpruned
+// single-process sweep (what N independent single-candidate shards compute:
+// splitting the grid across machines without a coordinator leaves every
+// shard's incumbent alone with its own candidate, so nothing prunes) and
+// once as the 2-worker, 8-shard fleet with the incumbent broadcast. The
+// fleet prunes the starved half of the grid pre-cell off the broadcast
+// incumbent, so it wins on one core by skipped work alone and adds
+// near-linear scaling on top when the workers have real cores to spread
+// over. Soundness is asserted in-bench: all runs end at the bit-identical
+// best, and the fleet's total SA iteration count is strictly below the
+// unpruned sweep's.
 func BenchmarkFleetSweep(b *testing.B) {
 	spec, cands := fleetBenchSpec(b)
 	shards := len(cands)
-	var indepNs, fleetNs time.Duration
-	var stIndep, stFleet fleet.SweepStatus
+	graphs, err := spec.Graphs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	soloOpt := spec.Options()
+	soloOpt.Prune = false
+	soloOpt.Workers = 1
+	sameBest := func(st fleet.SweepStatus, solo *dse.CandidateResult) bool {
+		return st.Incumbent.Candidate == solo.Cfg.Name && st.Incumbent.Objective == solo.Obj
+	}
+	var soloNs, fleetNs time.Duration
+	var solo *dse.CandidateResult
+	var stSolo dse.SweepStats
+	var stFleet fleet.SweepStatus
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d1, s1 := runFleetBench(b, spec, shards, 1, false)
-		d2, s2 := runFleetBench(b, spec, shards, 2, true)
-		indepNs += d1
-		fleetNs += d2
-		stIndep, stFleet = s1, s2
-		if stFleet.Incumbent != stIndep.Incumbent {
-			b.Fatalf("fleet best %+v differs from independent-shards best %+v: incumbent sharing is unsound",
-				stFleet.Incumbent, stIndep.Incumbent)
+		start := time.Now()
+		solo, stSolo = benchSweep(b, cands, graphs, soloOpt)
+		soloNs += time.Since(start)
+		var d time.Duration
+		d, stFleet = runFleetBench(b, spec, shards, 2)
+		fleetNs += d
+		if !sameBest(stFleet, solo) {
+			b.Fatalf("fleet best %+v differs from the unpruned sweep's %s (%g): incumbent sharing is unsound",
+				stFleet.Incumbent, solo.Cfg.Name, solo.Obj)
 		}
 	}
 	b.StopTimer()
 
-	// The deterministic iteration twin: one sequential sharing worker, so
-	// each lease already carries every earlier shard's fold and the pruned
-	// set does not depend on scheduling.
-	_, stSeq := runFleetBench(b, spec, shards, 1, true)
-	if stSeq.Incumbent != stIndep.Incumbent {
-		b.Fatalf("sequential fleet best %+v differs from independent-shards best %+v",
-			stSeq.Incumbent, stIndep.Incumbent)
+	// The deterministic iteration twin: one sequential worker, so each lease
+	// already carries every earlier shard's fold and the pruned set does not
+	// depend on scheduling.
+	_, stSeq := runFleetBench(b, spec, shards, 1)
+	if !sameBest(stSeq, solo) {
+		b.Fatalf("sequential fleet best %+v differs from the unpruned sweep's %s (%g)",
+			stSeq.Incumbent, solo.Cfg.Name, solo.Obj)
 	}
 	if stSeq.Stats.PrunedCandidates == 0 {
 		b.Fatalf("broadcast incumbent pruned nothing: %+v", stSeq.Stats)
 	}
-	if stSeq.Stats.SAIterations >= stIndep.Stats.SAIterations {
-		b.Fatalf("fleet spent %d SA iterations, independent shards %d: want strictly fewer",
-			stSeq.Stats.SAIterations, stIndep.Stats.SAIterations)
+	if stSeq.Stats.SAIterations >= stSolo.SAIterations {
+		b.Fatalf("fleet spent %d SA iterations, the unpruned sweep %d: want strictly fewer",
+			stSeq.Stats.SAIterations, stSolo.SAIterations)
 	}
-	if stFleet.Stats.SAIterations >= stIndep.Stats.SAIterations {
-		b.Fatalf("racing fleet spent %d SA iterations, independent shards %d: want strictly fewer",
-			stFleet.Stats.SAIterations, stIndep.Stats.SAIterations)
+	if stFleet.Stats.SAIterations >= stSolo.SAIterations {
+		b.Fatalf("racing fleet spent %d SA iterations, the unpruned sweep %d: want strictly fewer",
+			stFleet.Stats.SAIterations, stSolo.SAIterations)
 	}
 
-	b.ReportMetric(float64(indepNs.Nanoseconds())/float64(b.N), "one_worker_ns")
+	b.ReportMetric(float64(soloNs.Nanoseconds())/float64(b.N), "solo_ns")
 	b.ReportMetric(float64(fleetNs.Nanoseconds())/float64(b.N), "two_worker_ns")
 	b.ReportMetric(float64(stSeq.Stats.SAIterations), "sa_iterations")
-	b.ReportMetric(float64(stIndep.Stats.SAIterations), "solo_sa_iterations")
+	b.ReportMetric(float64(stSolo.SAIterations), "solo_sa_iterations")
 }

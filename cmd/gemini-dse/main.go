@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -142,7 +143,8 @@ func main() {
 	}
 
 	start := time.Now()
-	results := ses.Run(cands, graphs, opt)
+	// The error only reports cancellation, and this context never cancels.
+	results, ss, _ := ses.RunContext(context.Background(), cands, graphs, opt)
 	fmt.Printf("explored in %v\n", time.Since(start).Round(time.Second))
 	st := ses.CacheStats()
 	fmt.Printf("shared cache: %d hits / %d misses (%.1f%% hit rate), %d entries; %d cells resumed\n",
@@ -151,7 +153,6 @@ func main() {
 		fmt.Printf("disk cache (%s): %d entries warmed from disk, %d hits served by them, %d background saves\n",
 			dse.CachePath(*cacheDir), st.DiskLoaded, st.DiskHits, st.DiskSaves)
 	}
-	ss := ses.LastSweepStats()
 	fmt.Printf("scheduler: %d/%d candidates pruned, %d cells resumed, %d restarts abandoned by the incumbent, %d skipped by patience, %d SA iterations\n",
 		ss.PrunedCandidates, ss.Candidates, ss.ResumedCells, ss.AbandonedRestarts, ss.SkippedRestarts, ss.SAIterations)
 	if ss.Retries+ss.Panics+ss.DeadlineExceeded+ss.PersistenceErrors > 0 {

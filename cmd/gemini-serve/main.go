@@ -1,5 +1,5 @@
 // Command gemini-serve runs the DSE sweep service: a long-lived HTTP server
-// over a bounded pool of dse.Sessions. Clients POST JSON sweep specs to
+// over one dse.Session. Clients POST JSON sweep specs to
 // /sweep and read per-candidate results back as an NDJSON stream; sweeps
 // are checkpointed per id under -data, so re-POSTing a spec after a client
 // or server restart resumes instead of recomputing.
@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	gemini-serve -addr :8080 -data /var/lib/gemini -sessions 2 -max-sweeps 4 \
+//	gemini-serve -addr :8080 -data /var/lib/gemini -max-sweeps 4 \
 //	    -slots 8 -tenants ci=1,dev=3 -batch-share 0.5 -queue-depth 8
 //
 // Endpoints and the NDJSON schema are documented in docs/http-api.md; try:
@@ -83,7 +83,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	data := flag.String("data", "", "checkpoint directory (empty = no persistence)")
 	cacheDir := flag.String("cache-dir", "", "evaluation-cache spill directory: sweeps warm from the previous process's group evaluations and re-save as they run (empty = in-process cache only)")
-	sessions := flag.Int("sessions", 1, "DSE session pool size")
 	maxSweeps := flag.Int("max-sweeps", 4, "max concurrently running sweeps (excess admitted sweeps wait in the queue)")
 	maxCells := flag.Int("max-cells", 0, "per-sweep (candidate, model) cell cap (0 = default)")
 	slots := flag.Int("slots", 0, "worker-slot pool shared by running sweeps (0 = GOMAXPROCS)")
@@ -109,7 +108,6 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		Sessions:            *sessions,
 		MaxConcurrentSweeps: *maxSweeps,
 		MaxCells:            *maxCells,
 		DataDir:             *data,
@@ -129,8 +127,8 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: srv}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("listening on %s (sessions=%d, max-sweeps=%d, slots=%d, tenants=%q, data=%q, cache-dir=%q)",
-		*addr, *sessions, *maxSweeps, *slots, *tenants, *data, *cacheDir)
+	log.Printf("listening on %s (max-sweeps=%d, slots=%d, tenants=%q, data=%q, cache-dir=%q)",
+		*addr, *maxSweeps, *slots, *tenants, *data, *cacheDir)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

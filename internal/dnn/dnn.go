@@ -8,8 +8,11 @@
 package dnn
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"sync"
 )
 
 // Kind enumerates the layer types the hardware template computes. Activation
@@ -389,6 +392,55 @@ func (r EdgeRegion) Vol() int64 {
 type Graph struct {
 	Name   string
 	Layers []*Layer
+
+	fpOnce sync.Once
+	fp     uint64
+}
+
+// Fingerprint hashes the structural content of the graph — everything a
+// group evaluation can depend on: layer kinds, output cubes, kernel geometry,
+// channel layout and the typed edge list. The graph's name is ignored, so two
+// structurally identical graphs share evaluation-cache entries (results are
+// bit-identical by construction), and the value is stable across processes,
+// which is what lets a cache spill to disk and warm a successor process. It
+// is computed on first use and held by the graph: a Graph must not be mutated
+// after its first Fingerprint call (evaluating a scheme makes one).
+func (g *Graph) Fingerprint() uint64 {
+	g.fpOnce.Do(func() {
+		// FNV-1a over little-endian 64-bit words: the same fold, byte for
+		// byte, as the evaluator's group and config fingerprints.
+		h := fnv.New64a()
+		var buf [8]byte
+		word := func(v uint64) {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
+		}
+		for _, l := range g.Layers {
+			for _, v := range [...]uint64{
+				uint64(l.ID), uint64(l.Kind),
+				uint64(l.OH), uint64(l.OW), uint64(l.OK),
+				uint64(l.R), uint64(l.S), uint64(l.Stride),
+				uint64(l.PadH), uint64(l.PadW),
+				uint64(l.IC), uint64(l.Groups),
+				uint64(l.FusedOps),
+			} {
+				word(v)
+			}
+			if l.HasWeights {
+				word(1)
+			} else {
+				word(0)
+			}
+			for _, in := range l.Inputs {
+				word(uint64(int64(in.Src)))
+				word(uint64(in.DstOff))
+				word(uint64(in.Role))
+			}
+			word(^uint64(0)) // layer terminator
+		}
+		g.fp = h.Sum64()
+	})
+	return g.fp
 }
 
 // Layer returns the layer with the given ID, or nil.

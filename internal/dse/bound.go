@@ -10,9 +10,6 @@
 package dse
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"gemini/internal/arch"
 	"gemini/internal/dnn"
 	"gemini/internal/eval"
@@ -22,8 +19,8 @@ import (
 
 // modelDemand aggregates the per-sample compulsory quantities of one DNN.
 // Everything in it is a property of the graph alone — independent of the
-// architecture, batch and mapping options — so it is computed once per graph
-// and cached process-wide.
+// architecture, batch and mapping options — so newScheduler computes it once
+// per model per sweep and every candidate's bound reads it.
 type modelDemand struct {
 	macs   float64 // multiply-accumulates per sample
 	vecOps float64 // vector-unit operations per sample
@@ -68,31 +65,6 @@ type modelDemand struct {
 	// path). Either way each byte is charged at least
 	// min(one on-chip hop, one D2D hop, one DRAM access).
 	interBytes float64
-}
-
-// demandCache memoizes modelDemand per graph. Graphs are immutable after
-// construction (the evaluator relies on the same invariant for its pointer
-// keyed memo), so entries can never go stale — but graph builders mint
-// fresh pointers per call (a long-lived server builds new graphs for every
-// sweep spec), so the package-global map is bounded like the other memos:
-// past the limit it is flushed wholesale, which only costs recomputation.
-var (
-	demandCache      sync.Map // *dnn.Graph -> *modelDemand
-	demandCount      atomic.Int64
-	demandCacheLimit = int64(1 << 10)
-)
-
-func demandFor(g *dnn.Graph) *modelDemand {
-	if v, ok := demandCache.Load(g); ok {
-		return v.(*modelDemand)
-	}
-	d := computeDemand(g)
-	if demandCount.Add(1) > demandCacheLimit {
-		demandCache.Range(func(k, _ any) bool { demandCache.Delete(k); return true })
-		demandCount.Store(1)
-	}
-	demandCache.Store(g, d)
-	return d
 }
 
 func computeDemand(g *dnn.Graph) *modelDemand {
@@ -233,9 +205,10 @@ func minPasses(opt Options) int {
 }
 
 // lowerBoundED returns provable lower bounds on the total energy (J) and
-// delay (s) of any feasible mapping of g on cfg under opt. There is one
-// bound: energy sums the energy floors below and delay takes the largest
-// delay floor, each resting on an invariant of the evaluation model:
+// delay (s) of any feasible mapping, on cfg under opt, of the graph whose
+// demand is d. There is one bound: energy sums the energy floors below and
+// delay takes the largest delay floor, each resting on an invariant of the
+// evaluation model:
 //
 //   - every MAC executes on a PE array whose aggregate throughput is
 //     Cores * MACsPerCore per cycle, and costs at least MACpJ;
@@ -269,12 +242,11 @@ func minPasses(opt Options) int {
 // Every term only charges costs the evaluator actually charges and never
 // more of them than any reachable scheme incurs, so the bound can never
 // exclude the true optimum.
-func lowerBoundED(cfg *arch.Config, g *dnn.Graph, p *eval.Params, opt Options) (eLB, dLB float64) {
+func lowerBoundED(cfg *arch.Config, d *modelDemand, p *eval.Params, opt Options) (eLB, dLB float64) {
 	batch := float64(opt.Batch)
 	if batch < 1 {
 		batch = 1
 	}
-	d := demandFor(g)
 	macs := d.macs * batch
 
 	peakMACsPerSec := float64(cfg.Cores()) * float64(cfg.MACsPerCore) * cfg.FreqGHz * 1e9
@@ -443,7 +415,7 @@ func pruneBound(cfg *arch.Config, models []*dnn.Graph, p *eval.Params, opt Optio
 	eLBs := make([]float64, len(models))
 	dLBs := make([]float64, len(models))
 	for mi, g := range models {
-		eLBs[mi], dLBs[mi] = lowerBoundED(cfg, g, p, opt)
+		eLBs[mi], dLBs[mi] = lowerBoundED(cfg, computeDemand(g), p, opt)
 	}
 	return mixedBound(mcTotal, eLBs, dLBs, nil, opt.Objective)
 }

@@ -68,7 +68,7 @@ func TestBoundSoundnessRandomized(t *testing.T) {
 		g := models[i%len(models)]
 		opt := optVariants[i%len(optVariants)]
 		opt.Seed = int64(i + 1)
-		eLB, dLB := lowerBoundED(&cfg, g, &p, opt)
+		eLB, dLB := lowerBoundED(&cfg, computeDemand(g), &p, opt)
 		if eLB <= 0 || dLB <= 0 {
 			t.Fatalf("%s/%s: degenerate bounds e=%v d=%v", cfg.Name, g.Name, eLB, dLB)
 		}
@@ -106,12 +106,12 @@ func TestBoundGLBStreamingExcess(t *testing.T) {
 	opt.Batch = 8
 	opt.BatchUnits = []int{1, 2} // >= 4 passes, excess streams >= 3 extra times
 	p := eval.DefaultParams()
-	eLB, dLB := lowerBoundED(&cfg, g, &p, opt)
+	eLB, dLB := lowerBoundED(&cfg, computeDemand(g), &p, opt)
 
 	// weights alone: 128 MB; excess (128-72) MB streams on >= 3 more passes,
 	// so the DRAM floor must reach the streamed volume, clearly above the
 	// load-once floor.
-	wb := demandFor(g).weightBytes
+	wb := computeDemand(g).weightBytes
 	agg := float64(cfg.Cores()) * float64(cfg.GLBPerCore)
 	streamed := wb + float64(minPasses(opt)-1)*(wb-agg)
 	if streamed < 2*wb {
@@ -190,12 +190,12 @@ func TestCutFloorTightensOnStarvedD2D(t *testing.T) {
 	}
 	p := eval.DefaultParams()
 	opt := testOptions()
-	eH, dH := lowerBoundED(&healthy, g, &p, opt)
-	eS, dS := lowerBoundED(&cfg, g, &p, opt)
+	eH, dH := lowerBoundED(&healthy, computeDemand(g), &p, opt)
+	eS, dS := lowerBoundED(&cfg, computeDemand(g), &p, opt)
 	if dS <= dH {
 		t.Errorf("starved bisection did not tighten the delay bound: %v <= healthy %v", dS, dH)
 	}
-	if cut := cutFloor(&cfg, demandFor(g), float64(opt.Batch), minPasses(opt)); dS != cut {
+	if cut := cutFloor(&cfg, computeDemand(g), float64(opt.Batch), minPasses(opt)); dS != cut {
 		t.Errorf("delay bound %v is not the per-cut floor %v", dS, cut)
 	}
 	if eS != eH {
@@ -220,8 +220,8 @@ func TestBoundTightensOrdering(t *testing.T) {
 	cfg.Name = cfg.String()
 	p := eval.DefaultParams()
 	opt := testOptions()
-	eLB, dLB := lowerBoundED(&cfg, testCNN, &p, opt)
-	d := demandFor(testCNN)
+	eLB, dLB := lowerBoundED(&cfg, computeDemand(testCNN), &p, opt)
+	d := computeDemand(testCNN)
 	macs := d.macs * float64(opt.Batch)
 	e1 := macs*p.MACpJ*1e-12 + d.weightBytes*p.DRAMpJPerByte*1e-12
 	d1 := math.Max(macs/(float64(cfg.Cores())*float64(cfg.MACsPerCore)*cfg.FreqGHz*1e9), d.weightBytes/(cfg.DRAMBW*1e9))
@@ -265,11 +265,11 @@ func TestBoundSoundOnRealZoo(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", cfg.Name, g.Name, err)
 			}
-			eLB, dLB := lowerBoundED(&cfg, g, &p, opt)
+			eLB, dLB := lowerBoundED(&cfg, computeDemand(g), &p, opt)
 			if eLB > mr.Energy || dLB > mr.Delay {
 				t.Errorf("%s/%s: bound (%v J, %v s) exceeds achieved (%v J, %v s)", cfg.Name, g.Name, eLB, dLB, mr.Energy, mr.Delay)
 			}
-			if cutFloor(&cfg, demandFor(g), float64(opt.Batch), minPasses(opt)) > 0 {
+			if cutFloor(&cfg, computeDemand(g), float64(opt.Batch), minPasses(opt)) > 0 {
 				cutLive++
 			}
 			per[mi] = mr.asOutcome()

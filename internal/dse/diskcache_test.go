@@ -101,8 +101,8 @@ func TestCacheDirExcludedFromCellFingerprint(t *testing.T) {
 }
 
 // TestDiskCacheMultiSessionUnion pins the multi-writer durability fix: two
-// sessions with distinct caches sharing one cache directory (a server's
-// session pool) must converge on the union of their work — the
+// sessions with distinct caches sharing one cache directory (two server
+// processes on one -cache-dir) must converge on the union of their work — the
 // last-finishing session's save must not discard the other's entries. A
 // fresh "restarted" session must then replay either sweep with zero
 // recomputed group evaluations.

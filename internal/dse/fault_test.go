@@ -117,20 +117,18 @@ func TestOptsFingerprintExcludesFaultFields(t *testing.T) {
 // mapping attempt fails its cell — typed kind, captured stack, counted in
 // stats — and is never checkpointed.
 func TestPanicSurfacesAsTypedCellError(t *testing.T) {
-	orig := mapModelFn
-	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+	ses := NewSession()
+	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
 		if cfg.Name == "panicky-arch" {
 			panic("mapper bug")
 		}
-		return orig(ev, cfg, g, o, stop, from, to)
+		return mapModelRange(ev, cfg, g, o, stop, from, to)
 	}
-	defer func() { mapModelFn = orig }()
 
 	ok := arch.GArch72()
 	bad := arch.GArch72()
 	bad.Name = "panicky-arch"
 	bad.NoCBW = 48 // structurally distinct from ok
-	ses := NewSession()
 	results, stats, err := ses.RunContext(context.Background(), []arch.Config{bad, ok}, []*dnn.Graph{testCNN}, testOptions())
 	if err != nil {
 		t.Fatal(err)

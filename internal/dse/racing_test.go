@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"gemini/internal/arch"
@@ -98,8 +99,7 @@ func TestRacingWinnerMatchesUniform(t *testing.T) {
 	ropt.Racing = true
 	var rungs []RungStats
 	ropt.OnRung = func(rs RungStats) { rungs = append(rungs, rs) }
-	ses := NewSession()
-	racing := ses.Run(cands, models, ropt)
+	racing, st := runStats(t, NewSession(), cands, models, ropt)
 
 	ub, rb := Best(uniform), Best(racing)
 	if ub == nil || rb == nil {
@@ -109,7 +109,6 @@ func TestRacingWinnerMatchesUniform(t *testing.T) {
 		t.Errorf("racing best (%s, %v) != uniform best (%s, %v)", rb.Cfg.Name, rb.Obj, ub.Cfg.Name, ub.Obj)
 	}
 
-	st := ses.LastSweepStats()
 	if !st.Racing {
 		t.Error("stats did not mark the sweep as racing")
 	}
@@ -190,29 +189,25 @@ func TestRacingCheckpointReentry(t *testing.T) {
 	// The uniform resume must only anneal the missing restart windows: every
 	// injected call carries from > 0 (the full-width finalist cells restore
 	// without any call at all).
-	windows := 0
-	orig := mapModelFn
-	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
-		windows++
+	var windows atomic.Int64
+	b := NewSession()
+	b.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+		windows.Add(1)
 		if from <= 0 || to != opt.Restarts {
 			t.Errorf("resumed sweep ran window [%d, %d); want partial re-entry to the full width %d", from, to, opt.Restarts)
 		}
-		return orig(ev, cfg, g, o, stop, from, to)
+		return mapModelRange(ev, cfg, g, o, stop, from, to)
 	}
-	defer func() { mapModelFn = orig }()
-
-	b := NewSession()
 	if err := b.LoadCheckpoint(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	got := b.Run(cands, models, opt)
 	resultsEqual(t, cold, got, "uniform resume over racing checkpoint")
-	if windows == 0 {
+	if n := int(windows.Load()); n == 0 {
 		t.Error("no partial cell was widened; the race eliminated nobody")
-	}
-	if windows >= len(cands)*len(models) {
+	} else if n >= len(cands)*len(models) {
 		t.Errorf("%d windows for %d cells; finalist cells should have restored without re-annealing",
-			windows, len(cands)*len(models))
+			n, len(cands)*len(models))
 	}
 }
 
@@ -244,9 +239,8 @@ func TestRacingKeepFraction(t *testing.T) {
 
 	harsh := opt
 	harsh.RacingKeep = 0.26 // ceil(0.26*4) = 2, then ceil(0.26*2) = 1
-	ses := NewSession()
-	ses.Run(cands, models, harsh)
-	hr := ses.LastSweepStats().Rungs
+	_, hst := runStats(t, NewSession(), cands, models, harsh)
+	hr := hst.Rungs
 	if len(hr) == 0 || hr[0].Survivors != 2 {
 		t.Fatalf("keep=0.26 rung 0 promoted %+v, want 2 of 4", hr)
 	}

@@ -195,8 +195,7 @@ type scheduler struct {
 	mce    *cost.Evaluator
 
 	// stats is the published per-sweep record, valid after run returns; it
-	// is what RunContext hands back so concurrent sweeps never read each
-	// other's numbers through the session.
+	// is what RunContext hands back.
 	stats SweepStats
 
 	prune  bool
@@ -260,6 +259,10 @@ func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models 
 		s.logf("dse: pruning disabled: objective %+v is not monotone", opt.Objective)
 	}
 	params := eval.DefaultParams()
+	demands := make([]*modelDemand, len(models))
+	for mi, g := range models {
+		demands[mi] = computeDemand(g)
+	}
 	eLBs := make([]float64, len(models))
 	dLBs := make([]float64, len(models))
 	for ci := range cands {
@@ -268,8 +271,8 @@ func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models 
 		sc.states[ci] = st
 		sc.order[ci] = ci
 		mc := sc.mce.Evaluate(&cands[ci]).Total()
-		for mi, g := range models {
-			eLBs[mi], dLBs[mi] = lowerBoundED(&cands[ci], g, &params, opt)
+		for mi, d := range demands {
+			eLBs[mi], dLBs[mi] = lowerBoundED(&cands[ci], d, &params, opt)
 		}
 		st.lb = mixedBound(mc, eLBs, dLBs, nil, opt.Objective)
 		if sc.prune {
@@ -773,8 +776,8 @@ func (sc *scheduler) runTask(k, nm int, per [][]pairOutcome, target int, countRe
 	per[ci][mi] = out
 }
 
-// publishStats folds the counters into the session's last-sweep stats and
-// logs the one-line summary.
+// publishStats folds the counters into the sweep's stats record and logs the
+// one-line summary.
 func (sc *scheduler) publishStats() {
 	stats := SweepStats{
 		SweepID:           sc.opt.SweepID,
@@ -798,7 +801,6 @@ func (sc *scheduler) publishStats() {
 	stats.LastPanic = sc.lastPanic
 	sc.panicMu.Unlock()
 	sc.stats = stats
-	sc.ses.setLastSweep(stats)
 	state := "done"
 	if stats.Canceled {
 		state = "canceled"

@@ -28,6 +28,17 @@ func gridOrder(d Dispatcher) Dispatcher {
 	return newSliceDispatcher(cells)
 }
 
+// runStats runs one sweep to completion and returns its sorted results with
+// the sweep's own stats.
+func runStats(t *testing.T, s *Session, cands []arch.Config, models []*dnn.Graph, opt Options) ([]CandidateResult, SweepStats) {
+	t.Helper()
+	rs, st, err := s.RunContext(context.Background(), cands, models, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs, st
+}
+
 // TestOrderedMatchesGridWithoutPruning pins the determinism satellite: with
 // pruning off, the bound-ordered schedule changes only dispatch order, so
 // the sorted result set must be bit-identical to a grid-order feed's.
@@ -112,21 +123,13 @@ func TestCheckpointSeededIncumbentPrunes(t *testing.T) {
 
 	// Resumed session: the checkpointed base seeds the incumbent before the
 	// first task, so big is pruned without being mapped.
-	calls := 0
-	orig := mapModelFn
-	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
-		calls++
-		return orig(ev, cfg, g, o, stop, from, to)
-	}
-	defer func() { mapModelFn = orig }()
-
-	b := NewSession()
+	b, calls := countingSession()
 	if err := b.LoadCheckpoint(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	rs := b.Run([]arch.Config{big, base}, models, opt)
-	if calls != 0 {
-		t.Errorf("resumed sweep invoked MapModel %d times (big should be pruned, base restored)", calls)
+	rs, st := runStats(t, b, []arch.Config{big, base}, models, opt)
+	if calls.Load() != 0 {
+		t.Errorf("resumed sweep invoked MapModel %d times (big should be pruned, base restored)", calls.Load())
 	}
 	if rs[0].Cfg.Name != base.Name || !rs[0].Feasible {
 		t.Fatalf("base should win: %s (%s)", rs[0].Cfg.Name, rs[0].Status())
@@ -135,7 +138,6 @@ func TestCheckpointSeededIncumbentPrunes(t *testing.T) {
 		t.Fatalf("big not pruned on resume: %s", rs[1].Status())
 	}
 
-	st := b.LastSweepStats()
 	if math.IsInf(st.SeededIncumbent, 1) {
 		t.Error("stats did not record the seeded incumbent")
 	}
@@ -159,20 +161,18 @@ func TestAbandonedCellPrunesCandidate(t *testing.T) {
 	doomed.Name = "doomed-arch"
 	doomed.NoCBW = 48 // structurally distinct so cells do not alias
 
-	orig := mapModelFn
-	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+	ses := NewSession()
+	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
 		if cfg.Name == "doomed-arch" {
 			return nil, &abandonedError{done: 1, planned: 4}
 		}
-		return orig(ev, cfg, g, o, stop, from, to)
+		return mapModelRange(ev, cfg, g, o, stop, from, to)
 	}
-	defer func() { mapModelFn = orig }()
 
 	opt := testOptions()
 	opt.Prune = true
 	opt.Restarts = 4
-	ses := NewSession()
-	rs := ses.Run([]arch.Config{base, doomed}, []*dnn.Graph{testCNN}, opt)
+	rs, st := runStats(t, ses, []arch.Config{base, doomed}, []*dnn.Graph{testCNN}, opt)
 
 	var dr *CandidateResult
 	for i := range rs {
@@ -183,7 +183,6 @@ func TestAbandonedCellPrunesCandidate(t *testing.T) {
 	if dr == nil || !dr.Pruned || dr.Err != nil {
 		t.Fatalf("abandoned candidate not reported pruned: %+v", dr)
 	}
-	st := ses.LastSweepStats()
 	if st.AbandonedRestarts != 3 {
 		t.Errorf("abandoned restarts = %d, want 3", st.AbandonedRestarts)
 	}
@@ -220,11 +219,10 @@ func TestAdaptiveSweepCountsSkippedRestarts(t *testing.T) {
 	if optsFingerprint(fixed) == optsFingerprint(adaptive) {
 		t.Fatal("active patience must change the options fingerprint")
 	}
-	ses := NewSession()
-	if Best(ses.Run(cands, models, adaptive)) == nil {
+	rs, st := runStats(t, NewSession(), cands, models, adaptive)
+	if Best(rs) == nil {
 		t.Fatal("no feasible candidate")
 	}
-	st := ses.LastSweepStats()
 	if st.SkippedRestarts <= 0 {
 		t.Errorf("adaptive sweep skipped %d restarts, want > 0", st.SkippedRestarts)
 	}
@@ -239,13 +237,11 @@ func TestSweepStatsTrajectory(t *testing.T) {
 	cands := testCands()
 	opt := testOptions()
 	opt.Prune = true
-	ses := NewSession()
-	rs := ses.Run(cands, []*dnn.Graph{testCNN}, opt)
+	rs, st := runStats(t, NewSession(), cands, []*dnn.Graph{testCNN}, opt)
 	best := Best(rs)
 	if best == nil {
 		t.Fatal("no feasible candidate")
 	}
-	st := ses.LastSweepStats()
 	if len(st.Trajectory) == 0 {
 		t.Fatal("empty incumbent trajectory")
 	}
@@ -319,26 +315,18 @@ func TestResumedSweepRestoresDominatedCandidate(t *testing.T) {
 
 	// Resume with pruning ON: the seed dominates big's bound, but big's
 	// cell is checkpointed, so it must be restored verbatim.
-	calls := 0
-	orig := mapModelFn
-	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
-		calls++
-		return orig(ev, cfg, g, o, stop, from, to)
-	}
-	defer func() { mapModelFn = orig }()
-
-	b := NewSession()
+	b, calls := countingSession()
 	if err := b.LoadCheckpoint(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	pruneOpt := opt
 	pruneOpt.Prune = true
-	got := b.Run(cands, models, pruneOpt)
-	if calls != 0 {
-		t.Errorf("resumed sweep invoked MapModel %d times", calls)
+	got, st := runStats(t, b, cands, models, pruneOpt)
+	if calls.Load() != 0 {
+		t.Errorf("resumed sweep invoked MapModel %d times", calls.Load())
 	}
 	resultsEqual(t, want, got, "resumed prune-on vs original prune-off")
-	if st := b.LastSweepStats(); st.PrunedCandidates != 0 {
+	if st.PrunedCandidates != 0 {
 		t.Errorf("resumed sweep pruned %d fully checkpointed candidates", st.PrunedCandidates)
 	}
 }
@@ -380,21 +368,13 @@ func TestPartialCheckpointBoundPrunes(t *testing.T) {
 	// weak is half checkpointed. Its refined bound mixes the settled cell's
 	// huge achieved delay with the missing cell's lower bound, exceeding the
 	// seeded incumbent — so the missing cell is never mapped.
-	calls := 0
-	orig := mapModelFn
-	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
-		calls++
-		return orig(ev, cfg, g, o, stop, from, to)
-	}
-	defer func() { mapModelFn = orig }()
-
-	b := NewSession()
+	b, calls := countingSession()
 	if err := b.LoadCheckpoint(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	rs := b.Run([]arch.Config{weak, strong}, models, opt)
-	if calls != 0 {
-		t.Errorf("resumed sweep invoked MapModel %d times; the refined bound should prune weak's missing cell", calls)
+	if calls.Load() != 0 {
+		t.Errorf("resumed sweep invoked MapModel %d times; the refined bound should prune weak's missing cell", calls.Load())
 	}
 	if rs[0].Cfg.Name != strong.Name || !rs[0].Feasible {
 		t.Fatalf("strong should win: %s (%s)", rs[0].Cfg.Name, rs[0].Status())
@@ -435,24 +415,17 @@ func TestInLoopAbandonBitIdenticalWhenNeverDominated(t *testing.T) {
 	opt.Prune = true
 	opt.Restarts = 2
 
-	run := func() ([]CandidateResult, SweepStats) {
-		ses := NewSession()
-		rs := ses.Run(cands, models, opt)
-		return rs, ses.LastSweepStats()
-	}
-
-	on, onSt := run()
+	on, onSt := runStats(t, NewSession(), cands, models, opt)
 	for i := range on {
 		if on[i].Pruned {
 			t.Fatalf("%s pruned; this workload must have no dominated candidate", on[i].Cfg.Name)
 		}
 	}
-	orig := mapModelFn
-	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, _ func() bool, from, to int) (*MapResult, error) {
-		return orig(ev, cfg, g, o, nil, from, to)
+	ungated := NewSession()
+	ungated.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, _ func() bool, from, to int) (*MapResult, error) {
+		return mapModelRange(ev, cfg, g, o, nil, from, to)
 	}
-	defer func() { mapModelFn = orig }()
-	off, offSt := run()
+	off, offSt := runStats(t, ungated, cands, models, opt)
 	resultsEqual(t, off, on, "in-loop hook vs no stop gate")
 	if offSt.SAIterations == 0 {
 		t.Fatal("stats recorded no SA iterations")
@@ -486,12 +459,10 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 	opt.Workers = 3  // strong + both weak cells run concurrently
 	opt.SAIterations = 400
 
-	orig := mapModelFn
-	defer func() { mapModelFn = orig }()
-
 	var weakStarted atomic.Int32
 	strongDone := make(chan struct{})
-	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+	ses := NewSession()
+	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
 		if cfg.Name == strong.Name {
 			// Let the dominated cells pass their pre-cell bound check and
 			// enter their mapModel call before the incumbent exists, so
@@ -499,7 +470,7 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 			for weakStarted.Load() < 2 {
 				runtime.Gosched()
 			}
-			mr, err := orig(ev, cfg, g, o, stop, from, to)
+			mr, err := mapModelRange(ev, cfg, g, o, stop, from, to)
 			close(strongDone)
 			return mr, err
 		}
@@ -509,10 +480,10 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 		// their first abandonment poll instead of racing their last: the
 		// saved iterations don't depend on wall-clock interleaving.
 		<-strongDone
-		return orig(ev, cfg, g, o, stop, from, to)
+		return mapModelRange(ev, cfg, g, o, stop, from, to)
 	}
-	ses := NewSession()
-	best := Best(ses.Run(cands, models, opt))
+	rs, st := runStats(t, ses, cands, models, opt)
+	best := Best(rs)
 	if best == nil || best.Cfg.Name != strong.Name {
 		t.Fatalf("in-loop abandonment changed the winner: %+v", best)
 	}
@@ -521,7 +492,6 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 	// fire mid-cell), stops at one of its first abandonment polls — the
 	// incumbent lands a few microseconds after the hold releases, well
 	// inside the first half of the anneal.
-	st := ses.LastSweepStats()
 	if st.PrunedCandidates != 2 {
 		t.Errorf("pruned %d candidates, want both weak ones", st.PrunedCandidates)
 	}

@@ -27,19 +27,11 @@ import (
 	"gemini/internal/sa"
 )
 
-// mapModelFn indirects the per-cell mapping pipeline so tests can inject
-// infrastructure failures and assert they are reported as errors, never as
-// infeasibility. It carries the restart window [from, to) so the session can
-// widen checkpointed cells incrementally (racing rungs, checkpoint re-entry).
-var mapModelFn = mapModelRange
-
 // Session shares evaluation state across DSE runs. All methods are safe for
 // concurrent use: the sweep service runs several Run/RunContext sweeps on
 // one session at once so they share the evaluation cache and checkpoint
-// cells (each sweep gets its own scheduler and incumbent; LastSweepStats
-// then reports whichever sweep published last — concurrent callers should
-// use the stats RunContext returns). The zero value is not usable —
-// construct with NewSession.
+// cells (each sweep gets its own scheduler, incumbent and SweepStats). The
+// zero value is not usable — construct with NewSession.
 type Session struct {
 	// Logf, when set, receives scheduling decisions that must not be silent
 	// (candidate pruning, checkpoint skips). log.Printf fits.
@@ -55,8 +47,12 @@ type Session struct {
 
 	resumed atomic.Int64 // cells served from the checkpoint instead of mapped
 
-	sweepMu   sync.Mutex
-	lastSweep SweepStats
+	// mapModel is the per-cell mapping pipeline, mapModelRange outside tests.
+	// Tests replace it on the session they build, before its first sweep, to
+	// inject infrastructure failures and count calls. It carries the restart
+	// window [from, to) so the session can widen checkpointed cells
+	// incrementally (racing rungs, checkpoint re-entry).
+	mapModel func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Options, stop func() bool, from, to int) (*MapResult, error)
 
 	diskMu     sync.Mutex
 	diskWarmed map[string]bool // cache dirs already loaded into this session
@@ -74,6 +70,7 @@ func NewSession() *Session {
 		evals:      make(map[uint64]*eval.Evaluator),
 		cells:      make(map[string]cellRecord),
 		diskWarmed: make(map[string]bool),
+		mapModel:   mapModelRange,
 	}
 }
 
@@ -113,10 +110,10 @@ func (s *Session) WarmDiskCache(dir string) (int, error) {
 // same pattern the sweep service uses for checkpoints), stop drains the
 // loop and writes the final snapshot. Each save first merges the file's
 // current entries back into the cache and then snapshots it, so writers
-// with *different* caches sharing one directory (a multi-session server
-// pool, or two processes) converge on the union instead of last-writer-
-// wins discarding each other's work; SaveDisk renames atomically, so any
-// complete snapshot is valid. Saves run under the session's persistence
+// with *different* caches sharing one directory (two processes, or two
+// sessions in one) converge on the union instead of last-writer-wins
+// discarding each other's work; SaveDisk renames atomically, so any complete
+// snapshot is valid. Saves run under the session's persistence
 // tracker: bounded in-save retry, then the failure is counted and the sweep
 // keeps running on its in-memory cache (degraded, never dead).
 func (s *Session) startCacheSaver(dir string, inj *faultinject.Injector) (poke, stop func()) {
@@ -196,22 +193,6 @@ func (s *Session) SettledCells(cands []arch.Config, models []*dnn.Graph, opt Opt
 	return n
 }
 
-// LastSweepStats returns the scheduler's observability record of the most
-// recent Run/JointRun sweep: pruned candidates, restarts
-// saved by the live incumbent and by portfolio patience, and the incumbent
-// trajectory.
-func (s *Session) LastSweepStats() SweepStats {
-	s.sweepMu.Lock()
-	defer s.sweepMu.Unlock()
-	return s.lastSweep
-}
-
-func (s *Session) setLastSweep(st SweepStats) {
-	s.sweepMu.Lock()
-	s.lastSweep = st
-	s.sweepMu.Unlock()
-}
-
 func (s *Session) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)
@@ -274,8 +255,8 @@ func (s *Session) Run(cands []arch.Config, models []*dnn.Graph, opt Options) []C
 // partial results are returned together with a non-nil error — so a canceled
 // sweep can be checkpointed and resumed without recomputing its completed
 // cells.
-// The returned SweepStats belongs to this sweep, which is the race-free way
-// to read stats when several sweeps share the session.
+// The returned SweepStats belongs to this sweep alone, however many sweeps
+// share the session.
 func (s *Session) RunContext(ctx context.Context, cands []arch.Config, models []*dnn.Graph, opt Options) ([]CandidateResult, SweepStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -319,7 +300,6 @@ func (s *Session) RunContext(ctx context.Context, cands []arch.Config, models []
 			sc.stats.PersistenceErrors = int(st.Errors - persistBase)
 			sc.stats.PersistenceDegraded = st.Degraded
 			sc.stats.LastPersistenceError = st.LastError
-			s.setLastSweep(sc.stats)
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -334,12 +314,6 @@ func sweepName(id string) string {
 		return "(unnamed)"
 	}
 	return id
-}
-
-// sweep runs the (candidate, model) task grid through the scheduler and
-// returns one CandidateResult per candidate, in candidate order (unsorted).
-func (s *Session) sweep(cands []arch.Config, models []*dnn.Graph, opt Options) []CandidateResult {
-	return s.newScheduler(context.Background(), cands, models, opt).run()
 }
 
 // runCell executes (or restores) one (candidate, model) mapping cell, named
@@ -502,7 +476,7 @@ func (s *Session) attemptCell(cfg *arch.Config, g *dnn.Graph, opt Options, stop 
 				Kind: CellTransient, Candidate: cfg.Name, Model: g.Name, Attempt: attempt, Err: ierr,
 			}
 		}
-		return mapModelFn(s.evaluator(cfg), cfg, g, opt, innerStop, from, to)
+		return s.mapModel(s.evaluator(cfg), cfg, g, opt, innerStop, from, to)
 	}
 	if opt.CellTimeout <= 0 {
 		return body(stop)
@@ -577,7 +551,8 @@ func (s *Session) JointRun(bases []arch.Config, factors []int, models []*dnn.Gra
 		}
 	}
 
-	crs := s.sweep(flat, models, opt)
+	// One result per flattened candidate, in candidate order (unsorted).
+	crs := s.newScheduler(context.Background(), flat, models, opt).run()
 
 	out := make([]JointResult, 0, len(bases))
 	for bi := range bases {

@@ -2,12 +2,14 @@ package dse
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"gemini/internal/arch"
@@ -16,8 +18,8 @@ import (
 	"gemini/internal/eval"
 )
 
-// sweepModels returns stable graph instances for session tests (cache and
-// checkpoint keys include graph identity and model name).
+// Shared graph instances for session tests (checkpoint keys include the
+// model name).
 var (
 	testCNN = dnn.TinyCNN()
 	testTF  = dnn.TinyTransformer()
@@ -29,6 +31,18 @@ func testCands() []arch.Config {
 	b.NoCBW, b.D2DBW = 64, 32
 	b.Name = b.String()
 	return []arch.Config{a, b}
+}
+
+// countingSession returns a fresh session that counts how many cells it
+// actually maps (restored and pruned cells never reach the pipeline).
+func countingSession() (*Session, *atomic.Int64) {
+	s := NewSession()
+	calls := new(atomic.Int64)
+	s.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+		calls.Add(1)
+		return mapModelRange(ev, cfg, g, o, stop, from, to)
+	}
+	return s, calls
 }
 
 // resultsEqual requires bit-identical headline numbers per candidate.
@@ -127,21 +141,13 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 	saved := buf.String()
 
 	// A fresh session with the checkpoint loaded must not map anything.
-	calls := 0
-	orig := mapModelFn
-	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
-		calls++
-		return orig(ev, cfg, g, o, stop, from, to)
-	}
-	defer func() { mapModelFn = orig }()
-
-	b := NewSession()
+	b, calls := countingSession()
 	if err := b.LoadCheckpoint(strings.NewReader(saved)); err != nil {
 		t.Fatal(err)
 	}
 	got := b.Run(cands, models, opt)
-	if calls != 0 {
-		t.Errorf("resumed run invoked MapModel %d times", calls)
+	if calls.Load() != 0 {
+		t.Errorf("resumed run invoked MapModel %d times", calls.Load())
 	}
 	if int(b.ResumedCells()) != len(cands)*len(models) {
 		t.Errorf("resumed %d cells, want %d", b.ResumedCells(), len(cands)*len(models))
@@ -168,7 +174,7 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 	opt2 := opt
 	opt2.SAIterations += 5
 	b.Run(cands, models, opt2)
-	if calls == 0 {
+	if calls.Load() == 0 {
 		t.Error("changed options should have forced re-mapping")
 	}
 }
@@ -205,19 +211,18 @@ func TestParentCommitCheckpointResumes(t *testing.T) {
 	if err := ses.LoadCheckpoint(f); err != nil {
 		t.Fatal(err)
 	}
-	orig := mapModelFn
-	mapModelFn = func(*eval.Evaluator, *arch.Config, *dnn.Graph, Options, func() bool, int, int) (*MapResult, error) {
+	ses.mapModel = func(*eval.Evaluator, *arch.Config, *dnn.Graph, Options, func() bool, int, int) (*MapResult, error) {
 		t.Error("a checkpointed cell was re-mapped")
 		return nil, ErrInfeasible
 	}
-	defer func() { mapModelFn = orig }()
 	opt := testOptions()
 	opt.Restarts = 2
 	cands, models := testCands()[:1], []*dnn.Graph{testCNN, testTF}
-	if Best(ses.Run(cands, models, opt)) == nil {
+	rs, st, _ := ses.RunContext(context.Background(), cands, models, opt)
+	if Best(rs) == nil {
 		t.Fatal("restored sweep has no feasible candidate")
 	}
-	if st := ses.LastSweepStats(); st.ResumedCells != len(cands)*len(models) || ses.CheckpointCells() != st.ResumedCells {
+	if st.ResumedCells != len(cands)*len(models) || ses.CheckpointCells() != st.ResumedCells {
 		t.Errorf("resumed %d of %d cells (checkpoint holds %d)", st.ResumedCells, len(cands)*len(models), ses.CheckpointCells())
 	}
 }
@@ -237,20 +242,19 @@ func TestSessionCheckpointVersion(t *testing.T) {
 // infrastructure failure must surface as an error, never as infeasibility.
 func TestSessionErrorNotInfeasible(t *testing.T) {
 	boom := errors.New("injected mapper crash")
-	orig := mapModelFn
-	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+	ses := NewSession()
+	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
 		if cfg.Name == "bad-arch" {
 			return nil, boom
 		}
-		return orig(ev, cfg, g, o, stop, from, to)
+		return mapModelRange(ev, cfg, g, o, stop, from, to)
 	}
-	defer func() { mapModelFn = orig }()
 
 	ok := arch.GArch72()
 	bad := arch.GArch72()
 	bad.Name = "bad-arch"
 	bad.NoCBW = 33 // structurally distinct so it is not cache/cell-aliased
-	rs := NewSession().Run([]arch.Config{bad, ok}, []*dnn.Graph{testCNN}, testOptions())
+	rs := ses.Run([]arch.Config{bad, ok}, []*dnn.Graph{testCNN}, testOptions())
 
 	if rs[0].Cfg.Name != ok.Name || !rs[0].Feasible {
 		t.Fatalf("healthy candidate should rank first, got %s (%s)", rs[0].Cfg.Name, rs[0].Status())
@@ -287,14 +291,12 @@ func TestSessionErrorNotInfeasible(t *testing.T) {
 func TestSessionRetriesErroredCells(t *testing.T) {
 	boom := errors.New("transient failure")
 	failing := true
-	orig := mapModelFn
-	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+	flakyMap := func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
 		if failing && cfg.Name == "flaky-arch" {
 			return nil, boom
 		}
-		return orig(ev, cfg, g, o, stop, from, to)
+		return mapModelRange(ev, cfg, g, o, stop, from, to)
 	}
-	defer func() { mapModelFn = orig }()
 
 	flaky := arch.GArch72()
 	flaky.Name = "flaky-arch"
@@ -302,6 +304,7 @@ func TestSessionRetriesErroredCells(t *testing.T) {
 	models := []*dnn.Graph{testCNN}
 
 	a := NewSession()
+	a.mapModel = flakyMap
 	rs := a.Run(cands, models, testOptions())
 	if rs[0].Status() != "error" {
 		t.Fatalf("first run status %q, want error", rs[0].Status())
@@ -317,6 +320,7 @@ func TestSessionRetriesErroredCells(t *testing.T) {
 	// The failure clears; a resumed session must re-run the cell and map it.
 	failing = false
 	b := NewSession()
+	b.mapModel = flakyMap
 	if err := b.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +425,7 @@ func TestPruningSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := eval.DefaultParams()
-	eLB, dLB := lowerBoundED(&cfg, testCNN, &p, opt)
+	eLB, dLB := lowerBoundED(&cfg, computeDemand(testCNN), &p, opt)
 	if eLB <= 0 || dLB <= 0 {
 		t.Fatalf("degenerate bounds: e=%v d=%v", eLB, dLB)
 	}

@@ -6,65 +6,7 @@ import (
 	"sync/atomic"
 
 	"gemini/internal/arch"
-	"gemini/internal/dnn"
 )
-
-// graphFPs memoizes GraphFingerprint per graph. Graphs must not be mutated
-// after evaluation starts (the evaluator documents the same invariant for
-// its pointer-keyed memo), so entries can never go stale. The map is
-// package-global and graph builders mint fresh pointers per call (a
-// long-lived server builds new graphs for every sweep spec), so it is
-// bounded like the other memos: past the limit it is flushed wholesale,
-// which only costs recomputation.
-var (
-	graphFPs      sync.Map // *dnn.Graph -> uint64
-	graphFPCount  atomic.Int64
-	graphFPsLimit = int64(1 << 10)
-)
-
-// GraphFingerprint hashes the structural content of a DNN graph —
-// everything a group evaluation can depend on: layer kinds, output cubes, kernel
-// geometry, channel layout and the typed edge list. The graph's name is
-// ignored, so two structurally identical graphs share cache entries
-// (results are bit-identical by construction). Unlike the pointer identity
-// the per-evaluator memo uses, the fingerprint is stable across processes,
-// which is what lets a shared cache spill to disk and warm a successor
-// process. Computed once per graph and memoized.
-func GraphFingerprint(g *dnn.Graph) uint64 {
-	if v, ok := graphFPs.Load(g); ok {
-		return v.(uint64)
-	}
-	h := uint64(fnvOffset)
-	for _, l := range g.Layers {
-		for _, v := range [...]uint64{
-			uint64(l.ID), uint64(l.Kind),
-			uint64(l.OH), uint64(l.OW), uint64(l.OK),
-			uint64(l.R), uint64(l.S), uint64(l.Stride),
-			uint64(l.PadH), uint64(l.PadW),
-			uint64(l.IC), uint64(l.Groups),
-			uint64(l.FusedOps),
-		} {
-			h = fnv1a(h, v)
-		}
-		if l.HasWeights {
-			h = fnv1a(h, 1)
-		} else {
-			h = fnv1a(h, 0)
-		}
-		for _, in := range l.Inputs {
-			h = fnv1a(h, uint64(int64(in.Src)))
-			h = fnv1a(h, uint64(in.DstOff))
-			h = fnv1a(h, uint64(in.Role))
-		}
-		h = fnv1a(h, ^uint64(0)) // layer terminator
-	}
-	if graphFPCount.Add(1) > graphFPsLimit {
-		graphFPs.Range(func(k, _ any) bool { graphFPs.Delete(k); return true })
-		graphFPCount.Store(1)
-	}
-	graphFPs.Store(g, h)
-	return h
-}
 
 // ConfigFingerprint hashes the structural fields of an architecture
 // configuration — everything a GroupResult can depend on, and nothing it
@@ -109,8 +51,8 @@ func AnalysisFingerprint(cfg *arch.Config) uint64 {
 	return h
 }
 
-// CacheKey addresses one group summary in a shared Cache: the analysis
-// fingerprint of the architecture, the graph fingerprint, and the group
+// CacheKey addresses one group summary in a Cache: the analysis fingerprint
+// of the architecture, the graph's dnn.Graph.Fingerprint, and the group
 // fingerprint (encoding + batch + params + cross-group context). All three
 // components are stable across processes, so a cache can round-trip through
 // SaveDisk/LoadDisk and keep serving.
@@ -124,9 +66,9 @@ type CacheKey struct {
 // shared cache; the SA hot loop hits the cache on nearly every iteration.
 const cacheShards = 64
 
-// cacheShardLimit bounds each shard; a full shard is flushed wholesale
-// (same policy as the per-evaluator memo: the working set of any one sweep
-// is far below the limit, and a flush only costs recomputation).
+// cacheShardLimit bounds each shard; a full shard is flushed wholesale (a
+// full flush is simpler than LRU: the working set of any one sweep is far
+// below the limit, and a flush only costs recomputation).
 const cacheShardLimit = 1 << 14
 
 // cacheEntry is one stored summary plus its provenance: disk marks entries
@@ -142,13 +84,13 @@ type cacheShard struct {
 	m  map[CacheKey]cacheEntry
 }
 
-// Cache is a concurrency-safe group-summary store shared across evaluators —
-// and therefore across architecture candidates, models, SA restarts and
-// whole DSE runs. It memoizes exactly what the per-evaluator memo does, so
-// serving from the cache is bit-identical to recomputing; because summaries
-// are bandwidth-free, a hit may have been paid for by a bandwidth sibling of
-// the asking evaluator. SaveDisk and LoadDisk spill and restore it across
-// process boundaries.
+// Cache is the concurrency-safe group-summary store every Evaluator reads
+// and writes. One cache may back many evaluators — and therefore span
+// architecture candidates, models, SA restarts and whole DSE runs. Summaries
+// are pure functions of their keys, so serving from the cache is
+// bit-identical to recomputing; because they are bandwidth-free, a hit may
+// have been paid for by a bandwidth sibling of the asking evaluator. SaveDisk
+// and LoadDisk spill and restore it across process boundaries.
 type Cache struct {
 	shards                [cacheShards]cacheShard
 	hits, misses, flushes atomic.Int64
@@ -156,7 +98,7 @@ type Cache struct {
 	diskHits, diskLoaded, diskSaves atomic.Int64
 }
 
-// NewCache returns an empty shared cache.
+// NewCache returns an empty cache.
 func NewCache() *Cache {
 	c := &Cache{}
 	for i := range c.shards {

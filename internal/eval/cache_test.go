@@ -143,14 +143,25 @@ func TestSiblingSummaryInvariance(t *testing.T) {
 	}
 }
 
-// TestSharedCacheBitIdentical pins that serving from the shared cache is
-// indistinguishable from recomputing: a private-memo evaluator and two
-// cache-sharing evaluators yield identical results.
+// TestSharedCacheBitIdentical pins that serving from a shared cache is
+// indistinguishable from recomputing: an evaluator on its own cache and two
+// cache-sharing evaluators yield identical results, and two New evaluators
+// share nothing.
 func TestSharedCacheBitIdentical(t *testing.T) {
 	cfg := arch.GArch72()
 	s := cacheTestScheme(t, &cfg)
 
-	private := New(&cfg).Evaluate(s)
+	own := New(&cfg)
+	private := own.Evaluate(s)
+	if !reflect.DeepEqual(private, NewWithCache(&cfg, NewCache()).Evaluate(s)) {
+		t.Fatal("New and NewWithCache(fresh) disagree")
+	}
+	other := New(&cfg)
+	other.Evaluate(s)
+	if a, b := own.cache.Stats(), other.cache.Stats(); own.cache == other.cache ||
+		b.Hits != 0 || b.Misses != a.Misses || b.Entries != a.Entries {
+		t.Fatalf("two New evaluators share entries: %+v vs %+v", a, b)
+	}
 
 	cache := NewCache()
 	first := NewWithCache(&cfg, cache).Evaluate(s)

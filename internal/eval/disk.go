@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 )
 
 // diskHeader is the first line of a spilled cache file.
@@ -154,7 +155,11 @@ func (c *Cache) LoadDisk(path string) (int, error) {
 			continue // damaged line: skip just this entry
 		}
 		var k CacheKey
-		if !parseHexFP(de.Arch, &k.Arch) || !parseHexFP(de.Graph, &k.Graph) || !parseHexFP(de.FP, &k.FP) {
+		var errA, errG, errF error
+		k.Arch, errA = strconv.ParseUint(de.Arch, 16, 64)
+		k.Graph, errG = strconv.ParseUint(de.Graph, 16, 64)
+		k.FP, errF = strconv.ParseUint(de.FP, 16, 64)
+		if errA != nil || errG != nil || errF != nil {
 			continue
 		}
 		if c.insertFromDisk(k, de.Summary) {
@@ -181,30 +186,5 @@ func (c *Cache) insertFromDisk(k CacheKey, sum groupSummary) bool {
 		c.flushes.Add(1)
 	}
 	s.m[k] = cacheEntry{sum: sum, disk: true}
-	return true
-}
-
-// parseHexFP decodes a 64-bit hex fingerprint.
-func parseHexFP(s string, out *uint64) bool {
-	if len(s) == 0 || len(s) > 16 {
-		return false
-	}
-	var v uint64
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = uint64(c-'A') + 10
-		default:
-			return false
-		}
-		v = v<<4 | d
-	}
-	*out = v
 	return true
 }

@@ -248,14 +248,33 @@ func TestGraphFingerprintStructural(t *testing.T) {
 	a := dnn.TinyCNN()
 	b := dnn.TinyCNN()
 	b.Name = "renamed"
-	if GraphFingerprint(a) != GraphFingerprint(b) {
+	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("fingerprint depends on graph name")
 	}
-	if GraphFingerprint(a) != GraphFingerprint(a) {
+	if a.Fingerprint() != a.Fingerprint() {
 		t.Error("fingerprint not stable")
 	}
 	c := dnn.TinyTransformer()
-	if GraphFingerprint(a) == GraphFingerprint(c) {
+	if a.Fingerprint() == c.Fingerprint() {
 		t.Error("structurally different graphs collide")
+	}
+}
+
+// TestGraphFingerprintPinned pins CacheKey.Graph for three zoo models to the
+// values eval.GraphFingerprint computed before the fingerprint moved onto
+// the graph: a drift here silently orphans every spilled cache entry.
+func TestGraphFingerprintPinned(t *testing.T) {
+	for name, want := range map[string]uint64{
+		"resnet50":    0x3cc6d673b57a80a3,
+		"transformer": 0x6a2a8ee1b43e926a,
+		"tinycnn":     0x21a8e8ca32f7090f,
+	} {
+		g, err := dnn.Model(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.Fingerprint(); got != want {
+			t.Errorf("%s: fingerprint %#016x, want %#016x", name, got, want)
+		}
 	}
 }

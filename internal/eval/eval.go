@@ -16,7 +16,6 @@ import (
 
 	"gemini/internal/arch"
 	"gemini/internal/core"
-	"gemini/internal/dnn"
 	"gemini/internal/intracore"
 	"gemini/internal/noc"
 )
@@ -74,13 +73,15 @@ func AvgLayersPerGroup(s *core.Scheme) float64 {
 //
 // Evaluation is two-phase. The Analyze/explore/traffic pipeline produces a
 // bandwidth-free groupSummary; finish turns a summary into a GroupResult by
-// applying this evaluator's NoC/D2D/DRAM bandwidths. The evaluator memoizes
-// summaries keyed by a fingerprint of the group's encoding (plus the
-// cross-group flow-of-data context it reads), so SA states that revisit a
-// previously seen group configuration — on this architecture or, through a
-// shared Cache, on any bandwidth sibling of it — skip the whole pipeline.
-// Graphs are identified by pointer: a *dnn.Graph must not be mutated after
-// schemes referencing it have been evaluated. Params may change between
+// applying this evaluator's NoC/D2D/DRAM bandwidths. Summaries are memoized
+// in the evaluator's Cache — its own (New) or one shared across evaluators
+// (NewWithCache) — keyed by the architecture's AnalysisFingerprint, the
+// graph's structural fingerprint and a fingerprint of the group's encoding
+// (plus the cross-group flow-of-data context it reads), so SA states that
+// revisit a previously seen group configuration — on this architecture or,
+// through a shared Cache, on any bandwidth sibling of it — skip the whole
+// pipeline. A *dnn.Graph must not be mutated after schemes referencing it
+// have been evaluated (it holds its fingerprint). Params may change between
 // evaluations (it is hashed into the fingerprint) but must not be written
 // concurrently with an in-flight evaluation.
 type Evaluator struct {
@@ -92,13 +93,9 @@ type Evaluator struct {
 	d2dIfaces int
 	scratch   sync.Pool
 
-	memoMu    sync.Mutex
-	groupMemo map[groupKey]groupSummary
-
-	// shared, when set, replaces the per-evaluator memo with a cache shared
-	// across evaluators (and so across DSE candidates and runs); analysisFP
-	// is this evaluator's AnalysisFingerprint, computed once.
-	shared     *Cache
+	// cache is the group-summary store; analysisFP is this evaluator's
+	// AnalysisFingerprint, computed once.
+	cache      *Cache
 	analysisFP uint64
 }
 
@@ -106,7 +103,7 @@ type Evaluator struct {
 // the Analyze/explore/traffic pipeline derives from the group encoding, the
 // core array, the chiplet cuts, the topology and the DRAM controller
 // placement — and nothing that depends on how fast a link or a controller
-// drains. It is what both memos store; finish completes it in O(1). The
+// drains. It is what a Cache stores; finish completes it in O(1). The
 // MAC/GLB energies are summed per core under the evaluator's Params, which
 // the group fingerprint hashes.
 type groupSummary struct {
@@ -122,16 +119,6 @@ type groupSummary struct {
 	Once    noc.Digest `json:"o"` // GLB-resident weights, loaded once per run
 }
 
-type groupKey struct {
-	graph *dnn.Graph
-	fp    uint64
-}
-
-// groupMemoLimit bounds the per-evaluator memo; the map is flushed when it
-// fills (a full flush is simpler than LRU and the working set of one SA run
-// is far below the limit).
-const groupMemoLimit = 1 << 16
-
 // evalScratch is the reusable per-evaluation state: one pooled Traffic pair
 // (per-pass and load-once), the parsed Analysis, and the resident/coreOrder
 // buffers. Pooled per evaluator so concurrent evaluations do not contend.
@@ -144,14 +131,22 @@ type evalScratch struct {
 	strBuf    []arch.CoreID
 }
 
-// New builds an evaluator with default energy parameters.
-func New(cfg *arch.Config) *Evaluator {
+// New builds an evaluator with default energy parameters and a cache of its
+// own.
+func New(cfg *arch.Config) *Evaluator { return NewWithCache(cfg, NewCache()) }
+
+// NewWithCache builds an evaluator with default energy parameters that reads
+// and writes group summaries in c, sharing them with every other evaluator
+// built on c (and so across DSE candidates and runs). Results served from a
+// shared cache are bit-identical to locally computed ones.
+func NewWithCache(cfg *arch.Config, c *Cache) *Evaluator {
 	e := &Evaluator{
-		Cfg:       cfg,
-		Net:       noc.New(cfg),
-		Memo:      intracore.NewMemo(),
-		Params:    DefaultParams(),
-		groupMemo: make(map[groupKey]groupSummary),
+		Cfg:        cfg,
+		Net:        noc.New(cfg),
+		Memo:       intracore.NewMemo(),
+		Params:     DefaultParams(),
+		cache:      c,
+		analysisFP: AnalysisFingerprint(cfg),
 	}
 	for _, l := range e.Net.Links {
 		if l.D2D {
@@ -166,23 +161,6 @@ func New(cfg *arch.Config) *Evaluator {
 			resident: make([]bool, cfg.Cores()),
 		}
 	}
-	return e
-}
-
-// UseCache switches the evaluator from its private memo to a shared cache.
-// Must be called before the first evaluation and never concurrently with
-// one. Results served from the shared cache are bit-identical to locally
-// computed ones: the cache stores exactly what the private memo would.
-func (e *Evaluator) UseCache(c *Cache) {
-	e.shared = c
-	e.analysisFP = AnalysisFingerprint(e.Cfg)
-}
-
-// NewWithCache builds an evaluator whose group-summary memo is the shared
-// cache c instead of a private map.
-func NewWithCache(cfg *arch.Config, c *Cache) *Evaluator {
-	e := New(cfg)
-	e.UseCache(c)
 	return e
 }
 
@@ -203,39 +181,17 @@ func (e *Evaluator) EvaluateGroup(s *core.Scheme, gi int) (res GroupResult) {
 	return
 }
 
-// summary stores the group's summary in *sum, consulting the memo first: a
+// summary stores the group's summary in *sum, consulting the cache first: a
 // group configuration seen before (same encoding, batch, cross-group data
 // placement and energy parameters) is returned without re-analysis.
 //
 //gemini:noalloc
 func (e *Evaluator) summary(s *core.Scheme, gi int, sum *groupSummary) {
-	fp := e.groupFingerprint(s, gi)
-	if e.shared != nil {
-		key := CacheKey{Arch: e.analysisFP, Graph: GraphFingerprint(s.Graph), FP: fp}
-		if !e.shared.get(key, sum) {
-			*sum = e.summarizeGroup(s, gi)
-			e.shared.put(key, sum)
-		}
-		return
+	key := CacheKey{Arch: e.analysisFP, Graph: s.Graph.Fingerprint(), FP: e.groupFingerprint(s, gi)}
+	if !e.cache.get(key, sum) {
+		*sum = e.summarizeGroup(s, gi)
+		e.cache.put(key, sum)
 	}
-
-	key := groupKey{graph: s.Graph, fp: fp}
-	e.memoMu.Lock()
-	hit, ok := e.groupMemo[key]
-	e.memoMu.Unlock()
-	if ok {
-		*sum = hit
-		return
-	}
-
-	*sum = e.summarizeGroup(s, gi)
-
-	e.memoMu.Lock()
-	if len(e.groupMemo) >= groupMemoLimit {
-		clear(e.groupMemo)
-	}
-	e.groupMemo[key] = *sum
-	e.memoMu.Unlock()
 }
 
 // summarizeGroup runs the Analyze/explore/traffic pipeline for one group.

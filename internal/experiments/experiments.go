@@ -11,7 +11,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
 
 	"gemini/internal/arch"
 	"gemini/internal/cost"
@@ -41,7 +40,9 @@ type Options struct {
 	// Session, when set, runs every figure's sweeps and mappings through
 	// one shared DSE session, so the figures reuse each other's warm
 	// evaluation-cache entries (Fig. 6 and Fig. 7 sweep the same space;
-	// Fig. 8's factor-1 joint candidates revisit its base sweep).
+	// Fig. 8's factor-1 joint candidates revisit its base sweep). The cache
+	// keys graphs by structure, so each figure building its own workload
+	// graphs costs no warmth.
 	Session *dse.Session
 }
 
@@ -70,38 +71,6 @@ func (o Options) jointRun(bases []arch.Config, factors []int, models []*dnn.Grap
 	return dse.JointRun(bases, factors, models, d)
 }
 
-// Workload graphs are cached per process so every figure maps the same
-// *dnn.Graph instance: the evaluators' memos and the session's shared
-// cache key groups by graph identity, so stable instances are what make
-// cross-figure warm hits possible. Graphs are read-only after construction.
-var (
-	modelMu    sync.Mutex
-	modelCache = map[string]*dnn.Graph{}
-)
-
-func cachedModel(name string) *dnn.Graph {
-	modelMu.Lock()
-	defer modelMu.Unlock()
-	if g, ok := modelCache[name]; ok {
-		return g
-	}
-	var g *dnn.Graph
-	switch name {
-	case "tinycnn":
-		g = dnn.TinyCNN()
-	case "tinytransformer":
-		g = dnn.TinyTransformer()
-	default:
-		var err error
-		g, err = dnn.Model(name)
-		if err != nil {
-			panic(err)
-		}
-	}
-	modelCache[name] = g
-	return g
-}
-
 // QuickOptions returns the bench-friendly fidelity.
 func QuickOptions() Options {
 	return Options{Quick: true, SAIterations: 120, Batches: []int{1, 4}, Seed: 1}
@@ -122,26 +91,18 @@ func (o Options) workers() int {
 // models returns the Fig. 5 workload list (paper Sec. VI-A3).
 func (o Options) models() []*dnn.Graph {
 	if o.Quick {
-		return []*dnn.Graph{cachedModel("tinycnn"), cachedModel("tinytransformer")}
+		return []*dnn.Graph{dnn.TinyCNN(), dnn.TinyTransformer()}
 	}
-	out := make([]*dnn.Graph, 0, 5)
-	for _, n := range []string{"resnet50", "resnext50", "inceptionresnet", "pnasnet", "transformer"} {
-		out = append(out, cachedModel(n))
-	}
-	return out
+	return []*dnn.Graph{dnn.ResNet50(), dnn.ResNeXt50(), dnn.InceptionResNetV1(), dnn.PNASNet(), dnn.Transformer()}
 }
 
 // fig8Models returns the Fig. 8 workload list (RN-50, IRes, PNas, GN,
 // TF-Large).
 func (o Options) fig8Models() []*dnn.Graph {
 	if o.Quick {
-		return []*dnn.Graph{cachedModel("tinycnn")}
+		return []*dnn.Graph{dnn.TinyCNN()}
 	}
-	out := make([]*dnn.Graph, 0, 5)
-	for _, n := range []string{"resnet50", "inceptionresnet", "pnasnet", "googlenet", "transformerlarge"} {
-		out = append(out, cachedModel(n))
-	}
-	return out
+	return []*dnn.Graph{dnn.ResNet50(), dnn.InceptionResNetV1(), dnn.PNASNet(), dnn.GoogLeNet(), dnn.TransformerLarge()}
 }
 
 // tinySpace shrinks a Table I space to a handful of candidates so quick

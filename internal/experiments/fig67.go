@@ -45,9 +45,9 @@ type Fig6Result struct {
 // fig6Workload is the DSE workload (Transformer per Sec. VI-A1).
 func fig6Workload(opt Options) []*dnn.Graph {
 	if opt.Quick {
-		return []*dnn.Graph{cachedModel("tinytransformer")}
+		return []*dnn.Graph{dnn.TinyTransformer()}
 	}
-	return []*dnn.Graph{cachedModel("transformer")}
+	return []*dnn.Graph{dnn.Transformer()}
 }
 
 // Fig6 sweeps the candidate spaces of the given TOPS targets and reports

@@ -7,6 +7,7 @@ import (
 
 	"gemini/internal/arch"
 	"gemini/internal/core"
+	"gemini/internal/dnn"
 	"gemini/internal/dse"
 	"gemini/internal/eval"
 	"gemini/internal/noc"
@@ -235,7 +236,7 @@ type Fig9Result struct {
 // heuristic and with the SA search, then renders both traffic heatmaps.
 func Fig9(opt Options) (*Fig9Result, error) {
 	cfg := arch.GArch72()
-	g := cachedModel("transformer")
+	g := dnn.Transformer()
 	// Locate the first attention block: l0.qk -> l0.sm -> l0.av.
 	var layers []int
 	for _, l := range g.Layers {

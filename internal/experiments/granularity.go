@@ -41,9 +41,9 @@ func ChipletGranularity(opt Options) (*GranularityResult, error) {
 	base := arch.GArch72()
 	var model *dnn.Graph
 	if opt.Quick {
-		model = cachedModel("tinytransformer")
+		model = dnn.TinyTransformer()
 	} else {
-		model = cachedModel("transformer")
+		model = dnn.Transformer()
 	}
 	batch := 64
 	if len(opt.Batches) > 0 {
@@ -142,9 +142,9 @@ type CoreGranularityResult struct {
 func CoreGranularity(opt Options) (*CoreGranularityResult, error) {
 	var model *dnn.Graph
 	if opt.Quick {
-		model = cachedModel("tinytransformer")
+		model = dnn.TinyTransformer()
 	} else {
-		model = cachedModel("transformer")
+		model = dnn.Transformer()
 	}
 	batch := 64
 	if len(opt.Batches) > 0 {

@@ -391,7 +391,7 @@ func TestCoordinatorWire(t *testing.T) {
 // TestExchange checks the worker-side incumbent cache: monotone folding,
 // +Inf initial state, and last-writer-wins outbox coalescing.
 func TestExchange(t *testing.T) {
-	ex := newExchange(nil, "s", true)
+	ex := newExchange(nil, "s")
 	if !math.IsInf(ex.Best(), 1) {
 		t.Fatalf("fresh exchange best = %v, want +Inf", ex.Best())
 	}
@@ -411,13 +411,5 @@ func TestExchange(t *testing.T) {
 	}
 	if ex.take() != nil {
 		t.Fatalf("outbox not drained")
-	}
-
-	// A non-sharing exchange still caches (the lease seed) but queues
-	// nothing.
-	solo := newExchange(nil, "s", false)
-	solo.Improved("a", 2)
-	if solo.Best() != 2 || solo.take() != nil {
-		t.Fatalf("non-sharing exchange queued an update")
 	}
 }

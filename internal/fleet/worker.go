@@ -32,11 +32,6 @@ type WorkerConfig struct {
 	// Workers overrides the shard spec's parallelism when > 0; 0 runs each
 	// shard at the spec's own Workers setting.
 	Workers int
-	// DisableSharing runs shards without the fleet incumbent: the worker
-	// neither seeds its pruning from lease incumbents nor pushes
-	// improvements. It exists for the no-sharing twin in BenchmarkFleetSweep
-	// and for apples-to-apples measurements; production fleets leave it off.
-	DisableSharing bool
 	// ExitWhenIdle returns from RunWorker the first time the coordinator
 	// answers 204 (no shard pending) instead of polling. Benchmarks and
 	// tests drain a fixed workload with it; long-lived workers leave it off.
@@ -158,18 +153,14 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 	shardCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	ex := newExchange(w.cl, lease.SweepID, !w.cfg.DisableSharing)
-	if !w.cfg.DisableSharing {
-		ex.fold(lease.Incumbent.best())
-	}
+	ex := newExchange(w.cl, lease.SweepID)
+	ex.fold(lease.Incumbent.best())
 
 	opt := lease.Spec.Options()
 	if w.cfg.Workers > 0 {
 		opt.Workers = w.cfg.Workers
 	}
-	if !w.cfg.DisableSharing {
-		opt.Incumbent = ex
-	}
+	opt.Incumbent = ex
 
 	// Coalesced partial checkpoint uploads: each settled candidate pokes
 	// the uploader, which snapshots the session checkpoint and ships it.
@@ -230,28 +221,26 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 
 	// Incumbent pusher: forwards locally achieved improvements and folds
 	// the coordinator's (possibly better) answer back into the cache.
-	if !w.cfg.DisableSharing {
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-shardCtx.Done():
-					return
-				case <-ex.poke:
-					for u := ex.take(); u != nil; u = ex.take() {
-						var st IncumbentState
-						code, err := w.cl.post(shardCtx, "/incumbent", u, &st)
-						if err == nil && code == http.StatusOK {
-							ex.fold(st.best())
-						}
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-shardCtx.Done():
+				return
+			case <-ex.poke:
+				for u := ex.take(); u != nil; u = ex.take() {
+					var st IncumbentState
+					code, err := w.cl.post(shardCtx, "/incumbent", u, &st)
+					if err == nil && code == http.StatusOK {
+						ex.fold(st.best())
 					}
 				}
 			}
-		}()
-	}
+		}
+	}()
 
 	// Partial checkpoint uploader.
 	bg.Add(1)
@@ -340,7 +329,6 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 type exchange struct {
 	cl      *client
 	sweepID string
-	share   bool
 	bits    atomic.Uint64
 
 	mu      sync.Mutex
@@ -348,8 +336,8 @@ type exchange struct {
 	poke    chan struct{}
 }
 
-func newExchange(cl *client, sweepID string, share bool) *exchange {
-	e := &exchange{cl: cl, sweepID: sweepID, share: share, poke: make(chan struct{}, 1)}
+func newExchange(cl *client, sweepID string) *exchange {
+	e := &exchange{cl: cl, sweepID: sweepID, poke: make(chan struct{}, 1)}
 	e.bits.Store(math.Float64bits(math.Inf(1)))
 	return e
 }
@@ -380,9 +368,6 @@ func (e *exchange) fold(v float64) {
 // newest pending improvement is kept — the coordinator folds min anyway.
 func (e *exchange) Improved(candidate string, obj float64) {
 	e.fold(obj)
-	if !e.share {
-		return
-	}
 	e.mu.Lock()
 	e.pending = &IncumbentUpdate{SweepID: e.sweepID, Candidate: candidate, Objective: obj}
 	e.mu.Unlock()

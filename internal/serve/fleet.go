@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"io"
 	"os"
 
 	"gemini/internal/fleet"
@@ -19,19 +20,10 @@ func (s *Server) persistFleetCheckpoint(id string, data []byte) {
 		if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
 			return err
 		}
-		tmp, err := os.CreateTemp(s.cfg.DataDir, id+".tmp-*")
-		if err != nil {
+		return writeFileAtomic(path, func(w io.Writer) error {
+			_, err := w.Write(data)
 			return err
-		}
-		defer os.Remove(tmp.Name())
-		if _, err := tmp.Write(data); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp.Name(), path)
+		})
 	}
 	if err := s.persist.Do(write); err != nil {
 		s.logf("serve: fleet sweep %s: checkpoint save failed: %v", id, err)

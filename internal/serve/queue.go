@@ -49,10 +49,6 @@ type queueConfig struct {
 	batchShare float64
 	// weights are per-tenant fair-share weights (missing tenants weigh 1).
 	weights map[string]int
-	// fifo drops priority classes, fair share and preemption: strict
-	// admission-order dispatch. Test-only — the baseline the conformance
-	// suite measures interactive time-to-first-result against.
-	fifo bool
 	// now is the queue's clock (tests inject a fake one).
 	now func() time.Time
 	// hook, when set, observes every queue transition (tests only). It is
@@ -280,34 +276,12 @@ func (q *sweepQueue) dispatchLocked() {
 
 // pickLocked selects the next waiting job that fits the free slots:
 // interactive class first, deficit round-robin across tenants within a
-// class (strict admission order in fifo baseline mode). nil means nothing
-// dispatchable right now.
+// class. nil means nothing dispatchable right now.
 func (q *sweepQueue) pickLocked() *job {
-	if q.cfg.fifo {
-		return q.pickFIFOLocked()
-	}
 	if j := q.pickClassLocked(dse.PriorityInteractive); j != nil {
 		return j
 	}
 	return q.pickClassLocked(dse.PriorityBatch)
-}
-
-// pickFIFOLocked is the no-priority baseline: the globally oldest waiting
-// job runs next, with head-of-line blocking when it does not fit.
-func (q *sweepQueue) pickFIFOLocked() *job {
-	var oldest *job
-	for _, name := range q.ring {
-		for _, h := range q.tenants[name].heads() {
-			if oldest == nil || h.seq < oldest.seq {
-				oldest = h
-			}
-		}
-	}
-	if oldest == nil || oldest.slots > q.free {
-		return nil
-	}
-	q.tenants[oldest.tenant].remove(oldest)
-	return oldest
 }
 
 // pickClassLocked runs one class's deficit round-robin: each tenant visit
@@ -478,9 +452,6 @@ func (q *sweepQueue) grantLocked(j *job) {
 // checkpoint-thrashing batch work for an interactive sweep that still
 // cannot fit buys no forward progress.
 func (q *sweepQueue) maybePreemptLocked() {
-	if q.cfg.fifo {
-		return // the no-priority baseline does not preempt
-	}
 	demand := q.interactiveDemandLocked()
 	if demand == 0 {
 		return

@@ -1,6 +1,6 @@
 // Package serve is the HTTP front end of the DSE sweep engine: a long-lived
-// server owning a bounded pool of dse.Sessions, accepting JSON sweep specs
-// and streaming per-candidate results back as NDJSON while the sweep runs.
+// server owning one dse.Session, accepting JSON sweep specs and streaming
+// per-candidate results back as NDJSON while the sweep runs.
 //
 // Endpoints:
 //
@@ -27,9 +27,9 @@
 // slots by weighted deficit round-robin, per-tenant quotas reject excess
 // backlog with 429 (server-wide overload with 503), and a blocked
 // interactive sweep preempts the newest batch work — which checkpoints,
-// yields and later resumes from its settled cells for free. Dispatched
-// sweeps are spread round-robin over the session pool and share each
-// session's evaluation cache through the existing sweep scheduler.
+// yields and later resumes from its settled cells for free. Every dispatched
+// sweep runs on the server's one session, so all of them share its
+// evaluation cache and checkpoint cells.
 //
 //gemini:deterministic-output
 //gemini:documented
@@ -53,12 +53,8 @@ import (
 )
 
 // Config sizes and locates a Server. The zero value is usable: it serves
-// from a single session with modest concurrency and no persistence.
+// with modest concurrency and no persistence.
 type Config struct {
-	// Sessions is the session-pool size (default 1). More sessions mean
-	// less cache sharing but also less cache-lock contention; sweeps are
-	// assigned round-robin.
-	Sessions int
 	// MaxConcurrentSweeps bounds simultaneously dispatched sweeps (default
 	// 4). Excess admitted sweeps wait in the queue; excess backlog is
 	// rejected (QueueDepth, MaxQueuedSweeps).
@@ -92,13 +88,13 @@ type Config struct {
 	// 10s). Lower it for fast failover in tests; raise it on networks
 	// where renewals may stall.
 	FleetLeaseTTL time.Duration
-	// CacheDir, when set, spills every pool session's shared evaluation
-	// cache to disk (dse.Options.CacheDir semantics): sweeps warm from the
-	// previous process's group evaluations — not just from their own
-	// checkpoint cells — and re-save the cache as candidates complete. All
-	// sessions share the one directory; every save merges the file's
-	// entries before snapshotting, so sessions with distinct caches
-	// converge on the union of their work rather than overwriting it.
+	// CacheDir, when set, spills the session's evaluation cache to disk
+	// (dse.Options.CacheDir semantics): sweeps warm from the previous
+	// process's group evaluations — not just from their own checkpoint
+	// cells — and re-save the cache as candidates complete. Every save
+	// merges the file's entries before snapshotting, so processes sharing
+	// the directory converge on the union of their work rather than
+	// overwriting it.
 	CacheDir string
 	// Logf, when set, receives server lifecycle and scheduling lines.
 	Logf func(format string, args ...any)
@@ -106,13 +102,6 @@ type Config struct {
 	// harness across the server's sweeps and persistence paths (chaos tests
 	// only; nil in production).
 	FaultInjector *faultinject.Injector
-}
-
-func (c Config) sessions() int {
-	if c.Sessions <= 0 {
-		return 1
-	}
-	return c.Sessions
 }
 
 func (c Config) maxSweeps() int {
@@ -146,11 +135,12 @@ type Server struct {
 	stop  context.CancelFunc
 	start time.Time
 
-	pool []*dse.Session
-	next atomic.Uint64
+	// ses is the one session every sweep runs on: one evaluation cache, one
+	// set of checkpoint cells.
+	ses *dse.Session
 
 	// queue is the multi-tenant admission/dispatch state machine every
-	// sweep passes through before it may touch a session.
+	// sweep passes through before it may touch the session.
 	queue *sweepQueue
 
 	// fleet is the distributed-sweep coordinator, mounted under /fleet/:
@@ -190,13 +180,10 @@ func New(cfg Config) *Server {
 		base:   base,
 		stop:   stop,
 		start:  time.Now(),
-		pool:   make([]*dse.Session, cfg.sessions()),
+		ses:    dse.NewSession(),
 		sweeps: make(map[string]*sweep),
 	}
-	for i := range s.pool {
-		s.pool[i] = dse.NewSession()
-		s.pool[i].Logf = s.logf
-	}
+	s.ses.Logf = s.logf
 	s.queue = newSweepQueue(queueConfig{
 		slots:      cfg.workerSlots(),
 		maxRunning: cfg.maxSweeps(),
@@ -234,11 +221,6 @@ func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
 	}
-}
-
-// session picks the next pool session round-robin.
-func (s *Server) session() *dse.Session {
-	return s.pool[s.next.Add(1)%uint64(len(s.pool))]
 }
 
 // sweepIDPattern is the accepted client-supplied sweep id shape: short,
@@ -385,9 +367,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, sw.status())
 }
 
-// SessionHealth is one pool session's health snapshot.
+// SessionHealth is the session's health snapshot.
 type SessionHealth struct {
-	// Index is the session's pool slot.
+	// Index is always 0: the server owns one session, and the field keeps the
+	// wire shape of the pooled servers that preceded it.
 	Index int `json:"index"`
 	// CacheHits / CacheMisses / CacheEntries mirror eval.CacheStats. A hit
 	// is a group evaluation served from a stored bandwidth-free summary —
@@ -510,7 +493,9 @@ type Health struct {
 	Status string `json:"status"`
 	// UptimeSeconds is the time since New.
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Sessions reports per-session cache metrics.
+	// Sessions reports the session's cache metrics. It always has exactly
+	// one element; it is a list because the wire shape predates the
+	// single-session server.
 	Sessions []SessionHealth `json:"sessions"`
 	// Sweeps aggregates sweep states.
 	Sweeps SweepCounts `json:"sweeps"`
@@ -545,25 +530,22 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	}
 	h.Persistence = s.persist.State()
 	h.PersistenceDegraded = h.Persistence.Degraded
-	for i, ses := range s.pool {
-		cs := ses.CacheStats()
-		ps := ses.PersistenceState()
-		h.PersistenceDegraded = h.PersistenceDegraded || ps.Degraded
-		h.Sessions = append(h.Sessions, SessionHealth{
-			Index:           i,
-			CacheHits:       cs.Hits,
-			CacheMisses:     cs.Misses,
-			CacheEntries:    cs.Entries,
-			CacheFlushes:    cs.Flushes,
-			CacheHitRate:    cs.HitRate(),
-			CacheDiskHits:   cs.DiskHits,
-			CacheDiskLoaded: cs.DiskLoaded,
-			CacheDiskSaves:  cs.DiskSaves,
-			CheckpointCells: ses.CheckpointCells(),
-			ResumedCells:    ses.ResumedCells(),
-			Persistence:     ps,
-		})
-	}
+	cs := s.ses.CacheStats()
+	ps := s.ses.PersistenceState()
+	h.PersistenceDegraded = h.PersistenceDegraded || ps.Degraded
+	h.Sessions = []SessionHealth{{
+		CacheHits:       cs.Hits,
+		CacheMisses:     cs.Misses,
+		CacheEntries:    cs.Entries,
+		CacheFlushes:    cs.Flushes,
+		CacheHitRate:    cs.HitRate(),
+		CacheDiskHits:   cs.DiskHits,
+		CacheDiskLoaded: cs.DiskLoaded,
+		CacheDiskSaves:  cs.DiskSaves,
+		CheckpointCells: s.ses.CheckpointCells(),
+		ResumedCells:    s.ses.ResumedCells(),
+		Persistence:     ps,
+	}}
 	h.Queue = s.queue.health()
 	fh := s.fleet.Health()
 	h.Fleet = &fh

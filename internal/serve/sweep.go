@@ -1,6 +1,6 @@
 // Sweep execution: one POST /sweep request's lifecycle. The handler
-// resolves the spec, registers the sweep, binds it to a pool session,
-// replays the sweep's server-side checkpoint, and streams typed NDJSON
+// resolves the spec, registers the sweep, replays the sweep's server-side
+// checkpoint into the server's session, and streams typed NDJSON
 // events while dse.Session.RunContext walks the grid. Every settled cell is
 // re-checkpointed as candidates complete, so the on-disk state is never
 // more than one candidate behind the stream.
@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -458,6 +459,25 @@ func (sw *streamWriter) send(ev Event) {
 
 // --- status persistence --------------------------------------------------
 
+// writeFileAtomic writes path through a temp file in the same directory and
+// a rename, so readers (and a crash mid-write) see the old bytes or the new
+// ones, never a torn file. The directory must exist.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if err := write(tmp); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}
+
 // statusPath maps a sweep id to its on-disk status record, or "" when
 // persistence is disabled. Status records live next to the checkpoints so
 // GET /sweeps survives a server restart with the same history a live server
@@ -486,21 +506,11 @@ func (s *Server) saveStatus(sw *sweep) {
 		if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
 			return err
 		}
-		tmp, err := os.CreateTemp(s.cfg.DataDir, sw.id+".status.tmp-*")
-		if err != nil {
-			return err
-		}
-		defer os.Remove(tmp.Name())
-		enc := json.NewEncoder(tmp)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sw.status()); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp.Name(), path)
+		return writeFileAtomic(path, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(sw.status())
+		})
 	}
 	if err := s.persist.Do(write); err != nil {
 		s.logf("serve: sweep %s: status save failed: %v", sw.id, err)
@@ -673,7 +683,7 @@ func (s *Server) hasCheckpoint(id string) bool {
 // recomputes. A checkpoint that opens but does not decode is corrupt; it is
 // quarantined to "<path>.corrupt" so the next save starts a fresh file and
 // the damaged bytes stay on disk for diagnosis.
-func (s *Server) loadCheckpoint(ses *dse.Session, id string) error {
+func (s *Server) loadCheckpoint(id string) error {
 	path := s.checkpointPath(id)
 	if path == "" {
 		return nil
@@ -688,7 +698,7 @@ func (s *Server) loadCheckpoint(ses *dse.Session, id string) error {
 		}
 		return err
 	}
-	lerr := ses.LoadCheckpoint(f)
+	lerr := s.ses.LoadCheckpoint(f)
 	f.Close()
 	if lerr == nil {
 		return nil
@@ -706,7 +716,7 @@ func (s *Server) loadCheckpoint(ses *dse.Session, id string) error {
 // sweep's id. The session is shared, so the file may also carry cells of
 // concurrent sweeps — harmless (cells are keyed by architecture, model and
 // options) and useful: resuming one sweep warms its neighbours too.
-func (s *Server) saveCheckpoint(ses *dse.Session, id string) error {
+func (s *Server) saveCheckpoint(id string) error {
 	path := s.checkpointPath(id)
 	if path == "" {
 		return nil
@@ -714,19 +724,7 @@ func (s *Server) saveCheckpoint(ses *dse.Session, id string) error {
 	if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.cfg.DataDir, id+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := ses.SaveCheckpoint(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return writeFileAtomic(path, s.ses.SaveCheckpoint)
 }
 
 // --- the POST /sweep handler ---------------------------------------------
@@ -860,8 +858,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	sw.markRunning()
 
-	ses := s.session()
-	if err := s.loadCheckpoint(ses, spec.ID); err != nil {
+	if err := s.loadCheckpoint(spec.ID); err != nil {
 		s.logf("serve: sweep %s: checkpoint load failed, recomputing: %v", spec.ID, err)
 	}
 	// Record checkpoint existence after the load, so a just-quarantined
@@ -888,7 +885,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Candidates:      len(cands),
 		Cells:           cells,
 		Models:          spec.Models,
-		CheckpointCells: ses.SettledCells(cands, graphs, opt),
+		CheckpointCells: s.ses.SettledCells(cands, graphs, opt),
 	})
 
 	// Checkpoint continuously but off the result path: OnResult runs in
@@ -911,7 +908,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			if ierr := s.cfg.FaultInjector.Check(faultinject.PointCheckpointSave, spec.ID); ierr != nil {
 				return ierr
 			}
-			return s.saveCheckpoint(ses, spec.ID)
+			return s.saveCheckpoint(spec.ID)
 		})
 		if err != nil {
 			sweepPersistErrs.Add(1)
@@ -1021,7 +1018,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		runCtx = rc
 		roundMu.Unlock()
 		s.queue.BindPreempt(j, func() { cancelRound(errPreempted) })
-		results, stats, runErr = ses.RunContext(rc, cands, graphs, opt)
+		results, stats, runErr = s.ses.RunContext(rc, cands, graphs, opt)
 		s.queue.ClearPreempt(j)
 		preempted := errors.Is(context.Cause(rc), errPreempted) && ctx.Err() == nil
 		cancelRound(context.Canceled)
@@ -1031,7 +1028,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// Flush the settled cells before parking, so the on-disk checkpoint
 		// matches what the resumed round will restore even across a crash.
 		save("preempt")
-		settled := ses.SettledCells(cands, graphs, opt)
+		settled := s.ses.SettledCells(cands, graphs, opt)
 		sw.notePreempted()
 		emit(Event{Type: "preempted", SweepID: spec.ID, Tenant: tenant, Priority: string(priority), CheckpointCells: settled})
 		s.logf("serve: sweep %s: preempted with %d settled cells", spec.ID, settled)

@@ -47,19 +47,6 @@ func (t *tenantState) head(class dse.SweepPriority) *job {
 	return q[0]
 }
 
-// heads returns the next waiting job of each non-empty class (for the FIFO
-// baseline's global-oldest scan).
-func (t *tenantState) heads() []*job {
-	var hs []*job
-	if h := t.head(dse.PriorityInteractive); h != nil {
-		hs = append(hs, h)
-	}
-	if h := t.head(dse.PriorityBatch); h != nil {
-		hs = append(hs, h)
-	}
-	return hs
-}
-
 // push appends a job to its class FIFO — or prepends it when front is set,
 // which is how a preempted job keeps its place for resume.
 func (t *tenantState) push(j *job, front bool) {
