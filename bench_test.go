@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -395,6 +397,51 @@ func BenchmarkPartitionSiblings(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.Misses), "misses")
 	b.ReportMetric(100*st.HitRate(), "cache_hit_%")
+}
+
+// BenchmarkPartitionWarm times Partition of ResNet-50 on G-Arch-72 over a
+// cache an earlier Partition filled — the zoo72_warm case — and asserts in-
+// bench what makes it cheap: the repeat adds no cache miss, allocates nothing
+// per segment it scores (what it does allocate — the DP tables and the
+// winning scheme, ~0.1 per lookup — must stay under a quarter of an
+// allocation per lookup, where one stripe LMS alone is ~19), and returns the
+// first call's groups, batch units and cost.
+func BenchmarkPartitionWarm(b *testing.B) {
+	cfg := arch.GArch72()
+	g := dnn.ResNet50()
+	opt := graphpart.DefaultOptions()
+	cache := eval.NewCache()
+	ev := eval.NewWithCache(&cfg, cache)
+	want, err := graphpart.Partition(g, &cfg, ev, 64, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	filled := cache.Stats()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := graphpart.Partition(g, &cfg, ev, 64, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got.Cost != want.Cost || !reflect.DeepEqual(got.Groups, want.Groups) || !reflect.DeepEqual(got.BatchUnits, want.BatchUnits) {
+			b.Fatalf("warm partition (cost %v) differs from the one that filled the cache (cost %v)", got.Cost, want.Cost)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	st := cache.Stats()
+	if st.Misses != filled.Misses || st.Entries != filled.Entries {
+		b.Fatalf("warm partitions added %d misses and %d entries; want none", st.Misses-filled.Misses, st.Entries-filled.Entries)
+	}
+	lookups := float64(st.Hits-filled.Hits) / float64(b.N)
+	perSegment := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N) / lookups
+	if lookups != float64(filled.Misses+filled.Hits) || perSegment >= 0.25 {
+		b.Fatalf("warm partition: %.0f lookups (cold: %d), %.3f allocations per segment; want the cold call's lookups at under 0.25", lookups, filled.Misses+filled.Hits, perSegment)
+	}
+	b.ReportMetric(lookups, "segments")
+	b.ReportMetric(perSegment, "allocs/segment")
 }
 
 func BenchmarkMapTransformerFull(b *testing.B) {

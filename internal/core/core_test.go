@@ -345,3 +345,49 @@ func TestNeedsExplicitOF(t *testing.T) {
 		t.Error("cross-group producer must store ofmaps")
 	}
 }
+
+// needsExplicitOFScan is the full-graph scan NeedsExplicitOF ran before the
+// graph carried a consumer index, kept as the reference.
+func needsExplicitOFScan(g *dnn.Graph, group map[int]bool, layer int) bool {
+	consumers := 0
+	for _, l := range g.Layers {
+		for _, in := range l.Inputs {
+			if in.Src == layer {
+				consumers++
+				if !group[l.ID] {
+					return true
+				}
+			}
+		}
+	}
+	return consumers == 0
+}
+
+// TestNeedsExplicitOFMatchesFullScan: the consumer-index lookup answers what
+// the full scan answered, for every layer (inside the group or not) against
+// every contiguous window the partitioner can propose and a non-contiguous
+// group SA can reach.
+func TestNeedsExplicitOFMatchesFullScan(t *testing.T) {
+	for _, g := range []*dnn.Graph{dnn.ResNet50(), dnn.Transformer(), dnn.TinyCNN()} {
+		n := len(g.Layers)
+		check := func(group map[int]bool, what string) {
+			for id := 0; id < n; id++ {
+				if got, want := NeedsExplicitOF(g, group, id), needsExplicitOFScan(g, group, id); got != want {
+					t.Fatalf("%s: layer %d in %s: indexed %v, full scan %v", g.Name, id, what, got, want)
+				}
+			}
+		}
+		for j := 0; j < n; j++ {
+			group := map[int]bool{}
+			for i := j; i < n && i-j < 20; i++ {
+				group[i] = true
+				check(group, "window")
+			}
+		}
+		sparse := map[int]bool{}
+		for id := 0; id < n; id += 3 {
+			sparse[id] = true
+		}
+		check(sparse, "every third layer")
+	}
+}

@@ -158,18 +158,16 @@ func NeedsExplicitIF(l *dnn.Layer) bool {
 // NeedsExplicitOF reports whether the layer's ofmaps must go to DRAM: some
 // consumer lies outside the group, or the layer is a DNN output.
 func NeedsExplicitOF(g *dnn.Graph, group map[int]bool, layer int) bool {
-	consumers := 0
-	for _, l := range g.Layers {
-		for _, in := range l.Inputs {
-			if in.Src == layer {
-				consumers++
-				if !group[l.ID] {
-					return true
-				}
-			}
+	if layer < 0 || layer >= len(g.Layers) {
+		return true // no layer, no consumers
+	}
+	cons := g.Consumers()[layer]
+	for _, c := range cons {
+		if !group[c] {
+			return true
 		}
 	}
-	return consumers == 0
+	return len(cons) == 0
 }
 
 // Validate checks every encoding invariant of the scheme (paper Sec. IV-A):

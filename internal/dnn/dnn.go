@@ -395,6 +395,9 @@ type Graph struct {
 
 	fpOnce sync.Once
 	fp     uint64
+
+	consOnce sync.Once
+	cons     [][]int
 }
 
 // Fingerprint hashes the structural content of the graph — everything a
@@ -469,17 +472,22 @@ func (g *Graph) TotalWeights() int64 {
 	return t
 }
 
-// Consumers returns, for each layer ID, the IDs of layers consuming it.
+// Consumers returns, for each layer ID, the IDs of layers consuming it, one
+// entry per edge in layer order. Like the fingerprint, the index is built on
+// first use and held by the graph: callers share it and must not modify it,
+// and the graph must not be mutated afterwards.
 func (g *Graph) Consumers() [][]int {
-	out := make([][]int, len(g.Layers))
-	for _, l := range g.Layers {
-		for _, in := range l.Inputs {
-			if in.Src >= 0 {
-				out[in.Src] = append(out[in.Src], l.ID)
+	g.consOnce.Do(func() {
+		g.cons = make([][]int, len(g.Layers))
+		for _, l := range g.Layers {
+			for _, in := range l.Inputs {
+				if in.Src >= 0 {
+					g.cons[in.Src] = append(g.cons[in.Src], l.ID)
+				}
 			}
 		}
-	}
-	return out
+	})
+	return g.cons
 }
 
 // Validate checks structural invariants: IDs match positions, edges point

@@ -52,8 +52,10 @@ func AnalysisFingerprint(cfg *arch.Config) uint64 {
 }
 
 // CacheKey addresses one group summary in a Cache: the analysis fingerprint
-// of the architecture, the graph's dnn.Graph.Fingerprint, and the group
-// fingerprint (encoding + batch + params + cross-group context). All three
+// of the architecture, the graph's dnn.Graph.Fingerprint, and either the
+// group fingerprint (encoding + batch + params + cross-group context) or, for
+// a stripe segment of the partitioner, the segment fingerprint (params +
+// batch + bu, j, i under a domain tag; see Evaluator.SegmentKey). All three
 // components are stable across processes, so a cache can round-trip through
 // SaveDisk/LoadDisk and keep serving.
 type CacheKey struct {

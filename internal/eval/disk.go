@@ -1,7 +1,7 @@
 // Disk spill for the shared evaluation cache. Group summaries are pure
-// functions of their (analysis, graph, group) fingerprints, so a cache written
-// by one process is valid input for any other: a restarted service warms
-// from its predecessor's cells instead of recomputing them.
+// functions of their (analysis, graph, group-or-segment) fingerprints, so a
+// cache written by one process is valid input for any other: a restarted
+// service warms from its predecessor's cells instead of recomputing them.
 //
 // The format is line-oriented JSON — a version header followed by one entry
 // per line — written to a temp file and atomically renamed into place.
@@ -29,12 +29,18 @@ type diskHeader struct {
 	Version int    `json:"version"`
 }
 
-// diskVersion 2 stores bandwidth-free summaries under the analysis key.
-// Version 1 stored finished GroupResults under ConfigFingerprint: neither its
-// keys nor its values mean anything here, so such a file loads as cold.
+// diskVersion 3 stores bandwidth-free summaries under the analysis key, the
+// partitioner's stripe segments by name (Evaluator.SegmentKey) and every other
+// group by content. A named entry is only as good as the stripe heuristic
+// that built the LMS it stands for: a change to what core.Stripes returns for
+// some (graph, core array, j, i, bu) must bump this version, and
+// TestStripeEncodingPinned fails until it is re-pinned alongside. Version 2
+// held the partitioner's segments under content keys nothing asks for any
+// more, version 1 finished GroupResults under ConfigFingerprint: files of
+// either load as cold.
 const (
 	diskKind    = "gemini-eval-cache"
-	diskVersion = 2
+	diskVersion = 3
 )
 
 // diskEntry is one cache cell on disk. Fingerprints are hex strings: JSON

@@ -278,3 +278,47 @@ func TestGraphFingerprintPinned(t *testing.T) {
 		}
 	}
 }
+
+// stripeEncodingPin is TestStripeEncodingPinned's hash at diskVersion 3.
+const stripeEncodingPin uint64 = 0x516f2e6883d83a7c
+
+// TestStripeEncodingPinned hashes the stripe LMS of every TinyCNN and
+// TinyTransformer segment on G-Arch-72 at batch units 1/2/4/8. Spilled
+// segment entries are named by (graph, core array, j, i, bu) and stand for
+// the LMS core.Stripes built when they were written; a file outlives the
+// binary that wrote it, so if the heuristic moves, the names in old files
+// point at summaries of groups nobody would build any more.
+func TestStripeEncodingPinned(t *testing.T) {
+	cfg := arch.GArch72()
+	h := uint64(fnvOffset)
+	for _, g := range []*dnn.Graph{dnn.TinyCNN(), dnn.TinyTransformer()} {
+		ids := make([]int, len(g.Layers))
+		for i := range ids {
+			ids[i] = i
+		}
+		for j := range ids {
+			for i := j + 1; i <= len(ids); i++ {
+				for _, bu := range []int{1, 2, 4, 8} {
+					lms, err := core.Stripes(g, ids[j:i], &cfg, bu)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h = fnv1a(h, uint64(lms.BatchUnit))
+					for _, ms := range lms.MSs {
+						for _, v := range [...]int{ms.Layer, ms.Part.H, ms.Part.W, ms.Part.B, ms.Part.K, ms.FD.IF, ms.FD.WGT, ms.FD.OF, len(ms.CG)} {
+							h = fnv1a(h, uint64(int64(v)))
+						}
+						for _, c := range ms.CG {
+							h = fnv1a(h, uint64(c))
+						}
+					}
+				}
+			}
+		}
+	}
+	if h != stripeEncodingPin {
+		t.Errorf("stripe encodings hash to %#016x, pinned %#016x at diskVersion %d: the stripe heuristic changed, "+
+			"so segment entries in existing spills name groups it no longer builds — bump diskVersion in disk.go and re-pin together",
+			h, stripeEncodingPin, diskVersion)
+	}
+}

@@ -16,6 +16,7 @@ import (
 
 	"gemini/internal/arch"
 	"gemini/internal/core"
+	"gemini/internal/dnn"
 	"gemini/internal/intracore"
 	"gemini/internal/noc"
 )
@@ -80,7 +81,9 @@ func AvgLayersPerGroup(s *core.Scheme) float64 {
 // (plus the cross-group flow-of-data context it reads), so SA states that
 // revisit a previously seen group configuration — on this architecture or,
 // through a shared Cache, on any bandwidth sibling of it — skip the whole
-// pipeline. A *dnn.Graph must not be mutated after schemes referencing it
+// pipeline. The graph partitioner's stripe segments live in the same store
+// under a name instead of a content hash (SegmentKey), which spares a hit the
+// LMS it would only build to hash. A *dnn.Graph must not be mutated after schemes referencing it
 // have been evaluated (it holds its fingerprint). Params may change between
 // evaluations (it is hashed into the fingerprint) but must not be written
 // concurrently with an in-flight evaluation.
@@ -192,6 +195,47 @@ func (e *Evaluator) summary(s *core.Scheme, gi int, sum *groupSummary) {
 		*sum = e.summarizeGroup(s, gi)
 		e.cache.put(key, sum)
 	}
+}
+
+// SegmentKey names the stripe-mapped group of layers [j,i) of g at batch unit
+// bu on this evaluator's architecture: the key LookupGroup and EvaluateGroupAs
+// take. A name is a sound key because the stripe LMS is a pure function of the
+// graph, the core array (part of the analysis fingerprint), j, i and bu, and
+// a group alone in its scheme has no cross-group context — so the summary the
+// group's content-addressed key would select is the one its name selects, and
+// a caller that already holds (j, i, bu) need not build the LMS to ask for it.
+//
+//gemini:noalloc
+func (e *Evaluator) SegmentKey(g *dnn.Graph, batch, j, i, bu int) CacheKey {
+	h := e.hashParams(fnv1a(fnvOffset, segmentDomain), batch)
+	h = fnv1a(h, uint64(bu))
+	h = fnv1a(h, uint64(j))
+	h = fnv1a(h, uint64(i))
+	return CacheKey{Arch: e.analysisFP, Graph: g.Fingerprint(), FP: h}
+}
+
+// LookupGroup finishes the summary stored under key at this evaluator's
+// bandwidths into *res (which must be zero) and reports whether there was
+// one. A hit builds no LMS and hashes no encoding.
+//
+//gemini:noalloc
+func (e *Evaluator) LookupGroup(key CacheKey, batch int, res *GroupResult) bool {
+	var sum groupSummary
+	if !e.cache.get(key, &sum) {
+		return false
+	}
+	e.finish(&sum, batch, res)
+	return true
+}
+
+// EvaluateGroupAs is the miss half of LookupGroup: it runs the pipeline on
+// group gi of s, stores the summary under key — which must be the SegmentKey
+// of exactly that group — and returns the finished result.
+func (e *Evaluator) EvaluateGroupAs(key CacheKey, s *core.Scheme, gi int) (res GroupResult) {
+	sum := e.summarizeGroup(s, gi)
+	e.cache.put(key, &sum)
+	e.finish(&sum, s.Batch, &res)
+	return
 }
 
 // summarizeGroup runs the Analyze/explore/traffic pipeline for one group.
@@ -366,19 +410,28 @@ func fnv1a(h, v uint64) uint64 {
 	return h
 }
 
-// groupFingerprint hashes everything a group's summary — and finish — depends
-// on beyond the architecture itself: the energy parameters (the Params field is
-// mutable), the batch, the group's full encoding, and — for inputs produced
-// outside the group — the DRAM where the producer stored its ofmaps.
-func (e *Evaluator) groupFingerprint(s *core.Scheme, gi int) uint64 {
-	h := uint64(fnvOffset)
+// segmentDomain is folded in ahead of a segment name, so a name and a content
+// hash start from different states and never alias by construction.
+const segmentDomain = 0x7365676d656e7431 // "segment1"
+
+// hashParams folds what every key kind shares into h: the energy parameters
+// (the Params field is mutable) and the batch.
+func (e *Evaluator) hashParams(h uint64, batch int) uint64 {
 	p := &e.Params
 	for _, f := range [...]float64{p.MACpJ, p.VecOppJ, p.GLBpJPerByte, p.NoCHoppJPerByte,
 		p.RouterpJPerByte, p.D2DpJPerByte, p.DRAMpJPerByte, p.SerDesPJPerBit} {
 		h = fnv1a(h, math.Float64bits(f))
 	}
 	h = fnv1a(h, uint64(p.D2DModel))
-	h = fnv1a(h, uint64(s.Batch))
+	return fnv1a(h, uint64(batch))
+}
+
+// groupFingerprint hashes everything a group's summary — and finish — depends
+// on beyond the architecture itself: the energy parameters, the batch, the
+// group's full encoding, and — for inputs produced outside the group — the
+// DRAM where the producer stored its ofmaps.
+func (e *Evaluator) groupFingerprint(s *core.Scheme, gi int) uint64 {
+	h := e.hashParams(fnvOffset, s.Batch)
 	lms := s.Groups[gi]
 	h = fnv1a(h, uint64(lms.BatchUnit))
 	for _, ms := range lms.MSs {

@@ -2,6 +2,7 @@ package eval_test
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"gemini/internal/arch"
@@ -10,27 +11,64 @@ import (
 	"gemini/internal/graphpart"
 )
 
-// TestParentCommitDiskCacheServes: testdata/evalcache_v2_parent.ndjson is the
-// spill the commit before the fingerprint moved onto dnn.Graph wrote after
-// partitioning TinyCNN on G-Arch-72 at batch 4. Its keys must still be the
-// keys the evaluator asks for, so repeating that partition on the loaded
-// cache recomputes nothing.
-func TestParentCommitDiskCacheServes(t *testing.T) {
+// TestDiskV2FileLoadsCold: testdata/evalcache_v2_parent.ndjson is the spill
+// the commit before the fingerprint moved onto dnn.Graph wrote after
+// partitioning TinyCNN on G-Arch-72 at batch 4. Its 84 entries are Partition
+// segments under content-addressed keys; the partitioner now asks for
+// segments by name, so a version-2 file carries nothing it would find and
+// loads as a cold cache. Repeating that partition computes everything and
+// still lands on the parent's result.
+func TestDiskV2FileLoadsCold(t *testing.T) {
 	cache := eval.NewCache()
 	n, err := cache.LoadDisk(filepath.Join("testdata", "evalcache_v2_parent.ndjson"))
-	if err != nil || n != 84 {
-		t.Fatalf("loaded %d entries, err %v; want 84, nil", n, err)
+	if err != nil || n != 0 || cache.Stats().Entries != 0 {
+		t.Fatalf("v2 file: loaded %d entries (%d resident), err %v; want a cold cache", n, cache.Stats().Entries, err)
 	}
 	cfg := arch.GArch72()
 	res, err := graphpart.Partition(dnn.TinyCNN(), &cfg, eval.NewWithCache(&cfg, cache), 4, graphpart.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Misses != 0 || st.DiskHits != st.Hits || st.Hits == 0 {
-		t.Errorf("repeat partition was not served from the parent's spill: %+v", st)
+	if st := cache.Stats(); st.Hits != 0 || st.DiskHits != 0 || st.Misses != 84 || st.Entries != 84 {
+		t.Errorf("partition after a v2 load: %+v; want the fixture's 84 segments, all computed", st)
 	}
 	r := eval.New(&cfg).Evaluate(res.Scheme)
 	if r.Delay != 6.282199999999999e-06 || r.Energy.Total() != 2.559942488e-05 {
 		t.Errorf("partition diverged from the parent's: delay %v energy %v", r.Delay, r.Energy.Total())
+	}
+}
+
+// TestDiskRoundTripServesPartition: named segment entries survive the disk
+// round trip like content-addressed ones. A fresh cache loaded from the spill
+// of one Partition repeats it without a single miss, served entirely by
+// disk-loaded entries, and returns the same partition.
+func TestDiskRoundTripServesPartition(t *testing.T) {
+	cfg := arch.GArch72()
+	partition := func(c *eval.Cache) *graphpart.Result {
+		t.Helper()
+		res, err := graphpart.Partition(dnn.TinyCNN(), &cfg, eval.NewWithCache(&cfg, c), 4, graphpart.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := eval.NewCache()
+	want := partition(first)
+	path := filepath.Join(t.TempDir(), "evalcache.ndjson")
+	if err := first.SaveDisk(path); err != nil {
+		t.Fatal(err)
+	}
+
+	second := eval.NewCache()
+	if n, err := second.LoadDisk(path); err != nil || n != first.Stats().Entries {
+		t.Fatalf("loaded %d of %d entries, err %v", n, first.Stats().Entries, err)
+	}
+	got := partition(second)
+	if st := second.Stats(); st.Misses != 0 || st.Hits == 0 || st.DiskHits != st.Hits {
+		t.Errorf("repeat partition was not served from the spill: %+v", st)
+	}
+	if !reflect.DeepEqual(got.Groups, want.Groups) || !reflect.DeepEqual(got.BatchUnits, want.BatchUnits) || got.Cost != want.Cost {
+		t.Errorf("partition from the spill diverged: %v %v %v vs %v %v %v",
+			got.Groups, got.BatchUnits, got.Cost, want.Groups, want.BatchUnits, want.Cost)
 	}
 }

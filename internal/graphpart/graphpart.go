@@ -50,7 +50,8 @@ type Result struct {
 // segmenter scores candidate DP segments. It owns what every segment of one
 // Partition call shares — the architecture's striper, the layer-ID slice
 // whose [j,i) windows name the segments, and the one-group scheme handed to
-// the evaluator — so scoring a segment allocates its stripe LMS and nothing
+// the evaluator — so scoring a segment the evaluator's cache already holds
+// allocates nothing, and one it does not allocates its stripe LMS and nothing
 // else.
 type segmenter struct {
 	g       *dnn.Graph
@@ -74,15 +75,32 @@ func newSegmenter(g *dnn.Graph, cfg *arch.Config, ev *eval.Evaluator, batch int,
 	return sg
 }
 
+// evaluate scores layers [j,i) as one stripe group at batch unit bu. The
+// evaluator's cache is asked by the segment's name; only a miss builds the
+// stripe LMS and runs the pipeline, storing the summary under that name.
+//
+//gemini:noalloc
+func (sg *segmenter) evaluate(j, i, bu int) (gr eval.GroupResult) {
+	key := sg.ev.SegmentKey(sg.g, sg.scheme.Batch, j, i, bu)
+	if !sg.ev.LookupGroup(key, sg.scheme.Batch, &gr) {
+		gr = sg.evaluateMiss(key, j, i, bu)
+	}
+	return
+}
+
+func (sg *segmenter) evaluateMiss(key eval.CacheKey, j, i, bu int) eval.GroupResult {
+	lms, err := sg.striper.Stripes(sg.g, sg.ids[j:i], bu)
+	if err != nil {
+		return eval.GroupResult{}
+	}
+	sg.scheme.Groups[0] = lms
+	return sg.ev.EvaluateGroupAs(key, &sg.scheme, 0)
+}
+
 // cost is the DP cost of mapping layers [j,i) as one stripe group at batch
 // unit bu, +Inf when the segment does not fit.
 func (sg *segmenter) cost(j, i, bu int) float64 {
-	lms, err := sg.striper.Stripes(sg.g, sg.ids[j:i], bu)
-	if err != nil {
-		return math.Inf(1)
-	}
-	sg.scheme.Groups[0] = lms
-	gr := sg.ev.EvaluateGroup(&sg.scheme, 0)
+	gr := sg.evaluate(j, i, bu)
 	if !gr.Feasible {
 		return math.Inf(1)
 	}

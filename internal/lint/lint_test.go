@@ -114,6 +114,11 @@ func TestNoallocAnnotationsMatchBenchCoverage(t *testing.T) {
 			// around a sync.Pool Get/Put of their scratch.
 			"gemini/internal/eval.Evaluator.summarizeGroup",
 		},
+		"internal/graphpart/alloc_test.go:TestSegmentHitAllocFree": {
+			"gemini/internal/eval.Evaluator.SegmentKey",
+			"gemini/internal/eval.Evaluator.LookupGroup",
+			"gemini/internal/graphpart.segmenter.evaluate",
+		},
 		"internal/sa/alloc_test.go:TestMovePathAllocFree": {
 			"gemini/internal/sa.measure",
 			"gemini/internal/sa.state.cost",

@@ -23,8 +23,12 @@ type Network struct {
 	Cfg   *arch.Config
 	Links []Link
 
-	idx   map[[2]arch.CoreID]int
-	ports []arch.DRAMPort
+	idx map[[2]arch.CoreID]int
+
+	// portCore[ctrl*CoresY+row] is the attachment core controller ctrl uses
+	// to reach a peer in that row; ctrls is the controller count.
+	ctrls    int
+	portCore []arch.CoreID
 
 	// Full route table, precomputed at New: the XY path from src to dst is
 	// routeDat[routeOff[src*cores+dst] : routeOff[src*cores+dst+1]].
@@ -36,10 +40,10 @@ type Network struct {
 // New builds the network for a validated configuration.
 func New(cfg *arch.Config) *Network {
 	n := &Network{
-		Cfg:   cfg,
-		idx:   make(map[[2]arch.CoreID]int),
-		ports: cfg.DRAMPorts(),
+		Cfg: cfg,
+		idx: make(map[[2]arch.CoreID]int),
 	}
+	n.buildPorts(cfg.DRAMPorts())
 	addLink := func(a, b arch.CoreID) {
 		n.idx[[2]arch.CoreID{a, b}] = len(n.Links)
 		n.Links = append(n.Links, Link{From: a, To: b, D2D: !cfg.SameChiplet(a, b)})
@@ -290,26 +294,39 @@ func (n *Network) Route(src, dst arch.CoreID) []int32 {
 // the attachment core of the controller closest (in rows) to the peer, so
 // controller traffic spreads over the controller's span.
 func (n *Network) PortCore(ctrl int, peer arch.CoreID) arch.CoreID {
-	p := n.ports[ctrl%len(n.ports)]
 	_, py := n.Cfg.CoreXY(peer)
-	best := p.Cores[0]
-	bestD := 1 << 30
-	for _, c := range p.Cores {
-		_, cy := n.Cfg.CoreXY(c)
-		d := cy - py
-		if d < 0 {
-			d = -d
-		}
-		if d < bestD {
-			bestD = d
-			best = c
+	return n.portCore[(ctrl%n.ctrls)*n.Cfg.CoresY+py]
+}
+
+// buildPorts tabulates PortCore per (controller, peer row): of the
+// controller's attachment cores, the first in span order at the least row
+// distance.
+func (n *Network) buildPorts(ports []arch.DRAMPort) {
+	rows := n.Cfg.CoresY
+	n.ctrls = len(ports)
+	n.portCore = make([]arch.CoreID, len(ports)*rows)
+	for i, p := range ports {
+		for py := 0; py < rows; py++ {
+			best := p.Cores[0]
+			bestD := 1 << 30
+			for _, c := range p.Cores {
+				_, cy := n.Cfg.CoreXY(c)
+				d := cy - py
+				if d < 0 {
+					d = -d
+				}
+				if d < bestD {
+					bestD = d
+					best = c
+				}
+			}
+			n.portCore[i*rows+py] = best
 		}
 	}
-	return best
 }
 
 // Controllers returns the number of DRAM controllers.
-func (n *Network) Controllers() int { return len(n.ports) }
+func (n *Network) Controllers() int { return n.ctrls }
 
 // Traffic accumulates byte loads per link and per DRAM controller for one
 // pipeline pass.

@@ -305,6 +305,40 @@ func TestPortCoreNearestRow(t *testing.T) {
 	}
 }
 
+// TestPortCoreTableMatchesScan pins the table noc.New precomputes against the
+// scan PortCore used to run per DRAM flow — the controller's first attachment
+// core at the least row distance — for every (controller, core) pair,
+// controller indices past the count (they wrap) included. The 8x2 array at
+// 320 GB/s has five controllers per edge sharing two rows.
+func TestPortCoreTableMatchesScan(t *testing.T) {
+	wide := arch.GArch72()
+	wide.CoresX, wide.CoresY, wide.XCut, wide.YCut, wide.DRAMBW = 8, 2, 1, 1, 320
+	for _, cfg := range []arch.Config{arch.GArch72(), arch.GArchTorus(), arch.Grayskull(), wide} {
+		n := New(&cfg)
+		ports := cfg.DRAMPorts()
+		if cfg.CoresY == 2 && len(ports) <= 2*cfg.CoresY {
+			t.Fatalf("%s: %d controllers do not outnumber the edge rows", cfg.Name, len(ports))
+		}
+		for ctrl := 0; ctrl < 2*len(ports); ctrl++ {
+			p := ports[ctrl%len(ports)]
+			for id := 0; id < cfg.Cores(); id++ {
+				peer := arch.CoreID(id)
+				_, py := cfg.CoreXY(peer)
+				want, wantD := p.Cores[0], 1<<30
+				for _, c := range p.Cores {
+					_, cy := cfg.CoreXY(c)
+					if d := abs(cy - py); d < wantD {
+						want, wantD = c, d
+					}
+				}
+				if got := n.PortCore(ctrl, peer); got != want {
+					t.Fatalf("%s: PortCore(%d, %d) = %d, scan says %d", cfg.Name, ctrl, peer, got, want)
+				}
+			}
+		}
+	}
+}
+
 func abs(x int) int {
 	if x < 0 {
 		return -x

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -808,5 +809,54 @@ func TestDamagedStatusRecordSkipped(t *testing.T) {
 	}
 	if _, code := getStatus(t, hsB.URL, "broken"); code != http.StatusNotFound {
 		t.Errorf("damaged record should be absent, got status %d", code)
+	}
+}
+
+// TestStatusHistoryTrimmedOnceAtStartup: a DataDir holding more status
+// records than the history bound is cut to the bound when the server starts —
+// the unreadable record first, then the oldest — and from there in-memory
+// eviction removes one record per sweep it admits, so the directory never
+// grows past the bound although no save re-scans it.
+func TestStatusHistoryTrimmedOnceAtStartup(t *testing.T) {
+	dir := t.TempDir()
+	t0 := time.Date(2026, 9, 1, 0, 0, 0, 0, time.UTC)
+	const extra = 5
+	for i := 0; i < retiredSweeps+extra; i++ {
+		at := t0.Add(time.Duration(i) * time.Second).Format(time.RFC3339)
+		rec := fmt.Sprintf(`{"id":"old-%04d","state":"done","started_at":%q,"finished_at":%q}`, i, at, at)
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("old-%04d.status.json", i)), []byte(rec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "broken.status.json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	records := func() map[string]bool {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.status.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make(map[string]bool, len(paths))
+		for _, p := range paths {
+			ids[strings.TrimSuffix(filepath.Base(p), ".status.json")] = true
+		}
+		return ids
+	}
+
+	_, hs := newTestServer(t, Config{DataDir: dir})
+	got := records()
+	if len(got) != retiredSweeps || got["broken"] || got[fmt.Sprintf("old-%04d", extra-1)] || !got[fmt.Sprintf("old-%04d", extra)] {
+		t.Fatalf("startup left %d records (broken kept: %v); want the %d newest readable ones", len(got), got["broken"], retiredSweeps)
+	}
+	if _, code := getStatus(t, hs.URL, fmt.Sprintf("old-%04d", extra)); code != http.StatusOK {
+		t.Errorf("oldest surviving record not restored (status %d)", code)
+	}
+	for i := 0; i < 3; i++ {
+		id := fmt.Sprintf("fresh-%d", i)
+		runSweep(t, hs.URL, tinySpec(id, 32))
+		got := records()
+		if len(got) > retiredSweeps || !got[id] || got[fmt.Sprintf("old-%04d", extra+i)] {
+			t.Fatalf("after %s: %d records (cap %d), own record kept: %v", id, len(got), retiredSweeps, got[id])
+		}
 	}
 }

@@ -489,11 +489,12 @@ func (s *Server) statusPath(id string) string {
 	return filepath.Join(s.cfg.DataDir, id+".status.json")
 }
 
-// saveStatus persists a finished sweep's status record (atomic rename) and
-// prunes the on-disk history to the same bound the in-memory map keeps. A
-// failed save only costs history-after-restart, so it runs under the
-// server's persistence tracker — bounded retry, degradation accounting —
-// and is never fatal.
+// saveStatus persists a finished sweep's status record (atomic rename). The
+// on-disk history needs no trimming here: loadStatuses cuts it to the
+// retiredSweeps bound at startup and every in-memory eviction after that
+// removes its record, so disk follows memory one for one. A failed save only
+// costs history-after-restart, so it runs under the server's persistence
+// tracker — bounded retry, degradation accounting — and is never fatal.
 func (s *Server) saveStatus(sw *sweep) {
 	path := s.statusPath(sw.id)
 	if path == "" {
@@ -514,9 +515,7 @@ func (s *Server) saveStatus(sw *sweep) {
 	}
 	if err := s.persist.Do(write); err != nil {
 		s.logf("serve: sweep %s: status save failed: %v", sw.id, err)
-		return
 	}
-	s.pruneStatusFiles()
 }
 
 // removeStatus deletes a sweep's persisted status record (used when the
@@ -524,39 +523,6 @@ func (s *Server) saveStatus(sw *sweep) {
 func (s *Server) removeStatus(id string) {
 	if path := s.statusPath(id); path != "" {
 		_ = os.Remove(path)
-	}
-}
-
-// pruneStatusFiles bounds the on-disk status history like the in-memory
-// retiredSweeps cap: oldest finished records (by recorded finish time) go
-// first.
-func (s *Server) pruneStatusFiles() {
-	entries, err := filepath.Glob(filepath.Join(s.cfg.DataDir, "*.status.json"))
-	if err != nil || len(entries) <= retiredSweeps {
-		return
-	}
-	type rec struct {
-		path string
-		at   time.Time
-	}
-	recs := make([]rec, 0, len(entries))
-	for _, p := range entries {
-		st, err := readStatusFile(p)
-		if err != nil {
-			// Unreadable records would otherwise pin the history forever;
-			// they are the first to go.
-			recs = append(recs, rec{path: p})
-			continue
-		}
-		at := st.StartedAt
-		if st.FinishedAt != nil {
-			at = *st.FinishedAt
-		}
-		recs = append(recs, rec{path: p, at: at})
-	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].at.Before(recs[b].at) })
-	for _, r := range recs[:len(recs)-retiredSweeps] {
-		_ = os.Remove(r.path)
 	}
 }
 
@@ -580,7 +546,10 @@ func readStatusFile(path string) (SweepStatus, error) {
 // A sweep recorded as running died with its server: it is restored as
 // canceled (its checkpoint survives, so re-POSTing the spec resumes it).
 // Damaged records are skipped — history is a convenience, never worth
-// failing startup over.
+// failing startup over. This is also the one place the on-disk history is
+// trimmed to the retiredSweeps bound: a directory holding more records than
+// that loses the unreadable ones first (they would otherwise pin the history
+// forever), then the oldest.
 func (s *Server) loadStatuses() {
 	if s.cfg.DataDir == "" {
 		return
@@ -589,11 +558,16 @@ func (s *Server) loadStatuses() {
 	if err != nil {
 		return
 	}
+	excess := len(entries) - retiredSweeps
 	var sts []SweepStatus
 	for _, p := range entries {
 		st, err := readStatusFile(p)
 		if err != nil {
 			s.logf("serve: skipping damaged status record %s: %v", p, err)
+			if excess > 0 {
+				_ = os.Remove(p) // best effort, like removeStatus
+				excess--
+			}
 			continue
 		}
 		if st.State == StateRunning || st.State == StateQueued {
@@ -608,8 +582,9 @@ func (s *Server) loadStatuses() {
 		}
 		return sts[a].ID < sts[b].ID
 	})
-	if len(sts) > retiredSweeps {
-		sts = sts[len(sts)-retiredSweeps:]
+	for ; excess > 0 && len(sts) > 0; excess-- {
+		s.removeStatus(sts[0].ID)
+		sts = sts[1:]
 	}
 	for _, st := range sts {
 		sw := restoredSweep(s, st)
