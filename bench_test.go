@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -442,6 +443,130 @@ func BenchmarkPartitionWarm(b *testing.B) {
 	}
 	b.ReportMetric(lookups, "segments")
 	b.ReportMetric(perSegment, "allocs/segment")
+}
+
+// BenchmarkGroupMiss times what a sweep is made of — an eval.Cache miss — on
+// both paths that produce one, and asserts in-bench what keeps it cheap and
+// right. Segment path: a cold Partition of ResNet-50 on G-Arch-72 looks every
+// (j, i, bu) up once, misses every time and stores one entry per miss; and
+// the miss itself — stripe into the Striper's scratch, summarize, store —
+// run again over a stored name allocates at most 2 objects (today none).
+// SA path: a seeded walk of the five operators over that partition evaluates
+// each touched group once; every result equals — bit for bit — an uncached
+// evaluation of core.Analyze's canonically sorted flows (the miss path itself
+// sums activation flows unsorted), the cache looked up exactly the states the
+// uncached loop computed with one entry per miss and no flush, and the miss
+// pipeline run again over a stored key allocates nothing. What a first-time
+// miss does allocate is what it stores — the cache entry and a memo entry
+// per workload not seen before — reported as allocs/cold-segment.
+func BenchmarkGroupMiss(b *testing.B) {
+	cfg := arch.GArch72()
+	g := dnn.ResNet50()
+	const batch = 64
+	mallocs := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+
+	segCache := eval.NewCache()
+	segEv := eval.NewWithCache(&cfg, segCache)
+	m0 := mallocs()
+	part, err := graphpart.Partition(g, &cfg, segEv, batch, graphpart.DefaultOptions())
+	perColdSegment := float64(mallocs() - m0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seg := segCache.Stats()
+	perColdSegment /= float64(seg.Misses)
+	if seg.Hits != 0 || seg.Misses != int64(seg.Entries) {
+		b.Fatalf("cold partition: %+v; want all misses, one entry each", seg)
+	}
+	// What graphpart's segmenter does on a miss, through the same calls.
+	striper := core.NewStriper(&cfg)
+	ids := make([]int, len(g.Layers))
+	for i := range ids {
+		ids[i] = i
+	}
+	one := core.Scheme{Graph: g, Batch: batch, Groups: make([]*core.LMS, 1)}
+	first := part.Groups[0]
+	j, i, bu := first[0], first[len(first)-1]+1, part.BatchUnits[0]
+	segmentMiss := func() {
+		lms, err := striper.Scratch(g, ids[j:i], bu)
+		if err != nil {
+			b.Fatal(err)
+		}
+		one.Groups[0] = lms
+		if !segEv.EvaluateGroupAs(segEv.SegmentKey(g, batch, j, i, bu), &one, 0).Feasible {
+			b.Fatalf("the partition's first group [%d,%d) is infeasible", j, i)
+		}
+	}
+	segmentMiss()
+	if perSegment := testing.AllocsPerRun(100, segmentMiss); perSegment > 2 {
+		b.Fatalf("a segment miss allocates %.0f times, want at most 2", perSegment)
+	}
+
+	// walk replays one seeded operator sequence from the partition, calling
+	// visit with the scheme and the group each applied move touched.
+	const moves = 2000
+	walk := func(visit func(s *core.Scheme, gi int)) {
+		s := part.Scheme.Clone()
+		rng := rand.New(rand.NewSource(3))
+		mu := &core.Mutator{Graph: g, Drams: cfg.DRAMControllers(), Rng: rng}
+		for it := 0; it < moves; it++ {
+			gi := rng.Intn(len(s.Groups))
+			if _, ok := mu.Apply(s.Groups[gi]); ok {
+				visit(s, gi)
+			}
+		}
+	}
+	uncached := eval.New(&cfg)
+	var want []eval.GroupResult
+	walk(func(s *core.Scheme, gi int) {
+		an, err := core.Analyze(s, gi, &cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		want = append(want, uncached.EvaluateAnalysis(an, s.Batch))
+	})
+
+	var st eval.CacheStats
+	var ev *eval.Evaluator
+	var last *core.Scheme
+	var lastGroup int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cache := eval.NewCache()
+		ev = eval.NewWithCache(&cfg, cache)
+		b.StartTimer()
+		k := 0
+		walk(func(s *core.Scheme, gi int) {
+			if got := ev.EvaluateGroup(s, gi); got != want[k] {
+				b.Fatalf("state %d (group %d): cached path %+v, uncached over sorted flows %+v", k, gi, got, want[k])
+			}
+			k++
+			last, lastGroup = s, gi
+		})
+		b.StopTimer()
+		st = cache.Stats()
+		if st.Hits+st.Misses != int64(len(want)) || st.Misses != int64(st.Entries) || st.Flushes != 0 || st.Misses < st.Hits {
+			b.Fatalf("SA walk over %d states: %+v; want one lookup per state, one entry per miss, no flush, mostly misses", len(want), st)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	// EvaluateGroupAs is the miss pipeline under a caller's key: run over one
+	// key again and again it recomputes and overwrites, so the count is the
+	// pipeline's own, without the map growth a new entry may cost.
+	key := eval.CacheKey{Arch: 1, Graph: 2, FP: 3}
+	ev.EvaluateGroupAs(key, last, lastGroup)
+	if perMiss := testing.AllocsPerRun(100, func() { ev.EvaluateGroupAs(key, last, lastGroup) }); perMiss != 0 {
+		b.Fatalf("an SA-path miss allocates %.0f times, want 0", perMiss)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.Misses), "ns/miss")
+	b.ReportMetric(float64(st.Misses), "misses")
+	b.ReportMetric(perColdSegment, "allocs/cold-segment")
 }
 
 func BenchmarkMapTransformerFull(b *testing.B) {

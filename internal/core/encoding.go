@@ -82,6 +82,23 @@ func (s *LMS) Clone() *LMS {
 	return cp
 }
 
+// CopyFrom makes s a deep copy of src in s's own storage: its MS values and
+// the capacity of their core groups are reused, so copying between two groups
+// of one shape — a search trying a move in a spare copy — allocates nothing.
+func (s *LMS) CopyFrom(src *LMS) {
+	s.BatchUnit = src.BatchUnit
+	for len(s.MSs) < len(src.MSs) {
+		s.MSs = append(s.MSs, new(MS))
+	}
+	s.MSs = s.MSs[:len(src.MSs)]
+	for i, m := range src.MSs {
+		d := s.MSs[i]
+		cg := append(d.CG[:0], m.CG...)
+		*d = *m
+		d.CG = cg
+	}
+}
+
 // Layers returns the layer IDs of the group in order.
 func (s *LMS) Layers() []int {
 	ids := make([]int, len(s.MSs))
@@ -128,20 +145,18 @@ func (s *Scheme) GroupOf(layer int) int {
 	return -1
 }
 
-// OFDram returns, for every layer with an explicit ofmap destination, the
-// DRAM it writes to; consumers in later groups fetch from there (paper:
-// "the data can be fetched from the DRAM where the previous layer's ofmaps
-// were stored").
-func (s *Scheme) OFDram() map[int]int {
-	m := make(map[int]int)
+// ProducerOF returns the FD.OF of the layer's mapping scheme wherever in the
+// scheme it is mapped — the DRAM a consumer in another group fetches the
+// layer's ofmaps from (paper: "the data can be fetched from the DRAM where
+// the previous layer's ofmaps were stored") — or FDImplicit when the layer
+// is in no group or its ofmaps have no explicit destination.
+func (s *Scheme) ProducerOF(layer int) int {
 	for _, g := range s.Groups {
-		for _, ms := range g.MSs {
-			if ms.FD.OF != FDImplicit {
-				m[ms.Layer] = ms.FD.OF
-			}
+		if ms := g.MSFor(layer); ms != nil {
+			return ms.FD.OF
 		}
 	}
-	return m
+	return FDImplicit
 }
 
 // NeedsExplicitIF reports whether the layer consumes the DNN's external
@@ -158,12 +173,18 @@ func NeedsExplicitIF(l *dnn.Layer) bool {
 // NeedsExplicitOF reports whether the layer's ofmaps must go to DRAM: some
 // consumer lies outside the group, or the layer is a DNN output.
 func NeedsExplicitOF(g *dnn.Graph, group map[int]bool, layer int) bool {
+	return needsExplicitOF(g, func(l int) bool { return group[l] }, layer)
+}
+
+// needsExplicitOF is NeedsExplicitOF over any membership test; it only calls
+// inGroup, so a closure passed here stays on the caller's stack.
+func needsExplicitOF(g *dnn.Graph, inGroup func(layer int) bool, layer int) bool {
 	if layer < 0 || layer >= len(g.Layers) {
 		return true // no layer, no consumers
 	}
 	cons := g.Consumers()[layer]
 	for _, c := range cons {
-		if !group[c] {
+		if !inGroup(c) {
 			return true
 		}
 	}

@@ -44,20 +44,39 @@ func (o Op) String() string {
 // RandomPart draws a uniformly random valid factorization of n workloads
 // for the layer, or ok=false when none exists.
 func RandomPart(l *dnn.Layer, batchUnit, n int, rng *rand.Rand) (Part, bool) {
-	var opts []Part
-	forEachFactorization(l, batchUnit, n, func(p Part) { opts = append(opts, p) })
-	if len(opts) == 0 {
+	return (&Mutator{Rng: rng}).randomPart(l, batchUnit, n)
+}
+
+// randomPart is RandomPart drawing from the mutator's Rng and enumerating
+// into its reusable buffer.
+func (mu *Mutator) randomPart(l *dnn.Layer, batchUnit, n int) (Part, bool) {
+	mu.parts = mu.parts[:0]
+	forEachFactorization(l, batchUnit, n, func(p Part) { mu.parts = append(mu.parts, p) })
+	if len(mu.parts) == 0 {
 		return Part{}, false
 	}
-	return opts[rng.Intn(len(opts))], true
+	return mu.parts[mu.Rng.Intn(len(mu.parts))], true
 }
 
 // Mutator applies the paper's five SA operators to one layer group of a
 // scheme, in place. Drams is the controller count D (FD values range 0..D).
+// The candidate lists an operator draws from are kept in the Mutator between
+// calls, so a warmed-up Mutator applies operators without allocating.
 type Mutator struct {
 	Graph *dnn.Graph
 	Drams int
 	Rng   *rand.Rand
+
+	parts []Part   // randomPart's factorizations
+	mss   []*MS    // opSwapIntra's layers with two or more cores
+	idx   []int    // opMove's donor indices
+	slots []fdSlot // opFD's explicit flow-of-data entries
+}
+
+// fdSlot names one explicit flow-of-data entry of a layer group.
+type fdSlot struct {
+	ms    *MS
+	which int // 0=IF 1=WGT 2=OF
 }
 
 // Apply picks a random operator and applies it to group lms, returning the
@@ -90,7 +109,7 @@ func (mu *Mutator) ApplyOp(lms *LMS, op Op) bool {
 func (mu *Mutator) opPart(lms *LMS) bool {
 	ms := lms.MSs[mu.Rng.Intn(len(lms.MSs))]
 	l := mu.Graph.Layer(ms.Layer)
-	p, ok := RandomPart(l, lms.BatchUnit, len(ms.CG), mu.Rng)
+	p, ok := mu.randomPart(l, lms.BatchUnit, len(ms.CG))
 	if !ok || p == ms.Part {
 		return false
 	}
@@ -101,12 +120,13 @@ func (mu *Mutator) opPart(lms *LMS) bool {
 // opSwapIntra (OP2): randomly select a layer and swap two cores within its
 // CG — exchanging the workloads of those two cores for a single layer.
 func (mu *Mutator) opSwapIntra(lms *LMS) bool {
-	candidates := make([]*MS, 0, len(lms.MSs))
+	candidates := mu.mss[:0]
 	for _, ms := range lms.MSs {
 		if len(ms.CG) >= 2 {
 			candidates = append(candidates, ms)
 		}
 	}
+	mu.mss = candidates
 	if len(candidates) == 0 {
 		return false
 	}
@@ -145,12 +165,13 @@ func (mu *Mutator) opMove(lms *LMS) bool {
 		return false
 	}
 	// Donor must keep at least one core.
-	donors := make([]int, 0, len(lms.MSs))
+	donors := mu.idx[:0]
 	for idx, ms := range lms.MSs {
 		if len(ms.CG) >= 2 {
 			donors = append(donors, idx)
 		}
 	}
+	mu.idx = donors
 	if len(donors) == 0 {
 		return false
 	}
@@ -163,11 +184,11 @@ func (mu *Mutator) opMove(lms *LMS) bool {
 	dl := mu.Graph.Layer(donor.Layer)
 	rl := mu.Graph.Layer(recv.Layer)
 
-	dPart, ok := RandomPart(dl, lms.BatchUnit, len(donor.CG)-1, mu.Rng)
+	dPart, ok := mu.randomPart(dl, lms.BatchUnit, len(donor.CG)-1)
 	if !ok {
 		return false
 	}
-	rPart, ok := RandomPart(rl, lms.BatchUnit, len(recv.CG)+1, mu.Rng)
+	rPart, ok := mu.randomPart(rl, lms.BatchUnit, len(recv.CG)+1)
 	if !ok {
 		return false
 	}
@@ -186,22 +207,19 @@ func (mu *Mutator) opMove(lms *LMS) bool {
 // opFD (OP5): randomly select a layer, choose one of its non-negative FD
 // items, and re-randomize it within [0, D].
 func (mu *Mutator) opFD(lms *LMS) bool {
-	type slot struct {
-		ms    *MS
-		which int // 0=IF 1=WGT 2=OF
-	}
-	var slots []slot
+	slots := mu.slots[:0]
 	for _, ms := range lms.MSs {
 		if ms.FD.IF != FDImplicit {
-			slots = append(slots, slot{ms, 0})
+			slots = append(slots, fdSlot{ms, 0})
 		}
 		if ms.FD.WGT != FDImplicit {
-			slots = append(slots, slot{ms, 1})
+			slots = append(slots, fdSlot{ms, 1})
 		}
 		if ms.FD.OF != FDImplicit {
-			slots = append(slots, slot{ms, 2})
+			slots = append(slots, fdSlot{ms, 2})
 		}
 	}
+	mu.slots = slots
 	if len(slots) == 0 {
 		return false
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"gemini/internal/arch"
@@ -44,19 +45,34 @@ type DRAMFlow struct {
 // Analysis is the parsed form of one layer group's LMS: per-core workloads
 // for the intra-core engine plus all activation and weight flows for the
 // Evaluator. An Analysis can be reused across AnalyzeInto calls: its public
-// slices and maps are overwritten in place and its private scratch buffers
-// are recycled, so the SA hot loop parses groups without allocating.
+// slices are overwritten in place and its private scratch tables are
+// recycled, so the SA hot loop parses groups without allocating.
+//
+// AnalyzeInto is the parser; Analyze is its inspection form, which
+// additionally sorts ActFlows and fills the ByLayer and Works maps.
 type Analysis struct {
 	GroupIndex int
 	BatchUnit  int
 
-	PWs     []PW
-	ByLayer map[int][]int // layer -> indices into PWs (NID order)
+	PWs []PW
+	// ByLayer maps a layer to its indices into PWs (NID order). Filled by
+	// Analyze only.
+	ByLayer map[int][]int
 
-	// Works holds the intra-core workload of each occupied core.
+	// Works holds the intra-core workload of each occupied core. Filled by
+	// Analyze only; AnalyzeInto leaves the same data in CoreWorks.
 	Works map[arch.CoreID]intracore.Workload
 
-	// ActFlows and ActDRAM repeat every batch-unit pass.
+	// Occupied and CoreWorks are indexed by CoreID: CoreWorks[c] is the
+	// workload of core c where Occupied[c], and stale elsewhere. Walking
+	// them visits the occupied cores in ascending order.
+	Occupied  []bool
+	CoreWorks []intracore.Workload
+
+	// ActFlows and ActDRAM repeat every batch-unit pass. ActDRAM and
+	// WeightFlows are in canonical order (layer, controller, reads before
+	// writes, bytes, cores); ActFlows are in emission order unless the
+	// Analysis came from Analyze.
 	ActFlows []CoreFlow
 	ActDRAM  []DRAMFlow
 
@@ -69,17 +85,28 @@ type Analysis struct {
 	Depth int
 
 	// Reusable scratch. coreArena backs the Cores/Dsts slices of the
-	// emitted flows; pwIdx backs the ByLayer values (each layer's workloads
-	// occupy a contiguous index range).
-	pwIdx     []int
+	// emitted flows. layers is indexed by layer ID and holds entries only
+	// for the layers of the last parsed group, which parsed lists so the
+	// next parse clears exactly those.
 	coreArena []arch.CoreID
-	group     map[int]*MS
-	ofDRAM    map[int]int
-	depthBuf  map[int]int
+	layers    []layerState
+	parsed    []int
 	inBytes   []int64 // indexed by CoreID
 	needs     []needEntry
 	klists    []krEntry
+	dramKeys  []dramKey
+	dramBuf   []DRAMFlow
 }
+
+// layerState is what a parse knows about one layer of the group: its PW index
+// range [lo,hi) and its pipeline depth. The zero value means "not in this
+// group" (a mapped layer has at least one workload).
+type layerState struct {
+	lo, hi int32
+	depth  int32
+}
+
+func (st layerState) inGroup() bool { return st.hi > st.lo }
 
 // needEntry groups the consumer cores that fetch one identical input region
 // (the unit of multicast dedup). The small per-edge set is kept as a slice
@@ -112,19 +139,41 @@ func fdCtrl(v int) int {
 	return v - 1
 }
 
-// Analyze parses group gi of the scheme into a fresh Analysis.
-// The scheme must have passed Validate.
+// Analyze parses group gi of the scheme into a fresh Analysis — AnalyzeInto,
+// then the canonical ActFlows order and the ByLayer and Works maps that the
+// inspection consumers (reports, instruction generation, simulation
+// cross-checks) read. The scheme must have passed Validate.
 func Analyze(s *Scheme, gi int, cfg *arch.Config) (*Analysis, error) {
 	an := new(Analysis)
 	if err := AnalyzeInto(an, s, gi, cfg); err != nil {
 		return nil, err
 	}
+	an.sortActFlows()
+	// Each layer's workloads occupy a contiguous range of PW indices, so the
+	// ByLayer values are views of one identity index slice.
+	idx := make([]int, len(an.PWs))
+	for i := range idx {
+		idx[i] = i
+	}
+	lms := s.Groups[gi]
+	an.ByLayer = make(map[int][]int, len(lms.MSs))
+	for _, ms := range lms.MSs {
+		st := an.layers[ms.Layer]
+		an.ByLayer[ms.Layer] = idx[st.lo:st.hi:st.hi]
+	}
+	an.Works = make(map[arch.CoreID]intracore.Workload, len(an.PWs))
+	for c, occ := range an.Occupied {
+		if occ {
+			an.Works[arch.CoreID(c)] = an.CoreWorks[c]
+		}
+	}
 	return an, nil
 }
 
-// reset prepares a (possibly reused) Analysis for a new parse, recycling
-// every buffer it has grown so far.
-func (an *Analysis) reset(lms *LMS, gi, cores int) {
+// reset prepares a (possibly reused) Analysis for a new parse of a group of
+// a graph with nLayers layers on cores cores, recycling every buffer it has
+// grown so far.
+func (an *Analysis) reset(lms *LMS, gi, nLayers, cores int) {
 	an.GroupIndex = gi
 	an.BatchUnit = lms.BatchUnit
 	an.PWs = an.PWs[:0]
@@ -133,52 +182,39 @@ func (an *Analysis) reset(lms *LMS, gi, cores int) {
 	an.WeightFlows = an.WeightFlows[:0]
 	an.coreArena = an.coreArena[:0]
 	an.Depth = 0
-	if an.ByLayer == nil {
-		an.ByLayer = make(map[int][]int, len(lms.MSs))
-		an.Works = make(map[arch.CoreID]intracore.Workload)
-		an.group = make(map[int]*MS, len(lms.MSs))
-		an.ofDRAM = make(map[int]int)
-		an.depthBuf = make(map[int]int, len(lms.MSs))
-	} else {
-		clear(an.ByLayer)
-		clear(an.Works)
-		clear(an.group)
-		clear(an.ofDRAM)
-		clear(an.depthBuf)
+	for _, id := range an.parsed {
+		an.layers[id] = layerState{}
+	}
+	an.parsed = an.parsed[:0]
+	if len(an.layers) < nLayers {
+		an.layers = append(an.layers, make([]layerState, nLayers-len(an.layers))...)
 	}
 	if cap(an.inBytes) < cores {
 		an.inBytes = make([]int64, cores)
+		an.Occupied = make([]bool, cores)
+		an.CoreWorks = make([]intracore.Workload, cores)
 	}
 	an.inBytes = an.inBytes[:cores]
-	for i := range an.inBytes {
-		an.inBytes[i] = 0
-	}
+	an.Occupied = an.Occupied[:cores]
+	an.CoreWorks = an.CoreWorks[:cores]
+	clear(an.inBytes)
+	clear(an.Occupied)
 }
 
 // AnalyzeInto parses group gi of the scheme into an, reusing an's buffers.
 // It is the allocation-free core of the Evaluator's hot loop: after warm-up
-// a parse touches no heap. The scheme must have passed Validate.
+// a parse touches no heap and no map, and visits nothing outside the group
+// but the producers its inputs name. The scheme must have passed Validate.
 //
 //gemini:noalloc
 func AnalyzeInto(an *Analysis, s *Scheme, gi int, cfg *arch.Config) error {
 	lms := s.Groups[gi]
 	g := s.Graph
 	bu := lms.BatchUnit
-	an.reset(lms, gi, cfg.Cores())
-	for _, grp := range s.Groups {
-		for _, ms := range grp.MSs {
-			if ms.FD.OF != FDImplicit {
-				an.ofDRAM[ms.Layer] = ms.FD.OF
-			}
-		}
-	}
-	for _, ms := range lms.MSs {
-		an.group[ms.Layer] = ms
-	}
+	an.reset(lms, gi, len(g.Layers), cfg.Cores())
 
 	// Enumerate partitioned workloads per the correspondence rule. Each
-	// layer's workloads occupy a contiguous range of PW indices, so the
-	// ByLayer values are views into the shared pwIdx buffer.
+	// layer's workloads occupy a contiguous range of PW indices.
 	for _, ms := range lms.MSs {
 		l := g.Layer(ms.Layer)
 		p := ms.Part
@@ -197,21 +233,21 @@ func AnalyzeInto(an *Analysis, s *Scheme, gi int, cfg *arch.Config) error {
 				}
 			}
 		}
-		an.ByLayer[ms.Layer] = an.pwIdxRange(start, len(an.PWs))
+		an.layers[ms.Layer] = layerState{lo: int32(start), hi: int32(len(an.PWs))}
+		an.parsed = append(an.parsed, ms.Layer)
 	}
 
 	// Infer activation flows for every consumer edge.
 	for _, ms := range lms.MSs {
 		l := g.Layer(ms.Layer)
 		for _, edge := range l.Inputs {
-			if err := an.analyzeEdge(s, l, ms, edge); err != nil {
-				return err
-			}
+			an.analyzeEdge(s, l, ms, edge)
 		}
 		// Explicit ofmap writes to DRAM.
 		if ms.FD.OF != FDImplicit {
-			for _, pi := range an.ByLayer[ms.Layer] {
-				pw := &an.PWs[pi]
+			pws := an.layerPWs(ms.Layer)
+			for i := range pws {
+				pw := &pws[i]
 				an.ActDRAM = append(an.ActDRAM, DRAMFlow{
 					Layer: ms.Layer,
 					Ctrl:  fdCtrl(ms.FD.OF),
@@ -231,8 +267,9 @@ func AnalyzeInto(an *Analysis, s *Scheme, gi int, cfg *arch.Config) error {
 		}
 		perK := l.WeightVol() / int64(l.OK)
 		an.klists = an.klists[:0]
-		for _, pi := range an.ByLayer[ms.Layer] {
-			pw := &an.PWs[pi]
+		pws := an.layerPWs(ms.Layer)
+		for pi := range pws {
+			pw := &pws[pi]
 			ki := -1
 			for i := range an.klists {
 				if an.klists[i].kr == pw.KR {
@@ -264,10 +301,16 @@ func AnalyzeInto(an *Analysis, s *Scheme, gi int, cfg *arch.Config) error {
 		if l.HasWeights {
 			perK = l.WeightVol() / int64(l.OK)
 		}
-		for _, pi := range an.ByLayer[ms.Layer] {
-			pw := &an.PWs[pi]
+		pws := an.layerPWs(ms.Layer)
+		for i := range pws {
+			pw := &pws[i]
+			if an.Occupied[pw.Core] {
+				//gemini:alloc-ok cold path: duplicate assignment means the scheme is invalid and the parse aborts
+				return fmt.Errorf("core: core %d assigned twice (%v and layer %d)", pw.Core, an.CoreWorks[pw.Core].Kind, pw.Layer)
+			}
 			vol := pw.Vol()
-			work := intracore.Workload{
+			an.Occupied[pw.Core] = true
+			an.CoreWorks[pw.Core] = intracore.Workload{
 				Kind:     l.Kind,
 				H:        pw.HR.Len(),
 				W:        pw.WR.Len(),
@@ -283,26 +326,20 @@ func AnalyzeInto(an *Analysis, s *Scheme, gi int, cfg *arch.Config) error {
 				WBytes:   perK * int64(pw.KR.Len()) * dnn.ElemBytes,
 				OutBytes: vol * dnn.ElemBytes,
 			}
-			if prev, dup := an.Works[pw.Core]; dup {
-				//gemini:alloc-ok cold path: duplicate assignment means the scheme is invalid and the parse aborts
-				return fmt.Errorf("core: core %d assigned twice (%v and layer %d)", pw.Core, prev.Kind, pw.Layer)
-			}
-			an.Works[pw.Core] = work
 		}
 	}
 
-	an.Depth = groupDepth(g, an.group, an.depthBuf)
-	an.sortFlows()
+	an.Depth = an.groupDepth(g)
+	an.sortDRAM(&an.ActDRAM)
+	an.sortDRAM(&an.WeightFlows)
 	return nil
 }
 
-// pwIdxRange returns the identity index slice [lo,hi) backed by the shared
-// grow-only pwIdx buffer.
-func (an *Analysis) pwIdxRange(lo, hi int) []int {
-	for len(an.pwIdx) < hi {
-		an.pwIdx = append(an.pwIdx, len(an.pwIdx))
-	}
-	return an.pwIdx[lo:hi:hi]
+// layerPWs returns the partitioned workloads of a layer of the parsed group
+// (none for a layer outside it).
+func (an *Analysis) layerPWs(layer int) []PW {
+	st := an.layers[layer]
+	return an.PWs[st.lo:st.hi]
 }
 
 // growKR extends the klists buffer by one entry for kr, recycling the cores
@@ -333,22 +370,25 @@ func growNeed(buf []needEntry, region dnn.EdgeRegion) []needEntry {
 	return buf
 }
 
-// sortFlows orders all flow slices deterministically. Flow emission order
-// follows scratch-buffer insertion order, so without this the float
-// summation order (and therefore SA accept/reject decisions) could vary
-// between structurally identical schemes built along different paths.
-func (an *Analysis) sortFlows() {
-	coreCmp := func(a, b []arch.CoreID) int {
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				if a[i] < b[i] {
-					return -1
-				}
-				return 1
+// coreCmp orders core lists lexicographically, a prefix before its extensions.
+func coreCmp(a, b []arch.CoreID) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			if a[i] < b[i] {
+				return -1
 			}
+			return 1
 		}
-		return len(a) - len(b)
 	}
+	return len(a) - len(b)
+}
+
+// sortActFlows puts ActFlows in canonical order (source, bytes, destinations)
+// for the inspection consumers. The Evaluator does not need it: every
+// CoreFlow.Bytes is an integer-valued float64 (dnn.ElemBytes is 1) added onto
+// zeroed link loads before any DRAM flow, and sums of non-negative integers
+// below 2^53 are exact in any order.
+func (an *Analysis) sortActFlows() {
 	slices.SortFunc(an.ActFlows, func(x, y CoreFlow) int {
 		if x.Src != y.Src {
 			if x.Src < y.Src {
@@ -364,50 +404,94 @@ func (an *Analysis) sortFlows() {
 		}
 		return coreCmp(x.Dsts, y.Dsts)
 	})
-	dramCmp := func(x, y DRAMFlow) int {
-		if x.Layer != y.Layer {
-			return x.Layer - y.Layer
+}
+
+// dramKey is a DRAMFlow's sort key packed into integers: hi orders by layer,
+// controller and direction, lo by bytes (the bit pattern of a non-negative
+// float64 orders as the float does), c0 is the first core, and i names the
+// flow, whose remaining cores break the last ties.
+type dramKey struct {
+	hi, lo uint64
+	c0, i  int32
+}
+
+// sortDRAM puts a DRAM flow list in canonical order: layer, controller, reads
+// before writes, bytes, cores. Unlike activation flows these must be summed in
+// one fixed order, because an interleaved flow adds bytes/controllers to each
+// controller and that quotient is not exact. What is sorted is the three-word
+// keys, not the 56-byte flows through a comparator, and by insertion: flows
+// are emitted one layer after another, so with the layers ascending — every
+// stripe and every SA state — a key only ever moves within its own layer's
+// run, which is no longer than the layer has cores. (In the worst case that is
+// cores^2/4 key moves per layer, a fraction of the cores^2 region
+// intersections analyzeEdge has already spent on the same layer.)
+func (an *Analysis) sortDRAM(list *[]DRAMFlow) {
+	flows := *list
+	keys := an.dramKeys[:0]
+	moved := false
+	for i := range flows {
+		f := &flows[i]
+		k := dramKey{hi: uint64(f.Layer)<<32 | uint64(f.Ctrl+1)<<1, lo: math.Float64bits(f.Bytes), c0: int32(f.Cores[0]), i: int32(i)}
+		if f.Write {
+			k.hi |= 1
 		}
-		if x.Ctrl != y.Ctrl {
-			return x.Ctrl - y.Ctrl
+		j := len(keys)
+		keys = append(keys, k)
+		for ; j > 0 && k.before(&keys[j-1], flows); j-- {
+			keys[j] = keys[j-1]
+			moved = true
 		}
-		if x.Write != y.Write {
-			if y.Write {
-				return -1
-			}
-			return 1
-		}
-		if x.Bytes != y.Bytes {
-			if x.Bytes < y.Bytes {
-				return -1
-			}
-			return 1
-		}
-		return coreCmp(x.Cores, y.Cores)
+		keys[j] = k
 	}
-	slices.SortFunc(an.ActDRAM, dramCmp)
-	slices.SortFunc(an.WeightFlows, dramCmp)
+	an.dramKeys = keys
+	if !moved {
+		return
+	}
+	out := an.dramBuf[:0]
+	for _, k := range keys {
+		out = append(out, flows[k.i])
+	}
+	// The flows' core lists are views of coreArena, so the two flow buffers
+	// can trade places without copying anything they point to.
+	*list, an.dramBuf = out, flows
+}
+
+// before reports whether k's flow sorts strictly ahead of o's.
+func (k *dramKey) before(o *dramKey, flows []DRAMFlow) bool {
+	if k.hi != o.hi {
+		return k.hi < o.hi
+	}
+	if k.lo != o.lo {
+		return k.lo < o.lo
+	}
+	if k.c0 != o.c0 {
+		return k.c0 < o.c0
+	}
+	return coreCmp(flows[k.i].Cores, flows[o.i].Cores) < 0
 }
 
 // analyzeEdge infers the flows feeding layer l through one input edge.
-func (an *Analysis) analyzeEdge(s *Scheme, l *dnn.Layer, ms *MS, edge dnn.Input) error {
+func (an *Analysis) analyzeEdge(s *Scheme, l *dnn.Layer, ms *MS, edge dnn.Input) {
 	g := s.Graph
 
 	var srcOH, srcOW, srcOK int
-	var prodMS *MS
+	var producers []PW
+	inGroup := false
 	switch {
 	case edge.Src == dnn.ExternalInput:
 		srcOH, srcOW, srcOK = l.IH(), l.IW(), l.IC
 	default:
 		pl := g.Layer(edge.Src)
 		srcOH, srcOW, srcOK = pl.OH, pl.OW, pl.OK
-		prodMS = an.group[edge.Src]
+		inGroup = an.layers[edge.Src].inGroup()
+		producers = an.layerPWs(edge.Src)
 	}
 
 	// Consumer needs, grouped by identical region for multicast dedup.
 	an.needs = an.needs[:0]
-	for _, pi := range an.ByLayer[ms.Layer] {
-		pw := &an.PWs[pi]
+	pws := an.layerPWs(ms.Layer)
+	for pi := range pws {
+		pw := &pws[pi]
 		reg := l.NeededRegion(edge, pw.HR, pw.WR, pw.BR, pw.KR, srcOH, srcOW, srcOK)
 		v := reg.Vol()
 		if v == 0 {
@@ -428,18 +512,16 @@ func (an *Analysis) analyzeEdge(s *Scheme, l *dnn.Layer, ms *MS, edge dnn.Input)
 		an.needs[ni].cores = appendUnique(an.needs[ni].cores, pw.Core)
 	}
 
-	if prodMS == nil {
+	if !inGroup {
 		// Data comes from DRAM: the DNN input's explicit IF, or the DRAM
-		// where the cross-group producer stored its ofmaps.
-		ctrl := 0
+		// where the cross-group producer stored its ofmaps. A producer in no
+		// group (the graph-partition engine scoring an isolated segment) or
+		// without an explicit destination is assumed interleaved.
+		ctrl := -1
 		if edge.Src == dnn.ExternalInput {
 			ctrl = fdCtrl(ms.FD.IF)
-		} else if of, ok := an.ofDRAM[edge.Src]; ok {
+		} else if of := s.ProducerOF(edge.Src); of != FDImplicit {
 			ctrl = fdCtrl(of)
-		} else {
-			// Producer group not present (e.g. the graph-partition engine
-			// scoring an isolated segment): assume interleaved storage.
-			ctrl = -1
 		}
 		for i := range an.needs {
 			n := &an.needs[i]
@@ -450,7 +532,7 @@ func (an *Analysis) analyzeEdge(s *Scheme, l *dnn.Layer, ms *MS, edge dnn.Input)
 				Bytes: float64(n.region.Vol()) * dnn.ElemBytes,
 			})
 		}
-		return nil
+		return
 	}
 
 	// In-group producer: intersect each consumer need with every producer
@@ -458,8 +540,8 @@ func (an *Analysis) analyzeEdge(s *Scheme, l *dnn.Layer, ms *MS, edge dnn.Input)
 	// several consumers become one multicast flow.
 	for i := range an.needs {
 		n := &an.needs[i]
-		for _, qi := range an.ByLayer[edge.Src] {
-			q := &an.PWs[qi]
+		for qi := range producers {
+			q := &producers[qi]
 			ovl := dnn.EdgeRegion{
 				H: n.region.H.Intersect(q.HR),
 				W: n.region.W.Intersect(q.WR),
@@ -486,7 +568,6 @@ func (an *Analysis) analyzeEdge(s *Scheme, l *dnn.Layer, ms *MS, edge dnn.Input)
 			})
 		}
 	}
-	return nil
 }
 
 // reducedChannels returns the input channels reduced per output element.
@@ -529,28 +610,37 @@ func partVecOps(l *dnn.Layer, vol int64) int64 {
 	return vol * int64(l.FusedOps)
 }
 
-// groupDepth returns the longest dependency chain within the group. depth
-// is a caller-provided (cleared) scratch map.
-func groupDepth(g *dnn.Graph, group map[int]*MS, depth map[int]int) int {
-	best := 0
-	for _, l := range g.Layers { // topological order
-		if _, ok := group[l.ID]; !ok {
+// groupDepth returns the longest dependency chain within the parsed group.
+// Layer IDs are topological, so walking the group's ID span in order sees
+// every in-group producer before its consumers.
+func (an *Analysis) groupDepth(g *dnn.Graph) int {
+	if len(an.parsed) == 0 {
+		return 0
+	}
+	lo, hi := an.parsed[0], an.parsed[0]
+	for _, id := range an.parsed[1:] {
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	best := int32(0)
+	for id := lo; id <= hi; id++ {
+		st := &an.layers[id]
+		if !st.inGroup() {
 			continue
 		}
-		d := 1
-		for _, in := range l.Inputs {
+		d := int32(1)
+		for _, in := range g.Layers[id].Inputs {
 			if in.Src >= 0 {
-				if pd, ok := depth[in.Src]; ok && pd+1 > d {
+				if pd := an.layers[in.Src].depth; pd+1 > d {
 					d = pd + 1
 				}
 			}
 		}
-		depth[l.ID] = d
+		st.depth = d
 		if d > best {
 			best = d
 		}
 	}
-	return best
+	return int(best)
 }
 
 func appendUnique(s []arch.CoreID, c arch.CoreID) []arch.CoreID {

@@ -36,15 +36,68 @@ func layerWeight(l *dnn.Layer) float64 {
 // compute weight (largest-remainder method), each layer receiving at least
 // one core and at most its maximum useful partition count.
 func AllocateCores(g *dnn.Graph, layers []int, m, batchUnit int) ([]int, error) {
+	var b stripeBufs
+	if err := b.allocateCores(g, layers, m, batchUnit); err != nil {
+		return nil, err
+	}
+	return b.alloc, nil
+}
+
+// stripeBufs holds every buffer building one stripe LMS needs, so a caller
+// that keeps one (Striper.Scratch) builds LMS after LMS without allocating.
+type stripeBufs struct {
+	// Core allocation tables, one entry per layer of the group.
+	caps, alloc []int
+	weights     []float64
+	byRem       byRemainder
+
+	member []bool // indexed by layer ID; true only while that layer's group is being built
+
+	// The LMS under construction: its MS values, the pointers to them that
+	// LMS.MSs holds, and the arena their core groups are views of.
+	lms  LMS
+	mss  []MS
+	ptrs []*MS
+	cgs  []arch.CoreID
+}
+
+// byRemainder sorts layer indices by descending allocation remainder. It is
+// a sort.Interface so sorting it runs the algorithm sort.Slice ran here
+// before — the same comparisons and swaps, so ties between equal remainders
+// fall as they always have (TestStripeEncodingPinned) — without sort.Slice's
+// closure and reflection swapper.
+type byRemainder struct {
+	order      []int
+	remainders []float64
+}
+
+func (r *byRemainder) Len() int           { return len(r.order) }
+func (r *byRemainder) Less(a, b int) bool { return r.remainders[r.order[a]] > r.remainders[r.order[b]] }
+func (r *byRemainder) Swap(a, b int)      { r.order[a], r.order[b] = r.order[b], r.order[a] }
+
+// resize returns buf with length n, reusing its backing array when it fits.
+// Contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// allocateCores is AllocateCores into b.alloc.
+//
+//gemini:noalloc
+func (b *stripeBufs) allocateCores(g *dnn.Graph, layers []int, m, batchUnit int) error {
 	n := len(layers)
 	if n == 0 {
-		return nil, fmt.Errorf("core: empty layer group")
+		return fmt.Errorf("core: empty layer group") //gemini:alloc-ok cold path: the group cannot be striped
 	}
 	if n > m {
-		return nil, fmt.Errorf("core: %d layers exceed %d cores", n, m)
+		return fmt.Errorf("core: %d layers exceed %d cores", n, m) //gemini:alloc-ok cold path: the group cannot be striped
 	}
-	caps := make([]int, n)
-	weights := make([]float64, n)
+	b.caps, b.alloc, b.weights = resize(b.caps, n), resize(b.alloc, n), resize(b.weights, n)
+	b.byRem.order, b.byRem.remainders = resize(b.byRem.order, n), resize(b.byRem.remainders, n)
+	caps, alloc, weights, remainders, order := b.caps, b.alloc, b.weights, b.byRem.remainders, b.byRem.order
 	total := 0.0
 	for i, id := range layers {
 		l := g.Layer(id)
@@ -52,8 +105,6 @@ func AllocateCores(g *dnn.Graph, layers []int, m, batchUnit int) ([]int, error) 
 		weights[i] = layerWeight(l)
 		total += weights[i]
 	}
-	alloc := make([]int, n)
-	remainders := make([]float64, n)
 	used := 0
 	for i := range layers {
 		ideal := weights[i] / total * float64(m)
@@ -68,12 +119,11 @@ func AllocateCores(g *dnn.Graph, layers []int, m, batchUnit int) ([]int, error) 
 		used += alloc[i]
 	}
 	// Distribute leftovers to the largest remainders that can absorb them.
-	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	for used < m {
-		sort.Slice(order, func(a, b int) bool { return remainders[order[a]] > remainders[order[b]] })
+		sort.Sort(&b.byRem)
 		progressed := false
 		for _, i := range order {
 			if used >= m {
@@ -99,12 +149,12 @@ func AllocateCores(g *dnn.Graph, layers []int, m, batchUnit int) ([]int, error) 
 			}
 		}
 		if worst < 0 {
-			return nil, fmt.Errorf("core: cannot fit %d layers in %d cores", n, m)
+			return fmt.Errorf("core: cannot fit %d layers in %d cores", n, m) //gemini:alloc-ok cold path: the group cannot be striped
 		}
 		alloc[worst]--
 		used--
 	}
-	return alloc, nil
+	return nil
 }
 
 // maxParts bounds how many workloads a layer can be split into.
@@ -203,45 +253,68 @@ func LargestFeasible(l *dnn.Layer, batchUnit, n int) int {
 // first partitions, and interleaved DRAM flows. This is both the T-Map
 // baseline and the SA's initial scheme (paper Sec. V-B1).
 func Stripes(g *dnn.Graph, layers []int, cfg *arch.Config, batchUnit int) (*LMS, error) {
-	return stripes(g, layers, SnakeOrder(cfg), batchUnit)
+	st := NewStriper(cfg)
+	return st.Stripes(g, layers, batchUnit)
 }
 
 // Striper builds stripe LMSs over one architecture's snake order, computed
 // once: the graph partitioner stripes thousands of candidate segments per
-// architecture.
-type Striper struct{ order []arch.CoreID }
+// architecture, reads each once and drops it, so it builds them in the
+// Striper's own buffers (Scratch).
+type Striper struct {
+	order   []arch.CoreID
+	scratch stripeBufs
+}
 
 // NewStriper returns the Striper for cfg.
 func NewStriper(cfg *arch.Config) Striper { return Striper{order: SnakeOrder(cfg)} }
 
-// Stripes is core.Stripes on the Striper's architecture.
-func (st Striper) Stripes(g *dnn.Graph, layers []int, batchUnit int) (*LMS, error) {
-	return stripes(g, layers, st.order, batchUnit)
+// Stripes is core.Stripes on the Striper's architecture: a fresh LMS the
+// caller owns.
+func (st *Striper) Stripes(g *dnn.Graph, layers []int, batchUnit int) (*LMS, error) {
+	return new(stripeBufs).stripes(g, layers, st.order, batchUnit)
 }
 
-// stripes is Stripes over a precomputed snake order of the core array; it
-// only reads order.
-func stripes(g *dnn.Graph, layers []int, order []arch.CoreID, batchUnit int) (*LMS, error) {
-	alloc, err := AllocateCores(g, layers, len(order), batchUnit)
-	if err != nil {
+// Scratch is Stripes into buffers the Striper reuses: the returned LMS and
+// everything it points to are valid until the next Scratch call, and after
+// warm-up building it allocates nothing.
+//
+//gemini:noalloc
+func (st *Striper) Scratch(g *dnn.Graph, layers []int, batchUnit int) (*LMS, error) {
+	return st.scratch.stripes(g, layers, st.order, batchUnit)
+}
+
+// stripes builds the stripe LMS over a precomputed snake order of the core
+// array in b's buffers and returns &b.lms; it only reads order. With buffers
+// that have grown to the group's size it allocates nothing.
+//
+//gemini:noalloc
+func (b *stripeBufs) stripes(g *dnn.Graph, layers []int, order []arch.CoreID, batchUnit int) (*LMS, error) {
+	if err := b.allocateCores(g, layers, len(order), batchUnit); err != nil {
 		return nil, err
 	}
-	group := make(map[int]bool, len(layers))
+	n := len(layers)
+	b.member = resize(b.member, len(g.Layers))
+	b.mss, b.ptrs, b.cgs = resize(b.mss, n), resize(b.ptrs, n), resize(b.cgs, len(order))
 	for _, id := range layers {
-		group[id] = true
+		b.member[id] = true
 	}
-	lms := &LMS{BatchUnit: batchUnit}
+	inGroup := func(layer int) bool { return b.member[layer] } //gemini:alloc-ok stays on the stack: needsExplicitOF only calls it (pinned by TestSegmentMissAllocs)
 	pos := 0
 	for i, id := range layers {
 		l := g.Layer(id)
-		n := alloc[i]
-		part, ok := HeuristicPart(l, batchUnit, n)
+		cores := b.alloc[i]
+		part, ok := HeuristicPart(l, batchUnit, cores)
 		if !ok {
-			n = LargestFeasible(l, batchUnit, n)
-			part, _ = HeuristicPart(l, batchUnit, n)
+			cores = LargestFeasible(l, batchUnit, cores)
+			part, _ = HeuristicPart(l, batchUnit, cores)
 		}
-		cg := append([]arch.CoreID(nil), order[pos:pos+n]...)
-		pos += n
+		// Each core group is a capacity-clipped view of the arena, so an
+		// operator that grows one reallocates instead of overrunning its
+		// neighbour.
+		cg := b.cgs[pos : pos+cores : pos+cores]
+		copy(cg, order[pos:pos+cores])
+		pos += cores
 		fd := FD{IF: FDImplicit, WGT: FDImplicit, OF: FDImplicit}
 		if NeedsExplicitIF(l) {
 			fd.IF = FDInterleave
@@ -249,12 +322,17 @@ func stripes(g *dnn.Graph, layers []int, order []arch.CoreID, batchUnit int) (*L
 		if l.HasWeights {
 			fd.WGT = FDInterleave
 		}
-		if NeedsExplicitOF(g, group, id) {
+		if needsExplicitOF(g, inGroup, id) {
 			fd.OF = FDInterleave
 		}
-		lms.MSs = append(lms.MSs, &MS{Layer: id, Part: part, CG: cg, FD: fd})
+		b.mss[i] = MS{Layer: id, Part: part, CG: cg, FD: fd}
+		b.ptrs[i] = &b.mss[i]
 	}
-	return lms, nil
+	for _, id := range layers {
+		b.member[id] = false
+	}
+	b.lms = LMS{BatchUnit: batchUnit, MSs: b.ptrs}
+	return &b.lms, nil
 }
 
 // StripeScheme builds a full stripe-mapped Scheme from a layer-group
@@ -265,9 +343,9 @@ func StripeScheme(g *dnn.Graph, cfg *arch.Config, groups [][]int, batchUnits []i
 		return nil, fmt.Errorf("core: %d groups but %d batch units", len(groups), len(batchUnits))
 	}
 	s := &Scheme{Graph: g, Batch: batch, Groups: make([]*LMS, len(groups))}
-	order := SnakeOrder(cfg)
+	st := NewStriper(cfg)
 	for i, layers := range groups {
-		lms, err := stripes(g, layers, order, batchUnits[i])
+		lms, err := st.Stripes(g, layers, batchUnits[i])
 		if err != nil {
 			return nil, err
 		}

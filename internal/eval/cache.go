@@ -65,8 +65,11 @@ type CacheKey struct {
 }
 
 // cacheShards keeps lock contention low when many DSE workers race on one
-// shared cache; the SA hot loop hits the cache on nearly every iteration.
-const cacheShards = 64
+// shared cache; the SA hot loop asks the cache on every iteration. With
+// cacheShardLimit it also sets the capacity, 2.1 M entries: the reduced
+// 72-TOPs grid holds 0.6 M after one sweep and gains 0.12 M per further seed,
+// so a session serves a dozen reseeded sweeps before its first flush.
+const cacheShards = 128
 
 // cacheShardLimit bounds each shard; a full shard is flushed wholesale (a
 // full flush is simpler than LRU: the working set of any one sweep is far

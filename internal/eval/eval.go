@@ -11,7 +11,6 @@ package eval
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"gemini/internal/arch"
@@ -123,13 +122,13 @@ type groupSummary struct {
 }
 
 // evalScratch is the reusable per-evaluation state: one pooled Traffic pair
-// (per-pass and load-once), the parsed Analysis, and the resident/coreOrder
-// buffers. Pooled per evaluator so concurrent evaluations do not contend.
+// (per-pass and load-once), the parsed Analysis, and the resident flags and
+// resident/streaming core lists. Pooled per evaluator so concurrent
+// evaluations do not contend.
 type evalScratch struct {
 	an        *core.Analysis
 	tr, wOnce *noc.Traffic
 	resident  []bool // indexed by CoreID; valid only for occupied cores
-	coreOrder []arch.CoreID
 	resBuf    []arch.CoreID
 	strBuf    []arch.CoreID
 }
@@ -251,6 +250,29 @@ func (e *Evaluator) summarizeGroup(s *core.Scheme, gi int) groupSummary {
 	return sum
 }
 
+// EvaluateAnalysis evaluates a group from its parsed form, uncached: the
+// pipeline behind a cache miss, entered after the parse. Given core.Analyze's
+// inspection form of a group — the same parse with its activation flows in
+// canonical order — it returns exactly what EvaluateGroup returns for that
+// group, which is how the order-invariance of the miss path is checked from
+// outside the package.
+func (e *Evaluator) EvaluateAnalysis(an *core.Analysis, batch int) (res GroupResult) {
+	sum := e.summarizeParsed(an)
+	e.finish(&sum, batch, &res)
+	return
+}
+
+// summarizeParsed is summarizeAnalysis over an Analysis the caller owns.
+func (e *Evaluator) summarizeParsed(an *core.Analysis) groupSummary {
+	sc := e.scratch.Get().(*evalScratch)
+	own := sc.an
+	sc.an = an
+	sum := e.summarizeAnalysis(sc)
+	sc.an = own
+	e.scratch.Put(sc)
+	return sum
+}
+
 // summarizeAnalysis turns one parsed group analysis into a groupSummary
 // using the scratch buffers only. It must not read NoCBW, D2DBW or DRAMBW:
 // the summary is shared by every configuration with this AnalysisFingerprint.
@@ -261,23 +283,21 @@ func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 	cp := e.coreParams()
 	freqHz := e.Cfg.FreqGHz * 1e9
 
-	// Intra-core exploration per occupied core. resident is indexed by core
-	// ID and only written for occupied cores — exactly the cores the weight
-	// flows below can reference — so stale entries are never read and the
-	// buffer needs no clearing between evaluations.
+	// Intra-core exploration per occupied core, in ascending core order.
+	// resident is indexed by core ID and only written for occupied cores —
+	// exactly the cores the weight flows below can reference — so stale
+	// entries are never read and the buffer needs no clearing between
+	// evaluations.
 	sum := groupSummary{Feasible: true, BatchUnit: an.BatchUnit, Depth: an.Depth}
 	var utilSum float64
 	nUtil := 0
 	resident := sc.resident
-	coreOrder := sc.coreOrder[:0]
-	for c := range an.Works {
-		coreOrder = append(coreOrder, c)
-	}
-	sc.coreOrder = coreOrder
-	slices.Sort(coreOrder)
-	for _, c := range coreOrder {
-		w := an.Works[c]
-		r := e.Memo.Explore(w, cp)
+	for c, occupied := range an.Occupied {
+		if !occupied {
+			continue
+		}
+		w := &an.CoreWorks[c]
+		r := e.Memo.Explore(*w, cp)
 		if !r.Feasible {
 			return groupSummary{}
 		}
@@ -300,7 +320,10 @@ func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 		sum.AvgUtil = utilSum / float64(nUtil)
 	}
 
-	// Per-pass activation traffic.
+	// Per-pass activation traffic. ActFlows arrive in emission order: their
+	// bytes are integers added onto zeroed loads ahead of any DRAM flow, so
+	// every partial sum is exact and the order cannot be seen. The DRAM lists
+	// are in canonical order, because an interleaved share is not an integer.
 	tr := sc.tr
 	tr.Reset()
 	for _, f := range an.ActFlows {
@@ -448,22 +471,18 @@ func (e *Evaluator) groupFingerprint(s *core.Scheme, gi int) uint64 {
 		}
 		h = fnv1a(h, ^uint64(0)) // CG terminator
 	}
-	// Cross-group context: where each outside-produced input lives. Mirrors
-	// Analyze's ofDRAM resolution — "-2" marks a producer with no explicit
-	// ofmap destination anywhere in the scheme (interleaved fallback).
+	// Cross-group context: where each outside-produced input lives, by the
+	// resolution AnalyzeInto applies (Scheme.ProducerOF) — "-2" marks a
+	// producer with no explicit ofmap destination anywhere in the scheme
+	// (interleaved fallback).
 	for _, ms := range lms.MSs {
 		for _, edge := range s.Graph.Layer(ms.Layer).Inputs {
 			if edge.Src < 0 || lms.MSFor(edge.Src) != nil {
 				continue
 			}
-			of := -2
-			for _, g2 := range s.Groups {
-				if m2 := g2.MSFor(edge.Src); m2 != nil {
-					if m2.FD.OF != core.FDImplicit {
-						of = m2.FD.OF
-					}
-					break
-				}
+			of := s.ProducerOF(edge.Src)
+			if of == core.FDImplicit {
+				of = -2
 			}
 			h = fnv1a(h, uint64(edge.Src))
 			h = fnv1a(h, uint64(int64(of)))

@@ -9,6 +9,7 @@ import (
 	"gemini/internal/dnn"
 	"gemini/internal/eval"
 	"gemini/internal/graphpart"
+	"gemini/internal/sa"
 )
 
 // TestDiskV2FileLoadsCold: testdata/evalcache_v2_parent.ndjson is the spill
@@ -35,6 +36,37 @@ func TestDiskV2FileLoadsCold(t *testing.T) {
 	r := eval.New(&cfg).Evaluate(res.Scheme)
 	if r.Delay != 6.282199999999999e-06 || r.Energy.Total() != 2.559942488e-05 {
 		t.Errorf("partition diverged from the parent's: delay %v energy %v", r.Delay, r.Energy.Total())
+	}
+}
+
+// TestDiskV3ParentFileServes: testdata/evalcache_v3_parent.ndjson is the
+// spill the commit before the miss path was rewritten (dense analysis tables,
+// unsorted activation flows, scratch striping) wrote after partitioning
+// TinyCNN on G-Arch-72 at batch 4 and annealing the result for 150 iterations
+// at the default seed: 187 entries, named segments and SA content keys alike.
+// No key, summary or format moved, so repeating both on a cache loaded from
+// it computes nothing — every lookup is served by a disk entry — and lands on
+// the parent's costs.
+func TestDiskV3ParentFileServes(t *testing.T) {
+	cache := eval.NewCache()
+	n, err := cache.LoadDisk(filepath.Join("testdata", "evalcache_v3_parent.ndjson"))
+	if err != nil || n != 187 {
+		t.Fatalf("v3 parent file: loaded %d entries, err %v; want 187", n, err)
+	}
+	cfg := arch.GArch72()
+	ev := eval.NewWithCache(&cfg, cache)
+	res, err := graphpart.Partition(dnn.TinyCNN(), &cfg, ev, 4, graphpart.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := sa.DefaultOptions()
+	opt.Iterations = 150
+	r := sa.Optimize(res.Scheme, ev, opt)
+	if st := cache.Stats(); st.Misses != 0 || st.Hits == 0 || st.DiskHits != st.Hits || st.Entries != 187 {
+		t.Errorf("partition + SA over the parent's spill: %+v; want every lookup served from disk", st)
+	}
+	if res.Cost != 1.2625220656183211e-05 || r.Cost != 1.5747418970994997e-10 {
+		t.Errorf("partition cost %v, SA cost %v; the parent computed 1.2625220656183211e-05 and 1.5747418970994997e-10", res.Cost, r.Cost)
 	}
 }
 

@@ -42,10 +42,13 @@ func TestSegmentHitAllocFree(t *testing.T) {
 }
 
 // TestSegmentCostAllocations pins what scoring one DP segment allocates: on
-// a cache hit nothing, on a miss exactly the segment's stripe LMS — the snake
-// order, the [j,i) layer-ID slice and the one-group scheme are per-Partition
-// invariants owned by the segmenter. The pins are relative to core.Stripes
-// so they hold across Go versions' map and slice growth policies.
+// a cache hit nothing, and on a miss nothing either, whatever the segment's
+// length — the snake order, the [j,i) layer-ID slice, the one-group scheme and
+// the buffers the stripe LMS is built in are all owned by the segmenter, and
+// the core allocator sorts through a sort.Interface instead of sort.Slice's
+// closure. Striper.Stripes, which returns an LMS the caller keeps, is pinned
+// relative to core.Stripes so the pin holds across Go versions' growth
+// policies: it saves exactly the snake order.
 func TestSegmentCostAllocations(t *testing.T) {
 	sg, cfg := allocSegmenter(t)
 	const j, i, bu = allocJ, allocI, allocBU
@@ -57,21 +60,43 @@ func TestSegmentCostAllocations(t *testing.T) {
 		t.Fatalf("segment LMS diverged from core.Stripes: %+v vs %+v", got, want)
 	}
 
-	key := sg.ev.SegmentKey(sg.g, sg.scheme.Batch, j, i, bu)
 	perHit := testing.AllocsPerRun(100, func() { _ = sg.cost(j, i, bu) })
-	// evaluateMiss overwrites the entry the first call stored, so every run
-	// is the whole miss path without growing the cache.
-	perMiss := testing.AllocsPerRun(100, func() { _ = sg.evaluateMiss(key, j, i, bu) })
 	perStriper := testing.AllocsPerRun(100, func() { _, _ = sg.striper.Stripes(sg.g, sg.ids[j:i], bu) })
 	perStripes := testing.AllocsPerRun(100, func() { _, _ = core.Stripes(sg.g, sg.ids[j:i], cfg, bu) })
-	t.Logf("allocations per segment: hit %.0f, miss %.0f, Striper.Stripes %.0f, core.Stripes %.0f", perHit, perMiss, perStriper, perStripes)
+	t.Logf("allocations per segment: hit %.0f, Striper.Stripes %.0f, core.Stripes %.0f", perHit, perStriper, perStripes)
 	if perHit != 0 {
 		t.Errorf("segment cost allocates %.0f times on a hit, want 0", perHit)
 	}
-	if perMiss != perStriper && !raceEnabled {
-		t.Errorf("a segment miss allocates %.0f times, its stripe LMS alone %.0f: the segmenter rebuilds a per-call invariant", perMiss, perStriper)
-	}
 	if perStriper != perStripes-1 {
 		t.Errorf("Striper.Stripes allocates %.0f times, core.Stripes %.0f: want exactly the snake order saved", perStriper, perStripes)
+	}
+	// evaluateMiss overwrites the entry an earlier call stored, so every run
+	// is the whole miss path without growing the cache.
+	for _, seg := range [][2]int{{j, i}, {j, j + 1}, {20, 36}} {
+		key := sg.ev.SegmentKey(sg.g, sg.scheme.Batch, seg[0], seg[1], bu)
+		if !sg.evaluateMiss(key, seg[0], seg[1], bu).Feasible { // grow the scratch to this length
+			t.Fatalf("segment [%d,%d) infeasible", seg[0], seg[1])
+		}
+		perMiss := testing.AllocsPerRun(100, func() { _ = sg.evaluateMiss(key, seg[0], seg[1], bu) })
+		if perMiss != 0 && !raceEnabled {
+			t.Errorf("a miss on segment [%d,%d) allocates %.0f times, want 0 at every length", seg[0], seg[1], perMiss)
+		}
+	}
+}
+
+// TestSegmentMissAllocs pins the //gemini:noalloc annotations on the miss
+// path: striping a segment into the Striper's scratch buffers allocates
+// nothing once they have grown, and neither does the evaluation around it.
+func TestSegmentMissAllocs(t *testing.T) {
+	sg, _ := allocSegmenter(t)
+	key := sg.ev.SegmentKey(sg.g, sg.scheme.Batch, allocJ, allocI, allocBU)
+	stripe := testing.AllocsPerRun(200, func() {
+		if _, err := sg.striper.Scratch(sg.g, sg.ids[allocJ:allocI], allocBU); err != nil {
+			t.Fatal(err)
+		}
+	})
+	miss := testing.AllocsPerRun(200, func() { _ = sg.evaluateMiss(key, allocJ, allocI, allocBU) })
+	if stripe != 0 || (miss != 0 && !raceEnabled) {
+		t.Fatalf("scratch striping allocates %.0f times, a whole miss %.0f; want 0 and 0", stripe, miss)
 	}
 }

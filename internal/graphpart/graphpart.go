@@ -50,9 +50,9 @@ type Result struct {
 // segmenter scores candidate DP segments. It owns what every segment of one
 // Partition call shares — the architecture's striper, the layer-ID slice
 // whose [j,i) windows name the segments, and the one-group scheme handed to
-// the evaluator — so scoring a segment the evaluator's cache already holds
-// allocates nothing, and one it does not allocates its stripe LMS and nothing
-// else.
+// the evaluator — and the buffers a missed segment's stripe LMS is built in,
+// which the evaluator reads once and never keeps. Scoring a segment, cached
+// or not, allocates nothing but the entries a miss stores.
 type segmenter struct {
 	g       *dnn.Graph
 	ev      *eval.Evaluator
@@ -88,8 +88,12 @@ func (sg *segmenter) evaluate(j, i, bu int) (gr eval.GroupResult) {
 	return
 }
 
+// evaluateMiss stripes layers [j,i) into the striper's scratch LMS, which is
+// dead once the evaluator has summarized it, and stores the summary under key.
+//
+//gemini:noalloc
 func (sg *segmenter) evaluateMiss(key eval.CacheKey, j, i, bu int) eval.GroupResult {
-	lms, err := sg.striper.Stripes(sg.g, sg.ids[j:i], bu)
+	lms, err := sg.striper.Scratch(sg.g, sg.ids[j:i], bu)
 	if err != nil {
 		return eval.GroupResult{}
 	}

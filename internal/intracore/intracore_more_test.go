@@ -1,6 +1,7 @@
 package intracore
 
 import (
+	"sync"
 	"testing"
 
 	"gemini/internal/dnn"
@@ -93,5 +94,71 @@ func TestMemoDistinguishesCores(t *testing.T) {
 	}
 	if m.Len() != 2 {
 		t.Errorf("memo entries = %d, want 2", m.Len())
+	}
+}
+
+// TestMemoCollisionComputesAndDoesNotStore plants a different pair under a
+// workload's hash, which is what a 64-bit collision would look like: Explore
+// must notice the stored pair is not the one asked for, return the computed
+// result, and leave the first pair's entry alone.
+func TestMemoCollisionComputesAndDoesNotStore(t *testing.T) {
+	c := Core{MACs: 1024, GLB: 1 << 20, FreqGHz: 1}
+	w := Workload{Kind: dnn.Conv, H: 14, W: 14, B: 1, K: 64, IC: 64, R: 3, S: 3, Groups: 1,
+		MACs: 14 * 14 * 64 * 64 * 9, InBytes: 16 * 16 * 64, WBytes: 64 * 64 * 9, OutBytes: 14 * 14 * 64}
+	other := w
+	other.K, other.OutBytes = 32, 14*14*32
+	m := NewMemo()
+	planted := &memoEntry{h: memoHash(&w, &c), w: other, c: c, r: Explore(other, c)}
+	m.table.Load().place(planted)
+	for i := 0; i < 2; i++ {
+		if got, want := m.Explore(w, c), Explore(w, c); got != want {
+			t.Fatalf("call %d under a colliding entry returned %+v, want %+v", i, got, want)
+		}
+	}
+	if m.table.Load().find(memoHash(&w, &c)) != planted || m.Len() != 0 {
+		t.Fatalf("a collision replaced the stored entry or was counted (len %d)", m.Len())
+	}
+	if memoHash(&w, &c) == memoHash(&other, &c) {
+		t.Fatal("the two workloads really do collide; pick others")
+	}
+}
+
+// TestMemoGrowsUnderConcurrentUse drives the memo through several table
+// growths from goroutines that insert overlapping workloads while others are
+// already hitting them: every answer equals Explore's, before and after the
+// entry has moved tables, and each distinct workload is stored once.
+func TestMemoGrowsUnderConcurrentUse(t *testing.T) {
+	c := Core{MACs: 1024, GLB: 1 << 20, FreqGHz: 1}
+	var ws []Workload
+	for h := 1; h <= 30; h++ {
+		for k := 1; k <= 20; k++ {
+			ws = append(ws, Workload{Kind: dnn.Conv, H: h, W: 14, B: 1, K: 8 * k, IC: 64, R: 3, S: 3, Groups: 1,
+				MACs: int64(h * 14 * 8 * k * 64 * 9), InBytes: int64((h + 2) * 16 * 64), WBytes: int64(8 * k * 64 * 9), OutBytes: int64(h * 14 * 8 * k)})
+		}
+	}
+	want := make([]Result, len(ws))
+	for i, w := range ws {
+		want[i] = Explore(w, c)
+	}
+	m := NewMemo()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range ws {
+					j := (i*7 + g*151) % len(ws) // each goroutine in its own order
+					if got := m.Explore(ws[j], c); got != want[j] {
+						t.Errorf("goroutine %d round %d workload %d: %+v, want %+v", g, round, j, got, want[j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if m.Len() != len(ws) {
+		t.Errorf("memo holds %d entries for %d distinct workloads", m.Len(), len(ws))
 	}
 }

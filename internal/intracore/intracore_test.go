@@ -174,11 +174,23 @@ func TestMemoCachesAndIsConcurrencySafe(t *testing.T) {
 }
 
 func TestTileCandidatesWithinRange(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 16, 56, 224} {
-		for _, v := range tileCandidates(n) {
+	var buf [maxTileCandidates]int
+	for _, n := range []int{1, 2, 3, 7, 16, 56, 224, 1 << 62} {
+		prev := 0
+		for _, v := range tileCandidates(buf[:], n) {
 			if v < 1 || v > n {
 				t.Errorf("tileCandidates(%d) produced %d", n, v)
 			}
+			if v <= prev {
+				t.Errorf("tileCandidates(%d) is not strictly ascending at %d", n, v)
+			}
+			prev = v
 		}
+		if prev != n {
+			t.Errorf("tileCandidates(%d) ends at %d, want the whole dimension", n, prev)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = tileCandidates(buf[:], 224) }); allocs != 0 {
+		t.Errorf("tileCandidates allocates %.0f times in a full-capacity buffer, want 0", allocs)
 	}
 }

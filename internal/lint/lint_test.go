@@ -119,9 +119,16 @@ func TestNoallocAnnotationsMatchBenchCoverage(t *testing.T) {
 			"gemini/internal/eval.Evaluator.LookupGroup",
 			"gemini/internal/graphpart.segmenter.evaluate",
 		},
+		"internal/graphpart/alloc_test.go:TestSegmentMissAllocs": {
+			"gemini/internal/core.Striper.Scratch",
+			"gemini/internal/core.stripeBufs.stripes",
+			"gemini/internal/core.stripeBufs.allocateCores",
+			"gemini/internal/graphpart.segmenter.evaluateMiss",
+		},
 		"internal/sa/alloc_test.go:TestMovePathAllocFree": {
 			"gemini/internal/sa.measure",
 			"gemini/internal/sa.state.cost",
+			"gemini/internal/sa.annealer.step",
 		},
 		"internal/noc/alloc_test.go:TestSideOfAllocFree": {
 			"gemini/internal/noc.Cut.SideOf",

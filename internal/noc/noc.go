@@ -446,6 +446,7 @@ func (t *Traffic) AddDRAMReadMulticast(ctrl int, dsts []arch.CoreID, bytes float
 }
 
 func (t *Traffic) dramReadMulticastOne(ctrl int, dsts []arch.CoreID, bytes float64) {
+	ctrl %= t.net.Controllers() // as addDRAM and PortCore wrap it
 	t.DRAMRead[ctrl] += bytes
 	t.epoch++
 	for _, d := range dsts {

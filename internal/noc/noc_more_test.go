@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -117,6 +118,29 @@ func TestLinkBWSumMatchesLinkGraph(t *testing.T) {
 		if got := LinkBWSum(&cfg); got != want {
 			t.Errorf("%s %s: LinkBWSum = %v, want %v (from %d links)",
 				cfg.Topology, cfg.Name, got, want, len(n.Links))
+		}
+	}
+}
+
+// TestDRAMReadControllerIndexing: a single-destination DRAM read multicast is
+// a DRAM read, for every controller index a caller can pass — interleaved
+// (-1), in range, and past the end, which every entry point wraps the same
+// way (AddDRAMReadMulticast used to index the load table raw and panic).
+func TestDRAMReadControllerIndexing(t *testing.T) {
+	torus := arch.GArchTorus()
+	for _, cfg := range []*arch.Config{meshCfg(), &torus} {
+		n := New(cfg)
+		for ctrl := -1; ctrl < 2*n.Controllers(); ctrl++ {
+			for dst := arch.CoreID(0); int(dst) < cfg.Cores(); dst++ {
+				uni, multi := n.NewTraffic(), n.NewTraffic()
+				uni.AddDRAMRead(ctrl, dst, 4096)
+				multi.AddDRAMReadMulticast(ctrl, []arch.CoreID{dst}, 4096)
+				if !reflect.DeepEqual(uni.Load, multi.Load) || !reflect.DeepEqual(uni.DRAMRead, multi.DRAMRead) ||
+					uni.Hops != multi.Hops || uni.D2DHops != multi.D2DHops {
+					t.Fatalf("%s ctrl %d -> core %d: unicast read %v/%v/%v, single-destination multicast %v/%v/%v",
+						cfg.Name, ctrl, dst, uni.DRAMRead, uni.Hops, uni.D2DHops, multi.DRAMRead, multi.Hops, multi.D2DHops)
+				}
+			}
 		}
 	}
 }

@@ -1,12 +1,18 @@
 package sa
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
-// TestMovePathAllocFree pins the //gemini:noalloc annotations on measure and
-// (*state).cost: after warm-up, one SA move's re-measurement and cost fold
-// perform zero heap allocations. internal/eval/alloc_test.go pins the
-// evaluator side of the hot loop; this covers the sa-side helpers so the
-// hotpathalloc analyzer's annotation set stays tied to measured behavior.
+// TestMovePathAllocFree pins the //gemini:noalloc annotations on measure,
+// (*state).cost and (*annealer).step: after warm-up, one SA move's
+// re-measurement and cost fold perform zero heap allocations, and so does a
+// whole iteration — pick, copy into the spare LMS, operator, re-measure,
+// decide, swap or restore — unless it improves on the best scheme, which takes
+// real clones. internal/eval/alloc_test.go pins the evaluator's miss path;
+// here the replayed search is served from the cache the first run filled, so
+// what is counted is the annealer's own work.
 func TestMovePathAllocFree(t *testing.T) {
 	s, ev, _ := setup(t)
 	n := len(s.Groups)
@@ -20,5 +26,42 @@ func TestMovePathAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("SA move path allocates %.0f times per move, want 0", allocs)
+	}
+
+	opt := DefaultOptions()
+	opt.Iterations = 600
+	Optimize(s, ev, opt) // visit every state once, so the replay below never misses
+	a := newAnnealer(s, ev, opt)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const warmUp = 100 // the mutator's candidate lists grow to their working size
+	for it := 0; it < warmUp; it++ {
+		a.step()
+	}
+	var rejected, acceptedFlat, improved int
+	var ms runtime.MemStats
+	for it := warmUp; it < opt.Iterations; it++ {
+		before, bestBefore := a.res, a.bestCost
+		runtime.ReadMemStats(&ms)
+		mallocs := ms.Mallocs
+		a.step()
+		runtime.ReadMemStats(&ms)
+		mallocs = ms.Mallocs - mallocs
+		switch {
+		case a.bestCost < bestBefore:
+			improved++
+			continue
+		case a.res.Accepted > before.Accepted:
+			acceptedFlat++
+		case a.res.Applied > before.Applied:
+			rejected++
+		}
+		if mallocs != 0 {
+			t.Fatalf("iteration %d (applied %v, accepted %v, best unchanged) allocates %d times, want 0",
+				it, a.res.Applied > before.Applied, a.res.Accepted > before.Accepted, mallocs)
+		}
+	}
+	t.Logf("%d rejected, %d accepted without improving, %d improving iterations", rejected, acceptedFlat, improved)
+	if rejected == 0 || acceptedFlat == 0 || improved == 0 {
+		t.Errorf("%d rejected, %d accepted-flat, %d improving iterations: every kind must occur", rejected, acceptedFlat, improved)
 	}
 }

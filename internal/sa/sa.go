@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"gemini/internal/arch"
 	"gemini/internal/core"
 	"gemini/internal/eval"
 	"gemini/internal/space"
@@ -128,157 +129,210 @@ func measure(ev *eval.Evaluator, s *core.Scheme, st *state, gi int) {
 	st.delay[gi] = gr.Delay
 }
 
-// Optimize anneals the scheme in place and returns the best scheme found.
-// The input scheme is not modified.
-func Optimize(input *core.Scheme, ev *eval.Evaluator, opt Options) Result {
-	s := input.Clone()
-	rng := rand.New(rand.NewSource(opt.Seed))
-	mu := &core.Mutator{Graph: s.Graph, Drams: ev.Cfg.DRAMControllers(), Rng: rng}
-	pickOp := func() (core.Op, bool) {
-		if len(opt.Ops) == 0 {
-			return 0, false
-		}
-		return opt.Ops[rng.Intn(len(opt.Ops))], true
-	}
+// annealer is one SA search in progress: the current scheme with its
+// incrementally maintained per-group evaluation, the best scheme seen, and
+// everything an iteration needs so that it allocates only when it improves
+// the best.
+type annealer struct {
+	opt Options
+	ev  *eval.Evaluator
+	rng *rand.Rand
+	mu  core.Mutator
 
-	n := len(s.Groups)
-	st := &state{energy: make([]float64, n), delay: make([]float64, n), feas: make([]bool, n)}
-	for gi := range s.Groups {
-		measure(ev, s, st, gi)
-	}
-	cur := st.cost(opt.Beta, opt.Gamma)
-	res := Result{InitCost: cur}
+	// s is the current state; st and cur are its per-group evaluation and
+	// folded cost, re-measured only where a move can have changed them.
+	s   *core.Scheme
+	st  state
+	cur float64
+	// spare[gi] is the group LMS a move on gi is tried in: the current LMS
+	// is copied into it, mutated and measured there, and on accept the two
+	// trade places, so trying a move allocates nothing.
+	spare []*core.LMS
 
-	// Consumer-aware invalidation for OP5: an OF change in group gi can only
-	// affect gi itself and the groups that fetch data produced in gi (their
-	// DRAM read source moves). Group membership is fixed under all five
-	// operators, so the adjacency is computed once.
-	affected := consumerClosure(s)
+	// affected[gi] lists the groups an OF change in gi re-measures: gi and
+	// the groups that fetch data produced in gi (their DRAM read source
+	// moves). Group membership is fixed under all five operators, so the
+	// adjacency is computed once.
+	affected [][]int
+	// cumW are cumulative group-selection weights, proportional to
+	// optimization-space size: a pick is a binary search, not an O(n) scan.
+	cumW   []float64
+	totalW float64
 
-	// Group selection weights proportional to optimization-space size.
-	// Selection runs on every iteration of the hot loop, so the cumulative
-	// weights are precomputed once and each pick is a binary search instead
-	// of an O(n) scan: pick returns the smallest gi with cumW[gi] >= x,
-	// which is the group the linear subtraction scan would land on.
-	cumW := make([]float64, n)
-	totalW := 0.0
-	for gi, g := range s.Groups {
-		totalW += space.GroupWeight(ev.Cfg.Cores(), len(g.MSs))
-		cumW[gi] = totalW
-	}
-	pick := func() int {
-		x := rng.Float64() * totalW
-		gi := sort.SearchFloat64s(cumW, x)
-		if gi >= n {
-			return n - 1
-		}
-		return gi
-	}
+	best     *core.Scheme
+	bestCost float64
+	// dirty marks groups where s has drifted from the best snapshot.
+	dirty []bool
 
-	best := s.Clone()
-	bestCost := cur
-	temp := opt.InitTemp
-	cooling := 1.0
-	if opt.Iterations > 1 && opt.FinalTemp > 0 && opt.InitTemp > 0 {
-		cooling = math.Pow(opt.FinalTemp/opt.InitTemp, 1/float64(opt.Iterations-1))
-	}
+	temp, cooling float64
 
 	// A rejected move must restore exactly the state entries measure wrote:
 	// gi alone for OP1-4, affected[gi] for OP5. Snapshotting only those
 	// entries replaces three O(n) copies per iteration with O(touched).
+	saveE, saveD []float64
+	saveF        []bool
+	giBuf        [1]int
+
+	res Result
+}
+
+// workingCopy deep-copies a group LMS into core groups with room for all the
+// architecture's cores, so OP4 never has to grow one.
+func workingCopy(src *core.LMS, cores int) *core.LMS {
+	cp := &core.LMS{MSs: make([]*core.MS, len(src.MSs))}
+	for i := range cp.MSs {
+		cp.MSs[i] = &core.MS{CG: make([]arch.CoreID, 0, cores)}
+	}
+	cp.CopyFrom(src)
+	return cp
+}
+
+// newAnnealer evaluates the input scheme and sets up a search over a private
+// copy of it. The input scheme is not modified.
+func newAnnealer(input *core.Scheme, ev *eval.Evaluator, opt Options) *annealer {
+	n := len(input.Groups)
+	cores := ev.Cfg.Cores()
+	rng := rand.New(rand.NewSource(opt.Seed))
+	a := &annealer{
+		opt: opt, ev: ev, rng: rng,
+		mu:    core.Mutator{Graph: input.Graph, Drams: ev.Cfg.DRAMControllers(), Rng: rng},
+		s:     &core.Scheme{Graph: input.Graph, Batch: input.Batch, Groups: make([]*core.LMS, n)},
+		st:    state{energy: make([]float64, n), delay: make([]float64, n), feas: make([]bool, n)},
+		spare: make([]*core.LMS, n),
+		cumW:  make([]float64, n),
+		dirty: make([]bool, n),
+		temp:  opt.InitTemp, cooling: 1,
+	}
+	for gi, g := range input.Groups {
+		a.s.Groups[gi] = workingCopy(g, cores)
+		a.spare[gi] = workingCopy(g, cores)
+		a.totalW += space.GroupWeight(cores, len(g.MSs))
+		a.cumW[gi] = a.totalW
+	}
+	for gi := range a.s.Groups {
+		measure(ev, a.s, &a.st, gi)
+	}
+	a.cur = a.st.cost(opt.Beta, opt.Gamma)
+	a.res.InitCost = a.cur
+	a.affected = consumerClosure(a.s)
+	a.best, a.bestCost = a.s.Clone(), a.cur
+	if opt.Iterations > 1 && opt.FinalTemp > 0 && opt.InitTemp > 0 {
+		a.cooling = math.Pow(opt.FinalTemp/opt.InitTemp, 1/float64(opt.Iterations-1))
+	}
 	maxTouched := 1
-	for _, a := range affected {
-		if len(a) > maxTouched {
-			maxTouched = len(a)
+	for _, t := range a.affected {
+		maxTouched = max(maxTouched, len(t))
+	}
+	a.saveE, a.saveD, a.saveF = make([]float64, maxTouched), make([]float64, maxTouched), make([]bool, maxTouched)
+	return a
+}
+
+// pick draws a group with probability proportional to its weight: the
+// smallest gi with cumW[gi] >= x, which is the group a linear subtraction
+// scan would land on.
+func (a *annealer) pick() int {
+	x := a.rng.Float64() * a.totalW
+	if gi := sort.SearchFloat64s(a.cumW, x); gi < len(a.cumW) {
+		return gi
+	}
+	return len(a.cumW) - 1
+}
+
+// step runs one SA iteration: try one operator on one group, re-measure what
+// it can have changed, and accept or undo it. It allocates only when the move
+// improves on the best scheme, which is then re-snapshotted.
+//
+//gemini:noalloc
+func (a *annealer) step() {
+	s, st, opt := a.s, &a.st, &a.opt
+	gi := a.pick()
+	a.res.Attempted++
+	old, cand := s.Groups[gi], a.spare[gi]
+	cand.CopyFrom(old)
+	s.Groups[gi] = cand
+	var op core.Op
+	var ok bool
+	if len(opt.Ops) > 0 {
+		op = opt.Ops[a.rng.Intn(len(opt.Ops))]
+		ok = a.mu.ApplyOp(cand, op)
+	} else {
+		op, ok = a.mu.Apply(cand)
+	}
+	if !ok {
+		s.Groups[gi] = old
+		a.temp *= a.cooling
+		return
+	}
+	a.res.Applied++
+
+	touched := a.giBuf[:]
+	touched[0] = gi
+	if op == core.OpFD {
+		// OF changes alter where consumer groups fetch data from; only
+		// the mutated group and its consumers can change.
+		touched = a.affected[gi]
+	}
+	for j, gj := range touched {
+		a.saveE[j], a.saveD[j], a.saveF[j] = st.energy[gj], st.delay[gj], st.feas[gj]
+		measure(a.ev, s, st, gj)
+	}
+	next := st.cost(opt.Beta, opt.Gamma)
+
+	accept := false
+	if next <= a.cur {
+		accept = true
+	} else if !math.IsInf(next, 1) {
+		rel := (next - a.cur) / a.cur
+		accept = a.rng.Float64() < math.Exp(-rel/a.temp)
+	}
+	if accept {
+		a.cur = next
+		a.spare[gi] = old
+		a.res.Accepted++
+		a.res.OpAccepted[int(op)]++
+		a.dirty[gi] = true
+		if a.cur < a.bestCost {
+			a.bestCost = a.cur
+			// Sync best with s by re-cloning only the groups that have
+			// diverged since the last snapshot.
+			for gj, d := range a.dirty {
+				if d {
+					a.best.Groups[gj] = s.Groups[gj].Clone() //gemini:alloc-ok the best scheme is returned to the caller, so it takes real clones, and only on improvement
+					a.dirty[gj] = false
+				}
+			}
+		}
+	} else {
+		s.Groups[gi] = old
+		for j, gj := range touched {
+			st.energy[gj], st.delay[gj], st.feas[gj] = a.saveE[j], a.saveD[j], a.saveF[j]
 		}
 	}
-	saveE := make([]float64, maxTouched)
-	saveD := make([]float64, maxTouched)
-	saveF := make([]bool, maxTouched)
-	var giBuf [1]int
-	// dirty marks groups where s has drifted from the best snapshot.
-	dirty := make([]bool, n)
+	a.temp *= a.cooling
+}
 
+// Optimize anneals a copy of the scheme and returns the best scheme found.
+// The input scheme is not modified.
+func Optimize(input *core.Scheme, ev *eval.Evaluator, opt Options) Result {
+	a := newAnnealer(input, ev, opt)
 	checkEvery := opt.CheckEvery
 	if checkEvery <= 0 {
 		checkEvery = defaultCheckEvery
 	}
-
 	for it := 0; it < opt.Iterations; it++ {
 		// In-loop abandonment: poll the Dominated hook on a fixed stride.
 		// The check reads no randomness and touches no search state, so runs
 		// where the hook never fires stay bit-identical to unhooked runs.
-		if opt.Dominated != nil && it != 0 && it%checkEvery == 0 && opt.Dominated(bestCost) {
-			res.Abandoned = true
+		if opt.Dominated != nil && it != 0 && it%checkEvery == 0 && opt.Dominated(a.bestCost) {
+			a.res.Abandoned = true
 			break
 		}
-		gi := pick()
-		res.Attempted++
-		old := s.Groups[gi]
-		cand := old.Clone()
-		s.Groups[gi] = cand
-		var op core.Op
-		var ok bool
-		if restricted, use := pickOp(); use {
-			op, ok = restricted, mu.ApplyOp(cand, restricted)
-		} else {
-			op, ok = mu.Apply(cand)
-		}
-		if !ok {
-			s.Groups[gi] = old
-			temp *= cooling
-			continue
-		}
-		res.Applied++
-
-		touched := giBuf[:]
-		touched[0] = gi
-		if op == core.OpFD {
-			// OF changes alter where consumer groups fetch data from; only
-			// the mutated group and its consumers can change.
-			touched = affected[gi]
-		}
-		for j, gj := range touched {
-			saveE[j], saveD[j], saveF[j] = st.energy[gj], st.delay[gj], st.feas[gj]
-			measure(ev, s, st, gj)
-		}
-		next := st.cost(opt.Beta, opt.Gamma)
-
-		accept := false
-		if next <= cur {
-			accept = true
-		} else if !math.IsInf(next, 1) {
-			rel := (next - cur) / cur
-			accept = rng.Float64() < math.Exp(-rel/temp)
-		}
-		if accept {
-			cur = next
-			res.Accepted++
-			res.OpAccepted[int(op)]++
-			dirty[gi] = true
-			if cur < bestCost {
-				bestCost = cur
-				// Sync best with s by re-cloning only the groups that have
-				// diverged since the last snapshot.
-				for gj, d := range dirty {
-					if d {
-						best.Groups[gj] = s.Groups[gj].Clone()
-						dirty[gj] = false
-					}
-				}
-			}
-		} else {
-			s.Groups[gi] = old
-			for j, gj := range touched {
-				st.energy[gj], st.delay[gj], st.feas[gj] = saveE[j], saveD[j], saveF[j]
-			}
-		}
-		temp *= cooling
+		a.step()
 	}
-
-	res.Scheme = best
-	res.Cost = bestCost
-	res.Eval = ev.Evaluate(best)
+	res := a.res
+	res.Scheme = a.best
+	res.Cost = a.bestCost
+	res.Eval = ev.Evaluate(a.best)
 	return res
 }
 
