@@ -805,9 +805,9 @@ func BenchmarkDSESweepHardened(b *testing.B) {
 // BenchmarkDSESweepInLoopAbandon measures the in-loop abandonment mechanism
 // on a dominated cell at a deterministic domination point: a 4-restart
 // portfolio whose candidate becomes dominated a third of the way into the
-// second restart. The Dominated hook must stop it within one polling stride
-// — asserted in-bench as strictly fewer iterations than the two full
-// restarts a between-restart check would have burned.
+// second restart. The Stop hook must stop it within one polling stride —
+// asserted in-bench as strictly fewer iterations than the two full restarts
+// a between-restart check would have burned.
 func BenchmarkDSESweepInLoopAbandon(b *testing.B) {
 	cfg := arch.GArch72()
 	g := dnn.TinyCNN()
@@ -817,19 +817,22 @@ func BenchmarkDSESweepInLoopAbandon(b *testing.B) {
 	}
 	opt := sa.DefaultOptions()
 	opt.Iterations = 150
-	opt.CheckEvery = 32
 	const restarts = 4
-	// Domination lands mid-restart 2: after all polls of restart 1 plus a
-	// third of restart 2's.
-	pollsPerRestart := opt.Iterations/opt.CheckEvery - 1
-	fireAfter := pollsPerRestart + pollsPerRestart/3 + 1
+	// Count one restart's in-loop polls with a hook that never fires.
+	pollsPerRestart := 0
+	counting := opt
+	counting.Stop = func() bool { pollsPerRestart++; return false }
+	sa.Optimize(part.Scheme, eval.New(&cfg), counting)
+	// Domination lands mid-restart 2: after all polls of restart 1, the
+	// between-restart poll and a third of restart 2's.
+	fireAfter := pollsPerRestart + 1 + pollsPerRestart/3 + 1
 
 	var pf sa.Portfolio
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		polls := 0
 		o := opt
-		o.Dominated = func(float64) bool {
+		o.Stop = func() bool {
 			polls++
 			return polls > fireAfter
 		}

@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"gemini/internal/atomicfile"
 	"gemini/internal/dnn"
 	"gemini/internal/dse"
 )
@@ -179,15 +180,9 @@ func main() {
 	fmt.Println()
 
 	if *resume != "" {
-		f, err := os.Create(*resume)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := ses.SaveCheckpoint(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		// Atomic replace: a kill mid-save must leave the previous checkpoint
+		// intact, not a truncated file that loses every settled cell.
+		if err := atomicfile.Write(*resume, ses.SaveCheckpoint); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("checkpointed %d cells to %s\n\n", ses.CheckpointCells(), *resume)

@@ -1,12 +1,12 @@
 // Cell dispatch: the feed the sweep scheduler's workers pull their
 // (candidate, model) cell indices from. The default feed walks the
-// bound-ordered schedule candidate-major; Options.Dispatch lets a front end
-// (the sweep service's multi-tenant queue) wrap that feed — to gate it shut
-// when a sweep is preempted, to interleave it with other work, or to observe
-// dispatch order — without the scheduler knowing or caring. A feed only ever
-// schedules: which cells run, and in what order, can never change a computed
-// cell's bits, which is why Dispatch is excluded from the checkpoint
-// fingerprint.
+// bound-ordered schedule candidate-major; Options.Dispatch lets a caller
+// wrap that feed — to reorder it, as the grid-order test hook does, or to
+// observe dispatch order — without the scheduler knowing or caring.
+// Cancellation, preemption included, travels on the sweep context, never on
+// the feed. A feed only ever schedules: which cells run, and in what order,
+// can never change a computed cell's bits, which is why Dispatch is
+// excluded from the checkpoint fingerprint.
 package dse
 
 import "sync"
@@ -17,7 +17,7 @@ import "sync"
 // calls: every worker pulls from the one feed.
 type Dispatcher interface {
 	// Next returns the next cell index to run. ok == false means the feed is
-	// exhausted — or shut by a wrapper — and the calling worker should exit.
+	// exhausted and the calling worker should exit.
 	// Once Next has returned ok == false it must keep doing so.
 	Next() (cell int, ok bool)
 }

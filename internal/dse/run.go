@@ -113,10 +113,9 @@ type Options struct {
 	// Dispatch, when set, wraps the scheduler's cell feed: the scheduler
 	// builds its default bound-ordered Dispatcher (one per sweep, one per
 	// racing rung) and hands it to Dispatch, whose return value the workers
-	// pull from instead. The sweep service uses this to bind sweeps to queue
-	// slots and to gate a preempted sweep's feed shut. A feed only schedules
-	// — cells it never delivers are reported as canceled, not computed — so
-	// it is excluded from the checkpoint fingerprint.
+	// pull from instead; tests use it to impose a grid order. A feed only
+	// schedules — cells it never delivers are reported as canceled, not
+	// computed — so it is excluded from the checkpoint fingerprint.
 	Dispatch func(Dispatcher) Dispatcher `json:"-"`
 	// SweepID optionally names the sweep for logs and SweepStats; the sweep
 	// service keys server-side checkpoints by it. It only labels — it never
@@ -142,35 +141,17 @@ type Options struct {
 	// production state — is a pointer comparison on the hot path and
 	// changes nothing.
 	FaultInjector *faultinject.Injector `json:"-"`
-	// Incumbent, when set, connects this sweep's pruning incumbent to an
-	// external exchange (a fleet coordinator): the scheduler's incumbent
-	// reads min(local best, Incumbent.Best()) wherever it gates work — the
-	// pre-cell prune check, the between-restart stop gate and the in-loop
-	// abandonment poll — and forwards every local improvement through
-	// Incumbent.Improved. The exchange carries only achieved feasible
+	// Incumbent, when set, reads an external pruning incumbent (a fleet
+	// worker's cached fleet-wide best): the scheduler's incumbent is
+	// min(local best, Incumbent()) wherever it gates work — the pre-cell
+	// prune check and the SA stop hook. It is polled on those hot gates, so
+	// it must be cheap (an atomic load) and return +Inf while no external
+	// incumbent exists. It must only ever return achieved feasible
 	// objectives for the same spec, so the fold stays a sound pruning bound
 	// (the global optimum can never be dominated by an achieved value). Like
 	// Prune it only skips work — it never changes a computed cell's bits —
 	// so it is excluded from the checkpoint fingerprint.
-	Incumbent IncumbentExchange `json:"-"`
-}
-
-// IncumbentExchange is the external incumbent source/sink a fleet worker
-// threads into Options.Incumbent. Best is polled from the scheduler's hot
-// gates (between SA restarts and inside the annealing abandonment hook), so
-// implementations must make it cheap — an atomic load of a locally cached
-// fleet-wide best, refreshed off the hot path — and return +Inf while no
-// fleet incumbent exists. Improved receives every local incumbent
-// improvement (an achieved feasible objective) and must not block the
-// caller beyond an atomic update; network publication belongs on a
-// background goroutine.
-type IncumbentExchange interface {
-	// Best returns the best fleet-wide feasible objective currently known
-	// (+Inf when none).
-	Best() float64
-	// Improved reports a new locally achieved feasible objective that
-	// improved this sweep's incumbent.
-	Improved(candidate string, obj float64)
+	Incumbent func() float64 `json:"-"`
 }
 
 // DefaultOptions returns throughput-scenario settings (batch 64, Sec. VI-A1).
@@ -252,13 +233,6 @@ func mapModelEval(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Option
 	return mapModelRange(ev, cfg, g, opt, stop, 0, effectiveRestarts(opt))
 }
 
-// abandonStride is the in-loop abandonment polling stride, in SA iterations:
-// with a stop gate present, every cell's annealing loop polls the scheduler's
-// live incumbent this often and walks away mid-anneal once its candidate is
-// dominated (on top of the between-restart checks). Abandoned cells are never
-// settled or checkpointed, so the stride only schedules.
-const abandonStride = 32
-
 // mapModelRange is mapModelEval restricted to the restart window [from, to)
 // of the portfolio opt defines. Restart i always anneals with the same
 // derived seed regardless of the window, so the session layer can widen a
@@ -287,15 +261,12 @@ func mapModelRange(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Optio
 	so.Iterations = opt.SAIterations
 	so.Seed = opt.Seed
 	so.Beta, so.Gamma = opt.Objective.Beta, opt.Objective.Gamma
-	if stop != nil {
-		// In-loop abandonment: the scheduler's stop gate also interrupts the
-		// annealing hot loop itself, not just the gaps between restarts, so
-		// a cell dominated mid-anneal stops within abandonStride iterations.
-		so.Dominated = func(float64) bool { return stop() }
-		so.CheckEvery = abandonStride
-	}
+	// The scheduler's stop gate is polled between restarts and inside the
+	// annealing loop, so a cell dominated mid-anneal stops within one stride.
+	// Abandoned cells are never settled or checkpointed.
+	so.Stop = stop
 	pf := sa.MultiStartRange(part.Scheme, ev, so, from, to,
-		sa.AdaptiveOptions{Patience: activePatience(opt), Stop: stop})
+		sa.AdaptiveOptions{Patience: activePatience(opt)})
 	if pf.Panic != nil {
 		// A panicked restart poisons the whole portfolio: folding only the
 		// restarts that preceded the fault would tie the result to where the

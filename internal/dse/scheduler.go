@@ -119,21 +119,20 @@ type SweepStats struct {
 // incumbent is a sweep-scoped best-feasible-objective tracker for pruning.
 // It is deliberately NOT session-scoped: two Run calls may use different
 // objectives or batches, and an incumbent from one is no bound for the
-// other. get is lock-free (it is polled between SA restarts and before
-// every cell); note serializes improvements and the trajectory. An optional
-// external exchange (Options.Incumbent, set by fleet workers) folds a
-// fleet-wide best into get and hears about local improvements — the
-// exchange only ever carries achieved feasible objectives, so the min fold
-// stays a sound pruning bound.
+// other. get is lock-free (it is polled by the SA stop hook and before every
+// cell); note serializes improvements and the trajectory. An optional
+// external incumbent (Options.Incumbent, set by fleet workers) folds a
+// fleet-wide best into get — it only ever carries achieved feasible
+// objectives, so the min fold stays a sound pruning bound.
 type incumbent struct {
 	bits atomic.Uint64 // Float64bits of the current best
-	ext  IncumbentExchange
+	ext  func() float64
 
 	mu    sync.Mutex
 	steps []IncumbentStep
 }
 
-func newIncumbent(ext IncumbentExchange) *incumbent {
+func newIncumbent(ext func() float64) *incumbent {
 	in := &incumbent{ext: ext}
 	in.bits.Store(math.Float64bits(math.Inf(1)))
 	return in
@@ -142,7 +141,7 @@ func newIncumbent(ext IncumbentExchange) *incumbent {
 func (in *incumbent) get() float64 {
 	best := math.Float64frombits(in.bits.Load())
 	if in.ext != nil {
-		if ext := in.ext.Best(); ext < best {
+		if ext := in.ext(); ext < best {
 			best = ext
 		}
 	}
@@ -153,19 +152,11 @@ func (in *incumbent) note(name string, obj float64) {
 	if math.IsNaN(obj) || math.IsInf(obj, 1) {
 		return
 	}
-	improved := false
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	if obj < math.Float64frombits(in.bits.Load()) {
 		in.bits.Store(math.Float64bits(obj))
 		in.steps = append(in.steps, IncumbentStep{Candidate: name, Obj: obj})
-		improved = true
-	}
-	in.mu.Unlock()
-	// Forward outside the lock: the exchange's atomic update must never
-	// serialize against trajectory appends, and a slow network push belongs
-	// on the exchange's own background goroutine anyway.
-	if improved && in.ext != nil {
-		in.ext.Improved(name, obj)
 	}
 }
 
@@ -473,12 +464,12 @@ func (sc *scheduler) run() []CandidateResult {
 			finish(ci)
 		}
 	})
-	// A wrapped feed may shut before delivering every cell (a preempted
-	// sweep): candidates with undelivered cells never hit remaining == 0, so
-	// fill the gaps with a cancellation error and finish them here — an
-	// undelivered cell must read as canceled, never as spurious
-	// infeasibility (a zero pairOutcome), and every candidate must produce
-	// its result row exactly once.
+	// A wrapped feed may shut before delivering every cell: candidates with
+	// undelivered cells never hit remaining == 0, so fill the gaps with a
+	// cancellation error and finish them here — an undelivered cell must
+	// read as canceled, never as spurious infeasibility (a zero
+	// pairOutcome), and every candidate must produce its result row exactly
+	// once.
 	for _, ci := range sc.order {
 		if sc.states[ci].remaining.Load() > 0 {
 			sc.fillUndelivered(ci, nm, per)
@@ -658,7 +649,7 @@ func (sc *scheduler) onRungGuarded(rs RungStats) {
 // restores verbatim on every rung it touches, and counting each rung would
 // inflate ResumedCells. cellDone, when non-nil, runs on the worker after each
 // delivered cell with the cell's candidate index; Options.Dispatch may wrap
-// the feed (queue binding, preemption).
+// the feed.
 func (sc *scheduler) dispatchRung(surviving []int, nm int, per [][]pairOutcome, target int, countRestores bool, cellDone func(ci int)) {
 	total := len(surviving) * nm
 	if total == 0 {
@@ -736,9 +727,9 @@ func (sc *scheduler) runTask(k, nm int, per [][]pairOutcome, target int, countRe
 	if st.pruned.Load() {
 		return
 	}
-	// The stop gate is polled between SA restarts: it abandons the cell
-	// when the sweep is canceled, or — with pruning active — when the live
-	// incumbent already dominates this candidate's bound.
+	// The stop gate is the SA stop hook: it abandons the cell when the sweep
+	// is canceled, or — with pruning active — when the live incumbent
+	// already dominates this candidate's bound.
 	gated := sc.prune && st.lb > 0
 	stop := func() bool {
 		if sc.ctx.Err() != nil {

@@ -160,23 +160,6 @@ type Spec struct {
 	// (0 = no deadline). A timed-out attempt fails with a typed, retryable
 	// cell error instead of stalling the sweep's worker pool.
 	CellTimeoutMS int `json:"cell_timeout_ms,omitempty"`
-	// Shard, when set, scopes the sweep to one shard of the candidate grid:
-	// Candidates() keeps only every Count-th enumerated candidate starting
-	// at Index, so Count shards of the same spec partition the full grid
-	// exactly. Cell keys are unchanged — a shard's checkpoint merges into
-	// (and is a subset of) the unsharded sweep's — which is what lets a
-	// fleet coordinator fold worker checkpoints into the canonical file.
-	// Shards are coordinator-assigned: the fleet submit endpoint rejects
-	// client specs that carry one.
-	Shard *ShardSpec `json:"shard,omitempty"`
-}
-
-// ShardSpec selects one modulo-slice of a spec's enumerated candidate grid.
-type ShardSpec struct {
-	// Index is the shard's position, in [0, Count).
-	Index int `json:"index"`
-	// Count is the total number of shards partitioning the grid.
-	Count int `json:"count"`
 }
 
 // RetrySpec is the JSON form of RetryPolicy: retry counts and backoff in
@@ -288,14 +271,6 @@ func (s *Spec) Validate() error {
 	if s.CellTimeoutMS < 0 {
 		return fmt.Errorf("dse: spec cell_timeout_ms = %d, want >= 0", s.CellTimeoutMS)
 	}
-	if sh := s.Shard; sh != nil {
-		if sh.Count < 1 {
-			return fmt.Errorf("dse: spec shard count = %d, want >= 1", sh.Count)
-		}
-		if sh.Index < 0 || sh.Index >= sh.Count {
-			return fmt.Errorf("dse: spec shard index = %d, want in [0, %d)", sh.Index, sh.Count)
-		}
-	}
 	if o := s.Objective; o != nil && (o.Alpha < 0 || o.Beta < 0 || o.Gamma < 0) {
 		// Negative exponents silently disable pruning and produce
 		// non-monotone rankings; reject them at the API boundary rather
@@ -316,7 +291,6 @@ var specResolveExclusions = map[string]string{
 	"Models":   "resolved by Graphs(); the model name keys each cell",
 	"Tenant":   "queueing identity consumed by the sweep service's admission control; the mapping engine never sees it",
 	"Priority": "scheduling class consumed by the sweep service's dispatcher; it orders and preempts sweeps, never changes a cell",
-	"Shard":    "resolved by Candidates() as a modulo slice of the enumeration; cell keys are shard-independent so shard checkpoints merge into the unsharded sweep's",
 }
 
 // Options resolves the spec's mapping options, applying the DefaultOptions
@@ -363,13 +337,9 @@ func (s *Spec) Options() Options {
 	return opt
 }
 
-// Candidates enumerates the spec's candidate space, then applies the shard
-// slice when one is set: candidate i survives iff i % Count == Index, so
-// the Count shards of a spec are disjoint and their union is exactly the
-// unsharded enumeration. An empty result is an error: for an unsharded spec
-// it means the overrides produced a grid with no buildable configuration;
-// for a sharded one it means the coordinator cut more shards than there are
-// candidates — a client should hear about either rather than receive an
+// Candidates enumerates the spec's candidate space. An empty result is an
+// error: it means the overrides produced a grid with no buildable
+// configuration, and a client should hear about that rather than receive an
 // instantly-"complete" sweep.
 func (s *Spec) Candidates() ([]arch.Config, error) {
 	sp, err := s.Space.Space()
@@ -377,20 +347,7 @@ func (s *Spec) Candidates() ([]arch.Config, error) {
 		return nil, err
 	}
 	cands := sp.Enumerate()
-	if sh := s.Shard; sh != nil && sh.Count > 1 {
-		kept := cands[:0]
-		for i := range cands {
-			if i%sh.Count == sh.Index {
-				kept = append(kept, cands[i])
-			}
-		}
-		cands = kept
-	}
 	if len(cands) == 0 {
-		if s.Shard != nil {
-			return nil, fmt.Errorf("dse: shard %d/%d of space %s selects no candidates",
-				s.Shard.Index, s.Shard.Count, sp.Name)
-		}
 		return nil, fmt.Errorf("dse: space %s enumerates no valid candidates", sp.Name)
 	}
 	return cands, nil

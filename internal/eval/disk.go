@@ -17,10 +17,12 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
+
+	"gemini/internal/atomicfile"
 )
 
 // diskHeader is the first line of a spilled cache file.
@@ -83,41 +85,26 @@ func (c *Cache) SaveDisk(path string) error {
 		return ka.FP < kb.FP
 	})
 
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("eval: cache save: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	err := atomicfile.Write(path, func(f io.Writer) error {
+		w := bufio.NewWriter(f)
+		enc := json.NewEncoder(w)
+		if err := enc.Encode(diskHeader{Kind: diskKind, Version: diskVersion}); err != nil {
+			return err
+		}
+		for _, e := range all {
+			de := diskEntry{
+				Arch:    fmt.Sprintf("%016x", e.k.Arch),
+				Graph:   fmt.Sprintf("%016x", e.k.Graph),
+				FP:      fmt.Sprintf("%016x", e.k.FP),
+				Summary: e.e.sum,
+			}
+			if err := enc.Encode(de); err != nil {
+				return err
+			}
+		}
+		return w.Flush()
+	})
 	if err != nil {
-		return fmt.Errorf("eval: cache save: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(diskHeader{Kind: diskKind, Version: diskVersion}); err != nil {
-		tmp.Close()
-		return fmt.Errorf("eval: cache save: %w", err)
-	}
-	for _, e := range all {
-		de := diskEntry{
-			Arch:    fmt.Sprintf("%016x", e.k.Arch),
-			Graph:   fmt.Sprintf("%016x", e.k.Graph),
-			FP:      fmt.Sprintf("%016x", e.k.FP),
-			Summary: e.e.sum,
-		}
-		if err := enc.Encode(de); err != nil {
-			tmp.Close()
-			return fmt.Errorf("eval: cache save: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("eval: cache save: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("eval: cache save: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("eval: cache save: %w", err)
 	}
 	c.diskSaves.Add(1)

@@ -1,8 +1,9 @@
 // Package fleet distributes one sweep across worker processes: a
 // coordinator partitions a sweep spec's candidate grid into shard leases,
-// hands them to workers over HTTP, fans every incumbent improvement back
-// out so all shards prune against the fleet-wide best, and merges worker
-// checkpoints into the sweep's canonical arch-fingerprint-keyed checkpoint.
+// hands them to workers over HTTP, merges worker checkpoint uploads into the
+// sweep's canonical arch-fingerprint-keyed checkpoint, and folds the best
+// result each upload carries into a fleet-wide incumbent that rides back on
+// every response, so all shards prune against the fleet-wide best.
 // Worker death is handled by lease expiry: an orphaned shard goes back in
 // the pending pool and its next holder starts from the merged checkpoint,
 // so already-settled cells restore instead of recompute.
@@ -74,7 +75,7 @@ func (c *CoordinatorConfig) now() time.Time {
 }
 
 // Coordinator owns the fleet control plane: sweep submission, shard lease
-// management, incumbent fan-out and checkpoint merging. It is an
+// management, checkpoint merging and the fleet-wide incumbent. It is an
 // http.Handler; see the route patterns in NewCoordinator.
 type Coordinator struct {
 	cfg CoordinatorConfig
@@ -94,13 +95,15 @@ const (
 	shardDone
 )
 
-// shardState tracks one modulo-slice of a sweep's candidate grid.
+// shardState tracks one shard of a sweep's candidate grid.
 type shardState struct {
-	phase      shardPhase
-	leaseID    string
-	worker     string
-	expires    time.Time
-	candidates int
+	phase   shardPhase
+	leaseID string
+	worker  string
+	expires time.Time
+	// cands are the shard's enumeration indices, strictly ascending (see
+	// partition); every lease of the shard carries them.
+	cands []int
 	// settledAtLease is how many of the shard's cells the merged checkpoint
 	// already held when the current lease was granted; the holder's
 	// reported ResumedCells must reach it or the difference is recomputed
@@ -212,8 +215,8 @@ var fleetIDPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 //	GET  /sweeps/{id}   one sweep's status
 //	POST /lease         worker: fetch a shard lease (204 when none pending)
 //	POST /renew         worker: keep a lease alive, pull the incumbent
-//	POST /incumbent     worker: push an incumbent improvement
 //	POST /checkpoint    worker: upload a (partial or final) shard checkpoint
+//	                    and its best result, pull the incumbent
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c := &Coordinator{
 		cfg:    cfg,
@@ -225,7 +228,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	mux.HandleFunc("GET /sweeps/{id}", c.handleStatus)
 	mux.HandleFunc("POST /lease", c.handleLease)
 	mux.HandleFunc("POST /renew", c.handleRenew)
-	mux.HandleFunc("POST /incumbent", c.handleIncumbent)
 	mux.HandleFunc("POST /checkpoint", c.handleCheckpoint)
 	c.mux = mux
 	return c
@@ -268,10 +270,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec := req.Spec
-	if spec.Shard != nil {
-		writeError(w, http.StatusBadRequest, "spec carries a shard slice; sharding is the coordinator's job")
-		return
-	}
 	if spec.ID == "" {
 		spec.ID = newFleetID()
 	} else if !fleetIDPattern.MatchString(spec.ID) {
@@ -297,14 +295,11 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			len(cands)*len(graphs), c.cfg.MaxCells)
 		return
 	}
-	shards := req.Shards
-	if shards < 1 {
-		writeError(w, http.StatusBadRequest, "shards = %d, want >= 1", shards)
+	if req.Shards < 1 {
+		writeError(w, http.StatusBadRequest, "shards = %d, want >= 1", req.Shards)
 		return
 	}
-	if shards > len(cands) {
-		shards = len(cands)
-	}
+	parts := partition(len(cands), req.Shards)
 
 	fs := &fleetSweep{
 		id:     spec.ID,
@@ -312,12 +307,11 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		opt:    spec.Options(),
 		cands:  cands,
 		graphs: graphs,
-		shards: make([]shardState, shards),
+		shards: make([]shardState, len(parts)),
 		ses:    dse.NewSession(),
 	}
-	for i := range fs.shards {
-		// Shard i keeps candidates at enumeration indices ≡ i (mod shards).
-		fs.shards[i].candidates = (len(cands) - i + shards - 1) / shards
+	for i, p := range parts {
+		fs.shards[i].cands = p
 	}
 	if c.cfg.LoadCheckpoint != nil {
 		if prior := c.cfg.LoadCheckpoint(spec.ID); len(prior) > 0 {
@@ -340,8 +334,21 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 
 	c.logf("fleet: sweep %s submitted: %d candidates x %d models in %d shards (%d cells resumed)",
-		fs.id, len(cands), len(graphs), shards, fs.ses.CheckpointCells())
+		fs.id, len(cands), len(graphs), len(parts), fs.ses.CheckpointCells())
 	writeJSON(w, http.StatusCreated, st)
+}
+
+// partition is the fleet's one sharding rule: it cuts n enumeration indices
+// into min(shards, n) shards (shards >= 1), shard i taking every index
+// ≡ i (mod shard count) in ascending order. The shards are pairwise disjoint,
+// none is empty, and together they cover [0, n).
+func partition(n, shards int) [][]int {
+	shards = min(shards, n)
+	parts := make([][]int, shards)
+	for k := 0; k < n; k++ {
+		parts[k%shards] = append(parts[k%shards], k)
+	}
+	return parts
 }
 
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
@@ -435,7 +442,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusInternalServerError, "granting shard: %v", err)
 				return
 			}
-			settled, cells := sh.settledAtLease, sh.candidates*len(fs.graphs)
+			settled, cells := sh.settledAtLease, len(sh.cands)*len(fs.graphs)
 			c.mu.Unlock()
 			c.logf("fleet: sweep %s shard %d/%d leased to %s as %s (%d/%d shard cells settled)",
 				lease.SweepID, lease.Shard, lease.Shards, req.Worker, lease.LeaseID,
@@ -452,24 +459,24 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) grantLocked(fs *fleetSweep, i int, worker string, now time.Time) (*Lease, error) {
 	sh := &fs.shards[i]
 	sp := fs.spec
-	sp.Shard = &dse.ShardSpec{Index: i, Count: len(fs.shards)}
 	sp.ID = fmt.Sprintf("%s.s%d", fs.id, i)
 
-	shardCands := make([]arch.Config, 0, sh.candidates)
-	for j := i; j < len(fs.cands); j += len(fs.shards) {
-		shardCands = append(shardCands, fs.cands[j])
+	shardCands := make([]arch.Config, len(sh.cands))
+	for j, k := range sh.cands {
+		shardCands[j] = fs.cands[k]
 	}
 
 	c.leaseSeq++
 	ttl := c.cfg.leaseTTL()
 	lease := &Lease{
-		SweepID:   fs.id,
-		LeaseID:   fmt.Sprintf("lease-%d", c.leaseSeq),
-		Shard:     i,
-		Shards:    len(fs.shards),
-		Spec:      sp,
-		Incumbent: fs.inc,
-		TTLMS:     int(ttl.Milliseconds()),
+		SweepID:    fs.id,
+		LeaseID:    fmt.Sprintf("lease-%d", c.leaseSeq),
+		Shard:      i,
+		Shards:     len(fs.shards),
+		Candidates: sh.cands,
+		Spec:       sp,
+		Incumbent:  fs.inc,
+		TTLMS:      int(ttl.Milliseconds()),
 	}
 	if fs.ses.CheckpointCells() > 0 {
 		var buf bytes.Buffer
@@ -542,33 +549,6 @@ func (fs *fleetSweep) foldIncumbentLocked(candidate string, obj float64) bool {
 	return false
 }
 
-func (c *Coordinator) handleIncumbent(w http.ResponseWriter, r *http.Request) {
-	var up IncumbentUpdate
-	if !decodeBody(w, r, controlBodyLimit, false, "incumbent update", &up) {
-		return
-	}
-	if err := up.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	c.mu.Lock()
-	fs, ok := c.sweeps[up.SweepID]
-	if !ok {
-		c.mu.Unlock()
-		writeError(w, http.StatusNotFound, "no fleet sweep %q", up.SweepID)
-		return
-	}
-	improved := fs.foldIncumbentLocked(up.Candidate, up.Objective)
-	state := fs.inc
-	c.mu.Unlock()
-
-	if improved {
-		c.logf("fleet: sweep %s incumbent -> %.6g (%s)", up.SweepID, state.Objective, state.Candidate)
-	}
-	writeJSON(w, http.StatusOK, state)
-}
-
 func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	var up CheckpointUpload
 	if !decodeBody(w, r, checkpointBodyLimit, false, "checkpoint upload", &up) {
@@ -598,8 +578,9 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	fs.stats.Uploads++
 	// An achieved best folds even from a stale lease — it is still sound.
-	if up.Best != nil {
-		fs.foldIncumbentLocked(up.Best.Candidate, up.Best.Objective)
+	if up.Best != nil && fs.foldIncumbentLocked(up.Best.Candidate, up.Best.Objective) {
+		// Deferred so it logs after the lock is released, on every return.
+		defer c.logf("fleet: sweep %s incumbent -> %.6g (%s)", fs.id, up.Best.Objective, up.Best.Candidate)
 	}
 
 	i := c.findLeaseLocked(fs, up.LeaseID)
@@ -732,8 +713,8 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// Request body limits. Submit, lease, renew and incumbent messages are at
-// most spec-sized (the sweep service's POST /sweep limit); a checkpoint
+// Request body limits. Submit, lease and renew messages are at most
+// spec-sized (the sweep service's POST /sweep limit); a checkpoint
 // upload carries every settled cell of a worker session at roughly 600
 // bytes per cell, so it gets room for about 10^5 cells — several full
 // Table I grids.

@@ -30,31 +30,35 @@ func postRaw(t *testing.T, url, body string) int {
 // branches directly — the handler-path tests only see valid shapes.
 func TestWireValidate(t *testing.T) {
 	spec := parseSpec(t, testSpecJSON("wv"))
-	shardSpec := spec
-	shardSpec.Shard = &dse.ShardSpec{Index: 0, Count: 2}
-	okLease := Lease{SweepID: "s", LeaseID: "l", Shard: 0, Shards: 2, Spec: shardSpec, TTLMS: 1000}
-	if err := okLease.Validate(); err != nil {
+	lease := func(cands ...int) *Lease {
+		return &Lease{SweepID: "s", LeaseID: "l", Shard: 0, Shards: 2, Candidates: cands, Spec: spec, TTLMS: 1000}
+	}
+	if err := lease(0, 2).Validate(); err != nil {
 		t.Fatalf("valid lease rejected: %v", err)
 	}
 
+	badIncumbent := lease(0)
+	badIncumbent.Incumbent = IncumbentState{Found: true, Objective: math.Inf(1)}
+	badSpec := lease(0)
+	badSpec.Spec = dse.Spec{}
 	bad := []struct {
 		name string
 		v    validatable
 	}{
-		{"lease no ids", &Lease{Shards: 1, TTLMS: 1}},
-		{"lease shard range", &Lease{SweepID: "s", LeaseID: "l", Shard: 3, Shards: 2, TTLMS: 1}},
-		{"lease ttl", &Lease{SweepID: "s", LeaseID: "l", Shards: 1, TTLMS: 0}},
-		{"lease bad incumbent", &Lease{SweepID: "s", LeaseID: "l", Shards: 1, TTLMS: 1,
-			Incumbent: IncumbentState{Found: true, Objective: math.Inf(1)}}},
-		{"lease bad spec", &Lease{SweepID: "s", LeaseID: "l", Shards: 1, TTLMS: 1}},
-		{"lease shard mismatch", &Lease{SweepID: "s", LeaseID: "l", Shard: 1, Shards: 2, Spec: shardSpec, TTLMS: 1}},
+		{"lease no ids", &Lease{Shards: 1, Candidates: []int{0}, TTLMS: 1}},
+		{"lease shard range", &Lease{SweepID: "s", LeaseID: "l", Shard: 3, Shards: 2, Candidates: []int{0}, TTLMS: 1}},
+		{"lease ttl", &Lease{SweepID: "s", LeaseID: "l", Shards: 1, Candidates: []int{0}, TTLMS: 0}},
+		{"lease empty candidates", lease()},
+		{"lease unsorted candidates", lease(2, 0)},
+		{"lease duplicate candidates", lease(1, 1)},
+		{"lease negative candidate", lease(-1, 0)},
+		{"lease bad incumbent", badIncumbent},
+		{"lease bad spec", badSpec},
 		{"lease request", &LeaseRequest{}},
 		{"renew request", &RenewRequest{SweepID: "s"}},
 		{"renew response ttl", &RenewResponse{TTLMS: 0}},
 		{"renew response incumbent", &RenewResponse{TTLMS: 1,
 			Incumbent: IncumbentState{Found: true, Objective: math.NaN()}}},
-		{"incumbent update id", &IncumbentUpdate{Objective: 1}},
-		{"incumbent update objective", &IncumbentUpdate{SweepID: "s", Objective: math.Inf(-1)}},
 		{"incumbent state", &IncumbentState{Found: true, Objective: math.NaN()}},
 		{"shard stats", &ShardStats{SAIterations: -1}},
 		{"shard best", &ShardBest{Objective: math.Inf(1)}},
@@ -178,7 +182,8 @@ func TestCoordinatorSurface(t *testing.T) {
 		t.Fatalf("health after lease = %+v", h)
 	}
 
-	// Renew and incumbent rejections.
+	// Renew rejections; the incumbent travels only on checkpoint uploads, so
+	// there is no incumbent endpoint to push to.
 	if code := postRaw(t, srv.URL+"/renew", "{nope"); code != http.StatusBadRequest {
 		t.Fatalf("bad renew JSON answered %d", code)
 	}
@@ -191,11 +196,8 @@ func TestCoordinatorSurface(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/renew", RenewRequest{SweepID: st.ID, LeaseID: "wrong"}, nil); code != http.StatusGone {
 		t.Fatalf("wrong-lease renew answered %d", code)
 	}
-	if code := postRaw(t, srv.URL+"/incumbent", "{nope"); code != http.StatusBadRequest {
-		t.Fatalf("bad incumbent JSON answered %d", code)
-	}
-	if code := postRaw(t, srv.URL+"/incumbent", `{"sweep_id":"s","objective":1e999}`); code != http.StatusBadRequest {
-		t.Fatalf("non-finite incumbent answered %d", code)
+	if code := postRaw(t, srv.URL+"/incumbent", `{"sweep_id":"s","objective":1}`); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /incumbent answered %d, want 404 or 405", code)
 	}
 
 	// Checkpoint rejections: bad JSON, invalid envelope, unknown sweep, and
@@ -233,7 +235,7 @@ func TestBoundedDecode(t *testing.T) {
 
 	for path, limit := range map[string]int{
 		"/sweeps": controlBodyLimit, "/lease": controlBodyLimit, "/renew": controlBodyLimit,
-		"/incumbent": controlBodyLimit, "/checkpoint": checkpointBodyLimit,
+		"/checkpoint": checkpointBodyLimit,
 	} {
 		body := `{"worker":"` + strings.Repeat("w", limit) + `"}`
 		if code := postRaw(t, srv.URL+path, body); code != http.StatusRequestEntityTooLarge {
@@ -241,7 +243,7 @@ func TestBoundedDecode(t *testing.T) {
 		}
 	}
 
-	for _, knob := range []string{`"order":"grid"`, `"bound":"cut"`, `"abandon_every":8`} {
+	for _, knob := range []string{`"order":"grid"`, `"bound":"cut"`, `"abandon_every":8`, `"shard":{"index":0,"count":2}`} {
 		body := `{"shards":1,"spec":{"space":{"tops":72},"models":["tinycnn"],` + knob + `}}`
 		resp, err := http.Post(srv.URL+"/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {

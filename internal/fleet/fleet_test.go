@@ -206,7 +206,7 @@ func TestWorkerDeathReshard(t *testing.T) {
 	if lease.Shard != 0 || lease.Shards != 2 {
 		t.Fatalf("first lease got shard %d/%d, want 0/2", lease.Shard, lease.Shards)
 	}
-	aCands, err := lease.Spec.Candidates()
+	aCands, err := leaseCandidates(&lease)
 	if err != nil {
 		t.Fatalf("lease candidates: %v", err)
 	}
@@ -281,8 +281,9 @@ func TestWorkerDeathReshard(t *testing.T) {
 }
 
 // TestCoordinatorWire exercises the control-plane contracts that don't need
-// real sweeps: submit validation, incumbent fan-out on every round trip,
-// stale-lease handling and the merge-on-410 rule.
+// real sweeps: submit validation, the incumbent folded from checkpoint
+// uploads and fanned out on every round trip, stale-lease handling and the
+// merge-on-410 rule.
 func TestCoordinatorWire(t *testing.T) {
 	spec := parseSpec(t, testSpecJSON("wire"))
 	clock := &fakeClock{t: time.Unix(2_000_000, 0)}
@@ -290,13 +291,6 @@ func TestCoordinatorWire(t *testing.T) {
 	srv := httptest.NewServer(coord)
 	defer srv.Close()
 
-	// A spec carrying its own shard slice is the coordinator's job to
-	// assign, not the client's.
-	sharded := spec
-	sharded.Shard = &dse.ShardSpec{Index: 0, Count: 2}
-	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: sharded, Shards: 2}, nil); code != http.StatusBadRequest {
-		t.Fatalf("sharded spec submit answered %d, want 400", code)
-	}
 	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: 0}, nil); code != http.StatusBadRequest {
 		t.Fatalf("shards=0 submit answered %d, want 400", code)
 	}
@@ -313,24 +307,6 @@ func TestCoordinatorWire(t *testing.T) {
 		t.Fatalf("duplicate id submit answered %d, want 409", code)
 	}
 
-	// Incumbent pushes fold monotonically and fan out on lease and renew.
-	var inc IncumbentState
-	if code := postJSON(t, srv.URL+"/incumbent", IncumbentUpdate{SweepID: "wire", Candidate: "a", Objective: 10}, &inc); code != http.StatusOK {
-		t.Fatalf("incumbent push answered %d", code)
-	}
-	if !inc.Found || inc.Objective != 10 {
-		t.Fatalf("incumbent after first push = %+v", inc)
-	}
-	if code := postJSON(t, srv.URL+"/incumbent", IncumbentUpdate{SweepID: "wire", Candidate: "b", Objective: 20}, &inc); code != http.StatusOK {
-		t.Fatalf("incumbent push answered %d", code)
-	}
-	if inc.Objective != 10 {
-		t.Fatalf("worse push moved the incumbent to %v", inc.Objective)
-	}
-	if code := postJSON(t, srv.URL+"/incumbent", IncumbentUpdate{SweepID: "none", Objective: 1}, nil); code != http.StatusNotFound {
-		t.Fatalf("unknown-sweep push answered %d, want 404", code)
-	}
-
 	var lease Lease
 	if code := postJSON(t, srv.URL+"/lease", LeaseRequest{Worker: "w"}, &lease); code != http.StatusOK {
 		t.Fatalf("lease answered %d", code)
@@ -338,8 +314,44 @@ func TestCoordinatorWire(t *testing.T) {
 	if err := lease.Validate(); err != nil {
 		t.Fatalf("granted lease invalid: %v", err)
 	}
-	if !lease.Incumbent.Found || lease.Incumbent.Objective != 10 {
-		t.Fatalf("lease incumbent = %+v, want the pushed best", lease.Incumbent)
+	if len(lease.Candidates) != 1 || lease.Candidates[0] != 0 {
+		t.Fatalf("first lease candidates = %v, want [0]", lease.Candidates)
+	}
+	if lease.Incumbent.Found {
+		t.Fatalf("fresh sweep's lease carries an incumbent: %+v", lease.Incumbent)
+	}
+
+	// The best an upload carries folds monotonically into the incumbent and
+	// comes back on the upload's own response.
+	var empty bytes.Buffer
+	if err := dse.NewSession().SaveCheckpoint(&empty); err != nil {
+		t.Fatalf("empty checkpoint: %v", err)
+	}
+	upload := func(leaseID string, best ShardBest) (int, CheckpointResponse) {
+		var resp CheckpointResponse
+		code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
+			SweepID: "wire", LeaseID: leaseID, Worker: "w", Best: &best, Checkpoint: empty.Bytes(),
+		}, &resp)
+		return code, resp
+	}
+	if code, resp := upload(lease.LeaseID, ShardBest{Candidate: "a", Objective: 10}); code != http.StatusOK ||
+		!resp.Incumbent.Found || resp.Incumbent.Objective != 10 || resp.Incumbent.Candidate != "a" {
+		t.Fatalf("first best upload: %d %+v", code, resp.Incumbent)
+	}
+	if code, resp := upload(lease.LeaseID, ShardBest{Candidate: "b", Objective: 20}); code != http.StatusOK || resp.Incumbent.Objective != 10 {
+		t.Fatalf("worse best moved the incumbent: %d %+v", code, resp.Incumbent)
+	}
+
+	// It fans out on every later lease and renewal.
+	var second Lease
+	if code := postJSON(t, srv.URL+"/lease", LeaseRequest{Worker: "w2"}, &second); code != http.StatusOK {
+		t.Fatalf("second lease answered %d", code)
+	}
+	if len(second.Candidates) != 1 || second.Candidates[0] != 1 {
+		t.Fatalf("second lease candidates = %v, want [1]", second.Candidates)
+	}
+	if !second.Incumbent.Found || second.Incumbent.Objective != 10 {
+		t.Fatalf("lease incumbent = %+v, want the uploaded best", second.Incumbent)
 	}
 	var renew RenewResponse
 	if code := postJSON(t, srv.URL+"/renew", RenewRequest{SweepID: "wire", LeaseID: lease.LeaseID, Worker: "w"}, &renew); code != http.StatusOK {
@@ -349,19 +361,19 @@ func TestCoordinatorWire(t *testing.T) {
 		t.Fatalf("renew incumbent = %+v", renew.Incumbent)
 	}
 
-	// Expire the lease; renewing it is now 410 and the shard is pending
+	// Expire both leases; renewing is now 410 and every shard is pending
 	// again.
 	clock.Advance(11 * time.Second)
 	if code := postJSON(t, srv.URL+"/renew", RenewRequest{SweepID: "wire", LeaseID: lease.LeaseID, Worker: "w"}, nil); code != http.StatusGone {
 		t.Fatalf("expired renew answered %d, want 410", code)
 	}
 	got, _ := coord.Status("wire")
-	if got.Stats.ExpiredLeases != 1 || got.ShardsPending != 4 {
-		t.Fatalf("after expiry: %+v, want 1 expired lease and all shards pending", got)
+	if got.Stats.ExpiredLeases != 2 || got.ShardsPending != 4 {
+		t.Fatalf("after expiry: %+v, want 2 expired leases and all shards pending", got)
 	}
 
-	// A stale-lease upload still merges its cells (they are sound) but
-	// answers 410 so the worker learns the shard moved on.
+	// A stale-lease upload still merges its cells and folds its best (both
+	// are sound) but answers 410 so the worker learns the shard moved on.
 	ses := dse.NewSession()
 	cands, _ := spec.Candidates()
 	graphs, _ := spec.Graphs()
@@ -375,7 +387,8 @@ func TestCoordinatorWire(t *testing.T) {
 		t.Fatalf("mini checkpoint: %v", err)
 	}
 	if code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
-		SweepID: "wire", LeaseID: lease.LeaseID, Worker: "w", Checkpoint: buf.Bytes(),
+		SweepID: "wire", LeaseID: lease.LeaseID, Worker: "w",
+		Best: &ShardBest{Candidate: "c", Objective: 5}, Checkpoint: buf.Bytes(),
 	}, nil); code != http.StatusGone {
 		t.Fatalf("stale upload answered %d, want 410", code)
 	}
@@ -383,33 +396,185 @@ func TestCoordinatorWire(t *testing.T) {
 	if got.CheckpointCells == 0 {
 		t.Fatalf("stale upload's cells were not merged")
 	}
-	if got.Stats.ExpiredLeases != 1 {
+	if got.Incumbent.Objective != 5 || got.Incumbent.Candidate != "c" {
+		t.Fatalf("stale upload's best was not folded: %+v", got.Incumbent)
+	}
+	if got.Stats.ExpiredLeases != 2 {
 		t.Fatalf("stale upload double-counted expiry: %+v", got.Stats)
 	}
 }
 
-// TestExchange checks the worker-side incumbent cache: monotone folding,
-// +Inf initial state, and last-writer-wins outbox coalescing.
+// TestExchange checks the worker-side incumbent cache: +Inf initial state
+// and monotone folding.
 func TestExchange(t *testing.T) {
-	ex := newExchange(nil, "s")
+	ex := newExchange()
 	if !math.IsInf(ex.Best(), 1) {
 		t.Fatalf("fresh exchange best = %v, want +Inf", ex.Best())
 	}
 	ex.fold(5)
 	ex.fold(7) // worse: ignored
+	ex.fold(math.NaN())
 	if ex.Best() != 5 {
 		t.Fatalf("best = %v, want 5", ex.Best())
 	}
-	ex.Improved("a", 4)
-	ex.Improved("b", 3)
+	ex.fold(3)
 	if ex.Best() != 3 {
 		t.Fatalf("best = %v, want 3", ex.Best())
 	}
-	u := ex.take()
-	if u == nil || u.Candidate != "b" || u.Objective != 3 {
-		t.Fatalf("outbox = %+v, want the latest improvement", u)
+}
+
+// TestPartition is the sharding rule's property test: for shard counts 1, 2,
+// 3, n and n+5 (clamped to n), every shard is non-empty and strictly
+// ascending, the shards are pairwise disjoint, and together they cover
+// every enumeration index exactly once.
+func TestPartition(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 16} {
+		for _, shards := range []int{1, 2, 3, n, n + 5} {
+			parts := partition(n, shards)
+			if want := min(shards, n); len(parts) != want {
+				t.Fatalf("partition(%d, %d) cut %d shards, want %d", n, shards, len(parts), want)
+			}
+			seen := make([]int, n)
+			for s, p := range parts {
+				if len(p) == 0 {
+					t.Fatalf("partition(%d, %d) shard %d is empty", n, shards, s)
+				}
+				for i, k := range p {
+					if i > 0 && k <= p[i-1] {
+						t.Fatalf("partition(%d, %d) shard %d not strictly ascending: %v", n, shards, s, p)
+					}
+					if k < 0 || k >= n {
+						t.Fatalf("partition(%d, %d) shard %d index %d out of [0, %d)", n, shards, s, k, n)
+					}
+					seen[k]++
+				}
+			}
+			for k, c := range seen {
+				if c != 1 {
+					t.Fatalf("partition(%d, %d) covers index %d %d times, want once", n, shards, k, c)
+				}
+			}
+		}
 	}
-	if ex.take() != nil {
-		t.Fatalf("outbox not drained")
+}
+
+// TestLeaseCandidatesRange: a worker refuses a lease whose index list
+// reaches past the spec's enumeration, and resolves a valid one in order.
+func TestLeaseCandidatesRange(t *testing.T) {
+	spec := parseSpec(t, testSpecJSON("range"))
+	all, err := spec.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := Lease{SweepID: "s", LeaseID: "l", Shards: 1, TTLMS: 1, Spec: spec,
+		Candidates: []int{1, len(all)}}
+	if _, err := leaseCandidates(&lease); err == nil {
+		t.Fatalf("index %d past %d candidates accepted", len(all), len(all))
+	}
+	lease.Candidates = []int{0, len(all) - 1}
+	got, err := leaseCandidates(&lease)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Name != all[0].Name || got[1].Name != all[len(all)-1].Name {
+		t.Fatalf("resolved %v, want the first and last candidates", got)
+	}
+}
+
+// TestWorkerUploadsCarryBest runs a worker against a fake coordinator that
+// grants one whole-grid lease and records every request: each checkpoint
+// upload after the first feasible candidate must carry the worker's best
+// delivered result, that best must only improve and end at the
+// single-process best, and the incumbent must never travel on any other
+// endpoint.
+func TestWorkerUploadsCarryBest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real sweep")
+	}
+	spec := parseSpec(t, testSpecJSON("fake"))
+	all, err := spec.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, err := spec.Graphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := dse.NewSession().Run(all, graphs, spec.Options())
+	for _, r := range solo {
+		if !r.Feasible {
+			t.Fatalf("test grid needs every candidate feasible; %s is %s", r.Cfg.Name, r.Status())
+		}
+	}
+	soloBest := dse.Best(solo)
+
+	var mu sync.Mutex
+	var paths []string
+	var uploads []CheckpointUpload
+	leased := false
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		paths = append(paths, r.URL.Path)
+		switch r.URL.Path {
+		case "/lease":
+			if leased {
+				w.WriteHeader(http.StatusNoContent)
+				return
+			}
+			leased = true
+			idx := make([]int, len(all))
+			for i := range idx {
+				idx[i] = i
+			}
+			writeJSON(w, http.StatusOK, Lease{SweepID: "fake", LeaseID: "l1", Shards: 1,
+				Candidates: idx, Spec: spec, TTLMS: 60_000})
+		case "/renew":
+			writeJSON(w, http.StatusOK, RenewResponse{TTLMS: 60_000})
+		case "/checkpoint":
+			var up CheckpointUpload
+			if err := json.NewDecoder(r.Body).Decode(&up); err != nil {
+				t.Errorf("decoding upload: %v", err)
+			}
+			uploads = append(uploads, up)
+			writeJSON(w, http.StatusOK, CheckpointResponse{})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer fake.Close()
+
+	if err := RunWorker(context.Background(), WorkerConfig{
+		Coordinator: fake.URL, Name: "wf", ExitWhenIdle: true, Logf: t.Logf,
+	}); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, p := range paths {
+		if p != "/lease" && p != "/renew" && p != "/checkpoint" {
+			t.Errorf("worker hit %s; the incumbent travels only on checkpoint uploads", p)
+		}
+	}
+	if len(uploads) < 2 {
+		t.Fatalf("worker sent %d uploads, want partial ones plus the final", len(uploads))
+	}
+	prev := math.Inf(1)
+	for i, up := range uploads {
+		if up.Best == nil {
+			t.Fatalf("upload %d of %d carries no best", i, len(uploads))
+		}
+		if up.Best.Objective > prev {
+			t.Fatalf("upload %d best %v is worse than an earlier upload's %v", i, up.Best.Objective, prev)
+		}
+		prev = up.Best.Objective
+	}
+	last := uploads[len(uploads)-1]
+	if !last.Complete {
+		t.Fatalf("final upload not complete: %+v", last.Stats)
+	}
+	if last.Best.Objective != soloBest.Obj || last.Best.Candidate != soloBest.Cfg.Name {
+		t.Fatalf("final best %+v, want single-process best %s (%v)", *last.Best, soloBest.Cfg.Name, soloBest.Obj)
 	}
 }

@@ -12,20 +12,20 @@ import (
 
 // FuzzFleetWire drives arbitrary bytes through the decode+validate path of
 // every fleet wire envelope a coordinator or worker accepts off the network
-// — lease grants, incumbent updates and checkpoint-merge envelopes — and
-// checks the round-trip property: anything that decodes and validates must
-// re-marshal, and the re-marshaled form must decode and validate again.
+// — lease grants, renewals, incumbent states and checkpoint-merge envelopes
+// — and checks the round-trip property: anything that decodes and validates
+// must re-marshal, and the re-marshaled form must decode and validate again.
 // The seed corpus lives in testdata/fuzz/FuzzFleetWire.
 func FuzzFleetWire(f *testing.F) {
 	seeds := []string{
-		// A plausible lease grant with a shard-scoped spec and checkpoint.
-		`{"sweep_id":"s1","lease_id":"lease-1","shard":0,"shards":2,` +
+		// A plausible lease grant with its candidate indices and checkpoint.
+		`{"sweep_id":"s1","lease_id":"lease-1","shard":0,"shards":2,"candidates":[0],` +
 			`"spec":{"id":"s1.s0","space":{"tops":72,"cuts":[1],"dram_per_tops":[2],` +
 			`"noc_gbps":[32,64],"d2d_ratios":[0.5],"glb_kb":[1024],"macs":[1024]},` +
-			`"models":["tinycnn"],"sa_iterations":60,"shard":{"index":0,"count":2}},` +
+			`"models":["tinycnn"],"sa_iterations":60},` +
 			`"incumbent":{"found":true,"candidate":"c","objective":1.5},` +
 			`"ttl_ms":10000,"checkpoint":{"version":1,"cells":{}}}`,
-		// An incumbent update and its fan-out state.
+		// A best-like record and an incumbent state.
 		`{"sweep_id":"s1","candidate":"(1, 36, 147GB/s)","objective":6.7e-7}`,
 		`{"found":true,"candidate":"c","objective":0.25}`,
 		// A checkpoint-merge envelope, complete with stats and best.
@@ -44,6 +44,16 @@ func FuzzFleetWire(f *testing.F) {
 		`{"worker":"x\\ud800"}`,
 		// Past the body limit: must be refused, never decoded.
 		`{"sweep_id":"s","lease_id":"l","worker":"` + strings.Repeat("w", fuzzBodyLimit) + `"}`,
+		// Hostile candidate index lists: unsorted, duplicate, negative,
+		// empty, null, past any enumeration, not integers.
+		`{"sweep_id":"s","lease_id":"l","shards":1,"ttl_ms":1,"candidates":[3,1]}`,
+		`{"sweep_id":"s","lease_id":"l","shards":1,"ttl_ms":1,"candidates":[2,2]}`,
+		`{"sweep_id":"s","lease_id":"l","shards":1,"ttl_ms":1,"candidates":[-1,0]}`,
+		`{"sweep_id":"s","lease_id":"l","shards":1,"ttl_ms":1,"candidates":[]}`,
+		`{"sweep_id":"s","lease_id":"l","shards":1,"ttl_ms":1,"candidates":null}`,
+		`{"sweep_id":"s","lease_id":"l","shards":1,"ttl_ms":1,"candidates":[0,9223372036854775807],` +
+			`"spec":{"space":{"tops":72},"models":["tinycnn"]}}`,
+		`{"sweep_id":"s","lease_id":"l","shards":1,"ttl_ms":1,"candidates":[0.5,"1",1e99]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -54,7 +64,6 @@ func FuzzFleetWire(f *testing.F) {
 		checkRoundTrip[LeaseRequest](t, data)
 		checkRoundTrip[RenewRequest](t, data)
 		checkRoundTrip[RenewResponse](t, data)
-		checkRoundTrip[IncumbentUpdate](t, data)
 		checkRoundTrip[IncumbentState](t, data)
 		checkRoundTrip[CheckpointUpload](t, data)
 		checkRoundTrip[CheckpointResponse](t, data)

@@ -1,7 +1,7 @@
 // Wire messages of the fleet protocol: the JSON bodies workers and the
-// coordinator exchange over the lease, renew, incumbent and checkpoint
-// endpoints. Every message is a plain JSON struct with a Validate method,
-// so the fuzz harness (FuzzFleetWire) can drive arbitrary bytes through
+// coordinator exchange over the lease, renew and checkpoint endpoints.
+// Every message is a plain JSON struct with a Validate method, so the fuzz
+// harness (FuzzFleetWire) can drive arbitrary bytes through
 // exactly the decode path the handlers use. Objectives on the wire are
 // always achieved finite values — "no incumbent yet" travels as
 // IncumbentState.Found=false, never as +Inf, which JSON cannot carry.
@@ -32,9 +32,9 @@ func (r *LeaseRequest) Validate() error {
 }
 
 // IncumbentState is the coordinator's view of a fleet sweep's best achieved
-// feasible objective. It rides on every lease grant, renew response,
-// incumbent push response and checkpoint response, so a worker's cached
-// fleet-wide best is refreshed by every control-plane round trip.
+// feasible objective. It rides on every lease grant, renew response and
+// checkpoint response, so a worker's cached fleet-wide best is refreshed by
+// every control-plane round trip.
 type IncumbentState struct {
 	// Found reports that some shard has achieved a feasible result; when
 	// false the other fields are zero and the state means "+Inf".
@@ -64,21 +64,25 @@ func (s IncumbentState) best() float64 {
 }
 
 // Lease is the coordinator's POST /lease grant: one shard of one fleet
-// sweep, scoped by a shard-sliced dse.Spec, together with everything the
-// worker needs to start warm — the current merged checkpoint and the
-// current fleet-wide incumbent.
+// sweep — the sweep's spec plus the enumeration indices of the shard's
+// candidates — together with everything the worker needs to start warm:
+// the current merged checkpoint and the current fleet-wide incumbent.
 type Lease struct {
 	// SweepID names the fleet sweep the shard belongs to.
 	SweepID string `json:"sweep_id"`
 	// LeaseID names this grant; renewals and uploads must echo it, and a
 	// grant that expires is reissued to another worker under a new id.
 	LeaseID string `json:"lease_id"`
-	// Shard and Shards locate the slice: the spec keeps candidates whose
-	// enumeration index ≡ Shard (mod Shards).
+	// Shard is the shard's index within the sweep, in [0, Shards).
 	Shard int `json:"shard"`
 	// Shards is the sweep's total shard count.
 	Shards int `json:"shards"`
-	// Spec is the shard-scoped sweep spec the worker runs verbatim.
+	// Candidates lists, strictly ascending, the indices into
+	// Spec.Candidates()'s enumeration this shard runs. The coordinator cuts
+	// them once, at submit.
+	Candidates []int `json:"candidates"`
+	// Spec is the sweep spec; the worker enumerates it and runs the
+	// candidates Candidates selects.
 	Spec dse.Spec `json:"spec"`
 	// Incumbent seeds the worker's cached fleet-wide best.
 	Incumbent IncumbentState `json:"incumbent"`
@@ -94,7 +98,9 @@ type Lease struct {
 }
 
 // Validate checks the grant's internal consistency, including that the
-// embedded spec is itself valid and scoped to the advertised shard.
+// embedded spec is itself valid and the candidate index list is non-empty,
+// non-negative and strictly ascending. Whether the indices fit the spec's
+// enumeration is the worker's check: it needs the enumeration.
 func (l *Lease) Validate() error {
 	if l.SweepID == "" || l.LeaseID == "" {
 		return fmt.Errorf("fleet: lease missing sweep or lease id")
@@ -105,15 +111,19 @@ func (l *Lease) Validate() error {
 	if l.TTLMS <= 0 {
 		return fmt.Errorf("fleet: lease ttl_ms = %d, want > 0", l.TTLMS)
 	}
+	if len(l.Candidates) == 0 {
+		return fmt.Errorf("fleet: lease has no candidates")
+	}
+	for i, k := range l.Candidates {
+		if k < 0 || (i > 0 && k <= l.Candidates[i-1]) {
+			return fmt.Errorf("fleet: lease candidates[%d] = %d: want non-negative and strictly ascending", i, k)
+		}
+	}
 	if err := l.Incumbent.Validate(); err != nil {
 		return err
 	}
 	if err := l.Spec.Validate(); err != nil {
 		return fmt.Errorf("fleet: lease spec: %w", err)
-	}
-	if sh := l.Spec.Shard; sh == nil || sh.Index != l.Shard || sh.Count != l.Shards {
-		return fmt.Errorf("fleet: lease spec shard %+v does not match lease shard %d/%d",
-			sh, l.Shard, l.Shards)
 	}
 	return nil
 }
@@ -153,33 +163,6 @@ func (r *RenewResponse) Validate() error {
 	return r.Incumbent.Validate()
 }
 
-// IncumbentUpdate is a worker's POST /incumbent body: a locally achieved
-// feasible objective that improved the worker's incumbent. The coordinator
-// folds it (monotone min) and answers with the resulting fleet-wide state,
-// which may be better than the pushed value if another shard got there
-// first.
-type IncumbentUpdate struct {
-	// SweepID names the fleet sweep the objective belongs to.
-	SweepID string `json:"sweep_id"`
-	// Candidate names the architecture that achieved the objective.
-	Candidate string `json:"candidate"`
-	// Objective is the achieved feasible objective (must be finite).
-	Objective float64 `json:"objective"`
-}
-
-// Validate checks the update: the pushed objective must be a finite
-// achieved value — the monotone-min fold is only sound over achieved
-// objectives.
-func (u *IncumbentUpdate) Validate() error {
-	if u.SweepID == "" {
-		return fmt.Errorf("fleet: incumbent update missing sweep id")
-	}
-	if math.IsNaN(u.Objective) || math.IsInf(u.Objective, 0) {
-		return fmt.Errorf("fleet: incumbent update objective %v is not finite", u.Objective)
-	}
-	return nil
-}
-
 // ShardStats is the worker-side sweep accounting a completed shard reports:
 // the dse.SweepStats fields the coordinator aggregates fleet-wide.
 type ShardStats struct {
@@ -213,9 +196,12 @@ func (s *ShardStats) Validate() error {
 	return nil
 }
 
-// ShardBest is a completed shard's best feasible candidate, folded into the
-// fleet incumbent synchronously at upload time — which is what makes a
-// sequential one-worker fleet's pruning deterministic.
+// ShardBest is the best feasible candidate a worker's shard has delivered
+// so far. Every checkpoint upload carries it once one exists, and the
+// coordinator folds it into the fleet incumbent synchronously at upload
+// time — this is the incumbent's only way into the coordinator, and the
+// synchronous fold is what makes a sequential one-worker fleet's pruning
+// deterministic.
 type ShardBest struct {
 	// Candidate names the shard's best feasible architecture.
 	Candidate string `json:"candidate"`
@@ -235,7 +221,8 @@ func (b *ShardBest) Validate() error {
 // merge envelope. Workers stream partial uploads (Complete=false, coalesced
 // per settled candidate) so an expiring lease loses at most the in-flight
 // cells, and send one final Complete=true upload carrying the shard's stats
-// and best when the shard sweep finishes.
+// when the shard sweep finishes. Every upload, partial or final, carries the
+// shard's best delivered result.
 type CheckpointUpload struct {
 	// SweepID and LeaseID name the lease the upload belongs to.
 	SweepID string `json:"sweep_id"`
@@ -245,12 +232,12 @@ type CheckpointUpload struct {
 	LeaseID string `json:"lease_id"`
 	// Worker echoes the uploading worker's name.
 	Worker string `json:"worker"`
-	// Complete marks the shard finished; Stats and Best are then read.
+	// Complete marks the shard finished; Stats is then read.
 	Complete bool `json:"complete,omitempty"`
 	// Stats is the shard sweep's accounting (Complete uploads only).
 	Stats *ShardStats `json:"stats,omitempty"`
-	// Best is the shard's best feasible result, if any (Complete uploads
-	// only).
+	// Best is the shard's best feasible result delivered so far, absent
+	// until there is one.
 	Best *ShardBest `json:"best,omitempty"`
 	// Checkpoint is the worker session's dse.SaveCheckpoint bytes; the
 	// coordinator merges it into the sweep's canonical checkpoint.
@@ -295,8 +282,7 @@ func (r *CheckpointResponse) Validate() error {
 // SubmitRequest is the POST /sweeps body: a client submitting a sweep for
 // fleet execution.
 type SubmitRequest struct {
-	// Spec is the full (unsharded) sweep spec; specs carrying a shard slice
-	// are rejected — partitioning is the coordinator's job.
+	// Spec is the sweep spec; partitioning it is the coordinator's job.
 	Spec dse.Spec `json:"spec"`
 	// Shards is how many shard leases to cut the candidate grid into; it is
 	// clamped to the candidate count.

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gemini/internal/arch"
 	"gemini/internal/dse"
 )
 
@@ -126,16 +127,14 @@ func (w *worker) logf(format string, args ...any) {
 }
 
 // runShard executes one leased shard: restore the merged checkpoint, run
-// the shard-scoped sweep with the fleet exchange wired into pruning, renew
-// the lease in the background, stream partial checkpoints per settled
-// candidate, and finish with a Complete upload carrying stats and best.
+// the shard's candidates with the cached fleet best wired into pruning,
+// renew the lease in the background, stream partial checkpoints per settled
+// candidate, and finish with a Complete upload carrying stats. Every upload
+// carries the shard's best delivered result.
 func (w *worker) runShard(ctx context.Context, lease *Lease) error {
-	if err := lease.Validate(); err != nil {
-		w.logf("fleet worker %s: rejecting lease %s: %v", w.cfg.name(), lease.LeaseID, err)
-		return err
-	}
-	cands, err := lease.Spec.Candidates()
+	cands, err := leaseCandidates(lease)
 	if err != nil {
+		w.logf("fleet worker %s: rejecting lease %s: %v", w.cfg.name(), lease.LeaseID, err)
 		return err
 	}
 	graphs, err := lease.Spec.Graphs()
@@ -153,24 +152,27 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 	shardCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	ex := newExchange(w.cl, lease.SweepID)
+	ex := newExchange()
 	ex.fold(lease.Incumbent.best())
 
 	opt := lease.Spec.Options()
 	if w.cfg.Workers > 0 {
 		opt.Workers = w.cfg.Workers
 	}
-	opt.Incumbent = ex
+	opt.Incumbent = ex.Best
 
 	// Coalesced partial checkpoint uploads: each settled candidate pokes
-	// the uploader, which snapshots the session checkpoint and ships it.
-	// Uploads prove liveness (the coordinator extends the lease), so a
-	// worker that is making progress never expires even if a renew is lost.
+	// the uploader, which snapshots the session checkpoint and ships it
+	// with the shard's best delivered result — the one channel the fleet
+	// incumbent travels up on. Uploads prove liveness (the coordinator
+	// extends the lease), so a worker that is making progress never expires
+	// even if a renew is lost. OnResult calls are serialized, so best has a
+	// single writer.
+	var best atomic.Pointer[ShardBest]
 	ckptPoke := make(chan struct{}, 1)
-	prevOnResult := opt.OnResult
 	opt.OnResult = func(res dse.CandidateResult) {
-		if prevOnResult != nil {
-			prevOnResult(res)
+		if b := best.Load(); res.Feasible && (b == nil || res.Obj < b.Objective) {
+			best.Store(&ShardBest{Candidate: res.Cfg.Name, Objective: res.Obj})
 		}
 		select {
 		case ckptPoke <- struct{}{}:
@@ -219,29 +221,6 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 		}
 	}()
 
-	// Incumbent pusher: forwards locally achieved improvements and folds
-	// the coordinator's (possibly better) answer back into the cache.
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-shardCtx.Done():
-				return
-			case <-ex.poke:
-				for u := ex.take(); u != nil; u = ex.take() {
-					var st IncumbentState
-					code, err := w.cl.post(shardCtx, "/incumbent", u, &st)
-					if err == nil && code == http.StatusOK {
-						ex.fold(st.best())
-					}
-				}
-			}
-		}
-	}()
-
 	// Partial checkpoint uploader.
 	bg.Add(1)
 	go func() {
@@ -261,6 +240,7 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 					SweepID:    lease.SweepID,
 					LeaseID:    lease.LeaseID,
 					Worker:     w.cfg.name(),
+					Best:       best.Load(),
 					Checkpoint: buf.Bytes(),
 				}
 				var resp CheckpointResponse
@@ -278,7 +258,7 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 		}
 	}()
 
-	results, stats, runErr := w.ses.RunContext(shardCtx, cands, graphs, opt)
+	_, stats, runErr := w.ses.RunContext(shardCtx, cands, graphs, opt)
 	close(stop)
 	bg.Wait()
 
@@ -296,6 +276,7 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 		LeaseID:    lease.LeaseID,
 		Worker:     w.cfg.name(),
 		Complete:   complete,
+		Best:       best.Load(),
 		Checkpoint: buf.Bytes(),
 	}
 	if complete {
@@ -305,9 +286,6 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 			SAIterations:     stats.SAIterations,
 			ResumedCells:     stats.ResumedCells,
 			PrunedCandidates: stats.PrunedCandidates,
-		}
-		if best := dse.Best(results); best != nil && best.Feasible {
-			up.Best = &ShardBest{Candidate: best.Cfg.Name, Objective: best.Obj}
 		}
 	}
 	// Detach from shardCtx: the final upload must go out even when the
@@ -322,22 +300,36 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 	return runErr
 }
 
-// exchange is the worker-side dse.IncumbentExchange: an atomically cached
-// fleet-wide best, refreshed by every control-plane round trip, plus a
-// coalesced outbox the pusher goroutine drains. Best is read from the
-// scheduler's hot gates, so it must stay a bare atomic load.
-type exchange struct {
-	cl      *client
-	sweepID string
-	bits    atomic.Uint64
-
-	mu      sync.Mutex
-	pending *IncumbentUpdate
-	poke    chan struct{}
+// leaseCandidates validates a lease and resolves its enumeration indices
+// against the spec's candidate enumeration.
+func leaseCandidates(lease *Lease) ([]arch.Config, error) {
+	if err := lease.Validate(); err != nil {
+		return nil, err
+	}
+	all, err := lease.Spec.Candidates()
+	if err != nil {
+		return nil, err
+	}
+	cands := make([]arch.Config, len(lease.Candidates))
+	for i, k := range lease.Candidates {
+		if k >= len(all) {
+			return nil, fmt.Errorf("fleet: lease candidate index %d past the spec's %d candidates", k, len(all))
+		}
+		cands[i] = all[k]
+	}
+	return cands, nil
 }
 
-func newExchange(cl *client, sweepID string) *exchange {
-	e := &exchange{cl: cl, sweepID: sweepID, poke: make(chan struct{}, 1)}
+// exchange is the worker's cached fleet-wide best: the coordinator's
+// incumbent as of the last control-plane round trip (lease, renew or
+// checkpoint response). Its Best is the sweep's Options.Incumbent, read
+// from the scheduler's hot gates, so it must stay a bare atomic load.
+type exchange struct {
+	bits atomic.Uint64
+}
+
+func newExchange() *exchange {
+	e := &exchange{}
 	e.bits.Store(math.Float64bits(math.Inf(1)))
 	return e
 }
@@ -361,29 +353,6 @@ func (e *exchange) fold(v float64) {
 			return
 		}
 	}
-}
-
-// Improved receives a locally achieved feasible objective from the
-// scheduler, folds it into the cache and queues it for the pusher. Only the
-// newest pending improvement is kept — the coordinator folds min anyway.
-func (e *exchange) Improved(candidate string, obj float64) {
-	e.fold(obj)
-	e.mu.Lock()
-	e.pending = &IncumbentUpdate{SweepID: e.sweepID, Candidate: candidate, Objective: obj}
-	e.mu.Unlock()
-	select {
-	case e.poke <- struct{}{}:
-	default:
-	}
-}
-
-// take pops the pending improvement, if any.
-func (e *exchange) take() *IncumbentUpdate {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	u := e.pending
-	e.pending = nil
-	return u
 }
 
 // client is the worker's thin JSON-over-HTTP coordinator client.

@@ -6,12 +6,12 @@ import (
 	"gemini/internal/eval"
 )
 
-// TestDominatedHookNeverFiringBitIdentical pins the in-loop abandonment
-// contract: a hooked run whose Dominated callback never returns true must be
+// TestStopHookNeverFiringBitIdentical pins the in-loop abandonment
+// contract: a hooked run whose Stop callback never returns true must be
 // bit-identical to an unhooked run — same costs, counters, acceptance
 // pattern and best scheme — because the check consumes no randomness and
 // touches no search state.
-func TestDominatedHookNeverFiringBitIdentical(t *testing.T) {
+func TestStopHookNeverFiringBitIdentical(t *testing.T) {
 	s, cfg := annealInput(t)
 	opt := DefaultOptions()
 	opt.Iterations = 500
@@ -21,18 +21,14 @@ func TestDominatedHookNeverFiringBitIdentical(t *testing.T) {
 
 	hooked := opt
 	polls := 0
-	hooked.CheckEvery = 8
-	hooked.Dominated = func(best float64) bool {
+	hooked.Stop = func() bool {
 		polls++
-		if best > plain.InitCost {
-			t.Errorf("hook saw best %v above the initial cost %v", best, plain.InitCost)
-		}
 		return false
 	}
 	h := Optimize(s, eval.New(cfg), hooked)
 
-	if polls == 0 {
-		t.Fatal("Dominated hook was never polled")
+	if want := (opt.Iterations - 1) / stopEvery; polls != want {
+		t.Fatalf("Stop hook polled %d times, want %d", polls, want)
 	}
 	if h.Abandoned {
 		t.Fatal("never-firing hook abandoned the run")
@@ -51,18 +47,17 @@ func TestDominatedHookNeverFiringBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDominatedHookStopsMidAnneal: a firing hook must stop the search
-// within one polling stride and report Abandoned with the iteration count
-// actually spent.
-func TestDominatedHookStopsMidAnneal(t *testing.T) {
+// TestStopHookStopsMidAnneal: a firing hook must stop the search within one
+// polling stride and report Abandoned with the iteration count actually
+// spent.
+func TestStopHookStopsMidAnneal(t *testing.T) {
 	s, cfg := annealInput(t)
 	opt := DefaultOptions()
 	opt.Iterations = 500
 	opt.Seed = 7
-	opt.CheckEvery = 16
 	fireAfter := 3
 	polls := 0
-	opt.Dominated = func(float64) bool {
+	opt.Stop = func() bool {
 		polls++
 		return polls > fireAfter
 	}
@@ -71,7 +66,7 @@ func TestDominatedHookStopsMidAnneal(t *testing.T) {
 	if !r.Abandoned {
 		t.Fatal("firing hook did not abandon")
 	}
-	wantIters := (fireAfter + 1) * 16 // stops at the (fireAfter+1)-th poll
+	wantIters := (fireAfter + 1) * stopEvery // stops at the (fireAfter+1)-th poll
 	if r.Attempted != wantIters {
 		t.Errorf("attempted %d iterations, want exactly %d (abandon on the poll boundary)", r.Attempted, wantIters)
 	}
@@ -88,18 +83,18 @@ func TestPortfolioPropagatesMidAnnealAbandon(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Iterations = 200
 	opt.Seed = 3
-	opt.CheckEvery = 16
 
 	full := MultiStart(s, eval.New(cfg), opt, 2)
 	if full.Abandoned || len(full.Costs) != 2 {
 		t.Fatalf("baseline portfolio: %+v", full)
 	}
 
-	// Fire during the second restart.
+	// Fire during the second restart: restart 0's in-loop polls, then the
+	// between-restart poll, then the second in-loop poll of restart 1.
 	polls := 0
-	firstRestartPolls := opt.Iterations/opt.CheckEvery - 1
+	firstRestartPolls := (opt.Iterations - 1) / stopEvery
 	hooked := opt
-	hooked.Dominated = func(float64) bool {
+	hooked.Stop = func() bool {
 		polls++
 		return polls > firstRestartPolls+2
 	}
@@ -113,8 +108,7 @@ func TestPortfolioPropagatesMidAnnealAbandon(t *testing.T) {
 	if p.Skipped() != 1 {
 		t.Errorf("Skipped = %d, want 1 (the interrupted restart never completed)", p.Skipped())
 	}
-	if p.Iterations <= opt.Iterations || p.Iterations >= full.Iterations {
-		t.Errorf("iterations %d should lie between one full restart (%d) and the full portfolio (%d)",
-			p.Iterations, opt.Iterations, full.Iterations)
+	if want := opt.Iterations + 2*stopEvery; p.Iterations != want {
+		t.Errorf("iterations %d, want %d (one full restart plus two strides)", p.Iterations, want)
 	}
 }

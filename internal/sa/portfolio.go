@@ -29,9 +29,9 @@ type Portfolio struct {
 	Costs []float64
 	// Planned is the requested portfolio width.
 	Planned int
-	// Abandoned reports that the Stop callback interrupted the portfolio
-	// between restarts, or the per-restart Dominated hook interrupted one
-	// mid-anneal. Best holds the best result of the restarts that did run,
+	// Abandoned reports that the Options.Stop hook interrupted the portfolio
+	// between restarts or one restart mid-anneal. Best holds the best result
+	// of the restarts that did run,
 	// but callers that abandon because the whole cell is dominated typically
 	// discard it.
 	Abandoned bool
@@ -62,19 +62,14 @@ func RestartSeed(base int64, i int) int64 {
 }
 
 // AdaptiveOptions configures early stopping of a multi-start portfolio.
-// The zero value disables both mechanisms, making MultiStartAdaptive
-// bit-identical to MultiStart.
+// The zero value disables it, making MultiStartAdaptive bit-identical to
+// MultiStart.
 type AdaptiveOptions struct {
 	// Patience stops the portfolio after this many consecutive restarts
 	// that failed to improve the best cost (<= 0: never stop early).
 	// Restart 0 always runs, and any Patience >= restarts can never
 	// trigger, so such portfolios are bit-identical to the fixed schedule.
 	Patience int
-	// Stop, when non-nil, is polled before every restart after the first;
-	// returning true abandons the remaining restarts immediately. The DSE
-	// scheduler uses it to re-read the live pruning incumbent between
-	// restarts and walk away from dominated cells.
-	Stop func() bool
 }
 
 // MultiStart anneals the scheme restarts times with deterministically
@@ -92,10 +87,10 @@ func MultiStart(input *core.Scheme, ev *eval.Evaluator, opt Options, restarts in
 // MultiStartAdaptive is MultiStart with an adaptive schedule: restarts run
 // in the same deterministic order with the same derived seeds, but the
 // portfolio stops early after ao.Patience consecutive non-improving seeds,
-// and ao.Stop can abandon it between restarts. The fold over the restarts
-// that do run is identical to MultiStart's, so a portfolio that never stops
-// early (Patience <= 0 or >= restarts, Stop never firing) is bit-identical
-// to the fixed schedule.
+// and opt.Stop can abandon it. The fold over the restarts that do run is
+// identical to MultiStart's, so a portfolio that never stops early
+// (Patience <= 0 or >= restarts, Stop never firing) is bit-identical to the
+// fixed schedule.
 func MultiStartAdaptive(input *core.Scheme, ev *eval.Evaluator, opt Options, restarts int, ao AdaptiveOptions) Portfolio {
 	if restarts < 1 {
 		restarts = 1
@@ -108,12 +103,12 @@ func MultiStartAdaptive(input *core.Scheme, ev *eval.Evaluator, opt Options, res
 // regardless of the window, so a portfolio can be widened incrementally — the
 // racing scheduler's rungs and checkpoint re-entry rely on folding a stored
 // prefix [0, from) with a fresh window [from, to) being bit-identical to one
-// [0, to) run. BestRestart is the absolute restart index. ao.Stop is polled
+// [0, to) run. BestRestart is the absolute restart index. opt.Stop is polled
 // before every restart except restart 0 of the full portfolio (a window with
 // from > 0 resumes mid-portfolio, where the poll already happened between
-// restarts); ao.Patience counts non-improving restarts within the window
-// only. Requires 0 <= from < to; out-of-range arguments are clamped to the
-// smallest valid window.
+// restarts) and on its stride inside each restart; ao.Patience counts
+// non-improving restarts within the window only. Requires 0 <= from < to;
+// out-of-range arguments are clamped to the smallest valid window.
 func MultiStartRange(input *core.Scheme, ev *eval.Evaluator, opt Options, from, to int, ao AdaptiveOptions) Portfolio {
 	if from < 0 {
 		from = 0
@@ -124,7 +119,7 @@ func MultiStartRange(input *core.Scheme, ev *eval.Evaluator, opt Options, from, 
 	p := Portfolio{Costs: make([]float64, 0, to-from), Planned: to - from}
 	streak := 0
 	for i := from; i < to; i++ {
-		if (i > 0) && ao.Stop != nil && ao.Stop() {
+		if i > 0 && opt.Stop != nil && opt.Stop() {
 			p.Abandoned = true
 			break
 		}
@@ -137,7 +132,7 @@ func MultiStartRange(input *core.Scheme, ev *eval.Evaluator, opt Options, from, 
 		}
 		p.Iterations += r.Attempted
 		if r.Abandoned {
-			// The Dominated hook cut this restart off mid-anneal: its partial
+			// The Stop hook cut this restart off mid-anneal: its partial
 			// cost is not a completed restart outcome, so it joins neither
 			// Costs nor the fold.
 			p.Abandoned = true

@@ -228,19 +228,19 @@ func TestAdaptivePatiencePrefix(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStopAbandons: the Stop callback abandons the portfolio between
-// restarts — restart 0 always runs, and a constantly-true Stop cuts
-// everything after it.
+// TestAdaptiveStopAbandons: the Stop hook abandons the portfolio between
+// restarts — a restart too short for an in-loop poll always completes, and
+// a constantly-true Stop cuts everything after restart 0.
 func TestAdaptiveStopAbandons(t *testing.T) {
 	cfg := arch.GArch72()
 	s := portfolioScheme(t, &cfg)
 	opt := DefaultOptions()
-	opt.Iterations = 80
+	opt.Iterations = stopEvery
 
 	polls := 0
-	p := MultiStartAdaptive(s, eval.New(&cfg), opt, 4, AdaptiveOptions{
-		Stop: func() bool { polls++; return true },
-	})
+	stopping := opt
+	stopping.Stop = func() bool { polls++; return true }
+	p := MultiStartAdaptive(s, eval.New(&cfg), stopping, 4, AdaptiveOptions{})
 	if !p.Abandoned {
 		t.Fatal("portfolio not marked abandoned")
 	}
@@ -252,9 +252,9 @@ func TestAdaptiveStopAbandons(t *testing.T) {
 	}
 
 	// A Stop that never fires changes nothing.
-	q := MultiStartAdaptive(s, eval.New(&cfg), opt, 4, AdaptiveOptions{
-		Stop: func() bool { return false },
-	})
+	inert := opt
+	inert.Stop = func() bool { return false }
+	q := MultiStartAdaptive(s, eval.New(&cfg), inert, 4, AdaptiveOptions{})
 	w := MultiStart(s, eval.New(&cfg), opt, 4)
 	if q.Abandoned || q.Best.Cost != w.Best.Cost || len(q.Costs) != len(w.Costs) {
 		t.Errorf("inert Stop diverged: %+v vs %+v", q, w)

@@ -37,24 +37,21 @@ type Options struct {
 	// (nil/empty = all). Used by the operator ablation.
 	Ops []core.Op
 
-	// Dominated, when non-nil, is the in-loop abandonment hook: it is polled
-	// every CheckEvery iterations with the best cost found so far, and a
-	// true return stops the search immediately (Result.Abandoned is set).
-	// The DSE scheduler uses it to walk a dominated candidate out of the
-	// annealing hot loop instead of letting it finish the restart. The check
-	// consumes no randomness and allocates nothing, so a hook that never
-	// fires leaves the search bit-identical to an unhooked run.
-	Dominated func(bestSoFar float64) bool
-	// CheckEvery is the Dominated polling stride in iterations
-	// (<= 0: every 32).
-	CheckEvery int
+	// Stop, when non-nil, is the abandonment hook: it is polled every
+	// stopEvery iterations inside a search and, by the multi-start
+	// portfolio, before every restart after the first. A true return stops
+	// the search immediately (Result.Abandoned / Portfolio.Abandoned). The
+	// DSE scheduler uses it to walk a dominated or canceled cell out of the
+	// annealing hot loop. The check consumes no randomness and allocates
+	// nothing, so a hook that never fires leaves the search bit-identical to
+	// an unhooked run.
+	Stop func() bool
 }
 
-// defaultCheckEvery is the Dominated polling stride when CheckEvery is not
-// set: frequent enough that a dominated cell wastes at most a few dozen
-// group evaluations, rare enough to keep the atomic incumbent read off the
-// per-iteration path.
-const defaultCheckEvery = 32
+// stopEvery is the Stop polling stride in iterations: frequent enough that a
+// dominated cell wastes at most a few dozen group evaluations, rare enough
+// to keep the atomic incumbent read off the per-iteration path.
+const stopEvery = 32
 
 // DefaultOptions returns the settings used by the experiments.
 func DefaultOptions() Options {
@@ -78,7 +75,7 @@ type Result struct {
 	Attempted, Applied, Accepted int
 	OpAccepted                   [5]int
 
-	// Abandoned reports that the Dominated hook stopped the search before
+	// Abandoned reports that the Stop hook stopped the search before
 	// Iterations completed; Scheme/Cost hold the best state found up to that
 	// point (callers that abandon because the cell is dominated typically
 	// discard them).
@@ -315,15 +312,11 @@ func (a *annealer) step() {
 // The input scheme is not modified.
 func Optimize(input *core.Scheme, ev *eval.Evaluator, opt Options) Result {
 	a := newAnnealer(input, ev, opt)
-	checkEvery := opt.CheckEvery
-	if checkEvery <= 0 {
-		checkEvery = defaultCheckEvery
-	}
 	for it := 0; it < opt.Iterations; it++ {
-		// In-loop abandonment: poll the Dominated hook on a fixed stride.
-		// The check reads no randomness and touches no search state, so runs
+		// In-loop abandonment: poll the Stop hook on a fixed stride. The
+		// check reads no randomness and touches no search state, so runs
 		// where the hook never fires stay bit-identical to unhooked runs.
-		if opt.Dominated != nil && it != 0 && it%checkEvery == 0 && opt.Dominated(a.bestCost) {
+		if opt.Stop != nil && it != 0 && it%stopEvery == 0 && opt.Stop() {
 			a.res.Abandoned = true
 			break
 		}

@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 
+	"gemini/internal/atomicfile"
 	"gemini/internal/fleet"
 )
 
@@ -17,10 +18,7 @@ func (s *Server) persistFleetCheckpoint(id string, data []byte) {
 		return
 	}
 	write := func() error {
-		if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
-			return err
-		}
-		return writeFileAtomic(path, func(w io.Writer) error {
+		return atomicfile.Write(path, func(w io.Writer) error {
 			_, err := w.Write(data)
 			return err
 		})

@@ -562,36 +562,6 @@ func (q *sweepQueue) Release(j *job) {
 	q.dispatchLocked()
 }
 
-// GateFeed binds one dispatch round's cell feed to the job's slot grant:
-// the wrapped feed stops delivering cells the moment the queue signals
-// preemption, so workers wind down at the next cell boundary while the
-// round-context cancellation interrupts the in-flight ones. The scheduler
-// reports withheld cells as canceled (never computed), so gating only
-// schedules — resumed rounds restore settled cells bit-identically.
-func (q *sweepQueue) GateFeed(j *job, d dse.Dispatcher) dse.Dispatcher {
-	return &gatedFeed{q: q, j: j, inner: d}
-}
-
-// gatedFeed is GateFeed's Dispatcher wrapper. Each dispatch round wraps a
-// fresh inner feed, and a job's preempting flag only clears in Yield — after
-// the round's workers have exited — so within one instance's lifetime a shut
-// feed stays shut, as the Dispatcher contract requires.
-type gatedFeed struct {
-	q     *sweepQueue
-	j     *job
-	inner dse.Dispatcher
-}
-
-func (g *gatedFeed) Next() (int, bool) {
-	g.q.mu.Lock()
-	shut := g.j.preempting
-	g.q.mu.Unlock()
-	if shut {
-		return 0, false
-	}
-	return g.inner.Next()
-}
-
 // health snapshots the queue for the health endpoint.
 func (q *sweepQueue) health() *QueueHealth {
 	q.mu.Lock()

@@ -434,6 +434,7 @@ func TestSweepValidationErrors(t *testing.T) {
 		{"removed order", `{"space":{"tops":72},"models":["tinycnn"],"order":"grid"}`, `unknown field "order"`},
 		{"removed bound", `{"space":{"tops":72},"models":["tinycnn"],"bound":"cut"}`, `unknown field "bound"`},
 		{"removed abandon_every", `{"space":{"tops":72},"models":["tinycnn"],"abandon_every":8}`, `unknown field "abandon_every"`},
+		{"removed shard", `{"space":{"tops":72},"models":["tinycnn"],"shard":{"index":0,"count":2}}`, `unknown field "shard"`},
 		{"bad space", `{"space":{"tops":3},"models":["tinycnn"]}`, "tops"},
 		{"unknown model", `{"space":{"tops":72},"models":["nope"]}`, "unknown model"},
 		{"bad id", `{"id":"../etc/passwd","space":{"tops":72},"models":["tinycnn"]}`, "sweep id"},

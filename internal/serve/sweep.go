@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gemini/internal/atomicfile"
 	"gemini/internal/dse"
 	"gemini/internal/eval"
 	"gemini/internal/faultinject"
@@ -459,25 +460,6 @@ func (sw *streamWriter) send(ev Event) {
 
 // --- status persistence --------------------------------------------------
 
-// writeFileAtomic writes path through a temp file in the same directory and
-// a rename, so readers (and a crash mid-write) see the old bytes or the new
-// ones, never a torn file. The directory must exist.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
 // statusPath maps a sweep id to its on-disk status record, or "" when
 // persistence is disabled. Status records live next to the checkpoints so
 // GET /sweeps survives a server restart with the same history a live server
@@ -504,10 +486,7 @@ func (s *Server) saveStatus(sw *sweep) {
 		if ierr := s.cfg.FaultInjector.Check(faultinject.PointStatusSave, sw.id); ierr != nil {
 			return ierr
 		}
-		if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
-			return err
-		}
-		return writeFileAtomic(path, func(w io.Writer) error {
+		return atomicfile.Write(path, func(w io.Writer) error {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			return enc.Encode(sw.status())
@@ -696,10 +675,7 @@ func (s *Server) saveCheckpoint(id string) error {
 	if path == "" {
 		return nil
 	}
-	if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
-		return err
-	}
-	return writeFileAtomic(path, s.ses.SaveCheckpoint)
+	return atomicfile.Write(path, s.ses.SaveCheckpoint)
 }
 
 // --- the POST /sweep handler ---------------------------------------------
@@ -848,11 +824,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The queue granted this sweep j.slots worker slots; that grant is its
 	// whole worker budget (the spec's Workers request was clamped into it).
 	opt.Workers = j.slots
-	// Bind the scheduler's cell feed to the queue grant: a preemption signal
-	// gates the feed shut, so workers stop pulling new cells at the next cell
-	// boundary even before the round-context cancellation below reaches
-	// their in-flight work.
-	opt.Dispatch = func(d dse.Dispatcher) dse.Dispatcher { return s.queue.GateFeed(j, d) }
 
 	emit(Event{
 		Type:            "start",

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI coverage ratchet for the scheduler-facing packages: internal/serve
 # (queue, preemption, streams), internal/dse (spec decode, sessions,
-# dispatch) and internal/fleet (shard leases, incumbent broadcast,
-# checkpoint merge). The floor is a ratchet — raise it when coverage
+# dispatch) and internal/fleet (shard leases, checkpoint merge and the
+# incumbent those uploads carry). The floor is a ratchet — raise it when coverage
 # genuinely improves, never lower it to make a PR pass. Measured 89.7%
 # when the gate was introduced (fleet joined at 91.3%); the floor keeps
 # headroom for timing-dependent paths (preemption races and lease-expiry
