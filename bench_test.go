@@ -355,9 +355,10 @@ func BenchmarkGraphPartitionResNet50(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionSiblings partitions ResNet-50 on four bandwidth siblings
-// of G-Arch (NoC x D2D) through one shared eval.Cache and asserts the sharing
-// in-bench: the first sibling pays for every group summary, siblings 2-4 add
+// BenchmarkPartitionSiblings partitions ResNet-50 on eight siblings of G-Arch
+// through one shared eval.Cache — four bandwidth siblings (NoC x D2D) and G-Arch's
+// 6x6 core array under four other chiplet cuts — and asserts the sharing
+// in-bench: the first sibling pays for every group summary, siblings 2-8 add
 // zero cache misses, and each returns the groups, batch units and cost a
 // private evaluator returns, bit for bit. SA is left out on purpose: sibling
 // anneals diverge, so only the partitioner's lookups are guaranteed hits.
@@ -365,17 +366,25 @@ func BenchmarkPartitionSiblings(b *testing.B) {
 	g := dnn.ResNet50()
 	opt := graphpart.DefaultOptions()
 	var sibs []arch.Config
-	var want []*graphpart.Result
 	for _, nocBW := range []float64{32, 64} {
 		for _, ratio := range []float64{0.25, 0.5} {
 			cfg := arch.GArch72()
 			cfg.NoCBW, cfg.D2DBW = nocBW, nocBW*ratio
-			r, err := graphpart.Partition(g, &cfg, eval.New(&cfg), 64, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sibs, want = append(sibs, cfg), append(want, r)
+			sibs = append(sibs, cfg)
 		}
+	}
+	for _, cut := range [][2]int{{1, 2}, {2, 3}, {3, 2}, {6, 6}} {
+		cfg := arch.GArch72()
+		cfg.XCut, cfg.YCut = cut[0], cut[1]
+		sibs = append(sibs, cfg)
+	}
+	var want []*graphpart.Result
+	for i := range sibs {
+		r, err := graphpart.Partition(g, &sibs[i], eval.New(&sibs[i]), 64, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		want = append(want, r)
 	}
 	var st eval.CacheStats
 	b.ResetTimer()
@@ -450,15 +459,16 @@ func BenchmarkPartitionWarm(b *testing.B) {
 // right. Segment path: a cold Partition of ResNet-50 on G-Arch-72 looks every
 // (j, i, bu) up once, misses every time and stores one entry per miss; and
 // the miss itself — stripe into the Striper's scratch, summarize, store —
-// run again over a stored name allocates at most 2 objects (today none).
-// SA path: a seeded walk of the five operators over that partition evaluates
-// each touched group once; every result equals — bit for bit — an uncached
-// evaluation of core.Analyze's canonically sorted flows (the miss path itself
-// sums activation flows unsorted), the cache looked up exactly the states the
-// uncached loop computed with one entry per miss and no flush, and the miss
-// pipeline run again over a stored key allocates nothing. What a first-time
-// miss does allocate is what it stores — the cache entry and a memo entry
-// per workload not seen before — reported as allocs/cold-segment.
+// run again over a stored name allocates at most the class loads of the
+// cut-free entry it stores. SA path: a seeded walk of the five operators over
+// that partition evaluates each touched group once; every result equals — bit
+// for bit — an uncached evaluation of core.Analyze's canonically sorted flows
+// (the miss path itself sums activation flows unsorted), the cache looked up
+// exactly the states the uncached loop computed with one entry per miss and no
+// flush, and the miss pipeline run again over a stored key allocates nothing.
+// What a first-time miss does allocate is what it stores — the cache entry
+// and a memo entry per workload not seen before — reported as
+// allocs/cold-segment.
 func BenchmarkGroupMiss(b *testing.B) {
 	cfg := arch.GArch72()
 	g := dnn.ResNet50()
@@ -502,8 +512,8 @@ func BenchmarkGroupMiss(b *testing.B) {
 		}
 	}
 	segmentMiss()
-	if perSegment := testing.AllocsPerRun(100, segmentMiss); perSegment > 2 {
-		b.Fatalf("a segment miss allocates %.0f times, want at most 2", perSegment)
+	if perSegment := testing.AllocsPerRun(100, segmentMiss); perSegment > 1 {
+		b.Fatalf("a segment miss allocates %.0f times, want at most 1", perSegment)
 	}
 
 	// walk replays one seeded operator sequence from the partition, calling
@@ -558,10 +568,16 @@ func BenchmarkGroupMiss(b *testing.B) {
 	b.StopTimer()
 	// EvaluateGroupAs is the miss pipeline under a caller's key: run over one
 	// key again and again it recomputes and overwrites, so the count is the
-	// pipeline's own, without the map growth a new entry may cost.
+	// pipeline's own, without the map growth a new entry may cost. On a
+	// monolithic array it stores what an SA miss stores, a groupSummary by
+	// value; G-Arch's array without its cut is one, and the scheme is valid
+	// on it.
+	mono := cfg
+	mono.XCut, mono.YCut = 1, 1
+	monoEv := eval.NewWithCache(&mono, eval.NewCache())
 	key := eval.CacheKey{Arch: 1, Graph: 2, FP: 3}
-	ev.EvaluateGroupAs(key, last, lastGroup)
-	if perMiss := testing.AllocsPerRun(100, func() { ev.EvaluateGroupAs(key, last, lastGroup) }); perMiss != 0 {
+	monoEv.EvaluateGroupAs(key, last, lastGroup)
+	if perMiss := testing.AllocsPerRun(100, func() { monoEv.EvaluateGroupAs(key, last, lastGroup) }); perMiss != 0 {
 		b.Fatalf("an SA-path miss allocates %.0f times, want 0", perMiss)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.Misses), "ns/miss")

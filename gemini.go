@@ -199,18 +199,8 @@ func TrafficHeatmap(m *Mapping, group int) (csv, ascii string, err error) {
 	if err != nil {
 		return "", "", err
 	}
-	net := noc.New(&m.Arch)
-	tr := net.NewTraffic()
-	for _, f := range an.ActFlows {
-		tr.AddMulticast(f.Src, f.Dsts, f.Bytes)
-	}
-	for _, f := range an.ActDRAM {
-		if f.Write {
-			tr.AddDRAMWrite(f.Ctrl, f.Cores[0], f.Bytes)
-		} else {
-			tr.AddDRAMReadMulticast(f.Ctrl, f.Cores, f.Bytes)
-		}
-	}
+	tr := noc.New(&m.Arch).NewTraffic()
+	eval.AddActivations(tr, an)
 	return tr.CSV(), tr.ASCII(), nil
 }
 

@@ -16,12 +16,17 @@ import (
 // best-scheme clones). The incremental-evaluation machinery must reproduce
 // them bit-for-bit: it is a pure caching/scheduling change, not a model
 // change. If an intentional model change breaks these, recapture the
-// constants in the same commit and say so.
+// constants in the same commit and say so. They were recaptured once when
+// byte-hops began to be summed per noc boundary class in one canonical order
+// instead of per link traversal: the ResNet-50 init cost and seed-7 best moved
+// from 0.0027616015894533059, the seed-1 best from 0.0027483307773398294 and
+// the TinyTransformer init cost from 1.2292062812569601e-10 — in the last
+// bits, on the same schemes.
 const (
-	goldenResNetInitCost = 0.0027616015894533059
-	goldenResNetSeed1    = 0.0027483307773398294
-	goldenResNetSeed7    = 0.0027616015894533059
-	goldenTinyTfInit     = 1.2292062812569601e-10
+	goldenResNetInitCost = 0.0027616015894533063
+	goldenResNetSeed1    = 0.0027483307773398303
+	goldenResNetSeed7    = 0.0027616015894533063
+	goldenTinyTfInit     = 1.2292062812569599e-10
 	goldenTinyTfSeed3    = 7.5628224184320007e-11
 )
 

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"gemini/internal/arch"
+	"gemini/internal/core"
 	"gemini/internal/dnn"
 	"gemini/internal/eval"
+	"gemini/internal/graphpart"
 )
 
 // bandwidthSiblings groups the reduced 72-TOPs grid by analysis fingerprint:
@@ -84,6 +86,106 @@ func siblingOracle(t *testing.T, asker, primer *arch.Config, g *dnn.Graph, opt O
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%s/%s: primed by %s, result differs from a private evaluator's:\n got %+v\nwant %+v", asker.Name, g.Name, primer.Name, got, want)
+	}
+}
+
+// cutVariants groups the multi-chiplet candidates of a reduced grid by core
+// array: each group is every cut of one array, at the first bandwidth setting
+// the grid gives that cut, in candidate order.
+func cutVariants(sp Space) [][]arch.Config {
+	byArray := map[uint64][]arch.Config{}
+	var arrays []uint64
+	seen := map[uint64]bool{}
+	for _, c := range sp.Reduced().Enumerate() {
+		if c.Chiplets() == 1 || seen[eval.AnalysisFingerprint(&c)] {
+			continue
+		}
+		seen[eval.AnalysisFingerprint(&c)] = true
+		mono := c
+		mono.XCut, mono.YCut = 1, 1
+		k := eval.AnalysisFingerprint(&mono)
+		if byArray[k] == nil {
+			arrays = append(arrays, k)
+		}
+		byArray[k] = append(byArray[k], c)
+	}
+	groups := make([][]arch.Config, len(arrays))
+	for i, k := range arrays {
+		groups[i] = byArray[k]
+	}
+	return groups
+}
+
+// TestCutSiblingInvarianceOnRealZoo is the oracle behind cut-free segment
+// entries: for every core array of the reduced 72- and 128-TOPs grids and
+// both real models, Partition on each multi-chiplet cut of the array through
+// one shared cache returns what a private evaluator's Partition returns —
+// groups, batch units and cost — and every chosen group, served by name from
+// the entry the array's first cut stored and resolved under this cut, equals
+// a private evaluation of its stripe LMS, bit for bit. Only the first cut
+// adds cache misses.
+func TestCutSiblingInvarianceOnRealZoo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("partitions real zoo models")
+	}
+	models := []*dnn.Graph{dnn.ResNet50(), dnn.Transformer()}
+	opt := DefaultOptions()
+	gp := graphpart.DefaultOptions()
+	gp.Beta, gp.Gamma = opt.Objective.Beta, opt.Objective.Gamma
+	gp.MaxGroupLayers = 8 // bounds the partitioner, which is all of this test
+	for _, sp := range []Space{Space72(), Space128()} {
+		for _, cuts := range cutVariants(sp) {
+			if len(cuts) < 2 {
+				t.Fatalf("%s: core array of %s has %d multi-chiplet cuts, want several", sp.Name, cuts[0].Name, len(cuts))
+			}
+			t.Run(sp.Name+"/"+cuts[0].Name, func(t *testing.T) {
+				t.Parallel()
+				shared := eval.NewCache()
+				for ci := range cuts {
+					cfg := &cuts[ci]
+					paid := shared.Stats().Misses
+					for _, g := range models {
+						cutSiblingOracle(t, cfg, g, opt.Batch, gp, shared)
+					}
+					if added := shared.Stats().Misses - paid; (ci == 0) != (added > 0) {
+						t.Errorf("cut %dx%d (variant %d of %d) added %d cache misses; only the first may pay",
+							cfg.XCut, cfg.YCut, ci+1, len(cuts), added)
+					}
+				}
+			})
+		}
+	}
+}
+
+// cutSiblingOracle partitions g on cfg through shared and checks the result
+// against a private evaluator's.
+func cutSiblingOracle(t *testing.T, cfg *arch.Config, g *dnn.Graph, batch int, gp graphpart.Options, shared *eval.Cache) {
+	ev := eval.NewWithCache(cfg, shared)
+	got, err := graphpart.Partition(g, cfg, ev, batch, gp)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", cfg.Name, g.Name, err)
+	}
+	private := eval.New(cfg)
+	want, err := graphpart.Partition(g, cfg, private, batch, gp)
+	if err != nil {
+		t.Fatalf("%s/%s: private: %v", cfg.Name, g.Name, err)
+	}
+	if got.Cost != want.Cost || !reflect.DeepEqual(got.Groups, want.Groups) || !reflect.DeepEqual(got.BatchUnits, want.BatchUnits) {
+		t.Fatalf("%s/%s: shared-cache partition (cost %v) differs from a private evaluator's (cost %v)", cfg.Name, g.Name, got.Cost, want.Cost)
+	}
+	for k, grp := range got.Groups {
+		j, i, bu := grp[0], grp[len(grp)-1]+1, got.BatchUnits[k]
+		var res eval.GroupResult
+		if !ev.LookupGroup(ev.SegmentKey(g, batch, j, i, bu), batch, &res) {
+			t.Fatalf("%s/%s: chosen group [%d,%d) bu %d is not stored", cfg.Name, g.Name, j, i, bu)
+		}
+		lms, err := core.Stripes(g, grp, cfg, bu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := private.EvaluateGroup(&core.Scheme{Graph: g, Batch: batch, Groups: []*core.LMS{lms}}, 0); res != w {
+			t.Errorf("%s/%s: group [%d,%d) bu %d served %+v, private evaluation %+v", cfg.Name, g.Name, j, i, bu, res, w)
+		}
 	}
 }
 

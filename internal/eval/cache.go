@@ -38,10 +38,27 @@ func ConfigFingerprint(cfg *arch.Config) uint64 {
 // siblings: one summary in a shared Cache serves them all, each finishing it
 // at its own NoCBW/D2DBW/DRAMBW.
 func AnalysisFingerprint(cfg *arch.Config) uint64 {
-	h := uint64(fnvOffset)
+	h := fnv1a(fnv1a(fnvOffset, uint64(cfg.CoresX)), uint64(cfg.CoresY))
+	h = fnv1a(fnv1a(h, uint64(cfg.XCut)), uint64(cfg.YCut))
+	return hashArrayRest(h, cfg)
+}
+
+// cutFreeDomain is folded in ahead of a cut-free fingerprint, so it never
+// equals an analysis fingerprint by construction.
+const cutFreeDomain = 0x6375746672656531 // "cutfree1"
+
+// cutFreeFingerprint is AnalysisFingerprint without the chiplet cut: what a
+// stripe segment's cut-free summary can depend on. Every cut of one core
+// array shares it.
+func cutFreeFingerprint(cfg *arch.Config) uint64 {
+	h := fnv1a(fnv1a(fnv1a(fnvOffset, cutFreeDomain), uint64(cfg.CoresX)), uint64(cfg.CoresY))
+	return hashArrayRest(h, cfg)
+}
+
+// hashArrayRest folds the analysis fingerprint's fields after the core array
+// and the cut into h.
+func hashArrayRest(h uint64, cfg *arch.Config) uint64 {
 	for _, v := range [...]uint64{
-		uint64(cfg.CoresX), uint64(cfg.CoresY),
-		uint64(cfg.XCut), uint64(cfg.YCut),
 		uint64(cfg.DRAMControllers()),
 		uint64(cfg.MACsPerCore), uint64(cfg.GLBPerCore),
 		math.Float64bits(cfg.FreqGHz), uint64(cfg.Topology),
@@ -55,9 +72,10 @@ func AnalysisFingerprint(cfg *arch.Config) uint64 {
 // of the architecture, the graph's dnn.Graph.Fingerprint, and either the
 // group fingerprint (encoding + batch + params + cross-group context) or, for
 // a stripe segment of the partitioner, the segment fingerprint (params +
-// batch + bu, j, i under a domain tag; see Evaluator.SegmentKey). All three
-// components are stable across processes, so a cache can round-trip through
-// SaveDisk/LoadDisk and keep serving.
+// batch + bu, j, i under a domain tag; see Evaluator.SegmentKey) — whose
+// first component, on a multi-chiplet array, is the cut-free fingerprint
+// instead. All three components are stable across processes, so a cache can
+// round-trip through SaveDisk/LoadDisk and keep serving.
 type CacheKey struct {
 	Arch  uint64
 	Graph uint64
@@ -67,8 +85,9 @@ type CacheKey struct {
 // cacheShards keeps lock contention low when many DSE workers race on one
 // shared cache; the SA hot loop asks the cache on every iteration. With
 // cacheShardLimit it also sets the capacity, 2.1 M entries: the reduced
-// 72-TOPs grid holds 0.6 M after one sweep and gains 0.12 M per further seed,
-// so a session serves a dozen reseeded sweeps before its first flush.
+// 72-TOPs grid holds 0.21 M after one sweep and gains 0.12 M per further
+// seed, so a session serves over a dozen reseeded sweeps before its first
+// flush.
 const cacheShards = 128
 
 // cacheShardLimit bounds each shard; a full shard is flushed wholesale (a
@@ -79,14 +98,18 @@ const cacheShardLimit = 1 << 14
 // cacheEntry is one stored summary plus its provenance: disk marks entries
 // merged in by LoadDisk, so hit accounting can tell cross-process warmth
 // from in-process warmth.
-type cacheEntry struct {
-	sum  groupSummary
+type cacheEntry[S groupSummary | segmentSummary] struct {
+	sum  S
 	disk bool
 }
 
+// cacheShard holds both kinds of summary. A map is made by the first store
+// into it and only ever cleared, under mu; together they hold at most
+// cacheShardLimit entries.
 type cacheShard struct {
-	mu sync.RWMutex
-	m  map[CacheKey]cacheEntry
+	mu  sync.RWMutex
+	m   map[CacheKey]cacheEntry[groupSummary]
+	seg map[CacheKey]cacheEntry[segmentSummary]
 }
 
 // Cache is the concurrency-safe group-summary store every Evaluator reads
@@ -94,8 +117,9 @@ type cacheShard struct {
 // architecture candidates, models, SA restarts and whole DSE runs. Summaries
 // are pure functions of their keys, so serving from the cache is
 // bit-identical to recomputing; because they are bandwidth-free, a hit may
-// have been paid for by a bandwidth sibling of the asking evaluator. SaveDisk
-// and LoadDisk spill and restore it across process boundaries.
+// have been paid for by a bandwidth sibling of the asking evaluator — and a
+// cut-free segment by another chiplet cut of its core array. SaveDisk and
+// LoadDisk spill and restore it across process boundaries.
 type Cache struct {
 	shards                [cacheShards]cacheShard
 	hits, misses, flushes atomic.Int64
@@ -104,25 +128,43 @@ type Cache struct {
 }
 
 // NewCache returns an empty cache.
-func NewCache() *Cache {
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[CacheKey]cacheEntry)
-	}
-	return c
-}
+func NewCache() *Cache { return &Cache{} }
 
 func (c *Cache) shard(k CacheKey) *cacheShard {
 	return &c.shards[(k.Arch^k.FP)%cacheShards]
 }
 
-// get copies the cached summary for k into *out and reports whether there
-// was one, counting the hit or miss (and, separately, hits served by
-// disk-loaded entries).
+// get copies the group summary stored under k into *out and reports whether
+// there was one.
 func (c *Cache) get(k CacheKey, out *groupSummary) bool {
 	s := c.shard(k)
+	return lookup(c, s, &s.m, k, out)
+}
+
+// getSegment is get for a cut-free segment summary.
+func (c *Cache) getSegment(k CacheKey, out *segmentSummary) bool {
+	s := c.shard(k)
+	return lookup(c, s, &s.seg, k, out)
+}
+
+// put stores a computed group summary.
+func (c *Cache) put(k CacheKey, sum *groupSummary) {
+	s := c.shard(k)
+	store(c, s, &s.m, k, cacheEntry[groupSummary]{sum: *sum}, true)
+}
+
+// putSegment stores a computed cut-free segment summary.
+func (c *Cache) putSegment(k CacheKey, seg segmentSummary) {
+	s := c.shard(k)
+	store(c, s, &s.seg, k, cacheEntry[segmentSummary]{sum: seg}, true)
+}
+
+// lookup copies the summary *m, one of s's maps, holds for k into *out and
+// reports whether there was one, counting the hit or miss (and, separately,
+// hits served by disk-loaded entries).
+func lookup[S groupSummary | segmentSummary](c *Cache, s *cacheShard, m *map[CacheKey]cacheEntry[S], k CacheKey, out *S) bool {
 	s.mu.RLock()
-	e, ok := s.m[k]
+	e, ok := (*m)[k]
 	s.mu.RUnlock()
 	if !ok {
 		c.misses.Add(1)
@@ -136,16 +178,27 @@ func (c *Cache) get(k CacheKey, out *groupSummary) bool {
 	return true
 }
 
-// put stores a computed summary, flushing the shard if it is full.
-func (c *Cache) put(k CacheKey, sum *groupSummary) {
-	s := c.shard(k)
+// store puts e under k in *m, one of s's maps, making the map if need be —
+// unless replace is false and k is already there — flushing the shard first
+// if it is full, and reports whether it stored.
+func store[S groupSummary | segmentSummary](c *Cache, s *cacheShard, m *map[CacheKey]cacheEntry[S], k CacheKey, e cacheEntry[S], replace bool) bool {
 	s.mu.Lock()
-	if len(s.m) >= cacheShardLimit {
+	defer s.mu.Unlock()
+	if *m == nil {
+		*m = make(map[CacheKey]cacheEntry[S])
+	}
+	if !replace {
+		if _, ok := (*m)[k]; ok {
+			return false
+		}
+	}
+	if len(s.m)+len(s.seg) >= cacheShardLimit {
 		clear(s.m)
+		clear(s.seg)
 		c.flushes.Add(1)
 	}
-	s.m[k] = cacheEntry{sum: *sum}
-	s.mu.Unlock()
+	(*m)[k] = e
+	return true
 }
 
 // CacheStats is a point-in-time accounting snapshot of a shared cache.
@@ -180,7 +233,7 @@ func (c *Cache) Stats() CacheStats {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
-		st.Entries += len(s.m)
+		st.Entries += len(s.m) + len(s.seg)
 		s.mu.RUnlock()
 	}
 	return st

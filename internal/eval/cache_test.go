@@ -231,19 +231,34 @@ func TestCacheArchIsolation(t *testing.T) {
 	}
 }
 
+// TestCacheConcurrent: evaluators of four cuts of one core array share a
+// cache from eight goroutines, asking for a group by content and for the same
+// group by segment name, whose cut-free entry every cut reads and any of them
+// may write. Every answer equals a private evaluator's.
 func TestCacheConcurrent(t *testing.T) {
-	cfg := arch.GArch72()
 	cache := NewCache()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			cfg := arch.GArch72()
+			cfg.XCut, cfg.YCut = []int{2, 3, 6, 1}[w%4], []int{1, 2, 6, 1}[w%4]
 			s := cacheTestScheme(t, &cfg)
+			want := New(&cfg).EvaluateGroup(s, 0)
 			ev := NewWithCache(&cfg, cache)
+			key := ev.SegmentKey(s.Graph, s.Batch, 0, len(s.Graph.Layers), 1)
 			for i := 0; i < 20; i++ {
-				if r := ev.Evaluate(s); !r.Feasible {
-					t.Error("infeasible under concurrency")
+				if r := ev.Evaluate(s); !r.Feasible || r.Groups[0] != want {
+					t.Error("content path diverged under concurrency")
+					return
+				}
+				var named GroupResult
+				if !ev.LookupGroup(key, s.Batch, &named) {
+					named = ev.EvaluateGroupAs(key, s, 0)
+				}
+				if named != want {
+					t.Errorf("cut %dx%d: named path %+v under concurrency, private %+v", cfg.XCut, cfg.YCut, named, want)
 					return
 				}
 			}

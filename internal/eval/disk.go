@@ -31,27 +31,31 @@ type diskHeader struct {
 	Version int    `json:"version"`
 }
 
-// diskVersion 3 stores bandwidth-free summaries under the analysis key, the
-// partitioner's stripe segments by name (Evaluator.SegmentKey) and every other
-// group by content. A named entry is only as good as the stripe heuristic
-// that built the LMS it stands for: a change to what core.Stripes returns for
-// some (graph, core array, j, i, bu) must bump this version, and
-// TestStripeEncodingPinned fails until it is re-pinned alongside. Version 2
-// held the partitioner's segments under content keys nothing asks for any
-// more, version 1 finished GroupResults under ConfigFingerprint: files of
-// either load as cold.
+// diskVersion 4 stores bandwidth-free summaries under the analysis key, the
+// partitioner's stripe segments by name (Evaluator.SegmentKey) — cut-free on
+// a multi-chiplet array — and every other group by content. A named entry is
+// only as good as the stripe heuristic that built the LMS it stands for: a
+// change to what core.Stripes returns for some (graph, core array, j, i, bu)
+// must bump this version, and TestStripeEncodingPinned fails until it is
+// re-pinned alongside. Version 3 summed byte-hops per link traversal, whose
+// totals differ from today's per-class sums in the last bits, and held no
+// cut-free entries; version 2 held the partitioner's segments under content
+// keys nothing asks for any more, version 1 finished GroupResults under
+// ConfigFingerprint: files of all three load as cold.
 const (
 	diskKind    = "gemini-eval-cache"
-	diskVersion = 3
+	diskVersion = 4
 )
 
-// diskEntry is one cache cell on disk. Fingerprints are hex strings: JSON
-// numbers are float64 and would corrupt uint64 keys past 2^53.
+// diskEntry is one cache cell on disk: a group summary or a cut-free segment
+// summary. Fingerprints are hex strings: JSON numbers are float64 and would
+// corrupt uint64 keys past 2^53.
 type diskEntry struct {
-	Arch    string       `json:"a"`
-	Graph   string       `json:"g"`
-	FP      string       `json:"f"`
-	Summary groupSummary `json:"s"`
+	Arch    string          `json:"a"`
+	Graph   string          `json:"g"`
+	FP      string          `json:"f"`
+	Summary *groupSummary   `json:"s,omitempty"`
+	Segment *segmentSummary `json:"c,omitempty"`
 }
 
 // SaveDisk atomically writes a snapshot of every cache entry (locally
@@ -62,15 +66,19 @@ type diskEntry struct {
 // complete file (last writer wins).
 func (c *Cache) SaveDisk(path string) error {
 	type kv struct {
-		k CacheKey
-		e cacheEntry
+		k   CacheKey
+		sum *groupSummary
+		seg *segmentSummary
 	}
 	var all []kv
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
 		for k, e := range s.m {
-			all = append(all, kv{k, e})
+			all = append(all, kv{k: k, sum: &e.sum})
+		}
+		for k, e := range s.seg {
+			all = append(all, kv{k: k, seg: &e.sum})
 		}
 		s.mu.RUnlock()
 	}
@@ -82,7 +90,10 @@ func (c *Cache) SaveDisk(path string) error {
 		if ka.Graph != kb.Graph {
 			return ka.Graph < kb.Graph
 		}
-		return ka.FP < kb.FP
+		if ka.FP != kb.FP {
+			return ka.FP < kb.FP
+		}
+		return all[a].sum != nil && all[b].sum == nil // one key, both kinds: summary first
 	})
 
 	err := atomicfile.Write(path, func(f io.Writer) error {
@@ -96,7 +107,8 @@ func (c *Cache) SaveDisk(path string) error {
 				Arch:    fmt.Sprintf("%016x", e.k.Arch),
 				Graph:   fmt.Sprintf("%016x", e.k.Graph),
 				FP:      fmt.Sprintf("%016x", e.k.FP),
-				Summary: e.e.sum,
+				Summary: e.sum,
+				Segment: e.seg,
 			}
 			if err := enc.Encode(de); err != nil {
 				return err
@@ -152,10 +164,17 @@ func (c *Cache) LoadDisk(path string) (int, error) {
 		k.Arch, errA = strconv.ParseUint(de.Arch, 16, 64)
 		k.Graph, errG = strconv.ParseUint(de.Graph, 16, 64)
 		k.FP, errF = strconv.ParseUint(de.FP, 16, 64)
-		if errA != nil || errG != nil || errF != nil {
+		if errA != nil || errG != nil || errF != nil || (de.Summary == nil) == (de.Segment == nil) {
 			continue
 		}
-		if c.insertFromDisk(k, de.Summary) {
+		s := c.shard(k)
+		var stored bool
+		if de.Summary != nil {
+			stored = store(c, s, &s.m, k, cacheEntry[groupSummary]{sum: *de.Summary, disk: true}, false)
+		} else {
+			stored = store(c, s, &s.seg, k, cacheEntry[segmentSummary]{sum: *de.Segment, disk: true}, false)
+		}
+		if stored {
 			loaded++
 		}
 	}
@@ -163,21 +182,4 @@ func (c *Cache) LoadDisk(path string) (int, error) {
 	// tail; everything before it already merged, so degrade, don't fail.
 	c.diskLoaded.Add(int64(loaded))
 	return loaded, nil
-}
-
-// insertFromDisk adds a disk entry unless the key is already present,
-// respecting the shard size bound.
-func (c *Cache) insertFromDisk(k CacheKey, sum groupSummary) bool {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[k]; ok {
-		return false
-	}
-	if len(s.m) >= cacheShardLimit {
-		clear(s.m)
-		c.flushes.Add(1)
-	}
-	s.m[k] = cacheEntry{sum: sum, disk: true}
-	return true
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -169,6 +170,28 @@ func TestDiskLoadCorruptionTolerance(t *testing.T) {
 			t.Errorf("%s: loaded %d entries, want in [%d, %d] of %d",
 				name, n, minLoaded[name], maxLoaded[name], total)
 		}
+	}
+}
+
+// TestDiskDamagedSegmentMisses: a cut-free segment entry whose class loads do
+// not fit the array it is named for, which only a damaged file can hold, is a
+// miss rather than a panic or a wrong result.
+func TestDiskDamagedSegmentMisses(t *testing.T) {
+	cfg := arch.GArch72()
+	cache := NewCache()
+	ev := NewWithCache(&cfg, cache)
+	key := ev.SegmentKey(dnn.TinyCNN(), 4, 0, 2, 1)
+	path := filepath.Join(t.TempDir(), "cache.ndjson")
+	line := fmt.Sprintf(`{"a":"%016x","g":"%016x","f":"%016x","c":{"ok":true,"bu":1,"l":[{"p":1,"s":1}]}}`, key.Arch, key.Graph, key.FP)
+	if err := os.WriteFile(path, []byte(`{"kind":"gemini-eval-cache","version":4}`+"\n"+line+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cache.LoadDisk(path); err != nil || n != 1 {
+		t.Fatalf("loaded %d entries, err %v; want the one", n, err)
+	}
+	var res GroupResult
+	if ev.LookupGroup(key, 4, &res) {
+		t.Errorf("a segment with 1 class load on a %d-class array served %+v", ev.Net.Classes(), res)
 	}
 }
 

@@ -96,9 +96,14 @@ type Evaluator struct {
 	scratch   sync.Pool
 
 	// cache is the group-summary store; analysisFP is this evaluator's
-	// AnalysisFingerprint, computed once.
+	// AnalysisFingerprint, computed once. On a multi-chiplet array (cutFree)
+	// stripe segments are stored as segmentSummarys under segmentFP, the
+	// analysis fingerprint without the cut; on a monolithic one, where no
+	// other cut could share them, as groupSummarys under analysisFP.
 	cache      *Cache
 	analysisFP uint64
+	segmentFP  uint64
+	cutFree    bool
 }
 
 // groupSummary is the bandwidth-free half of a group evaluation: everything
@@ -109,6 +114,14 @@ type Evaluator struct {
 // MAC/GLB energies are summed per core under the evaluator's Params, which
 // the group fingerprint hashes.
 type groupSummary struct {
+	groupScalars
+
+	PerPass noc.Digest `json:"p"` // activation and streamed-weight traffic of one pass
+	Once    noc.Digest `json:"o"` // GLB-resident weights, loaded once per run
+}
+
+// groupScalars is what a summary holds besides its traffic.
+type groupScalars struct {
 	Feasible  bool    `json:"ok,omitempty"`
 	BatchUnit int     `json:"bu,omitempty"`
 	Depth     int     `json:"dp,omitempty"`
@@ -116,9 +129,20 @@ type groupSummary struct {
 	MAC       float64 `json:"em,omitempty"` // joules per pass
 	GLB       float64 `json:"eg,omitempty"` // joules per pass
 	AvgUtil   float64 `json:"u,omitempty"`
+}
 
-	PerPass noc.Digest `json:"p"` // activation and streamed-weight traffic of one pass
-	Once    noc.Digest `json:"o"` // GLB-resident weights, loaded once per run
+// segmentSummary is a stripe segment's summary on a multi-chiplet array with
+// the chiplet cut left out: each traffic's DRAM load and its link loads per
+// noc boundary class, per pass then load-once, instead of the two Digests.
+// Resolving the classes under any cut of the array (resolve) gives the
+// groupSummary that cut's evaluator computes. An infeasible segment holds no
+// traffic at all.
+type segmentSummary struct {
+	groupScalars
+
+	PassDRAM noc.ClassLoad   `json:"pm,omitempty"`
+	OnceDRAM noc.ClassLoad   `json:"om,omitempty"`
+	Links    []noc.ClassLoad `json:"l,omitempty"`
 }
 
 // evalScratch is the reusable per-evaluation state: one pooled Traffic pair
@@ -149,6 +173,11 @@ func NewWithCache(cfg *arch.Config, c *Cache) *Evaluator {
 		Params:     DefaultParams(),
 		cache:      c,
 		analysisFP: AnalysisFingerprint(cfg),
+		segmentFP:  AnalysisFingerprint(cfg),
+		cutFree:    cfg.Chiplets() > 1,
+	}
+	if e.cutFree {
+		e.segmentFP = cutFreeFingerprint(cfg)
 	}
 	for _, l := range e.Net.Links {
 		if l.D2D {
@@ -203,6 +232,8 @@ func (e *Evaluator) summary(s *core.Scheme, gi int, sum *groupSummary) {
 // a group alone in its scheme has no cross-group context — so the summary the
 // group's content-addressed key would select is the one its name selects, and
 // a caller that already holds (j, i, bu) need not build the LMS to ask for it.
+// On a multi-chiplet array the name leaves the cut out too: every cut of the
+// array shares one cut-free entry, resolved under the asker's cut.
 //
 //gemini:noalloc
 func (e *Evaluator) SegmentKey(g *dnn.Graph, batch, j, i, bu int) CacheKey {
@@ -210,17 +241,23 @@ func (e *Evaluator) SegmentKey(g *dnn.Graph, batch, j, i, bu int) CacheKey {
 	h = fnv1a(h, uint64(bu))
 	h = fnv1a(h, uint64(j))
 	h = fnv1a(h, uint64(i))
-	return CacheKey{Arch: e.analysisFP, Graph: g.Fingerprint(), FP: h}
+	return CacheKey{Arch: e.segmentFP, Graph: g.Fingerprint(), FP: h}
 }
 
 // LookupGroup finishes the summary stored under key at this evaluator's
-// bandwidths into *res (which must be zero) and reports whether there was
-// one. A hit builds no LMS and hashes no encoding.
+// bandwidths (and, for a cut-free entry, under its cut) into *res (which must
+// be zero) and reports whether there was one. A hit builds no LMS and hashes
+// no encoding.
 //
 //gemini:noalloc
 func (e *Evaluator) LookupGroup(key CacheKey, batch int, res *GroupResult) bool {
 	var sum groupSummary
-	if !e.cache.get(key, &sum) {
+	if e.cutFree {
+		var seg segmentSummary
+		if !e.cache.getSegment(key, &seg) || !e.resolve(&seg, &sum) {
+			return false
+		}
+	} else if !e.cache.get(key, &sum) {
 		return false
 	}
 	e.finish(&sum, batch, res)
@@ -229,12 +266,55 @@ func (e *Evaluator) LookupGroup(key CacheKey, batch int, res *GroupResult) bool 
 
 // EvaluateGroupAs is the miss half of LookupGroup: it runs the pipeline on
 // group gi of s, stores the summary under key — which must be the SegmentKey
-// of exactly that group — and returns the finished result.
+// of exactly that group — and returns the finished result. What it stores for
+// a feasible segment of a multi-chiplet array is the one allocation it makes.
 func (e *Evaluator) EvaluateGroupAs(key CacheKey, s *core.Scheme, gi int) (res GroupResult) {
-	sum := e.summarizeGroup(s, gi)
-	e.cache.put(key, &sum)
+	sc := e.scratch.Get().(*evalScratch)
+	var sum groupSummary
+	if err := core.AnalyzeInto(sc.an, s, gi, e.Cfg); err == nil {
+		sum = e.summarizeAnalysis(sc)
+	}
+	if e.cutFree {
+		e.cache.putSegment(key, cutFreeSummary(&sum, sc))
+	} else {
+		e.cache.put(key, &sum)
+	}
+	e.scratch.Put(sc)
 	e.finish(&sum, s.Batch, &res)
 	return
+}
+
+// cutFreeSummary is the segmentSummary of sum, which summarizeAnalysis just
+// computed from sc's traffic.
+func cutFreeSummary(sum *groupSummary, sc *evalScratch) segmentSummary {
+	seg := segmentSummary{groupScalars: sum.groupScalars}
+	if !sum.Feasible {
+		return seg
+	}
+	pass := sc.tr.ClassLoads()
+	seg.Links = append(make([]noc.ClassLoad, 0, 2*len(pass)), pass...)
+	seg.Links = append(seg.Links, sc.wOnce.ClassLoads()...)
+	seg.PassDRAM, seg.OnceDRAM = sc.tr.DRAMLoad(), sc.wOnce.DRAMLoad()
+	return seg
+}
+
+// resolve turns a cut-free segment summary into the groupSummary of this
+// evaluator's cut, in O(classes). It reports false for an entry whose class
+// count is not this array's, which only a damaged disk file can hold.
+//
+//gemini:noalloc
+func (e *Evaluator) resolve(seg *segmentSummary, sum *groupSummary) bool {
+	if !seg.Feasible {
+		return true
+	}
+	k := e.Net.Classes()
+	if len(seg.Links) != 2*k {
+		return false
+	}
+	sum.groupScalars = seg.groupScalars
+	sum.PerPass = e.Net.Resolve(seg.Links[:k], seg.PassDRAM)
+	sum.Once = e.Net.Resolve(seg.Links[k:], seg.OnceDRAM)
+	return true
 }
 
 // summarizeGroup runs the Analyze/explore/traffic pipeline for one group.
@@ -288,7 +368,7 @@ func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 	// exactly the cores the weight flows below can reference — so stale
 	// entries are never read and the buffer needs no clearing between
 	// evaluations.
-	sum := groupSummary{Feasible: true, BatchUnit: an.BatchUnit, Depth: an.Depth}
+	sum := groupSummary{groupScalars: groupScalars{Feasible: true, BatchUnit: an.BatchUnit, Depth: an.Depth}}
 	var utilSum float64
 	nUtil := 0
 	resident := sc.resident
@@ -320,22 +400,9 @@ func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 		sum.AvgUtil = utilSum / float64(nUtil)
 	}
 
-	// Per-pass activation traffic. ActFlows arrive in emission order: their
-	// bytes are integers added onto zeroed loads ahead of any DRAM flow, so
-	// every partial sum is exact and the order cannot be seen. The DRAM lists
-	// are in canonical order, because an interleaved share is not an integer.
 	tr := sc.tr
 	tr.Reset()
-	for _, f := range an.ActFlows {
-		tr.AddMulticast(f.Src, f.Dsts, f.Bytes)
-	}
-	for _, f := range an.ActDRAM {
-		if f.Write {
-			tr.AddDRAMWrite(f.Ctrl, f.Cores[0], f.Bytes)
-		} else {
-			tr.AddDRAMReadMulticast(f.Ctrl, f.Cores, f.Bytes)
-		}
-	}
+	AddActivations(tr, an)
 
 	// Weight loading: GLB-resident slices load once per run; slices that do
 	// not fit stream every pass.
@@ -361,6 +428,28 @@ func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 	sum.PerPass = tr.Digest()
 	sum.Once = wOnce.Digest()
 	return sum
+}
+
+// AddActivations routes one pass of an analyzed group's activation traffic
+// into tr: the core-to-core multicasts, then the activation DRAM reads and
+// writes. ActFlows may come in emission order (core.AnalyzeInto) or sorted
+// (core.Analyze): their bytes are integers added onto zeroed loads ahead of
+// any DRAM flow, so every partial sum is exact and the order cannot be seen.
+// The DRAM list is in canonical order, because an interleaved share is not an
+// integer.
+//
+//gemini:noalloc
+func AddActivations(tr *noc.Traffic, an *core.Analysis) {
+	for _, f := range an.ActFlows {
+		tr.AddMulticast(f.Src, f.Dsts, f.Bytes)
+	}
+	for _, f := range an.ActDRAM {
+		if f.Write {
+			tr.AddDRAMWrite(f.Ctrl, f.Cores[0], f.Bytes)
+		} else {
+			tr.AddDRAMReadMulticast(f.Ctrl, f.Cores, f.Bytes)
+		}
+	}
 }
 
 // finish completes a summary into *res, which must be zero. It is the only

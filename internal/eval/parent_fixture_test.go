@@ -39,19 +39,20 @@ func TestDiskV2FileLoadsCold(t *testing.T) {
 	}
 }
 
-// TestDiskV3ParentFileServes: testdata/evalcache_v3_parent.ndjson is the
-// spill the commit before the miss path was rewritten (dense analysis tables,
+// TestDiskV3FileLoadsCold: testdata/evalcache_v3_parent.ndjson is the spill
+// the commit before the miss path was rewritten (dense analysis tables,
 // unsorted activation flows, scratch striping) wrote after partitioning
 // TinyCNN on G-Arch-72 at batch 4 and annealing the result for 150 iterations
 // at the default seed: 187 entries, named segments and SA content keys alike.
-// No key, summary or format moved, so repeating both on a cache loaded from
-// it computes nothing — every lookup is served by a disk entry — and lands on
-// the parent's costs.
-func TestDiskV3ParentFileServes(t *testing.T) {
+// Version 3 summed byte-hops per link traversal and held its segments under
+// cut-dependent names, so the file loads as a cold cache. Repeating both
+// computes every entry again — the same 187 — and lands on the costs the
+// version-3 evaluator computed.
+func TestDiskV3FileLoadsCold(t *testing.T) {
 	cache := eval.NewCache()
 	n, err := cache.LoadDisk(filepath.Join("testdata", "evalcache_v3_parent.ndjson"))
-	if err != nil || n != 187 {
-		t.Fatalf("v3 parent file: loaded %d entries, err %v; want 187", n, err)
+	if err != nil || n != 0 || cache.Stats().Entries != 0 {
+		t.Fatalf("v3 file: loaded %d entries (%d resident), err %v; want a cold cache", n, cache.Stats().Entries, err)
 	}
 	cfg := arch.GArch72()
 	ev := eval.NewWithCache(&cfg, cache)
@@ -62,30 +63,34 @@ func TestDiskV3ParentFileServes(t *testing.T) {
 	opt := sa.DefaultOptions()
 	opt.Iterations = 150
 	r := sa.Optimize(res.Scheme, ev, opt)
-	if st := cache.Stats(); st.Misses != 0 || st.Hits == 0 || st.DiskHits != st.Hits || st.Entries != 187 {
-		t.Errorf("partition + SA over the parent's spill: %+v; want every lookup served from disk", st)
+	if st := cache.Stats(); st.DiskHits != 0 || st.Misses != 187 || st.Entries != 187 {
+		t.Errorf("partition + SA after a v3 load: %+v; want the fixture's 187 entries, all computed", st)
 	}
 	if res.Cost != 1.2625220656183211e-05 || r.Cost != 1.5747418970994997e-10 {
 		t.Errorf("partition cost %v, SA cost %v; the parent computed 1.2625220656183211e-05 and 1.5747418970994997e-10", res.Cost, r.Cost)
 	}
 }
 
-// TestDiskRoundTripServesPartition: named segment entries survive the disk
-// round trip like content-addressed ones. A fresh cache loaded from the spill
-// of one Partition repeats it without a single miss, served entirely by
-// disk-loaded entries, and returns the same partition.
+// TestDiskRoundTripServesPartition: named segment entries — cut-free ones on
+// G-Arch-72's two-chiplet array — survive the disk round trip like
+// content-addressed ones. A fresh cache loaded from the spill of one Partition
+// repeats it, and partitions the same core array under another cut, without a
+// single miss, served entirely by disk-loaded entries, and returns what a
+// private evaluator returns.
 func TestDiskRoundTripServesPartition(t *testing.T) {
 	cfg := arch.GArch72()
-	partition := func(c *eval.Cache) *graphpart.Result {
+	recut := cfg
+	recut.XCut, recut.YCut = 3, 2
+	partition := func(cfg *arch.Config, c *eval.Cache) *graphpart.Result {
 		t.Helper()
-		res, err := graphpart.Partition(dnn.TinyCNN(), &cfg, eval.NewWithCache(&cfg, c), 4, graphpart.DefaultOptions())
+		res, err := graphpart.Partition(dnn.TinyCNN(), cfg, eval.NewWithCache(cfg, c), 4, graphpart.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 	first := eval.NewCache()
-	want := partition(first)
+	partition(&cfg, first)
 	path := filepath.Join(t.TempDir(), "evalcache.ndjson")
 	if err := first.SaveDisk(path); err != nil {
 		t.Fatal(err)
@@ -95,12 +100,15 @@ func TestDiskRoundTripServesPartition(t *testing.T) {
 	if n, err := second.LoadDisk(path); err != nil || n != first.Stats().Entries {
 		t.Fatalf("loaded %d of %d entries, err %v", n, first.Stats().Entries, err)
 	}
-	got := partition(second)
-	if st := second.Stats(); st.Misses != 0 || st.Hits == 0 || st.DiskHits != st.Hits {
-		t.Errorf("repeat partition was not served from the spill: %+v", st)
-	}
-	if !reflect.DeepEqual(got.Groups, want.Groups) || !reflect.DeepEqual(got.BatchUnits, want.BatchUnits) || got.Cost != want.Cost {
-		t.Errorf("partition from the spill diverged: %v %v %v vs %v %v %v",
-			got.Groups, got.BatchUnits, got.Cost, want.Groups, want.BatchUnits, want.Cost)
+	for _, c := range []*arch.Config{&cfg, &recut} {
+		want := partition(c, eval.NewCache())
+		got := partition(c, second)
+		if st := second.Stats(); st.Misses != 0 || st.Hits == 0 || st.DiskHits != st.Hits {
+			t.Errorf("cut %dx%d: partition was not served from the spill: %+v", c.XCut, c.YCut, st)
+		}
+		if !reflect.DeepEqual(got.Groups, want.Groups) || !reflect.DeepEqual(got.BatchUnits, want.BatchUnits) || got.Cost != want.Cost {
+			t.Errorf("cut %dx%d: partition from the spill diverged: %v %v %v vs %v %v %v", c.XCut, c.YCut,
+				got.Groups, got.BatchUnits, got.Cost, want.Groups, want.BatchUnits, want.Cost)
+		}
 	}
 }

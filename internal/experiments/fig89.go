@@ -269,18 +269,8 @@ func Fig9(opt Options) (*Fig9Result, error) {
 		if err != nil {
 			return 0, 0, 0, "", "", err
 		}
-		net := noc.New(&cfg)
-		tr := net.NewTraffic()
-		for _, f := range an.ActFlows {
-			tr.AddMulticast(f.Src, f.Dsts, f.Bytes)
-		}
-		for _, f := range an.ActDRAM {
-			if f.Write {
-				tr.AddDRAMWrite(f.Ctrl, f.Cores[0], f.Bytes)
-			} else {
-				tr.AddDRAMReadMulticast(f.Ctrl, f.Cores, f.Bytes)
-			}
-		}
+		tr := noc.New(&cfg).NewTraffic()
+		eval.AddActivations(tr, an)
 		on, d2d, _ = tr.TotalBytes()
 		maxLink, _ = tr.MaxLinkLoad()
 		return on, d2d, maxLink, tr.CSV(), tr.ASCII(), nil

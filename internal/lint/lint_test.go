@@ -113,10 +113,19 @@ func TestNoallocAnnotationsMatchBenchCoverage(t *testing.T) {
 			// summarizeGroup is exactly AnalyzeInto and summarizeAnalysis
 			// around a sync.Pool Get/Put of their scratch.
 			"gemini/internal/eval.Evaluator.summarizeGroup",
+			// What summarizeAnalysis routes and digests traffic with.
+			"gemini/internal/eval.AddActivations",
+			"gemini/internal/noc.Traffic.Digest",
+			"gemini/internal/noc.Traffic.ClassLoads",
+			"gemini/internal/noc.Traffic.DRAMLoad",
+			"gemini/internal/noc.Network.Resolve",
 		},
 		"internal/graphpart/alloc_test.go:TestSegmentHitAllocFree": {
 			"gemini/internal/eval.Evaluator.SegmentKey",
 			"gemini/internal/eval.Evaluator.LookupGroup",
+			// G-Arch-72 has two chiplets: its segments are cut-free entries,
+			// resolved under the asker's cut on every hit.
+			"gemini/internal/eval.Evaluator.resolve",
 			"gemini/internal/graphpart.segmenter.evaluate",
 		},
 		"internal/graphpart/alloc_test.go:TestSegmentMissAllocs": {

@@ -19,11 +19,27 @@ type Link struct {
 
 // Network is the static link graph for an architecture. After New returns it
 // is immutable, so it is safe for concurrent use without locking.
+//
+// Every link belongs to a boundary class that depends on the core array and
+// the topology alone, never on the chiplet cut. A link between columns b-1
+// and b is in the x class of gcd(b, CoresX), a link between rows b-1 and b in
+// the y class of gcd(b, CoresY), and each axis's torus wrap links form a class
+// of their own. Chiplets ChipletW cores wide put a D2D boundary after every
+// multiple of ChipletW, and ChipletW divides CoresX, so ChipletW divides b
+// exactly when it divides gcd(b, CoresX): a cut makes a whole class D2D or
+// none of it, and a wrap class is D2D exactly when its axis is cut at all.
+// Classes are numbered x classes by ascending gcd, the x wrap, then the same
+// for y; Digest sums byte-hops per class and adds the classes in that order.
 type Network struct {
 	Cfg   *arch.Config
 	Links []Link
 
 	idx map[[2]arch.CoreID]int
+
+	// class[l] is link l's boundary class; classD2D[c] reports whether this
+	// network's cut makes class c D2D.
+	class    []uint16
+	classD2D []bool
 
 	// portCore[ctrl*CoresY+row] is the attachment core controller ctrl uses
 	// to reach a peer in that row; ctrls is the controller count.
@@ -39,46 +55,92 @@ type Network struct {
 
 // New builds the network for a validated configuration.
 func New(cfg *arch.Config) *Network {
+	n := newLinkGraph(cfg)
+	n.buildRoutes()
+	return n
+}
+
+// newLinkGraph builds all of a Network but its route table.
+func newLinkGraph(cfg *arch.Config) *Network {
 	n := &Network{
 		Cfg: cfg,
 		idx: make(map[[2]arch.CoreID]int),
 	}
 	n.buildPorts(cfg.DRAMPorts())
-	addLink := func(a, b arch.CoreID) {
+	w, h := cfg.CoresX, cfg.CoresY
+	torus := cfg.Topology == arch.FoldedTorus
+	xClass := n.axisClasses(w, cfg.ChipletW(), torus && w > 2)
+	yClass := n.axisClasses(h, cfg.ChipletH(), torus && h > 2)
+	addLink := func(a, b arch.CoreID, class uint16) {
 		n.idx[[2]arch.CoreID{a, b}] = len(n.Links)
 		n.Links = append(n.Links, Link{From: a, To: b, D2D: !cfg.SameChiplet(a, b)})
+		n.class = append(n.class, class)
 	}
-	w, h := cfg.CoresX, cfg.CoresY
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			c := cfg.CoreAt(x, y)
 			if x+1 < w {
-				addLink(c, cfg.CoreAt(x+1, y))
-				addLink(cfg.CoreAt(x+1, y), c)
+				addLink(c, cfg.CoreAt(x+1, y), xClass[x+1])
+				addLink(cfg.CoreAt(x+1, y), c, xClass[x+1])
 			}
 			if y+1 < h {
-				addLink(c, cfg.CoreAt(x, y+1))
-				addLink(cfg.CoreAt(x, y+1), c)
+				addLink(c, cfg.CoreAt(x, y+1), yClass[y+1])
+				addLink(cfg.CoreAt(x, y+1), c, yClass[y+1])
 			}
 		}
 	}
-	if cfg.Topology == arch.FoldedTorus {
+	if torus {
 		for y := 0; y < h; y++ {
 			if w > 2 {
-				addLink(cfg.CoreAt(w-1, y), cfg.CoreAt(0, y))
-				addLink(cfg.CoreAt(0, y), cfg.CoreAt(w-1, y))
+				addLink(cfg.CoreAt(w-1, y), cfg.CoreAt(0, y), xClass[0])
+				addLink(cfg.CoreAt(0, y), cfg.CoreAt(w-1, y), xClass[0])
 			}
 		}
 		for x := 0; x < w; x++ {
 			if h > 2 {
-				addLink(cfg.CoreAt(x, h-1), cfg.CoreAt(x, 0))
-				addLink(cfg.CoreAt(x, 0), cfg.CoreAt(x, h-1))
+				addLink(cfg.CoreAt(x, h-1), cfg.CoreAt(x, 0), yClass[0])
+				addLink(cfg.CoreAt(x, 0), cfg.CoreAt(x, h-1), yClass[0])
 			}
 		}
 	}
-	n.buildRoutes()
 	return n
 }
+
+// axisClasses numbers the boundary classes of one axis of the core array,
+// edge cores long and cut into chiplets chiplet cores long, after the classes
+// already numbered, and returns the class of each boundary: of[b] for the
+// links between positions b-1 and b, of[0] for the wrap links if there are
+// any. The numbering reads edge and wrap only, so it is the same under every
+// cut of the array.
+func (n *Network) axisClasses(edge, chiplet int, wrap bool) (of []uint16) {
+	of = make([]uint16, edge)
+	byGCD := make([]uint16, edge)
+	for g := 1; g < edge; g++ {
+		if edge%g == 0 {
+			byGCD[g] = uint16(len(n.classD2D))
+			n.classD2D = append(n.classD2D, g%chiplet == 0)
+		}
+	}
+	for b := 1; b < edge; b++ {
+		of[b] = byGCD[gcd(b, edge)]
+	}
+	if wrap {
+		of[0] = uint16(len(n.classD2D))
+		n.classD2D = append(n.classD2D, chiplet < edge)
+	}
+	return of
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// Classes returns the number of boundary classes, which depends on the core
+// array and the topology alone.
+func (n *Network) Classes() int { return len(n.classD2D) }
 
 // LinkBWSum returns the aggregate bandwidth (GB/s) of every directed link of
 // the configuration's interconnect — NoC links at NoCBW plus chiplet-crossing
@@ -337,14 +399,13 @@ type Traffic struct {
 	DRAMRead  []float64 // bytes read from each controller
 	DRAMWrite []float64 // bytes written to each controller
 
-	Hops    float64 // byte-hops over on-chip links
-	D2DHops float64 // byte-hops over D2D links
-
 	// Multicast link dedup: visited[l] == epoch marks link l as already
 	// counted for the current multicast tree. Bumping epoch clears the set
 	// in O(1) with no per-call allocation.
 	visited []uint64
 	epoch   uint64
+
+	cls []ClassLoad // ClassLoads' result, one per boundary class
 }
 
 // NewTraffic returns an empty accumulator for the network.
@@ -355,29 +416,20 @@ func (n *Network) NewTraffic() *Traffic {
 		DRAMRead:  make([]float64, n.Controllers()),
 		DRAMWrite: make([]float64, n.Controllers()),
 		visited:   make([]uint64, len(n.Links)),
+		cls:       make([]ClassLoad, n.Classes()),
 	}
 }
 
 // Reset clears all accumulated loads.
 func (t *Traffic) Reset() {
-	for i := range t.Load {
-		t.Load[i] = 0
-	}
-	for i := range t.DRAMRead {
-		t.DRAMRead[i] = 0
-		t.DRAMWrite[i] = 0
-	}
-	t.Hops, t.D2DHops = 0, 0
+	clear(t.Load)
+	clear(t.DRAMRead)
+	clear(t.DRAMWrite)
 }
 
 func (t *Traffic) addPath(path []int32, bytes float64) {
 	for _, l := range path {
 		t.Load[l] += bytes
-		if t.net.Links[l].D2D {
-			t.D2DHops += bytes
-		} else {
-			t.Hops += bytes
-		}
 	}
 }
 
@@ -408,29 +460,31 @@ func (t *Traffic) AddMulticast(src arch.CoreID, dsts []arch.CoreID, bytes float6
 			}
 			t.visited[l] = t.epoch
 			t.Load[l] += bytes
-			if t.net.Links[l].D2D {
-				t.D2DHops += bytes
-			} else {
-				t.Hops += bytes
-			}
 		}
 	}
 }
 
-// AddDRAMRead accumulates a controller-to-core transfer. ctrl < 0 means
-// interleaved: the bytes spread evenly over all controllers (FD value 0).
-func (t *Traffic) AddDRAMRead(ctrl int, dst arch.CoreID, bytes float64) {
-	t.addDRAM(ctrl, dst, bytes, true)
-}
-
 // AddDRAMWrite accumulates a core-to-controller transfer. ctrl < 0 means
-// interleaved.
+// interleaved: the bytes spread evenly over all controllers (FD value 0).
 func (t *Traffic) AddDRAMWrite(ctrl int, src arch.CoreID, bytes float64) {
-	t.addDRAM(ctrl, src, bytes, false)
+	if bytes <= 0 {
+		return
+	}
+	if ctrl < 0 {
+		d := float64(t.net.Controllers())
+		for c := 0; c < t.net.Controllers(); c++ {
+			t.AddDRAMWrite(c, src, bytes/d)
+		}
+		return
+	}
+	ctrl %= t.net.Controllers()
+	t.DRAMWrite[ctrl] += bytes
+	t.addPath(t.net.Route(src, t.net.PortCore(ctrl, src)), bytes)
 }
 
 // AddDRAMReadMulticast accumulates a DRAM read multicast to several cores
-// (e.g. a weight slice shared by replicated workloads).
+// (e.g. a weight slice shared by replicated workloads). ctrl < 0 means
+// interleaved.
 func (t *Traffic) AddDRAMReadMulticast(ctrl int, dsts []arch.CoreID, bytes float64) {
 	if bytes <= 0 || len(dsts) == 0 {
 		return
@@ -446,7 +500,7 @@ func (t *Traffic) AddDRAMReadMulticast(ctrl int, dsts []arch.CoreID, bytes float
 }
 
 func (t *Traffic) dramReadMulticastOne(ctrl int, dsts []arch.CoreID, bytes float64) {
-	ctrl %= t.net.Controllers() // as addDRAM and PortCore wrap it
+	ctrl %= t.net.Controllers() // as AddDRAMWrite and PortCore wrap it
 	t.DRAMRead[ctrl] += bytes
 	t.epoch++
 	for _, d := range dsts {
@@ -457,48 +511,76 @@ func (t *Traffic) dramReadMulticastOne(ctrl int, dsts []arch.CoreID, bytes float
 			}
 			t.visited[l] = t.epoch
 			t.Load[l] += bytes
-			if t.net.Links[l].D2D {
-				t.D2DHops += bytes
-			} else {
-				t.Hops += bytes
+		}
+	}
+}
+
+// ClassLoad is the traffic of one class of channels: the largest byte load
+// on any one of them and their total.
+type ClassLoad struct {
+	Peak float64 `json:"p,omitempty"`
+	Sum  float64 `json:"s,omitempty"`
+}
+
+// ClassLoads returns the accumulated link loads per boundary class, each
+// class's Sum added up in link order. The slice is the Traffic's own and is
+// overwritten by the next call.
+//
+//gemini:noalloc
+func (t *Traffic) ClassLoads() []ClassLoad {
+	cls := t.cls
+	clear(cls)
+	for l, load := range t.Load {
+		c := &cls[t.net.class[l]]
+		c.Sum += load
+		if load > c.Peak {
+			c.Peak = load
+		}
+	}
+	return cls
+}
+
+// DRAMLoad returns the controller traffic as one class: the most loaded
+// controller's reads plus writes, and the total over controllers in index
+// order.
+//
+//gemini:noalloc
+func (t *Traffic) DRAMLoad() ClassLoad {
+	var d ClassLoad
+	for i := range t.DRAMRead {
+		v := t.DRAMRead[i] + t.DRAMWrite[i]
+		if v > d.Peak {
+			d.Peak = v
+		}
+		d.Sum += v
+	}
+	return d
+}
+
+// Resolve folds per-class link loads (ClassLoads of a Traffic on any network
+// with this core array and topology) and a DRAM load into a Digest under
+// this network's cut, adding the classes in ascending order. Traffic.Digest
+// is Resolve over the Traffic's own loads, so a Digest resolved from stored
+// class loads is the Digest of the Traffic they came from, bit for bit, on
+// whichever cut of the array asks.
+//
+//gemini:noalloc
+func (n *Network) Resolve(links []ClassLoad, dram ClassLoad) Digest {
+	d := Digest{PeakDRAM: dram.Peak, DRAMBytes: dram.Sum}
+	for c, cl := range links {
+		if n.classD2D[c] {
+			d.D2DBytes += cl.Sum
+			if cl.Peak > d.PeakD2D {
+				d.PeakD2D = cl.Peak
+			}
+		} else {
+			d.NoCBytes += cl.Sum
+			if cl.Peak > d.PeakNoC {
+				d.PeakNoC = cl.Peak
 			}
 		}
 	}
-}
-
-func (t *Traffic) addDRAM(ctrl int, core arch.CoreID, bytes float64, read bool) {
-	if bytes <= 0 {
-		return
-	}
-	if ctrl < 0 {
-		d := float64(t.net.Controllers())
-		for c := 0; c < t.net.Controllers(); c++ {
-			t.addDRAM(c, core, bytes/d, read)
-		}
-		return
-	}
-	ctrl %= t.net.Controllers()
-	port := t.net.PortCore(ctrl, core)
-	if read {
-		t.DRAMRead[ctrl] += bytes
-		t.addPath(t.net.Route(port, core), bytes)
-	} else {
-		t.DRAMWrite[ctrl] += bytes
-		t.addPath(t.net.Route(core, port), bytes)
-	}
-}
-
-// AddFrom merges another accumulator scaled by factor.
-func (t *Traffic) AddFrom(o *Traffic, factor float64) {
-	for i, v := range o.Load {
-		t.Load[i] += v * factor
-	}
-	for i := range o.DRAMRead {
-		t.DRAMRead[i] += o.DRAMRead[i] * factor
-		t.DRAMWrite[i] += o.DRAMWrite[i] * factor
-	}
-	t.Hops += o.Hops * factor
-	t.D2DHops += o.D2DHops * factor
+	return d
 }
 
 // Digest is the bandwidth-free summary of a Traffic: the peak load of each
@@ -519,26 +601,12 @@ type Digest struct {
 	DRAMBytes float64 `json:"m,omitempty"`
 }
 
-// Digest summarizes the accumulated loads.
+// Digest summarizes the accumulated loads. It overwrites what ClassLoads
+// last returned.
+//
+//gemini:noalloc
 func (t *Traffic) Digest() Digest {
-	d := Digest{NoCBytes: t.Hops, D2DBytes: t.D2DHops}
-	for i, load := range t.Load {
-		if t.net.Links[i].D2D {
-			if load > d.PeakD2D {
-				d.PeakD2D = load
-			}
-		} else if load > d.PeakNoC {
-			d.PeakNoC = load
-		}
-	}
-	for i := range t.DRAMRead {
-		v := t.DRAMRead[i] + t.DRAMWrite[i]
-		if v > d.PeakDRAM {
-			d.PeakDRAM = v
-		}
-		d.DRAMBytes += v
-	}
-	return d
+	return t.net.Resolve(t.ClassLoads(), t.DRAMLoad())
 }
 
 // BottleneckTime returns the seconds needed to drain the digested loads: the
@@ -577,10 +645,8 @@ func (t *Traffic) BottleneckTime() float64 {
 // TotalBytes returns aggregate on-chip and D2D byte-hops plus total DRAM
 // traffic, for energy accounting.
 func (t *Traffic) TotalBytes() (onchip, d2d, dram float64) {
-	for i := range t.DRAMRead {
-		dram += t.DRAMRead[i] + t.DRAMWrite[i]
-	}
-	return t.Hops, t.D2DHops, dram
+	d := t.Digest()
+	return d.NoCBytes, d.D2DBytes, d.DRAMBytes
 }
 
 // MaxLinkLoad returns the largest per-link byte load and its index.

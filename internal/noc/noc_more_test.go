@@ -123,9 +123,10 @@ func TestLinkBWSumMatchesLinkGraph(t *testing.T) {
 }
 
 // TestDRAMReadControllerIndexing: a single-destination DRAM read multicast is
-// a DRAM read, for every controller index a caller can pass — interleaved
-// (-1), in range, and past the end, which every entry point wraps the same
-// way (AddDRAMReadMulticast used to index the load table raw and panic).
+// a unicast from the controller's port to the destination, for every
+// controller index a caller can pass — interleaved (-1), in range, and past
+// the end, which every entry point wraps the same way (AddDRAMReadMulticast
+// used to index the load table raw and panic).
 func TestDRAMReadControllerIndexing(t *testing.T) {
 	torus := arch.GArchTorus()
 	for _, cfg := range []*arch.Config{meshCfg(), &torus} {
@@ -133,12 +134,22 @@ func TestDRAMReadControllerIndexing(t *testing.T) {
 		for ctrl := -1; ctrl < 2*n.Controllers(); ctrl++ {
 			for dst := arch.CoreID(0); int(dst) < cfg.Cores(); dst++ {
 				uni, multi := n.NewTraffic(), n.NewTraffic()
-				uni.AddDRAMRead(ctrl, dst, 4096)
+				read := func(c int, bytes float64) {
+					uni.DRAMRead[c%n.Controllers()] += bytes
+					uni.AddUnicast(n.PortCore(c, dst), dst, bytes)
+				}
+				if ctrl < 0 {
+					for c := 0; c < n.Controllers(); c++ {
+						read(c, 4096/float64(n.Controllers()))
+					}
+				} else {
+					read(ctrl, 4096)
+				}
 				multi.AddDRAMReadMulticast(ctrl, []arch.CoreID{dst}, 4096)
 				if !reflect.DeepEqual(uni.Load, multi.Load) || !reflect.DeepEqual(uni.DRAMRead, multi.DRAMRead) ||
-					uni.Hops != multi.Hops || uni.D2DHops != multi.D2DHops {
-					t.Fatalf("%s ctrl %d -> core %d: unicast read %v/%v/%v, single-destination multicast %v/%v/%v",
-						cfg.Name, ctrl, dst, uni.DRAMRead, uni.Hops, uni.D2DHops, multi.DRAMRead, multi.Hops, multi.D2DHops)
+					uni.Digest() != multi.Digest() {
+					t.Fatalf("%s ctrl %d -> core %d: unicast read %v/%+v, single-destination multicast %v/%+v",
+						cfg.Name, ctrl, dst, uni.DRAMRead, uni.Digest(), multi.DRAMRead, multi.Digest())
 				}
 			}
 		}

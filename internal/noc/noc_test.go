@@ -192,7 +192,7 @@ func TestDRAMInterleaveBalances(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
 	tr := n.NewTraffic()
-	tr.AddDRAMRead(-1, c.CoreAt(3, 3), 1000)
+	tr.AddDRAMReadMulticast(-1, []arch.CoreID{c.CoreAt(3, 3)}, 1000)
 	total := 0.0
 	for i := range tr.DRAMRead {
 		total += tr.DRAMRead[i]
@@ -237,17 +237,22 @@ func TestBottleneckTime(t *testing.T) {
 	}
 }
 
+// TestAddFromScales: the Digest of a transfer of three times the bytes is
+// three times the Digest, peaks and byte-hops alike.
 func TestAddFromScales(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
-	a := n.NewTraffic()
+	a, b := n.NewTraffic(), n.NewTraffic()
 	a.AddUnicast(c.CoreAt(0, 0), c.CoreAt(5, 0), 100)
-	b := n.NewTraffic()
-	b.AddFrom(a, 3)
-	ao, ad, _ := a.TotalBytes()
-	bo, bd, _ := b.TotalBytes()
-	if bo != 3*ao || bd != 3*ad {
-		t.Errorf("AddFrom scaling wrong: %v/%v vs %v/%v", bo, bd, ao, ad)
+	a.AddDRAMWrite(0, c.CoreAt(2, 2), 50)
+	b.AddUnicast(c.CoreAt(0, 0), c.CoreAt(5, 0), 300)
+	b.AddDRAMWrite(0, c.CoreAt(2, 2), 150)
+	da, db := a.Digest(), b.Digest()
+	if da.NoCBytes == 0 || da.D2DBytes == 0 || db != (Digest{
+		PeakNoC: 3 * da.PeakNoC, PeakD2D: 3 * da.PeakD2D, PeakDRAM: 3 * da.PeakDRAM,
+		NoCBytes: 3 * da.NoCBytes, D2DBytes: 3 * da.D2DBytes, DRAMBytes: 3 * da.DRAMBytes,
+	}) {
+		t.Errorf("digest of 3x the bytes %+v, of 1x %+v", db, da)
 	}
 }
 
@@ -256,7 +261,7 @@ func TestResetClears(t *testing.T) {
 	n := New(c)
 	tr := n.NewTraffic()
 	tr.AddUnicast(c.CoreAt(0, 0), c.CoreAt(5, 5), 100)
-	tr.AddDRAMRead(0, c.CoreAt(2, 2), 50)
+	tr.AddDRAMReadMulticast(0, []arch.CoreID{c.CoreAt(2, 2)}, 50)
 	tr.Reset()
 	o, d, dr := tr.TotalBytes()
 	if o != 0 || d != 0 || dr != 0 {
