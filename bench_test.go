@@ -852,7 +852,7 @@ func BenchmarkDSESweepInLoopAbandon(b *testing.B) {
 			polls++
 			return polls > fireAfter
 		}
-		pf = sa.MultiStartAdaptive(part.Scheme, eval.New(&cfg), o, restarts, sa.AdaptiveOptions{})
+		pf = sa.MultiStart(part.Scheme, eval.New(&cfg), o, restarts)
 	}
 	b.StopTimer()
 	if !pf.Abandoned {
@@ -918,72 +918,7 @@ func BenchmarkDSESweepDiskWarm(b *testing.B) {
 	}
 }
 
-// --- Search engine benchmarks: racing restart allocation and the per-cut
-// bisection delay bound. ---
-
-// racingBench returns the racing workload: eight GArch72 variants spanning a
-// wide quality range (degraded NoC, D2D and DRAM bandwidth, doubled GLB),
-// pruning off so the only work-saver under test is the restart race itself.
-// Workers are pinned so the schedule does not depend on the host's core
-// count.
-func racingBench() ([]arch.Config, []*dnn.Graph, dse.Options) {
-	muts := []func(c *arch.Config){
-		func(c *arch.Config) {},
-		func(c *arch.Config) { c.NoCBW, c.D2DBW = 64, 32 },
-		func(c *arch.Config) { c.GLBPerCore *= 2 },
-		func(c *arch.Config) { c.DRAMBW /= 2 },
-		func(c *arch.Config) { c.DRAMBW /= 4 },
-		func(c *arch.Config) { c.NoCBW, c.D2DBW = 32, 16 },
-		func(c *arch.Config) { c.GLBPerCore *= 2; c.DRAMBW /= 2 },
-		func(c *arch.Config) { c.NoCBW, c.D2DBW = 64, 32; c.DRAMBW /= 2 },
-	}
-	var cands []arch.Config
-	for i, mut := range muts {
-		c := arch.GArch72()
-		mut(&c)
-		c.Name = fmt.Sprintf("%s-v%d", c.String(), i)
-		cands = append(cands, c)
-	}
-	opt := dse.DefaultOptions()
-	opt.Batch = 8
-	opt.SAIterations = 150
-	opt.MaxGroupLayers = 7
-	opt.BatchUnits = []int{1, 2}
-	opt.Restarts = 4
-	opt.Workers = 4
-	opt.Prune = false
-	return cands, []*dnn.Graph{dnn.TinyCNN()}, opt
-}
-
-// BenchmarkDSESweepRacing times the successive-halving sweep over the
-// racing workload and asserts the tentpole claim in-bench: the race spends
-// at least 1.5x fewer total SA iterations than its uniform twin while
-// finding the bit-identical best candidate (finalists run the full
-// portfolio width, so racing may only cheapen the losers). Both iteration
-// counts are reported.
-func BenchmarkDSESweepRacing(b *testing.B) {
-	cands, models, opt := racingBench()
-	opt.Racing = true
-	var best *dse.CandidateResult
-	var stats dse.SweepStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		best, stats = benchSweep(b, cands, models, opt)
-	}
-	b.StopTimer()
-	opt.Racing = false
-	want, ustats := benchSweep(b, cands, models, opt)
-	if best.Obj != want.Obj || best.Cfg.Name != want.Cfg.Name {
-		b.Fatalf("racing best %s (%g) differs from uniform %s (%g): the race changed the winner",
-			best.Cfg.Name, best.Obj, want.Cfg.Name, want.Obj)
-	}
-	if float64(ustats.SAIterations) < 1.5*float64(stats.SAIterations) {
-		b.Fatalf("racing saved too little: %d SA iterations vs uniform %d (want >= 1.5x fewer)",
-			stats.SAIterations, ustats.SAIterations)
-	}
-	b.ReportMetric(float64(stats.SAIterations), "sa_iterations")
-	b.ReportMetric(float64(ustats.SAIterations), "uniform_sa_iterations")
-}
+// --- Search engine benchmark: the per-cut bisection delay bound. ---
 
 // cutBoundBench returns the cut-bound pruning workload: two healthy
 // candidates plus four whose D2D links starve the chiplet bisection (the
@@ -1048,17 +983,19 @@ func BenchmarkDSESweepCutBound(b *testing.B) {
 	b.ReportMetric(float64(stats.PrunedCandidates), "pruned_candidates")
 }
 
-// --- Distributed fleet benchmarks: shard the grid, broadcast
-// the incumbent, merge checkpoints. ---
+// --- Distributed fleet benchmarks: shard the grid, share the incumbent,
+// merge checkpoints. ---
 
 // fleetBenchSpec is the fleet benchmark workload: four full-speed GArch72
 // variants (NoC 32-96 GB/s) plus four DRAM-starved twins whose
 // compulsory-traffic lower bound exceeds any full-speed candidate's
 // achieved objective. The full-speed half leads the grid in enumeration
-// order, so the modulo-sharded fleet leases real work first and the
-// incumbent it broadcasts prunes the starved half pre-cell — exactly the
-// work an operator saves by pointing idle machines at one coordinator
-// instead of splitting the grid into independent sweeps.
+// order, so the modulo-sharded fleet leases real work first. The
+// coordinator folds the best each checkpoint upload carries into the fleet
+// incumbent and hands it back on every lease, renew and checkpoint
+// response, so the starved half is pruned pre-cell — exactly the work an
+// operator saves by pointing idle machines at one coordinator instead of
+// splitting the grid into independent sweeps.
 func fleetBenchSpec(b *testing.B) (dse.Spec, []arch.Config) {
 	b.Helper()
 	raw := `{
@@ -1151,9 +1088,9 @@ func runFleetBench(b *testing.B, spec dse.Spec, shards, workers int) (time.Durat
 // single-process sweep (what N independent single-candidate shards compute:
 // splitting the grid across machines without a coordinator leaves every
 // shard's incumbent alone with its own candidate, so nothing prunes) and
-// once as the 2-worker, 8-shard fleet with the incumbent broadcast. The
-// fleet prunes the starved half of the grid pre-cell off the broadcast
-// incumbent, so it wins on one core by skipped work alone and adds
+// once as the 2-worker, 8-shard fleet sharing its incumbent. The fleet
+// prunes the starved half of the grid pre-cell off the shared incumbent,
+// so it wins on one core by skipped work alone and adds
 // near-linear scaling on top when the workers have real cores to spread
 // over. Soundness is asserted in-bench: all runs end at the bit-identical
 // best, and the fleet's total SA iteration count is strictly below the
@@ -1199,14 +1136,14 @@ func BenchmarkFleetSweep(b *testing.B) {
 			stSeq.Incumbent, solo.Cfg.Name, solo.Obj)
 	}
 	if stSeq.Stats.PrunedCandidates == 0 {
-		b.Fatalf("broadcast incumbent pruned nothing: %+v", stSeq.Stats)
+		b.Fatalf("shared fleet incumbent pruned nothing: %+v", stSeq.Stats)
 	}
 	if stSeq.Stats.SAIterations >= stSolo.SAIterations {
 		b.Fatalf("fleet spent %d SA iterations, the unpruned sweep %d: want strictly fewer",
 			stSeq.Stats.SAIterations, stSolo.SAIterations)
 	}
 	if stFleet.Stats.SAIterations >= stSolo.SAIterations {
-		b.Fatalf("racing fleet spent %d SA iterations, the unpruned sweep %d: want strictly fewer",
+		b.Fatalf("two-worker fleet spent %d SA iterations, the unpruned sweep %d: want strictly fewer",
 			stFleet.Stats.SAIterations, stSolo.SAIterations)
 	}
 

@@ -39,9 +39,6 @@ func main() {
 	batch := flag.Int("batch", 64, "batch size (64 = throughput scenario)")
 	saIters := flag.Int("sa", 600, "SA iterations per candidate/model mapping")
 	restarts := flag.Int("restarts", 1, "SA portfolio width per (candidate, model) cell")
-	patience := flag.Int("patience", 0, "stop a cell's SA portfolio after N consecutive non-improving restarts (0 = always run all restarts)")
-	racing := flag.Bool("racing", false, "allocate restarts by successive halving: every candidate gets one exploratory restart, then the budget doubles for the best half each rung until only finalists run the full portfolio (forces -patience off; the winner is identical to the uniform sweep's)")
-	racingKeep := flag.Float64("racing-keep", 0, "fraction of candidates promoted per racing rung, inside (0, 1); 0 = the engine default of 1/2")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	alpha := flag.Float64("alpha", 1, "MC exponent of the objective")
 	beta := flag.Float64("beta", 1, "energy exponent of the objective")
@@ -86,12 +83,6 @@ func main() {
 	opt.Batch = *batch
 	opt.SAIterations = *saIters
 	opt.Restarts = *restarts
-	opt.Patience = *patience
-	opt.Racing = *racing
-	opt.RacingKeep = *racingKeep
-	if *racingKeep != 0 && (*racingKeep <= 0 || *racingKeep >= 1) {
-		log.Fatalf("-racing-keep %v outside (0, 1)", *racingKeep)
-	}
 	opt.Workers = *workers
 	opt.Objective = dse.Objective{Alpha: *alpha, Beta: *beta, Gamma: *gamma}
 	opt.Prune = *prune
@@ -125,8 +116,8 @@ func main() {
 
 	cands := sp.Enumerate()
 	total := len(cands)
-	fmt.Printf("space %s: %d candidates, %d workload(s), batch %d, restarts %d (patience %d)\n",
-		sp.Name, total, len(graphs), *batch, *restarts, *patience)
+	fmt.Printf("space %s: %d candidates, %d workload(s), batch %d, restarts %d\n",
+		sp.Name, total, len(graphs), *batch, *restarts)
 	done := 0
 	if *stream {
 		opt.OnResult = func(r dse.CandidateResult) {
@@ -154,21 +145,14 @@ func main() {
 		fmt.Printf("disk cache (%s): %d entries warmed from disk, %d hits served by them, %d background saves\n",
 			dse.CachePath(*cacheDir), st.DiskLoaded, st.DiskHits, st.DiskSaves)
 	}
-	fmt.Printf("scheduler: %d/%d candidates pruned, %d cells resumed, %d restarts abandoned by the incumbent, %d skipped by patience, %d SA iterations\n",
-		ss.PrunedCandidates, ss.Candidates, ss.ResumedCells, ss.AbandonedRestarts, ss.SkippedRestarts, ss.SAIterations)
+	fmt.Printf("scheduler: %d/%d candidates pruned, %d cells resumed, %d restarts abandoned by the incumbent, %d SA iterations\n",
+		ss.PrunedCandidates, ss.Candidates, ss.ResumedCells, ss.AbandonedRestarts, ss.SAIterations)
 	if ss.Retries+ss.Panics+ss.DeadlineExceeded+ss.PersistenceErrors > 0 {
 		fmt.Printf("faults: %d retries, %d recovered panics, %d deadline expiries, %d persistence errors (degraded=%t)\n",
 			ss.Retries, ss.Panics, ss.DeadlineExceeded, ss.PersistenceErrors, ss.PersistenceDegraded)
 		if ss.LastPersistenceError != "" {
 			fmt.Printf("  last persistence error: %s\n", ss.LastPersistenceError)
 		}
-	}
-	if ss.Racing {
-		fmt.Print("racing rungs (budget: candidates -> survivors):")
-		for _, r := range ss.Rungs {
-			fmt.Printf("  %d: %d -> %d", r.Budget, r.Candidates, r.Survivors)
-		}
-		fmt.Println()
 	}
 	if len(ss.Trajectory) > 0 {
 		fmt.Print("incumbent trajectory:")

@@ -23,8 +23,8 @@ type Dispatcher interface {
 }
 
 // sliceDispatcher is the default feed: a fixed schedule walked front to
-// back under a mutex. The scheduler builds one per sweep (and one per racing
-// rung) from its bound-ordered candidate schedule.
+// back under a mutex. The scheduler builds one per sweep from its
+// bound-ordered candidate schedule.
 type sliceDispatcher struct {
 	mu    sync.Mutex
 	cells []int
@@ -46,11 +46,11 @@ func (d *sliceDispatcher) Next() (int, bool) {
 	return k, true
 }
 
-// feed builds the dispatch feed for the given candidates (in schedule
-// order), cells candidate-major, wrapping it with Options.Dispatch when set.
-func (sc *scheduler) feed(cands []int, nm int) Dispatcher {
-	cells := make([]int, 0, len(cands)*nm)
-	for _, ci := range cands {
+// feed builds the sweep's dispatch feed over its candidates in schedule
+// order, cells candidate-major, wrapping it with Options.Dispatch when set.
+func (sc *scheduler) feed(nm int) Dispatcher {
+	cells := make([]int, 0, len(sc.order)*nm)
+	for _, ci := range sc.order {
 		for mi := 0; mi < nm; mi++ {
 			cells = append(cells, ci*nm+mi)
 		}

@@ -118,11 +118,11 @@ func TestOptsFingerprintExcludesFaultFields(t *testing.T) {
 // stats — and is never checkpointed.
 func TestPanicSurfacesAsTypedCellError(t *testing.T) {
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool) (*MapResult, error) {
 		if cfg.Name == "panicky-arch" {
 			panic("mapper bug")
 		}
-		return mapModelRange(ev, cfg, g, o, stop, from, to)
+		return mapModelEval(ev, cfg, g, o, stop)
 	}
 
 	ok := arch.GArch72()

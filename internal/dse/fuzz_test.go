@@ -24,8 +24,8 @@ func FuzzSpecUnmarshal(f *testing.F) {
 		`{"space":{"tops":72,"reduced":true},"models":["tinycnn"]}`,
 		`{"id":"full","space":{"tops":128},"models":["resnet50","transformer"],` +
 			`"tenant":"acme","priority":"batch",` +
-			`"racing":true,"racing_keep":0.5,"workers":2,"seed":7,"restarts":4,` +
-			`"sa_iterations":100,"batch":16,"batch_units":[1,2],"patience":3,` +
+			`"workers":2,"seed":7,"restarts":4,` +
+			`"sa_iterations":100,"batch":16,"batch_units":[1,2],` +
 			`"objective":{"alpha":1,"beta":2,"gamma":0.5},"prune":true,` +
 			`"retry":{"max":2,"base_delay_ms":5,"max_delay_ms":50},` +
 			`"cell_timeout_ms":1000,"max_group_layers":4}`,
@@ -34,7 +34,7 @@ func FuzzSpecUnmarshal(f *testing.F) {
 		`{"space":{"tops":72},"models":["tinycnn"],"tenant":"../etc"}`,
 		`{"space":{"tops":72},"models":["tinycnn"],"priority":"urgent"}`,
 		`{"space":{"tops":72},"models":["tinycnn"],"workers":-1}`,
-		`{"space":{"tops":72},"models":["tinycnn"],"racing_keep":1.5}`,
+		`{"space":{"tops":72},"models":["tinycnn"],"restarts":-3}`,
 		`{"space":{"tops":72},"models":["tinycnn"],"seed":-2}`,
 		`{"space":{"tops":72,"glb_kb":[0]},"models":["tinycnn"]}`,
 		`{"space":{"tops":72,"cuts":[1,2],"macs":[1024],"glb_kb":[512],` +

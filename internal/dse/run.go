@@ -62,37 +62,6 @@ type Options struct {
 	// Candidates always dispatch in ascending lower-bound order, pruning or
 	// not, so the cheap candidates that tighten the incumbent run first.
 	Prune bool
-	// Patience makes the per-cell SA portfolio adaptive: the portfolio
-	// stops after this many consecutive non-improving restarts. 0 (and any
-	// value >= Restarts) runs the full fixed schedule, bit-identical to the
-	// pre-adaptive engine.
-	Patience int
-	// Racing switches restart allocation from uniform (every cell runs the
-	// full Restarts-wide portfolio) to successive halving across candidates:
-	// the scheduler dispatches one cheap exploratory restart per surviving
-	// candidate, ranks candidates by their best-so-far objective against the
-	// live incumbent, promotes only the top RacingKeep fraction to the next
-	// rung with a doubled restart budget, and repeats until the budget
-	// concentrates on the finalists at the full Restarts width. Every cell a
-	// rung settles is a prefix of the same derived-seed portfolio a uniform
-	// sweep would run, so racing only re-allocates restart budget across
-	// candidates — it never changes which seeds a given restart index uses.
-	// That is why Racing is excluded from the checkpoint cell fingerprint:
-	// checkpointed cells re-enter at the rung their settled restart count
-	// implies, and a finalist's cell is bit-identical to the uniform sweep's.
-	// Racing forces Patience off (rung widths are the adaptive schedule) and
-	// is off by default, leaving sweeps bit-identical to the uniform engine.
-	Racing bool `json:"racing,omitempty"`
-	// RacingKeep is the fraction of surviving candidates promoted at each
-	// racing rung, in (0, 1); a rung always promotes at least one candidate.
-	// 0 (the zero value) uses the default 1/2. Like Racing it only
-	// re-allocates restart budget, so it is excluded from the checkpoint
-	// fingerprint.
-	RacingKeep float64 `json:"racing_keep,omitempty"`
-	// OnRung, when set, streams one RungStats record as each racing rung
-	// completes (no calls unless Racing is on). Calls are serialized in rung
-	// order. Purely observational — excluded from the checkpoint fingerprint.
-	OnRung func(RungStats) `json:"-"`
 	// CacheDir, when set, backs the session's shared evaluation cache with a
 	// disk spill in this directory: RunContext warms the cache from the
 	// directory's spill file once per session, re-saves it in the background
@@ -111,9 +80,9 @@ type Options struct {
 	// serialized but arrive in completion order, not candidate order.
 	OnResult func(CandidateResult) `json:"-"`
 	// Dispatch, when set, wraps the scheduler's cell feed: the scheduler
-	// builds its default bound-ordered Dispatcher (one per sweep, one per
-	// racing rung) and hands it to Dispatch, whose return value the workers
-	// pull from instead; tests use it to impose a grid order. A feed only
+	// builds its default bound-ordered Dispatcher (one per sweep) and hands
+	// it to Dispatch, whose return value the workers pull from instead;
+	// tests use it to impose a grid order. A feed only
 	// schedules — cells it never delivers are reported as canceled, not
 	// computed — so it is excluded from the checkpoint fingerprint.
 	Dispatch func(Dispatcher) Dispatcher `json:"-"`
@@ -177,14 +146,9 @@ type MapResult struct {
 	AvgLayersPerGroup float64
 
 	// Restarts and BestRestart describe the SA portfolio that produced this
-	// result (1/0 for a single-seed run). Restarts counts the cumulative
-	// portfolio width settled so far — restarts that actually ran, plus the
-	// checkpointed prefix when a cell was widened incrementally;
-	// SkippedRestarts counts planned restarts that portfolio patience
-	// stopped early (0 for fixed schedules and restored cells).
-	Restarts        int
-	BestRestart     int
-	SkippedRestarts int
+	// result (1/0 for a single-seed run).
+	Restarts    int
+	BestRestart int
 	// SAIterations is the total annealing iterations attempted across the
 	// portfolio (0 for restored cells, which did no search work).
 	SAIterations int
@@ -216,32 +180,11 @@ func MapModel(cfg *arch.Config, g *dnn.Graph, opt Options) (*MapResult, error) {
 	return mapModelEval(eval.New(cfg), cfg, g, opt, nil)
 }
 
-// effectiveRestarts is the settled portfolio width opt implies (Restarts
-// clamped to >= 1, exactly as the portfolio layer clamps it).
-func effectiveRestarts(opt Options) int {
-	if opt.Restarts < 1 {
-		return 1
-	}
-	return opt.Restarts
-}
-
 // mapModelEval is MapModel on a caller-supplied evaluator, so sessions can
 // reuse warm evaluators (route tables, intra-core memo, shared group cache)
 // across candidates and runs. stop, when non-nil, is polled between SA
 // restarts; if it fires, the cell is abandoned with an abandonedError.
 func mapModelEval(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Options, stop func() bool) (*MapResult, error) {
-	return mapModelRange(ev, cfg, g, opt, stop, 0, effectiveRestarts(opt))
-}
-
-// mapModelRange is mapModelEval restricted to the restart window [from, to)
-// of the portfolio opt defines. Restart i always anneals with the same
-// derived seed regardless of the window, so the session layer can widen a
-// checkpointed cell incrementally: folding a stored prefix [0, from) with a
-// fresh window [from, to) is bit-identical to one [0, to) run (the racing
-// rungs and checkpoint re-entry rely on this). MapResult.Restarts reports
-// the cumulative width from + restarts-run, and BestRestart is the absolute
-// winning restart index within the window.
-func mapModelRange(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Options, stop func() bool, from, to int) (*MapResult, error) {
 	gp := graphpart.DefaultOptions()
 	gp.Beta, gp.Gamma = opt.Objective.Beta, opt.Objective.Gamma
 	if opt.MaxGroupLayers > 0 {
@@ -265,8 +208,7 @@ func mapModelRange(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Optio
 	// annealing loop, so a cell dominated mid-anneal stops within one stride.
 	// Abandoned cells are never settled or checkpointed.
 	so.Stop = stop
-	pf := sa.MultiStartRange(part.Scheme, ev, so, from, to,
-		sa.AdaptiveOptions{Patience: activePatience(opt)})
+	pf := sa.MultiStart(part.Scheme, ev, so, opt.Restarts)
 	if pf.Panic != nil {
 		// A panicked restart poisons the whole portfolio: folding only the
 		// restarts that preceded the fault would tie the result to where the
@@ -293,9 +235,8 @@ func mapModelRange(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Optio
 		SA:                res,
 		Groups:            len(res.Scheme.Groups),
 		AvgLayersPerGroup: eval.AvgLayersPerGroup(res.Scheme),
-		Restarts:          from + len(pf.Costs),
+		Restarts:          len(pf.Costs),
 		BestRestart:       pf.BestRestart,
-		SkippedRestarts:   pf.Skipped(),
 		SAIterations:      pf.Iterations,
 	}, nil
 }
@@ -303,15 +244,13 @@ func mapModelRange(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Optio
 // pairOutcome is one (candidate, model) mapping cell: a result, an
 // infeasibility (mr == nil, err wraps ErrInfeasible), or an infrastructure
 // error (mr == nil, any other err). The scheduler accounting fields ride
-// along: restored cells came from the checkpoint, skippedRestarts were
-// saved by portfolio patience, and an abandoned cell was cut off by the
-// live incumbent (no settled outcome at all).
+// along: restored cells came from the checkpoint, and an abandoned cell was
+// cut off by the live incumbent (no settled outcome at all).
 type pairOutcome struct {
 	mr  *MapResult
 	err error
 
 	restored          bool
-	skippedRestarts   int
 	abandoned         bool
 	abandonedRestarts int
 	saIterations      int

@@ -25,23 +25,6 @@ import (
 	"gemini/internal/eval"
 )
 
-// RungStats records one completed rung of a racing (successive-halving)
-// sweep: how many candidates entered, the cumulative per-cell restart width
-// the rung settled, and how many candidates were promoted to the next rung
-// (on the final rung, how many finished as finalists).
-type RungStats struct {
-	// Rung is the rung index; rung 0 is the cheap exploratory rung.
-	Rung int `json:"rung"`
-	// Budget is the cumulative per-cell restart width this rung settled.
-	Budget int `json:"budget"`
-	// Candidates is how many surviving candidates entered the rung.
-	Candidates int `json:"candidates"`
-	// Survivors is how many candidates the rung promoted (or, on the final
-	// rung, finished at the full width). Candidates the bound gate pruned
-	// mid-rung count in neither number of the next rung.
-	Survivors int `json:"survivors"`
-}
-
 // IncumbentStep is one tightening of the pruning incumbent during a sweep.
 type IncumbentStep struct {
 	// Candidate names the feasible candidate that improved the incumbent;
@@ -72,8 +55,6 @@ type SweepStats struct {
 	// incumbent dominated a cell's candidate mid-portfolio (a restart cut
 	// off mid-anneal by the in-loop check counts: it never finished).
 	AbandonedRestarts int
-	// SkippedRestarts counts SA restarts saved by portfolio patience.
-	SkippedRestarts int
 	// SAIterations is the total annealing iterations the sweep attempted
 	// across every cell, partial abandoned restarts included. With in-loop
 	// abandonment active a dominated-cell workload spends strictly fewer
@@ -102,11 +83,6 @@ type SweepStats struct {
 	// LastPersistenceError is the most recent failure.
 	PersistenceDegraded  bool
 	LastPersistenceError string
-
-	// Racing reports the sweep allocated restarts by successive halving
-	// across candidates; Rungs then records every completed rung in order.
-	Racing bool
-	Rungs  []RungStats
 
 	// SeededIncumbent is the incumbent value restored from checkpointed
 	// cells before the first task ran (+Inf when nothing seeded).
@@ -194,15 +170,10 @@ type scheduler struct {
 	states []*candState
 	order  []int // candidate dispatch order
 
-	// rungs collects the racing rung records; runRacing appends between
-	// rung barriers, so no lock is needed until publishStats copies it.
-	rungs []RungStats
-
 	seeded    float64
 	resumed   atomic.Int64
 	pruned    atomic.Int64
 	abandoned atomic.Int64
-	skipped   atomic.Int64
 	saIters   atomic.Int64
 
 	retries  atomic.Int64
@@ -225,13 +196,6 @@ func (sc *scheduler) notePanic(where, stack string) {
 // newScheduler computes per-candidate bounds, fixes the dispatch order and
 // seeds the incumbent from checkpointed cells.
 func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models []*dnn.Graph, opt Options) *scheduler {
-	if opt.Racing {
-		// Racing is the adaptive schedule: rung widths replace portfolio
-		// patience. Normalizing it away here keeps the cell fingerprint
-		// identical to the plain uniform sweep's, so racing and uniform
-		// sweeps extend each other's checkpointed cells.
-		opt.Patience = 0
-	}
 	sc := &scheduler{
 		ses:    s,
 		ctx:    ctx,
@@ -450,16 +414,10 @@ func (sc *scheduler) run() []CandidateResult {
 		return results
 	}
 
-	if sc.opt.Racing {
-		sc.runRacing(nm, per, finish)
-		sc.publishStats()
-		return results
-	}
-
-	// A uniform sweep is a single rung at the full portfolio width. The feed
-	// walks the schedule candidate-major, so a candidate's cells complete
-	// (and its objective lands in the incumbent) as early as possible.
-	sc.dispatchRung(sc.order, nm, per, effectiveRestarts(sc.opt), true, func(ci int) {
+	// The feed walks the schedule candidate-major, so a candidate's cells
+	// complete (and its objective lands in the incumbent) as early as
+	// possible.
+	sc.dispatch(nm, per, func(ci int) {
 		if sc.states[ci].remaining.Add(-1) == 0 {
 			finish(ci)
 		}
@@ -513,151 +471,14 @@ func (sc *scheduler) workerCount(tasks int) int {
 	return workers
 }
 
-// racingBudgets is the successive-halving rung schedule for full portfolio
-// width r: cumulative per-cell restart widths 1, 2, 4, ... terminated at r.
-func racingBudgets(r int) []int {
-	var b []int
-	for w := 1; w < r; w *= 2 {
-		b = append(b, w)
-	}
-	return append(b, r)
-}
-
-// runRacing executes the sweep as a successive-halving race: every surviving
-// candidate's cells are settled at the rung's cumulative restart width (a
-// checkpointed or earlier-rung cell re-enters at its stored width and runs
-// only the missing restart window), the candidates are ranked by their
-// folded objective against each other, and only the top RacingKeep fraction
-// is promoted to the next, twice-as-wide rung. A rung-b outcome is a real
-// achieved mapping, so it both feeds the pruning incumbent and stands as an
-// eliminated candidate's final (partial-width, never Pruned) result.
-// Finalists end at the full width, bit-identical to the uniform sweep's
-// result for the same candidate.
-func (sc *scheduler) runRacing(nm int, per [][]pairOutcome, finish func(ci int)) {
-	keep := sc.opt.RacingKeep
-	if keep <= 0 || keep >= 1 {
-		keep = 0.5
-	}
-	finished := make([]bool, len(sc.cands))
-	emit := func(ci int) {
-		if !finished[ci] {
-			finished[ci] = true
-			finish(ci)
-		}
-	}
-	surviving := append([]int(nil), sc.order...)
-	budgets := racingBudgets(effectiveRestarts(sc.opt))
-	for r, budget := range budgets {
-		entered := len(surviving)
-		sc.dispatchRung(surviving, nm, per, budget, r == 0, nil)
-
-		// Candidates the bound gate pruned mid-rung are decided: emit their
-		// Pruned rows and drop them from the race.
-		alive := make([]int, 0, len(surviving))
-		for _, ci := range surviving {
-			if sc.states[ci].pruned.Load() {
-				emit(ci)
-				continue
-			}
-			alive = append(alive, ci)
-		}
-
-		// Rank the rung by each survivor's folded objective at the current
-		// width — an achieved value, so feasible ones also tighten the
-		// incumbent. Infeasible and errored candidates rank +Inf and are
-		// eliminated first; ties break by candidate name, then dispatch
-		// order, so the promotion is deterministic.
-		type rank struct {
-			ci  int
-			obj float64
-		}
-		ranked := make([]rank, 0, len(alive))
-		for _, ci := range alive {
-			cr := reduceCandidate(&sc.cands[ci], per[ci], sc.models, sc.mce, sc.opt)
-			obj := math.Inf(1)
-			if cr.Feasible {
-				obj = cr.Obj
-				sc.inc.note(cr.Cfg.Name, cr.Obj)
-			}
-			ranked = append(ranked, rank{ci, obj})
-		}
-		sort.SliceStable(ranked, func(a, b int) bool {
-			if ranked[a].obj != ranked[b].obj {
-				return ranked[a].obj < ranked[b].obj
-			}
-			return sc.cands[ranked[a].ci].Name < sc.cands[ranked[b].ci].Name
-		})
-
-		promoted := len(ranked)
-		if r < len(budgets)-1 {
-			promoted = int(math.Ceil(keep * float64(len(ranked))))
-			if promoted < 1 {
-				promoted = 1
-			}
-			if promoted > len(ranked) {
-				promoted = len(ranked)
-			}
-		}
-		rs := RungStats{Rung: r, Budget: budget, Candidates: entered, Survivors: promoted}
-		sc.rungs = append(sc.rungs, rs)
-		if sc.opt.OnRung != nil {
-			sc.onRungGuarded(rs)
-		}
-		surviving = surviving[:0]
-		for i, rk := range ranked {
-			if i < promoted {
-				surviving = append(surviving, rk.ci)
-				continue
-			}
-			// Eliminated: the candidate's partial-width outcome is its real
-			// result — finish reduces it normally, never as Pruned.
-			emit(rk.ci)
-		}
-		if len(surviving) == 0 {
-			break
-		}
-	}
-	// Finalists — and, after a canceled sweep, whatever the race never
-	// decided — emit with the cells they settled. A shut feed may have left
-	// cells undelivered (zero outcomes); fill those with the cancellation
-	// error first, so an undecided candidate is reported canceled rather
-	// than spuriously infeasible.
-	for ci := range sc.cands {
-		if !finished[ci] {
-			sc.fillUndelivered(ci, nm, per)
-		}
-		emit(ci)
-	}
-}
-
-// onRungGuarded shields the race loop from a panicking OnRung observer, the
-// same way finish shields reduceCandidate's callback path.
-func (sc *scheduler) onRungGuarded(rs RungStats) {
-	defer func() {
-		if v := recover(); v != nil {
-			sc.panics.Add(1)
-			sc.notePanic(fmt.Sprintf("OnRung callback (rung %d)", rs.Rung),
-				fmt.Sprintf("%v\n%s", v, debug.Stack()))
-		}
-	}()
-	sc.opt.OnRung(rs)
-}
-
-// dispatchRung settles every (surviving candidate, model) cell at the rung's
-// cumulative width on a fresh worker pool and barriers on completion.
-// countRestores is true only on rung 0: a cell checkpointed at full width
-// restores verbatim on every rung it touches, and counting each rung would
-// inflate ResumedCells. cellDone, when non-nil, runs on the worker after each
+// dispatch settles every (candidate, model) cell of the sweep on a worker
+// pool and barriers on completion. cellDone runs on the worker after each
 // delivered cell with the cell's candidate index; Options.Dispatch may wrap
 // the feed.
-func (sc *scheduler) dispatchRung(surviving []int, nm int, per [][]pairOutcome, target int, countRestores bool, cellDone func(ci int)) {
-	total := len(surviving) * nm
-	if total == 0 {
-		return
-	}
-	feed := sc.feed(surviving, nm)
+func (sc *scheduler) dispatch(nm int, per [][]pairOutcome, cellDone func(ci int)) {
+	feed := sc.feed(nm)
 	var wg sync.WaitGroup
-	for w := 0; w < sc.workerCount(total); w++ {
+	for w := 0; w < sc.workerCount(len(sc.order)*nm); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -666,10 +487,8 @@ func (sc *scheduler) dispatchRung(surviving []int, nm int, per [][]pairOutcome, 
 				if !ok {
 					return
 				}
-				sc.runTaskGuarded(k, nm, per, target, countRestores)
-				if cellDone != nil {
-					cellDone(k / nm)
-				}
+				sc.runTaskGuarded(k, nm, per)
+				cellDone(k / nm)
 			}
 		}()
 	}
@@ -681,7 +500,7 @@ func (sc *scheduler) dispatchRung(surviving []int, nm int, per [][]pairOutcome, 
 // own cell bookkeeping (bound math, checkpoint peeks) runs outside it; a
 // panic there records a typed CellError on the cell and keeps the worker —
 // and with it the sweep and the serving process — alive.
-func (sc *scheduler) runTaskGuarded(k, nm int, per [][]pairOutcome, target int, countRestores bool) {
+func (sc *scheduler) runTaskGuarded(k, nm int, per [][]pairOutcome) {
 	defer func() {
 		if v := recover(); v != nil {
 			ci, mi := k/nm, k%nm
@@ -694,14 +513,12 @@ func (sc *scheduler) runTaskGuarded(k, nm int, per [][]pairOutcome, target int, 
 			sc.notePanic("scheduler task", fmt.Sprintf("%v\n%s", ce.Err, ce.Stack))
 		}
 	}()
-	sc.runTask(k, nm, per, target, countRestores)
+	sc.runTask(k, nm, per)
 }
 
 // runTask executes one (candidate, model) cell under the live bound gate
-// and the sweep context, settling it at the cumulative portfolio width
-// target (the full Restarts for uniform sweeps, the rung budget under
-// racing).
-func (sc *scheduler) runTask(k, nm int, per [][]pairOutcome, target int, countRestores bool) {
+// and the sweep context.
+func (sc *scheduler) runTask(k, nm int, per [][]pairOutcome) {
 	ci, mi := k/nm, k%nm
 	st := sc.states[ci]
 	key := cellKey(eval.ConfigFingerprint(&sc.cands[ci]), sc.models[mi].Name, sc.optFP)
@@ -737,7 +554,7 @@ func (sc *scheduler) runTask(k, nm int, per [][]pairOutcome, target int, countRe
 		}
 		return gated && st.lb > sc.inc.get()
 	}
-	out := sc.ses.runCellTarget(&sc.cands[ci], sc.models[mi], sc.opt, key, stop, target)
+	out := sc.ses.runCell(&sc.cands[ci], sc.models[mi], sc.opt, key, stop)
 	sc.saIters.Add(int64(out.saIterations))
 	sc.retries.Add(int64(out.retries))
 	sc.panics.Add(int64(out.panics))
@@ -760,10 +577,9 @@ func (sc *scheduler) runTask(k, nm int, per [][]pairOutcome, target int, countRe
 		sc.markPruned(ci, sc.inc.get())
 		return
 	}
-	if out.restored && countRestores {
+	if out.restored {
 		sc.resumed.Add(1)
 	}
-	sc.skipped.Add(int64(out.skippedRestarts))
 	per[ci][mi] = out
 }
 
@@ -778,13 +594,10 @@ func (sc *scheduler) publishStats() {
 		ResumedCells:      int(sc.resumed.Load()),
 		PrunedCandidates:  int(sc.pruned.Load()),
 		AbandonedRestarts: int(sc.abandoned.Load()),
-		SkippedRestarts:   int(sc.skipped.Load()),
 		SAIterations:      int(sc.saIters.Load()),
 		Retries:           int(sc.retries.Load()),
 		Panics:            int(sc.panics.Load()),
 		DeadlineExceeded:  int(sc.deadline.Load()),
-		Racing:            sc.opt.Racing,
-		Rungs:             append([]RungStats(nil), sc.rungs...),
 		SeededIncumbent:   sc.seeded,
 		Trajectory:        sc.inc.trajectory(),
 	}
@@ -796,15 +609,9 @@ func (sc *scheduler) publishStats() {
 	if stats.Canceled {
 		state = "canceled"
 	}
-	sc.ses.logf("dse: sweep %s %s: %d candidates (%d pruned), %d cells (%d resumed), %d restarts abandoned, %d skipped by patience, incumbent %.6g",
+	sc.ses.logf("dse: sweep %s %s: %d candidates (%d pruned), %d cells (%d resumed), %d restarts abandoned, incumbent %.6g",
 		sweepName(sc.opt.SweepID), state, stats.Candidates, stats.PrunedCandidates, stats.Cells, stats.ResumedCells,
-		stats.AbandonedRestarts, stats.SkippedRestarts, sc.inc.get())
-	if stats.Racing {
-		for _, r := range stats.Rungs {
-			sc.ses.logf("dse: sweep %s rung %d (budget %d): %d candidates, %d promoted",
-				sweepName(sc.opt.SweepID), r.Rung, r.Budget, r.Candidates, r.Survivors)
-		}
-	}
+		stats.AbandonedRestarts, sc.inc.get())
 	if stats.Retries+stats.Panics+stats.DeadlineExceeded > 0 {
 		sc.ses.logf("dse: sweep %s faults: %d retries, %d recovered panics, %d deadline expiries",
 			sweepName(sc.opt.SweepID), stats.Retries, stats.Panics, stats.DeadlineExceeded)

@@ -162,11 +162,11 @@ func TestAbandonedCellPrunesCandidate(t *testing.T) {
 	doomed.NoCBW = 48 // structurally distinct so cells do not alias
 
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool) (*MapResult, error) {
 		if cfg.Name == "doomed-arch" {
 			return nil, &abandonedError{done: 1, planned: 4}
 		}
-		return mapModelRange(ev, cfg, g, o, stop, from, to)
+		return mapModelEval(ev, cfg, g, o, stop)
 	}
 
 	opt := testOptions()
@@ -194,40 +194,6 @@ func TestAbandonedCellPrunesCandidate(t *testing.T) {
 	}
 	if strings.Contains(ckpt.String(), "doomed") {
 		t.Errorf("abandoned cell was checkpointed:\n%s", ckpt.String())
-	}
-}
-
-// TestAdaptiveSweepCountsSkippedRestarts: patience savings must surface in
-// the sweep stats, and a patience wide enough to never fire must leave the
-// sweep bit-identical to the fixed schedule.
-func TestAdaptiveSweepCountsSkippedRestarts(t *testing.T) {
-	cands := testCands()
-	models := []*dnn.Graph{testCNN, testTF}
-
-	fixed := testOptions()
-	fixed.Restarts = 4
-
-	wide := fixed
-	wide.Patience = 4 // can never fire: bit-identical, same fingerprint
-	if optsFingerprint(fixed) != optsFingerprint(wide) {
-		t.Fatal("inactive patience changed the options fingerprint")
-	}
-	resultsEqual(t, Run(cands, models, fixed), Run(cands, models, wide), "wide patience")
-
-	adaptive := fixed
-	adaptive.Patience = 1
-	if optsFingerprint(fixed) == optsFingerprint(adaptive) {
-		t.Fatal("active patience must change the options fingerprint")
-	}
-	rs, st := runStats(t, NewSession(), cands, models, adaptive)
-	if Best(rs) == nil {
-		t.Fatal("no feasible candidate")
-	}
-	if st.SkippedRestarts <= 0 {
-		t.Errorf("adaptive sweep skipped %d restarts, want > 0", st.SkippedRestarts)
-	}
-	if st.SkippedRestarts >= 3*len(cands)*len(models) {
-		t.Errorf("skipped %d restarts, more than the %d that exist", st.SkippedRestarts, 3*len(cands)*len(models))
 	}
 }
 
@@ -268,22 +234,6 @@ func TestAbandonedErrorNotInfeasible(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "1/4") {
 		t.Errorf("unexpected message: %v", err)
-	}
-}
-
-// TestFingerprintPatienceNotAliasedWithBatchUnits: the active-patience word
-// must be unambiguous against the variable-length BatchUnits tail, or two
-// different option sets could share checkpoint cells.
-func TestFingerprintPatienceNotAliasedWithBatchUnits(t *testing.T) {
-	a := testOptions()
-	a.Restarts = 16
-	a.BatchUnits = []int{1, 2, 4, 8}
-	b := testOptions()
-	b.Restarts = 16
-	b.BatchUnits = []int{1, 2, 4}
-	b.Patience = 8
-	if optsFingerprint(a) == optsFingerprint(b) {
-		t.Fatal("BatchUnits tail aliases the active patience word")
 	}
 }
 
@@ -422,8 +372,8 @@ func TestInLoopAbandonBitIdenticalWhenNeverDominated(t *testing.T) {
 		}
 	}
 	ungated := NewSession()
-	ungated.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, _ func() bool, from, to int) (*MapResult, error) {
-		return mapModelRange(ev, cfg, g, o, nil, from, to)
+	ungated.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, _ func() bool) (*MapResult, error) {
+		return mapModelEval(ev, cfg, g, o, nil)
 	}
 	off, offSt := runStats(t, ungated, cands, models, opt)
 	resultsEqual(t, off, on, "in-loop hook vs no stop gate")
@@ -462,7 +412,7 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 	var weakStarted atomic.Int32
 	strongDone := make(chan struct{})
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool) (*MapResult, error) {
 		if cfg.Name == strong.Name {
 			// Let the dominated cells pass their pre-cell bound check and
 			// enter their mapModel call before the incumbent exists, so
@@ -470,7 +420,7 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 			for weakStarted.Load() < 2 {
 				runtime.Gosched()
 			}
-			mr, err := mapModelRange(ev, cfg, g, o, stop, from, to)
+			mr, err := mapModelEval(ev, cfg, g, o, stop)
 			close(strongDone)
 			return mr, err
 		}
@@ -480,7 +430,7 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 		// their first abandonment poll instead of racing their last: the
 		// saved iterations don't depend on wall-clock interleaving.
 		<-strongDone
-		return mapModelRange(ev, cfg, g, o, stop, from, to)
+		return mapModelEval(ev, cfg, g, o, stop)
 	}
 	rs, st := runStats(t, ses, cands, models, opt)
 	best := Best(rs)

@@ -24,7 +24,6 @@ import (
 	"gemini/internal/dnn"
 	"gemini/internal/eval"
 	"gemini/internal/faultinject"
-	"gemini/internal/sa"
 )
 
 // Session shares evaluation state across DSE runs. All methods are safe for
@@ -47,12 +46,10 @@ type Session struct {
 
 	resumed atomic.Int64 // cells served from the checkpoint instead of mapped
 
-	// mapModel is the per-cell mapping pipeline, mapModelRange outside tests.
+	// mapModel is the per-cell mapping pipeline, mapModelEval outside tests.
 	// Tests replace it on the session they build, before its first sweep, to
-	// inject infrastructure failures and count calls. It carries the restart
-	// window [from, to) so the session can widen checkpointed cells
-	// incrementally (racing rungs, checkpoint re-entry).
-	mapModel func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Options, stop func() bool, from, to int) (*MapResult, error)
+	// inject infrastructure failures and count calls.
+	mapModel func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Options, stop func() bool) (*MapResult, error)
 
 	diskMu     sync.Mutex
 	diskWarmed map[string]bool // cache dirs already loaded into this session
@@ -70,7 +67,7 @@ func NewSession() *Session {
 		evals:      make(map[uint64]*eval.Evaluator),
 		cells:      make(map[string]cellRecord),
 		diskWarmed: make(map[string]bool),
-		mapModel:   mapModelRange,
+		mapModel:   mapModelEval,
 	}
 }
 
@@ -330,48 +327,16 @@ func sweepName(id string) string {
 // bit-identical to a first-try success, and only settled outcomes reach the
 // checkpoint — retry state never enters the cell fingerprint.
 func (s *Session) runCell(cfg *arch.Config, g *dnn.Graph, opt Options, key string, stop func() bool) pairOutcome {
-	return s.runCellTarget(cfg, g, opt, key, stop, effectiveRestarts(opt))
-}
-
-// runCellTarget is runCell with an explicit cumulative portfolio width: the
-// cell is settled at exactly target restarts. A checkpointed cell whose
-// settled width already covers target restores verbatim; one settled
-// narrower (a racing rung, or a sweep widened after a checkpoint) re-enters
-// at its stored width and runs only the missing window [stored, target),
-// then folds the window with the stored prefix exactly as one contiguous
-// portfolio would — so the widened cell is bit-identical to a from-scratch
-// target-wide run, minus the restarts the checkpoint already paid for.
-// Extension only happens for width-annotated records under a non-adaptive
-// schedule: patience sweeps and legacy (width 0) records always restore,
-// preserving their historical semantics.
-func (s *Session) runCellTarget(cfg *arch.Config, g *dnn.Graph, opt Options, key string, stop func() bool, target int) pairOutcome {
-	if target < 1 {
-		target = 1
-	}
-	from := 0
-	var prior *cellRecord
 	if rec, ok := s.peekCell(key); ok {
-		if activePatience(opt) != 0 || rec.Restarts <= 0 || rec.Restarts >= target {
-			s.resumed.Add(1)
-			p := rec.outcome()
-			p.restored = true
-			return p
-		}
-		from = rec.Restarts
-		r := rec
-		prior = &r
-	}
-	// The stored width annotation: patience portfolios stop on a
-	// data-dependent streak, so their settled width says nothing about a
-	// wider run — record 0 (width-unknown, restore-only) for them.
-	width := target
-	if activePatience(opt) != 0 {
-		width = 0
+		s.resumed.Add(1)
+		p := rec.outcome()
+		p.restored = true
+		return p
 	}
 	policy := opt.Retry.withDefaults()
 	var out pairOutcome
 	for attempt := 0; ; attempt++ {
-		mr, err := s.attemptCell(cfg, g, opt, stop, attempt, from, target)
+		mr, err := s.attemptCell(cfg, g, opt, stop, attempt)
 		var ab *abandonedError
 		if errors.As(err, &ab) {
 			out.abandoned = true
@@ -405,43 +370,12 @@ func (s *Session) runCellTarget(cfg *arch.Config, g *dnn.Graph, opt Options, key
 			continue
 		}
 		if mr != nil {
-			// Window-run accounting, captured before the prior fold can
-			// replace mr with the checkpointed summary (which did no work).
-			out.skippedRestarts += mr.SkippedRestarts
 			out.saIterations += mr.SAIterations
 		}
-		if prior != nil {
-			mr, err = foldPriorCell(prior, mr, err, target)
-		}
-		s.storeCell(key, g.Name, mr, err, width)
+		s.storeCell(key, g.Name, mr, err)
 		out.mr, out.err = mr, err
 		return out
 	}
-}
-
-// foldPriorCell folds a checkpointed prefix portfolio with the freshly run
-// window's settled outcome, exactly as one contiguous portfolio would have:
-// the lower SA cost wins and ties go to the prior, because it holds the
-// lower restart indices. A feasible side always beats an infeasible one
-// (an infeasible portfolio's best is +Inf under the fold's order). The
-// merged result reports the cumulative width target. Infrastructure errors
-// are not settled outcomes and pass through unfolded.
-func foldPriorCell(prior *cellRecord, mr *MapResult, err error, target int) (*MapResult, error) {
-	if mr == nil && err != nil && !errors.Is(err, ErrInfeasible) {
-		return mr, err
-	}
-	if mr != nil && (!prior.Feasible || sa.BetterCost(mr.SA.Cost, prior.SACost)) {
-		mr.Restarts = target
-		return mr, nil
-	}
-	if !prior.Feasible {
-		// Both the prefix and the window settled infeasible: the cell stays
-		// infeasible, now established at the wider width.
-		return nil, err
-	}
-	p := prior.outcome()
-	p.mr.Restarts = target
-	return p.mr, nil
 }
 
 // attemptResult carries one attempt's outcome across the deadline goroutine
@@ -461,7 +395,7 @@ type attemptResult struct {
 // next in-loop abandonment poll, its result is discarded, and a portfolio
 // abandoned *because of* the expiry can never be mistaken for an
 // incumbent-dominated cell (the select already settled on timeout).
-func (s *Session) attemptCell(cfg *arch.Config, g *dnn.Graph, opt Options, stop func() bool, attempt, from, to int) (*MapResult, error) {
+func (s *Session) attemptCell(cfg *arch.Config, g *dnn.Graph, opt Options, stop func() bool, attempt int) (*MapResult, error) {
 	body := func(innerStop func() bool) (mr *MapResult, err error) {
 		defer func() {
 			if v := recover(); v != nil {
@@ -476,7 +410,7 @@ func (s *Session) attemptCell(cfg *arch.Config, g *dnn.Graph, opt Options, stop 
 				Kind: CellTransient, Candidate: cfg.Name, Model: g.Name, Attempt: attempt, Err: ierr,
 			}
 		}
-		return s.mapModel(s.evaluator(cfg), cfg, g, opt, innerStop, from, to)
+		return s.mapModel(s.evaluator(cfg), cfg, g, opt, innerStop)
 	}
 	if opt.CellTimeout <= 0 {
 		return body(stop)
@@ -654,13 +588,8 @@ func (s *Session) peekCell(key string) (cellRecord, bool) {
 	return rec, ok
 }
 
-// storeCell records a settled cell. width annotates an infeasible verdict
-// with the portfolio width that established it, so racing rungs and widened
-// sweeps can re-enter and keep searching instead of trusting a narrow
-// verdict forever; 0 (patience runs, legacy checkpoints) means
-// width-unknown and the record restores at any width. Feasible cells carry
-// their own cumulative width in mr.Restarts.
-func (s *Session) storeCell(key, model string, mr *MapResult, err error, width int) {
+// storeCell records a settled cell.
+func (s *Session) storeCell(key, model string, mr *MapResult, err error) {
 	rec := cellRecord{Model: model}
 	switch {
 	case mr != nil:
@@ -678,8 +607,6 @@ func (s *Session) storeCell(key, model string, mr *MapResult, err error, width i
 		// Infrastructure errors are not settled outcomes: leave the cell
 		// unrecorded so a resumed or repeated sweep retries it.
 		return
-	default:
-		rec.Restarts = width
 	}
 	s.cellMu.Lock()
 	s.cells[key] = rec
@@ -762,9 +689,6 @@ var optsFingerprintExclusions = map[string]string{
 	"Retry":         "failure-handling policy; a cell that succeeds is attempt-count-independent",
 	"CellTimeout":   "wall-clock guard producing typed failures, never different values",
 	"FaultInjector": "test-only chaos hook; production sweeps run with none installed",
-	"Racing":        "re-allocates restart budget across candidates; every settled cell is a prefix of the same derived-seed portfolio, so racing and uniform sweeps must share cells",
-	"RacingKeep":    "racing promotion fraction; like Racing it only schedules rung widths, never a cell's seeds",
-	"OnRung":        "observer callback; rung notification cannot alter results",
 	"Incumbent":     "external pruning signal; like Prune it only skips whole cells, it never changes a computed cell",
 }
 
@@ -772,9 +696,7 @@ var optsFingerprintExclusions = map[string]string{
 // Alpha is deliberately excluded: it only ranks candidates, it never changes
 // a (candidate, model) mapping, so checkpoints survive re-ranking sweeps.
 // SweepID is likewise excluded (it only labels — a renamed sweep must keep
-// hitting its old cells), and Patience is folded in only when it can actually
-// change a portfolio (0 < Patience < restarts), so pre-adaptive checkpoints
-// keep matching non-adaptive sweeps. The full field-by-field accounting lives in
+// hitting its old cells). The full field-by-field accounting lives in
 // optsFingerprintExclusions and is enforced by the fingerprintcomplete
 // analyzer.
 //
@@ -796,29 +718,7 @@ func optsFingerprint(opt Options) uint64 {
 	for _, bu := range opt.BatchUnits {
 		h = fnvWord(h, uint64(int64(bu)))
 	}
-	if p := activePatience(opt); p > 0 {
-		// The sentinel word terminates the variable-length BatchUnits list,
-		// so {BatchUnits: [1,2,4], Patience: 8} can never alias
-		// {BatchUnits: [1,2,4,8]}: ^0 is not a representable batch unit
-		// (batch units are positive ints).
-		h = fnvWord(h, ^uint64(0))
-		h = fnvWord(h, uint64(int64(p)))
-	}
 	return h
-}
-
-// activePatience normalizes Options.Patience to its effective value: 0
-// whenever the portfolio cannot stop early (non-positive patience, or
-// patience wide enough that the consecutive-miss streak can never reach it).
-func activePatience(opt Options) int {
-	restarts := opt.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
-	if opt.Patience <= 0 || opt.Patience >= restarts {
-		return 0
-	}
-	return opt.Patience
 }
 
 // cellKey names one (candidate, model, options) cell in the checkpoint.

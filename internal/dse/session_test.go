@@ -38,9 +38,9 @@ func testCands() []arch.Config {
 func countingSession() (*Session, *atomic.Int64) {
 	s := NewSession()
 	calls := new(atomic.Int64)
-	s.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+	s.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool) (*MapResult, error) {
 		calls.Add(1)
-		return mapModelRange(ev, cfg, g, o, stop, from, to)
+		return mapModelEval(ev, cfg, g, o, stop)
 	}
 	return s, calls
 }
@@ -187,11 +187,11 @@ func TestCellKeysPinned(t *testing.T) {
 		t.Errorf("optsFingerprint(DefaultOptions()) = %#016x, want 0x99ce5b311a3445a8", got)
 	}
 	o := DefaultOptions()
-	o.Batch, o.SAIterations, o.Restarts, o.Patience, o.Seed = 8, 150, 4, 2, 7
+	o.Batch, o.SAIterations, o.Restarts, o.Seed = 8, 150, 4, 7
 	o.Objective = Objective{Alpha: 2, Beta: 1, Gamma: 0.5}
 	o.MaxGroupLayers, o.BatchUnits = 7, []int{1, 2}
-	if got := optsFingerprint(o); got != 0xf14ddcb32630a786 {
-		t.Errorf("optsFingerprint(non-default) = %#016x, want 0xf14ddcb32630a786", got)
+	if got := optsFingerprint(o); got != 0x1235faee230ca6cc {
+		t.Errorf("optsFingerprint(non-default) = %#016x, want 0x1235faee230ca6cc", got)
 	}
 	if got, want := cellKey(0xabc, "resnet50", 0x99ce5b311a3445a8), "0000000000000abc/resnet50/99ce5b311a3445a8"; got != want {
 		t.Errorf("cellKey = %q, want %q", got, want)
@@ -211,7 +211,7 @@ func TestParentCommitCheckpointResumes(t *testing.T) {
 	if err := ses.LoadCheckpoint(f); err != nil {
 		t.Fatal(err)
 	}
-	ses.mapModel = func(*eval.Evaluator, *arch.Config, *dnn.Graph, Options, func() bool, int, int) (*MapResult, error) {
+	ses.mapModel = func(*eval.Evaluator, *arch.Config, *dnn.Graph, Options, func() bool) (*MapResult, error) {
 		t.Error("a checkpointed cell was re-mapped")
 		return nil, ErrInfeasible
 	}
@@ -243,11 +243,11 @@ func TestSessionCheckpointVersion(t *testing.T) {
 func TestSessionErrorNotInfeasible(t *testing.T) {
 	boom := errors.New("injected mapper crash")
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool) (*MapResult, error) {
 		if cfg.Name == "bad-arch" {
 			return nil, boom
 		}
-		return mapModelRange(ev, cfg, g, o, stop, from, to)
+		return mapModelEval(ev, cfg, g, o, stop)
 	}
 
 	ok := arch.GArch72()
@@ -291,11 +291,11 @@ func TestSessionErrorNotInfeasible(t *testing.T) {
 func TestSessionRetriesErroredCells(t *testing.T) {
 	boom := errors.New("transient failure")
 	failing := true
-	flakyMap := func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
+	flakyMap := func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool) (*MapResult, error) {
 		if failing && cfg.Name == "flaky-arch" {
 			return nil, boom
 		}
-		return mapModelRange(ev, cfg, g, o, stop, from, to)
+		return mapModelEval(ev, cfg, g, o, stop)
 	}
 
 	flaky := arch.GArch72()

@@ -131,9 +131,6 @@ type Spec struct {
 	SAIterations int `json:"sa_iterations,omitempty"`
 	// Restarts is the SA portfolio width per cell (default 1).
 	Restarts int `json:"restarts,omitempty"`
-	// Patience stops a cell's portfolio after this many consecutive
-	// non-improving restarts (0 = fixed schedule).
-	Patience int `json:"patience,omitempty"`
 	// Workers bounds sweep parallelism (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// Seed is the base SA seed (default 1).
@@ -147,12 +144,6 @@ type Spec struct {
 	Objective *ObjectiveSpec `json:"objective,omitempty"`
 	// Prune enables bound-based candidate pruning.
 	Prune bool `json:"prune,omitempty"`
-	// Racing allocates restart budget by successive halving across
-	// candidates instead of running every cell at the full width.
-	Racing bool `json:"racing,omitempty"`
-	// RacingKeep is the fraction of candidates promoted at each racing rung,
-	// strictly inside (0, 1); 0 means the default 1/2.
-	RacingKeep float64 `json:"racing_keep,omitempty"`
 	// Retry bounds transient-failure retries per (candidate, model) cell
 	// (nil = no retry, the pre-hardening behavior).
 	Retry *RetrySpec `json:"retry,omitempty"`
@@ -242,15 +233,11 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("dse: unknown model %q (have %v)", name, dnn.ModelNames())
 		}
 	}
-	if s.RacingKeep != 0 && (s.RacingKeep <= 0 || s.RacingKeep >= 1) {
-		return fmt.Errorf("dse: spec racing_keep = %v, want inside (0, 1)", s.RacingKeep)
-	}
 	for _, c := range [...]struct {
 		name string
 		v    int
 	}{
-		{"batch", s.Batch}, {"sa_iterations", s.SAIterations},
-		{"restarts", s.Restarts}, {"patience", s.Patience},
+		{"batch", s.Batch}, {"sa_iterations", s.SAIterations}, {"restarts", s.Restarts},
 		{"workers", s.Workers}, {"max_group_layers", s.MaxGroupLayers},
 	} {
 		if c.v < 0 {
@@ -311,7 +298,6 @@ func (s *Spec) Options() Options {
 	if s.Restarts > 0 {
 		opt.Restarts = s.Restarts
 	}
-	opt.Patience = s.Patience
 	opt.Workers = s.Workers
 	if s.Seed > 0 {
 		opt.Seed = s.Seed
@@ -324,8 +310,6 @@ func (s *Spec) Options() Options {
 		opt.Objective = Objective{Alpha: s.Objective.Alpha, Beta: s.Objective.Beta, Gamma: s.Objective.Gamma}
 	}
 	opt.Prune = s.Prune
-	opt.Racing = s.Racing
-	opt.RacingKeep = s.RacingKeep
 	if r := s.Retry; r != nil {
 		opt.Retry = RetryPolicy{
 			Max:       r.Max,

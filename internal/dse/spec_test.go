@@ -43,7 +43,7 @@ func TestSpecOverrides(t *testing.T) {
 		"id": "s1",
 		"space": {"tops": 128, "reduced": true, "macs": [2048]},
 		"models": ["tinycnn", "tinytransformer"],
-		"batch": 8, "sa_iterations": 50, "restarts": 3, "patience": 1,
+		"batch": 8, "sa_iterations": 50, "restarts": 3,
 		"workers": 2, "seed": 7, "batch_units": [1, 2],
 		"objective": {"alpha": 1, "beta": 2, "gamma": 0},
 		"prune": true
@@ -57,7 +57,7 @@ func TestSpecOverrides(t *testing.T) {
 	}
 	opt := s.Options()
 	if opt.SweepID != "s1" || opt.Batch != 8 || opt.SAIterations != 50 ||
-		opt.Restarts != 3 || opt.Patience != 1 || opt.Workers != 2 || opt.Seed != 7 ||
+		opt.Restarts != 3 || opt.Workers != 2 || opt.Seed != 7 ||
 		!opt.Prune {
 		t.Errorf("spec fields not mapped: %+v", opt)
 	}

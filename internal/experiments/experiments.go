@@ -31,11 +31,8 @@ type Options struct {
 	Workers      int
 	Seed         int64
 
-	// Restarts widens the per-cell SA portfolio; Patience stops a cell's
-	// portfolio after that many consecutive non-improving restarts (0 =
-	// fixed schedule).
+	// Restarts widens the per-cell SA portfolio.
 	Restarts int
-	Patience int
 
 	// Session, when set, runs every figure's sweeps and mappings through
 	// one shared DSE session, so the figures reuse each other's warm
@@ -128,7 +125,6 @@ func (o Options) dseOptions(batch int) dse.Options {
 	if o.Restarts > 0 {
 		d.Restarts = o.Restarts
 	}
-	d.Patience = o.Patience
 	if o.Quick {
 		d.MaxGroupLayers = 7
 		d.BatchUnits = []int{1, 2}

@@ -62,8 +62,8 @@ func (c *WorkerConfig) poll() time.Duration {
 }
 
 // RunWorker runs the fleet worker loop against cfg.Coordinator: lease a
-// shard, run it as a normal (bound-ordered / racing) sweep with the fleet
-// incumbent threaded into pruning, stream checkpoints up, repeat. It
+// shard, run it as a normal bound-ordered sweep with the fleet incumbent
+// threaded into pruning, stream checkpoints up, repeat. It
 // returns when ctx is canceled, or — with ExitWhenIdle — when the
 // coordinator has no shard to grant.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {

@@ -249,8 +249,8 @@ func (w *fieldReadWalker) isTarget(t types.Type) bool {
 }
 
 // follow recurses into a same-package callee when a target parameter is
-// forwarded to it (by value or by address), so helpers like
-// activePatience(opt) count as fingerprint coverage.
+// forwarded to it (by value or by address), so a helper that reads a field
+// on the fingerprint function's behalf counts as fingerprint coverage.
 func (w *fieldReadWalker) follow(call *ast.CallExpr, params map[types.Object]bool, covered map[string]bool) {
 	forwards := false
 	for _, arg := range call.Args {

@@ -98,15 +98,15 @@ func TestPortfolioPropagatesMidAnnealAbandon(t *testing.T) {
 		polls++
 		return polls > firstRestartPolls+2
 	}
-	p := MultiStartAdaptive(s, eval.New(cfg), hooked, 2, AdaptiveOptions{})
+	p := MultiStart(s, eval.New(cfg), hooked, 2)
 	if !p.Abandoned {
 		t.Fatal("portfolio ignored the mid-anneal abandon")
 	}
 	if len(p.Costs) != 1 {
 		t.Fatalf("partial restart leaked into Costs: %v", p.Costs)
 	}
-	if p.Skipped() != 1 {
-		t.Errorf("Skipped = %d, want 1 (the interrupted restart never completed)", p.Skipped())
+	if p.Planned != 2 {
+		t.Errorf("Planned = %d, want 2 (the interrupted restart still counts as planned)", p.Planned)
 	}
 	if want := opt.Iterations + 2*stopEvery; p.Iterations != want {
 		t.Errorf("iterations %d, want %d (one full restart plus two strides)", p.Iterations, want)

@@ -25,7 +25,7 @@ type Portfolio struct {
 	BestRestart int
 	// Costs records every restart's best cost, in restart order. Its length
 	// is the number of restarts that actually ran; it is shorter than
-	// Planned when patience or an abandon callback stopped the portfolio.
+	// Planned when the Options.Stop hook abandoned the portfolio.
 	Costs []float64
 	// Planned is the requested portfolio width.
 	Planned int
@@ -50,10 +50,6 @@ type Portfolio struct {
 	Panic *PanicInfo
 }
 
-// Skipped returns how many planned restarts never ran (a restart abandoned
-// mid-anneal counts: it never completed).
-func (p Portfolio) Skipped() int { return p.Planned - len(p.Costs) }
-
 // RestartSeed derives the seed of restart i from the base seed. Restart 0
 // uses the base seed itself, so a one-restart portfolio is bit-identical to
 // a plain Optimize call.
@@ -61,64 +57,22 @@ func RestartSeed(base int64, i int) int64 {
 	return base + int64(i)
 }
 
-// AdaptiveOptions configures early stopping of a multi-start portfolio.
-// The zero value disables it, making MultiStartAdaptive bit-identical to
-// MultiStart.
-type AdaptiveOptions struct {
-	// Patience stops the portfolio after this many consecutive restarts
-	// that failed to improve the best cost (<= 0: never stop early).
-	// Restart 0 always runs, and any Patience >= restarts can never
-	// trigger, so such portfolios are bit-identical to the fixed schedule.
-	Patience int
-}
-
-// MultiStart anneals the scheme restarts times with deterministically
-// derived seeds and folds the runs to the best result. The restarts share
-// the evaluator — and therefore its group-summary memo or shared cache — so
-// later restarts race over mostly warm entries. The fold is a pure
-// deterministic reduction: lowest cost wins, ties break to the lowest
-// restart index, and NaN costs never beat non-NaN ones, so a fixed
+// MultiStart anneals the scheme restarts times (<= 1: once) with
+// deterministically derived seeds and folds the runs to the best result.
+// The restarts share the evaluator — and therefore its group-summary memo or
+// shared cache — so later restarts race over mostly warm entries. The fold
+// is a pure deterministic reduction: lowest cost wins, ties break to the
+// lowest restart index, and NaN costs never beat non-NaN ones, so a fixed
 // (scheme, evaluator params, options, restarts) tuple always yields a
-// bit-identical winner regardless of cache state.
+// bit-identical winner regardless of cache state. opt.Stop, when set, is
+// polled before every restart after the first and on its stride inside each
+// restart; when it fires the portfolio is abandoned.
 func MultiStart(input *core.Scheme, ev *eval.Evaluator, opt Options, restarts int) Portfolio {
-	return MultiStartAdaptive(input, ev, opt, restarts, AdaptiveOptions{})
-}
-
-// MultiStartAdaptive is MultiStart with an adaptive schedule: restarts run
-// in the same deterministic order with the same derived seeds, but the
-// portfolio stops early after ao.Patience consecutive non-improving seeds,
-// and opt.Stop can abandon it. The fold over the restarts that do run is
-// identical to MultiStart's, so a portfolio that never stops early
-// (Patience <= 0 or >= restarts, Stop never firing) is bit-identical to the
-// fixed schedule.
-func MultiStartAdaptive(input *core.Scheme, ev *eval.Evaluator, opt Options, restarts int, ao AdaptiveOptions) Portfolio {
 	if restarts < 1 {
 		restarts = 1
 	}
-	return MultiStartRange(input, ev, opt, 0, restarts, ao)
-}
-
-// MultiStartRange runs the restart window [from, to) of the portfolio the
-// base options define: restart i always anneals with RestartSeed(opt.Seed, i)
-// regardless of the window, so a portfolio can be widened incrementally — the
-// racing scheduler's rungs and checkpoint re-entry rely on folding a stored
-// prefix [0, from) with a fresh window [from, to) being bit-identical to one
-// [0, to) run. BestRestart is the absolute restart index. opt.Stop is polled
-// before every restart except restart 0 of the full portfolio (a window with
-// from > 0 resumes mid-portfolio, where the poll already happened between
-// restarts) and on its stride inside each restart; ao.Patience counts
-// non-improving restarts within the window only. Requires 0 <= from < to;
-// out-of-range arguments are clamped to the smallest valid window.
-func MultiStartRange(input *core.Scheme, ev *eval.Evaluator, opt Options, from, to int, ao AdaptiveOptions) Portfolio {
-	if from < 0 {
-		from = 0
-	}
-	if to <= from {
-		to = from + 1
-	}
-	p := Portfolio{Costs: make([]float64, 0, to-from), Planned: to - from}
-	streak := 0
-	for i := from; i < to; i++ {
+	p := Portfolio{Costs: make([]float64, 0, restarts), Planned: restarts}
+	for i := 0; i < restarts; i++ {
 		if i > 0 && opt.Stop != nil && opt.Stop() {
 			p.Abandoned = true
 			break
@@ -139,15 +93,9 @@ func MultiStartRange(input *core.Scheme, ev *eval.Evaluator, opt Options, from, 
 			break
 		}
 		p.Costs = append(p.Costs, r.Cost)
-		if i == from || BetterCost(r.Cost, p.Best.Cost) {
+		if i == 0 || betterCost(r.Cost, p.Best.Cost) {
 			p.Best = r
 			p.BestRestart = i
-			streak = 0
-		} else {
-			streak++
-		}
-		if ao.Patience > 0 && streak >= ao.Patience {
-			break
 		}
 	}
 	return p
@@ -165,9 +113,9 @@ func optimizeGuarded(input *core.Scheme, ev *eval.Evaluator, o Options, restart 
 	return Optimize(input, ev, o), nil
 }
 
-// BetterCost reports whether a strictly improves on b under a total order
+// betterCost reports whether a strictly improves on b under a total order
 // where NaN is worse than everything (including +Inf).
-func BetterCost(a, b float64) bool {
+func betterCost(a, b float64) bool {
 	if math.IsNaN(a) {
 		return false
 	}

@@ -102,42 +102,6 @@ func TestMultiStartFoldsBest(t *testing.T) {
 	}
 }
 
-// TestMultiStartRangeWidensBitIdentical pins the racing/checkpoint re-entry
-// contract: folding a prefix portfolio [0, from) with a fresh window
-// [from, to) must be bit-identical to a single [0, to) portfolio — same
-// best cost, same absolute winning restart, same per-restart costs.
-func TestMultiStartRangeWidensBitIdentical(t *testing.T) {
-	cfg := arch.GArch72()
-	s := portfolioScheme(t, &cfg)
-	opt := DefaultOptions()
-	opt.Iterations = 120
-
-	full := MultiStart(s, eval.New(&cfg), opt, 6)
-	for _, from := range []int{1, 2, 4} {
-		prefix := MultiStartRange(s, eval.New(&cfg), opt, 0, from, AdaptiveOptions{})
-		window := MultiStartRange(s, eval.New(&cfg), opt, from, 6, AdaptiveOptions{})
-		if window.Planned != 6-from || len(window.Costs) != 6-from {
-			t.Fatalf("from=%d: window ran %d/%d restarts, want %d", from, len(window.Costs), window.Planned, 6-from)
-		}
-		// Fold prefix and window exactly as runCellTarget does: the prior
-		// wins ties because it holds the lower restart indices.
-		best, bestRestart := prefix.Best.Cost, prefix.BestRestart
-		if BetterCost(window.Best.Cost, best) {
-			best, bestRestart = window.Best.Cost, window.BestRestart
-		}
-		if best != full.Best.Cost || bestRestart != full.BestRestart {
-			t.Errorf("from=%d: folded (%v, %d), full (%v, %d)",
-				from, best, bestRestart, full.Best.Cost, full.BestRestart)
-		}
-		costs := append(append([]float64{}, prefix.Costs...), window.Costs...)
-		for i := range costs {
-			if costs[i] != full.Costs[i] {
-				t.Errorf("from=%d restart %d: folded cost %v, full %v", from, i, costs[i], full.Costs[i])
-			}
-		}
-	}
-}
-
 func TestBetterCostNaN(t *testing.T) {
 	nan := math.NaN()
 	cases := []struct {
@@ -154,76 +118,8 @@ func TestBetterCostNaN(t *testing.T) {
 		{1, 1, false},
 	}
 	for _, c := range cases {
-		if got := BetterCost(c.a, c.b); got != c.want {
-			t.Errorf("BetterCost(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-// TestAdaptiveWidePatienceBitIdentical pins the acceptance criterion: a
-// patience that can never trigger (>= restarts, or disabled) must leave the
-// adaptive portfolio bit-identical to the fixed schedule.
-func TestAdaptiveWidePatienceBitIdentical(t *testing.T) {
-	cfg := arch.GArch72()
-	s := portfolioScheme(t, &cfg)
-	opt := DefaultOptions()
-	opt.Iterations = 120
-
-	want := MultiStart(s, eval.New(&cfg), opt, 4)
-	for _, patience := range []int{0, -1, 4, 5, 100} {
-		got := MultiStartAdaptive(s, eval.New(&cfg), opt, 4, AdaptiveOptions{Patience: patience})
-		if got.Best.Cost != want.Best.Cost || got.BestRestart != want.BestRestart ||
-			got.Abandoned || len(got.Costs) != len(want.Costs) {
-			t.Fatalf("patience=%d diverged: %+v vs %+v", patience, got, want)
-		}
-		for i := range want.Costs {
-			if got.Costs[i] != want.Costs[i] {
-				t.Errorf("patience=%d restart %d: %v vs %v", patience, i, got.Costs[i], want.Costs[i])
-			}
-		}
-	}
-}
-
-// TestAdaptivePatiencePrefix: a patience-stopped portfolio must run exactly
-// the prefix of the fixed schedule predicted by the consecutive-miss streak,
-// with identical per-restart costs and the same fold over that prefix.
-func TestAdaptivePatiencePrefix(t *testing.T) {
-	cfg := arch.GArch72()
-	s := portfolioScheme(t, &cfg)
-	opt := DefaultOptions()
-	opt.Iterations = 120
-	const restarts = 8
-
-	full := MultiStart(s, eval.New(&cfg), opt, restarts)
-	for patience := 1; patience < restarts; patience++ {
-		// Predict the stop point from the full schedule's costs.
-		wantLen, streak := restarts, 0
-		best := full.Costs[0]
-		for i := 1; i < restarts; i++ {
-			if BetterCost(full.Costs[i], best) {
-				best = full.Costs[i]
-				streak = 0
-			} else {
-				streak++
-			}
-			if streak >= patience {
-				wantLen = i + 1
-				break
-			}
-		}
-
-		got := MultiStartAdaptive(s, eval.New(&cfg), opt, restarts, AdaptiveOptions{Patience: patience})
-		if got.Abandoned {
-			t.Fatalf("patience=%d: portfolio marked abandoned", patience)
-		}
-		if len(got.Costs) != wantLen || got.Skipped() != restarts-wantLen {
-			t.Fatalf("patience=%d ran %d restarts (skipped %d), want %d (%d)",
-				patience, len(got.Costs), got.Skipped(), wantLen, restarts-wantLen)
-		}
-		for i := range got.Costs {
-			if got.Costs[i] != full.Costs[i] {
-				t.Errorf("patience=%d restart %d: %v vs fixed %v", patience, i, got.Costs[i], full.Costs[i])
-			}
+		if got := betterCost(c.a, c.b); got != c.want {
+			t.Errorf("betterCost(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -240,12 +136,12 @@ func TestAdaptiveStopAbandons(t *testing.T) {
 	polls := 0
 	stopping := opt
 	stopping.Stop = func() bool { polls++; return true }
-	p := MultiStartAdaptive(s, eval.New(&cfg), stopping, 4, AdaptiveOptions{})
+	p := MultiStart(s, eval.New(&cfg), stopping, 4)
 	if !p.Abandoned {
 		t.Fatal("portfolio not marked abandoned")
 	}
-	if len(p.Costs) != 1 || p.Skipped() != 3 {
-		t.Fatalf("ran %d restarts (skipped %d), want 1 (3)", len(p.Costs), p.Skipped())
+	if len(p.Costs) != 1 || p.Planned != 4 {
+		t.Fatalf("ran %d of %d planned restarts, want 1 of 4", len(p.Costs), p.Planned)
 	}
 	if polls != 1 {
 		t.Errorf("Stop polled %d times, want 1", polls)
@@ -254,7 +150,7 @@ func TestAdaptiveStopAbandons(t *testing.T) {
 	// A Stop that never fires changes nothing.
 	inert := opt
 	inert.Stop = func() bool { return false }
-	q := MultiStartAdaptive(s, eval.New(&cfg), inert, 4, AdaptiveOptions{})
+	q := MultiStart(s, eval.New(&cfg), inert, 4)
 	w := MultiStart(s, eval.New(&cfg), opt, 4)
 	if q.Abandoned || q.Best.Cost != w.Best.Cost || len(q.Costs) != len(w.Costs) {
 		t.Errorf("inert Stop diverged: %+v vs %+v", q, w)

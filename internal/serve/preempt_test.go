@@ -116,7 +116,6 @@ func TestPreemptionResumesWithZeroRecompute(t *testing.T) {
 				t.Errorf("result seq %d streamed twice", ev.Seq)
 			}
 			results[ev.Seq] = true
-		case "rung":
 		default:
 			t.Fatalf("unexpected batch event: %+v", ev)
 		}

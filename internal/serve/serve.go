@@ -482,9 +482,6 @@ type RunningSweep struct {
 	// Trajectory is the live incumbent trajectory: every improvement of
 	// Incumbent streamed so far, in order.
 	Trajectory []TrajectoryStep `json:"trajectory,omitempty"`
-	// Rungs lists the racing rungs completed so far with per-rung
-	// survivor counts (racing sweeps only).
-	Rungs []RungSummary `json:"rungs,omitempty"`
 }
 
 // Health is the GET /healthz body.
@@ -561,7 +558,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 				Candidates:     st.Candidates,
 				Incumbent:      st.Best,
 				Trajectory:     st.Trajectory,
-				Rungs:          st.Rungs,
 			})
 		case StateDone:
 			h.Sweeps.Done++

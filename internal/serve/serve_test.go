@@ -448,6 +448,42 @@ func TestSweepValidationErrors(t *testing.T) {
 	}
 }
 
+// TestRemovedScheduleFieldsRejected: the restart-schedule spec fields that
+// no longer exist are unknown fields — a POST carrying one answers 400 and
+// registers nothing, neither a status record nor a file in the data dir.
+func TestRemovedScheduleFieldsRejected(t *testing.T) {
+	dir := t.TempDir()
+	_, hs := newTestServer(t, Config{DataDir: dir})
+	for _, c := range []struct{ field, value string }{
+		{"racing", "true"},
+		{"racing_keep", "0.5"},
+		{"patience", "2"},
+	} {
+		id := "removed-" + strings.ReplaceAll(c.field, "_", "-")
+		body := `{"id":"` + id + `","space":{"tops":72},"models":["tinycnn"],"` + c.field + `":` + c.value + `}`
+		resp, err := http.Post(hs.URL+"/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		derr := json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		want := `unknown field "` + c.field + `"`
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, want) {
+			t.Errorf("%s: code=%d msg=%q, want 400 containing %q", c.field, resp.StatusCode, eb.Error, want)
+		}
+		if _, code := getStatus(t, hs.URL, id); code != http.StatusNotFound {
+			t.Errorf("%s: rejected sweep has a status record (code %d)", c.field, code)
+		}
+		if matches, _ := filepath.Glob(filepath.Join(dir, id+"*")); len(matches) != 0 {
+			t.Errorf("%s: rejected sweep left files behind: %v", c.field, matches)
+		}
+	}
+}
+
 // assertRejection checks a queue admission rejection's whole envelope:
 // status code, Retry-After header, and the JSON body mirroring it.
 func assertRejection(t *testing.T, resp *http.Response, want int) {
@@ -632,6 +668,120 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestRacingSweepStream pins a multi-restart sweep's wire contract (the name
+// is kept from the racing scheduler it first covered): the NDJSON stream
+// carries one result per candidate and a done event with stats, and the
+// finished status exposes a strictly improving incumbent trajectory that
+// ends at best.
+func TestRacingSweepStream(t *testing.T) {
+	_, hs := newTestServer(t, Config{DataDir: t.TempDir()})
+	spec := tinySpec("raced", 8, 16, 32, 64)
+	spec.Restarts = 4
+
+	events := runSweep(t, hs.URL, spec)
+	done := events[len(events)-1]
+	if done.Type != "done" || done.Stats == nil {
+		t.Fatalf("sweep ended with %+v", done)
+	}
+	results := 0
+	for _, ev := range events {
+		if ev.Type == "result" {
+			results++
+		}
+	}
+	if results != 4 {
+		t.Errorf("streamed %d results, want one per candidate (4)", results)
+	}
+
+	st, code := getStatus(t, hs.URL, "raced")
+	if code != http.StatusOK || st.State != StateDone {
+		t.Fatalf("GET /sweeps/raced: %d %+v", code, st)
+	}
+	if len(st.Trajectory) == 0 {
+		t.Fatal("status exposes no incumbent trajectory")
+	}
+	for i := 1; i < len(st.Trajectory); i++ {
+		if st.Trajectory[i].Objective >= st.Trajectory[i-1].Objective {
+			t.Errorf("trajectory not strictly improving: %+v", st.Trajectory)
+		}
+	}
+	last := st.Trajectory[len(st.Trajectory)-1]
+	if st.Best == nil || last.Candidate != st.Best.Arch || last.Objective != st.Best.Objective {
+		t.Errorf("trajectory tail %+v does not land on best %+v", last, st.Best)
+	}
+}
+
+// TestRacingLiveProgress pins the mid-flight view (the name is kept from the
+// racing scheduler it first covered): while a sweep still runs, /healthz
+// carries its live incumbent and trajectory, and once it finishes GET
+// /sweeps/{id} exposes a trajectory ending at best.
+func TestRacingLiveProgress(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	spec := tinySpec("traj", 8, 16, 32, 64)
+	spec.Restarts = 2
+	spec.SAIterations = 2000
+	spec.Workers = 1
+
+	resp := postSpec(t, hs.URL, spec)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST: %d", resp.StatusCode)
+	}
+	defer resp.Body.Close()
+	// Read the stream until the first feasible result: noteResult runs before
+	// the event is written, so the server-side view already carries it.
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sawResult := false
+	for sc.Scan() {
+		var ev Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if ev.Type == "result" && ev.Result.Status == "ok" {
+			sawResult = true
+			break
+		}
+	}
+	if !sawResult {
+		t.Fatal("stream ended without a feasible result")
+	}
+
+	// Three candidates are still to anneal; check the health endpoint's live
+	// view while the sweep runs (skip without failing if the machine outran
+	// the sweep).
+	if st, _ := getStatus(t, hs.URL, "traj"); st.State == StateRunning {
+		hr, err := http.Get(hs.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h Health
+		derr := json.NewDecoder(hr.Body).Decode(&h)
+		hr.Body.Close()
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		for _, run := range h.Running {
+			if run.ID == "traj" && (run.Incumbent == nil || len(run.Trajectory) == 0) {
+				t.Errorf("healthz running view lacks the live incumbent or trajectory: %+v", run)
+			}
+		}
+	}
+	for sc.Scan() { // drain to completion
+	}
+
+	st, code := getStatus(t, hs.URL, "traj")
+	if code != http.StatusOK || st.State != StateDone {
+		t.Fatalf("GET /sweeps/traj: %d %+v", code, st)
+	}
+	if len(st.Trajectory) == 0 {
+		t.Fatal("status exposes no incumbent trajectory")
+	}
+	last := st.Trajectory[len(st.Trajectory)-1]
+	if st.Best == nil || last.Candidate != st.Best.Arch || last.Objective != st.Best.Objective {
+		t.Errorf("trajectory tail %+v does not land on best %+v", last, st.Best)
+	}
+}
+
 func TestListAndUnknownSweep(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	runSweep(t, hs.URL, tinySpec("listed"))
@@ -777,11 +927,14 @@ func TestSweepHistorySurvivesRestart(t *testing.T) {
 }
 
 // TestParentCommitStatusRecordLoads: a status record written before the
-// dispatch-order knob was removed carries stats.order; it must still load.
+// dispatch-order knob and the racing schedule were removed carries
+// stats.order, rung history and skipped_restarts; it must still load.
 func TestParentCommitStatusRecordLoads(t *testing.T) {
 	dir := t.TempDir()
 	rec := `{"id":"pr11-record","state":"done","candidates":2,"cells":2,"done_candidates":2,
-		"stats":{"order":"bound","candidates":2,"cells":2,"resumed_cells":1,"pruned_candidates":0,"abandoned_restarts":0,"skipped_restarts":0},
+		"rungs":[{"rung":0,"budget":1,"candidates":2,"survivors":1}],
+		"stats":{"order":"bound","candidates":2,"cells":2,"resumed_cells":1,"pruned_candidates":0,"abandoned_restarts":0,"skipped_restarts":0,
+			"racing":true,"rungs":[{"rung":0,"budget":1,"candidates":2,"survivors":1}]},
 		"started_at":"2026-09-01T00:00:00Z","finished_at":"2026-09-01T00:00:01Z"}`
 	if err := os.WriteFile(filepath.Join(dir, "pr11-record.status.json"), []byte(rec), 0o644); err != nil {
 		t.Fatal(err)

@@ -58,15 +58,14 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestStreamGoldenAndReattach runs a fixed-seed racing sweep single-worker
-// (fully deterministic event order), pins the whole NDJSON stream against a
-// golden file, and asserts GET /sweeps/{id}/stream replays it byte-for-byte.
+// TestStreamGoldenAndReattach runs a fixed-seed sweep single-worker (fully
+// deterministic event order), pins the whole NDJSON stream against a golden
+// file, and asserts GET /sweeps/{id}/stream replays it byte-for-byte.
 func TestStreamGoldenAndReattach(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	spec := tinySpec("golden", 8, 32, 64)
 	spec.Workers = 1
 	spec.Seed = 7
-	spec.Racing = true
 	spec.Restarts = 4
 	spec.SAIterations = 50
 
@@ -128,7 +127,6 @@ func TestEventSchemaGolden(t *testing.T) {
 			Arch: "x4g1024n32d0.5", Chiplets: 4, Cores: 16, Status: "ok",
 			Objective: 1.25, MCUSD: 100.5, EnergyJ: 0.25, DelayS: 0.5, EDP: 0.125,
 		}},
-		{Type: "rung", SweepID: "s1", Rung: &RungSummary{Rung: 1, Budget: 2, Candidates: 4, Survivors: 2}},
 		{Type: "preempted", SweepID: "s1", Tenant: "acme", Priority: "batch", CheckpointCells: 2},
 		{Type: "resumed", SweepID: "s1", Tenant: "acme", Priority: "batch", CheckpointCells: 2},
 		{Type: "done", SweepID: "s1", Best: &CandidateSummary{Arch: "x4g1024n32d0.5", Status: "ok"}, Stats: &StatsSummary{

@@ -126,12 +126,6 @@ type StatsSummary struct {
 	PrunedCandidates int `json:"pruned_candidates"`
 	// AbandonedRestarts counts SA restarts cut off by the live incumbent.
 	AbandonedRestarts int `json:"abandoned_restarts"`
-	// SkippedRestarts counts SA restarts saved by portfolio patience.
-	SkippedRestarts int `json:"skipped_restarts"`
-	// Racing reports the sweep allocated restarts by successive halving;
-	// Rungs then records every completed racing rung in order.
-	Racing bool          `json:"racing,omitempty"`
-	Rungs  []RungSummary `json:"rungs,omitempty"`
 	// SeededIncumbent is the incumbent restored from the checkpoint before
 	// the first task (omitted when nothing seeded).
 	SeededIncumbent float64 `json:"seeded_incumbent,omitempty"`
@@ -154,16 +148,6 @@ type StatsSummary struct {
 	LastPersistenceError string `json:"last_persistence_error,omitempty"`
 }
 
-// RungSummary is the JSON shape of one racing rung (dse.RungStats): the
-// cumulative restart budget the rung settled, how many candidates entered,
-// and how many survived promotion.
-type RungSummary struct {
-	Rung       int `json:"rung"`
-	Budget     int `json:"budget"`
-	Candidates int `json:"candidates"`
-	Survivors  int `json:"survivors"`
-}
-
 // TrajectoryStep is one incumbent improvement in a StatsSummary.
 type TrajectoryStep struct {
 	// Candidate is the improving candidate ("(checkpoint seed)" for the
@@ -182,8 +166,6 @@ func summarizeStats(st dse.SweepStats) *StatsSummary {
 		ResumedCells:      st.ResumedCells,
 		PrunedCandidates:  st.PrunedCandidates,
 		AbandonedRestarts: st.AbandonedRestarts,
-		SkippedRestarts:   st.SkippedRestarts,
-		Racing:            st.Racing,
 		SeededIncumbent:   finite(st.SeededIncumbent),
 
 		Retries:              st.Retries,
@@ -194,9 +176,6 @@ func summarizeStats(st dse.SweepStats) *StatsSummary {
 		PersistenceDegraded:  st.PersistenceDegraded,
 		LastPersistenceError: st.LastPersistenceError,
 	}
-	for _, r := range st.Rungs {
-		out.Rungs = append(out.Rungs, RungSummary(r))
-	}
 	for _, step := range st.Trajectory {
 		out.Trajectory = append(out.Trajectory, TrajectoryStep{Candidate: step.Candidate, Objective: finite(step.Obj)})
 	}
@@ -206,8 +185,8 @@ func summarizeStats(st dse.SweepStats) *StatsSummary {
 // Event is one NDJSON line of a POST /sweep (or GET /sweeps/{id}/stream)
 // response stream.
 type Event struct {
-	// Type is "queued", "start", "result", "rung", "preempted", "resumed",
-	// "done" or "error".
+	// Type is "queued", "start", "result", "preempted", "resumed", "done"
+	// or "error".
 	Type string `json:"type"`
 	// Tenant and Priority identify the sweep's queue identity (queued,
 	// preempted and resumed events).
@@ -238,8 +217,6 @@ type Event struct {
 	CheckpointCells int `json:"checkpoint_cells,omitempty"`
 	// Result is the candidate outcome (result events).
 	Result *CandidateSummary `json:"result,omitempty"`
-	// Rung is one completed racing rung (rung events).
-	Rung *RungSummary `json:"rung,omitempty"`
 	// Best is the winning candidate (done events, when any is feasible).
 	Best *CandidateSummary `json:"best,omitempty"`
 	// Stats is the sweep's scheduler accounting (done events).
@@ -278,9 +255,6 @@ type SweepStatus struct {
 	// only available once the sweep finishes), it is populated while the
 	// sweep is still running.
 	Trajectory []TrajectoryStep `json:"trajectory,omitempty"`
-	// Rungs lists the racing rungs completed so far (racing sweeps only),
-	// with per-rung survivor counts. Live like Trajectory.
-	Rungs []RungSummary `json:"rungs,omitempty"`
 	// Stats is the final scheduler accounting (finished sweeps only).
 	Stats *StatsSummary `json:"stats,omitempty"`
 	// Checkpoint reports whether a server-side checkpoint file exists for
@@ -317,7 +291,6 @@ type sweep struct {
 	preempts int
 	best     *CandidateSummary
 	traj     []TrajectoryStep
-	rungs    []RungSummary
 	stats    *StatsSummary
 	err      string
 	started  time.Time
@@ -371,7 +344,6 @@ func (sw *sweep) status() SweepStatus {
 		DoneCandidates: sw.done,
 		Best:           sw.best,
 		Trajectory:     append([]TrajectoryStep(nil), sw.traj...),
-		Rungs:          append([]RungSummary(nil), sw.rungs...),
 		Stats:          sw.stats,
 		Error:          sw.err,
 		StartedAt:      sw.started,
@@ -393,13 +365,6 @@ func (sw *sweep) noteResult(cs *CandidateSummary) {
 		sw.best = cs
 		sw.traj = append(sw.traj, TrajectoryStep{Candidate: cs.Arch, Objective: cs.Objective})
 	}
-	sw.mu.Unlock()
-}
-
-// noteRung records one completed racing rung in the live progress view.
-func (sw *sweep) noteRung(rs RungSummary) {
-	sw.mu.Lock()
-	sw.rungs = append(sw.rungs, rs)
 	sw.mu.Unlock()
 }
 
@@ -592,7 +557,6 @@ func restoredSweep(s *Server, st SweepStatus) *sweep {
 		preempts: st.Preemptions,
 		best:     st.Best,
 		traj:     st.Trajectory,
-		rungs:    st.Rungs,
 		stats:    st.Stats,
 		err:      st.Error,
 		started:  st.StartedAt,
@@ -923,26 +887,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		case saveReq <- struct{}{}:
 		default: // a save is already pending; it will pick this cell up
 		}
-	}
-	// Racing sweeps additionally stream one event per completed rung, so a
-	// client watching the NDJSON stream sees budget concentrate on the
-	// survivors as it happens. Rungs a resumed round replays (their cells
-	// restore from the checkpoint) are deduped by rung index.
-	var rungMu sync.Mutex
-	maxRung := -1
-	opt.OnRung = func(rs dse.RungStats) {
-		rungMu.Lock()
-		replay := rs.Rung <= maxRung
-		if !replay {
-			maxRung = rs.Rung
-		}
-		rungMu.Unlock()
-		if replay {
-			return
-		}
-		rsum := RungSummary(rs)
-		sw.noteRung(rsum)
-		emit(Event{Type: "rung", SweepID: spec.ID, Rung: &rsum})
 	}
 
 	s.logf("serve: sweep %s: %d candidates x %d models (%d cells)", spec.ID, len(cands), len(graphs), cells)
