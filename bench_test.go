@@ -750,29 +750,6 @@ func BenchmarkAblation_GraphPartitionDP(b *testing.B) {
 // --- Pruning engine benchmarks: compulsory-traffic bounds, in-loop
 // abandonment, disk-backed cache warmth. ---
 
-// weakDRAMBench returns the weak-first pruning workload for the bound
-// benchmarks: the three full-speed sweepBench variants plus five
-// DRAM-starved candidates (64-128x less DRAM bandwidth at nearly the same
-// monetary cost). Their compute and weight-DRAM floors stay harmless, but
-// their compulsory activation traffic already exceeds any full-speed
-// candidate's objective, so the bound prunes them without mapping. Workers
-// are pinned so the schedule does not depend on the host's core count.
-func weakDRAMBench() ([]arch.Config, []*dnn.Graph, dse.Options) {
-	strong, models, opt := sweepBench()
-	var cands []arch.Config
-	for _, div := range []float64{64, 80, 96, 112, 128} {
-		w := arch.GArch72()
-		w.DRAMBW /= div
-		w.Name = fmt.Sprintf("%s-dram%d", w.Name, int(div))
-		cands = append(cands, w)
-	}
-	cands = append(cands, strong...)
-	opt.Prune = true
-	opt.Restarts = 4
-	opt.Workers = 4
-	return cands, models, opt
-}
-
 // benchSweep runs one sweep on a fresh session and returns its best feasible
 // candidate with the sweep's own stats.
 func benchSweep(b *testing.B, cands []arch.Config, models []*dnn.Graph, opt dse.Options) (*dse.CandidateResult, dse.SweepStats) {
@@ -786,36 +763,6 @@ func benchSweep(b *testing.B, cands []arch.Config, models []*dnn.Graph, opt dse.
 		b.Fatal("no feasible candidate")
 	}
 	return best, stats
-}
-
-// BenchmarkDSESweepHardened runs the DRAM-starved pruning sweep with the
-// fault-tolerance machinery fully armed — a retry policy, a per-cell
-// deadline (which moves every attempt onto the watchdog goroutine path),
-// and no faults firing. Asserted in-bench: no fault is recorded and the best
-// is bit-identical to the bare sweep's.
-func BenchmarkDSESweepHardened(b *testing.B) {
-	cands, models, opt := weakDRAMBench()
-	opt.Retry = dse.RetryPolicy{Max: 2, BaseDelay: time.Millisecond}
-	opt.CellTimeout = time.Minute
-	var best *dse.CandidateResult
-	var stats dse.SweepStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		best, stats = benchSweep(b, cands, models, opt)
-	}
-	b.StopTimer()
-	if stats.Retries != 0 || stats.Panics != 0 || stats.DeadlineExceeded != 0 {
-		b.Fatalf("fault-free hardened sweep recorded faults: %+v", stats)
-	}
-	// Soundness: the hardened sweep finds the same best as the bare one.
-	cands, models, opt = weakDRAMBench()
-	want := dse.Best(dse.Run(cands, models, opt))
-	if want == nil || best.Obj != want.Obj || best.Cfg.Name != want.Cfg.Name {
-		b.Fatalf("hardened sweep best %s (%g) differs from bare %s (%g)",
-			best.Cfg.Name, best.Obj, want.Cfg.Name, want.Obj)
-	}
-	b.ReportMetric(float64(stats.PrunedCandidates), "pruned_candidates")
-	b.ReportMetric(float64(stats.SAIterations), "sa_iterations")
 }
 
 // BenchmarkDSESweepInLoopAbandon measures the in-loop abandonment mechanism

@@ -45,10 +45,6 @@ func main() {
 	gamma := flag.Float64("gamma", 1, "delay exponent of the objective")
 	prune := flag.Bool("prune", false, "skip candidates whose objective lower bound exceeds the best seen (decisions are logged); candidates always dispatch in ascending lower-bound order")
 	cacheDir := flag.String("cache-dir", "", "evaluation-cache spill directory: warm group evaluations from a previous process and re-save as the sweep runs")
-	retry := flag.Int("retry", 0, "retry a (candidate, model) cell up to N times after a transient failure (panic, timeout, transient I/O); 0 disables retry")
-	retryBase := flag.Duration("retry-base-delay", 0, "first retry backoff (0 = engine default of 10ms); doubles per retry with jitter")
-	retryMax := flag.Duration("retry-max-delay", 0, "retry backoff cap (0 = engine default of 1s)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell mapping deadline; a cell exceeding it fails with a retryable timeout error instead of stalling the sweep (0 = no deadline)")
 	resume := flag.String("resume", "", "checkpoint file: load completed cells from it if present, save on completion; a corrupt file is quarantined to <file>.corrupt and the sweep resumes cold")
 	stream := flag.Bool("stream", false, "print each candidate result as it completes")
 	out := flag.String("out", "", "write full result table CSV to this path")
@@ -87,8 +83,6 @@ func main() {
 	opt.Objective = dse.Objective{Alpha: *alpha, Beta: *beta, Gamma: *gamma}
 	opt.Prune = *prune
 	opt.CacheDir = *cacheDir
-	opt.Retry = dse.RetryPolicy{Max: *retry, BaseDelay: *retryBase, MaxDelay: *retryMax}
-	opt.CellTimeout = *cellTimeout
 
 	ses := dse.NewSession()
 	ses.Logf = log.Printf
@@ -147,9 +141,9 @@ func main() {
 	}
 	fmt.Printf("scheduler: %d/%d candidates pruned, %d cells resumed, %d restarts abandoned by the incumbent, %d SA iterations\n",
 		ss.PrunedCandidates, ss.Candidates, ss.ResumedCells, ss.AbandonedRestarts, ss.SAIterations)
-	if ss.Retries+ss.Panics+ss.DeadlineExceeded+ss.PersistenceErrors > 0 {
-		fmt.Printf("faults: %d retries, %d recovered panics, %d deadline expiries, %d persistence errors (degraded=%t)\n",
-			ss.Retries, ss.Panics, ss.DeadlineExceeded, ss.PersistenceErrors, ss.PersistenceDegraded)
+	if ss.Panics+ss.PersistenceErrors > 0 {
+		fmt.Printf("faults: %d recovered panics, %d persistence errors (degraded=%t)\n",
+			ss.Panics, ss.PersistenceErrors, ss.PersistenceDegraded)
 		if ss.LastPersistenceError != "" {
 			fmt.Printf("  last persistence error: %s\n", ss.LastPersistenceError)
 		}

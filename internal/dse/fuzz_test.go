@@ -5,13 +5,15 @@
 package dse
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
 )
 
 // FuzzSpecUnmarshal drives json bytes through the same pipeline the sweep
-// service uses on POST /sweep: Unmarshal -> Validate -> Options -> Graphs.
+// service uses on POST /sweep (and the fleet on submit): a strict decode
+// that rejects unknown fields -> Validate -> Options -> Graphs.
 // Candidates() is deliberately not called on arbitrary input: Validate caps
 // the raw grid product, but materializing up to maxSpecGrid configs per
 // fuzz exec would drown the fuzzer, and Enumerate is covered by unit tests.
@@ -27,8 +29,7 @@ func FuzzSpecUnmarshal(f *testing.F) {
 			`"workers":2,"seed":7,"restarts":4,` +
 			`"sa_iterations":100,"batch":16,"batch_units":[1,2],` +
 			`"objective":{"alpha":1,"beta":2,"gamma":0.5},"prune":true,` +
-			`"retry":{"max":2,"base_delay_ms":5,"max_delay_ms":50},` +
-			`"cell_timeout_ms":1000,"max_group_layers":4}`,
+			`"max_group_layers":4}`,
 		`{"space":{"tops":42},"models":["tinycnn"]}`,
 		`{"space":{"tops":72},"models":["unknown-model"]}`,
 		`{"space":{"tops":72},"models":["tinycnn"],"tenant":"../etc"}`,
@@ -68,7 +69,9 @@ func FuzzSpecUnmarshal(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Spec
-		if err := json.Unmarshal(data, &s); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&s); err != nil {
 			return
 		}
 		if err := s.Validate(); err != nil {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"time"
 
 	"gemini/internal/arch"
 	"gemini/internal/cost"
@@ -90,25 +89,10 @@ type Options struct {
 	// service keys server-side checkpoints by it. It only labels — it never
 	// changes a mapping — so it is excluded from the checkpoint fingerprint.
 	SweepID string `json:"sweep_id,omitempty"`
-	// Retry bounds transient-failure retries per (candidate, model) cell:
-	// panics, per-cell deadline expiries and transient I/O errors re-run the
-	// cell with jittered exponential backoff; infeasibility and unrecognized
-	// errors never retry (see Transient). The zero value disables retry.
-	// Every attempt runs the same seeded pipeline, so a cell that succeeds
-	// after retries is bit-identical to one that succeeded first try — which
-	// is why Retry is excluded from the checkpoint cell fingerprint.
-	Retry RetryPolicy `json:"retry,omitempty"`
-	// CellTimeout, when positive, bounds one mapping attempt's wall time: a
-	// cell exceeding it fails with CellError{Kind: CellTimeout} (retryable
-	// under Retry) instead of stalling the sweep's worker pool. Like Retry
-	// it cannot change a successful cell's bits and is excluded from the
-	// checkpoint fingerprint. Zero means no deadline, the pre-hardening
-	// behavior.
-	CellTimeout time.Duration `json:"cell_timeout,omitempty"`
 	// FaultInjector, when non-nil, arms the deterministic fault-injection
-	// harness for chaos tests (see internal/faultinject). nil — the
-	// production state — is a pointer comparison on the hot path and
-	// changes nothing.
+	// harness for chaos tests (see internal/faultinject) at the disk-cache
+	// saver. nil — the production state — is a pointer comparison per save
+	// and changes nothing.
 	FaultInjector *faultinject.Injector `json:"-"`
 	// Incumbent, when set, reads an external pruning incumbent (a fleet
 	// worker's cached fleet-wide best): the scheduler's incumbent is
@@ -208,18 +192,9 @@ func mapModelEval(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Option
 	// annealing loop, so a cell dominated mid-anneal stops within one stride.
 	// Abandoned cells are never settled or checkpointed.
 	so.Stop = stop
+	// A panicking restart unwinds the whole portfolio to the cell's recover
+	// (Session.runCell), so a partial portfolio is never folded.
 	pf := sa.MultiStart(part.Scheme, ev, so, opt.Restarts)
-	if pf.Panic != nil {
-		// A panicked restart poisons the whole portfolio: folding only the
-		// restarts that preceded the fault would tie the result to where the
-		// fault landed. The typed error is transient, so a retry re-runs the
-		// full portfolio with identical seeds — bit-identical on success.
-		return nil, &CellError{
-			Kind: CellPanic, Candidate: cfg.Name, Model: g.Name,
-			Stack: pf.Panic.Stack,
-			Err:   fmt.Errorf("sa restart %d panicked: %v", pf.Panic.Restart, pf.Panic.Value),
-		}
-	}
 	if pf.Abandoned {
 		return nil, &abandonedError{done: len(pf.Costs), planned: pf.Planned, iters: pf.Iterations}
 	}
@@ -254,14 +229,6 @@ type pairOutcome struct {
 	abandoned         bool
 	abandonedRestarts int
 	saIterations      int
-
-	// Fault accounting across the cell's attempts: retries after transient
-	// failures, recovered panics, deadline expiries, and the most recent
-	// panic's rendered stack (for SweepStats.LastPanic).
-	retries          int
-	panics           int
-	deadlineExceeded int
-	panicStack       string
 }
 
 // infeasible reports whether the cell ran correctly but found no mapping.

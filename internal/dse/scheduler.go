@@ -11,6 +11,7 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -61,14 +62,10 @@ type SweepStats struct {
 	// iterations than with between-restart checks alone.
 	SAIterations int
 
-	// Retries counts cell attempts re-run after a transient failure
-	// (Options.Retry); 0 whenever retry is disabled or nothing failed.
-	Retries int
-	// Panics counts recovered panics — each one became a typed
-	// CellError{Kind: CellPanic} on its cell instead of killing the sweep.
+	// Panics counts recovered panics — each one became a typed CellError on
+	// its cell (or cost one candidate's result row) instead of killing the
+	// sweep.
 	Panics int
-	// DeadlineExceeded counts cell attempts cut off by Options.CellTimeout.
-	DeadlineExceeded int
 	// LastPanic is the most recent recovered panic's message and stack
 	// (empty when Panics == 0), so a one-off crash is diagnosable from the
 	// sweep record alone.
@@ -175,18 +172,16 @@ type scheduler struct {
 	pruned    atomic.Int64
 	abandoned atomic.Int64
 	saIters   atomic.Int64
-
-	retries  atomic.Int64
-	panics   atomic.Int64
-	deadline atomic.Int64
+	panics    atomic.Int64
 
 	panicMu   sync.Mutex
 	lastPanic string
 }
 
-// notePanic records the most recent recovered panic for SweepStats and logs
-// it — a recovered panic must never be silent.
+// notePanic counts a recovered panic, records it as the most recent one for
+// SweepStats and logs it — a recovered panic must never be silent.
 func (sc *scheduler) notePanic(where, stack string) {
+	sc.panics.Add(1)
 	sc.panicMu.Lock()
 	sc.lastPanic = stack
 	sc.panicMu.Unlock()
@@ -376,7 +371,6 @@ func (sc *scheduler) run() []CandidateResult {
 		// — through the sweep service — the server process.
 		defer func() {
 			if v := recover(); v != nil {
-				sc.panics.Add(1)
 				sc.notePanic(fmt.Sprintf("finishing candidate %s", sc.cands[ci].Name),
 					fmt.Sprintf("%v\n%s", v, debug.Stack()))
 			}
@@ -496,21 +490,20 @@ func (sc *scheduler) dispatch(nm int, per [][]pairOutcome, cellDone func(ci int)
 }
 
 // runTaskGuarded is the worker-level panic backstop. The mapping pipeline
-// itself is already recovered inside the cell attempt, but the scheduler's
-// own cell bookkeeping (bound math, checkpoint peeks) runs outside it; a
-// panic there records a typed CellError on the cell and keeps the worker —
-// and with it the sweep and the serving process — alive.
+// itself is recovered inside Session.runCell, but the scheduler's own cell
+// bookkeeping (bound math, checkpoint peeks) runs outside it; a panic there
+// records a typed CellError on the cell and keeps the worker — and with it
+// the sweep and the serving process — alive.
 func (sc *scheduler) runTaskGuarded(k, nm int, per [][]pairOutcome) {
 	defer func() {
 		if v := recover(); v != nil {
 			ci, mi := k/nm, k%nm
 			ce := &CellError{
-				Kind: CellPanic, Candidate: sc.cands[ci].Name, Model: sc.models[mi].Name,
+				Candidate: sc.cands[ci].Name, Model: sc.models[mi].Name,
 				Stack: string(debug.Stack()), Err: fmt.Errorf("%v", v),
 			}
 			per[ci][mi] = pairOutcome{err: ce}
-			sc.panics.Add(1)
-			sc.notePanic("scheduler task", fmt.Sprintf("%v\n%s", ce.Err, ce.Stack))
+			sc.notePanic("scheduler task", ce.trace())
 		}
 	}()
 	sc.runTask(k, nm, per)
@@ -524,7 +517,7 @@ func (sc *scheduler) runTask(k, nm int, per [][]pairOutcome) {
 	key := cellKey(eval.ConfigFingerprint(&sc.cands[ci]), sc.models[mi].Name, sc.optFP)
 	if err := sc.ctx.Err(); err != nil {
 		// Canceled sweep: fail the remaining cells fast. Nothing is stored,
-		// so a resumed sweep retries exactly these cells.
+		// so a resumed sweep recomputes exactly these cells.
 		per[ci][mi] = pairOutcome{err: fmt.Errorf("dse: cell not run: %w", err)}
 		return
 	}
@@ -556,11 +549,9 @@ func (sc *scheduler) runTask(k, nm int, per [][]pairOutcome) {
 	}
 	out := sc.ses.runCell(&sc.cands[ci], sc.models[mi], sc.opt, key, stop)
 	sc.saIters.Add(int64(out.saIterations))
-	sc.retries.Add(int64(out.retries))
-	sc.panics.Add(int64(out.panics))
-	sc.deadline.Add(int64(out.deadlineExceeded))
-	if out.panicStack != "" {
-		sc.notePanic(fmt.Sprintf("cell %s/%s", sc.cands[ci].Name, sc.models[mi].Name), out.panicStack)
+	var ce *CellError
+	if errors.As(out.err, &ce) {
+		sc.notePanic(fmt.Sprintf("cell %s/%s", sc.cands[ci].Name, sc.models[mi].Name), ce.trace())
 	}
 	if out.abandoned {
 		if err := sc.ctx.Err(); err != nil {
@@ -595,9 +586,7 @@ func (sc *scheduler) publishStats() {
 		PrunedCandidates:  int(sc.pruned.Load()),
 		AbandonedRestarts: int(sc.abandoned.Load()),
 		SAIterations:      int(sc.saIters.Load()),
-		Retries:           int(sc.retries.Load()),
 		Panics:            int(sc.panics.Load()),
-		DeadlineExceeded:  int(sc.deadline.Load()),
 		SeededIncumbent:   sc.seeded,
 		Trajectory:        sc.inc.trajectory(),
 	}
@@ -612,8 +601,7 @@ func (sc *scheduler) publishStats() {
 	sc.ses.logf("dse: sweep %s %s: %d candidates (%d pruned), %d cells (%d resumed), %d restarts abandoned, incumbent %.6g",
 		sweepName(sc.opt.SweepID), state, stats.Candidates, stats.PrunedCandidates, stats.Cells, stats.ResumedCells,
 		stats.AbandonedRestarts, sc.inc.get())
-	if stats.Retries+stats.Panics+stats.DeadlineExceeded > 0 {
-		sc.ses.logf("dse: sweep %s faults: %d retries, %d recovered panics, %d deadline expiries",
-			sweepName(sc.opt.SweepID), stats.Retries, stats.Panics, stats.DeadlineExceeded)
+	if stats.Panics > 0 {
+		sc.ses.logf("dse: sweep %s faults: %d recovered panics", sweepName(sc.opt.SweepID), stats.Panics)
 	}
 }

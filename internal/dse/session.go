@@ -18,7 +18,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gemini/internal/arch"
 	"gemini/internal/dnn"
@@ -225,9 +224,8 @@ func (s *Session) evaluator(cfg *arch.Config) *eval.Evaluator {
 }
 
 // MapModel maps one model on one architecture through the session's warm
-// evaluator and checkpoint cells. It runs under the full cell hardening
-// path — panic isolation, Options.Retry, Options.CellTimeout — so a
-// panicking pipeline surfaces as a CellError instead of unwinding the
+// evaluator and checkpoint cells. It runs under the cell's panic isolation,
+// so a panicking pipeline surfaces as a CellError instead of unwinding the
 // caller.
 func (s *Session) MapModel(cfg *arch.Config, g *dnn.Graph, opt Options) (*MapResult, error) {
 	key := cellKey(eval.ConfigFingerprint(cfg), g.Name, optsFingerprint(opt))
@@ -319,146 +317,38 @@ func sweepName(id string) string {
 // gate polled between SA restarts; an abandoned portfolio is not a settled
 // outcome, so it is returned flagged and never stored.
 //
-// runCell is the retry boundary of the failure model: transient failures
-// (recovered panics, per-cell deadline expiries, transient I/O) re-run the
-// attempt up to Options.Retry.Max times with jittered exponential backoff,
-// while infeasibility and unrecognized errors settle immediately. Every
-// attempt runs the same seeded pipeline, so a success after retries is
-// bit-identical to a first-try success, and only settled outcomes reach the
-// checkpoint — retry state never enters the cell fingerprint.
-func (s *Session) runCell(cfg *arch.Config, g *dnn.Graph, opt Options, key string, stop func() bool) pairOutcome {
+// A cell is one attempt under one recover: the mapping pipeline is a pure,
+// seeded function of its inputs, so there is nothing a second attempt could
+// change. A panic anywhere in it — graph partition, any SA restart, the
+// evaluator — unwinds to the recover here and becomes a CellError carrying
+// the stack; the cell fails, the process and the sweep do not, and the
+// errored cell is never checkpointed.
+func (s *Session) runCell(cfg *arch.Config, g *dnn.Graph, opt Options, key string, stop func() bool) (out pairOutcome) {
 	if rec, ok := s.peekCell(key); ok {
 		s.resumed.Add(1)
 		p := rec.outcome()
 		p.restored = true
 		return p
 	}
-	policy := opt.Retry.withDefaults()
-	var out pairOutcome
-	for attempt := 0; ; attempt++ {
-		mr, err := s.attemptCell(cfg, g, opt, stop, attempt)
-		var ab *abandonedError
-		if errors.As(err, &ab) {
-			out.abandoned = true
-			out.abandonedRestarts += ab.planned - ab.done
-			out.saIterations += ab.iters
-			return out
+	defer func() {
+		if v := recover(); v != nil {
+			out = pairOutcome{err: &CellError{
+				Candidate: cfg.Name, Model: g.Name,
+				Stack: string(debug.Stack()), Err: fmt.Errorf("%v", v),
+			}}
 		}
-		var ce *CellError
-		if errors.As(err, &ce) {
-			switch ce.Kind {
-			case CellPanic:
-				out.panics++
-				out.panicStack = fmt.Sprintf("%v\n%s", ce.Err, ce.Stack)
-			case CellTimeout:
-				out.deadlineExceeded++
-			}
-		}
-		if err != nil && Transient(err) && attempt < policy.Max {
-			out.retries++
-			backoff := policy.backoff(attempt+1, key)
-			s.logf("dse: cell %s/%s attempt %d failed, retrying in %v: %v",
-				cfg.Name, g.Name, attempt, backoff, err)
-			if !sleepUnlessStopped(backoff, stop) {
-				// The sweep was canceled (or the incumbent dominated this
-				// candidate) while backing off: settle on the error without
-				// burning another attempt. Errored cells are never
-				// checkpointed, so a resumed sweep retries from scratch.
-				out.err = err
-				return out
-			}
-			continue
-		}
-		if mr != nil {
-			out.saIterations += mr.SAIterations
-		}
-		s.storeCell(key, g.Name, mr, err)
-		out.mr, out.err = mr, err
-		return out
-	}
-}
-
-// attemptResult carries one attempt's outcome across the deadline goroutine
-// boundary.
-type attemptResult struct {
-	mr  *MapResult
-	err error
-}
-
-// attemptCell runs one mapping attempt under the failure model: fault
-// injection (nil injector: one pointer compare), panic isolation (a panic
-// anywhere in the pipeline becomes CellError{Kind: CellPanic} with its
-// stack), and the per-cell deadline. With no deadline the attempt runs
-// inline — the hot path allocates nothing new. With a deadline the attempt
-// runs in a goroutine and the deadline expiry returns CellError{Kind:
-// CellTimeout} immediately; the late goroutine's stop gate trips at the
-// next in-loop abandonment poll, its result is discarded, and a portfolio
-// abandoned *because of* the expiry can never be mistaken for an
-// incumbent-dominated cell (the select already settled on timeout).
-func (s *Session) attemptCell(cfg *arch.Config, g *dnn.Graph, opt Options, stop func() bool, attempt int) (*MapResult, error) {
-	body := func(innerStop func() bool) (mr *MapResult, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				mr, err = nil, &CellError{
-					Kind: CellPanic, Candidate: cfg.Name, Model: g.Name, Attempt: attempt,
-					Stack: string(debug.Stack()), Err: fmt.Errorf("%v", v),
-				}
-			}
-		}()
-		if ierr := opt.FaultInjector.Check(faultinject.PointCell, cfg.Name+"/"+g.Name); ierr != nil {
-			return nil, &CellError{
-				Kind: CellTransient, Candidate: cfg.Name, Model: g.Name, Attempt: attempt, Err: ierr,
-			}
-		}
-		return s.mapModel(s.evaluator(cfg), cfg, g, opt, innerStop)
-	}
-	if opt.CellTimeout <= 0 {
-		return body(stop)
-	}
-	var timedOut atomic.Bool
-	innerStop := func() bool {
-		if timedOut.Load() {
-			return true
-		}
-		return stop != nil && stop()
-	}
-	done := make(chan attemptResult, 1)
-	go func() {
-		var r attemptResult
-		r.mr, r.err = body(innerStop)
-		done <- r
 	}()
-	timer := time.NewTimer(opt.CellTimeout)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		return r.mr, r.err
-	case <-timer.C:
-		timedOut.Store(true)
-		return nil, &CellError{
-			Kind: CellTimeout, Candidate: cfg.Name, Model: g.Name, Attempt: attempt,
-			Err: fmt.Errorf("attempt exceeded %v: %w", opt.CellTimeout, context.DeadlineExceeded),
-		}
+	mr, err := s.mapModel(s.evaluator(cfg), cfg, g, opt, stop)
+	var ab *abandonedError
+	if errors.As(err, &ab) {
+		return pairOutcome{abandoned: true, abandonedRestarts: ab.planned - ab.done, saIterations: ab.iters}
 	}
-}
-
-// sleepUnlessStopped sleeps d in small steps, polling the stop gate, and
-// reports false when the gate fired — a canceled sweep must not sit out a
-// backoff before noticing.
-func sleepUnlessStopped(d time.Duration, stop func() bool) bool {
-	const step = 5 * time.Millisecond
-	for d > 0 {
-		if stop != nil && stop() {
-			return false
-		}
-		chunk := d
-		if chunk > step {
-			chunk = step
-		}
-		time.Sleep(chunk)
-		d -= chunk
+	if mr != nil {
+		out.saIterations = mr.SAIterations
 	}
-	return stop == nil || !stop()
+	s.storeCell(key, g.Name, mr, err)
+	out.mr, out.err = mr, err
+	return out
 }
 
 // JointRun explores chiplet reuse over the session (see the package-level
@@ -528,8 +418,8 @@ func (s *Session) JointRun(bases []arch.Config, factors []int, models []*dnn.Gra
 // the shortest representation that parses back to the same value). Only
 // settled outcomes are recorded — a feasible mapping or honest
 // infeasibility; infrastructure errors are never checkpointed, so a
-// resumed sweep retries them instead of replaying a possibly transient
-// failure forever.
+// resumed sweep (on a fixed binary, say) recomputes them instead of
+// replaying the failure forever.
 type cellRecord struct {
 	Model    string `json:"model"`
 	Feasible bool   `json:"feasible"`
@@ -605,7 +495,7 @@ func (s *Session) storeCell(key, model string, mr *MapResult, err error) {
 		rec.Restarts, rec.BestRestart = mr.Restarts, mr.BestRestart
 	case err != nil && !errors.Is(err, ErrInfeasible):
 		// Infrastructure errors are not settled outcomes: leave the cell
-		// unrecorded so a resumed or repeated sweep retries it.
+		// unrecorded so a resumed or repeated sweep recomputes it.
 		return
 	}
 	s.cellMu.Lock()
@@ -686,8 +576,6 @@ var optsFingerprintExclusions = map[string]string{
 	"OnResult":      "observer callback; notification cannot alter results",
 	"Dispatch":      "cell-feed wrapper; it schedules or withholds cells, never changes a computed cell",
 	"SweepID":       "labels the sweep — a renamed sweep must keep hitting its old cells",
-	"Retry":         "failure-handling policy; a cell that succeeds is attempt-count-independent",
-	"CellTimeout":   "wall-clock guard producing typed failures, never different values",
 	"FaultInjector": "test-only chaos hook; production sweeps run with none installed",
 	"Incumbent":     "external pruning signal; like Prune it only skips whole cells, it never changes a computed cell",
 }

@@ -10,7 +10,6 @@ package dse
 import (
 	"fmt"
 	"regexp"
-	"time"
 
 	"gemini/internal/arch"
 	"gemini/internal/dnn"
@@ -144,26 +143,6 @@ type Spec struct {
 	Objective *ObjectiveSpec `json:"objective,omitempty"`
 	// Prune enables bound-based candidate pruning.
 	Prune bool `json:"prune,omitempty"`
-	// Retry bounds transient-failure retries per (candidate, model) cell
-	// (nil = no retry, the pre-hardening behavior).
-	Retry *RetrySpec `json:"retry,omitempty"`
-	// CellTimeoutMS bounds one mapping attempt's wall time in milliseconds
-	// (0 = no deadline). A timed-out attempt fails with a typed, retryable
-	// cell error instead of stalling the sweep's worker pool.
-	CellTimeoutMS int `json:"cell_timeout_ms,omitempty"`
-}
-
-// RetrySpec is the JSON form of RetryPolicy: retry counts and backoff in
-// milliseconds, since JSON clients should not speak time.Duration.
-type RetrySpec struct {
-	// Max is the number of retries after the first attempt.
-	Max int `json:"max"`
-	// BaseDelayMS is the first backoff in milliseconds (0 = the engine
-	// default, 10ms).
-	BaseDelayMS int `json:"base_delay_ms,omitempty"`
-	// MaxDelayMS caps the backoff in milliseconds (0 = the engine default,
-	// 1000ms).
-	MaxDelayMS int `json:"max_delay_ms,omitempty"`
 }
 
 // SweepPriority is a sweep's scheduling class at the sweep service.
@@ -252,12 +231,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("dse: spec batch_units[%d] = %d, want > 0", i, bu)
 		}
 	}
-	if r := s.Retry; r != nil && (r.Max < 0 || r.BaseDelayMS < 0 || r.MaxDelayMS < 0) {
-		return fmt.Errorf("dse: spec retry fields must be >= 0, got %+v", *r)
-	}
-	if s.CellTimeoutMS < 0 {
-		return fmt.Errorf("dse: spec cell_timeout_ms = %d, want >= 0", s.CellTimeoutMS)
-	}
 	if o := s.Objective; o != nil && (o.Alpha < 0 || o.Beta < 0 || o.Gamma < 0) {
 		// Negative exponents silently disable pruning and produce
 		// non-monotone rankings; reject them at the API boundary rather
@@ -310,14 +283,6 @@ func (s *Spec) Options() Options {
 		opt.Objective = Objective{Alpha: s.Objective.Alpha, Beta: s.Objective.Beta, Gamma: s.Objective.Gamma}
 	}
 	opt.Prune = s.Prune
-	if r := s.Retry; r != nil {
-		opt.Retry = RetryPolicy{
-			Max:       r.Max,
-			BaseDelay: time.Duration(r.BaseDelayMS) * time.Millisecond,
-			MaxDelay:  time.Duration(r.MaxDelayMS) * time.Millisecond,
-		}
-	}
-	opt.CellTimeout = time.Duration(s.CellTimeoutMS) * time.Millisecond
 	return opt
 }
 

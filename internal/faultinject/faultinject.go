@@ -1,12 +1,14 @@
 // Package faultinject is a deterministic fault-injection harness for the
 // sweep engine's chaos tests. An Injector holds a seeded schedule of rules
-// and is threaded — nil by default — through the mapping pipeline, the
-// persistence savers and the schedulers. Call sites ask Check whether a
-// fault fires at a named point; a firing rule returns a transient error,
-// panics, or sleeps, by rule kind. Decisions are pure functions of (seed,
-// point, key, occurrence index), so a fixed schedule replays bit-identically
-// across runs and under -race, and a nil injector is a single pointer
-// comparison — never-firing hooks are provably free.
+// and is threaded — nil by default — through the persistence paths: the
+// disk-cache saver and the sweep service's checkpoint and status savers and
+// checkpoint loader. Those are the only places the engine does real I/O; a
+// (candidate, model) cell is a pure function of its inputs and has no hook.
+// Call sites ask Check whether a fault fires at a named point; a firing rule
+// returns an error or panics, by rule kind. Decisions are pure functions of
+// (seed, point, key, occurrence index), so a fixed schedule replays
+// bit-identically across runs and under -race, and a nil injector is a
+// single pointer comparison — never-firing hooks are provably free.
 //
 // The package is build-tag-free on purpose: production binaries carry the
 // hooks disarmed, so the code path tests exercise is the code path that
@@ -17,7 +19,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Point names a hook location in the engine. Points are coarse on purpose:
@@ -26,9 +27,6 @@ type Point string
 
 // The engine's hook points.
 const (
-	// PointCell fires inside one (candidate, model) mapping attempt; the key
-	// is "<candidate>/<model>".
-	PointCell Point = "cell"
 	// PointCacheSave fires in the disk-cache spill saver; the key is the
 	// cache directory.
 	PointCacheSave Point = "cache-save"
@@ -47,14 +45,11 @@ const (
 type Kind int
 
 const (
-	// KindError makes Check return a transient *Error.
+	// KindError makes Check return an *Error.
 	KindError Kind = iota
-	// KindPanic makes Check panic (the engine's recover paths convert it to
-	// a typed cell error).
+	// KindPanic makes Check panic (the persistence savers recover it into a
+	// failed save attempt).
 	KindPanic
-	// KindDelay makes Check sleep for the rule's Delay and return nil — a
-	// hung evaluation, for exercising per-cell deadlines.
-	KindDelay
 )
 
 // String names the kind for error text and logs.
@@ -64,8 +59,6 @@ func (k Kind) String() string {
 		return "error"
 	case KindPanic:
 		return "panic"
-	case KindDelay:
-		return "delay"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -87,13 +80,10 @@ type Rule struct {
 	On    []int
 	Count int
 	Prob  float64
-	// Delay is the KindDelay sleep duration.
-	Delay time.Duration
 }
 
-// Error is the transient failure a KindError rule injects. It satisfies the
-// engine's Transient classification via the Transient method, so injected
-// faults exercise exactly the retry path real transient I/O failures take.
+// Error is the failure a KindError rule injects, standing in for a failed
+// disk write or read.
 type Error struct {
 	Point      Point
 	Key        string
@@ -104,9 +94,6 @@ type Error struct {
 func (e *Error) Error() string {
 	return fmt.Sprintf("faultinject: injected error at %s %q (occurrence %d)", e.Point, e.Key, e.Occurrence)
 }
-
-// Transient marks every injected error retryable.
-func (e *Error) Transient() bool { return true }
 
 // panicValue is what a KindPanic rule panics with, so recover sites can log
 // a recognizable value.
@@ -145,9 +132,9 @@ func New(seed int64, rules ...Rule) *Injector {
 }
 
 // Check is the hook call sites make: it advances the (point, key) occurrence
-// counter and performs the first matching rule that fires — returning a
-// transient *Error, panicking, or sleeping — or returns nil. Safe for
-// concurrent use; a nil receiver always returns nil without locking.
+// counter and performs the first matching rule that fires — returning an
+// *Error or panicking — or returns nil. Safe for concurrent use; a nil
+// receiver always returns nil without locking.
 func (inj *Injector) Check(p Point, key string) error {
 	if inj == nil {
 		return nil
@@ -172,15 +159,10 @@ func (inj *Injector) Check(p Point, key string) error {
 	if hit == nil {
 		return nil
 	}
-	switch hit.Kind {
-	case KindPanic:
+	if hit.Kind == KindPanic {
 		panic(panicValue{Error{Point: p, Key: key, Occurrence: n}})
-	case KindDelay:
-		time.Sleep(hit.Delay)
-		return nil
-	default:
-		return &Error{Point: p, Key: key, Occurrence: n}
 	}
+	return &Error{Point: p, Key: key, Occurrence: n}
 }
 
 // fires decides whether the rule triggers on occurrence n of (p, key).

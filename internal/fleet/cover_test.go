@@ -243,7 +243,10 @@ func TestBoundedDecode(t *testing.T) {
 		}
 	}
 
-	for _, knob := range []string{`"order":"grid"`, `"bound":"cut"`, `"abandon_every":8`, `"shard":{"index":0,"count":2}`} {
+	for _, knob := range []string{
+		`"order":"grid"`, `"bound":"cut"`, `"abandon_every":8`, `"shard":{"index":0,"count":2}`,
+		`"retry":{"max":2}`, `"cell_timeout_ms":1000`,
+	} {
 		body := `{"shards":1,"spec":{"space":{"tops":72},"models":["tinycnn"],` + knob + `}}`
 		resp, err := http.Post(srv.URL+"/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {

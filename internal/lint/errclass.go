@@ -1,9 +1,9 @@
 // The errclass analyzer: error classification must survive wrapping.
 // ErrInfeasible vs infrastructure-error is the sweep engine's core honesty
-// contract (PR 2), and CellError's typed kinds drive retry decisions
-// (PR 6); both break silently the moment an error is compared with == or
-// matched as a string, or re-wrapped with %v so errors.Is/As stop seeing
-// the chain.
+// contract, and a typed CellError is how a recovered panic is told apart
+// from every other failure; both break silently the moment an error is
+// compared with == or matched as a string, or re-wrapped with %v so
+// errors.Is/As stop seeing the chain.
 
 package lint
 
@@ -116,7 +116,8 @@ func isErrorStringCall(info *types.Info, e ast.Expr) bool {
 
 // checkErrorfWrap flags fmt.Errorf("... %v ...", err) with no %w anywhere
 // in the format: flattening an error into text drops its errors.Is/As
-// classification (infeasibility, retryability, cell kind) on the floor.
+// classification (infeasibility, cancellation, a recovered cell panic) on
+// the floor.
 func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
 	info := pass.Pkg.TypesInfo
 	pkg, name := calleePath(info, call)

@@ -2,19 +2,10 @@ package sa
 
 import (
 	"math"
-	"runtime/debug"
 
 	"gemini/internal/core"
 	"gemini/internal/eval"
 )
-
-// PanicInfo records a restart that panicked mid-anneal: which restart, the
-// recovered value, and the goroutine stack at the panic site.
-type PanicInfo struct {
-	Restart int
-	Value   any
-	Stack   string
-}
 
 // Portfolio is the outcome of a multi-start annealing run.
 type Portfolio struct {
@@ -40,14 +31,6 @@ type Portfolio struct {
 	// The DSE scheduler aggregates it to account for the work in-loop
 	// abandonment saves.
 	Iterations int
-	// Panic, when non-nil, records that a restart panicked. The portfolio
-	// stops at the panicked restart and is NOT a settled outcome: folding
-	// only the restarts that happened to precede the panic would make the
-	// result depend on where the fault landed. Callers treat it as a
-	// transient cell failure; a retry re-runs the whole portfolio with the
-	// same derived seeds, so a successful retry is bit-identical to a
-	// fault-free run.
-	Panic *PanicInfo
 }
 
 // RestartSeed derives the seed of restart i from the base seed. Restart 0
@@ -66,7 +49,10 @@ func RestartSeed(base int64, i int) int64 {
 // (scheme, evaluator params, options, restarts) tuple always yields a
 // bit-identical winner regardless of cache state. opt.Stop, when set, is
 // polled before every restart after the first and on its stride inside each
-// restart; when it fires the portfolio is abandoned.
+// restart; when it fires the portfolio is abandoned. Restarts run one after
+// another on the caller's goroutine and MultiStart recovers nothing: a
+// panicking restart unwinds the whole portfolio to the caller, so a partial
+// portfolio is never folded into a result.
 func MultiStart(input *core.Scheme, ev *eval.Evaluator, opt Options, restarts int) Portfolio {
 	if restarts < 1 {
 		restarts = 1
@@ -79,11 +65,7 @@ func MultiStart(input *core.Scheme, ev *eval.Evaluator, opt Options, restarts in
 		}
 		o := opt
 		o.Seed = RestartSeed(opt.Seed, i)
-		r, pi := optimizeGuarded(input, ev, o, i)
-		if pi != nil {
-			p.Panic = pi
-			break
-		}
+		r := Optimize(input, ev, o)
 		p.Iterations += r.Attempted
 		if r.Abandoned {
 			// The Stop hook cut this restart off mid-anneal: its partial
@@ -99,18 +81,6 @@ func MultiStart(input *core.Scheme, ev *eval.Evaluator, opt Options, restarts in
 		}
 	}
 	return p
-}
-
-// optimizeGuarded runs one restart under a panic guard, so a fault in one
-// anneal (a pathological scheme, an injected chaos panic) surfaces as data
-// on the portfolio instead of unwinding the scheduler worker.
-func optimizeGuarded(input *core.Scheme, ev *eval.Evaluator, o Options, restart int) (r Result, pi *PanicInfo) {
-	defer func() {
-		if v := recover(); v != nil {
-			pi = &PanicInfo{Restart: restart, Value: v, Stack: string(debug.Stack())}
-		}
-	}()
-	return Optimize(input, ev, o), nil
 }
 
 // betterCost reports whether a strictly improves on b under a total order

@@ -156,26 +156,3 @@ func TestAdaptiveStopAbandons(t *testing.T) {
 		t.Errorf("inert Stop diverged: %+v vs %+v", q, w)
 	}
 }
-
-// TestMultiStartRecoversPanic: a panicking restart must surface as PanicInfo
-// data on the portfolio — restart index, value, stack — instead of unwinding
-// the caller, and the portfolio is not settled (no costs fold).
-func TestMultiStartRecoversPanic(t *testing.T) {
-	cfg := arch.GArch72()
-	opt := DefaultOptions()
-	opt.Iterations = 40
-	// A nil scheme panics inside Optimize; the guard must catch it.
-	p := MultiStart(nil, eval.New(&cfg), opt, 3)
-	if p.Panic == nil {
-		t.Fatal("panicking restart produced no PanicInfo")
-	}
-	if p.Panic.Restart != 0 {
-		t.Errorf("Restart = %d, want 0", p.Panic.Restart)
-	}
-	if p.Panic.Value == nil || p.Panic.Stack == "" {
-		t.Errorf("PanicInfo incomplete: value=%v stack %d bytes", p.Panic.Value, len(p.Panic.Stack))
-	}
-	if len(p.Costs) != 0 {
-		t.Errorf("panicked portfolio folded %d costs; it is not a settled outcome", len(p.Costs))
-	}
-}

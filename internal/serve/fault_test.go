@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"gemini/internal/dse"
 	"gemini/internal/faultinject"
 )
 
@@ -215,6 +214,27 @@ func TestHandlerPanicEmitsTerminalErrorEvent(t *testing.T) {
 	}
 }
 
+// sweepWithResultPanic runs a two-candidate, one-worker sweep on s whose
+// first result event's stream write panics, and returns the events that
+// made it out. Write 1 is the start event; write 2 is the first result
+// event, sent from inside the scheduler's OnResult callback.
+func sweepWithResultPanic(t *testing.T, s *Server, id string) []Event {
+	t.Helper()
+	spec := tinySpec(id, 32, 64)
+	spec.Workers = 1
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &bombWriter{header: make(http.Header), bombAt: 2}
+	s.handleSweep(w, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+	events := w.lines(t)
+	if len(events) == 0 {
+		t.Fatal("no events recorded")
+	}
+	return events
+}
+
 // TestWorkerPanicLosesOneCandidateNotTheSweep: a panic while finishing one
 // candidate (here: its result event's stream write) is recovered at the
 // worker level — the sweep completes, the panic is counted, and the done
@@ -222,21 +242,7 @@ func TestHandlerPanicEmitsTerminalErrorEvent(t *testing.T) {
 func TestWorkerPanicLosesOneCandidateNotTheSweep(t *testing.T) {
 	s := New(Config{Logf: t.Logf})
 	defer s.Close()
-	spec := tinySpec("boom-result", 32, 64)
-	spec.Workers = 1
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Write 1 is the start event; write 2 is the first result event, sent
-	// from inside the scheduler's OnResult callback.
-	w := &bombWriter{header: make(http.Header), bombAt: 2}
-	s.handleSweep(w, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
-
-	events := w.lines(t)
-	if len(events) == 0 {
-		t.Fatal("no events recorded")
-	}
+	events := sweepWithResultPanic(t, s, "boom-result")
 	done := events[len(events)-1]
 	if done.Type != "done" {
 		t.Fatalf("sweep with a panicking result write ended with %q: %+v", done.Type, done)
@@ -249,38 +255,25 @@ func TestWorkerPanicLosesOneCandidateNotTheSweep(t *testing.T) {
 	}
 }
 
-// TestHealthzFaultCounters: injected cell faults handled by the spec's retry
-// policy show up on /healthz as lifetime fault counters, end to end through
-// the Spec retry/cell-timeout fields.
+// TestHealthzFaultCounters: a real recovered panic — the result write above,
+// nothing injected through faultinject — shows up on /healthz as a lifetime
+// fault count once its sweep finishes.
 func TestHealthzFaultCounters(t *testing.T) {
-	inj := faultinject.New(1, faultinject.Rule{
-		Point: faultinject.PointCell, Kind: faultinject.KindError, On: []int{0},
-	})
-	_, hs := newTestServer(t, Config{FaultInjector: inj})
-	spec := tinySpec("retried", 32, 64)
-	spec.Retry = &dse.RetrySpec{Max: 1, BaseDelayMS: 1, MaxDelayMS: 5}
-	spec.CellTimeoutMS = 60000
-
-	events := runSweep(t, hs.URL, spec)
-	done := events[len(events)-1]
-	if done.Type != "done" {
-		t.Fatalf("sweep ended with %q: %+v", done.Type, done)
-	}
-	if done.Stats.Retries != 2 {
-		t.Errorf("stats retries = %d, want 2 (one per cell)", done.Stats.Retries)
+	s := New(Config{Logf: t.Logf})
+	defer s.Close()
+	events := sweepWithResultPanic(t, s, "boom-healthz")
+	if done := events[len(events)-1]; done.Type != "done" || done.Stats == nil || done.Stats.Panics != 1 {
+		t.Fatalf("sweep ended with %+v, want done with one recovered panic", done)
 	}
 
-	resp, err := http.Get(hs.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err := json.NewDecoder(rec.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Faults.Retries != 2 || h.Faults.Panics != 0 || h.Faults.DeadlineExceeded != 0 {
-		t.Errorf("healthz faults: %+v", h.Faults)
+	if h.Faults.Panics != 1 {
+		t.Errorf("healthz faults: %+v, want 1 panic", h.Faults)
 	}
 	if h.PersistenceDegraded {
 		t.Error("healthy server reports degraded persistence")

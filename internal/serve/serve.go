@@ -157,19 +157,9 @@ type Server struct {
 	// never fails a sweep. /healthz surfaces the state.
 	persist dse.PersistenceTracker
 
-	// Lifetime fault counters aggregated from every finished sweep's stats,
-	// served by /healthz.
-	faultRetries   atomic.Int64
-	faultPanics    atomic.Int64
-	faultDeadlines atomic.Int64
-}
-
-// noteFaults folds a finished sweep's fault counters into the server-wide
-// aggregates.
-func (s *Server) noteFaults(st dse.SweepStats) {
-	s.faultRetries.Add(int64(st.Retries))
-	s.faultPanics.Add(int64(st.Panics))
-	s.faultDeadlines.Add(int64(st.DeadlineExceeded))
+	// faultPanics is the lifetime count of recovered panics across every
+	// finished sweep's stats, served by /healthz.
+	faultPanics atomic.Int64
 }
 
 // New builds a Server from cfg.
@@ -404,13 +394,12 @@ type SessionHealth struct {
 }
 
 // FaultCounts aggregates the fault-handling counters of every sweep the
-// server has finished: transient retries, recovered panics and per-cell
-// deadline expiries. Steadily growing counts under a steady workload are
-// the signal to look at LastError fields and logs.
+// server has finished. A recovered panic is a bug that repeats on every run
+// of its cell, so any nonzero count is the signal to read the sweeps'
+// last_panic fields and the logs.
 type FaultCounts struct {
-	Retries          int64 `json:"retries"`
-	Panics           int64 `json:"panics"`
-	DeadlineExceeded int64 `json:"deadline_exceeded"`
+	// Panics counts recovered panics (cells and candidate rows they cost).
+	Panics int64 `json:"panics"`
 }
 
 // SweepCounts aggregates sweep states for the health endpoint.
@@ -520,11 +509,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if s.base.Err() != nil {
 		h.Status = "closing"
 	}
-	h.Faults = FaultCounts{
-		Retries:          s.faultRetries.Load(),
-		Panics:           s.faultPanics.Load(),
-		DeadlineExceeded: s.faultDeadlines.Load(),
-	}
+	h.Faults = FaultCounts{Panics: s.faultPanics.Load()}
 	h.Persistence = s.persist.State()
 	h.PersistenceDegraded = h.Persistence.Degraded
 	cs := s.ses.CacheStats()

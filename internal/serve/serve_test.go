@@ -452,15 +452,33 @@ func TestSweepValidationErrors(t *testing.T) {
 // no longer exist are unknown fields — a POST carrying one answers 400 and
 // registers nothing, neither a status record nor a file in the data dir.
 func TestRemovedScheduleFieldsRejected(t *testing.T) {
+	assertRemovedFieldsRejected(t, map[string]string{
+		"racing":      "true",
+		"racing_keep": "0.5",
+		"patience":    "2",
+	})
+}
+
+// TestRemovedCellFaultFieldsRejected: cell retry and the per-cell deadline
+// are gone, so "retry" and "cell_timeout_ms" are unknown fields like any
+// other removed knob.
+func TestRemovedCellFaultFieldsRejected(t *testing.T) {
+	assertRemovedFieldsRejected(t, map[string]string{
+		"retry":           `{"max":2,"base_delay_ms":5}`,
+		"cell_timeout_ms": "1000",
+	})
+}
+
+// assertRemovedFieldsRejected POSTs one otherwise valid spec per field and
+// asserts a 400 naming the field, with no status record and no data-dir
+// file left behind.
+func assertRemovedFieldsRejected(t *testing.T, fields map[string]string) {
+	t.Helper()
 	dir := t.TempDir()
 	_, hs := newTestServer(t, Config{DataDir: dir})
-	for _, c := range []struct{ field, value string }{
-		{"racing", "true"},
-		{"racing_keep", "0.5"},
-		{"patience", "2"},
-	} {
-		id := "removed-" + strings.ReplaceAll(c.field, "_", "-")
-		body := `{"id":"` + id + `","space":{"tops":72},"models":["tinycnn"],"` + c.field + `":` + c.value + `}`
+	for field, value := range fields {
+		id := "removed-" + strings.ReplaceAll(field, "_", "-")
+		body := `{"id":"` + id + `","space":{"tops":72},"models":["tinycnn"],"` + field + `":` + value + `}`
 		resp, err := http.Post(hs.URL+"/sweep", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -471,15 +489,15 @@ func TestRemovedScheduleFieldsRejected(t *testing.T) {
 		if derr != nil {
 			t.Fatal(derr)
 		}
-		want := `unknown field "` + c.field + `"`
+		want := `unknown field "` + field + `"`
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, want) {
-			t.Errorf("%s: code=%d msg=%q, want 400 containing %q", c.field, resp.StatusCode, eb.Error, want)
+			t.Errorf("%s: code=%d msg=%q, want 400 containing %q", field, resp.StatusCode, eb.Error, want)
 		}
 		if _, code := getStatus(t, hs.URL, id); code != http.StatusNotFound {
-			t.Errorf("%s: rejected sweep has a status record (code %d)", c.field, code)
+			t.Errorf("%s: rejected sweep has a status record (code %d)", field, code)
 		}
 		if matches, _ := filepath.Glob(filepath.Join(dir, id+"*")); len(matches) != 0 {
-			t.Errorf("%s: rejected sweep left files behind: %v", c.field, matches)
+			t.Errorf("%s: rejected sweep left files behind: %v", field, matches)
 		}
 	}
 }

@@ -131,12 +131,12 @@ type StatsSummary struct {
 	SeededIncumbent float64 `json:"seeded_incumbent,omitempty"`
 	// Trajectory records every incumbent improvement in order.
 	Trajectory []TrajectoryStep `json:"trajectory,omitempty"`
-	// Retries counts cell attempts re-run after transient failures.
-	Retries int `json:"retries,omitempty"`
 	// Panics counts recovered panics (each failed its cell, not the server).
 	Panics int `json:"panics,omitempty"`
-	// DeadlineExceeded counts cell attempts cut off by the per-cell timeout.
-	DeadlineExceeded int `json:"deadline_exceeded,omitempty"`
+	// DeadlineExceeded is always 0 and never on the wire: cells have no
+	// deadline any more. It stays only because the benchmark harness
+	// (bench/) still reads it; drop it when that read goes.
+	DeadlineExceeded int `json:"-"`
 	// LastPanic is the most recent recovered panic's message and stack.
 	LastPanic string `json:"last_panic,omitempty"`
 	// PersistenceErrors counts failed background saves (checkpoint and
@@ -168,9 +168,7 @@ func summarizeStats(st dse.SweepStats) *StatsSummary {
 		AbandonedRestarts: st.AbandonedRestarts,
 		SeededIncumbent:   finite(st.SeededIncumbent),
 
-		Retries:              st.Retries,
 		Panics:               st.Panics,
-		DeadlineExceeded:     st.DeadlineExceeded,
 		LastPanic:            st.LastPanic,
 		PersistenceErrors:    st.PersistenceErrors,
 		PersistenceDegraded:  st.PersistenceDegraded,
@@ -951,7 +949,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			stats.LastPersistenceError = pst.LastError
 		}
 	}
-	s.noteFaults(stats)
+	s.faultPanics.Add(int64(stats.Panics))
 
 	elapsed := time.Since(begin).Milliseconds()
 	switch {
