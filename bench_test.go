@@ -814,21 +814,21 @@ func BenchmarkDSESweepInLoopAbandon(b *testing.B) {
 // BenchmarkDSESweepDiskWarm is BenchmarkDSESessionSweepWarm with the warmth
 // coming from a predecessor process's disk spill instead of this process's
 // own priming run: a fresh session loads the spill, then re-runs the sweep
-// with per-iteration seeds. The background saver is exercised
-// by the priming run (and its correctness by the race tests), but excluded
-// from the timed loop: its cost amortizes over real sweep durations, not
-// over a benchmark iteration shorter than one cache serialization. After
-// timing, a second fresh session replays the priming sweep from the spill
-// and must recompute zero group evaluations — the
-// killed-and-restarted-process guarantee.
+// with per-iteration seeds. The spill is written once, by the priming
+// session's SaveDiskCache, outside the timed loop. After timing, a second
+// fresh session replays the priming sweep from the spill and must recompute
+// zero group evaluations — the killed-and-restarted-process guarantee.
 func BenchmarkDSESweepDiskWarm(b *testing.B) {
 	cands, models, opt := sweepBench()
 	dir := b.TempDir()
 	prime := opt
 	prime.Seed = 1 << 20 // prime the spill with a seed the loop never uses
-	prime.CacheDir = dir
-	if dse.Best(dse.NewSession().Run(cands, models, prime)) == nil {
+	primer := dse.NewSession()
+	if dse.Best(primer.Run(cands, models, prime)) == nil {
 		b.Fatal("no feasible candidate")
+	}
+	if err := primer.SaveDiskCache(dir); err != nil {
+		b.Fatal(err)
 	}
 
 	ses := dse.NewSession()
@@ -856,7 +856,6 @@ func BenchmarkDSESweepDiskWarm(b *testing.B) {
 	if n, err := replay.WarmDiskCache(dir); err != nil || n == 0 {
 		b.Fatalf("replay warm failed: n=%d err=%v", n, err)
 	}
-	prime.CacheDir = "" // replay measures pure warmth: no re-spill
 	if dse.Best(replay.Run(cands, models, prime)) == nil {
 		b.Fatal("replay found no feasible candidate")
 	}

@@ -44,7 +44,7 @@ func main() {
 	beta := flag.Float64("beta", 1, "energy exponent of the objective")
 	gamma := flag.Float64("gamma", 1, "delay exponent of the objective")
 	prune := flag.Bool("prune", false, "skip candidates whose objective lower bound exceeds the best seen (decisions are logged); candidates always dispatch in ascending lower-bound order")
-	cacheDir := flag.String("cache-dir", "", "evaluation-cache spill directory: warm group evaluations from a previous process and re-save as the sweep runs")
+	cacheDir := flag.String("cache-dir", "", "evaluation-cache spill directory: warm group evaluations from it before the sweep, merge and save the cache once after it")
 	resume := flag.String("resume", "", "checkpoint file: load completed cells from it if present, save on completion; a corrupt file is quarantined to <file>.corrupt and the sweep resumes cold")
 	stream := flag.Bool("stream", false, "print each candidate result as it completes")
 	out := flag.String("out", "", "write full result table CSV to this path")
@@ -82,10 +82,16 @@ func main() {
 	opt.Workers = *workers
 	opt.Objective = dse.Objective{Alpha: *alpha, Beta: *beta, Gamma: *gamma}
 	opt.Prune = *prune
-	opt.CacheDir = *cacheDir
 
 	ses := dse.NewSession()
 	ses.Logf = log.Printf
+	if *cacheDir != "" {
+		// A damaged spill warms nothing; only real I/O failures land here,
+		// and a cold cache is still correct.
+		if _, err := ses.WarmDiskCache(*cacheDir); err != nil {
+			log.Printf("disk cache warm failed, running cold: %v", err)
+		}
+	}
 	if *resume != "" {
 		if f, err := os.Open(*resume); err == nil {
 			err := ses.LoadCheckpoint(f)
@@ -136,17 +142,19 @@ func main() {
 	fmt.Printf("shared cache: %d hits / %d misses (%.1f%% hit rate), %d entries; %d cells resumed\n",
 		st.Hits, st.Misses, 100*st.HitRate(), st.Entries, ses.ResumedCells())
 	if *cacheDir != "" {
-		fmt.Printf("disk cache (%s): %d entries warmed from disk, %d hits served by them, %d background saves\n",
+		// Saved once, after the sweep, like -resume: the spill is a
+		// recomputable cache, so a failed save costs only warmth.
+		if err := ses.SaveDiskCache(*cacheDir); err != nil {
+			log.Printf("disk cache save failed: %v", err)
+		}
+		st = ses.CacheStats()
+		fmt.Printf("disk cache (%s): %d entries warmed from disk, %d hits served by them, %d saves\n",
 			dse.CachePath(*cacheDir), st.DiskLoaded, st.DiskHits, st.DiskSaves)
 	}
 	fmt.Printf("scheduler: %d/%d candidates pruned, %d cells resumed, %d restarts abandoned by the incumbent, %d SA iterations\n",
 		ss.PrunedCandidates, ss.Candidates, ss.ResumedCells, ss.AbandonedRestarts, ss.SAIterations)
-	if ss.Panics+ss.PersistenceErrors > 0 {
-		fmt.Printf("faults: %d recovered panics, %d persistence errors (degraded=%t)\n",
-			ss.Panics, ss.PersistenceErrors, ss.PersistenceDegraded)
-		if ss.LastPersistenceError != "" {
-			fmt.Printf("  last persistence error: %s\n", ss.LastPersistenceError)
-		}
+	if ss.Panics > 0 {
+		fmt.Printf("faults: %d recovered panics\n", ss.Panics)
 	}
 	if len(ss.Trajectory) > 0 {
 		fmt.Print("incumbent trajectory:")

@@ -1,8 +1,8 @@
 // Command gemini-serve runs the DSE sweep service: a long-lived HTTP server
 // over one dse.Session. Clients POST JSON sweep specs to
-// /sweep and read per-candidate results back as an NDJSON stream; sweeps
-// are checkpointed per id under -data, so re-POSTing a spec after a client
-// or server restart resumes instead of recomputing.
+// /sweep and read per-candidate results back as an NDJSON stream; settled
+// cells are checkpointed to one file under -data, so re-POSTing a spec
+// after a client or server restart resumes instead of recomputing.
 //
 // Sweeps admit through a multi-tenant queue: interactive sweeps dispatch
 // ahead of batch ones (preempting them onto checkpoints when the slot pool
@@ -32,8 +32,9 @@
 // lives under /fleet/). Fleet sweeps are submitted with
 // POST /fleet/sweeps {"spec": {...}, "shards": N}; the coordinator shards
 // the candidate grid across workers, fans the best incumbent back out so
-// every shard prunes against it, and merges worker checkpoints under -data
-// exactly like a local sweep's. -lease-ttl tunes how fast a dead worker's
+// every shard prunes against it, and merges worker checkpoints into a
+// <id>.ckpt under -data and into the server's session, so fleet and local
+// sweeps resume each other. -lease-ttl tunes how fast a dead worker's
 // shard is re-leased.
 package main
 
@@ -81,8 +82,8 @@ func main() {
 	log.SetPrefix("gemini-serve: ")
 
 	addr := flag.String("addr", ":8080", "listen address")
-	data := flag.String("data", "", "checkpoint directory (empty = no persistence)")
-	cacheDir := flag.String("cache-dir", "", "evaluation-cache spill directory: sweeps warm from the previous process's group evaluations and re-save as they run (empty = in-process cache only)")
+	data := flag.String("data", "", "checkpoint directory: one server checkpoint plus status records, every *.ckpt merged at startup (empty = no persistence)")
+	cacheDir := flag.String("cache-dir", "", "evaluation-cache spill directory: warmed from at startup, rewritten once after every finished sweep (empty = in-process cache only)")
 	maxSweeps := flag.Int("max-sweeps", 4, "max concurrently running sweeps (excess admitted sweeps wait in the queue)")
 	maxCells := flag.Int("max-cells", 0, "per-sweep (candidate, model) cell cap (0 = default)")
 	slots := flag.Int("slots", 0, "worker-slot pool shared by running sweeps (0 = GOMAXPROCS)")

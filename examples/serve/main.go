@@ -97,8 +97,8 @@ func main() {
 	if err := json.NewDecoder(st.Body).Decode(&status); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("status: %s (%d/%d candidates, checkpoint on disk: %t)\n",
-		status.State, status.DoneCandidates, status.Candidates, status.Checkpoint)
+	fmt.Printf("status: %s (%d/%d candidates)\n",
+		status.State, status.DoneCandidates, status.Candidates)
 
 	h, err := http.Get(base + "/healthz")
 	if err != nil {

@@ -3,106 +3,14 @@ package dse
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
 	"gemini/internal/arch"
 	"gemini/internal/dnn"
 	"gemini/internal/eval"
-	"gemini/internal/faultinject"
 	"gemini/internal/sa"
 )
-
-// chaosInjector builds the canonical persistence chaos schedule: the first
-// disk-cache save operation fails all three of its in-save attempts — the
-// first by panicking inside the saver, the other two with injected errors —
-// and every later save succeeds. A CacheDir sweep always makes at least two
-// saves (the coalesced incremental ones, at least one since every finished
-// candidate requests one, plus the final one), so the schedule fixes the
-// outcome however the incremental saves coalesce: exactly one failed save,
-// and never three in a row, so never degraded.
-func chaosInjector(seed int64) *faultinject.Injector {
-	return faultinject.New(seed,
-		faultinject.Rule{Point: faultinject.PointCacheSave, Kind: faultinject.KindPanic, On: []int{0}},
-		faultinject.Rule{Point: faultinject.PointCacheSave, Kind: faultinject.KindError, On: []int{1, 2}},
-	)
-}
-
-// TestChaosSweepBitIdentical: a CacheDir sweep whose disk-cache saver panics
-// and fails completes with results bit-identical to the fault-free run,
-// checkpoints every cell, accounts for exactly the failures the schedule
-// injected, and still leaves a loadable spill behind — persistence faults
-// degrade restart cost, never results.
-func TestChaosSweepBitIdentical(t *testing.T) {
-	cands := testCands()
-	models := []*dnn.Graph{testCNN, testTF}
-
-	for _, seed := range []int64{1, 2, 3} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			opt := testOptions()
-			opt.Seed = seed
-
-			baseline := NewSession().Run(cands, models, opt)
-
-			inj := chaosInjector(seed)
-			chaosOpt := opt
-			chaosOpt.CacheDir = t.TempDir()
-			chaosOpt.FaultInjector = inj
-			ses := NewSession()
-			results, stats, err := ses.RunContext(context.Background(), cands, models, chaosOpt)
-			if err != nil {
-				t.Fatalf("chaos sweep errored: %v", err)
-			}
-			resultsEqual(t, baseline, results, "chaos")
-			for i := range results {
-				if results[i].Status() != "ok" {
-					t.Errorf("candidate %s: status %q, want ok", results[i].Cfg.Name, results[i].Status())
-				}
-			}
-
-			if got := inj.Fired(faultinject.PointCacheSave); got != 3 {
-				t.Errorf("injector fired %d times, want 3", got)
-			}
-			if stats.PersistenceErrors != 1 || stats.PersistenceDegraded {
-				t.Errorf("persistence errors=%d degraded=%t, want 1 and false", stats.PersistenceErrors, stats.PersistenceDegraded)
-			}
-			if !strings.Contains(stats.LastPersistenceError, "faultinject") {
-				t.Errorf("LastPersistenceError = %q, want the injected error", stats.LastPersistenceError)
-			}
-			// The saver's panic is a persistence failure, not a cell's.
-			if stats.Panics != 0 {
-				t.Errorf("Panics = %d, want 0", stats.Panics)
-			}
-			if ses.CheckpointCells() != len(cands)*len(models) {
-				t.Errorf("checkpointed %d cells, want %d", ses.CheckpointCells(), len(cands)*len(models))
-			}
-			// A save after the failed one wrote the spill.
-			if n, err := NewSession().WarmDiskCache(chaosOpt.CacheDir); err != nil || n == 0 {
-				t.Errorf("spill after chaos: %d entries, %v", n, err)
-			}
-		})
-	}
-}
-
-// TestOptsFingerprintExcludesFaultFields pins checkpoint compatibility: the
-// fault injector must not enter the cell fingerprint, so cells computed
-// under a chaos schedule stay key-identical to production cells.
-func TestOptsFingerprintExcludesFaultFields(t *testing.T) {
-	opt := testOptions()
-	base := optsFingerprint(opt)
-
-	opt.FaultInjector = faultinject.New(99, faultinject.Rule{Point: faultinject.PointCacheSave, Count: 1})
-	if got := optsFingerprint(opt); got != base {
-		t.Errorf("the fault injector changed the fingerprint: %q vs %q", got, base)
-	}
-
-	// Sanity: a mapping-affecting field still does.
-	opt.Seed++
-	if got := optsFingerprint(opt); got == base {
-		t.Error("seed change did not move the fingerprint")
-	}
-}
 
 // TestPanicSurfacesAsTypedCellError: a panicking mapping pipeline fails its
 // cell — typed error, captured stack, counted in stats — and is never
@@ -219,57 +127,5 @@ func TestRealPanicRepeats(t *testing.T) {
 	}
 	if ses.CheckpointCells() != 1 {
 		t.Errorf("checkpointed %d cells, want only the healthy one", ses.CheckpointCells())
-	}
-}
-
-// TestPersistenceTracker pins the degradation state machine and the bounded
-// in-save retry of Do, including panic isolation of the save function.
-func TestPersistenceTracker(t *testing.T) {
-	var tr PersistenceTracker
-	boom := errors.New("disk full")
-	if tr.Fail(boom) || tr.Fail(boom) {
-		t.Error("degraded before the third consecutive failure")
-	}
-	if !tr.Fail(boom) {
-		t.Error("third consecutive failure did not report the degrade transition")
-	}
-	if tr.Fail(boom) {
-		t.Error("already-degraded tracker reported the transition again")
-	}
-	st := tr.State()
-	if !st.Degraded || st.Errors != 4 || st.LastError != "disk full" {
-		t.Errorf("state: %+v", st)
-	}
-	tr.OK()
-	if st = tr.State(); st.Degraded {
-		t.Error("success did not clear degraded mode")
-	}
-	if st.Errors != 4 {
-		t.Errorf("success reset the lifetime error count: %+v", st)
-	}
-
-	// Do masks failures that clear within its bounded retry...
-	calls := 0
-	err := tr.Do(func() error {
-		calls++
-		if calls < 3 {
-			return boom
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Errorf("Do = %v after %d calls, want nil after 3", err, calls)
-	}
-	// ...records ones that do not...
-	if err := tr.Do(func() error { return boom }); err == nil {
-		t.Error("exhausted Do returned nil")
-	}
-	if tr.State().Errors != 5 {
-		t.Errorf("errors = %d, want 5", tr.State().Errors)
-	}
-	// ...and recovers a panicking save instead of unwinding the saver
-	// goroutine.
-	if err := tr.Do(func() error { panic("saver bug") }); err == nil || !strings.Contains(err.Error(), "saver bug") {
-		t.Errorf("panicking save: %v", err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"gemini/internal/cost"
 	"gemini/internal/dnn"
 	"gemini/internal/eval"
-	"gemini/internal/faultinject"
 	"gemini/internal/graphpart"
 	"gemini/internal/sa"
 )
@@ -61,19 +60,6 @@ type Options struct {
 	// Candidates always dispatch in ascending lower-bound order, pruning or
 	// not, so the cheap candidates that tighten the incumbent run first.
 	Prune bool
-	// CacheDir, when set, backs the session's shared evaluation cache with a
-	// disk spill in this directory: RunContext warms the cache from the
-	// directory's spill file once per session, re-saves it in the background
-	// as candidates complete (coalesced off the result path, atomic rename),
-	// and saves a final snapshot when the sweep ends. Group results are
-	// keyed by stable (arch, graph, group) fingerprints, so a restarted
-	// process pointed at the same directory recomputes none of its
-	// predecessor's cached group evaluations. Serving from disk is
-	// bit-identical to recomputing, and the option never changes a mapping,
-	// so it is excluded from the checkpoint fingerprint. Not settable
-	// through the JSON sweep spec: where a server spills its cache is the
-	// operator's choice, not the client's.
-	CacheDir string `json:"-"`
 	// OnResult, when set, streams each candidate's result as soon as it
 	// completes (including pruned and errored candidates). Calls are
 	// serialized but arrive in completion order, not candidate order.
@@ -89,11 +75,6 @@ type Options struct {
 	// service keys server-side checkpoints by it. It only labels — it never
 	// changes a mapping — so it is excluded from the checkpoint fingerprint.
 	SweepID string `json:"sweep_id,omitempty"`
-	// FaultInjector, when non-nil, arms the deterministic fault-injection
-	// harness for chaos tests (see internal/faultinject) at the disk-cache
-	// saver. nil — the production state — is a pointer comparison per save
-	// and changes nothing.
-	FaultInjector *faultinject.Injector `json:"-"`
 	// Incumbent, when set, reads an external pruning incumbent (a fleet
 	// worker's cached fleet-wide best): the scheduler's incumbent is
 	// min(local best, Incumbent()) wherever it gates work — the pre-cell

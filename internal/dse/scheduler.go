@@ -70,16 +70,6 @@ type SweepStats struct {
 	// (empty when Panics == 0), so a one-off crash is diagnosable from the
 	// sweep record alone.
 	LastPanic string
-	// PersistenceErrors counts background persistence failures (disk-cache
-	// spill saves) during this sweep. The sweep itself keeps running on
-	// in-memory state; persistence failures degrade restart cost, never
-	// correctness.
-	PersistenceErrors int
-	// PersistenceDegraded reports that the persistence layer ended the
-	// sweep in degraded mode (several consecutive failed saves);
-	// LastPersistenceError is the most recent failure.
-	PersistenceDegraded  bool
-	LastPersistenceError string
 
 	// SeededIncumbent is the incumbent value restored from checkpointed
 	// cells before the first task ran (+Inf when nothing seeded).

@@ -22,7 +22,6 @@ import (
 	"gemini/internal/arch"
 	"gemini/internal/dnn"
 	"gemini/internal/eval"
-	"gemini/internal/faultinject"
 )
 
 // Session shares evaluation state across DSE runs. All methods are safe for
@@ -49,111 +48,53 @@ type Session struct {
 	// Tests replace it on the session they build, before its first sweep, to
 	// inject infrastructure failures and count calls.
 	mapModel func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Options, stop func() bool) (*MapResult, error)
-
-	diskMu     sync.Mutex
-	diskWarmed map[string]bool // cache dirs already loaded into this session
-
-	// persist tracks disk-cache spill health across the session's sweeps:
-	// failed saves degrade persistence (the sweep keeps running in memory),
-	// they never fail a sweep.
-	persist PersistenceTracker
 }
 
 // NewSession returns an empty session with a fresh shared cache.
 func NewSession() *Session {
 	return &Session{
-		cache:      eval.NewCache(),
-		evals:      make(map[uint64]*eval.Evaluator),
-		cells:      make(map[string]cellRecord),
-		diskWarmed: make(map[string]bool),
-		mapModel:   mapModelEval,
+		cache:    eval.NewCache(),
+		evals:    make(map[uint64]*eval.Evaluator),
+		cells:    make(map[string]cellRecord),
+		mapModel: mapModelEval,
 	}
 }
 
-// cacheFileName is the spill file a CacheDir holds.
+// cacheFileName is the spill file a cache directory holds.
 const cacheFileName = "evalcache.ndjson"
 
 // CachePath returns the spill file path for a cache directory, so CLIs and
-// tests can point at the exact file RunContext reads and writes.
+// tests can point at the exact file WarmDiskCache and SaveDiskCache use.
 func CachePath(dir string) string { return filepath.Join(dir, cacheFileName) }
 
-// WarmDiskCache loads the cache directory's spill file into the session's
-// shared evaluation cache, once per (session, directory) — later calls are
-// free no-ops. It is called automatically by RunContext when
-// Options.CacheDir is set; exposing it lets front ends warm before their
-// first sweep and report the entry count. A missing or damaged file
-// degrades to a cold cache and is never an error (per-entry corruption
-// tolerance lives in eval.Cache.LoadDisk); only real I/O failures surface.
+// WarmDiskCache merges the cache directory's spill file into the session's
+// shared evaluation cache and reports how many entries it added; entries
+// the session already holds are kept, so a second warm from the same file
+// adds nothing. Sweeps never touch the disk themselves: front ends warm
+// before their first sweep and call SaveDiskCache when they choose to. A
+// missing or damaged file degrades to a cold cache and is never an error
+// (per-entry corruption tolerance lives in eval.Cache.LoadDisk); only real
+// I/O failures surface.
 func (s *Session) WarmDiskCache(dir string) (int, error) {
-	s.diskMu.Lock()
-	defer s.diskMu.Unlock()
-	if s.diskWarmed[dir] {
-		return 0, nil
-	}
 	n, err := s.cache.LoadDisk(CachePath(dir))
-	if err != nil {
-		return 0, err
-	}
-	s.diskWarmed[dir] = true
 	if n > 0 {
 		s.logf("dse: warmed %d cached group evaluations from %s", n, CachePath(dir))
 	}
-	return n, nil
+	return n, err
 }
 
-// startCacheSaver spawns the coalesced background spill loop for one sweep:
-// poke requests a save (non-blocking, collapsing bursts into one write, the
-// same pattern the sweep service uses for checkpoints), stop drains the
-// loop and writes the final snapshot. Each save first merges the file's
-// current entries back into the cache and then snapshots it, so writers
-// with *different* caches sharing one directory (two processes, or two
-// sessions in one) converge on the union instead of last-writer-wins
-// discarding each other's work; SaveDisk renames atomically, so any complete
-// snapshot is valid. Saves run under the session's persistence
-// tracker: bounded in-save retry, then the failure is counted and the sweep
-// keeps running on its in-memory cache (degraded, never dead).
-func (s *Session) startCacheSaver(dir string, inj *faultinject.Injector) (poke, stop func()) {
-	req := make(chan struct{}, 1)
-	done := make(chan struct{})
-	save := func(label string) {
-		err := s.persist.Do(func() error {
-			if ierr := inj.Check(faultinject.PointCacheSave, dir); ierr != nil {
-				return ierr
-			}
-			if _, err := s.cache.LoadDisk(CachePath(dir)); err != nil {
-				return fmt.Errorf("merge: %w", err)
-			}
-			return s.cache.SaveDisk(CachePath(dir))
-		})
-		if err != nil {
-			st := s.persist.State()
-			s.logf("dse: %s cache save failed (errors %d, degraded %t): %v", label, st.Errors, st.Degraded, err)
-		}
+// SaveDiskCache spills the session's evaluation cache to the directory's
+// spill file. It first merges the file's current entries into the cache,
+// so writers with different caches sharing one directory (two processes, or
+// two sessions in one) converge on the union instead of the last writer
+// discarding the others' work; the write itself is an atomic rename, so any
+// complete snapshot is valid.
+func (s *Session) SaveDiskCache(dir string) error {
+	if _, err := s.cache.LoadDisk(CachePath(dir)); err != nil {
+		return fmt.Errorf("merge: %w", err)
 	}
-	go func() {
-		defer close(done)
-		for range req {
-			save("incremental")
-		}
-	}()
-	poke = func() {
-		select {
-		case req <- struct{}{}:
-		default: // a save is already pending; it will pick these entries up
-		}
-	}
-	stop = func() {
-		close(req)
-		<-done
-		save("final")
-	}
-	return poke, stop
+	return s.cache.SaveDisk(CachePath(dir))
 }
-
-// PersistenceState reports the session's disk-cache spill health: error
-// count, degraded flag, last failure. Sweep-scoped deltas land in
-// SweepStats; this is the session-lifetime view /healthz serves.
-func (s *Session) PersistenceState() PersistenceState { return s.persist.State() }
 
 // ResumedCells reports how many cells were served from the checkpoint
 // instead of being mapped, across the session's lifetime.
@@ -256,47 +197,9 @@ func (s *Session) RunContext(ctx context.Context, cands []arch.Config, models []
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var stopSaver func()
-	var persistBase int64
-	if dir := opt.CacheDir; dir != "" {
-		persistBase = s.persist.State().Errors
-		if _, err := s.WarmDiskCache(dir); err != nil {
-			s.persist.Fail(err)
-			s.logf("dse: disk cache warm failed, running cold: %v", err)
-		}
-		poke, stop := s.startCacheSaver(dir, opt.FaultInjector)
-		stopped := false
-		stopSaver = func() {
-			if !stopped {
-				stopped = true
-				stop()
-			}
-		}
-		defer stopSaver()
-		prev := opt.OnResult
-		opt.OnResult = func(cr CandidateResult) {
-			if prev != nil {
-				prev(cr)
-			}
-			poke()
-		}
-	}
 	sc := s.newScheduler(ctx, cands, models, opt)
 	results := sc.run()
 	sortResults(results)
-	if stopSaver != nil {
-		// Drain the saver before folding persistence health into the sweep's
-		// stats, so the final snapshot's outcome is counted too. The delta is
-		// best-effort under concurrent sweeps sharing the session (the
-		// tracker is session-wide); the degraded flag and last error are the
-		// current truth either way.
-		stopSaver()
-		if st := s.persist.State(); st.Errors > persistBase {
-			sc.stats.PersistenceErrors = int(st.Errors - persistBase)
-			sc.stats.PersistenceDegraded = st.Degraded
-			sc.stats.LastPersistenceError = st.LastError
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return results, sc.stats, fmt.Errorf("dse: sweep %s canceled: %w", sweepName(opt.SweepID), err)
 	}
@@ -570,14 +473,12 @@ func fnvWord(h, v uint64) uint64 {
 //
 //gemini:fingerprint-exclude Options
 var optsFingerprintExclusions = map[string]string{
-	"Workers":       "parallelism only; any worker count computes identical cells",
-	"Prune":         "pruning skips whole cells, it never changes a computed cell",
-	"CacheDir":      "storage location, not content; moving the cache must not invalidate it",
-	"OnResult":      "observer callback; notification cannot alter results",
-	"Dispatch":      "cell-feed wrapper; it schedules or withholds cells, never changes a computed cell",
-	"SweepID":       "labels the sweep — a renamed sweep must keep hitting its old cells",
-	"FaultInjector": "test-only chaos hook; production sweeps run with none installed",
-	"Incumbent":     "external pruning signal; like Prune it only skips whole cells, it never changes a computed cell",
+	"Workers":   "parallelism only; any worker count computes identical cells",
+	"Prune":     "pruning skips whole cells, it never changes a computed cell",
+	"OnResult":  "observer callback; notification cannot alter results",
+	"Dispatch":  "cell-feed wrapper; it schedules or withholds cells, never changes a computed cell",
+	"SweepID":   "labels the sweep — a renamed sweep must keep hitting its old cells",
+	"Incumbent": "external pruning signal; like Prune it only skips whole cells, it never changes a computed cell",
 }
 
 // optsFingerprint hashes every Options field the mapping result depends on.

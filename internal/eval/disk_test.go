@@ -228,8 +228,9 @@ func TestDiskV1FileLoadsCold(t *testing.T) {
 }
 
 // TestDiskConcurrentSaveLoad exercises save/load racing against live use of
-// the cache (run under -race in CI): the coalesced background saver snapshots
-// while evaluations insert and a second cache loads the latest spill.
+// the cache (run under -race in CI): a spill snapshots while evaluations
+// insert — one sweep's final spill runs while the server's other sweeps
+// still evaluate — and a second cache loads the latest spill.
 func TestDiskConcurrentSaveLoad(t *testing.T) {
 	cfg := arch.GArch72()
 	s := cacheTestScheme(t, &cfg)

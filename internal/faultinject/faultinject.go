@@ -1,9 +1,10 @@
 // Package faultinject is a deterministic fault-injection harness for the
 // sweep engine's chaos tests. An Injector holds a seeded schedule of rules
-// and is threaded — nil by default — through the persistence paths: the
-// disk-cache saver and the sweep service's checkpoint and status savers and
-// checkpoint loader. Those are the only places the engine does real I/O; a
-// (candidate, model) cell is a pure function of its inputs and has no hook.
+// and is threaded — nil by default — through the sweep service's
+// persistence paths: the cache spill, the checkpoint and status savers and
+// the startup checkpoint load. Those are the only places the engine does
+// real I/O; a (candidate, model) cell is a pure function of its inputs and
+// has no hook.
 // Call sites ask Check whether a fault fires at a named point; a firing rule
 // returns an error or panics, by rule kind. Decisions are pure functions of
 // (seed, point, key, occurrence index), so a fixed schedule replays
@@ -27,14 +28,14 @@ type Point string
 
 // The engine's hook points.
 const (
-	// PointCacheSave fires in the disk-cache spill saver; the key is the
+	// PointCacheSave fires in the sweep service's cache spill; the key is the
 	// cache directory.
 	PointCacheSave Point = "cache-save"
 	// PointCheckpointSave fires in the sweep service's checkpoint saver; the
-	// key is the sweep id.
+	// key is the checkpoint file's path.
 	PointCheckpointSave Point = "checkpoint-save"
-	// PointCheckpointLoad fires when a checkpoint is read for resume; the
-	// key is the sweep id.
+	// PointCheckpointLoad fires when the sweep service reads a checkpoint
+	// file at startup; the key is the file's path.
 	PointCheckpointLoad Point = "checkpoint-load"
 	// PointStatusSave fires in the sweep service's status saver; the key is
 	// the sweep id.

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"net/http"
 	"regexp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -51,12 +52,13 @@ type CoordinatorConfig struct {
 	// deterministically.
 	Now func() time.Time
 	// Persist, when set, receives the canonical merged checkpoint bytes
-	// each time a sweep completes; the sweep service points it at the same
-	// DataDir files /sweep checkpoints use.
+	// each time a sweep completes; the sweep service merges them into its
+	// session and writes them to DataDir/<id>.ckpt.
 	Persist func(sweepID string, checkpoint []byte)
 	// LoadCheckpoint, when set, is consulted at submit time for a prior
-	// checkpoint of the sweep id (nil means none); the sweep service wires
-	// it to DataDir so a re-submitted fleet sweep resumes its settled cells.
+	// checkpoint of the sweep id (nil means none), so a re-submitted fleet
+	// sweep resumes its settled cells; the sweep service answers from
+	// DataDir/<id>.ckpt, or from its session when a /sweep ran under the id.
 	LoadCheckpoint func(sweepID string) []byte
 }
 
@@ -86,6 +88,10 @@ type Coordinator struct {
 	order    []string // submission order; every map access walks this
 	leaseSeq int
 }
+
+// retiredFleetSweeps bounds the done sweeps a coordinator keeps: each pins
+// its merged checkpoint, and every request walks the registry.
+const retiredFleetSweeps = 1024
 
 type shardPhase int
 
@@ -250,6 +256,9 @@ func (c *Coordinator) logf(format string, args ...any) {
 func (c *Coordinator) reapLocked(now time.Time) {
 	for _, id := range c.order {
 		fs := c.sweeps[id]
+		if fs.done {
+			continue // every shard is done: nothing is leased
+		}
 		for i := range fs.shards {
 			sh := &fs.shards[i]
 			if sh.phase == shardLeased && now.After(sh.expires) {
@@ -323,19 +332,42 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	c.mu.Lock()
-	if _, dup := c.sweeps[fs.id]; dup {
+	if !c.admitLocked(fs) {
 		c.mu.Unlock()
-		writeError(w, http.StatusConflict, "fleet sweep %q already exists", fs.id)
+		writeError(w, http.StatusConflict, "fleet sweep %q is still running", fs.id)
 		return
 	}
-	c.sweeps[fs.id] = fs
-	c.order = append(c.order, fs.id)
 	st := c.statusLocked(fs)
 	c.mu.Unlock()
 
 	c.logf("fleet: sweep %s submitted: %d candidates x %d models in %d shards (%d cells resumed)",
 		fs.id, len(cands), len(graphs), len(parts), fs.ses.CheckpointCells())
 	writeJSON(w, http.StatusCreated, st)
+}
+
+// admitLocked registers a submitted sweep, reporting false while a running
+// sweep holds its id. A done sweep under the id is superseded — re-submitting
+// is how a client resumes, and LoadCheckpoint already seeded fs with the
+// prior cells — and the oldest done sweeps beyond retiredFleetSweeps are
+// evicted. Called with c.mu held.
+func (c *Coordinator) admitLocked(fs *fleetSweep) bool {
+	if old, dup := c.sweeps[fs.id]; dup {
+		if !old.done {
+			return false
+		}
+		c.order = slices.DeleteFunc(c.order, func(id string) bool { return id == fs.id })
+	}
+	c.sweeps[fs.id] = fs
+	c.order = append(c.order, fs.id)
+	for i := 0; len(c.order) > retiredFleetSweeps && i < len(c.order); {
+		if id := c.order[i]; c.sweeps[id].done {
+			delete(c.sweeps, id)
+			c.order = slices.Delete(c.order, i, i+1)
+			continue
+		}
+		i++
+	}
+	return true
 }
 
 // partition is the fleet's one sharding rule: it cuts n enumeration indices

@@ -404,6 +404,99 @@ func TestCoordinatorWire(t *testing.T) {
 	}
 }
 
+// TestResubmitDoneSweepResumes: a finished sweep's id is free again. The
+// re-submission supersedes the done record, LoadCheckpoint seeds it with
+// the cells Persist received, and the second drain restores every cell
+// without annealing; a running id still answers 409.
+func TestResubmitDoneSweepResumes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real sweeps")
+	}
+	spec := parseSpec(t, testSpecJSON("again"))
+	var mu sync.Mutex
+	saved := make(map[string][]byte)
+	coord := NewCoordinator(CoordinatorConfig{
+		LeaseTTL: time.Minute,
+		Logf:     t.Logf,
+		Persist: func(id string, data []byte) {
+			mu.Lock()
+			saved[id] = data
+			mu.Unlock()
+		},
+		LoadCheckpoint: func(id string) []byte {
+			mu.Lock()
+			defer mu.Unlock()
+			return saved[id]
+		},
+	})
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+	drain := func() SweepStatus {
+		t.Helper()
+		if err := RunWorker(context.Background(), WorkerConfig{Coordinator: srv.URL, Name: "w", ExitWhenIdle: true, Logf: t.Logf}); err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+		st, _ := coord.Status("again")
+		if st.State != "done" {
+			t.Fatalf("sweep not done after drain: %+v", st)
+		}
+		return st
+	}
+
+	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: 2}, nil); code != http.StatusCreated {
+		t.Fatalf("submit answered %d", code)
+	}
+	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: 2}, nil); code != http.StatusConflict {
+		t.Fatalf("resubmitting a running id answered %d, want 409", code)
+	}
+	first := drain()
+
+	var st SweepStatus
+	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: 2}, &st); code != http.StatusCreated {
+		t.Fatalf("resubmitting a done id answered %d, want 201", code)
+	}
+	if st.State != "running" || st.CheckpointCells != st.Cells {
+		t.Fatalf("superseding record = %+v, want running with all %d cells settled", st, st.Cells)
+	}
+	second := drain()
+	if second.Stats.ResumedCells != second.Cells || second.Stats.SAIterations != 0 || second.Stats.RecomputedSettledCells != 0 {
+		t.Errorf("resubmission recomputed work: %+v", second.Stats)
+	}
+	if second.Incumbent.Objective != first.Incumbent.Objective {
+		t.Errorf("resubmitted best %v, first %v", second.Incumbent.Objective, first.Incumbent.Objective)
+	}
+	if h := coord.Health(); h.Sweeps != 1 {
+		t.Errorf("registry holds %d sweeps after a resubmission, want 1", h.Sweeps)
+	}
+}
+
+// TestDoneSweepsEvicted: the registry keeps at most retiredFleetSweeps
+// sweeps once they are done — the oldest done ones go first, running ones
+// never.
+func TestDoneSweepsEvicted(t *testing.T) {
+	coord := NewCoordinator(CoordinatorConfig{})
+	coord.sweeps["live"] = &fleetSweep{id: "live"}
+	coord.order = append(coord.order, "live")
+	for i := 0; i < retiredFleetSweeps; i++ {
+		id := fmt.Sprintf("done-%04d", i)
+		coord.sweeps[id] = &fleetSweep{id: id, done: true}
+		coord.order = append(coord.order, id)
+	}
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: parseSpec(t, testSpecJSON("fresh")), Shards: 1}, nil); code != http.StatusCreated {
+		t.Fatalf("submit answered %d", code)
+	}
+	if len(coord.order) != retiredFleetSweeps || len(coord.sweeps) != retiredFleetSweeps {
+		t.Fatalf("registry holds %d ids (%d records), want %d", len(coord.order), len(coord.sweeps), retiredFleetSweeps)
+	}
+	for id, want := range map[string]bool{"live": true, "fresh": true, "done-0000": false, "done-0001": false, "done-0002": true} {
+		if _, ok := coord.sweeps[id]; ok != want {
+			t.Errorf("sweep %s kept=%t, want %t", id, ok, want)
+		}
+	}
+}
+
 // TestExchange checks the worker-side incumbent cache: +Inf initial state
 // and monotone folding.
 func TestExchange(t *testing.T) {

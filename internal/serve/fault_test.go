@@ -1,26 +1,192 @@
-// Fault-tolerance tests of the sweep service: saver failures and degraded
-// persistence, corrupt-checkpoint quarantine, handler-level panic isolation,
-// and the /healthz fault counters.
+// Fault-tolerance tests of the sweep service: seeded persistence chaos,
+// saver failures and degraded persistence, corrupt-checkpoint quarantine,
+// handler-level panic isolation, and the /healthz fault counters.
 package serve
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"gemini/internal/atomicfile"
+	"gemini/internal/dse"
 	"gemini/internal/faultinject"
 )
 
-// TestResumeAfterSaverFailures pins the satellite acceptance criterion: a
-// sweep whose first checkpoint save fails (after its bounded in-save
-// retries) still completes and still persists — a later save covers the
-// tail — so a restarted server resumes it with zero settled-cell recompute.
+// chaosInjector builds the canonical persistence chaos schedule: the first
+// cache-spill save fails all three of its in-save attempts — the first by
+// panicking inside the save, the other two with injected errors — and every
+// later spill succeeds. A sweep spills exactly once, at its final flush, so
+// the schedule alone fixes the outcome: one failed save in the first sweep,
+// never three in a row, so never degraded.
+func chaosInjector(seed int64) *faultinject.Injector {
+	return faultinject.New(seed,
+		faultinject.Rule{Point: faultinject.PointCacheSave, Kind: faultinject.KindPanic, On: []int{0}},
+		faultinject.Rule{Point: faultinject.PointCacheSave, Kind: faultinject.KindError, On: []int{1, 2}},
+	)
+}
+
+// resultsByArch indexes a stream's result events by candidate name.
+func resultsByArch(events []Event) map[string]CandidateSummary {
+	out := make(map[string]CandidateSummary)
+	for _, ev := range events {
+		if ev.Type == "result" {
+			out[ev.Result.Arch] = *ev.Result
+		}
+	}
+	return out
+}
+
+// getHealth reads /healthz.
+func getHealth(t *testing.T, url string) Health {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h Health
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestChaosSweepBitIdentical: on a DataDir + CacheDir server whose cache
+// spill panics and fails, a sweep completes with results bit-identical to a
+// fault-free server's, accounts for exactly the failure the schedule
+// injected, and the server does not end degraded; the next sweep's spill
+// succeeds and a restarted server loads it — persistence faults degrade
+// restart cost, never results.
+func TestChaosSweepBitIdentical(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			spec := tinySpec("chaos", 8, 16, 32, 64)
+			spec.Models = []string{"tinycnn", "tinytransformer"}
+			spec.Seed = seed
+			_, clean := newTestServer(t, Config{})
+			want := runSweep(t, clean.URL, spec)
+
+			dataDir, cacheDir := t.TempDir(), t.TempDir()
+			inj := chaosInjector(seed)
+			_, hs := newTestServer(t, Config{DataDir: dataDir, CacheDir: cacheDir, FaultInjector: inj})
+			got := runSweep(t, hs.URL, spec)
+			done := got[len(got)-1]
+			if done.Type != "done" {
+				t.Fatalf("chaos sweep ended with %+v", done)
+			}
+			if w, g := resultsByArch(want), resultsByArch(got); !reflect.DeepEqual(w, g) {
+				t.Errorf("chaos results differ from the fault-free server's:\n got %+v\nwant %+v", g, w)
+			}
+			if wantBest := want[len(want)-1].Best; !reflect.DeepEqual(done.Best, wantBest) {
+				t.Errorf("chaos best %+v, want %+v", done.Best, wantBest)
+			}
+			if inj.Fired(faultinject.PointCacheSave) != 3 {
+				t.Errorf("injector fired %d times, want 3", inj.Fired(faultinject.PointCacheSave))
+			}
+			st := done.Stats
+			if st.PersistenceErrors != 1 || st.PersistenceDegraded || !strings.Contains(st.LastPersistenceError, "faultinject") {
+				t.Errorf("persistence errors=%d degraded=%t last=%q, want 1, false and the injected error",
+					st.PersistenceErrors, st.PersistenceDegraded, st.LastPersistenceError)
+			}
+			// The spill's panic is a persistence failure, not a cell's.
+			if st.Panics != 0 {
+				t.Errorf("Panics = %d, want 0", st.Panics)
+			}
+
+			next := spec
+			next.ID, next.Seed = "chaos-next", seed+100
+			if again := runSweep(t, hs.URL, next); again[len(again)-1].Stats.PersistenceErrors != 0 {
+				t.Errorf("the second sweep's spill failed: %+v", again[len(again)-1].Stats)
+			}
+			h := getHealth(t, hs.URL)
+			if h.Persistence.Errors != 1 || h.Persistence.Degraded || h.PersistenceDegraded {
+				t.Errorf("healthz persistence %+v degraded=%t, want 1 error and not degraded", h.Persistence, h.PersistenceDegraded)
+			}
+			if h.Sessions[0].CheckpointCells != 2*st.Cells {
+				t.Errorf("session holds %d cells, want %d", h.Sessions[0].CheckpointCells, 2*st.Cells)
+			}
+			hs.Close()
+
+			_, restarted := newTestServer(t, Config{DataDir: dataDir, CacheDir: cacheDir})
+			if h := getHealth(t, restarted.URL); h.Sessions[0].CacheDiskLoaded == 0 {
+				t.Error("the spill written after the failed one did not load")
+			}
+			redone := runSweep(t, restarted.URL, spec)
+			if st := redone[len(redone)-1].Stats; st.ResumedCells != st.Cells {
+				t.Errorf("restart resumed %d of %d cells", st.ResumedCells, st.Cells)
+			}
+		})
+	}
+}
+
+// TestPersistenceTracker pins the degradation state machine and the bounded
+// in-save retry of Do, including panic isolation of the save function.
+func TestPersistenceTracker(t *testing.T) {
+	var tr PersistenceTracker
+	boom := errors.New("disk full")
+	if tr.Fail(boom) || tr.Fail(boom) {
+		t.Error("degraded before the third consecutive failure")
+	}
+	if !tr.Fail(boom) {
+		t.Error("third consecutive failure did not report the degrade transition")
+	}
+	if tr.Fail(boom) {
+		t.Error("already-degraded tracker reported the transition again")
+	}
+	st := tr.State()
+	if !st.Degraded || st.Errors != 4 || st.LastError != "disk full" {
+		t.Errorf("state: %+v", st)
+	}
+	tr.OK()
+	if st = tr.State(); st.Degraded {
+		t.Error("success did not clear degraded mode")
+	}
+	if st.Errors != 4 {
+		t.Errorf("success reset the lifetime error count: %+v", st)
+	}
+
+	// Do masks failures that clear within its bounded retry...
+	calls := 0
+	err := tr.Do(func() error {
+		calls++
+		if calls < 3 {
+			return boom
+		}
+		return nil
+	})
+	if err != nil || calls != 3 {
+		t.Errorf("Do = %v after %d calls, want nil after 3", err, calls)
+	}
+	// ...records ones that do not...
+	if err := tr.Do(func() error { return boom }); err == nil {
+		t.Error("exhausted Do returned nil")
+	}
+	if tr.State().Errors != 5 {
+		t.Errorf("errors = %d, want 5", tr.State().Errors)
+	}
+	// ...and recovers a panicking save instead of unwinding the saver
+	// goroutine.
+	if err := tr.Do(func() error { panic("saver bug") }); err == nil || !strings.Contains(err.Error(), "saver bug") {
+		t.Errorf("panicking save: %v", err)
+	}
+}
+
+// TestResumeAfterSaverFailures: a server whose first checkpoint save fails
+// (after its bounded in-save retries) keeps serving and keeps persisting — a
+// later save covers the lost one — so a restarted server resumes the sweep
+// with zero settled-cell recompute. The failed save may be the sweep's own
+// final flush, so a second sweep on the same server guarantees the later
+// save.
 func TestResumeAfterSaverFailures(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec("flaky-save", 8, 16, 32, 64)
@@ -46,6 +212,10 @@ func TestResumeAfterSaverFailures(t *testing.T) {
 	if !strings.Contains(done.Stats.LastPersistenceError, "faultinject") {
 		t.Errorf("last_persistence_error = %q, want the injected error", done.Stats.LastPersistenceError)
 	}
+	other := runSweep(t, hsA.URL, tinySpec("later", 128))
+	if st := other[len(other)-1].Stats; st.PersistenceErrors != 0 {
+		t.Errorf("the later sweep's saves failed: %+v", st)
+	}
 	hsA.Close()
 
 	_, hsB := newTestServer(t, Config{DataDir: dir})
@@ -61,50 +231,92 @@ func TestResumeAfterSaverFailures(t *testing.T) {
 	}
 }
 
-// TestSweepSurvivesDeadPersistence: when every checkpoint and status save
-// fails, the sweep still streams to completion — persistence degrades,
-// /healthz says so, the work is not lost to the client.
+// writeSessionCheckpoint sweeps spec in a fresh dse.Session and writes its
+// cells to path with Session.SaveCheckpoint — the bytes an older server's
+// per-sweep <id>.ckpt or a fleet sweep's checkpoint hold.
+func writeSessionCheckpoint(t *testing.T, path string, spec dse.Spec) {
+	t.Helper()
+	cands, err := spec.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, err := spec.Graphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses := dse.NewSession()
+	if dse.Best(ses.Run(cands, graphs, spec.Options())) == nil {
+		t.Fatal("checkpointed sweep found no feasible candidate")
+	}
+	if err := atomicfile.Write(path, ses.SaveCheckpoint); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkpointFiles lists the *.ckpt files in dir by base name.
+func checkpointFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range paths {
+		paths[i] = filepath.Base(p)
+	}
+	return paths
+}
+
+// TestSweepSurvivesDeadPersistence: when the startup load and every
+// checkpoint and status save fail, sweeps still stream to completion — they
+// recompute what the unreadable checkpoint held, persistence degrades,
+// /healthz says so, and the work is not lost to the client.
 func TestSweepSurvivesDeadPersistence(t *testing.T) {
 	dir := t.TempDir()
+	spec := tinySpec("doomed-saves", 8, 16, 32, 64)
+	writeSessionCheckpoint(t, filepath.Join(dir, "old.ckpt"), spec)
 	inj := faultinject.New(1,
+		faultinject.Rule{Point: faultinject.PointCheckpointLoad, Kind: faultinject.KindError, Count: 1 << 20},
 		faultinject.Rule{Point: faultinject.PointCheckpointSave, Kind: faultinject.KindError, Count: 1 << 20},
 		faultinject.Rule{Point: faultinject.PointStatusSave, Kind: faultinject.KindError, Count: 1 << 20},
 	)
 	_, hs := newTestServer(t, Config{DataDir: dir, FaultInjector: inj})
-	events := runSweep(t, hs.URL, tinySpec("doomed-saves", 8, 16, 32, 64))
-	done := events[len(events)-1]
-	if done.Type != "done" {
-		t.Fatalf("sweep with dead persistence ended with %q: %+v", done.Type, done)
+	if inj.Fired(faultinject.PointCheckpointLoad) != 1 {
+		t.Errorf("startup attempted %d checkpoint loads, want 1", inj.Fired(faultinject.PointCheckpointLoad))
 	}
-	if done.Stats.PersistenceErrors < 2 {
-		t.Errorf("persistence_errors = %d, want >= 2 (incremental + final)", done.Stats.PersistenceErrors)
+	for _, sp := range []dse.Spec{spec, tinySpec("doomed-too", 128)} {
+		events := runSweep(t, hs.URL, sp)
+		done := events[len(events)-1]
+		if done.Type != "done" {
+			t.Fatalf("sweep with dead persistence ended with %q: %+v", done.Type, done)
+		}
+		if done.Stats.ResumedCells != 0 {
+			t.Errorf("%s restored %d cells from a checkpoint that never loaded", sp.ID, done.Stats.ResumedCells)
+		}
+		if done.Stats.PersistenceErrors < 1 {
+			t.Errorf("%s: persistence_errors = %d, want >= 1 (the final flush)", sp.ID, done.Stats.PersistenceErrors)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "doomed-saves.ckpt")); !os.IsNotExist(err) {
-		t.Errorf("checkpoint file exists despite every save failing (stat err %v)", err)
+	// The unreadable file is left alone (it is not corrupt), and no save
+	// ever landed.
+	if got := checkpointFiles(t, dir); !reflect.DeepEqual(got, []string{"old.ckpt"}) {
+		t.Errorf("checkpoint files %v, want only the untouched old.ckpt", got)
 	}
 
-	// By now checkpoint saves and the status save have all failed — three or
+	// Two final flushes and two status saves have failed by now — four or
 	// more consecutive failures — so the server must report degradation.
-	resp, err := http.Get(hs.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
+	h := getHealth(t, hs.URL)
 	if !h.PersistenceDegraded || !h.Persistence.Degraded {
 		t.Errorf("healthz does not report degraded persistence: %+v", h.Persistence)
 	}
-	if h.Persistence.Errors < 3 || h.Persistence.LastError == "" {
+	if h.Persistence.Errors < 4 || h.Persistence.LastError == "" {
 		t.Errorf("healthz persistence accounting: %+v", h.Persistence)
 	}
 }
 
-// TestCorruptCheckpointQuarantined: a damaged checkpoint file must not fail
-// the sweep — it is moved aside to <name>.corrupt, the sweep resumes cold,
-// and the completion save writes a fresh valid checkpoint.
+// TestCorruptCheckpointQuarantined: a damaged checkpoint file in DataDir
+// must not fail startup or the sweeps — the startup load moves it aside to
+// <name>.corrupt, still merges its healthy neighbours, the sweep runs cold,
+// and the final flush writes a fresh checkpoint a restart resumes from.
 func TestCorruptCheckpointQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	const id = "damaged"
@@ -112,8 +324,23 @@ func TestCorruptCheckpointQuarantined(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, id+".ckpt"), garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	healthy := tinySpec("healthy", 16)
+	writeSessionCheckpoint(t, filepath.Join(dir, "healthy.ckpt"), healthy)
 
 	_, hs := newTestServer(t, Config{DataDir: dir})
+	kept, err := os.ReadFile(filepath.Join(dir, id+".ckpt.corrupt"))
+	if err != nil {
+		t.Fatalf("startup did not quarantine the damaged file: %v", err)
+	}
+	if !bytes.Equal(kept, garbage) {
+		t.Error("quarantine did not preserve the damaged bytes")
+	}
+	if got := checkpointFiles(t, dir); !reflect.DeepEqual(got, []string{"healthy.ckpt"}) {
+		t.Errorf("checkpoint files after startup %v, want only healthy.ckpt", got)
+	}
+	if ev := runSweep(t, hs.URL, healthy); ev[len(ev)-1].Stats.ResumedCells != 1 {
+		t.Errorf("the healthy neighbour's cell was not merged: %+v", ev[len(ev)-1].Stats)
+	}
 	events := runSweep(t, hs.URL, tinySpec(id, 32, 64))
 	if events[0].CheckpointCells != 0 {
 		t.Errorf("start reports %d checkpoint cells from a corrupt file, want 0", events[0].CheckpointCells)
@@ -122,14 +349,8 @@ func TestCorruptCheckpointQuarantined(t *testing.T) {
 	if done.Type != "done" || done.Stats.ResumedCells != 0 {
 		t.Fatalf("corrupt-checkpoint sweep: %+v", done)
 	}
+	hs.Close()
 
-	kept, err := os.ReadFile(filepath.Join(dir, id+".ckpt.corrupt"))
-	if err != nil {
-		t.Fatalf("quarantine file missing: %v", err)
-	}
-	if !bytes.Equal(kept, garbage) {
-		t.Error("quarantine did not preserve the damaged bytes")
-	}
 	// The fresh checkpoint is valid: a restart resumes from it.
 	_, hsB := newTestServer(t, Config{DataDir: dir})
 	second := runSweep(t, hsB.URL, tinySpec(id, 32, 64))

@@ -1,22 +1,34 @@
 package serve
 
 import (
+	"bytes"
 	"io"
 	"os"
+	"path/filepath"
 
 	"gemini/internal/atomicfile"
 	"gemini/internal/fleet"
 )
 
-// persistFleetCheckpoint writes a completed fleet sweep's canonical merged
-// checkpoint to the same DataDir file a /sweep checkpoint of that id would
-// use (atomic temp+rename, persistence-tracker accounting). A fleet sweep
-// and a later /sweep of the same spec therefore resume each other's cells.
+// fleetCheckpointPath maps a fleet sweep id to its DataDir checkpoint.
+func (s *Server) fleetCheckpointPath(id string) string {
+	return filepath.Join(s.cfg.DataDir, id+".ckpt")
+}
+
+// persistFleetCheckpoint merges a completed fleet sweep's canonical
+// checkpoint into the server's session, so a /sweep of the same spec
+// restores its cells at once, and writes it to DataDir/<id>.ckpt (atomic
+// temp+rename, persistence-tracker accounting), which every later server
+// start merges too. A fleet sweep and a /sweep of the same spec therefore
+// resume each other's cells.
 func (s *Server) persistFleetCheckpoint(id string, data []byte) {
-	path := s.checkpointPath(id)
-	if path == "" {
+	if err := s.ses.LoadCheckpoint(bytes.NewReader(data)); err != nil {
+		s.logf("serve: fleet sweep %s: checkpoint merge failed: %v", id, err)
+	}
+	if s.cfg.DataDir == "" {
 		return
 	}
+	path := s.fleetCheckpointPath(id)
 	write := func() error {
 		return atomicfile.Write(path, func(w io.Writer) error {
 			_, err := w.Write(data)
@@ -31,22 +43,29 @@ func (s *Server) persistFleetCheckpoint(id string, data []byte) {
 }
 
 // loadFleetCheckpoint hands the coordinator a prior checkpoint for a
-// submitted fleet sweep id, if one is on disk; a re-submitted fleet sweep
-// then starts from its predecessor's settled cells.
+// submitted fleet sweep id: the fleet sweep's own <id>.ckpt if one is on
+// disk, else — when a /sweep ran under that id — the session's cells, which
+// are what that sweep's checkpoint holds. A re-submitted fleet sweep, or a
+// fleet sweep continuing a /sweep, then starts from the settled cells; a new
+// id starts from nothing.
 func (s *Server) loadFleetCheckpoint(id string) []byte {
-	path := s.checkpointPath(id)
-	if path == "" {
+	if s.cfg.DataDir != "" {
+		if b, err := os.ReadFile(s.fleetCheckpointPath(id)); err == nil {
+			return b
+		}
+	}
+	if _, ok := s.lookup(id); !ok {
 		return nil
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := s.ses.SaveCheckpoint(&buf); err != nil {
 		return nil
 	}
-	return b
+	return buf.Bytes()
 }
 
 // newFleetCoordinator builds the server's fleet coordinator, bound to the
-// server's logging, grid cap and DataDir persistence.
+// server's logging, grid cap, session and DataDir persistence.
 func (s *Server) newFleetCoordinator() *fleet.Coordinator {
 	return fleet.NewCoordinator(fleet.CoordinatorConfig{
 		LeaseTTL:       s.cfg.FleetLeaseTTL,

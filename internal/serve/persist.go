@@ -1,0 +1,285 @@
+// Server persistence: everything the server writes to disk on behalf of
+// /sweep goes through one persister. Sweeps only compute — cells settle in
+// the server's dse.Session and group summaries in its evaluation cache —
+// and the persister decides when that state reaches disk: one checkpoint
+// file per DataDir, kept current by one coalescing saver goroutine and
+// flushed synchronously at the points a sweep promises durability, and the
+// evaluation-cache spill in CacheDir, rewritten once per finished sweep.
+package serve
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+	"time"
+
+	"gemini/internal/atomicfile"
+	"gemini/internal/dse"
+	"gemini/internal/faultinject"
+)
+
+// checkpointName is the server's one checkpoint file in DataDir. Sweep ids
+// cannot start with '_' (sweepIDPattern), so it never collides with a fleet
+// sweep's <id>.ckpt.
+const checkpointName = "_session.ckpt"
+
+// persister owns a server's checkpoint file, its saver and its cache spill.
+// Its embedded tracker accounts for every save the server makes —
+// checkpoints, status records, fleet checkpoints and spills. Without
+// DataDir and CacheDir it does nothing: no goroutine, no file access.
+type persister struct {
+	PersistenceTracker
+
+	ses      *dse.Session
+	dataDir  string
+	cacheDir string
+	inj      *faultinject.Injector
+	logf     func(format string, args ...any)
+
+	// req holds the one pending checkpoint save (nil without DataDir, which
+	// makes poke a no-op); done closes when the saver goroutine returns.
+	req  chan struct{}
+	done chan struct{}
+	// mu serializes checkpoint writes, so at most one is in flight.
+	mu sync.Mutex
+}
+
+// newPersister loads what the server's directories already hold into ses
+// and, with a DataDir, starts the saver, which runs until ctx ends.
+func newPersister(ctx context.Context, ses *dse.Session, cfg Config, logf func(format string, args ...any)) *persister {
+	p := &persister{ses: ses, dataDir: cfg.DataDir, cacheDir: cfg.CacheDir, inj: cfg.FaultInjector, logf: logf}
+	if p.cacheDir != "" {
+		if _, err := ses.WarmDiskCache(p.cacheDir); err != nil {
+			p.Fail(err)
+			logf("serve: disk cache warm failed, running cold: %v", err)
+		}
+	}
+	if p.dataDir != "" {
+		p.loadCheckpoints()
+		p.req = make(chan struct{}, 1)
+		p.done = make(chan struct{})
+		go p.run(ctx)
+	}
+	return p
+}
+
+// loadCheckpoints merges every *.ckpt in DataDir into the session, in Glob
+// order: the server's own file, and the per-sweep and fleet checkpoints
+// other servers left there. Sweeps never read checkpoint files, so this is
+// the one load. A failed read skips its file; a file that does not decode
+// is quarantined to <name>.corrupt, keeping the damaged bytes for diagnosis.
+func (p *persister) loadCheckpoints() {
+	paths, err := filepath.Glob(filepath.Join(p.dataDir, "*.ckpt"))
+	if err != nil {
+		p.logf("serve: listing checkpoints in %s: %v", p.dataDir, err)
+		return
+	}
+	for _, path := range paths {
+		if err := p.loadCheckpoint(path); err != nil {
+			p.logf("serve: checkpoint %s not loaded: %v", path, err)
+		}
+	}
+	if len(paths) > 0 {
+		p.logf("serve: %d settled cells from %d checkpoint files in %s", p.ses.CheckpointCells(), len(paths), p.dataDir)
+	}
+}
+
+func (p *persister) loadCheckpoint(path string) error {
+	if ierr := p.inj.Check(faultinject.PointCheckpointLoad, path); ierr != nil {
+		return ierr
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	lerr := p.ses.LoadCheckpoint(f)
+	f.Close()
+	if lerr == nil {
+		return nil
+	}
+	quarantine := path + ".corrupt"
+	if rerr := os.Rename(path, quarantine); rerr != nil {
+		return fmt.Errorf("corrupt, and quarantine failed (%v): %w", rerr, lerr)
+	}
+	return fmt.Errorf("corrupt, quarantined to %s: %w", quarantine, lerr)
+}
+
+// run is the saver: it turns pokes into checkpoint saves until ctx ends.
+func (p *persister) run(ctx context.Context) {
+	defer close(p.done)
+	for {
+		select {
+		case <-p.req:
+			p.flush("incremental")
+		case <-ctx.Done():
+			return
+		}
+	}
+}
+
+// poke asks the saver for a checkpoint save without waiting for it, so it
+// is safe on the result path. A poke while a save is pending joins that
+// save.
+func (p *persister) poke() {
+	select {
+	case p.req <- struct{}{}:
+	default:
+	}
+}
+
+// flush writes the session's settled cells to the checkpoint file on the
+// caller's goroutine: every cell settled before the call is on disk when it
+// returns (or the failure is counted). The snapshot is taken after the
+// pending poke is absorbed, so it covers every cell that poke announced.
+func (p *persister) flush(label string) {
+	if p.dataDir == "" {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	select {
+	case <-p.req:
+	default:
+	}
+	path := filepath.Join(p.dataDir, checkpointName)
+	err := p.Do(func() error {
+		if ierr := p.inj.Check(faultinject.PointCheckpointSave, path); ierr != nil {
+			return ierr
+		}
+		return atomicfile.Write(path, p.ses.SaveCheckpoint)
+	})
+	if err != nil {
+		st := p.State()
+		p.logf("serve: %s checkpoint save failed (errors %d, degraded %t): %v", label, st.Errors, st.Degraded, err)
+	}
+}
+
+// spill merges and rewrites the evaluation-cache spill in CacheDir. It runs
+// once per finished sweep, never per result: the spill is a recomputable
+// cache, and rewriting it per candidate cost more than the sweep.
+func (p *persister) spill() {
+	if p.cacheDir == "" {
+		return
+	}
+	err := p.Do(func() error {
+		if ierr := p.inj.Check(faultinject.PointCacheSave, p.cacheDir); ierr != nil {
+			return ierr
+		}
+		return p.ses.SaveDiskCache(p.cacheDir)
+	})
+	if err != nil {
+		st := p.State()
+		p.logf("serve: cache spill failed (errors %d, degraded %t): %v", st.Errors, st.Degraded, err)
+	}
+}
+
+// wait returns once the saver goroutine has stopped.
+func (p *persister) wait() {
+	if p.done != nil {
+		<-p.done
+	}
+}
+
+// persistDegradeAfter is how many consecutive persistence failures flip a
+// tracker into degraded mode (a single hiccup on a healthy disk is not a
+// degradation).
+const persistDegradeAfter = 3
+
+// persistSaveAttempts bounds the in-save retry loop of one persistence
+// write; persistRetryDelay is the pause before the first in-save retry
+// (doubling after).
+const (
+	persistSaveAttempts = 3
+	persistRetryDelay   = 5 * time.Millisecond
+)
+
+// PersistenceState is a point-in-time snapshot of the server's persistence
+// health, reported by /healthz.
+type PersistenceState struct {
+	// Errors counts failed save operations (after their bounded in-save
+	// retries) since the tracker was created.
+	Errors int64 `json:"errors"`
+	// Degraded reports persistDegradeAfter or more consecutive failures:
+	// sweeps keep running with in-memory state only, and the next
+	// successful save clears the flag.
+	Degraded bool `json:"degraded"`
+	// LastError is the most recent failure's message, empty when none has
+	// occurred yet.
+	LastError string `json:"last_error,omitempty"`
+}
+
+// PersistenceTracker accounts for persistence failures (checkpoint, status
+// and cache-spill saves) without ever failing the sweep they serve:
+// persistence is an optimization, losing it degrades restart cost, not
+// correctness. The zero value is ready to use; all methods are safe for
+// concurrent use.
+type PersistenceTracker struct {
+	mu          sync.Mutex
+	errors      int64
+	consecutive int
+	degraded    bool
+	lastErr     string
+}
+
+// Fail records a failed save and reports whether the tracker just entered
+// degraded mode (so the caller can log the transition once).
+func (t *PersistenceTracker) Fail(err error) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.errors++
+	t.consecutive++
+	t.lastErr = err.Error()
+	if !t.degraded && t.consecutive >= persistDegradeAfter {
+		t.degraded = true
+		return true
+	}
+	return false
+}
+
+// OK records a successful save, clearing the consecutive-failure streak and
+// the degraded flag.
+func (t *PersistenceTracker) OK() {
+	t.mu.Lock()
+	t.consecutive = 0
+	t.degraded = false
+	t.mu.Unlock()
+}
+
+// State snapshots the tracker.
+func (t *PersistenceTracker) State() PersistenceState {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return PersistenceState{Errors: t.errors, Degraded: t.degraded, LastError: t.lastErr}
+}
+
+// Do runs one persistence save under the tracker's bounded-retry
+// discipline: up to persistSaveAttempts attempts with a short doubling
+// pause, then the failure is recorded (possibly entering degraded mode) and
+// returned for logging. A success clears the streak. The sweep the save
+// serves never sees the error. A panicking save is recovered into a failed
+// attempt: the saver runs on a background goroutine where an escaped panic
+// would kill the process, and persistence is never worth that.
+func (t *PersistenceTracker) Do(save func() error) error {
+	guarded := func() (err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				err = fmt.Errorf("save panicked: %v", v)
+			}
+		}()
+		return save()
+	}
+	var err error
+	for a := 0; a < persistSaveAttempts; a++ {
+		if a > 0 {
+			time.Sleep(persistRetryDelay << uint(a-1))
+		}
+		if err = guarded(); err == nil {
+			t.OK()
+			return nil
+		}
+	}
+	t.Fail(err)
+	return err
+}

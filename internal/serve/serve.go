@@ -17,10 +17,12 @@
 //	GET    /healthz             liveness plus session-cache, incumbent and
 //	                            queue metrics
 //
-// Sweeps are checkpointed server-side per sweep id (Config.DataDir): every
-// settled (candidate, model) cell is persisted as it completes, so a killed
-// client that re-POSTs its spec under the same id — or a restarted server —
-// resumes from the checkpoint and recomputes none of the finished cells.
+// Sweeps compute and the server persists (Config.DataDir): one checkpoint
+// file per DataDir holds every settled (candidate, model) cell of every
+// sweep, kept current by one saver and flushed before each sweep's terminal
+// event. A restarted server merges it — and any other *.ckpt in the
+// directory — into its session at startup, so a re-POSTed spec, under any
+// id, recomputes none of the finished cells.
 //
 // Execution is gated by a multi-tenant job queue over a fixed worker-slot
 // pool: interactive sweeps dispatch ahead of batch sweeps, tenants share
@@ -80,7 +82,8 @@ type Config struct {
 	// MaxCells caps a single sweep's (candidate, model) grid (default
 	// 1<<20 cells); larger specs are rejected with 400.
 	MaxCells int
-	// DataDir is where per-sweep checkpoints live; empty disables
+	// DataDir is where the server's checkpoint (_session.ckpt), sweep
+	// status records and fleet sweep checkpoints live; empty disables
 	// persistence (sweeps then only share state within the process).
 	DataDir string
 	// FleetLeaseTTL is how long a fleet shard lease lives without renewal
@@ -88,12 +91,12 @@ type Config struct {
 	// 10s). Lower it for fast failover in tests; raise it on networks
 	// where renewals may stall.
 	FleetLeaseTTL time.Duration
-	// CacheDir, when set, spills the session's evaluation cache to disk
-	// (dse.Options.CacheDir semantics): sweeps warm from the previous
-	// process's group evaluations — not just from their own checkpoint
-	// cells — and re-save the cache as candidates complete. Every save
-	// merges the file's entries before snapshotting, so processes sharing
-	// the directory converge on the union of their work rather than
+	// CacheDir, when set, spills the session's evaluation cache to disk:
+	// New warms the session from the previous process's group evaluations
+	// — not just from checkpointed cells — and every finished sweep
+	// rewrites the spill once (dse.Session.SaveDiskCache). Every save merges
+	// the file's entries before snapshotting, so processes sharing the
+	// directory converge on the union of their work rather than
 	// overwriting it.
 	CacheDir string
 	// Logf, when set, receives server lifecycle and scheduling lines.
@@ -152,10 +155,11 @@ type Server struct {
 	sweeps map[string]*sweep
 	order  []string // sweep ids in registration order (for listing/eviction)
 
-	// persist tracks checkpoint/status save health server-wide; a failing
-	// DataDir degrades persistence (sweeps keep running and streaming), it
-	// never fails a sweep. /healthz surfaces the state.
-	persist dse.PersistenceTracker
+	// persist owns the server's checkpoint file, its saver and the cache
+	// spill, and tracks every save's health: a failing disk degrades
+	// persistence (sweeps keep running and streaming), it never fails a
+	// sweep. /healthz surfaces the state.
+	persist *persister
 
 	// faultPanics is the lifetime count of recovered panics across every
 	// finished sweep's stats, served by /healthz.
@@ -174,6 +178,7 @@ func New(cfg Config) *Server {
 		sweeps: make(map[string]*sweep),
 	}
 	s.ses.Logf = s.logf
+	s.persist = newPersister(base, s.ses, cfg, s.logf)
 	s.queue = newSweepQueue(queueConfig{
 		slots:      cfg.workerSlots(),
 		maxRunning: cfg.maxSweeps(),
@@ -201,11 +206,15 @@ func New(cfg Config) *Server {
 // ServeHTTP dispatches to the server's routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close cancels every running sweep and refuses new work. In-flight POST
-// handlers observe the cancellation, checkpoint their settled cells and
-// finish their streams; Close does not wait for them — callers that need
-// the drain should pair it with http.Server.Shutdown.
-func (s *Server) Close() { s.stop() }
+// Close cancels every running sweep, refuses new work and stops the
+// checkpoint saver, waiting out a save in flight. In-flight POST handlers
+// observe the cancellation, flush the checkpoint and finish their streams;
+// Close does not wait for them — callers that need the drain should pair it
+// with http.Server.Shutdown.
+func (s *Server) Close() {
+	s.stop()
+	s.persist.wait()
+}
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
@@ -214,7 +223,8 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // sweepIDPattern is the accepted client-supplied sweep id shape: short,
-// path- and filename-safe (ids key checkpoint files on disk).
+// path- and filename-safe (ids key status and fleet checkpoint files on
+// disk). No id starts with '_', so none names the server's checkpoint.
 var sweepIDPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 
 // retiredSweeps bounds the finished-sweep history kept for GET /sweeps.
@@ -380,17 +390,14 @@ type SessionHealth struct {
 	CacheDiskHits int64 `json:"cache_disk_hits,omitempty"`
 	// CacheDiskLoaded counts entries the session merged from the disk spill.
 	CacheDiskLoaded int64 `json:"cache_disk_loaded,omitempty"`
-	// CacheDiskSaves counts completed background spills of this session's
-	// cache.
+	// CacheDiskSaves counts completed spills of this session's cache (one
+	// per finished sweep with CacheDir set).
 	CacheDiskSaves int64 `json:"cache_disk_saves,omitempty"`
 	// CheckpointCells counts the settled cells the session holds.
 	CheckpointCells int `json:"checkpoint_cells"`
 	// ResumedCells counts cells served from checkpoints over the session's
 	// lifetime.
 	ResumedCells int64 `json:"resumed_cells"`
-	// Persistence is the session's disk-cache spill health: failed spills
-	// degrade restart cost, never the sweeps themselves.
-	Persistence dse.PersistenceState `json:"persistence"`
 }
 
 // FaultCounts aggregates the fault-handling counters of every sweep the
@@ -489,12 +496,12 @@ type Health struct {
 	Running []RunningSweep `json:"running,omitempty"`
 	// Faults aggregates fault-handling counters across finished sweeps.
 	Faults FaultCounts `json:"faults"`
-	// Persistence is the server-side checkpoint/status save health.
-	Persistence dse.PersistenceState `json:"persistence"`
-	// PersistenceDegraded reports that any persistence path — the server's
-	// checkpoint/status saves or a session's disk-cache spill — is currently
-	// degraded (several consecutive failed saves). Work continues in memory;
-	// restart cost is what degrades.
+	// Persistence is the health of every save the server makes: the
+	// checkpoint, status records, fleet checkpoints and the cache spill.
+	Persistence PersistenceState `json:"persistence"`
+	// PersistenceDegraded mirrors Persistence.Degraded: several consecutive
+	// saves failed. Work continues in memory; restart cost is what
+	// degrades.
 	PersistenceDegraded bool `json:"persistence_degraded"`
 	// Queue is the sweep queue's snapshot: slot occupancy, per-class
 	// backlog, preemption and rejection counters, per-tenant accounting.
@@ -513,8 +520,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	h.Persistence = s.persist.State()
 	h.PersistenceDegraded = h.Persistence.Degraded
 	cs := s.ses.CacheStats()
-	ps := s.ses.PersistenceState()
-	h.PersistenceDegraded = h.PersistenceDegraded || ps.Degraded
 	h.Sessions = []SessionHealth{{
 		CacheHits:       cs.Hits,
 		CacheMisses:     cs.Misses,
@@ -526,7 +531,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		CacheDiskSaves:  cs.DiskSaves,
 		CheckpointCells: s.ses.CheckpointCells(),
 		ResumedCells:    s.ses.ResumedCells(),
-		Persistence:     ps,
 	}}
 	h.Queue = s.queue.health()
 	fh := s.fleet.Health()

@@ -1,9 +1,10 @@
 // Sweep execution: one POST /sweep request's lifecycle. The handler
-// resolves the spec, registers the sweep, replays the sweep's server-side
-// checkpoint into the server's session, and streams typed NDJSON
-// events while dse.Session.RunContext walks the grid. Every settled cell is
-// re-checkpointed as candidates complete, so the on-disk state is never
-// more than one candidate behind the stream.
+// resolves the spec, registers the sweep, waits for the queue, and streams
+// typed NDJSON events while dse.Session.RunContext walks the grid on the
+// server's session, which already holds every cell the DataDir's
+// checkpoints settled. The sweep computes; it asks the server's persister
+// for a checkpoint save per streamed candidate and flushes it before it
+// parks on preemption and before its terminal event.
 package serve
 
 import (
@@ -21,7 +22,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gemini/internal/atomicfile"
@@ -139,10 +139,11 @@ type StatsSummary struct {
 	DeadlineExceeded int `json:"-"`
 	// LastPanic is the most recent recovered panic's message and stack.
 	LastPanic string `json:"last_panic,omitempty"`
-	// PersistenceErrors counts failed background saves (checkpoint and
-	// disk-cache) during the sweep; the sweep itself kept running.
+	// PersistenceErrors counts the server's failed saves while the sweep ran
+	// (checkpoint, status and cache spill, concurrent sweeps' included); the
+	// sweep itself kept running.
 	PersistenceErrors int `json:"persistence_errors,omitempty"`
-	// PersistenceDegraded reports the persistence layer ended the sweep
+	// PersistenceDegraded reports the server's persistence ended the sweep
 	// degraded; LastPersistenceError is the most recent failure.
 	PersistenceDegraded  bool   `json:"persistence_degraded,omitempty"`
 	LastPersistenceError string `json:"last_persistence_error,omitempty"`
@@ -168,11 +169,8 @@ func summarizeStats(st dse.SweepStats) *StatsSummary {
 		AbandonedRestarts: st.AbandonedRestarts,
 		SeededIncumbent:   finite(st.SeededIncumbent),
 
-		Panics:               st.Panics,
-		LastPanic:            st.LastPanic,
-		PersistenceErrors:    st.PersistenceErrors,
-		PersistenceDegraded:  st.PersistenceDegraded,
-		LastPersistenceError: st.LastPersistenceError,
+		Panics:    st.Panics,
+		LastPanic: st.LastPanic,
 	}
 	for _, step := range st.Trajectory {
 		out.Trajectory = append(out.Trajectory, TrajectoryStep{Candidate: step.Candidate, Objective: finite(step.Obj)})
@@ -255,9 +253,6 @@ type SweepStatus struct {
 	Trajectory []TrajectoryStep `json:"trajectory,omitempty"`
 	// Stats is the final scheduler accounting (finished sweeps only).
 	Stats *StatsSummary `json:"stats,omitempty"`
-	// Checkpoint reports whether a server-side checkpoint file exists for
-	// this sweep id.
-	Checkpoint bool `json:"checkpoint,omitempty"`
 	// Error is the sweep-level failure (canceled or failed sweeps).
 	Error string `json:"error,omitempty"`
 	// StartedAt is when the sweep registered.
@@ -276,10 +271,6 @@ type sweep struct {
 	// log is the sweep's bounded event history, replayed by
 	// GET /sweeps/{id}/stream.
 	log *eventLog
-	// ckpt caches whether a checkpoint file exists for this sweep id, so
-	// status snapshots (GET /sweeps, /healthz, the eviction scan) never
-	// touch the filesystem.
-	ckpt atomic.Bool
 
 	mu       sync.Mutex
 	state    SweepState
@@ -345,7 +336,6 @@ func (sw *sweep) status() SweepStatus {
 		Stats:          sw.stats,
 		Error:          sw.err,
 		StartedAt:      sw.started,
-		Checkpoint:     sw.ckpt.Load(),
 	}
 	if !sw.finished.IsZero() {
 		f := sw.finished
@@ -424,7 +414,7 @@ func (sw *streamWriter) send(ev Event) {
 // --- status persistence --------------------------------------------------
 
 // statusPath maps a sweep id to its on-disk status record, or "" when
-// persistence is disabled. Status records live next to the checkpoints so
+// persistence is disabled. Status records live next to the checkpoint so
 // GET /sweeps survives a server restart with the same history a live server
 // would report.
 func (s *Server) statusPath(id string) string {
@@ -486,7 +476,8 @@ func readStatusFile(path string) (SweepStatus, error) {
 
 // loadStatuses restores the finished-sweep history from DataDir at startup.
 // A sweep recorded as running died with its server: it is restored as
-// canceled (its checkpoint survives, so re-POSTing the spec resumes it).
+// canceled (its settled cells survive in the checkpoint, so re-POSTing the
+// spec resumes it).
 // Damaged records are skipped — history is a convenience, never worth
 // failing startup over. This is also the one place the on-disk history is
 // trimmed to the retiredSweeps bound: a directory holding more records than
@@ -570,74 +561,7 @@ func restoredSweep(s *Server, st SweepStatus) *sweep {
 	} else {
 		sw.log.append(Event{Type: "error", SweepID: st.ID, Error: st.Error, Stats: st.Stats})
 	}
-	sw.ckpt.Store(s.hasCheckpoint(st.ID))
 	return sw
-}
-
-// --- checkpoint persistence ----------------------------------------------
-
-// checkpointPath maps a sweep id to its on-disk checkpoint, or "" when
-// persistence is disabled.
-func (s *Server) checkpointPath(id string) string {
-	if s.cfg.DataDir == "" {
-		return ""
-	}
-	return filepath.Join(s.cfg.DataDir, id+".ckpt")
-}
-
-func (s *Server) hasCheckpoint(id string) bool {
-	path := s.checkpointPath(id)
-	if path == "" {
-		return false
-	}
-	_, err := os.Stat(path)
-	return err == nil
-}
-
-// loadCheckpoint merges a sweep's persisted cells into the session, if a
-// checkpoint exists. Failures are never fatal — the sweep resumes cold and
-// recomputes. A checkpoint that opens but does not decode is corrupt; it is
-// quarantined to "<path>.corrupt" so the next save starts a fresh file and
-// the damaged bytes stay on disk for diagnosis.
-func (s *Server) loadCheckpoint(id string) error {
-	path := s.checkpointPath(id)
-	if path == "" {
-		return nil
-	}
-	if ierr := s.cfg.FaultInjector.Check(faultinject.PointCheckpointLoad, id); ierr != nil {
-		return ierr
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	lerr := s.ses.LoadCheckpoint(f)
-	f.Close()
-	if lerr == nil {
-		return nil
-	}
-	quarantine := path + ".corrupt"
-	if rerr := os.Rename(path, quarantine); rerr != nil {
-		s.logf("serve: sweep %s: corrupt checkpoint could not be quarantined: %v", id, rerr)
-	} else {
-		s.logf("serve: sweep %s: corrupt checkpoint quarantined to %s", id, quarantine)
-	}
-	return fmt.Errorf("corrupt checkpoint quarantined: %w", lerr)
-}
-
-// saveCheckpoint atomically persists the session's settled cells under the
-// sweep's id. The session is shared, so the file may also carry cells of
-// concurrent sweeps — harmless (cells are keyed by architecture, model and
-// options) and useful: resuming one sweep warms its neighbours too.
-func (s *Server) saveCheckpoint(id string) error {
-	path := s.checkpointPath(id)
-	if path == "" {
-		return nil
-	}
-	return atomicfile.Write(path, s.ses.SaveCheckpoint)
 }
 
 // --- the POST /sweep handler ---------------------------------------------
@@ -771,18 +695,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	sw.markRunning()
 
-	if err := s.loadCheckpoint(spec.ID); err != nil {
-		s.logf("serve: sweep %s: checkpoint load failed, recomputing: %v", spec.ID, err)
-	}
-	// Record checkpoint existence after the load, so a just-quarantined
-	// corrupt file is not reported as a usable checkpoint.
-	sw.ckpt.Store(s.hasCheckpoint(spec.ID))
+	// persistBase anchors the sweep's persistence accounting: its stats
+	// report the server tracker's failures from here to the final flush.
+	persistBase := s.persist.State().Errors
 	opt := spec.Options()
-	opt.FaultInjector = s.cfg.FaultInjector
-	// The disk cache location is server policy, not part of the sweep spec:
-	// every sweep on this server spills through the one operator-chosen
-	// directory.
-	opt.CacheDir = s.cfg.CacheDir
 	// The queue granted this sweep j.slots worker slots; that grant is its
 	// whole worker budget (the spec's Workers request was clamped into it).
 	opt.Workers = j.slots
@@ -795,56 +711,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Models:          spec.Models,
 		CheckpointCells: s.ses.SettledCells(cands, graphs, opt),
 	})
-
-	// Checkpoint continuously but off the result path: OnResult runs in
-	// the scheduler's serialized callback section, so serializing the
-	// whole session to disk there would stall sweep workers. A dedicated
-	// saver goroutine coalesces save requests instead — the on-disk state
-	// trails the stream only by saves still in flight, and the final save
-	// below covers the tail.
-	saveReq := make(chan struct{}, 1)
-	saverDone := make(chan struct{})
-	// sweepPersistErrs counts this sweep's own failed checkpoint saves; it is
-	// folded into the sweep's stats after the run (the server-wide tracker
-	// also counts them, but it is shared across sweeps).
-	var sweepPersistErrs atomic.Int64
-	save := func(label string) {
-		if s.checkpointPath(spec.ID) == "" {
-			return
-		}
-		err := s.persist.Do(func() error {
-			if ierr := s.cfg.FaultInjector.Check(faultinject.PointCheckpointSave, spec.ID); ierr != nil {
-				return ierr
-			}
-			return s.saveCheckpoint(spec.ID)
-		})
-		if err != nil {
-			sweepPersistErrs.Add(1)
-			st := s.persist.State()
-			s.logf("serve: sweep %s: %s checkpoint save failed (errors %d, degraded %t): %v",
-				spec.ID, label, st.Errors, st.Degraded, err)
-			return
-		}
-		sw.ckpt.Store(true)
-	}
-	go func() {
-		defer close(saverDone)
-		for range saveReq {
-			save("incremental")
-		}
-	}()
-	// Drain the saver exactly once, whether the run returns or the backstop
-	// above is unwinding a panic (a leaked saver goroutine would pin the
-	// session forever).
-	saverStopped := false
-	stopSaver := func() {
-		if !saverStopped {
-			saverStopped = true
-			close(saveReq)
-			<-saverDone
-		}
-	}
-	defer stopSaver()
 
 	// runCtx is the current dispatch round's context; OnResult reads it to
 	// tell preemption cancellations apart from real outcomes.
@@ -881,10 +747,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		seqMu.Unlock()
 		sw.noteResult(cs)
 		emit(Event{Type: "result", SweepID: spec.ID, Seq: n, Result: cs})
-		select {
-		case saveReq <- struct{}{}:
-		default: // a save is already pending; it will pick this cell up
-		}
+		// OnResult runs in the scheduler's serialized callback section, so
+		// the save itself happens on the server's saver goroutine.
+		s.persist.poke()
 	}
 
 	s.logf("serve: sweep %s: %d candidates x %d models (%d cells)", spec.ID, len(cands), len(graphs), cells)
@@ -915,7 +780,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		// Flush the settled cells before parking, so the on-disk checkpoint
 		// matches what the resumed round will restore even across a crash.
-		save("preempt")
+		s.persist.flush("preempt")
 		settled := s.ses.SettledCells(cands, graphs, opt)
 		sw.notePreempted()
 		emit(Event{Type: "preempted", SweepID: spec.ID, Tenant: tenant, Priority: string(priority), CheckpointCells: settled})
@@ -935,37 +800,35 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		sw.markRunning()
 		emit(Event{Type: "resumed", SweepID: spec.ID, Tenant: tenant, Priority: string(priority), CheckpointCells: settled})
 	}
-	stopSaver()
-	save("final")
-
-	// Fold this sweep's own checkpoint-save failures into its stats: the
-	// session already contributed disk-cache saver failures, these are the
-	// serve-side checkpoint path's.
-	if n := int(sweepPersistErrs.Load()); n > 0 {
-		stats.PersistenceErrors += n
-		pst := s.persist.State()
-		stats.PersistenceDegraded = stats.PersistenceDegraded || pst.Degraded
-		if stats.LastPersistenceError == "" {
-			stats.LastPersistenceError = pst.LastError
-		}
-	}
+	// Every settled cell is on disk before the terminal event is sent.
+	s.persist.flush("final")
+	s.persist.spill()
 	s.faultPanics.Add(int64(stats.Panics))
 
+	sum := summarizeStats(stats)
+	// The tracker is server-wide, so under concurrent sweeps the delta may
+	// include their failures; the degraded flag and last error are the
+	// current truth either way.
+	if pst := s.persist.State(); pst.Errors > persistBase {
+		sum.PersistenceErrors = int(pst.Errors - persistBase)
+		sum.PersistenceDegraded = pst.Degraded
+		sum.LastPersistenceError = pst.LastError
+	}
 	elapsed := time.Since(begin).Milliseconds()
 	switch {
 	case runErr != nil && (errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)):
-		sw.finish(StateCanceled, summarizeStats(stats), nil, runErr.Error())
-		emit(Event{Type: "error", SweepID: spec.ID, Error: runErr.Error(), Stats: summarizeStats(stats), ElapsedMS: elapsed})
+		sw.finish(StateCanceled, sum, nil, runErr.Error())
+		emit(Event{Type: "error", SweepID: spec.ID, Error: runErr.Error(), Stats: sum, ElapsedMS: elapsed})
 	case runErr != nil:
-		sw.finish(StateFailed, summarizeStats(stats), nil, runErr.Error())
-		emit(Event{Type: "error", SweepID: spec.ID, Error: runErr.Error(), Stats: summarizeStats(stats), ElapsedMS: elapsed})
+		sw.finish(StateFailed, sum, nil, runErr.Error())
+		emit(Event{Type: "error", SweepID: spec.ID, Error: runErr.Error(), Stats: sum, ElapsedMS: elapsed})
 	default:
 		var best *CandidateSummary
 		if b := dse.Best(results); b != nil {
 			best = summarize(b)
 		}
-		sw.finish(StateDone, summarizeStats(stats), best, "")
-		emit(Event{Type: "done", SweepID: spec.ID, Best: best, Stats: summarizeStats(stats), ElapsedMS: elapsed})
+		sw.finish(StateDone, sum, best, "")
+		emit(Event{Type: "done", SweepID: spec.ID, Best: best, Stats: sum, ElapsedMS: elapsed})
 	}
 	// Persist the final status next to the checkpoint, so GET /sweeps
 	// survives a server restart.
