@@ -1,7 +1,6 @@
 // Command geminilint runs the project's static-analysis suite
-// (internal/lint) over module packages: determinism, fingerprint
-// completeness, lock hygiene, hot-path allocation, error classification and
-// the exported-doc contract. It is the CI lint gate; see docs/lint.md for
+// (internal/lint) over module packages: determinism, lock hygiene, hot-path
+// allocation, error classification and the exported-doc contract. It is the CI lint gate; see docs/lint.md for
 // each analyzer's invariant, directive and suppression syntax.
 //
 // Usage:

@@ -17,7 +17,7 @@ import (
 // checkpointed.
 func TestPanicSurfacesAsTypedCellError(t *testing.T) {
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool) (*MapResult, error) {
+	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		if cfg.Name == "panicky-arch" {
 			panic("mapper bug")
 		}
@@ -72,7 +72,7 @@ func TestRealPanicRepeats(t *testing.T) {
 	bad.Name = "nil-scheme"
 	bad.NoCBW = 48 // structurally distinct from the healthy GArch72
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool) (*MapResult, error) {
+	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		if cfg.Name != bad.Name {
 			return mapModelEval(ev, cfg, g, o, stop)
 		}

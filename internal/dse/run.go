@@ -30,8 +30,12 @@ type Objective struct {
 // MCED is the paper's default DSE objective.
 var MCED = Objective{1, 1, 1}
 
-// Options configures a DSE run.
-type Options struct {
+// Mapping is what a (candidate, model) cell computes under: a cell's result
+// is a function of the candidate, the graph and its Mapping alone, and every
+// Mapping field except Objective.Alpha keys the cell in the checkpoint.
+type Mapping struct {
+	// Objective holds the ranking exponents. Beta and Gamma steer the
+	// partitioner and the annealer; Alpha only ranks candidates.
 	Objective Objective
 	Batch     int
 	// SAIterations per (candidate, DNN) mapping search.
@@ -41,12 +45,19 @@ type Options struct {
 	// and keeps the best outcome (<=1 means a single run, bit-identical to
 	// the pre-portfolio engine).
 	Restarts int
-	// Workers bounds parallelism (default: GOMAXPROCS).
-	Workers int
-	Seed    int64
+	Seed     int64
 	// MaxGroupLayers and BatchUnits forward to the graph partitioner.
 	MaxGroupLayers int
 	BatchUnits     []int
+}
+
+// Options configures a DSE run: the Mapping every cell computes under, and
+// how the sweep runs. No field outside Mapping can change a computed cell;
+// they only schedule, skip, observe or label cells.
+type Options struct {
+	Mapping
+	// Workers bounds parallelism (default: GOMAXPROCS).
+	Workers int
 	// Prune enables bound-based candidate pruning: a candidate whose
 	// MC^alpha * lowerBound(E)^beta * lowerBound(D)^gamma already exceeds
 	// the best feasible objective seen so far is skipped without mapping.
@@ -57,23 +68,20 @@ type Options struct {
 	// for monotone objectives). The incumbent is live: it is re-read before
 	// every cell and between SA restarts, and it is seeded from checkpointed
 	// cells on resumed sessions, so the gate tightens as early as possible.
-	// Candidates always dispatch in ascending lower-bound order, pruning or
-	// not, so the cheap candidates that tighten the incumbent run first.
+	// Candidates dispatch in ascending lower-bound order, pruning or not
+	// (unless Dispatch replaces it), so the cheap candidates that tighten
+	// the incumbent run first.
 	Prune bool
 	// OnResult, when set, streams each candidate's result as soon as it
 	// completes (including pruned and errored candidates). Calls are
 	// serialized but arrive in completion order, not candidate order.
 	OnResult func(CandidateResult) `json:"-"`
-	// Dispatch, when set, wraps the scheduler's cell feed: the scheduler
-	// builds its default bound-ordered Dispatcher (one per sweep) and hands
-	// it to Dispatch, whose return value the workers pull from instead;
-	// tests use it to impose a grid order. A feed only
-	// schedules — cells it never delivers are reported as canceled, not
-	// computed — so it is excluded from the checkpoint fingerprint.
-	Dispatch func(Dispatcher) Dispatcher `json:"-"`
-	// SweepID optionally names the sweep for logs and SweepStats; the sweep
-	// service keys server-side checkpoints by it. It only labels — it never
-	// changes a mapping — so it is excluded from the checkpoint fingerprint.
+	// Dispatch, when set, replaces the ascending-lower-bound candidate order
+	// with a less-function over enumeration indices; tests use it to impose
+	// grid order. Every cell of every candidate still runs exactly once.
+	Dispatch func(a, b int) bool `json:"-"`
+	// SweepID optionally names the sweep for logs and SweepStats. It only
+	// labels: a renamed sweep keeps hitting its old cells.
 	SweepID string `json:"sweep_id,omitempty"`
 	// Incumbent, when set, reads an external pruning incumbent (a fleet
 	// worker's cached fleet-wide best): the scheduler's incumbent is
@@ -83,21 +91,20 @@ type Options struct {
 	// incumbent exists. It must only ever return achieved feasible
 	// objectives for the same spec, so the fold stays a sound pruning bound
 	// (the global optimum can never be dominated by an achieved value). Like
-	// Prune it only skips work — it never changes a computed cell's bits —
-	// so it is excluded from the checkpoint fingerprint.
+	// Prune it only skips work.
 	Incumbent func() float64 `json:"-"`
 }
 
 // DefaultOptions returns throughput-scenario settings (batch 64, Sec. VI-A1).
 func DefaultOptions() Options {
-	return Options{
+	return Options{Mapping: Mapping{
 		Objective:    MCED,
 		Batch:        64,
 		SAIterations: 600,
 		Restarts:     1,
 		Seed:         1,
 		BatchUnits:   []int{1, 2, 4, 8},
-	}
+	}}
 }
 
 // MapResult is the outcome of mapping one DNN onto one architecture.
@@ -142,23 +149,23 @@ func (e *abandonedError) Error() string {
 // as an error wrapping ErrInfeasible; any other error is an infrastructure
 // failure.
 func MapModel(cfg *arch.Config, g *dnn.Graph, opt Options) (*MapResult, error) {
-	return mapModelEval(eval.New(cfg), cfg, g, opt, nil)
+	return mapModelEval(eval.New(cfg), cfg, g, opt.Mapping, nil)
 }
 
 // mapModelEval is MapModel on a caller-supplied evaluator, so sessions can
 // reuse warm evaluators (route tables, intra-core memo, shared group cache)
 // across candidates and runs. stop, when non-nil, is polled between SA
 // restarts; if it fires, the cell is abandoned with an abandonedError.
-func mapModelEval(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Options, stop func() bool) (*MapResult, error) {
+func mapModelEval(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, m Mapping, stop func() bool) (*MapResult, error) {
 	gp := graphpart.DefaultOptions()
-	gp.Beta, gp.Gamma = opt.Objective.Beta, opt.Objective.Gamma
-	if opt.MaxGroupLayers > 0 {
-		gp.MaxGroupLayers = opt.MaxGroupLayers
+	gp.Beta, gp.Gamma = m.Objective.Beta, m.Objective.Gamma
+	if m.MaxGroupLayers > 0 {
+		gp.MaxGroupLayers = m.MaxGroupLayers
 	}
-	if len(opt.BatchUnits) > 0 {
-		gp.BatchUnits = opt.BatchUnits
+	if len(m.BatchUnits) > 0 {
+		gp.BatchUnits = m.BatchUnits
 	}
-	part, err := graphpart.Partition(g, cfg, ev, opt.Batch, gp)
+	part, err := graphpart.Partition(g, cfg, ev, m.Batch, gp)
 	if err != nil {
 		if errors.Is(err, graphpart.ErrInfeasible) {
 			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
@@ -166,16 +173,16 @@ func mapModelEval(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Option
 		return nil, err
 	}
 	so := sa.DefaultOptions()
-	so.Iterations = opt.SAIterations
-	so.Seed = opt.Seed
-	so.Beta, so.Gamma = opt.Objective.Beta, opt.Objective.Gamma
+	so.Iterations = m.SAIterations
+	so.Seed = m.Seed
+	so.Beta, so.Gamma = m.Objective.Beta, m.Objective.Gamma
 	// The scheduler's stop gate is polled between restarts and inside the
 	// annealing loop, so a cell dominated mid-anneal stops within one stride.
 	// Abandoned cells are never settled or checkpointed.
 	so.Stop = stop
 	// A panicking restart unwinds the whole portfolio to the cell's recover
 	// (Session.runCell), so a partial portfolio is never folded.
-	pf := sa.MultiStart(part.Scheme, ev, so, opt.Restarts)
+	pf := sa.MultiStart(part.Scheme, ev, so, m.Restarts)
 	if pf.Abandoned {
 		return nil, &abandonedError{done: len(pf.Costs), planned: pf.Planned, iters: pf.Iterations}
 	}

@@ -187,7 +187,7 @@ func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models 
 		cands:  cands,
 		models: models,
 		opt:    opt,
-		optFP:  optsFingerprint(opt),
+		optFP:  optsFingerprint(opt.Mapping),
 		mce:    cost.New(),
 		inc:    newIncumbent(opt.Incumbent),
 		states: make([]*candState, len(cands)),
@@ -229,9 +229,11 @@ func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models 
 			}
 		}
 	}
-	sort.SliceStable(sc.order, func(a, b int) bool {
-		return sc.states[sc.order[a]].lb < sc.states[sc.order[b]].lb
-	})
+	less := func(a, b int) bool { return sc.states[a].lb < sc.states[b].lb }
+	if opt.Dispatch != nil {
+		less = opt.Dispatch
+	}
+	sort.SliceStable(sc.order, func(a, b int) bool { return less(sc.order[a], sc.order[b]) })
 	if sc.prune {
 		sc.seedIncumbent()
 	}
@@ -398,50 +400,15 @@ func (sc *scheduler) run() []CandidateResult {
 		return results
 	}
 
-	// The feed walks the schedule candidate-major, so a candidate's cells
-	// complete (and its objective lands in the incumbent) as early as
-	// possible.
+	// Every cell runs exactly once (a canceled sweep's cells fail fast in
+	// runTask), so every candidate reaches remaining == 0 and finishes once.
 	sc.dispatch(nm, per, func(ci int) {
 		if sc.states[ci].remaining.Add(-1) == 0 {
 			finish(ci)
 		}
 	})
-	// A wrapped feed may shut before delivering every cell: candidates with
-	// undelivered cells never hit remaining == 0, so fill the gaps with a
-	// cancellation error and finish them here — an undelivered cell must
-	// read as canceled, never as spurious infeasibility (a zero
-	// pairOutcome), and every candidate must produce its result row exactly
-	// once.
-	for _, ci := range sc.order {
-		if sc.states[ci].remaining.Load() > 0 {
-			sc.fillUndelivered(ci, nm, per)
-			finish(ci)
-		}
-	}
 	sc.publishStats()
 	return results
-}
-
-// fillUndelivered marks one candidate's never-dispatched cells as canceled.
-// Only zero outcomes are touched: delivered cells keep their results, and
-// pruned candidates need no cell outcomes at all.
-func (sc *scheduler) fillUndelivered(ci, nm int, per [][]pairOutcome) {
-	if sc.states[ci].pruned.Load() {
-		return
-	}
-	err := sc.ctx.Err()
-	if err == nil {
-		// The feed was shut without the sweep context being canceled (a
-		// dispatcher wrapper withheld cells): still a cancellation from the
-		// cell's point of view.
-		err = context.Canceled
-	}
-	for mi := 0; mi < nm; mi++ {
-		p := &per[ci][mi]
-		if p.mr == nil && p.err == nil && !p.abandoned {
-			*p = pairOutcome{err: fmt.Errorf("dse: cell not dispatched: %w", err)}
-		}
-	}
 }
 
 func (sc *scheduler) workerCount(tasks int) int {
@@ -456,23 +423,26 @@ func (sc *scheduler) workerCount(tasks int) int {
 }
 
 // dispatch settles every (candidate, model) cell of the sweep on a worker
-// pool and barriers on completion. cellDone runs on the worker after each
-// delivered cell with the cell's candidate index; Options.Dispatch may wrap
-// the feed.
+// pool and barriers on completion. Workers claim cells through one atomic
+// index into the schedule, walked candidate-major, so a candidate's cells
+// complete (and its objective lands in the incumbent) as early as possible.
+// cellDone runs on the worker after each cell with its candidate index.
 func (sc *scheduler) dispatch(nm int, per [][]pairOutcome, cellDone func(ci int)) {
-	feed := sc.feed(nm)
+	total := len(sc.order) * nm
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < sc.workerCount(len(sc.order)*nm); w++ {
+	for w := 0; w < sc.workerCount(total); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				k, ok := feed.Next()
-				if !ok {
+				i := int(next.Add(1)) - 1
+				if i >= total {
 					return
 				}
-				sc.runTaskGuarded(k, nm, per)
-				cellDone(k / nm)
+				ci, mi := sc.order[i/nm], i%nm
+				sc.runTaskGuarded(ci, mi, per)
+				cellDone(ci)
 			}
 		}()
 	}
@@ -484,10 +454,9 @@ func (sc *scheduler) dispatch(nm int, per [][]pairOutcome, cellDone func(ci int)
 // bookkeeping (bound math, checkpoint peeks) runs outside it; a panic there
 // records a typed CellError on the cell and keeps the worker — and with it
 // the sweep and the serving process — alive.
-func (sc *scheduler) runTaskGuarded(k, nm int, per [][]pairOutcome) {
+func (sc *scheduler) runTaskGuarded(ci, mi int, per [][]pairOutcome) {
 	defer func() {
 		if v := recover(); v != nil {
-			ci, mi := k/nm, k%nm
 			ce := &CellError{
 				Candidate: sc.cands[ci].Name, Model: sc.models[mi].Name,
 				Stack: string(debug.Stack()), Err: fmt.Errorf("%v", v),
@@ -496,13 +465,12 @@ func (sc *scheduler) runTaskGuarded(k, nm int, per [][]pairOutcome) {
 			sc.notePanic("scheduler task", ce.trace())
 		}
 	}()
-	sc.runTask(k, nm, per)
+	sc.runTask(ci, mi, per)
 }
 
 // runTask executes one (candidate, model) cell under the live bound gate
 // and the sweep context.
-func (sc *scheduler) runTask(k, nm int, per [][]pairOutcome) {
-	ci, mi := k/nm, k%nm
+func (sc *scheduler) runTask(ci, mi int, per [][]pairOutcome) {
 	st := sc.states[ci]
 	key := cellKey(eval.ConfigFingerprint(&sc.cands[ci]), sc.models[mi].Name, sc.optFP)
 	if err := sc.ctx.Err(); err != nil {
@@ -537,7 +505,7 @@ func (sc *scheduler) runTask(k, nm int, per [][]pairOutcome) {
 		}
 		return gated && st.lb > sc.inc.get()
 	}
-	out := sc.ses.runCell(&sc.cands[ci], sc.models[mi], sc.opt, key, stop)
+	out := sc.ses.runCell(&sc.cands[ci], sc.models[mi], sc.opt.Mapping, key, stop)
 	sc.saIters.Add(int64(out.saIterations))
 	var ce *CellError
 	if errors.As(out.err, &ce) {

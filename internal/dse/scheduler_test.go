@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,17 +15,10 @@ import (
 	"gemini/internal/eval"
 )
 
-// gridOrder is a test Options.Dispatch wrapper that re-sorts the scheduler's
-// bound-ordered feed into enumeration (grid) order, so a test can stage a
-// dominated candidate ahead of the one that dominates it.
-func gridOrder(d Dispatcher) Dispatcher {
-	var cells []int
-	for k, ok := d.Next(); ok; k, ok = d.Next() {
-		cells = append(cells, k)
-	}
-	sort.Ints(cells)
-	return newSliceDispatcher(cells)
-}
+// gridOrder is a test Options.Dispatch order: enumeration (grid) order
+// instead of ascending lower bound, so a test can stage a dominated
+// candidate ahead of the one that dominates it.
+func gridOrder(a, b int) bool { return a < b }
 
 // runStats runs one sweep to completion and returns its sorted results with
 // the sweep's own stats.
@@ -162,7 +154,7 @@ func TestAbandonedCellPrunesCandidate(t *testing.T) {
 	doomed.NoCBW = 48 // structurally distinct so cells do not alias
 
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool) (*MapResult, error) {
+	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		if cfg.Name == "doomed-arch" {
 			return nil, &abandonedError{done: 1, planned: 4}
 		}
@@ -372,7 +364,7 @@ func TestInLoopAbandonBitIdenticalWhenNeverDominated(t *testing.T) {
 		}
 	}
 	ungated := NewSession()
-	ungated.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, _ func() bool) (*MapResult, error) {
+	ungated.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, _ func() bool) (*MapResult, error) {
 		return mapModelEval(ev, cfg, g, o, nil)
 	}
 	off, offSt := runStats(t, ungated, cands, models, opt)
@@ -412,7 +404,7 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 	var weakStarted atomic.Int32
 	strongDone := make(chan struct{})
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool) (*MapResult, error) {
+	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		if cfg.Name == strong.Name {
 			// Let the dominated cells pass their pre-cell bound check and
 			// enter their mapModel call before the incumbent exists, so

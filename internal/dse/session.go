@@ -47,7 +47,7 @@ type Session struct {
 	// mapModel is the per-cell mapping pipeline, mapModelEval outside tests.
 	// Tests replace it on the session they build, before its first sweep, to
 	// inject infrastructure failures and count calls.
-	mapModel func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Options, stop func() bool) (*MapResult, error)
+	mapModel func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, m Mapping, stop func() bool) (*MapResult, error)
 }
 
 // NewSession returns an empty session with a fresh shared cache.
@@ -117,7 +117,7 @@ func (s *Session) CheckpointCells() int {
 // scoped to the given grid and options, so a shared session's unrelated
 // cells do not inflate it.
 func (s *Session) SettledCells(cands []arch.Config, models []*dnn.Graph, opt Options) int {
-	optFP := optsFingerprint(opt)
+	optFP := optsFingerprint(opt.Mapping)
 	n := 0
 	for ci := range cands {
 		fp := eval.ConfigFingerprint(&cands[ci])
@@ -169,8 +169,8 @@ func (s *Session) evaluator(cfg *arch.Config) *eval.Evaluator {
 // so a panicking pipeline surfaces as a CellError instead of unwinding the
 // caller.
 func (s *Session) MapModel(cfg *arch.Config, g *dnn.Graph, opt Options) (*MapResult, error) {
-	key := cellKey(eval.ConfigFingerprint(cfg), g.Name, optsFingerprint(opt))
-	out := s.runCell(cfg, g, opt, key, nil)
+	key := cellKey(eval.ConfigFingerprint(cfg), g.Name, optsFingerprint(opt.Mapping))
+	out := s.runCell(cfg, g, opt.Mapping, key, nil)
 	return out.mr, out.err
 }
 
@@ -226,7 +226,7 @@ func sweepName(id string) string {
 // evaluator — unwinds to the recover here and becomes a CellError carrying
 // the stack; the cell fails, the process and the sweep do not, and the
 // errored cell is never checkpointed.
-func (s *Session) runCell(cfg *arch.Config, g *dnn.Graph, opt Options, key string, stop func() bool) (out pairOutcome) {
+func (s *Session) runCell(cfg *arch.Config, g *dnn.Graph, m Mapping, key string, stop func() bool) (out pairOutcome) {
 	if rec, ok := s.peekCell(key); ok {
 		s.resumed.Add(1)
 		p := rec.outcome()
@@ -241,7 +241,7 @@ func (s *Session) runCell(cfg *arch.Config, g *dnn.Graph, opt Options, key strin
 			}}
 		}
 	}()
-	mr, err := s.mapModel(s.evaluator(cfg), cfg, g, opt, stop)
+	mr, err := s.mapModel(s.evaluator(cfg), cfg, g, m, stop)
 	var ab *abandonedError
 	if errors.As(err, &ab) {
 		return pairOutcome{abandoned: true, abandonedRestarts: ab.planned - ab.done, saIterations: ab.iters}
@@ -465,46 +465,25 @@ func fnvWord(h, v uint64) uint64 {
 	return h
 }
 
-// optsFingerprintExclusions records, per excluded Options field, why its
-// value can never change a (candidate, model) cell's computed result — the
-// checkpoint-compatibility decision the fingerprintcomplete analyzer forces
-// whenever a field is added. A field missing from both optsFingerprint and
-// this list fails `geminilint`.
-//
-//gemini:fingerprint-exclude Options
-var optsFingerprintExclusions = map[string]string{
-	"Workers":   "parallelism only; any worker count computes identical cells",
-	"Prune":     "pruning skips whole cells, it never changes a computed cell",
-	"OnResult":  "observer callback; notification cannot alter results",
-	"Dispatch":  "cell-feed wrapper; it schedules or withholds cells, never changes a computed cell",
-	"SweepID":   "labels the sweep — a renamed sweep must keep hitting its old cells",
-	"Incumbent": "external pruning signal; like Prune it only skips whole cells, it never changes a computed cell",
-}
-
-// optsFingerprint hashes every Options field the mapping result depends on.
-// Alpha is deliberately excluded: it only ranks candidates, it never changes
-// a (candidate, model) mapping, so checkpoints survive re-ranking sweeps.
-// SweepID is likewise excluded (it only labels — a renamed sweep must keep
-// hitting its old cells). The full field-by-field accounting lives in
-// optsFingerprintExclusions and is enforced by the fingerprintcomplete
-// analyzer.
-//
-//gemini:fingerprint-of Options
-func optsFingerprint(opt Options) uint64 {
-	restarts := opt.Restarts
+// optsFingerprint hashes a Mapping into the options part of a cell key.
+// Alpha is left out on purpose: it only ranks candidates and never changes a
+// (candidate, model) mapping, so checkpoints survive re-ranking sweeps. Every
+// other field is hashed; TestMappingKeyCoversEveryField holds both to it.
+func optsFingerprint(m Mapping) uint64 {
+	restarts := m.Restarts
 	if restarts < 1 {
 		restarts = 1
 	}
 	h := uint64(fnvOffset64)
 	for _, v := range [...]uint64{
-		uint64(int64(opt.Batch)), uint64(int64(opt.SAIterations)),
-		uint64(int64(restarts)), uint64(opt.Seed),
-		math.Float64bits(opt.Objective.Beta), math.Float64bits(opt.Objective.Gamma),
-		uint64(int64(opt.MaxGroupLayers)),
+		uint64(int64(m.Batch)), uint64(int64(m.SAIterations)),
+		uint64(int64(restarts)), uint64(m.Seed),
+		math.Float64bits(m.Objective.Beta), math.Float64bits(m.Objective.Gamma),
+		uint64(int64(m.MaxGroupLayers)),
 	} {
 		h = fnvWord(h, v)
 	}
-	for _, bu := range opt.BatchUnits {
+	for _, bu := range m.BatchUnits {
 		h = fnvWord(h, uint64(int64(bu)))
 	}
 	return h

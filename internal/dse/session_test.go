@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -38,7 +40,7 @@ func testCands() []arch.Config {
 func countingSession() (*Session, *atomic.Int64) {
 	s := NewSession()
 	calls := new(atomic.Int64)
-	s.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool) (*MapResult, error) {
+	s.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		calls.Add(1)
 		return mapModelEval(ev, cfg, g, o, stop)
 	}
@@ -183,18 +185,93 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 // the options fingerprint of the defaults and of one all-fields-set case,
 // and the key layout. A change here orphans every checkpoint on disk.
 func TestCellKeysPinned(t *testing.T) {
-	if got := optsFingerprint(DefaultOptions()); got != 0x99ce5b311a3445a8 {
+	if got := optsFingerprint(DefaultOptions().Mapping); got != 0x99ce5b311a3445a8 {
 		t.Errorf("optsFingerprint(DefaultOptions()) = %#016x, want 0x99ce5b311a3445a8", got)
 	}
 	o := DefaultOptions()
 	o.Batch, o.SAIterations, o.Restarts, o.Seed = 8, 150, 4, 7
 	o.Objective = Objective{Alpha: 2, Beta: 1, Gamma: 0.5}
 	o.MaxGroupLayers, o.BatchUnits = 7, []int{1, 2}
-	if got := optsFingerprint(o); got != 0x1235faee230ca6cc {
+	if got := optsFingerprint(o.Mapping); got != 0x1235faee230ca6cc {
 		t.Errorf("optsFingerprint(non-default) = %#016x, want 0x1235faee230ca6cc", got)
 	}
 	if got, want := cellKey(0xabc, "resnet50", 0x99ce5b311a3445a8), "0000000000000abc/resnet50/99ce5b311a3445a8"; got != want {
 		t.Errorf("cellKey = %q, want %q", got, want)
+	}
+}
+
+// TestMappingKeyCoversEveryField: every Mapping leaf keys the cell, except
+// Objective.Alpha, which only ranks candidates and must not.
+func TestMappingKeyCoversEveryField(t *testing.T) {
+	want := optsFingerprint(*perturbed[Mapping](t, ""))
+	paths := leafPaths[Mapping]()
+	for _, path := range paths {
+		changed := optsFingerprint(*perturbed[Mapping](t, path)) != want
+		if path == ".Objective.Alpha" && changed {
+			t.Error("Objective.Alpha changed the cell key; it only ranks candidates")
+		} else if path != ".Objective.Alpha" && !changed {
+			t.Errorf("Mapping%s did not change the cell key", path)
+		}
+	}
+	if !slices.Contains(paths, ".Objective.Alpha") {
+		t.Errorf("leaf walk %v misses Objective.Alpha", paths)
+	}
+}
+
+// forEachLeaf calls visit with the path and value of every leaf field under
+// v, recursing into structs and allocating nil pointers to structs on the way.
+func forEachLeaf(v reflect.Value, path string, visit func(path string, leaf reflect.Value)) {
+	switch {
+	case v.Kind() == reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			forEachLeaf(v.Field(i), path+"."+v.Type().Field(i).Name, visit)
+		}
+	case v.Kind() == reflect.Pointer && v.Type().Elem().Kind() == reflect.Struct:
+		if v.IsNil() {
+			v.Set(reflect.New(v.Type().Elem()))
+		}
+		forEachLeaf(v.Elem(), path, visit)
+	default:
+		visit(path, v)
+	}
+}
+
+// leafPaths lists the leaf paths of T, such as ".Objective.Alpha".
+func leafPaths[T any]() []string {
+	var paths []string
+	forEachLeaf(reflect.ValueOf(new(T)).Elem(), "", func(p string, _ reflect.Value) { paths = append(paths, p) })
+	return paths
+}
+
+// perturbed returns a zero T, its nil struct pointers allocated, with the
+// leaf at path set to a distinct non-default value ("" perturbs nothing).
+func perturbed[T any](t *testing.T, path string) *T {
+	x := new(T)
+	forEachLeaf(reflect.ValueOf(x).Elem(), "", func(p string, v reflect.Value) {
+		if p == path {
+			perturb(t, p, v)
+		}
+	})
+	return x
+}
+
+// perturb sets one leaf to 7, true, "7" or a one-element slice of such.
+func perturb(t *testing.T, path string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Float64:
+		v.SetFloat(7)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		v.SetString("7")
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 1, 1)
+		perturb(t, path, s.Index(0))
+		v.Set(s)
+	default:
+		t.Fatalf("%s: no perturbation for kind %s", path, v.Kind())
 	}
 }
 
@@ -211,7 +288,7 @@ func TestParentCommitCheckpointResumes(t *testing.T) {
 	if err := ses.LoadCheckpoint(f); err != nil {
 		t.Fatal(err)
 	}
-	ses.mapModel = func(*eval.Evaluator, *arch.Config, *dnn.Graph, Options, func() bool) (*MapResult, error) {
+	ses.mapModel = func(*eval.Evaluator, *arch.Config, *dnn.Graph, Mapping, func() bool) (*MapResult, error) {
 		t.Error("a checkpointed cell was re-mapped")
 		return nil, ErrInfeasible
 	}
@@ -243,7 +320,7 @@ func TestSessionCheckpointVersion(t *testing.T) {
 func TestSessionErrorNotInfeasible(t *testing.T) {
 	boom := errors.New("injected mapper crash")
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool) (*MapResult, error) {
+	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		if cfg.Name == "bad-arch" {
 			return nil, boom
 		}
@@ -291,7 +368,7 @@ func TestSessionErrorNotInfeasible(t *testing.T) {
 func TestSessionRetriesErroredCells(t *testing.T) {
 	boom := errors.New("transient failure")
 	failing := true
-	flakyMap := func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool) (*MapResult, error) {
+	flakyMap := func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		if failing && cfg.Name == "flaky-arch" {
 			return nil, boom
 		}

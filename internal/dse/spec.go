@@ -158,9 +158,9 @@ const (
 	PriorityBatch SweepPriority = "batch"
 )
 
-// tenantPattern is the accepted tenant-name shape: short, path- and
-// filename-safe, the same alphabet sweep ids use.
-var tenantPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
+// NamePattern is the accepted shape of tenant names, sweep ids and fleet
+// sweep ids: short, path- and filename-safe.
+var NamePattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 
 // maxSpecGrid bounds the raw cross product of a spec's dimension lists
 // before cut-divisibility filtering. The full Table I grids sit around
@@ -193,8 +193,8 @@ func (s *Spec) Validate() error {
 		}
 		grid *= n
 	}
-	if s.Tenant != "" && !tenantPattern.MatchString(s.Tenant) {
-		return fmt.Errorf("dse: spec tenant %q: want %s", s.Tenant, tenantPattern)
+	if s.Tenant != "" && !NamePattern.MatchString(s.Tenant) {
+		return fmt.Errorf("dse: spec tenant %q: want %s", s.Tenant, NamePattern)
 	}
 	switch SweepPriority(s.Priority) {
 	case "", PriorityInteractive, PriorityBatch:
@@ -240,25 +240,11 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// specResolveExclusions records the Spec fields Options deliberately does
-// not resolve: both are expanded by their own methods and keyed into cells
-// separately, so forgetting a *new* transport field here would silently drop
-// it — which is exactly what the fingerprintcomplete analyzer flags.
-//
-//gemini:fingerprint-exclude Spec
-var specResolveExclusions = map[string]string{
-	"Space":    "resolved by Candidates(); the architecture fingerprint keys each cell",
-	"Models":   "resolved by Graphs(); the model name keys each cell",
-	"Tenant":   "queueing identity consumed by the sweep service's admission control; the mapping engine never sees it",
-	"Priority": "scheduling class consumed by the sweep service's dispatcher; it orders and preempts sweeps, never changes a cell",
-}
-
 // Options resolves the spec's mapping options, applying the DefaultOptions
 // defaults to zero-valued fields. The spec's ID becomes Options.SweepID.
-// Every Spec field must be consumed here or accounted for in
-// specResolveExclusions (enforced by the fingerprintcomplete analyzer).
-//
-//gemini:fingerprint-of Spec
+// Space and Models resolve through Candidates and Graphs, and Tenant and
+// Priority stay with the sweep service; every other field lands here
+// (TestSpecOptionsConsumesEveryField).
 func (s *Spec) Options() Options {
 	opt := DefaultOptions()
 	opt.SweepID = s.ID

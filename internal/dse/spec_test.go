@@ -4,10 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"gemini/internal/arch"
 	"gemini/internal/dnn"
+	"gemini/internal/eval"
 )
 
 // tinySpec is a one-candidate sweep spec used across the spec tests.
@@ -148,22 +151,36 @@ func TestSpecSweepMatchesRun(t *testing.T) {
 	resultsEqual(t, want, got, "spec sweep")
 }
 
+// TestRunContextCanceledBeforeStart: every cell of a pre-canceled sweep
+// still reaches the scheduler and fails fast, so each candidate streams
+// exactly one row, and that row reads canceled, never infeasible.
 func TestRunContextCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ses := NewSession()
 	opt := testOptions()
 	opt.SweepID = "pre-canceled"
-	results, stats, err := ses.RunContext(ctx, testCands(), []*dnn.Graph{testCNN}, opt)
+	streamed := map[string]int{}
+	opt.OnResult = func(cr CandidateResult) { streamed[cr.Cfg.Name]++ }
+	cands := testCands()
+	results, stats, err := ses.RunContext(ctx, cands, []*dnn.Graph{testCNN, testTF}, opt)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if !stats.Canceled {
 		t.Error("stats.Canceled = false")
 	}
+	for _, c := range cands {
+		if streamed[c.Name] != 1 {
+			t.Errorf("%s: OnResult called %d times, want 1", c.Name, streamed[c.Name])
+		}
+	}
 	for i := range results {
 		if results[i].Err == nil || !errors.Is(results[i].Err, context.Canceled) {
 			t.Errorf("%s: Err = %v, want context.Canceled", results[i].Cfg.Name, results[i].Err)
+		}
+		if st := results[i].Status(); st == "infeasible" {
+			t.Errorf("%s: status %q, want error", results[i].Cfg.Name, st)
 		}
 	}
 	if n := ses.CheckpointCells(); n != 0 {
@@ -232,12 +249,41 @@ func testOptionsLike(opt Options) Options {
 // TestSweepIDExcludedFromFingerprint pins the checkpoint-compatibility
 // claim: renaming a sweep must keep hitting its old cells.
 func TestSweepIDExcludedFromFingerprint(t *testing.T) {
+	ses := NewSession()
+	ses.mapModel = func(*eval.Evaluator, *arch.Config, *dnn.Graph, Mapping, func() bool) (*MapResult, error) {
+		return nil, ErrInfeasible
+	}
+	cands, models := testCands()[:1], []*dnn.Graph{testCNN}
 	a := testOptions()
 	a.SweepID = "first"
+	ses.Run(cands, models, a)
 	b := a
 	b.SweepID = "second"
-	if optsFingerprint(a) != optsFingerprint(b) {
-		t.Error("SweepID changed the options fingerprint")
+	if n := ses.SettledCells(cands, models, b); n != 1 {
+		t.Errorf("renamed sweep finds %d settled cells, want 1", n)
+	}
+}
+
+// specOnlyFields are the Spec fields Options leaves alone, with the reason.
+// Perturbing one must leave Options unchanged; perturbing any other field
+// must change it, so a new Spec field that Options forgets fails here.
+var specOnlyFields = map[string]string{
+	"Space":    "resolved by Candidates; the architecture fingerprint keys each cell",
+	"Models":   "resolved by Graphs; the model name keys each cell",
+	"Tenant":   "admission and fair share at the sweep service; the engine never sees it",
+	"Priority": "dispatch class at the sweep service; it orders and preempts sweeps",
+}
+
+func TestSpecOptionsConsumesEveryField(t *testing.T) {
+	want := perturbed[Spec](t, "").Options()
+	for _, path := range leafPaths[Spec]() {
+		changed := !reflect.DeepEqual(perturbed[Spec](t, path).Options(), want)
+		top, _, _ := strings.Cut(path[1:], ".")
+		if reason, specOnly := specOnlyFields[top]; specOnly && changed {
+			t.Errorf("Spec%s changed Options; %s", path, reason)
+		} else if !specOnly && !changed {
+			t.Errorf("Spec%s did not change Options: resolve it there or add it to specOnlyFields with a reason", path)
+		}
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"regexp"
 	"slices"
 	"sort"
 	"sync"
@@ -211,9 +210,6 @@ type Health struct {
 	Workers []string `json:"workers,omitempty"`
 }
 
-// fleetIDPattern mirrors the sweep service's client-supplied id shape.
-var fleetIDPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
-
 // NewCoordinator builds a coordinator serving the fleet control plane:
 //
 //	POST /sweeps        submit a sweep for fleet execution
@@ -281,8 +277,8 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec := req.Spec
 	if spec.ID == "" {
 		spec.ID = newFleetID()
-	} else if !fleetIDPattern.MatchString(spec.ID) {
-		writeError(w, http.StatusBadRequest, "sweep id %q: want %s", spec.ID, fleetIDPattern)
+	} else if !dse.NamePattern.MatchString(spec.ID) {
+		writeError(w, http.StatusBadRequest, "sweep id %q: want %s", spec.ID, dse.NamePattern)
 		return
 	}
 	if err := spec.Validate(); err != nil {

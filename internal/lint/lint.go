@@ -1,8 +1,8 @@
 // Package lint is the project's static-analysis suite: a set of
 // go/analysis-style analyzers that mechanically enforce the engine's
-// determinism, fingerprint-completeness, lock-hygiene, hot-path-allocation
-// and error-classification invariants, plus the godoc contract previously
-// policed by a standalone exported-doc walk. The suite is driven by cmd/geminilint and
+// determinism, lock-hygiene, hot-path-allocation and error-classification
+// invariants, plus the godoc contract previously policed by a standalone
+// exported-doc walk. The suite is driven by cmd/geminilint and
 // runs in CI next to vet; every invariant it checks was once broken (or
 // nearly broken) by a real regression — see docs/lint.md for the history.
 //
@@ -178,7 +178,6 @@ func (pkg *Package) PackageDirective(key string) bool {
 func All() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		FingerprintAnalyzer,
 		LockHygieneAnalyzer,
 		HotPathAllocAnalyzer,
 		ErrClassAnalyzer,

@@ -16,10 +16,6 @@ func TestDeterminismOutputMode(t *testing.T) {
 	AnalyzerTest(t, "testdata/src/determinismoutput", DeterminismAnalyzer)
 }
 
-func TestFingerprintAnalyzer(t *testing.T) {
-	AnalyzerTest(t, "testdata/src/fingerprint", FingerprintAnalyzer)
-}
-
 func TestLockHygieneAnalyzer(t *testing.T) {
 	AnalyzerTest(t, "testdata/src/lockhygiene", LockHygieneAnalyzer)
 }
@@ -199,7 +195,7 @@ func TestDirectiveParsing(t *testing.T) {
 		directive bool
 	}{
 		{"//gemini:noalloc", "noalloc", "", true},
-		{"//gemini:fingerprint-of Options", "fingerprint-of", "Options", true},
+		{"//gemini:nondeterministic-ok sorted below", "nondeterministic-ok", "sorted below", true},
 		{"//gemini:lock-ok callback cannot panic", "lock-ok", "callback cannot panic", true},
 		{"// gemini:noalloc", "", "", false},
 		{"// ordinary comment mentioning //gemini:noalloc inline", "", "", false},

@@ -1,4 +1,4 @@
-// Fault-tolerance tests of the sweep service: seeded persistence chaos,
+// Fault-tolerance tests of the sweep service: scheduled persistence chaos,
 // saver failures and degraded persistence, corrupt-checkpoint quarantine,
 // handler-level panic isolation, and the /healthz fault counters.
 package serve
@@ -28,8 +28,8 @@ import (
 // later spill succeeds. A sweep spills exactly once, at its final flush, so
 // the schedule alone fixes the outcome: one failed save in the first sweep,
 // never three in a row, so never degraded.
-func chaosInjector(seed int64) *faultinject.Injector {
-	return faultinject.New(seed,
+func chaosInjector() *faultinject.Injector {
+	return faultinject.New(
 		faultinject.Rule{Point: faultinject.PointCacheSave, Kind: faultinject.KindPanic, On: []int{0}},
 		faultinject.Rule{Point: faultinject.PointCacheSave, Kind: faultinject.KindError, On: []int{1, 2}},
 	)
@@ -77,7 +77,7 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 			want := runSweep(t, clean.URL, spec)
 
 			dataDir, cacheDir := t.TempDir(), t.TempDir()
-			inj := chaosInjector(seed)
+			inj := chaosInjector()
 			_, hs := newTestServer(t, Config{DataDir: dataDir, CacheDir: cacheDir, FaultInjector: inj})
 			got := runSweep(t, hs.URL, spec)
 			done := got[len(got)-1]
@@ -194,7 +194,7 @@ func TestResumeAfterSaverFailures(t *testing.T) {
 	// Count 3 = exactly the three in-save attempts of the first save
 	// operation: the first checkpoint save fails outright, every later one
 	// succeeds.
-	inj := faultinject.New(1, faultinject.Rule{
+	inj := faultinject.New(faultinject.Rule{
 		Point: faultinject.PointCheckpointSave, Kind: faultinject.KindError, Count: 3,
 	})
 	_, hsA := newTestServer(t, Config{DataDir: dir, FaultInjector: inj})
@@ -274,7 +274,7 @@ func TestSweepSurvivesDeadPersistence(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec("doomed-saves", 8, 16, 32, 64)
 	writeSessionCheckpoint(t, filepath.Join(dir, "old.ckpt"), spec)
-	inj := faultinject.New(1,
+	inj := faultinject.New(
 		faultinject.Rule{Point: faultinject.PointCheckpointLoad, Kind: faultinject.KindError, Count: 1 << 20},
 		faultinject.Rule{Point: faultinject.PointCheckpointSave, Kind: faultinject.KindError, Count: 1 << 20},
 		faultinject.Rule{Point: faultinject.PointStatusSave, Kind: faultinject.KindError, Count: 1 << 20},

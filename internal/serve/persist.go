@@ -21,7 +21,7 @@ import (
 )
 
 // checkpointName is the server's one checkpoint file in DataDir. Sweep ids
-// cannot start with '_' (sweepIDPattern), so it never collides with a fleet
+// cannot start with '_' (dse.NamePattern), so it never collides with a fleet
 // sweep's <id>.ckpt.
 const checkpointName = "_session.ckpt"
 

@@ -42,7 +42,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"regexp"
 	"runtime"
 	"sort"
 	"sync"
@@ -221,11 +220,6 @@ func (s *Server) logf(format string, args ...any) {
 		s.cfg.Logf(format, args...)
 	}
 }
-
-// sweepIDPattern is the accepted client-supplied sweep id shape: short,
-// path- and filename-safe (ids key status and fleet checkpoint files on
-// disk). No id starts with '_', so none names the server's checkpoint.
-var sweepIDPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 
 // retiredSweeps bounds the finished-sweep history kept for GET /sweeps.
 const retiredSweeps = 1024

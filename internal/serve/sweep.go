@@ -583,8 +583,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	if spec.ID == "" {
 		spec.ID = newSweepID()
-	} else if !sweepIDPattern.MatchString(spec.ID) {
-		writeError(w, http.StatusBadRequest, "sweep id %q: want %s", spec.ID, sweepIDPattern)
+	} else if !dse.NamePattern.MatchString(spec.ID) {
+		// Ids key status and fleet checkpoint files on disk, so they must be
+		// path- and filename-safe. No id starts with '_', so none names the
+		// server's checkpoint.
+		writeError(w, http.StatusBadRequest, "sweep id %q: want %s", spec.ID, dse.NamePattern)
 		return
 	}
 	cands, err := spec.Candidates()
