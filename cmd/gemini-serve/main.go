@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	gemini-serve -addr :8080 -data /var/lib/gemini -max-sweeps 4 \
+//	gemini-serve -addr :8080 -data /var/lib/gemini \
 //	    -slots 8 -tenants ci=1,dev=3 -batch-share 0.5 -queue-depth 8
 //
 // Endpoints and the NDJSON schema are documented in docs/http-api.md; try:
@@ -32,10 +32,10 @@
 // lives under /fleet/). Fleet sweeps are submitted with
 // POST /fleet/sweeps {"spec": {...}, "shards": N}; the coordinator shards
 // the candidate grid across workers, fans the best incumbent back out so
-// every shard prunes against it, and merges worker checkpoints into a
-// <id>.ckpt under -data and into the server's session, so fleet and local
-// sweeps resume each other. -lease-ttl tunes how fast a dead worker's
-// shard is re-leased.
+// every shard prunes against it, and merges the shard cells workers upload
+// into the server's session — persisted in the same one checkpoint under
+// -data — so fleet and local sweeps resume each other under any id.
+// -lease-ttl tunes how fast a dead worker's shard is re-leased.
 package main
 
 import (
@@ -84,7 +84,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	data := flag.String("data", "", "checkpoint directory: one server checkpoint plus status records, every *.ckpt merged at startup (empty = no persistence)")
 	cacheDir := flag.String("cache-dir", "", "evaluation-cache spill directory: warmed from at startup, rewritten once after every finished sweep (empty = in-process cache only)")
-	maxSweeps := flag.Int("max-sweeps", 4, "max concurrently running sweeps (excess admitted sweeps wait in the queue)")
 	maxCells := flag.Int("max-cells", 0, "per-sweep (candidate, model) cell cap (0 = default)")
 	slots := flag.Int("slots", 0, "worker-slot pool shared by running sweeps (0 = GOMAXPROCS)")
 	tenants := flag.String("tenants", "", "fair-share tenant weights as name=weight,... (unlisted tenants weigh 1)")
@@ -109,16 +108,15 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		MaxConcurrentSweeps: *maxSweeps,
-		MaxCells:            *maxCells,
-		DataDir:             *data,
-		CacheDir:            *cacheDir,
-		WorkerSlots:         *slots,
-		TenantWeights:       weights,
-		BatchShare:          *batchShare,
-		QueueDepth:          *queueDepth,
-		MaxQueuedSweeps:     *maxQueued,
-		FleetLeaseTTL:       *leaseTTL,
+		MaxCells:        *maxCells,
+		DataDir:         *data,
+		CacheDir:        *cacheDir,
+		WorkerSlots:     *slots,
+		TenantWeights:   weights,
+		BatchShare:      *batchShare,
+		QueueDepth:      *queueDepth,
+		MaxQueuedSweeps: *maxQueued,
+		FleetLeaseTTL:   *leaseTTL,
 	}
 	if !*quiet {
 		cfg.Logf = log.Printf
@@ -128,8 +126,8 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: srv}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("listening on %s (max-sweeps=%d, slots=%d, tenants=%q, data=%q, cache-dir=%q)",
-		*addr, *maxSweeps, *slots, *tenants, *data, *cacheDir)
+	log.Printf("listening on %s (slots=%d, tenants=%q, data=%q, cache-dir=%q)",
+		*addr, *slots, *tenants, *data, *cacheDir)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"path/filepath"
 	"runtime/debug"
@@ -117,17 +118,31 @@ func (s *Session) CheckpointCells() int {
 // scoped to the given grid and options, so a shared session's unrelated
 // cells do not inflate it.
 func (s *Session) SettledCells(cands []arch.Config, models []*dnn.Graph, opt Options) int {
+	return len(s.gridCells(cands, models, opt))
+}
+
+// SaveCells writes the settled cells of one grid — cands × models under
+// opt's Mapping, the cells SettledCells counts — in SaveCheckpoint's format,
+// so LoadCheckpoint merges it like any checkpoint.
+func (s *Session) SaveCells(w io.Writer, cands []arch.Config, models []*dnn.Graph, opt Options) error {
+	return writeCheckpoint(w, s.gridCells(cands, models, opt))
+}
+
+// gridCells is the one definition of a grid's cells: the session's settled
+// cells among cands × models under opt's Mapping, by checkpoint key.
+func (s *Session) gridCells(cands []arch.Config, models []*dnn.Graph, opt Options) map[string]cellRecord {
 	optFP := optsFingerprint(opt.Mapping)
-	n := 0
+	out := make(map[string]cellRecord)
 	for ci := range cands {
 		fp := eval.ConfigFingerprint(&cands[ci])
 		for _, g := range models {
-			if _, ok := s.peekCell(cellKey(fp, g.Name, optFP)); ok {
-				n++
+			key := cellKey(fp, g.Name, optFP)
+			if rec, ok := s.peekCell(key); ok {
+				out[key] = rec
 			}
 		}
 	}
-	return n
+	return out
 }
 
 func (s *Session) logf(format string, args ...any) {
@@ -418,14 +433,17 @@ const checkpointVersion = 1
 // emitted in sorted order, so identical sessions produce identical bytes.
 func (s *Session) SaveCheckpoint(w io.Writer) error {
 	s.cellMu.Lock()
-	cp := checkpointFile{Version: checkpointVersion, Cells: make(map[string]cellRecord, len(s.cells))}
-	for k, v := range s.cells {
-		cp.Cells[k] = v
-	}
+	cells := maps.Clone(s.cells)
 	s.cellMu.Unlock()
+	return writeCheckpoint(w, cells)
+}
+
+// writeCheckpoint encodes cells as a version-1 checkpoint; encoding/json
+// sorts the keys, so equal cell sets give equal bytes.
+func writeCheckpoint(w io.Writer, cells map[string]cellRecord) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(cp)
+	return enc.Encode(checkpointFile{Version: checkpointVersion, Cells: cells})
 }
 
 // LoadCheckpoint merges a previously saved checkpoint into the session;

@@ -179,6 +179,27 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 	if calls.Load() == 0 {
 		t.Error("changed options should have forced re-mapping")
 	}
+
+	// SaveCells scopes the same format to one grid: b now holds two grids'
+	// cells, and saving the first reproduces its checkpoint byte for byte.
+	var scoped bytes.Buffer
+	if err := b.SaveCells(&scoped, cands, models, opt); err != nil {
+		t.Fatal(err)
+	}
+	if scoped.String() != saved {
+		t.Error("SaveCells of the first grid differs from its SaveCheckpoint bytes")
+	}
+	scoped.Reset()
+	if err := b.SaveCells(&scoped, cands[:1], models, opt2); err != nil {
+		t.Fatal(err)
+	}
+	c := NewSession()
+	if err := c.LoadCheckpoint(&scoped); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.CheckpointCells(); n != len(models) || c.SettledCells(cands[:1], models, opt2) != n {
+		t.Errorf("one candidate's SaveCells loaded %d cells, want its %d", n, len(models))
+	}
 }
 
 // TestCellKeysPinned pins the checkpoint cell keying to its PR 11 values:

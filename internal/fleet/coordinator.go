@@ -1,17 +1,17 @@
 // Package fleet distributes one sweep across worker processes: a
 // coordinator partitions a sweep spec's candidate grid into shard leases,
-// hands them to workers over HTTP, merges worker checkpoint uploads into the
-// sweep's canonical arch-fingerprint-keyed checkpoint, and folds the best
-// result each upload carries into a fleet-wide incumbent that rides back on
-// every response, so all shards prune against the fleet-wide best.
-// Worker death is handled by lease expiry: an orphaned shard goes back in
-// the pending pool and its next holder starts from the merged checkpoint,
-// so already-settled cells restore instead of recompute.
+// hands them to workers over HTTP, merges worker checkpoint uploads into one
+// fingerprint-keyed cell store, and folds the best result each upload
+// carries into a fleet-wide incumbent that rides back on every response, so
+// all shards prune against the fleet-wide best. Leases and uploads carry
+// only their shard's cells. Worker death is handled by lease expiry: an
+// orphaned shard goes back in the pending pool and its next lease carries
+// the shard's settled cells, so they restore instead of recompute.
 //
 // The coordinator is an http.Handler with its own routes (the sweep
-// service mounts it under /fleet/); it never runs mapping work itself —
-// its dse.Session exists purely as the merge vehicle, because checkpoint
-// load is a merge by construction.
+// service mounts it under /fleet/); it never runs mapping work itself. Its
+// cell store is a dse.Session — the sweep service's own, so fleet sweeps
+// and /sweep settle cells in one place and resume each other under any id.
 //
 //gemini:deterministic-output
 //gemini:documented
@@ -50,15 +50,15 @@ type CoordinatorConfig struct {
 	// (default time.Now). Tests inject a fake clock to drive expiry
 	// deterministically.
 	Now func() time.Time
-	// Persist, when set, receives the canonical merged checkpoint bytes
-	// each time a sweep completes; the sweep service merges them into its
-	// session and writes them to DataDir/<id>.ckpt.
-	Persist func(sweepID string, checkpoint []byte)
-	// LoadCheckpoint, when set, is consulted at submit time for a prior
-	// checkpoint of the sweep id (nil means none), so a re-submitted fleet
-	// sweep resumes its settled cells; the sweep service answers from
-	// DataDir/<id>.ckpt, or from its session when a /sweep ran under the id.
-	LoadCheckpoint func(sweepID string) []byte
+	// Session is the cell store every fleet sweep merges uploads into and
+	// cuts lease checkpoints from (default: a fresh one). The sweep service
+	// passes its own, so a sweep of any id restores every settled cell of
+	// its grid, whichever surface settled it.
+	Session *dse.Session
+	// OnMerge, when set, is called after every merged upload, outside the
+	// coordinator's lock; sweepDone reports that the upload completed its
+	// sweep. The sweep service persists the session from it.
+	OnMerge func(sweepDone bool)
 }
 
 func (c *CoordinatorConfig) leaseTTL() time.Duration {
@@ -81,6 +81,7 @@ func (c *CoordinatorConfig) now() time.Time {
 type Coordinator struct {
 	cfg CoordinatorConfig
 	mux *http.ServeMux
+	ses *dse.Session
 
 	mu       sync.Mutex
 	sweeps   map[string]*fleetSweep
@@ -89,7 +90,7 @@ type Coordinator struct {
 }
 
 // retiredFleetSweeps bounds the done sweeps a coordinator keeps: each pins
-// its merged checkpoint, and every request walks the registry.
+// its enumerated grid, and every request walks the registry.
 const retiredFleetSweeps = 1024
 
 type shardPhase int
@@ -109,10 +110,10 @@ type shardState struct {
 	// cands are the shard's enumeration indices, strictly ascending (see
 	// partition); every lease of the shard carries them.
 	cands []int
-	// settledAtLease is how many of the shard's cells the merged checkpoint
-	// already held when the current lease was granted; the holder's
-	// reported ResumedCells must reach it or the difference is recomputed
-	// work, surfaced in SweepAggregate.RecomputedSettledCells.
+	// settledAtLease is how many of the shard's cells the session already
+	// held when the current lease was granted; the holder's reported
+	// ResumedCells must reach it or the difference is recomputed work,
+	// surfaced in SweepAggregate.RecomputedSettledCells.
 	settledAtLease int
 }
 
@@ -124,12 +125,9 @@ type fleetSweep struct {
 	cands  []arch.Config
 	graphs []*dnn.Graph
 	shards []shardState
-	// ses is the merge vehicle: LoadCheckpoint merges worker uploads,
-	// SaveCheckpoint emits the canonical deterministic bytes.
-	ses   *dse.Session
-	inc   IncumbentState
-	stats SweepAggregate
-	done  bool
+	inc    IncumbentState
+	stats  SweepAggregate
+	done   bool
 }
 
 // SweepAggregate is the coordinator's fleet-wide accounting for one sweep,
@@ -141,9 +139,9 @@ type SweepAggregate struct {
 	ResumedCells int `json:"resumed_cells"`
 	// PrunedCandidates sums candidates shards' bound gates skipped.
 	PrunedCandidates int `json:"pruned_candidates"`
-	// RecomputedSettledCells counts cells that were settled in the merged
-	// checkpoint at lease time but recomputed anyway by the lease holder;
-	// the re-shard machinery exists to keep this zero.
+	// RecomputedSettledCells counts cells that were settled in the session
+	// at lease time but recomputed anyway by the lease holder; the re-shard
+	// machinery exists to keep this zero.
 	RecomputedSettledCells int `json:"recomputed_settled_cells"`
 	// ExpiredLeases counts leases that lapsed and sent their shard back to
 	// the pending pool.
@@ -170,7 +168,7 @@ type SweepStatus struct {
 	Candidates int `json:"candidates"`
 	// Cells is the (candidate × model) grid size.
 	Cells int `json:"cells"`
-	// CheckpointCells is how many cells the merged checkpoint holds.
+	// CheckpointCells is how many of the sweep's own cells are settled.
 	CheckpointCells int `json:"checkpoint_cells"`
 	// Incumbent is the fleet-wide best achieved feasible objective.
 	Incumbent IncumbentState `json:"incumbent"`
@@ -222,7 +220,11 @@ type Health struct {
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c := &Coordinator{
 		cfg:    cfg,
+		ses:    cfg.Session,
 		sweeps: make(map[string]*fleetSweep),
+	}
+	if c.ses == nil {
+		c.ses = dse.NewSession()
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sweeps", c.handleSubmit)
@@ -313,18 +315,9 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		cands:  cands,
 		graphs: graphs,
 		shards: make([]shardState, len(parts)),
-		ses:    dse.NewSession(),
 	}
 	for i, p := range parts {
 		fs.shards[i].cands = p
-	}
-	if c.cfg.LoadCheckpoint != nil {
-		if prior := c.cfg.LoadCheckpoint(spec.ID); len(prior) > 0 {
-			if err := fs.ses.LoadCheckpoint(bytes.NewReader(prior)); err != nil {
-				writeError(w, http.StatusConflict, "prior checkpoint for %q: %v", spec.ID, err)
-				return
-			}
-		}
 	}
 
 	c.mu.Lock()
@@ -337,15 +330,15 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 
 	c.logf("fleet: sweep %s submitted: %d candidates x %d models in %d shards (%d cells resumed)",
-		fs.id, len(cands), len(graphs), len(parts), fs.ses.CheckpointCells())
+		fs.id, len(cands), len(graphs), len(parts), st.CheckpointCells)
 	writeJSON(w, http.StatusCreated, st)
 }
 
 // admitLocked registers a submitted sweep, reporting false while a running
 // sweep holds its id. A done sweep under the id is superseded — re-submitting
-// is how a client resumes, and LoadCheckpoint already seeded fs with the
-// prior cells — and the oldest done sweeps beyond retiredFleetSweeps are
-// evicted. Called with c.mu held.
+// is how a client resumes, and the session already holds the prior cells —
+// and the oldest done sweeps beyond retiredFleetSweeps are evicted. Called
+// with c.mu held.
 func (c *Coordinator) admitLocked(fs *fleetSweep) bool {
 	if old, dup := c.sweeps[fs.id]; dup {
 		if !old.done {
@@ -414,7 +407,7 @@ func (c *Coordinator) statusLocked(fs *fleetSweep) SweepStatus {
 		Shards:          len(fs.shards),
 		Candidates:      len(fs.cands),
 		Cells:           len(fs.cands) * len(fs.graphs),
-		CheckpointCells: fs.ses.CheckpointCells(),
+		CheckpointCells: c.ses.SettledCells(fs.cands, fs.graphs, fs.opt),
 		Incumbent:       fs.inc,
 		Stats:           fs.stats,
 	}
@@ -506,9 +499,12 @@ func (c *Coordinator) grantLocked(fs *fleetSweep, i int, worker string, now time
 		Incumbent:  fs.inc,
 		TTLMS:      int(ttl.Milliseconds()),
 	}
-	if fs.ses.CheckpointCells() > 0 {
+	// Cells only ever join the session, so the lease carries at least the
+	// settledAtLease cells it is held to.
+	settled := c.ses.SettledCells(shardCands, fs.graphs, fs.opt)
+	if settled > 0 {
 		var buf bytes.Buffer
-		if err := fs.ses.SaveCheckpoint(&buf); err != nil {
+		if err := c.ses.SaveCells(&buf, shardCands, fs.graphs, fs.opt); err != nil {
 			return nil, err
 		}
 		lease.Checkpoint = buf.Bytes()
@@ -518,7 +514,7 @@ func (c *Coordinator) grantLocked(fs *fleetSweep, i int, worker string, now time
 	sh.leaseID = lease.LeaseID
 	sh.worker = worker
 	sh.expires = now.Add(ttl)
-	sh.settledAtLease = fs.ses.SettledCells(shardCands, fs.graphs, fs.opt)
+	sh.settledAtLease = settled
 	return lease, nil
 }
 
@@ -599,7 +595,7 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	// Merge first, regardless of lease liveness: settled cells are valid
 	// whoever computed them, and dropping a dying worker's last upload
 	// would recompute work for no reason.
-	if err := fs.ses.LoadCheckpoint(bytes.NewReader(up.Checkpoint)); err != nil {
+	if err := c.ses.LoadCheckpoint(bytes.NewReader(up.Checkpoint)); err != nil {
 		c.mu.Unlock()
 		writeError(w, http.StatusBadRequest, "merging checkpoint: %v", err)
 		return
@@ -614,6 +610,7 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	i := c.findLeaseLocked(fs, up.LeaseID)
 	if i < 0 {
 		c.mu.Unlock()
+		c.merged(false)
 		writeError(w, http.StatusGone, "lease %s is no longer live (checkpoint merged)", up.LeaseID)
 		return
 	}
@@ -621,8 +618,6 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	// Any upload on a live lease proves the worker is alive; extend it.
 	sh.expires = now.Add(c.cfg.leaseTTL())
 
-	var persistID string
-	var persistBytes []byte
 	if up.Complete {
 		sh.phase = shardDone
 		sh.leaseID = ""
@@ -634,22 +629,7 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 				fs.stats.RecomputedSettledCells += rec
 			}
 		}
-		allDone := true
-		for j := range fs.shards {
-			if fs.shards[j].phase != shardDone {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			fs.done = true
-			var buf bytes.Buffer
-			if err := fs.ses.SaveCheckpoint(&buf); err == nil {
-				persistID, persistBytes = fs.id, buf.Bytes()
-			} else {
-				c.logf("fleet: sweep %s: canonical checkpoint save failed: %v", fs.id, err)
-			}
-		}
+		fs.done = !slices.ContainsFunc(fs.shards, func(sh shardState) bool { return sh.phase != shardDone })
 	}
 	resp := CheckpointResponse{Incumbent: fs.inc, SweepDone: fs.done}
 	c.mu.Unlock()
@@ -657,10 +637,17 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if up.Complete {
 		c.logf("fleet: sweep %s shard %d complete (worker %s); sweep done=%v", up.SweepID, i, up.Worker, resp.SweepDone)
 	}
-	if persistBytes != nil && c.cfg.Persist != nil {
-		c.cfg.Persist(persistID, persistBytes)
-	}
+	// A live lease means the sweep was not done before this upload, so
+	// SweepDone here is the transition, reported once per sweep.
+	c.merged(resp.SweepDone)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// merged reports a merged upload to OnMerge. Called without c.mu.
+func (c *Coordinator) merged(sweepDone bool) {
+	if c.cfg.OnMerge != nil {
+		c.cfg.OnMerge(sweepDone)
+	}
 }
 
 // Health snapshots the coordinator for the sweep service's /healthz block.
@@ -711,21 +698,6 @@ func (c *Coordinator) Status(id string) (SweepStatus, bool) {
 	return c.statusLocked(fs), true
 }
 
-// Checkpoint returns the sweep's current merged canonical checkpoint bytes.
-func (c *Coordinator) Checkpoint(id string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fs, ok := c.sweeps[id]
-	if !ok {
-		return nil, false
-	}
-	var buf bytes.Buffer
-	if err := fs.ses.SaveCheckpoint(&buf); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
 // newFleetID mints a random sweep id for submissions that carry none.
 func newFleetID() string {
 	var b [6]byte
@@ -743,9 +715,9 @@ type errorBody struct {
 
 // Request body limits. Submit, lease and renew messages are at most
 // spec-sized (the sweep service's POST /sweep limit); a checkpoint
-// upload carries every settled cell of a worker session at roughly 600
-// bytes per cell, so it gets room for about 10^5 cells — several full
-// Table I grids.
+// upload carries its shard's settled cells at roughly 600 bytes per cell,
+// but an older worker uploads its whole session, so the limit leaves room
+// for about 10^5 cells — several full Table I grids.
 const (
 	controlBodyLimit    = 1 << 20
 	checkpointBodyLimit = 64 << 20

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,11 +219,6 @@ func TestCoordinatorSurface(t *testing.T) {
 	}, nil); code != http.StatusBadRequest {
 		t.Fatalf("corrupt upload answered %d", code)
 	}
-
-	// Checkpoint accessor on an unknown sweep.
-	if _, ok := coord.Checkpoint("none"); ok {
-		t.Fatalf("Checkpoint found an unknown sweep")
-	}
 }
 
 // TestBoundedDecode: every POST endpoint reads at most its body limit and
@@ -262,40 +258,33 @@ func TestBoundedDecode(t *testing.T) {
 	}
 }
 
-// TestSubmitGuards covers the grid cap and the corrupt-prior-checkpoint
-// conflict.
+// TestSubmitGuards covers the grid cap.
 func TestSubmitGuards(t *testing.T) {
 	spec := parseSpec(t, testSpecJSON("guard"))
-
-	capped := NewCoordinator(CoordinatorConfig{MaxCells: 1})
-	srv := httptest.NewServer(capped)
+	srv := httptest.NewServer(NewCoordinator(CoordinatorConfig{MaxCells: 1}))
+	defer srv.Close()
 	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: 1}, nil); code != http.StatusUnprocessableEntity {
 		t.Fatalf("over-cap submit answered %d, want 422", code)
-	}
-	srv.Close()
-
-	corrupt := NewCoordinator(CoordinatorConfig{
-		LoadCheckpoint: func(id string) []byte { return []byte("not a checkpoint") },
-	})
-	srv = httptest.NewServer(corrupt)
-	defer srv.Close()
-	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: 1}, nil); code != http.StatusConflict {
-		t.Fatalf("corrupt-prior submit answered %d, want 409", code)
 	}
 }
 
 // TestSingleShardDrain drives one shard by hand through the Complete upload
-// so the done transition, the stats fold and the Persist hook are covered
-// without a worker loop.
+// so the done transition, the stats fold and OnMerge are covered without a
+// worker loop.
 func TestSingleShardDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real (tiny) sweep")
 	}
 	spec := parseSpec(t, testSpecJSON("drain"))
-	var persisted []byte
+	var merges, dones atomic.Int32
 	coord := NewCoordinator(CoordinatorConfig{
-		Logf:    t.Logf,
-		Persist: func(id string, data []byte) { persisted = data },
+		Logf: t.Logf,
+		OnMerge: func(sweepDone bool) {
+			merges.Add(1)
+			if sweepDone {
+				dones.Add(1)
+			}
+		},
 	})
 	srv := httptest.NewServer(coord)
 	defer srv.Close()
@@ -349,16 +338,17 @@ func TestSingleShardDrain(t *testing.T) {
 	if !cresp.SweepDone {
 		t.Fatalf("single-shard sweep not done after its complete upload")
 	}
-	if len(persisted) == 0 {
-		t.Fatalf("Persist hook never received the canonical checkpoint")
+	// A late upload on the spent lease still merges, but the sweep finished
+	// once: OnMerge(true) fires exactly once.
+	if code := postJSON(t, srv.URL+"/checkpoint", up, nil); code != http.StatusGone {
+		t.Fatalf("upload on a spent lease answered %d, want 410", code)
+	}
+	if merges.Load() != 2 || dones.Load() != 1 {
+		t.Fatalf("OnMerge fired %d times, %d with sweepDone; want 2 and 1", merges.Load(), dones.Load())
 	}
 	got, _ := coord.Status("drain")
 	if got.State != "done" || got.Stats.SAIterations != stats.SAIterations {
 		t.Fatalf("status after drain = %+v", got)
-	}
-	ck, ok := coord.Checkpoint("drain")
-	if !ok || !bytes.Equal(ck, persisted) {
-		t.Fatalf("accessor checkpoint differs from persisted canonical bytes")
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -79,11 +81,7 @@ func singleProcessRun(t *testing.T, spec dse.Spec) ([]byte, *dse.CandidateResult
 	if err != nil {
 		t.Fatalf("single-process run: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := ses.SaveCheckpoint(&buf); err != nil {
-		t.Fatalf("single-process checkpoint: %v", err)
-	}
-	return buf.Bytes(), dse.Best(results)
+	return checkpointBytes(t, ses), dse.Best(results)
 }
 
 // TestFleetEndToEnd drains a 2-shard sweep with one worker and checks the
@@ -99,7 +97,8 @@ func TestFleetEndToEnd(t *testing.T) {
 		t.Fatalf("single-process run found no feasible best")
 	}
 
-	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Minute, Logf: t.Logf})
+	ses := dse.NewSession()
+	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Minute, Logf: t.Logf, Session: ses})
 	srv := httptest.NewServer(coord)
 	defer srv.Close()
 
@@ -142,13 +141,170 @@ func TestFleetEndToEnd(t *testing.T) {
 		t.Fatalf("aggregated sa_iterations = %d, want > 0", got.Stats.SAIterations)
 	}
 
-	fleetCkpt, ok := coord.Checkpoint("e2e")
-	if !ok {
-		t.Fatalf("no fleet checkpoint")
-	}
+	fleetCkpt := checkpointBytes(t, ses)
 	if !bytes.Equal(fleetCkpt, soloCkpt) {
 		t.Fatalf("merged fleet checkpoint differs from single-process checkpoint:\nfleet %d bytes, solo %d bytes",
 			len(fleetCkpt), len(soloCkpt))
+	}
+}
+
+// checkpointBytes returns ses's SaveCheckpoint bytes.
+func checkpointBytes(t *testing.T, ses *dse.Session) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ses.SaveCheckpoint(&buf); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// cellKeys decodes the cell keys of checkpoint bytes (none when empty).
+func cellKeys(t *testing.T, ckpt []byte) map[string]bool {
+	t.Helper()
+	keys := make(map[string]bool)
+	if len(ckpt) == 0 {
+		return keys
+	}
+	var cp struct {
+		Cells map[string]json.RawMessage `json:"cells"`
+	}
+	if err := json.Unmarshal(ckpt, &cp); err != nil {
+		t.Fatalf("decoding checkpoint: %v", err)
+	}
+	for k := range cp.Cells {
+		keys[k] = true
+	}
+	return keys
+}
+
+// TestLeaseAndUploadsCarryOnlyShardCells: the coordinator's session and the
+// worker's both hold another shard's and another sweep's cells, yet every
+// lease carries exactly its shard's settled cells and every upload only its
+// shard's cells — the Complete upload all of them.
+func TestLeaseAndUploadsCarryOnlyShardCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real sweeps")
+	}
+	spec := parseSpec(t, testSpecJSON("payload"))
+	other := spec
+	other.ID, other.Seed = "elsewhere", spec.Seed+7
+	all, err := spec.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, err := spec.Graphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run settles idx of sp's grid in a fresh session and returns its bytes.
+	run := func(sp dse.Spec, idx []int) []byte {
+		t.Helper()
+		ses := dse.NewSession()
+		for _, k := range idx {
+			if _, _, err := ses.RunContext(context.Background(), all[k:k+1], graphs, sp.Options()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return checkpointBytes(t, ses)
+	}
+	parts := partition(len(all), 2)
+	shardCells := [][]byte{run(spec, parts[0]), run(spec, parts[1])}
+	firstCell := run(spec, parts[0][:1])
+	otherSweep := run(other, []int{0, 1, 2, 3})
+
+	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Minute, Logf: t.Logf})
+	var mu sync.Mutex
+	leases := make(map[string]Lease)
+	var uploads []CheckpointUpload
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		coord.ServeHTTP(rec, r)
+		mu.Lock()
+		switch {
+		case r.URL.Path == "/checkpoint":
+			var up CheckpointUpload
+			if err := json.Unmarshal(body, &up); err == nil {
+				uploads = append(uploads, up)
+			}
+		case r.URL.Path == "/lease" && rec.Code == http.StatusOK:
+			var l Lease
+			if err := json.Unmarshal(rec.Body.Bytes(), &l); err == nil {
+				leases[l.LeaseID] = l
+			}
+		}
+		mu.Unlock()
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	defer proxy.Close()
+
+	if code := postJSON(t, proxy.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: 2}, nil); code != http.StatusCreated {
+		t.Fatalf("submit answered %d", code)
+	}
+	// Seed the coordinator through a stale-lease upload, which merges:
+	// shard 0's first cell, all of shard 1 and the other sweep's grid.
+	seed := dse.NewSession()
+	for _, b := range [][]byte{firstCell, shardCells[1], otherSweep} {
+		if err := seed.LoadCheckpoint(bytes.NewReader(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code := postJSON(t, proxy.URL+"/checkpoint", CheckpointUpload{
+		SweepID: "payload", LeaseID: "seed", Worker: "seeder", Checkpoint: checkpointBytes(t, seed),
+	}, nil); code != http.StatusGone {
+		t.Fatalf("seeding upload answered %d, want 410", code)
+	}
+	// The worker's session holds shard 1's and the other sweep's cells
+	// before it leases anything.
+	wses := dse.NewSession()
+	for _, b := range [][]byte{shardCells[1], otherSweep} {
+		if err := wses.LoadCheckpoint(bytes.NewReader(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	uploads = nil
+	mu.Unlock()
+	if err := RunWorker(context.Background(), WorkerConfig{
+		Coordinator: proxy.URL, Name: "w", ExitWhenIdle: true, Logf: t.Logf, Session: wses,
+	}); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(leases) != 2 {
+		t.Fatalf("worker took %d leases, want 2", len(leases))
+	}
+	settledAtLease := [][]byte{firstCell, shardCells[1]}
+	for _, l := range leases {
+		if got, want := cellKeys(t, l.Checkpoint), cellKeys(t, settledAtLease[l.Shard]); !maps.Equal(got, want) {
+			t.Errorf("shard %d lease carries %d cells %v, want its %d settled cells %v", l.Shard, len(got), got, len(want), want)
+		}
+	}
+	if len(uploads) < 2 {
+		t.Fatalf("worker sent %d uploads, want at least one per shard", len(uploads))
+	}
+	for i, up := range uploads {
+		l, ok := leases[up.LeaseID]
+		if !ok {
+			t.Fatalf("upload %d names unknown lease %s", i, up.LeaseID)
+		}
+		got, shard := cellKeys(t, up.Checkpoint), cellKeys(t, shardCells[l.Shard])
+		for k := range got {
+			if !shard[k] {
+				t.Errorf("upload %d for shard %d carries foreign cell %s", i, l.Shard, k)
+			}
+		}
+		if up.Complete && !maps.Equal(got, shard) {
+			t.Errorf("shard %d's Complete upload carries %d cells, want its %d", l.Shard, len(got), len(shard))
+		}
+	}
+	if st, _ := coord.Status("payload"); st.State != "done" || st.Stats.RecomputedSettledCells != 0 {
+		t.Errorf("sweep after drain: %+v", st)
 	}
 }
 
@@ -184,10 +340,12 @@ func TestWorkerDeathReshard(t *testing.T) {
 	soloCkpt, soloBest := singleProcessRun(t, spec)
 
 	clock := &fakeClock{t: time.Unix(1_000_000, 0)}
+	ses := dse.NewSession()
 	coord := NewCoordinator(CoordinatorConfig{
 		LeaseTTL: 30 * time.Second,
 		Logf:     t.Logf,
 		Now:      clock.Now,
+		Session:  ses,
 	})
 	srv := httptest.NewServer(coord)
 	defer srv.Close()
@@ -218,10 +376,6 @@ func TestWorkerDeathReshard(t *testing.T) {
 	if _, _, err := aSes.RunContext(context.Background(), aCands[:1], graphs, lease.Spec.Options()); err != nil {
 		t.Fatalf("doomed worker's partial run: %v", err)
 	}
-	var partial bytes.Buffer
-	if err := aSes.SaveCheckpoint(&partial); err != nil {
-		t.Fatalf("partial checkpoint: %v", err)
-	}
 	partialCells := aSes.CheckpointCells()
 	if partialCells == 0 {
 		t.Fatalf("partial run settled no cells")
@@ -231,7 +385,7 @@ func TestWorkerDeathReshard(t *testing.T) {
 		SweepID:    lease.SweepID,
 		LeaseID:    lease.LeaseID,
 		Worker:     "doomed",
-		Checkpoint: partial.Bytes(),
+		Checkpoint: checkpointBytes(t, aSes),
 	}, &cresp); code != http.StatusOK {
 		t.Fatalf("partial upload answered %d", code)
 	}
@@ -271,11 +425,7 @@ func TestWorkerDeathReshard(t *testing.T) {
 		t.Fatalf("fleet best %v != single-process best %v", got.Incumbent.Objective, soloBest.Obj)
 	}
 
-	fleetCkpt, ok := coord.Checkpoint("reshard")
-	if !ok {
-		t.Fatalf("no fleet checkpoint")
-	}
-	if !bytes.Equal(fleetCkpt, soloCkpt) {
+	if fleetCkpt := checkpointBytes(t, ses); !bytes.Equal(fleetCkpt, soloCkpt) {
 		t.Fatalf("merged checkpoint after re-shard differs from single-process checkpoint")
 	}
 }
@@ -323,14 +473,11 @@ func TestCoordinatorWire(t *testing.T) {
 
 	// The best an upload carries folds monotonically into the incumbent and
 	// comes back on the upload's own response.
-	var empty bytes.Buffer
-	if err := dse.NewSession().SaveCheckpoint(&empty); err != nil {
-		t.Fatalf("empty checkpoint: %v", err)
-	}
+	empty := checkpointBytes(t, dse.NewSession())
 	upload := func(leaseID string, best ShardBest) (int, CheckpointResponse) {
 		var resp CheckpointResponse
 		code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
-			SweepID: "wire", LeaseID: leaseID, Worker: "w", Best: &best, Checkpoint: empty.Bytes(),
+			SweepID: "wire", LeaseID: leaseID, Worker: "w", Best: &best, Checkpoint: empty,
 		}, &resp)
 		return code, resp
 	}
@@ -377,24 +524,18 @@ func TestCoordinatorWire(t *testing.T) {
 	ses := dse.NewSession()
 	cands, _ := spec.Candidates()
 	graphs, _ := spec.Graphs()
-	opt := spec.Options()
-	opt.SAIterations = 10
-	if _, _, err := ses.RunContext(context.Background(), cands[:1], graphs, opt); err != nil {
+	if _, _, err := ses.RunContext(context.Background(), cands[:1], graphs, spec.Options()); err != nil {
 		t.Fatalf("mini run: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := ses.SaveCheckpoint(&buf); err != nil {
-		t.Fatalf("mini checkpoint: %v", err)
 	}
 	if code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
 		SweepID: "wire", LeaseID: lease.LeaseID, Worker: "w",
-		Best: &ShardBest{Candidate: "c", Objective: 5}, Checkpoint: buf.Bytes(),
+		Best: &ShardBest{Candidate: "c", Objective: 5}, Checkpoint: checkpointBytes(t, ses),
 	}, nil); code != http.StatusGone {
 		t.Fatalf("stale upload answered %d, want 410", code)
 	}
 	got, _ = coord.Status("wire")
-	if got.CheckpointCells == 0 {
-		t.Fatalf("stale upload's cells were not merged")
+	if got.CheckpointCells != len(graphs) {
+		t.Fatalf("stale upload's %d cells were not merged: status counts %d", len(graphs), got.CheckpointCells)
 	}
 	if got.Incumbent.Objective != 5 || got.Incumbent.Candidate != "c" {
 		t.Fatalf("stale upload's best was not folded: %+v", got.Incumbent)
@@ -405,30 +546,15 @@ func TestCoordinatorWire(t *testing.T) {
 }
 
 // TestResubmitDoneSweepResumes: a finished sweep's id is free again. The
-// re-submission supersedes the done record, LoadCheckpoint seeds it with
-// the cells Persist received, and the second drain restores every cell
-// without annealing; a running id still answers 409.
+// re-submission supersedes the done record, starts with every cell of its
+// grid settled in the coordinator's session, and the second drain restores
+// every cell without annealing; a running id still answers 409.
 func TestResubmitDoneSweepResumes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
 	}
 	spec := parseSpec(t, testSpecJSON("again"))
-	var mu sync.Mutex
-	saved := make(map[string][]byte)
-	coord := NewCoordinator(CoordinatorConfig{
-		LeaseTTL: time.Minute,
-		Logf:     t.Logf,
-		Persist: func(id string, data []byte) {
-			mu.Lock()
-			saved[id] = data
-			mu.Unlock()
-		},
-		LoadCheckpoint: func(id string) []byte {
-			mu.Lock()
-			defer mu.Unlock()
-			return saved[id]
-		},
-	})
+	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Minute, Logf: t.Logf})
 	srv := httptest.NewServer(coord)
 	defer srv.Close()
 	drain := func() SweepStatus {

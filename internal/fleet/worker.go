@@ -126,11 +126,12 @@ func (w *worker) logf(format string, args ...any) {
 	}
 }
 
-// runShard executes one leased shard: restore the merged checkpoint, run
+// runShard executes one leased shard: restore the lease's settled cells, run
 // the shard's candidates with the cached fleet best wired into pruning,
 // renew the lease in the background, stream partial checkpoints per settled
 // candidate, and finish with a Complete upload carrying stats. Every upload
-// carries the shard's best delivered result.
+// carries the shard's settled cells — never the rest of the worker's
+// session — and its best delivered result.
 func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 	cands, err := leaseCandidates(lease)
 	if err != nil {
@@ -162,7 +163,7 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 	opt.Incumbent = ex.Best
 
 	// Coalesced partial checkpoint uploads: each settled candidate pokes
-	// the uploader, which snapshots the session checkpoint and ships it
+	// the uploader, which snapshots the shard's settled cells and ships them
 	// with the shard's best delivered result — the one channel the fleet
 	// incumbent travels up on. Uploads prove liveness (the coordinator
 	// extends the lease), so a worker that is making progress never expires
@@ -233,7 +234,7 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 				return
 			case <-ckptPoke:
 				var buf bytes.Buffer
-				if err := w.ses.SaveCheckpoint(&buf); err != nil {
+				if err := w.ses.SaveCells(&buf, cands, graphs, opt); err != nil {
 					continue
 				}
 				up := &CheckpointUpload{
@@ -268,7 +269,7 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 	// merge soundly whoever finishes the shard.
 	complete := runErr == nil && !stats.Canceled
 	var buf bytes.Buffer
-	if err := w.ses.SaveCheckpoint(&buf); err != nil {
+	if err := w.ses.SaveCells(&buf, cands, graphs, opt); err != nil {
 		return errors.Join(runErr, err)
 	}
 	up := &CheckpointUpload{

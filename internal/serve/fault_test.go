@@ -233,7 +233,7 @@ func TestResumeAfterSaverFailures(t *testing.T) {
 
 // writeSessionCheckpoint sweeps spec in a fresh dse.Session and writes its
 // cells to path with Session.SaveCheckpoint — the bytes an older server's
-// per-sweep <id>.ckpt or a fleet sweep's checkpoint hold.
+// per-sweep or per-fleet-sweep <id>.ckpt holds.
 func writeSessionCheckpoint(t *testing.T, path string, spec dse.Spec) {
 	t.Helper()
 	cands, err := spec.Candidates()

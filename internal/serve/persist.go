@@ -1,6 +1,7 @@
 // Server persistence: everything the server writes to disk on behalf of
-// /sweep goes through one persister. Sweeps only compute — cells settle in
-// the server's dse.Session and group summaries in its evaluation cache —
+// /sweep and the fleet goes through one persister. Sweeps only compute —
+// cells settle in the server's dse.Session, whether a /sweep mapped them or
+// a fleet worker uploaded them, and group summaries in its evaluation cache —
 // and the persister decides when that state reaches disk: one checkpoint
 // file per DataDir, kept current by one coalescing saver goroutine and
 // flushed synchronously at the points a sweep promises durability, and the
@@ -21,14 +22,14 @@ import (
 )
 
 // checkpointName is the server's one checkpoint file in DataDir. Sweep ids
-// cannot start with '_' (dse.NamePattern), so it never collides with a fleet
-// sweep's <id>.ckpt.
+// cannot start with '_' (dse.NamePattern), so it never collides with the
+// <id>.ckpt files older servers wrote per sweep.
 const checkpointName = "_session.ckpt"
 
 // persister owns a server's checkpoint file, its saver and its cache spill.
 // Its embedded tracker accounts for every save the server makes —
-// checkpoints, status records, fleet checkpoints and spills. Without
-// DataDir and CacheDir it does nothing: no goroutine, no file access.
+// checkpoints, status records and spills. Without DataDir and CacheDir it
+// does nothing: no goroutine, no file access.
 type persister struct {
 	PersistenceTracker
 
@@ -66,10 +67,11 @@ func newPersister(ctx context.Context, ses *dse.Session, cfg Config, logf func(f
 }
 
 // loadCheckpoints merges every *.ckpt in DataDir into the session, in Glob
-// order: the server's own file, and the per-sweep and fleet checkpoints
-// other servers left there. Sweeps never read checkpoint files, so this is
-// the one load. A failed read skips its file; a file that does not decode
-// is quarantined to <name>.corrupt, keeping the damaged bytes for diagnosis.
+// order: the server's own file, and the per-sweep and per-fleet-sweep
+// checkpoints older servers left there. Sweeps never read checkpoint files,
+// so this is the one load. A failed read skips its file; a file that does
+// not decode is quarantined to <name>.corrupt, keeping the damaged bytes for
+// diagnosis.
 func (p *persister) loadCheckpoints() {
 	paths, err := filepath.Glob(filepath.Join(p.dataDir, "*.ckpt"))
 	if err != nil {
@@ -106,7 +108,9 @@ func (p *persister) loadCheckpoint(path string) error {
 	return fmt.Errorf("corrupt, quarantined to %s: %w", quarantine, lerr)
 }
 
-// run is the saver: it turns pokes into checkpoint saves until ctx ends.
+// run is the saver: it turns pokes into checkpoint saves until ctx ends,
+// then makes the save still pending, if any, so a poke before Close — a
+// fleet upload's, say — reaches disk.
 func (p *persister) run(ctx context.Context) {
 	defer close(p.done)
 	for {
@@ -114,6 +118,9 @@ func (p *persister) run(ctx context.Context) {
 		case <-p.req:
 			p.flush("incremental")
 		case <-ctx.Done():
+			if len(p.req) > 0 {
+				p.flush("final")
+			}
 			return
 		}
 	}

@@ -1,7 +1,7 @@
 // Tests of the server's persistence traffic: one checkpoint file per
 // DataDir, one cache spill per sweep, startup merges of every checkpoint in
-// the directory, and the fleet's per-id checkpoints interoperating with
-// /sweep.
+// the directory, and fleet sweeps settling cells in that same checkpoint,
+// interoperating with /sweep.
 package serve
 
 import (
@@ -12,16 +12,17 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"gemini/internal/dse"
 	"gemini/internal/fleet"
 )
 
-// TestOneCheckpointFilePerDataDir: sweeps with distinct seeds share the
-// server's one checkpoint file, so N sweeps leave one *.ckpt next to their
-// N status records — not one checkpoint per sweep, each repeating the cells
-// of every sweep before it.
+// TestOneCheckpointFilePerDataDir: sweeps with distinct seeds, and a fleet
+// sweep, share the server's one checkpoint file, so N sweeps leave one
+// *.ckpt next to their N status records — not one checkpoint per sweep,
+// each repeating the cells of every sweep before it.
 func TestOneCheckpointFilePerDataDir(t *testing.T) {
 	dir := t.TempDir()
 	s, hs := newTestServer(t, Config{DataDir: dir})
@@ -33,6 +34,7 @@ func TestOneCheckpointFilePerDataDir(t *testing.T) {
 			t.Fatalf("sweep %d: %+v", i, ev[len(ev)-1])
 		}
 	}
+	runFleetSweep(t, s, hs.URL, tinySpec("fleet-seeded", 8, 16))
 	hs.Close()
 	s.Close() // waits out the saver, so no save is in flight below
 
@@ -92,26 +94,43 @@ func TestParentCheckpointResumesUnderNewID(t *testing.T) {
 	}
 }
 
+// postFleet posts in as JSON to the server's fleet endpoint path, decodes
+// a 2xx answer into out (when non-nil) and returns the status code.
+func postFleet(t *testing.T, url, path string, in, out any) int {
+	t.Helper()
+	body, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/fleet"+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if out != nil && resp.StatusCode/100 == 2 {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode
+}
+
+// submitFleet submits spec as a two-shard fleet sweep and returns the
+// status the coordinator reported at submit time.
+func submitFleet(t *testing.T, url string, spec dse.Spec) (submitted fleet.SweepStatus) {
+	t.Helper()
+	if code := postFleet(t, url, "/sweeps", fleet.SubmitRequest{Spec: spec, Shards: 2}, &submitted); code != http.StatusCreated {
+		t.Fatalf("fleet submit: %d", code)
+	}
+	return submitted
+}
+
 // runFleetSweep submits spec as a two-shard fleet sweep on s, drains it
 // with one in-process worker and returns the coordinator's final status
 // together with the status it reported at submit time.
 func runFleetSweep(t *testing.T, s *Server, url string, spec dse.Spec) (submitted, final fleet.SweepStatus) {
 	t.Helper()
-	body, err := json.Marshal(fleet.SubmitRequest{Spec: spec, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/fleet/sweeps", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("fleet submit: %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&submitted); err != nil {
-		t.Fatal(err)
-	}
+	submitted = submitFleet(t, url, spec)
 	if err := fleet.RunWorker(context.Background(), fleet.WorkerConfig{
 		Coordinator: url + "/fleet", Name: "w", ExitWhenIdle: true, Logf: t.Logf,
 	}); err != nil {
@@ -150,8 +169,8 @@ func TestFleetAndSweepResumeEachOther(t *testing.T) {
 		spec := tinySpec("fleet-first", 8, 16, 32, 64)
 		sA, hsA := newTestServer(t, Config{DataDir: dir})
 		runFleetSweep(t, sA, hsA.URL, spec)
-		if _, err := os.Stat(filepath.Join(dir, spec.ID+".ckpt")); err != nil {
-			t.Errorf("fleet sweep wrote no checkpoint: %v", err)
+		if got := checkpointFiles(t, dir); !reflect.DeepEqual(got, []string{checkpointName}) {
+			t.Errorf("checkpoint files after the fleet sweep %v, want only %s", got, checkpointName)
 		}
 		check := func(url, when string) {
 			t.Helper()
@@ -165,4 +184,53 @@ func TestFleetAndSweepResumeEachOther(t *testing.T) {
 		_, hsB := newTestServer(t, Config{DataDir: dir})
 		check(hsB.URL, "after a restart")
 	})
+}
+
+// TestFleetCellsSurviveRestart: a fleet sweep's uploaded cells reach the
+// server's checkpoint while the sweep still runs, so after a restart the
+// resubmitted sweep starts with its finished shard's cells settled.
+func TestFleetCellsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec("half-done", 8, 16, 32, 64)
+	sA, hsA := newTestServer(t, Config{DataDir: dir})
+	submitFleet(t, hsA.URL, spec)
+
+	// Complete shard 0 of 2 by hand, under the sweep's own options.
+	var lease fleet.Lease
+	if code := postFleet(t, hsA.URL, "/lease", fleet.LeaseRequest{Worker: "manual"}, &lease); code != http.StatusOK {
+		t.Fatalf("lease answered %d", code)
+	}
+	all, err := lease.Spec.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, err := lease.Spec.Graphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses := dse.NewSession()
+	for _, k := range lease.Candidates {
+		if _, _, err := ses.RunContext(context.Background(), all[k:k+1], graphs, lease.Spec.Options()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ckpt bytes.Buffer
+	if err := ses.SaveCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	shardCells := ses.CheckpointCells()
+	var resp fleet.CheckpointResponse
+	if code := postFleet(t, hsA.URL, "/checkpoint", fleet.CheckpointUpload{
+		SweepID: lease.SweepID, LeaseID: lease.LeaseID, Worker: "manual", Complete: true,
+		Stats: &fleet.ShardStats{Candidates: len(lease.Candidates), Cells: shardCells}, Checkpoint: ckpt.Bytes(),
+	}, &resp); code != http.StatusOK || resp.SweepDone {
+		t.Fatalf("shard 0's complete upload answered %d (sweep done %t), want 200 with one shard left", code, resp.SweepDone)
+	}
+	hsA.Close()
+	sA.Close()
+
+	_, hsB := newTestServer(t, Config{DataDir: dir})
+	if st := submitFleet(t, hsB.URL, spec); shardCells == 0 || st.CheckpointCells != shardCells {
+		t.Errorf("resubmitted fleet sweep starts with %d settled cells, want shard 0's %d", st.CheckpointCells, shardCells)
+	}
 }

@@ -34,9 +34,6 @@ const defaultTenant = "default"
 type queueConfig struct {
 	// slots is the worker-slot pool the queue dispatches against.
 	slots int
-	// maxRunning bounds concurrently dispatched sweeps (<= 0: no bound
-	// beyond the slot pool).
-	maxRunning int
 	// queueDepth is the per-tenant waiting-sweep quota; admission beyond it
 	// is rejected with 429.
 	queueDepth int
@@ -262,9 +259,6 @@ func (q *sweepQueue) noteWaiting(p dse.SweepPriority, d int) {
 // signals preemption for whatever interactive demand is still blocked.
 func (q *sweepQueue) dispatchLocked() {
 	for q.free > 0 {
-		if q.cfg.maxRunning > 0 && q.runningJobs >= q.cfg.maxRunning {
-			break
-		}
 		j := q.pickLocked()
 		if j == nil {
 			break

@@ -19,10 +19,10 @@
 //
 // Sweeps compute and the server persists (Config.DataDir): one checkpoint
 // file per DataDir holds every settled (candidate, model) cell of every
-// sweep, kept current by one saver and flushed before each sweep's terminal
-// event. A restarted server merges it — and any other *.ckpt in the
-// directory — into its session at startup, so a re-POSTed spec, under any
-// id, recomputes none of the finished cells.
+// sweep, /sweep and fleet alike, kept current by one saver and flushed
+// before each sweep's terminal event. A restarted server merges it — and
+// any other *.ckpt in the directory — into its session at startup, so a
+// re-POSTed spec, under any id, recomputes none of the finished cells.
 //
 // Execution is gated by a multi-tenant job queue over a fixed worker-slot
 // pool: interactive sweeps dispatch ahead of batch sweeps, tenants share
@@ -56,13 +56,11 @@ import (
 // Config sizes and locates a Server. The zero value is usable: it serves
 // with modest concurrency and no persistence.
 type Config struct {
-	// MaxConcurrentSweeps bounds simultaneously dispatched sweeps (default
-	// 4). Excess admitted sweeps wait in the queue; excess backlog is
-	// rejected (QueueDepth, MaxQueuedSweeps).
-	MaxConcurrentSweeps int
 	// WorkerSlots is the worker-slot pool the queue dispatches sweeps
 	// against (default GOMAXPROCS). A sweep occupies its clamped Workers
-	// request in slots while it runs.
+	// request in slots while it runs, so at most WorkerSlots sweeps run at
+	// once; excess admitted sweeps wait in the queue, and excess backlog is
+	// rejected (QueueDepth, MaxQueuedSweeps).
 	WorkerSlots int
 	// QueueDepth is the per-tenant waiting-sweep quota (default 8); a
 	// tenant POSTing beyond it gets 429 with a Retry-After.
@@ -81,9 +79,10 @@ type Config struct {
 	// MaxCells caps a single sweep's (candidate, model) grid (default
 	// 1<<20 cells); larger specs are rejected with 400.
 	MaxCells int
-	// DataDir is where the server's checkpoint (_session.ckpt), sweep
-	// status records and fleet sweep checkpoints live; empty disables
-	// persistence (sweeps then only share state within the process).
+	// DataDir is where the server's one checkpoint (_session.ckpt, holding
+	// /sweep and fleet cells alike) and the sweep status records live; empty
+	// disables persistence (sweeps then only share state within the
+	// process).
 	DataDir string
 	// FleetLeaseTTL is how long a fleet shard lease lives without renewal
 	// before the coordinator re-shards it onto another worker (default
@@ -104,13 +103,6 @@ type Config struct {
 	// harness across the server's sweeps and persistence paths (chaos tests
 	// only; nil in production).
 	FaultInjector *faultinject.Injector
-}
-
-func (c Config) maxSweeps() int {
-	if c.MaxConcurrentSweeps <= 0 {
-		return 4
-	}
-	return c.MaxConcurrentSweeps
 }
 
 func (c Config) maxCells() int {
@@ -146,8 +138,8 @@ type Server struct {
 	queue *sweepQueue
 
 	// fleet is the distributed-sweep coordinator, mounted under /fleet/:
-	// shard leases, incumbent fan-out and checkpoint merging for worker
-	// processes (gemini-serve -worker).
+	// shard leases, incumbent fan-out and checkpoint merging into ses for
+	// worker processes (gemini-serve -worker).
 	fleet *fleet.Coordinator
 
 	mu     sync.Mutex
@@ -180,7 +172,6 @@ func New(cfg Config) *Server {
 	s.persist = newPersister(base, s.ses, cfg, s.logf)
 	s.queue = newSweepQueue(queueConfig{
 		slots:      cfg.workerSlots(),
-		maxRunning: cfg.maxSweeps(),
 		queueDepth: cfg.QueueDepth,
 		maxQueued:  cfg.MaxQueuedSweeps,
 		batchShare: cfg.BatchShare,
@@ -196,7 +187,23 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /sweeps/{id}/stream", s.handleStream)
 	mux.HandleFunc("DELETE /sweeps/{id}", s.handleCancel)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.fleet = s.newFleetCoordinator()
+	// Fleet sweeps settle cells in the server's session, so the persister
+	// that keeps /sweep's cells keeps theirs: every merged upload pokes the
+	// saver, and a finished fleet sweep is on disk before its last upload
+	// is answered.
+	s.fleet = fleet.NewCoordinator(fleet.CoordinatorConfig{
+		LeaseTTL: cfg.FleetLeaseTTL,
+		MaxCells: cfg.maxCells(),
+		Logf:     s.logf,
+		Session:  s.ses,
+		OnMerge: func(sweepDone bool) {
+			if sweepDone {
+				s.persist.flush("fleet")
+			} else {
+				s.persist.poke()
+			}
+		},
+	})
 	mux.Handle("/fleet/", http.StripPrefix("/fleet", s.fleet))
 	s.mux = mux
 	return s
@@ -491,7 +498,7 @@ type Health struct {
 	// Faults aggregates fault-handling counters across finished sweeps.
 	Faults FaultCounts `json:"faults"`
 	// Persistence is the health of every save the server makes: the
-	// checkpoint, status records, fleet checkpoints and the cache spill.
+	// checkpoint, status records and the cache spill.
 	Persistence PersistenceState `json:"persistence"`
 	// PersistenceDegraded mirrors Persistence.Degraded: several consecutive
 	// saves failed. Work continues in memory; restart cost is what

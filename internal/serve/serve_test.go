@@ -534,11 +534,10 @@ func assertRejection(t *testing.T, resp *http.Response, want int) {
 func TestDuplicateAndCapacity(t *testing.T) {
 	dir := t.TempDir()
 	_, hs := newTestServer(t, Config{
-		DataDir:             dir,
-		MaxConcurrentSweeps: 1,
-		WorkerSlots:         1,
-		QueueDepth:          1,
-		MaxQueuedSweeps:     2,
+		DataDir:         dir,
+		WorkerSlots:     1,
+		QueueDepth:      1,
+		MaxQueuedSweeps: 2,
 	})
 	slow := tinySpec("slow", 8, 16, 32, 64)
 	slow.SAIterations = 3000

@@ -4,12 +4,16 @@
 # two loopback worker processes, submit a sharded fleet sweep, SIGKILL one
 # worker mid-sweep, and assert the sweep still finishes with the orphaned
 # shards re-leased (expired_leases >= 1), zero settled cells recomputed,
-# and a best bit-identical to the same spec swept single-process through
-# POST /sweep.
+# a best bit-identical to the same spec swept single-process through
+# POST /sweep, and the fleet's cells in the server's one checkpoint file.
+# The reference /sweep runs on a second, data-less server: on the
+# coordinator's own server its settled cells would restore every fleet
+# shard and leave nothing to kill.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PORT="${FLEET_SMOKE_PORT:-18292}"
+REF_PORT=$((PORT + 1))
 WORK="$(mktemp -d)"
 PIDS=()
 cleanup() {
@@ -25,23 +29,28 @@ go build -o "$WORK/gemini-serve" ./cmd/gemini-serve
 SERVER_PID=$!
 PIDS+=("$SERVER_PID")
 disown "$SERVER_PID"
+"$WORK/gemini-serve" -addr "127.0.0.1:$REF_PORT" >"$WORK/ref.log" 2>&1 &
+PIDS+=("$!")
+disown "$!"
 
 fail() {
     echo "fleet_smoke: $1" >&2
-    for log in server w1 w2; do
+    for log in server ref w1 w2; do
         echo "--- $log log ---" >&2
         cat "$WORK/$log.log" >&2 2>/dev/null || true
     done
     exit 1
 }
 
-for _ in $(seq 1 50); do
-    if curl -fsS "http://127.0.0.1:$PORT/healthz" >/dev/null 2>&1; then
-        break
-    fi
-    sleep 0.2
+for port in "$PORT" "$REF_PORT"; do
+    for _ in $(seq 1 50); do
+        if curl -fsS "http://127.0.0.1:$port/healthz" >/dev/null 2>&1; then
+            break
+        fi
+        sleep 0.2
+    done
+    curl -fsS "http://127.0.0.1:$port/healthz" >/dev/null || fail "server on :$port never became healthy"
 done
-curl -fsS "http://127.0.0.1:$PORT/healthz" >/dev/null || fail "server never became healthy"
 
 # Four same-strength candidates so every shard costs real SA work (nothing
 # prunes to zero and collapses the kill window).
@@ -50,11 +59,11 @@ SPACE='{"tops": 72, "cuts": [1], "dram_per_tops": [2], "noc_gbps": [32, 48, 64, 
 SPEC_BODY='"space": '"$SPACE"', "models": ["tinycnn"], "sa_iterations": 30000, "prune": true'
 
 echo "fleet_smoke: reference single-process sweep"
-curl -fsS -N -X POST "http://127.0.0.1:$PORT/sweep" \
+curl -fsS -N -X POST "http://127.0.0.1:$REF_PORT/sweep" \
     -d '{"id": "fleet-smoke-ref", '"$SPEC_BODY"'}' >"$WORK/ref.ndjson" \
     || fail "reference POST /sweep failed"
 grep -q '"type":"done"' "$WORK/ref.ndjson" || fail "reference sweep did not finish"
-curl -fsS "http://127.0.0.1:$PORT/sweeps/fleet-smoke-ref" >"$WORK/ref.json"
+curl -fsS "http://127.0.0.1:$REF_PORT/sweeps/fleet-smoke-ref" >"$WORK/ref.json"
 REF_BEST="$(tr -d ' \n\t' <"$WORK/ref.json" | grep -o '"best":{[^}]*}')"
 REF_OBJ="$(echo "$REF_BEST" | sed -E 's/.*"objective":([^,}]+).*/\1/')"
 REF_ARCH="$(echo "$REF_BEST" | sed -E 's/.*"arch":"([^"]*)".*/\1/')"
@@ -118,4 +127,9 @@ FLEET_CAND="$(echo "$FLEET_INC" | sed -E 's/.*"candidate":"([^"]*)".*/\1/')"
 [ "$FLEET_CAND" = "$REF_ARCH" ] \
     || fail "fleet best candidate '$FLEET_CAND' != single-process '$REF_ARCH'"
 
-echo "fleet_smoke: OK (w2 killed mid-sweep, $EXPIRED lease(s) expired and re-leased, 0 settled cells recomputed, best identical: $FLEET_OBJ @ $FLEET_CAND)"
+# A done fleet sweep is flushed before its last upload is answered, into
+# the server's one checkpoint file — no per-sweep <id>.ckpt.
+CKPTS="$(cd "$WORK/data" && ls -- *.ckpt 2>/dev/null || true)"
+[ "$CKPTS" = "_session.ckpt" ] || fail "data dir holds checkpoints '$CKPTS', want only _session.ckpt"
+
+echo "fleet_smoke: OK (w2 killed mid-sweep, $EXPIRED lease(s) expired and re-leased, 0 settled cells recomputed, best identical: $FLEET_OBJ @ $FLEET_CAND, one checkpoint file)"
