@@ -5,8 +5,6 @@
 // torn mix. Every checkpoint, status record and cache spill in the module is
 // written through it. It does not fsync: it guards against a killed
 // process, not a lost machine, and keeps frequent checkpoint saves cheap.
-//
-//gemini:documented
 package atomicfile
 
 import (

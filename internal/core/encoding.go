@@ -4,8 +4,6 @@
 // workloads and data flows, the heuristic stripe baseline (Tangram's T-Map),
 // and the five simulated-annealing operators that navigate the encoding's
 // optimization space.
-//
-//gemini:deterministic
 package core
 
 import (

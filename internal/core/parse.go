@@ -205,8 +205,6 @@ func (an *Analysis) reset(lms *LMS, gi, nLayers, cores int) {
 // It is the allocation-free core of the Evaluator's hot loop: after warm-up
 // a parse touches no heap and no map, and visits nothing outside the group
 // but the producers its inputs name. The scheme must have passed Validate.
-//
-//gemini:noalloc
 func AnalyzeInto(an *Analysis, s *Scheme, gi int, cfg *arch.Config) error {
 	lms := s.Groups[gi]
 	g := s.Graph
@@ -305,7 +303,6 @@ func AnalyzeInto(an *Analysis, s *Scheme, gi int, cfg *arch.Config) error {
 		for i := range pws {
 			pw := &pws[i]
 			if an.Occupied[pw.Core] {
-				//gemini:alloc-ok cold path: duplicate assignment means the scheme is invalid and the parse aborts
 				return fmt.Errorf("core: core %d assigned twice (%v and layer %d)", pw.Core, an.CoreWorks[pw.Core].Kind, pw.Layer)
 			}
 			vol := pw.Vol()

@@ -84,16 +84,15 @@ func resize[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// allocateCores is AllocateCores into b.alloc.
-//
-//gemini:noalloc
+// allocateCores is AllocateCores into b.alloc. It allocates only on the cold
+// path, for the error of a group that cannot be striped.
 func (b *stripeBufs) allocateCores(g *dnn.Graph, layers []int, m, batchUnit int) error {
 	n := len(layers)
 	if n == 0 {
-		return fmt.Errorf("core: empty layer group") //gemini:alloc-ok cold path: the group cannot be striped
+		return fmt.Errorf("core: empty layer group")
 	}
 	if n > m {
-		return fmt.Errorf("core: %d layers exceed %d cores", n, m) //gemini:alloc-ok cold path: the group cannot be striped
+		return fmt.Errorf("core: %d layers exceed %d cores", n, m)
 	}
 	b.caps, b.alloc, b.weights = resize(b.caps, n), resize(b.alloc, n), resize(b.weights, n)
 	b.byRem.order, b.byRem.remainders = resize(b.byRem.order, n), resize(b.byRem.remainders, n)
@@ -149,7 +148,7 @@ func (b *stripeBufs) allocateCores(g *dnn.Graph, layers []int, m, batchUnit int)
 			}
 		}
 		if worst < 0 {
-			return fmt.Errorf("core: cannot fit %d layers in %d cores", n, m) //gemini:alloc-ok cold path: the group cannot be striped
+			return fmt.Errorf("core: cannot fit %d layers in %d cores", n, m)
 		}
 		alloc[worst]--
 		used--
@@ -278,8 +277,6 @@ func (st *Striper) Stripes(g *dnn.Graph, layers []int, batchUnit int) (*LMS, err
 // Scratch is Stripes into buffers the Striper reuses: the returned LMS and
 // everything it points to are valid until the next Scratch call, and after
 // warm-up building it allocates nothing.
-//
-//gemini:noalloc
 func (st *Striper) Scratch(g *dnn.Graph, layers []int, batchUnit int) (*LMS, error) {
 	return st.scratch.stripes(g, layers, st.order, batchUnit)
 }
@@ -287,8 +284,6 @@ func (st *Striper) Scratch(g *dnn.Graph, layers []int, batchUnit int) (*LMS, err
 // stripes builds the stripe LMS over a precomputed snake order of the core
 // array in b's buffers and returns &b.lms; it only reads order. With buffers
 // that have grown to the group's size it allocates nothing.
-//
-//gemini:noalloc
 func (b *stripeBufs) stripes(g *dnn.Graph, layers []int, order []arch.CoreID, batchUnit int) (*LMS, error) {
 	if err := b.allocateCores(g, layers, len(order), batchUnit); err != nil {
 		return nil, err
@@ -299,7 +294,9 @@ func (b *stripeBufs) stripes(g *dnn.Graph, layers []int, order []arch.CoreID, ba
 	for _, id := range layers {
 		b.member[id] = true
 	}
-	inGroup := func(layer int) bool { return b.member[layer] } //gemini:alloc-ok stays on the stack: needsExplicitOF only calls it (pinned by TestSegmentMissAllocs)
+	// inGroup stays on the stack: needsExplicitOF only calls it (pinned by
+	// TestSegmentMissAllocs).
+	inGroup := func(layer int) bool { return b.member[layer] }
 	pos := 0
 	for i, id := range layers {
 		l := g.Layer(id)

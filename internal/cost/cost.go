@@ -3,8 +3,6 @@
 // model, DRAM die costs, and substrate/packaging costs that depend on
 // whether chiplet integration is used. MC depends only on the architecture,
 // never on the workload or mapping.
-//
-//gemini:deterministic
 package cost
 
 import (

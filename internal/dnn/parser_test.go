@@ -136,7 +136,7 @@ func TestParseRoundTripMapsEndToEnd(t *testing.T) {
 }
 
 // TestParseNumericOptionErrorWrapped pins the %w wrap on numeric option
-// errors (found by the errclass analyzer): callers can classify the failure
+// errors: callers can classify the failure
 // with errors.As against *strconv.NumError instead of matching error text.
 func TestParseNumericOptionErrorWrapped(t *testing.T) {
 	_, err := ParseString("model m\ninput x 8 8 3\nconv c1 x k=abc\n")

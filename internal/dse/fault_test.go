@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,12 +15,16 @@ import (
 
 // TestPanicSurfacesAsTypedCellError: a panicking mapping pipeline fails its
 // cell — typed error, captured stack, counted in stats — and is never
-// checkpointed.
+// checkpointed. A CellError the pipeline returns wrapped counts as a panic
+// too.
 func TestPanicSurfacesAsTypedCellError(t *testing.T) {
 	ses := NewSession()
 	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
-		if cfg.Name == "panicky-arch" {
+		switch cfg.Name {
+		case "panicky-arch":
 			panic("mapper bug")
+		case "wrapped-arch":
+			return nil, fmt.Errorf("mapper: %w", &CellError{Candidate: cfg.Name, Model: g.Name, Err: errors.New("mapper bug, returned")})
 		}
 		return mapModelEval(ev, cfg, g, o, stop)
 	}
@@ -28,9 +33,15 @@ func TestPanicSurfacesAsTypedCellError(t *testing.T) {
 	bad := arch.GArch72()
 	bad.Name = "panicky-arch"
 	bad.NoCBW = 48 // structurally distinct from ok
-	results, stats, err := ses.RunContext(context.Background(), []arch.Config{bad, ok}, []*dnn.Graph{testCNN}, testOptions())
+	wrapped := arch.GArch72()
+	wrapped.Name = "wrapped-arch"
+	wrapped.NoCBW = 40
+	results, stats, err := ses.RunContext(context.Background(), []arch.Config{bad, ok, wrapped}, []*dnn.Graph{testCNN}, testOptions())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if results[2].Cfg.Name != wrapped.Name || results[2].Status() != "error" {
+		t.Fatalf("wrapped CellError candidate: %+v", results[2])
 	}
 
 	if results[0].Cfg.Name != ok.Name || !results[0].Feasible {
@@ -50,7 +61,7 @@ func TestPanicSurfacesAsTypedCellError(t *testing.T) {
 	if !strings.Contains(ce.Err.Error(), "mapper bug") {
 		t.Errorf("panic value lost: %v", ce.Err)
 	}
-	if stats.Panics != 1 || !strings.Contains(stats.LastPanic, "mapper bug") {
+	if stats.Panics != 2 || !strings.Contains(stats.LastPanic, "mapper bug") {
 		t.Errorf("stats: panics=%d last=%q", stats.Panics, stats.LastPanic)
 	}
 	// Only the healthy cell settles into the checkpoint.

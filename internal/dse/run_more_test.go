@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -78,12 +79,17 @@ func TestGeometricMeanAggregation(t *testing.T) {
 	}
 }
 
+// TestRunInfeasibleCandidateRankedLast: an infeasible candidate ranks last,
+// and its cell is a settled outcome — checkpointed, and restored on resume
+// as infeasible, never as an error.
 func TestRunInfeasibleCandidateRankedLast(t *testing.T) {
 	ok := arch.GArch72()
 	bad := arch.GArch72()
 	bad.GLBPerCore = 512 // nothing fits
 	bad.Name = "bad"
-	rs := Run([]arch.Config{bad, ok}, []*dnn.Graph{dnn.TinyCNN()}, testOptions())
+	cands, models := []arch.Config{bad, ok}, []*dnn.Graph{dnn.TinyCNN()}
+	ses := NewSession()
+	rs := ses.Run(cands, models, testOptions())
 	if !rs[0].Feasible {
 		t.Fatal("feasible candidate should sort first")
 	}
@@ -92,6 +98,18 @@ func TestRunInfeasibleCandidateRankedLast(t *testing.T) {
 	}
 	if !math.IsInf(rs[1].Obj, 1) {
 		t.Errorf("infeasible objective = %v", rs[1].Obj)
+	}
+	var ckpt bytes.Buffer
+	if err := ses.SaveCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	resumed := NewSession()
+	if err := resumed.LoadCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	again := resumed.Run(cands, models, testOptions())
+	if resumed.ResumedCells() != 2 || again[1].Status() != "infeasible" {
+		t.Errorf("resume restored %d of 2 cells, infeasible candidate status %q", resumed.ResumedCells(), again[1].Status())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -218,7 +219,8 @@ func TestSweepStatsTrajectory(t *testing.T) {
 }
 
 // TestAbandonedErrorNotInfeasible: the sentinel must never be mistaken for
-// infeasibility or surface as a user-visible error class.
+// infeasibility or surface as a user-visible error class — not even wrapped
+// by the mapping pipeline, where the session still reads an abandoned cell.
 func TestAbandonedErrorNotInfeasible(t *testing.T) {
 	err := error(&abandonedError{done: 1, planned: 4})
 	if errors.Is(err, ErrInfeasible) {
@@ -226,6 +228,14 @@ func TestAbandonedErrorNotInfeasible(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "1/4") {
 		t.Errorf("unexpected message: %v", err)
+	}
+	ses := NewSession()
+	ses.mapModel = func(*eval.Evaluator, *arch.Config, *dnn.Graph, Mapping, func() bool) (*MapResult, error) {
+		return nil, fmt.Errorf("mapper: %w", err)
+	}
+	results, _, rerr := ses.RunContext(context.Background(), []arch.Config{arch.GArch72()}, []*dnn.Graph{testCNN}, testOptions())
+	if rerr != nil || results[0].Err != nil || ses.CheckpointCells() != 0 {
+		t.Errorf("wrapped abandonment: run err %v, cell err %v, %d cells checkpointed; want an abandoned cell", rerr, results[0].Err, ses.CheckpointCells())
 	}
 }
 

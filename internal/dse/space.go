@@ -4,9 +4,6 @@
 // simulated-annealing pipeline, MC^alpha * E^beta * D^gamma ranking with
 // geometric-mean aggregation over DNNs, and the joint multi-TOPs chiplet-
 // reuse exploration of Sec. VII-B.
-//
-//gemini:deterministic
-//gemini:documented
 package dse
 
 import (

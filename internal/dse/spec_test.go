@@ -153,38 +153,49 @@ func TestSpecSweepMatchesRun(t *testing.T) {
 
 // TestRunContextCanceledBeforeStart: every cell of a pre-canceled sweep
 // still reaches the scheduler and fails fast, so each candidate streams
-// exactly one row, and that row reads canceled, never infeasible.
+// exactly one row, and that row reads canceled, never infeasible. The same
+// holds for a sweep canceled inside its first cell, which the annealer's
+// stop hook abandons.
 func TestRunContextCanceledBeforeStart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ses := NewSession()
-	opt := testOptions()
-	opt.SweepID = "pre-canceled"
-	streamed := map[string]int{}
-	opt.OnResult = func(cr CandidateResult) { streamed[cr.Cfg.Name]++ }
-	cands := testCands()
-	results, stats, err := ses.RunContext(ctx, cands, []*dnn.Graph{testCNN, testTF}, opt)
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if !stats.Canceled {
-		t.Error("stats.Canceled = false")
-	}
-	for _, c := range cands {
-		if streamed[c.Name] != 1 {
-			t.Errorf("%s: OnResult called %d times, want 1", c.Name, streamed[c.Name])
+	for _, inCell := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		ses := NewSession()
+		if inCell {
+			ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
+				cancel()
+				return mapModelEval(ev, cfg, g, o, stop)
+			}
+		} else {
+			cancel()
 		}
-	}
-	for i := range results {
-		if results[i].Err == nil || !errors.Is(results[i].Err, context.Canceled) {
-			t.Errorf("%s: Err = %v, want context.Canceled", results[i].Cfg.Name, results[i].Err)
+		opt := testOptions()
+		opt.SweepID = "pre-canceled"
+		streamed := map[string]int{}
+		opt.OnResult = func(cr CandidateResult) { streamed[cr.Cfg.Name]++ }
+		cands := testCands()
+		results, stats, err := ses.RunContext(ctx, cands, []*dnn.Graph{testCNN, testTF}, opt)
+		if err == nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("in cell %t: err = %v, want context.Canceled", inCell, err)
 		}
-		if st := results[i].Status(); st == "infeasible" {
-			t.Errorf("%s: status %q, want error", results[i].Cfg.Name, st)
+		if !stats.Canceled {
+			t.Errorf("in cell %t: stats.Canceled = false", inCell)
 		}
-	}
-	if n := ses.CheckpointCells(); n != 0 {
-		t.Errorf("canceled-before-start sweep checkpointed %d cells, want 0", n)
+		for _, c := range cands {
+			if streamed[c.Name] != 1 {
+				t.Errorf("in cell %t: %s: OnResult called %d times, want 1", inCell, c.Name, streamed[c.Name])
+			}
+		}
+		for i := range results {
+			if results[i].Err == nil || !errors.Is(results[i].Err, context.Canceled) {
+				t.Errorf("in cell %t: %s: Err = %v, want context.Canceled", inCell, results[i].Cfg.Name, results[i].Err)
+			}
+			if st := results[i].Status(); st == "infeasible" {
+				t.Errorf("in cell %t: %s: status %q, want error", inCell, results[i].Cfg.Name, st)
+			}
+		}
+		if n := ses.CheckpointCells(); n != 0 {
+			t.Errorf("in cell %t: canceled sweep checkpointed %d cells, want 0", inCell, n)
+		}
 	}
 }
 

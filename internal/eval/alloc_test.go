@@ -7,15 +7,16 @@ import (
 	"gemini/internal/core"
 )
 
-// TestEvaluateGroupAllocFree pins the //gemini:noalloc annotations on the
-// evaluator side of the SA hot loop: after warm-up, the hit path (a memoized
-// summary lookup plus finish, which is all of EvaluateGroup) and the pipeline
-// summarizeGroup runs behind a memo miss (core.AnalyzeInto into warm scratch,
-// then summarizeAnalysis) perform zero heap allocations, through the private
-// memo and through a shared cache alike. The scratch is held across runs
-// rather than cycled through summarizeGroup's sync.Pool, which under -race
-// drops Puts by design. The sa-side helpers are pinned in
-// internal/sa/alloc_test.go.
+// TestEvaluateGroupAllocFree pins the evaluator side of the SA hot loop
+// allocation-free: after warm-up, the hit path (EvaluateGroup, which is a
+// memoized summary lookup plus finish) and the pipeline summarizeGroup runs
+// behind a memo miss (core.AnalyzeInto into warm scratch, then
+// summarizeAnalysis with AddActivations and noc's Traffic.Digest,
+// Traffic.ClassLoads, Traffic.DRAMLoad and Network.Resolve) perform zero heap
+// allocations, through the private memo and through a shared cache alike.
+// The scratch is held across runs rather than cycled through summarizeGroup's
+// sync.Pool, which under -race drops Puts by design. The sa-side helpers are
+// pinned in internal/sa/alloc_test.go.
 func TestEvaluateGroupAllocFree(t *testing.T) {
 	cfg := arch.GArch72()
 	s, private := tinyOn(t, &cfg, 4, 2)

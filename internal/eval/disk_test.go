@@ -85,9 +85,16 @@ func TestDiskRoundTripBitIdentical(t *testing.T) {
 }
 
 // TestDiskSaveDeterministic: identical caches write identical bytes (sorted
-// key order), so spill files are diffable and content-addressable.
+// key order), so spill files are diffable and content-addressable. The cache
+// is filled until its shards hold several entries each, where map order would
+// show.
 func TestDiskSaveDeterministic(t *testing.T) {
 	cache, _ := populatedCache(t)
+	cfg := arch.GArch72()
+	s := perLayerScheme(t, &cfg)
+	for s.Batch = 1; cache.Stats().Entries < 4*cacheShards; s.Batch++ {
+		NewWithCache(&cfg, cache).Evaluate(s)
+	}
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
 	if err := cache.SaveDisk(a); err != nil {

@@ -4,9 +4,6 @@
 // time, the most loaded NoC/D2D link, and the most loaded DRAM controller;
 // a layer group's delay accounts for pipeline fill/drain via its dependency
 // depth; energy sums per-component operation counts times unit energies.
-//
-//gemini:deterministic
-//gemini:documented
 package eval
 
 import (
@@ -203,8 +200,6 @@ func (e *Evaluator) coreParams() intracore.Core {
 // memoized (or freshly computed) bandwidth-free summary, finished at this
 // evaluator's bandwidths. Summary and result travel through out-parameters
 // so the hit path copies neither.
-//
-//gemini:noalloc
 func (e *Evaluator) EvaluateGroup(s *core.Scheme, gi int) (res GroupResult) {
 	var sum groupSummary
 	e.summary(s, gi, &sum)
@@ -215,8 +210,6 @@ func (e *Evaluator) EvaluateGroup(s *core.Scheme, gi int) (res GroupResult) {
 // summary stores the group's summary in *sum, consulting the cache first: a
 // group configuration seen before (same encoding, batch, cross-group data
 // placement and energy parameters) is returned without re-analysis.
-//
-//gemini:noalloc
 func (e *Evaluator) summary(s *core.Scheme, gi int, sum *groupSummary) {
 	key := CacheKey{Arch: e.analysisFP, Graph: s.Graph.Fingerprint(), FP: e.groupFingerprint(s, gi)}
 	if !e.cache.get(key, sum) {
@@ -234,8 +227,6 @@ func (e *Evaluator) summary(s *core.Scheme, gi int, sum *groupSummary) {
 // a caller that already holds (j, i, bu) need not build the LMS to ask for it.
 // On a multi-chiplet array the name leaves the cut out too: every cut of the
 // array shares one cut-free entry, resolved under the asker's cut.
-//
-//gemini:noalloc
 func (e *Evaluator) SegmentKey(g *dnn.Graph, batch, j, i, bu int) CacheKey {
 	h := e.hashParams(fnv1a(fnvOffset, segmentDomain), batch)
 	h = fnv1a(h, uint64(bu))
@@ -248,8 +239,6 @@ func (e *Evaluator) SegmentKey(g *dnn.Graph, batch, j, i, bu int) CacheKey {
 // bandwidths (and, for a cut-free entry, under its cut) into *res (which must
 // be zero) and reports whether there was one. A hit builds no LMS and hashes
 // no encoding.
-//
-//gemini:noalloc
 func (e *Evaluator) LookupGroup(key CacheKey, batch int, res *GroupResult) bool {
 	var sum groupSummary
 	if e.cutFree {
@@ -266,20 +255,22 @@ func (e *Evaluator) LookupGroup(key CacheKey, batch int, res *GroupResult) bool 
 
 // EvaluateGroupAs is the miss half of LookupGroup: it runs the pipeline on
 // group gi of s, stores the summary under key — which must be the SegmentKey
-// of exactly that group — and returns the finished result. What it stores for
-// a feasible segment of a multi-chiplet array is the one allocation it makes.
+// of exactly that group — and returns the finished result. On a monolithic
+// array it is the SA-path miss under the caller's key. What it stores for a
+// feasible segment of a multi-chiplet array is the one allocation it makes.
 func (e *Evaluator) EvaluateGroupAs(key CacheKey, s *core.Scheme, gi int) (res GroupResult) {
-	sc := e.scratch.Get().(*evalScratch)
 	var sum groupSummary
-	if err := core.AnalyzeInto(sc.an, s, gi, e.Cfg); err == nil {
-		sum = e.summarizeAnalysis(sc)
-	}
 	if e.cutFree {
+		sc := e.scratch.Get().(*evalScratch)
+		if err := core.AnalyzeInto(sc.an, s, gi, e.Cfg); err == nil {
+			sum = e.summarizeAnalysis(sc)
+		}
 		e.cache.putSegment(key, cutFreeSummary(&sum, sc))
+		e.scratch.Put(sc)
 	} else {
+		sum = e.summarizeGroup(s, gi)
 		e.cache.put(key, &sum)
 	}
-	e.scratch.Put(sc)
 	e.finish(&sum, s.Batch, &res)
 	return
 }
@@ -301,8 +292,6 @@ func cutFreeSummary(sum *groupSummary, sc *evalScratch) segmentSummary {
 // resolve turns a cut-free segment summary into the groupSummary of this
 // evaluator's cut, in O(classes). It reports false for an entry whose class
 // count is not this array's, which only a damaged disk file can hold.
-//
-//gemini:noalloc
 func (e *Evaluator) resolve(seg *segmentSummary, sum *groupSummary) bool {
 	if !seg.Feasible {
 		return true
@@ -318,8 +307,6 @@ func (e *Evaluator) resolve(seg *segmentSummary, sum *groupSummary) bool {
 }
 
 // summarizeGroup runs the Analyze/explore/traffic pipeline for one group.
-//
-//gemini:noalloc
 func (e *Evaluator) summarizeGroup(s *core.Scheme, gi int) groupSummary {
 	sc := e.scratch.Get().(*evalScratch)
 	var sum groupSummary
@@ -356,8 +343,6 @@ func (e *Evaluator) summarizeParsed(an *core.Analysis) groupSummary {
 // summarizeAnalysis turns one parsed group analysis into a groupSummary
 // using the scratch buffers only. It must not read NoCBW, D2DBW or DRAMBW:
 // the summary is shared by every configuration with this AnalysisFingerprint.
-//
-//gemini:noalloc
 func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 	an := sc.an
 	cp := e.coreParams()
@@ -437,8 +422,6 @@ func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 // any DRAM flow, so every partial sum is exact and the order cannot be seen.
 // The DRAM list is in canonical order, because an interleaved share is not an
 // integer.
-//
-//gemini:noalloc
 func AddActivations(tr *noc.Traffic, an *core.Analysis) {
 	for _, f := range an.ActFlows {
 		tr.AddMulticast(f.Src, f.Dsts, f.Bytes)
@@ -457,8 +440,6 @@ func AddActivations(tr *noc.Traffic, an *core.Analysis) {
 // read anything of the evaluator — Cfg's bandwidths, Params, the D2D
 // interface count — but nothing of the scheme beyond the batch: whatever else
 // a result depends on must already be in the summary and its key.
-//
-//gemini:noalloc
 func (e *Evaluator) finish(sum *groupSummary, batch int, res *GroupResult) {
 	if !sum.Feasible {
 		return

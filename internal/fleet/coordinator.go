@@ -12,9 +12,6 @@
 // service mounts it under /fleet/); it never runs mapping work itself. Its
 // cell store is a dse.Session — the sweep service's own, so fleet sweeps
 // and /sweep settle cells in one place and resume each other under any id.
-//
-//gemini:deterministic-output
-//gemini:documented
 package fleet
 
 import (

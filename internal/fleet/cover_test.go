@@ -178,9 +178,12 @@ func TestCoordinatorSurface(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/lease", LeaseRequest{Worker: "wx"}, &lease); code != http.StatusOK {
 		t.Fatalf("lease answered %d", code)
 	}
+	if code := postJSON(t, srv.URL+"/lease", LeaseRequest{Worker: "wa"}, nil); code != http.StatusOK {
+		t.Fatalf("second lease answered %d", code)
+	}
 	h = coord.Health()
-	if h.ShardsLeased != 1 || len(h.Workers) != 1 || h.Workers[0] != "wx" {
-		t.Fatalf("health after lease = %+v", h)
+	if h.ShardsLeased != 2 || len(h.Workers) != 2 || h.Workers[0] != "wa" || h.Workers[1] != "wx" {
+		t.Fatalf("health after two leases = %+v, want workers in name order", h)
 	}
 
 	// Renew rejections; the incumbent travels only on checkpoint uploads, so

@@ -23,9 +23,10 @@ func allocSegmenter(t *testing.T) (*segmenter, *arch.Config) {
 	return sg, &cfg
 }
 
-// TestSegmentHitAllocFree pins the //gemini:noalloc annotations on the named
-// lookup: a segment the evaluator's cache holds is scored — name, lookup,
-// finish — without a heap allocation, so without a stripe LMS.
+// TestSegmentHitAllocFree pins the named lookup allocation-free: a segment the
+// evaluator's cache holds is scored by segmenter.evaluate — SegmentKey,
+// LookupGroup, resolve under the asker's cut, finish — without a heap
+// allocation, so without a stripe LMS.
 func TestSegmentHitAllocFree(t *testing.T) {
 	sg, _ := allocSegmenter(t)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -85,8 +86,9 @@ func TestSegmentCostAllocations(t *testing.T) {
 	}
 }
 
-// TestSegmentMissAllocs pins the //gemini:noalloc annotations on the miss
-// path: striping a segment into the Striper's scratch buffers allocates
+// TestSegmentMissAllocs pins the miss path, segmenter.evaluateMiss:
+// striping a segment into the Striper's scratch buffers (Striper.Scratch,
+// stripeBufs.stripes and stripeBufs.allocateCores) allocates
 // nothing once they have grown, and the evaluation around it allocates only
 // what it stores — on a multi-chiplet array one slice, the class loads of a
 // feasible segment's cut-free entry; nothing for an infeasible segment, which

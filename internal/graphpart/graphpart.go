@@ -78,8 +78,6 @@ func newSegmenter(g *dnn.Graph, cfg *arch.Config, ev *eval.Evaluator, batch int,
 // evaluate scores layers [j,i) as one stripe group at batch unit bu. The
 // evaluator's cache is asked by the segment's name; only a miss builds the
 // stripe LMS and runs the pipeline, storing the summary under that name.
-//
-//gemini:noalloc
 func (sg *segmenter) evaluate(j, i, bu int) (gr eval.GroupResult) {
 	key := sg.ev.SegmentKey(sg.g, sg.scheme.Batch, j, i, bu)
 	if !sg.ev.LookupGroup(key, sg.scheme.Batch, &gr) {
@@ -90,8 +88,6 @@ func (sg *segmenter) evaluate(j, i, bu int) (gr eval.GroupResult) {
 
 // evaluateMiss stripes layers [j,i) into the striper's scratch LMS, which is
 // dead once the evaluator has summarized it, and stores the summary under key.
-//
-//gemini:noalloc
 func (sg *segmenter) evaluateMiss(key eval.CacheKey, j, i, bu int) eval.GroupResult {
 	lms, err := sg.striper.Scratch(sg.g, sg.ids[j:i], bu)
 	if err != nil {

@@ -6,11 +6,10 @@ import (
 	"gemini/internal/arch"
 )
 
-// TestSideOfAllocFree pins the //gemini:noalloc annotation on Cut.SideOf:
-// classifying a core against a cut is pure arithmetic on the config geometry
-// and performs zero heap allocations. The DSE bound engine calls it once per
-// core per cut inside its candidate loop, so this keeps the hotpathalloc
-// analyzer's annotation set tied to measured behavior.
+// TestSideOfAllocFree pins Cut.SideOf allocation-free: classifying a core
+// against a cut is pure arithmetic on the config geometry and performs zero
+// heap allocations. The DSE bound engine calls it once per core per cut
+// inside its candidate loop.
 func TestSideOfAllocFree(t *testing.T) {
 	cfg := arch.GArch72()
 	cuts := ChipletCuts(&cfg)

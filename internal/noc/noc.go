@@ -2,8 +2,6 @@
 // topologies with dimension-ordered (XY) routing, D2D link identification at
 // chiplet boundaries, multicast tree accumulation, and per-link traffic
 // loads used by the evaluator and the Fig. 9 heatmaps.
-//
-//gemini:deterministic
 package noc
 
 import (
@@ -198,8 +196,6 @@ type Cut struct {
 // SideOf reports which side of the cut a core lies on: 0 for the near side
 // (x or y < At), 1 for the far side. It runs once per core per cut inside
 // the DSE bound engine's candidate loop.
-//
-//gemini:noalloc
 func (c Cut) SideOf(cfg *arch.Config, id arch.CoreID) int {
 	x, y := cfg.CoreXY(id)
 	v := y
@@ -525,8 +521,6 @@ type ClassLoad struct {
 // ClassLoads returns the accumulated link loads per boundary class, each
 // class's Sum added up in link order. The slice is the Traffic's own and is
 // overwritten by the next call.
-//
-//gemini:noalloc
 func (t *Traffic) ClassLoads() []ClassLoad {
 	cls := t.cls
 	clear(cls)
@@ -543,8 +537,6 @@ func (t *Traffic) ClassLoads() []ClassLoad {
 // DRAMLoad returns the controller traffic as one class: the most loaded
 // controller's reads plus writes, and the total over controllers in index
 // order.
-//
-//gemini:noalloc
 func (t *Traffic) DRAMLoad() ClassLoad {
 	var d ClassLoad
 	for i := range t.DRAMRead {
@@ -563,8 +555,6 @@ func (t *Traffic) DRAMLoad() ClassLoad {
 // is Resolve over the Traffic's own loads, so a Digest resolved from stored
 // class loads is the Digest of the Traffic they came from, bit for bit, on
 // whichever cut of the array asks.
-//
-//gemini:noalloc
 func (n *Network) Resolve(links []ClassLoad, dram ClassLoad) Digest {
 	d := Digest{PeakDRAM: dram.Peak, DRAMBytes: dram.Sum}
 	for c, cl := range links {
@@ -603,8 +593,6 @@ type Digest struct {
 
 // Digest summarizes the accumulated loads. It overwrites what ClassLoads
 // last returned.
-//
-//gemini:noalloc
 func (t *Traffic) Digest() Digest {
 	return t.net.Resolve(t.ClassLoads(), t.DRAMLoad())
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestMovePathAllocFree pins the //gemini:noalloc annotations on measure,
-// (*state).cost and (*annealer).step: after warm-up, one SA move's
+// TestMovePathAllocFree pins measure, (*state).cost and (*annealer).step
+// allocation-free: after warm-up, one SA move's
 // re-measurement and cost fold perform zero heap allocations, and so does a
 // whole iteration — pick, copy into the spare LMS, operator, re-measure,
 // decide, swap or restore — unless it improves on the best scheme, which takes

@@ -4,9 +4,6 @@
 // Layer groups are selected with probability proportional to their
 // optimization-space size, and each accepted move is evaluated through the
 // full Evaluator, so the search inherently minimizes costly D2D traffic.
-//
-//gemini:deterministic
-//gemini:documented
 package sa
 
 import (
@@ -98,8 +95,6 @@ type state struct {
 
 // cost folds the per-group energy/delay into the scalar SA objective. It
 // runs once per move, on the hot path.
-//
-//gemini:noalloc
 func (st *state) cost(beta, gamma float64) float64 {
 	var e, d float64
 	for i := range st.energy {
@@ -117,8 +112,6 @@ func (st *state) cost(beta, gamma float64) float64 {
 
 // measure re-evaluates one group after a move and records the outcome in
 // the state's reused slices.
-//
-//gemini:noalloc
 func measure(ev *eval.Evaluator, s *core.Scheme, st *state, gi int) {
 	gr := ev.EvaluateGroup(s, gi)
 	st.feas[gi] = gr.Feasible
@@ -238,8 +231,6 @@ func (a *annealer) pick() int {
 // step runs one SA iteration: try one operator on one group, re-measure what
 // it can have changed, and accept or undo it. It allocates only when the move
 // improves on the best scheme, which is then re-snapshotted.
-//
-//gemini:noalloc
 func (a *annealer) step() {
 	s, st, opt := a.s, &a.st, &a.opt
 	gi := a.pick()
@@ -291,10 +282,12 @@ func (a *annealer) step() {
 		if a.cur < a.bestCost {
 			a.bestCost = a.cur
 			// Sync best with s by re-cloning only the groups that have
-			// diverged since the last snapshot.
+			// diverged since the last snapshot. The best scheme is returned
+			// to the caller, so these are real clones: the move path's one
+			// allocation, and only on improvement.
 			for gj, d := range a.dirty {
 				if d {
-					a.best.Groups[gj] = s.Groups[gj].Clone() //gemini:alloc-ok the best scheme is returned to the caller, so it takes real clones, and only on improvement
+					a.best.Groups[gj] = s.Groups[gj].Clone()
 					a.dirty[gj] = false
 				}
 			}

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gemini/internal/atomicfile"
 	"gemini/internal/dse"
@@ -438,7 +439,9 @@ func TestHandlerPanicEmitsTerminalErrorEvent(t *testing.T) {
 // sweepWithResultPanic runs a two-candidate, one-worker sweep on s whose
 // first result event's stream write panics, and returns the events that
 // made it out. Write 1 is the start event; write 2 is the first result
-// event, sent from inside the scheduler's OnResult callback.
+// event, sent from inside the scheduler's OnResult callback. A panic that
+// leaves the scheduler's OnResult lock held deadlocks the next result, so the
+// sweep gets 30s to finish before the helper fails.
 func sweepWithResultPanic(t *testing.T, s *Server, id string) []Event {
 	t.Helper()
 	spec := tinySpec(id, 32, 64)
@@ -448,7 +451,16 @@ func sweepWithResultPanic(t *testing.T, s *Server, id string) []Event {
 		t.Fatal(err)
 	}
 	w := &bombWriter{header: make(http.Header), bombAt: 2}
-	s.handleSweep(w, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		s.handleSweep(w, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+	}()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("sweep hung after a panic in OnResult: the OnResult lock was left held")
+	}
 	events := w.lines(t)
 	if len(events) == 0 {
 		t.Fatal("no events recorded")

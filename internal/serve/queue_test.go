@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -105,7 +106,15 @@ func TestQueueDispatchOrderDeterministic(t *testing.T) {
 				}
 				jobs[id] = j
 			}
-			return drain(t, q, rec, jobs)
+			order := drain(t, q, rec, jobs)
+			var names []string
+			for _, th := range q.health().Tenants {
+				names = append(names, th.Name)
+			}
+			if !sort.StringsAreSorted(names) {
+				t.Errorf("seed %d: health lists tenants as %v, want name order", seed, names)
+			}
+			return order
 		}
 		first := run()
 		if len(first) != 24 {

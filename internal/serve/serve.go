@@ -32,9 +32,6 @@
 // yields and later resumes from its settled cells for free. Every dispatched
 // sweep runs on the server's one session, so all of them share its
 // evaluation cache and checkpoint cells.
-//
-//gemini:deterministic-output
-//gemini:documented
 package serve
 
 import (

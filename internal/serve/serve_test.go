@@ -979,19 +979,49 @@ func TestDamagedStatusRecordSkipped(t *testing.T) {
 	}
 }
 
+// TestStatusRecordIDIsItsFileName: a record whose id is not its file's name —
+// renamed, or a path out of DataDir — is damaged, so only the good record is
+// listed after a restart.
+func TestStatusRecordIDIsItsFileName(t *testing.T) {
+	dir := t.TempDir()
+	for file, id := range map[string]string{"good": "good", "renamed": "other", "evil": "../evil"} {
+		rec := fmt.Sprintf(`{"id":%q,"state":"done","started_at":"2026-09-01T00:00:00Z"}`, id)
+		if err := os.WriteFile(filepath.Join(dir, file+".status.json"), []byte(rec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, hs := newTestServer(t, Config{DataDir: dir})
+	resp, err := http.Get(hs.URL + "/sweeps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Sweeps []SweepStatus `json:"sweeps"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Sweeps) != 1 || list.Sweeps[0].ID != "good" {
+		t.Fatalf("restored history %+v, want only the good record", list.Sweeps)
+	}
+}
+
 // TestStatusHistoryTrimmedOnceAtStartup: a DataDir holding more status
 // records than the history bound is cut to the bound when the server starts —
 // the unreadable record first, then the oldest — and from there in-memory
 // eviction removes one record per sweep it admits, so the directory never
-// grows past the bound although no save re-scans it.
+// grows past the bound although no save re-scans it. Record names run
+// against start order, so "oldest" cannot be read off the file names.
 func TestStatusHistoryTrimmedOnceAtStartup(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Date(2026, 9, 1, 0, 0, 0, 0, time.UTC)
 	const extra = 5
+	old := func(i int) string { return fmt.Sprintf("old-%04d", retiredSweeps+extra-1-i) } // the i-th oldest
 	for i := 0; i < retiredSweeps+extra; i++ {
 		at := t0.Add(time.Duration(i) * time.Second).Format(time.RFC3339)
-		rec := fmt.Sprintf(`{"id":"old-%04d","state":"done","started_at":%q,"finished_at":%q}`, i, at, at)
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("old-%04d.status.json", i)), []byte(rec), 0o644); err != nil {
+		rec := fmt.Sprintf(`{"id":%q,"state":"done","started_at":%q,"finished_at":%q}`, old(i), at, at)
+		if err := os.WriteFile(filepath.Join(dir, old(i)+".status.json"), []byte(rec), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1012,17 +1042,17 @@ func TestStatusHistoryTrimmedOnceAtStartup(t *testing.T) {
 
 	_, hs := newTestServer(t, Config{DataDir: dir})
 	got := records()
-	if len(got) != retiredSweeps || got["broken"] || got[fmt.Sprintf("old-%04d", extra-1)] || !got[fmt.Sprintf("old-%04d", extra)] {
+	if len(got) != retiredSweeps || got["broken"] || got[old(extra-1)] || !got[old(extra)] {
 		t.Fatalf("startup left %d records (broken kept: %v); want the %d newest readable ones", len(got), got["broken"], retiredSweeps)
 	}
-	if _, code := getStatus(t, hs.URL, fmt.Sprintf("old-%04d", extra)); code != http.StatusOK {
+	if _, code := getStatus(t, hs.URL, old(extra)); code != http.StatusOK {
 		t.Errorf("oldest surviving record not restored (status %d)", code)
 	}
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("fresh-%d", i)
 		runSweep(t, hs.URL, tinySpec(id, 32))
 		got := records()
-		if len(got) > retiredSweeps || !got[id] || got[fmt.Sprintf("old-%04d", extra+i)] {
+		if len(got) > retiredSweeps || !got[id] || got[old(extra+i)] {
 			t.Fatalf("after %s: %d records (cap %d), own record kept: %v", id, len(got), retiredSweeps, got[id])
 		}
 	}

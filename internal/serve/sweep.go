@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -458,7 +459,9 @@ func (s *Server) removeStatus(id string) {
 	}
 }
 
-// readStatusFile decodes one persisted status record.
+// readStatusFile decodes one persisted status record. Its id must be a sweep
+// name and the file's own name: any other id is damage, which removeStatus
+// would otherwise resolve to a file the record does not live in.
 func readStatusFile(path string) (SweepStatus, error) {
 	var st SweepStatus
 	raw, err := os.ReadFile(path)
@@ -468,8 +471,8 @@ func readStatusFile(path string) (SweepStatus, error) {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		return st, err
 	}
-	if st.ID == "" {
-		return st, fmt.Errorf("serve: status file %s has no sweep id", path)
+	if name := strings.TrimSuffix(filepath.Base(path), ".status.json"); st.ID != name || !dse.NamePattern.MatchString(st.ID) {
+		return st, fmt.Errorf("serve: status file %s holds sweep id %q", path, st.ID)
 	}
 	return st, nil
 }
