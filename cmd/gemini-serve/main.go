@@ -82,7 +82,7 @@ func main() {
 	log.SetPrefix("gemini-serve: ")
 
 	addr := flag.String("addr", ":8080", "listen address")
-	data := flag.String("data", "", "checkpoint directory: one server checkpoint plus status records, every *.ckpt merged at startup (empty = no persistence)")
+	data := flag.String("data", "", "checkpoint directory: one server checkpoint, every *.ckpt merged at startup, plus one sweep-history log (empty = no persistence)")
 	cacheDir := flag.String("cache-dir", "", "evaluation-cache spill directory: warmed from at startup, rewritten once after every finished sweep (empty = in-process cache only)")
 	maxCells := flag.Int("max-cells", 0, "per-sweep (candidate, model) cell cap (0 = default)")
 	slots := flag.Int("slots", 0, "worker-slot pool shared by running sweeps (0 = GOMAXPROCS)")

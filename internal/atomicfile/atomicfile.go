@@ -2,9 +2,11 @@
 // go to a temp file in the same directory, which is renamed over the target
 // only after it was written and closed in full. A reader, or a process
 // killed mid-write, sees the old file or the new one, never a truncated or
-// torn mix. Every checkpoint, status record and cache spill in the module is
-// written through it. It does not fsync: it guards against a killed
-// process, not a lost machine, and keeps frequent checkpoint saves cheap.
+// torn mix. Every checkpoint and cache spill in the module is written
+// through it, and so is every rewrite of the sweep service's history log
+// (its per-sweep lines are appended in place). It does not fsync: it guards
+// against a killed process, not a lost machine, and keeps frequent
+// checkpoint saves cheap.
 package atomicfile
 
 import (

@@ -1,7 +1,7 @@
 // Package faultinject is a deterministic fault-injection harness for the
 // sweep engine's chaos tests. An Injector holds a schedule of rules and is
 // threaded — nil by default — through the sweep service's
-// persistence paths: the cache spill, the checkpoint and status savers and
+// persistence paths: the cache spill, the checkpoint and history savers and
 // the startup checkpoint load. Those are the only places the engine does
 // real I/O; a (candidate, model) cell is a pure function of its inputs and
 // has no hook.
@@ -36,8 +36,8 @@ const (
 	// PointCheckpointLoad fires when the sweep service reads a checkpoint
 	// file at startup; the key is the file's path.
 	PointCheckpointLoad Point = "checkpoint-load"
-	// PointStatusSave fires in the sweep service's status saver; the key is
-	// the sweep id.
+	// PointStatusSave fires when the sweep service saves a finished sweep's
+	// status to its history log; the key is the sweep id.
 	PointStatusSave Point = "status-save"
 )
 

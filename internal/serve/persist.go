@@ -4,15 +4,23 @@
 // a fleet worker uploaded them, and group summaries in its evaluation cache —
 // and the persister decides when that state reaches disk: one checkpoint
 // file per DataDir, kept current by one coalescing saver goroutine and
-// flushed synchronously at the points a sweep promises durability, and the
+// flushed synchronously at the points a sweep promises durability; one
+// history log per DataDir, one line appended per finished sweep; and the
 // evaluation-cache spill in CacheDir, rewritten once per finished sweep.
 package serve
 
 import (
+	"bytes"
+	"cmp"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,9 +34,14 @@ import (
 // <id>.ckpt files older servers wrote per sweep.
 const checkpointName = "_session.ckpt"
 
-// persister owns a server's checkpoint file, its saver and its cache spill.
-// Its embedded tracker accounts for every save the server makes —
-// checkpoints, status records and spills. Without DataDir and CacheDir it
+// historyName is the server's sweep-history log in DataDir: one compact
+// JSON status record per line, in save order, so a later line for an id
+// supersedes earlier ones.
+const historyName = "_history.ndjson"
+
+// persister owns a server's checkpoint file, its saver, its history log and
+// its cache spill. Its embedded tracker accounts for every save the server
+// makes — checkpoints, history and spills. Without DataDir and CacheDir it
 // does nothing: no goroutine, no file access.
 type persister struct {
 	PersistenceTracker
@@ -45,6 +58,13 @@ type persister struct {
 	done chan struct{}
 	// mu serializes checkpoint writes, so at most one is in flight.
 	mu sync.Mutex
+
+	// histMu serializes history-log writes. appended counts the lines
+	// appended since the log was last rewritten; rewrite is set while the
+	// file may end in a torn line, so the next save rewrites it whole.
+	histMu   sync.Mutex
+	appended int
+	rewrite  bool
 }
 
 // newPersister loads what the server's directories already hold into ses
@@ -180,6 +200,129 @@ func (p *persister) spill() {
 		st := p.State()
 		p.logf("serve: cache spill failed (errors %d, degraded %t): %v", st.Errors, st.Degraded, err)
 	}
+}
+
+// loadHistory restores the finished-sweep history at startup from the
+// per-sweep <id>.status.json files an older server left in DataDir, if any,
+// and then the log. It rewrites the log to hold exactly the records it
+// returns, so a tail torn by a killed process never ends up mid-file, and
+// only after that rewrite removes the legacy files.
+func (p *persister) loadHistory() []SweepStatus {
+	if p.dataDir == "" {
+		return nil
+	}
+	path := filepath.Join(p.dataDir, historyName)
+	legacy, _ := filepath.Glob(filepath.Join(p.dataDir, "*.status.json"))
+	var srcs []io.Reader
+	for _, name := range append(legacy, path) {
+		if raw, err := os.ReadFile(name); err == nil {
+			srcs = append(srcs, bytes.NewReader(raw))
+		}
+	}
+	if len(srcs) == 0 {
+		return nil
+	}
+	sts := historyRecords(srcs...)
+	err := p.Do(func() error { return writeHistory(path, sts) })
+	if p.rewrite = err != nil; p.rewrite {
+		p.logf("serve: history log rewrite failed: %v", err)
+	} else {
+		for _, name := range legacy {
+			_ = os.Remove(name)
+		}
+	}
+	p.logf("serve: restored %d sweep status records from %s", len(sts), p.dataDir)
+	return sts
+}
+
+// historyRecords decodes each source in turn, stopping within a source at
+// the first value that does not decode (a torn tail, a damaged file). It
+// skips records whose id is not a sweep name, lets a later record of an id
+// replace an earlier one, and returns the newest retiredSweeps in start
+// order. A sweep recorded as running died with its server: it comes back
+// canceled (its settled cells survive in the checkpoint, so re-POSTing the
+// spec resumes it).
+func historyRecords(srcs ...io.Reader) []SweepStatus {
+	byID := make(map[string]SweepStatus)
+	for _, r := range srcs {
+		dec := json.NewDecoder(r)
+		for {
+			var st SweepStatus
+			if dec.Decode(&st) != nil {
+				break
+			}
+			if !dse.NamePattern.MatchString(st.ID) {
+				continue
+			}
+			if st.State == StateRunning || st.State == StateQueued {
+				st.State = StateCanceled
+				st.Error = "server restarted while the sweep was running"
+			}
+			byID[st.ID] = st
+		}
+	}
+	sts := slices.SortedFunc(maps.Values(byID), func(a, b SweepStatus) int {
+		return cmp.Or(a.StartedAt.Compare(b.StartedAt), strings.Compare(a.ID, b.ID))
+	})
+	return sts[max(0, len(sts)-retiredSweeps):]
+}
+
+// record saves a finished sweep's status: it appends one line to the
+// history log. Once retiredSweeps lines have been appended since the last
+// rewrite, or after a failed save that may have left a torn line, it
+// rewrites the log from history() — the server's sweep table — instead, so
+// the file stays bounded and whole. Losing a save costs only
+// history-after-restart, so it runs under the tracker and is never fatal.
+func (p *persister) record(st SweepStatus, history func() []SweepStatus) {
+	if p.dataDir == "" {
+		return
+	}
+	p.histMu.Lock()
+	defer p.histMu.Unlock()
+	path := filepath.Join(p.dataDir, historyName)
+	err := p.Do(func() (err error) {
+		if ierr := p.inj.Check(faultinject.PointStatusSave, st.ID); ierr != nil {
+			return ierr
+		}
+		if p.rewrite || p.appended >= retiredSweeps {
+			err = writeHistory(path, history())
+			p.appended = 0
+		} else {
+			err = appendHistory(path, st)
+			p.appended++
+		}
+		p.rewrite = err != nil
+		return err
+	})
+	if err != nil {
+		p.logf("serve: sweep %s: history save failed: %v", st.ID, err)
+	}
+}
+
+// appendHistory appends st to the log at path as one line, in one write.
+func appendHistory(path string, st SweepStatus) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	err = json.NewEncoder(f).Encode(st)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeHistory replaces the log at path with sts, one line each.
+func writeHistory(path string, sts []SweepStatus) error {
+	return atomicfile.Write(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		for _, st := range sts {
+			if err := enc.Encode(st); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // wait returns once the saver goroutine has stopped.

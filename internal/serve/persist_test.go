@@ -1,7 +1,7 @@
-// Tests of the server's persistence traffic: one checkpoint file per
-// DataDir, one cache spill per sweep, startup merges of every checkpoint in
-// the directory, and fleet sweeps settling cells in that same checkpoint,
-// interoperating with /sweep.
+// Tests of the server's persistence traffic: one checkpoint file and one
+// history log per DataDir, one cache spill per sweep, startup merges of
+// every checkpoint in the directory, and fleet sweeps settling cells in that
+// same checkpoint, interoperating with /sweep.
 package serve
 
 import (
@@ -13,23 +13,25 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"gemini/internal/dse"
 	"gemini/internal/fleet"
 )
 
-// TestOneCheckpointFilePerDataDir: sweeps with distinct seeds, and a fleet
-// sweep, share the server's one checkpoint file, so N sweeps leave one
-// *.ckpt next to their N status records — not one checkpoint per sweep,
-// each repeating the cells of every sweep before it.
+// TestOneCheckpointFilePerDataDir: 300 sweeps over five seeds, and a fleet
+// sweep, leave exactly two files in DataDir — the server's one checkpoint
+// and its history log, one line per finished sweep — not one checkpoint or
+// status record per sweep.
 func TestOneCheckpointFilePerDataDir(t *testing.T) {
 	dir := t.TempDir()
 	s, hs := newTestServer(t, Config{DataDir: dir})
-	const n = 5
+	const n = 300
 	for i := 0; i < n; i++ {
-		spec := tinySpec(fmt.Sprintf("seeded-%d", i), 32)
-		spec.Seed = int64(i + 1)
+		spec := tinySpec(fmt.Sprintf("seeded-%03d", i), 32)
+		spec.Seed = int64(i%5 + 1)
 		if ev := runSweep(t, hs.URL, spec); ev[len(ev)-1].Type != "done" {
 			t.Fatalf("sweep %d: %+v", i, ev[len(ev)-1])
 		}
@@ -42,20 +44,163 @@ func TestOneCheckpointFilePerDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ckpts, statuses int
+	var names []string
 	for _, e := range entries {
-		switch name := e.Name(); {
-		case name == checkpointName:
-			ckpts++
-		case filepath.Ext(name) == ".json":
-			statuses++
-		default:
-			t.Errorf("unexpected file %s in DataDir", name)
+		names = append(names, e.Name())
+	}
+	if want := []string{historyName, checkpointName}; !slices.Equal(names, want) {
+		t.Errorf("DataDir holds %v, want exactly %v", names, want)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, historyName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(raw, []byte("\n")); lines != n {
+		t.Errorf("history log holds %d lines, want one per sweep (%d)", lines, n)
+	}
+}
+
+// TestHistoryLogTornTail: a process killed mid-append leaves the log's last
+// record torn at any byte. Truncated at every offset inside its last record,
+// the log restores every complete record before it; and because startup
+// rewrites the log, a record appended after that restart is restored by the
+// next one instead of landing behind the torn bytes. The last case runs the
+// same story through real server restarts.
+func TestHistoryLogTornTail(t *testing.T) {
+	t0 := time.Date(2026, 9, 1, 0, 0, 0, 0, time.UTC)
+	rec := func(i int) SweepStatus {
+		at := t0.Add(time.Duration(i) * time.Second)
+		return SweepStatus{ID: fmt.Sprintf("rec-%d", i), State: StateDone, Cells: i, Error: "x", StartedAt: at, FinishedAt: &at}
+	}
+	src := t.TempDir()
+	w := &persister{dataDir: src, logf: t.Logf}
+	for i := 1; i <= 3; i++ {
+		w.record(rec(i), nil)
+	}
+	raw, err := os.ReadFile(filepath.Join(src, historyName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndexByte(raw[:len(raw)-1], '\n') + 1
+	for cut := last; cut < len(raw); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, historyName), raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"rec-1", "rec-2"}
+		if cut == len(raw)-1 { // only the newline is missing
+			want = append(want, "rec-3")
+		}
+		p := &persister{dataDir: dir, logf: t.Logf}
+		if got := sweepIDs(p.loadHistory()); !slices.Equal(got, want) {
+			t.Fatalf("cut at %d: restored %v, want %v", cut, got, want)
+		}
+		p.record(rec(4), nil)
+		want = append(want, "rec-4")
+		next := &persister{dataDir: dir, logf: t.Logf}
+		if got := sweepIDs(next.loadHistory()); !slices.Equal(got, want) {
+			t.Fatalf("cut at %d: after an append, restored %v, want %v", cut, got, want)
 		}
 	}
-	if ckpts != 1 || statuses != n {
-		t.Errorf("DataDir holds %d checkpoints and %d status records, want 1 and %d", ckpts, statuses, n)
+
+	dir := t.TempDir()
+	_, hsA := newTestServer(t, Config{DataDir: dir})
+	runSweep(t, hsA.URL, tinySpec("before", 32))
+	runSweep(t, hsA.URL, tinySpec("torn", 32))
+	hsA.Close()
+	path := filepath.Join(dir, historyName)
+	if raw, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
 	}
+	last = bytes.LastIndexByte(raw[:len(raw)-1], '\n') + 1
+	if err := os.WriteFile(path, raw[:(last+len(raw))/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, hsB := newTestServer(t, Config{DataDir: dir})
+	if got := sweepIDs(listSweeps(t, hsB.URL)); !slices.Equal(got, []string{"before"}) {
+		t.Fatalf("restart over a torn log lists %v, want [before]", got)
+	}
+	runSweep(t, hsB.URL, tinySpec("after", 32))
+	hsB.Close()
+	_, hsC := newTestServer(t, Config{DataDir: dir})
+	if got := sweepIDs(listSweeps(t, hsC.URL)); !slices.Equal(got, []string{"before", "after"}) {
+		t.Fatalf("second restart lists %v, want [before after]", got)
+	}
+}
+
+// TestHistoryLogRewrites: the log is rewritten from the server's history,
+// not appended to, once retiredSweeps lines were appended since the last
+// rewrite — which bounds the file — and after a failed save, which may have
+// left a torn line.
+func TestHistoryLogRewrites(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, historyName)
+	p := &persister{dataDir: dir, logf: t.Logf}
+	rec := func(i int) SweepStatus { return SweepStatus{ID: fmt.Sprintf("rec-%04d", i), State: StateDone} }
+	var hist []SweepStatus
+	history := func() []SweepStatus { return hist[max(0, len(hist)-2):] }
+	logged := func() []string {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sweepIDs(historyRecords(bytes.NewReader(raw)))
+	}
+	for i := 0; i <= retiredSweeps; i++ {
+		hist = append(hist, rec(i))
+		p.record(rec(i), history)
+	}
+	if got := logged(); !slices.Equal(got, sweepIDs(history())) {
+		t.Fatalf("after %d appends the log restores %d records, want the rewritten %v", retiredSweeps, len(got), sweepIDs(history()))
+	}
+
+	// A directory where the log belongs fails every attempt of the next save.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	hist = append(hist, rec(retiredSweeps+1))
+	p.record(rec(retiredSweeps+1), history)
+	if st := p.State(); st.Errors != 1 {
+		t.Fatalf("blocked save: %+v, want one failure", st)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	hist = append(hist, rec(retiredSweeps+2))
+	p.record(rec(retiredSweeps+2), history)
+	if got, want := logged(), sweepIDs(history()); !slices.Equal(got, want) {
+		t.Fatalf("the save after a failed one left %v, want the rewritten %v", got, want)
+	}
+}
+
+// FuzzStatusLog: the history decoder reads bytes from disk, so on any input
+// it must not panic, and what it restores must be sweep-named, unique and
+// within the history bound.
+func FuzzStatusLog(f *testing.F) {
+	f.Add([]byte(`{"id":"a","state":"done","started_at":"2026-09-01T00:00:00Z"}` + "\n" +
+		`{"id":"b","state":"running","started_at":"2026-09-01T00:00:01Z"}` + "\n"))
+	f.Add([]byte(`{"id":"a","state":"done"}{"id":"a","state":"failed","error":"x"}{"id":"../evil"}`))
+	f.Add([]byte(`{"id":"torn","state":"do`))
+	f.Add([]byte(`{"id":"x","stats":{"cells":1e999}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sts := historyRecords(bytes.NewReader(data), bytes.NewReader(data))
+		if len(sts) > retiredSweeps {
+			t.Fatalf("restored %d records, bound %d", len(sts), retiredSweeps)
+		}
+		seen := make(map[string]bool)
+		for _, st := range sts {
+			if !dse.NamePattern.MatchString(st.ID) || seen[st.ID] {
+				t.Fatalf("restored id %q (seen before: %v)", st.ID, seen[st.ID])
+			}
+			if st.State == StateRunning || st.State == StateQueued {
+				t.Fatalf("record %q restored as %s", st.ID, st.State)
+			}
+			seen[st.ID] = true
+		}
+	})
 }
 
 // TestCacheSpillOncePerSweep: a CacheDir sweep rewrites the spill exactly

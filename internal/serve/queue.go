@@ -91,9 +91,11 @@ type job struct {
 // granted exposes the dispatch channel for select loops.
 func (j *job) granted() <-chan struct{} { return j.grant }
 
-// admitError is a typed admission rejection.
+// admitError is a typed admission rejection: the queue's, or the server's
+// own refusal of a registration (409 id in use, 503 shutting down), which
+// carries no retryAfter.
 type admitError struct {
-	code       int // 429 (tenant quota) or 503 (server backlog)
+	code       int // 409, 429 (tenant quota) or 503 (server backlog)
 	retryAfter int // seconds, for the Retry-After header and envelope
 	msg        string
 }

@@ -23,6 +23,8 @@
 // before each sweep's terminal event. A restarted server merges it — and
 // any other *.ckpt in the directory — into its session at startup, so a
 // re-POSTed spec, under any id, recomputes none of the finished cells.
+// Finished sweeps' statuses append to one history log beside it, so
+// GET /sweeps survives a restart too.
 //
 // Execution is gated by a multi-tenant job queue over a fixed worker-slot
 // pool: interactive sweeps dispatch ahead of batch sweeps, tenants share
@@ -40,6 +42,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,9 +80,9 @@ type Config struct {
 	// 1<<20 cells); larger specs are rejected with 400.
 	MaxCells int
 	// DataDir is where the server's one checkpoint (_session.ckpt, holding
-	// /sweep and fleet cells alike) and the sweep status records live; empty
-	// disables persistence (sweeps then only share state within the
-	// process).
+	// /sweep and fleet cells alike) and its sweep-history log
+	// (_history.ndjson, one line per finished sweep) live; empty disables
+	// persistence (sweeps then only share state within the process).
 	DataDir string
 	// FleetLeaseTTL is how long a fleet shard lease lives without renewal
 	// before the coordinator re-shards it onto another worker (default
@@ -176,7 +179,10 @@ func New(cfg Config) *Server {
 	})
 	// Restore the finished-sweep history before serving: GET /sweeps then
 	// reports the predecessor process's sweeps alongside new ones.
-	s.loadStatuses()
+	for _, st := range s.persist.loadHistory() {
+		s.sweeps[st.ID] = restoredSweep(s, st)
+		s.order = append(s.order, st.ID)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sweep", s.handleSweep)
 	mux.HandleFunc("GET /sweeps", s.handleList)
@@ -228,18 +234,23 @@ func (s *Server) logf(format string, args ...any) {
 // retiredSweeps bounds the finished-sweep history kept for GET /sweeps.
 const retiredSweeps = 1024
 
-// register records a new sweep, enforcing id uniqueness. The returned http
-// status is 0 on success; undo then reverses the registration (restoring
-// any superseded finished record) should queue admission reject the sweep.
-func (s *Server) register(sw *sweep) (undo func(), code int, err error) {
+// register admits a new sweep to the queue and records it, both under the
+// server mutex, so a sweep refused — shutting down (503), its id still
+// queued or running (409), or a queue rejection (429, 503) — leaves no trace:
+// nothing was recorded, superseded or evicted.
+func (s *Server) register(sw *sweep, workers int) (*job, *admitError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.base.Err() != nil {
-		return nil, http.StatusServiceUnavailable, fmt.Errorf("server is shutting down")
+		return nil, &admitError{code: http.StatusServiceUnavailable, msg: "server is shutting down"}
 	}
 	old, existed := s.sweeps[sw.id]
 	if existed && old.active() {
-		return nil, http.StatusConflict, fmt.Errorf("sweep %q is already running", sw.id)
+		return nil, &admitError{code: http.StatusConflict, msg: fmt.Sprintf("sweep %q is already running", sw.id)}
+	}
+	j, aerr := s.queue.Admit(sw.id, sw.tenant, sw.priority, workers)
+	if aerr != nil {
+		return nil, aerr
 	}
 	// A finished record under the same id is superseded: re-POSTing a
 	// spec is how clients resume after a disconnect or server restart.
@@ -247,41 +258,18 @@ func (s *Server) register(sw *sweep) (undo func(), code int, err error) {
 		s.order = append(s.order, sw.id)
 	}
 	s.sweeps[sw.id] = sw
-	// Evict the oldest finished sweeps beyond the history bound.
+	// Evict the oldest finished sweeps beyond the history bound. The
+	// history log keeps their lines until its next rewrite, which is cut
+	// from this table.
 	for len(s.order) > retiredSweeps {
-		evicted := false
-		for i, id := range s.order {
-			if !s.sweeps[id].active() {
-				delete(s.sweeps, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				s.removeStatus(id)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
+		i := slices.IndexFunc(s.order, func(id string) bool { return !s.sweeps[id].active() })
+		if i < 0 {
 			break
 		}
+		delete(s.sweeps, s.order[i])
+		s.order = slices.Delete(s.order, i, i+1)
 	}
-	undo = func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if cur, ok := s.sweeps[sw.id]; !ok || cur != sw {
-			return
-		}
-		if existed {
-			s.sweeps[sw.id] = old
-			return
-		}
-		delete(s.sweeps, sw.id)
-		for i, id := range s.order {
-			if id == sw.id {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-	}
-	return undo, 0, nil
+	return j, nil
 }
 
 func (s *Server) lookup(id string) (*sweep, bool) {
@@ -294,13 +282,9 @@ func (s *Server) lookup(id string) (*sweep, bool) {
 // statuses snapshots every known sweep in registration order.
 func (s *Server) statuses() []SweepStatus {
 	s.mu.Lock()
-	ids := make([]string, len(s.order))
-	copy(ids, s.order)
-	sws := make([]*sweep, 0, len(ids))
-	for _, id := range ids {
-		if sw, ok := s.sweeps[id]; ok {
-			sws = append(sws, sw)
-		}
+	sws := make([]*sweep, len(s.order))
+	for i, id := range s.order {
+		sws[i] = s.sweeps[id]
 	}
 	s.mu.Unlock()
 	out := make([]SweepStatus, len(sws))
@@ -332,10 +316,12 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeRejection writes a queue admission rejection: the Retry-After header
-// plus the error envelope mirroring it.
+// writeRejection writes a refused registration: for a queue rejection the
+// Retry-After header plus the error envelope mirroring it.
 func writeRejection(w http.ResponseWriter, aerr *admitError) {
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", aerr.retryAfter))
+	if aerr.retryAfter > 0 {
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", aerr.retryAfter))
+	}
 	writeJSON(w, aerr.code, errorBody{Error: aerr.msg, RetryAfterSeconds: aerr.retryAfter})
 }
 
@@ -495,7 +481,7 @@ type Health struct {
 	// Faults aggregates fault-handling counters across finished sweeps.
 	Faults FaultCounts `json:"faults"`
 	// Persistence is the health of every save the server makes: the
-	// checkpoint, status records and the cache spill.
+	// checkpoint, the history log and the cache spill.
 	Persistence PersistenceState `json:"persistence"`
 	// PersistenceDegraded mirrors Persistence.Degraded: several consecutive
 	// saves failed. Work continues in memory; restart cost is what

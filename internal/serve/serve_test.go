@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -638,6 +639,59 @@ func TestDuplicateAndCapacity(t *testing.T) {
 	}
 }
 
+// TestRejectedPostKeepsHistory: with the finished-sweep history at its
+// bound, a POST the queue rejects evicts no record — eviction waits for
+// admission — so GET /sweeps is identical before and after the 503.
+func TestRejectedPostKeepsHistory(t *testing.T) {
+	dir := t.TempDir()
+	t0 := time.Date(2026, 9, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < retiredSweeps; i++ {
+		id := fmt.Sprintf("old-%04d", i)
+		at := t0.Add(time.Duration(i) * time.Second).Format(time.RFC3339)
+		writeLegacyStatus(t, dir, id, fmt.Sprintf(`{"id":%q,"state":"done","started_at":%q}`, id, at))
+	}
+	_, hs := newTestServer(t, Config{DataDir: dir, WorkerSlots: 1, QueueDepth: 1, MaxQueuedSweeps: 1})
+	slow := tinySpec("slow", 8, 16, 32, 64)
+	slow.SAIterations = 3000
+	slow.Restarts = 6
+	slow.Workers = 1
+	// hold POSTs spec and waits for its first event: slow takes the one
+	// slot, parked the one queue place.
+	hold := func(spec dse.Spec) *bufio.Scanner {
+		resp := postSpec(t, hs.URL, spec)
+		t.Cleanup(func() { resp.Body.Close() })
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %d", spec.ID, resp.StatusCode)
+		}
+		sc := bufio.NewScanner(resp.Body)
+		if !sc.Scan() {
+			t.Fatalf("no first event on %s", spec.ID)
+		}
+		return sc
+	}
+	running := hold(slow)
+	parked := hold(tinySpec("parked"))
+
+	before := sweepIDs(listSweeps(t, hs.URL))
+	flood := tinySpec("flood")
+	flood.Tenant = "flood"
+	assertRejection(t, postSpec(t, hs.URL, flood), http.StatusServiceUnavailable)
+	if after := sweepIDs(listSweeps(t, hs.URL)); !slices.Equal(after, before) {
+		t.Errorf("a rejected POST changed the history: %d records before, %d after", len(before), len(after))
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/sweeps/slow", nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	for running.Scan() {
+	}
+	for parked.Scan() {
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -979,19 +1033,10 @@ func TestDamagedStatusRecordSkipped(t *testing.T) {
 	}
 }
 
-// TestStatusRecordIDIsItsFileName: a record whose id is not its file's name —
-// renamed, or a path out of DataDir — is damaged, so only the good record is
-// listed after a restart.
-func TestStatusRecordIDIsItsFileName(t *testing.T) {
-	dir := t.TempDir()
-	for file, id := range map[string]string{"good": "good", "renamed": "other", "evil": "../evil"} {
-		rec := fmt.Sprintf(`{"id":%q,"state":"done","started_at":"2026-09-01T00:00:00Z"}`, id)
-		if err := os.WriteFile(filepath.Join(dir, file+".status.json"), []byte(rec), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, hs := newTestServer(t, Config{DataDir: dir})
-	resp, err := http.Get(hs.URL + "/sweeps")
+// listSweeps reads GET /sweeps.
+func listSweeps(t *testing.T, url string) []SweepStatus {
+	t.Helper()
+	resp, err := http.Get(url + "/sweeps")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1002,58 +1047,97 @@ func TestStatusRecordIDIsItsFileName(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
-	if len(list.Sweeps) != 1 || list.Sweeps[0].ID != "good" {
-		t.Fatalf("restored history %+v, want only the good record", list.Sweeps)
+	return list.Sweeps
+}
+
+// sweepIDs lists the ids of sts in order.
+func sweepIDs(sts []SweepStatus) []string {
+	ids := make([]string, len(sts))
+	for i, st := range sts {
+		ids[i] = st.ID
+	}
+	return ids
+}
+
+// writeLegacyStatus writes rec as the <file>.status.json an older server
+// kept per sweep.
+func writeLegacyStatus(t *testing.T, dir, file, rec string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, file+".status.json"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestStatusHistoryTrimmedOnceAtStartup: a DataDir holding more status
-// records than the history bound is cut to the bound when the server starts —
-// the unreadable record first, then the oldest — and from there in-memory
-// eviction removes one record per sweep it admits, so the directory never
-// grows past the bound although no save re-scans it. Record names run
-// against start order, so "oldest" cannot be read off the file names.
+// TestStatusRecordIDMustBeSweepName: a record whose id is not a sweep name —
+// a path out of DataDir, say — is damaged, whether it is a history-log line
+// or a legacy status file, so only the good records are listed after a
+// restart.
+func TestStatusRecordIDMustBeSweepName(t *testing.T) {
+	dir := t.TempDir()
+	rec := func(id string, sec int) string {
+		return fmt.Sprintf(`{"id":%q,"state":"done","started_at":"2026-09-01T00:00:0%dZ"}`, id, sec)
+	}
+	writeLegacyStatus(t, dir, "good", rec("good", 1))
+	writeLegacyStatus(t, dir, "evil", rec("../evil", 2))
+	log := rec("../evil-line", 3) + "\n" + rec("good-line", 4) + "\n"
+	if err := os.WriteFile(filepath.Join(dir, historyName), []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, hs := newTestServer(t, Config{DataDir: dir})
+	if got := sweepIDs(listSweeps(t, hs.URL)); !slices.Equal(got, []string{"good", "good-line"}) {
+		t.Fatalf("restored history %v, want only the good records", got)
+	}
+}
+
+// TestStatusHistoryTrimmedOnceAtStartup: a DataDir holding more legacy
+// status records than the history bound starts as the newest readable ones —
+// the unreadable record and the oldest go — in a log of at most the bound,
+// with every legacy file folded in and removed. From there each sweep appends
+// one line, and what a restart would restore from the log is exactly what
+// the server lists. Record names run against start order, so "oldest"
+// cannot be read off the names.
 func TestStatusHistoryTrimmedOnceAtStartup(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Date(2026, 9, 1, 0, 0, 0, 0, time.UTC)
 	const extra = 5
 	old := func(i int) string { return fmt.Sprintf("old-%04d", retiredSweeps+extra-1-i) } // the i-th oldest
+	var want []string
 	for i := 0; i < retiredSweeps+extra; i++ {
 		at := t0.Add(time.Duration(i) * time.Second).Format(time.RFC3339)
-		rec := fmt.Sprintf(`{"id":%q,"state":"done","started_at":%q,"finished_at":%q}`, old(i), at, at)
-		if err := os.WriteFile(filepath.Join(dir, old(i)+".status.json"), []byte(rec), 0o644); err != nil {
-			t.Fatal(err)
+		writeLegacyStatus(t, dir, old(i), fmt.Sprintf(`{"id":%q,"state":"done","started_at":%q,"finished_at":%q}`, old(i), at, at))
+		if i >= extra {
+			want = append(want, old(i))
 		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "broken.status.json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	records := func() map[string]bool {
-		paths, err := filepath.Glob(filepath.Join(dir, "*.status.json"))
+	writeLegacyStatus(t, dir, "broken", "{not json")
+	logged := func() (lines int, restored []string) {
+		raw, err := os.ReadFile(filepath.Join(dir, historyName))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids := make(map[string]bool, len(paths))
-		for _, p := range paths {
-			ids[strings.TrimSuffix(filepath.Base(p), ".status.json")] = true
-		}
-		return ids
+		return bytes.Count(raw, []byte("\n")), sweepIDs(historyRecords(bytes.NewReader(raw)))
 	}
 
 	_, hs := newTestServer(t, Config{DataDir: dir})
-	got := records()
-	if len(got) != retiredSweeps || got["broken"] || got[old(extra-1)] || !got[old(extra)] {
-		t.Fatalf("startup left %d records (broken kept: %v); want the %d newest readable ones", len(got), got["broken"], retiredSweeps)
+	if legacy, _ := filepath.Glob(filepath.Join(dir, "*.status.json")); len(legacy) != 0 {
+		t.Errorf("startup left %d legacy status files", len(legacy))
 	}
-	if _, code := getStatus(t, hs.URL, old(extra)); code != http.StatusOK {
-		t.Errorf("oldest surviving record not restored (status %d)", code)
+	if lines, restored := logged(); lines > retiredSweeps || !slices.Equal(restored, want) {
+		t.Fatalf("startup log holds %d lines restoring %d records; want the %d newest readable ones in start order", lines, len(restored), retiredSweeps)
+	}
+	if got := sweepIDs(listSweeps(t, hs.URL)); !slices.Equal(got, want) {
+		t.Fatalf("restored history is not the %d newest records in start order", retiredSweeps)
 	}
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("fresh-%d", i)
 		runSweep(t, hs.URL, tinySpec(id, 32))
-		got := records()
-		if len(got) > retiredSweeps || !got[id] || got[old(extra+i)] {
-			t.Fatalf("after %s: %d records (cap %d), own record kept: %v", id, len(got), retiredSweeps, got[id])
+		listed := sweepIDs(listSweeps(t, hs.URL))
+		lines, restored := logged()
+		if len(listed) != retiredSweeps || listed[len(listed)-1] != id || slices.Contains(listed, old(extra+i)) {
+			t.Fatalf("after %s: %d listed (cap %d), own record last: %v", id, len(listed), retiredSweeps, listed[len(listed)-1] == id)
+		}
+		if lines != retiredSweeps+i+1 || !slices.Equal(restored, listed) {
+			t.Fatalf("after %s: log holds %d lines restoring %d records, want %d lines restoring the %d listed", id, lines, len(restored), retiredSweeps+i+1, len(listed))
 		}
 	}
 }

@@ -3,8 +3,9 @@
 // typed NDJSON events while dse.Session.RunContext walks the grid on the
 // server's session, which already holds every cell the DataDir's
 // checkpoints settled. The sweep computes; it asks the server's persister
-// for a checkpoint save per streamed candidate and flushes it before it
-// parks on preemption and before its terminal event.
+// for a checkpoint save per streamed candidate, flushes it before it parks
+// on preemption and before its terminal event, and has its final status
+// appended to the history log.
 package serve
 
 import (
@@ -14,21 +15,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime/debug"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
-	"gemini/internal/atomicfile"
 	"gemini/internal/dse"
 	"gemini/internal/eval"
-	"gemini/internal/faultinject"
 )
 
 // SweepState is the lifecycle state of a sweep.
@@ -412,126 +406,6 @@ func (sw *streamWriter) send(ev Event) {
 	sw.flush()
 }
 
-// --- status persistence --------------------------------------------------
-
-// statusPath maps a sweep id to its on-disk status record, or "" when
-// persistence is disabled. Status records live next to the checkpoint so
-// GET /sweeps survives a server restart with the same history a live server
-// would report.
-func (s *Server) statusPath(id string) string {
-	if s.cfg.DataDir == "" {
-		return ""
-	}
-	return filepath.Join(s.cfg.DataDir, id+".status.json")
-}
-
-// saveStatus persists a finished sweep's status record (atomic rename). The
-// on-disk history needs no trimming here: loadStatuses cuts it to the
-// retiredSweeps bound at startup and every in-memory eviction after that
-// removes its record, so disk follows memory one for one. A failed save only
-// costs history-after-restart, so it runs under the server's persistence
-// tracker — bounded retry, degradation accounting — and is never fatal.
-func (s *Server) saveStatus(sw *sweep) {
-	path := s.statusPath(sw.id)
-	if path == "" {
-		return
-	}
-	write := func() error {
-		if ierr := s.cfg.FaultInjector.Check(faultinject.PointStatusSave, sw.id); ierr != nil {
-			return ierr
-		}
-		return atomicfile.Write(path, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(sw.status())
-		})
-	}
-	if err := s.persist.Do(write); err != nil {
-		s.logf("serve: sweep %s: status save failed: %v", sw.id, err)
-	}
-}
-
-// removeStatus deletes a sweep's persisted status record (used when the
-// in-memory history evicts it, so disk and memory stay in step).
-func (s *Server) removeStatus(id string) {
-	if path := s.statusPath(id); path != "" {
-		_ = os.Remove(path)
-	}
-}
-
-// readStatusFile decodes one persisted status record. Its id must be a sweep
-// name and the file's own name: any other id is damage, which removeStatus
-// would otherwise resolve to a file the record does not live in.
-func readStatusFile(path string) (SweepStatus, error) {
-	var st SweepStatus
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return st, err
-	}
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return st, err
-	}
-	if name := strings.TrimSuffix(filepath.Base(path), ".status.json"); st.ID != name || !dse.NamePattern.MatchString(st.ID) {
-		return st, fmt.Errorf("serve: status file %s holds sweep id %q", path, st.ID)
-	}
-	return st, nil
-}
-
-// loadStatuses restores the finished-sweep history from DataDir at startup.
-// A sweep recorded as running died with its server: it is restored as
-// canceled (its settled cells survive in the checkpoint, so re-POSTing the
-// spec resumes it).
-// Damaged records are skipped — history is a convenience, never worth
-// failing startup over. This is also the one place the on-disk history is
-// trimmed to the retiredSweeps bound: a directory holding more records than
-// that loses the unreadable ones first (they would otherwise pin the history
-// forever), then the oldest.
-func (s *Server) loadStatuses() {
-	if s.cfg.DataDir == "" {
-		return
-	}
-	entries, err := filepath.Glob(filepath.Join(s.cfg.DataDir, "*.status.json"))
-	if err != nil {
-		return
-	}
-	excess := len(entries) - retiredSweeps
-	var sts []SweepStatus
-	for _, p := range entries {
-		st, err := readStatusFile(p)
-		if err != nil {
-			s.logf("serve: skipping damaged status record %s: %v", p, err)
-			if excess > 0 {
-				_ = os.Remove(p) // best effort, like removeStatus
-				excess--
-			}
-			continue
-		}
-		if st.State == StateRunning || st.State == StateQueued {
-			st.State = StateCanceled
-			st.Error = "server restarted while the sweep was running"
-		}
-		sts = append(sts, st)
-	}
-	sort.Slice(sts, func(a, b int) bool {
-		if !sts[a].StartedAt.Equal(sts[b].StartedAt) {
-			return sts[a].StartedAt.Before(sts[b].StartedAt)
-		}
-		return sts[a].ID < sts[b].ID
-	})
-	for ; excess > 0 && len(sts) > 0; excess-- {
-		s.removeStatus(sts[0].ID)
-		sts = sts[1:]
-	}
-	for _, st := range sts {
-		sw := restoredSweep(s, st)
-		s.sweeps[sw.id] = sw
-		s.order = append(s.order, sw.id)
-	}
-	if len(sts) > 0 {
-		s.logf("serve: restored %d sweep status records from %s", len(sts), s.cfg.DataDir)
-	}
-}
-
 // restoredSweep rebuilds a sweep record from its persisted status. The
 // cancel hook is a no-op: nothing is running.
 func restoredSweep(s *Server, st SweepStatus) *sweep {
@@ -587,9 +461,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if spec.ID == "" {
 		spec.ID = newSweepID()
 	} else if !dse.NamePattern.MatchString(spec.ID) {
-		// Ids key status and fleet checkpoint files on disk, so they must be
-		// path- and filename-safe. No id starts with '_', so none names the
-		// server's checkpoint.
+		// Ids are /sweeps/{id} path segments and history-log keys, so they
+		// are restricted to one safe name pattern.
 		writeError(w, http.StatusBadRequest, "sweep id %q: want %s", spec.ID, dse.NamePattern)
 		return
 	}
@@ -632,17 +505,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		cells:    cells,
 		started:  time.Now(),
 	}
-	undoRegister, code, err := s.register(sw)
-	if code != 0 {
-		writeError(w, code, "%v", err)
-		return
-	}
-	j, aerr := s.queue.Admit(spec.ID, tenant, priority, spec.Workers)
+	j, aerr := s.register(sw, spec.Workers)
 	if aerr != nil {
-		// Admission rejections leave no trace: the registration rolls back
-		// (restoring any superseded finished record) and nothing was
-		// persisted, so a rejected client can simply retry after backoff.
-		undoRegister()
+		// Nothing was registered or persisted, so a rejected client can
+		// simply retry after backoff.
 		writeRejection(w, aerr)
 		return
 	}
@@ -650,6 +516,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Server shutdown cancels the sweep like a client disconnect would.
 	stopWatch := context.AfterFunc(s.base, cancel)
 	defer stopWatch()
+	// However the sweep ends, its final status joins the history log, so
+	// GET /sweeps survives a restart.
+	defer func() { s.persist.record(sw.status(), s.statuses) }()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Sweep-Id", spec.ID)
@@ -679,7 +548,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			sw.finish(StateFailed, st.Stats, nil, msg)
 		}
 		emit(Event{Type: "error", SweepID: spec.ID, Error: msg, Stats: sw.status().Stats})
-		s.saveStatus(sw)
 	}()
 
 	// Wait for the queue to dispatch the sweep. Uncontended admission
@@ -695,7 +563,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			msg := "sweep canceled while queued"
 			sw.finish(StateCanceled, nil, nil, msg)
 			emit(Event{Type: "error", SweepID: spec.ID, Error: msg})
-			s.saveStatus(sw)
 			return
 		}
 	}
@@ -836,7 +703,4 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		sw.finish(StateDone, sum, best, "")
 		emit(Event{Type: "done", SweepID: spec.ID, Best: best, Stats: sum, ElapsedMS: elapsed})
 	}
-	// Persist the final status next to the checkpoint, so GET /sweeps
-	// survives a server restart.
-	s.saveStatus(sw)
 }

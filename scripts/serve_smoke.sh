@@ -3,7 +3,9 @@
 # build gemini-serve, start it with checkpoint persistence, run one reduced
 # sweep via curl and assert a non-empty typed NDJSON stream, re-run the
 # sweep and assert it resumes (zero recomputed cells), then SIGTERM the
-# server and require a clean shutdown.
+# server and require a clean shutdown. Finally restart it on the same data
+# dir, which must hold exactly the checkpoint and the history log, and
+# require the sweep's history to have survived the process restart.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,8 +15,11 @@ trap 'rm -rf "$WORK"' EXIT
 
 go build -o "$WORK/gemini-serve" ./cmd/gemini-serve
 
-"$WORK/gemini-serve" -addr "127.0.0.1:$PORT" -data "$WORK/data" >"$WORK/server.log" 2>&1 &
-SERVER_PID=$!
+start_server() {
+    "$WORK/gemini-serve" -addr "127.0.0.1:$PORT" -data "$WORK/data" >>"$WORK/server.log" 2>&1 &
+    SERVER_PID=$!
+}
+start_server
 
 fail() {
     echo "serve_smoke: $1" >&2
@@ -24,15 +29,33 @@ fail() {
     exit 1
 }
 
-# Wait for the server to come up.
-for _ in $(seq 1 50); do
-    if curl -fsS "http://127.0.0.1:$PORT/healthz" >"$WORK/health.json" 2>/dev/null; then
-        break
-    fi
-    sleep 0.2
-done
-[ -s "$WORK/health.json" ] || fail "server never became healthy"
-grep -q '"status": "ok"' "$WORK/health.json" || fail "healthz not ok"
+wait_healthy() {
+    rm -f "$WORK/health.json"
+    for _ in $(seq 1 50); do
+        if curl -fsS "http://127.0.0.1:$PORT/healthz" >"$WORK/health.json" 2>/dev/null; then
+            break
+        fi
+        sleep 0.2
+    done
+    [ -s "$WORK/health.json" ] || fail "server never became healthy"
+    grep -q '"status": "ok"' "$WORK/health.json" || fail "healthz not ok"
+}
+
+stop_server() {
+    kill -TERM "$SERVER_PID"
+    SHUTDOWN_OK=0
+    for _ in $(seq 1 50); do
+        if ! kill -0 "$SERVER_PID" 2>/dev/null; then
+            SHUTDOWN_OK=1
+            break
+        fi
+        sleep 0.2
+    done
+    [ "$SHUTDOWN_OK" -eq 1 ] || fail "server did not exit on SIGTERM"
+    wait "$SERVER_PID" || fail "server exited non-zero"
+}
+
+wait_healthy
 
 SPEC='{
   "id": "ci-smoke",
@@ -63,17 +86,18 @@ curl -fsS "http://127.0.0.1:$PORT/sweeps/ci-smoke" | grep -q '"state": "done"' \
     || fail "sweep status is not done"
 
 echo "serve_smoke: clean shutdown"
-kill -TERM "$SERVER_PID"
-SHUTDOWN_OK=0
-for _ in $(seq 1 50); do
-    if ! kill -0 "$SERVER_PID" 2>/dev/null; then
-        SHUTDOWN_OK=1
-        break
-    fi
-    sleep 0.2
-done
-[ "$SHUTDOWN_OK" -eq 1 ] || fail "server did not exit on SIGTERM"
-wait "$SERVER_PID" || fail "server exited non-zero"
+stop_server
 grep -q "shutdown complete" "$WORK/server.log" || fail "no clean-shutdown log line"
 
-echo "serve_smoke: OK (streamed $RESULTS candidates, resumed 2/2 cells, clean shutdown)"
+FILES="$(cd "$WORK/data" && ls -A | tr '\n' ' ')"
+[ "$FILES" = "_history.ndjson _session.ckpt " ] \
+    || fail "data dir holds '$FILES', want exactly _history.ndjson and _session.ckpt"
+
+echo "serve_smoke: restart on the same data dir (history must survive)"
+start_server
+wait_healthy
+curl -fsS "http://127.0.0.1:$PORT/sweeps/ci-smoke" | grep -q '"state": "done"' \
+    || fail "restarted server lost the sweep's history"
+stop_server
+
+echo "serve_smoke: OK (streamed $RESULTS candidates, resumed 2/2 cells, clean shutdown, history survived a restart)"
