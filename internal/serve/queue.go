@@ -11,6 +11,11 @@
 // where resume is free (settled cells restore from the session and the
 // checkpoint, recomputing nothing).
 //
+// The queue's state is its queues: each tenant's per-class FIFOs and
+// deficits, the running list in dispatch order, one round-robin cursor per
+// class and the lifetime counters. Free slots, per-class backlog and the
+// batch share in use are walks over those lists, never separate counters.
+//
 // The queue is a synchronous state machine under one mutex: admission,
 // dispatch, yield and release decisions happen entirely inside locked
 // sections, in deterministic order, which is what makes the conformance
@@ -19,9 +24,9 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"gemini/internal/dse"
 )
@@ -30,7 +35,7 @@ import (
 const defaultTenant = "default"
 
 // queueConfig sizes a sweepQueue. The server derives it from Config; tests
-// construct it directly with an injected clock and observation hook.
+// construct it directly with an observation hook.
 type queueConfig struct {
 	// slots is the worker-slot pool the queue dispatches against.
 	slots int
@@ -46,8 +51,6 @@ type queueConfig struct {
 	batchShare float64
 	// weights are per-tenant fair-share weights (missing tenants weigh 1).
 	weights map[string]int
-	// now is the queue's clock (tests inject a fake one).
-	now func() time.Time
 	// hook, when set, observes every queue transition (tests only). It is
 	// called with the queue lock held; hooks must not call back into the
 	// queue.
@@ -56,21 +59,21 @@ type queueConfig struct {
 
 // queueEvent is one observed queue transition, for the conformance suite.
 type queueEvent struct {
-	kind     string // "dispatch", "preempt", "yield", "reject"
+	kind     string // "dispatch", "preempt", "yield", "finish", "reject"
 	id       string
 	tenant   string
 	priority dse.SweepPriority
 	slots    int
 }
 
-// job is one sweep's queue-side record. The immutable identity fields are
-// set at admission; the scheduling state is guarded by the queue mutex.
+// job is one sweep's queue-side record. The identity fields are set at
+// admission; whether the job waits or runs is where it sits — its tenant's
+// FIFO or the queue's running list.
 type job struct {
 	id       string
 	tenant   string
 	priority dse.SweepPriority
 	slots    int
-	seq      uint64
 	// grant receives one token per dispatch (initial and after each
 	// preemption-yield cycle).
 	grant chan struct{}
@@ -79,14 +82,13 @@ type job struct {
 	position int
 
 	// Guarded by sweepQueue.mu.
-	waiting    bool
-	running    bool
 	preempting bool
 	preempt    func() // cancels the job's current run round
-	resumes    int
 	grantIndex uint64 // global dispatch counter at first dispatch (TTFR)
-	queuedAt   time.Time
 }
+
+// class is the job's priority class index.
+func (j *job) class() int { return classOf(j.priority) }
 
 // granted exposes the dispatch channel for select loops.
 func (j *job) granted() <-chan struct{} { return j.grant }
@@ -107,21 +109,11 @@ type sweepQueue struct {
 	cfg queueConfig
 
 	mu      sync.Mutex
-	tenants map[string]*tenantState
-	ring    []string // tenant names in first-activation order
-	sched   map[dse.SweepPriority]*classSched
+	ring    []*tenantState // tenants in activation order
+	sched   [numClasses]classSched
+	running []*job // dispatch order, newest last (preemption victims)
 
-	free        int
-	runningJobs int
-	batchSlots  int
-	runningInt  int // running interactive jobs
-	waitingInt  int
-	waitingBat  int
-	runningList []*job // dispatch order, newest last (preemption victims)
-
-	seq    uint64
-	grants uint64
-
+	grants      uint64
 	preemptions int64
 	resumes     int64
 	rejected429 int64
@@ -149,18 +141,11 @@ func newSweepQueue(cfg queueConfig) *sweepQueue {
 	if cfg.batchShare <= 0 || cfg.batchShare > 1 {
 		cfg.batchShare = 0.5
 	}
-	if cfg.now == nil {
-		cfg.now = time.Now
+	q := &sweepQueue{cfg: cfg}
+	for c := range q.sched {
+		q.sched[c].fresh = true
 	}
-	return &sweepQueue{
-		cfg:     cfg,
-		tenants: make(map[string]*tenantState),
-		sched: map[dse.SweepPriority]*classSched{
-			dse.PriorityInteractive: {fresh: true},
-			dse.PriorityBatch:       {fresh: true},
-		},
-		free: cfg.slots,
-	}
+	return q
 }
 
 func (q *sweepQueue) emit(kind string, j *job) {
@@ -169,19 +154,60 @@ func (q *sweepQueue) emit(kind string, j *job) {
 	}
 }
 
-// tenantLocked returns (creating on first sight) one tenant's state.
+// tenantLocked returns one tenant's state, nil when it is not in the ring.
 func (q *sweepQueue) tenantLocked(name string) *tenantState {
-	if t, ok := q.tenants[name]; ok {
-		return t
+	for _, t := range q.ring {
+		if t.name == name {
+			return t
+		}
 	}
+	return nil
+}
+
+// joinLocked appends a new tenant to the ring's end, with no credit.
+func (q *sweepQueue) joinLocked(name string) *tenantState {
 	w := q.cfg.weights[name]
 	if w <= 0 {
 		w = 1
 	}
 	t := &tenantState{name: name, weight: w}
-	q.tenants[name] = t
-	q.ring = append(q.ring, name)
+	q.ring = append(q.ring, t)
 	return t
+}
+
+// waitingLocked counts the waiting jobs per class.
+func (q *sweepQueue) waitingLocked() (n [numClasses]int) {
+	for _, t := range q.ring {
+		for c := range n {
+			n[c] += len(t.queue[c])
+		}
+	}
+	return n
+}
+
+// heldLocked sums the slots running jobs hold per class.
+func (q *sweepQueue) heldLocked() (n [numClasses]int) {
+	for _, r := range q.running {
+		n[r.class()] += r.slots
+	}
+	return n
+}
+
+// freeLocked is the number of slots no running job holds.
+func (q *sweepQueue) freeLocked() int {
+	held := q.heldLocked()
+	return q.cfg.slots - held[classInteractive] - held[classBatch]
+}
+
+// runningOfLocked counts one tenant's running jobs.
+func (q *sweepQueue) runningOfLocked(tenant string) int {
+	n := 0
+	for _, r := range q.running {
+		if r.tenant == tenant {
+			n++
+		}
+	}
+	return n
 }
 
 // clampSlots turns a spec's workers request into a slot count: 0 (default)
@@ -203,19 +229,22 @@ func (q *sweepQueue) Admit(id, tenant string, priority dse.SweepPriority, worker
 		priority = dse.PriorityInteractive
 	}
 	t := q.tenantLocked(tenant)
+	if t == nil {
+		t = q.joinLocked(tenant)
+	}
 	j := &job{
 		id: id, tenant: tenant, priority: priority,
 		slots: q.clampSlots(workers), grant: make(chan struct{}, 1),
-		queuedAt: q.cfg.now(),
 	}
-	if q.waitingInt+q.waitingBat >= q.cfg.maxQueued {
+	w := q.waitingLocked()
+	waiting := w[classInteractive] + w[classBatch]
+	if waiting >= q.cfg.maxQueued {
 		q.rejected503++
 		t.rejected++
 		q.emit("reject", j)
 		return nil, &admitError{
-			code: 503, retryAfter: q.retryAfterLocked(),
-			msg: fmt.Sprintf("queue full: %d sweeps waiting server-wide (bound %d)",
-				q.waitingInt+q.waitingBat, q.cfg.maxQueued),
+			code: 503, retryAfter: retryAfter(waiting),
+			msg: fmt.Sprintf("queue full: %d sweeps waiting server-wide (bound %d)", waiting, q.cfg.maxQueued),
 		}
 	}
 	if t.waiting() >= q.cfg.queueDepth {
@@ -223,44 +252,28 @@ func (q *sweepQueue) Admit(id, tenant string, priority dse.SweepPriority, worker
 		t.rejected++
 		q.emit("reject", j)
 		return nil, &admitError{
-			code: 429, retryAfter: q.retryAfterLocked(),
+			code: 429, retryAfter: retryAfter(waiting),
 			msg: fmt.Sprintf("tenant %q queue depth %d reached (quota %d)",
 				tenant, t.waiting(), q.cfg.queueDepth),
 		}
 	}
-	j.seq = q.seq
-	q.seq++
-	j.waiting = true
 	t.push(j, false)
-	q.noteWaiting(priority, +1)
-	j.position = q.waitingInt + q.waitingBat
+	j.position = waiting + 1
 	q.dispatchLocked()
 	return j, nil
 }
 
-// retryAfterLocked estimates how long a rejected client should back off:
-// one second per waiting sweep, bounded — deterministic, and monotone in the
+// retryAfter estimates how long a rejected client should back off: one
+// second per waiting sweep, bounded — deterministic, and monotone in the
 // backlog.
-func (q *sweepQueue) retryAfterLocked() int {
-	after := 1 + q.waitingInt + q.waitingBat
-	if after > 60 {
-		after = 60
-	}
-	return after
-}
-
-func (q *sweepQueue) noteWaiting(p dse.SweepPriority, d int) {
-	if p == dse.PriorityBatch {
-		q.waitingBat += d
-	} else {
-		q.waitingInt += d
-	}
+func retryAfter(waiting int) int {
+	return min(1+waiting, 60)
 }
 
 // dispatchLocked drains the queue into free slots in scheduling order, then
 // signals preemption for whatever interactive demand is still blocked.
 func (q *sweepQueue) dispatchLocked() {
-	for q.free > 0 {
+	for q.freeLocked() > 0 {
 		j := q.pickLocked()
 		if j == nil {
 			break
@@ -274,10 +287,10 @@ func (q *sweepQueue) dispatchLocked() {
 // interactive class first, deficit round-robin across tenants within a
 // class. nil means nothing dispatchable right now.
 func (q *sweepQueue) pickLocked() *job {
-	if j := q.pickClassLocked(dse.PriorityInteractive); j != nil {
+	if j := q.pickClassLocked(classInteractive); j != nil {
 		return j
 	}
-	return q.pickClassLocked(dse.PriorityBatch)
+	return q.pickClassLocked(classBatch)
 }
 
 // pickClassLocked runs one class's deficit round-robin: each tenant visit
@@ -286,17 +299,18 @@ func (q *sweepQueue) pickLocked() *job {
 // head's slot cost. Deficits persist across calls (a tenant whose head did
 // not fit keeps its credit, bounded) and reset when a tenant's class queue
 // drains, so long-run slot share converges to the weight ratio.
-func (q *sweepQueue) pickClassLocked(class dse.SweepPriority) *job {
+func (q *sweepQueue) pickClassLocked(class int) *job {
 	n := len(q.ring)
 	if n == 0 {
 		return nil
 	}
+	free := q.freeLocked()
 	// Nothing in this class can dispatch right now (empty, blocked on free
 	// slots, or gated by the batch share): return before touching deficits,
 	// so blocked passes do not bank credit.
 	dispatchable := false
-	for _, name := range q.ring {
-		if h := q.tenants[name].head(class); h != nil && h.slots <= q.free && q.classAllowedLocked(h) {
+	for _, t := range q.ring {
+		if h := t.head(class); h != nil && h.slots <= free && q.classAllowedLocked(h) {
 			dispatchable = true
 			break
 		}
@@ -304,7 +318,7 @@ func (q *sweepQueue) pickClassLocked(class dse.SweepPriority) *job {
 	if !dispatchable {
 		return nil
 	}
-	cs := q.sched[class]
+	cs := &q.sched[class]
 	// Each visit adds weight >= 1 to a deficit that must reach at most
 	// cfg.slots, so slots+1 full ring passes always suffice to serve the
 	// dispatchable head found above.
@@ -312,32 +326,24 @@ func (q *sweepQueue) pickClassLocked(class dse.SweepPriority) *job {
 		if cs.cursor >= n {
 			cs.cursor = 0
 		}
-		t := q.tenants[q.ring[cs.cursor]]
+		t := q.ring[cs.cursor]
 		h := t.head(class)
 		if h == nil {
 			// Idle tenants bank no credit.
-			t.setDeficit(class, 0)
+			t.deficit[class] = 0
 			cs.cursor, cs.fresh = (cs.cursor+1)%n, true
 			continue
 		}
 		if cs.fresh {
-			d := t.deficit(class) + t.weight
 			// Bank at most one full burst: the larger of the pool (the
 			// biggest single job cost) and the tenant's own quantum, so a
 			// weight-w tenant can serve w unit jobs per visit even on a
 			// small pool, while a blocked tenant's credit stays bounded.
-			limit := q.cfg.slots
-			if t.weight > limit {
-				limit = t.weight
-			}
-			if d > limit {
-				d = limit
-			}
-			t.setDeficit(class, d)
+			t.deficit[class] = min(t.deficit[class]+t.weight, max(q.cfg.slots, t.weight))
 			cs.fresh = false
 		}
-		if t.deficit(class) >= h.slots && h.slots <= q.free && q.classAllowedLocked(h) {
-			t.setDeficit(class, t.deficit(class)-h.slots)
+		if t.deficit[class] >= h.slots && h.slots <= free && q.classAllowedLocked(h) {
+			t.deficit[class] -= h.slots
 			t.remove(h)
 			// The visit continues: the same tenant may serve its next head
 			// on the following pick call while its deficit lasts.
@@ -367,72 +373,45 @@ func (q *sweepQueue) batchCapLocked() int {
 // Demand that no amount of batch yielding can cover (slots pinned by other
 // interactive work) reserves nothing: the queue stays work-conserving.
 func (q *sweepQueue) classAllowedLocked(j *job) bool {
-	if j.priority != dse.PriorityBatch {
+	if j.class() != classBatch {
 		return true
 	}
-	if q.waitingInt == 0 && q.runningInt == 0 {
+	demand := q.interactiveDemandLocked()
+	held := q.heldLocked()
+	if demand == 0 && held[classInteractive] == 0 {
 		return true
 	}
-	if d := q.interactiveDemandLocked(); d > 0 && q.free+q.preemptibleBatchLocked() >= d {
+	// Free slots plus every batch slot is what yielding could hand over.
+	if demand > 0 && q.cfg.slots-held[classInteractive] >= demand {
 		return false
 	}
-	return q.batchSlots+j.slots <= q.batchCapLocked()
+	return held[classBatch]+j.slots <= q.batchCapLocked()
 }
 
 // interactiveDemandLocked is the smallest waiting interactive request's slot
 // count, 0 when no interactive sweep waits. Callers run after the dispatch
 // loop drained, so a nonzero demand is blocked demand.
 func (q *sweepQueue) interactiveDemandLocked() int {
-	if q.waitingInt == 0 {
-		return 0
-	}
 	demand := 0
-	for _, name := range q.ring {
-		if h := q.tenants[name].head(dse.PriorityInteractive); h != nil {
-			if demand == 0 || h.slots < demand {
-				demand = h.slots
-			}
+	for _, t := range q.ring {
+		if h := t.head(classInteractive); h != nil && (demand == 0 || h.slots < demand) {
+			demand = h.slots
 		}
 	}
 	return demand
 }
 
-// preemptibleBatchLocked sums the slots of every running batch sweep —
-// including ones already signaled preempting, whose slots are in flight back
-// to the pool.
-func (q *sweepQueue) preemptibleBatchLocked() int {
-	s := 0
-	for _, r := range q.runningList {
-		if r.priority == dse.PriorityBatch {
-			s += r.slots
-		}
-	}
-	return s
-}
-
-// grantLocked moves one job from waiting to running and signals its grant
-// channel.
+// grantLocked moves one job, already off its tenant's FIFO, onto the
+// running list and signals its grant channel.
 func (q *sweepQueue) grantLocked(j *job) {
-	t := q.tenants[j.tenant]
-	j.waiting = false
-	j.running = true
-	q.noteWaiting(j.priority, -1)
-	q.free -= j.slots
-	q.runningJobs++
-	if j.priority == dse.PriorityBatch {
-		q.batchSlots += j.slots
-	} else {
-		q.runningInt++
-	}
-	t.running++
-	t.dispatched++
+	q.tenantLocked(j.tenant).dispatched++
 	q.grants++
 	if j.grantIndex == 0 {
 		j.grantIndex = q.grants
 	} else {
 		q.resumes++
 	}
-	q.runningList = append(q.runningList, j)
+	q.running = append(q.running, j)
 	q.emit("dispatch", j)
 	j.grant <- struct{}{}
 }
@@ -452,18 +431,19 @@ func (q *sweepQueue) maybePreemptLocked() {
 	if demand == 0 {
 		return
 	}
-	if q.free+q.preemptibleBatchLocked() < demand {
+	held := q.heldLocked()
+	if q.cfg.slots-held[classInteractive] < demand {
 		return
 	}
-	projected := q.free
-	for _, r := range q.runningList {
+	projected := q.cfg.slots - held[classInteractive] - held[classBatch]
+	for _, r := range q.running {
 		if r.preempting {
 			projected += r.slots
 		}
 	}
-	for i := len(q.runningList) - 1; i >= 0 && projected < demand; i-- {
-		v := q.runningList[i]
-		if v.priority != dse.PriorityBatch || v.preempting {
+	for i := len(q.running) - 1; i >= 0 && projected < demand; i-- {
+		v := q.running[i]
+		if v.class() != classBatch || v.preempting {
 			continue
 		}
 		v.preempting = true
@@ -500,40 +480,28 @@ func (q *sweepQueue) ClearPreempt(j *job) {
 func (q *sweepQueue) Yield(j *job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if !j.running {
+	if !q.stopLocked(j) {
 		return
 	}
-	q.releaseRunningLocked(j)
 	j.preempting = false
 	j.preempt = nil
-	j.waiting = true
-	j.resumes++
 	q.preemptions++
-	q.tenants[j.tenant].preemptions++
-	q.tenants[j.tenant].push(j, true)
-	q.noteWaiting(j.priority, +1)
+	t := q.tenantLocked(j.tenant)
+	t.preemptions++
+	t.push(j, true)
 	q.emit("yield", j)
 	q.dispatchLocked()
 }
 
-// releaseRunningLocked returns a running job's slots to the pool.
-func (q *sweepQueue) releaseRunningLocked(j *job) {
-	t := q.tenants[j.tenant]
-	j.running = false
-	q.free += j.slots
-	q.runningJobs--
-	if j.priority == dse.PriorityBatch {
-		q.batchSlots -= j.slots
-	} else {
-		q.runningInt--
+// stopLocked takes j off the running list, returning its slots to the
+// pool, and reports whether it was running.
+func (q *sweepQueue) stopLocked(j *job) bool {
+	i := slices.Index(q.running, j)
+	if i < 0 {
+		return false
 	}
-	t.running--
-	for i, r := range q.runningList {
-		if r == j {
-			q.runningList = append(q.runningList[:i], q.runningList[i+1:]...)
-			break
-		}
-	}
+	q.running = slices.Delete(q.running, i, i+1)
+	return true
 }
 
 // Release ends a job's relationship with the queue, whatever state it is in
@@ -543,15 +511,10 @@ func (q *sweepQueue) releaseRunningLocked(j *job) {
 func (q *sweepQueue) Release(j *job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	switch {
-	case j.running:
-		q.releaseRunningLocked(j)
-	case j.waiting:
-		j.waiting = false
-		q.tenants[j.tenant].remove(j)
-		q.noteWaiting(j.priority, -1)
-	default:
-		return
+	if !q.stopLocked(j) {
+		if t := q.tenantLocked(j.tenant); t == nil || !t.remove(j) {
+			return
+		}
 	}
 	j.preempt = nil
 	q.emit("finish", j)
@@ -562,25 +525,25 @@ func (q *sweepQueue) Release(j *job) {
 func (q *sweepQueue) health() *QueueHealth {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	w := q.waitingLocked()
 	qh := &QueueHealth{
 		Slots:              q.cfg.slots,
-		FreeSlots:          q.free,
+		FreeSlots:          q.freeLocked(),
 		BatchShare:         q.cfg.batchShare,
-		RunningSweeps:      q.runningJobs,
-		WaitingInteractive: q.waitingInt,
-		WaitingBatch:       q.waitingBat,
+		RunningSweeps:      len(q.running),
+		WaitingInteractive: w[classInteractive],
+		WaitingBatch:       w[classBatch],
 		Preemptions:        q.preemptions,
 		Resumes:            q.resumes,
 		Rejected429:        q.rejected429,
 		Rejected503:        q.rejected503,
 	}
-	for _, name := range q.ring {
-		t := q.tenants[name]
+	for _, t := range q.ring {
 		qh.Tenants = append(qh.Tenants, TenantHealth{
 			Name:        t.name,
 			Weight:      t.weight,
 			Waiting:     t.waiting(),
-			Running:     t.running,
+			Running:     q.runningOfLocked(t.name),
 			Dispatched:  t.dispatched,
 			Preemptions: t.preemptions,
 			Rejected:    t.rejected,

@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"gemini/internal/dse"
 )
@@ -32,16 +31,6 @@ func (r *queueRecorder) ids(kind string) []string {
 		}
 	}
 	return out
-}
-
-// fakeClock is a deterministic queue clock: each call advances one second.
-func fakeClock() func() time.Time {
-	t0 := time.Unix(0, 0)
-	n := 0
-	return func() time.Time {
-		n++
-		return t0.Add(time.Duration(n) * time.Second)
-	}
 }
 
 // isGranted consumes a pending grant token, reporting whether one existed.
@@ -88,7 +77,7 @@ func TestQueueDispatchOrderDeterministic(t *testing.T) {
 			q := newSweepQueue(queueConfig{
 				slots: 4, queueDepth: 64, maxQueued: 256,
 				weights: map[string]int{"a": 2, "b": 1, "c": 1},
-				now:     fakeClock(), hook: rec.hook,
+				hook:    rec.hook,
 			})
 			rng := rand.New(rand.NewSource(seed))
 			tenants := []string{"a", "b", "c"}
@@ -131,7 +120,7 @@ func TestQueueDispatchOrderDeterministic(t *testing.T) {
 // dispatches ahead of an earlier-queued batch sweep.
 func TestQueuePriorityClasses(t *testing.T) {
 	rec := &queueRecorder{}
-	q := newSweepQueue(queueConfig{slots: 1, queueDepth: 8, maxQueued: 64, now: fakeClock(), hook: rec.hook})
+	q := newSweepQueue(queueConfig{slots: 1, queueDepth: 8, maxQueued: 64, hook: rec.hook})
 	filler, _ := q.Admit("filler", "t1", dse.PriorityInteractive, 1)
 	if !isGranted(filler) {
 		t.Fatal("uncontended filler did not dispatch synchronously")
@@ -166,7 +155,7 @@ func TestQueueFairShareWeights(t *testing.T) {
 	q := newSweepQueue(queueConfig{
 		slots: 1, queueDepth: 16, maxQueued: 64,
 		weights: map[string]int{"a": 2, "b": 1},
-		now:     fakeClock(), hook: rec.hook,
+		hook:    rec.hook,
 	})
 	jobs := make(map[string]*job)
 	for i := 0; i < 6; i++ {
@@ -194,7 +183,7 @@ func TestQueueFairShareWeights(t *testing.T) {
 // health endpoint reports.
 func TestQueuePreemptResume(t *testing.T) {
 	rec := &queueRecorder{}
-	q := newSweepQueue(queueConfig{slots: 1, queueDepth: 8, maxQueued: 64, now: fakeClock(), hook: rec.hook})
+	q := newSweepQueue(queueConfig{slots: 1, queueDepth: 8, maxQueued: 64, hook: rec.hook})
 	batch, _ := q.Admit("batch", "bulk", dse.PriorityBatch, 1)
 	if !isGranted(batch) {
 		t.Fatal("batch job did not dispatch on an idle pool")
@@ -239,7 +228,7 @@ func TestQueuePreemptResume(t *testing.T) {
 // across yields until the interactive sweep fits.
 func TestQueueMultiVictimPreemption(t *testing.T) {
 	rec := &queueRecorder{}
-	q := newSweepQueue(queueConfig{slots: 8, queueDepth: 8, maxQueued: 64, now: fakeClock(), hook: rec.hook})
+	q := newSweepQueue(queueConfig{slots: 8, queueDepth: 8, maxQueued: 64, hook: rec.hook})
 	i1, _ := q.Admit("i1", "dev", dse.PriorityInteractive, 4)
 	b1, _ := q.Admit("b1", "bulk", dse.PriorityBatch, 2)
 	b2, _ := q.Admit("b2", "bulk", dse.PriorityBatch, 2)
@@ -293,7 +282,7 @@ func TestQueueMultiVictimPreemption(t *testing.T) {
 // work-conserving for batch in the meantime.
 func TestQueueUnsatisfiableDemandNoPreempt(t *testing.T) {
 	rec := &queueRecorder{}
-	q := newSweepQueue(queueConfig{slots: 8, queueDepth: 8, maxQueued: 64, now: fakeClock(), hook: rec.hook})
+	q := newSweepQueue(queueConfig{slots: 8, queueDepth: 8, maxQueued: 64, hook: rec.hook})
 	i1, _ := q.Admit("i1", "dev", dse.PriorityInteractive, 5)
 	b1, _ := q.Admit("b1", "bulk", dse.PriorityBatch, 2)
 	if !isGranted(i1) || !isGranted(b1) {
@@ -332,7 +321,7 @@ func TestQueueUnsatisfiableDemandNoPreempt(t *testing.T) {
 // present, batch may not grow past BatchShare of the pool, but with no
 // interactive work the queue is work-conserving.
 func TestQueueBatchShare(t *testing.T) {
-	q := newSweepQueue(queueConfig{slots: 4, queueDepth: 16, maxQueued: 64, batchShare: 0.5, now: fakeClock()})
+	q := newSweepQueue(queueConfig{slots: 4, queueDepth: 16, maxQueued: 64, batchShare: 0.5})
 	b1, _ := q.Admit("b1", "bulk", dse.PriorityBatch, 1)
 	i1, _ := q.Admit("i1", "dev", dse.PriorityInteractive, 1)
 	b3, _ := q.Admit("b3", "bulk", dse.PriorityBatch, 1)
@@ -359,7 +348,7 @@ func TestQueueBatchShare(t *testing.T) {
 // server-wide 503, Retry-After growth with backlog, and the health
 // counters.
 func TestQueueQuotaRejections(t *testing.T) {
-	q := newSweepQueue(queueConfig{slots: 1, queueDepth: 2, maxQueued: 3, now: fakeClock()})
+	q := newSweepQueue(queueConfig{slots: 1, queueDepth: 2, maxQueued: 3})
 	if _, aerr := q.Admit("r1", "a", dse.PriorityBatch, 1); aerr != nil {
 		t.Fatal(aerr)
 	}
@@ -400,7 +389,7 @@ func TestQueueQuotaRejections(t *testing.T) {
 // which is where strict admission-order dispatch would serve it.
 func TestQueueInteractiveTTFRBeatsFIFO(t *testing.T) {
 	rec := &queueRecorder{}
-	q := newSweepQueue(queueConfig{slots: 2, queueDepth: 16, maxQueued: 64, now: fakeClock(), hook: rec.hook})
+	q := newSweepQueue(queueConfig{slots: 2, queueDepth: 16, maxQueued: 64, hook: rec.hook})
 	jobs := make(map[string]*job)
 	for i := 0; i < 6; i++ {
 		id := fmt.Sprintf("bulk%d", i)
