@@ -11,10 +11,14 @@
 // where resume is free (settled cells restore from the session and the
 // checkpoint, recomputing nothing).
 //
-// The queue's state is its queues: each tenant's per-class FIFOs and
+// The queue's state is its queues: each live tenant's per-class FIFOs and
 // deficits, the running list in dispatch order, one round-robin cursor per
-// class and the lifetime counters. Free slots, per-class backlog and the
-// batch share in use are walks over those lists, never separate counters.
+// class and the queue-wide lifetime counters. Free slots, per-class backlog
+// and the batch share in use are walks over those lists, never separate
+// counters. A tenant's lifetime is its work: it joins the ring's end, with
+// no credit, when its first job is admitted and leaves once nothing of its
+// own waits or runs, so the ring never outgrows maxQueued + slots however
+// many tenant names clients make up.
 //
 // The queue is a synchronous state machine under one mutex: admission,
 // dispatch, yield and release decisions happen entirely inside locked
@@ -109,7 +113,7 @@ type sweepQueue struct {
 	cfg queueConfig
 
 	mu      sync.Mutex
-	ring    []*tenantState // tenants in activation order
+	ring    []*tenantState // live tenants in activation order
 	sched   [numClasses]classSched
 	running []*job // dispatch order, newest last (preemption victims)
 
@@ -154,7 +158,7 @@ func (q *sweepQueue) emit(kind string, j *job) {
 	}
 }
 
-// tenantLocked returns one tenant's state, nil when it is not in the ring.
+// tenantLocked returns one tenant's state, nil when it has no job.
 func (q *sweepQueue) tenantLocked(name string) *tenantState {
 	for _, t := range q.ring {
 		if t.name == name {
@@ -173,6 +177,29 @@ func (q *sweepQueue) joinLocked(name string) *tenantState {
 	t := &tenantState{name: name, weight: w}
 	q.ring = append(q.ring, t)
 	return t
+}
+
+// leaveIfIdleLocked drops a tenant with nothing waiting or running from the
+// ring. Each class cursor keeps pointing at the tenant it was serving; one
+// that pointed at the leaver moves on to its successor for a fresh visit.
+func (q *sweepQueue) leaveIfIdleLocked(t *tenantState) {
+	if t.waiting() > 0 || q.runningOfLocked(t.name) > 0 {
+		return
+	}
+	i := slices.Index(q.ring, t)
+	q.ring = slices.Delete(q.ring, i, i+1)
+	for c := range q.sched {
+		cs := &q.sched[c]
+		switch {
+		case cs.cursor > i:
+			cs.cursor--
+		case cs.cursor == i:
+			cs.fresh = true
+		}
+		if cs.cursor >= len(q.ring) {
+			cs.cursor = 0
+		}
+	}
 }
 
 // waitingLocked counts the waiting jobs per class.
@@ -228,10 +255,6 @@ func (q *sweepQueue) Admit(id, tenant string, priority dse.SweepPriority, worker
 	if priority == "" {
 		priority = dse.PriorityInteractive
 	}
-	t := q.tenantLocked(tenant)
-	if t == nil {
-		t = q.joinLocked(tenant)
-	}
 	j := &job{
 		id: id, tenant: tenant, priority: priority,
 		slots: q.clampSlots(workers), grant: make(chan struct{}, 1),
@@ -240,16 +263,17 @@ func (q *sweepQueue) Admit(id, tenant string, priority dse.SweepPriority, worker
 	waiting := w[classInteractive] + w[classBatch]
 	if waiting >= q.cfg.maxQueued {
 		q.rejected503++
-		t.rejected++
 		q.emit("reject", j)
 		return nil, &admitError{
 			code: 503, retryAfter: retryAfter(waiting),
 			msg: fmt.Sprintf("queue full: %d sweeps waiting server-wide (bound %d)", waiting, q.cfg.maxQueued),
 		}
 	}
-	if t.waiting() >= q.cfg.queueDepth {
+	t := q.tenantLocked(tenant)
+	if t == nil {
+		t = q.joinLocked(tenant)
+	} else if t.waiting() >= q.cfg.queueDepth {
 		q.rejected429++
-		t.rejected++
 		q.emit("reject", j)
 		return nil, &admitError{
 			code: 429, retryAfter: retryAfter(waiting),
@@ -404,7 +428,6 @@ func (q *sweepQueue) interactiveDemandLocked() int {
 // grantLocked moves one job, already off its tenant's FIFO, onto the
 // running list and signals its grant channel.
 func (q *sweepQueue) grantLocked(j *job) {
-	q.tenantLocked(j.tenant).dispatched++
 	q.grants++
 	if j.grantIndex == 0 {
 		j.grantIndex = q.grants
@@ -486,9 +509,7 @@ func (q *sweepQueue) Yield(j *job) {
 	j.preempting = false
 	j.preempt = nil
 	q.preemptions++
-	t := q.tenantLocked(j.tenant)
-	t.preemptions++
-	t.push(j, true)
+	q.tenantLocked(j.tenant).push(j, true)
 	q.emit("yield", j)
 	q.dispatchLocked()
 }
@@ -506,16 +527,16 @@ func (q *sweepQueue) stopLocked(j *job) bool {
 
 // Release ends a job's relationship with the queue, whatever state it is in
 // — running (slots return to the pool), waiting (it leaves its tenant
-// queue), or already released (no-op) — and dispatches successors. Safe to
-// defer unconditionally.
+// queue), or already released (no-op) — and dispatches successors. A
+// tenant left with no job leaves the ring. Safe to defer unconditionally.
 func (q *sweepQueue) Release(j *job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if !q.stopLocked(j) {
-		if t := q.tenantLocked(j.tenant); t == nil || !t.remove(j) {
-			return
-		}
+	t := q.tenantLocked(j.tenant)
+	if t == nil || !q.stopLocked(j) && !t.remove(j) {
+		return
 	}
+	q.leaveIfIdleLocked(t)
 	j.preempt = nil
 	q.emit("finish", j)
 	q.dispatchLocked()
@@ -540,13 +561,10 @@ func (q *sweepQueue) health() *QueueHealth {
 	}
 	for _, t := range q.ring {
 		qh.Tenants = append(qh.Tenants, TenantHealth{
-			Name:        t.name,
-			Weight:      t.weight,
-			Waiting:     t.waiting(),
-			Running:     q.runningOfLocked(t.name),
-			Dispatched:  t.dispatched,
-			Preemptions: t.preemptions,
-			Rejected:    t.rejected,
+			Name:    t.name,
+			Weight:  t.weight,
+			Waiting: t.waiting(),
+			Running: q.runningOfLocked(t.name),
 		})
 	}
 	sort.Slice(qh.Tenants, func(a, b int) bool { return qh.Tenants[a].Name < qh.Tenants[b].Name })

@@ -1,13 +1,17 @@
-// The scheduling-conformance suite for the multi-tenant sweep queue. Every
-// test drives sweepQueue directly — no HTTP, no goroutines, no sleeps: the
-// queue is a synchronous state machine, so dispatch decisions are asserted
-// as exact sequences. Determinism itself is a pinned property: the same
+// The scheduling-conformance suite for the multi-tenant sweep queue. The
+// tests drive sweepQueue directly — no network, no goroutines, no sleeps:
+// the queue is a synchronous state machine, so dispatch decisions are
+// asserted as exact sequences. Determinism itself is a pinned property: the same
 // arrival pattern must produce the same grant order on every run.
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sort"
 	"testing"
@@ -95,7 +99,8 @@ func TestQueueDispatchOrderDeterministic(t *testing.T) {
 				}
 				jobs[id] = j
 			}
-			order := drain(t, q, rec, jobs)
+			// Tenants live only while they have work, so the health
+			// listing is checked before the drain.
 			var names []string
 			for _, th := range q.health().Tenants {
 				names = append(names, th.Name)
@@ -103,7 +108,7 @@ func TestQueueDispatchOrderDeterministic(t *testing.T) {
 			if !sort.StringsAreSorted(names) {
 				t.Errorf("seed %d: health lists tenants as %v, want name order", seed, names)
 			}
-			return order
+			return drain(t, q, rec, jobs)
 		}
 		first := run()
 		if len(first) != 24 {
@@ -379,6 +384,137 @@ func TestQueueQuotaRejections(t *testing.T) {
 	qh := q.health()
 	if qh.Rejected429 != 1 || qh.Rejected503 != 1 {
 		t.Errorf("rejected counters = %d/%d, want 1/1", qh.Rejected429, qh.Rejected503)
+	}
+}
+
+// TestQueueForgetsIdleTenants pins that a tenant lives only while it has
+// work: distinct names admitted and released leave an empty ring and an
+// empty health listing, rejected POSTs under fresh names create no tenant,
+// and a returning tenant rejoins at the ring's end with no credit while the
+// round-robin cursors keep pointing at live tenants.
+func TestQueueForgetsIdleTenants(t *testing.T) {
+	s, _ := newTestServer(t, Config{WorkerSlots: 2, QueueDepth: 4, MaxQueuedSweeps: 4})
+	q := s.queue
+	cursorsLive := func(q *sweepQueue, when string) {
+		t.Helper()
+		for c, cs := range q.sched {
+			if cs.cursor != 0 && cs.cursor >= len(q.ring) {
+				t.Fatalf("%s: class %d cursor %d past a %d-tenant ring", when, c, cs.cursor, len(q.ring))
+			}
+		}
+	}
+	healthTenants := func() []TenantHealth {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		var h Health
+		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+			t.Fatal(err)
+		}
+		return h.Queue.Tenants
+	}
+
+	for i := 0; i < 10000; i++ {
+		pri := dse.PriorityBatch
+		if i%2 == 0 {
+			pri = dse.PriorityInteractive
+		}
+		j, aerr := q.Admit(fmt.Sprintf("s%d", i), fmt.Sprintf("t%d", i), pri, 1+i%2)
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		q.Release(j)
+		cursorsLive(q, "admit+release")
+	}
+	if len(q.ring) != 0 {
+		t.Fatalf("%d tenants left in the ring after every job was released", len(q.ring))
+	}
+	if got := healthTenants(); len(got) != 0 {
+		t.Fatalf("/healthz lists %d tenants with no work", len(got))
+	}
+
+	// Fill the pool and the server-wide backlog, then POST under fresh names:
+	// every one is a 503 and none becomes a tenant.
+	hog, _ := q.Admit("hog", "hog", dse.PriorityBatch, 0)
+	var backlog []*job
+	for i := 0; i < 4; i++ {
+		j, aerr := q.Admit(fmt.Sprintf("w%d", i), "w", dse.PriorityBatch, 1)
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		backlog = append(backlog, j)
+	}
+	for i := 0; i < 1000; i++ {
+		spec := tinySpec(fmt.Sprintf("flood%d", i))
+		spec.Tenant = fmt.Sprintf("flood%d", i)
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("POST %d over a full backlog answered %d, want 503", i, rec.Code)
+		}
+	}
+	if len(q.ring) != 2 || len(healthTenants()) != 2 {
+		t.Fatalf("after 1000 rejected POSTs: ring %d tenants, /healthz %d, want 2 (hog and w)", len(q.ring), len(healthTenants()))
+	}
+	q.Release(hog)
+	for _, j := range backlog {
+		q.Release(j)
+	}
+	if len(q.ring) != 0 {
+		t.Fatalf("%d tenants left in the ring after the backlog drained", len(q.ring))
+	}
+
+	// Weight-2 tenant x banks credit on its first visit, then goes idle and
+	// leaves; when it returns it queues behind y, with nothing banked.
+	q2 := newSweepQueue(queueConfig{slots: 1, queueDepth: 4, maxQueued: 8, weights: map[string]int{"x": 2}})
+	x1, _ := q2.Admit("x1", "x", dse.PriorityBatch, 1)
+	y1, _ := q2.Admit("y1", "y", dse.PriorityBatch, 1)
+	if !isGranted(x1) || q2.ring[0].deficit[classBatch] != 1 {
+		t.Fatalf("x1 not dispatched with one unit of credit left (deficit %v)", q2.ring[0].deficit)
+	}
+	q2.Release(x1)
+	if !isGranted(y1) {
+		t.Fatal("y1 did not dispatch once x1 finished")
+	}
+	x2, _ := q2.Admit("x2", "x", dse.PriorityBatch, 1)
+	if len(q2.ring) != 2 || q2.ring[1].name != "x" || q2.ring[1].deficit != [numClasses]int{} {
+		t.Fatalf("returning tenant: ring %v, want x at the end with zero deficit", q2.ring)
+	}
+	q2.Release(y1)
+	if !isGranted(x2) {
+		t.Fatal("x2 did not dispatch once y1 finished")
+	}
+	q2.Release(x2)
+
+	// A tenant ahead of the interactive cursor leaves while the pool is
+	// full: the cursor stays on the tenant it was serving. When that tenant
+	// leaves in turn, its successor gets a fresh visit.
+	q3 := newSweepQueue(queueConfig{slots: 1, queueDepth: 4, maxQueued: 8})
+	a1, _ := q3.Admit("a1", "a", dse.PriorityInteractive, 1)
+	b1, _ := q3.Admit("b1", "b", dse.PriorityInteractive, 1)
+	c1, _ := q3.Admit("c1", "c", dse.PriorityInteractive, 1)
+	d1, _ := q3.Admit("d1", "d", dse.PriorityInteractive, 1)
+	a2, _ := q3.Admit("a2", "a", dse.PriorityInteractive, 1)
+	q3.Release(a1)
+	if !isGranted(a1) || !isGranted(b1) {
+		t.Fatal("a1 then b1 did not dispatch")
+	}
+	q3.Release(a2)
+	cursorsLive(q3, "tenant a left")
+	if len(q3.ring) != 3 || q3.ring[q3.sched[classInteractive].cursor].name != "b" {
+		t.Fatalf("after a left: %d tenants, interactive cursor %d, want it on b", len(q3.ring), q3.sched[classInteractive].cursor)
+	}
+	q3.Release(b1)
+	if !isGranted(c1) || isGranted(d1) {
+		t.Fatal("c1, next after b on the ring, did not dispatch once b1 finished")
+	}
+	q3.Release(c1)
+	q3.Release(d1)
+	if len(q3.ring) != 0 {
+		t.Fatalf("%d tenants left after the last release", len(q3.ring))
 	}
 }
 

@@ -403,7 +403,7 @@ type SweepCounts struct {
 	Failed   int `json:"failed"`
 }
 
-// TenantHealth is one tenant's queue accounting in the health body.
+// TenantHealth is one live tenant's queue accounting in the health body.
 type TenantHealth struct {
 	// Name is the tenant (dse.Spec.Tenant, "default" when unset).
 	Name string `json:"name"`
@@ -413,12 +413,6 @@ type TenantHealth struct {
 	Waiting int `json:"waiting"`
 	// Running counts the tenant's dispatched sweeps.
 	Running int `json:"running"`
-	// Dispatched, Preemptions and Rejected are lifetime counters.
-	Dispatched int64 `json:"dispatched"`
-	// Preemptions counts the tenant's preemption-yield cycles.
-	Preemptions int64 `json:"preemptions"`
-	// Rejected counts the tenant's admission rejections (429 and 503).
-	Rejected int64 `json:"rejected"`
 }
 
 // QueueHealth is the sweep queue's snapshot in the health body.
@@ -443,7 +437,8 @@ type QueueHealth struct {
 	Rejected429 int64 `json:"rejected_429"`
 	// Rejected503 counts server-wide backlog rejections.
 	Rejected503 int64 `json:"rejected_503"`
-	// Tenants lists per-tenant accounting, sorted by name.
+	// Tenants lists the live tenants (those with a sweep waiting or
+	// running), sorted by name.
 	Tenants []TenantHealth `json:"tenants,omitempty"`
 }
 

@@ -1,5 +1,6 @@
 // Per-tenant queue state for the sweep queue: one FIFO of waiting jobs and
 // one deficit-round-robin credit per priority class, both indexed by class.
+// A tenantState lives only while its tenant has a job waiting or running.
 package serve
 
 import (
@@ -32,10 +33,6 @@ type tenantState struct {
 
 	queue   [numClasses][]*job // waiting jobs per class, head first
 	deficit [numClasses]int    // round-robin credit per class
-
-	dispatched  int64 // lifetime dispatch count
-	preemptions int64 // lifetime preemption-yield count
-	rejected    int64 // lifetime admission rejections
 }
 
 // waiting is the tenant's total waiting-job count across classes, the
