@@ -424,7 +424,7 @@ func TestHandlerPanicEmitsTerminalErrorEvent(t *testing.T) {
 		t.Errorf("error event text %q does not mention the panic", events[0].Error)
 	}
 	sw, ok := s.lookup("boom-handler")
-	if !ok || sw.stateNow() != StateFailed {
+	if !ok || sw.status().State != StateFailed {
 		t.Errorf("sweep state after handler panic: found=%t %+v", ok, sw)
 	}
 	// The server is still alive and serving.

@@ -77,7 +77,7 @@ type Config struct {
 	// deficit round-robin; unlisted tenants weigh 1.
 	TenantWeights map[string]int
 	// MaxCells caps a single sweep's (candidate, model) grid (default
-	// 1<<20 cells); larger specs are rejected with 400.
+	// 1<<20 cells); larger specs are rejected with 422.
 	MaxCells int
 	// DataDir is where the server's one checkpoint (_session.ckpt, holding
 	// /sweep and fleet cells alike) and its sweep-history log
@@ -180,7 +180,7 @@ func New(cfg Config) *Server {
 	// Restore the finished-sweep history before serving: GET /sweeps then
 	// reports the predecessor process's sweeps alongside new ones.
 	for _, st := range s.persist.loadHistory() {
-		s.sweeps[st.ID] = restoredSweep(s, st)
+		s.sweeps[st.ID] = restoredSweep(st)
 		s.order = append(s.order, st.ID)
 	}
 	mux := http.NewServeMux()
@@ -244,20 +244,21 @@ func (s *Server) register(sw *sweep, workers int) (*job, *admitError) {
 	if s.base.Err() != nil {
 		return nil, &admitError{code: http.StatusServiceUnavailable, msg: "server is shutting down"}
 	}
-	old, existed := s.sweeps[sw.id]
+	id := sw.id()
+	old, existed := s.sweeps[id]
 	if existed && old.active() {
-		return nil, &admitError{code: http.StatusConflict, msg: fmt.Sprintf("sweep %q is already running", sw.id)}
+		return nil, &admitError{code: http.StatusConflict, msg: fmt.Sprintf("sweep %q is already running", id)}
 	}
-	j, aerr := s.queue.Admit(sw.id, sw.tenant, sw.priority, workers)
+	j, aerr := s.queue.Admit(id, sw.st.Tenant, dse.SweepPriority(sw.st.Priority), workers)
 	if aerr != nil {
 		return nil, aerr
 	}
 	// A finished record under the same id is superseded: re-POSTing a
 	// spec is how clients resume after a disconnect or server restart.
 	if !existed {
-		s.order = append(s.order, sw.id)
+		s.order = append(s.order, id)
 	}
-	s.sweeps[sw.id] = sw
+	s.sweeps[id] = sw
 	// Evict the oldest finished sweeps beyond the history bound. The
 	// history log keeps their lines until its next rewrite, which is cut
 	// from this table.
@@ -483,7 +484,7 @@ type Health struct {
 	// degrades.
 	PersistenceDegraded bool `json:"persistence_degraded"`
 	// Queue is the sweep queue's snapshot: slot occupancy, per-class
-	// backlog, preemption and rejection counters, per-tenant accounting.
+	// backlog, preemption and rejection counters, live tenants.
 	Queue *QueueHealth `json:"queue,omitempty"`
 	// Fleet is the distributed-sweep coordinator's snapshot: sweep and
 	// shard counts, live lease holders, lease-expiry total.

@@ -414,6 +414,9 @@ func TestConcurrentSweeps(t *testing.T) {
 	}
 }
 
+// TestSweepValidationErrors: a bad spec answers 400, a grid over the cell
+// cap 422 and a body over the spec limit 413 — the codes the fleet submit
+// answers for the same spec.
 func TestSweepValidationErrors(t *testing.T) {
 	_, hs := newTestServer(t, Config{MaxCells: 1})
 	post := func(body string) (int, string) {
@@ -428,23 +431,26 @@ func TestSweepValidationErrors(t *testing.T) {
 		return resp.StatusCode, eb.Error
 	}
 	cases := []struct {
-		name, body, want string
+		name, body string
+		code       int
+		want       string
 	}{
-		{"garbage", "{", "decoding"},
-		{"unknown field", `{"space":{"tops":72},"models":["tinycnn"],"bogus":1}`, "unknown field"},
-		{"removed order", `{"space":{"tops":72},"models":["tinycnn"],"order":"grid"}`, `unknown field "order"`},
-		{"removed bound", `{"space":{"tops":72},"models":["tinycnn"],"bound":"cut"}`, `unknown field "bound"`},
-		{"removed abandon_every", `{"space":{"tops":72},"models":["tinycnn"],"abandon_every":8}`, `unknown field "abandon_every"`},
-		{"removed shard", `{"space":{"tops":72},"models":["tinycnn"],"shard":{"index":0,"count":2}}`, `unknown field "shard"`},
-		{"bad space", `{"space":{"tops":3},"models":["tinycnn"]}`, "tops"},
-		{"unknown model", `{"space":{"tops":72},"models":["nope"]}`, "unknown model"},
-		{"bad id", `{"id":"../etc/passwd","space":{"tops":72},"models":["tinycnn"]}`, "sweep id"},
-		{"too many cells", `{"space":{"tops":72,"reduced":true},"models":["tinycnn","tinytransformer"]}`, "cells"},
+		{"garbage", "{", 400, "decoding"},
+		{"unknown field", `{"space":{"tops":72},"models":["tinycnn"],"bogus":1}`, 400, "unknown field"},
+		{"removed order", `{"space":{"tops":72},"models":["tinycnn"],"order":"grid"}`, 400, `unknown field "order"`},
+		{"removed bound", `{"space":{"tops":72},"models":["tinycnn"],"bound":"cut"}`, 400, `unknown field "bound"`},
+		{"removed abandon_every", `{"space":{"tops":72},"models":["tinycnn"],"abandon_every":8}`, 400, `unknown field "abandon_every"`},
+		{"removed shard", `{"space":{"tops":72},"models":["tinycnn"],"shard":{"index":0,"count":2}}`, 400, `unknown field "shard"`},
+		{"bad space", `{"space":{"tops":3},"models":["tinycnn"]}`, 400, "tops"},
+		{"unknown model", `{"space":{"tops":72},"models":["nope"]}`, 400, "unknown model"},
+		{"bad id", `{"id":"../etc/passwd","space":{"tops":72},"models":["tinycnn"]}`, 400, "sweep id"},
+		{"too many cells", `{"space":{"tops":72,"reduced":true},"models":["tinycnn","tinytransformer"]}`, 422, "cells"},
+		{"oversize body", `{"id":"` + strings.Repeat("x", specBodyLimit) + `"}`, 413, "exceeds"},
 	}
 	for _, c := range cases {
 		code, msg := post(c.body)
-		if code != http.StatusBadRequest || !strings.Contains(msg, c.want) {
-			t.Errorf("%s: code=%d msg=%q, want 400 containing %q", c.name, code, msg, c.want)
+		if code != c.code || !strings.Contains(msg, c.want) {
+			t.Errorf("%s: code=%d msg=%q, want %d containing %q", c.name, code, msg, c.code, c.want)
 		}
 	}
 }

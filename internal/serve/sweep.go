@@ -18,6 +18,7 @@ import (
 	"math"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -258,42 +259,26 @@ type SweepStatus struct {
 
 // sweep is the server-side record of one sweep.
 type sweep struct {
-	id       string
-	server   *Server
-	cancel   context.CancelFunc
-	tenant   string
-	priority dse.SweepPriority
+	cancel context.CancelFunc
 	// log is the sweep's bounded event history, replayed by
 	// GET /sweeps/{id}/stream.
 	log *eventLog
 
-	mu       sync.Mutex
-	state    SweepState
-	cands    int
-	cells    int
-	done     int
-	preempts int
-	best     *CandidateSummary
-	traj     []TrajectoryStep
-	stats    *StatsSummary
-	err      string
-	started  time.Time
-	finished time.Time
+	mu sync.Mutex
+	// st is the sweep's status. ID, Tenant and Priority are set before the
+	// record is shared and never change; every other field is guarded by mu.
+	st SweepStatus
 }
 
-// stateNow reads just the lifecycle state — cheap enough for the server's
-// registration path, which runs under the server-wide mutex.
-func (sw *sweep) stateNow() SweepState {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.state
-}
+// id names the sweep.
+func (sw *sweep) id() string { return sw.st.ID }
 
 // active reports the sweep still owns its id: queued or running. Only
 // inactive records may be superseded by a re-POST or evicted.
 func (sw *sweep) active() bool {
-	st := sw.stateNow()
-	return st == StateRunning || st == StateQueued
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.st.State == StateRunning || sw.st.State == StateQueued
 }
 
 // markRunning flips the sweep to running (initial dispatch and every
@@ -301,7 +286,7 @@ func (sw *sweep) active() bool {
 func (sw *sweep) markRunning() {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	sw.state = StateRunning
+	sw.st.State = StateRunning
 }
 
 // notePreempted parks the sweep back in the queued state and counts the
@@ -309,33 +294,16 @@ func (sw *sweep) markRunning() {
 func (sw *sweep) notePreempted() {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	sw.state = StateQueued
-	sw.preempts++
+	sw.st.State = StateQueued
+	sw.st.Preemptions++
 }
 
 // status snapshots the sweep.
 func (sw *sweep) status() SweepStatus {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	st := SweepStatus{
-		ID:             sw.id,
-		State:          sw.state,
-		Tenant:         sw.tenant,
-		Priority:       string(sw.priority),
-		Preemptions:    sw.preempts,
-		Candidates:     sw.cands,
-		Cells:          sw.cells,
-		DoneCandidates: sw.done,
-		Best:           sw.best,
-		Trajectory:     append([]TrajectoryStep(nil), sw.traj...),
-		Stats:          sw.stats,
-		Error:          sw.err,
-		StartedAt:      sw.started,
-	}
-	if !sw.finished.IsZero() {
-		f := sw.finished
-		st.FinishedAt = &f
-	}
+	st := sw.st
+	st.Trajectory = slices.Clone(sw.st.Trajectory)
 	return st
 }
 
@@ -343,25 +311,26 @@ func (sw *sweep) status() SweepStatus {
 // extending the live incumbent trajectory on every improvement.
 func (sw *sweep) noteResult(cs *CandidateSummary) {
 	sw.mu.Lock()
-	sw.done++
-	if cs.Status == "ok" && (sw.best == nil || cs.Objective < sw.best.Objective) {
-		sw.best = cs
-		sw.traj = append(sw.traj, TrajectoryStep{Candidate: cs.Arch, Objective: cs.Objective})
+	defer sw.mu.Unlock()
+	sw.st.DoneCandidates++
+	if cs.Status == "ok" && (sw.st.Best == nil || cs.Objective < sw.st.Best.Objective) {
+		sw.st.Best = cs
+		sw.st.Trajectory = append(sw.st.Trajectory, TrajectoryStep{Candidate: cs.Arch, Objective: cs.Objective})
 	}
-	sw.mu.Unlock()
 }
 
 // finish settles the sweep's final state.
 func (sw *sweep) finish(state SweepState, stats *StatsSummary, best *CandidateSummary, errText string) {
 	sw.mu.Lock()
-	sw.state = state
-	sw.stats = stats
+	defer sw.mu.Unlock()
+	sw.st.State = state
+	sw.st.Stats = stats
 	if best != nil {
-		sw.best = best
+		sw.st.Best = best
 	}
-	sw.err = errText
-	sw.finished = time.Now()
-	sw.mu.Unlock()
+	sw.st.Error = errText
+	now := time.Now()
+	sw.st.FinishedAt = &now
 }
 
 // newSweepID generates a server-assigned sweep id.
@@ -408,28 +377,8 @@ func (sw *streamWriter) send(ev Event) {
 
 // restoredSweep rebuilds a sweep record from its persisted status. The
 // cancel hook is a no-op: nothing is running.
-func restoredSweep(s *Server, st SweepStatus) *sweep {
-	sw := &sweep{
-		id:       st.ID,
-		server:   s,
-		cancel:   func() {},
-		tenant:   st.Tenant,
-		priority: dse.SweepPriority(st.Priority),
-		log:      newEventLog(),
-		state:    st.State,
-		cands:    st.Candidates,
-		cells:    st.Cells,
-		done:     st.DoneCandidates,
-		preempts: st.Preemptions,
-		best:     st.Best,
-		traj:     st.Trajectory,
-		stats:    st.Stats,
-		err:      st.Error,
-		started:  st.StartedAt,
-	}
-	if st.FinishedAt != nil {
-		sw.finished = *st.FinishedAt
-	}
+func restoredSweep(st SweepStatus) *sweep {
+	sw := &sweep{cancel: func() {}, log: newEventLog(), st: st}
 	// The live event history died with the old process; synthesize the
 	// terminal event so GET /sweeps/{id}/stream on a restored sweep returns
 	// a closed one-line stream instead of hanging.
@@ -451,6 +400,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, specBodyLimit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "sweep spec exceeds %d bytes", specBodyLimit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decoding sweep spec: %v", err)
 		return
 	}
@@ -478,7 +432,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	cells := len(cands) * len(graphs)
 	if cells > s.cfg.maxCells() {
-		writeError(w, http.StatusBadRequest, "sweep has %d cells, server cap is %d", cells, s.cfg.maxCells())
+		writeError(w, http.StatusUnprocessableEntity, "sweep has %d cells, server cap is %d", cells, s.cfg.maxCells())
 		return
 	}
 
@@ -494,16 +448,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	sw := &sweep{
-		id:       spec.ID,
-		server:   s,
-		cancel:   cancel,
-		tenant:   tenant,
-		priority: priority,
-		log:      newEventLog(),
-		state:    StateQueued,
-		cands:    len(cands),
-		cells:    cells,
-		started:  time.Now(),
+		cancel: cancel,
+		log:    newEventLog(),
+		st: SweepStatus{
+			ID:         spec.ID,
+			State:      StateQueued,
+			Tenant:     tenant,
+			Priority:   string(priority),
+			Candidates: len(cands),
+			Cells:      cells,
+			StartedAt:  time.Now(),
+		},
 	}
 	j, aerr := s.register(sw, spec.Workers)
 	if aerr != nil {
@@ -585,11 +540,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		CheckpointCells: s.ses.SettledCells(cands, graphs, opt),
 	})
 
-	// runCtx is the current dispatch round's context; OnResult reads it to
-	// tell preemption cancellations apart from real outcomes.
-	var roundMu sync.Mutex
-	var runCtx context.Context
-
 	var seqMu sync.Mutex
 	seq := 0
 	// streamed dedupes result events across dispatch rounds: a preempted
@@ -597,32 +547,34 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// streams exactly once. Keyed by structural fingerprint: display names
 	// are not unique (the 7-tuple omits cut orientation).
 	streamed := make(map[uint64]bool)
-	opt.OnResult = func(cr dse.CandidateResult) {
-		roundMu.Lock()
-		rc := runCtx
-		roundMu.Unlock()
-		// A preempted round reports its undelivered cells as canceled;
-		// those candidates re-run after resume and stream their real
-		// outcome then. Suppress the interim error rows.
-		if cr.Err != nil && rc != nil && errors.Is(context.Cause(rc), errPreempted) {
-			return
-		}
-		cs := summarize(&cr)
-		fp := eval.ConfigFingerprint(&cr.Cfg)
-		seqMu.Lock()
-		if streamed[fp] {
+	// onResult builds one dispatch round's result callback over that
+	// round's context, which tells preemption cancellations apart from real
+	// outcomes.
+	onResult := func(rc context.Context) func(dse.CandidateResult) {
+		return func(cr dse.CandidateResult) {
+			// A preempted round reports its undelivered cells as canceled;
+			// those candidates re-run after resume and stream their real
+			// outcome then. Suppress the interim error rows.
+			if cr.Err != nil && errors.Is(context.Cause(rc), errPreempted) {
+				return
+			}
+			cs := summarize(&cr)
+			fp := eval.ConfigFingerprint(&cr.Cfg)
+			seqMu.Lock()
+			if streamed[fp] {
+				seqMu.Unlock()
+				return
+			}
+			streamed[fp] = true
+			seq++
+			n := seq
 			seqMu.Unlock()
-			return
+			sw.noteResult(cs)
+			emit(Event{Type: "result", SweepID: spec.ID, Seq: n, Result: cs})
+			// OnResult runs in the scheduler's serialized callback section,
+			// so the save itself happens on the server's saver goroutine.
+			s.persist.poke()
 		}
-		streamed[fp] = true
-		seq++
-		n := seq
-		seqMu.Unlock()
-		sw.noteResult(cs)
-		emit(Event{Type: "result", SweepID: spec.ID, Seq: n, Result: cs})
-		// OnResult runs in the scheduler's serialized callback section, so
-		// the save itself happens on the server's saver goroutine.
-		s.persist.poke()
 	}
 
 	s.logf("serve: sweep %s: %d candidates x %d models (%d cells)", spec.ID, len(cands), len(graphs), cells)
@@ -640,9 +592,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	)
 	for {
 		rc, cancelRound := context.WithCancelCause(ctx)
-		roundMu.Lock()
-		runCtx = rc
-		roundMu.Unlock()
+		opt.OnResult = onResult(rc)
 		s.queue.BindPreempt(j, func() { cancelRound(errPreempted) })
 		results, stats, runErr = s.ses.RunContext(rc, cands, graphs, opt)
 		s.queue.ClearPreempt(j)
