@@ -244,7 +244,7 @@ func (s *Server) register(sw *sweep, workers int) (*job, *admitError) {
 	if s.base.Err() != nil {
 		return nil, &admitError{code: http.StatusServiceUnavailable, msg: "server is shutting down"}
 	}
-	id := sw.id()
+	id := sw.st.ID
 	old, existed := s.sweeps[id]
 	if existed && old.active() {
 		return nil, &admitError{code: http.StatusConflict, msg: fmt.Sprintf("sweep %q is already running", id)}

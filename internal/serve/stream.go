@@ -97,7 +97,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Sweep-Id", sw.id())
+	w.Header().Set("X-Sweep-Id", sw.st.ID)
 	w.WriteHeader(http.StatusOK)
 	stream := newStreamWriter(w)
 	ctx := r.Context()

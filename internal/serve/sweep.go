@@ -270,9 +270,6 @@ type sweep struct {
 	st SweepStatus
 }
 
-// id names the sweep.
-func (sw *sweep) id() string { return sw.st.ID }
-
 // active reports the sweep still owns its id: queued or running. Only
 // inactive records may be superseded by a re-POST or evicted.
 func (sw *sweep) active() bool {
