@@ -14,10 +14,10 @@ import (
 	"gemini/internal/dse"
 )
 
-// queueDriver plays the handler's side of the queue protocol: it admits and
+// queueClient plays the handler's side of the queue protocol: it admits and
 // releases jobs, binds a preemption hook to each dispatched job (now or on a
 // later step), yields the signaled ones and consumes every grant token.
-type queueDriver struct {
+type queueClient struct {
 	q    *sweepQueue
 	next int
 	// live holds every admitted, unreleased job in admission order.
@@ -30,8 +30,8 @@ type queueDriver struct {
 	grants map[*job]int
 }
 
-func newQueueDriver(cfg queueConfig) *queueDriver {
-	return &queueDriver{
+func newQueueClient(cfg queueConfig) *queueClient {
+	return &queueClient{
 		q:        newSweepQueue(cfg),
 		bound:    make(map[*job]bool),
 		signaled: make(map[*job]bool),
@@ -41,7 +41,7 @@ func newQueueDriver(cfg queueConfig) *queueDriver {
 
 // admit submits one job under the next sequential id, returning the id and
 // the queue's rejection, if any.
-func (d *queueDriver) admit(tenant string, pri dse.SweepPriority, slots int) (string, *admitError) {
+func (d *queueClient) admit(tenant string, pri dse.SweepPriority, slots int) (string, *admitError) {
 	id := fmt.Sprintf("j%03d", d.next)
 	d.next++
 	j, aerr := d.q.Admit(id, tenant, pri, slots)
@@ -52,7 +52,7 @@ func (d *queueDriver) admit(tenant string, pri dse.SweepPriority, slots int) (st
 }
 
 // release ends live job i.
-func (d *queueDriver) release(i int) *job {
+func (d *queueClient) release(i int) *job {
 	j := d.live[i]
 	d.live = append(d.live[:i], d.live[i+1:]...)
 	d.q.Release(j)
@@ -63,7 +63,7 @@ func (d *queueDriver) release(i int) *job {
 
 // yieldable lists the live jobs whose preemption hook fired, in admission
 // order.
-func (d *queueDriver) yieldable() []*job {
+func (d *queueClient) yieldable() []*job {
 	var out []*job
 	for _, j := range d.live {
 		if d.signaled[j] {
@@ -74,7 +74,7 @@ func (d *queueDriver) yieldable() []*job {
 }
 
 // yield acks j's preemption as the handler does once it has checkpointed.
-func (d *queueDriver) yield(j *job) {
+func (d *queueClient) yield(j *job) {
 	d.signaled[j] = false
 	d.bound[j] = false
 	d.q.Yield(j)
@@ -84,7 +84,7 @@ func (d *queueDriver) yield(j *job) {
 // one, then binds a preemption hook to each once-granted job without one
 // when bind says so — a job left unbound here is bound on a later step,
 // after a signal may already have raced ahead of it.
-func (d *queueDriver) settle(bind func() bool) (granted []*job) {
+func (d *queueClient) settle(bind func() bool) (granted []*job) {
 	for _, j := range d.live {
 		if isGranted(j) {
 			d.grants[j]++
@@ -113,7 +113,7 @@ func traceQueue(seed int64, steps int) string {
 			fmt.Fprintf(&b, "  %s %s %s %s %d\n", ev.kind, ev.id, ev.tenant, ev.priority, ev.slots)
 		},
 	}
-	d := newQueueDriver(cfg)
+	d := newQueueClient(cfg)
 	rng := rand.New(rand.NewSource(seed))
 	tenants := []string{"a", "b", "c"}
 	for step := 0; step < steps; step++ {
@@ -177,7 +177,7 @@ func FuzzQueueOps(f *testing.F) {
 	f.Add([]byte{0, 0x10, 0, 0x0c, 0, 0x15, 2, 0, 1, 0, 0, 0x0d, 1, 1, 1, 0})
 	f.Add([]byte("\x00\x10\x00\x11\x00\x12\x00\x13\x00\x14\x00\x15\x00\x16\x00\x17"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := newQueueDriver(queueConfig{
+		d := newQueueClient(queueConfig{
 			slots: 4, queueDepth: 2, maxQueued: 5,
 			weights: map[string]int{"a": 2, "b": 1},
 		})
@@ -212,8 +212,8 @@ func FuzzQueueOps(f *testing.F) {
 }
 
 // checkQueueInvariants asserts the queue's structural invariants against
-// the driver's record of live jobs.
-func checkQueueInvariants(t *testing.T, d *queueDriver) {
+// the client's record of live jobs.
+func checkQueueInvariants(t *testing.T, d *queueClient) {
 	t.Helper()
 	q := d.q
 	held := 0
