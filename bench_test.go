@@ -468,7 +468,11 @@ func BenchmarkPartitionWarm(b *testing.B) {
 // flush, and the miss pipeline run again over a stored key allocates nothing.
 // What a first-time miss does allocate is what it stores — the cache entry
 // and a memo entry per workload not seen before — reported as
-// allocs/cold-segment.
+// allocs/cold-segment. Delta path: the same walk through one eval.GroupDelta
+// per group, each move marked as the annealer marks it, gives the same
+// result at every state, misses the cache at the same states, and — replayed
+// over warm deltas — allocates nothing; ns/delta-miss is its time per miss
+// beside the full pipeline's ns/miss.
 func BenchmarkGroupMiss(b *testing.B) {
 	cfg := arch.GArch72()
 	g := dnn.ResNet50()
@@ -517,22 +521,23 @@ func BenchmarkGroupMiss(b *testing.B) {
 	}
 
 	// walk replays one seeded operator sequence from the partition, calling
-	// visit with the scheme and the group each applied move touched.
+	// visit with the scheme, the group each applied move touched, the
+	// operator and the mutator that applied it.
 	const moves = 2000
-	walk := func(visit func(s *core.Scheme, gi int)) {
+	walk := func(visit func(s *core.Scheme, gi int, op core.Op, mu *core.Mutator)) {
 		s := part.Scheme.Clone()
 		rng := rand.New(rand.NewSource(3))
 		mu := &core.Mutator{Graph: g, Drams: cfg.DRAMControllers(), Rng: rng}
 		for it := 0; it < moves; it++ {
 			gi := rng.Intn(len(s.Groups))
-			if _, ok := mu.Apply(s.Groups[gi]); ok {
-				visit(s, gi)
+			if op, ok := mu.Apply(s.Groups[gi]); ok {
+				visit(s, gi, op, mu)
 			}
 		}
 	}
 	uncached := eval.New(&cfg)
 	var want []eval.GroupResult
-	walk(func(s *core.Scheme, gi int) {
+	walk(func(s *core.Scheme, gi int, _ core.Op, _ *core.Mutator) {
 		an, err := core.Analyze(s, gi, &cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -551,7 +556,7 @@ func BenchmarkGroupMiss(b *testing.B) {
 		ev = eval.NewWithCache(&cfg, cache)
 		b.StartTimer()
 		k := 0
-		walk(func(s *core.Scheme, gi int) {
+		walk(func(s *core.Scheme, gi int, _ core.Op, _ *core.Mutator) {
 			if got := ev.EvaluateGroup(s, gi); got != want[k] {
 				b.Fatalf("state %d (group %d): cached path %+v, uncached over sorted flows %+v", k, gi, got, want[k])
 			}
@@ -566,6 +571,95 @@ func BenchmarkGroupMiss(b *testing.B) {
 		b.StartTimer()
 	}
 	b.StopTimer()
+
+	// The delta path: the walk again through one GroupDelta per group, each
+	// move marked as the annealer marks it — the MSs the operator changed, and
+	// for an ofmap destination the layers of other groups that read it, whose
+	// marks wait for their group's next visit.
+	readers := make(map[int][][2]int) // producer layer -> (group, MS) reading it from another group
+	for gj, lms := range part.Scheme.Groups {
+		for y, ms := range lms.MSs {
+			for _, in := range g.Layer(ms.Layer).Inputs {
+				if in.Src >= 0 && lms.MSFor(in.Src) == nil {
+					readers[in.Src] = append(readers[in.Src], [2]int{gj, y})
+				}
+			}
+		}
+	}
+	// deltaWalk evaluates every state through the cache and the delta path,
+	// or, uncached, through the delta path alone, returning how many times
+	// those uncached evaluations allocated.
+	deltaWalk := func(ev *eval.Evaluator, deltas []*eval.GroupDelta, cached bool) (allocs uint64) {
+		k := 0
+		walk(func(s *core.Scheme, gi int, op core.Op, mu *core.Mutator) {
+			d := deltas[gi]
+			if op == core.OpFD {
+				x := mu.Changed()[0]
+				d.ChangedFD(x)
+				if mu.ChangedOF() {
+					for _, r := range readers[s.Groups[gi].MSs[x].Layer] {
+						deltas[r[0]].ChangedFD(r[1])
+					}
+				}
+			} else {
+				for _, x := range mu.Changed() {
+					d.Changed(x)
+				}
+			}
+			var got eval.GroupResult
+			if cached {
+				got = ev.EvaluateGroupDelta(d, s)
+			} else {
+				m := mallocs()
+				got = ev.EvaluateDelta(d, s)
+				allocs += mallocs() - m
+			}
+			if got != want[k] {
+				b.Fatalf("state %d (group %d): delta path %+v, uncached over sorted flows %+v", k, gi, got, want[k])
+			}
+			d.Settle(true)
+			k++
+		})
+		return allocs
+	}
+	newDeltas := func(ev *eval.Evaluator) []*eval.GroupDelta {
+		deltas := make([]*eval.GroupDelta, len(part.Scheme.Groups))
+		for gj := range deltas {
+			deltas[gj] = ev.NewGroupDelta(part.Scheme, gj)
+		}
+		return deltas
+	}
+	var deltaTime time.Duration
+	for i := 0; i < b.N; i++ {
+		cache := eval.NewCache()
+		ev = eval.NewWithCache(&cfg, cache)
+		start := time.Now()
+		deltaWalk(ev, newDeltas(ev), true)
+		deltaTime += time.Since(start)
+		if ds := cache.Stats(); ds.Hits != st.Hits || ds.Misses != st.Misses || ds.Entries != st.Entries {
+			b.Fatalf("delta walk: %+v; the full pipeline's walk: %+v", ds, st)
+		}
+	}
+	// Replayed over warm deltas — every piece marked changed, so each group's
+	// first visit recomputes it whole — and a warm memo, every state of the
+	// walk is computed through the delta path without allocating.
+	deltas := newDeltas(ev)
+	replay := func() uint64 {
+		for gj, lms := range part.Scheme.Groups {
+			for x := range lms.MSs {
+				deltas[gj].Changed(x)
+			}
+		}
+		return deltaWalk(ev, deltas, false)
+	}
+	// One P, so the evaluator's pooled scratch is one object across calls.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	replay()
+	replay()
+	if allocs := replay(); allocs != 0 {
+		b.Fatalf("a replay of the walk's %d delta misses allocates %d times, want 0", len(want), allocs)
+	}
+
 	// EvaluateGroupAs is the miss pipeline under a caller's key: run over one
 	// key again and again it recomputes and overwrites, so the count is the
 	// pipeline's own, without the map growth a new entry may cost. On a
@@ -581,6 +675,7 @@ func BenchmarkGroupMiss(b *testing.B) {
 		b.Fatalf("an SA-path miss allocates %.0f times, want 0", perMiss)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.Misses), "ns/miss")
+	b.ReportMetric(float64(deltaTime.Nanoseconds())/float64(b.N)/float64(st.Misses), "ns/delta-miss")
 	b.ReportMetric(float64(st.Misses), "misses")
 	b.ReportMetric(perColdSegment, "allocs/cold-segment")
 }

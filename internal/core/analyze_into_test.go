@@ -175,3 +175,107 @@ func TestAnalyzeIntoMatchesAnalyze(t *testing.T) {
 		}
 	}
 }
+
+// TestDRAMSortMatchesComparator holds the packed-word sort of a layer's DRAM
+// run against the comparator sort it falls back to, on seeded runs built to
+// tie: few controllers and byte counts, first cores shared between flows, and
+// runs longer than the packed word's index field, or with fractional bytes,
+// which must take the fallback and come out the same.
+func TestDRAMSortMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var d DRAMLists
+	for run := 0; run < 500; run++ {
+		n := 1 + rng.Intn(40)
+		if run%50 == 0 {
+			n = 300 // past the index field
+		}
+		flows := make([]DRAMFlow, n)
+		for i := range flows {
+			cores := make([]arch.CoreID, 1+rng.Intn(3))
+			for c := range cores {
+				cores[c] = arch.CoreID(rng.Intn(6))
+			}
+			flows[i] = DRAMFlow{Layer: 7, Ctrl: rng.Intn(5) - 1, Cores: cores,
+				Bytes: float64(64 * (1 + rng.Intn(3))), Write: rng.Intn(2) == 0}
+		}
+		if run%50 == 25 {
+			flows[0].Bytes = 0.5 // not an integer
+		}
+		packed := append([]DRAMFlow(nil), flows...)
+		slow := append([]DRAMFlow(nil), flows...)
+		d.sort(packed)
+		d.sortSlow(slow)
+		if !reflect.DeepEqual(packed, slow) {
+			t.Fatalf("run %d (%d flows): packed sort\n%v\ncomparator sort\n%v", run, n, packed, slow)
+		}
+		if !slices.IsSortedFunc(slow, func(x, y DRAMFlow) int { return dramCmp(&x, &y) }) {
+			t.Fatalf("run %d: comparator sort left the run unsorted", run)
+		}
+	}
+}
+
+// TestLayerParseReuseMatchesFresh: a few LayerParses, reused the way the
+// delta path reuses a layer's buffers — relabelled from one parse, parsed
+// again, for layers of every shape in a seeded order, now and then with
+// buffers of unrelated capacities — parse every layer of
+// the zoo's models, under seeded Parts, batch units and core groups, exactly
+// as a fresh LayerParse does: workloads, work, and each input edge's needs and
+// their workloads. Nothing a previous, differently shaped parse left in the
+// buffers may show.
+func TestLayerParseReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	type parsed struct {
+		g  *dnn.Graph
+		ms *MS
+		bu int
+		lp LayerParse
+	}
+	var all []parsed
+	for _, g := range []*dnn.Graph{dnn.TinyCNN(), dnn.TinyTransformer(), dnn.ResNet50(), dnn.Transformer()} {
+		for _, l := range g.Layers {
+			bu := 1 + rng.Intn(4)
+			n := 1 + rng.Intn(36)
+			p, ok := RandomPart(l, bu, n, rng)
+			if !ok {
+				continue
+			}
+			cg := make([]arch.CoreID, p.N())
+			for i, c := range rng.Perm(64)[:p.N()] {
+				cg[i] = arch.CoreID(c)
+			}
+			x := parsed{g: g, ms: &MS{Layer: l.ID, Part: p, CG: cg}, bu: bu}
+			x.lp.Parse(g, x.ms, bu)
+			all = append(all, x)
+		}
+	}
+	reused := make([]LayerParse, 4)
+	for it := 0; it < 20000; it++ {
+		r := &reused[rng.Intn(len(reused))]
+		if rng.Intn(2) == 0 {
+			src := &all[rng.Intn(len(all))]
+			r.Relabel(&src.lp, src.ms)
+		}
+		if rng.Intn(8) == 0 { // buffers of any capacity, each grown apart
+			r.needs = make([]needEntry, 0, rng.Intn(2000))
+			r.needPWs = make([]int32, 0, rng.Intn(8))
+			r.edge = make([]int32, 0, rng.Intn(3))
+		}
+		x := &all[rng.Intn(len(all))]
+		r.Parse(x.g, x.ms, x.bu)
+		l := x.g.Layer(x.ms.Layer)
+		if !slices.Equal(r.PWs, x.lp.PWs) || !slices.Equal(r.Works, x.lp.Works) {
+			t.Fatalf("step %d, %s layer %s: reused parse's workloads differ from a fresh one's", it, x.g.Name, l.Name)
+		}
+		for k := range l.Inputs {
+			got, want := r.edgeNeedsOf(k), x.lp.edgeNeedsOf(k)
+			if len(got) != len(want) {
+				t.Fatalf("step %d, %s layer %s edge %d: %d needs, fresh %d", it, x.g.Name, l.Name, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].region != want[i].region || !slices.Equal(r.needPWs[got[i].lo:got[i].hi], x.lp.needPWs[want[i].lo:want[i].hi]) {
+					t.Fatalf("step %d, %s layer %s edge %d need %d differs from a fresh parse's", it, x.g.Name, l.Name, k, i)
+				}
+			}
+		}
+	}
+}

@@ -108,12 +108,20 @@ func (s *LMS) Layers() []int {
 
 // MSFor returns the mapping scheme of a layer, or nil.
 func (s *LMS) MSFor(layer int) *MS {
-	for _, m := range s.MSs {
-		if m.Layer == layer {
-			return m
-		}
+	if i := s.IndexOf(layer); i >= 0 {
+		return s.MSs[i]
 	}
 	return nil
+}
+
+// IndexOf returns the index of a layer's mapping scheme in MSs, or -1.
+func (s *LMS) IndexOf(layer int) int {
+	for i, m := range s.MSs {
+		if m.Layer == layer {
+			return i
+		}
+	}
+	return -1
 }
 
 // Scheme is a complete LP mapping of a DNN: an ordered sequence of layer

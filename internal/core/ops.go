@@ -68,14 +68,19 @@ type Mutator struct {
 	Rng   *rand.Rand
 
 	parts []Part   // randomPart's factorizations
-	mss   []*MS    // opSwapIntra's layers with two or more cores
-	idx   []int    // opMove's donor indices
+	idx   []int    // opSwapIntra's and opMove's candidate MS indices
 	slots []fdSlot // opFD's explicit flow-of-data entries
+
+	// changed[:nChanged] are the MS indices the last successful operator
+	// changed; changedOF reports that it was an OP5 on an OF entry.
+	changed   [2]int
+	nChanged  int
+	changedOF bool
 }
 
 // fdSlot names one explicit flow-of-data entry of a layer group.
 type fdSlot struct {
-	ms    *MS
+	ms    int // index into the group's MSs
 	which int // 0=IF 1=WGT 2=OF
 }
 
@@ -85,6 +90,23 @@ type fdSlot struct {
 func (mu *Mutator) Apply(lms *LMS) (Op, bool) {
 	op := Op(mu.Rng.Intn(int(numOps)))
 	return op, mu.ApplyOp(lms, op)
+}
+
+// Changed returns the indices into the group's MSs that the last successful
+// operator changed: one for OP1, OP2 and OP5, two for OP3 and OP4. Every other
+// MS of the group is as it was. The slice is the Mutator's own and is
+// overwritten by the next operator.
+func (mu *Mutator) Changed() []int { return mu.changed[:mu.nChanged] }
+
+// ChangedOF reports whether the last successful operator was an OP5 that
+// changed an ofmap destination: the one change groups other than the mutated
+// one can see, through where their inputs are fetched from.
+func (mu *Mutator) ChangedOF() bool { return mu.changedOF }
+
+// changes records the MS indices a successful operator changed.
+func (mu *Mutator) changes(of bool, ms ...int) {
+	mu.nChanged = copy(mu.changed[:], ms)
+	mu.changedOF = of
 }
 
 // ApplyOp applies a specific operator.
@@ -107,36 +129,40 @@ func (mu *Mutator) ApplyOp(lms *LMS, op Op) bool {
 // opPart (OP1): randomly select a layer and change the values in its Part,
 // still satisfying the Part constraints.
 func (mu *Mutator) opPart(lms *LMS) bool {
-	ms := lms.MSs[mu.Rng.Intn(len(lms.MSs))]
+	i := mu.Rng.Intn(len(lms.MSs))
+	ms := lms.MSs[i]
 	l := mu.Graph.Layer(ms.Layer)
 	p, ok := mu.randomPart(l, lms.BatchUnit, len(ms.CG))
 	if !ok || p == ms.Part {
 		return false
 	}
 	ms.Part = p
+	mu.changes(false, i)
 	return true
 }
 
 // opSwapIntra (OP2): randomly select a layer and swap two cores within its
 // CG — exchanging the workloads of those two cores for a single layer.
 func (mu *Mutator) opSwapIntra(lms *LMS) bool {
-	candidates := mu.mss[:0]
-	for _, ms := range lms.MSs {
+	candidates := mu.idx[:0]
+	for i, ms := range lms.MSs {
 		if len(ms.CG) >= 2 {
-			candidates = append(candidates, ms)
+			candidates = append(candidates, i)
 		}
 	}
-	mu.mss = candidates
+	mu.idx = candidates
 	if len(candidates) == 0 {
 		return false
 	}
-	ms := candidates[mu.Rng.Intn(len(candidates))]
+	i := candidates[mu.Rng.Intn(len(candidates))]
+	ms := lms.MSs[i]
 	a := mu.Rng.Intn(len(ms.CG))
 	b := mu.Rng.Intn(len(ms.CG) - 1)
 	if b >= a {
 		b++
 	}
 	ms.CG[a], ms.CG[b] = ms.CG[b], ms.CG[a]
+	mu.changes(false, i)
 	return true
 }
 
@@ -155,6 +181,7 @@ func (mu *Mutator) opSwapInter(lms *LMS) bool {
 	a := mu.Rng.Intn(len(mi.CG))
 	b := mu.Rng.Intn(len(mj.CG))
 	mi.CG[a], mj.CG[b] = mj.CG[b], mi.CG[a]
+	mu.changes(false, i, j)
 	return true
 }
 
@@ -201,6 +228,7 @@ func (mu *Mutator) opMove(lms *LMS) bool {
 	recv.CG[ins] = moved
 	donor.Part = dPart
 	recv.Part = rPart
+	mu.changes(false, di, ri)
 	return true
 }
 
@@ -208,15 +236,15 @@ func (mu *Mutator) opMove(lms *LMS) bool {
 // items, and re-randomize it within [0, D].
 func (mu *Mutator) opFD(lms *LMS) bool {
 	slots := mu.slots[:0]
-	for _, ms := range lms.MSs {
+	for i, ms := range lms.MSs {
 		if ms.FD.IF != FDImplicit {
-			slots = append(slots, fdSlot{ms, 0})
+			slots = append(slots, fdSlot{i, 0})
 		}
 		if ms.FD.WGT != FDImplicit {
-			slots = append(slots, fdSlot{ms, 1})
+			slots = append(slots, fdSlot{i, 1})
 		}
 		if ms.FD.OF != FDImplicit {
-			slots = append(slots, fdSlot{ms, 2})
+			slots = append(slots, fdSlot{i, 2})
 		}
 	}
 	mu.slots = slots
@@ -225,22 +253,24 @@ func (mu *Mutator) opFD(lms *LMS) bool {
 	}
 	sl := slots[mu.Rng.Intn(len(slots))]
 	v := mu.Rng.Intn(mu.Drams + 1) // 0 = interleave, 1..D = specific DRAM
+	fd := &lms.MSs[sl.ms].FD
 	switch sl.which {
 	case 0:
-		if sl.ms.FD.IF == v {
+		if fd.IF == v {
 			return false
 		}
-		sl.ms.FD.IF = v
+		fd.IF = v
 	case 1:
-		if sl.ms.FD.WGT == v {
+		if fd.WGT == v {
 			return false
 		}
-		sl.ms.FD.WGT = v
+		fd.WGT = v
 	default:
-		if sl.ms.FD.OF == v {
+		if fd.OF == v {
 			return false
 		}
-		sl.ms.FD.OF = v
+		fd.OF = v
 	}
+	mu.changes(sl.which == 2, sl.ms)
 	return true
 }

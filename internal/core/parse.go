@@ -84,37 +84,44 @@ type Analysis struct {
 	// Depth is the pipeline depth (longest dependency chain) of the group.
 	Depth int
 
-	// Reusable scratch. coreArena backs the Cores/Dsts slices of the
-	// emitted flows. layers is indexed by layer ID and holds entries only
-	// for the layers of the last parsed group, which parsed lists so the
-	// next parse clears exactly those.
-	coreArena []arch.CoreID
-	layers    []layerState
-	parsed    []int
-	inBytes   []int64 // indexed by CoreID
-	needs     []needEntry
-	klists    []krEntry
-	dramKeys  []dramKey
-	dramBuf   []DRAMFlow
+	// Reusable scratch. lps holds the per-layer parse steps' output, one per
+	// MS of the group, in buffers carved from the arenas below (PWs is the
+	// prefix of its arena). layers is indexed by layer ID and holds entries
+	// only for the layers of the last parsed group, which parsed lists (in
+	// ascending ID order) so the next parse clears exactly those. edges and
+	// dram back ActFlows, ActDRAM and WeightFlows.
+	lps        []LayerParse
+	pwArena    []PW
+	workArena  []intracore.Workload
+	needArena  []needEntry
+	indexArena []int32
+	layers     []layerState
+	parsed     []int
+	edges      EdgeFlows
+	dram       DRAMLists
 }
 
 // layerState is what a parse knows about one layer of the group: its PW index
-// range [lo,hi) and its pipeline depth. The zero value means "not in this
-// group" (a mapped layer has at least one workload).
+// range [lo,hi), its MS index and its pipeline depth. The zero value means
+// "not in this group" (a mapped layer has at least one workload).
 type layerState struct {
 	lo, hi int32
+	ms     int32
 	depth  int32
 }
 
 func (st layerState) inGroup() bool { return st.hi > st.lo }
 
-// needEntry groups the consumer cores that fetch one identical input region
-// (the unit of multicast dedup). The small per-edge set is kept as a slice
-// with linear lookup: it is bounded by the group's core count and a slice
-// both avoids map allocation churn and keeps emission order deterministic.
+// needEntry is one input region of an edge and the workloads that fetch it
+// (the unit of multicast dedup): LayerParse.needPWs[lo:hi], indices into the
+// layer's PWs in ascending order. An edge's small set of needs is searched
+// linearly: it is bounded by the group's core count, and a slice both avoids
+// map allocation churn and keeps emission order deterministic. Naming
+// workloads rather than their cores keeps the needs a function of the layer's
+// Part alone (see Relabel).
 type needEntry struct {
 	region dnn.EdgeRegion
-	cores  []arch.CoreID
+	lo, hi int32
 }
 
 // krEntry groups the cores sharing one weight K-range slice.
@@ -123,12 +130,61 @@ type krEntry struct {
 	cores []arch.CoreID
 }
 
-// internCores copies a core list into the analysis arena, returning a
-// capacity-clipped view that later arena appends cannot alias.
-func (an *Analysis) internCores(cs ...arch.CoreID) []arch.CoreID {
-	start := len(an.coreArena)
-	an.coreArena = append(an.coreArena, cs...)
-	return an.coreArena[start:len(an.coreArena):len(an.coreArena)]
+// LayerParse is one layer's share of a group parse: what the first parse
+// step derives from the layer's MS alone. The steps are methods of it —
+// Parse, AppendEdgeFlows and AppendDRAM — and AnalyzeInto runs all of them
+// for every layer of a group (in buffers it carves for each layer), while a
+// caller that keeps a group's parse layer by layer (the evaluator's delta
+// path) re-runs them for the layers a move changed. A LayerParse is reused
+// across calls without allocating once its buffers have grown.
+type LayerParse struct {
+	// PWs are the layer's partitioned workloads in NID order; Works[i] is the
+	// intra-core workload of PWs[i], its InBytes summed over every input edge.
+	PWs   []PW
+	Works []intracore.Workload
+	// needs[edge[k]:edge[k+1]] is what the workloads read through input edge
+	// k of the layer, grouped by region; needPWs holds the needs' workloads.
+	// needOf is scratch: each workload's need on the edge being parsed.
+	needs   []needEntry
+	edge    []int32
+	needPWs []int32
+	needOf  []int32
+}
+
+// EdgeFlows is a list of core-to-core flows and the arena their destination
+// lists point into.
+type EdgeFlows struct {
+	Flows []CoreFlow
+	arena []arch.CoreID
+}
+
+// Reset empties the list, keeping its buffers.
+func (ef *EdgeFlows) Reset() { ef.Flows, ef.arena = ef.Flows[:0], ef.arena[:0] }
+
+// DRAMLists are DRAM flows — activation reads and ofmap writes in Act, weight
+// loads in Weights — with the arena their core lists point into and the
+// scratch that groups and sorts them.
+type DRAMLists struct {
+	Act, Weights []DRAMFlow
+
+	arena  []arch.CoreID
+	klists []krEntry
+	keys   []uint64
+	idx    []int32
+	buf    []DRAMFlow
+}
+
+// Reset empties both lists, keeping their buffers.
+func (d *DRAMLists) Reset() {
+	d.Act, d.Weights, d.arena = d.Act[:0], d.Weights[:0], d.arena[:0]
+}
+
+// internCores copies a core list into an arena, returning the grown arena and
+// a capacity-clipped view that later arena appends cannot alias.
+func internCores(arena []arch.CoreID, cs ...arch.CoreID) ([]arch.CoreID, []arch.CoreID) {
+	start := len(arena)
+	arena = append(arena, cs...)
+	return arena, arena[start:len(arena):len(arena)]
 }
 
 // fdCtrl converts an FD value to the noc controller convention.
@@ -176,11 +232,8 @@ func Analyze(s *Scheme, gi int, cfg *arch.Config) (*Analysis, error) {
 func (an *Analysis) reset(lms *LMS, gi, nLayers, cores int) {
 	an.GroupIndex = gi
 	an.BatchUnit = lms.BatchUnit
-	an.PWs = an.PWs[:0]
-	an.ActFlows = an.ActFlows[:0]
-	an.ActDRAM = an.ActDRAM[:0]
-	an.WeightFlows = an.WeightFlows[:0]
-	an.coreArena = an.coreArena[:0]
+	an.edges.Reset()
+	an.dram.Reset()
 	an.Depth = 0
 	for _, id := range an.parsed {
 		an.layers[id] = layerState{}
@@ -189,147 +242,112 @@ func (an *Analysis) reset(lms *LMS, gi, nLayers, cores int) {
 	if len(an.layers) < nLayers {
 		an.layers = append(an.layers, make([]layerState, nLayers-len(an.layers))...)
 	}
-	if cap(an.inBytes) < cores {
-		an.inBytes = make([]int64, cores)
+	an.lps = resize(an.lps, len(lms.MSs))
+	if cap(an.Occupied) < cores {
 		an.Occupied = make([]bool, cores)
 		an.CoreWorks = make([]intracore.Workload, cores)
 	}
-	an.inBytes = an.inBytes[:cores]
 	an.Occupied = an.Occupied[:cores]
 	an.CoreWorks = an.CoreWorks[:cores]
-	clear(an.inBytes)
 	clear(an.Occupied)
 }
 
 // AnalyzeInto parses group gi of the scheme into an, reusing an's buffers.
 // It is the allocation-free core of the Evaluator's hot loop: after warm-up
 // a parse touches no heap and no map, and visits nothing outside the group
-// but the producers its inputs name. The scheme must have passed Validate.
+// but the producers its inputs name. It runs the LayerParse steps for every
+// layer: Parse, then AppendEdgeFlows for every input produced in the group,
+// then AppendDRAM in ascending layer order, so the per-layer canonical runs
+// of the DRAM lists concatenate into canonical lists. The scheme must have
+// passed Validate; a core assigned twice is an error, but Depth, which
+// depends on the group's layers alone, is set even then.
 func AnalyzeInto(an *Analysis, s *Scheme, gi int, cfg *arch.Config) error {
 	lms := s.Groups[gi]
 	g := s.Graph
-	bu := lms.BatchUnit
 	an.reset(lms, gi, len(g.Layers), cfg.Cores())
 
-	// Enumerate partitioned workloads per the correspondence rule. Each
-	// layer's workloads occupy a contiguous range of PW indices.
-	for _, ms := range lms.MSs {
-		l := g.Layer(ms.Layer)
-		p := ms.Part
-		start := len(an.PWs)
-		for h := 0; h < p.H; h++ {
-			for w := 0; w < p.W; w++ {
-				for b := 0; b < p.B; b++ {
-					for k := 0; k < p.K; k++ {
-						hr, wr, br, kr := p.Ranges(l, bu, h, w, b, k)
-						an.PWs = append(an.PWs, PW{
-							Layer: ms.Layer,
-							Core:  ms.CG[p.NID(h, w, b, k)],
-							HR:    hr, WR: wr, BR: br, KR: kr,
-						})
-					}
-				}
-			}
-		}
-		an.layers[ms.Layer] = layerState{lo: int32(start), hi: int32(len(an.PWs))}
-		an.parsed = append(an.parsed, ms.Layer)
+	// Workloads, consumer needs and per-workload work. Each layer's workloads
+	// occupy a contiguous range of PW indices.
+	an.carve(g, lms)
+	start := 0
+	for i, ms := range lms.MSs {
+		lp := &an.lps[i]
+		lp.Parse(g, ms, lms.BatchUnit)
+		an.layers[ms.Layer] = layerState{lo: int32(start), hi: int32(start + len(lp.PWs)), ms: int32(i)}
+		an.parsed = insertSorted(an.parsed, ms.Layer)
+		start += len(lp.PWs)
 	}
+	an.PWs = an.pwArena[:start]
 
-	// Infer activation flows for every consumer edge.
-	for _, ms := range lms.MSs {
-		l := g.Layer(ms.Layer)
-		for _, edge := range l.Inputs {
-			an.analyzeEdge(s, l, ms, edge)
-		}
-		// Explicit ofmap writes to DRAM.
-		if ms.FD.OF != FDImplicit {
-			pws := an.layerPWs(ms.Layer)
-			for i := range pws {
-				pw := &pws[i]
-				an.ActDRAM = append(an.ActDRAM, DRAMFlow{
-					Layer: ms.Layer,
-					Ctrl:  fdCtrl(ms.FD.OF),
-					Cores: an.internCores(pw.Core),
-					Bytes: float64(pw.Vol()) * dnn.ElemBytes,
-					Write: true,
-				})
+	// Activation flows of every edge whose producer is in the group.
+	for i, ms := range lms.MSs {
+		for k, edge := range g.Layer(ms.Layer).Inputs {
+			if edge.Src >= 0 && an.layers[edge.Src].inGroup() {
+				an.lps[i].AppendEdgeFlows(&an.edges, k, an.layerPWs(edge.Src))
 			}
 		}
 	}
 
-	// Weight loads, grouped by K-range so replicated slices multicast.
-	for _, ms := range lms.MSs {
-		l := g.Layer(ms.Layer)
-		if !l.HasWeights {
-			continue
-		}
-		perK := l.WeightVol() / int64(l.OK)
-		an.klists = an.klists[:0]
-		pws := an.layerPWs(ms.Layer)
-		for pi := range pws {
-			pw := &pws[pi]
-			ki := -1
-			for i := range an.klists {
-				if an.klists[i].kr == pw.KR {
-					ki = i
-					break
-				}
-			}
-			if ki < 0 {
-				an.klists = growKR(an.klists, pw.KR)
-				ki = len(an.klists) - 1
-			}
-			an.klists[ki].cores = appendUnique(an.klists[ki].cores, pw.Core)
-		}
-		for i := range an.klists {
-			kl := &an.klists[i]
-			an.WeightFlows = append(an.WeightFlows, DRAMFlow{
-				Layer: ms.Layer,
-				Ctrl:  fdCtrl(ms.FD.WGT),
-				Cores: an.internCores(kl.cores...),
-				Bytes: float64(perK*int64(kl.kr.Len())) * dnn.ElemBytes,
-			})
-		}
+	// DRAM reads, ofmap writes and weight loads.
+	for _, id := range an.parsed {
+		i := an.layers[id].ms
+		an.lps[i].AppendDRAM(&an.dram, s, lms, lms.MSs[i])
 	}
+	an.ActFlows, an.ActDRAM, an.WeightFlows = an.edges.Flows, an.dram.Act, an.dram.Weights
+	an.Depth = an.groupDepth(g)
 
-	// Build intra-core workloads.
-	for _, ms := range lms.MSs {
-		l := g.Layer(ms.Layer)
-		perK := int64(0)
-		if l.HasWeights {
-			perK = l.WeightVol() / int64(l.OK)
-		}
-		pws := an.layerPWs(ms.Layer)
-		for i := range pws {
-			pw := &pws[i]
+	// Dense per-core tables.
+	for i := range lms.MSs {
+		lp := &an.lps[i]
+		for pi := range lp.PWs {
+			pw := &lp.PWs[pi]
 			if an.Occupied[pw.Core] {
 				return fmt.Errorf("core: core %d assigned twice (%v and layer %d)", pw.Core, an.CoreWorks[pw.Core].Kind, pw.Layer)
 			}
-			vol := pw.Vol()
 			an.Occupied[pw.Core] = true
-			an.CoreWorks[pw.Core] = intracore.Workload{
-				Kind:     l.Kind,
-				H:        pw.HR.Len(),
-				W:        pw.WR.Len(),
-				B:        pw.BR.Len(),
-				K:        pw.KR.Len(),
-				IC:       reducedChannels(l),
-				R:        maxInt(l.R, 1),
-				S:        maxInt(l.S, 1),
-				Groups:   1, // IC already reduced per output channel
-				MACs:     partMACs(l, vol),
-				VecOps:   partVecOps(l, vol),
-				InBytes:  an.inBytes[pw.Core],
-				WBytes:   perK * int64(pw.KR.Len()) * dnn.ElemBytes,
-				OutBytes: vol * dnn.ElemBytes,
-			}
+			an.CoreWorks[pw.Core] = lp.Works[pi]
 		}
 	}
-
-	an.Depth = an.groupDepth(g)
-	an.sortDRAM(&an.ActDRAM)
-	an.sortDRAM(&an.WeightFlows)
 	return nil
+}
+
+// carve hands every layer of the group its parse buffers as views of the
+// arenas, each as long as Parse can fill: a layer's workloads follow the
+// previous layer's, so the PW arena's prefix is the group's PWs in MS order.
+// A fresh Analysis so grows in one allocation per arena, not several per
+// layer.
+func (an *Analysis) carve(g *dnn.Graph, lms *LMS) {
+	var pws, needs, ints int
+	for _, ms := range lms.MSs {
+		n, e := ms.Part.N(), len(g.Layer(ms.Layer).Inputs)
+		pws, needs, ints = pws+n, needs+e*n, ints+e*n+e+1+n
+	}
+	an.pwArena = resize(an.pwArena, pws)
+	an.workArena = resize(an.workArena, pws)
+	an.needArena = resize(an.needArena, needs)
+	an.indexArena = resize(an.indexArena, ints)
+	pws, needs, ints = 0, 0, 0
+	for i, ms := range lms.MSs {
+		n, e := ms.Part.N(), len(g.Layer(ms.Layer).Inputs)
+		lp := &an.lps[i]
+		lp.PWs, lp.Works = an.pwArena[pws:pws:pws+n], an.workArena[pws:pws:pws+n]
+		lp.needs = an.needArena[needs : needs : needs+e*n]
+		lp.needPWs = an.indexArena[ints : ints : ints+e*n]
+		lp.edge = an.indexArena[ints+e*n : ints+e*n : ints+e*n+e+1]
+		lp.needOf = an.indexArena[ints+e*n+e+1 : ints+e*n+e+1 : ints+e*n+e+1+n]
+		pws, needs, ints = pws+n, needs+e*n, ints+e*n+e+1+n
+	}
+}
+
+// insertSorted inserts v into the ascending list s.
+func insertSorted(s []int, v int) []int {
+	j := len(s)
+	s = append(s, v)
+	for ; j > 0 && s[j-1] > v; j-- {
+		s[j] = s[j-1]
+	}
+	s[j] = v
+	return s
 }
 
 // layerPWs returns the partitioned workloads of a layer of the parsed group
@@ -337,6 +355,259 @@ func AnalyzeInto(an *Analysis, s *Scheme, gi int, cfg *arch.Config) error {
 func (an *Analysis) layerPWs(layer int) []PW {
 	st := an.layers[layer]
 	return an.PWs[st.lo:st.hi]
+}
+
+// Parse is the first parse step for layer ms of a group at batch unit bu: the
+// layer's partitioned workloads under the correspondence rule, what each
+// input edge needs of them — grouped by identical region, the unit of
+// multicast dedup — and each workload's intra-core work, its input bytes
+// summed over the edges. It reads nothing but the layer's MS and the graph.
+func (lp *LayerParse) Parse(g *dnn.Graph, ms *MS, bu int) {
+	l := g.Layer(ms.Layer)
+	p := ms.Part
+	// Workloads are written in place: the structs are large enough that a
+	// composite literal's copy shows in the SA profile.
+	lp.PWs = resize(lp.PWs, p.N())
+	for h := 0; h < p.H; h++ {
+		for w := 0; w < p.W; w++ {
+			for b := 0; b < p.B; b++ {
+				for k := 0; k < p.K; k++ {
+					nid := p.NID(h, w, b, k)
+					pw := &lp.PWs[nid]
+					pw.Layer, pw.Core = ms.Layer, ms.CG[nid]
+					pw.HR, pw.WR, pw.BR, pw.KR = p.Ranges(l, bu, h, w, b, k)
+				}
+			}
+		}
+	}
+
+	perK := int64(0)
+	if l.HasWeights {
+		perK = l.WeightVol() / int64(l.OK)
+	}
+	lp.Works = resize(lp.Works, len(lp.PWs))
+	for i := range lp.PWs {
+		pw, w := &lp.PWs[i], &lp.Works[i]
+		vol := pw.Vol()
+		w.Kind = l.Kind
+		w.H, w.W, w.B, w.K = pw.HR.Len(), pw.WR.Len(), pw.BR.Len(), pw.KR.Len()
+		w.IC, w.R, w.S = reducedChannels(l), maxInt(l.R, 1), maxInt(l.S, 1)
+		w.Groups = 1 // IC already reduced per output channel
+		w.MACs, w.VecOps = partMACs(l, vol), partVecOps(l, vol)
+		w.InBytes = 0
+		w.WBytes = perK * int64(pw.KR.Len()) * dnn.ElemBytes
+		w.OutBytes = vol * dnn.ElemBytes
+	}
+
+	// Each edge has at most one need, and one entry in needPWs, per workload:
+	// sizing the buffers up front grows a fresh LayerParse in one step.
+	if most := len(l.Inputs) * len(lp.PWs); cap(lp.needs) < most {
+		lp.needs, lp.needPWs = make([]needEntry, 0, most), make([]int32, 0, most)
+	}
+	lp.needs, lp.needPWs = lp.needs[:0], lp.needPWs[:0]
+	lp.edge = append(lp.edge[:0], 0)
+	for _, edge := range l.Inputs {
+		lp.edgeNeeds(g, l, edge)
+		lp.edge = append(lp.edge, int32(len(lp.needs)))
+	}
+}
+
+// Relabel makes lp the parse of ms given from, the parse of an MS of the same
+// layer with the same Part at the same batch unit. Everything Parse derives
+// but the workloads' cores is a function of the layer, the Part and the batch
+// unit, so it is from's; the cores are ms's. It is how a move that only
+// permutes cores (OP2, OP3) is parsed without deriving any region again.
+func (lp *LayerParse) Relabel(from *LayerParse, ms *MS) {
+	lp.PWs = append(lp.PWs[:0], from.PWs...)
+	for i := range lp.PWs {
+		lp.PWs[i].Core = ms.CG[i]
+	}
+	lp.Works = append(lp.Works[:0], from.Works...)
+	lp.needs = append(lp.needs[:0], from.needs...)
+	lp.edge = append(lp.edge[:0], from.edge...)
+	lp.needPWs = append(lp.needPWs[:0], from.needPWs...)
+}
+
+// edgeNeeds appends the needs of one input edge: what the layer's workloads
+// read through it, grouped by region, each read added to its workload's
+// InBytes.
+func (lp *LayerParse) edgeNeeds(g *dnn.Graph, l *dnn.Layer, edge dnn.Input) {
+	srcOH, srcOW, srcOK := l.IH(), l.IW(), l.IC
+	if edge.Src != dnn.ExternalInput {
+		pl := g.Layer(edge.Src)
+		srcOH, srcOW, srcOK = pl.OH, pl.OW, pl.OK
+	}
+	first := len(lp.needs)
+	lp.needOf = resize(lp.needOf, len(lp.PWs))
+	for pi := range lp.PWs {
+		pw := &lp.PWs[pi]
+		reg := l.NeededRegion(edge, pw.HR, pw.WR, pw.BR, pw.KR, srcOH, srcOW, srcOK)
+		v := reg.Vol()
+		if v == 0 {
+			lp.needOf[pi] = -1
+			continue
+		}
+		lp.Works[pi].InBytes += v * dnn.ElemBytes
+		ni := -1
+		for i := first; i < len(lp.needs); i++ {
+			if lp.needs[i].region == reg {
+				ni = i
+				break
+			}
+		}
+		if ni < 0 {
+			lp.needs = append(lp.needs, needEntry{region: reg})
+			ni = len(lp.needs) - 1
+		}
+		lp.needs[ni].hi++ // a count until the offsets are laid out below
+		lp.needOf[pi] = int32(ni)
+	}
+	off := int32(len(lp.needPWs))
+	for i := first; i < len(lp.needs); i++ {
+		n := &lp.needs[i]
+		n.lo, n.hi, off = off, off, off+n.hi
+	}
+	if int(off) > cap(lp.needPWs) { // grow keeping the earlier edges' entries
+		lp.needPWs = slices.Grow(lp.needPWs, int(off)-len(lp.needPWs))
+	}
+	lp.needPWs = lp.needPWs[:off]
+	for pi, ni := range lp.needOf {
+		if ni >= 0 {
+			n := &lp.needs[ni]
+			lp.needPWs[n.hi] = int32(pi)
+			n.hi++
+		}
+	}
+}
+
+// edgeNeedsOf returns the needs of input edge k.
+func (lp *LayerParse) edgeNeedsOf(k int) []needEntry { return lp.needs[lp.edge[k]:lp.edge[k+1]] }
+
+// AppendEdgeFlows is the second parse step, for input edge k of the parsed
+// layer, whose producer — with workloads prod — is in the group: each
+// consumer need is intersected with every producer workload's owned region,
+// and identical payloads from one producer core to several consumers become
+// one multicast flow, appended to ef.
+func (lp *LayerParse) AppendEdgeFlows(ef *EdgeFlows, k int, prod []PW) {
+	needs := lp.edgeNeedsOf(k)
+	for i := range needs {
+		n := &needs[i]
+		for qi := range prod {
+			q := &prod[qi]
+			v := overlap(n.region.H, q.HR)
+			if v != 0 {
+				v *= overlap(n.region.W, q.WR)
+			}
+			if v != 0 {
+				v *= overlap(n.region.B, q.BR) * overlap(n.region.K, q.KR)
+			}
+			if v == 0 {
+				continue
+			}
+			start := len(ef.arena)
+			for _, pi := range lp.needPWs[n.lo:n.hi] {
+				if c := lp.PWs[pi].Core; c != q.Core {
+					ef.arena = append(ef.arena, c)
+				}
+			}
+			if len(ef.arena) == start {
+				continue // produced and consumed on the same core
+			}
+			ef.Flows = append(ef.Flows, CoreFlow{
+				Src:   q.Core,
+				Dsts:  ef.arena[start:len(ef.arena):len(ef.arena)],
+				Bytes: float64(v) * dnn.ElemBytes,
+			})
+		}
+	}
+}
+
+// overlap returns the length of the intersection of a and b.
+func overlap(a, b dnn.Range) int64 {
+	return int64(a.Intersect(b).Len())
+}
+
+// AppendDRAM is the last parse step, for the parsed layer as MS ms of group
+// lms of s: into d.Act the DRAM reads of every input not produced in the
+// group — from the DNN input's explicit IF, or from the DRAM where the
+// cross-group producer stored its ofmaps, interleaved for a producer in no
+// group or without an explicit destination — then the explicit ofmap writes;
+// into d.Weights the weight loads, grouped by K-range so replicated slices
+// multicast. The layer's run of each list is left in canonical order.
+func (lp *LayerParse) AppendDRAM(d *DRAMLists, s *Scheme, lms *LMS, ms *MS) {
+	l := s.Graph.Layer(ms.Layer)
+	act, wgt := len(d.Act), len(d.Weights)
+	var cores []arch.CoreID
+	for k, edge := range l.Inputs {
+		ctrl := -1
+		if edge.Src == dnn.ExternalInput {
+			ctrl = fdCtrl(ms.FD.IF)
+		} else if lms.MSFor(edge.Src) != nil {
+			continue // in-group: AppendEdgeFlows
+		} else if of := s.ProducerOF(edge.Src); of != FDImplicit {
+			ctrl = fdCtrl(of)
+		}
+		needs := lp.edgeNeedsOf(k)
+		for i := range needs {
+			n := &needs[i]
+			start := len(d.arena)
+			for _, pi := range lp.needPWs[n.lo:n.hi] {
+				d.arena = append(d.arena, lp.PWs[pi].Core)
+			}
+			cores = d.arena[start:len(d.arena):len(d.arena)]
+			d.Act = append(d.Act, DRAMFlow{
+				Layer: ms.Layer,
+				Ctrl:  ctrl,
+				Cores: cores,
+				Bytes: float64(n.region.Vol()) * dnn.ElemBytes,
+			})
+		}
+	}
+	if ms.FD.OF != FDImplicit {
+		for i := range lp.PWs {
+			pw := &lp.PWs[i]
+			d.arena, cores = internCores(d.arena, pw.Core)
+			d.Act = append(d.Act, DRAMFlow{
+				Layer: ms.Layer,
+				Ctrl:  fdCtrl(ms.FD.OF),
+				Cores: cores,
+				Bytes: float64(pw.Vol()) * dnn.ElemBytes,
+				Write: true,
+			})
+		}
+	}
+
+	if l.HasWeights {
+		perK := l.WeightVol() / int64(l.OK)
+		d.klists = d.klists[:0]
+		for pi := range lp.PWs {
+			pw := &lp.PWs[pi]
+			ki := -1
+			for i := range d.klists {
+				if d.klists[i].kr == pw.KR {
+					ki = i
+					break
+				}
+			}
+			if ki < 0 {
+				d.klists = growKR(d.klists, pw.KR)
+				ki = len(d.klists) - 1
+			}
+			d.klists[ki].cores = appendUnique(d.klists[ki].cores, pw.Core)
+		}
+		for i := range d.klists {
+			kl := &d.klists[i]
+			d.arena, cores = internCores(d.arena, kl.cores...)
+			d.Weights = append(d.Weights, DRAMFlow{
+				Layer: ms.Layer,
+				Ctrl:  fdCtrl(ms.FD.WGT),
+				Cores: cores,
+				Bytes: float64(perK*int64(kl.kr.Len())) * dnn.ElemBytes,
+			})
+		}
+	}
+	d.sort(d.Act[act:])
+	d.sort(d.Weights[wgt:])
 }
 
 // growKR extends the klists buffer by one entry for kr, recycling the cores
@@ -349,20 +620,6 @@ func growKR(buf []krEntry, kr dnn.Range) []krEntry {
 	}
 	e := &buf[len(buf)-1]
 	e.kr = kr
-	e.cores = e.cores[:0]
-	return buf
-}
-
-// growNeed extends the needs buffer by one entry for region, recycling the
-// cores backing of a previously used slot when available.
-func growNeed(buf []needEntry, region dnn.EdgeRegion) []needEntry {
-	if len(buf) < cap(buf) {
-		buf = buf[:len(buf)+1]
-	} else {
-		buf = append(buf, needEntry{})
-	}
-	e := &buf[len(buf)-1]
-	e.region = region
 	e.cores = e.cores[:0]
 	return buf
 }
@@ -403,167 +660,108 @@ func (an *Analysis) sortActFlows() {
 	})
 }
 
-// dramKey is a DRAMFlow's sort key packed into integers: hi orders by layer,
-// controller and direction, lo by bytes (the bit pattern of a non-negative
-// float64 orders as the float does), c0 is the first core, and i names the
-// flow, whose remaining cores break the last ties.
-type dramKey struct {
-	hi, lo uint64
-	c0, i  int32
+// sort puts one layer's run of DRAM flows in canonical order: layer,
+// controller, reads before writes, bytes, cores. Unlike activation flows these
+// must be summed in one fixed order, because an interleaved flow adds
+// bytes/controllers to each controller and that quotient is not exact. What is
+// sorted is one word per flow packing the order's leading keys — controller
+// and direction, bytes, first core — above the flow's index, so the sort
+// compares integers; flows whose words tie but for the index share their
+// first core and are ordered by the rest of their cores. A run that does not
+// pack (see packKey) is sorted through the full comparator instead. The flows
+// are permuted only if one moved.
+func (d *DRAMLists) sort(flows []DRAMFlow) {
+	keys := d.keys[:0]
+	for i := range flows {
+		k, ok := packKey(&flows[i], i)
+		if !ok {
+			d.sortSlow(flows)
+			return
+		}
+		keys = append(keys, k)
+	}
+	d.keys = keys
+	slices.Sort(keys)
+	for j := 0; j < len(keys); {
+		e := j + 1
+		for e < len(keys) && keys[e]>>8 == keys[j]>>8 {
+			e++
+		}
+		tie := keys[j:e]
+		for a := 1; a < len(tie); a++ {
+			for b := a; b > 0 && coreCmp(flows[tie[b]&0xff].Cores, flows[tie[b-1]&0xff].Cores) < 0; b-- {
+				tie[b], tie[b-1] = tie[b-1], tie[b]
+			}
+		}
+		j = e
+	}
+	d.permute(flows, func(j int) int { return int(keys[j] & 0xff) })
 }
 
-// sortDRAM puts a DRAM flow list in canonical order: layer, controller, reads
-// before writes, bytes, cores. Unlike activation flows these must be summed in
-// one fixed order, because an interleaved flow adds bytes/controllers to each
-// controller and that quotient is not exact. What is sorted is the three-word
-// keys, not the 56-byte flows through a comparator, and by insertion: flows
-// are emitted one layer after another, so with the layers ascending — every
-// stripe and every SA state — a key only ever moves within its own layer's
-// run, which is no longer than the layer has cores. (In the worst case that is
-// cores^2/4 key moves per layer, a fraction of the cores^2 region
-// intersections analyzeEdge has already spent on the same layer.)
-func (an *Analysis) sortDRAM(list *[]DRAMFlow) {
-	flows := *list
-	keys := an.dramKeys[:0]
-	moved := false
-	for i := range flows {
-		f := &flows[i]
-		k := dramKey{hi: uint64(f.Layer)<<32 | uint64(f.Ctrl+1)<<1, lo: math.Float64bits(f.Bytes), c0: int32(f.Cores[0]), i: int32(i)}
-		if f.Write {
-			k.hi |= 1
-		}
-		j := len(keys)
-		keys = append(keys, k)
-		for ; j > 0 && k.before(&keys[j-1], flows); j-- {
-			keys[j] = keys[j-1]
-			moved = true
-		}
-		keys[j] = k
+// packKey packs a flow's place in its layer's canonical order above its index
+// i: controller+1 and direction in the top 8 bits, the bytes in the next 32,
+// the first core in the next 16 and i in the low 8. It reports false for a
+// flow that does not fit — a controller index or core ID too large, an index
+// past 255, or bytes that are not an integer below 2^32 — which the caller
+// sorts by comparator. For the integer bytes that fit, the bytes order as
+// their float64 does.
+func packKey(f *DRAMFlow, i int) (uint64, bool) {
+	cw := uint64(f.Ctrl+1) << 1
+	if f.Write {
+		cw |= 1
 	}
-	an.dramKeys = keys
+	b, c0 := f.Bytes, f.Cores[0]
+	if cw >= 1<<8 || i >= 1<<8 || c0 >= 1<<16 || math.Signbit(b) || b >= 1<<32 || b != math.Trunc(b) {
+		return 0, false
+	}
+	return cw<<56 | uint64(b)<<24 | uint64(c0)<<8 | uint64(i), true
+}
+
+// sortSlow is sort through the full comparator, for any run.
+func (d *DRAMLists) sortSlow(flows []DRAMFlow) {
+	idx := d.idx[:0]
+	for i := range flows {
+		idx = append(idx, int32(i))
+	}
+	d.idx = idx
+	slices.SortStableFunc(idx, func(a, b int32) int { return dramCmp(&flows[a], &flows[b]) })
+	d.permute(flows, func(j int) int { return int(idx[j]) })
+}
+
+// dramCmp is the canonical order of DRAM flows.
+func dramCmp(x, y *DRAMFlow) int {
+	switch {
+	case x.Layer != y.Layer:
+		return x.Layer - y.Layer
+	case x.Ctrl != y.Ctrl:
+		return x.Ctrl - y.Ctrl
+	case x.Write != y.Write:
+		if y.Write {
+			return -1
+		}
+		return 1
+	case x.Bytes != y.Bytes:
+		if x.Bytes < y.Bytes {
+			return -1
+		}
+		return 1
+	}
+	return coreCmp(x.Cores, y.Cores)
+}
+
+// permute reorders flows so that flows[j] becomes the flow at index from(j),
+// copying only if some flow moves.
+func (d *DRAMLists) permute(flows []DRAMFlow, from func(j int) int) {
+	moved := false
+	for j := range flows {
+		moved = moved || from(j) != j
+	}
 	if !moved {
 		return
 	}
-	out := an.dramBuf[:0]
-	for _, k := range keys {
-		out = append(out, flows[k.i])
-	}
-	// The flows' core lists are views of coreArena, so the two flow buffers
-	// can trade places without copying anything they point to.
-	*list, an.dramBuf = out, flows
-}
-
-// before reports whether k's flow sorts strictly ahead of o's.
-func (k *dramKey) before(o *dramKey, flows []DRAMFlow) bool {
-	if k.hi != o.hi {
-		return k.hi < o.hi
-	}
-	if k.lo != o.lo {
-		return k.lo < o.lo
-	}
-	if k.c0 != o.c0 {
-		return k.c0 < o.c0
-	}
-	return coreCmp(flows[k.i].Cores, flows[o.i].Cores) < 0
-}
-
-// analyzeEdge infers the flows feeding layer l through one input edge.
-func (an *Analysis) analyzeEdge(s *Scheme, l *dnn.Layer, ms *MS, edge dnn.Input) {
-	g := s.Graph
-
-	var srcOH, srcOW, srcOK int
-	var producers []PW
-	inGroup := false
-	switch {
-	case edge.Src == dnn.ExternalInput:
-		srcOH, srcOW, srcOK = l.IH(), l.IW(), l.IC
-	default:
-		pl := g.Layer(edge.Src)
-		srcOH, srcOW, srcOK = pl.OH, pl.OW, pl.OK
-		inGroup = an.layers[edge.Src].inGroup()
-		producers = an.layerPWs(edge.Src)
-	}
-
-	// Consumer needs, grouped by identical region for multicast dedup.
-	an.needs = an.needs[:0]
-	pws := an.layerPWs(ms.Layer)
-	for pi := range pws {
-		pw := &pws[pi]
-		reg := l.NeededRegion(edge, pw.HR, pw.WR, pw.BR, pw.KR, srcOH, srcOW, srcOK)
-		v := reg.Vol()
-		if v == 0 {
-			continue
-		}
-		an.inBytes[pw.Core] += v * dnn.ElemBytes
-		ni := -1
-		for i := range an.needs {
-			if an.needs[i].region == reg {
-				ni = i
-				break
-			}
-		}
-		if ni < 0 {
-			an.needs = growNeed(an.needs, reg)
-			ni = len(an.needs) - 1
-		}
-		an.needs[ni].cores = appendUnique(an.needs[ni].cores, pw.Core)
-	}
-
-	if !inGroup {
-		// Data comes from DRAM: the DNN input's explicit IF, or the DRAM
-		// where the cross-group producer stored its ofmaps. A producer in no
-		// group (the graph-partition engine scoring an isolated segment) or
-		// without an explicit destination is assumed interleaved.
-		ctrl := -1
-		if edge.Src == dnn.ExternalInput {
-			ctrl = fdCtrl(ms.FD.IF)
-		} else if of := s.ProducerOF(edge.Src); of != FDImplicit {
-			ctrl = fdCtrl(of)
-		}
-		for i := range an.needs {
-			n := &an.needs[i]
-			an.ActDRAM = append(an.ActDRAM, DRAMFlow{
-				Layer: ms.Layer,
-				Ctrl:  ctrl,
-				Cores: an.internCores(n.cores...),
-				Bytes: float64(n.region.Vol()) * dnn.ElemBytes,
-			})
-		}
-		return
-	}
-
-	// In-group producer: intersect each consumer need with every producer
-	// workload's owned region; identical payloads from one producer core to
-	// several consumers become one multicast flow.
-	for i := range an.needs {
-		n := &an.needs[i]
-		for qi := range producers {
-			q := &producers[qi]
-			ovl := dnn.EdgeRegion{
-				H: n.region.H.Intersect(q.HR),
-				W: n.region.W.Intersect(q.WR),
-				B: n.region.B.Intersect(q.BR),
-				K: n.region.K.Intersect(q.KR),
-			}
-			v := ovl.Vol()
-			if v == 0 {
-				continue
-			}
-			start := len(an.coreArena)
-			for _, c := range n.cores {
-				if c != q.Core {
-					an.coreArena = append(an.coreArena, c)
-				}
-			}
-			if len(an.coreArena) == start {
-				continue // produced and consumed on the same core
-			}
-			an.ActFlows = append(an.ActFlows, CoreFlow{
-				Src:   q.Core,
-				Dsts:  an.coreArena[start:len(an.coreArena):len(an.coreArena)],
-				Bytes: float64(v) * dnn.ElemBytes,
-			})
-		}
+	d.buf = append(d.buf[:0], flows...)
+	for j := range flows {
+		flows[j] = d.buf[from(j)]
 	}
 }
 

@@ -1,0 +1,387 @@
+package eval
+
+import (
+	"slices"
+	"sort"
+
+	"gemini/internal/core"
+	"gemini/internal/intracore"
+)
+
+// GroupDelta is one layer group's evaluation kept as per-layer pieces, so a
+// cache miss after an SA move recomputes only what the move changed — one or
+// two layers of the group's five or so — and folds the rest. A piece is what
+// the core.LayerParse steps derive for one layer (its workloads, their
+// intra-core exploration, its DRAM flows) or for one in-group edge (its
+// activation flows). The group's activation link loads are kept as one
+// vector: activation bytes are integers, so a changed edge's multicast trees
+// are subtracted and its new ones added exactly. What is not an integer sum
+// — the per-core energies and utilization, and the DRAM flows with their
+// interleaved shares — is folded again on every miss in the order
+// summarizeAnalysis folds it, so the summary equals summarizeGroup's from
+// scratch bit for bit.
+//
+// A GroupDelta holds two states over double-buffered pieces: the current one,
+// computed for the group as the scheme has it except for the layers marked
+// stale, and a spare that a miss computes the tried move into — the current
+// state's pieces, with the stale and the changed ones recomputed into the
+// other buffer of each. Settle keeps the spare as the new current state when
+// the move is accepted, or only marks the move's layers stale when a cache
+// hit served it. A GroupDelta belongs to the evaluator that made it and to
+// one goroutine; group membership must not change.
+type GroupDelta struct {
+	gi    int
+	depth int
+	// order lists the MS indices by ascending layer ID: the order the DRAM
+	// flows are added in, which makes the concatenated per-layer runs the
+	// canonical lists.
+	order  []int
+	layers []deltaLayer // by MS index
+	edges  []deltaEdge  // every edge whose producer and consumer are in the group
+
+	st      [2]deltaState
+	cur     int     // st[cur] is the current state, st[1-cur] the spare
+	pending []uint8 // by MS index: what the move being tried changed
+	// computed reports that the move being tried missed and was computed
+	// into the spare; sum is what it computed.
+	computed bool
+	sum      groupSummary
+
+	// hash[hcur][i] is the group fingerprint's state after its head and the
+	// first i MSs of the group as the scheme has it, when hashed; keyed
+	// reports that hash[1-hcur] holds those of the move being tried, so a
+	// key hashes only from the first MS a move changed.
+	hash          [2][]uint64
+	hcur          int
+	hashed, keyed bool
+	// reads lists the group's inputs produced in another group, in the
+	// order the fingerprint's context hashes them, with where the producer
+	// is mapped: the context without searching the scheme for it.
+	reads []crossRead
+
+	owner []coreOwner // by core: the fold's scratch
+}
+
+// deltaLayer is a layer's two buffers of each kind of piece: its parse, and
+// its DRAM flows in canonical order.
+type deltaLayer struct {
+	geom [2]layerGeom
+	dram [2]core.DRAMLists
+}
+
+// layerGeom is a layer's parse under Part part with the exploration of each
+// workload: res[i] is Memo.Explore of Works[i].
+type layerGeom struct {
+	core.LayerParse
+	part core.Part
+	res  []intracore.Result
+}
+
+// deltaEdge is input k of layer cons produced by layer prod (MS indices), with
+// two buffers of its activation flows.
+type deltaEdge struct {
+	prod, cons, k int
+	flows         [2]core.EdgeFlows
+}
+
+// deltaState selects one buffer of every piece — geom and dram by MS index,
+// edge by edge index — and holds the activation link loads of the selected
+// edge flows. dirty marks, by MS index, the pieces that are stale against the
+// scheme.
+type deltaState struct {
+	geom, dram, edge []uint8
+	dirty            []uint8
+	act              []float64 // by link
+}
+
+// Stale marks: a changed Part or core group invalidates every piece of the
+// layer and of its edges; a changed flow-of-data entry only its DRAM flows.
+const (
+	staleGeom uint8 = 1 << iota
+	staleDRAM
+)
+
+// crossRead is an input read from layer src, which is MS ms of group g of the
+// scheme, or in no group when g < 0.
+type crossRead struct{ src, g, ms int }
+
+// coreOwner names the workload on a core: ms is the MS index plus one (zero
+// for a free core), pw the index into that layer's workloads.
+type coreOwner struct{ ms, pw int32 }
+
+// NewGroupDelta sets up the delta evaluation of group gi of s on this
+// evaluator, with every piece stale: the first miss computes the whole group.
+func (e *Evaluator) NewGroupDelta(s *core.Scheme, gi int) *GroupDelta {
+	lms := s.Groups[gi]
+	n := len(lms.MSs)
+	d := &GroupDelta{
+		gi:      gi,
+		order:   make([]int, n),
+		layers:  make([]deltaLayer, n),
+		pending: make([]uint8, n),
+		owner:   make([]coreOwner, e.Cfg.Cores()),
+	}
+	for i := range d.order {
+		d.order[i] = i
+	}
+	d.hash = [2][]uint64{make([]uint64, n+1), make([]uint64, n+1)}
+	sort.Slice(d.order, func(a, b int) bool { return lms.MSs[d.order[a]].Layer < lms.MSs[d.order[b]].Layer })
+	for c, ms := range lms.MSs {
+		for k, edge := range s.Graph.Layer(ms.Layer).Inputs {
+			if p := lms.IndexOf(edge.Src); edge.Src >= 0 && p >= 0 {
+				d.edges = append(d.edges, deltaEdge{prod: p, cons: c, k: k})
+			}
+		}
+	}
+	for _, ms := range lms.MSs {
+		for _, edge := range s.Graph.Layer(ms.Layer).Inputs {
+			if edge.Src < 0 || lms.MSFor(edge.Src) != nil {
+				continue
+			}
+			r := crossRead{src: edge.Src, g: -1}
+			for g, other := range s.Groups {
+				if i := other.IndexOf(edge.Src); i >= 0 && r.g < 0 {
+					r.g, r.ms = g, i
+				}
+			}
+			d.reads = append(d.reads, r)
+		}
+	}
+	for i := range d.st {
+		d.st[i] = deltaState{
+			geom: make([]uint8, n), dram: make([]uint8, n), edge: make([]uint8, len(d.edges)),
+			dirty: make([]uint8, n), act: make([]float64, len(e.Net.Links)),
+		}
+	}
+	for i := range d.st[d.cur].dirty {
+		d.st[d.cur].dirty[i] = staleGeom
+	}
+	// The pipeline depth, the longest chain of in-group edges: layer IDs are
+	// topological, so order visits every producer before its consumers.
+	depth := make([]int, n)
+	for _, c := range d.order {
+		depth[c] = 1
+		for _, ed := range d.edges {
+			if ed.cons == c {
+				depth[c] = max(depth[c], depth[ed.prod]+1)
+			}
+		}
+		d.depth = max(d.depth, depth[c])
+	}
+	return d
+}
+
+// Changed marks MS ms of the group as changed in its Part or core group by
+// the move being tried.
+func (d *GroupDelta) Changed(ms int) { d.pending[ms] |= staleGeom }
+
+// ChangedFD marks MS ms of the group as reading or writing other DRAM under
+// the move being tried: one of its flow-of-data entries changed, or, for a
+// layer reading an input produced in another group, that producer's ofmap
+// destination.
+func (d *GroupDelta) ChangedFD(ms int) { d.pending[ms] |= staleDRAM }
+
+// Settle ends the move being tried on the group, which the scheme keeps if
+// accept. A kept move that missed makes the spare current; one a cache hit
+// served leaves the current state's pieces stale where the move changed them.
+func (d *GroupDelta) Settle(accept bool) {
+	if accept {
+		if d.hashed = d.keyed; d.keyed {
+			d.hcur = 1 - d.hcur
+		}
+		if d.computed {
+			d.cur = 1 - d.cur
+		} else {
+			dirty := d.st[d.cur].dirty
+			for i, p := range d.pending {
+				dirty[i] |= p
+			}
+		}
+	}
+	clear(d.pending)
+	d.computed, d.keyed = false, false
+}
+
+// Computed returns the summary the move being tried computed through the
+// delta path, and false when a cache hit served the move or nothing has
+// been evaluated since the last Settle.
+func (d *GroupDelta) Computed() (Summary, bool) { return d.sum, d.computed }
+
+// EvaluateGroupDelta is EvaluateGroup for the group d evaluates, as the
+// scheme has it under the move being tried: the same cache key and entry,
+// computed on a miss through the delta path.
+func (e *Evaluator) EvaluateGroupDelta(d *GroupDelta, s *core.Scheme) (res GroupResult) {
+	var sum groupSummary
+	key := e.deltaKey(d, s)
+	if !e.cache.get(key, &sum) {
+		sum = e.summarizeDelta(d, s)
+		e.cache.put(key, &sum)
+	}
+	e.finish(&sum, s.Batch, &res)
+	return
+}
+
+// deltaKey is groupKey for the group as the move being tried leaves it,
+// hashing its MSs from the first one the move changed.
+func (e *Evaluator) deltaKey(d *GroupDelta, s *core.Scheme) CacheKey {
+	lms := s.Groups[d.gi]
+	cur, try := d.hash[d.hcur], d.hash[1-d.hcur]
+	try[0] = e.hashGroupHead(s, lms)
+	from := 0
+	if d.hashed && try[0] == cur[0] {
+		from = len(lms.MSs)
+		for i, p := range d.pending {
+			if p != 0 {
+				from = i
+				break
+			}
+		}
+		copy(try[1:from+1], cur[1:from+1])
+	}
+	h := try[from]
+	for i := from; i < len(lms.MSs); i++ {
+		h = hashMS(h, lms.MSs[i])
+		try[i+1] = h
+	}
+	// hashContext, from the producers' places.
+	for _, r := range d.reads {
+		of := core.FDImplicit
+		if r.g >= 0 {
+			of = s.Groups[r.g].MSs[r.ms].FD.OF
+		}
+		h = hashRead(h, r.src, of)
+	}
+	d.keyed = true
+	return CacheKey{Arch: e.analysisFP, Graph: s.Graph.Fingerprint(), FP: h}
+}
+
+// EvaluateDelta is EvaluateGroupDelta without the cache: every call computes
+// through the delta path.
+func (e *Evaluator) EvaluateDelta(d *GroupDelta, s *core.Scheme) (res GroupResult) {
+	sum := e.summarizeDelta(d, s)
+	e.finish(&sum, s.Batch, &res)
+	return
+}
+
+// summarizeDelta computes the group's summary into the spare state: the
+// current state's pieces, with every stale or changed one recomputed.
+func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) groupSummary {
+	cur, sp := &d.st[d.cur], &d.st[1-d.cur]
+	copy(sp.geom, cur.geom)
+	copy(sp.dram, cur.dram)
+	copy(sp.edge, cur.edge)
+	lms := s.Groups[d.gi]
+	cp := e.coreParams()
+	sc := e.scratch.Get().(*evalScratch)
+	defer e.scratch.Put(sc)
+	for i, ms := range lms.MSs {
+		sp.dirty[i] = cur.dirty[i] | d.pending[i]
+		if sp.dirty[i]&staleGeom == 0 {
+			continue
+		}
+		b := 1 - cur.geom[i]
+		lg, old := &d.layers[i].geom[b], &d.layers[i].geom[cur.geom[i]]
+		sp.geom[i] = b
+		lg.part = ms.Part
+		if old.part == ms.Part {
+			// Only cores moved: the workloads and their explorations are
+			// the old parse's.
+			lg.Relabel(&old.LayerParse, ms)
+			lg.res = append(lg.res[:0], old.res...)
+			continue
+		}
+		lg.Parse(s.Graph, ms, lms.BatchUnit)
+		lg.res = lg.res[:0]
+		for w := range lg.Works {
+			lg.res = append(lg.res, e.Memo.Explore(lg.Works[w], cp))
+		}
+	}
+	// The activation loads: the current state's with the changed edges'
+	// multicast trees swapped, in the scratch traffic the fold then adds the
+	// DRAM flows onto.
+	sc.tr.Reset()
+	copy(sc.tr.Load, cur.act)
+	for ei := range d.edges {
+		ed := &d.edges[ei]
+		if (sp.dirty[ed.prod]|sp.dirty[ed.cons])&staleGeom == 0 {
+			continue
+		}
+		b := 1 - cur.edge[ei]
+		old, ef := &ed.flows[cur.edge[ei]], &ed.flows[b]
+		ef.Reset()
+		d.geom(sp, ed.cons).AppendEdgeFlows(ef, ed.k, d.geom(sp, ed.prod).PWs)
+		// A move that only permutes cores leaves an edge's flows in the same
+		// order, most of them unchanged: only those that differ are routed.
+		for j := range ef.Flows {
+			f := &ef.Flows[j]
+			if j < len(old.Flows) {
+				o := &old.Flows[j]
+				if o.Src == f.Src && o.Bytes == f.Bytes && slices.Equal(o.Dsts, f.Dsts) {
+					continue
+				}
+				sc.tr.RemoveMulticast(o.Src, o.Dsts, o.Bytes)
+			}
+			sc.tr.AddMulticast(f.Src, f.Dsts, f.Bytes)
+		}
+		for _, o := range old.Flows[min(len(ef.Flows), len(old.Flows)):] {
+			sc.tr.RemoveMulticast(o.Src, o.Dsts, o.Bytes)
+		}
+		sp.edge[ei] = b
+	}
+	copy(sp.act, sc.tr.Load)
+	for i, ms := range lms.MSs {
+		if sp.dirty[i] == 0 {
+			continue
+		}
+		b := 1 - cur.dram[i]
+		dl := &d.layers[i].dram[b]
+		dl.Reset()
+		d.geom(sp, i).AppendDRAM(dl, s, lms, ms)
+		sp.dram[i] = b
+	}
+	clear(sp.dirty)
+	d.computed = true
+	d.sum = e.foldDelta(d, sp, sc, lms.BatchUnit)
+	return d.sum
+}
+
+// geom returns the parse of MS i that state st selects.
+func (d *GroupDelta) geom(st *deltaState, i int) *layerGeom { return &d.layers[i].geom[st.geom[i]] }
+
+// foldDelta folds state st's pieces into a summary as summarizeAnalysis does:
+// the occupied cores in ascending order, then onto the activation loads,
+// which sc.tr must hold, the DRAM flows and the weight loads, layer by layer
+// in ascending layer order. A core hosting two workloads makes the group
+// infeasible, as it makes core.AnalyzeInto reject it.
+func (e *Evaluator) foldDelta(d *GroupDelta, st *deltaState, sc *evalScratch, bu int) groupSummary {
+	clear(d.owner)
+	for i := range d.layers {
+		for pi, pw := range d.geom(st, i).PWs {
+			if d.owner[pw.Core].ms != 0 {
+				return groupSummary{}
+			}
+			d.owner[pw.Core] = coreOwner{ms: int32(i) + 1, pw: int32(pi)}
+		}
+	}
+	f := coreFold{sum: groupSummary{groupScalars: groupScalars{Feasible: true, BatchUnit: bu, Depth: d.depth}}}
+	for c, o := range d.owner {
+		if o.ms == 0 {
+			continue
+		}
+		lg := d.geom(st, int(o.ms-1))
+		r := &lg.res[o.pw]
+		if !e.foldCore(&f, &lg.Works[o.pw], r) {
+			return groupSummary{}
+		}
+		sc.resident[c] = r.WeightsResident
+	}
+
+	for _, i := range d.order {
+		addDRAM(sc.tr, d.layers[i].dram[st.dram[i]].Act)
+	}
+	sc.wOnce.Reset()
+	for _, i := range d.order {
+		sc.addWeights(d.layers[i].dram[st.dram[i]].Weights)
+	}
+	return f.summary(sc)
+}

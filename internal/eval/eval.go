@@ -117,6 +117,14 @@ type groupSummary struct {
 	Once    noc.Digest `json:"o"` // GLB-resident weights, loaded once per run
 }
 
+// Summary is a group's summary as a comparable value, for oracles that hold
+// two ways of computing one against each other with ==.
+type Summary = groupSummary
+
+// SummarizeGroup returns the summary of group gi of s computed from scratch,
+// without the cache: the reference the delta path is held against.
+func (e *Evaluator) SummarizeGroup(s *core.Scheme, gi int) Summary { return e.summarizeGroup(s, gi) }
+
 // groupScalars is what a summary holds besides its traffic.
 type groupScalars struct {
 	Feasible  bool    `json:"ok,omitempty"`
@@ -211,11 +219,16 @@ func (e *Evaluator) EvaluateGroup(s *core.Scheme, gi int) (res GroupResult) {
 // group configuration seen before (same encoding, batch, cross-group data
 // placement and energy parameters) is returned without re-analysis.
 func (e *Evaluator) summary(s *core.Scheme, gi int, sum *groupSummary) {
-	key := CacheKey{Arch: e.analysisFP, Graph: s.Graph.Fingerprint(), FP: e.groupFingerprint(s, gi)}
+	key := e.groupKey(s, gi)
 	if !e.cache.get(key, sum) {
 		*sum = e.summarizeGroup(s, gi)
 		e.cache.put(key, sum)
 	}
+}
+
+// groupKey is the content key of group gi of s: the SA path's key.
+func (e *Evaluator) groupKey(s *core.Scheme, gi int) CacheKey {
+	return CacheKey{Arch: e.analysisFP, Graph: s.Graph.Fingerprint(), FP: e.groupFingerprint(s, gi)}
 }
 
 // SegmentKey names the stripe-mapped group of layers [j,i) of g at batch unit
@@ -346,57 +359,84 @@ func (e *Evaluator) summarizeParsed(an *core.Analysis) groupSummary {
 func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 	an := sc.an
 	cp := e.coreParams()
-	freqHz := e.Cfg.FreqGHz * 1e9
 
 	// Intra-core exploration per occupied core, in ascending core order.
 	// resident is indexed by core ID and only written for occupied cores —
 	// exactly the cores the weight flows below can reference — so stale
 	// entries are never read and the buffer needs no clearing between
 	// evaluations.
-	sum := groupSummary{groupScalars: groupScalars{Feasible: true, BatchUnit: an.BatchUnit, Depth: an.Depth}}
-	var utilSum float64
-	nUtil := 0
-	resident := sc.resident
+	f := coreFold{sum: groupSummary{groupScalars: groupScalars{Feasible: true, BatchUnit: an.BatchUnit, Depth: an.Depth}}}
 	for c, occupied := range an.Occupied {
 		if !occupied {
 			continue
 		}
 		w := &an.CoreWorks[c]
 		r := e.Memo.Explore(*w, cp)
-		if !r.Feasible {
+		if !e.foldCore(&f, w, &r) {
 			return groupSummary{}
 		}
-		resident[c] = r.WeightsResident
-		cycles := r.Cycles
-		if r.VecCycles > cycles {
-			cycles = r.VecCycles
-		}
-		if t := float64(cycles) / freqHz; t > sum.MaxComp {
-			sum.MaxComp = t
-		}
-		sum.MAC += float64(w.MACs)*e.Params.MACpJ*pJ + float64(w.VecOps)*e.Params.VecOppJ*pJ
-		sum.GLB += r.GLBBytes * e.Params.GLBpJPerByte * pJ
-		if w.MACs > 0 {
-			utilSum += r.Util
-			nUtil++
-		}
-	}
-	if nUtil > 0 {
-		sum.AvgUtil = utilSum / float64(nUtil)
+		sc.resident[c] = r.WeightsResident
 	}
 
-	tr := sc.tr
-	tr.Reset()
-	AddActivations(tr, an)
+	sc.tr.Reset()
+	AddActivations(sc.tr, an)
+	sc.wOnce.Reset()
+	sc.addWeights(an.WeightFlows)
+	return f.summary(sc)
+}
 
-	// Weight loading: GLB-resident slices load once per run; slices that do
-	// not fit stream every pass.
-	wOnce := sc.wOnce
-	wOnce.Reset()
-	for _, f := range an.WeightFlows {
+// coreFold is the per-core half of a summary in the making: the scalars and
+// the utilization total over the cores folded so far.
+type coreFold struct {
+	sum     groupSummary
+	utilSum float64
+	nUtil   int
+}
+
+// foldCore folds one occupied core's workload and exploration into f,
+// reporting false for an infeasible core. Cores must come in ascending order:
+// MAC, GLB and the utilization total are float sums, and one order is what
+// makes two computations of one summary agree bit for bit.
+func (e *Evaluator) foldCore(f *coreFold, w *intracore.Workload, r *intracore.Result) bool {
+	if !r.Feasible {
+		return false
+	}
+	cycles := r.Cycles
+	if r.VecCycles > cycles {
+		cycles = r.VecCycles
+	}
+	if t := float64(cycles) / (e.Cfg.FreqGHz * 1e9); t > f.sum.MaxComp {
+		f.sum.MaxComp = t
+	}
+	f.sum.MAC += float64(w.MACs)*e.Params.MACpJ*pJ + float64(w.VecOps)*e.Params.VecOppJ*pJ
+	f.sum.GLB += r.GLBBytes * e.Params.GLBpJPerByte * pJ
+	if w.MACs > 0 {
+		f.utilSum += r.Util
+		f.nUtil++
+	}
+	return true
+}
+
+// summary completes the summary of a group whose cores f has folded and whose
+// traffic sc's pair holds.
+func (f *coreFold) summary(sc *evalScratch) groupSummary {
+	sum := f.sum
+	if f.nUtil > 0 {
+		sum.AvgUtil = f.utilSum / float64(f.nUtil)
+	}
+	sum.PerPass = sc.tr.Digest()
+	sum.Once = sc.wOnce.Digest()
+	return sum
+}
+
+// addWeights routes weight loads, in list order: GLB-resident slices load
+// once per run into wOnce, slices that do not fit stream every pass into tr.
+// resident must hold the residency of every core the flows name.
+func (sc *evalScratch) addWeights(flows []core.DRAMFlow) {
+	for _, f := range flows {
 		res, str := sc.resBuf[:0], sc.strBuf[:0]
 		for _, c := range f.Cores {
-			if resident[c] {
+			if sc.resident[c] {
 				res = append(res, c)
 			} else {
 				str = append(str, c)
@@ -404,15 +444,12 @@ func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 		}
 		sc.resBuf, sc.strBuf = res, str
 		if len(res) > 0 {
-			wOnce.AddDRAMReadMulticast(f.Ctrl, res, f.Bytes)
+			sc.wOnce.AddDRAMReadMulticast(f.Ctrl, res, f.Bytes)
 		}
 		if len(str) > 0 {
-			tr.AddDRAMReadMulticast(f.Ctrl, str, f.Bytes)
+			sc.tr.AddDRAMReadMulticast(f.Ctrl, str, f.Bytes)
 		}
 	}
-	sum.PerPass = tr.Digest()
-	sum.Once = wOnce.Digest()
-	return sum
 }
 
 // AddActivations routes one pass of an analyzed group's activation traffic
@@ -426,7 +463,12 @@ func AddActivations(tr *noc.Traffic, an *core.Analysis) {
 	for _, f := range an.ActFlows {
 		tr.AddMulticast(f.Src, f.Dsts, f.Bytes)
 	}
-	for _, f := range an.ActDRAM {
+	addDRAM(tr, an.ActDRAM)
+}
+
+// addDRAM routes activation DRAM reads and writes into tr in list order.
+func addDRAM(tr *noc.Traffic, flows []core.DRAMFlow) {
+	for _, f := range flows {
 		if f.Write {
 			tr.AddDRAMWrite(f.Ctrl, f.Cores[0], f.Bytes)
 		} else {
@@ -524,41 +566,59 @@ func (e *Evaluator) hashParams(h uint64, batch int) uint64 {
 // group's full encoding, and — for inputs produced outside the group — the
 // DRAM where the producer stored its ofmaps.
 func (e *Evaluator) groupFingerprint(s *core.Scheme, gi int) uint64 {
-	h := e.hashParams(fnvOffset, s.Batch)
 	lms := s.Groups[gi]
-	h = fnv1a(h, uint64(lms.BatchUnit))
+	h := e.hashGroupHead(s, lms)
 	for _, ms := range lms.MSs {
-		h = fnv1a(h, uint64(ms.Layer))
-		h = fnv1a(h, uint64(ms.Part.H))
-		h = fnv1a(h, uint64(ms.Part.W))
-		h = fnv1a(h, uint64(ms.Part.B))
-		h = fnv1a(h, uint64(ms.Part.K))
-		h = fnv1a(h, uint64(int64(ms.FD.IF)))
-		h = fnv1a(h, uint64(int64(ms.FD.WGT)))
-		h = fnv1a(h, uint64(int64(ms.FD.OF)))
-		for _, c := range ms.CG {
-			h = fnv1a(h, uint64(c))
-		}
-		h = fnv1a(h, ^uint64(0)) // CG terminator
+		h = hashMS(h, ms)
 	}
-	// Cross-group context: where each outside-produced input lives, by the
-	// resolution AnalyzeInto applies (Scheme.ProducerOF) — "-2" marks a
-	// producer with no explicit ofmap destination anywhere in the scheme
-	// (interleaved fallback).
+	return hashContext(h, s, lms)
+}
+
+// hashGroupHead starts a group fingerprint: the parameters, the batch and the
+// batch unit.
+func (e *Evaluator) hashGroupHead(s *core.Scheme, lms *core.LMS) uint64 {
+	return fnv1a(e.hashParams(fnvOffset, s.Batch), uint64(lms.BatchUnit))
+}
+
+// hashMS folds one MS of the group's encoding into a group fingerprint.
+func hashMS(h uint64, ms *core.MS) uint64 {
+	h = fnv1a(h, uint64(ms.Layer))
+	h = fnv1a(h, uint64(ms.Part.H))
+	h = fnv1a(h, uint64(ms.Part.W))
+	h = fnv1a(h, uint64(ms.Part.B))
+	h = fnv1a(h, uint64(ms.Part.K))
+	h = fnv1a(h, uint64(int64(ms.FD.IF)))
+	h = fnv1a(h, uint64(int64(ms.FD.WGT)))
+	h = fnv1a(h, uint64(int64(ms.FD.OF)))
+	for _, c := range ms.CG {
+		h = fnv1a(h, uint64(c))
+	}
+	return fnv1a(h, ^uint64(0)) // CG terminator
+}
+
+// hashContext ends a group fingerprint with the cross-group context: where
+// each outside-produced input lives, by the resolution AnalyzeInto applies
+// (Scheme.ProducerOF) — "-2" marks a producer with no explicit ofmap
+// destination anywhere in the scheme (interleaved fallback).
+func hashContext(h uint64, s *core.Scheme, lms *core.LMS) uint64 {
 	for _, ms := range lms.MSs {
 		for _, edge := range s.Graph.Layer(ms.Layer).Inputs {
 			if edge.Src < 0 || lms.MSFor(edge.Src) != nil {
 				continue
 			}
-			of := s.ProducerOF(edge.Src)
-			if of == core.FDImplicit {
-				of = -2
-			}
-			h = fnv1a(h, uint64(edge.Src))
-			h = fnv1a(h, uint64(int64(of)))
+			h = hashRead(h, edge.Src, s.ProducerOF(edge.Src))
 		}
 	}
 	return h
+}
+
+// hashRead folds one outside-produced input into a group fingerprint: its
+// producer and that producer's ofmap destination.
+func hashRead(h uint64, src, of int) uint64 {
+	if of == core.FDImplicit {
+		of = -2
+	}
+	return fnv1a(fnv1a(h, uint64(src)), uint64(int64(of)))
 }
 
 // Evaluate evaluates a full scheme: groups run one after another, so delays
@@ -587,12 +647,4 @@ func Cost(r Result, beta, gamma float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Pow(r.Energy.Total(), beta) * math.Pow(r.Delay, gamma)
-}
-
-// GroupCost is the incremental SA objective for a single group.
-func GroupCost(g GroupResult, beta, gamma float64) float64 {
-	if !g.Feasible || g.Delay <= 0 {
-		return math.Inf(1)
-	}
-	return math.Pow(g.Energy.Total(), beta) * math.Pow(g.Delay, gamma)
 }

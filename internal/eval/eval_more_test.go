@@ -106,19 +106,6 @@ func TestUtilizationReported(t *testing.T) {
 	}
 }
 
-func TestGroupCostMatchesDefinition(t *testing.T) {
-	cfg := arch.GArch72()
-	s, ev := tinyOn(t, &cfg, 4, 2)
-	gr := ev.EvaluateGroup(s, 0)
-	want := math.Pow(gr.Energy.Total(), 2) * math.Pow(gr.Delay, 0.5)
-	if got := GroupCost(gr, 2, 0.5); math.Abs(got-want) > want*1e-12 {
-		t.Errorf("GroupCost = %v, want %v", got, want)
-	}
-	if !math.IsInf(GroupCost(GroupResult{}, 1, 1), 1) {
-		t.Error("infeasible group cost should be +Inf")
-	}
-}
-
 func TestEnergyBreakdownAccessors(t *testing.T) {
 	b := EnergyBreakdown{MAC: 1, GLB: 2, NoC: 3, D2D: 4, DRAM: 5}
 	if b.Total() != 15 {

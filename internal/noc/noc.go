@@ -444,8 +444,25 @@ func (t *Traffic) AddMulticast(src arch.CoreID, dsts []arch.CoreID, bytes float6
 	if bytes <= 0 || len(dsts) == 0 {
 		return
 	}
+	t.multicast(src, dsts, bytes)
+}
+
+// RemoveMulticast takes back what AddMulticast(src, dsts, bytes) added: it
+// subtracts the bytes from every link of the same routing tree. For integer
+// byte counts whose sums stay below 2^53 every partial sum is exact, so the
+// loads end as if the multicast had never been added.
+func (t *Traffic) RemoveMulticast(src arch.CoreID, dsts []arch.CoreID, bytes float64) {
+	if bytes <= 0 || len(dsts) == 0 {
+		return
+	}
+	t.multicast(src, dsts, -bytes)
+}
+
+// multicast adds bytes, of either sign, to every link of the union routing
+// tree from src to dsts.
+func (t *Traffic) multicast(src arch.CoreID, dsts []arch.CoreID, bytes float64) {
 	if len(dsts) == 1 {
-		t.AddUnicast(src, dsts[0], bytes)
+		t.addPath(t.net.Route(src, dsts[0]), bytes)
 		return
 	}
 	t.epoch++

@@ -350,3 +350,41 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// TestRemoveMulticastUndoesAdd: on a mesh and a torus, taking back a seeded
+// half of many integer multicasts leaves every link load exactly what adding
+// only the other half gives.
+func TestRemoveMulticastUndoesAdd(t *testing.T) {
+	torus := arch.GArchTorus()
+	for _, cfg := range []*arch.Config{meshCfg(), &torus} {
+		n := New(cfg)
+		rng := rand.New(rand.NewSource(3))
+		both, kept := n.NewTraffic(), n.NewTraffic()
+		type mc struct {
+			src   arch.CoreID
+			dsts  []arch.CoreID
+			bytes float64
+		}
+		var removed []mc
+		for i := 0; i < 500; i++ {
+			m := mc{src: arch.CoreID(rng.Intn(cfg.Cores())), bytes: float64(1 + rng.Intn(1<<20))}
+			for d := 1 + rng.Intn(5); d > 0; d-- {
+				m.dsts = append(m.dsts, arch.CoreID(rng.Intn(cfg.Cores())))
+			}
+			both.AddMulticast(m.src, m.dsts, m.bytes)
+			if rng.Intn(2) == 0 {
+				removed = append(removed, m)
+			} else {
+				kept.AddMulticast(m.src, m.dsts, m.bytes)
+			}
+		}
+		for _, m := range removed {
+			both.RemoveMulticast(m.src, m.dsts, m.bytes)
+		}
+		for l := range both.Load {
+			if both.Load[l] != kept.Load[l] {
+				t.Fatalf("%s link %d: %v after removing, %v never added", cfg.Name, l, both.Load[l], kept.Load[l])
+			}
+		}
+	}
+}

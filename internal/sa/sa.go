@@ -2,8 +2,10 @@
 // a simulated-annealing search over the optimization space defined by the
 // layer-centric encoding, driven by the five operators of internal/core.
 // Layer groups are selected with probability proportional to their
-// optimization-space size, and each accepted move is evaluated through the
-// full Evaluator, so the search inherently minimizes costly D2D traffic.
+// optimization-space size, and every applied move is evaluated through the
+// Evaluator — its cache, or on a miss its delta path, which recomputes only
+// the layers the move changed — so the search inherently minimizes costly D2D
+// traffic.
 package sa
 
 import (
@@ -110,10 +112,15 @@ func (st *state) cost(beta, gamma float64) float64 {
 	return math.Pow(e, beta) * math.Pow(d, gamma)
 }
 
-// measure re-evaluates one group after a move and records the outcome in
-// the state's reused slices.
+// measure evaluates one group from the scheme alone and records the outcome
+// in the state's reused slices: the from-scratch seam the annealer starts from
+// and the oracles hold its moves against.
 func measure(ev *eval.Evaluator, s *core.Scheme, st *state, gi int) {
-	gr := ev.EvaluateGroup(s, gi)
+	st.record(gi, ev.EvaluateGroup(s, gi))
+}
+
+// record stores one group's evaluation.
+func (st *state) record(gi int, gr eval.GroupResult) {
 	st.feas[gi] = gr.Feasible
 	st.energy[gi] = gr.Energy.Total()
 	st.delay[gi] = gr.Delay
@@ -142,8 +149,14 @@ type annealer struct {
 	// affected[gi] lists the groups an OF change in gi re-measures: gi and
 	// the groups that fetch data produced in gi (their DRAM read source
 	// moves). Group membership is fixed under all five operators, so the
-	// adjacency is computed once.
+	// adjacency is computed once, and so is readers[gi][i]: the layers of
+	// other groups that read the ofmaps of MS i of group gi.
 	affected [][]int
+	readers  [][][]msRef
+	// deltas[gi] is group gi's delta evaluation: the per-layer pieces a miss
+	// recomputes only where the move changed them, in a current/spare pair
+	// that is settled with the move as the LMS pair is.
+	deltas []*eval.GroupDelta
 	// cumW are cumulative group-selection weights, proportional to
 	// optimization-space size: a pick is a binary search, not an O(n) scan.
 	cumW   []float64
@@ -163,8 +176,16 @@ type annealer struct {
 	saveF        []bool
 	giBuf        [1]int
 
+	// afterMeasure, when set, is called after each group a move re-measures,
+	// with the scheme as the move left it: the oracles' view of the delta
+	// path.
+	afterMeasure func(op core.Op, gi, gj int)
+
 	res Result
 }
+
+// msRef names MS ms of group g.
+type msRef struct{ g, ms int }
 
 // workingCopy deep-copies a group LMS into core groups with room for all the
 // architecture's cores, so OP4 never has to grow one.
@@ -199,12 +220,14 @@ func newAnnealer(input *core.Scheme, ev *eval.Evaluator, opt Options) *annealer 
 		a.totalW += space.GroupWeight(cores, len(g.MSs))
 		a.cumW[gi] = a.totalW
 	}
+	a.deltas = make([]*eval.GroupDelta, n)
 	for gi := range a.s.Groups {
 		measure(ev, a.s, &a.st, gi)
+		a.deltas[gi] = ev.NewGroupDelta(a.s, gi)
 	}
 	a.cur = a.st.cost(opt.Beta, opt.Gamma)
 	a.res.InitCost = a.cur
-	a.affected = consumerClosure(a.s)
+	a.affected, a.readers = consumerClosure(a.s), ofReaders(a.s)
 	a.best, a.bestCost = a.s.Clone(), a.cur
 	if opt.Iterations > 1 && opt.FinalTemp > 0 && opt.InitTemp > 0 {
 		a.cooling = math.Pow(opt.FinalTemp/opt.InitTemp, 1/float64(opt.Iterations-1))
@@ -259,10 +282,24 @@ func (a *annealer) step() {
 		// OF changes alter where consumer groups fetch data from; only
 		// the mutated group and its consumers can change.
 		touched = a.affected[gi]
+		x := a.mu.Changed()[0]
+		a.deltas[gi].ChangedFD(x)
+		if a.mu.ChangedOF() {
+			for _, r := range a.readers[gi][x] {
+				a.deltas[r.g].ChangedFD(r.ms)
+			}
+		}
+	} else {
+		for _, x := range a.mu.Changed() {
+			a.deltas[gi].Changed(x)
+		}
 	}
 	for j, gj := range touched {
 		a.saveE[j], a.saveD[j], a.saveF[j] = st.energy[gj], st.delay[gj], st.feas[gj]
-		measure(a.ev, s, st, gj)
+		st.record(gj, a.ev.EvaluateGroupDelta(a.deltas[gj], s))
+		if a.afterMeasure != nil {
+			a.afterMeasure(op, gi, gj)
+		}
 	}
 	next := st.cost(opt.Beta, opt.Gamma)
 
@@ -272,6 +309,9 @@ func (a *annealer) step() {
 	} else if !math.IsInf(next, 1) {
 		rel := (next - a.cur) / a.cur
 		accept = a.rng.Float64() < math.Exp(-rel/a.temp)
+	}
+	for _, gj := range touched {
+		a.deltas[gj].Settle(accept)
 	}
 	if accept {
 		a.cur = next
@@ -361,4 +401,29 @@ func consumerClosure(s *core.Scheme) [][]int {
 		}
 	}
 	return affected
+}
+
+// ofReaders returns, for each MS of each group, the layers of other groups
+// that read its ofmaps: what an OF change on it re-sources.
+func ofReaders(s *core.Scheme) [][][]msRef {
+	at := make(map[int]msRef)
+	readers := make([][][]msRef, len(s.Groups))
+	for gi, g := range s.Groups {
+		readers[gi] = make([][]msRef, len(g.MSs))
+		for i, ms := range g.MSs {
+			at[ms.Layer] = msRef{gi, i}
+		}
+	}
+	for _, l := range s.Graph.Layers {
+		c, ok := at[l.ID]
+		if !ok {
+			continue
+		}
+		for _, in := range l.Inputs {
+			if p, ok := at[in.Src]; ok && in.Src >= 0 && p.g != c.g {
+				readers[p.g][p.ms] = append(readers[p.g][p.ms], c)
+			}
+		}
+	}
+	return readers
 }
