@@ -1033,8 +1033,8 @@ func BenchmarkDSESweepCutBound(b *testing.B) {
 // achieved objective. The full-speed half leads the grid in enumeration
 // order, so the modulo-sharded fleet leases real work first. The
 // coordinator folds the best each checkpoint upload carries into the fleet
-// incumbent and hands it back on every lease, renew and checkpoint
-// response, so the starved half is pruned pre-cell — exactly the work an
+// incumbent and hands it back on every lease and checkpoint response,
+// so the starved half is pruned pre-cell — exactly the work an
 // operator saves by pointing idle machines at one coordinator instead of
 // splitting the grid into independent sweeps.
 func fleetBenchSpec(b *testing.B) (dse.Spec, []arch.Config) {

@@ -34,9 +34,9 @@ import (
 
 // CoordinatorConfig configures a fleet coordinator.
 type CoordinatorConfig struct {
-	// LeaseTTL is how long a shard lease lives without renewal before the
-	// shard is reissued to another worker (default 10s). Workers renew at a
-	// third of the TTL.
+	// LeaseTTL is how long a shard lease lives without a checkpoint upload
+	// before the shard is reissued to another worker (default 10s). Workers
+	// upload at least every third of the TTL.
 	LeaseTTL time.Duration
 	// MaxCells caps a submitted sweep's (candidate × model) grid; 0 means
 	// no cap. The sweep service forwards its own cap here.
@@ -211,9 +211,9 @@ type Health struct {
 //	GET  /sweeps        list fleet sweeps
 //	GET  /sweeps/{id}   one sweep's status
 //	POST /lease         worker: fetch a shard lease (204 when none pending)
-//	POST /renew         worker: keep a lease alive, pull the incumbent
 //	POST /checkpoint    worker: upload a (partial or final) shard checkpoint
-//	                    and its best result, pull the incumbent
+//	                    and its best result, keep the lease alive, pull the
+//	                    incumbent
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c := &Coordinator{
 		cfg:    cfg,
@@ -228,7 +228,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	mux.HandleFunc("GET /sweeps", c.handleList)
 	mux.HandleFunc("GET /sweeps/{id}", c.handleStatus)
 	mux.HandleFunc("POST /lease", c.handleLease)
-	mux.HandleFunc("POST /renew", c.handleRenew)
 	mux.HandleFunc("POST /checkpoint", c.handleCheckpoint)
 	c.mux = mux
 	return c
@@ -273,6 +272,10 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, controlBodyLimit, true, "submit body", &req) {
 		return
 	}
+	if req.Shards < 1 {
+		writeError(w, http.StatusBadRequest, "shards = %d, want >= 1", req.Shards)
+		return
+	}
 	spec := req.Spec
 	if spec.ID == "" {
 		spec.ID = newFleetID()
@@ -297,10 +300,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if c.cfg.MaxCells > 0 && len(cands)*len(graphs) > c.cfg.MaxCells {
 		writeError(w, http.StatusUnprocessableEntity, "sweep grid %d cells exceeds server limit %d",
 			len(cands)*len(graphs), c.cfg.MaxCells)
-		return
-	}
-	if req.Shards < 1 {
-		writeError(w, http.StatusBadRequest, "shards = %d, want >= 1", req.Shards)
 		return
 	}
 	parts := partition(len(cands), req.Shards)
@@ -528,38 +527,6 @@ func (c *Coordinator) findLeaseLocked(fs *fleetSweep, leaseID string) int {
 	return -1
 }
 
-func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
-	var req RenewRequest
-	if !decodeBody(w, r, controlBodyLimit, false, "renew request", &req) {
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	c.mu.Lock()
-	now := c.cfg.now()
-	c.reapLocked(now)
-	fs, ok := c.sweeps[req.SweepID]
-	if !ok {
-		c.mu.Unlock()
-		writeError(w, http.StatusNotFound, "no fleet sweep %q", req.SweepID)
-		return
-	}
-	i := c.findLeaseLocked(fs, req.LeaseID)
-	if i < 0 {
-		c.mu.Unlock()
-		writeError(w, http.StatusGone, "lease %s is no longer live", req.LeaseID)
-		return
-	}
-	ttl := c.cfg.leaseTTL()
-	fs.shards[i].expires = now.Add(ttl)
-	resp := RenewResponse{TTLMS: int(ttl.Milliseconds()), Incumbent: fs.inc}
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // foldIncumbentLocked folds an achieved feasible objective into the sweep's
 // fleet-wide incumbent (monotone min). Called with c.mu held.
 func (fs *fleetSweep) foldIncumbentLocked(candidate string, obj float64) bool {
@@ -612,7 +579,7 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sh := &fs.shards[i]
-	// Any upload on a live lease proves the worker is alive; extend it.
+	// An upload on a live lease is the worker's heartbeat; extend it.
 	sh.expires = now.Add(c.cfg.leaseTTL())
 
 	if up.Complete {
@@ -628,15 +595,15 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		}
 		fs.done = !slices.ContainsFunc(fs.shards, func(sh shardState) bool { return sh.phase != shardDone })
 	}
-	resp := CheckpointResponse{Incumbent: fs.inc, SweepDone: fs.done}
+	resp, done := CheckpointResponse{Incumbent: fs.inc}, fs.done
 	c.mu.Unlock()
 
 	if up.Complete {
-		c.logf("fleet: sweep %s shard %d complete (worker %s); sweep done=%v", up.SweepID, i, up.Worker, resp.SweepDone)
+		c.logf("fleet: sweep %s shard %d complete (worker %s); sweep done=%v", up.SweepID, i, up.Worker, done)
 	}
-	// A live lease means the sweep was not done before this upload, so
-	// SweepDone here is the transition, reported once per sweep.
-	c.merged(resp.SweepDone)
+	// A live lease means the sweep was not done before this upload, so done
+	// here is the transition, reported once per sweep.
+	c.merged(done)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -710,11 +677,10 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// Request body limits. Submit, lease and renew messages are at most
-// spec-sized (the sweep service's POST /sweep limit); a checkpoint
-// upload carries its shard's settled cells at roughly 600 bytes per cell,
-// but an older worker uploads its whole session, so the limit leaves room
-// for about 10^5 cells — several full Table I grids.
+// Request body limits. Submit and lease messages are at most spec-sized
+// (the sweep service's POST /sweep limit); a checkpoint upload carries its
+// shard's settled cells at roughly 600 bytes per cell, and the limit leaves
+// room for about 10^5 of them — several full Table I grids.
 const (
 	controlBodyLimit    = 1 << 20
 	checkpointBodyLimit = 64 << 20

@@ -56,17 +56,13 @@ func TestWireValidate(t *testing.T) {
 		{"lease bad incumbent", badIncumbent},
 		{"lease bad spec", badSpec},
 		{"lease request", &LeaseRequest{}},
-		{"renew request", &RenewRequest{SweepID: "s"}},
-		{"renew response ttl", &RenewResponse{TTLMS: 0}},
-		{"renew response incumbent", &RenewResponse{TTLMS: 1,
-			Incumbent: IncumbentState{Found: true, Objective: math.NaN()}}},
 		{"incumbent state", &IncumbentState{Found: true, Objective: math.NaN()}},
 		{"shard stats", &ShardStats{SAIterations: -1}},
 		{"shard best", &ShardBest{Objective: math.Inf(1)}},
 		{"upload ids", &CheckpointUpload{Checkpoint: []byte("{}")}},
 		{"upload no bytes", &CheckpointUpload{SweepID: "s", LeaseID: "l"}},
 		{"upload bad stats", &CheckpointUpload{SweepID: "s", LeaseID: "l", Checkpoint: []byte("{}"),
-			Stats: &ShardStats{Cells: -2}}},
+			Stats: &ShardStats{ResumedCells: -2}}},
 		{"upload bad best", &CheckpointUpload{SweepID: "s", LeaseID: "l", Checkpoint: []byte("{}"),
 			Best: &ShardBest{Objective: math.NaN()}}},
 		{"checkpoint response", &CheckpointResponse{
@@ -186,26 +182,14 @@ func TestCoordinatorSurface(t *testing.T) {
 		t.Fatalf("health after two leases = %+v, want workers in name order", h)
 	}
 
-	// Renew rejections; the incumbent travels only on checkpoint uploads, so
-	// there is no incumbent endpoint to push to.
-	if code := postRaw(t, srv.URL+"/renew", "{nope"); code != http.StatusBadRequest {
-		t.Fatalf("bad renew JSON answered %d", code)
-	}
-	if code := postJSON(t, srv.URL+"/renew", RenewRequest{SweepID: st.ID}, nil); code != http.StatusBadRequest {
-		t.Fatalf("lease-less renew answered %d", code)
-	}
-	if code := postJSON(t, srv.URL+"/renew", RenewRequest{SweepID: "none", LeaseID: "l"}, nil); code != http.StatusNotFound {
-		t.Fatalf("unknown-sweep renew answered %d", code)
-	}
-	if code := postJSON(t, srv.URL+"/renew", RenewRequest{SweepID: st.ID, LeaseID: "wrong"}, nil); code != http.StatusGone {
-		t.Fatalf("wrong-lease renew answered %d", code)
-	}
+	// The incumbent travels only on checkpoint uploads, so there is no
+	// incumbent endpoint to push to.
 	if code := postRaw(t, srv.URL+"/incumbent", `{"sweep_id":"s","objective":1}`); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /incumbent answered %d, want 404 or 405", code)
 	}
 
-	// Checkpoint rejections: bad JSON, invalid envelope, unknown sweep, and
-	// corrupt checkpoint bytes on a live lease.
+	// Checkpoint rejections: bad JSON, invalid envelope, unknown sweep,
+	// lapsed lease, and corrupt checkpoint bytes on a live lease.
 	if code := postRaw(t, srv.URL+"/checkpoint", "{nope"); code != http.StatusBadRequest {
 		t.Fatalf("bad checkpoint JSON answered %d", code)
 	}
@@ -213,9 +197,19 @@ func TestCoordinatorSurface(t *testing.T) {
 		t.Fatalf("byte-less upload answered %d", code)
 	}
 	if code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
+		SweepID: st.ID, Checkpoint: []byte(`{}`),
+	}, nil); code != http.StatusBadRequest {
+		t.Fatalf("lease-less upload answered %d", code)
+	}
+	if code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
 		SweepID: "none", LeaseID: "l", Checkpoint: []byte(`{}`),
 	}, nil); code != http.StatusNotFound {
 		t.Fatalf("unknown-sweep upload answered %d", code)
+	}
+	if code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
+		SweepID: st.ID, LeaseID: "wrong", Checkpoint: checkpointBytes(t, dse.NewSession()),
+	}, nil); code != http.StatusGone {
+		t.Fatalf("wrong-lease upload answered %d", code)
 	}
 	if code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
 		SweepID: st.ID, LeaseID: lease.LeaseID, Checkpoint: []byte(`{"version":999}`),
@@ -233,8 +227,7 @@ func TestBoundedDecode(t *testing.T) {
 	defer srv.Close()
 
 	for path, limit := range map[string]int{
-		"/sweeps": controlBodyLimit, "/lease": controlBodyLimit, "/renew": controlBodyLimit,
-		"/checkpoint": checkpointBodyLimit,
+		"/sweeps": controlBodyLimit, "/lease": controlBodyLimit, "/checkpoint": checkpointBodyLimit,
 	} {
 		body := `{"worker":"` + strings.Repeat("w", limit) + `"}`
 		if code := postRaw(t, srv.URL+path, body); code != http.StatusRequestEntityTooLarge {
@@ -324,8 +317,6 @@ func TestSingleShardDrain(t *testing.T) {
 		Worker:   "manual",
 		Complete: true,
 		Stats: &ShardStats{
-			Candidates:   len(cands),
-			Cells:        len(cands) * len(graphs),
 			SAIterations: stats.SAIterations,
 			ResumedCells: stats.ResumedCells,
 		},
@@ -334,12 +325,11 @@ func TestSingleShardDrain(t *testing.T) {
 	if best := dse.Best(results); best != nil && best.Feasible {
 		up.Best = &ShardBest{Candidate: best.Cfg.Name, Objective: best.Obj}
 	}
-	var cresp CheckpointResponse
-	if code := postJSON(t, srv.URL+"/checkpoint", up, &cresp); code != http.StatusOK {
+	if code := postJSON(t, srv.URL+"/checkpoint", up, nil); code != http.StatusOK {
 		t.Fatalf("complete upload answered %d", code)
 	}
-	if !cresp.SweepDone {
-		t.Fatalf("single-shard sweep not done after its complete upload")
+	if got, _ := coord.Status("drain"); got.State != "done" || dones.Load() != 1 {
+		t.Fatalf("single-shard sweep not done after its complete upload: %s, %d done merges", got.State, dones.Load())
 	}
 	// A late upload on the spent lease still merges, but the sweep finished
 	// once: OnMerge(true) fires exactly once.

@@ -327,7 +327,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// TestWorkerDeathReshard kills a worker mid-sweep (it stops renewing after
+// TestWorkerDeathReshard kills a worker mid-sweep (it stops uploading after
 // a partial upload) and checks the orphaned shard re-leases with the merged
 // checkpoint: the successor resumes every settled cell (zero recompute),
 // the expiry is counted, and the final merged checkpoint is bit-identical
@@ -356,7 +356,7 @@ func TestWorkerDeathReshard(t *testing.T) {
 	}
 
 	// Worker A takes shard 0, settles its first candidate, uploads the
-	// partial checkpoint, and dies (never renews, never completes).
+	// partial checkpoint, and dies (never uploads again, never completes).
 	var lease Lease
 	if code := postJSON(t, srv.URL+"/lease", LeaseRequest{Worker: "doomed"}, &lease); code != http.StatusOK {
 		t.Fatalf("lease answered %d", code)
@@ -489,7 +489,7 @@ func TestCoordinatorWire(t *testing.T) {
 		t.Fatalf("worse best moved the incumbent: %d %+v", code, resp.Incumbent)
 	}
 
-	// It fans out on every later lease and renewal.
+	// It fans out on every later lease and upload.
 	var second Lease
 	if code := postJSON(t, srv.URL+"/lease", LeaseRequest{Worker: "w2"}, &second); code != http.StatusOK {
 		t.Fatalf("second lease answered %d", code)
@@ -500,20 +500,12 @@ func TestCoordinatorWire(t *testing.T) {
 	if !second.Incumbent.Found || second.Incumbent.Objective != 10 {
 		t.Fatalf("lease incumbent = %+v, want the uploaded best", second.Incumbent)
 	}
-	var renew RenewResponse
-	if code := postJSON(t, srv.URL+"/renew", RenewRequest{SweepID: "wire", LeaseID: lease.LeaseID, Worker: "w"}, &renew); code != http.StatusOK {
-		t.Fatalf("renew answered %d", code)
-	}
-	if renew.Incumbent.Objective != 10 {
-		t.Fatalf("renew incumbent = %+v", renew.Incumbent)
+	if code, resp := upload(second.LeaseID, ShardBest{Candidate: "d", Objective: 30}); code != http.StatusOK || resp.Incumbent.Objective != 10 {
+		t.Fatalf("second lease's upload: %d %+v, want the uploaded best back", code, resp.Incumbent)
 	}
 
-	// Expire both leases; renewing is now 410 and every shard is pending
-	// again.
+	// Expire both leases; every shard is pending again.
 	clock.Advance(11 * time.Second)
-	if code := postJSON(t, srv.URL+"/renew", RenewRequest{SweepID: "wire", LeaseID: lease.LeaseID, Worker: "w"}, nil); code != http.StatusGone {
-		t.Fatalf("expired renew answered %d, want 410", code)
-	}
 	got, _ := coord.Status("wire")
 	if got.Stats.ExpiredLeases != 2 || got.ShardsPending != 4 {
 		t.Fatalf("after expiry: %+v, want 2 expired leases and all shards pending", got)
@@ -542,6 +534,44 @@ func TestCoordinatorWire(t *testing.T) {
 	}
 	if got.Stats.ExpiredLeases != 2 {
 		t.Fatalf("stale upload double-counted expiry: %+v", got.Stats)
+	}
+}
+
+// TestUploadHeartbeatDefersExpiry: an upload is a lease's heartbeat. On a
+// fake clock, one at 0.9 TTL keeps its lease through another 0.9 TTL while
+// a lease granted at the same time and never uploaded on lapses; without a
+// further upload the first lapses too.
+func TestUploadHeartbeatDefersExpiry(t *testing.T) {
+	spec := parseSpec(t, testSpecJSON("beat"))
+	clock := &fakeClock{t: time.Unix(3_000_000, 0)}
+	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: 10 * time.Second, Now: clock.Now})
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: 2}, nil); code != http.StatusCreated {
+		t.Fatalf("submit answered %d", code)
+	}
+	var beating, silent Lease
+	for _, l := range []*Lease{&beating, &silent} {
+		if code := postJSON(t, srv.URL+"/lease", LeaseRequest{Worker: "w"}, l); code != http.StatusOK {
+			t.Fatalf("lease answered %d", code)
+		}
+	}
+
+	clock.Advance(9 * time.Second)
+	if code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
+		SweepID: "beat", LeaseID: beating.LeaseID, Worker: "w", Checkpoint: checkpointBytes(t, dse.NewSession()),
+	}, nil); code != http.StatusOK {
+		t.Fatalf("heartbeat upload at 0.9 TTL answered %d", code)
+	}
+	clock.Advance(9 * time.Second)
+	got, _ := coord.Status("beat")
+	if got.Stats.ExpiredLeases != 1 || len(got.Leases) != 1 || got.Leases[0].LeaseID != beating.LeaseID {
+		t.Fatalf("1.8 TTL after the grants: %+v, want only the silent lease expired", got)
+	}
+
+	clock.Advance(2 * time.Second)
+	if got, _ = coord.Status("beat"); got.Stats.ExpiredLeases != 2 || got.ShardsPending != 2 {
+		t.Fatalf("1.1 TTL after the heartbeat: %+v, want both leases expired", got)
 	}
 }
 
@@ -748,8 +778,6 @@ func TestWorkerUploadsCarryBest(t *testing.T) {
 			}
 			writeJSON(w, http.StatusOK, Lease{SweepID: "fake", LeaseID: "l1", Shards: 1,
 				Candidates: idx, Spec: spec, TTLMS: 60_000})
-		case "/renew":
-			writeJSON(w, http.StatusOK, RenewResponse{TTLMS: 60_000})
 		case "/checkpoint":
 			var up CheckpointUpload
 			if err := json.NewDecoder(r.Body).Decode(&up); err != nil {
@@ -772,7 +800,7 @@ func TestWorkerUploadsCarryBest(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for _, p := range paths {
-		if p != "/lease" && p != "/renew" && p != "/checkpoint" {
+		if p != "/lease" && p != "/checkpoint" {
 			t.Errorf("worker hit %s; the incumbent travels only on checkpoint uploads", p)
 		}
 	}
@@ -795,5 +823,89 @@ func TestWorkerUploadsCarryBest(t *testing.T) {
 	}
 	if last.Best.Objective != soloBest.Obj || last.Best.Candidate != soloBest.Cfg.Name {
 		t.Fatalf("final best %+v, want single-process best %s (%v)", *last.Best, soloBest.Cfg.Name, soloBest.Obj)
+	}
+}
+
+// TestWorkerHeartbeat runs a worker against a fake coordinator that leases
+// one shard at a 60 ms TTL, so the worker's heartbeat ticks every 20 ms while
+// the shard's first cell anneals for many ticks. Uploads with no best must
+// keep the lease alive before any candidate settles, and a 410 answer to a
+// heartbeat must cancel the shard, so its final upload is not Complete.
+func TestWorkerHeartbeat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real sweep")
+	}
+	spec := parseSpec(t, testSpecJSON("beat"))
+	spec.SAIterations = 20000
+	run := func(answer int) []CheckpointUpload {
+		var mu sync.Mutex
+		var uploads []CheckpointUpload
+		leased := false
+		fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch r.URL.Path {
+			case "/lease":
+				if leased {
+					w.WriteHeader(http.StatusNoContent)
+					return
+				}
+				leased = true
+				writeJSON(w, http.StatusOK, Lease{SweepID: "beat", LeaseID: "l1", Shards: 1,
+					Candidates: []int{0, 1}, Spec: spec, TTLMS: 60})
+			case "/checkpoint":
+				var up CheckpointUpload
+				if err := json.NewDecoder(r.Body).Decode(&up); err != nil {
+					t.Errorf("decoding upload: %v", err)
+				}
+				uploads = append(uploads, up)
+				if answer != http.StatusOK {
+					writeError(w, answer, "lease l1 is no longer live")
+					return
+				}
+				writeJSON(w, http.StatusOK, CheckpointResponse{})
+			default:
+				http.NotFound(w, r)
+			}
+		}))
+		defer fake.Close()
+		start := time.Now()
+		if err := RunWorker(context.Background(), WorkerConfig{
+			Coordinator: fake.URL, Name: "wb", ExitWhenIdle: true, Logf: t.Logf,
+		}); err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+		t.Logf("answering %d: %d uploads in %v", answer, len(uploads), time.Since(start))
+		mu.Lock()
+		defer mu.Unlock()
+		return uploads
+	}
+
+	// Every candidate of the test grid is feasible, so an upload without a
+	// best was sent before any candidate settled: a heartbeat.
+	uploads := run(http.StatusOK)
+	beats := 0
+	for _, up := range uploads {
+		if up.Best != nil {
+			break
+		}
+		if up.Complete {
+			t.Fatalf("complete upload carries no best")
+		}
+		beats++
+	}
+	if beats < 2 {
+		t.Fatalf("%d heartbeat uploads before the first settled candidate, want >= 2", beats)
+	}
+	if last := uploads[len(uploads)-1]; !last.Complete || last.Stats == nil {
+		t.Fatalf("final upload of a live lease not complete: %+v", last)
+	}
+
+	uploads = run(http.StatusGone)
+	if first := uploads[0]; first.Best != nil || first.Complete {
+		t.Fatalf("first upload is not a heartbeat: %+v", first)
+	}
+	if last := uploads[len(uploads)-1]; last.Complete || last.Stats != nil {
+		t.Fatalf("shard whose heartbeat answered 410 still completed: %+v", last)
 	}
 }

@@ -1,5 +1,9 @@
 // Wire messages of the fleet protocol: the JSON bodies workers and the
-// coordinator exchange over the lease, renew and checkpoint endpoints.
+// coordinator exchange over the lease and checkpoint endpoints. A lease
+// request is the only message a worker sends before its shard runs, and
+// checkpoint uploads are the only ones it sends after: they carry its
+// settled cells and best result, keep the lease alive and bring the
+// incumbent back.
 // Every message is a plain JSON struct with a Validate method, so the fuzz
 // harness (FuzzFleetWire) can drive arbitrary bytes through
 // exactly the decode path the handlers use. Objectives on the wire are
@@ -32,9 +36,9 @@ func (r *LeaseRequest) Validate() error {
 }
 
 // IncumbentState is the coordinator's view of a fleet sweep's best achieved
-// feasible objective. It rides on every lease grant, renew response and
-// checkpoint response, so a worker's cached fleet-wide best is refreshed by
-// every control-plane round trip.
+// feasible objective. It rides on every lease grant and checkpoint
+// response, so a worker's cached fleet-wide best is refreshed by every
+// control-plane round trip.
 type IncumbentState struct {
 	// Found reports that some shard has achieved a feasible result; when
 	// false the other fields are zero and the state means "+Inf".
@@ -66,12 +70,12 @@ func (s IncumbentState) best() float64 {
 // Lease is the coordinator's POST /lease grant: one shard of one fleet
 // sweep — the sweep's spec plus the enumeration indices of the shard's
 // candidates — together with everything the worker needs to start warm:
-// the current merged checkpoint and the current fleet-wide incumbent.
+// the shard's settled cells and the current fleet-wide incumbent.
 type Lease struct {
 	// SweepID names the fleet sweep the shard belongs to.
 	SweepID string `json:"sweep_id"`
-	// LeaseID names this grant; renewals and uploads must echo it, and a
-	// grant that expires is reissued to another worker under a new id.
+	// LeaseID names this grant; uploads must echo it, and a grant that
+	// expires is reissued to another worker under a new id.
 	LeaseID string `json:"lease_id"`
 	// Shard is the shard's index within the sweep, in [0, Shards).
 	Shard int `json:"shard"`
@@ -87,13 +91,12 @@ type Lease struct {
 	// Incumbent seeds the worker's cached fleet-wide best.
 	Incumbent IncumbentState `json:"incumbent"`
 	// TTLMS is the lease's time-to-live in milliseconds; the worker must
-	// renew within it or the shard is re-leased to another worker.
+	// upload within it or the shard is re-leased to another worker.
 	TTLMS int `json:"ttl_ms"`
-	// Checkpoint is the coordinator's current merged checkpoint
-	// (dse.SaveCheckpoint bytes); the worker loads it before running so
-	// cells an expired predecessor already settled restore instead of
-	// recompute. May carry cells outside this shard — harmless by
-	// construction, checkpoints are fingerprint-keyed.
+	// Checkpoint holds the shard's settled cells (dse.Session.SaveCells
+	// bytes), omitted when none are; the worker loads it before running so
+	// cells an expired predecessor already uploaded restore instead of
+	// recompute.
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 }
 
@@ -128,48 +131,9 @@ func (l *Lease) Validate() error {
 	return nil
 }
 
-// RenewRequest is a worker's POST /renew body: keep a live lease alive.
-type RenewRequest struct {
-	// SweepID and LeaseID name the lease being renewed.
-	SweepID string `json:"sweep_id"`
-	// LeaseID is the grant to renew.
-	LeaseID string `json:"lease_id"`
-	// Worker echoes the renewing worker's name.
-	Worker string `json:"worker"`
-}
-
-// Validate checks the request shape.
-func (r *RenewRequest) Validate() error {
-	if r.SweepID == "" || r.LeaseID == "" {
-		return fmt.Errorf("fleet: renew request missing sweep or lease id")
-	}
-	return nil
-}
-
-// RenewResponse acknowledges a renewal and piggybacks the current
-// fleet-wide incumbent, so renewing doubles as the worker's incumbent pull.
-type RenewResponse struct {
-	// TTLMS restates the lease time-to-live granted by this renewal.
-	TTLMS int `json:"ttl_ms"`
-	// Incumbent is the fleet-wide best at renewal time.
-	Incumbent IncumbentState `json:"incumbent"`
-}
-
-// Validate checks the response a worker accepts off the wire.
-func (r *RenewResponse) Validate() error {
-	if r.TTLMS <= 0 {
-		return fmt.Errorf("fleet: renew response ttl_ms = %d, want > 0", r.TTLMS)
-	}
-	return r.Incumbent.Validate()
-}
-
 // ShardStats is the worker-side sweep accounting a completed shard reports:
 // the dse.SweepStats fields the coordinator aggregates fleet-wide.
 type ShardStats struct {
-	// Candidates and Cells size the shard's slice of the grid.
-	Candidates int `json:"candidates"`
-	// Cells is the shard's (candidate, model) cell count.
-	Cells int `json:"cells"`
 	// SAIterations is the shard sweep's total annealing iterations.
 	SAIterations int `json:"sa_iterations"`
 	// ResumedCells counts cells restored from the lease checkpoint instead
@@ -185,7 +149,6 @@ func (s *ShardStats) Validate() error {
 		name string
 		v    int
 	}{
-		{"candidates", s.Candidates}, {"cells", s.Cells},
 		{"sa_iterations", s.SAIterations}, {"resumed_cells", s.ResumedCells},
 		{"pruned_candidates", s.PrunedCandidates},
 	} {
@@ -218,11 +181,12 @@ func (b *ShardBest) Validate() error {
 }
 
 // CheckpointUpload is a worker's POST /checkpoint body: the checkpoint-
-// merge envelope. Workers stream partial uploads (Complete=false, coalesced
-// per settled candidate) so an expiring lease loses at most the in-flight
-// cells, and send one final Complete=true upload carrying the shard's stats
-// when the shard sweep finishes. Every upload, partial or final, carries the
-// shard's best delivered result.
+// merge envelope and the lease's heartbeat. Workers stream partial uploads
+// (Complete=false) when a candidate settles and at a third of the lease TTL,
+// so an expiring lease loses at most the in-flight cells and a live one
+// never lapses, and send one final Complete=true upload carrying the shard's
+// stats when the shard sweep finishes. Every upload, partial or final,
+// carries the shard's best delivered result.
 type CheckpointUpload struct {
 	// SweepID and LeaseID name the lease the upload belongs to.
 	SweepID string `json:"sweep_id"`
@@ -239,8 +203,8 @@ type CheckpointUpload struct {
 	// Best is the shard's best feasible result delivered so far, absent
 	// until there is one.
 	Best *ShardBest `json:"best,omitempty"`
-	// Checkpoint is the worker session's dse.SaveCheckpoint bytes; the
-	// coordinator merges it into the sweep's canonical checkpoint.
+	// Checkpoint holds the shard's settled cells (dse.Session.SaveCells
+	// bytes); the coordinator merges them into its session.
 	Checkpoint json.RawMessage `json:"checkpoint"`
 }
 
@@ -270,8 +234,6 @@ func (u *CheckpointUpload) Validate() error {
 type CheckpointResponse struct {
 	// Incumbent is the fleet-wide best after folding the upload.
 	Incumbent IncumbentState `json:"incumbent"`
-	// SweepDone reports that every shard of the sweep is now complete.
-	SweepDone bool `json:"sweep_done"`
 }
 
 // Validate checks the response a worker accepts off the wire.

@@ -10,7 +10,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -107,9 +106,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			}
 			continue
 		}
-		if err := w.runShard(ctx, lease); err != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
+		w.runShard(ctx, lease)
 	}
 }
 
@@ -127,24 +124,28 @@ func (w *worker) logf(format string, args ...any) {
 }
 
 // runShard executes one leased shard: restore the lease's settled cells, run
-// the shard's candidates with the cached fleet best wired into pruning,
-// renew the lease in the background, stream partial checkpoints per settled
-// candidate, and finish with a Complete upload carrying stats. Every upload
-// carries the shard's settled cells — never the rest of the worker's
-// session — and its best delivered result.
-func (w *worker) runShard(ctx context.Context, lease *Lease) error {
+// the shard's candidates with the cached fleet best wired into pruning, and
+// upload checkpoints as it goes, finishing with a Complete upload carrying
+// stats. Uploads are the lease's heartbeat: one goes out when a candidate
+// settles and at a third of the TTL while none does. Every upload carries
+// the shard's settled cells — never the rest of the worker's session — and
+// its best delivered result. Failures are logged; the worker then asks for
+// its next lease.
+func (w *worker) runShard(ctx context.Context, lease *Lease) {
 	cands, err := leaseCandidates(lease)
 	if err != nil {
 		w.logf("fleet worker %s: rejecting lease %s: %v", w.cfg.name(), lease.LeaseID, err)
-		return err
+		return
 	}
 	graphs, err := lease.Spec.Graphs()
 	if err != nil {
-		return err
+		w.logf("fleet worker %s: lease %s graphs: %v", w.cfg.name(), lease.LeaseID, err)
+		return
 	}
 	if len(lease.Checkpoint) > 0 {
 		if err := w.ses.LoadCheckpoint(bytes.NewReader(lease.Checkpoint)); err != nil {
-			return fmt.Errorf("fleet: loading lease checkpoint: %w", err)
+			w.logf("fleet worker %s: loading lease %s checkpoint: %v", w.cfg.name(), lease.LeaseID, err)
+			return
 		}
 	}
 	w.logf("fleet worker %s: running sweep %s shard %d/%d: %d candidates, lease %s",
@@ -162,128 +163,93 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 	}
 	opt.Incumbent = ex.Best
 
-	// Coalesced partial checkpoint uploads: each settled candidate pokes
-	// the uploader, which snapshots the shard's settled cells and ships them
-	// with the shard's best delivered result — the one channel the fleet
-	// incumbent travels up on. Uploads prove liveness (the coordinator
-	// extends the lease), so a worker that is making progress never expires
-	// even if a renew is lost. OnResult calls are serialized, so best has a
-	// single writer.
+	// Each settled candidate pokes the heartbeat loop. OnResult calls are
+	// serialized, so best has a single writer.
 	var best atomic.Pointer[ShardBest]
-	ckptPoke := make(chan struct{}, 1)
+	settled := make(chan struct{}, 1)
 	opt.OnResult = func(res dse.CandidateResult) {
 		if b := best.Load(); res.Feasible && (b == nil || res.Obj < b.Objective) {
 			best.Store(&ShardBest{Candidate: res.Cfg.Name, Objective: res.Obj})
 		}
 		select {
-		case ckptPoke <- struct{}{}:
+		case settled <- struct{}{}:
 		default:
 		}
 	}
 
-	stop := make(chan struct{})
-	var bg sync.WaitGroup
-
-	// Lease renewal at a third of the TTL. A 410 means the lease lapsed
-	// (the shard is someone else's now): cancel the sweep — finished cells
-	// are already uploaded, so walking away loses almost nothing.
-	ttl := time.Duration(lease.TTLMS) * time.Millisecond
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		tick := ttl / 3
-		if tick < 20*time.Millisecond {
-			tick = 20 * time.Millisecond
+	// upload posts the shard's settled cells and best — the one channel the
+	// fleet incumbent travels up on — and folds the incumbent the answer
+	// brings back. A 410 or 404 means the lease lapsed (the shard is someone
+	// else's now): cancel the sweep — finished cells are already uploaded, so
+	// walking away loses almost nothing. Non-nil stats mark the final,
+	// Complete upload.
+	upload := func(ctx context.Context, stats *ShardStats) {
+		var buf bytes.Buffer
+		if err := w.ses.SaveCells(&buf, cands, graphs, opt); err != nil {
+			w.logf("fleet worker %s: saving lease %s cells: %v", w.cfg.name(), lease.LeaseID, err)
+			return
 		}
+		var resp CheckpointResponse
+		code, err := w.cl.post(ctx, "/checkpoint", &CheckpointUpload{
+			SweepID:    lease.SweepID,
+			LeaseID:    lease.LeaseID,
+			Worker:     w.cfg.name(),
+			Complete:   stats != nil,
+			Stats:      stats,
+			Best:       best.Load(),
+			Checkpoint: buf.Bytes(),
+		}, &resp)
+		switch {
+		case err != nil:
+			// Transient: the next heartbeat retries before the lease can
+			// lapse.
+			w.logf("fleet worker %s: upload for lease %s failed: %v", w.cfg.name(), lease.LeaseID, err)
+		case code == http.StatusOK:
+			ex.fold(resp.Incumbent.best())
+		case code == http.StatusGone, code == http.StatusNotFound:
+			w.logf("fleet worker %s: lease %s lapsed; abandoning shard", w.cfg.name(), lease.LeaseID)
+			cancel()
+		default:
+			w.logf("fleet worker %s: upload for lease %s answered %d", w.cfg.name(), lease.LeaseID, code)
+		}
+	}
+
+	// The heartbeat loop, the shard's one background goroutine: every
+	// upload extends the lease, so one at least every third of the TTL keeps
+	// a live worker's lease from lapsing however long its cells run.
+	tick := max(time.Duration(lease.TTLMS)*time.Millisecond/3, 20*time.Millisecond)
+	beatCtx, stopBeat := context.WithCancel(shardCtx)
+	beatDone := make(chan struct{})
+	go func() {
+		defer close(beatDone)
 		t := time.NewTicker(tick)
 		defer t.Stop()
 		for {
 			select {
-			case <-stop:
+			case <-beatCtx.Done():
 				return
-			case <-shardCtx.Done():
-				return
+			case <-settled:
 			case <-t.C:
-				var resp RenewResponse
-				code, err := w.cl.post(shardCtx, "/renew",
-					&RenewRequest{SweepID: lease.SweepID, LeaseID: lease.LeaseID, Worker: w.cfg.name()}, &resp)
-				switch {
-				case err != nil:
-					// Transient: uploads also renew, and the next tick
-					// retries.
-				case code == http.StatusGone, code == http.StatusNotFound:
-					w.logf("fleet worker %s: lease %s lapsed; abandoning shard", w.cfg.name(), lease.LeaseID)
-					cancel()
-					return
-				case code == http.StatusOK:
-					ex.fold(resp.Incumbent.best())
-				}
 			}
-		}
-	}()
-
-	// Partial checkpoint uploader.
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-shardCtx.Done():
-				return
-			case <-ckptPoke:
-				var buf bytes.Buffer
-				if err := w.ses.SaveCells(&buf, cands, graphs, opt); err != nil {
-					continue
-				}
-				up := &CheckpointUpload{
-					SweepID:    lease.SweepID,
-					LeaseID:    lease.LeaseID,
-					Worker:     w.cfg.name(),
-					Best:       best.Load(),
-					Checkpoint: buf.Bytes(),
-				}
-				var resp CheckpointResponse
-				code, err := w.cl.post(shardCtx, "/checkpoint", up, &resp)
-				switch {
-				case err != nil:
-				case code == http.StatusGone, code == http.StatusNotFound:
-					w.logf("fleet worker %s: lease %s lapsed; abandoning shard", w.cfg.name(), lease.LeaseID)
-					cancel()
-					return
-				case code == http.StatusOK:
-					ex.fold(resp.Incumbent.best())
-				}
-			}
+			upload(shardCtx, nil)
+			t.Reset(tick)
 		}
 	}()
 
 	_, stats, runErr := w.ses.RunContext(shardCtx, cands, graphs, opt)
-	close(stop)
-	bg.Wait()
+	stopBeat()
+	<-beatDone
+	if runErr != nil {
+		w.logf("fleet worker %s: lease %s sweep: %v", w.cfg.name(), lease.LeaseID, runErr)
+	}
 
 	// Final upload. Complete only when every cell settled: a canceled shard
 	// must stay leased-or-reissued, not be marked done with holes. The
 	// upload itself is still worth sending on cancellation — settled cells
 	// merge soundly whoever finishes the shard.
-	complete := runErr == nil && !stats.Canceled
-	var buf bytes.Buffer
-	if err := w.ses.SaveCells(&buf, cands, graphs, opt); err != nil {
-		return errors.Join(runErr, err)
-	}
-	up := &CheckpointUpload{
-		SweepID:    lease.SweepID,
-		LeaseID:    lease.LeaseID,
-		Worker:     w.cfg.name(),
-		Complete:   complete,
-		Best:       best.Load(),
-		Checkpoint: buf.Bytes(),
-	}
-	if complete {
-		up.Stats = &ShardStats{
-			Candidates:       stats.Candidates,
-			Cells:            stats.Cells,
+	var final *ShardStats
+	if runErr == nil && !stats.Canceled {
+		final = &ShardStats{
 			SAIterations:     stats.SAIterations,
 			ResumedCells:     stats.ResumedCells,
 			PrunedCandidates: stats.PrunedCandidates,
@@ -293,12 +259,7 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 	// shard was canceled (worker shutdown or lease lapse).
 	upCtx, upCancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer upCancel()
-	if code, err := w.cl.post(upCtx, "/checkpoint", up, nil); err != nil {
-		w.logf("fleet worker %s: final upload for lease %s failed: %v", w.cfg.name(), lease.LeaseID, err)
-	} else if code != http.StatusOK {
-		w.logf("fleet worker %s: final upload for lease %s answered %d", w.cfg.name(), lease.LeaseID, code)
-	}
-	return runErr
+	upload(upCtx, final)
 }
 
 // leaseCandidates validates a lease and resolves its enumeration indices
@@ -322,8 +283,8 @@ func leaseCandidates(lease *Lease) ([]arch.Config, error) {
 }
 
 // exchange is the worker's cached fleet-wide best: the coordinator's
-// incumbent as of the last control-plane round trip (lease, renew or
-// checkpoint response). Its Best is the sweep's Options.Incumbent, read
+// incumbent as of the last control-plane round trip (lease or checkpoint
+// response). Its Best is the sweep's Options.Incumbent, read
 // from the scheduler's hot gates, so it must stay a bare atomic load.
 type exchange struct {
 	bits atomic.Uint64

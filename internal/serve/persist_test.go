@@ -364,12 +364,14 @@ func TestFleetCellsSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	shardCells := ses.CheckpointCells()
-	var resp fleet.CheckpointResponse
 	if code := postFleet(t, hsA.URL, "/checkpoint", fleet.CheckpointUpload{
 		SweepID: lease.SweepID, LeaseID: lease.LeaseID, Worker: "manual", Complete: true,
-		Stats: &fleet.ShardStats{Candidates: len(lease.Candidates), Cells: shardCells}, Checkpoint: ckpt.Bytes(),
-	}, &resp); code != http.StatusOK || resp.SweepDone {
-		t.Fatalf("shard 0's complete upload answered %d (sweep done %t), want 200 with one shard left", code, resp.SweepDone)
+		Stats: &fleet.ShardStats{}, Checkpoint: ckpt.Bytes(),
+	}, nil); code != http.StatusOK {
+		t.Fatalf("shard 0's complete upload answered %d, want 200", code)
+	}
+	if st, _ := sA.fleet.Status(spec.ID); st.State != "running" || st.ShardsDone != 1 {
+		t.Fatalf("after shard 0's complete upload: %+v, want one shard left", st)
 	}
 	hsA.Close()
 	sA.Close()

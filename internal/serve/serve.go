@@ -84,10 +84,10 @@ type Config struct {
 	// (_history.ndjson, one line per finished sweep) live; empty disables
 	// persistence (sweeps then only share state within the process).
 	DataDir string
-	// FleetLeaseTTL is how long a fleet shard lease lives without renewal
-	// before the coordinator re-shards it onto another worker (default
-	// 10s). Lower it for fast failover in tests; raise it on networks
-	// where renewals may stall.
+	// FleetLeaseTTL is how long a fleet shard lease lives without a
+	// checkpoint upload before the coordinator re-shards it onto another
+	// worker (default 10s). Lower it for fast failover in tests; raise it
+	// on networks where uploads may stall.
 	FleetLeaseTTL time.Duration
 	// CacheDir, when set, spills the session's evaluation cache to disk:
 	// New warms the session from the previous process's group evaluations
