@@ -742,7 +742,7 @@ func BenchmarkAblation_MulticastVsUnicast(b *testing.B) {
 		for _, f := range an.ActFlows {
 			tm.AddMulticast(f.Src, f.Dsts, f.Bytes)
 			for _, d := range f.Dsts {
-				tu.AddUnicast(f.Src, d, f.Bytes)
+				tu.AddMulticast(f.Src, []arch.CoreID{d}, f.Bytes)
 			}
 		}
 		mo, md, _ := tm.TotalBytes()

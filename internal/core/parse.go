@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"gemini/internal/arch"
@@ -70,9 +69,10 @@ type Analysis struct {
 	CoreWorks []intracore.Workload
 
 	// ActFlows and ActDRAM repeat every batch-unit pass. ActDRAM and
-	// WeightFlows are in canonical order (layer, controller, reads before
-	// writes, bytes, cores); ActFlows are in emission order unless the
-	// Analysis came from Analyze.
+	// WeightFlows are in emission order, layer by layer in ascending layer
+	// order; so are ActFlows unless the Analysis came from Analyze. Every
+	// flow carries an integer number of bytes, so the noc.Traffic they are
+	// added into loads the same in any order of them.
 	ActFlows []CoreFlow
 	ActDRAM  []DRAMFlow
 
@@ -163,15 +163,12 @@ func (ef *EdgeFlows) Reset() { ef.Flows, ef.arena = ef.Flows[:0], ef.arena[:0] }
 
 // DRAMLists are DRAM flows — activation reads and ofmap writes in Act, weight
 // loads in Weights — with the arena their core lists point into and the
-// scratch that groups and sorts them.
+// scratch that groups them.
 type DRAMLists struct {
 	Act, Weights []DRAMFlow
 
 	arena  []arch.CoreID
 	klists []krEntry
-	keys   []uint64
-	idx    []int32
-	buf    []DRAMFlow
 }
 
 // Reset empties both lists, keeping their buffers.
@@ -196,7 +193,7 @@ func fdCtrl(v int) int {
 }
 
 // Analyze parses group gi of the scheme into a fresh Analysis — AnalyzeInto,
-// then the canonical ActFlows order and the ByLayer and Works maps that the
+// then the sorted ActFlows and the ByLayer and Works maps that the
 // inspection consumers (reports, instruction generation, simulation
 // cross-checks) read. The scheme must have passed Validate.
 func Analyze(s *Scheme, gi int, cfg *arch.Config) (*Analysis, error) {
@@ -257,8 +254,7 @@ func (an *Analysis) reset(lms *LMS, gi, nLayers, cores int) {
 // a parse touches no heap and no map, and visits nothing outside the group
 // but the producers its inputs name. It runs the LayerParse steps for every
 // layer: Parse, then AppendEdgeFlows for every input produced in the group,
-// then AppendDRAM in ascending layer order, so the per-layer canonical runs
-// of the DRAM lists concatenate into canonical lists. The scheme must have
+// then AppendDRAM in ascending layer order. The scheme must have
 // passed Validate; a core assigned twice is an error, but Depth, which
 // depends on the group's layers alone, is set even then.
 func AnalyzeInto(an *Analysis, s *Scheme, gi int, cfg *arch.Config) error {
@@ -533,10 +529,9 @@ func overlap(a, b dnn.Range) int64 {
 // cross-group producer stored its ofmaps, interleaved for a producer in no
 // group or without an explicit destination — then the explicit ofmap writes;
 // into d.Weights the weight loads, grouped by K-range so replicated slices
-// multicast. The layer's run of each list is left in canonical order.
+// multicast.
 func (lp *LayerParse) AppendDRAM(d *DRAMLists, s *Scheme, lms *LMS, ms *MS) {
 	l := s.Graph.Layer(ms.Layer)
-	act, wgt := len(d.Act), len(d.Weights)
 	var cores []arch.CoreID
 	for k, edge := range l.Inputs {
 		ctrl := -1
@@ -606,8 +601,6 @@ func (lp *LayerParse) AppendDRAM(d *DRAMLists, s *Scheme, lms *LMS, ms *MS) {
 			})
 		}
 	}
-	d.sort(d.Act[act:])
-	d.sort(d.Weights[wgt:])
 }
 
 // growKR extends the klists buffer by one entry for kr, recycling the cores
@@ -637,11 +630,10 @@ func coreCmp(a, b []arch.CoreID) int {
 	return len(a) - len(b)
 }
 
-// sortActFlows puts ActFlows in canonical order (source, bytes, destinations)
-// for the inspection consumers. The Evaluator does not need it: every
-// CoreFlow.Bytes is an integer-valued float64 (dnn.ElemBytes is 1) added onto
-// zeroed link loads before any DRAM flow, and sums of non-negative integers
-// below 2^53 are exact in any order.
+// sortActFlows puts ActFlows in one order (source, bytes, destinations) for
+// the inspection consumers. The Evaluator does not need it: every flow's bytes
+// are an integer (dnn.ElemBytes is 1), so the loads it adds them into are
+// exact in any order.
 func (an *Analysis) sortActFlows() {
 	slices.SortFunc(an.ActFlows, func(x, y CoreFlow) int {
 		if x.Src != y.Src {
@@ -658,111 +650,6 @@ func (an *Analysis) sortActFlows() {
 		}
 		return coreCmp(x.Dsts, y.Dsts)
 	})
-}
-
-// sort puts one layer's run of DRAM flows in canonical order: layer,
-// controller, reads before writes, bytes, cores. Unlike activation flows these
-// must be summed in one fixed order, because an interleaved flow adds
-// bytes/controllers to each controller and that quotient is not exact. What is
-// sorted is one word per flow packing the order's leading keys — controller
-// and direction, bytes, first core — above the flow's index, so the sort
-// compares integers; flows whose words tie but for the index share their
-// first core and are ordered by the rest of their cores. A run that does not
-// pack (see packKey) is sorted through the full comparator instead. The flows
-// are permuted only if one moved.
-func (d *DRAMLists) sort(flows []DRAMFlow) {
-	keys := d.keys[:0]
-	for i := range flows {
-		k, ok := packKey(&flows[i], i)
-		if !ok {
-			d.sortSlow(flows)
-			return
-		}
-		keys = append(keys, k)
-	}
-	d.keys = keys
-	slices.Sort(keys)
-	for j := 0; j < len(keys); {
-		e := j + 1
-		for e < len(keys) && keys[e]>>8 == keys[j]>>8 {
-			e++
-		}
-		tie := keys[j:e]
-		for a := 1; a < len(tie); a++ {
-			for b := a; b > 0 && coreCmp(flows[tie[b]&0xff].Cores, flows[tie[b-1]&0xff].Cores) < 0; b-- {
-				tie[b], tie[b-1] = tie[b-1], tie[b]
-			}
-		}
-		j = e
-	}
-	d.permute(flows, func(j int) int { return int(keys[j] & 0xff) })
-}
-
-// packKey packs a flow's place in its layer's canonical order above its index
-// i: controller+1 and direction in the top 8 bits, the bytes in the next 32,
-// the first core in the next 16 and i in the low 8. It reports false for a
-// flow that does not fit — a controller index or core ID too large, an index
-// past 255, or bytes that are not an integer below 2^32 — which the caller
-// sorts by comparator. For the integer bytes that fit, the bytes order as
-// their float64 does.
-func packKey(f *DRAMFlow, i int) (uint64, bool) {
-	cw := uint64(f.Ctrl+1) << 1
-	if f.Write {
-		cw |= 1
-	}
-	b, c0 := f.Bytes, f.Cores[0]
-	if cw >= 1<<8 || i >= 1<<8 || c0 >= 1<<16 || math.Signbit(b) || b >= 1<<32 || b != math.Trunc(b) {
-		return 0, false
-	}
-	return cw<<56 | uint64(b)<<24 | uint64(c0)<<8 | uint64(i), true
-}
-
-// sortSlow is sort through the full comparator, for any run.
-func (d *DRAMLists) sortSlow(flows []DRAMFlow) {
-	idx := d.idx[:0]
-	for i := range flows {
-		idx = append(idx, int32(i))
-	}
-	d.idx = idx
-	slices.SortStableFunc(idx, func(a, b int32) int { return dramCmp(&flows[a], &flows[b]) })
-	d.permute(flows, func(j int) int { return int(idx[j]) })
-}
-
-// dramCmp is the canonical order of DRAM flows.
-func dramCmp(x, y *DRAMFlow) int {
-	switch {
-	case x.Layer != y.Layer:
-		return x.Layer - y.Layer
-	case x.Ctrl != y.Ctrl:
-		return x.Ctrl - y.Ctrl
-	case x.Write != y.Write:
-		if y.Write {
-			return -1
-		}
-		return 1
-	case x.Bytes != y.Bytes:
-		if x.Bytes < y.Bytes {
-			return -1
-		}
-		return 1
-	}
-	return coreCmp(x.Cores, y.Cores)
-}
-
-// permute reorders flows so that flows[j] becomes the flow at index from(j),
-// copying only if some flow moves.
-func (d *DRAMLists) permute(flows []DRAMFlow, from func(j int) int) {
-	moved := false
-	for j := range flows {
-		moved = moved || from(j) != j
-	}
-	if !moved {
-		return
-	}
-	d.buf = append(d.buf[:0], flows...)
-	for j := range flows {
-		flows[j] = d.buf[from(j)]
-	}
 }
 
 // reducedChannels returns the input channels reduced per output element.

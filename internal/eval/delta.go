@@ -6,6 +6,7 @@ import (
 
 	"gemini/internal/core"
 	"gemini/internal/intracore"
+	"gemini/internal/noc"
 )
 
 // GroupDelta is one layer group's evaluation kept as per-layer pieces, so a
@@ -13,13 +14,13 @@ import (
 // two layers of the group's five or so — and folds the rest. A piece is what
 // the core.LayerParse steps derive for one layer (its workloads, their
 // intra-core exploration, its DRAM flows) or for one in-group edge (its
-// activation flows). The group's activation link loads are kept as one
-// vector: activation bytes are integers, so a changed edge's multicast trees
-// are subtracted and its new ones added exactly. What is not an integer sum
-// — the per-core energies and utilization, and the DRAM flows with their
-// interleaved shares — is folded again on every miss in the order
-// summarizeAnalysis folds it, so the summary equals summarizeGroup's from
-// scratch bit for bit.
+// activation flows). The group's traffic is kept whole, per pass and load
+// once: noc.Traffic loads are exact integers in any order, so a miss takes
+// back the changed edges' multicast trees and the changed layers' DRAM flows
+// and adds their new ones, and the loads end as if routed from scratch. What
+// is not an integer sum — the per-core energies and utilization — is folded
+// again on every miss in the order summarizeAnalysis folds it, so the summary
+// equals summarizeGroup's from scratch bit for bit.
 //
 // A GroupDelta holds two states over double-buffered pieces: the current one,
 // computed for the group as the scheme has it except for the layers marked
@@ -30,12 +31,8 @@ import (
 // hit served it. A GroupDelta belongs to the evaluator that made it and to
 // one goroutine; group membership must not change.
 type GroupDelta struct {
-	gi    int
-	depth int
-	// order lists the MS indices by ascending layer ID: the order the DRAM
-	// flows are added in, which makes the concatenated per-layer runs the
-	// canonical lists.
-	order  []int
+	gi     int
+	depth  int
 	layers []deltaLayer // by MS index
 	edges  []deltaEdge  // every edge whose producer and consumer are in the group
 
@@ -63,7 +60,7 @@ type GroupDelta struct {
 }
 
 // deltaLayer is a layer's two buffers of each kind of piece: its parse, and
-// its DRAM flows in canonical order.
+// its DRAM flows.
 type deltaLayer struct {
 	geom [2]layerGeom
 	dram [2]core.DRAMLists
@@ -85,13 +82,13 @@ type deltaEdge struct {
 }
 
 // deltaState selects one buffer of every piece — geom and dram by MS index,
-// edge by edge index — and holds the activation link loads of the selected
-// edge flows. dirty marks, by MS index, the pieces that are stale against the
-// scheme.
+// edge by edge index — and holds the selected pieces' traffic, per pass in tr
+// and load once in once. dirty marks, by MS index, the pieces that are stale
+// against the scheme.
 type deltaState struct {
 	geom, dram, edge []uint8
 	dirty            []uint8
-	act              []float64 // by link
+	tr, once         *noc.Traffic
 }
 
 // Stale marks: a changed Part or core group invalidates every piece of the
@@ -116,16 +113,11 @@ func (e *Evaluator) NewGroupDelta(s *core.Scheme, gi int) *GroupDelta {
 	n := len(lms.MSs)
 	d := &GroupDelta{
 		gi:      gi,
-		order:   make([]int, n),
 		layers:  make([]deltaLayer, n),
 		pending: make([]uint8, n),
 		owner:   make([]coreOwner, e.Cfg.Cores()),
 	}
-	for i := range d.order {
-		d.order[i] = i
-	}
 	d.hash = [2][]uint64{make([]uint64, n+1), make([]uint64, n+1)}
-	sort.Slice(d.order, func(a, b int) bool { return lms.MSs[d.order[a]].Layer < lms.MSs[d.order[b]].Layer })
 	for c, ms := range lms.MSs {
 		for k, edge := range s.Graph.Layer(ms.Layer).Inputs {
 			if p := lms.IndexOf(edge.Src); edge.Src >= 0 && p >= 0 {
@@ -150,16 +142,22 @@ func (e *Evaluator) NewGroupDelta(s *core.Scheme, gi int) *GroupDelta {
 	for i := range d.st {
 		d.st[i] = deltaState{
 			geom: make([]uint8, n), dram: make([]uint8, n), edge: make([]uint8, len(d.edges)),
-			dirty: make([]uint8, n), act: make([]float64, len(e.Net.Links)),
+			dirty: make([]uint8, n), tr: e.Net.NewTraffic(), once: e.Net.NewTraffic(),
 		}
 	}
 	for i := range d.st[d.cur].dirty {
 		d.st[d.cur].dirty[i] = staleGeom
 	}
 	// The pipeline depth, the longest chain of in-group edges: layer IDs are
-	// topological, so order visits every producer before its consumers.
+	// topological, so visiting the MSs by ascending layer visits every
+	// producer before its consumers.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return lms.MSs[order[a]].Layer < lms.MSs[order[b]].Layer })
 	depth := make([]int, n)
-	for _, c := range d.order {
+	for _, c := range order {
 		depth[c] = 1
 		for _, ed := range d.edges {
 			if ed.cons == c {
@@ -264,16 +262,17 @@ func (e *Evaluator) EvaluateDelta(d *GroupDelta, s *core.Scheme) (res GroupResul
 }
 
 // summarizeDelta computes the group's summary into the spare state: the
-// current state's pieces, with every stale or changed one recomputed.
+// current state's pieces and traffic, with every stale or changed piece
+// recomputed and its traffic swapped.
 func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) groupSummary {
 	cur, sp := &d.st[d.cur], &d.st[1-d.cur]
 	copy(sp.geom, cur.geom)
 	copy(sp.dram, cur.dram)
 	copy(sp.edge, cur.edge)
+	sp.tr.CopyFrom(cur.tr)
+	sp.once.CopyFrom(cur.once)
 	lms := s.Groups[d.gi]
 	cp := e.coreParams()
-	sc := e.scratch.Get().(*evalScratch)
-	defer e.scratch.Put(sc)
 	for i, ms := range lms.MSs {
 		sp.dirty[i] = cur.dirty[i] | d.pending[i]
 		if sp.dirty[i]&staleGeom == 0 {
@@ -296,11 +295,7 @@ func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) groupSummary {
 			lg.res = append(lg.res, e.Memo.Explore(lg.Works[w], cp))
 		}
 	}
-	// The activation loads: the current state's with the changed edges'
-	// multicast trees swapped, in the scratch traffic the fold then adds the
-	// DRAM flows onto.
-	sc.tr.Reset()
-	copy(sc.tr.Load, cur.act)
+	// The changed edges' multicast trees, swapped.
 	for ei := range d.edges {
 		ed := &d.edges[ei]
 		if (sp.dirty[ed.prod]|sp.dirty[ed.cons])&staleGeom == 0 {
@@ -319,41 +314,57 @@ func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) groupSummary {
 				if o.Src == f.Src && o.Bytes == f.Bytes && slices.Equal(o.Dsts, f.Dsts) {
 					continue
 				}
-				sc.tr.RemoveMulticast(o.Src, o.Dsts, o.Bytes)
+				sp.tr.RemoveMulticast(o.Src, o.Dsts, o.Bytes)
 			}
-			sc.tr.AddMulticast(f.Src, f.Dsts, f.Bytes)
+			sp.tr.AddMulticast(f.Src, f.Dsts, f.Bytes)
 		}
 		for _, o := range old.Flows[min(len(ef.Flows), len(old.Flows)):] {
-			sc.tr.RemoveMulticast(o.Src, o.Dsts, o.Bytes)
+			sp.tr.RemoveMulticast(o.Src, o.Dsts, o.Bytes)
 		}
 		sp.edge[ei] = b
 	}
-	copy(sp.act, sc.tr.Load)
+	// The changed layers' DRAM flows, swapped: each layer's weight slices
+	// split by the residency of its own workloads, the old parse's for what
+	// is taken back and the new one's for what is added.
+	sc := e.scratch.Get().(*evalScratch)
+	defer e.scratch.Put(sc)
 	for i, ms := range lms.MSs {
 		if sp.dirty[i] == 0 {
 			continue
 		}
 		b := 1 - cur.dram[i]
-		dl := &d.layers[i].dram[b]
+		old, dl := &d.layers[i].dram[cur.dram[i]], &d.layers[i].dram[b]
 		dl.Reset()
 		d.geom(sp, i).AppendDRAM(dl, s, lms, ms)
 		sp.dram[i] = b
+		addDRAM(sp.tr, old.Act, true)
+		sc.layerWeights(sp, d.geom(cur, i), old.Weights, true)
+		addDRAM(sp.tr, dl.Act, false)
+		sc.layerWeights(sp, d.geom(sp, i), dl.Weights, false)
 	}
 	clear(sp.dirty)
 	d.computed = true
-	d.sum = e.foldDelta(d, sp, sc, lms.BatchUnit)
+	d.sum = e.foldDelta(d, sp, lms.BatchUnit)
 	return d.sum
+}
+
+// layerWeights routes into st the weight loads flows of the layer parsed as
+// lg, or takes them back out when remove is set.
+func (sc *evalScratch) layerWeights(st *deltaState, lg *layerGeom, flows []core.DRAMFlow, remove bool) {
+	for pi, pw := range lg.PWs {
+		sc.resident[pw.Core] = lg.res[pi].WeightsResident
+	}
+	sc.weights(st.tr, st.once, flows, remove)
 }
 
 // geom returns the parse of MS i that state st selects.
 func (d *GroupDelta) geom(st *deltaState, i int) *layerGeom { return &d.layers[i].geom[st.geom[i]] }
 
 // foldDelta folds state st's pieces into a summary as summarizeAnalysis does:
-// the occupied cores in ascending order, then onto the activation loads,
-// which sc.tr must hold, the DRAM flows and the weight loads, layer by layer
-// in ascending layer order. A core hosting two workloads makes the group
-// infeasible, as it makes core.AnalyzeInto reject it.
-func (e *Evaluator) foldDelta(d *GroupDelta, st *deltaState, sc *evalScratch, bu int) groupSummary {
+// the occupied cores in ascending order, then st's traffic. A core hosting
+// two workloads makes the group infeasible, as it makes core.AnalyzeInto
+// reject it.
+func (e *Evaluator) foldDelta(d *GroupDelta, st *deltaState, bu int) groupSummary {
 	clear(d.owner)
 	for i := range d.layers {
 		for pi, pw := range d.geom(st, i).PWs {
@@ -364,24 +375,14 @@ func (e *Evaluator) foldDelta(d *GroupDelta, st *deltaState, sc *evalScratch, bu
 		}
 	}
 	f := coreFold{sum: groupSummary{groupScalars: groupScalars{Feasible: true, BatchUnit: bu, Depth: d.depth}}}
-	for c, o := range d.owner {
+	for _, o := range d.owner {
 		if o.ms == 0 {
 			continue
 		}
 		lg := d.geom(st, int(o.ms-1))
-		r := &lg.res[o.pw]
-		if !e.foldCore(&f, &lg.Works[o.pw], r) {
+		if !e.foldCore(&f, &lg.Works[o.pw], &lg.res[o.pw]) {
 			return groupSummary{}
 		}
-		sc.resident[c] = r.WeightsResident
 	}
-
-	for _, i := range d.order {
-		addDRAM(sc.tr, d.layers[i].dram[st.dram[i]].Act)
-	}
-	sc.wOnce.Reset()
-	for _, i := range d.order {
-		sc.addWeights(d.layers[i].dram[st.dram[i]].Weights)
-	}
-	return f.summary(sc)
+	return f.summary(st.tr, st.once)
 }

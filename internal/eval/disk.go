@@ -31,20 +31,23 @@ type diskHeader struct {
 	Version int    `json:"version"`
 }
 
-// diskVersion 4 stores bandwidth-free summaries under the analysis key, the
+// diskVersion 5 stores bandwidth-free summaries under the analysis key, the
 // partitioner's stripe segments by name (Evaluator.SegmentKey) — cut-free on
-// a multi-chiplet array — and every other group by content. A named entry is
-// only as good as the stripe heuristic that built the LMS it stands for: a
-// change to what core.Stripes returns for some (graph, core array, j, i, bu)
-// must bump this version, and TestStripeEncodingPinned fails until it is
-// re-pinned alongside. Version 3 summed byte-hops per link traversal, whose
-// totals differ from today's per-class sums in the last bits, and held no
-// cut-free entries; version 2 held the partitioner's segments under content
-// keys nothing asks for any more, version 1 finished GroupResults under
-// ConfigFingerprint: files of all three load as cold.
+// a multi-chiplet array — and every other group by content, their traffic
+// counted exactly in 1/d-byte units and each figure rounded once. A named
+// entry is only as good as the stripe heuristic that built the LMS it stands
+// for: a change to what core.Stripes returns for some (graph, core array, j,
+// i, bu) must bump this version, and TestStripeEncodingPinned fails until it
+// is re-pinned alongside. Version 4 added interleaved DRAM shares of bytes/d
+// in one fixed flow order and held cut-free class loads in bytes, so its
+// summaries differ from today's in the last bits under the same keys;
+// version 3 summed byte-hops per link traversal and held no cut-free entries;
+// version 2 held the partitioner's segments under content keys nothing asks
+// for any more, version 1 finished GroupResults under ConfigFingerprint:
+// files of all four load as cold.
 const (
 	diskKind    = "gemini-eval-cache"
-	diskVersion = 4
+	diskVersion = 5
 )
 
 // diskEntry is one cache cell on disk: a group summary or a cut-free segment

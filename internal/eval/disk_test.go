@@ -190,7 +190,8 @@ func TestDiskDamagedSegmentMisses(t *testing.T) {
 	key := ev.SegmentKey(dnn.TinyCNN(), 4, 0, 2, 1)
 	path := filepath.Join(t.TempDir(), "cache.ndjson")
 	line := fmt.Sprintf(`{"a":"%016x","g":"%016x","f":"%016x","c":{"ok":true,"bu":1,"l":[{"p":1,"s":1}]}}`, key.Arch, key.Graph, key.FP)
-	if err := os.WriteFile(path, []byte(`{"kind":"gemini-eval-cache","version":4}`+"\n"+line+"\n"), 0o644); err != nil {
+	header := fmt.Sprintf(`{"kind":%q,"version":%d}`, diskKind, diskVersion)
+	if err := os.WriteFile(path, []byte(header+"\n"+line+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := cache.LoadDisk(path); err != nil || n != 1 {

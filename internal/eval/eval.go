@@ -332,10 +332,10 @@ func (e *Evaluator) summarizeGroup(s *core.Scheme, gi int) groupSummary {
 
 // EvaluateAnalysis evaluates a group from its parsed form, uncached: the
 // pipeline behind a cache miss, entered after the parse. Given core.Analyze's
-// inspection form of a group — the same parse with its activation flows in
-// canonical order — it returns exactly what EvaluateGroup returns for that
-// group, which is how the order-invariance of the miss path is checked from
-// outside the package.
+// inspection form of a group — the same parse with its activation flows
+// sorted — it returns exactly what EvaluateGroup returns for that group,
+// which is how the order-invariance of the miss path is checked from outside
+// the package.
 func (e *Evaluator) EvaluateAnalysis(an *core.Analysis, batch int) (res GroupResult) {
 	sum := e.summarizeParsed(an)
 	e.finish(&sum, batch, &res)
@@ -381,8 +381,8 @@ func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 	sc.tr.Reset()
 	AddActivations(sc.tr, an)
 	sc.wOnce.Reset()
-	sc.addWeights(an.WeightFlows)
-	return f.summary(sc)
+	sc.weights(sc.tr, sc.wOnce, an.WeightFlows, false)
+	return f.summary(sc.tr, sc.wOnce)
 }
 
 // coreFold is the per-core half of a summary in the making: the scalars and
@@ -418,21 +418,26 @@ func (e *Evaluator) foldCore(f *coreFold, w *intracore.Workload, r *intracore.Re
 }
 
 // summary completes the summary of a group whose cores f has folded and whose
-// traffic sc's pair holds.
-func (f *coreFold) summary(sc *evalScratch) groupSummary {
+// per-pass and load-once traffic tr and once hold.
+func (f *coreFold) summary(tr, once *noc.Traffic) groupSummary {
 	sum := f.sum
 	if f.nUtil > 0 {
 		sum.AvgUtil = f.utilSum / float64(f.nUtil)
 	}
-	sum.PerPass = sc.tr.Digest()
-	sum.Once = sc.wOnce.Digest()
+	sum.PerPass = tr.Digest()
+	sum.Once = once.Digest()
 	return sum
 }
 
-// addWeights routes weight loads, in list order: GLB-resident slices load
-// once per run into wOnce, slices that do not fit stream every pass into tr.
-// resident must hold the residency of every core the flows name.
-func (sc *evalScratch) addWeights(flows []core.DRAMFlow) {
+// weights routes weight loads, or takes them back out when remove is set:
+// GLB-resident slices load once per run into once, slices that do not fit
+// stream every pass into tr. resident must hold the residency of every core
+// the flows name.
+func (sc *evalScratch) weights(tr, once *noc.Traffic, flows []core.DRAMFlow, remove bool) {
+	read := (*noc.Traffic).AddDRAMReadMulticast
+	if remove {
+		read = (*noc.Traffic).RemoveDRAMReadMulticast
+	}
 	for _, f := range flows {
 		res, str := sc.resBuf[:0], sc.strBuf[:0]
 		for _, c := range f.Cores {
@@ -443,36 +448,33 @@ func (sc *evalScratch) addWeights(flows []core.DRAMFlow) {
 			}
 		}
 		sc.resBuf, sc.strBuf = res, str
-		if len(res) > 0 {
-			sc.wOnce.AddDRAMReadMulticast(f.Ctrl, res, f.Bytes)
-		}
-		if len(str) > 0 {
-			sc.tr.AddDRAMReadMulticast(f.Ctrl, str, f.Bytes)
-		}
+		read(once, f.Ctrl, res, f.Bytes)
+		read(tr, f.Ctrl, str, f.Bytes)
 	}
 }
 
 // AddActivations routes one pass of an analyzed group's activation traffic
 // into tr: the core-to-core multicasts, then the activation DRAM reads and
-// writes. ActFlows may come in emission order (core.AnalyzeInto) or sorted
-// (core.Analyze): their bytes are integers added onto zeroed loads ahead of
-// any DRAM flow, so every partial sum is exact and the order cannot be seen.
-// The DRAM list is in canonical order, because an interleaved share is not an
-// integer.
+// writes.
 func AddActivations(tr *noc.Traffic, an *core.Analysis) {
 	for _, f := range an.ActFlows {
 		tr.AddMulticast(f.Src, f.Dsts, f.Bytes)
 	}
-	addDRAM(tr, an.ActDRAM)
+	addDRAM(tr, an.ActDRAM, false)
 }
 
-// addDRAM routes activation DRAM reads and writes into tr in list order.
-func addDRAM(tr *noc.Traffic, flows []core.DRAMFlow) {
+// addDRAM routes activation DRAM reads and writes into tr, or takes them back
+// out when remove is set.
+func addDRAM(tr *noc.Traffic, flows []core.DRAMFlow, remove bool) {
+	read, write := (*noc.Traffic).AddDRAMReadMulticast, (*noc.Traffic).AddDRAMWrite
+	if remove {
+		read, write = (*noc.Traffic).RemoveDRAMReadMulticast, (*noc.Traffic).RemoveDRAMWrite
+	}
 	for _, f := range flows {
 		if f.Write {
-			tr.AddDRAMWrite(f.Ctrl, f.Cores[0], f.Bytes)
+			write(tr, f.Ctrl, f.Cores[0], f.Bytes)
 		} else {
-			tr.AddDRAMReadMulticast(f.Ctrl, f.Cores, f.Bytes)
+			read(tr, f.Ctrl, f.Cores, f.Bytes)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"gemini/internal/dnn"
 	"gemini/internal/eval"
 	"gemini/internal/graphpart"
+	"gemini/internal/noc"
 )
 
 // orderCase is one partitioned model on one architecture, with the evaluator
@@ -45,41 +46,58 @@ var orderCases = sync.OnceValue(func() []orderCase {
 })
 
 // checkOrderInvariant summarizes group gi of the case from core.Analyze's
-// canonically sorted flows, then again under `perms` seeded shuffles of
-// ActFlows, and requires every summary to be == the sorted one. It also
-// requires what makes that true: integer bytes, and totals below 2^53.
+// flows, then again under `perms` seeded shuffles of ActFlows, ActDRAM and
+// WeightFlows, and requires every summary to be == the first. It also
+// requires what makes that true: integer bytes, and loads below 2^53 in the
+// traffic's 1/d-byte unit.
 func checkOrderInvariant(t *testing.T, c orderCase, s *core.Scheme, gi int, seed int64, perms int) {
 	t.Helper()
 	an, err := core.Analyze(s, gi, c.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted := c.ev.SummarizeAnalysis(an)
-	checkIntegral(t, an, sorted)
+	first := c.ev.SummarizeAnalysis(an)
+	checkIntegral(t, c.cfg, an, first)
 	rng := rand.New(rand.NewSource(seed))
 	for p := 0; p < perms; p++ {
 		rng.Shuffle(len(an.ActFlows), func(i, j int) { an.ActFlows[i], an.ActFlows[j] = an.ActFlows[j], an.ActFlows[i] })
-		if got := c.ev.SummarizeAnalysis(an); got != sorted {
-			t.Fatalf("%s on %s group %d, shuffle %d of seed %d: summary %+v, with ActFlows sorted %+v",
-				s.Graph.Name, c.cfg.Name, gi, p, seed, got, sorted)
+		rng.Shuffle(len(an.ActDRAM), func(i, j int) { an.ActDRAM[i], an.ActDRAM[j] = an.ActDRAM[j], an.ActDRAM[i] })
+		rng.Shuffle(len(an.WeightFlows), func(i, j int) { an.WeightFlows[i], an.WeightFlows[j] = an.WeightFlows[j], an.WeightFlows[i] })
+		if got := c.ev.SummarizeAnalysis(an); got != first {
+			t.Fatalf("%s on %s group %d, shuffle %d of seed %d: summary %+v, in emission order %+v",
+				s.Graph.Name, c.cfg.Name, gi, p, seed, got, first)
 		}
 	}
 }
 
-// checkIntegral asserts the premise of leaving ActFlows unsorted: every
-// activation flow carries an integer number of bytes, and a pass's byte-hop
-// totals stay below 2^53, so every partial sum of them is exact in any order.
-func checkIntegral(t *testing.T, an *core.Analysis, sum eval.Summary) {
+// checkIntegral asserts the premise of adding flows in any order: every
+// activation and DRAM flow carries an integer number of bytes, and d times
+// each traffic's byte total — its largest load in units of 1/d byte, on an
+// array of d DRAM controllers — stays below 2^53, so every partial sum of
+// the loads is exact.
+func checkIntegral(t *testing.T, cfg *arch.Config, an *core.Analysis, sum eval.Summary) {
 	t.Helper()
 	const exact = 1 << 53
-	for _, f := range an.ActFlows {
-		if f.Bytes != math.Trunc(f.Bytes) || f.Bytes < 0 {
-			t.Fatalf("activation flow of %v bytes: the evaluator sums ActFlows in emission order because their bytes are "+
-				"non-negative integers (dnn.ElemBytes = %v); a fractional ElemBytes must bring the ActFlows sort back", f.Bytes, float64(dnn.ElemBytes))
+	integral := func(kind string, bytes float64) {
+		if bytes != math.Trunc(bytes) || bytes < 0 {
+			t.Fatalf("%s flow of %v bytes: the evaluator sums flows in any order because their bytes are "+
+				"non-negative integers (dnn.ElemBytes = %v); a fractional ElemBytes must bring a fixed flow order back", kind, bytes, float64(dnn.ElemBytes))
 		}
 	}
-	if total := sum.PerPass.NoCBytes + sum.PerPass.D2DBytes; total >= exact {
-		t.Fatalf("a pass moves %v byte-hops, not below 2^53: integer sums are no longer exact, so the ActFlows sort must come back", total)
+	for _, f := range an.ActFlows {
+		integral("activation", f.Bytes)
+	}
+	for _, f := range an.ActDRAM {
+		integral("DRAM activation", f.Bytes)
+	}
+	for _, f := range an.WeightFlows {
+		integral("weight", f.Bytes)
+	}
+	d := float64(cfg.DRAMControllers())
+	for _, dg := range []noc.Digest{sum.PerPass, sum.Once} {
+		if total := d * (dg.NoCBytes + dg.D2DBytes + dg.DRAMBytes); total >= exact {
+			t.Fatalf("a traffic of %v units (d = %v): not below 2^53, so integer sums are no longer exact in any order", total, d)
+		}
 	}
 }
 
@@ -98,13 +116,14 @@ func walk(t *testing.T, c orderCase, seed int64, n int, visit func(s *core.Schem
 	}
 }
 
-// TestDigestInvariantUnderActFlowOrder is the oracle for summing activation
-// flows unsorted: for every group of the partitioned ResNet-50 and Transformer
-// on three architectures (mesh, six chiplets, folded torus) and for the group
-// touched by each of 200 SA moves from each, 8 seeded permutations of ActFlows
-// summarize to exactly the summary of the sorted list.
-func TestDigestInvariantUnderActFlowOrder(t *testing.T) {
-	groups, flows := 0, 0
+// TestDigestInvariantUnderFlowOrder is the oracle for adding flows in any
+// order: for every group of the partitioned ResNet-50 and Transformer on three
+// architectures (mesh, six chiplets, folded torus) and for the group touched
+// by each of 200 SA moves from each, 8 seeded permutations of ActFlows,
+// ActDRAM and WeightFlows summarize to exactly the summary of the lists as
+// core.Analyze returns them.
+func TestDigestInvariantUnderFlowOrder(t *testing.T) {
+	groups, flows, dram := 0, 0, 0
 	for ci, c := range orderCases() {
 		for gi := range c.s.Groups {
 			checkOrderInvariant(t, c, c.s, gi, int64(gi), 8)
@@ -119,15 +138,16 @@ func TestDigestInvariantUnderActFlowOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		flows += len(an.ActFlows)
+		dram += min(len(an.ActDRAM), len(an.WeightFlows))
 	}
 	t.Logf("%d group states x 8 permutations", groups)
-	if flows == 0 {
-		t.Error("no case has an activation flow in group 0: nothing was permuted")
+	if flows == 0 || dram == 0 {
+		t.Errorf("group 0 of every case has %d activation flows and min(ActDRAM, WeightFlows) = %d: nothing was permuted", flows, dram)
 	}
 }
 
 // TestActFlowBytesIntegral checks the premise alone over a longer walk: every
-// emitted CoreFlow.Bytes equals its Trunc and a pass's total stays below 2^53.
+// emitted flow's bytes equal their Trunc and every load stays below 2^53.
 func TestActFlowBytesIntegral(t *testing.T) {
 	for ci, c := range orderCases() {
 		walk(t, c, int64(500+ci), 400, func(s *core.Scheme, gi int) {
@@ -135,14 +155,14 @@ func TestActFlowBytesIntegral(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkIntegral(t, an, c.ev.SummarizeAnalysis(an))
+			checkIntegral(t, c.cfg, an, c.ev.SummarizeAnalysis(an))
 		})
 	}
 }
 
-// FuzzActFlowOrder fuzzes the permutation seed, the case, and how far a
-// seeded SA walk has moved the scheme before the touched group is permuted.
-func FuzzActFlowOrder(f *testing.F) {
+// FuzzFlowOrder fuzzes the permutation seed, the case, and how far a seeded
+// SA walk has moved the scheme before the touched group's flows are permuted.
+func FuzzFlowOrder(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0))
 	f.Add(int64(-7), uint8(3), uint8(40))
 	f.Add(int64(1<<40), uint8(5), uint8(255))

@@ -49,10 +49,28 @@ func TestDiskV2FileLoadsCold(t *testing.T) {
 // computes every entry again — the same 187 — and lands on the costs the
 // version-3 evaluator computed.
 func TestDiskV3FileLoadsCold(t *testing.T) {
+	checkParentSpillLoadsCold(t, "evalcache_v3_parent.ndjson", 1.2625220656183211e-05, 1.5747418970994997e-10)
+}
+
+// TestDiskV4FileLoadsCold: testdata/evalcache_v4_parent.ndjson is the same
+// partition and anneal spilled by the commit before traffic was counted in
+// 1/d-byte units. Its summaries differ from today's in the last bits under
+// the same keys, so the file loads as a cold cache, and repeating both
+// computes the same 187 entries again.
+func TestDiskV4FileLoadsCold(t *testing.T) {
+	checkParentSpillLoadsCold(t, "evalcache_v4_parent.ndjson", 1.262522065618321e-05, 1.5747418970994997e-10)
+}
+
+// checkParentSpillLoadsCold loads the parent commit's spill of a TinyCNN
+// partition on G-Arch-72 at batch 4 and a 150-iteration anneal of it, wants a
+// cold cache, repeats both, and wants all 187 entries computed and the given
+// partition and SA costs.
+func checkParentSpillLoadsCold(t *testing.T, file string, partitionCost, saCost float64) {
+	t.Helper()
 	cache := eval.NewCache()
-	n, err := cache.LoadDisk(filepath.Join("testdata", "evalcache_v3_parent.ndjson"))
+	n, err := cache.LoadDisk(filepath.Join("testdata", file))
 	if err != nil || n != 0 || cache.Stats().Entries != 0 {
-		t.Fatalf("v3 file: loaded %d entries (%d resident), err %v; want a cold cache", n, cache.Stats().Entries, err)
+		t.Fatalf("%s: loaded %d entries (%d resident), err %v; want a cold cache", file, n, cache.Stats().Entries, err)
 	}
 	cfg := arch.GArch72()
 	ev := eval.NewWithCache(&cfg, cache)
@@ -64,10 +82,10 @@ func TestDiskV3FileLoadsCold(t *testing.T) {
 	opt.Iterations = 150
 	r := sa.Optimize(res.Scheme, ev, opt)
 	if st := cache.Stats(); st.DiskHits != 0 || st.Misses != 187 || st.Entries != 187 {
-		t.Errorf("partition + SA after a v3 load: %+v; want the fixture's 187 entries, all computed", st)
+		t.Errorf("partition + SA after loading %s: %+v; want the fixture's 187 entries, all computed", file, st)
 	}
-	if res.Cost != 1.2625220656183211e-05 || r.Cost != 1.5747418970994997e-10 {
-		t.Errorf("partition cost %v, SA cost %v; the parent computed 1.2625220656183211e-05 and 1.5747418970994997e-10", res.Cost, r.Cost)
+	if res.Cost != partitionCost || r.Cost != saCost {
+		t.Errorf("partition cost %v, SA cost %v; want %v and %v", res.Cost, r.Cost, partitionCost, saCost)
 	}
 }
 

@@ -139,13 +139,7 @@ func (e *Evaluator) Report(s *core.Scheme) (*SchemeReport, error) {
 		}
 		netOnly := tr.BottleneckTime()
 		trD := e.Net.NewTraffic()
-		for _, f := range an.ActDRAM {
-			if f.Write {
-				trD.AddDRAMWrite(f.Ctrl, f.Cores[0], f.Bytes)
-			} else {
-				trD.AddDRAMReadMulticast(f.Ctrl, f.Cores, f.Bytes)
-			}
-		}
+		addDRAM(trD, an.ActDRAM, false)
 		dramOnly := trD.BottleneckTime()
 		grep.NetTime = netOnly
 		grep.DRAMTime = dramOnly

@@ -52,7 +52,7 @@ func canonicalKeys(cfg *arch.Config) []classKey {
 
 // bruteDigest recomputes tr's Digest link by link from geometry: each
 // class's loads summed in link order, the classes added in canonical order,
-// each link's D2D flag its own.
+// each link's D2D flag its own, and every figure converted to bytes last.
 func bruteDigest(t *testing.T, n *Network, tr *Traffic) Digest {
 	var d Digest
 	for _, key := range canonicalKeys(n.Cfg) {
@@ -67,11 +67,11 @@ func bruteDigest(t *testing.T, n *Network, tr *Traffic) Digest {
 			}
 			d2d = link.D2D
 			members++
-			sum += tr.Load[l]
+			sum += tr.load[l]
 			if link.D2D {
-				d.PeakD2D = max(d.PeakD2D, tr.Load[l])
+				d.PeakD2D = max(d.PeakD2D, tr.load[l])
 			} else {
-				d.PeakNoC = max(d.PeakNoC, tr.Load[l])
+				d.PeakNoC = max(d.PeakNoC, tr.load[l])
 			}
 		}
 		if members == 0 {
@@ -83,12 +83,14 @@ func bruteDigest(t *testing.T, n *Network, tr *Traffic) Digest {
 			d.NoCBytes += sum
 		}
 	}
-	for i := range tr.DRAMRead {
-		v := tr.DRAMRead[i] + tr.DRAMWrite[i]
+	for i := range tr.dramRead {
+		v := tr.dramRead[i] + tr.dramWrite[i]
 		d.PeakDRAM = max(d.PeakDRAM, v)
 		d.DRAMBytes += v
 	}
-	return d
+	u := n.units()
+	return Digest{PeakNoC: d.PeakNoC / u, PeakD2D: d.PeakD2D / u, PeakDRAM: d.PeakDRAM / u,
+		NoCBytes: d.NoCBytes / u, D2DBytes: d.D2DBytes / u, DRAMBytes: d.DRAMBytes / u}
 }
 
 // TestBoundaryClassRule discharges the boundary-class rule by exhaustive
@@ -132,11 +134,11 @@ func TestBoundaryClassRule(t *testing.T) {
 							t.Fatalf("%dx%d %s: %d classes, geometry names %d", w, h, topo, classes, len(canonicalKeys(&cfg)))
 						}
 						tr := n.NewTraffic()
-						for l := range tr.Load {
-							tr.Load[l] = 1000 * rng.Float64()
+						for l := range tr.load {
+							tr.load[l] = 1000 * rng.Float64()
 						}
-						for i := range tr.DRAMRead {
-							tr.DRAMRead[i], tr.DRAMWrite[i] = 1000*rng.Float64(), 1000*rng.Float64()
+						for i := range tr.dramRead {
+							tr.dramRead[i], tr.dramWrite[i] = 1000*rng.Float64(), 1000*rng.Float64()
 						}
 						if got, want := tr.Digest(), bruteDigest(t, n, tr); got != want {
 							t.Fatalf("%dx%d %s cut %dx%d: Digest %+v, link by link %+v", w, h, topo, xc, yc, got, want)

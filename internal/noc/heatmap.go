@@ -17,11 +17,11 @@ type HeatmapRow struct {
 	Pressure float64
 }
 
-// HeatmapRows returns per-link loads sorted by descending pressure.
+// HeatmapRows returns per-link loads in bytes sorted by descending pressure.
 func (t *Traffic) HeatmapRows() []HeatmapRow {
-	rows := make([]HeatmapRow, 0, len(t.Load))
-	for i, load := range t.Load {
-		l := t.net.Links[i]
+	rows := make([]HeatmapRow, 0, len(t.load))
+	for i := range t.load {
+		l, load := t.net.Links[i], t.linkBytes(i)
 		fx, fy := t.net.Cfg.CoreXY(l.From)
 		tx, ty := t.net.Cfg.CoreXY(l.To)
 		bw := t.net.LinkBW(i)
@@ -52,12 +52,12 @@ func (t *Traffic) ASCII() string {
 	cfg := t.net.Cfg
 	maxP := 0.0
 	peak := make([]float64, cfg.Cores())
-	for i, load := range t.Load {
+	for i := range t.load {
 		bw := t.net.LinkBW(i)
 		if bw <= 0 {
 			continue
 		}
-		p := load / bw
+		p := t.linkBytes(i) / bw
 		from := int(t.net.Links[i].From)
 		if p > peak[from] {
 			peak[from] = p

@@ -386,14 +386,22 @@ func (n *Network) buildPorts(ports []arch.DRAMPort) {
 // Controllers returns the number of DRAM controllers.
 func (n *Network) Controllers() int { return n.ctrls }
 
-// Traffic accumulates byte loads per link and per DRAM controller for one
-// pipeline pass.
+// Traffic accumulates the loads per link and per DRAM controller of one
+// pipeline pass, counted in units of 1/d byte on a network of d controllers.
+// A flow of one source or one controller adds bytes·d to every link of its
+// tree (and to its controller); a DRAM flow interleaved over all d
+// controllers adds bytes to each controller and to every link of each
+// controller's tree. Integer byte counts thus load everything by integers,
+// and while a load stays below 2^53 every partial sum is exact: the loads are
+// the same whatever order the flows come in, and a removal takes back exactly
+// what its addition added. Only the readers convert to bytes, each of its
+// figures once.
 type Traffic struct {
 	net  *Network
-	Load []float64 // bytes per link
+	load []float64 // per link
 
-	DRAMRead  []float64 // bytes read from each controller
-	DRAMWrite []float64 // bytes written to each controller
+	dramRead  []float64 // per controller
+	dramWrite []float64 // per controller
 
 	// Multicast link dedup: visited[l] == epoch marks link l as already
 	// counted for the current multicast tree. Bumping epoch clears the set
@@ -408,9 +416,9 @@ type Traffic struct {
 func (n *Network) NewTraffic() *Traffic {
 	return &Traffic{
 		net:       n,
-		Load:      make([]float64, len(n.Links)),
-		DRAMRead:  make([]float64, n.Controllers()),
-		DRAMWrite: make([]float64, n.Controllers()),
+		load:      make([]float64, len(n.Links)),
+		dramRead:  make([]float64, n.Controllers()),
+		dramWrite: make([]float64, n.Controllers()),
 		visited:   make([]uint64, len(n.Links)),
 		cls:       make([]ClassLoad, n.Classes()),
 	}
@@ -418,23 +426,28 @@ func (n *Network) NewTraffic() *Traffic {
 
 // Reset clears all accumulated loads.
 func (t *Traffic) Reset() {
-	clear(t.Load)
-	clear(t.DRAMRead)
-	clear(t.DRAMWrite)
+	clear(t.load)
+	clear(t.dramRead)
+	clear(t.dramWrite)
 }
 
-func (t *Traffic) addPath(path []int32, bytes float64) {
+// CopyFrom makes t's loads those of u, a Traffic of the same network.
+func (t *Traffic) CopyFrom(u *Traffic) {
+	copy(t.load, u.load)
+	copy(t.dramRead, u.dramRead)
+	copy(t.dramWrite, u.dramWrite)
+}
+
+// units is the number of load units in a byte: the controller count.
+func (n *Network) units() float64 { return float64(n.ctrls) }
+
+// linkBytes returns link l's load in bytes.
+func (t *Traffic) linkBytes(l int) float64 { return t.load[l] / t.net.units() }
+
+func (t *Traffic) addPath(path []int32, units float64) {
 	for _, l := range path {
-		t.Load[l] += bytes
+		t.load[l] += units
 	}
-}
-
-// AddUnicast accumulates a core-to-core transfer.
-func (t *Traffic) AddUnicast(src, dst arch.CoreID, bytes float64) {
-	if bytes <= 0 {
-		return
-	}
-	t.addPath(t.net.Route(src, dst), bytes)
 }
 
 // AddMulticast accumulates a transfer of the same bytes from src to every
@@ -444,104 +457,120 @@ func (t *Traffic) AddMulticast(src arch.CoreID, dsts []arch.CoreID, bytes float6
 	if bytes <= 0 || len(dsts) == 0 {
 		return
 	}
-	t.multicast(src, dsts, bytes)
+	t.multicast(src, dsts, bytes*t.net.units())
 }
 
-// RemoveMulticast takes back what AddMulticast(src, dsts, bytes) added: it
-// subtracts the bytes from every link of the same routing tree. For integer
-// byte counts whose sums stay below 2^53 every partial sum is exact, so the
-// loads end as if the multicast had never been added.
+// RemoveMulticast takes back what AddMulticast(src, dsts, bytes) added.
 func (t *Traffic) RemoveMulticast(src arch.CoreID, dsts []arch.CoreID, bytes float64) {
 	if bytes <= 0 || len(dsts) == 0 {
 		return
 	}
-	t.multicast(src, dsts, -bytes)
+	t.multicast(src, dsts, -bytes*t.net.units())
 }
 
-// multicast adds bytes, of either sign, to every link of the union routing
+// multicast adds units, of either sign, to every link of the union routing
 // tree from src to dsts.
-func (t *Traffic) multicast(src arch.CoreID, dsts []arch.CoreID, bytes float64) {
+func (t *Traffic) multicast(src arch.CoreID, dsts []arch.CoreID, units float64) {
 	if len(dsts) == 1 {
-		t.addPath(t.net.Route(src, dsts[0]), bytes)
+		t.addPath(t.net.Route(src, dsts[0]), units)
 		return
 	}
 	t.epoch++
 	for _, d := range dsts {
-		for _, l := range t.net.Route(src, d) {
-			if t.visited[l] == t.epoch {
-				continue
-			}
-			t.visited[l] = t.epoch
-			t.Load[l] += bytes
+		t.addNew(t.net.Route(src, d), units)
+	}
+}
+
+// addNew adds units to every link of path not yet counted for this epoch's
+// tree.
+func (t *Traffic) addNew(path []int32, units float64) {
+	for _, l := range path {
+		if t.visited[l] == t.epoch {
+			continue
 		}
+		t.visited[l] = t.epoch
+		t.load[l] += units
 	}
 }
 
 // AddDRAMWrite accumulates a core-to-controller transfer. ctrl < 0 means
 // interleaved: the bytes spread evenly over all controllers (FD value 0).
 func (t *Traffic) AddDRAMWrite(ctrl int, src arch.CoreID, bytes float64) {
-	if bytes <= 0 {
-		return
+	if bytes > 0 {
+		t.write(ctrl, src, bytes)
 	}
-	if ctrl < 0 {
-		d := float64(t.net.Controllers())
-		for c := 0; c < t.net.Controllers(); c++ {
-			t.AddDRAMWrite(c, src, bytes/d)
-		}
-		return
+}
+
+// RemoveDRAMWrite takes back what AddDRAMWrite(ctrl, src, bytes) added.
+func (t *Traffic) RemoveDRAMWrite(ctrl int, src arch.CoreID, bytes float64) {
+	if bytes > 0 {
+		t.write(ctrl, src, -bytes)
 	}
-	ctrl %= t.net.Controllers()
-	t.DRAMWrite[ctrl] += bytes
-	t.addPath(t.net.Route(src, t.net.PortCore(ctrl, src)), bytes)
 }
 
 // AddDRAMReadMulticast accumulates a DRAM read multicast to several cores
 // (e.g. a weight slice shared by replicated workloads). ctrl < 0 means
 // interleaved.
 func (t *Traffic) AddDRAMReadMulticast(ctrl int, dsts []arch.CoreID, bytes float64) {
-	if bytes <= 0 || len(dsts) == 0 {
-		return
+	if bytes > 0 && len(dsts) > 0 {
+		t.read(ctrl, dsts, bytes)
 	}
+}
+
+// RemoveDRAMReadMulticast takes back what AddDRAMReadMulticast(ctrl, dsts,
+// bytes) added.
+func (t *Traffic) RemoveDRAMReadMulticast(ctrl int, dsts []arch.CoreID, bytes float64) {
+	if bytes > 0 && len(dsts) > 0 {
+		t.read(ctrl, dsts, -bytes)
+	}
+}
+
+// spread returns the controllers [lo,hi) a DRAM flow of bytes, of either
+// sign, on ctrl loads and the units it adds to each: bytes·d to ctrl alone,
+// wrapped as PortCore wraps it, or bytes to every controller when ctrl < 0.
+func (t *Traffic) spread(ctrl int, bytes float64) (lo, hi int, units float64) {
 	if ctrl < 0 {
-		d := float64(t.net.Controllers())
-		for c := 0; c < t.net.Controllers(); c++ {
-			t.dramReadMulticastOne(c, dsts, bytes/d)
-		}
-		return
+		return 0, t.net.ctrls, bytes
 	}
-	t.dramReadMulticastOne(ctrl, dsts, bytes)
+	ctrl %= t.net.ctrls
+	return ctrl, ctrl + 1, bytes * t.net.units()
 }
 
-func (t *Traffic) dramReadMulticastOne(ctrl int, dsts []arch.CoreID, bytes float64) {
-	ctrl %= t.net.Controllers() // as AddDRAMWrite and PortCore wrap it
-	t.DRAMRead[ctrl] += bytes
-	t.epoch++
-	for _, d := range dsts {
-		port := t.net.PortCore(ctrl, d)
-		for _, l := range t.net.Route(port, d) {
-			if t.visited[l] == t.epoch {
-				continue
-			}
-			t.visited[l] = t.epoch
-			t.Load[l] += bytes
-		}
+// write adds a write of bytes, of either sign, from src to ctrl.
+func (t *Traffic) write(ctrl int, src arch.CoreID, bytes float64) {
+	lo, hi, units := t.spread(ctrl, bytes)
+	for c := lo; c < hi; c++ {
+		t.dramWrite[c] += units
+		t.addPath(t.net.Route(src, t.net.PortCore(c, src)), units)
 	}
 }
 
-// ClassLoad is the traffic of one class of channels: the largest byte load
-// on any one of them and their total.
+// read adds a read of bytes, of either sign, from ctrl multicast to dsts.
+func (t *Traffic) read(ctrl int, dsts []arch.CoreID, bytes float64) {
+	lo, hi, units := t.spread(ctrl, bytes)
+	for c := lo; c < hi; c++ {
+		t.dramRead[c] += units
+		t.epoch++
+		for _, d := range dsts {
+			t.addNew(t.net.Route(t.net.PortCore(c, d), d), units)
+		}
+	}
+}
+
+// ClassLoad is the traffic of one class of channels: the largest load on any
+// one of them and their total, in the unit of the Traffic it came from, which
+// Network.Resolve converts to bytes.
 type ClassLoad struct {
 	Peak float64 `json:"p,omitempty"`
 	Sum  float64 `json:"s,omitempty"`
 }
 
-// ClassLoads returns the accumulated link loads per boundary class, each
-// class's Sum added up in link order. The slice is the Traffic's own and is
-// overwritten by the next call.
+// ClassLoads returns the accumulated link loads per boundary class. The slice
+// is the Traffic's own and is overwritten by the next call.
 func (t *Traffic) ClassLoads() []ClassLoad {
 	cls := t.cls
 	clear(cls)
-	for l, load := range t.Load {
+	for l, load := range t.load {
 		c := &cls[t.net.class[l]]
 		c.Sum += load
 		if load > c.Peak {
@@ -552,12 +581,11 @@ func (t *Traffic) ClassLoads() []ClassLoad {
 }
 
 // DRAMLoad returns the controller traffic as one class: the most loaded
-// controller's reads plus writes, and the total over controllers in index
-// order.
+// controller's reads plus writes, and the total over controllers.
 func (t *Traffic) DRAMLoad() ClassLoad {
 	var d ClassLoad
-	for i := range t.DRAMRead {
-		v := t.DRAMRead[i] + t.DRAMWrite[i]
+	for i := range t.dramRead {
+		v := t.dramRead[i] + t.dramWrite[i]
 		if v > d.Peak {
 			d.Peak = v
 		}
@@ -567,27 +595,27 @@ func (t *Traffic) DRAMLoad() ClassLoad {
 }
 
 // Resolve folds per-class link loads (ClassLoads of a Traffic on any network
-// with this core array and topology) and a DRAM load into a Digest under
-// this network's cut, adding the classes in ascending order. Traffic.Digest
-// is Resolve over the Traffic's own loads, so a Digest resolved from stored
-// class loads is the Digest of the Traffic they came from, bit for bit, on
-// whichever cut of the array asks.
+// with this core array, topology and controller count) and a DRAM load into a
+// Digest under this network's cut. Each field is an exact sum or maximum of
+// loads converted to bytes once, so a Digest resolved from stored class loads
+// is the Digest of the Traffic they came from, bit for bit, on whichever cut
+// of the array asks.
 func (n *Network) Resolve(links []ClassLoad, dram ClassLoad) Digest {
-	d := Digest{PeakDRAM: dram.Peak, DRAMBytes: dram.Sum}
+	var d Digest
 	for c, cl := range links {
 		if n.classD2D[c] {
 			d.D2DBytes += cl.Sum
-			if cl.Peak > d.PeakD2D {
-				d.PeakD2D = cl.Peak
-			}
+			d.PeakD2D = max(d.PeakD2D, cl.Peak)
 		} else {
 			d.NoCBytes += cl.Sum
-			if cl.Peak > d.PeakNoC {
-				d.PeakNoC = cl.Peak
-			}
+			d.PeakNoC = max(d.PeakNoC, cl.Peak)
 		}
 	}
-	return d
+	u := n.units()
+	return Digest{
+		PeakNoC: d.PeakNoC / u, PeakD2D: d.PeakD2D / u, PeakDRAM: dram.Peak / u,
+		NoCBytes: d.NoCBytes / u, D2DBytes: d.D2DBytes / u, DRAMBytes: dram.Sum / u,
+	}
 }
 
 // Digest is the bandwidth-free summary of a Traffic: the peak load of each
@@ -654,15 +682,18 @@ func (t *Traffic) TotalBytes() (onchip, d2d, dram float64) {
 	return d.NoCBytes, d.D2DBytes, d.DRAMBytes
 }
 
-// MaxLinkLoad returns the largest per-link byte load and its index.
+// MaxLinkLoad returns the largest per-link load in bytes and its index.
 func (t *Traffic) MaxLinkLoad() (float64, int) {
 	best, idx := 0.0, -1
-	for i, v := range t.Load {
+	for i, v := range t.load {
 		if v > best {
 			best, idx = v, i
 		}
 	}
-	return best, idx
+	if idx < 0 {
+		return 0, -1
+	}
+	return t.linkBytes(idx), idx
 }
 
 const inf = 1e300

@@ -15,8 +15,8 @@ func TestD2DPressureDoubling(t *testing.T) {
 	c := meshCfg() // NoC 32, D2D 16
 	n := New(c)
 	tr := n.NewTraffic()
-	tr.AddUnicast(c.CoreAt(1, 0), c.CoreAt(2, 0), 1000) // on-chip
-	tr.AddUnicast(c.CoreAt(2, 1), c.CoreAt(3, 1), 1000) // D2D crossing
+	tr.AddMulticast(c.CoreAt(1, 0), []arch.CoreID{c.CoreAt(2, 0)}, 1000) // on-chip
+	tr.AddMulticast(c.CoreAt(2, 1), []arch.CoreID{c.CoreAt(3, 1)}, 1000) // D2D crossing
 	var onP, d2dP float64
 	for _, r := range tr.HeatmapRows() {
 		if r.Bytes == 0 {
@@ -74,7 +74,7 @@ func TestCSVStable(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
 	tr := n.NewTraffic()
-	tr.AddUnicast(c.CoreAt(0, 0), c.CoreAt(5, 5), 500)
+	tr.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 5)}, 500)
 	a, b := tr.CSV(), tr.CSV()
 	if a != b {
 		t.Error("CSV output not deterministic")
@@ -89,7 +89,7 @@ func TestBottleneckInfiniteOnZeroBW(t *testing.T) {
 	cfg.D2DBW = 0
 	n := New(&cfg)
 	tr := n.NewTraffic()
-	tr.AddUnicast(cfg.CoreAt(2, 0), cfg.CoreAt(3, 0), 100)
+	tr.AddMulticast(cfg.CoreAt(2, 0), []arch.CoreID{cfg.CoreAt(3, 0)}, 100)
 	if got := tr.BottleneckTime(); got < 1e100 {
 		t.Errorf("zero-bandwidth link should give effectively infinite time, got %v", got)
 	}
@@ -122,11 +122,13 @@ func TestLinkBWSumMatchesLinkGraph(t *testing.T) {
 	}
 }
 
-// TestDRAMReadControllerIndexing: a single-destination DRAM read multicast is
-// a unicast from the controller's port to the destination, for every
-// controller index a caller can pass — interleaved (-1), in range, and past
-// the end, which every entry point wraps the same way (AddDRAMReadMulticast
-// used to index the load table raw and panic).
+// TestDRAMReadControllerIndexing: a single-destination DRAM read multicast
+// loads the controller and the route from the controller's port to the
+// destination — 4096·d units for a pinned read, 4096 on each of the d
+// controllers for an interleaved one — for every controller index a caller
+// can pass: interleaved (-1), in range, and past the end, which every entry
+// point wraps the same way (AddDRAMReadMulticast used to index the load table
+// raw and panic).
 func TestDRAMReadControllerIndexing(t *testing.T) {
 	torus := arch.GArchTorus()
 	for _, cfg := range []*arch.Config{meshCfg(), &torus} {
@@ -134,22 +136,22 @@ func TestDRAMReadControllerIndexing(t *testing.T) {
 		for ctrl := -1; ctrl < 2*n.Controllers(); ctrl++ {
 			for dst := arch.CoreID(0); int(dst) < cfg.Cores(); dst++ {
 				uni, multi := n.NewTraffic(), n.NewTraffic()
-				read := func(c int, bytes float64) {
-					uni.DRAMRead[c%n.Controllers()] += bytes
-					uni.AddUnicast(n.PortCore(c, dst), dst, bytes)
+				read := func(c int, units float64) {
+					uni.dramRead[c%n.Controllers()] += units
+					uni.addPath(n.Route(n.PortCore(c, dst), dst), units)
 				}
 				if ctrl < 0 {
 					for c := 0; c < n.Controllers(); c++ {
-						read(c, 4096/float64(n.Controllers()))
+						read(c, 4096)
 					}
 				} else {
-					read(ctrl, 4096)
+					read(ctrl, 4096*n.units())
 				}
 				multi.AddDRAMReadMulticast(ctrl, []arch.CoreID{dst}, 4096)
-				if !reflect.DeepEqual(uni.Load, multi.Load) || !reflect.DeepEqual(uni.DRAMRead, multi.DRAMRead) ||
+				if !reflect.DeepEqual(uni.load, multi.load) || !reflect.DeepEqual(uni.dramRead, multi.dramRead) ||
 					uni.Digest() != multi.Digest() {
 					t.Fatalf("%s ctrl %d -> core %d: unicast read %v/%+v, single-destination multicast %v/%+v",
-						cfg.Name, ctrl, dst, uni.DRAMRead, uni.Digest(), multi.DRAMRead, multi.Digest())
+						cfg.Name, ctrl, dst, uni.dramRead, uni.Digest(), multi.dramRead, multi.Digest())
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -112,7 +113,7 @@ func TestUnicastAccumulates(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
 	tr := n.NewTraffic()
-	tr.AddUnicast(c.CoreAt(0, 0), c.CoreAt(3, 0), 100)
+	tr.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(3, 0)}, 100)
 	onchip, d2d, _ := tr.TotalBytes()
 	// 3 hops: two on-chip (0->1->2), one D2D (2->3).
 	if onchip != 200 || d2d != 100 {
@@ -131,7 +132,7 @@ func TestMulticastDedup(t *testing.T) {
 
 	uni := n.NewTraffic()
 	for _, d := range dsts {
-		uni.AddUnicast(src, d, 100)
+		uni.AddMulticast(src, []arch.CoreID{d}, 100)
 	}
 	multi := n.NewTraffic()
 	multi.AddMulticast(src, dsts, 100)
@@ -147,7 +148,7 @@ func TestMulticastDedup(t *testing.T) {
 	}
 	// Longest single path is a lower bound.
 	single := n.NewTraffic()
-	single.AddUnicast(src, dsts[2], 100)
+	single.AddMulticast(src, []arch.CoreID{dsts[2]}, 100)
 	so, _, _ := single.TotalBytes()
 	if mo < so {
 		t.Errorf("multicast %v below longest unicast %v", mo, so)
@@ -168,9 +169,9 @@ func TestMulticastPropertyBounds(t *testing.T) {
 		uni, multi := n.NewTraffic(), n.NewTraffic()
 		longest := 0.0
 		for _, d := range dsts {
-			uni.AddUnicast(src, d, 10)
+			uni.AddMulticast(src, []arch.CoreID{d}, 10)
 			one := n.NewTraffic()
-			one.AddUnicast(src, d, 10)
+			one.AddMulticast(src, []arch.CoreID{d}, 10)
 			oo, od, _ := one.TotalBytes()
 			if oo+od > longest {
 				longest = oo + od
@@ -193,14 +194,12 @@ func TestDRAMInterleaveBalances(t *testing.T) {
 	n := New(c)
 	tr := n.NewTraffic()
 	tr.AddDRAMReadMulticast(-1, []arch.CoreID{c.CoreAt(3, 3)}, 1000)
-	total := 0.0
-	for i := range tr.DRAMRead {
-		total += tr.DRAMRead[i]
-		if tr.DRAMRead[i] == 0 {
+	for i := range tr.dramRead {
+		if tr.dramRead[i] == 0 {
 			t.Errorf("controller %d unused under interleave", i)
 		}
 	}
-	if total != 1000 {
+	if total := tr.Digest().DRAMBytes; total != 1000 {
 		t.Errorf("total read = %v, want 1000", total)
 	}
 }
@@ -210,11 +209,11 @@ func TestDRAMSpecificController(t *testing.T) {
 	n := New(c)
 	tr := n.NewTraffic()
 	tr.AddDRAMWrite(1, c.CoreAt(3, 3), 500)
-	if tr.DRAMWrite[1] != 500 {
-		t.Errorf("ctrl 1 write = %v", tr.DRAMWrite[1])
+	if got := tr.dramWrite[1] / n.units(); got != 500 {
+		t.Errorf("ctrl 1 write = %v", got)
 	}
-	for i := range tr.DRAMWrite {
-		if i != 1 && tr.DRAMWrite[i] != 0 {
+	for i := range tr.dramWrite {
+		if i != 1 && tr.dramWrite[i] != 0 {
 			t.Errorf("ctrl %d unexpectedly used", i)
 		}
 	}
@@ -225,13 +224,13 @@ func TestBottleneckTime(t *testing.T) {
 	n := New(c)
 	tr := n.NewTraffic()
 	// Load one on-chip link with 32e9 bytes at 32 GB/s -> exactly 1 s.
-	tr.AddUnicast(c.CoreAt(0, 0), c.CoreAt(1, 0), 32e9)
+	tr.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(1, 0)}, 32e9)
 	if got := tr.BottleneckTime(); got < 0.99 || got > 1.01 {
 		t.Errorf("bottleneck = %v s, want ~1", got)
 	}
 	// The same bytes over a D2D link (16 GB/s) take twice as long.
 	tr2 := n.NewTraffic()
-	tr2.AddUnicast(c.CoreAt(2, 0), c.CoreAt(3, 0), 32e9)
+	tr2.AddMulticast(c.CoreAt(2, 0), []arch.CoreID{c.CoreAt(3, 0)}, 32e9)
 	if got := tr2.BottleneckTime(); got < 1.99 || got > 2.01 {
 		t.Errorf("d2d bottleneck = %v s, want ~2", got)
 	}
@@ -243,9 +242,9 @@ func TestAddFromScales(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
 	a, b := n.NewTraffic(), n.NewTraffic()
-	a.AddUnicast(c.CoreAt(0, 0), c.CoreAt(5, 0), 100)
+	a.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 0)}, 100)
 	a.AddDRAMWrite(0, c.CoreAt(2, 2), 50)
-	b.AddUnicast(c.CoreAt(0, 0), c.CoreAt(5, 0), 300)
+	b.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 0)}, 300)
 	b.AddDRAMWrite(0, c.CoreAt(2, 2), 150)
 	da, db := a.Digest(), b.Digest()
 	if da.NoCBytes == 0 || da.D2DBytes == 0 || db != (Digest{
@@ -260,7 +259,7 @@ func TestResetClears(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
 	tr := n.NewTraffic()
-	tr.AddUnicast(c.CoreAt(0, 0), c.CoreAt(5, 5), 100)
+	tr.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 5)}, 100)
 	tr.AddDRAMReadMulticast(0, []arch.CoreID{c.CoreAt(2, 2)}, 50)
 	tr.Reset()
 	o, d, dr := tr.TotalBytes()
@@ -273,7 +272,7 @@ func TestHeatmapOutputs(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
 	tr := n.NewTraffic()
-	tr.AddUnicast(c.CoreAt(0, 0), c.CoreAt(5, 5), 1000)
+	tr.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 5)}, 1000)
 	rows := tr.HeatmapRows()
 	if len(rows) != len(n.Links) {
 		t.Fatalf("rows = %d, want %d", len(rows), len(n.Links))
@@ -352,39 +351,71 @@ func abs(x int) int {
 }
 
 // TestRemoveMulticastUndoesAdd: on a mesh and a torus, taking back a seeded
-// half of many integer multicasts leaves every link load exactly what adding
-// only the other half gives.
+// half of many integer transfers — multicasts, and DRAM reads and writes
+// pinned to a controller or interleaved — leaves every link and controller
+// load exactly what adding only the other half gives.
 func TestRemoveMulticastUndoesAdd(t *testing.T) {
 	torus := arch.GArchTorus()
 	for _, cfg := range []*arch.Config{meshCfg(), &torus} {
 		n := New(cfg)
 		rng := rand.New(rand.NewSource(3))
 		both, kept := n.NewTraffic(), n.NewTraffic()
-		type mc struct {
-			src   arch.CoreID
-			dsts  []arch.CoreID
-			bytes float64
+		// flow is a multicast from src (kind 0), a DRAM read (1) or write (2)
+		// on ctrl, -1 for interleaved.
+		type flow struct {
+			kind, ctrl int
+			src        arch.CoreID
+			dsts       []arch.CoreID
+			bytes      float64
 		}
-		var removed []mc
-		for i := 0; i < 500; i++ {
-			m := mc{src: arch.CoreID(rng.Intn(cfg.Cores())), bytes: float64(1 + rng.Intn(1<<20))}
+		add := func(tr *Traffic, f flow) {
+			switch f.kind {
+			case 0:
+				tr.AddMulticast(f.src, f.dsts, f.bytes)
+			case 1:
+				tr.AddDRAMReadMulticast(f.ctrl, f.dsts, f.bytes)
+			default:
+				tr.AddDRAMWrite(f.ctrl, f.src, f.bytes)
+			}
+		}
+		var removed []flow
+		kinds := [3]int{}
+		for i := 0; i < 1500; i++ {
+			f := flow{kind: rng.Intn(3), ctrl: rng.Intn(n.Controllers()+1) - 1,
+				src: arch.CoreID(rng.Intn(cfg.Cores())), bytes: float64(1 + rng.Intn(1<<20))}
 			for d := 1 + rng.Intn(5); d > 0; d-- {
-				m.dsts = append(m.dsts, arch.CoreID(rng.Intn(cfg.Cores())))
+				f.dsts = append(f.dsts, arch.CoreID(rng.Intn(cfg.Cores())))
 			}
-			both.AddMulticast(m.src, m.dsts, m.bytes)
+			add(both, f)
 			if rng.Intn(2) == 0 {
-				removed = append(removed, m)
+				removed = append(removed, f)
+				kinds[f.kind]++
 			} else {
-				kept.AddMulticast(m.src, m.dsts, m.bytes)
+				add(kept, f)
 			}
 		}
-		for _, m := range removed {
-			both.RemoveMulticast(m.src, m.dsts, m.bytes)
-		}
-		for l := range both.Load {
-			if both.Load[l] != kept.Load[l] {
-				t.Fatalf("%s link %d: %v after removing, %v never added", cfg.Name, l, both.Load[l], kept.Load[l])
+		for _, f := range removed {
+			switch f.kind {
+			case 0:
+				both.RemoveMulticast(f.src, f.dsts, f.bytes)
+			case 1:
+				both.RemoveDRAMReadMulticast(f.ctrl, f.dsts, f.bytes)
+			default:
+				both.RemoveDRAMWrite(f.ctrl, f.src, f.bytes)
 			}
+		}
+		if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {
+			t.Fatalf("%s: removed %v multicasts, reads, writes; want some of each", cfg.Name, kinds)
+		}
+		if !reflect.DeepEqual(both.load, kept.load) || !reflect.DeepEqual(both.dramRead, kept.dramRead) ||
+			!reflect.DeepEqual(both.dramWrite, kept.dramWrite) {
+			for l := range both.load {
+				if both.load[l] != kept.load[l] {
+					t.Errorf("%s link %d: %v after removing, %v never added", cfg.Name, l, both.load[l], kept.load[l])
+				}
+			}
+			t.Fatalf("%s: reads %v / %v, writes %v / %v after removing / never added", cfg.Name,
+				both.dramRead, kept.dramRead, both.dramWrite, kept.dramWrite)
 		}
 	}
 }
