@@ -10,12 +10,15 @@ import (
 	"gemini/internal/dnn"
 )
 
-// summariesPin is the hash TestSummariesPinned computed when byte-hops began
-// to be summed per noc boundary class in one canonical order. Against the
-// per-traversal sums before (pin 0x14e583a3ff832fa3, recorded before the miss
-// path was rewritten), 10,253 of the 18,800 NoC/D2D byte-hop totals moved, by
-// at most 244 ulp (4.1e-14 relative), and no other field moved.
-const summariesPin = 0xac7dc718a0604cb8
+// summariesPin is the hash TestSummariesPinned computed when traffic began to
+// be counted exactly in 1/d-byte units, each figure rounded once. Against the
+// pin before (0xac7dc718a0604cb8, byte-hops summed per noc boundary class and
+// interleaved DRAM shares of bytes/d added in one fixed flow order), 15,034
+// of the 56,400 traffic fields moved, by at most 10 ulp (1.3e-15 relative),
+// and no other field moved. Against the per-traversal sums before that (pin
+// 0x14e583a3ff832fa3), 10,253 of the 18,800 NoC/D2D byte-hop totals had
+// moved, by at most 244 ulp (4.1e-14 relative).
+const summariesPin = 0x4b76a218ddc1dfe2
 
 // hashSummary folds every field of a group summary into h, floats by their
 // bit patterns.
