@@ -126,12 +126,13 @@ func exactDigests(e *Evaluator, an *core.Analysis) (pass, once noc.Digest) {
 }
 
 // TestDigestIsExactRoundedOnce holds the evaluator's traffic digests against
-// an exact rational reference: for every DP segment x batch unit of TinyCNN
-// and TinyTransformer and every group state of a seeded 150-move walk from a
-// two-group stripe scheme of each, on G-Arch-72 (five DRAM controllers, so an
-// interleaved share is no binary fraction), on the same array with an 8 KB
-// GLB (weights stream) and on the folded-torus G-Arch, each field of both
-// digests equals the exact load rounded to float64 once.
+// an exact rational reference: for every DP segment of TinyCNN and
+// TinyTransformer at batch units 1 and 4, and every group state of a seeded
+// 150-move walk from a two-group stripe scheme of each, on G-Arch-72 (five
+// DRAM controllers, so an interleaved share is no binary fraction), on the
+// same array with an 8 KB GLB (weights stream) and on the folded-torus
+// G-Arch, each field of both digests equals the exact load rounded to
+// float64 once.
 func TestDigestIsExactRoundedOnce(t *testing.T) {
 	small := arch.GArch72()
 	small.GLBPerCore = 8 << 10
@@ -165,7 +166,7 @@ func TestDigestIsExactRoundedOnce(t *testing.T) {
 			ids := allLayers(g)
 			for j := range ids {
 				for i := j + 1; i <= len(ids); i++ {
-					for _, bu := range []int{1, 2, 4, 8} {
+					for _, bu := range []int{1, 4} {
 						lms, err := core.Stripes(g, ids[j:i], &cfg, bu)
 						if err != nil {
 							t.Fatal(err)

@@ -394,8 +394,8 @@ func (n *Network) Controllers() int { return n.ctrls }
 // controller's tree. Integer byte counts thus load everything by integers,
 // and while a load stays below 2^53 every partial sum is exact: the loads are
 // the same whatever order the flows come in, and a removal takes back exactly
-// what its addition added. Only the readers convert to bytes, each of its
-// figures once.
+// what its addition added. Only the readers convert to bytes, each figure
+// once.
 type Traffic struct {
 	net  *Network
 	load []float64 // per link
