@@ -348,8 +348,8 @@ func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) groupSummary {
 	return d.sum
 }
 
-// layerWeights routes into st the weight loads flows of the layer parsed as
-// lg, or takes them back out when remove is set.
+// layerWeights routes the weight loads flows of the layer parsed as lg into
+// st's traffic, or takes them back out when remove is set.
 func (sc *evalScratch) layerWeights(st *deltaState, lg *layerGeom, flows []core.DRAMFlow, remove bool) {
 	for pi, pw := range lg.PWs {
 		sc.resident[pw.Core] = lg.res[pi].WeightsResident
