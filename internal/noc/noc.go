@@ -690,10 +690,7 @@ func (t *Traffic) MaxLinkLoad() (float64, int) {
 			best, idx = v, i
 		}
 	}
-	if idx < 0 {
-		return 0, -1
-	}
-	return t.linkBytes(idx), idx
+	return best / t.net.units(), idx
 }
 
 const inf = 1e300
