@@ -74,34 +74,46 @@ func newLinkGraph(cfg *arch.Config) *Network {
 		n.Links = append(n.Links, Link{From: a, To: b, D2D: !cfg.SameChiplet(a, b)})
 		n.class = append(n.class, class)
 	}
+	forEachLink(cfg, func(a, b arch.CoreID, xAxis bool, at int) {
+		class := yClass
+		if xAxis {
+			class = xClass
+		}
+		addLink(a, b, class[at])
+		addLink(b, a, class[at])
+	})
+	return n
+}
+
+// forEachLink calls fn once per link pair of cfg's interconnect, in the
+// order New numbers them (each pair is two directed links, a→b then b→a):
+// row by row, each core's link to its east then to its south neighbour,
+// then on a folded torus every row's and then every column's wrap link. A
+// wrap link exists on an axis more than two cores long, and runs from the
+// last core a to the first core b. xAxis reports a link along x, at is the
+// boundary it crosses — the far side's column or row — and 0 for a wrap.
+func forEachLink(cfg *arch.Config, fn func(a, b arch.CoreID, xAxis bool, at int)) {
+	w, h := cfg.CoresX, cfg.CoresY
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			c := cfg.CoreAt(x, y)
 			if x+1 < w {
-				addLink(c, cfg.CoreAt(x+1, y), xClass[x+1])
-				addLink(cfg.CoreAt(x+1, y), c, xClass[x+1])
+				fn(c, cfg.CoreAt(x+1, y), true, x+1)
 			}
 			if y+1 < h {
-				addLink(c, cfg.CoreAt(x, y+1), yClass[y+1])
-				addLink(cfg.CoreAt(x, y+1), c, yClass[y+1])
+				fn(c, cfg.CoreAt(x, y+1), false, y+1)
 			}
 		}
 	}
-	if torus {
-		for y := 0; y < h; y++ {
-			if w > 2 {
-				addLink(cfg.CoreAt(w-1, y), cfg.CoreAt(0, y), xClass[0])
-				addLink(cfg.CoreAt(0, y), cfg.CoreAt(w-1, y), xClass[0])
-			}
-		}
-		for x := 0; x < w; x++ {
-			if h > 2 {
-				addLink(cfg.CoreAt(x, h-1), cfg.CoreAt(x, 0), yClass[0])
-				addLink(cfg.CoreAt(x, 0), cfg.CoreAt(x, h-1), yClass[0])
-			}
-		}
+	if cfg.Topology != arch.FoldedTorus {
+		return
 	}
-	return n
+	for y := 0; w > 2 && y < h; y++ {
+		fn(cfg.CoreAt(w-1, y), cfg.CoreAt(0, y), true, 0)
+	}
+	for x := 0; h > 2 && x < w; x++ {
+		fn(cfg.CoreAt(x, h-1), cfg.CoreAt(x, 0), false, 0)
+	}
 }
 
 // axisClasses numbers the boundary classes of one axis of the core array,
@@ -148,37 +160,13 @@ func (n *Network) Classes() int { return len(n.classD2D) }
 // chip faster than the sum of all link bandwidths drains them.
 func LinkBWSum(cfg *arch.Config) float64 {
 	var noc, d2d int
-	count := func(a, b arch.CoreID) {
+	forEachLink(cfg, func(a, b arch.CoreID, _ bool, _ int) {
 		if cfg.SameChiplet(a, b) {
 			noc += 2 // both directions
 		} else {
 			d2d += 2
 		}
-	}
-	w, h := cfg.CoresX, cfg.CoresY
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			c := cfg.CoreAt(x, y)
-			if x+1 < w {
-				count(c, cfg.CoreAt(x+1, y))
-			}
-			if y+1 < h {
-				count(c, cfg.CoreAt(x, y+1))
-			}
-		}
-	}
-	if cfg.Topology == arch.FoldedTorus {
-		if w > 2 {
-			for y := 0; y < h; y++ {
-				count(cfg.CoreAt(w-1, y), cfg.CoreAt(0, y))
-			}
-		}
-		if h > 2 {
-			for x := 0; x < w; x++ {
-				count(cfg.CoreAt(x, h-1), cfg.CoreAt(x, 0))
-			}
-		}
-	}
+	})
 	return float64(noc)*cfg.NoCBW + float64(d2d)*cfg.D2DBW
 }
 
@@ -229,7 +217,7 @@ func ChipletCuts(cfg *arch.Config) []Cut {
 	if len(cuts) == 0 {
 		return nil
 	}
-	count := func(a, b arch.CoreID) {
+	forEachLink(cfg, func(a, b arch.CoreID, _ bool, _ int) {
 		bw := cfg.NoCBW
 		if !cfg.SameChiplet(a, b) {
 			bw = cfg.D2DBW
@@ -239,31 +227,7 @@ func ChipletCuts(cfg *arch.Config) []Cut {
 				cuts[i].BW += 2 * bw // both directions
 			}
 		}
-	}
-	w, h := cfg.CoresX, cfg.CoresY
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			c := cfg.CoreAt(x, y)
-			if x+1 < w {
-				count(c, cfg.CoreAt(x+1, y))
-			}
-			if y+1 < h {
-				count(c, cfg.CoreAt(x, y+1))
-			}
-		}
-	}
-	if cfg.Topology == arch.FoldedTorus {
-		if w > 2 {
-			for y := 0; y < h; y++ {
-				count(cfg.CoreAt(w-1, y), cfg.CoreAt(0, y))
-			}
-		}
-		if h > 2 {
-			for x := 0; x < w; x++ {
-				count(cfg.CoreAt(x, h-1), cfg.CoreAt(x, 0))
-			}
-		}
-	}
+	})
 	return cuts
 }
 
