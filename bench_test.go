@@ -213,7 +213,10 @@ func BenchmarkDSESessionSweepCold(b *testing.B) {
 // BenchmarkDSESessionSweepWarm measures the same sweep re-run on one
 // long-lived session. Seeds vary per iteration so the SA search genuinely
 // re-runs (checkpoint cells miss) — the speedup over the cold bench is the
-// shared evaluation cache, not result replay.
+// session's partitions and shared evaluation cache, not result replay. It
+// asserts in-bench that every cell of each reseeded sweep reused the
+// partition the priming sweep computed: a partition never depends on the
+// seed.
 func BenchmarkDSESessionSweepWarm(b *testing.B) {
 	cands, models, opt := sweepBench()
 	ses := dse.NewSession()
@@ -224,8 +227,12 @@ func BenchmarkDSESessionSweepWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opt.Seed = int64(i) + 1
-		if dse.Best(ses.Run(cands, models, opt)) == nil {
-			b.Fatal("no feasible candidate")
+		rs, st, err := ses.RunContext(context.Background(), cands, models, opt)
+		if err != nil || dse.Best(rs) == nil {
+			b.Fatalf("no feasible candidate (err %v)", err)
+		}
+		if st.PartitionsReused != st.Cells {
+			b.Fatalf("seed %d: %d of %d cells reused their partition", opt.Seed, st.PartitionsReused, st.Cells)
 		}
 	}
 	b.StopTimer()
@@ -410,8 +417,10 @@ func BenchmarkPartitionSiblings(b *testing.B) {
 }
 
 // BenchmarkPartitionWarm times Partition of ResNet-50 on G-Arch-72 over a
-// cache an earlier Partition filled — the zoo72_warm case — and asserts in-
-// bench what makes it cheap: the repeat adds no cache miss, allocates nothing
+// cache an earlier Partition filled — what a session sweep pays when only
+// the objective exponents changed (a reseeded sweep reuses the session's
+// partitions and does not partition at all) — and asserts in-bench what
+// makes it cheap: the repeat adds no cache miss, allocates nothing
 // per segment it scores (what it does allocate — the DP tables and the
 // winning scheme, ~0.1 per lookup — must stay under a quarter of an
 // allocation per lookup, where one stripe LMS alone is ~19), and returns the

@@ -9,7 +9,6 @@ import (
 
 	"gemini/internal/arch"
 	"gemini/internal/dnn"
-	"gemini/internal/eval"
 	"gemini/internal/sa"
 )
 
@@ -19,14 +18,14 @@ import (
 // too.
 func TestPanicSurfacesAsTypedCellError(t *testing.T) {
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
+	ses.mapModel = func(c *cellRun, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		switch cfg.Name {
 		case "panicky-arch":
 			panic("mapper bug")
 		case "wrapped-arch":
 			return nil, fmt.Errorf("mapper: %w", &CellError{Candidate: cfg.Name, Model: g.Name, Err: errors.New("mapper bug, returned")})
 		}
-		return mapModelEval(ev, cfg, g, o, stop)
+		return mapModelEval(c, cfg, g, o, stop)
 	}
 
 	ok := arch.GArch72()
@@ -83,13 +82,13 @@ func TestRealPanicRepeats(t *testing.T) {
 	bad.Name = "nil-scheme"
 	bad.NoCBW = 48 // structurally distinct from the healthy GArch72
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
+	ses.mapModel = func(c *cellRun, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		if cfg.Name != bad.Name {
-			return mapModelEval(ev, cfg, g, o, stop)
+			return mapModelEval(c, cfg, g, o, stop)
 		}
 		so := sa.DefaultOptions()
 		so.Iterations, so.Seed, so.Stop = o.SAIterations, o.Seed, stop
-		sa.MultiStart(nil, ev, so, o.Restarts)
+		sa.MultiStart(nil, c.ev, so, o.Restarts)
 		return nil, errors.New("sa.MultiStart returned on a nil scheme")
 	}
 	opt := testOptions()

@@ -149,14 +149,15 @@ func (e *abandonedError) Error() string {
 // as an error wrapping ErrInfeasible; any other error is an infrastructure
 // failure.
 func MapModel(cfg *arch.Config, g *dnn.Graph, opt Options) (*MapResult, error) {
-	return mapModelEval(eval.New(cfg), cfg, g, opt.Mapping, nil)
+	return mapModelEval(&cellRun{warmArch: newWarmArch(eval.New(cfg))}, cfg, g, opt.Mapping, nil)
 }
 
-// mapModelEval is MapModel on a caller-supplied evaluator, so sessions can
+// mapModelEval is MapModel on a caller-supplied pool entry, so sessions can
 // reuse warm evaluators (route tables, intra-core memo, shared group cache)
-// across candidates and runs. stop, when non-nil, is polled between SA
-// restarts; if it fires, the cell is abandoned with an abandonedError.
-func mapModelEval(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, m Mapping, stop func() bool) (*MapResult, error) {
+// and computed partitions across candidates and runs. stop, when non-nil,
+// is polled between SA restarts; if it fires, the cell is abandoned with an
+// abandonedError.
+func mapModelEval(c *cellRun, cfg *arch.Config, g *dnn.Graph, m Mapping, stop func() bool) (*MapResult, error) {
 	gp := graphpart.DefaultOptions()
 	gp.Beta, gp.Gamma = m.Objective.Beta, m.Objective.Gamma
 	if m.MaxGroupLayers > 0 {
@@ -165,7 +166,7 @@ func mapModelEval(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, m Mapping,
 	if len(m.BatchUnits) > 0 {
 		gp.BatchUnits = m.BatchUnits
 	}
-	part, err := graphpart.Partition(g, cfg, ev, m.Batch, gp)
+	part, err := c.partition(cfg, g, m.Batch, gp)
 	if err != nil {
 		if errors.Is(err, graphpart.ErrInfeasible) {
 			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
@@ -182,7 +183,7 @@ func mapModelEval(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, m Mapping,
 	so.Stop = stop
 	// A panicking restart unwinds the whole portfolio to the cell's recover
 	// (Session.runCell), so a partial portfolio is never folded.
-	pf := sa.MultiStart(part.Scheme, ev, so, m.Restarts)
+	pf := sa.MultiStart(part.Scheme, c.ev, so, m.Restarts)
 	if pf.Abandoned {
 		return nil, &abandonedError{done: len(pf.Costs), planned: pf.Planned, iters: pf.Iterations}
 	}
@@ -207,13 +208,15 @@ func mapModelEval(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, m Mapping,
 // pairOutcome is one (candidate, model) mapping cell: a result, an
 // infeasibility (mr == nil, err wraps ErrInfeasible), or an infrastructure
 // error (mr == nil, any other err). The scheduler accounting fields ride
-// along: restored cells came from the checkpoint, and an abandoned cell was
-// cut off by the live incumbent (no settled outcome at all).
+// along: restored cells came from the checkpoint, a partitionReused cell
+// took its partition from the session's memo, and an abandoned cell was cut
+// off by the live incumbent (no settled outcome at all).
 type pairOutcome struct {
 	mr  *MapResult
 	err error
 
 	restored          bool
+	partitionReused   bool
 	abandoned         bool
 	abandonedRestarts int
 	saIterations      int

@@ -50,6 +50,10 @@ type SweepStats struct {
 
 	// ResumedCells counts cells served from the checkpoint this sweep.
 	ResumedCells int
+	// PartitionsReused counts cells whose DP graph partition came from the
+	// session's partition memo instead of being recomputed: every mapped
+	// cell of a sweep that only reseeds a grid the session already ran.
+	PartitionsReused int
 	// PrunedCandidates counts candidates the bound gate skipped or cut off.
 	PrunedCandidates int
 	// AbandonedRestarts counts SA restarts never completed because the live
@@ -159,6 +163,7 @@ type scheduler struct {
 
 	seeded    float64
 	resumed   atomic.Int64
+	reused    atomic.Int64
 	pruned    atomic.Int64
 	abandoned atomic.Int64
 	saIters   atomic.Int64
@@ -507,6 +512,9 @@ func (sc *scheduler) runTask(ci, mi int, per [][]pairOutcome) {
 	}
 	out := sc.ses.runCell(&sc.cands[ci], sc.models[mi], sc.opt.Mapping, key, stop)
 	sc.saIters.Add(int64(out.saIterations))
+	if out.partitionReused {
+		sc.reused.Add(1)
+	}
 	var ce *CellError
 	if errors.As(out.err, &ce) {
 		sc.notePanic(fmt.Sprintf("cell %s/%s", sc.cands[ci].Name, sc.models[mi].Name), ce.trace())
@@ -541,6 +549,7 @@ func (sc *scheduler) publishStats() {
 		Cells:             len(sc.cands) * len(sc.models),
 		Canceled:          sc.ctx.Err() != nil,
 		ResumedCells:      int(sc.resumed.Load()),
+		PartitionsReused:  int(sc.reused.Load()),
 		PrunedCandidates:  int(sc.pruned.Load()),
 		AbandonedRestarts: int(sc.abandoned.Load()),
 		SAIterations:      int(sc.saIters.Load()),

@@ -13,7 +13,6 @@ import (
 
 	"gemini/internal/arch"
 	"gemini/internal/dnn"
-	"gemini/internal/eval"
 )
 
 // gridOrder is a test Options.Dispatch order: enumeration (grid) order
@@ -155,11 +154,11 @@ func TestAbandonedCellPrunesCandidate(t *testing.T) {
 	doomed.NoCBW = 48 // structurally distinct so cells do not alias
 
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
+	ses.mapModel = func(c *cellRun, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		if cfg.Name == "doomed-arch" {
 			return nil, &abandonedError{done: 1, planned: 4}
 		}
-		return mapModelEval(ev, cfg, g, o, stop)
+		return mapModelEval(c, cfg, g, o, stop)
 	}
 
 	opt := testOptions()
@@ -230,7 +229,7 @@ func TestAbandonedErrorNotInfeasible(t *testing.T) {
 		t.Errorf("unexpected message: %v", err)
 	}
 	ses := NewSession()
-	ses.mapModel = func(*eval.Evaluator, *arch.Config, *dnn.Graph, Mapping, func() bool) (*MapResult, error) {
+	ses.mapModel = func(*cellRun, *arch.Config, *dnn.Graph, Mapping, func() bool) (*MapResult, error) {
 		return nil, fmt.Errorf("mapper: %w", err)
 	}
 	results, _, rerr := ses.RunContext(context.Background(), []arch.Config{arch.GArch72()}, []*dnn.Graph{testCNN}, testOptions())
@@ -374,8 +373,8 @@ func TestInLoopAbandonBitIdenticalWhenNeverDominated(t *testing.T) {
 		}
 	}
 	ungated := NewSession()
-	ungated.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, _ func() bool) (*MapResult, error) {
-		return mapModelEval(ev, cfg, g, o, nil)
+	ungated.mapModel = func(c *cellRun, cfg *arch.Config, g *dnn.Graph, o Mapping, _ func() bool) (*MapResult, error) {
+		return mapModelEval(c, cfg, g, o, nil)
 	}
 	off, offSt := runStats(t, ungated, cands, models, opt)
 	resultsEqual(t, off, on, "in-loop hook vs no stop gate")
@@ -414,7 +413,7 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 	var weakStarted atomic.Int32
 	strongDone := make(chan struct{})
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
+	ses.mapModel = func(c *cellRun, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		if cfg.Name == strong.Name {
 			// Let the dominated cells pass their pre-cell bound check and
 			// enter their mapModel call before the incumbent exists, so
@@ -422,7 +421,7 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 			for weakStarted.Load() < 2 {
 				runtime.Gosched()
 			}
-			mr, err := mapModelEval(ev, cfg, g, o, stop)
+			mr, err := mapModelEval(c, cfg, g, o, stop)
 			close(strongDone)
 			return mr, err
 		}
@@ -432,7 +431,7 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 		// their first abandonment poll instead of racing their last: the
 		// saved iterations don't depend on wall-clock interleaving.
 		<-strongDone
-		return mapModelEval(ev, cfg, g, o, stop)
+		return mapModelEval(c, cfg, g, o, stop)
 	}
 	rs, st := runStats(t, ses, cands, models, opt)
 	best := Best(rs)

@@ -1,9 +1,10 @@
 // Session: the long-lived DSE sweep layer. A Session owns a cross-candidate
-// shared evaluation cache, a pool of warm per-architecture evaluators, a
-// checkpoint of completed (candidate, model) cells, and the bound-pruning
-// incumbent, so repeated or overlapping sweeps (the experiments figures, a
-// resumed CLI run, chiplet-reuse factors revisiting a base) pay the cold
-// evaluation cost once.
+// shared evaluation cache, a pool of warm per-architecture evaluators and
+// the graph partitions computed on them, a checkpoint of completed
+// (candidate, model) cells, and the bound-pruning incumbent, so repeated or
+// overlapping sweeps (the experiments figures, a resumed CLI run,
+// chiplet-reuse factors revisiting a base) pay the cold evaluation cost
+// once.
 package dse
 
 import (
@@ -38,7 +39,7 @@ type Session struct {
 	cache *eval.Cache
 
 	evalMu sync.Mutex
-	evals  map[uint64]*eval.Evaluator
+	evals  map[uint64]*warmArch
 
 	cellMu sync.Mutex
 	cells  map[string]cellRecord
@@ -48,14 +49,14 @@ type Session struct {
 	// mapModel is the per-cell mapping pipeline, mapModelEval outside tests.
 	// Tests replace it on the session they build, before its first sweep, to
 	// inject infrastructure failures and count calls.
-	mapModel func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, m Mapping, stop func() bool) (*MapResult, error)
+	mapModel func(c *cellRun, cfg *arch.Config, g *dnn.Graph, m Mapping, stop func() bool) (*MapResult, error)
 }
 
 // NewSession returns an empty session with a fresh shared cache.
 func NewSession() *Session {
 	return &Session{
 		cache:    eval.NewCache(),
-		evals:    make(map[uint64]*eval.Evaluator),
+		evals:    make(map[uint64]*warmArch),
 		cells:    make(map[string]cellRecord),
 		mapModel: mapModelEval,
 	}
@@ -155,28 +156,29 @@ func (s *Session) logf(format string, args ...any) {
 // precomputed NoC route table and scratch pools, so retaining one per
 // candidate of a full Table I grid (thousands) would pin significant
 // memory for the session's lifetime. A full pool is flushed wholesale,
-// like the cache shards: dropping warmth only costs recomputation, and the
-// shared group cache (which is what carries the cross-candidate reuse)
-// survives the flush.
+// like the cache shards, partition memos included: dropping warmth only
+// costs recomputation, and the shared group cache (which is what carries
+// the cross-candidate reuse) survives the flush.
 const evalPoolLimit = 256
 
-// evaluator returns the session's warm evaluator for an architecture,
-// creating it (route tables, intra-core memo, shared cache binding) on
-// first use. Keyed by structural fingerprint, so a chiplet-reuse factor-1
-// candidate or a re-enumerated identical tuple reuses the same evaluator.
-func (s *Session) evaluator(cfg *arch.Config) *eval.Evaluator {
+// evaluator returns the session's pool entry for an architecture — its
+// warm evaluator and partition memo — creating it (route tables, intra-core
+// memo, shared cache binding) on first use. Keyed by structural
+// fingerprint, so a chiplet-reuse factor-1 candidate or a re-enumerated
+// identical tuple reuses the same entry.
+func (s *Session) evaluator(cfg *arch.Config) *warmArch {
 	fp := eval.ConfigFingerprint(cfg)
 	s.evalMu.Lock()
 	defer s.evalMu.Unlock()
-	if ev, ok := s.evals[fp]; ok {
-		return ev
+	if w, ok := s.evals[fp]; ok {
+		return w
 	}
 	if len(s.evals) >= evalPoolLimit {
 		clear(s.evals)
 	}
-	ev := eval.NewWithCache(cfg, s.cache)
-	s.evals[fp] = ev
-	return ev
+	w := newWarmArch(eval.NewWithCache(cfg, s.cache))
+	s.evals[fp] = w
+	return w
 }
 
 // MapModel maps one model on one architecture through the session's warm
@@ -256,10 +258,13 @@ func (s *Session) runCell(cfg *arch.Config, g *dnn.Graph, m Mapping, key string,
 			}}
 		}
 	}()
-	mr, err := s.mapModel(s.evaluator(cfg), cfg, g, m, stop)
+	c := &cellRun{warmArch: s.evaluator(cfg)}
+	mr, err := s.mapModel(c, cfg, g, m, stop)
+	out.partitionReused = c.partitionReused
 	var ab *abandonedError
 	if errors.As(err, &ab) {
-		return pairOutcome{abandoned: true, abandonedRestarts: ab.planned - ab.done, saIterations: ab.iters}
+		out.abandoned, out.abandonedRestarts, out.saIterations = true, ab.planned-ab.done, ab.iters
+		return out
 	}
 	if mr != nil {
 		out.saIterations = mr.SAIterations

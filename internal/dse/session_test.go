@@ -40,9 +40,9 @@ func testCands() []arch.Config {
 func countingSession() (*Session, *atomic.Int64) {
 	s := NewSession()
 	calls := new(atomic.Int64)
-	s.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
+	s.mapModel = func(c *cellRun, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		calls.Add(1)
-		return mapModelEval(ev, cfg, g, o, stop)
+		return mapModelEval(c, cfg, g, o, stop)
 	}
 	return s, calls
 }
@@ -113,10 +113,13 @@ func TestSessionCacheAccounting(t *testing.T) {
 		t.Fatal("cold run cached no entries")
 	}
 
-	// Same sweep with a different seed: cells miss (different options key),
-	// so the mapping really re-runs — but over a warm cache.
+	// Same sweep with a different energy exponent: cells miss (different
+	// options key) and so do the session's partitions, so the DP and the
+	// anneal really re-run — but the DP's segments are named without the
+	// exponents, so it asks a warm cache. (A reseeded run reuses every
+	// partition and makes no segment lookup at all.)
 	opt2 := opt
-	opt2.Seed = 99
+	opt2.Objective.Beta = 2
 	ses.Run(cands, models, opt2)
 	st2 := ses.CacheStats()
 	if st2.Hits <= st1.Hits {
@@ -309,7 +312,7 @@ func TestParentCommitCheckpointResumes(t *testing.T) {
 	if err := ses.LoadCheckpoint(f); err != nil {
 		t.Fatal(err)
 	}
-	ses.mapModel = func(*eval.Evaluator, *arch.Config, *dnn.Graph, Mapping, func() bool) (*MapResult, error) {
+	ses.mapModel = func(*cellRun, *arch.Config, *dnn.Graph, Mapping, func() bool) (*MapResult, error) {
 		t.Error("a checkpointed cell was re-mapped")
 		return nil, ErrInfeasible
 	}
@@ -341,11 +344,11 @@ func TestSessionCheckpointVersion(t *testing.T) {
 func TestSessionErrorNotInfeasible(t *testing.T) {
 	boom := errors.New("injected mapper crash")
 	ses := NewSession()
-	ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
+	ses.mapModel = func(c *cellRun, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		if cfg.Name == "bad-arch" {
 			return nil, boom
 		}
-		return mapModelEval(ev, cfg, g, o, stop)
+		return mapModelEval(c, cfg, g, o, stop)
 	}
 
 	ok := arch.GArch72()
@@ -389,11 +392,11 @@ func TestSessionErrorNotInfeasible(t *testing.T) {
 func TestSessionRetriesErroredCells(t *testing.T) {
 	boom := errors.New("transient failure")
 	failing := true
-	flakyMap := func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
+	flakyMap := func(c *cellRun, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 		if failing && cfg.Name == "flaky-arch" {
 			return nil, boom
 		}
-		return mapModelEval(ev, cfg, g, o, stop)
+		return mapModelEval(c, cfg, g, o, stop)
 	}
 
 	flaky := arch.GArch72()

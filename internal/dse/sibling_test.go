@@ -66,7 +66,7 @@ func TestSiblingInvarianceOnRealZoo(t *testing.T) {
 
 // siblingOracle maps g on asker and checks the SA output against primer.
 func siblingOracle(t *testing.T, asker, primer *arch.Config, g *dnn.Graph, opt Options, mapCache *eval.Cache) {
-	mr, err := mapModelEval(eval.NewWithCache(asker, mapCache), asker, g, opt.Mapping, nil)
+	mr, err := mapModelEval(&cellRun{warmArch: newWarmArch(eval.NewWithCache(asker, mapCache))}, asker, g, opt.Mapping, nil)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", asker.Name, g.Name, err)
 	}

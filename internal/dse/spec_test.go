@@ -10,7 +10,6 @@ import (
 
 	"gemini/internal/arch"
 	"gemini/internal/dnn"
-	"gemini/internal/eval"
 )
 
 // tinySpec is a one-candidate sweep spec used across the spec tests.
@@ -161,9 +160,9 @@ func TestRunContextCanceledBeforeStart(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		ses := NewSession()
 		if inCell {
-			ses.mapModel = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
+			ses.mapModel = func(c *cellRun, cfg *arch.Config, g *dnn.Graph, o Mapping, stop func() bool) (*MapResult, error) {
 				cancel()
-				return mapModelEval(ev, cfg, g, o, stop)
+				return mapModelEval(c, cfg, g, o, stop)
 			}
 		} else {
 			cancel()
@@ -261,7 +260,7 @@ func testOptionsLike(opt Options) Options {
 // claim: renaming a sweep must keep hitting its old cells.
 func TestSweepIDExcludedFromFingerprint(t *testing.T) {
 	ses := NewSession()
-	ses.mapModel = func(*eval.Evaluator, *arch.Config, *dnn.Graph, Mapping, func() bool) (*MapResult, error) {
+	ses.mapModel = func(*cellRun, *arch.Config, *dnn.Graph, Mapping, func() bool) (*MapResult, error) {
 		return nil, ErrInfeasible
 	}
 	cands, models := testCands()[:1], []*dnn.Graph{testCNN}

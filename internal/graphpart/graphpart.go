@@ -190,6 +190,18 @@ func Partition(g *dnn.Graph, cfg *arch.Config, ev *eval.Evaluator, batch int, op
 		batchUnits = append([]int{ch[i].bu}, batchUnits...)
 		i = j
 	}
+	scheme, err := BuildScheme(g, cfg, groups, batchUnits, batch)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Scheme: scheme, Groups: groups, BatchUnits: batchUnits, Cost: dp[n]}, nil
+}
+
+// BuildScheme stripes a partition — its groups of layer IDs and each group's
+// batch unit — into a validated scheme. Partition ends with it, and a caller
+// that kept a partition's groups and batch units rebuilds the same scheme
+// with it without re-running the DP.
+func BuildScheme(g *dnn.Graph, cfg *arch.Config, groups [][]int, batchUnits []int, batch int) (*core.Scheme, error) {
 	scheme, err := core.StripeScheme(g, cfg, groups, batchUnits, batch)
 	if err != nil {
 		return nil, err
@@ -197,5 +209,5 @@ func Partition(g *dnn.Graph, cfg *arch.Config, ev *eval.Evaluator, batch int, op
 	if err := scheme.Validate(cfg); err != nil {
 		return nil, fmt.Errorf("graphpart: produced invalid scheme: %w", err)
 	}
-	return &Result{Scheme: scheme, Groups: groups, BatchUnits: batchUnits, Cost: dp[n]}, nil
+	return scheme, nil
 }

@@ -262,6 +262,29 @@ func TestRepostWithoutDataDirResumes(t *testing.T) {
 	}
 }
 
+// TestReseedReportsReusedPartitions re-POSTs a finished spec at a new seed:
+// no cell is settled, but every one takes its partition from the server's
+// session, and the done event and the sweep's status both say so.
+func TestReseedReportsReusedPartitions(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	first := runSweep(t, hs.URL, tinySpec("seed-1", 32, 64))
+	if st := first[len(first)-1].Stats; st == nil || st.PartitionsReused != 0 {
+		t.Fatalf("a fresh server reused partitions: %+v", st)
+	}
+	spec := tinySpec("seed-2", 32, 64)
+	spec.Seed = 2
+	again := runSweep(t, hs.URL, spec)
+	done := again[len(again)-1]
+	if done.Type != "done" || done.Stats.ResumedCells != 0 || done.Stats.PartitionsReused != done.Stats.Cells {
+		t.Fatalf("reseeded re-POST (%s event) resumed %d and reused %d partitions of %d cells; want 0 and all",
+			done.Type, done.Stats.ResumedCells, done.Stats.PartitionsReused, done.Stats.Cells)
+	}
+	st, code := getStatus(t, hs.URL, spec.ID)
+	if code != http.StatusOK || st.Stats == nil || st.Stats.PartitionsReused != done.Stats.Cells {
+		t.Errorf("GET /sweeps/%s (status %d) stats %+v; want partitions_reused %d", spec.ID, code, st.Stats, done.Stats.Cells)
+	}
+}
+
 // TestResumeAfterMidSweepCancel kills a sweep partway (DELETE), restarts
 // the server, and re-POSTs: cells settled before the kill must be restored,
 // not recomputed, and the sweep must complete.

@@ -118,6 +118,9 @@ type StatsSummary struct {
 	Canceled bool `json:"canceled,omitempty"`
 	// ResumedCells counts cells served from the server-side checkpoint.
 	ResumedCells int `json:"resumed_cells"`
+	// PartitionsReused counts cells whose graph partition the server's
+	// session already held (omitted when 0).
+	PartitionsReused int `json:"partitions_reused,omitempty"`
 	// PrunedCandidates counts candidates the bound gate skipped.
 	PrunedCandidates int `json:"pruned_candidates"`
 	// AbandonedRestarts counts SA restarts cut off by the live incumbent.
@@ -161,6 +164,7 @@ func summarizeStats(st dse.SweepStats) *StatsSummary {
 		Cells:             st.Cells,
 		Canceled:          st.Canceled,
 		ResumedCells:      st.ResumedCells,
+		PartitionsReused:  st.PartitionsReused,
 		PrunedCandidates:  st.PrunedCandidates,
 		AbandonedRestarts: st.AbandonedRestarts,
 		SeededIncumbent:   finite(st.SeededIncumbent),
