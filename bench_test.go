@@ -915,59 +915,6 @@ func BenchmarkDSESweepInLoopAbandon(b *testing.B) {
 	b.ReportMetric(float64(pf.Iterations), "sa_iterations")
 }
 
-// BenchmarkDSESweepDiskWarm is BenchmarkDSESessionSweepWarm with the warmth
-// coming from a predecessor process's disk spill instead of this process's
-// own priming run: a fresh session loads the spill, then re-runs the sweep
-// with per-iteration seeds. The spill is written once, by the priming
-// session's SaveDiskCache, outside the timed loop. After timing, a second
-// fresh session replays the priming sweep from the spill and must recompute
-// zero group evaluations — the killed-and-restarted-process guarantee.
-func BenchmarkDSESweepDiskWarm(b *testing.B) {
-	cands, models, opt := sweepBench()
-	dir := b.TempDir()
-	prime := opt
-	prime.Seed = 1 << 20 // prime the spill with a seed the loop never uses
-	primer := dse.NewSession()
-	if dse.Best(primer.Run(cands, models, prime)) == nil {
-		b.Fatal("no feasible candidate")
-	}
-	if err := primer.SaveDiskCache(dir); err != nil {
-		b.Fatal(err)
-	}
-
-	ses := dse.NewSession()
-	if n, err := ses.WarmDiskCache(dir); err != nil || n == 0 {
-		b.Fatalf("disk warm failed: n=%d err=%v", n, err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt.Seed = int64(i) + 1
-		if dse.Best(ses.Run(cands, models, opt)) == nil {
-			b.Fatal("no feasible candidate")
-		}
-	}
-	b.StopTimer()
-	st := ses.CacheStats()
-	if st.DiskLoaded == 0 || st.DiskHits == 0 {
-		b.Fatalf("sweep was not disk-warmed: %+v", st)
-	}
-	b.ReportMetric(100*st.HitRate(), "cache_hit_%")
-	b.ReportMetric(float64(st.DiskHits), "disk_hits")
-
-	// Restart proof: a third session warms from the final spill and replays
-	// the priming sweep — every group evaluation must hit.
-	replay := dse.NewSession()
-	if n, err := replay.WarmDiskCache(dir); err != nil || n == 0 {
-		b.Fatalf("replay warm failed: n=%d err=%v", n, err)
-	}
-	if dse.Best(replay.Run(cands, models, prime)) == nil {
-		b.Fatal("replay found no feasible candidate")
-	}
-	if rst := replay.CacheStats(); rst.Misses != 0 {
-		b.Fatalf("restarted session recomputed %d group evaluations, want 0", rst.Misses)
-	}
-}
-
 // --- Search engine benchmark: the per-cut bisection delay bound. ---
 
 // cutBoundBench returns the cut-bound pruning workload: two healthy

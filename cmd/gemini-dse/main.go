@@ -44,7 +44,6 @@ func main() {
 	beta := flag.Float64("beta", 1, "energy exponent of the objective")
 	gamma := flag.Float64("gamma", 1, "delay exponent of the objective")
 	prune := flag.Bool("prune", false, "skip candidates whose objective lower bound exceeds the best seen (decisions are logged); candidates always dispatch in ascending lower-bound order")
-	cacheDir := flag.String("cache-dir", "", "evaluation-cache spill directory: warm group evaluations from it before the sweep, merge and save the cache once after it")
 	resume := flag.String("resume", "", "checkpoint file: load completed cells from it if present, save on completion; a corrupt file is quarantined to <file>.corrupt and the sweep resumes cold")
 	stream := flag.Bool("stream", false, "print each candidate result as it completes")
 	out := flag.String("out", "", "write full result table CSV to this path")
@@ -85,13 +84,6 @@ func main() {
 
 	ses := dse.NewSession()
 	ses.Logf = log.Printf
-	if *cacheDir != "" {
-		// A damaged spill warms nothing; only real I/O failures land here,
-		// and a cold cache is still correct.
-		if _, err := ses.WarmDiskCache(*cacheDir); err != nil {
-			log.Printf("disk cache warm failed, running cold: %v", err)
-		}
-	}
 	if *resume != "" {
 		if f, err := os.Open(*resume); err == nil {
 			err := ses.LoadCheckpoint(f)
@@ -141,16 +133,6 @@ func main() {
 	st := ses.CacheStats()
 	fmt.Printf("shared cache: %d hits / %d misses (%.1f%% hit rate), %d entries; %d cells resumed\n",
 		st.Hits, st.Misses, 100*st.HitRate(), st.Entries, ses.ResumedCells())
-	if *cacheDir != "" {
-		// Saved once, after the sweep, like -resume: the spill is a
-		// recomputable cache, so a failed save costs only warmth.
-		if err := ses.SaveDiskCache(*cacheDir); err != nil {
-			log.Printf("disk cache save failed: %v", err)
-		}
-		st = ses.CacheStats()
-		fmt.Printf("disk cache (%s): %d entries warmed from disk, %d hits served by them, %d saves\n",
-			dse.CachePath(*cacheDir), st.DiskLoaded, st.DiskHits, st.DiskSaves)
-	}
 	fmt.Printf("scheduler: %d/%d candidates pruned, %d cells resumed, %d restarts abandoned by the incumbent, %d SA iterations\n",
 		ss.PrunedCandidates, ss.Candidates, ss.ResumedCells, ss.AbandonedRestarts, ss.SAIterations)
 	if ss.Panics > 0 {

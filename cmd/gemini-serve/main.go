@@ -83,7 +83,6 @@ func main() {
 
 	addr := flag.String("addr", ":8080", "listen address")
 	data := flag.String("data", "", "checkpoint directory: one server checkpoint, every *.ckpt merged at startup, plus one sweep-history log (empty = no persistence)")
-	cacheDir := flag.String("cache-dir", "", "evaluation-cache spill directory: warmed from at startup, rewritten once after every finished sweep (empty = in-process cache only)")
 	maxCells := flag.Int("max-cells", 0, "per-sweep (candidate, model) cell cap (0 = default)")
 	slots := flag.Int("slots", 0, "worker-slot pool shared by running sweeps (0 = GOMAXPROCS)")
 	tenants := flag.String("tenants", "", "fair-share tenant weights as name=weight,... (unlisted tenants weigh 1)")
@@ -110,7 +109,6 @@ func main() {
 	cfg := serve.Config{
 		MaxCells:        *maxCells,
 		DataDir:         *data,
-		CacheDir:        *cacheDir,
 		WorkerSlots:     *slots,
 		TenantWeights:   weights,
 		BatchShare:      *batchShare,
@@ -126,8 +124,7 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: srv}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("listening on %s (slots=%d, tenants=%q, data=%q, cache-dir=%q)",
-		*addr, *slots, *tenants, *data, *cacheDir)
+	log.Printf("listening on %s (slots=%d, tenants=%q, data=%q)", *addr, *slots, *tenants, *data)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

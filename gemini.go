@@ -23,23 +23,29 @@
 //     so routing is a lock-free table lookup, and multicast-tree dedup uses
 //     an epoch-stamped visited array instead of per-call map churn.
 //   - Group parsing (core.AnalyzeInto) and traffic accumulation reuse
-//     pooled per-evaluator scratch buffers; after warm-up an evaluation
-//     touches no heap.
-//   - Evaluators memoize per-group results keyed by a fingerprint of the
-//     group's encoding, the batch, the energy parameters, and — for inputs
-//     produced outside the group — the DRAM where each producer's ofmaps
-//     live. A group result is therefore invalidated exactly when one of
-//     those inputs changes: mutating a group's Partition, Core Groups, or
-//     Flow of Data re-evaluates that group, and an ofmap-destination (OF)
-//     change additionally re-evaluates only the groups that fetch from it.
-//     Rejected-then-retried SA states hit the memo and skip analysis
-//     entirely.
+//     pooled per-evaluator scratch buffers; after warm-up an SA-path
+//     evaluation, hit or miss, touches no heap.
+//   - Evaluators memoize bandwidth-free per-group summaries in an
+//     eval.Cache, finished at the asking evaluator's bandwidths on a hit.
+//     The key is the architecture's analysis fingerprint, the graph's
+//     structural fingerprint (dnn.Graph.Fingerprint), and a fingerprint of
+//     the group's encoding, the batch, the energy parameters and — for
+//     inputs produced outside the group — the DRAM where each producer's
+//     ofmaps live. A group summary is therefore invalidated exactly when
+//     one of those inputs changes: mutating a group's Partition, Core
+//     Groups, or Flow of Data re-evaluates that group, and an
+//     ofmap-destination (OF) change additionally re-evaluates only the
+//     groups that fetch from it. Rejected-then-retried SA states hit the
+//     memo and skip analysis entirely.
 //
 // The contract this relies on: a *Model (dnn.Graph) must not be mutated
-// after schemes referencing it have been evaluated, since memoized results
-// are identified by graph pointer. Changing an Evaluator's Params between
-// evaluations is safe — parameters are part of the fingerprint — but not
-// concurrently with an in-flight evaluation.
+// after schemes referencing it have been evaluated. Memoized results are
+// keyed by its Graph.Fingerprint(), which is computed on first use and then
+// held by the graph, so a later mutation would go unseen; because the key
+// is structural rather than the pointer, a rebuilt copy of the same model
+// hits the same entries. Changing an Evaluator's Params between evaluations
+// is safe — parameters are part of the fingerprint — but not concurrently
+// with an in-flight evaluation.
 //
 // All of this is deterministic: a fixed SA seed yields a bit-identical best
 // cost and scheme whether results come from the memo or from scratch (see

@@ -404,10 +404,9 @@ type Graph struct {
 // group evaluation can depend on: layer kinds, output cubes, kernel geometry,
 // channel layout and the typed edge list. The graph's name is ignored, so two
 // structurally identical graphs share evaluation-cache entries (results are
-// bit-identical by construction), and the value is stable across processes,
-// which is what lets a cache spill to disk and warm a successor process. It
-// is computed on first use and held by the graph: a Graph must not be mutated
-// after its first Fingerprint call (evaluating a scheme makes one).
+// bit-identical by construction), and the value is stable across processes.
+// It is computed on first use and held by the graph: a Graph must not be
+// mutated after its first Fingerprint call (evaluating a scheme makes one).
 func (g *Graph) Fingerprint() uint64 {
 	g.fpOnce.Do(func() {
 		// FNV-1a over little-endian 64-bit words: the same fold, byte for

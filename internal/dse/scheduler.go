@@ -221,17 +221,7 @@ func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models 
 		}
 		st.lb = mixedBound(mc, eLBs, dLBs, nil, opt.Objective)
 		if sc.prune {
-			// Bound-aware seeding breadth: a partially checkpointed
-			// candidate's own bound tightens by substituting the actual
-			// (restored-verbatim) energies and delays of its settled
-			// cells for their lower bounds. The mix stays a lower bound
-			// on the candidate's final objective — never an incumbent:
-			// an unachieved value must not prune *other* candidates, but
-			// it may prune its own, so partial resumes cut dominated
-			// candidates off before their missing cells are mapped.
-			if mixed := sc.partialCheckpointBound(ci, mc, eLBs, dLBs); mixed > st.lb {
-				st.lb = mixed
-			}
+			sc.seedFromCheckpoint(ci, mc, eLBs, dLBs)
 		}
 	}
 	less := func(a, b int) bool { return sc.states[a].lb < sc.states[b].lb }
@@ -240,7 +230,10 @@ func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models 
 	}
 	sort.SliceStable(sc.order, func(a, b int) bool { return less(sc.order[a], sc.order[b]) })
 	if sc.prune {
-		sc.seedIncumbent()
+		sc.seeded = sc.inc.get()
+		if !math.IsInf(sc.seeded, 1) {
+			s.logf("dse: incumbent seeded from checkpoint: %.6g", sc.seeded)
+		}
 	}
 	return sc
 }
@@ -267,22 +260,21 @@ func mixedBound(mc float64, eLBs, dLBs []float64, rec []*cellRecord, obj Objecti
 	return Score(mc, math.Exp(sumLogE/n), math.Exp(sumLogD/n), obj)
 }
 
-// partialCheckpointBound refines a candidate's lower bound from its
-// partially checkpointed cells: settled feasible cells contribute their
-// achieved energy/delay (they will be restored verbatim, so those values
-// are exact), missing cells keep their per-model lower bounds. The result
-// is therefore still a lower bound on the candidate's final objective —
-// sound for pruning the candidate itself and for ordering, unlike seeding
-// the shared incumbent with it, which would unsoundly prune others. It
-// returns 0 (no refinement) when nothing is checkpointed, when everything
-// is (the full-checkpoint incumbent seed already covers that case and the
-// restored candidate must keep reporting its real outcome), or when any
-// settled cell is infeasible (the candidate must be reported infeasible,
-// not pruned).
-func (sc *scheduler) partialCheckpointBound(ci int, mc float64, eLBs, dLBs []float64) float64 {
-	if len(sc.models) == 0 {
-		return 0
-	}
+// seedFromCheckpoint folds candidate ci's settled cells into the sweep
+// before the first task runs, peeking each cell once. Settled feasible cells
+// are restored verbatim, so their achieved energies and delays are exact,
+// and mixing them with the missing cells' lower bounds gives:
+//   - every cell settled feasible: the candidate's achieved objective
+//     (mixedBound is reduceCandidate's arithmetic), a sound incumbent.
+//     Only this sweep's candidates seed it, so the sweep's true optimum can
+//     never be pruned;
+//   - some settled feasible, the rest missing: a lower bound on the
+//     candidate's final objective, which raises its own bound so a partial
+//     resume cuts it off before its missing cells are mapped — never an
+//     incumbent, since an unachieved value must not prune other candidates;
+//   - any settled cell infeasible: nothing, because the candidate must be
+//     reported infeasible, not pruned.
+func (sc *scheduler) seedFromCheckpoint(ci int, mc float64, eLBs, dLBs []float64) {
 	fp := eval.ConfigFingerprint(&sc.cands[ci])
 	recs := make([]*cellRecord, len(sc.models))
 	settled := 0
@@ -292,51 +284,19 @@ func (sc *scheduler) partialCheckpointBound(ci int, mc float64, eLBs, dLBs []flo
 			continue
 		}
 		if !rec.Feasible {
-			return 0
+			return
 		}
-		r := rec
-		recs[mi] = &r
+		recs[mi] = &rec
 		settled++
 	}
-	if settled == 0 || settled == len(sc.models) {
-		return 0
-	}
-	return mixedBound(mc, eLBs, dLBs, recs, sc.opt.Objective)
-}
-
-// seedIncumbent restores the pruning incumbent from the checkpoint: any
-// candidate of this sweep whose every (candidate, model) cell is already
-// checkpointed feasible will be restored verbatim during the sweep, so its
-// folded objective is an achieved value — a sound incumbent before the
-// first task runs. Restricting the scan to this sweep's candidates keeps
-// the invariant that the sweep's true optimum can never be pruned.
-func (sc *scheduler) seedIncumbent() {
-	if len(sc.models) == 0 {
+	if settled == 0 {
 		return
 	}
-	for ci := range sc.cands {
-		fp := eval.ConfigFingerprint(&sc.cands[ci])
-		per := make([]pairOutcome, len(sc.models))
-		complete := true
-		for mi, g := range sc.models {
-			rec, ok := sc.ses.peekCell(cellKey(fp, g.Name, sc.optFP))
-			if !ok || !rec.Feasible {
-				complete = false
-				break
-			}
-			per[mi] = rec.outcome()
-		}
-		if !complete {
-			continue
-		}
-		cr := reduceCandidate(&sc.cands[ci], per, sc.models, sc.mce, sc.opt)
-		if cr.Feasible {
-			sc.inc.note("(checkpoint seed)", cr.Obj)
-		}
-	}
-	sc.seeded = sc.inc.get()
-	if !math.IsInf(sc.seeded, 1) {
-		sc.ses.logf("dse: incumbent seeded from checkpoint: %.6g", sc.seeded)
+	mixed := mixedBound(mc, eLBs, dLBs, recs, sc.opt.Objective)
+	if settled == len(sc.models) {
+		sc.inc.note("(checkpoint seed)", mixed)
+	} else if st := sc.states[ci]; mixed > st.lb {
+		st.lb = mixed
 	}
 }
 

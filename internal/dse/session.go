@@ -65,37 +65,24 @@ func NewSession() *Session {
 // cacheFileName is the spill file a cache directory holds.
 const cacheFileName = "evalcache.ndjson"
 
-// CachePath returns the spill file path for a cache directory, so CLIs and
-// tests can point at the exact file WarmDiskCache and SaveDiskCache use.
+// CachePath returns the spill file path for a cache directory: the file
+// WarmDiskCache reads and the benchmark harness's disk probe writes with
+// eval.Cache.SaveDisk. No front end spills its cache; cells survive a
+// restart through the checkpoint.
 func CachePath(dir string) string { return filepath.Join(dir, cacheFileName) }
 
 // WarmDiskCache merges the cache directory's spill file into the session's
 // shared evaluation cache and reports how many entries it added; entries
 // the session already holds are kept, so a second warm from the same file
-// adds nothing. Sweeps never touch the disk themselves: front ends warm
-// before their first sweep and call SaveDiskCache when they choose to. A
-// missing or damaged file degrades to a cold cache and is never an error
-// (per-entry corruption tolerance lives in eval.Cache.LoadDisk); only real
-// I/O failures surface.
+// adds nothing. A missing or damaged file degrades to a cold cache and is
+// never an error (per-entry corruption tolerance lives in
+// eval.Cache.LoadDisk); only real I/O failures surface.
 func (s *Session) WarmDiskCache(dir string) (int, error) {
 	n, err := s.cache.LoadDisk(CachePath(dir))
 	if n > 0 {
 		s.logf("dse: warmed %d cached group evaluations from %s", n, CachePath(dir))
 	}
 	return n, err
-}
-
-// SaveDiskCache spills the session's evaluation cache to the directory's
-// spill file. It first merges the file's current entries into the cache,
-// so writers with different caches sharing one directory (two processes, or
-// two sessions in one) converge on the union instead of the last writer
-// discarding the others' work; the write itself is an atomic rename, so any
-// complete snapshot is valid.
-func (s *Session) SaveDiskCache(dir string) error {
-	if _, err := s.cache.LoadDisk(CachePath(dir)); err != nil {
-		return fmt.Errorf("merge: %w", err)
-	}
-	return s.cache.SaveDisk(CachePath(dir))
 }
 
 // ResumedCells reports how many cells were served from the checkpoint

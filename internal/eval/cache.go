@@ -95,21 +95,13 @@ const cacheShards = 128
 // below the limit, and a flush only costs recomputation).
 const cacheShardLimit = 1 << 14
 
-// cacheEntry is one stored summary plus its provenance: disk marks entries
-// merged in by LoadDisk, so hit accounting can tell cross-process warmth
-// from in-process warmth.
-type cacheEntry[S groupSummary | segmentSummary] struct {
-	sum  S
-	disk bool
-}
-
 // cacheShard holds both kinds of summary. A map is made by the first store
 // into it and only ever cleared, under mu; together they hold at most
 // cacheShardLimit entries.
 type cacheShard struct {
 	mu  sync.RWMutex
-	m   map[CacheKey]cacheEntry[groupSummary]
-	seg map[CacheKey]cacheEntry[segmentSummary]
+	m   map[CacheKey]groupSummary
+	seg map[CacheKey]segmentSummary
 }
 
 // Cache is the concurrency-safe group-summary store every Evaluator reads
@@ -118,13 +110,10 @@ type cacheShard struct {
 // are pure functions of their keys, so serving from the cache is
 // bit-identical to recomputing; because they are bandwidth-free, a hit may
 // have been paid for by a bandwidth sibling of the asking evaluator — and a
-// cut-free segment by another chiplet cut of its core array. SaveDisk and
-// LoadDisk spill and restore it across process boundaries.
+// cut-free segment by another chiplet cut of its core array.
 type Cache struct {
 	shards                [cacheShards]cacheShard
 	hits, misses, flushes atomic.Int64
-
-	diskHits, diskLoaded, diskSaves atomic.Int64
 }
 
 // NewCache returns an empty cache.
@@ -150,42 +139,38 @@ func (c *Cache) getSegment(k CacheKey, out *segmentSummary) bool {
 // put stores a computed group summary.
 func (c *Cache) put(k CacheKey, sum *groupSummary) {
 	s := c.shard(k)
-	store(c, s, &s.m, k, cacheEntry[groupSummary]{sum: *sum}, true)
+	store(c, s, &s.m, k, *sum, true)
 }
 
 // putSegment stores a computed cut-free segment summary.
 func (c *Cache) putSegment(k CacheKey, seg segmentSummary) {
 	s := c.shard(k)
-	store(c, s, &s.seg, k, cacheEntry[segmentSummary]{sum: seg}, true)
+	store(c, s, &s.seg, k, seg, true)
 }
 
 // lookup copies the summary *m, one of s's maps, holds for k into *out and
-// reports whether there was one, counting the hit or miss (and, separately,
-// hits served by disk-loaded entries).
-func lookup[S groupSummary | segmentSummary](c *Cache, s *cacheShard, m *map[CacheKey]cacheEntry[S], k CacheKey, out *S) bool {
+// reports whether there was one, counting the hit or miss.
+func lookup[S groupSummary | segmentSummary](c *Cache, s *cacheShard, m *map[CacheKey]S, k CacheKey, out *S) bool {
 	s.mu.RLock()
-	e, ok := (*m)[k]
+	sum, ok := (*m)[k]
 	s.mu.RUnlock()
 	if !ok {
 		c.misses.Add(1)
 		return false
 	}
-	*out = e.sum
+	*out = sum
 	c.hits.Add(1)
-	if e.disk {
-		c.diskHits.Add(1)
-	}
 	return true
 }
 
-// store puts e under k in *m, one of s's maps, making the map if need be —
+// store puts sum under k in *m, one of s's maps, making the map if need be —
 // unless replace is false and k is already there — flushing the shard first
 // if it is full, and reports whether it stored.
-func store[S groupSummary | segmentSummary](c *Cache, s *cacheShard, m *map[CacheKey]cacheEntry[S], k CacheKey, e cacheEntry[S], replace bool) bool {
+func store[S groupSummary | segmentSummary](c *Cache, s *cacheShard, m *map[CacheKey]S, k CacheKey, sum S, replace bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if *m == nil {
-		*m = make(map[CacheKey]cacheEntry[S])
+		*m = make(map[CacheKey]S)
 	}
 	if !replace {
 		if _, ok := (*m)[k]; ok {
@@ -197,7 +182,7 @@ func store[S groupSummary | segmentSummary](c *Cache, s *cacheShard, m *map[Cach
 		clear(s.seg)
 		c.flushes.Add(1)
 	}
-	(*m)[k] = e
+	(*m)[k] = sum
 	return true
 }
 
@@ -205,11 +190,6 @@ func store[S groupSummary | segmentSummary](c *Cache, s *cacheShard, m *map[Cach
 type CacheStats struct {
 	Hits, Misses, Flushes int64
 	Entries               int
-
-	// DiskHits counts hits served by entries a LoadDisk call merged in —
-	// work a predecessor process paid for. DiskLoaded is the total entries
-	// merged from disk, DiskSaves the completed SaveDisk calls.
-	DiskHits, DiskLoaded, DiskSaves int64
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
@@ -223,12 +203,9 @@ func (s CacheStats) HitRate() float64 {
 // Stats reports the cache's lookup accounting and current size.
 func (c *Cache) Stats() CacheStats {
 	st := CacheStats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Flushes:    c.flushes.Load(),
-		DiskHits:   c.diskHits.Load(),
-		DiskLoaded: c.diskLoaded.Load(),
-		DiskSaves:  c.diskSaves.Load(),
+		Hits:    c.hits.Load(),
+		Misses:  c.misses.Load(),
+		Flushes: c.flushes.Load(),
 	}
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -1,7 +1,8 @@
 // Disk spill for the shared evaluation cache. Group summaries are pure
 // functions of their (analysis, graph, group-or-segment) fingerprints, so a
-// cache written by one process is valid input for any other: a restarted
-// service warms from its predecessor's cells instead of recomputing them.
+// cache written by one process is valid input for any other. No front end
+// spills its cache: SaveDisk and LoadDisk remain only for the benchmark
+// harness's disk probe (bench/ladder.go probeDisk), which times them.
 //
 // The format is line-oriented JSON — a version header followed by one entry
 // per line — written to a temp file and atomically renamed into place.
@@ -61,8 +62,7 @@ type diskEntry struct {
 	Segment *segmentSummary `json:"c,omitempty"`
 }
 
-// SaveDisk atomically writes a snapshot of every cache entry (locally
-// computed and disk-loaded alike) to path, creating parent directories as
+// SaveDisk atomically writes a snapshot of every cache entry to path, creating parent directories as
 // needed. Entries are emitted in sorted key order, so identical caches
 // produce identical files. Concurrent SaveDisk calls are safe: each writes
 // its own temp file and the rename is atomic, so readers always see a
@@ -78,10 +78,10 @@ func (c *Cache) SaveDisk(path string) error {
 		s := &c.shards[i]
 		s.mu.RLock()
 		for k, e := range s.m {
-			all = append(all, kv{k: k, sum: &e.sum})
+			all = append(all, kv{k: k, sum: &e})
 		}
 		for k, e := range s.seg {
-			all = append(all, kv{k: k, seg: &e.sum})
+			all = append(all, kv{k: k, seg: &e})
 		}
 		s.mu.RUnlock()
 	}
@@ -99,7 +99,7 @@ func (c *Cache) SaveDisk(path string) error {
 		return all[a].sum != nil && all[b].sum == nil // one key, both kinds: summary first
 	})
 
-	err := atomicfile.Write(path, func(f io.Writer) error {
+	if err := atomicfile.Write(path, func(f io.Writer) error {
 		w := bufio.NewWriter(f)
 		enc := json.NewEncoder(w)
 		if err := enc.Encode(diskHeader{Kind: diskKind, Version: diskVersion}); err != nil {
@@ -118,11 +118,9 @@ func (c *Cache) SaveDisk(path string) error {
 			}
 		}
 		return w.Flush()
-	})
-	if err != nil {
+	}); err != nil {
 		return fmt.Errorf("eval: cache save: %w", err)
 	}
-	c.diskSaves.Add(1)
 	return nil
 }
 
@@ -133,8 +131,7 @@ func (c *Cache) SaveDisk(path string) error {
 // other version or kind skips the whole file, and in every such case the
 // cache simply stays colder — LoadDisk errors only on real I/O failure.
 // Entries already present in memory are kept (they are bit-identical by key
-// determinism, and keeping them preserves the locally-computed provenance
-// of the accounting).
+// determinism).
 func (c *Cache) LoadDisk(path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -173,9 +170,9 @@ func (c *Cache) LoadDisk(path string) (int, error) {
 		s := c.shard(k)
 		var stored bool
 		if de.Summary != nil {
-			stored = store(c, s, &s.m, k, cacheEntry[groupSummary]{sum: *de.Summary, disk: true}, false)
+			stored = store(c, s, &s.m, k, *de.Summary, false)
 		} else {
-			stored = store(c, s, &s.seg, k, cacheEntry[segmentSummary]{sum: *de.Segment, disk: true}, false)
+			stored = store(c, s, &s.seg, k, *de.Segment, false)
 		}
 		if stored {
 			loaded++
@@ -183,6 +180,5 @@ func (c *Cache) LoadDisk(path string) (int, error) {
 	}
 	// A scanner error (oversized or unterminated line) means a damaged
 	// tail; everything before it already merged, so degrade, don't fail.
-	c.diskLoaded.Add(int64(loaded))
 	return loaded, nil
 }

@@ -45,9 +45,10 @@ func populatedCache(t *testing.T) (*Cache, int) {
 	return cache, n
 }
 
-// TestDiskRoundTripBitIdentical: a cache loaded from disk must serve every
-// entry the original held, bit-identically, and must account the hits as
-// disk-served.
+// TestDiskRoundTripBitIdentical: a cache loaded from disk must hold every
+// entry the original held — LoadDisk into a fresh cache returns exactly the
+// saved cache's Stats().Entries, the invariant the benchmark's disk probe
+// checks — and serve them bit-identically.
 func TestDiskRoundTripBitIdentical(t *testing.T) {
 	cfg := arch.GArch72()
 	s := cacheTestScheme(t, &cfg)
@@ -58,17 +59,14 @@ func TestDiskRoundTripBitIdentical(t *testing.T) {
 	if err := cache.SaveDisk(path); err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.DiskSaves != 1 {
-		t.Errorf("DiskSaves = %d, want 1", st.DiskSaves)
-	}
 
 	warm := NewCache()
 	n, err := warm.LoadDisk(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != cache.Stats().Entries {
-		t.Fatalf("loaded %d entries, want %d", n, cache.Stats().Entries)
+	if saved := cache.Stats().Entries; n != saved || warm.Stats().Entries != saved {
+		t.Fatalf("loaded %d entries (%d resident), want the saved cache's %d", n, warm.Stats().Entries, saved)
 	}
 	got := NewWithCache(&cfg, warm).Evaluate(s)
 	if got.Feasible != want.Feasible || got.Delay != want.Delay ||
@@ -78,9 +76,6 @@ func TestDiskRoundTripBitIdentical(t *testing.T) {
 	st := warm.Stats()
 	if st.Misses != 0 {
 		t.Errorf("disk-warmed evaluation recomputed %d groups", st.Misses)
-	}
-	if st.DiskHits == 0 || st.DiskLoaded != int64(n) {
-		t.Errorf("disk accounting wrong: %+v", st)
 	}
 }
 
@@ -230,15 +225,14 @@ func TestDiskV1FileLoadsCold(t *testing.T) {
 	if !want.Feasible || !reflect.DeepEqual(got, want) {
 		t.Fatalf("evaluation after a v1 load diverged: %+v vs %+v", got, want)
 	}
-	if st := c.Stats(); st.Hits != 0 || st.DiskHits != 0 || st.Misses != int64(len(s.Groups)) {
+	if st := c.Stats(); st.Hits != 0 || st.Misses != int64(len(s.Groups)) {
 		t.Fatalf("v1 file served lookups: %+v", st)
 	}
 }
 
 // TestDiskConcurrentSaveLoad exercises save/load racing against live use of
 // the cache (run under -race in CI): a spill snapshots while evaluations
-// insert — one sweep's final spill runs while the server's other sweeps
-// still evaluate — and a second cache loads the latest spill.
+// insert, and a second cache loads the latest spill.
 func TestDiskConcurrentSaveLoad(t *testing.T) {
 	cfg := arch.GArch72()
 	s := cacheTestScheme(t, &cfg)

@@ -31,7 +31,7 @@ func TestDiskV2FileLoadsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Hits != 0 || st.DiskHits != 0 || st.Misses != 84 || st.Entries != 84 {
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 84 || st.Entries != 84 {
 		t.Errorf("partition after a v2 load: %+v; want the fixture's 84 segments, all computed", st)
 	}
 	r := eval.New(&cfg).Evaluate(res.Scheme)
@@ -83,7 +83,7 @@ func checkParentSpillLoadsCold(t *testing.T, file string, partitionCost, saCost 
 	opt := sa.DefaultOptions()
 	opt.Iterations = 150
 	r := sa.Optimize(res.Scheme, ev, opt)
-	if st := cache.Stats(); st.DiskHits != 0 || st.Misses != 187 || st.Entries != 187 {
+	if st := cache.Stats(); st.Misses != 187 || st.Entries != 187 {
 		t.Errorf("partition + SA after loading %s: %+v; want the fixture's 187 entries, all computed", file, st)
 	}
 	if res.Cost != partitionCost || r.Cost != saCost {
@@ -95,8 +95,7 @@ func checkParentSpillLoadsCold(t *testing.T, file string, partitionCost, saCost 
 // G-Arch-72's two-chiplet array — survive the disk round trip like
 // content-addressed ones. A fresh cache loaded from the spill of one Partition
 // repeats it, and partitions the same core array under another cut, without a
-// single miss, served entirely by disk-loaded entries, and returns what a
-// private evaluator returns.
+// single miss, and returns what a private evaluator returns.
 func TestDiskRoundTripServesPartition(t *testing.T) {
 	cfg := arch.GArch72()
 	recut := cfg
@@ -123,7 +122,7 @@ func TestDiskRoundTripServesPartition(t *testing.T) {
 	for _, c := range []*arch.Config{&cfg, &recut} {
 		want := partition(c, eval.NewCache())
 		got := partition(c, second)
-		if st := second.Stats(); st.Misses != 0 || st.Hits == 0 || st.DiskHits != st.Hits {
+		if st := second.Stats(); st.Misses != 0 || st.Hits == 0 {
 			t.Errorf("cut %dx%d: partition was not served from the spill: %+v", c.XCut, c.YCut, st)
 		}
 		if !reflect.DeepEqual(got.Groups, want.Groups) || !reflect.DeepEqual(got.BatchUnits, want.BatchUnits) || got.Cost != want.Cost {

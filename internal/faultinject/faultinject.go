@@ -1,8 +1,8 @@
 // Package faultinject is a deterministic fault-injection harness for the
 // sweep engine's chaos tests. An Injector holds a schedule of rules and is
 // threaded — nil by default — through the sweep service's
-// persistence paths: the cache spill, the checkpoint and history savers and
-// the startup checkpoint load. Those are the only places the engine does
+// persistence paths: the checkpoint and history savers and the startup
+// checkpoint load. Those are the only places the engine does
 // real I/O; a (candidate, model) cell is a pure function of its inputs and
 // has no hook.
 // Call sites ask Check whether a fault fires at a named point; a firing rule
@@ -27,9 +27,6 @@ type Point string
 
 // The engine's hook points.
 const (
-	// PointCacheSave fires in the sweep service's cache spill; the key is the
-	// cache directory.
-	PointCacheSave Point = "cache-save"
 	// PointCheckpointSave fires in the sweep service's checkpoint saver; the
 	// key is the checkpoint file's path.
 	PointCheckpointSave Point = "checkpoint-save"

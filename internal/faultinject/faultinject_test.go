@@ -48,10 +48,10 @@ func TestOnSchedule(t *testing.T) {
 
 // Count fires on the first N occurrences, then stops.
 func TestCountSchedule(t *testing.T) {
-	inj := New(Rule{Point: PointCacheSave, Kind: KindError, Count: 2})
+	inj := New(Rule{Point: PointStatusSave, Kind: KindError, Count: 2})
 	fails := 0
 	for n := 0; n < 5; n++ {
-		if inj.Check(PointCacheSave, "/tmp/cache") != nil {
+		if inj.Check(PointStatusSave, "sweep-1") != nil {
 			fails++
 		}
 	}
@@ -62,19 +62,19 @@ func TestCountSchedule(t *testing.T) {
 
 // KindPanic panics with a recognizable value; the next occurrence passes.
 func TestPanicKind(t *testing.T) {
-	inj := New(Rule{Point: PointCacheSave, Kind: KindPanic, On: []int{0}})
+	inj := New(Rule{Point: PointStatusSave, Kind: KindPanic, On: []int{0}})
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("KindPanic did not panic")
 			}
 		}()
-		inj.Check(PointCacheSave, "/cache")
+		inj.Check(PointStatusSave, "sweep-1")
 	}()
-	if err := inj.Check(PointCacheSave, "/cache"); err != nil {
+	if err := inj.Check(PointStatusSave, "sweep-1"); err != nil {
 		t.Fatalf("occurrence 1 fired: %v", err)
 	}
-	if inj.Fired(PointCacheSave) != 1 {
-		t.Fatalf("Fired = %d, want 1", inj.Fired(PointCacheSave))
+	if inj.Fired(PointStatusSave) != 1 {
+		t.Fatalf("Fired = %d, want 1", inj.Fired(PointStatusSave))
 	}
 }

@@ -24,15 +24,16 @@ import (
 )
 
 // chaosInjector builds the canonical persistence chaos schedule: the first
-// cache-spill save fails all three of its in-save attempts — the first by
+// checkpoint save fails all three of its in-save attempts — the first by
 // panicking inside the save, the other two with injected errors — and every
-// later spill succeeds. A sweep spills exactly once, at its final flush, so
-// the schedule alone fixes the outcome: one failed save in the first sweep,
-// never three in a row, so never degraded.
+// later checkpoint save succeeds. Whether that first save is an incremental
+// one or the sweep's final flush, it is the first sweep's, and it fails
+// exactly once, so the schedule alone fixes the outcome: one failed save in
+// the first sweep, never three in a row, so never degraded.
 func chaosInjector() *faultinject.Injector {
 	return faultinject.New(
-		faultinject.Rule{Point: faultinject.PointCacheSave, Kind: faultinject.KindPanic, On: []int{0}},
-		faultinject.Rule{Point: faultinject.PointCacheSave, Kind: faultinject.KindError, On: []int{1, 2}},
+		faultinject.Rule{Point: faultinject.PointCheckpointSave, Kind: faultinject.KindPanic, On: []int{0}},
+		faultinject.Rule{Point: faultinject.PointCheckpointSave, Kind: faultinject.KindError, On: []int{1, 2}},
 	)
 }
 
@@ -62,12 +63,12 @@ func getHealth(t *testing.T, url string) Health {
 	return h
 }
 
-// TestChaosSweepBitIdentical: on a DataDir + CacheDir server whose cache
-// spill panics and fails, a sweep completes with results bit-identical to a
+// TestChaosSweepBitIdentical: on a DataDir server whose first checkpoint
+// save panics and fails, a sweep completes with results bit-identical to a
 // fault-free server's, accounts for exactly the failure the schedule
-// injected, and the server does not end degraded; the next sweep's spill
-// succeeds and a restarted server loads it — persistence faults degrade
-// restart cost, never results.
+// injected, and the server does not end degraded; the next sweep saves
+// cleanly and a restarted server resumes every cell from the checkpoint —
+// persistence faults degrade restart cost, never results.
 func TestChaosSweepBitIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -77,9 +78,9 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 			_, clean := newTestServer(t, Config{})
 			want := runSweep(t, clean.URL, spec)
 
-			dataDir, cacheDir := t.TempDir(), t.TempDir()
+			dataDir := t.TempDir()
 			inj := chaosInjector()
-			_, hs := newTestServer(t, Config{DataDir: dataDir, CacheDir: cacheDir, FaultInjector: inj})
+			_, hs := newTestServer(t, Config{DataDir: dataDir, FaultInjector: inj})
 			got := runSweep(t, hs.URL, spec)
 			done := got[len(got)-1]
 			if done.Type != "done" {
@@ -91,15 +92,15 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 			if wantBest := want[len(want)-1].Best; !reflect.DeepEqual(done.Best, wantBest) {
 				t.Errorf("chaos best %+v, want %+v", done.Best, wantBest)
 			}
-			if inj.Fired(faultinject.PointCacheSave) != 3 {
-				t.Errorf("injector fired %d times, want 3", inj.Fired(faultinject.PointCacheSave))
+			if inj.Fired(faultinject.PointCheckpointSave) != 3 {
+				t.Errorf("injector fired %d times, want 3", inj.Fired(faultinject.PointCheckpointSave))
 			}
 			st := done.Stats
 			if st.PersistenceErrors != 1 || st.PersistenceDegraded || !strings.Contains(st.LastPersistenceError, "faultinject") {
 				t.Errorf("persistence errors=%d degraded=%t last=%q, want 1, false and the injected error",
 					st.PersistenceErrors, st.PersistenceDegraded, st.LastPersistenceError)
 			}
-			// The spill's panic is a persistence failure, not a cell's.
+			// The save's panic is a persistence failure, not a cell's.
 			if st.Panics != 0 {
 				t.Errorf("Panics = %d, want 0", st.Panics)
 			}
@@ -107,7 +108,7 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 			next := spec
 			next.ID, next.Seed = "chaos-next", seed+100
 			if again := runSweep(t, hs.URL, next); again[len(again)-1].Stats.PersistenceErrors != 0 {
-				t.Errorf("the second sweep's spill failed: %+v", again[len(again)-1].Stats)
+				t.Errorf("the second sweep's saves failed: %+v", again[len(again)-1].Stats)
 			}
 			h := getHealth(t, hs.URL)
 			if h.Persistence.Errors != 1 || h.Persistence.Degraded || h.PersistenceDegraded {
@@ -118,10 +119,7 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 			}
 			hs.Close()
 
-			_, restarted := newTestServer(t, Config{DataDir: dataDir, CacheDir: cacheDir})
-			if h := getHealth(t, restarted.URL); h.Sessions[0].CacheDiskLoaded == 0 {
-				t.Error("the spill written after the failed one did not load")
-			}
+			_, restarted := newTestServer(t, Config{DataDir: dataDir})
 			redone := runSweep(t, restarted.URL, spec)
 			if st := redone[len(redone)-1].Stats; st.ResumedCells != st.Cells {
 				t.Errorf("restart resumed %d of %d cells", st.ResumedCells, st.Cells)

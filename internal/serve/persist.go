@@ -1,12 +1,12 @@
 // Server persistence: everything the server writes to disk on behalf of
 // /sweep and the fleet goes through one persister. Sweeps only compute —
 // cells settle in the server's dse.Session, whether a /sweep mapped them or
-// a fleet worker uploaded them, and group summaries in its evaluation cache —
-// and the persister decides when that state reaches disk: one checkpoint
-// file per DataDir, kept current by one coalescing saver goroutine and
-// flushed synchronously at the points a sweep promises durability; one
-// history log per DataDir, one line appended per finished sweep; and the
-// evaluation-cache spill in CacheDir, rewritten once per finished sweep.
+// a fleet worker uploaded them — and the persister decides when that state
+// reaches disk: one checkpoint file per DataDir, kept current by one
+// coalescing saver goroutine and flushed synchronously at the points a sweep
+// promises durability, and one history log per DataDir, one line appended
+// per finished sweep. The evaluation cache stays in memory: a restart
+// recomputes only what the checkpoint does not already settle.
 package serve
 
 import (
@@ -39,18 +39,17 @@ const checkpointName = "_session.ckpt"
 // supersedes earlier ones.
 const historyName = "_history.ndjson"
 
-// persister owns a server's checkpoint file, its saver, its history log and
-// its cache spill. Its embedded tracker accounts for every save the server
-// makes — checkpoints, history and spills. Without DataDir and CacheDir it
-// does nothing: no goroutine, no file access.
+// persister owns a server's checkpoint file, its saver and its history log.
+// Its embedded tracker accounts for every save the server makes —
+// checkpoints and history. Without DataDir it does nothing: no goroutine, no
+// file access.
 type persister struct {
 	PersistenceTracker
 
-	ses      *dse.Session
-	dataDir  string
-	cacheDir string
-	inj      *faultinject.Injector
-	logf     func(format string, args ...any)
+	ses     *dse.Session
+	dataDir string
+	inj     *faultinject.Injector
+	logf    func(format string, args ...any)
 
 	// req holds the one pending checkpoint save (nil without DataDir, which
 	// makes poke a no-op); done closes when the saver goroutine returns.
@@ -67,16 +66,10 @@ type persister struct {
 	rewrite  bool
 }
 
-// newPersister loads what the server's directories already hold into ses
-// and, with a DataDir, starts the saver, which runs until ctx ends.
+// newPersister loads what DataDir already holds into ses and starts the
+// saver, which runs until ctx ends.
 func newPersister(ctx context.Context, ses *dse.Session, cfg Config, logf func(format string, args ...any)) *persister {
-	p := &persister{ses: ses, dataDir: cfg.DataDir, cacheDir: cfg.CacheDir, inj: cfg.FaultInjector, logf: logf}
-	if p.cacheDir != "" {
-		if _, err := ses.WarmDiskCache(p.cacheDir); err != nil {
-			p.Fail(err)
-			logf("serve: disk cache warm failed, running cold: %v", err)
-		}
-	}
+	p := &persister{ses: ses, dataDir: cfg.DataDir, inj: cfg.FaultInjector, logf: logf}
 	if p.dataDir != "" {
 		p.loadCheckpoints()
 		p.req = make(chan struct{}, 1)
@@ -180,25 +173,6 @@ func (p *persister) flush(label string) {
 	if err != nil {
 		st := p.State()
 		p.logf("serve: %s checkpoint save failed (errors %d, degraded %t): %v", label, st.Errors, st.Degraded, err)
-	}
-}
-
-// spill merges and rewrites the evaluation-cache spill in CacheDir. It runs
-// once per finished sweep, never per result: the spill is a recomputable
-// cache, and rewriting it per candidate cost more than the sweep.
-func (p *persister) spill() {
-	if p.cacheDir == "" {
-		return
-	}
-	err := p.Do(func() error {
-		if ierr := p.inj.Check(faultinject.PointCacheSave, p.cacheDir); ierr != nil {
-			return ierr
-		}
-		return p.ses.SaveDiskCache(p.cacheDir)
-	})
-	if err != nil {
-		st := p.State()
-		p.logf("serve: cache spill failed (errors %d, degraded %t): %v", st.Errors, st.Degraded, err)
 	}
 }
 
@@ -360,8 +334,8 @@ type PersistenceState struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// PersistenceTracker accounts for persistence failures (checkpoint, status
-// and cache-spill saves) without ever failing the sweep they serve:
+// PersistenceTracker accounts for persistence failures (checkpoint and
+// status saves) without ever failing the sweep they serve:
 // persistence is an optimization, losing it degrades restart cost, not
 // correctness. The zero value is ready to use; all methods are safe for
 // concurrent use.

@@ -1,5 +1,5 @@
 // Tests of the server's persistence traffic: one checkpoint file and one
-// history log per DataDir, one cache spill per sweep, startup merges of
+// history log per DataDir, startup merges of
 // every checkpoint in the directory, and fleet sweeps settling cells in that
 // same checkpoint, interoperating with /sweep.
 package serve
@@ -201,21 +201,6 @@ func FuzzStatusLog(f *testing.F) {
 			seen[st.ID] = true
 		}
 	})
-}
-
-// TestCacheSpillOncePerSweep: a CacheDir sweep rewrites the spill exactly
-// once, at its final flush — never per streamed candidate.
-func TestCacheSpillOncePerSweep(t *testing.T) {
-	dir := t.TempDir()
-	_, hs := newTestServer(t, Config{CacheDir: dir})
-	before := getHealth(t, hs.URL).Sessions[0].CacheDiskSaves
-	runSweep(t, hs.URL, tinySpec("spilled", 8, 16, 32, 64))
-	if got := getHealth(t, hs.URL).Sessions[0].CacheDiskSaves - before; got != 1 {
-		t.Errorf("one sweep raised cache_disk_saves by %d, want 1", got)
-	}
-	if _, err := os.Stat(dse.CachePath(dir)); err != nil {
-		t.Errorf("no spill after the sweep: %v", err)
-	}
 }
 
 // TestParentCheckpointResumesUnderNewID: a DataDir holding a per-sweep

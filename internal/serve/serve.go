@@ -24,7 +24,9 @@
 // any other *.ckpt in the directory — into its session at startup, so a
 // re-POSTed spec, under any id, recomputes none of the finished cells.
 // Finished sweeps' statuses append to one history log beside it, so
-// GET /sweeps survives a restart too.
+// GET /sweeps survives a restart too. Nothing else reaches disk: the
+// session's evaluation cache lives and dies with the process, since every
+// cell it could spare a restarted server is already in the checkpoint.
 //
 // Execution is gated by a multi-tenant job queue over a fixed worker-slot
 // pool: interactive sweeps dispatch ahead of batch sweeps, tenants share
@@ -89,14 +91,6 @@ type Config struct {
 	// worker (default 10s). Lower it for fast failover in tests; raise it
 	// on networks where uploads may stall.
 	FleetLeaseTTL time.Duration
-	// CacheDir, when set, spills the session's evaluation cache to disk:
-	// New warms the session from the previous process's group evaluations
-	// — not just from checkpointed cells — and every finished sweep
-	// rewrites the spill once (dse.Session.SaveDiskCache). Every save merges
-	// the file's entries before snapshotting, so processes sharing the
-	// directory converge on the union of their work rather than
-	// overwriting it.
-	CacheDir string
 	// Logf, when set, receives server lifecycle and scheduling lines.
 	Logf func(format string, args ...any)
 	// FaultInjector, when non-nil, arms the deterministic fault-injection
@@ -146,8 +140,8 @@ type Server struct {
 	sweeps map[string]*sweep
 	order  []string // sweep ids in registration order (for listing/eviction)
 
-	// persist owns the server's checkpoint file, its saver and the cache
-	// spill, and tracks every save's health: a failing disk degrades
+	// persist owns the server's checkpoint file, its saver and the history
+	// log, and tracks every save's health: a failing disk degrades
 	// persistence (sweeps keep running and streaming), it never fails a
 	// sweep. /healthz surfaces the state.
 	persist *persister
@@ -370,14 +364,6 @@ type SessionHealth struct {
 	CacheFlushes int64 `json:"cache_flushes"`
 	// CacheHitRate is hits / (hits + misses), 0 when idle.
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// CacheDiskHits counts cache hits served by entries loaded from the
-	// disk spill — group evaluations a predecessor process paid for.
-	CacheDiskHits int64 `json:"cache_disk_hits,omitempty"`
-	// CacheDiskLoaded counts entries the session merged from the disk spill.
-	CacheDiskLoaded int64 `json:"cache_disk_loaded,omitempty"`
-	// CacheDiskSaves counts completed spills of this session's cache (one
-	// per finished sweep with CacheDir set).
-	CacheDiskSaves int64 `json:"cache_disk_saves,omitempty"`
 	// CheckpointCells counts the settled cells the session holds.
 	CheckpointCells int `json:"checkpoint_cells"`
 	// ResumedCells counts cells served from checkpoints over the session's
@@ -477,7 +463,7 @@ type Health struct {
 	// Faults aggregates fault-handling counters across finished sweeps.
 	Faults FaultCounts `json:"faults"`
 	// Persistence is the health of every save the server makes: the
-	// checkpoint, the history log and the cache spill.
+	// checkpoint and the history log.
 	Persistence PersistenceState `json:"persistence"`
 	// PersistenceDegraded mirrors Persistence.Degraded: several consecutive
 	// saves failed. Work continues in memory; restart cost is what
@@ -506,9 +492,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		CacheEntries:    cs.Entries,
 		CacheFlushes:    cs.Flushes,
 		CacheHitRate:    cs.HitRate(),
-		CacheDiskHits:   cs.DiskHits,
-		CacheDiskLoaded: cs.DiskLoaded,
-		CacheDiskSaves:  cs.DiskSaves,
 		CheckpointCells: s.ses.CheckpointCells(),
 		ResumedCells:    s.ses.ResumedCells(),
 	}}

@@ -139,7 +139,7 @@ type StatsSummary struct {
 	// LastPanic is the most recent recovered panic's message and stack.
 	LastPanic string `json:"last_panic,omitempty"`
 	// PersistenceErrors counts the server's failed saves while the sweep ran
-	// (checkpoint, status and cache spill, concurrent sweeps' included); the
+	// (checkpoint and status, concurrent sweeps' included); the
 	// sweep itself kept running.
 	PersistenceErrors int `json:"persistence_errors,omitempty"`
 	// PersistenceDegraded reports the server's persistence ended the sweep
@@ -626,7 +626,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	// Every settled cell is on disk before the terminal event is sent.
 	s.persist.flush("final")
-	s.persist.spill()
 	s.faultPanics.Add(int64(stats.Panics))
 
 	sum := summarizeStats(stats)
