@@ -15,7 +15,7 @@ import (
 // comment. A grouped const or var is covered by its block's comment, or else
 // by a comment on each spec.
 func TestExportedDocs(t *testing.T) {
-	for _, dir := range []string{"dse", "sa", "eval", "serve", "fleet", "atomicfile"} {
+	for _, dir := range []string{"dse", "sa", "eval", "serve", "fleet", "intake", "atomicfile"} {
 		fset := token.NewFileSet()
 		paths, _ := filepath.Glob(filepath.Join("internal", dir, "*.go"))
 		var files []*ast.File

@@ -405,21 +405,6 @@ func cutFloor(cfg *arch.Config, d *modelDemand, batch float64, pm int) float64 {
 	return maxVol * rate / 1e9
 }
 
-// pruneBound computes the candidate's objective lower bound over a model
-// set: MC^alpha * geomean(lowerBound(E))^beta * geomean(lowerBound(D))^gamma.
-// It is a thin wrapper over lowerBoundED and the scheduler's mixedBound
-// fold, so tests exercising it pin exactly the reduction the sweep runs.
-// It is only a bound when every exponent is non-negative; callers must
-// gate on objMonotone.
-func pruneBound(cfg *arch.Config, models []*dnn.Graph, p *eval.Params, opt Options, mcTotal float64) float64 {
-	eLBs := make([]float64, len(models))
-	dLBs := make([]float64, len(models))
-	for mi, g := range models {
-		eLBs[mi], dLBs[mi] = lowerBoundED(cfg, computeDemand(g), p, opt)
-	}
-	return mixedBound(mcTotal, eLBs, dLBs, nil, opt.Objective)
-}
-
 // objMonotone reports whether the objective is monotone non-decreasing in
 // MC, E and D — the precondition for lower-bound pruning to be sound.
 func objMonotone(o Objective) bool {

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -236,8 +237,9 @@ func TestBoundTightensOrdering(t *testing.T) {
 // TestBoundSoundOnRealZoo checks the bound where sweeps actually use it: a
 // fixed sample of reduced 72-TOPs multi-chiplet candidates (the ones with
 // chiplet cuts, so the per-cut term is live) against resnet50 and
-// transformer, each mapped for real. The candidate's pruneBound must not
-// exceed its achieved objective, nor any per-model floor its achieved value.
+// transformer, each mapped for real. The bound the scheduler gates the
+// candidate on must not exceed its achieved objective, nor any per-model
+// floor its achieved value.
 func TestBoundSoundOnRealZoo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("maps real zoo models")
@@ -256,9 +258,15 @@ func TestBoundSoundOnRealZoo(t *testing.T) {
 	opt.SAIterations = 60
 	p := eval.DefaultParams()
 	mce := cost.New()
+	sample := make([]arch.Config, 4)
+	for i := range sample {
+		sample[i] = multi[i*len(multi)/4]
+	}
+	// A fresh session holds no checkpoint, so each states[i].lb is the
+	// candidate's pure bound.
+	sc := NewSession().newScheduler(context.Background(), sample, models, opt)
 	cutLive := 0
-	for i := 0; i < 4; i++ {
-		cfg := multi[i*len(multi)/4]
+	for i, cfg := range sample {
 		per := make([]pairOutcome, len(models))
 		for mi, g := range models {
 			mr, err := MapModel(&cfg, g, opt)
@@ -275,8 +283,8 @@ func TestBoundSoundOnRealZoo(t *testing.T) {
 			per[mi] = mr.asOutcome()
 		}
 		cr := reduceCandidate(&cfg, per, models, mce, opt)
-		if lb := pruneBound(&cfg, models, &p, opt, cr.MC.Total()); !cr.Feasible || lb > cr.Obj {
-			t.Errorf("%s: pruneBound %v exceeds achieved objective %v", cfg.Name, lb, cr.Obj)
+		if lb := sc.states[i].lb; !cr.Feasible || lb > cr.Obj {
+			t.Errorf("%s: scheduler bound %v exceeds achieved objective %v", cfg.Name, lb, cr.Obj)
 		}
 	}
 	if cutLive == 0 {

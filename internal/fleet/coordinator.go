@@ -16,10 +16,6 @@ package fleet
 
 import (
 	"bytes"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -30,6 +26,7 @@ import (
 	"gemini/internal/arch"
 	"gemini/internal/dnn"
 	"gemini/internal/dse"
+	"gemini/internal/intake"
 )
 
 // CoordinatorConfig configures a fleet coordinator.
@@ -80,15 +77,12 @@ type Coordinator struct {
 	mux *http.ServeMux
 	ses *dse.Session
 
+	// mu guards sweeps, whose bound matters twice over: each record pins
+	// its enumerated grid, and every request walks the registry.
 	mu       sync.Mutex
-	sweeps   map[string]*fleetSweep
-	order    []string // submission order; every map access walks this
+	sweeps   intake.Registry[*fleetSweep]
 	leaseSeq int
 }
-
-// retiredFleetSweeps bounds the done sweeps a coordinator keeps: each pins
-// its enumerated grid, and every request walks the registry.
-const retiredFleetSweeps = 1024
 
 type shardPhase int
 
@@ -126,6 +120,10 @@ type fleetSweep struct {
 	stats  SweepAggregate
 	done   bool
 }
+
+// Active reports the sweep still has shards pending or leased. A done sweep
+// may be superseded by a re-submit or evicted.
+func (fs *fleetSweep) Active() bool { return !fs.done }
 
 // SweepAggregate is the coordinator's fleet-wide accounting for one sweep,
 // folded from completed shards' ShardStats.
@@ -215,11 +213,7 @@ type Health struct {
 //	                    and its best result, keep the lease alive, pull the
 //	                    incumbent
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
-	c := &Coordinator{
-		cfg:    cfg,
-		ses:    cfg.Session,
-		sweeps: make(map[string]*fleetSweep),
-	}
+	c := &Coordinator{cfg: cfg, ses: cfg.Session}
 	if c.ses == nil {
 		c.ses = dse.NewSession()
 	}
@@ -248,8 +242,7 @@ func (c *Coordinator) logf(format string, args ...any) {
 // pool. Called with c.mu held, on every handler entry, so expiry needs no
 // background timer: liveness only matters when someone is asking for work.
 func (c *Coordinator) reapLocked(now time.Time) {
-	for _, id := range c.order {
-		fs := c.sweeps[id]
+	for fs := range c.sweeps.All() {
 		if fs.done {
 			continue // every shard is done: nothing is leased
 		}
@@ -269,37 +262,16 @@ func (c *Coordinator) reapLocked(now time.Time) {
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if !decodeBody(w, r, controlBodyLimit, true, "submit body", &req) {
+	if !intake.Decode(w, r, intake.BodyLimit, true, "submit body", &req) {
 		return
 	}
 	if req.Shards < 1 {
-		writeError(w, http.StatusBadRequest, "shards = %d, want >= 1", req.Shards)
+		intake.WriteError(w, http.StatusBadRequest, "shards = %d, want >= 1", req.Shards)
 		return
 	}
 	spec := req.Spec
-	if spec.ID == "" {
-		spec.ID = newFleetID()
-	} else if !dse.NamePattern.MatchString(spec.ID) {
-		writeError(w, http.StatusBadRequest, "sweep id %q: want %s", spec.ID, dse.NamePattern)
-		return
-	}
-	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid spec: %v", err)
-		return
-	}
-	cands, err := spec.Candidates()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "candidates: %v", err)
-		return
-	}
-	graphs, err := spec.Graphs()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "graphs: %v", err)
-		return
-	}
-	if c.cfg.MaxCells > 0 && len(cands)*len(graphs) > c.cfg.MaxCells {
-		writeError(w, http.StatusUnprocessableEntity, "sweep grid %d cells exceeds server limit %d",
-			len(cands)*len(graphs), c.cfg.MaxCells)
+	cands, graphs, ok := intake.Resolve(w, &spec, "fleet", c.cfg.MaxCells)
+	if !ok {
 		return
 	}
 	parts := partition(len(cands), req.Shards)
@@ -316,43 +288,21 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		fs.shards[i].cands = p
 	}
 
+	// A done sweep under the id is superseded: re-submitting is how a
+	// client resumes, and the session already holds the prior cells.
 	c.mu.Lock()
-	if !c.admitLocked(fs) {
+	if err := c.sweeps.Check(fs.id); err != nil {
 		c.mu.Unlock()
-		writeError(w, http.StatusConflict, "fleet sweep %q is still running", fs.id)
+		err.Write(w)
 		return
 	}
+	c.sweeps.Put(fs.id, fs)
 	st := c.statusLocked(fs)
 	c.mu.Unlock()
 
 	c.logf("fleet: sweep %s submitted: %d candidates x %d models in %d shards (%d cells resumed)",
 		fs.id, len(cands), len(graphs), len(parts), st.CheckpointCells)
-	writeJSON(w, http.StatusCreated, st)
-}
-
-// admitLocked registers a submitted sweep, reporting false while a running
-// sweep holds its id. A done sweep under the id is superseded — re-submitting
-// is how a client resumes, and the session already holds the prior cells —
-// and the oldest done sweeps beyond retiredFleetSweeps are evicted. Called
-// with c.mu held.
-func (c *Coordinator) admitLocked(fs *fleetSweep) bool {
-	if old, dup := c.sweeps[fs.id]; dup {
-		if !old.done {
-			return false
-		}
-		c.order = slices.DeleteFunc(c.order, func(id string) bool { return id == fs.id })
-	}
-	c.sweeps[fs.id] = fs
-	c.order = append(c.order, fs.id)
-	for i := 0; len(c.order) > retiredFleetSweeps && i < len(c.order); {
-		if id := c.order[i]; c.sweeps[id].done {
-			delete(c.sweeps, id)
-			c.order = slices.Delete(c.order, i, i+1)
-			continue
-		}
-		i++
-	}
-	return true
+	intake.WriteJSON(w, http.StatusCreated, st)
 }
 
 // partition is the fleet's one sharding rule: it cuts n enumeration indices
@@ -371,27 +321,21 @@ func partition(n, shards int) [][]int {
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.reapLocked(c.cfg.now())
-	list := make([]SweepStatus, 0, len(c.order))
-	for _, id := range c.order {
-		list = append(list, c.statusLocked(c.sweeps[id]))
+	list := make([]SweepStatus, 0, c.sweeps.Len())
+	for fs := range c.sweeps.All() {
+		list = append(list, c.statusLocked(fs))
 	}
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, list)
+	intake.WriteJSON(w, http.StatusOK, list)
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	c.mu.Lock()
-	fs, ok := c.sweeps[id]
+	st, ok := c.Status(r.PathValue("id"))
 	if !ok {
-		c.mu.Unlock()
-		writeError(w, http.StatusNotFound, "no fleet sweep %q", id)
+		intake.WriteError(w, http.StatusNotFound, "no fleet sweep %q", r.PathValue("id"))
 		return
 	}
-	c.reapLocked(c.cfg.now())
-	st := c.statusLocked(fs)
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	intake.WriteJSON(w, http.StatusOK, st)
 }
 
 // statusLocked snapshots a sweep's status. Called with c.mu held.
@@ -432,19 +376,18 @@ func (c *Coordinator) statusLocked(fs *fleetSweep) SweepStatus {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if !decodeBody(w, r, controlBodyLimit, false, "lease request", &req) {
+	if !intake.Decode(w, r, intake.BodyLimit, false, "lease request", &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		intake.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
 	c.mu.Lock()
 	now := c.cfg.now()
 	c.reapLocked(now)
-	for _, id := range c.order {
-		fs := c.sweeps[id]
+	for fs := range c.sweeps.All() {
 		if fs.done {
 			continue
 		}
@@ -456,7 +399,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			lease, err := c.grantLocked(fs, i, req.Worker, now)
 			if err != nil {
 				c.mu.Unlock()
-				writeError(w, http.StatusInternalServerError, "granting shard: %v", err)
+				intake.WriteError(w, http.StatusInternalServerError, "granting shard: %v", err)
 				return
 			}
 			settled, cells := sh.settledAtLease, len(sh.cands)*len(fs.graphs)
@@ -464,7 +407,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			c.logf("fleet: sweep %s shard %d/%d leased to %s as %s (%d/%d shard cells settled)",
 				lease.SweepID, lease.Shard, lease.Shards, req.Worker, lease.LeaseID,
 				settled, cells)
-			writeJSON(w, http.StatusOK, lease)
+			intake.WriteJSON(w, http.StatusOK, lease)
 			return
 		}
 	}
@@ -539,21 +482,21 @@ func (fs *fleetSweep) foldIncumbentLocked(candidate string, obj float64) bool {
 
 func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	var up CheckpointUpload
-	if !decodeBody(w, r, checkpointBodyLimit, false, "checkpoint upload", &up) {
+	if !intake.Decode(w, r, checkpointBodyLimit, false, "checkpoint upload", &up) {
 		return
 	}
 	if err := up.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		intake.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
 	c.mu.Lock()
 	now := c.cfg.now()
 	c.reapLocked(now)
-	fs, ok := c.sweeps[up.SweepID]
+	fs, ok := c.sweeps.Get(up.SweepID)
 	if !ok {
 		c.mu.Unlock()
-		writeError(w, http.StatusNotFound, "no fleet sweep %q", up.SweepID)
+		intake.WriteError(w, http.StatusNotFound, "no fleet sweep %q", up.SweepID)
 		return
 	}
 	// Merge first, regardless of lease liveness: settled cells are valid
@@ -561,7 +504,7 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	// would recompute work for no reason.
 	if err := c.ses.LoadCheckpoint(bytes.NewReader(up.Checkpoint)); err != nil {
 		c.mu.Unlock()
-		writeError(w, http.StatusBadRequest, "merging checkpoint: %v", err)
+		intake.WriteError(w, http.StatusBadRequest, "merging checkpoint: %v", err)
 		return
 	}
 	fs.stats.Uploads++
@@ -575,7 +518,7 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if i < 0 {
 		c.mu.Unlock()
 		c.merged(false)
-		writeError(w, http.StatusGone, "lease %s is no longer live (checkpoint merged)", up.LeaseID)
+		intake.WriteError(w, http.StatusGone, "lease %s is no longer live (checkpoint merged)", up.LeaseID)
 		return
 	}
 	sh := &fs.shards[i]
@@ -604,7 +547,7 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	// A live lease means the sweep was not done before this upload, so done
 	// here is the transition, reported once per sweep.
 	c.merged(done)
-	writeJSON(w, http.StatusOK, resp)
+	intake.WriteJSON(w, http.StatusOK, resp)
 }
 
 // merged reports a merged upload to OnMerge. Called without c.mu.
@@ -620,11 +563,10 @@ func (c *Coordinator) Health() Health {
 	defer c.mu.Unlock()
 	c.reapLocked(c.cfg.now())
 	var h Health
-	h.Sweeps = len(c.order)
+	h.Sweeps = c.sweeps.Len()
 	var workers []string
 	seen := make(map[string]bool)
-	for _, id := range c.order {
-		fs := c.sweeps[id]
+	for fs := range c.sweeps.All() {
 		if !fs.done {
 			h.Active++
 		}
@@ -654,7 +596,7 @@ func (c *Coordinator) Health() Health {
 func (c *Coordinator) Status(id string) (SweepStatus, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fs, ok := c.sweeps[id]
+	fs, ok := c.sweeps.Get(id)
 	if !ok {
 		return SweepStatus{}, false
 	}
@@ -662,61 +604,8 @@ func (c *Coordinator) Status(id string) (SweepStatus, bool) {
 	return c.statusLocked(fs), true
 }
 
-// newFleetID mints a random sweep id for submissions that carry none.
-func newFleetID() string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("fleet-%d", time.Now().UnixNano())
-	}
-	return "fleet-" + hex.EncodeToString(b[:])
-}
-
-// errorBody mirrors the sweep service's error shape.
-type errorBody struct {
-	// Error is the human-readable failure description.
-	Error string `json:"error"`
-}
-
-// Request body limits. Submit and lease messages are at most spec-sized
-// (the sweep service's POST /sweep limit); a checkpoint upload carries its
-// shard's settled cells at roughly 600 bytes per cell, and the limit leaves
-// room for about 10^5 of them — several full Table I grids.
-const (
-	controlBodyLimit    = 1 << 20
-	checkpointBodyLimit = 64 << 20
-)
-
-// decodeBody decodes a request's JSON body into v, reading at most limit
-// bytes, and on failure answers the request itself: 413 past the limit, 400
-// for anything else. strict additionally rejects unknown fields, as POST
-// /sweep does for client specs; worker messages stay lenient so a fleet can
-// be upgraded one process at a time. what names the message in the error.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, strict bool, what string, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	if strict {
-		dec.DisallowUnknownFields()
-	}
-	err := dec.Decode(v)
-	if err == nil {
-		return true
-	}
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		writeError(w, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, limit)
-	} else {
-		writeError(w, http.StatusBadRequest, "bad %s: %v", what, err)
-	}
-	return false
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
-}
+// checkpointBodyLimit bounds a checkpoint upload; submit and lease messages
+// are spec-sized (intake.BodyLimit). An upload carries its shard's settled
+// cells at roughly 600 bytes per cell, and the limit leaves room for about
+// 10^5 of them — several full Table I grids.
+const checkpointBodyLimit = 64 << 20

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gemini/internal/dse"
+	"gemini/internal/intake"
 )
 
 // postRaw posts raw bytes (valid or not) and returns the status code.
@@ -57,8 +58,12 @@ func TestWireValidate(t *testing.T) {
 		{"lease bad spec", badSpec},
 		{"lease request", &LeaseRequest{}},
 		{"incumbent state", &IncumbentState{Found: true, Objective: math.NaN()}},
+		{"incumbent state negative", &IncumbentState{Found: true, Objective: -1}},
+		{"incumbent state zero", &IncumbentState{Found: true}},
 		{"shard stats", &ShardStats{SAIterations: -1}},
 		{"shard best", &ShardBest{Objective: math.Inf(1)}},
+		{"shard best negative", &ShardBest{Objective: -1}},
+		{"shard best zero", &ShardBest{}},
 		{"upload ids", &CheckpointUpload{Checkpoint: []byte("{}")}},
 		{"upload no bytes", &CheckpointUpload{SweepID: "s", LeaseID: "l"}},
 		{"upload bad stats", &CheckpointUpload{SweepID: "s", LeaseID: "l", Checkpoint: []byte("{}"),
@@ -67,6 +72,8 @@ func TestWireValidate(t *testing.T) {
 			Best: &ShardBest{Objective: math.NaN()}}},
 		{"checkpoint response", &CheckpointResponse{
 			Incumbent: IncumbentState{Found: true, Objective: math.Inf(1)}}},
+		{"checkpoint response negative", &CheckpointResponse{
+			Incumbent: IncumbentState{Found: true, Objective: -1}}},
 	}
 	for _, tc := range bad {
 		if err := tc.v.Validate(); err == nil {
@@ -189,7 +196,9 @@ func TestCoordinatorSurface(t *testing.T) {
 	}
 
 	// Checkpoint rejections: bad JSON, invalid envelope, unknown sweep,
-	// lapsed lease, and corrupt checkpoint bytes on a live lease.
+	// lapsed lease, and on a live lease corrupt checkpoint bytes and an
+	// impossible best, which must not become the incumbent every later
+	// lease carries.
 	if code := postRaw(t, srv.URL+"/checkpoint", "{nope"); code != http.StatusBadRequest {
 		t.Fatalf("bad checkpoint JSON answered %d", code)
 	}
@@ -216,6 +225,15 @@ func TestCoordinatorSurface(t *testing.T) {
 	}, nil); code != http.StatusBadRequest {
 		t.Fatalf("corrupt upload answered %d", code)
 	}
+	if code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
+		SweepID: st.ID, LeaseID: lease.LeaseID, Checkpoint: checkpointBytes(t, dse.NewSession()),
+		Best: &ShardBest{Candidate: "poison", Objective: -1},
+	}, nil); code != http.StatusBadRequest {
+		t.Fatalf("upload with best.objective = -1 answered %d, want 400", code)
+	}
+	if got, _ := coord.Status(st.ID); got.Incumbent.Found {
+		t.Fatalf("an impossible best became the fleet incumbent: %+v", got.Incumbent)
+	}
 }
 
 // TestBoundedDecode: every POST endpoint reads at most its body limit and
@@ -227,7 +245,7 @@ func TestBoundedDecode(t *testing.T) {
 	defer srv.Close()
 
 	for path, limit := range map[string]int{
-		"/sweeps": controlBodyLimit, "/lease": controlBodyLimit, "/checkpoint": checkpointBodyLimit,
+		"/sweeps": intake.BodyLimit, "/lease": intake.BodyLimit, "/checkpoint": checkpointBodyLimit,
 	} {
 		body := `{"worker":"` + strings.Repeat("w", limit) + `"}`
 		if code := postRaw(t, srv.URL+path, body); code != http.StatusRequestEntityTooLarge {
@@ -244,7 +262,7 @@ func TestBoundedDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var eb errorBody
+		var eb intake.ErrorBody
 		derr := json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
 		name := knob[:strings.Index(knob, ":")]

@@ -10,11 +10,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"gemini/internal/dse"
+	"gemini/internal/intake"
 )
 
 // testSpecJSON is a small 4-candidate x 1-model grid that runs in well
@@ -626,28 +629,26 @@ func TestResubmitDoneSweepResumes(t *testing.T) {
 	}
 }
 
-// TestDoneSweepsEvicted: the registry keeps at most retiredFleetSweeps
+// TestDoneSweepsEvicted: the registry keeps at most intake.RegistryCap
 // sweeps once they are done — the oldest done ones go first, running ones
 // never.
 func TestDoneSweepsEvicted(t *testing.T) {
 	coord := NewCoordinator(CoordinatorConfig{})
-	coord.sweeps["live"] = &fleetSweep{id: "live"}
-	coord.order = append(coord.order, "live")
-	for i := 0; i < retiredFleetSweeps; i++ {
+	coord.sweeps.Put("live", &fleetSweep{id: "live"})
+	for i := 0; i < intake.RegistryCap; i++ {
 		id := fmt.Sprintf("done-%04d", i)
-		coord.sweeps[id] = &fleetSweep{id: id, done: true}
-		coord.order = append(coord.order, id)
+		coord.sweeps.Put(id, &fleetSweep{id: id, done: true})
 	}
 	srv := httptest.NewServer(coord)
 	defer srv.Close()
 	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: parseSpec(t, testSpecJSON("fresh")), Shards: 1}, nil); code != http.StatusCreated {
 		t.Fatalf("submit answered %d", code)
 	}
-	if len(coord.order) != retiredFleetSweeps || len(coord.sweeps) != retiredFleetSweeps {
-		t.Fatalf("registry holds %d ids (%d records), want %d", len(coord.order), len(coord.sweeps), retiredFleetSweeps)
+	if n := coord.sweeps.Len(); n != intake.RegistryCap {
+		t.Fatalf("registry holds %d records, want %d", n, intake.RegistryCap)
 	}
 	for id, want := range map[string]bool{"live": true, "fresh": true, "done-0000": false, "done-0001": false, "done-0002": true} {
-		if _, ok := coord.sweeps[id]; ok != want {
+		if _, ok := coord.sweeps.Get(id); ok != want {
 			t.Errorf("sweep %s kept=%t, want %t", id, ok, want)
 		}
 	}
@@ -735,7 +736,8 @@ func TestLeaseCandidatesRange(t *testing.T) {
 // upload after the first feasible candidate must carry the worker's best
 // delivered result, that best must only improve and end at the
 // single-process best, and the incumbent must never travel on any other
-// endpoint.
+// endpoint. The fake answers every upload with an impossible incumbent
+// (objective -1), which the worker must report and not fold.
 func TestWorkerUploadsCarryBest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep")
@@ -758,7 +760,7 @@ func TestWorkerUploadsCarryBest(t *testing.T) {
 	soloBest := dse.Best(solo)
 
 	var mu sync.Mutex
-	var paths []string
+	var paths, logs []string
 	var uploads []CheckpointUpload
 	leased := false
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -776,7 +778,7 @@ func TestWorkerUploadsCarryBest(t *testing.T) {
 			for i := range idx {
 				idx[i] = i
 			}
-			writeJSON(w, http.StatusOK, Lease{SweepID: "fake", LeaseID: "l1", Shards: 1,
+			intake.WriteJSON(w, http.StatusOK, Lease{SweepID: "fake", LeaseID: "l1", Shards: 1,
 				Candidates: idx, Spec: spec, TTLMS: 60_000})
 		case "/checkpoint":
 			var up CheckpointUpload
@@ -784,21 +786,31 @@ func TestWorkerUploadsCarryBest(t *testing.T) {
 				t.Errorf("decoding upload: %v", err)
 			}
 			uploads = append(uploads, up)
-			writeJSON(w, http.StatusOK, CheckpointResponse{})
+			// An impossible incumbent: folding it would prune every
+			// candidate the worker has not started yet.
+			intake.WriteJSON(w, http.StatusOK, CheckpointResponse{Incumbent: IncumbentState{Found: true, Objective: -1}})
 		default:
 			http.NotFound(w, r)
 		}
 	}))
 	defer fake.Close()
 
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
 	if err := RunWorker(context.Background(), WorkerConfig{
-		Coordinator: fake.URL, Name: "wf", ExitWhenIdle: true, Logf: t.Logf,
+		Coordinator: fake.URL, Name: "wf", ExitWhenIdle: true, Logf: logf,
 	}); err != nil {
 		t.Fatalf("worker: %v", err)
 	}
 
 	mu.Lock()
 	defer mu.Unlock()
+	if !slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, "ignoring invalid incumbent") }) {
+		t.Errorf("worker did not report the impossible incumbent; logs: %q", logs)
+	}
 	for _, p := range paths {
 		if p != "/lease" && p != "/checkpoint" {
 			t.Errorf("worker hit %s; the incumbent travels only on checkpoint uploads", p)
@@ -851,7 +863,7 @@ func TestWorkerHeartbeat(t *testing.T) {
 					return
 				}
 				leased = true
-				writeJSON(w, http.StatusOK, Lease{SweepID: "beat", LeaseID: "l1", Shards: 1,
+				intake.WriteJSON(w, http.StatusOK, Lease{SweepID: "beat", LeaseID: "l1", Shards: 1,
 					Candidates: []int{0, 1}, Spec: spec, TTLMS: 60})
 			case "/checkpoint":
 				var up CheckpointUpload
@@ -860,10 +872,10 @@ func TestWorkerHeartbeat(t *testing.T) {
 				}
 				uploads = append(uploads, up)
 				if answer != http.StatusOK {
-					writeError(w, answer, "lease l1 is no longer live")
+					intake.WriteError(w, answer, "lease l1 is no longer live")
 					return
 				}
-				writeJSON(w, http.StatusOK, CheckpointResponse{})
+				intake.WriteJSON(w, http.StatusOK, CheckpointResponse{})
 			default:
 				http.NotFound(w, r)
 			}

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"gemini/internal/intake"
 )
 
 // FuzzFleetWire drives arbitrary bytes through the decode+validate path of
@@ -84,7 +86,7 @@ func checkRoundTrip[T any](t *testing.T, data []byte) {
 	var v T
 	rec := httptest.NewRecorder()
 	req := &http.Request{Body: io.NopCloser(bytes.NewReader(data))}
-	if !decodeBody(rec, req, fuzzBodyLimit, false, "fuzzed message", &v) {
+	if !intake.Decode(rec, req, fuzzBodyLimit, false, "fuzzed message", &v) {
 		if tooBig := rec.Code == http.StatusRequestEntityTooLarge; tooBig && len(data) <= fuzzBodyLimit {
 			t.Fatalf("%d-byte body refused as too large (limit %d)", len(data), fuzzBodyLimit)
 		}

@@ -7,8 +7,8 @@
 // Every message is a plain JSON struct with a Validate method, so the fuzz
 // harness (FuzzFleetWire) can drive arbitrary bytes through
 // exactly the decode path the handlers use. Objectives on the wire are
-// always achieved finite values — "no incumbent yet" travels as
-// IncumbentState.Found=false, never as +Inf, which JSON cannot carry.
+// always achieved values, finite and positive — "no incumbent yet" travels
+// as IncumbentState.Found=false, never as +Inf, which JSON cannot carry.
 package fleet
 
 import (
@@ -45,15 +45,26 @@ type IncumbentState struct {
 	Found bool `json:"found"`
 	// Candidate names the architecture that achieved the incumbent.
 	Candidate string `json:"candidate,omitempty"`
-	// Objective is the achieved objective value (finite when Found).
+	// Objective is the achieved objective value (finite and > 0 when
+	// Found).
 	Objective float64 `json:"objective,omitempty"`
 }
 
-// Validate checks the state's finiteness invariant: a found incumbent must
-// carry a finite achieved objective.
+// Validate checks that a found incumbent carries an achievable objective.
 func (s *IncumbentState) Validate() error {
-	if s.Found && (math.IsNaN(s.Objective) || math.IsInf(s.Objective, 0)) {
-		return fmt.Errorf("fleet: incumbent state objective %v is not finite", s.Objective)
+	if s.Found {
+		return checkObjective("incumbent state", s.Objective)
+	}
+	return nil
+}
+
+// checkObjective rejects an objective no candidate can achieve. Every
+// achieved objective is MC^α·E^β·D^γ with positive MC, E and D and
+// α, β, γ ≥ 0, so it is finite and > 0; folding anything else into an
+// incumbent would prune candidates no real result dominates.
+func checkObjective(what string, obj float64) error {
+	if !(obj > 0) || math.IsInf(obj, 1) {
+		return fmt.Errorf("fleet: %s objective %v is not finite and > 0", what, obj)
 	}
 	return nil
 }
@@ -172,12 +183,9 @@ type ShardBest struct {
 	Objective float64 `json:"objective"`
 }
 
-// Validate checks the objective is a finite achieved value.
+// Validate checks the objective is achievable.
 func (b *ShardBest) Validate() error {
-	if math.IsNaN(b.Objective) || math.IsInf(b.Objective, 0) {
-		return fmt.Errorf("fleet: shard best objective %v is not finite", b.Objective)
-	}
-	return nil
+	return checkObjective("shard best", b.Objective)
 }
 
 // CheckpointUpload is a worker's POST /checkpoint body: the checkpoint-

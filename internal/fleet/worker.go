@@ -205,6 +205,10 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) {
 			// lapse.
 			w.logf("fleet worker %s: upload for lease %s failed: %v", w.cfg.name(), lease.LeaseID, err)
 		case code == http.StatusOK:
+			if err := resp.Validate(); err != nil {
+				w.logf("fleet worker %s: lease %s: ignoring invalid incumbent: %v", w.cfg.name(), lease.LeaseID, err)
+				return
+			}
 			ex.fold(resp.Incumbent.best())
 		case code == http.StatusGone, code == http.StatusNotFound:
 			w.logf("fleet worker %s: lease %s lapsed; abandoning shard", w.cfg.name(), lease.LeaseID)

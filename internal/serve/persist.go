@@ -27,6 +27,7 @@ import (
 	"gemini/internal/atomicfile"
 	"gemini/internal/dse"
 	"gemini/internal/faultinject"
+	"gemini/internal/intake"
 )
 
 // checkpointName is the server's one checkpoint file in DataDir. Sweep ids
@@ -212,10 +213,11 @@ func (p *persister) loadHistory() []SweepStatus {
 // historyRecords decodes each source in turn, stopping within a source at
 // the first value that does not decode (a torn tail, a damaged file). It
 // skips records whose id is not a sweep name, lets a later record of an id
-// replace an earlier one, and returns the newest retiredSweeps in start
-// order. A sweep recorded as running died with its server: it comes back
-// canceled (its settled cells survive in the checkpoint, so re-POSTing the
-// spec resumes it).
+// replace an earlier one, and returns the newest intake.RegistryCap in start
+// order, which is the registry's order: a re-POST moves its id to the end.
+// A sweep recorded as running died with its server: it comes back canceled
+// (its settled cells survive in the checkpoint, so re-POSTing the spec
+// resumes it).
 func historyRecords(srcs ...io.Reader) []SweepStatus {
 	byID := make(map[string]SweepStatus)
 	for _, r := range srcs {
@@ -238,11 +240,11 @@ func historyRecords(srcs ...io.Reader) []SweepStatus {
 	sts := slices.SortedFunc(maps.Values(byID), func(a, b SweepStatus) int {
 		return cmp.Or(a.StartedAt.Compare(b.StartedAt), strings.Compare(a.ID, b.ID))
 	})
-	return sts[max(0, len(sts)-retiredSweeps):]
+	return sts[max(0, len(sts)-intake.RegistryCap):]
 }
 
 // record saves a finished sweep's status: it appends one line to the
-// history log. Once retiredSweeps lines have been appended since the last
+// history log. Once intake.RegistryCap lines have been appended since the last
 // rewrite, or after a failed save that may have left a torn line, it
 // rewrites the log from history() — the server's sweep table — instead, so
 // the file stays bounded and whole. Losing a save costs only
@@ -258,7 +260,7 @@ func (p *persister) record(st SweepStatus, history func() []SweepStatus) {
 		if ierr := p.inj.Check(faultinject.PointStatusSave, st.ID); ierr != nil {
 			return ierr
 		}
-		if p.rewrite || p.appended >= retiredSweeps {
+		if p.rewrite || p.appended >= intake.RegistryCap {
 			err = writeHistory(path, history())
 			p.appended = 0
 		} else {

@@ -19,6 +19,7 @@ import (
 
 	"gemini/internal/dse"
 	"gemini/internal/fleet"
+	"gemini/internal/intake"
 )
 
 // TestOneCheckpointFilePerDataDir: 300 sweeps over five seeds, and a fleet
@@ -129,7 +130,7 @@ func TestHistoryLogTornTail(t *testing.T) {
 }
 
 // TestHistoryLogRewrites: the log is rewritten from the server's history,
-// not appended to, once retiredSweeps lines were appended since the last
+// not appended to, once intake.RegistryCap lines were appended since the last
 // rewrite — which bounds the file — and after a failed save, which may have
 // left a torn line.
 func TestHistoryLogRewrites(t *testing.T) {
@@ -146,12 +147,12 @@ func TestHistoryLogRewrites(t *testing.T) {
 		}
 		return sweepIDs(historyRecords(bytes.NewReader(raw)))
 	}
-	for i := 0; i <= retiredSweeps; i++ {
+	for i := 0; i <= intake.RegistryCap; i++ {
 		hist = append(hist, rec(i))
 		p.record(rec(i), history)
 	}
 	if got := logged(); !slices.Equal(got, sweepIDs(history())) {
-		t.Fatalf("after %d appends the log restores %d records, want the rewritten %v", retiredSweeps, len(got), sweepIDs(history()))
+		t.Fatalf("after %d appends the log restores %d records, want the rewritten %v", intake.RegistryCap, len(got), sweepIDs(history()))
 	}
 
 	// A directory where the log belongs fails every attempt of the next save.
@@ -161,16 +162,16 @@ func TestHistoryLogRewrites(t *testing.T) {
 	if err := os.Mkdir(path, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	hist = append(hist, rec(retiredSweeps+1))
-	p.record(rec(retiredSweeps+1), history)
+	hist = append(hist, rec(intake.RegistryCap+1))
+	p.record(rec(intake.RegistryCap+1), history)
 	if st := p.State(); st.Errors != 1 {
 		t.Fatalf("blocked save: %+v, want one failure", st)
 	}
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	hist = append(hist, rec(retiredSweeps+2))
-	p.record(rec(retiredSweeps+2), history)
+	hist = append(hist, rec(intake.RegistryCap+2))
+	p.record(rec(intake.RegistryCap+2), history)
 	if got, want := logged(), sweepIDs(history()); !slices.Equal(got, want) {
 		t.Fatalf("the save after a failed one left %v, want the rewritten %v", got, want)
 	}
@@ -187,8 +188,8 @@ func FuzzStatusLog(f *testing.F) {
 	f.Add([]byte(`{"id":"x","stats":{"cells":1e999}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sts := historyRecords(bytes.NewReader(data), bytes.NewReader(data))
-		if len(sts) > retiredSweeps {
-			t.Fatalf("restored %d records, bound %d", len(sts), retiredSweeps)
+		if len(sts) > intake.RegistryCap {
+			t.Fatalf("restored %d records, bound %d", len(sts), intake.RegistryCap)
 		}
 		seen := make(map[string]bool)
 		for _, st := range sts {

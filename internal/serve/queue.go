@@ -33,6 +33,7 @@ import (
 	"sync"
 
 	"gemini/internal/dse"
+	"gemini/internal/intake"
 )
 
 // defaultTenant is the tenant name used when a spec names none.
@@ -96,17 +97,6 @@ func (j *job) class() int { return classOf(j.priority) }
 
 // granted exposes the dispatch channel for select loops.
 func (j *job) granted() <-chan struct{} { return j.grant }
-
-// admitError is a typed admission rejection: the queue's, or the server's
-// own refusal of a registration (409 id in use, 503 shutting down), which
-// carries no retryAfter.
-type admitError struct {
-	code       int // 409, 429 (tenant quota) or 503 (server backlog)
-	retryAfter int // seconds, for the Retry-After header and envelope
-	msg        string
-}
-
-func (e *admitError) Error() string { return e.msg }
 
 // sweepQueue is the multi-tenant job queue. Construct with newSweepQueue.
 type sweepQueue struct {
@@ -249,7 +239,7 @@ func (q *sweepQueue) clampSlots(workers int) int {
 // Admit enqueues one sweep, enforcing the per-tenant quota (429) and the
 // server-wide backlog bound (503), and dispatches whatever the new state
 // allows. On success the caller must eventually call Release exactly once.
-func (q *sweepQueue) Admit(id, tenant string, priority dse.SweepPriority, workers int) (*job, *admitError) {
+func (q *sweepQueue) Admit(id, tenant string, priority dse.SweepPriority, workers int) (*job, *intake.Error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if priority == "" {
@@ -264,9 +254,9 @@ func (q *sweepQueue) Admit(id, tenant string, priority dse.SweepPriority, worker
 	if waiting >= q.cfg.maxQueued {
 		q.rejected503++
 		q.emit("reject", j)
-		return nil, &admitError{
-			code: 503, retryAfter: retryAfter(waiting),
-			msg: fmt.Sprintf("queue full: %d sweeps waiting server-wide (bound %d)", waiting, q.cfg.maxQueued),
+		return nil, &intake.Error{
+			Code: 503, RetryAfter: retryAfter(waiting),
+			Msg: fmt.Sprintf("queue full: %d sweeps waiting server-wide (bound %d)", waiting, q.cfg.maxQueued),
 		}
 	}
 	t := q.tenantLocked(tenant)
@@ -275,9 +265,9 @@ func (q *sweepQueue) Admit(id, tenant string, priority dse.SweepPriority, worker
 	} else if t.waiting() >= q.cfg.queueDepth {
 		q.rejected429++
 		q.emit("reject", j)
-		return nil, &admitError{
-			code: 429, retryAfter: retryAfter(waiting),
-			msg: fmt.Sprintf("tenant %q queue depth %d reached (quota %d)",
+		return nil, &intake.Error{
+			Code: 429, RetryAfter: retryAfter(waiting),
+			Msg: fmt.Sprintf("tenant %q queue depth %d reached (quota %d)",
 				tenant, t.waiting(), q.cfg.queueDepth),
 		}
 	}

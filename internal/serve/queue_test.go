@@ -364,22 +364,22 @@ func TestQueueQuotaRejections(t *testing.T) {
 	}
 	// Tenant a has two sweeps waiting: its quota.
 	_, aerr := q.Admit("over", "a", dse.PriorityBatch, 1)
-	if aerr == nil || aerr.code != 429 {
+	if aerr == nil || aerr.Code != 429 {
 		t.Fatalf("over-quota admit: %+v, want 429", aerr)
 	}
-	if aerr.retryAfter != 3 { // 1 + 2 waiting
-		t.Errorf("429 retryAfter = %d, want 3", aerr.retryAfter)
+	if aerr.RetryAfter != 3 { // 1 + 2 waiting
+		t.Errorf("429 retryAfter = %d, want 3", aerr.RetryAfter)
 	}
 	// Tenant b fits under its own quota and fills the global bound.
 	if _, aerr := q.Admit("w3", "b", dse.PriorityBatch, 1); aerr != nil {
 		t.Fatal(aerr)
 	}
 	_, aerr = q.Admit("flood", "c", dse.PriorityBatch, 1)
-	if aerr == nil || aerr.code != 503 {
+	if aerr == nil || aerr.Code != 503 {
 		t.Fatalf("over-backlog admit: %+v, want 503", aerr)
 	}
-	if aerr.retryAfter != 4 { // 1 + 3 waiting
-		t.Errorf("503 retryAfter = %d, want 4", aerr.retryAfter)
+	if aerr.RetryAfter != 4 { // 1 + 3 waiting
+		t.Errorf("503 retryAfter = %d, want 4", aerr.RetryAfter)
 	}
 	qh := q.health()
 	if qh.Rejected429 != 1 || qh.Rejected503 != 1 {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"gemini/internal/dse"
+	"gemini/internal/intake"
 )
 
 // queueClient plays the handler's side of the queue protocol: it admits and
@@ -41,7 +42,7 @@ func newQueueClient(cfg queueConfig) *queueClient {
 
 // admit submits one job under the next sequential id, returning the id and
 // the queue's rejection, if any.
-func (d *queueClient) admit(tenant string, pri dse.SweepPriority, slots int) (string, *admitError) {
+func (d *queueClient) admit(tenant string, pri dse.SweepPriority, slots int) (string, *intake.Error) {
 	id := fmt.Sprintf("j%03d", d.next)
 	d.next++
 	j, aerr := d.q.Admit(id, tenant, pri, slots)
@@ -128,7 +129,7 @@ func traceQueue(seed int64, steps int) string {
 			fmt.Fprintf(&b, "%d admit %s %s %d\n", step, ten, pri, slots)
 			id, aerr := d.admit(ten, pri, slots)
 			if aerr != nil {
-				fmt.Fprintf(&b, "  rejected %s %d retry=%d\n", id, aerr.code, aerr.retryAfter)
+				fmt.Fprintf(&b, "  rejected %s %d retry=%d\n", id, aerr.Code, aerr.RetryAfter)
 			}
 		case op < 8:
 			if len(d.live) == 0 {

@@ -40,8 +40,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"runtime"
 	"slices"
@@ -53,6 +51,7 @@ import (
 	"gemini/internal/dse"
 	"gemini/internal/faultinject"
 	"gemini/internal/fleet"
+	"gemini/internal/intake"
 )
 
 // Config sizes and locates a Server. The zero value is usable: it serves
@@ -136,9 +135,9 @@ type Server struct {
 	// worker processes (gemini-serve -worker).
 	fleet *fleet.Coordinator
 
+	// mu guards sweeps, and admission to the queue together with it.
 	mu     sync.Mutex
-	sweeps map[string]*sweep
-	order  []string // sweep ids in registration order (for listing/eviction)
+	sweeps intake.Registry[*sweep]
 
 	// persist owns the server's checkpoint file, its saver and the history
 	// log, and tracks every save's health: a failing disk degrades
@@ -155,12 +154,11 @@ type Server struct {
 func New(cfg Config) *Server {
 	base, stop := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:    cfg,
-		base:   base,
-		stop:   stop,
-		start:  time.Now(),
-		ses:    dse.NewSession(),
-		sweeps: make(map[string]*sweep),
+		cfg:   cfg,
+		base:  base,
+		stop:  stop,
+		start: time.Now(),
+		ses:   dse.NewSession(),
 	}
 	s.ses.Logf = s.logf
 	s.persist = newPersister(base, s.ses, cfg, s.logf)
@@ -174,8 +172,7 @@ func New(cfg Config) *Server {
 	// Restore the finished-sweep history before serving: GET /sweeps then
 	// reports the predecessor process's sweeps alongside new ones.
 	for _, st := range s.persist.loadHistory() {
-		s.sweeps[st.ID] = restoredSweep(st)
-		s.order = append(s.order, st.ID)
+		s.sweeps.Put(st.ID, restoredSweep(st))
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sweep", s.handleSweep)
@@ -225,62 +222,43 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// retiredSweeps bounds the finished-sweep history kept for GET /sweeps.
-const retiredSweeps = 1024
-
 // register admits a new sweep to the queue and records it, both under the
 // server mutex, so a sweep refused — shutting down (503), its id still
 // queued or running (409), or a queue rejection (429, 503) — leaves no trace:
-// nothing was recorded, superseded or evicted.
-func (s *Server) register(sw *sweep, workers int) (*job, *admitError) {
+// nothing was recorded, superseded or evicted. A finished record under the
+// same id is superseded and the id moves to the end of the list, which so
+// stays in start order: re-POSTing a spec is how clients resume after a
+// disconnect or server restart. The history log keeps evicted records'
+// lines until its next rewrite, which is cut from the registry.
+func (s *Server) register(sw *sweep, workers int) (*job, *intake.Error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.base.Err() != nil {
-		return nil, &admitError{code: http.StatusServiceUnavailable, msg: "server is shutting down"}
+		return nil, &intake.Error{Code: http.StatusServiceUnavailable, Msg: "server is shutting down"}
 	}
 	id := sw.st.ID
-	old, existed := s.sweeps[id]
-	if existed && old.active() {
-		return nil, &admitError{code: http.StatusConflict, msg: fmt.Sprintf("sweep %q is already running", id)}
+	if err := s.sweeps.Check(id); err != nil {
+		return nil, err
 	}
 	j, aerr := s.queue.Admit(id, sw.st.Tenant, dse.SweepPriority(sw.st.Priority), workers)
 	if aerr != nil {
 		return nil, aerr
 	}
-	// A finished record under the same id is superseded: re-POSTing a
-	// spec is how clients resume after a disconnect or server restart.
-	if !existed {
-		s.order = append(s.order, id)
-	}
-	s.sweeps[id] = sw
-	// Evict the oldest finished sweeps beyond the history bound. The
-	// history log keeps their lines until its next rewrite, which is cut
-	// from this table.
-	for len(s.order) > retiredSweeps {
-		i := slices.IndexFunc(s.order, func(id string) bool { return !s.sweeps[id].active() })
-		if i < 0 {
-			break
-		}
-		delete(s.sweeps, s.order[i])
-		s.order = slices.Delete(s.order, i, i+1)
-	}
+	sw.st.StartedAt = time.Now()
+	s.sweeps.Put(id, sw)
 	return j, nil
 }
 
 func (s *Server) lookup(id string) (*sweep, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	return sw, ok
+	return s.sweeps.Get(id)
 }
 
 // statuses snapshots every known sweep in registration order.
 func (s *Server) statuses() []SweepStatus {
 	s.mu.Lock()
-	sws := make([]*sweep, len(s.order))
-	for i, id := range s.order {
-		sws[i] = s.sweeps[id]
-	}
+	sws := slices.Collect(s.sweeps.All())
 	s.mu.Unlock()
 	out := make([]SweepStatus, len(sws))
 	for i, sw := range sws {
@@ -291,59 +269,30 @@ func (s *Server) statuses() []SweepStatus {
 
 // --- plain-JSON handlers -------------------------------------------------
 
-// errorBody is the JSON error envelope of every non-streaming failure.
-type errorBody struct {
-	Error string `json:"error"`
-	// RetryAfterSeconds mirrors the Retry-After header on queue rejections
-	// (429 per-tenant quota, 503 server-wide backlog); zero otherwise.
-	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeRejection writes a refused registration: for a queue rejection the
-// Retry-After header plus the error envelope mirroring it.
-func writeRejection(w http.ResponseWriter, aerr *admitError) {
-	if aerr.retryAfter > 0 {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", aerr.retryAfter))
-	}
-	writeJSON(w, aerr.code, errorBody{Error: aerr.msg, RetryAfterSeconds: aerr.retryAfter})
-}
-
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	type listBody struct {
 		Sweeps []SweepStatus `json:"sweeps"`
 	}
-	writeJSON(w, http.StatusOK, listBody{Sweeps: s.statuses()})
+	intake.WriteJSON(w, http.StatusOK, listBody{Sweeps: s.statuses()})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
+		intake.WriteError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, sw.status())
+	intake.WriteJSON(w, http.StatusOK, sw.status())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
+		intake.WriteError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
 		return
 	}
 	sw.cancel()
-	writeJSON(w, http.StatusAccepted, sw.status())
+	intake.WriteJSON(w, http.StatusAccepted, sw.status())
 }
 
 // SessionHealth is the session's health snapshot.
@@ -520,5 +469,5 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	sort.Slice(h.Running, func(a, b int) bool { return h.Running[a].ID < h.Running[b].ID })
-	writeJSON(w, http.StatusOK, h)
+	intake.WriteJSON(w, http.StatusOK, h)
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"gemini/internal/dse"
+	"gemini/internal/intake"
 )
 
 // tinySpec builds a cheap sweep spec with candidates = len(nocs) (one MAC
@@ -84,7 +85,7 @@ func runSweep(t *testing.T, url string, spec dse.Spec) []Event {
 	resp := postSpec(t, url, spec)
 	if resp.StatusCode != http.StatusOK {
 		defer resp.Body.Close()
-		var eb errorBody
+		var eb intake.ErrorBody
 		_ = json.NewDecoder(resp.Body).Decode(&eb)
 		t.Fatalf("POST /sweep: status %d: %s", resp.StatusCode, eb.Error)
 	}
@@ -437,22 +438,42 @@ func TestConcurrentSweeps(t *testing.T) {
 	}
 }
 
-// TestSweepValidationErrors: a bad spec answers 400, a grid over the cell
-// cap 422 and a body over the spec limit 413 — the codes the fleet submit
-// answers for the same spec.
+// TestSweepValidationErrors: one case table drives POST /sweep and the fleet
+// submit, POST /fleet/sweeps, which must answer every spec with the same
+// code: 400 for a bad spec, 413 for a body over the spec limit, 422 for a
+// grid over the cell cap and 409 for an id that is still running there.
 func TestSweepValidationErrors(t *testing.T) {
 	_, hs := newTestServer(t, Config{MaxCells: 1})
-	post := func(body string) (int, string) {
+	post := func(path, body string) (int, string) {
 		t.Helper()
-		resp, err := http.Post(hs.URL+"/sweep", "application/json", strings.NewReader(body))
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var eb errorBody
+		var eb intake.ErrorBody
 		_ = json.NewDecoder(resp.Body).Decode(&eb)
 		return resp.StatusCode, eb.Error
 	}
+
+	// "busy" runs on both routes: a one-cell sweep annealing far longer
+	// than the test, canceled when its stream is closed, and a fleet sweep
+	// no worker leases.
+	busy := tinySpec("busy")
+	busyJSON, err := json.Marshal(busy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := post("/fleet/sweeps", `{"shards":1,"spec":`+string(busyJSON)+`}`); code != http.StatusCreated {
+		t.Fatalf("busy fleet submit: %d %s", code, msg)
+	}
+	busy.SAIterations = 1 << 20
+	stream := postSpec(t, hs.URL, busy)
+	defer stream.Body.Close()
+	if !bufio.NewScanner(stream.Body).Scan() {
+		t.Fatal("no start event on the busy sweep")
+	}
+
 	cases := []struct {
 		name, body string
 		code       int
@@ -467,13 +488,19 @@ func TestSweepValidationErrors(t *testing.T) {
 		{"bad space", `{"space":{"tops":3},"models":["tinycnn"]}`, 400, "tops"},
 		{"unknown model", `{"space":{"tops":72},"models":["nope"]}`, 400, "unknown model"},
 		{"bad id", `{"id":"../etc/passwd","space":{"tops":72},"models":["tinycnn"]}`, 400, "sweep id"},
+		{"empty grid", `{"space":{"tops":72,"cuts":[7]},"models":["tinycnn"]}`, 400, "no valid candidates"},
 		{"too many cells", `{"space":{"tops":72,"reduced":true},"models":["tinycnn","tinytransformer"]}`, 422, "cells"},
-		{"oversize body", `{"id":"` + strings.Repeat("x", specBodyLimit) + `"}`, 413, "exceeds"},
+		{"oversize body", `{"id":"` + strings.Repeat("x", intake.BodyLimit) + `"}`, 413, "exceeds"},
+		{"running id", string(busyJSON), 409, "still running"},
 	}
 	for _, c := range cases {
-		code, msg := post(c.body)
-		if code != c.code || !strings.Contains(msg, c.want) {
-			t.Errorf("%s: code=%d msg=%q, want %d containing %q", c.name, code, msg, c.code, c.want)
+		for path, body := range map[string]string{
+			"/sweep":        c.body,
+			"/fleet/sweeps": `{"shards":1,"spec":` + c.body + `}`,
+		} {
+			if code, msg := post(path, body); code != c.code || !strings.Contains(msg, c.want) {
+				t.Errorf("%s on %s: code=%d msg=%q, want %d containing %q", c.name, path, code, msg, c.code, c.want)
+			}
 		}
 	}
 }
@@ -513,7 +540,7 @@ func assertRemovedFieldsRejected(t *testing.T, fields map[string]string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var eb errorBody
+		var eb intake.ErrorBody
 		derr := json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
 		if derr != nil {
@@ -544,7 +571,7 @@ func assertRejection(t *testing.T, resp *http.Response, want int) {
 	if ra == "" {
 		t.Errorf("%d rejection has no Retry-After header", want)
 	}
-	var eb errorBody
+	var eb intake.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 		t.Fatalf("%d rejection body is not the JSON envelope: %v", want, err)
 	}
@@ -674,7 +701,7 @@ func TestDuplicateAndCapacity(t *testing.T) {
 func TestRejectedPostKeepsHistory(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Date(2026, 9, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < retiredSweeps; i++ {
+	for i := 0; i < intake.RegistryCap; i++ {
 		id := fmt.Sprintf("old-%04d", i)
 		at := t0.Add(time.Duration(i) * time.Second).Format(time.RFC3339)
 		writeLegacyStatus(t, dir, id, fmt.Sprintf(`{"id":%q,"state":"done","started_at":%q}`, id, at))
@@ -1000,25 +1027,25 @@ func TestSweepHistorySurvivesRestart(t *testing.T) {
 		t.Errorf("restored best %+v != original %+v", st.Best, wantSt.Best)
 	}
 	// The list endpoint sees both, in start order.
-	resp, err := http.Get(hsB.URL + "/sweeps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var list struct {
-		Sweeps []SweepStatus `json:"sweeps"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Sweeps) != 2 || list.Sweeps[0].ID != "history-1" || list.Sweeps[1].ID != "history-2" {
-		t.Fatalf("restored history wrong: %+v", list.Sweeps)
+	if got := sweepIDs(listSweeps(t, hsB.URL)); !slices.Equal(got, []string{"history-1", "history-2"}) {
+		t.Fatalf("restored history lists %v", got)
 	}
 
-	// Re-POSTing a restored id supersedes the record (resume), as before.
+	// Re-POSTing a restored id supersedes the record (resume), as before,
+	// and moves it to the end of the list. A further restart lists the
+	// same order.
 	ev := runSweep(t, hsB.URL, tinySpec("history-1", 32, 64))
 	if done := ev[len(ev)-1]; done.Type != "done" || done.Stats.ResumedCells != done.Stats.Cells {
 		t.Errorf("resume over restored history record failed: %+v", ev[len(ev)-1])
+	}
+	before := sweepIDs(listSweeps(t, hsB.URL))
+	if want := []string{"history-2", "history-1"}; !slices.Equal(before, want) {
+		t.Fatalf("after the re-POST GET /sweeps lists %v, want %v", before, want)
+	}
+	hsB.Close()
+	_, hsC := newTestServer(t, Config{DataDir: dir})
+	if after := sweepIDs(listSweeps(t, hsC.URL)); !slices.Equal(after, before) {
+		t.Fatalf("GET /sweeps lists %v after a restart, %v before it", after, before)
 	}
 }
 
@@ -1129,9 +1156,9 @@ func TestStatusHistoryTrimmedOnceAtStartup(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Date(2026, 9, 1, 0, 0, 0, 0, time.UTC)
 	const extra = 5
-	old := func(i int) string { return fmt.Sprintf("old-%04d", retiredSweeps+extra-1-i) } // the i-th oldest
+	old := func(i int) string { return fmt.Sprintf("old-%04d", intake.RegistryCap+extra-1-i) } // the i-th oldest
 	var want []string
-	for i := 0; i < retiredSweeps+extra; i++ {
+	for i := 0; i < intake.RegistryCap+extra; i++ {
 		at := t0.Add(time.Duration(i) * time.Second).Format(time.RFC3339)
 		writeLegacyStatus(t, dir, old(i), fmt.Sprintf(`{"id":%q,"state":"done","started_at":%q,"finished_at":%q}`, old(i), at, at))
 		if i >= extra {
@@ -1151,22 +1178,22 @@ func TestStatusHistoryTrimmedOnceAtStartup(t *testing.T) {
 	if legacy, _ := filepath.Glob(filepath.Join(dir, "*.status.json")); len(legacy) != 0 {
 		t.Errorf("startup left %d legacy status files", len(legacy))
 	}
-	if lines, restored := logged(); lines > retiredSweeps || !slices.Equal(restored, want) {
-		t.Fatalf("startup log holds %d lines restoring %d records; want the %d newest readable ones in start order", lines, len(restored), retiredSweeps)
+	if lines, restored := logged(); lines > intake.RegistryCap || !slices.Equal(restored, want) {
+		t.Fatalf("startup log holds %d lines restoring %d records; want the %d newest readable ones in start order", lines, len(restored), intake.RegistryCap)
 	}
 	if got := sweepIDs(listSweeps(t, hs.URL)); !slices.Equal(got, want) {
-		t.Fatalf("restored history is not the %d newest records in start order", retiredSweeps)
+		t.Fatalf("restored history is not the %d newest records in start order", intake.RegistryCap)
 	}
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("fresh-%d", i)
 		runSweep(t, hs.URL, tinySpec(id, 32))
 		listed := sweepIDs(listSweeps(t, hs.URL))
 		lines, restored := logged()
-		if len(listed) != retiredSweeps || listed[len(listed)-1] != id || slices.Contains(listed, old(extra+i)) {
-			t.Fatalf("after %s: %d listed (cap %d), own record last: %v", id, len(listed), retiredSweeps, listed[len(listed)-1] == id)
+		if len(listed) != intake.RegistryCap || listed[len(listed)-1] != id || slices.Contains(listed, old(extra+i)) {
+			t.Fatalf("after %s: %d listed (cap %d), own record last: %v", id, len(listed), intake.RegistryCap, listed[len(listed)-1] == id)
 		}
-		if lines != retiredSweeps+i+1 || !slices.Equal(restored, listed) {
-			t.Fatalf("after %s: log holds %d lines restoring %d records, want %d lines restoring the %d listed", id, lines, len(restored), retiredSweeps+i+1, len(listed))
+		if lines != intake.RegistryCap+i+1 || !slices.Equal(restored, listed) {
+			t.Fatalf("after %s: log holds %d lines restoring %d records, want %d lines restoring the %d listed", id, lines, len(restored), intake.RegistryCap+i+1, len(listed))
 		}
 	}
 }

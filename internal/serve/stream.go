@@ -10,6 +10,8 @@ import (
 	"errors"
 	"net/http"
 	"sync"
+
+	"gemini/internal/intake"
 )
 
 // errPreempted is the cancellation cause the queue uses to interrupt a
@@ -93,7 +95,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sw, ok := s.lookup(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown sweep %q", id)
+		intake.WriteError(w, http.StatusNotFound, "unknown sweep %q", id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -10,8 +10,6 @@ package serve
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,6 +22,7 @@ import (
 
 	"gemini/internal/dse"
 	"gemini/internal/eval"
+	"gemini/internal/intake"
 )
 
 // SweepState is the lifecycle state of a sweep.
@@ -274,9 +273,9 @@ type sweep struct {
 	st SweepStatus
 }
 
-// active reports the sweep still owns its id: queued or running. Only
+// Active reports the sweep still owns its id: queued or running. Only
 // inactive records may be superseded by a re-POST or evicted.
-func (sw *sweep) active() bool {
+func (sw *sweep) Active() bool {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	return sw.st.State == StateRunning || sw.st.State == StateQueued
@@ -334,17 +333,6 @@ func (sw *sweep) finish(state SweepState, stats *StatsSummary, best *CandidateSu
 	sw.st.FinishedAt = &now
 }
 
-// newSweepID generates a server-assigned sweep id.
-func newSweepID() string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is effectively fatal elsewhere; fall back to
-		// a time-derived id rather than crash the handler.
-		return fmt.Sprintf("sweep-%d", time.Now().UnixNano())
-	}
-	return "sweep-" + hex.EncodeToString(b[:])
-}
-
 // streamWriter serializes NDJSON events onto a response, flushing per line
 // and going quiet (rather than erroring the sweep) once the client is gone.
 type streamWriter struct {
@@ -393,49 +381,16 @@ func restoredSweep(st SweepStatus) *sweep {
 
 // --- the POST /sweep handler ---------------------------------------------
 
-// specBodyLimit bounds a POST /sweep request body.
-const specBodyLimit = 1 << 20
-
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var spec dse.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, specBodyLimit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "sweep spec exceeds %d bytes", specBodyLimit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding sweep spec: %v", err)
+	if !intake.Decode(w, r, intake.BodyLimit, true, "sweep spec", &spec) {
 		return
 	}
-	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if spec.ID == "" {
-		spec.ID = newSweepID()
-	} else if !dse.NamePattern.MatchString(spec.ID) {
-		// Ids are /sweeps/{id} path segments and history-log keys, so they
-		// are restricted to one safe name pattern.
-		writeError(w, http.StatusBadRequest, "sweep id %q: want %s", spec.ID, dse.NamePattern)
-		return
-	}
-	cands, err := spec.Candidates()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	graphs, err := spec.Graphs()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	cands, graphs, ok := intake.Resolve(w, &spec, "sweep", s.cfg.maxCells())
+	if !ok {
 		return
 	}
 	cells := len(cands) * len(graphs)
-	if cells > s.cfg.maxCells() {
-		writeError(w, http.StatusUnprocessableEntity, "sweep has %d cells, server cap is %d", cells, s.cfg.maxCells())
-		return
-	}
 
 	tenant := spec.Tenant
 	if tenant == "" {
@@ -458,14 +413,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			Priority:   string(priority),
 			Candidates: len(cands),
 			Cells:      cells,
-			StartedAt:  time.Now(),
 		},
 	}
 	j, aerr := s.register(sw, spec.Workers)
 	if aerr != nil {
 		// Nothing was registered or persisted, so a rejected client can
 		// simply retry after backoff.
-		writeRejection(w, aerr)
+		aerr.Write(w)
 		return
 	}
 	defer s.queue.Release(j)
