@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -40,10 +39,6 @@ type CoordinatorConfig struct {
 	MaxCells int
 	// Logf receives coordinator logs (default: discard).
 	Logf func(format string, args ...any)
-	// Now supplies the clock leases are granted and expired against
-	// (default time.Now). Tests inject a fake clock to drive expiry
-	// deterministically.
-	Now func() time.Time
 	// Session is the cell store every fleet sweep merges uploads into and
 	// cuts lease checkpoints from (default: a fresh one). The sweep service
 	// passes its own, so a sweep of any id restores every settled cell of
@@ -53,6 +48,9 @@ type CoordinatorConfig struct {
 	// coordinator's lock; sweepDone reports that the upload completed its
 	// sweep. The sweep service persists the session from it.
 	OnMerge func(sweepDone bool)
+	// now is the clock leases are granted and expired against (default
+	// time.Now). This package's tests set a fake one to drive expiry.
+	now func() time.Time
 }
 
 func (c *CoordinatorConfig) leaseTTL() time.Duration {
@@ -60,13 +58,6 @@ func (c *CoordinatorConfig) leaseTTL() time.Duration {
 		return c.LeaseTTL
 	}
 	return 10 * time.Second
-}
-
-func (c *CoordinatorConfig) now() time.Time {
-	if c.Now != nil {
-		return c.Now()
-	}
-	return time.Now()
 }
 
 // Coordinator owns the fleet control plane: sweep submission, shard lease
@@ -213,6 +204,9 @@ type Health struct {
 //	                    and its best result, keep the lease alive, pull the
 //	                    incumbent
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
+	if cfg.now == nil {
+		cfg.now = time.Now
+	}
 	c := &Coordinator{cfg: cfg, ses: cfg.Session}
 	if c.ses == nil {
 		c.ses = dse.NewSession()
@@ -354,24 +348,33 @@ func (c *Coordinator) statusLocked(fs *fleetSweep) SweepStatus {
 	if fs.done {
 		st.State = "done"
 	}
+	fs.countShards(&st.ShardsPending, &st.ShardsLeased, &st.ShardsDone, func(i int, sh *shardState) {
+		st.Leases = append(st.Leases, LeaseStatus{
+			Shard:       i,
+			LeaseID:     sh.leaseID,
+			Worker:      sh.worker,
+			ExpiresInMS: int(sh.expires.Sub(now).Milliseconds()),
+		})
+	})
+	return st
+}
+
+// countShards adds fs's shards to the pending, leased and done counts by
+// phase, calling onLeased on each leased shard in shard order. A sweep's
+// status and the coordinator's health both count through it.
+func (fs *fleetSweep) countShards(pending, leased, done *int, onLeased func(i int, sh *shardState)) {
 	for i := range fs.shards {
 		sh := &fs.shards[i]
 		switch sh.phase {
 		case shardPending:
-			st.ShardsPending++
+			*pending++
 		case shardLeased:
-			st.ShardsLeased++
-			st.Leases = append(st.Leases, LeaseStatus{
-				Shard:       i,
-				LeaseID:     sh.leaseID,
-				Worker:      sh.worker,
-				ExpiresInMS: int(sh.expires.Sub(now).Milliseconds()),
-			})
+			*leased++
+			onLeased(i, sh)
 		case shardDone:
-			st.ShardsDone++
+			*done++
 		}
 	}
-	return st
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -564,31 +567,17 @@ func (c *Coordinator) Health() Health {
 	c.reapLocked(c.cfg.now())
 	var h Health
 	h.Sweeps = c.sweeps.Len()
-	var workers []string
-	seen := make(map[string]bool)
 	for fs := range c.sweeps.All() {
 		if !fs.done {
 			h.Active++
 		}
 		h.ExpiredLeases += fs.stats.ExpiredLeases
-		for i := range fs.shards {
-			sh := &fs.shards[i]
-			switch sh.phase {
-			case shardPending:
-				h.ShardsPending++
-			case shardLeased:
-				h.ShardsLeased++
-				if !seen[sh.worker] {
-					seen[sh.worker] = true
-					workers = append(workers, sh.worker)
-				}
-			case shardDone:
-				h.ShardsDone++
-			}
-		}
+		fs.countShards(&h.ShardsPending, &h.ShardsLeased, &h.ShardsDone, func(_ int, sh *shardState) {
+			h.Workers = append(h.Workers, sh.worker)
+		})
 	}
-	sort.Strings(workers)
-	h.Workers = workers
+	slices.Sort(h.Workers)
+	h.Workers = slices.Compact(h.Workers)
 	return h
 }
 

@@ -347,8 +347,8 @@ func TestWorkerDeathReshard(t *testing.T) {
 	coord := NewCoordinator(CoordinatorConfig{
 		LeaseTTL: 30 * time.Second,
 		Logf:     t.Logf,
-		Now:      clock.Now,
 		Session:  ses,
+		now:      clock.Now,
 	})
 	srv := httptest.NewServer(coord)
 	defer srv.Close()
@@ -440,7 +440,7 @@ func TestWorkerDeathReshard(t *testing.T) {
 func TestCoordinatorWire(t *testing.T) {
 	spec := parseSpec(t, testSpecJSON("wire"))
 	clock := &fakeClock{t: time.Unix(2_000_000, 0)}
-	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: 10 * time.Second, Now: clock.Now})
+	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: 10 * time.Second, now: clock.Now})
 	srv := httptest.NewServer(coord)
 	defer srv.Close()
 
@@ -547,7 +547,7 @@ func TestCoordinatorWire(t *testing.T) {
 func TestUploadHeartbeatDefersExpiry(t *testing.T) {
 	spec := parseSpec(t, testSpecJSON("beat"))
 	clock := &fakeClock{t: time.Unix(3_000_000, 0)}
-	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: 10 * time.Second, Now: clock.Now})
+	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: 10 * time.Second, now: clock.Now})
 	srv := httptest.NewServer(coord)
 	defer srv.Close()
 	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: 2}, nil); code != http.StatusCreated {

@@ -145,10 +145,15 @@ type Registry[R interface{ Active() bool }] struct {
 	ids  []string // registration order
 }
 
-// Check refuses id with a 409 while an active record holds it.
+// Check refuses id with a 409 while an active record holds it, and any id
+// with a 503 while RegistryCap records are held and none is finished: Put
+// could evict nothing, and every active record pins its sweep's grid.
 func (g *Registry[R]) Check(id string) *Error {
 	if rec, ok := g.recs[id]; ok && rec.Active() {
 		return &Error{Code: http.StatusConflict, Msg: fmt.Sprintf("sweep %q is still running", id)}
+	}
+	if len(g.ids) >= RegistryCap && !slices.ContainsFunc(g.ids, func(x string) bool { return !g.recs[x].Active() }) {
+		return &Error{Code: http.StatusServiceUnavailable, Msg: fmt.Sprintf("%d sweeps are still running", len(g.ids))}
 	}
 	return nil
 }

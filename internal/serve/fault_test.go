@@ -20,21 +20,67 @@ import (
 
 	"gemini/internal/atomicfile"
 	"gemini/internal/dse"
-	"gemini/internal/faultinject"
 )
 
-// chaosInjector builds the canonical persistence chaos schedule: the first
+// faultSchedule is a deterministic persistence fault hook for Config.fault.
+// fire decides each call from its point and the call's 0-based index at that
+// point: "panic" panics inside the save, "error" fails it with an injected
+// error, and anything else lets it through. The decision is a pure function
+// of (point, index), so a schedule replays identically under -race.
+type faultSchedule struct {
+	fire func(point string, n int) string
+
+	mu    sync.Mutex
+	calls map[string]int
+	fired map[string]int
+}
+
+// hook is the Config.fault function.
+func (f *faultSchedule) hook(point, key string) error {
+	f.mu.Lock()
+	if f.calls == nil {
+		f.calls, f.fired = make(map[string]int), make(map[string]int)
+	}
+	n := f.calls[point]
+	f.calls[point]++
+	kind := f.fire(point, n)
+	if kind != "panic" && kind != "error" {
+		f.mu.Unlock()
+		return nil
+	}
+	f.fired[point]++
+	f.mu.Unlock()
+	msg := fmt.Sprintf("injected %s at %s %q (call %d)", kind, point, key, n)
+	if kind == "panic" {
+		panic(msg)
+	}
+	return errors.New(msg)
+}
+
+// firedAt counts the faults injected at point so far.
+func (f *faultSchedule) firedAt(point string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.fired[point]
+}
+
+// chaosSchedule is the canonical persistence chaos schedule: the first
 // checkpoint save fails all three of its in-save attempts — the first by
 // panicking inside the save, the other two with injected errors — and every
 // later checkpoint save succeeds. Whether that first save is an incremental
 // one or the sweep's final flush, it is the first sweep's, and it fails
 // exactly once, so the schedule alone fixes the outcome: one failed save in
 // the first sweep, never three in a row, so never degraded.
-func chaosInjector() *faultinject.Injector {
-	return faultinject.New(
-		faultinject.Rule{Point: faultinject.PointCheckpointSave, Kind: faultinject.KindPanic, On: []int{0}},
-		faultinject.Rule{Point: faultinject.PointCheckpointSave, Kind: faultinject.KindError, On: []int{1, 2}},
-	)
+func chaosSchedule() *faultSchedule {
+	return &faultSchedule{fire: func(point string, n int) string {
+		switch {
+		case point != "checkpoint-save" || n > 2:
+			return ""
+		case n == 0:
+			return "panic"
+		}
+		return "error"
+	}}
 }
 
 // resultsByArch indexes a stream's result events by candidate name.
@@ -79,8 +125,8 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 			want := runSweep(t, clean.URL, spec)
 
 			dataDir := t.TempDir()
-			inj := chaosInjector()
-			_, hs := newTestServer(t, Config{DataDir: dataDir, FaultInjector: inj})
+			faults := chaosSchedule()
+			_, hs := newTestServer(t, Config{DataDir: dataDir, fault: faults.hook})
 			got := runSweep(t, hs.URL, spec)
 			done := got[len(got)-1]
 			if done.Type != "done" {
@@ -92,11 +138,11 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 			if wantBest := want[len(want)-1].Best; !reflect.DeepEqual(done.Best, wantBest) {
 				t.Errorf("chaos best %+v, want %+v", done.Best, wantBest)
 			}
-			if inj.Fired(faultinject.PointCheckpointSave) != 3 {
-				t.Errorf("injector fired %d times, want 3", inj.Fired(faultinject.PointCheckpointSave))
+			if n := faults.firedAt("checkpoint-save"); n != 3 {
+				t.Errorf("hook fired %d times, want 3", n)
 			}
 			st := done.Stats
-			if st.PersistenceErrors != 1 || st.PersistenceDegraded || !strings.Contains(st.LastPersistenceError, "faultinject") {
+			if st.PersistenceErrors != 1 || st.PersistenceDegraded || !strings.Contains(st.LastPersistenceError, "injected") {
 				t.Errorf("persistence errors=%d degraded=%t last=%q, want 1, false and the injected error",
 					st.PersistenceErrors, st.PersistenceDegraded, st.LastPersistenceError)
 			}
@@ -131,7 +177,7 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 // TestPersistenceTracker pins the degradation state machine and the bounded
 // in-save retry of Do, including panic isolation of the save function.
 func TestPersistenceTracker(t *testing.T) {
-	var tr PersistenceTracker
+	var tr persistenceTracker
 	boom := errors.New("disk full")
 	if tr.Fail(boom) || tr.Fail(boom) {
 		t.Error("degraded before the third consecutive failure")
@@ -190,13 +236,16 @@ func TestResumeAfterSaverFailures(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec("flaky-save", 8, 16, 32, 64)
 
-	// Count 3 = exactly the three in-save attempts of the first save
+	// Three errors = exactly the three in-save attempts of the first save
 	// operation: the first checkpoint save fails outright, every later one
 	// succeeds.
-	inj := faultinject.New(faultinject.Rule{
-		Point: faultinject.PointCheckpointSave, Kind: faultinject.KindError, Count: 3,
-	})
-	_, hsA := newTestServer(t, Config{DataDir: dir, FaultInjector: inj})
+	faults := &faultSchedule{fire: func(point string, n int) string {
+		if point == "checkpoint-save" && n < 3 {
+			return "error"
+		}
+		return ""
+	}}
+	_, hsA := newTestServer(t, Config{DataDir: dir, fault: faults.hook})
 	events := runSweep(t, hsA.URL, spec)
 	done := events[len(events)-1]
 	if done.Type != "done" {
@@ -208,7 +257,7 @@ func TestResumeAfterSaverFailures(t *testing.T) {
 	if done.Stats.PersistenceDegraded {
 		t.Error("a single failed save must not report degraded persistence")
 	}
-	if !strings.Contains(done.Stats.LastPersistenceError, "faultinject") {
+	if !strings.Contains(done.Stats.LastPersistenceError, "injected") {
 		t.Errorf("last_persistence_error = %q, want the injected error", done.Stats.LastPersistenceError)
 	}
 	other := runSweep(t, hsA.URL, tinySpec("later", 128))
@@ -273,14 +322,10 @@ func TestSweepSurvivesDeadPersistence(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec("doomed-saves", 8, 16, 32, 64)
 	writeSessionCheckpoint(t, filepath.Join(dir, "old.ckpt"), spec)
-	inj := faultinject.New(
-		faultinject.Rule{Point: faultinject.PointCheckpointLoad, Kind: faultinject.KindError, Count: 1 << 20},
-		faultinject.Rule{Point: faultinject.PointCheckpointSave, Kind: faultinject.KindError, Count: 1 << 20},
-		faultinject.Rule{Point: faultinject.PointStatusSave, Kind: faultinject.KindError, Count: 1 << 20},
-	)
-	_, hs := newTestServer(t, Config{DataDir: dir, FaultInjector: inj})
-	if inj.Fired(faultinject.PointCheckpointLoad) != 1 {
-		t.Errorf("startup attempted %d checkpoint loads, want 1", inj.Fired(faultinject.PointCheckpointLoad))
+	faults := &faultSchedule{fire: func(string, int) string { return "error" }}
+	_, hs := newTestServer(t, Config{DataDir: dir, fault: faults.hook})
+	if n := faults.firedAt("checkpoint-load"); n != 1 {
+		t.Errorf("startup attempted %d checkpoint loads, want 1", n)
 	}
 	for _, sp := range []dse.Spec{spec, tinySpec("doomed-too", 128)} {
 		events := runSweep(t, hs.URL, sp)
@@ -487,7 +532,7 @@ func TestWorkerPanicLosesOneCandidateNotTheSweep(t *testing.T) {
 }
 
 // TestHealthzFaultCounters: a real recovered panic — the result write above,
-// nothing injected through faultinject — shows up on /healthz as a lifetime
+// nothing injected through a fault hook — shows up on /healthz as a lifetime
 // fault count once its sweep finishes.
 func TestHealthzFaultCounters(t *testing.T) {
 	s := New(Config{Logf: t.Logf})

@@ -26,7 +26,6 @@ import (
 
 	"gemini/internal/atomicfile"
 	"gemini/internal/dse"
-	"gemini/internal/faultinject"
 	"gemini/internal/intake"
 )
 
@@ -45,11 +44,11 @@ const historyName = "_history.ndjson"
 // checkpoints and history. Without DataDir it does nothing: no goroutine, no
 // file access.
 type persister struct {
-	PersistenceTracker
+	persistenceTracker
 
 	ses     *dse.Session
 	dataDir string
-	inj     *faultinject.Injector
+	fault   func(point, key string) error // Config.fault
 	logf    func(format string, args ...any)
 
 	// req holds the one pending checkpoint save (nil without DataDir, which
@@ -70,7 +69,7 @@ type persister struct {
 // newPersister loads what DataDir already holds into ses and starts the
 // saver, which runs until ctx ends.
 func newPersister(ctx context.Context, ses *dse.Session, cfg Config, logf func(format string, args ...any)) *persister {
-	p := &persister{ses: ses, dataDir: cfg.DataDir, inj: cfg.FaultInjector, logf: logf}
+	p := &persister{ses: ses, dataDir: cfg.DataDir, fault: cfg.fault, logf: logf}
 	if p.dataDir != "" {
 		p.loadCheckpoints()
 		p.req = make(chan struct{}, 1)
@@ -103,8 +102,8 @@ func (p *persister) loadCheckpoints() {
 }
 
 func (p *persister) loadCheckpoint(path string) error {
-	if ierr := p.inj.Check(faultinject.PointCheckpointLoad, path); ierr != nil {
-		return ierr
+	if err := p.check("checkpoint-load", path); err != nil {
+		return err
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -166,8 +165,8 @@ func (p *persister) flush(label string) {
 	}
 	path := filepath.Join(p.dataDir, checkpointName)
 	err := p.Do(func() error {
-		if ierr := p.inj.Check(faultinject.PointCheckpointSave, path); ierr != nil {
-			return ierr
+		if err := p.check("checkpoint-save", path); err != nil {
+			return err
 		}
 		return atomicfile.Write(path, p.ses.SaveCheckpoint)
 	})
@@ -177,65 +176,51 @@ func (p *persister) flush(label string) {
 	}
 }
 
-// loadHistory restores the finished-sweep history at startup from the
-// per-sweep <id>.status.json files an older server left in DataDir, if any,
-// and then the log. It rewrites the log to hold exactly the records it
-// returns, so a tail torn by a killed process never ends up mid-file, and
-// only after that rewrite removes the legacy files.
+// loadHistory restores the finished-sweep history at startup from the log.
+// It rewrites the log to hold exactly the records it returns, so a tail torn
+// by a killed process never ends up mid-file.
 func (p *persister) loadHistory() []SweepStatus {
 	if p.dataDir == "" {
 		return nil
 	}
 	path := filepath.Join(p.dataDir, historyName)
-	legacy, _ := filepath.Glob(filepath.Join(p.dataDir, "*.status.json"))
-	var srcs []io.Reader
-	for _, name := range append(legacy, path) {
-		if raw, err := os.ReadFile(name); err == nil {
-			srcs = append(srcs, bytes.NewReader(raw))
-		}
-	}
-	if len(srcs) == 0 {
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		return nil
 	}
-	sts := historyRecords(srcs...)
-	err := p.Do(func() error { return writeHistory(path, sts) })
+	sts := historyRecords(bytes.NewReader(raw))
+	err = p.Do(func() error { return writeHistory(path, sts) })
 	if p.rewrite = err != nil; p.rewrite {
 		p.logf("serve: history log rewrite failed: %v", err)
-	} else {
-		for _, name := range legacy {
-			_ = os.Remove(name)
-		}
 	}
 	p.logf("serve: restored %d sweep status records from %s", len(sts), p.dataDir)
 	return sts
 }
 
-// historyRecords decodes each source in turn, stopping within a source at
-// the first value that does not decode (a torn tail, a damaged file). It
-// skips records whose id is not a sweep name, lets a later record of an id
-// replace an earlier one, and returns the newest intake.RegistryCap in start
-// order, which is the registry's order: a re-POST moves its id to the end.
+// historyRecords decodes r, stopping at the first value that does not decode
+// (a torn tail, a damaged line). It skips records whose id is not a sweep
+// name, lets a later record of an id replace an earlier one, and returns the
+// newest intake.RegistryCap in start order, which is the registry's order: a
+// re-POST moves its id to the end.
 // A sweep recorded as running died with its server: it comes back canceled
 // (its settled cells survive in the checkpoint, so re-POSTing the spec
 // resumes it).
-func historyRecords(srcs ...io.Reader) []SweepStatus {
+func historyRecords(r io.Reader) []SweepStatus {
 	byID := make(map[string]SweepStatus)
-	for _, r := range srcs {
-		dec := json.NewDecoder(r)
-		for {
-			var st SweepStatus
-			if dec.Decode(&st) != nil {
-				break
-			}
-			if !dse.NamePattern.MatchString(st.ID) {
-				continue
-			}
-			if st.State == StateRunning || st.State == StateQueued {
-				st.State = StateCanceled
-				st.Error = "server restarted while the sweep was running"
-			}
-			byID[st.ID] = st
+	dec := json.NewDecoder(r)
+	for {
+		var st SweepStatus
+		if dec.Decode(&st) != nil {
+			break
 		}
+		if !dse.NamePattern.MatchString(st.ID) {
+			continue
+		}
+		if st.State == StateRunning || st.State == StateQueued {
+			st.State = StateCanceled
+			st.Error = "server restarted while the sweep was running"
+		}
+		byID[st.ID] = st
 	}
 	sts := slices.SortedFunc(maps.Values(byID), func(a, b SweepStatus) int {
 		return cmp.Or(a.StartedAt.Compare(b.StartedAt), strings.Compare(a.ID, b.ID))
@@ -257,8 +242,8 @@ func (p *persister) record(st SweepStatus, history func() []SweepStatus) {
 	defer p.histMu.Unlock()
 	path := filepath.Join(p.dataDir, historyName)
 	err := p.Do(func() (err error) {
-		if ierr := p.inj.Check(faultinject.PointStatusSave, st.ID); ierr != nil {
-			return ierr
+		if err := p.check("history-save", st.ID); err != nil {
+			return err
 		}
 		if p.rewrite || p.appended >= intake.RegistryCap {
 			err = writeHistory(path, history())
@@ -301,6 +286,14 @@ func writeHistory(path string, sts []SweepStatus) error {
 	})
 }
 
+// check calls the fault hook, if one is set, at a persistence point.
+func (p *persister) check(point, key string) error {
+	if p.fault == nil {
+		return nil
+	}
+	return p.fault(point, key)
+}
+
 // wait returns once the saver goroutine has stopped.
 func (p *persister) wait() {
 	if p.done != nil {
@@ -336,12 +329,12 @@ type PersistenceState struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// PersistenceTracker accounts for persistence failures (checkpoint and
+// persistenceTracker accounts for persistence failures (checkpoint and
 // status saves) without ever failing the sweep they serve:
 // persistence is an optimization, losing it degrades restart cost, not
 // correctness. The zero value is ready to use; all methods are safe for
 // concurrent use.
-type PersistenceTracker struct {
+type persistenceTracker struct {
 	mu          sync.Mutex
 	errors      int64
 	consecutive int
@@ -351,7 +344,7 @@ type PersistenceTracker struct {
 
 // Fail records a failed save and reports whether the tracker just entered
 // degraded mode (so the caller can log the transition once).
-func (t *PersistenceTracker) Fail(err error) bool {
+func (t *persistenceTracker) Fail(err error) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.errors++
@@ -366,7 +359,7 @@ func (t *PersistenceTracker) Fail(err error) bool {
 
 // OK records a successful save, clearing the consecutive-failure streak and
 // the degraded flag.
-func (t *PersistenceTracker) OK() {
+func (t *persistenceTracker) OK() {
 	t.mu.Lock()
 	t.consecutive = 0
 	t.degraded = false
@@ -374,7 +367,7 @@ func (t *PersistenceTracker) OK() {
 }
 
 // State snapshots the tracker.
-func (t *PersistenceTracker) State() PersistenceState {
+func (t *persistenceTracker) State() PersistenceState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return PersistenceState{Errors: t.errors, Degraded: t.degraded, LastError: t.lastErr}
@@ -387,7 +380,7 @@ func (t *PersistenceTracker) State() PersistenceState {
 // serves never sees the error. A panicking save is recovered into a failed
 // attempt: the saver runs on a background goroutine where an escaped panic
 // would kill the process, and persistence is never worth that.
-func (t *PersistenceTracker) Do(save func() error) error {
+func (t *persistenceTracker) Do(save func() error) error {
 	guarded := func() (err error) {
 		defer func() {
 			if v := recover(); v != nil {

@@ -187,7 +187,7 @@ func FuzzStatusLog(f *testing.F) {
 	f.Add([]byte(`{"id":"torn","state":"do`))
 	f.Add([]byte(`{"id":"x","stats":{"cells":1e999}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sts := historyRecords(bytes.NewReader(data), bytes.NewReader(data))
+		sts := historyRecords(bytes.NewReader(data))
 		if len(sts) > intake.RegistryCap {
 			t.Fatalf("restored %d records, bound %d", len(sts), intake.RegistryCap)
 		}

@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"gemini/internal/dse"
-	"gemini/internal/faultinject"
 	"gemini/internal/fleet"
 	"gemini/internal/intake"
 )
@@ -92,10 +91,11 @@ type Config struct {
 	FleetLeaseTTL time.Duration
 	// Logf, when set, receives server lifecycle and scheduling lines.
 	Logf func(format string, args ...any)
-	// FaultInjector, when non-nil, arms the deterministic fault-injection
-	// harness across the server's sweeps and persistence paths (chaos tests
-	// only; nil in production).
-	FaultInjector *faultinject.Injector
+	// fault, when set, is called before the I/O of every persistence
+	// attempt: "checkpoint-save" and "checkpoint-load" with the file's path,
+	// "history-save" with the sweep id. An error it returns or a panic it
+	// raises fails that attempt. Only this package's tests set it.
+	fault func(point, key string) error
 }
 
 func (c Config) maxCells() int {

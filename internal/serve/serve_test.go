@@ -701,11 +701,13 @@ func TestDuplicateAndCapacity(t *testing.T) {
 func TestRejectedPostKeepsHistory(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Date(2026, 9, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < intake.RegistryCap; i++ {
+	recs := make([]string, intake.RegistryCap)
+	for i := range recs {
 		id := fmt.Sprintf("old-%04d", i)
 		at := t0.Add(time.Duration(i) * time.Second).Format(time.RFC3339)
-		writeLegacyStatus(t, dir, id, fmt.Sprintf(`{"id":%q,"state":"done","started_at":%q}`, id, at))
+		recs[i] = fmt.Sprintf(`{"id":%q,"state":"done","started_at":%q}`, id, at)
 	}
+	writeHistoryLog(t, dir, recs...)
 	_, hs := newTestServer(t, Config{DataDir: dir, WorkerSlots: 1, QueueDepth: 1, MaxQueuedSweeps: 1})
 	slow := tinySpec("slow", 8, 16, 32, 64)
 	slow.SAIterations = 3000
@@ -795,12 +797,11 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestRacingSweepStream pins a multi-restart sweep's wire contract (the name
-// is kept from the racing scheduler it first covered): the NDJSON stream
-// carries one result per candidate and a done event with stats, and the
-// finished status exposes a strictly improving incumbent trajectory that
-// ends at best.
-func TestRacingSweepStream(t *testing.T) {
+// TestMultiRestartSweepStream pins a multi-restart sweep's wire contract: the
+// NDJSON stream carries one result per candidate and a done event with
+// stats, and the finished status exposes a strictly improving incumbent
+// trajectory that ends at best.
+func TestMultiRestartSweepStream(t *testing.T) {
 	_, hs := newTestServer(t, Config{DataDir: t.TempDir()})
 	spec := tinySpec("raced", 8, 16, 32, 64)
 	spec.Restarts = 4
@@ -838,11 +839,10 @@ func TestRacingSweepStream(t *testing.T) {
 	}
 }
 
-// TestRacingLiveProgress pins the mid-flight view (the name is kept from the
-// racing scheduler it first covered): while a sweep still runs, /healthz
-// carries its live incumbent and trajectory, and once it finishes GET
-// /sweeps/{id} exposes a trajectory ending at best.
-func TestRacingLiveProgress(t *testing.T) {
+// TestLiveIncumbentProgress pins the mid-flight view: while a sweep still
+// runs, /healthz carries its live incumbent and trajectory, and once it
+// finishes GET /sweeps/{id} exposes a trajectory ending at best.
+func TestLiveIncumbentProgress(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	spec := tinySpec("traj", 8, 16, 32, 64)
 	spec.Restarts = 2
@@ -1054,14 +1054,11 @@ func TestSweepHistorySurvivesRestart(t *testing.T) {
 // stats.order, rung history and skipped_restarts; it must still load.
 func TestParentCommitStatusRecordLoads(t *testing.T) {
 	dir := t.TempDir()
-	rec := `{"id":"pr11-record","state":"done","candidates":2,"cells":2,"done_candidates":2,
-		"rungs":[{"rung":0,"budget":1,"candidates":2,"survivors":1}],
-		"stats":{"order":"bound","candidates":2,"cells":2,"resumed_cells":1,"pruned_candidates":0,"abandoned_restarts":0,"skipped_restarts":0,
-			"racing":true,"rungs":[{"rung":0,"budget":1,"candidates":2,"survivors":1}]},
-		"started_at":"2026-09-01T00:00:00Z","finished_at":"2026-09-01T00:00:01Z"}`
-	if err := os.WriteFile(filepath.Join(dir, "pr11-record.status.json"), []byte(rec), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeHistoryLog(t, dir, `{"id":"pr11-record","state":"done","candidates":2,"cells":2,"done_candidates":2,`+
+		`"rungs":[{"rung":0,"budget":1,"candidates":2,"survivors":1}],`+
+		`"stats":{"order":"bound","candidates":2,"cells":2,"resumed_cells":1,"pruned_candidates":0,"abandoned_restarts":0,"skipped_restarts":0,`+
+		`"racing":true,"rungs":[{"rung":0,"budget":1,"candidates":2,"survivors":1}]},`+
+		`"started_at":"2026-09-01T00:00:00Z","finished_at":"2026-09-01T00:00:01Z"}`)
 	_, hs := newTestServer(t, Config{DataDir: dir})
 	st, code := getStatus(t, hs.URL, "pr11-record")
 	if code != http.StatusOK || st.State != StateDone || st.Stats == nil || st.Stats.Cells != 2 || st.Stats.ResumedCells != 1 {
@@ -1069,14 +1066,23 @@ func TestParentCommitStatusRecordLoads(t *testing.T) {
 	}
 }
 
-// TestDamagedStatusRecordSkipped: a corrupt status file must not break
-// startup or hide the healthy records.
+// TestDamagedStatusRecordSkipped: a damaged history-log line must not break
+// startup or hide the healthy records before it, and the startup rewrite
+// drops it, so a record appended afterwards survives the next restart.
 func TestDamagedStatusRecordSkipped(t *testing.T) {
 	dir := t.TempDir()
 	_, hsA := newTestServer(t, Config{DataDir: dir})
 	runSweep(t, hsA.URL, tinySpec("ok-sweep", 32, 64))
 	hsA.Close()
-	if err := os.WriteFile(filepath.Join(dir, "broken.status.json"), []byte("{not json"), 0o644); err != nil {
+	f, err := os.OpenFile(filepath.Join(dir, historyName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteString(`{"id":"broken","state":` + "\n")
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -1086,6 +1092,12 @@ func TestDamagedStatusRecordSkipped(t *testing.T) {
 	}
 	if _, code := getStatus(t, hsB.URL, "broken"); code != http.StatusNotFound {
 		t.Errorf("damaged record should be absent, got status %d", code)
+	}
+	runSweep(t, hsB.URL, tinySpec("after-damage", 32))
+	hsB.Close()
+	_, hsC := newTestServer(t, Config{DataDir: dir})
+	if got := sweepIDs(listSweeps(t, hsC.URL)); !slices.Equal(got, []string{"ok-sweep", "after-damage"}) {
+		t.Errorf("restart after the damaged line lists %v, want [ok-sweep after-damage]", got)
 	}
 }
 
@@ -1115,57 +1127,51 @@ func sweepIDs(sts []SweepStatus) []string {
 	return ids
 }
 
-// writeLegacyStatus writes rec as the <file>.status.json an older server
-// kept per sweep.
-func writeLegacyStatus(t *testing.T, dir, file, rec string) {
+// writeHistoryLog writes recs to dir's history log, one line each.
+func writeHistoryLog(t *testing.T, dir string, recs ...string) {
 	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, file+".status.json"), []byte(rec), 0o644); err != nil {
+	log := strings.Join(recs, "\n") + "\n"
+	if err := os.WriteFile(filepath.Join(dir, historyName), []byte(log), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestStatusRecordIDMustBeSweepName: a record whose id is not a sweep name —
-// a path out of DataDir, say — is damaged, whether it is a history-log line
-// or a legacy status file, so only the good records are listed after a
-// restart.
+// TestStatusRecordIDMustBeSweepName: a history-log record whose id is not a
+// sweep name — a path out of DataDir, say — is damaged, so only the good
+// records are listed after a restart.
 func TestStatusRecordIDMustBeSweepName(t *testing.T) {
 	dir := t.TempDir()
 	rec := func(id string, sec int) string {
 		return fmt.Sprintf(`{"id":%q,"state":"done","started_at":"2026-09-01T00:00:0%dZ"}`, id, sec)
 	}
-	writeLegacyStatus(t, dir, "good", rec("good", 1))
-	writeLegacyStatus(t, dir, "evil", rec("../evil", 2))
-	log := rec("../evil-line", 3) + "\n" + rec("good-line", 4) + "\n"
-	if err := os.WriteFile(filepath.Join(dir, historyName), []byte(log), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeHistoryLog(t, dir, rec("good", 1), rec("../evil", 2), rec("../evil-line", 3), rec("good-line", 4))
 	_, hs := newTestServer(t, Config{DataDir: dir})
 	if got := sweepIDs(listSweeps(t, hs.URL)); !slices.Equal(got, []string{"good", "good-line"}) {
 		t.Fatalf("restored history %v, want only the good records", got)
 	}
 }
 
-// TestStatusHistoryTrimmedOnceAtStartup: a DataDir holding more legacy
-// status records than the history bound starts as the newest readable ones —
-// the unreadable record and the oldest go — in a log of at most the bound,
-// with every legacy file folded in and removed. From there each sweep appends
-// one line, and what a restart would restore from the log is exactly what
-// the server lists. Record names run against start order, so "oldest"
-// cannot be read off the names.
+// TestStatusHistoryTrimmedOnceAtStartup: a DataDir whose history log holds
+// more records than the history bound, ending in a torn line, starts as the
+// newest readable ones — the torn record and the oldest go — in a log of at
+// most the bound. From there each sweep appends one line, and what a restart
+// would restore from the log is exactly what the server lists. Record names
+// and log lines run against start order, so "oldest" can be read off neither.
 func TestStatusHistoryTrimmedOnceAtStartup(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Date(2026, 9, 1, 0, 0, 0, 0, time.UTC)
 	const extra = 5
 	old := func(i int) string { return fmt.Sprintf("old-%04d", intake.RegistryCap+extra-1-i) } // the i-th oldest
-	var want []string
-	for i := 0; i < intake.RegistryCap+extra; i++ {
+	var want, recs []string
+	for i := intake.RegistryCap + extra - 1; i >= 0; i-- {
 		at := t0.Add(time.Duration(i) * time.Second).Format(time.RFC3339)
-		writeLegacyStatus(t, dir, old(i), fmt.Sprintf(`{"id":%q,"state":"done","started_at":%q,"finished_at":%q}`, old(i), at, at))
+		recs = append(recs, fmt.Sprintf(`{"id":%q,"state":"done","started_at":%q,"finished_at":%q}`, old(i), at, at))
 		if i >= extra {
 			want = append(want, old(i))
 		}
 	}
-	writeLegacyStatus(t, dir, "broken", "{not json")
+	slices.Reverse(want)
+	writeHistoryLog(t, dir, append(recs, `{"id":"broken","state":"do`)...)
 	logged := func() (lines int, restored []string) {
 		raw, err := os.ReadFile(filepath.Join(dir, historyName))
 		if err != nil {
@@ -1175,9 +1181,6 @@ func TestStatusHistoryTrimmedOnceAtStartup(t *testing.T) {
 	}
 
 	_, hs := newTestServer(t, Config{DataDir: dir})
-	if legacy, _ := filepath.Glob(filepath.Join(dir, "*.status.json")); len(legacy) != 0 {
-		t.Errorf("startup left %d legacy status files", len(legacy))
-	}
 	if lines, restored := logged(); lines > intake.RegistryCap || !slices.Equal(restored, want) {
 		t.Fatalf("startup log holds %d lines restoring %d records; want the %d newest readable ones in start order", lines, len(restored), intake.RegistryCap)
 	}

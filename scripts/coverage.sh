@@ -3,8 +3,8 @@
 # (queue, preemption, streams), internal/dse (spec decode, sessions,
 # dispatch), internal/fleet (shard leases, checkpoint merge and the
 # incumbent those uploads carry) and internal/intake (the decode, spec
-# intake, error envelope and registry serve and fleet share, covered by
-# their tests). The floor is a ratchet — raise it when coverage
+# intake, error envelope and registry serve and fleet share: its own
+# registry tests plus the serve and fleet tests that drive it). The floor is a ratchet — raise it when coverage
 # genuinely improves, never lower it to make a PR pass. Measured 89.7%
 # when the gate was introduced (fleet joined at 91.3%); the floor keeps
 # headroom for timing-dependent paths (preemption races and lease-expiry
