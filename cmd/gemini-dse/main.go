@@ -9,6 +9,9 @@
 // interrupted or repeated sweep picks up where it left off, and -stream
 // prints each candidate as soon as it completes.
 //
+// The sweep flags resolve through a dse.Spec by the sweep service's rules
+// (docs/cli.md); -sa 0 keeps meaning the stripe mapping with no annealing.
+//
 // Usage:
 //
 //	gemini-dse -tops 72 -reduced -models transformer -batch 64 \
@@ -17,99 +20,104 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
 	"strings"
 	"time"
 
+	"gemini/internal/arch"
 	"gemini/internal/atomicfile"
 	"gemini/internal/dnn"
 	"gemini/internal/dse"
 )
 
+// sweepFlags defines the flags that describe the sweep on fl and returns a
+// function that assembles their parsed values into a dse.Spec, so they
+// resolve by the spec's rules.
+func sweepFlags(fl *flag.FlagSet) func() dse.Spec {
+	tops := fl.Int("tops", 72, "target compute: 72, 128 or 512 TOPs")
+	reduced := fl.Bool("reduced", false, "use the reduced candidate grid (fast)")
+	models := fl.String("models", "transformer", "comma-separated workload list")
+	batch := fl.Int("batch", 64, "batch size (64 = throughput scenario; 0 = the default 64)")
+	saIters := fl.Int("sa", 600, "SA iterations per candidate/model mapping (0 = stripe mapping, no annealing)")
+	restarts := fl.Int("restarts", 1, "SA portfolio width per (candidate, model) cell")
+	workers := fl.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	alpha := fl.Float64("alpha", 1, "MC exponent of the objective")
+	beta := fl.Float64("beta", 1, "energy exponent of the objective")
+	gamma := fl.Float64("gamma", 1, "delay exponent of the objective")
+	prune := fl.Bool("prune", false, "skip candidates whose objective lower bound exceeds the best seen (decisions are logged); candidates always dispatch in ascending lower-bound order")
+	return func() dse.Spec {
+		names := strings.Split(*models, ",")
+		for i := range names {
+			names[i] = strings.TrimSpace(names[i])
+		}
+		return dse.Spec{
+			Space:  dse.SpaceSpec{TOPS: *tops, Reduced: *reduced},
+			Models: names,
+			Batch:  *batch, SAIterations: *saIters, Restarts: *restarts, Workers: *workers,
+			Objective: &dse.ObjectiveSpec{Alpha: *alpha, Beta: *beta, Gamma: *gamma},
+			Prune:     *prune,
+		}
+	}
+}
+
+// resolve validates the spec and resolves its candidates, workload graphs
+// and mapping options.
+func resolve(s *dse.Spec) (cands []arch.Config, graphs []*dnn.Graph, opt dse.Options, err error) {
+	if err = s.Validate(); err == nil {
+		cands, err = s.Candidates()
+	}
+	if err == nil {
+		graphs, err = s.Graphs()
+	}
+	opt = s.Options()
+	// -sa 0 means the stripe mapping with no annealing, where a spec's 0
+	// means the default 600; Validate has rejected a negative value.
+	opt.SAIterations = s.SAIterations
+	return cands, graphs, opt, err
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gemini-dse: ")
 
-	tops := flag.Int("tops", 72, "target compute: 72, 128 or 512 TOPs")
-	reduced := flag.Bool("reduced", false, "use the reduced candidate grid (fast)")
-	models := flag.String("models", "transformer", "comma-separated workload list")
-	batch := flag.Int("batch", 64, "batch size (64 = throughput scenario)")
-	saIters := flag.Int("sa", 600, "SA iterations per candidate/model mapping")
-	restarts := flag.Int("restarts", 1, "SA portfolio width per (candidate, model) cell")
-	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	alpha := flag.Float64("alpha", 1, "MC exponent of the objective")
-	beta := flag.Float64("beta", 1, "energy exponent of the objective")
-	gamma := flag.Float64("gamma", 1, "delay exponent of the objective")
-	prune := flag.Bool("prune", false, "skip candidates whose objective lower bound exceeds the best seen (decisions are logged); candidates always dispatch in ascending lower-bound order")
+	sweep := sweepFlags(flag.CommandLine)
 	resume := flag.String("resume", "", "checkpoint file: load completed cells from it if present, save on completion; a corrupt file is quarantined to <file>.corrupt and the sweep resumes cold")
 	stream := flag.Bool("stream", false, "print each candidate result as it completes")
 	out := flag.String("out", "", "write full result table CSV to this path")
 	top := flag.Int("top", 10, "print the best N candidates")
 	flag.Parse()
 
-	var sp dse.Space
-	switch *tops {
-	case 72:
-		sp = dse.Space72()
-	case 128:
-		sp = dse.Space128()
-	case 512:
-		sp = dse.Space512()
-	default:
-		log.Fatalf("unsupported -tops %d (want 72, 128 or 512)", *tops)
+	spec := sweep()
+	cands, graphs, opt, err := resolve(&spec)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *reduced {
-		sp = sp.Reduced()
-	}
-
-	var graphs []*dnn.Graph
-	for _, name := range strings.Split(*models, ",") {
-		g, err := dnn.Model(strings.TrimSpace(name))
-		if err != nil {
-			log.Fatal(err)
-		}
-		graphs = append(graphs, g)
-	}
-
-	opt := dse.DefaultOptions()
-	opt.Batch = *batch
-	opt.SAIterations = *saIters
-	opt.Restarts = *restarts
-	opt.Workers = *workers
-	opt.Objective = dse.Objective{Alpha: *alpha, Beta: *beta, Gamma: *gamma}
-	opt.Prune = *prune
+	sp, _ := spec.Space.Space() // validated by resolve
 
 	ses := dse.NewSession()
 	ses.Logf = log.Printf
 	if *resume != "" {
-		if f, err := os.Open(*resume); err == nil {
-			err := ses.LoadCheckpoint(f)
-			f.Close()
-			if err != nil {
-				// A corrupt checkpoint must not kill the sweep: quarantine it
-				// (keeping the bytes for diagnosis), resume cold, and let the
-				// completion save write a fresh file.
-				quarantine := *resume + ".corrupt"
-				if rerr := os.Rename(*resume, quarantine); rerr != nil {
-					log.Printf("corrupt checkpoint %s could not be quarantined (%v); resuming cold: %v", *resume, rerr, err)
-				} else {
-					log.Printf("corrupt checkpoint quarantined to %s; resuming cold: %v", quarantine, err)
-				}
-			} else {
-				fmt.Printf("resumed %d checkpointed cells from %s\n", ses.CheckpointCells(), *resume)
-			}
-		} else if !os.IsNotExist(err) {
+		switch err := ses.LoadCheckpointFile(*resume); {
+		case err == nil:
+			fmt.Printf("resumed %d checkpointed cells from %s\n", ses.CheckpointCells(), *resume)
+		case errors.Is(err, fs.ErrNotExist):
+			// No checkpoint yet: start cold; the completion save writes one.
+		case errors.Is(err, dse.ErrCorruptCheckpoint):
+			// Quarantined: a corrupt checkpoint must not kill the sweep.
+			log.Printf("%v; resuming cold", err)
+		default:
 			log.Fatal(err)
 		}
 	}
 
-	cands := sp.Enumerate()
 	total := len(cands)
 	fmt.Printf("space %s: %d candidates, %d workload(s), batch %d, restarts %d\n",
-		sp.Name, total, len(graphs), *batch, *restarts)
+		sp.Name, total, len(graphs), opt.Batch, opt.Restarts)
 	done := 0
 	if *stream {
 		opt.OnResult = func(r dse.CandidateResult) {
@@ -158,10 +166,8 @@ func main() {
 
 	// Infrastructure errors are never folded into infeasibility: report
 	// every errored candidate, then fail if nothing mapped.
-	if errs := dse.Errors(results); len(errs) > 0 {
-		for _, e := range errs {
-			log.Printf("sweep error: %v", e)
-		}
+	for _, e := range dse.Errors(results) {
+		log.Printf("sweep error: %v", e)
 	}
 
 	best := dse.Best(results)
@@ -169,7 +175,7 @@ func main() {
 		log.Fatal("no feasible candidate")
 	}
 	fmt.Printf("optimal architecture (MC^%.1f E^%.1f D^%.1f): %s\n",
-		*alpha, *beta, *gamma, best.Cfg.Name)
+		opt.Objective.Alpha, opt.Objective.Beta, opt.Objective.Gamma, best.Cfg.Name)
 	fmt.Printf("  MC=$%.2f  E=%.4g J  D=%.4g s  EDP=%.4g\n\n", best.MC.Total(), best.Energy, best.Delay, best.EDP())
 
 	fmt.Printf("top %d candidates:\n", *top)

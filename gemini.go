@@ -66,9 +66,7 @@ import (
 	"gemini/internal/dse"
 	"gemini/internal/eval"
 	"gemini/internal/experiments"
-	"gemini/internal/graphpart"
 	"gemini/internal/noc"
-	"gemini/internal/sa"
 )
 
 // Arch is the configurable hardware template (paper Sec. III).
@@ -136,15 +134,15 @@ type Mapping struct {
 	Scheme *Scheme
 	Result EvalResult
 
-	// InitialResult is the stripe (T-Map-style) starting point, for
-	// improvement accounting.
-	InitialResult EvalResult
 	// AvgLayersPerGroup is the mean pipeline length (paper Sec. VII-A2).
 	AvgLayersPerGroup float64
 }
 
 // Map runs the full Mapping Engine (G-Map): DP-based graph partition, then
-// the SA search with the paper's five operators over the LP SPM space.
+// the SA search with the paper's five operators over the LP SPM space. It
+// is the DSE's pipeline for one (architecture, model) cell, dse.MapModel,
+// on a fresh evaluator. The stripe mapping the search starts from is what
+// MapTangram returns.
 func Map(cfg *Arch, model *Model, opt MapOptions) (*Mapping, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -152,39 +150,21 @@ func Map(cfg *Arch, model *Model, opt MapOptions) (*Mapping, error) {
 	if opt.Batch < 1 {
 		return nil, fmt.Errorf("gemini: batch %d < 1", opt.Batch)
 	}
-	ev := eval.New(cfg)
-	gp := graphpart.DefaultOptions()
-	gp.Beta, gp.Gamma = opt.Beta, opt.Gamma
-	if opt.MaxGroupLayers > 0 {
-		gp.MaxGroupLayers = opt.MaxGroupLayers
-	}
-	if len(opt.BatchUnits) > 0 {
-		gp.BatchUnits = opt.BatchUnits
-	}
-	part, err := graphpart.Partition(model, cfg, ev, opt.Batch, gp)
+	mr, err := dse.MapModel(cfg, model, dse.Options{Mapping: dse.Mapping{
+		Objective: dse.Objective{Beta: opt.Beta, Gamma: opt.Gamma},
+		Batch:     opt.Batch, SAIterations: opt.SAIterations, Restarts: 1, Seed: opt.Seed,
+		MaxGroupLayers: opt.MaxGroupLayers, BatchUnits: opt.BatchUnits,
+	}})
 	if err != nil {
 		return nil, err
 	}
-	init := ev.Evaluate(part.Scheme)
-	m := &Mapping{Arch: *cfg, Scheme: part.Scheme, Result: init, InitialResult: init}
-	if opt.SAIterations > 0 {
-		so := sa.DefaultOptions()
-		so.Iterations = opt.SAIterations
-		so.Seed = opt.Seed
-		so.Beta, so.Gamma = opt.Beta, opt.Gamma
-		r := sa.Optimize(part.Scheme, ev, so)
-		m.Scheme = r.Scheme
-		m.Result = r.Eval
-	}
-	if !m.Result.Feasible {
-		return nil, fmt.Errorf("gemini: no feasible mapping for %s on %s", model.Name, cfg.Name)
-	}
-	m.AvgLayersPerGroup = eval.AvgLayersPerGroup(m.Scheme)
-	return m, nil
+	return &Mapping{Arch: *cfg, Scheme: mr.SA.Scheme, Result: mr.Eval, AvgLayersPerGroup: mr.AvgLayersPerGroup}, nil
 }
 
 // MapTangram runs the T-Map baseline: the same DP graph partition with the
-// heuristic stripe-based SPM and no SA refinement.
+// heuristic stripe-based SPM and no SA refinement — Map with zero
+// annealing iterations. Its Result is the stripe starting point of a Map
+// call with the same options.
 func MapTangram(cfg *Arch, model *Model, opt MapOptions) (*Mapping, error) {
 	opt.SAIterations = 0
 	return Map(cfg, model, opt)

@@ -1,10 +1,13 @@
 package gemini
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"gemini/internal/dnn"
+	"gemini/internal/eval"
+	"gemini/internal/graphpart"
 )
 
 func quickOpts() MapOptions {
@@ -43,8 +46,13 @@ func TestMapPublicAPI(t *testing.T) {
 	if !m.Result.Feasible || m.Result.Delay <= 0 {
 		t.Fatalf("bad result: %+v", m.Result)
 	}
-	if m.Result.EDP() > m.InitialResult.EDP() {
-		t.Errorf("SA worsened EDP: %v -> %v", m.InitialResult.EDP(), m.Result.EDP())
+	// The search starts from the T-Map stripe scheme and keeps its best.
+	tm, err := MapTangram(&cfg, dnn.TinyCNN(), quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Result.EDP() > tm.Result.EDP() {
+		t.Errorf("SA worsened EDP: %v -> %v", tm.Result.EDP(), m.Result.EDP())
 	}
 	if m.AvgLayersPerGroup <= 0 {
 		t.Error("missing pipeline stats")
@@ -57,9 +65,20 @@ func TestMapTangramBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Baseline is exactly the initial stripe scheme.
-	if tm.Result.EDP() != tm.InitialResult.EDP() {
-		t.Error("T-Map should not anneal")
+	// Baseline is exactly the DP partition's stripe scheme, unannealed: its
+	// result is a fresh evaluator's evaluation of that scheme and of the
+	// scheme it returns.
+	opt := quickOpts()
+	gp := graphpart.DefaultOptions()
+	gp.MaxGroupLayers, gp.BatchUnits = opt.MaxGroupLayers, opt.BatchUnits
+	part, err := graphpart.Partition(dnn.TinyCNN(), &cfg, eval.New(&cfg), opt.Batch, gp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Scheme{"stripe": part.Scheme, "returned": tm.Scheme} {
+		if fresh := eval.New(&cfg).Evaluate(s); !reflect.DeepEqual(tm.Result, fresh) {
+			t.Errorf("T-Map should not anneal: result %+v, fresh evaluation of the %s scheme %+v", tm.Result, name, fresh)
+		}
 	}
 	gm, err := Map(&cfg, dnn.TinyCNN(), quickOpts())
 	if err != nil {

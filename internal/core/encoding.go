@@ -141,16 +141,6 @@ func (s *Scheme) Clone() *Scheme {
 	return cp
 }
 
-// GroupOf returns the index of the group containing layer, or -1.
-func (s *Scheme) GroupOf(layer int) int {
-	for gi, g := range s.Groups {
-		if g.MSFor(layer) != nil {
-			return gi
-		}
-	}
-	return -1
-}
-
 // ProducerOF returns the FD.OF of the layer's mapping scheme wherever in the
 // scheme it is mapped — the DRAM a consumer in another group fetches the
 // layer's ofmaps from (paper: "the data can be fetched from the DRAM where

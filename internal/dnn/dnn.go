@@ -208,24 +208,6 @@ func inDim(o, k, stride, pad int, kind Kind) int {
 	}
 }
 
-// IfmapVol returns the total input activation volume per sample (all edges).
-func (l *Layer) IfmapVol() int64 {
-	switch l.Kind {
-	case Conv, Pool:
-		return int64(l.IH()) * int64(l.IW()) * int64(l.IC)
-	case FC:
-		return int64(l.IC)
-	case MatMul:
-		v := int64(l.OH) * int64(l.IC) // operand A
-		if !l.HasWeights {
-			v += int64(l.IC) * int64(l.OK) // operand B activation
-		}
-		return v
-	default: // shape preserving
-		return int64(l.OH) * int64(l.OW) * int64(l.OK) * int64(maxInt(len(l.Inputs), 1))
-	}
-}
-
 // Range is a half-open interval [Lo, Hi) along one cube dimension.
 type Range struct{ Lo, Hi int }
 

@@ -174,7 +174,7 @@ func TestWriteCSV(t *testing.T) {
 func TestJointRun(t *testing.T) {
 	bases := []arch.Config{arch.GArch72()}
 	models := []*dnn.Graph{dnn.TinyCNN()}
-	res := JointRun(bases, []int{1, 4}, models, testOptions())
+	res := NewSession().JointRun(bases, []int{1, 4}, models, testOptions())
 	if len(res) != 1 {
 		t.Fatalf("results = %d", len(res))
 	}

@@ -441,12 +441,3 @@ type JointResult struct {
 	Product  float64           // product of MC*E*D over all accelerators
 	Feasible bool
 }
-
-// JointRun explores chiplet reuse: each base candidate's chiplet is
-// replicated to build accelerators at every factor in factors (1 = the base
-// itself), and candidates are ranked by the product of their objectives
-// (paper Sec. VII-B "Joint Optimal"). JointRun is a convenience wrapper
-// over a throwaway Session.
-func JointRun(bases []arch.Config, factors []int, models []*dnn.Graph, opt Options) []JointResult {
-	return NewSession().JointRun(bases, factors, models, opt)
-}

@@ -15,6 +15,7 @@ import (
 	"io"
 	"maps"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime/debug"
 	"sort"
@@ -261,10 +262,13 @@ func (s *Session) runCell(cfg *arch.Config, g *dnn.Graph, m Mapping, key string,
 	return out
 }
 
-// JointRun explores chiplet reuse over the session (see the package-level
-// JointRun). Bound pruning is force-disabled: the product ranking needs
-// every (base, factor) cell evaluated, and a per-candidate incumbent is not
-// a sound bound for a product-of-objectives ranking.
+// JointRun explores chiplet reuse over the session: each base candidate's
+// chiplet is replicated to build accelerators at every factor in factors
+// (1 = the base itself), and candidates are ranked by the product of their
+// objectives (paper Sec. VII-B "Joint Optimal"). Bound pruning is
+// force-disabled: the product ranking needs every (base, factor) cell
+// evaluated, and a per-candidate incumbent is not a sound bound for a
+// product-of-objectives ranking.
 func (s *Session) JointRun(bases []arch.Config, factors []int, models []*dnn.Graph, opt Options) []JointResult {
 	opt.Prune = false
 	opt.OnResult = nil
@@ -457,6 +461,32 @@ func (s *Session) LoadCheckpoint(r io.Reader) error {
 	}
 	s.cellMu.Unlock()
 	return nil
+}
+
+// ErrCorruptCheckpoint marks a checkpoint file LoadCheckpointFile could
+// open but not merge.
+var ErrCorruptCheckpoint = errors.New("dse: corrupt checkpoint")
+
+// LoadCheckpointFile merges the checkpoint file at path into the session. A
+// failed open returns os.Open's error unwrapped, so a caller can test
+// fs.ErrNotExist. A file that does not decode is quarantined: renamed to
+// <path>.corrupt, keeping the damaged bytes for diagnosis, and reported
+// with an error wrapping ErrCorruptCheckpoint and the decode error.
+func (s *Session) LoadCheckpointFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	lerr := s.LoadCheckpoint(f)
+	f.Close()
+	if lerr == nil {
+		return nil
+	}
+	quarantine := path + ".corrupt"
+	if rerr := os.Rename(path, quarantine); rerr != nil {
+		return fmt.Errorf("%w, and quarantine failed (%v): %w", ErrCorruptCheckpoint, rerr, lerr)
+	}
+	return fmt.Errorf("%w, quarantined to %s: %w", ErrCorruptCheckpoint, quarantine, lerr)
 }
 
 // --- cell keying ---------------------------------------------------------

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -339,6 +341,63 @@ func TestSessionCheckpointVersion(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointFile: the one checkpoint-file loader reports a missing
+// file as fs.ErrNotExist, quarantines a file that does not decode with its
+// bytes kept, and merges a good file's cells in place.
+func TestLoadCheckpointFile(t *testing.T) {
+	dir := t.TempDir()
+
+	missing := NewSession()
+	if err := missing.LoadCheckpointFile(filepath.Join(dir, "none.ckpt")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing file: error %v, want fs.ErrNotExist", err)
+	}
+	if n := missing.CheckpointCells(); n != 0 {
+		t.Errorf("missing file left %d cells, want 0", n)
+	}
+
+	bad := filepath.Join(dir, "bad.ckpt")
+	garbage := []byte("{not a checkpoint")
+	if err := os.WriteFile(bad, garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := NewSession()
+	if err := corrupt.LoadCheckpointFile(bad); !errors.Is(err, ErrCorruptCheckpoint) || errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("corrupt file: error %v, want ErrCorruptCheckpoint", err)
+	}
+	if _, err := os.Stat(bad); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("corrupt file still in place: %v", err)
+	}
+	if kept, err := os.ReadFile(bad + ".corrupt"); err != nil || !bytes.Equal(kept, garbage) {
+		t.Errorf("quarantine kept %q (%v), want %q", kept, err, garbage)
+	}
+	if n := corrupt.CheckpointCells(); n != 0 {
+		t.Errorf("corrupt file merged %d cells, want 0", n)
+	}
+
+	want, err := os.ReadFile("testdata/parent_pr11.ckpt.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := filepath.Join(dir, "good.ckpt")
+	if err := os.WriteFile(good, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ref := NewSession()
+	if err := ref.LoadCheckpoint(bytes.NewReader(want)); err != nil {
+		t.Fatal(err)
+	}
+	ses := NewSession()
+	if err := ses.LoadCheckpointFile(good); err != nil {
+		t.Fatal(err)
+	}
+	if got, n := ses.CheckpointCells(), ref.CheckpointCells(); got != n || n == 0 {
+		t.Errorf("good file merged %d cells, want %d (> 0)", got, n)
+	}
+	if _, err := os.Stat(good); err != nil {
+		t.Errorf("good file moved: %v", err)
+	}
+}
+
 // TestSessionErrorNotInfeasible pins the honest-error satellite: an injected
 // infrastructure failure must surface as an error, never as infeasibility.
 func TestSessionErrorNotInfeasible(t *testing.T) {
@@ -622,11 +681,13 @@ func TestGeomeanLogSpace(t *testing.T) {
 	}
 }
 
-func TestSessionJointRunMatchesPackageJointRun(t *testing.T) {
+// TestSessionJointRunMatchesThrowawaySession: a shared session's JointRun,
+// cold and warm, equals a throwaway session's.
+func TestSessionJointRunMatchesThrowawaySession(t *testing.T) {
 	bases := []arch.Config{arch.GArch72()}
 	models := []*dnn.Graph{testCNN}
 	opt := testOptions()
-	want := JointRun(bases, []int{1, 4}, models, opt)
+	want := NewSession().JointRun(bases, []int{1, 4}, models, opt)
 	ses := NewSession()
 	got := ses.JointRun(bases, []int{1, 4}, models, opt)
 	if len(want) != len(got) {

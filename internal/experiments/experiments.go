@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"strings"
 
 	"gemini/internal/arch"
@@ -43,29 +42,13 @@ type Options struct {
 	Session *dse.Session
 }
 
-// run dispatches a candidate sweep through the shared session when one is
+// session returns the shared session, or a throwaway one when none is
 // configured.
-func (o Options) run(cands []arch.Config, models []*dnn.Graph, d dse.Options) []dse.CandidateResult {
+func (o Options) session() *dse.Session {
 	if o.Session != nil {
-		return o.Session.Run(cands, models, d)
+		return o.Session
 	}
-	return dse.Run(cands, models, d)
-}
-
-// mapModel dispatches a single mapping likewise.
-func (o Options) mapModel(cfg *arch.Config, g *dnn.Graph, d dse.Options) (*dse.MapResult, error) {
-	if o.Session != nil {
-		return o.Session.MapModel(cfg, g, d)
-	}
-	return dse.MapModel(cfg, g, d)
-}
-
-// jointRun dispatches the chiplet-reuse exploration likewise.
-func (o Options) jointRun(bases []arch.Config, factors []int, models []*dnn.Graph, d dse.Options) []dse.JointResult {
-	if o.Session != nil {
-		return o.Session.JointRun(bases, factors, models, d)
-	}
-	return dse.JointRun(bases, factors, models, d)
+	return dse.NewSession()
 }
 
 // QuickOptions returns the bench-friendly fidelity.
@@ -76,13 +59,6 @@ func QuickOptions() Options {
 // FullOptions returns the paper-fidelity settings (batch 1 and 64).
 func FullOptions() Options {
 	return Options{SAIterations: 4000, Batches: []int{1, 64}, Seed: 1}
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // models returns the Fig. 5 workload list (paper Sec. VI-A3).
@@ -120,7 +96,7 @@ func (o Options) dseOptions(batch int) dse.Options {
 	d := dse.DefaultOptions()
 	d.Batch = batch
 	d.SAIterations = o.SAIterations
-	d.Workers = o.workers()
+	d.Workers = o.Workers // dse reads 0 as GOMAXPROCS
 	d.Seed = o.Seed
 	if o.Restarts > 0 {
 		d.Restarts = o.Restarts

@@ -63,7 +63,7 @@ func Fig5(opt Options) (*Fig5Result, error) {
 				if !st.anneal {
 					d.SAIterations = 0
 				}
-				mr, err := opt.mapModel(&st.cfg, model, d)
+				mr, err := opt.session().MapModel(&st.cfg, model, d)
 				if err != nil {
 					return nil, fmt.Errorf("fig5: %s on %s: %w", model.Name, st.name, err)
 				}
@@ -136,12 +136,12 @@ func TArch(opt Options) (*TArchResult, error) {
 		for _, batch := range opt.Batches {
 			dT := opt.dseOptions(batch)
 			dT.SAIterations = 0
-			base, err := opt.mapModel(&tArch, model, dT)
+			base, err := opt.session().MapModel(&tArch, model, dT)
 			if err != nil {
 				return nil, fmt.Errorf("tarch: %s: %w", model.Name, err)
 			}
 			dG := opt.dseOptions(batch)
-			ours, err := opt.mapModel(&gArch, model, dG)
+			ours, err := opt.session().MapModel(&gArch, model, dG)
 			if err != nil {
 				return nil, fmt.Errorf("tarch: %s on g-arch: %w", model.Name, err)
 			}

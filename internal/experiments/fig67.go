@@ -74,7 +74,7 @@ func Fig6(opt Options, spaces ...dse.Space) (*Fig6Result, error) {
 	for _, sp := range spaces {
 		cands := sp.Enumerate()
 		d := opt.dseOptions(batch)
-		results := opt.run(cands, models, d)
+		results := opt.session().Run(cands, models, d)
 		// Normalize to the MC*E*D optimum.
 		best := dse.Best(results)
 		if best == nil {
@@ -206,7 +206,7 @@ func Fig7(opt Options, spaceOverride ...dse.Space) (*Fig7Result, error) {
 		batch = opt.Batches[len(opt.Batches)-1]
 	}
 	cands := sp.Enumerate()
-	results := opt.run(cands, models, opt.dseOptions(batch))
+	results := opt.session().Run(cands, models, opt.dseOptions(batch))
 	res := &Fig7Result{}
 	for _, o := range FourObjectives {
 		var win *dse.CandidateResult

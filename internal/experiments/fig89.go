@@ -67,8 +67,8 @@ func Fig8(opt Options) (*Fig8Result, error) {
 	if opt.Quick {
 		sp128, sp512 = tinySpace(dse.Space128()), tinySpace(dse.Space512())
 	}
-	r128 := opt.run(sp128.Enumerate(), models, d)
-	r512 := opt.run(sp512.Enumerate(), models, d)
+	r128 := opt.session().Run(sp128.Enumerate(), models, d)
+	r512 := opt.session().Run(sp512.Enumerate(), models, d)
 	best128, best512 := dse.Best(r128), dse.Best(r512)
 	if best128 == nil || best512 == nil {
 		return nil, fmt.Errorf("fig8: no feasible optimum")
@@ -84,7 +84,7 @@ func Fig8(opt Options) (*Fig8Result, error) {
 			break
 		}
 	}
-	joint := opt.jointRun(bases, []int{1, 4}, models, d)
+	joint := opt.session().JointRun(bases, []int{1, 4}, models, d)
 	var jbest *dse.JointResult
 	for i := range joint {
 		if joint[i].Feasible {
@@ -99,7 +99,7 @@ func Fig8(opt Options) (*Fig8Result, error) {
 	mce := func(r *dse.CandidateResult) float64 { return r.MC.Total() * r.Energy * r.Delay }
 
 	evalOne := func(cfg arch.Config) (*dse.CandidateResult, error) {
-		rs := opt.run([]arch.Config{cfg}, models, d)
+		rs := opt.session().Run([]arch.Config{cfg}, models, d)
 		if len(rs) == 0 || !rs[0].Feasible {
 			return nil, fmt.Errorf("fig8: %s infeasible", cfg.Name)
 		}

@@ -62,7 +62,7 @@ func ChipletGranularity(opt Options) (*GranularityResult, error) {
 		if cfg.Validate() != nil {
 			continue
 		}
-		mr, err := opt.mapModel(&cfg, model, d)
+		mr, err := opt.session().MapModel(&cfg, model, d)
 		if err != nil {
 			return nil, fmt.Errorf("granularity: %d chiplets: %w", c.x*c.y, err)
 		}
@@ -170,7 +170,7 @@ func CoreGranularity(opt Options) (*CoreGranularityResult, error) {
 		if cfg.Validate() != nil {
 			continue
 		}
-		mr, err := opt.mapModel(&cfg, model, d)
+		mr, err := opt.session().MapModel(&cfg, model, d)
 		if err != nil {
 			return nil, fmt.Errorf("core granularity: %d cores: %w", cores, err)
 		}

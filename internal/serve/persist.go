@@ -83,8 +83,7 @@ func newPersister(ctx context.Context, ses *dse.Session, cfg Config, logf func(f
 // order: the server's own file, and the per-sweep and per-fleet-sweep
 // checkpoints older servers left there. Sweeps never read checkpoint files,
 // so this is the one load. A failed read skips its file; a file that does
-// not decode is quarantined to <name>.corrupt, keeping the damaged bytes for
-// diagnosis.
+// not decode is quarantined to <name>.corrupt (dse.Session.LoadCheckpointFile).
 func (p *persister) loadCheckpoints() {
 	paths, err := filepath.Glob(filepath.Join(p.dataDir, "*.ckpt"))
 	if err != nil {
@@ -92,33 +91,17 @@ func (p *persister) loadCheckpoints() {
 		return
 	}
 	for _, path := range paths {
-		if err := p.loadCheckpoint(path); err != nil {
+		err := p.check("checkpoint-load", path)
+		if err == nil {
+			err = p.ses.LoadCheckpointFile(path)
+		}
+		if err != nil {
 			p.logf("serve: checkpoint %s not loaded: %v", path, err)
 		}
 	}
 	if len(paths) > 0 {
 		p.logf("serve: %d settled cells from %d checkpoint files in %s", p.ses.CheckpointCells(), len(paths), p.dataDir)
 	}
-}
-
-func (p *persister) loadCheckpoint(path string) error {
-	if err := p.check("checkpoint-load", path); err != nil {
-		return err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	lerr := p.ses.LoadCheckpoint(f)
-	f.Close()
-	if lerr == nil {
-		return nil
-	}
-	quarantine := path + ".corrupt"
-	if rerr := os.Rename(path, quarantine); rerr != nil {
-		return fmt.Errorf("corrupt, and quarantine failed (%v): %w", rerr, lerr)
-	}
-	return fmt.Errorf("corrupt, quarantined to %s: %w", quarantine, lerr)
 }
 
 // run is the saver: it turns pokes into checkpoint saves until ctx ends,
