@@ -80,7 +80,7 @@ type Options struct {
 	// with a less-function over enumeration indices; tests use it to impose
 	// grid order. Every cell of every candidate still runs exactly once.
 	Dispatch func(a, b int) bool `json:"-"`
-	// SweepID optionally names the sweep for logs and SweepStats. It only
+	// SweepID optionally names the sweep in the scheduler's logs. It only
 	// labels: a renamed sweep keeps hitting its old cells.
 	SweepID string `json:"sweep_id,omitempty"`
 	// Incumbent, when set, reads an external pruning incumbent (a fleet

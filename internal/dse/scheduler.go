@@ -31,56 +31,58 @@ type IncumbentStep struct {
 	// Candidate names the feasible candidate that improved the incumbent;
 	// the synthetic name "(checkpoint seed)" marks the initial value
 	// restored from checkpointed cells.
-	Candidate string
-	Obj       float64
+	Candidate string `json:"candidate"`
+	// Obj is the improved incumbent value (always finite).
+	Obj float64 `json:"objective"`
 }
 
-// SweepStats is the scheduler's per-sweep observability record.
+// SweepStats is the scheduler's per-sweep observability record. It is also
+// the wire record: serve's done event and GET /sweeps/{id} carry it as their
+// stats, and a fleet worker uploads it when its shard completes, so every
+// field is JSON-safe.
 type SweepStats struct {
-	// SweepID echoes Options.SweepID (empty for unnamed sweeps).
-	SweepID string
 	// Candidates is the number of architecture candidates in the sweep.
-	Candidates int
+	Candidates int `json:"candidates"`
 	// Cells is the total (candidate, model) grid size.
-	Cells int
+	Cells int `json:"cells"`
 	// Canceled reports that the sweep's context was canceled before every
 	// cell settled; unfinished cells carry errors wrapping the context's
 	// error and are never checkpointed.
-	Canceled bool
+	Canceled bool `json:"canceled,omitempty"`
 
 	// ResumedCells counts cells served from the checkpoint this sweep.
-	ResumedCells int
+	ResumedCells int `json:"resumed_cells"`
 	// PartitionsReused counts cells whose DP graph partition came from the
 	// session's partition memo instead of being recomputed: every mapped
 	// cell of a sweep that only reseeds a grid the session already ran.
-	PartitionsReused int
+	PartitionsReused int `json:"partitions_reused,omitempty"`
 	// PrunedCandidates counts candidates the bound gate skipped or cut off.
-	PrunedCandidates int
+	PrunedCandidates int `json:"pruned_candidates"`
 	// AbandonedRestarts counts SA restarts never completed because the live
 	// incumbent dominated a cell's candidate mid-portfolio (a restart cut
 	// off mid-anneal by the in-loop check counts: it never finished).
-	AbandonedRestarts int
+	AbandonedRestarts int `json:"abandoned_restarts"`
 	// SAIterations is the total annealing iterations the sweep attempted
 	// across every cell, partial abandoned restarts included. With in-loop
 	// abandonment active a dominated-cell workload spends strictly fewer
 	// iterations than with between-restart checks alone.
-	SAIterations int
+	SAIterations int `json:"sa_iterations,omitempty"`
+
+	// SeededIncumbent is the incumbent value restored from checkpointed
+	// cells before the first task ran (0 when nothing seeded).
+	SeededIncumbent float64 `json:"seeded_incumbent,omitempty"`
+	// Trajectory records every incumbent improvement in the order it
+	// happened, checkpoint seed included.
+	Trajectory []IncumbentStep `json:"trajectory,omitempty"`
 
 	// Panics counts recovered panics — each one became a typed CellError on
 	// its cell (or cost one candidate's result row) instead of killing the
 	// sweep.
-	Panics int
+	Panics int `json:"panics,omitempty"`
 	// LastPanic is the most recent recovered panic's message and stack
 	// (empty when Panics == 0), so a one-off crash is diagnosable from the
 	// sweep record alone.
-	LastPanic string
-
-	// SeededIncumbent is the incumbent value restored from checkpointed
-	// cells before the first task ran (+Inf when nothing seeded).
-	SeededIncumbent float64
-	// Trajectory records every incumbent improvement in the order it
-	// happened, checkpoint seed included.
-	Trajectory []IncumbentStep
+	LastPanic string `json:"last_panic,omitempty"`
 }
 
 // incumbent is a sweep-scoped best-feasible-objective tracker for pruning.
@@ -161,7 +163,7 @@ type scheduler struct {
 	states []*candState
 	order  []int // candidate dispatch order
 
-	seeded    float64
+	seeded    float64 // checkpoint-seeded incumbent, 0 when none
 	resumed   atomic.Int64
 	reused    atomic.Int64
 	pruned    atomic.Int64
@@ -197,7 +199,6 @@ func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models 
 		inc:    newIncumbent(opt.Incumbent),
 		states: make([]*candState, len(cands)),
 		order:  make([]int, len(cands)),
-		seeded: math.Inf(1),
 	}
 	sc.prune = opt.Prune && objMonotone(opt.Objective)
 	if opt.Prune && !sc.prune {
@@ -230,9 +231,9 @@ func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models 
 	}
 	sort.SliceStable(sc.order, func(a, b int) bool { return less(sc.order[a], sc.order[b]) })
 	if sc.prune {
-		sc.seeded = sc.inc.get()
-		if !math.IsInf(sc.seeded, 1) {
-			s.logf("dse: incumbent seeded from checkpoint: %.6g", sc.seeded)
+		if seed := sc.inc.get(); !math.IsInf(seed, 1) {
+			sc.seeded = seed
+			s.logf("dse: incumbent seeded from checkpoint: %.6g", seed)
 		}
 	}
 	return sc
@@ -504,7 +505,6 @@ func (sc *scheduler) runTask(ci, mi int, per [][]pairOutcome) {
 // one-line summary.
 func (sc *scheduler) publishStats() {
 	stats := SweepStats{
-		SweepID:           sc.opt.SweepID,
 		Candidates:        len(sc.cands),
 		Cells:             len(sc.cands) * len(sc.models),
 		Canceled:          sc.ctx.Err() != nil,

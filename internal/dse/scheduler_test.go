@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -130,7 +129,7 @@ func TestCheckpointSeededIncumbentPrunes(t *testing.T) {
 		t.Fatalf("big not pruned on resume: %s", rs[1].Status())
 	}
 
-	if math.IsInf(st.SeededIncumbent, 1) {
+	if st.SeededIncumbent == 0 {
 		t.Error("stats did not record the seeded incumbent")
 	}
 	if st.SeededIncumbent != rs[0].Obj {

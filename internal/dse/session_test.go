@@ -134,6 +134,41 @@ func TestSessionCacheAccounting(t *testing.T) {
 	}
 }
 
+// TestCacheCountsReproducible: a fixed-seed, pruning-off sweep reports the
+// same cache hit and miss counts however its workers interleave. Two workers
+// race to fill the entries bandwidth siblings share, yet every run counts
+// what one worker, which cannot race, counts, and the misses are exactly the
+// summaries stored.
+func TestCacheCountsReproducible(t *testing.T) {
+	cands := testCands()
+	models := []*dnn.Graph{testCNN, testTF}
+	counts := func(workers int) eval.CacheStats {
+		opt := testOptions()
+		opt.Prune = false
+		opt.Workers = workers
+		ses := NewSession()
+		ses.Run(cands, models, opt)
+		st := ses.CacheStats()
+		if st.Flushes != 0 || st.Misses != int64(st.Entries) {
+			t.Fatalf("%d workers: %+v, want no flush and one miss per stored entry", workers, st)
+		}
+		return st
+	}
+	// One worker's counts, pinned from before lookups stopped counting their
+	// own misses: a serial sweep counts what it always did. They move only
+	// if the sweep's cache lookups do.
+	one := counts(1)
+	if one.Hits != 429 || one.Misses != 515 {
+		t.Fatalf("1 worker: %d hits / %d misses, want 429 / 515", one.Hits, one.Misses)
+	}
+	for run := range 5 {
+		if two := counts(2); two.Hits != one.Hits || two.Misses != one.Misses {
+			t.Errorf("run %d, 2 workers: %d hits / %d misses, want %d / %d as with 1 worker",
+				run, two.Hits, two.Misses, one.Hits, one.Misses)
+		}
+	}
+}
+
 func TestSessionCheckpointRoundTrip(t *testing.T) {
 	cands := testCands()
 	models := []*dnn.Graph{testCNN, testTF}

@@ -125,8 +125,10 @@ type Spec struct {
 	// Batch is the inference batch size (default 64, the paper's
 	// throughput scenario).
 	Batch int `json:"batch,omitempty"`
-	// SAIterations is the annealing length per (candidate, model) mapping
-	// (default 600).
+	// SAIterations is the annealing length per (candidate, model) mapping.
+	// 0 means the default, 600, so a spec always anneals: POST /sweep and
+	// the fleet cannot ask for a stripe-only (T-Map) sweep, and
+	// gemini-dse -sa 0 is the way to run one.
 	SAIterations int `json:"sa_iterations,omitempty"`
 	// Restarts is the SA portfolio width per cell (default 1).
 	Restarts int `json:"restarts,omitempty"`

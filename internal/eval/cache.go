@@ -123,6 +123,13 @@ func (c *Cache) shard(k CacheKey) *cacheShard {
 	return &c.shards[(k.Arch^k.FP)%cacheShards]
 }
 
+// A lookup counts as one hit or one miss, and the count does not depend on
+// how concurrent evaluators interleave: get and getSegment count only hits,
+// and the put or putSegment that follows a failed get counts the miss — or a
+// hit, when another evaluator stored the key first. So Misses is the number
+// of distinct summaries stored between flushes, and two racers asking for one
+// new key count one miss and one hit in either order.
+
 // get copies the group summary stored under k into *out and reports whether
 // there was one.
 func (c *Cache) get(k CacheKey, out *groupSummary) bool {
@@ -139,51 +146,60 @@ func (c *Cache) getSegment(k CacheKey, out *segmentSummary) bool {
 // put stores a computed group summary.
 func (c *Cache) put(k CacheKey, sum *groupSummary) {
 	s := c.shard(k)
-	store(c, s, &s.m, k, *sum, true)
+	c.countStore(store(c, s, &s.m, k, *sum, true))
 }
 
 // putSegment stores a computed cut-free segment summary.
 func (c *Cache) putSegment(k CacheKey, seg segmentSummary) {
 	s := c.shard(k)
-	store(c, s, &s.seg, k, seg, true)
+	c.countStore(store(c, s, &s.seg, k, seg, true))
+}
+
+// countStore counts the lookup a put completes: a miss if the put added its
+// key, a hit if another evaluator had stored it first.
+func (c *Cache) countStore(added bool) {
+	if added {
+		c.misses.Add(1)
+	} else {
+		c.hits.Add(1)
+	}
 }
 
 // lookup copies the summary *m, one of s's maps, holds for k into *out and
-// reports whether there was one, counting the hit or miss.
+// reports whether there was one, counting a hit.
 func lookup[S groupSummary | segmentSummary](c *Cache, s *cacheShard, m *map[CacheKey]S, k CacheKey, out *S) bool {
 	s.mu.RLock()
 	sum, ok := (*m)[k]
 	s.mu.RUnlock()
-	if !ok {
-		c.misses.Add(1)
-		return false
+	if ok {
+		*out = sum
+		c.hits.Add(1)
 	}
-	*out = sum
-	c.hits.Add(1)
-	return true
+	return ok
 }
 
 // store puts sum under k in *m, one of s's maps, making the map if need be —
 // unless replace is false and k is already there — flushing the shard first
-// if it is full, and reports whether it stored.
+// if adding k would overfill it, and reports whether k was new. Replacing
+// with an equal summary is harmless (summaries are pure functions of their
+// keys) and repairs an entry a damaged spill loaded.
 func store[S groupSummary | segmentSummary](c *Cache, s *cacheShard, m *map[CacheKey]S, k CacheKey, sum S, replace bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if *m == nil {
 		*m = make(map[CacheKey]S)
 	}
-	if !replace {
-		if _, ok := (*m)[k]; ok {
-			return false
-		}
+	_, had := (*m)[k]
+	if had && !replace {
+		return false
 	}
-	if len(s.m)+len(s.seg) >= cacheShardLimit {
+	if !had && len(s.m)+len(s.seg) >= cacheShardLimit {
 		clear(s.m)
 		clear(s.seg)
 		c.flushes.Add(1)
 	}
 	(*m)[k] = sum
-	return true
+	return !had
 }
 
 // CacheStats is a point-in-time accounting snapshot of a shared cache.

@@ -117,7 +117,7 @@ type fleetSweep struct {
 func (fs *fleetSweep) Active() bool { return !fs.done }
 
 // SweepAggregate is the coordinator's fleet-wide accounting for one sweep,
-// folded from completed shards' ShardStats.
+// folded from completed shards' uploaded dse.SweepStats.
 type SweepAggregate struct {
 	// SAIterations sums annealing iterations across completed shards.
 	SAIterations int `json:"sa_iterations"`

@@ -60,14 +60,11 @@ func TestWireValidate(t *testing.T) {
 		{"incumbent state", &IncumbentState{Found: true, Objective: math.NaN()}},
 		{"incumbent state negative", &IncumbentState{Found: true, Objective: -1}},
 		{"incumbent state zero", &IncumbentState{Found: true}},
-		{"shard stats", &ShardStats{SAIterations: -1}},
 		{"shard best", &ShardBest{Objective: math.Inf(1)}},
 		{"shard best negative", &ShardBest{Objective: -1}},
 		{"shard best zero", &ShardBest{}},
 		{"upload ids", &CheckpointUpload{Checkpoint: []byte("{}")}},
 		{"upload no bytes", &CheckpointUpload{SweepID: "s", LeaseID: "l"}},
-		{"upload bad stats", &CheckpointUpload{SweepID: "s", LeaseID: "l", Checkpoint: []byte("{}"),
-			Stats: &ShardStats{ResumedCells: -2}}},
 		{"upload bad best", &CheckpointUpload{SweepID: "s", LeaseID: "l", Checkpoint: []byte("{}"),
 			Best: &ShardBest{Objective: math.NaN()}}},
 		{"checkpoint response", &CheckpointResponse{
@@ -78,6 +75,21 @@ func TestWireValidate(t *testing.T) {
 	for _, tc := range bad {
 		if err := tc.v.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", tc.name, tc.v)
+		}
+	}
+	// A complete upload's stats are the shard's dse.SweepStats; only the
+	// three counters the coordinator folds are checked.
+	for _, tc := range []struct {
+		stats dse.SweepStats
+		want  string
+	}{
+		{dse.SweepStats{SAIterations: -1}, "fleet: shard stats sa_iterations = -1, want >= 0"},
+		{dse.SweepStats{ResumedCells: -2}, "fleet: shard stats resumed_cells = -2, want >= 0"},
+		{dse.SweepStats{PrunedCandidates: -3}, "fleet: shard stats pruned_candidates = -3, want >= 0"},
+	} {
+		up := &CheckpointUpload{SweepID: "s", LeaseID: "l", Checkpoint: []byte("{}"), Stats: &tc.stats}
+		if err := up.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("upload stats %+v: Validate = %v, want %q", tc.stats, err, tc.want)
 		}
 	}
 }
@@ -330,14 +342,11 @@ func TestSingleShardDrain(t *testing.T) {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	up := CheckpointUpload{
-		SweepID:  lease.SweepID,
-		LeaseID:  lease.LeaseID,
-		Worker:   "manual",
-		Complete: true,
-		Stats: &ShardStats{
-			SAIterations: stats.SAIterations,
-			ResumedCells: stats.ResumedCells,
-		},
+		SweepID:    lease.SweepID,
+		LeaseID:    lease.LeaseID,
+		Worker:     "manual",
+		Complete:   true,
+		Stats:      &stats,
 		Checkpoint: buf.Bytes(),
 	}
 	if best := dse.Best(results); best != nil && best.Feasible {

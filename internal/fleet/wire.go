@@ -142,34 +142,6 @@ func (l *Lease) Validate() error {
 	return nil
 }
 
-// ShardStats is the worker-side sweep accounting a completed shard reports:
-// the dse.SweepStats fields the coordinator aggregates fleet-wide.
-type ShardStats struct {
-	// SAIterations is the shard sweep's total annealing iterations.
-	SAIterations int `json:"sa_iterations"`
-	// ResumedCells counts cells restored from the lease checkpoint instead
-	// of recomputed — the zero-recompute re-shard claim is audited from it.
-	ResumedCells int `json:"resumed_cells"`
-	// PrunedCandidates counts candidates the shard's bound gate skipped.
-	PrunedCandidates int `json:"pruned_candidates"`
-}
-
-// Validate checks the counters are non-negative.
-func (s *ShardStats) Validate() error {
-	for _, c := range [...]struct {
-		name string
-		v    int
-	}{
-		{"sa_iterations", s.SAIterations}, {"resumed_cells", s.ResumedCells},
-		{"pruned_candidates", s.PrunedCandidates},
-	} {
-		if c.v < 0 {
-			return fmt.Errorf("fleet: shard stats %s = %d, want >= 0", c.name, c.v)
-		}
-	}
-	return nil
-}
-
 // ShardBest is the best feasible candidate a worker's shard has delivered
 // so far. Every checkpoint upload carries it once one exists, and the
 // coordinator folds it into the fleet incumbent synchronously at upload
@@ -206,8 +178,10 @@ type CheckpointUpload struct {
 	Worker string `json:"worker"`
 	// Complete marks the shard finished; Stats is then read.
 	Complete bool `json:"complete,omitempty"`
-	// Stats is the shard sweep's accounting (Complete uploads only).
-	Stats *ShardStats `json:"stats,omitempty"`
+	// Stats is the shard sweep's scheduler record (Complete uploads only).
+	// The coordinator folds its SAIterations, ResumedCells and
+	// PrunedCandidates; ResumedCells audits the zero-recompute re-shard.
+	Stats *dse.SweepStats `json:"stats,omitempty"`
 	// Best is the shard's best feasible result delivered so far, absent
 	// until there is one.
 	Best *ShardBest `json:"best,omitempty"`
@@ -224,9 +198,17 @@ func (u *CheckpointUpload) Validate() error {
 	if len(u.Checkpoint) == 0 {
 		return fmt.Errorf("fleet: checkpoint upload has no checkpoint bytes")
 	}
-	if u.Stats != nil {
-		if err := u.Stats.Validate(); err != nil {
-			return err
+	if st := u.Stats; st != nil {
+		for _, c := range [...]struct {
+			name string
+			v    int
+		}{
+			{"sa_iterations", st.SAIterations}, {"resumed_cells", st.ResumedCells},
+			{"pruned_candidates", st.PrunedCandidates},
+		} {
+			if c.v < 0 {
+				return fmt.Errorf("fleet: shard stats %s = %d, want >= 0", c.name, c.v)
+			}
 		}
 	}
 	if u.Best != nil {

@@ -183,7 +183,7 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) {
 	// else's now): cancel the sweep — finished cells are already uploaded, so
 	// walking away loses almost nothing. Non-nil stats mark the final,
 	// Complete upload.
-	upload := func(ctx context.Context, stats *ShardStats) {
+	upload := func(ctx context.Context, stats *dse.SweepStats) {
 		var buf bytes.Buffer
 		if err := w.ses.SaveCells(&buf, cands, graphs, opt); err != nil {
 			w.logf("fleet worker %s: saving lease %s cells: %v", w.cfg.name(), lease.LeaseID, err)
@@ -251,13 +251,9 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) {
 	// must stay leased-or-reissued, not be marked done with holes. The
 	// upload itself is still worth sending on cancellation — settled cells
 	// merge soundly whoever finishes the shard.
-	var final *ShardStats
+	var final *dse.SweepStats
 	if runErr == nil && !stats.Canceled {
-		final = &ShardStats{
-			SAIterations:     stats.SAIterations,
-			ResumedCells:     stats.ResumedCells,
-			PrunedCandidates: stats.PrunedCandidates,
-		}
+		final = &stats
 	}
 	// Detach from shardCtx: the final upload must go out even when the
 	// shard was canceled (worker shutdown or lease lapse).

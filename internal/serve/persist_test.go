@@ -352,7 +352,7 @@ func TestFleetCellsSurviveRestart(t *testing.T) {
 	shardCells := ses.CheckpointCells()
 	if code := postFleet(t, hsA.URL, "/checkpoint", fleet.CheckpointUpload{
 		SweepID: lease.SweepID, LeaseID: lease.LeaseID, Worker: "manual", Complete: true,
-		Stats: &fleet.ShardStats{}, Checkpoint: ckpt.Bytes(),
+		Stats: &dse.SweepStats{}, Checkpoint: ckpt.Bytes(),
 	}, nil); code != http.StatusOK {
 		t.Fatalf("shard 0's complete upload answered %d, want 200", code)
 	}

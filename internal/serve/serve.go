@@ -392,7 +392,7 @@ type RunningSweep struct {
 	Incumbent *CandidateSummary `json:"incumbent,omitempty"`
 	// Trajectory is the live incumbent trajectory: every improvement of
 	// Incumbent streamed so far, in order.
-	Trajectory []TrajectoryStep `json:"trajectory,omitempty"`
+	Trajectory []dse.IncumbentStep `json:"trajectory,omitempty"`
 }
 
 // Health is the GET /healthz body.

@@ -829,12 +829,12 @@ func TestMultiRestartSweepStream(t *testing.T) {
 		t.Fatal("status exposes no incumbent trajectory")
 	}
 	for i := 1; i < len(st.Trajectory); i++ {
-		if st.Trajectory[i].Objective >= st.Trajectory[i-1].Objective {
+		if st.Trajectory[i].Obj >= st.Trajectory[i-1].Obj {
 			t.Errorf("trajectory not strictly improving: %+v", st.Trajectory)
 		}
 	}
 	last := st.Trajectory[len(st.Trajectory)-1]
-	if st.Best == nil || last.Candidate != st.Best.Arch || last.Objective != st.Best.Objective {
+	if st.Best == nil || last.Candidate != st.Best.Arch || last.Obj != st.Best.Objective {
 		t.Errorf("trajectory tail %+v does not land on best %+v", last, st.Best)
 	}
 }
@@ -904,7 +904,7 @@ func TestLiveIncumbentProgress(t *testing.T) {
 		t.Fatal("status exposes no incumbent trajectory")
 	}
 	last := st.Trajectory[len(st.Trajectory)-1]
-	if st.Best == nil || last.Candidate != st.Best.Arch || last.Objective != st.Best.Objective {
+	if st.Best == nil || last.Candidate != st.Best.Arch || last.Obj != st.Best.Objective {
 		t.Errorf("trajectory tail %+v does not land on best %+v", last, st.Best)
 	}
 }

@@ -7,13 +7,18 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"gemini/internal/dse"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -56,6 +61,82 @@ func checkGolden(t *testing.T, name, got string) {
 	if got != string(want) {
 		t.Errorf("stream diverges from %s (regenerate with -update if the change is intended)\n got:\n%s\nwant:\n%s", path, got, want)
 	}
+}
+
+// TestStatsWireIsSweepStats: a finished sweep's stats — in its done event,
+// in GET /sweeps/{id}, and in its history-log line read back after a
+// restart — each decode to the dse.SweepStats an in-process
+// Session.RunContext returns for the same fixed-seed, single-worker spec.
+func TestStatsWireIsSweepStats(t *testing.T) {
+	spec := tinySpec("stats-wire", 8, 32, 64)
+	spec.Workers = 1
+	spec.Restarts = 2
+	cands, err := spec.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, err := spec.Graphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := dse.NewSession().RunContext(context.Background(), cands, graphs, spec.Options())
+	if err != nil || want.SAIterations == 0 || len(want.Trajectory) == 0 {
+		t.Fatalf("in-process sweep: %+v, %v; want iterations and a trajectory", want, err)
+	}
+	check := func(label string, raw []byte) {
+		t.Helper()
+		var wire struct{ Stats json.RawMessage }
+		if err := json.Unmarshal(raw, &wire); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		var got dse.SweepStats
+		if err := json.Unmarshal(wire.Stats, &got); err != nil {
+			t.Fatalf("%s stats %s: %v", label, wire.Stats, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s stats = %+v, want %+v", label, got, want)
+		}
+	}
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d, %v", url, resp.StatusCode, err)
+		}
+		return body
+	}
+	lastLine := func(b []byte) []byte {
+		b = bytes.TrimSpace(b)
+		return b[bytes.LastIndexByte(b, '\n')+1:]
+	}
+
+	dir := t.TempDir()
+	_, hsA := newTestServer(t, Config{DataDir: dir})
+	resp := postSpec(t, hsA.URL, spec)
+	stream, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := lastLine(stream); !bytes.HasPrefix(done, []byte(`{"type":"done"`)) {
+		t.Fatalf("stream ended with %s", done)
+	}
+	check("done event", lastLine(stream))
+	check("GET /sweeps/{id}", get(hsA.URL+"/sweeps/"+spec.ID))
+	hsA.Close()
+
+	history, err := os.ReadFile(filepath.Join(dir, historyName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("history-log line", lastLine(history))
+	_, hsB := newTestServer(t, Config{DataDir: dir})
+	check("GET /sweeps/{id} after a restart", get(hsB.URL+"/sweeps/"+spec.ID))
 }
 
 // TestStreamGoldenAndReattach runs a fixed-seed sweep single-worker (fully
@@ -129,9 +210,9 @@ func TestEventSchemaGolden(t *testing.T) {
 		}},
 		{Type: "preempted", SweepID: "s1", Tenant: "acme", Priority: "batch", CheckpointCells: 2},
 		{Type: "resumed", SweepID: "s1", Tenant: "acme", Priority: "batch", CheckpointCells: 2},
-		{Type: "done", SweepID: "s1", Best: &CandidateSummary{Arch: "x4g1024n32d0.5", Status: "ok"}, Stats: &StatsSummary{
+		{Type: "done", SweepID: "s1", Best: &CandidateSummary{Arch: "x4g1024n32d0.5", Status: "ok"}, Stats: &StatsSummary{SweepStats: dse.SweepStats{
 			Candidates: 2, Cells: 2, ResumedCells: 2,
-		}},
+		}}},
 		{Type: "error", SweepID: "s1", Error: "sweep canceled: context canceled"},
 	}
 	var b bytes.Buffer

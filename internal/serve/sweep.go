@@ -106,37 +106,14 @@ func summarize(r *dse.CandidateResult) *CandidateSummary {
 	return cs
 }
 
-// StatsSummary is the JSON shape of dse.SweepStats (which itself is not
-// JSON-safe: an unseeded incumbent is +Inf).
+// StatsSummary is a finished sweep's stats on the wire: the scheduler's
+// dse.SweepStats record as it is, plus the server's persistence accounting.
 type StatsSummary struct {
-	// Candidates and Cells size the sweep grid.
-	Candidates int `json:"candidates"`
-	// Cells is the total (candidate, model) cell count.
-	Cells int `json:"cells"`
-	// Canceled reports an early stop; unfinished cells were not run.
-	Canceled bool `json:"canceled,omitempty"`
-	// ResumedCells counts cells served from the server-side checkpoint.
-	ResumedCells int `json:"resumed_cells"`
-	// PartitionsReused counts cells whose graph partition the server's
-	// session already held (omitted when 0).
-	PartitionsReused int `json:"partitions_reused,omitempty"`
-	// PrunedCandidates counts candidates the bound gate skipped.
-	PrunedCandidates int `json:"pruned_candidates"`
-	// AbandonedRestarts counts SA restarts cut off by the live incumbent.
-	AbandonedRestarts int `json:"abandoned_restarts"`
-	// SeededIncumbent is the incumbent restored from the checkpoint before
-	// the first task (omitted when nothing seeded).
-	SeededIncumbent float64 `json:"seeded_incumbent,omitempty"`
-	// Trajectory records every incumbent improvement in order.
-	Trajectory []TrajectoryStep `json:"trajectory,omitempty"`
-	// Panics counts recovered panics (each failed its cell, not the server).
-	Panics int `json:"panics,omitempty"`
+	dse.SweepStats
 	// DeadlineExceeded is always 0 and never on the wire: cells have no
 	// deadline any more. It stays only because the benchmark harness
 	// (bench/) still reads it; drop it when that read goes.
 	DeadlineExceeded int `json:"-"`
-	// LastPanic is the most recent recovered panic's message and stack.
-	LastPanic string `json:"last_panic,omitempty"`
 	// PersistenceErrors counts the server's failed saves while the sweep ran
 	// (checkpoint and status, concurrent sweeps' included); the
 	// sweep itself kept running.
@@ -145,36 +122,6 @@ type StatsSummary struct {
 	// degraded; LastPersistenceError is the most recent failure.
 	PersistenceDegraded  bool   `json:"persistence_degraded,omitempty"`
 	LastPersistenceError string `json:"last_persistence_error,omitempty"`
-}
-
-// TrajectoryStep is one incumbent improvement in a StatsSummary.
-type TrajectoryStep struct {
-	// Candidate is the improving candidate ("(checkpoint seed)" for the
-	// restored initial value).
-	Candidate string `json:"candidate"`
-	// Objective is the improved incumbent value.
-	Objective float64 `json:"objective"`
-}
-
-// summarizeStats converts dse.SweepStats to its wire shape.
-func summarizeStats(st dse.SweepStats) *StatsSummary {
-	out := &StatsSummary{
-		Candidates:        st.Candidates,
-		Cells:             st.Cells,
-		Canceled:          st.Canceled,
-		ResumedCells:      st.ResumedCells,
-		PartitionsReused:  st.PartitionsReused,
-		PrunedCandidates:  st.PrunedCandidates,
-		AbandonedRestarts: st.AbandonedRestarts,
-		SeededIncumbent:   finite(st.SeededIncumbent),
-
-		Panics:    st.Panics,
-		LastPanic: st.LastPanic,
-	}
-	for _, step := range st.Trajectory {
-		out.Trajectory = append(out.Trajectory, TrajectoryStep{Candidate: step.Candidate, Objective: finite(step.Obj)})
-	}
-	return out
 }
 
 // Event is one NDJSON line of a POST /sweep (or GET /sweeps/{id}/stream)
@@ -249,7 +196,7 @@ type SweepStatus struct {
 	// Best streamed so far, in order. Unlike Stats.Trajectory (which is
 	// only available once the sweep finishes), it is populated while the
 	// sweep is still running.
-	Trajectory []TrajectoryStep `json:"trajectory,omitempty"`
+	Trajectory []dse.IncumbentStep `json:"trajectory,omitempty"`
 	// Stats is the final scheduler accounting (finished sweeps only).
 	Stats *StatsSummary `json:"stats,omitempty"`
 	// Error is the sweep-level failure (canceled or failed sweeps).
@@ -315,7 +262,7 @@ func (sw *sweep) noteResult(cs *CandidateSummary) {
 	sw.st.DoneCandidates++
 	if cs.Status == "ok" && (sw.st.Best == nil || cs.Objective < sw.st.Best.Objective) {
 		sw.st.Best = cs
-		sw.st.Trajectory = append(sw.st.Trajectory, TrajectoryStep{Candidate: cs.Arch, Objective: cs.Objective})
+		sw.st.Trajectory = append(sw.st.Trajectory, dse.IncumbentStep{Candidate: cs.Arch, Obj: cs.Objective})
 	}
 }
 
@@ -582,7 +529,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.persist.flush("final")
 	s.faultPanics.Add(int64(stats.Panics))
 
-	sum := summarizeStats(stats)
+	sum := &StatsSummary{SweepStats: stats}
 	// The tracker is server-wide, so under concurrent sweeps the delta may
 	// include their failures; the degraded flag and last error are the
 	// current truth either way.
