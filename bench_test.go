@@ -29,7 +29,6 @@ import (
 	"gemini/internal/graphpart"
 	"gemini/internal/noc"
 	"gemini/internal/sa"
-	"gemini/internal/space"
 )
 
 func benchOptions() experiments.Options {
@@ -167,7 +166,11 @@ func BenchmarkFig8a_ChipletGranularity(b *testing.B) {
 func BenchmarkIVB_SpaceSize(b *testing.B) {
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		adv = space.LogAdvantage(36, 8)
+		for _, r := range experiments.SpaceSizes() {
+			if r.M == 36 && r.N == 8 {
+				adv = r.AdvantageLog10
+			}
+		}
 	}
 	b.ReportMetric(adv, "log10_advantage_M36_N8")
 }
@@ -718,7 +721,7 @@ func BenchmarkMonetaryCost(b *testing.B) {
 	}
 }
 
-// --- Ablations of design choices called out in DESIGN.md. ---
+// --- Ablations of design choices. ---
 
 // BenchmarkAblation_MulticastVsUnicast quantifies the traffic saved by the
 // NoC multicast trees the analyzer emits, on a channel-partitioned consumer
@@ -749,9 +752,9 @@ func BenchmarkAblation_MulticastVsUnicast(b *testing.B) {
 		tm := net.NewTraffic()
 		tu := net.NewTraffic()
 		for _, f := range an.ActFlows {
-			tm.AddMulticast(f.Src, f.Dsts, f.Bytes)
+			tm.Multicast(f.Src, f.Dsts, f.Bytes)
 			for _, d := range f.Dsts {
-				tu.AddMulticast(f.Src, []arch.CoreID{d}, f.Bytes)
+				tu.Multicast(f.Src, []arch.CoreID{d}, f.Bytes)
 			}
 		}
 		mo, md, _ := tm.TotalBytes()

@@ -114,12 +114,13 @@ func TestAnalyzeIntoMatchesAnalyze(t *testing.T) {
 	wide.CoresX, wide.CoresY, wide.XCut, wide.YCut = 9, 6, 3, 2
 	into := new(Analysis)
 	for _, cfg := range []arch.Config{arch.GArch72(), wide, arch.GArch72()} {
+		st := NewStriper(&cfg)
 		for _, g := range []*dnn.Graph{dnn.TinyCNN(), dnn.TinyTransformer()} {
 			ids := allLayers(g)
 			for j := range ids {
 				for i := j + 1; i <= len(ids); i++ {
 					for _, bu := range []int{1, 2, 4, 8} {
-						lms, err := Stripes(g, ids[j:i], &cfg, bu)
+						lms, err := st.Stripes(g, ids[j:i], bu)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -165,6 +166,7 @@ func TestAnalyzeIntoMatchesAnalyze(t *testing.T) {
 // buffers may show.
 func TestLayerParseReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	mu := &Mutator{Rng: rng}
 	type parsed struct {
 		g  *dnn.Graph
 		ms *MS
@@ -176,7 +178,7 @@ func TestLayerParseReuseMatchesFresh(t *testing.T) {
 		for _, l := range g.Layers {
 			bu := 1 + rng.Intn(4)
 			n := 1 + rng.Intn(36)
-			p, ok := RandomPart(l, bu, n, rng)
+			p, ok := mu.randomPart(l, bu, n)
 			if !ok {
 				continue
 			}

@@ -188,10 +188,11 @@ func TestHeuristicPartFallsBackToK(t *testing.T) {
 
 func TestAllocateCoresProportional(t *testing.T) {
 	g := dnn.TinyCNN()
-	alloc, err := AllocateCores(g, allLayers(g), 36, 2)
-	if err != nil {
+	var b stripeBufs
+	if err := b.allocateCores(g, allLayers(g), 36, 2); err != nil {
 		t.Fatal(err)
 	}
+	alloc := b.alloc
 	total := 0
 	heaviest, heaviestIdx := int64(0), 0
 	for i, id := range allLayers(g) {
@@ -219,20 +220,21 @@ func TestAllocateCoresProportional(t *testing.T) {
 
 func TestAllocateCoresErrors(t *testing.T) {
 	g := dnn.TinyCNN()
-	if _, err := AllocateCores(g, allLayers(g), 3, 1); err == nil {
+	var b stripeBufs
+	if err := b.allocateCores(g, allLayers(g), 3, 1); err == nil {
 		t.Error("7 layers on 3 cores should fail")
 	}
-	if _, err := AllocateCores(g, nil, 36, 1); err == nil {
+	if err := b.allocateCores(g, nil, 36, 1); err == nil {
 		t.Error("empty group should fail")
 	}
 }
 
 func TestRandomPartAlwaysValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	mu := &Mutator{Rng: rand.New(rand.NewSource(11))}
 	l := &dnn.Layer{Kind: dnn.Conv, OH: 14, OW: 14, OK: 256, IC: 64, R: 3, S: 3, Stride: 1, Groups: 1}
 	for n := 1; n <= 36; n++ {
 		for trial := 0; trial < 20; trial++ {
-			p, ok := RandomPart(l, 4, n, rng)
+			p, ok := mu.randomPart(l, 4, n)
 			if !ok {
 				t.Fatalf("no factorization for n=%d", n)
 			}

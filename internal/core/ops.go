@@ -41,14 +41,9 @@ func (o Op) String() string {
 	return "op?"
 }
 
-// RandomPart draws a uniformly random valid factorization of n workloads
-// for the layer, or ok=false when none exists.
-func RandomPart(l *dnn.Layer, batchUnit, n int, rng *rand.Rand) (Part, bool) {
-	return (&Mutator{Rng: rng}).randomPart(l, batchUnit, n)
-}
-
-// randomPart is RandomPart drawing from the mutator's Rng and enumerating
-// into its reusable buffer.
+// randomPart draws a uniformly random valid factorization of n workloads for
+// the layer from the mutator's Rng, enumerating into its reusable buffer, or
+// ok=false when none exists.
 func (mu *Mutator) randomPart(l *dnn.Layer, batchUnit, n int) (Part, bool) {
 	mu.parts = mu.parts[:0]
 	forEachFactorization(l, batchUnit, n, func(p Part) { mu.parts = append(mu.parts, p) })

@@ -387,7 +387,7 @@ func (lp *LayerParse) Parse(g *dnn.Graph, ms *MS, bu int) {
 		vol := pw.Vol()
 		w.Kind = l.Kind
 		w.H, w.W, w.B, w.K = pw.HR.Len(), pw.WR.Len(), pw.BR.Len(), pw.KR.Len()
-		w.IC, w.R, w.S = reducedChannels(l), maxInt(l.R, 1), maxInt(l.S, 1)
+		w.IC, w.R, w.S = reducedChannels(l), max(l.R, 1), max(l.S, 1)
 		w.Groups = 1 // IC already reduced per output channel
 		w.MACs, w.VecOps = partMACs(l, vol), partVecOps(l, vol)
 		w.InBytes = 0
@@ -660,7 +660,7 @@ func reducedChannels(l *dnn.Layer) int {
 		if gr <= 0 {
 			gr = 1
 		}
-		return maxInt(l.IC/gr, 1)
+		return max(l.IC/gr, 1)
 	case dnn.FC, dnn.MatMul:
 		return l.IC
 	default:
@@ -685,7 +685,7 @@ func partVecOps(l *dnn.Layer, vol int64) int64 {
 	case dnn.Pool:
 		return vol * int64(l.R) * int64(l.S)
 	case dnn.Eltwise:
-		return vol * int64(maxInt(len(l.Inputs), 2))
+		return vol * int64(max(len(l.Inputs), 2))
 	case dnn.Softmax:
 		return vol * 3
 	}
@@ -732,11 +732,4 @@ func appendUnique(s []arch.CoreID, c arch.CoreID) []arch.CoreID {
 		}
 	}
 	return append(s, c)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -32,17 +32,6 @@ func layerWeight(l *dnn.Layer) float64 {
 	return float64(l.MACs()) + float64(l.VectorOps())/8 + 1
 }
 
-// AllocateCores distributes m cores over the layers proportionally to their
-// compute weight (largest-remainder method), each layer receiving at least
-// one core and at most its maximum useful partition count.
-func AllocateCores(g *dnn.Graph, layers []int, m, batchUnit int) ([]int, error) {
-	var b stripeBufs
-	if err := b.allocateCores(g, layers, m, batchUnit); err != nil {
-		return nil, err
-	}
-	return b.alloc, nil
-}
-
 // stripeBufs holds every buffer building one stripe LMS needs, so a caller
 // that keeps one (Striper.Scratch) builds LMS after LMS without allocating.
 type stripeBufs struct {
@@ -84,8 +73,11 @@ func resize[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// allocateCores is AllocateCores into b.alloc. It allocates only on the cold
-// path, for the error of a group that cannot be striped.
+// allocateCores distributes m cores over the layers into b.alloc,
+// proportionally to their compute weight (largest-remainder method), each
+// layer receiving at least one core and at most its maximum useful partition
+// count. It allocates only on the cold path, for the error of a group that
+// cannot be striped.
 func (b *stripeBufs) allocateCores(g *dnn.Graph, layers []int, m, batchUnit int) error {
 	n := len(layers)
 	if n == 0 {
@@ -247,15 +239,6 @@ func LargestFeasible(l *dnn.Layer, batchUnit, n int) int {
 	return 1
 }
 
-// Stripes builds the heuristic stripe-based LMS for a layer group: compute-
-// proportional core counts, consecutive snake-order core stripes, spatial-
-// first partitions, and interleaved DRAM flows. This is both the T-Map
-// baseline and the SA's initial scheme (paper Sec. V-B1).
-func Stripes(g *dnn.Graph, layers []int, cfg *arch.Config, batchUnit int) (*LMS, error) {
-	st := NewStriper(cfg)
-	return st.Stripes(g, layers, batchUnit)
-}
-
 // Striper builds stripe LMSs over one architecture's snake order, computed
 // once: the graph partitioner stripes thousands of candidate segments per
 // architecture, reads each once and drops it, so it builds them in the
@@ -268,8 +251,11 @@ type Striper struct {
 // NewStriper returns the Striper for cfg.
 func NewStriper(cfg *arch.Config) Striper { return Striper{order: SnakeOrder(cfg)} }
 
-// Stripes is core.Stripes on the Striper's architecture: a fresh LMS the
-// caller owns.
+// Stripes builds the heuristic stripe-based LMS for a layer group on the
+// Striper's architecture — compute-proportional core counts, consecutive
+// snake-order core stripes, spatial-first partitions, and interleaved DRAM
+// flows — as a fresh LMS the caller owns. This is both the T-Map baseline
+// and the SA's initial scheme (paper Sec. V-B1).
 func (st *Striper) Stripes(g *dnn.Graph, layers []int, batchUnit int) (*LMS, error) {
 	return new(stripeBufs).stripes(g, layers, st.order, batchUnit)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Calibration tests: the MC model must land in the neighborhood of the
-// paper's reported cost deltas (DESIGN.md §2 documents the substitution).
+// paper's reported cost deltas.
 func TestCalibrationGArchVsSArch(t *testing.T) {
 	e := New()
 	s, g := arch.Simba(), arch.GArch72()

@@ -14,7 +14,7 @@ import (
 // Tech holds the cost-model constants. Areas in mm^2, money in USD.
 // Values are calibrated so that the S-Arch chiplet spends ~40% of its area
 // on D2D interfaces (paper Sec. VI-B1) and yield/packaging trends match
-// Sec. V-C; see DESIGN.md §2.
+// Sec. V-C.
 type Tech struct {
 	MACArea       float64 // mm^2 per int8 MAC
 	GLBAreaPerMB  float64
@@ -28,8 +28,11 @@ type Tech struct {
 	IOMiscArea  float64 // PCIe/host PHYs per IO chiplet
 
 	SiliconPerMM2 float64 // $ per mm^2 of good die area basis
-	YieldUnit     float64 // yield of one AreaUnit of silicon
-	AreaUnit      float64 // mm^2 (paper: 40 mm^2, Yield 0.9 @12nm)
+	// YieldUnit is the yield of one AreaUnit of silicon. The code uses 0.82
+	// where the paper quotes 0.9 for 40 mm^2 at 12nm, an open question of
+	// the reproduction ledger in ROADMAP.md.
+	YieldUnit float64
+	AreaUnit  float64 // mm^2 (paper: 40 mm^2)
 
 	DRAMDiePrice float64 // $ per GDDR6 die (32 GB/s)
 

@@ -150,7 +150,7 @@ func (l *Layer) VectorOps() int64 {
 	case Pool:
 		return out * int64(l.R) * int64(l.S)
 	case Eltwise:
-		return out * int64(maxInt(len(l.Inputs), 2))
+		return out * int64(max(len(l.Inputs), 2))
 	case Softmax:
 		return out * 3 // max, exp-sum, normalize passes
 	}
@@ -248,7 +248,7 @@ func SplitDim(n, parts, idx int) Range {
 		return Range{}
 	}
 	q, r := n/parts, n%parts
-	lo := idx*q + minInt(idx, r)
+	lo := idx*q + min(idx, r)
 	size := q
 	if idx < r {
 		size++
@@ -526,18 +526,4 @@ func (g *Graph) Depth() int {
 		}
 	}
 	return best
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -147,7 +147,7 @@ func GoogLeNet() *Graph {
 // InceptionResNetV1 builds a reduced-depth Inception-ResNet-v1: full stem
 // and reduction blocks, with 3/4/2 repeats of blocks A/B/C (the paper's
 // 5/10/5). The branching structure — the property that stresses LP SPM — is
-// preserved exactly; only cell repeats are reduced. See DESIGN.md §2.
+// preserved exactly; only cell repeats are reduced.
 func InceptionResNetV1() *Graph {
 	b := NewBuilder("inceptionresnet")
 	in := b.Input(299, 299, 3)
@@ -221,7 +221,7 @@ func InceptionResNetV1() *Graph {
 // PNASNet builds a reduced PNASNet-5-like network: a stack of cells whose
 // internal structure (parallel separable convolutions and poolings combined
 // by adds and concatenation) matches PNASNet's intricate dependency pattern,
-// with fewer cell repeats than the full network. See DESIGN.md §2.
+// with fewer cell repeats than the full network.
 func PNASNet() *Graph {
 	b := NewBuilder("pnasnet")
 	cell := func(name string, in Ref, f, stride int) Ref {

@@ -10,6 +10,8 @@
 package dse
 
 import (
+	"slices"
+
 	"gemini/internal/arch"
 	"gemini/internal/dnn"
 	"gemini/internal/eval"
@@ -179,28 +181,12 @@ func coveredDim(n, k, stride, pad, src int) int {
 
 // minPasses returns the smallest per-group pipeline pass count any scheme
 // the mapping pipeline can produce for these options: ceil(batch / maxBU)
-// where maxBU is the largest usable batch unit. It mirrors graphpart's
-// filtering exactly (candidates outside [1, batch] are dropped, an empty
-// result falls back to {1}), and the SA operators never mutate a group's
+// where maxBU is the largest batch unit the partitioner tries under the
+// cell's own partitioner options. The SA operators never mutate a group's
 // BatchUnit, so no reachable scheme has fewer passes.
 func minPasses(opt Options) int {
-	batch := opt.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	bus := opt.BatchUnits
-	if len(bus) == 0 {
-		bus = graphpart.DefaultOptions().BatchUnits
-	}
-	maxBU := 0
-	for _, bu := range bus {
-		if bu >= 1 && bu <= batch && bu > maxBU {
-			maxBU = bu
-		}
-	}
-	if maxBU < 1 {
-		maxBU = 1
-	}
+	batch := max(opt.Batch, 1)
+	maxBU := slices.Max(graphpart.UsableBatchUnits(opt.partitionOptions().BatchUnits, opt.Batch))
 	return (batch + maxBU - 1) / maxBU
 }
 

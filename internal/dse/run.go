@@ -51,6 +51,21 @@ type Mapping struct {
 	BatchUnits     []int
 }
 
+// partitionOptions returns the graph-partitioner options a cell runs under:
+// the engine defaults with m's objective exponents and, where set, its
+// segment-length limit and batch units.
+func (m Mapping) partitionOptions() graphpart.Options {
+	gp := graphpart.DefaultOptions()
+	gp.Beta, gp.Gamma = m.Objective.Beta, m.Objective.Gamma
+	if m.MaxGroupLayers > 0 {
+		gp.MaxGroupLayers = m.MaxGroupLayers
+	}
+	if len(m.BatchUnits) > 0 {
+		gp.BatchUnits = m.BatchUnits
+	}
+	return gp
+}
+
 // Options configures a DSE run: the Mapping every cell computes under, and
 // how the sweep runs. No field outside Mapping can change a computed cell;
 // they only schedule, skip, observe or label cells.
@@ -158,15 +173,7 @@ func MapModel(cfg *arch.Config, g *dnn.Graph, opt Options) (*MapResult, error) {
 // is polled between SA restarts; if it fires, the cell is abandoned with an
 // abandonedError.
 func mapModelEval(c *cellRun, cfg *arch.Config, g *dnn.Graph, m Mapping, stop func() bool) (*MapResult, error) {
-	gp := graphpart.DefaultOptions()
-	gp.Beta, gp.Gamma = m.Objective.Beta, m.Objective.Gamma
-	if m.MaxGroupLayers > 0 {
-		gp.MaxGroupLayers = m.MaxGroupLayers
-	}
-	if len(m.BatchUnits) > 0 {
-		gp.BatchUnits = m.BatchUnits
-	}
-	part, err := c.partition(cfg, g, m.Batch, gp)
+	part, err := c.partition(cfg, g, m.Batch, m.partitionOptions())
 	if err != nil {
 		if errors.Is(err, graphpart.ErrInfeasible) {
 			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
@@ -276,16 +283,13 @@ func Run(cands []arch.Config, models []*dnn.Graph, opt Options) []CandidateResul
 }
 
 // reduceCandidate folds one candidate's per-model mappings into its DSE
-// result (geometric-mean energy/delay, MC^alpha E^beta D^gamma objective).
-// A candidate with any errored model is an error; with any infeasible model
-// it is infeasible; either way it publishes no per-model results. The
-// geometric mean is accumulated in log space so many-model sweeps with tiny
-// per-model energies cannot underflow the running product to zero.
+// result (foldModels). A candidate with any errored model is an error; with
+// any infeasible model it is infeasible; either way it publishes no
+// per-model results.
 func reduceCandidate(cfg *arch.Config, per []pairOutcome, models []*dnn.Graph, mce *cost.Evaluator, opt Options) CandidateResult {
 	res := CandidateResult{Cfg: *cfg, MC: mce.Evaluate(cfg)}
 	var errs []error
 	infeasible := false
-	var sumLogE, sumLogD float64
 	for _, p := range per {
 		if p.mr == nil {
 			if p.infeasible() {
@@ -296,8 +300,6 @@ func reduceCandidate(cfg *arch.Config, per []pairOutcome, models []*dnn.Graph, m
 			continue
 		}
 		res.PerModel = append(res.PerModel, p.mr)
-		sumLogE += math.Log(p.mr.Energy)
-		sumLogD += math.Log(p.mr.Delay)
 	}
 	if len(errs) > 0 {
 		res.Err = errors.Join(errs...)
@@ -310,16 +312,30 @@ func reduceCandidate(cfg *arch.Config, per []pairOutcome, models []*dnn.Graph, m
 		res.PerModel = nil
 		return res
 	}
-	n := float64(len(models))
-	if n == 0 {
+	if len(models) == 0 {
 		res.Obj = math.Inf(1)
 		return res
 	}
-	res.Energy = math.Exp(sumLogE / n)
-	res.Delay = math.Exp(sumLogD / n)
+	res.Energy, res.Delay, res.Obj = foldModels(res.MC.Total(), len(models), func(mi int) (e, d float64) {
+		return res.PerModel[mi].Energy, res.PerModel[mi].Delay
+	}, opt.Objective)
 	res.Feasible = true
-	res.Obj = Score(res.MC.Total(), res.Energy, res.Delay, opt.Objective)
 	return res
+}
+
+// foldModels folds a candidate's n > 0 per-model energies and delays, model
+// mi's from ed, into its geometric-mean energy and delay and its objective.
+// The mean is taken in log space, so tiny per-model values cannot underflow
+// a running product, and a zero (math.Log(0) is -Inf) passes through exactly.
+func foldModels(mc float64, n int, ed func(mi int) (e, d float64), obj Objective) (e, d, objective float64) {
+	var sumLogE, sumLogD float64
+	for mi := range n {
+		e, d := ed(mi)
+		sumLogE += math.Log(e)
+		sumLogD += math.Log(d)
+	}
+	e, d = math.Exp(sumLogE/float64(n)), math.Exp(sumLogD/float64(n))
+	return e, d, Score(mc, e, d, obj)
 }
 
 // Score computes MC^alpha * E^beta * D^gamma.

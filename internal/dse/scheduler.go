@@ -239,26 +239,21 @@ func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models 
 	return sc
 }
 
-// mixedBound folds per-model energy/delay values into the candidate
-// objective in log space (exactly reduceCandidate's geomean; math.Log(0)
-// is -Inf and math.Exp(-Inf) is 0, so zero bounds flow through the mean
-// exactly). When rec is non-nil, rec[mi] overrides the bound with a
-// checkpointed cell's actual values; a nil entry keeps the lower bound.
+// mixedBound folds per-model energy/delay lower bounds into a bound on the
+// candidate objective with reduceCandidate's fold, foldModels. When rec is
+// non-nil, rec[mi] overrides the bound with a checkpointed cell's actual
+// values; a nil entry keeps the lower bound.
 func mixedBound(mc float64, eLBs, dLBs []float64, rec []*cellRecord, obj Objective) float64 {
-	n := float64(len(eLBs))
-	if n == 0 {
+	if len(eLBs) == 0 {
 		return 0
 	}
-	var sumLogE, sumLogD float64
-	for mi := range eLBs {
-		e, d := eLBs[mi], dLBs[mi]
+	_, _, bound := foldModels(mc, len(eLBs), func(mi int) (e, d float64) {
 		if rec != nil && rec[mi] != nil {
-			e, d = rec[mi].Energy, rec[mi].Delay
+			return rec[mi].Energy, rec[mi].Delay
 		}
-		sumLogE += math.Log(e)
-		sumLogD += math.Log(d)
-	}
-	return Score(mc, math.Exp(sumLogE/n), math.Exp(sumLogD/n), obj)
+		return eLBs[mi], dLBs[mi]
+	}, obj)
+	return bound
 }
 
 // seedFromCheckpoint folds candidate ci's settled cells into the sweep
@@ -266,7 +261,7 @@ func mixedBound(mc float64, eLBs, dLBs []float64, rec []*cellRecord, obj Objecti
 // are restored verbatim, so their achieved energies and delays are exact,
 // and mixing them with the missing cells' lower bounds gives:
 //   - every cell settled feasible: the candidate's achieved objective
-//     (mixedBound is reduceCandidate's arithmetic), a sound incumbent.
+//     (mixedBound folds as reduceCandidate does), a sound incumbent.
 //     Only this sweep's candidates seed it, so the sweep's true optimum can
 //     never be pruned;
 //   - some settled feasible, the rest missing: a lower bound on the

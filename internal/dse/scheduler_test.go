@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -140,6 +141,39 @@ func TestCheckpointSeededIncumbentPrunes(t *testing.T) {
 	}
 	if len(st.Trajectory) == 0 || st.Trajectory[0].Candidate != "(checkpoint seed)" {
 		t.Errorf("trajectory missing checkpoint seed: %+v", st.Trajectory)
+	}
+}
+
+// TestCheckpointSeededIncumbentFoldsModels pins the fold the checkpoint seed
+// shares with reduceCandidate where the geometric mean does something: a
+// candidate whose two models are both checkpointed seeds the incumbent,
+// under a non-unit objective, with exactly the objective it is reported with.
+func TestCheckpointSeededIncumbentFoldsModels(t *testing.T) {
+	cands := []arch.Config{arch.GArch72()}
+	opt := testOptions()
+	opt.Workers = 1
+	opt.Prune = true
+	opt.Objective = Objective{Alpha: 1, Beta: 2, Gamma: 0.5}
+	models := []*dnn.Graph{testCNN, testTF}
+
+	a := NewSession()
+	if !a.Run(cands, models, opt)[0].Feasible {
+		t.Fatal("candidate infeasible")
+	}
+	var ckpt bytes.Buffer
+	if err := a.SaveCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	b := NewSession()
+	if err := b.LoadCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	rs, st := runStats(t, b, cands, models, opt)
+	if st.ResumedCells != len(models) {
+		t.Fatalf("resumed %d cells, want %d", st.ResumedCells, len(models))
+	}
+	if math.Float64bits(st.SeededIncumbent) != math.Float64bits(rs[0].Obj) {
+		t.Errorf("seeded incumbent %v, reported objective %v", st.SeededIncumbent, rs[0].Obj)
 	}
 }
 

@@ -173,13 +173,14 @@ func cutSiblingOracle(t *testing.T, cfg *arch.Config, g *dnn.Graph, batch int, g
 	if got.Cost != want.Cost || !reflect.DeepEqual(got.Groups, want.Groups) || !reflect.DeepEqual(got.BatchUnits, want.BatchUnits) {
 		t.Fatalf("%s/%s: shared-cache partition (cost %v) differs from a private evaluator's (cost %v)", cfg.Name, g.Name, got.Cost, want.Cost)
 	}
+	st := core.NewStriper(cfg)
 	for k, grp := range got.Groups {
 		j, i, bu := grp[0], grp[len(grp)-1]+1, got.BatchUnits[k]
 		var res eval.GroupResult
 		if !ev.LookupGroup(ev.SegmentKey(g, batch, j, i, bu), batch, &res) {
 			t.Fatalf("%s/%s: chosen group [%d,%d) bu %d is not stored", cfg.Name, g.Name, j, i, bu)
 		}
-		lms, err := core.Stripes(g, grp, cfg, bu)
+		lms, err := st.Stripes(g, grp, bu)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -314,12 +314,12 @@ func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) groupSummary {
 				if o.Src == f.Src && o.Bytes == f.Bytes && slices.Equal(o.Dsts, f.Dsts) {
 					continue
 				}
-				sp.tr.RemoveMulticast(o.Src, o.Dsts, o.Bytes)
+				sp.tr.Multicast(o.Src, o.Dsts, -o.Bytes)
 			}
-			sp.tr.AddMulticast(f.Src, f.Dsts, f.Bytes)
+			sp.tr.Multicast(f.Src, f.Dsts, f.Bytes)
 		}
 		for _, o := range old.Flows[min(len(ef.Flows), len(old.Flows)):] {
-			sp.tr.RemoveMulticast(o.Src, o.Dsts, o.Bytes)
+			sp.tr.Multicast(o.Src, o.Dsts, -o.Bytes)
 		}
 		sp.edge[ei] = b
 	}
@@ -337,10 +337,10 @@ func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) groupSummary {
 		dl.Reset()
 		d.geom(sp, i).AppendDRAM(dl, s, lms, ms)
 		sp.dram[i] = b
-		addDRAM(sp.tr, old.Act, true)
-		sc.layerWeights(sp, d.geom(cur, i), old.Weights, true)
-		addDRAM(sp.tr, dl.Act, false)
-		sc.layerWeights(sp, d.geom(sp, i), dl.Weights, false)
+		addDRAM(sp.tr, old.Act, -1)
+		sc.layerWeights(sp, d.geom(cur, i), old.Weights, -1)
+		addDRAM(sp.tr, dl.Act, 1)
+		sc.layerWeights(sp, d.geom(sp, i), dl.Weights, 1)
 	}
 	clear(sp.dirty)
 	d.computed = true
@@ -348,13 +348,13 @@ func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) groupSummary {
 	return d.sum
 }
 
-// layerWeights routes the weight loads flows of the layer parsed as lg into
-// st's traffic, or takes them back out when remove is set.
-func (sc *evalScratch) layerWeights(st *deltaState, lg *layerGeom, flows []core.DRAMFlow, remove bool) {
+// layerWeights routes the weight loads flows of the layer parsed as lg,
+// signed as weights routes them, into st's traffic.
+func (sc *evalScratch) layerWeights(st *deltaState, lg *layerGeom, flows []core.DRAMFlow, sign float64) {
 	for pi, pw := range lg.PWs {
 		sc.resident[pw.Core] = lg.res[pi].WeightsResident
 	}
-	sc.weights(st.tr, st.once, flows, remove)
+	sc.weights(st.tr, st.once, flows, sign)
 }
 
 // geom returns the parse of MS i that state st selects.

@@ -37,7 +37,7 @@ type diskHeader struct {
 // a multi-chiplet array — and every other group by content, their traffic
 // counted exactly in 1/d-byte units and each figure rounded once. A named
 // entry is only as good as the stripe heuristic that built the LMS it stands
-// for: a change to what core.Stripes returns for some (graph, core array, j,
+// for: a change to what core.Striper.Stripes returns for some (graph, core array, j,
 // i, bu) must bump this version, and TestStripeEncodingPinned fails until it
 // is re-pinned alongside. Version 4 added interleaved DRAM shares of bytes/d
 // in one fixed flow order and held cut-free class loads in bytes, so its

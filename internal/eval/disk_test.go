@@ -311,11 +311,12 @@ const stripeEncodingPin uint64 = 0x516f2e6883d83a7c
 // TestStripeEncodingPinned hashes the stripe LMS of every TinyCNN and
 // TinyTransformer segment on G-Arch-72 at batch units 1/2/4/8. Spilled
 // segment entries are named by (graph, core array, j, i, bu) and stand for
-// the LMS core.Stripes built when they were written; a file outlives the
+// the LMS Striper.Stripes built when they were written; a file outlives the
 // binary that wrote it, so if the heuristic moves, the names in old files
 // point at summaries of groups nobody would build any more.
 func TestStripeEncodingPinned(t *testing.T) {
 	cfg := arch.GArch72()
+	st := core.NewStriper(&cfg)
 	h := uint64(fnvOffset)
 	for _, g := range []*dnn.Graph{dnn.TinyCNN(), dnn.TinyTransformer()} {
 		ids := make([]int, len(g.Layers))
@@ -325,7 +326,7 @@ func TestStripeEncodingPinned(t *testing.T) {
 		for j := range ids {
 			for i := j + 1; i <= len(ids); i++ {
 				for _, bu := range []int{1, 2, 4, 8} {
-					lms, err := core.Stripes(g, ids[j:i], &cfg, bu)
+					lms, err := st.Stripes(g, ids[j:i], bu)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -381,7 +381,7 @@ func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 	sc.tr.Reset()
 	AddActivations(sc.tr, an)
 	sc.wOnce.Reset()
-	sc.weights(sc.tr, sc.wOnce, an.WeightFlows, false)
+	sc.weights(sc.tr, sc.wOnce, an.WeightFlows, 1)
 	return f.summary(sc.tr, sc.wOnce)
 }
 
@@ -429,15 +429,11 @@ func (f *coreFold) summary(tr, once *noc.Traffic) groupSummary {
 	return sum
 }
 
-// weights routes weight loads, or takes them back out when remove is set:
-// GLB-resident slices load once per run into once, slices that do not fit
-// stream every pass into tr. resident must hold the residency of every core
-// the flows name.
-func (sc *evalScratch) weights(tr, once *noc.Traffic, flows []core.DRAMFlow, remove bool) {
-	read := (*noc.Traffic).AddDRAMReadMulticast
-	if remove {
-		read = (*noc.Traffic).RemoveDRAMReadMulticast
-	}
+// weights routes weight loads, sign times their bytes, so a sign of -1 takes
+// them back out: GLB-resident slices load once per run into once, slices that
+// do not fit stream every pass into tr. resident must hold the residency of
+// every core the flows name.
+func (sc *evalScratch) weights(tr, once *noc.Traffic, flows []core.DRAMFlow, sign float64) {
 	for _, f := range flows {
 		res, str := sc.resBuf[:0], sc.strBuf[:0]
 		for _, c := range f.Cores {
@@ -448,8 +444,8 @@ func (sc *evalScratch) weights(tr, once *noc.Traffic, flows []core.DRAMFlow, rem
 			}
 		}
 		sc.resBuf, sc.strBuf = res, str
-		read(once, f.Ctrl, res, f.Bytes)
-		read(tr, f.Ctrl, str, f.Bytes)
+		once.DRAMRead(f.Ctrl, res, sign*f.Bytes)
+		tr.DRAMRead(f.Ctrl, str, sign*f.Bytes)
 	}
 }
 
@@ -458,23 +454,19 @@ func (sc *evalScratch) weights(tr, once *noc.Traffic, flows []core.DRAMFlow, rem
 // writes.
 func AddActivations(tr *noc.Traffic, an *core.Analysis) {
 	for _, f := range an.ActFlows {
-		tr.AddMulticast(f.Src, f.Dsts, f.Bytes)
+		tr.Multicast(f.Src, f.Dsts, f.Bytes)
 	}
-	addDRAM(tr, an.ActDRAM, false)
+	addDRAM(tr, an.ActDRAM, 1)
 }
 
-// addDRAM routes activation DRAM reads and writes into tr, or takes them back
-// out when remove is set.
-func addDRAM(tr *noc.Traffic, flows []core.DRAMFlow, remove bool) {
-	read, write := (*noc.Traffic).AddDRAMReadMulticast, (*noc.Traffic).AddDRAMWrite
-	if remove {
-		read, write = (*noc.Traffic).RemoveDRAMReadMulticast, (*noc.Traffic).RemoveDRAMWrite
-	}
+// addDRAM routes activation DRAM reads and writes, sign times their bytes,
+// into tr, so a sign of -1 takes them back out.
+func addDRAM(tr *noc.Traffic, flows []core.DRAMFlow, sign float64) {
 	for _, f := range flows {
 		if f.Write {
-			write(tr, f.Ctrl, f.Cores[0], f.Bytes)
+			tr.DRAMWrite(f.Ctrl, f.Cores[0], sign*f.Bytes)
 		} else {
-			read(tr, f.Ctrl, f.Cores, f.Bytes)
+			tr.DRAMRead(f.Ctrl, f.Cores, sign*f.Bytes)
 		}
 	}
 }

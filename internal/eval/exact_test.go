@@ -139,6 +139,7 @@ func TestDigestIsExactRoundedOnce(t *testing.T) {
 	states, interleaved := 0, 0
 	for _, cfg := range []arch.Config{arch.GArch72(), small, arch.GArchTorus()} {
 		ev := New(&cfg)
+		st := core.NewStriper(&cfg)
 		check := func(s *core.Scheme, gi int) {
 			t.Helper()
 			sum := ev.summarizeGroup(s, gi)
@@ -167,7 +168,7 @@ func TestDigestIsExactRoundedOnce(t *testing.T) {
 			for j := range ids {
 				for i := j + 1; i <= len(ids); i++ {
 					for _, bu := range []int{1, 4} {
-						lms, err := core.Stripes(g, ids[j:i], &cfg, bu)
+						lms, err := st.Stripes(g, ids[j:i], bu)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -135,11 +135,11 @@ func (e *Evaluator) Report(s *core.Scheme) (*SchemeReport, error) {
 		grep.ComputeTime = maxComp
 		tr := e.Net.NewTraffic()
 		for _, f := range an.ActFlows {
-			tr.AddMulticast(f.Src, f.Dsts, f.Bytes)
+			tr.Multicast(f.Src, f.Dsts, f.Bytes)
 		}
 		netOnly := tr.BottleneckTime()
 		trD := e.Net.NewTraffic()
-		addDRAM(trD, an.ActDRAM, false)
+		addDRAM(trD, an.ActDRAM, 1)
 		dramOnly := trD.BottleneckTime()
 		grep.NetTime = netOnly
 		grep.DRAMTime = dramOnly
@@ -171,14 +171,4 @@ func (r *SchemeReport) Print(w io.Writer) {
 				l.Cores, l.MACs, l.MaxCoreCycles, l.InBytesPerPass, l.WeightBytes)
 		}
 	}
-}
-
-// BottleneckHistogram counts groups per bottleneck class, used by the
-// experiment notes (e.g. explaining S-Arch's compute-bound stages).
-func (r *SchemeReport) BottleneckHistogram() map[Bottleneck]int {
-	h := map[Bottleneck]int{}
-	for _, g := range r.Groups {
-		h[g.Bottleneck]++
-	}
-	return h
 }

@@ -66,12 +66,11 @@ func TestReportPrintAndHistogram(t *testing.T) {
 	if !strings.Contains(out, "mapping report") || !strings.Contains(out, "group 0") {
 		t.Error("print output incomplete")
 	}
-	h := rep.BottleneckHistogram()
-	total := 0
-	for _, n := range h {
-		total += n
+	h := map[Bottleneck]int{}
+	for _, g := range rep.Groups {
+		h[g.Bottleneck]++
 	}
-	if total != len(rep.Groups) {
+	if total := h[ComputeBound] + h[NetworkBound] + h[DRAMBound]; total != len(rep.Groups) {
 		t.Errorf("histogram covers %d of %d groups", total, len(rep.Groups))
 	}
 }

@@ -59,12 +59,13 @@ func TestSummariesPinned(t *testing.T) {
 	}
 	for _, cfg := range []arch.Config{arch.GArch72(), small} {
 		ev := New(&cfg)
+		st := core.NewStriper(&cfg)
 		for _, g := range []*dnn.Graph{dnn.TinyCNN(), dnn.TinyTransformer()} {
 			ids := allLayers(g)
 			for j := range ids {
 				for i := j + 1; i <= len(ids); i++ {
 					for _, bu := range []int{1, 2, 4, 8} {
-						lms, err := core.Stripes(g, ids[j:i], &cfg, bu)
+						lms, err := st.Stripes(g, ids[j:i], bu)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -54,7 +54,6 @@ func ChipletGranularity(opt Options) (*GranularityResult, error) {
 
 	cuts := []struct{ x, y int }{{1, 1}, {2, 1}, {2, 2}, {3, 3}, {6, 3}, {6, 6}}
 	res := &GranularityResult{Arch: base.Name}
-	bestObj := 0.0
 	for _, c := range cuts {
 		cfg := base
 		cfg.XCut, cfg.YCut = c.x, c.y
@@ -90,10 +89,8 @@ func ChipletGranularity(opt Options) (*GranularityResult, error) {
 		res.Rows[i].MCED /= best
 		if res.Rows[i].MCED == 1 {
 			res.BestChiplets = res.Rows[i].Chiplets
-			bestObj = res.Rows[i].MCED
 		}
 	}
-	_ = bestObj
 	return res, nil
 }
 

@@ -48,29 +48,33 @@ func TestSegmentHitAllocFree(t *testing.T) {
 // layer-ID slice, the one-group scheme and the buffers the stripe LMS is built
 // in are all owned by the segmenter, and the core allocator sorts through a
 // sort.Interface instead of sort.Slice's closure. Striper.Stripes, which
-// returns an LMS the caller keeps, is pinned relative to core.Stripes so the
-// pin holds across Go versions' growth policies: it saves exactly the snake
-// order.
+// returns an LMS the caller keeps, is pinned relative to a fresh Striper's
+// Stripes so the pin holds across Go versions' growth policies: it saves
+// exactly the snake order.
 func TestSegmentCostAllocations(t *testing.T) {
 	sg, cfg := allocSegmenter(t)
 	const j, i, bu = allocJ, allocI, allocBU
-	want, err := core.Stripes(sg.g, sg.ids[j:i], cfg, bu)
+	fresh := func() (*core.LMS, error) {
+		st := core.NewStriper(cfg)
+		return st.Stripes(sg.g, sg.ids[j:i], bu)
+	}
+	want, err := fresh()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sg.scheme.Groups[0]; got.BatchUnit != want.BatchUnit || len(got.MSs) != len(want.MSs) {
-		t.Fatalf("segment LMS diverged from core.Stripes: %+v vs %+v", got, want)
+		t.Fatalf("segment LMS diverged from a fresh Striper's: %+v vs %+v", got, want)
 	}
 
 	perHit := testing.AllocsPerRun(100, func() { _ = sg.cost(j, i, bu) })
 	perStriper := testing.AllocsPerRun(100, func() { _, _ = sg.striper.Stripes(sg.g, sg.ids[j:i], bu) })
-	perStripes := testing.AllocsPerRun(100, func() { _, _ = core.Stripes(sg.g, sg.ids[j:i], cfg, bu) })
-	t.Logf("allocations per segment: hit %.0f, Striper.Stripes %.0f, core.Stripes %.0f", perHit, perStriper, perStripes)
+	perFresh := testing.AllocsPerRun(100, func() { _, _ = fresh() })
+	t.Logf("allocations per segment: hit %.0f, Striper.Stripes %.0f, fresh Striper %.0f", perHit, perStriper, perFresh)
 	if perHit != 0 {
 		t.Errorf("segment cost allocates %.0f times on a hit, want 0", perHit)
 	}
-	if perStriper != perStripes-1 {
-		t.Errorf("Striper.Stripes allocates %.0f times, core.Stripes %.0f: want exactly the snake order saved", perStriper, perStripes)
+	if perStriper != perFresh-1 {
+		t.Errorf("Striper.Stripes allocates %.0f times, a fresh Striper %.0f: want exactly the snake order saved", perStriper, perFresh)
 	}
 	// evaluateMiss overwrites the entry an earlier call stored, so every run
 	// is the whole miss path without growing the cache.

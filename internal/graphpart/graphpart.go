@@ -116,6 +116,21 @@ func (sg *segmenter) cost(j, i, bu int) float64 {
 	return c
 }
 
+// UsableBatchUnits returns the batch units Partition tries at batch: the
+// candidates in [1, batch], in their order, or {1} when none is.
+func UsableBatchUnits(units []int, batch int) []int {
+	bus := make([]int, 0, len(units))
+	for _, b := range units {
+		if b >= 1 && b <= batch {
+			bus = append(bus, b)
+		}
+	}
+	if len(bus) == 0 {
+		bus = []int{1}
+	}
+	return bus
+}
+
 // Partition runs the DP over topological segments and returns the stripe-
 // mapped scheme (the SA engine refines it afterwards).
 func Partition(g *dnn.Graph, cfg *arch.Config, ev *eval.Evaluator, batch int, opt Options) (*Result, error) {
@@ -133,15 +148,7 @@ func Partition(g *dnn.Graph, cfg *arch.Config, ev *eval.Evaluator, batch int, op
 	if maxLen > cfg.Cores() {
 		maxLen = cfg.Cores()
 	}
-	bus := make([]int, 0, len(opt.BatchUnits))
-	for _, b := range opt.BatchUnits {
-		if b >= 1 && b <= batch {
-			bus = append(bus, b)
-		}
-	}
-	if len(bus) == 0 {
-		bus = []int{1}
-	}
+	bus := UsableBatchUnits(opt.BatchUnits, batch)
 
 	type choice struct {
 		from int

@@ -39,12 +39,13 @@ func TestSegmentPathMatchesLMSPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			named := newSegmenter(g, &cfg, eval.New(&cfg), batch, opt)
+			st := core.NewStriper(&cfg)
 			byContent := eval.New(&cfg)
 			maxLen := min(cfg.Cores(), 20)
 			for j := 0; j < len(g.Layers); j++ {
 				for i := j + 1; i <= len(g.Layers) && i-j <= maxLen; i++ {
 					for _, bu := range opt.BatchUnits {
-						lms, err := core.Stripes(g, named.ids[j:i], &cfg, bu)
+						lms, err := st.Stripes(g, named.ids[j:i], bu)
 						if err != nil {
 							t.Fatalf("%s on %s: stripes [%d,%d) bu %d: %v", g.Name, cfg.Name, j, i, bu, err)
 						}

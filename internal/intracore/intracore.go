@@ -370,10 +370,3 @@ func (mm *Memo) Explore(w Workload, c Core) Result {
 	mm.n++
 	return e.r
 }
-
-// Len reports the number of cached entries.
-func (mm *Memo) Len() int {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	return mm.n
-}

@@ -168,8 +168,8 @@ func TestMemoCachesAndIsConcurrencySafe(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if m.Len() != 1 {
-		t.Errorf("memo entries = %d, want 1", m.Len())
+	if memoLen(m) != 1 {
+		t.Errorf("memo entries = %d, want 1", memoLen(m))
 	}
 }
 
@@ -193,4 +193,11 @@ func TestTileCandidatesWithinRange(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { _ = tileCandidates(buf[:], 224) }); allocs != 0 {
 		t.Errorf("tileCandidates allocates %.0f times in a full-capacity buffer, want 0", allocs)
 	}
+}
+
+// memoLen reports the number of entries m holds.
+func memoLen(m *Memo) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.n
 }

@@ -119,21 +119,3 @@ func Run(p *Program) (*Stats, error) {
 	}
 	return st, nil
 }
-
-// TotalSent sums sent bytes over all cores.
-func (s *Stats) TotalSent() float64 {
-	t := 0.0
-	for _, v := range s.Sent {
-		t += v
-	}
-	return t
-}
-
-// TotalReceived sums received bytes over all cores.
-func (s *Stats) TotalReceived() float64 {
-	t := 0.0
-	for _, v := range s.Received {
-		t += v
-	}
-	return t
-}

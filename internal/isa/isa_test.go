@@ -64,8 +64,8 @@ func TestRunExecutesWithoutDeadlock(t *testing.T) {
 	if st.Executed != p.Len() {
 		t.Errorf("executed %d of %d", st.Executed, p.Len())
 	}
-	if st.TotalSent() != st.TotalReceived() {
-		t.Errorf("sent %v != received %v", st.TotalSent(), st.TotalReceived())
+	if total(st.Sent) != total(st.Received) {
+		t.Errorf("sent %v != received %v", total(st.Sent), total(st.Received))
 	}
 }
 
@@ -84,8 +84,8 @@ func TestRunConservesFlowTotals(t *testing.T) {
 	for _, f := range an.ActFlows {
 		wantSend += f.Bytes * float64(len(f.Dsts))
 	}
-	if st.TotalSent() != wantSend {
-		t.Errorf("sent %v, analysis says %v", st.TotalSent(), wantSend)
+	if total(st.Sent) != wantSend {
+		t.Errorf("sent %v, analysis says %v", total(st.Sent), wantSend)
 	}
 	// DRAM stores match explicit OF flows.
 	var wantStore float64
@@ -135,7 +135,7 @@ func TestRunAfterRandomOperators(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if st.TotalSent() != st.TotalReceived() {
+		if total(st.Sent) != total(st.Received) {
 			t.Fatalf("trial %d: conservation broken", trial)
 		}
 	}
@@ -232,4 +232,13 @@ func TestPeakGLBTracked(t *testing.T) {
 	if !any {
 		t.Error("no GLB residency observed")
 	}
+}
+
+// total sums a per-core byte table over all cores.
+func total(bytes map[arch.CoreID]float64) float64 {
+	t := 0.0
+	for _, v := range bytes {
+		t += v
+	}
+	return t
 }

@@ -414,27 +414,16 @@ func (t *Traffic) addPath(path []int32, units float64) {
 	}
 }
 
-// AddMulticast accumulates a transfer of the same bytes from src to every
+// Multicast accumulates a transfer of the same bytes from src to every
 // destination, counting each link of the union routing tree once (the
-// template's NoC supports multicast, paper Sec. IV-C).
-func (t *Traffic) AddMulticast(src arch.CoreID, dsts []arch.CoreID, bytes float64) {
-	if bytes <= 0 || len(dsts) == 0 {
+// template's NoC supports multicast, paper Sec. IV-C). Negative bytes take
+// back what the same call with positive bytes added; zero bytes or no
+// destination add nothing.
+func (t *Traffic) Multicast(src arch.CoreID, dsts []arch.CoreID, bytes float64) {
+	if bytes == 0 || len(dsts) == 0 {
 		return
 	}
-	t.multicast(src, dsts, bytes*t.net.units())
-}
-
-// RemoveMulticast takes back what AddMulticast(src, dsts, bytes) added.
-func (t *Traffic) RemoveMulticast(src arch.CoreID, dsts []arch.CoreID, bytes float64) {
-	if bytes <= 0 || len(dsts) == 0 {
-		return
-	}
-	t.multicast(src, dsts, -bytes*t.net.units())
-}
-
-// multicast adds units, of either sign, to every link of the union routing
-// tree from src to dsts.
-func (t *Traffic) multicast(src arch.CoreID, dsts []arch.CoreID, units float64) {
+	units := bytes * t.net.units()
 	if len(dsts) == 1 {
 		t.addPath(t.net.Route(src, dsts[0]), units)
 		return
@@ -457,35 +446,34 @@ func (t *Traffic) addNew(path []int32, units float64) {
 	}
 }
 
-// AddDRAMWrite accumulates a core-to-controller transfer. ctrl < 0 means
+// DRAMWrite accumulates a core-to-controller transfer. ctrl < 0 means
 // interleaved: the bytes spread evenly over all controllers (FD value 0).
-func (t *Traffic) AddDRAMWrite(ctrl int, src arch.CoreID, bytes float64) {
-	if bytes > 0 {
-		t.write(ctrl, src, bytes)
+// Signed as Multicast's bytes are.
+func (t *Traffic) DRAMWrite(ctrl int, src arch.CoreID, bytes float64) {
+	if bytes == 0 {
+		return
+	}
+	lo, hi, units := t.spread(ctrl, bytes)
+	for c := lo; c < hi; c++ {
+		t.dramWrite[c] += units
+		t.addPath(t.net.Route(src, t.net.PortCore(c, src)), units)
 	}
 }
 
-// RemoveDRAMWrite takes back what AddDRAMWrite(ctrl, src, bytes) added.
-func (t *Traffic) RemoveDRAMWrite(ctrl int, src arch.CoreID, bytes float64) {
-	if bytes > 0 {
-		t.write(ctrl, src, -bytes)
-	}
-}
-
-// AddDRAMReadMulticast accumulates a DRAM read multicast to several cores
+// DRAMRead accumulates a DRAM read multicast from ctrl to several cores
 // (e.g. a weight slice shared by replicated workloads). ctrl < 0 means
-// interleaved.
-func (t *Traffic) AddDRAMReadMulticast(ctrl int, dsts []arch.CoreID, bytes float64) {
-	if bytes > 0 && len(dsts) > 0 {
-		t.read(ctrl, dsts, bytes)
+// interleaved. Signed as Multicast's bytes are.
+func (t *Traffic) DRAMRead(ctrl int, dsts []arch.CoreID, bytes float64) {
+	if bytes == 0 || len(dsts) == 0 {
+		return
 	}
-}
-
-// RemoveDRAMReadMulticast takes back what AddDRAMReadMulticast(ctrl, dsts,
-// bytes) added.
-func (t *Traffic) RemoveDRAMReadMulticast(ctrl int, dsts []arch.CoreID, bytes float64) {
-	if bytes > 0 && len(dsts) > 0 {
-		t.read(ctrl, dsts, -bytes)
+	lo, hi, units := t.spread(ctrl, bytes)
+	for c := lo; c < hi; c++ {
+		t.dramRead[c] += units
+		t.epoch++
+		for _, d := range dsts {
+			t.addNew(t.net.Route(t.net.PortCore(c, d), d), units)
+		}
 	}
 }
 
@@ -498,27 +486,6 @@ func (t *Traffic) spread(ctrl int, bytes float64) (lo, hi int, units float64) {
 	}
 	ctrl %= t.net.ctrls
 	return ctrl, ctrl + 1, bytes * t.net.units()
-}
-
-// write adds a write of bytes, of either sign, from src to ctrl.
-func (t *Traffic) write(ctrl int, src arch.CoreID, bytes float64) {
-	lo, hi, units := t.spread(ctrl, bytes)
-	for c := lo; c < hi; c++ {
-		t.dramWrite[c] += units
-		t.addPath(t.net.Route(src, t.net.PortCore(c, src)), units)
-	}
-}
-
-// read adds a read of bytes, of either sign, from ctrl multicast to dsts.
-func (t *Traffic) read(ctrl int, dsts []arch.CoreID, bytes float64) {
-	lo, hi, units := t.spread(ctrl, bytes)
-	for c := lo; c < hi; c++ {
-		t.dramRead[c] += units
-		t.epoch++
-		for _, d := range dsts {
-			t.addNew(t.net.Route(t.net.PortCore(c, d), d), units)
-		}
-	}
 }
 
 // ClassLoad is the traffic of one class of channels: the largest load on any

@@ -15,8 +15,8 @@ func TestD2DPressureDoubling(t *testing.T) {
 	c := meshCfg() // NoC 32, D2D 16
 	n := New(c)
 	tr := n.NewTraffic()
-	tr.AddMulticast(c.CoreAt(1, 0), []arch.CoreID{c.CoreAt(2, 0)}, 1000) // on-chip
-	tr.AddMulticast(c.CoreAt(2, 1), []arch.CoreID{c.CoreAt(3, 1)}, 1000) // D2D crossing
+	tr.Multicast(c.CoreAt(1, 0), []arch.CoreID{c.CoreAt(2, 0)}, 1000) // on-chip
+	tr.Multicast(c.CoreAt(2, 1), []arch.CoreID{c.CoreAt(3, 1)}, 1000) // D2D crossing
 	var onP, d2dP float64
 	for _, r := range tr.HeatmapRows() {
 		if r.Bytes == 0 {
@@ -74,7 +74,7 @@ func TestCSVStable(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
 	tr := n.NewTraffic()
-	tr.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 5)}, 500)
+	tr.Multicast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 5)}, 500)
 	a, b := tr.CSV(), tr.CSV()
 	if a != b {
 		t.Error("CSV output not deterministic")
@@ -89,7 +89,7 @@ func TestBottleneckInfiniteOnZeroBW(t *testing.T) {
 	cfg.D2DBW = 0
 	n := New(&cfg)
 	tr := n.NewTraffic()
-	tr.AddMulticast(cfg.CoreAt(2, 0), []arch.CoreID{cfg.CoreAt(3, 0)}, 100)
+	tr.Multicast(cfg.CoreAt(2, 0), []arch.CoreID{cfg.CoreAt(3, 0)}, 100)
 	if got := tr.BottleneckTime(); got < 1e100 {
 		t.Errorf("zero-bandwidth link should give effectively infinite time, got %v", got)
 	}
@@ -127,7 +127,7 @@ func TestLinkBWSumMatchesLinkGraph(t *testing.T) {
 // destination — 4096·d units for a pinned read, 4096 on each of the d
 // controllers for an interleaved one — for every controller index a caller
 // can pass: interleaved (-1), in range, and past the end, which every entry
-// point wraps the same way (AddDRAMReadMulticast used to index the load table
+// point wraps the same way (DRAMRead used to index the load table
 // raw and panic).
 func TestDRAMReadControllerIndexing(t *testing.T) {
 	torus := arch.GArchTorus()
@@ -147,7 +147,7 @@ func TestDRAMReadControllerIndexing(t *testing.T) {
 				} else {
 					read(ctrl, 4096*n.units())
 				}
-				multi.AddDRAMReadMulticast(ctrl, []arch.CoreID{dst}, 4096)
+				multi.DRAMRead(ctrl, []arch.CoreID{dst}, 4096)
 				if !reflect.DeepEqual(uni.load, multi.load) || !reflect.DeepEqual(uni.dramRead, multi.dramRead) ||
 					uni.Digest() != multi.Digest() {
 					t.Fatalf("%s ctrl %d -> core %d: unicast read %v/%+v, single-destination multicast %v/%+v",

@@ -113,7 +113,7 @@ func TestUnicastAccumulates(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
 	tr := n.NewTraffic()
-	tr.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(3, 0)}, 100)
+	tr.Multicast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(3, 0)}, 100)
 	onchip, d2d, _ := tr.TotalBytes()
 	// 3 hops: two on-chip (0->1->2), one D2D (2->3).
 	if onchip != 200 || d2d != 100 {
@@ -132,10 +132,10 @@ func TestMulticastDedup(t *testing.T) {
 
 	uni := n.NewTraffic()
 	for _, d := range dsts {
-		uni.AddMulticast(src, []arch.CoreID{d}, 100)
+		uni.Multicast(src, []arch.CoreID{d}, 100)
 	}
 	multi := n.NewTraffic()
-	multi.AddMulticast(src, dsts, 100)
+	multi.Multicast(src, dsts, 100)
 
 	uo, _, _ := uni.TotalBytes()
 	mo, _, _ := multi.TotalBytes()
@@ -148,7 +148,7 @@ func TestMulticastDedup(t *testing.T) {
 	}
 	// Longest single path is a lower bound.
 	single := n.NewTraffic()
-	single.AddMulticast(src, []arch.CoreID{dsts[2]}, 100)
+	single.Multicast(src, []arch.CoreID{dsts[2]}, 100)
 	so, _, _ := single.TotalBytes()
 	if mo < so {
 		t.Errorf("multicast %v below longest unicast %v", mo, so)
@@ -169,15 +169,15 @@ func TestMulticastPropertyBounds(t *testing.T) {
 		uni, multi := n.NewTraffic(), n.NewTraffic()
 		longest := 0.0
 		for _, d := range dsts {
-			uni.AddMulticast(src, []arch.CoreID{d}, 10)
+			uni.Multicast(src, []arch.CoreID{d}, 10)
 			one := n.NewTraffic()
-			one.AddMulticast(src, []arch.CoreID{d}, 10)
+			one.Multicast(src, []arch.CoreID{d}, 10)
 			oo, od, _ := one.TotalBytes()
 			if oo+od > longest {
 				longest = oo + od
 			}
 		}
-		multi.AddMulticast(src, dsts, 10)
+		multi.Multicast(src, dsts, 10)
 		uo, ud, _ := uni.TotalBytes()
 		mo, md, _ := multi.TotalBytes()
 		if mo+md > uo+ud {
@@ -193,7 +193,7 @@ func TestDRAMInterleaveBalances(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
 	tr := n.NewTraffic()
-	tr.AddDRAMReadMulticast(-1, []arch.CoreID{c.CoreAt(3, 3)}, 1000)
+	tr.DRAMRead(-1, []arch.CoreID{c.CoreAt(3, 3)}, 1000)
 	for i := range tr.dramRead {
 		if tr.dramRead[i] == 0 {
 			t.Errorf("controller %d unused under interleave", i)
@@ -208,7 +208,7 @@ func TestDRAMSpecificController(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
 	tr := n.NewTraffic()
-	tr.AddDRAMWrite(1, c.CoreAt(3, 3), 500)
+	tr.DRAMWrite(1, c.CoreAt(3, 3), 500)
 	if got := tr.dramWrite[1] / n.units(); got != 500 {
 		t.Errorf("ctrl 1 write = %v", got)
 	}
@@ -224,13 +224,13 @@ func TestBottleneckTime(t *testing.T) {
 	n := New(c)
 	tr := n.NewTraffic()
 	// Load one on-chip link with 32e9 bytes at 32 GB/s -> exactly 1 s.
-	tr.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(1, 0)}, 32e9)
+	tr.Multicast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(1, 0)}, 32e9)
 	if got := tr.BottleneckTime(); got < 0.99 || got > 1.01 {
 		t.Errorf("bottleneck = %v s, want ~1", got)
 	}
 	// The same bytes over a D2D link (16 GB/s) take twice as long.
 	tr2 := n.NewTraffic()
-	tr2.AddMulticast(c.CoreAt(2, 0), []arch.CoreID{c.CoreAt(3, 0)}, 32e9)
+	tr2.Multicast(c.CoreAt(2, 0), []arch.CoreID{c.CoreAt(3, 0)}, 32e9)
 	if got := tr2.BottleneckTime(); got < 1.99 || got > 2.01 {
 		t.Errorf("d2d bottleneck = %v s, want ~2", got)
 	}
@@ -242,10 +242,10 @@ func TestAddFromScales(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
 	a, b := n.NewTraffic(), n.NewTraffic()
-	a.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 0)}, 100)
-	a.AddDRAMWrite(0, c.CoreAt(2, 2), 50)
-	b.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 0)}, 300)
-	b.AddDRAMWrite(0, c.CoreAt(2, 2), 150)
+	a.Multicast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 0)}, 100)
+	a.DRAMWrite(0, c.CoreAt(2, 2), 50)
+	b.Multicast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 0)}, 300)
+	b.DRAMWrite(0, c.CoreAt(2, 2), 150)
 	da, db := a.Digest(), b.Digest()
 	if da.NoCBytes == 0 || da.D2DBytes == 0 || db != (Digest{
 		PeakNoC: 3 * da.PeakNoC, PeakD2D: 3 * da.PeakD2D, PeakDRAM: 3 * da.PeakDRAM,
@@ -259,8 +259,8 @@ func TestResetClears(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
 	tr := n.NewTraffic()
-	tr.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 5)}, 100)
-	tr.AddDRAMReadMulticast(0, []arch.CoreID{c.CoreAt(2, 2)}, 50)
+	tr.Multicast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 5)}, 100)
+	tr.DRAMRead(0, []arch.CoreID{c.CoreAt(2, 2)}, 50)
 	tr.Reset()
 	o, d, dr := tr.TotalBytes()
 	if o != 0 || d != 0 || dr != 0 {
@@ -272,7 +272,7 @@ func TestHeatmapOutputs(t *testing.T) {
 	c := meshCfg()
 	n := New(c)
 	tr := n.NewTraffic()
-	tr.AddMulticast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 5)}, 1000)
+	tr.Multicast(c.CoreAt(0, 0), []arch.CoreID{c.CoreAt(5, 5)}, 1000)
 	rows := tr.HeatmapRows()
 	if len(rows) != len(n.Links) {
 		t.Fatalf("rows = %d, want %d", len(rows), len(n.Links))
@@ -350,10 +350,11 @@ func abs(x int) int {
 	return x
 }
 
-// TestRemoveMulticastUndoesAdd: on a mesh and a torus, taking back a seeded
-// half of many integer transfers — multicasts, and DRAM reads and writes
-// pinned to a controller or interleaved — leaves every link and controller
-// load exactly what adding only the other half gives.
+// TestRemoveMulticastUndoesAdd: on a mesh and a torus, taking back (with
+// negative bytes) a seeded half of many integer transfers — multicasts, and
+// DRAM reads and writes pinned to a controller or interleaved — leaves every
+// link and controller load exactly what adding only the other half gives,
+// and transfers of zero bytes or to no destination add nothing.
 func TestRemoveMulticastUndoesAdd(t *testing.T) {
 	torus := arch.GArchTorus()
 	for _, cfg := range []*arch.Config{meshCfg(), &torus} {
@@ -368,14 +369,14 @@ func TestRemoveMulticastUndoesAdd(t *testing.T) {
 			dsts       []arch.CoreID
 			bytes      float64
 		}
-		add := func(tr *Traffic, f flow) {
+		add := func(tr *Traffic, f flow, sign float64) {
 			switch f.kind {
 			case 0:
-				tr.AddMulticast(f.src, f.dsts, f.bytes)
+				tr.Multicast(f.src, f.dsts, sign*f.bytes)
 			case 1:
-				tr.AddDRAMReadMulticast(f.ctrl, f.dsts, f.bytes)
+				tr.DRAMRead(f.ctrl, f.dsts, sign*f.bytes)
 			default:
-				tr.AddDRAMWrite(f.ctrl, f.src, f.bytes)
+				tr.DRAMWrite(f.ctrl, f.src, sign*f.bytes)
 			}
 		}
 		var removed []flow
@@ -386,22 +387,23 @@ func TestRemoveMulticastUndoesAdd(t *testing.T) {
 			for d := 1 + rng.Intn(5); d > 0; d-- {
 				f.dsts = append(f.dsts, arch.CoreID(rng.Intn(cfg.Cores())))
 			}
-			add(both, f)
+			add(both, f, 1)
 			if rng.Intn(2) == 0 {
 				removed = append(removed, f)
 				kinds[f.kind]++
 			} else {
-				add(kept, f)
+				add(kept, f, 1)
 			}
 		}
 		for _, f := range removed {
-			switch f.kind {
-			case 0:
-				both.RemoveMulticast(f.src, f.dsts, f.bytes)
-			case 1:
-				both.RemoveDRAMReadMulticast(f.ctrl, f.dsts, f.bytes)
-			default:
-				both.RemoveDRAMWrite(f.ctrl, f.src, f.bytes)
+			add(both, f, -1)
+			// Zero bytes, and a multicast or read to no destination, add
+			// nothing.
+			zero, none := f, f
+			zero.bytes, none.dsts = 0, nil
+			add(both, zero, 1)
+			if f.kind != 2 {
+				add(both, none, 1)
 			}
 		}
 		if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {

@@ -27,6 +27,8 @@ func TestPreemptionResumesWithZeroRecompute(t *testing.T) {
 	batch.Workers = 1
 	batch.SAIterations = 2000
 	batch.Restarts = 6
+	// Unpruned, every mapped cell anneals all its restarts to the end.
+	batch.Prune = false
 
 	resp := postSpec(t, hs.URL, batch)
 	if resp.StatusCode != http.StatusOK {
@@ -140,6 +142,12 @@ func TestPreemptionResumesWithZeroRecompute(t *testing.T) {
 	if done.Stats == nil || done.Stats.ResumedCells != preempted.CheckpointCells {
 		t.Errorf("final stats resumed %d cells, want the %d settled at preemption",
 			done.Stats.ResumedCells, preempted.CheckpointCells)
+	}
+	// The work sums over rounds: the resumed round alone maps only the cells
+	// unsettled at preemption, which cannot spend more than this, so the
+	// cells settled before it must add theirs.
+	if last := (done.Stats.Cells - preempted.CheckpointCells) * batch.SAIterations * batch.Restarts; done.Stats.SAIterations <= last {
+		t.Errorf("final stats spent %d SA iterations, no more than the resumed round's %d", done.Stats.SAIterations, last)
 	}
 
 	dev := <-devc

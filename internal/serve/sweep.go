@@ -496,7 +496,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		rc, cancelRound := context.WithCancelCause(ctx)
 		opt.OnResult = onResult(rc)
 		s.queue.BindPreempt(j, func() { cancelRound(errPreempted) })
+		prev := stats
 		results, stats, runErr = s.ses.RunContext(rc, cands, graphs, opt)
+		// The work and the faults of every round count; every other stat
+		// describes the final round.
+		stats.SAIterations += prev.SAIterations
+		stats.AbandonedRestarts += prev.AbandonedRestarts
+		stats.Panics += prev.Panics
+		if stats.LastPanic == "" {
+			stats.LastPanic = prev.LastPanic
+		}
 		s.queue.ClearPreempt(j)
 		preempted := errors.Is(context.Cause(rc), errPreempted) && ctx.Err() == nil
 		cancelRound(context.Canceled)

@@ -70,12 +70,6 @@ func Log10(v *big.Int) float64 {
 	return math.Log10(f) + float64(bits-53)*math.Log10(2)
 }
 
-// LogAdvantage returns log10(Gemini lower bound / Tangram upper bound),
-// the size gap the paper highlights.
-func LogAdvantage(m, n int) float64 {
-	return Log10(GeminiLowerBound(m, n)) - Log10(TangramUpperBound(m, n))
-}
-
 // GroupWeight returns the SA group-selection weight proportional to the
 // optimization-space size (paper Sec. V-B1); the log keeps weights within
 // a usable dynamic range across group sizes.

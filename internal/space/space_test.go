@@ -41,7 +41,7 @@ func TestGeminiDwarfsTangram(t *testing.T) {
 	// the stripe heuristic's for realistic M, N.
 	cases := []struct{ m, n int }{{16, 4}, {36, 8}, {36, 18}, {64, 12}, {128, 16}}
 	for _, c := range cases {
-		adv := LogAdvantage(c.m, c.n)
+		adv := Log10(GeminiLowerBound(c.m, c.n)) - Log10(TangramUpperBound(c.m, c.n))
 		if adv < 3 { // at least a 1000x gap
 			t.Errorf("M=%d N=%d advantage = 10^%.1f, want >= 10^3", c.m, c.n, adv)
 		}
