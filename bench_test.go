@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -664,8 +665,11 @@ func BenchmarkGroupMiss(b *testing.B) {
 		}
 		return deltaWalk(ev, deltas, false)
 	}
-	// One P, so the evaluator's pooled scratch is one object across calls.
+	// One P, so the evaluator's pooled scratch is one object across calls,
+	// and no collection, which may empty the pool between replays and make
+	// the next Get allocate a fresh scratch.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	replay()
 	replay()
 	if allocs := replay(); allocs != 0 {

@@ -194,10 +194,3 @@ func (c *Config) String() string {
 	return fmt.Sprintf("(%d, %d, %.0fGB/s, %.0fGB/s, %s, %dKB, %d)",
 		c.Chiplets(), c.Cores(), c.DRAMBW, c.NoCBW, d2d, c.GLBPerCore/1024, c.MACsPerCore)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -35,20 +35,38 @@ type Options struct {
 
 	// Session, when set, runs every figure's sweeps and mappings through
 	// one shared DSE session, so the figures reuse each other's warm
-	// evaluation-cache entries (Fig. 6 and Fig. 7 sweep the same space;
-	// Fig. 8's factor-1 joint candidates revisit its base sweep). The cache
-	// keys graphs by structure, so each figure building its own workload
-	// graphs costs no warmth.
+	// evaluation-cache entries and settled cells (Fig. 6 and Fig. 7 sweep
+	// the same space). When nil, each figure call runs on one session of
+	// its own. The cache keys graphs by structure, so a figure building its
+	// own workload graphs costs no warmth.
 	Session *dse.Session
 }
 
-// session returns the shared session, or a throwaway one when none is
-// configured.
+// session returns the one session a figure call runs on throughout: the
+// shared one, or a fresh one when none is configured.
 func (o Options) session() *dse.Session {
 	if o.Session != nil {
 		return o.Session
 	}
 	return dse.NewSession()
+}
+
+// batch is the batch size the single-batch figures (Fig. 6-8 and the
+// granularity sweeps) run at: the last of Batches, 64 when empty.
+func (o Options) batch() int {
+	if len(o.Batches) == 0 {
+		return 64
+	}
+	return o.Batches[len(o.Batches)-1]
+}
+
+// transformer is the DSE figures' workload (Transformer per Sec. VI-A1;
+// TinyTransformer in quick mode).
+func (o Options) transformer() *dnn.Graph {
+	if o.Quick {
+		return dnn.TinyTransformer()
+	}
+	return dnn.Transformer()
 }
 
 // QuickOptions returns the bench-friendly fidelity.

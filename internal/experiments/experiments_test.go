@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -259,5 +260,36 @@ func TestSharedSessionAcrossFigures(t *testing.T) {
 	if shared.Session.ResumedCells() == 0 && afterFig7.Hits <= afterFig6.Hits {
 		t.Errorf("fig7 reused nothing: resumed=%d, hits %d -> %d",
 			shared.Session.ResumedCells(), afterFig6.Hits, afterFig7.Hits)
+	}
+}
+
+// TestFiguresSessionParity pins that a figure's result depends on its
+// options only: each figure at quick() returns the same result with Session
+// nil (one session of its own per call) as on one session shared by every
+// figure and already warm from the figures before it.
+func TestFiguresSessionParity(t *testing.T) {
+	shared := quick()
+	shared.Session = dse.NewSession()
+	for _, f := range []struct {
+		name string
+		run  func(Options) (any, error)
+	}{
+		{"fig5", func(o Options) (any, error) { return Fig5(o) }},
+		{"tarch", func(o Options) (any, error) { return TArch(o) }},
+		{"fig8", func(o Options) (any, error) { return Fig8(o) }},
+		{"chiplet granularity", func(o Options) (any, error) { return ChipletGranularity(o) }},
+		{"core granularity", func(o Options) (any, error) { return CoreGranularity(o) }},
+	} {
+		want, err := f.run(quick())
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		got, err := f.run(shared)
+		if err != nil {
+			t.Fatalf("%s on the shared session: %v", f.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s differs on the shared session:\n got %+v\nwant %+v", f.name, got, want)
+		}
 	}
 }

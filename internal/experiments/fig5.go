@@ -36,10 +36,49 @@ type Fig5Result struct {
 	MCIncrease float64
 }
 
-type fig5Setting struct {
+// setting is one (architecture, mapping) bar of a comparison figure:
+// T-Map is the stripe mapping (no annealing), G-Map the SA search.
+type setting struct {
 	name   string
 	cfg    arch.Config
 	anneal bool
+}
+
+// compare maps every (model, batch) of opt under each setting, all on one
+// session. Each row is normalized to the first setting of its (model,
+// batch); perf[k] and energy[k] collect setting k's delay and energy gains
+// over that first setting, one per (model, batch), and stay empty for k = 0.
+func compare(opt Options, fig string, settings ...setting) (rows []Fig5Row, perf, energy [][]float64, err error) {
+	ses := opt.session()
+	perf = make([][]float64, len(settings))
+	energy = make([][]float64, len(settings))
+	for _, model := range opt.models() {
+		for _, batch := range opt.Batches {
+			var base, baseE float64
+			for k, st := range settings {
+				d := opt.dseOptions(batch)
+				if !st.anneal {
+					d.SAIterations = 0
+				}
+				mr, err := ses.MapModel(&st.cfg, model, d)
+				if err != nil {
+					return nil, nil, nil, fmt.Errorf("%s: %s on %s: %w", fig, model.Name, st.name, err)
+				}
+				if k == 0 {
+					base, baseE = mr.Delay, mr.Energy
+				} else {
+					perf[k] = append(perf[k], base/mr.Delay)
+					energy[k] = append(energy[k], baseE/mr.Energy)
+				}
+				rows = append(rows, Fig5Row{
+					Model: model.Name, Batch: batch, Setting: st.name,
+					Delay: mr.Delay, Energy: mr.Eval.Energy,
+					NormDelay: mr.Delay / base, NormEnergy: mr.Energy / baseE,
+				})
+			}
+		}
+	}
+	return rows, perf, energy, nil
 }
 
 // Fig5 reproduces the overall comparison: five DNNs x two batch sizes x
@@ -47,53 +86,21 @@ type fig5Setting struct {
 func Fig5(opt Options) (*Fig5Result, error) {
 	sArch := arch.Simba()
 	gArch := arch.GArch72()
-	settings := []fig5Setting{
-		{"S-Arch+T-Map", sArch, false},
-		{"S-Arch+G-Map", sArch, true},
-		{"G-Arch+G-Map", gArch, true},
+	rows, perf, energy, err := compare(opt, "fig5",
+		setting{"S-Arch+T-Map", sArch, false},
+		setting{"S-Arch+G-Map", sArch, true},
+		setting{"G-Arch+G-Map", gArch, true})
+	if err != nil {
+		return nil, err
 	}
-	res := &Fig5Result{}
-	var perf, energy, mapPerf, mapEnergy []float64
-	for _, model := range opt.models() {
-		for _, batch := range opt.Batches {
-			base := -1.0
-			var baseE float64
-			for _, st := range settings {
-				d := opt.dseOptions(batch)
-				if !st.anneal {
-					d.SAIterations = 0
-				}
-				mr, err := opt.session().MapModel(&st.cfg, model, d)
-				if err != nil {
-					return nil, fmt.Errorf("fig5: %s on %s: %w", model.Name, st.name, err)
-				}
-				row := Fig5Row{
-					Model: model.Name, Batch: batch, Setting: st.name,
-					Delay: mr.Delay, Energy: mr.Eval.Energy,
-				}
-				if base < 0 {
-					base, baseE = mr.Delay, mr.Energy
-				}
-				row.NormDelay = mr.Delay / base
-				row.NormEnergy = mr.Energy / baseE
-				res.Rows = append(res.Rows, row)
-				switch st.name {
-				case "G-Arch+G-Map":
-					perf = append(perf, base/mr.Delay)
-					energy = append(energy, baseE/mr.Energy)
-				case "S-Arch+G-Map":
-					mapPerf = append(mapPerf, base/mr.Delay)
-					mapEnergy = append(mapEnergy, baseE/mr.Energy)
-				}
-			}
-		}
-	}
-	res.PerfGain = geomean(perf)
-	res.EnergyGain = geomean(energy)
-	res.MapOnlyPerfGain = geomean(mapPerf)
-	res.MapOnlyEnergyGain = geomean(mapEnergy)
-	res.MCIncrease = archMC(&gArch).Total()/archMC(&sArch).Total() - 1
-	return res, nil
+	return &Fig5Result{
+		Rows:              rows,
+		PerfGain:          geomean(perf[2]),
+		EnergyGain:        geomean(energy[2]),
+		MapOnlyPerfGain:   geomean(perf[1]),
+		MapOnlyEnergyGain: geomean(energy[1]),
+		MCIncrease:        archMC(&gArch).Total()/archMC(&sArch).Total() - 1,
+	}, nil
 }
 
 // Print writes the Fig. 5 dataset as the paper reports it: normalized delay
@@ -131,27 +138,15 @@ type TArchResult struct {
 func TArch(opt Options) (*TArchResult, error) {
 	tArch := arch.Grayskull()
 	gArch := arch.GArchTorus()
-	var perf, energy []float64
-	for _, model := range opt.models() {
-		for _, batch := range opt.Batches {
-			dT := opt.dseOptions(batch)
-			dT.SAIterations = 0
-			base, err := opt.session().MapModel(&tArch, model, dT)
-			if err != nil {
-				return nil, fmt.Errorf("tarch: %s: %w", model.Name, err)
-			}
-			dG := opt.dseOptions(batch)
-			ours, err := opt.session().MapModel(&gArch, model, dG)
-			if err != nil {
-				return nil, fmt.Errorf("tarch: %s on g-arch: %w", model.Name, err)
-			}
-			perf = append(perf, base.Delay/ours.Delay)
-			energy = append(energy, base.Energy/ours.Energy)
-		}
+	_, perf, energy, err := compare(opt, "tarch",
+		setting{"T-Arch+T-Map", tArch, false},
+		setting{"G-Arch+G-Map", gArch, true})
+	if err != nil {
+		return nil, err
 	}
 	return &TArchResult{
-		PerfGain:    geomean(perf),
-		EnergyGain:  geomean(energy),
+		PerfGain:    geomean(perf[1]),
+		EnergyGain:  geomean(energy[1]),
 		MCReduction: 1 - archMC(&gArch).Total()/archMC(&tArch).Total(),
 	}, nil
 }

@@ -42,12 +42,24 @@ type Fig6Result struct {
 	OptimaCores    map[string]int
 }
 
-// fig6Workload is the DSE workload (Transformer per Sec. VI-A1).
-func fig6Workload(opt Options) []*dnn.Graph {
-	if opt.Quick {
-		return []*dnn.Graph{dnn.TinyTransformer()}
+// optima returns the winner of each FourObjectives entry, in that order:
+// the first feasible result with the strictly smallest dse.Score, nil
+// where no result is feasible.
+func optima(results []dse.CandidateResult) []*dse.CandidateResult {
+	wins := make([]*dse.CandidateResult, len(FourObjectives))
+	for k, o := range FourObjectives {
+		bestScore := math.Inf(1)
+		for i := range results {
+			r := &results[i]
+			if !r.Feasible {
+				continue
+			}
+			if s := dse.Score(r.MC.Total(), r.Energy, r.Delay, o.Obj); s < bestScore {
+				bestScore, wins[k] = s, r
+			}
+		}
 	}
-	return []*dnn.Graph{dnn.Transformer()}
+	return wins
 }
 
 // Fig6 sweeps the candidate spaces of the given TOPS targets and reports
@@ -61,20 +73,16 @@ func Fig6(opt Options, spaces ...dse.Space) (*Fig6Result, error) {
 			spaces = []dse.Space{dse.Space128(), dse.Space512()}
 		}
 	}
-	models := fig6Workload(opt)
-	batch := 64
-	if len(opt.Batches) > 0 {
-		batch = opt.Batches[len(opt.Batches)-1]
-	}
+	models := []*dnn.Graph{opt.transformer()}
+	d := opt.dseOptions(opt.batch())
+	ses := opt.session()
 	res := &Fig6Result{
 		Optima:         map[string]string{},
 		OptimaChiplets: map[string]int{},
 		OptimaCores:    map[string]int{},
 	}
 	for _, sp := range spaces {
-		cands := sp.Enumerate()
-		d := opt.dseOptions(batch)
-		results := opt.session().Run(cands, models, d)
+		results := ses.Run(sp.Enumerate(), models, d)
 		// Normalize to the MC*E*D optimum.
 		best := dse.Best(results)
 		if best == nil {
@@ -94,22 +102,9 @@ func Fig6(opt Options, spaces ...dse.Space) (*Fig6Result, error) {
 				MC:       r.MC.Total() / best.MC.Total(),
 			})
 		}
-		for _, o := range FourObjectives {
-			var win *dse.CandidateResult
-			bestScore := math.Inf(1)
-			for i := range results {
-				r := &results[i]
-				if !r.Feasible {
-					continue
-				}
-				s := dse.Score(r.MC.Total(), r.Energy, r.Delay, o.Obj)
-				if s < bestScore {
-					bestScore = s
-					win = r
-				}
-			}
+		for k, win := range optima(results) {
 			if win != nil {
-				key := fmt.Sprintf("%s/%s", sp.Name, o.Name)
+				key := fmt.Sprintf("%s/%s", sp.Name, FourObjectives[k].Name)
 				res.Optima[key] = win.Cfg.Name
 				res.OptimaChiplets[key] = win.Cfg.Chiplets()
 				res.OptimaCores[key] = win.Cfg.Cores()
@@ -200,28 +195,10 @@ func Fig7(opt Options, spaceOverride ...dse.Space) (*Fig7Result, error) {
 	if len(spaceOverride) > 0 {
 		sp = spaceOverride[0]
 	}
-	models := fig6Workload(opt)
-	batch := 64
-	if len(opt.Batches) > 0 {
-		batch = opt.Batches[len(opt.Batches)-1]
-	}
-	cands := sp.Enumerate()
-	results := opt.session().Run(cands, models, opt.dseOptions(batch))
+	results := opt.session().Run(sp.Enumerate(), []*dnn.Graph{opt.transformer()}, opt.dseOptions(opt.batch()))
 	res := &Fig7Result{}
-	for _, o := range FourObjectives {
-		var win *dse.CandidateResult
-		bestScore := math.Inf(1)
-		for i := range results {
-			r := &results[i]
-			if !r.Feasible {
-				continue
-			}
-			s := dse.Score(r.MC.Total(), r.Energy, r.Delay, o.Obj)
-			if s < bestScore {
-				bestScore = s
-				win = r
-			}
-		}
+	for k, win := range optima(results) {
+		o := FourObjectives[k]
 		if win == nil {
 			return nil, fmt.Errorf("fig7: no feasible candidate for %s", o.Name)
 		}

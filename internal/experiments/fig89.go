@@ -10,7 +10,6 @@ import (
 	"gemini/internal/dnn"
 	"gemini/internal/dse"
 	"gemini/internal/eval"
-	"gemini/internal/noc"
 	"gemini/internal/sa"
 )
 
@@ -55,11 +54,8 @@ func simbaScaled(targetTOPS float64) arch.Config {
 // other scale, the jointly optimized chiplet, and each scale's own optimum.
 func Fig8(opt Options) (*Fig8Result, error) {
 	models := opt.fig8Models()
-	batch := 64
-	if len(opt.Batches) > 0 {
-		batch = opt.Batches[len(opt.Batches)-1]
-	}
-	d := opt.dseOptions(batch)
+	d := opt.dseOptions(opt.batch())
+	ses := opt.session()
 
 	// Fig. 8 needs construction-scheme optima, not the whole scatter, so
 	// even full mode uses a trimmed grid (quick mode a tiny one).
@@ -67,8 +63,8 @@ func Fig8(opt Options) (*Fig8Result, error) {
 	if opt.Quick {
 		sp128, sp512 = tinySpace(dse.Space128()), tinySpace(dse.Space512())
 	}
-	r128 := opt.session().Run(sp128.Enumerate(), models, d)
-	r512 := opt.session().Run(sp512.Enumerate(), models, d)
+	r128 := ses.Run(sp128.Enumerate(), models, d)
+	r512 := ses.Run(sp512.Enumerate(), models, d)
 	best128, best512 := dse.Best(r128), dse.Best(r512)
 	if best128 == nil || best512 == nil {
 		return nil, fmt.Errorf("fig8: no feasible optimum")
@@ -84,7 +80,7 @@ func Fig8(opt Options) (*Fig8Result, error) {
 			break
 		}
 	}
-	joint := opt.session().JointRun(bases, []int{1, 4}, models, d)
+	joint := ses.JointRun(bases, []int{1, 4}, models, d)
 	var jbest *dse.JointResult
 	for i := range joint {
 		if joint[i].Feasible {
@@ -99,7 +95,7 @@ func Fig8(opt Options) (*Fig8Result, error) {
 	mce := func(r *dse.CandidateResult) float64 { return r.MC.Total() * r.Energy * r.Delay }
 
 	evalOne := func(cfg arch.Config) (*dse.CandidateResult, error) {
-		rs := opt.session().Run([]arch.Config{cfg}, models, d)
+		rs := ses.Run([]arch.Config{cfg}, models, d)
 		if len(rs) == 0 || !rs[0].Feasible {
 			return nil, fmt.Errorf("fig8: %s infeasible", cfg.Name)
 		}
@@ -269,7 +265,7 @@ func Fig9(opt Options) (*Fig9Result, error) {
 		if err != nil {
 			return 0, 0, 0, "", "", err
 		}
-		tr := noc.New(&cfg).NewTraffic()
+		tr := ev.Net.NewTraffic()
 		eval.AddActivations(tr, an)
 		on, d2d, _ = tr.TotalBytes()
 		maxLink, _ = tr.MaxLinkLoad()

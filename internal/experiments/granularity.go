@@ -6,7 +6,6 @@ import (
 
 	"gemini/internal/arch"
 	"gemini/internal/cost"
-	"gemini/internal/dnn"
 	"gemini/internal/dse"
 )
 
@@ -39,17 +38,9 @@ type GranularityResult struct {
 // holding all other resources fixed (paper Fig. 8(a), Sec. VII-A1).
 func ChipletGranularity(opt Options) (*GranularityResult, error) {
 	base := arch.GArch72()
-	var model *dnn.Graph
-	if opt.Quick {
-		model = dnn.TinyTransformer()
-	} else {
-		model = dnn.Transformer()
-	}
-	batch := 64
-	if len(opt.Batches) > 0 {
-		batch = opt.Batches[len(opt.Batches)-1]
-	}
-	d := opt.dseOptions(batch)
+	model := opt.transformer()
+	d := opt.dseOptions(opt.batch())
+	ses := opt.session()
 	mce := cost.New()
 
 	cuts := []struct{ x, y int }{{1, 1}, {2, 1}, {2, 2}, {3, 3}, {6, 3}, {6, 6}}
@@ -61,7 +52,7 @@ func ChipletGranularity(opt Options) (*GranularityResult, error) {
 		if cfg.Validate() != nil {
 			continue
 		}
-		mr, err := opt.session().MapModel(&cfg, model, d)
+		mr, err := ses.MapModel(&cfg, model, d)
 		if err != nil {
 			return nil, fmt.Errorf("granularity: %d chiplets: %w", c.x*c.y, err)
 		}
@@ -137,17 +128,9 @@ type CoreGranularityResult struct {
 // CoreGranularity sweeps MAC/core at constant total compute (the paper's
 // 72 TOPs class), reporting the EDP/MC/pipeline trends of Sec. VII-A2.
 func CoreGranularity(opt Options) (*CoreGranularityResult, error) {
-	var model *dnn.Graph
-	if opt.Quick {
-		model = dnn.TinyTransformer()
-	} else {
-		model = dnn.Transformer()
-	}
-	batch := 64
-	if len(opt.Batches) > 0 {
-		batch = opt.Batches[len(opt.Batches)-1]
-	}
-	d := opt.dseOptions(batch)
+	model := opt.transformer()
+	d := opt.dseOptions(opt.batch())
+	ses := opt.session()
 	sp := dse.Space72()
 	mce := cost.New()
 
@@ -167,7 +150,7 @@ func CoreGranularity(opt Options) (*CoreGranularityResult, error) {
 		if cfg.Validate() != nil {
 			continue
 		}
-		mr, err := opt.session().MapModel(&cfg, model, d)
+		mr, err := ses.MapModel(&cfg, model, d)
 		if err != nil {
 			return nil, fmt.Errorf("core granularity: %d cores: %w", cores, err)
 		}

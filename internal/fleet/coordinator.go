@@ -512,9 +512,9 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	fs.stats.Uploads++
 	// An achieved best folds even from a stale lease — it is still sound.
-	if up.Best != nil && fs.foldIncumbentLocked(up.Best.Candidate, up.Best.Objective) {
+	if up.Best != nil && fs.foldIncumbentLocked(up.Best.Candidate, up.Best.Obj) {
 		// Deferred so it logs after the lock is released, on every return.
-		defer c.logf("fleet: sweep %s incumbent -> %.6g (%s)", fs.id, up.Best.Objective, up.Best.Candidate)
+		defer c.logf("fleet: sweep %s incumbent -> %.6g (%s)", fs.id, up.Best.Obj, up.Best.Candidate)
 	}
 
 	i := c.findLeaseLocked(fs, up.LeaseID)

@@ -43,6 +43,10 @@ func TestWireValidate(t *testing.T) {
 	badIncumbent.Incumbent = IncumbentState{Found: true, Objective: math.Inf(1)}
 	badSpec := lease(0)
 	badSpec.Spec = dse.Spec{}
+	uploadBest := func(obj float64) *CheckpointUpload {
+		return &CheckpointUpload{SweepID: "s", LeaseID: "l", Checkpoint: []byte("{}"),
+			Best: &dse.IncumbentStep{Obj: obj}}
+	}
 	bad := []struct {
 		name string
 		v    validatable
@@ -60,13 +64,12 @@ func TestWireValidate(t *testing.T) {
 		{"incumbent state", &IncumbentState{Found: true, Objective: math.NaN()}},
 		{"incumbent state negative", &IncumbentState{Found: true, Objective: -1}},
 		{"incumbent state zero", &IncumbentState{Found: true}},
-		{"shard best", &ShardBest{Objective: math.Inf(1)}},
-		{"shard best negative", &ShardBest{Objective: -1}},
-		{"shard best zero", &ShardBest{}},
+		{"shard best", uploadBest(math.Inf(1))},
+		{"shard best negative", uploadBest(-1)},
+		{"shard best zero", uploadBest(0)},
 		{"upload ids", &CheckpointUpload{Checkpoint: []byte("{}")}},
 		{"upload no bytes", &CheckpointUpload{SweepID: "s", LeaseID: "l"}},
-		{"upload bad best", &CheckpointUpload{SweepID: "s", LeaseID: "l", Checkpoint: []byte("{}"),
-			Best: &ShardBest{Objective: math.NaN()}}},
+		{"upload bad best", uploadBest(math.NaN())},
 		{"checkpoint response", &CheckpointResponse{
 			Incumbent: IncumbentState{Found: true, Objective: math.Inf(1)}}},
 		{"checkpoint response negative", &CheckpointResponse{
@@ -239,7 +242,7 @@ func TestCoordinatorSurface(t *testing.T) {
 	}
 	if code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
 		SweepID: st.ID, LeaseID: lease.LeaseID, Checkpoint: checkpointBytes(t, dse.NewSession()),
-		Best: &ShardBest{Candidate: "poison", Objective: -1},
+		Best: &dse.IncumbentStep{Candidate: "poison", Obj: -1},
 	}, nil); code != http.StatusBadRequest {
 		t.Fatalf("upload with best.objective = -1 answered %d, want 400", code)
 	}
@@ -350,7 +353,7 @@ func TestSingleShardDrain(t *testing.T) {
 		Checkpoint: buf.Bytes(),
 	}
 	if best := dse.Best(results); best != nil && best.Feasible {
-		up.Best = &ShardBest{Candidate: best.Cfg.Name, Objective: best.Obj}
+		up.Best = &dse.IncumbentStep{Candidate: best.Cfg.Name, Obj: best.Obj}
 	}
 	if code := postJSON(t, srv.URL+"/checkpoint", up, nil); code != http.StatusOK {
 		t.Fatalf("complete upload answered %d", code)

@@ -477,18 +477,18 @@ func TestCoordinatorWire(t *testing.T) {
 	// The best an upload carries folds monotonically into the incumbent and
 	// comes back on the upload's own response.
 	empty := checkpointBytes(t, dse.NewSession())
-	upload := func(leaseID string, best ShardBest) (int, CheckpointResponse) {
+	upload := func(leaseID string, best dse.IncumbentStep) (int, CheckpointResponse) {
 		var resp CheckpointResponse
 		code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
 			SweepID: "wire", LeaseID: leaseID, Worker: "w", Best: &best, Checkpoint: empty,
 		}, &resp)
 		return code, resp
 	}
-	if code, resp := upload(lease.LeaseID, ShardBest{Candidate: "a", Objective: 10}); code != http.StatusOK ||
+	if code, resp := upload(lease.LeaseID, dse.IncumbentStep{Candidate: "a", Obj: 10}); code != http.StatusOK ||
 		!resp.Incumbent.Found || resp.Incumbent.Objective != 10 || resp.Incumbent.Candidate != "a" {
 		t.Fatalf("first best upload: %d %+v", code, resp.Incumbent)
 	}
-	if code, resp := upload(lease.LeaseID, ShardBest{Candidate: "b", Objective: 20}); code != http.StatusOK || resp.Incumbent.Objective != 10 {
+	if code, resp := upload(lease.LeaseID, dse.IncumbentStep{Candidate: "b", Obj: 20}); code != http.StatusOK || resp.Incumbent.Objective != 10 {
 		t.Fatalf("worse best moved the incumbent: %d %+v", code, resp.Incumbent)
 	}
 
@@ -503,7 +503,7 @@ func TestCoordinatorWire(t *testing.T) {
 	if !second.Incumbent.Found || second.Incumbent.Objective != 10 {
 		t.Fatalf("lease incumbent = %+v, want the uploaded best", second.Incumbent)
 	}
-	if code, resp := upload(second.LeaseID, ShardBest{Candidate: "d", Objective: 30}); code != http.StatusOK || resp.Incumbent.Objective != 10 {
+	if code, resp := upload(second.LeaseID, dse.IncumbentStep{Candidate: "d", Obj: 30}); code != http.StatusOK || resp.Incumbent.Objective != 10 {
 		t.Fatalf("second lease's upload: %d %+v, want the uploaded best back", code, resp.Incumbent)
 	}
 
@@ -524,7 +524,7 @@ func TestCoordinatorWire(t *testing.T) {
 	}
 	if code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
 		SweepID: "wire", LeaseID: lease.LeaseID, Worker: "w",
-		Best: &ShardBest{Candidate: "c", Objective: 5}, Checkpoint: checkpointBytes(t, ses),
+		Best: &dse.IncumbentStep{Candidate: "c", Obj: 5}, Checkpoint: checkpointBytes(t, ses),
 	}, nil); code != http.StatusGone {
 		t.Fatalf("stale upload answered %d, want 410", code)
 	}
@@ -824,16 +824,16 @@ func TestWorkerUploadsCarryBest(t *testing.T) {
 		if up.Best == nil {
 			t.Fatalf("upload %d of %d carries no best", i, len(uploads))
 		}
-		if up.Best.Objective > prev {
-			t.Fatalf("upload %d best %v is worse than an earlier upload's %v", i, up.Best.Objective, prev)
+		if up.Best.Obj > prev {
+			t.Fatalf("upload %d best %v is worse than an earlier upload's %v", i, up.Best.Obj, prev)
 		}
-		prev = up.Best.Objective
+		prev = up.Best.Obj
 	}
 	last := uploads[len(uploads)-1]
 	if !last.Complete {
 		t.Fatalf("final upload not complete: %+v", last.Stats)
 	}
-	if last.Best.Objective != soloBest.Obj || last.Best.Candidate != soloBest.Cfg.Name {
+	if last.Best.Obj != soloBest.Obj || last.Best.Candidate != soloBest.Cfg.Name {
 		t.Fatalf("final best %+v, want single-process best %s (%v)", *last.Best, soloBest.Cfg.Name, soloBest.Obj)
 	}
 }

@@ -142,24 +142,6 @@ func (l *Lease) Validate() error {
 	return nil
 }
 
-// ShardBest is the best feasible candidate a worker's shard has delivered
-// so far. Every checkpoint upload carries it once one exists, and the
-// coordinator folds it into the fleet incumbent synchronously at upload
-// time — this is the incumbent's only way into the coordinator, and the
-// synchronous fold is what makes a sequential one-worker fleet's pruning
-// deterministic.
-type ShardBest struct {
-	// Candidate names the shard's best feasible architecture.
-	Candidate string `json:"candidate"`
-	// Objective is its achieved objective.
-	Objective float64 `json:"objective"`
-}
-
-// Validate checks the objective is achievable.
-func (b *ShardBest) Validate() error {
-	return checkObjective("shard best", b.Objective)
-}
-
 // CheckpointUpload is a worker's POST /checkpoint body: the checkpoint-
 // merge envelope and the lease's heartbeat. Workers stream partial uploads
 // (Complete=false) when a candidate settles and at a third of the lease TTL,
@@ -183,8 +165,11 @@ type CheckpointUpload struct {
 	// PrunedCandidates; ResumedCells audits the zero-recompute re-shard.
 	Stats *dse.SweepStats `json:"stats,omitempty"`
 	// Best is the shard's best feasible result delivered so far, absent
-	// until there is one.
-	Best *ShardBest `json:"best,omitempty"`
+	// until there is one. The coordinator folds it into the fleet
+	// incumbent synchronously at upload time — this is the incumbent's only
+	// way into the coordinator, and the synchronous fold is what makes a
+	// sequential one-worker fleet's pruning deterministic.
+	Best *dse.IncumbentStep `json:"best,omitempty"`
 	// Checkpoint holds the shard's settled cells (dse.Session.SaveCells
 	// bytes); the coordinator merges them into its session.
 	Checkpoint json.RawMessage `json:"checkpoint"`
@@ -212,9 +197,7 @@ func (u *CheckpointUpload) Validate() error {
 		}
 	}
 	if u.Best != nil {
-		if err := u.Best.Validate(); err != nil {
-			return err
-		}
+		return checkObjective("shard best", u.Best.Obj)
 	}
 	return nil
 }

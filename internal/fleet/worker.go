@@ -165,11 +165,11 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) {
 
 	// Each settled candidate pokes the heartbeat loop. OnResult calls are
 	// serialized, so best has a single writer.
-	var best atomic.Pointer[ShardBest]
+	var best atomic.Pointer[dse.IncumbentStep]
 	settled := make(chan struct{}, 1)
 	opt.OnResult = func(res dse.CandidateResult) {
-		if b := best.Load(); res.Feasible && (b == nil || res.Obj < b.Objective) {
-			best.Store(&ShardBest{Candidate: res.Cfg.Name, Objective: res.Obj})
+		if b := best.Load(); res.Feasible && (b == nil || res.Obj < b.Obj) {
+			best.Store(&dse.IncumbentStep{Candidate: res.Cfg.Name, Obj: res.Obj})
 		}
 		select {
 		case settled <- struct{}{}:
