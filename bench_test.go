@@ -268,8 +268,9 @@ func BenchmarkDSESweepRestarts4(b *testing.B) { benchRestarts(b, 4) }
 
 // BenchmarkSAOptimize measures the full Mapping Engine hot loop — one SA
 // search over the DP-partitioned resnet50 LP SPM on GArch72 — the path every
-// DSE candidate and every figure pays. A fresh Evaluator per run mirrors
-// dse.MapModel, so per-run route-table and memo build costs are included.
+// DSE candidate and every figure pays. A fresh Evaluator per run mirrors a
+// fresh session's dse.Session.MapModel, so per-run route-table and memo build
+// costs are included.
 func BenchmarkSAOptimize(b *testing.B) {
 	cfg := arch.GArch72()
 	g := dnn.ResNet50()
@@ -703,7 +704,7 @@ func BenchmarkMapTransformerFull(b *testing.B) {
 	opt.SAIterations = 300
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dse.MapModel(&cfg, g, opt); err != nil {
+		if _, err := dse.NewSession().MapModel(&cfg, g, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -853,7 +854,7 @@ func BenchmarkAblation_GraphPartitionDP(b *testing.B) {
 		}
 		rd := ev.Evaluate(dp.Scheme)
 		rn := ev.Evaluate(naive)
-		ratio = eval.Cost(rn, 1, 1) / eval.Cost(rd, 1, 1)
+		ratio = (rn.Energy.Total() * rn.Delay) / (rd.Energy.Total() * rd.Delay)
 	}
 	b.ReportMetric(ratio, "naive_over_dp_cost_x")
 }
@@ -975,7 +976,7 @@ func BenchmarkDSESweepCutBound(b *testing.B) {
 	}
 	b.StopTimer()
 	opt.Prune = false
-	want := dse.Best(dse.Run(cands, models, opt))
+	want := dse.Best(dse.NewSession().Run(cands, models, opt))
 	if want == nil || best.Obj != want.Obj || best.Cfg.Name != want.Cfg.Name {
 		b.Fatalf("cut-bound sweep best %s (%g) differs from the unpruned sweep's %s (%g): the bound is unsound",
 			best.Cfg.Name, best.Obj, want.Cfg.Name, want.Obj)

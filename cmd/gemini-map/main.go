@@ -94,7 +94,7 @@ func main() {
 		opt := dse.DefaultOptions()
 		opt.Batch = *batch
 		opt.SAIterations = *saIters
-		mr, merr := dse.MapModel(&cfg, g, opt)
+		mr, merr := dse.NewSession().MapModel(&cfg, g, opt)
 		if merr != nil {
 			log.Fatal(merr)
 		}

@@ -140,8 +140,9 @@ type Mapping struct {
 
 // Map runs the full Mapping Engine (G-Map): DP-based graph partition, then
 // the SA search with the paper's five operators over the LP SPM space. It
-// is the DSE's pipeline for one (architecture, model) cell, dse.MapModel,
-// on a fresh evaluator. The stripe mapping the search starts from is what
+// is the DSE's pipeline for one (architecture, model) cell,
+// dse.Session.MapModel, on a fresh session, so a panicking pipeline returns
+// a *dse.CellError. The stripe mapping the search starts from is what
 // MapTangram returns.
 func Map(cfg *Arch, model *Model, opt MapOptions) (*Mapping, error) {
 	if err := cfg.Validate(); err != nil {
@@ -150,7 +151,7 @@ func Map(cfg *Arch, model *Model, opt MapOptions) (*Mapping, error) {
 	if opt.Batch < 1 {
 		return nil, fmt.Errorf("gemini: batch %d < 1", opt.Batch)
 	}
-	mr, err := dse.MapModel(cfg, model, dse.Options{Mapping: dse.Mapping{
+	mr, err := dse.NewSession().MapModel(cfg, model, dse.Options{Mapping: dse.Mapping{
 		Objective: dse.Objective{Beta: opt.Beta, Gamma: opt.Gamma},
 		Batch:     opt.Batch, SAIterations: opt.SAIterations, Restarts: 1, Seed: opt.Seed,
 		MaxGroupLayers: opt.MaxGroupLayers, BatchUnits: opt.BatchUnits,
@@ -226,7 +227,7 @@ func DefaultDSEOptions() DSEOptions { return dse.DefaultOptions() }
 // candidate list for the given workloads and returns candidates sorted by
 // the MC^alpha * E^beta * D^gamma objective.
 func ExploreArchitectures(cands []Arch, models []*Model, opt DSEOptions) []DSEResult {
-	return dse.Run(cands, models, opt)
+	return dse.NewSession().Run(cands, models, opt)
 }
 
 // BestArchitecture returns the first feasible DSE result, or nil.

@@ -73,7 +73,7 @@ func TestBoundSoundnessRandomized(t *testing.T) {
 		if eLB <= 0 || dLB <= 0 {
 			t.Fatalf("%s/%s: degenerate bounds e=%v d=%v", cfg.Name, g.Name, eLB, dLB)
 		}
-		mr, err := MapModel(&cfg, g, opt)
+		mr, err := NewSession().MapModel(&cfg, g, opt)
 		if err != nil {
 			continue // infeasible pair: nothing to bound
 		}
@@ -125,7 +125,7 @@ func TestBoundGLBStreamingExcess(t *testing.T) {
 		t.Fatalf("capacity term missing from the energy floor: %v < %v", eLB, want)
 	}
 
-	mr, err := MapModel(&cfg, g, opt)
+	mr, err := NewSession().MapModel(&cfg, g, opt)
 	if err != nil {
 		t.Fatalf("big-FC model unexpectedly unmappable: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestCutFloorTightensOnStarvedD2D(t *testing.T) {
 	if eS != eH {
 		t.Errorf("the cut term changed the energy floor: %v vs %v", eS, eH)
 	}
-	mr, err := MapModel(&cfg, g, opt)
+	mr, err := NewSession().MapModel(&cfg, g, opt)
 	if err != nil {
 		t.Fatalf("dominant-FC model unexpectedly unmappable: %v", err)
 	}
@@ -269,7 +269,7 @@ func TestBoundSoundOnRealZoo(t *testing.T) {
 	for i, cfg := range sample {
 		per := make([]pairOutcome, len(models))
 		for mi, g := range models {
-			mr, err := MapModel(&cfg, g, opt)
+			mr, err := NewSession().MapModel(&cfg, g, opt)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", cfg.Name, g.Name, err)
 			}

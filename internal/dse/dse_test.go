@@ -119,7 +119,7 @@ func testOptions() Options {
 
 func TestMapModelPipeline(t *testing.T) {
 	cfg := arch.GArch72()
-	mr, err := MapModel(&cfg, dnn.TinyCNN(), testOptions())
+	mr, err := NewSession().MapModel(&cfg, dnn.TinyCNN(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestMapModelPipeline(t *testing.T) {
 func TestRunRanksByObjective(t *testing.T) {
 	cands := []arch.Config{arch.GArch72(), arch.Simba()}
 	models := []*dnn.Graph{dnn.TinyCNN()}
-	results := Run(cands, models, testOptions())
+	results := NewSession().Run(cands, models, testOptions())
 	if len(results) != 2 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -154,7 +154,7 @@ func TestRunRanksByObjective(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	cands := []arch.Config{arch.GArch72()}
-	results := Run(cands, []*dnn.Graph{dnn.TinyCNN()}, testOptions())
+	results := NewSession().Run(cands, []*dnn.Graph{dnn.TinyCNN()}, testOptions())
 	var sb strings.Builder
 	if err := WriteCSV(&sb, results); err != nil {
 		t.Fatal(err)

@@ -175,7 +175,7 @@ func TestConcurrentSweepsShareMemo(t *testing.T) {
 	for i := range got {
 		o := opt
 		o.Seed = int64(i) + 1
-		resultsEqual(t, Run(cands, models, o), got[i], "concurrent sweep")
+		resultsEqual(t, NewSession().Run(cands, models, o), got[i], "concurrent sweep")
 	}
 	opt.Seed = 3
 	if _, reused := runReused(t, ses, cands, models, opt); reused != len(cands)*len(models) {

@@ -158,20 +158,14 @@ func (e *abandonedError) Error() string {
 	return fmt.Sprintf("dse: portfolio abandoned by incumbent after %d/%d restarts", e.done, e.planned)
 }
 
-// MapModel runs the full Mapping Engine pipeline for one DNN on one
-// architecture: DP graph partition, then SA refinement of the LP SPM
-// (a portfolio of opt.Restarts annealing runs). Infeasibility is reported
-// as an error wrapping ErrInfeasible; any other error is an infrastructure
-// failure.
-func MapModel(cfg *arch.Config, g *dnn.Graph, opt Options) (*MapResult, error) {
-	return mapModelEval(&cellRun{warmArch: newWarmArch(eval.New(cfg))}, cfg, g, opt.Mapping, nil)
-}
-
-// mapModelEval is MapModel on a caller-supplied pool entry, so sessions can
-// reuse warm evaluators (route tables, intra-core memo, shared group cache)
-// and computed partitions across candidates and runs. stop, when non-nil,
-// is polled between SA restarts; if it fires, the cell is abandoned with an
-// abandonedError.
+// mapModelEval runs the full Mapping Engine pipeline for one DNN on one
+// architecture: DP graph partition, then SA refinement of the LP SPM (a
+// portfolio of m.Restarts annealing runs). It runs on the session's pool
+// entry, so cells reuse warm evaluators (route tables, intra-core memo,
+// shared group cache) and computed partitions across candidates and runs.
+// Infeasibility is reported as an error wrapping ErrInfeasible; any other
+// error is an infrastructure failure. stop, when non-nil, is polled between
+// SA restarts; if it fires, the cell is abandoned with an abandonedError.
 func mapModelEval(c *cellRun, cfg *arch.Config, g *dnn.Graph, m Mapping, stop func() bool) (*MapResult, error) {
 	part, err := c.partition(cfg, g, m.Batch, m.partitionOptions())
 	if err != nil {
@@ -270,16 +264,6 @@ func (c *CandidateResult) Status() string {
 	default:
 		return "infeasible"
 	}
-}
-
-// Run explores every candidate and returns results sorted by ascending
-// objective (infeasible, pruned and errored candidates last). Work is
-// scheduled at (candidate, model) granularity over a bounded worker pool,
-// so all cores stay busy even when one candidate's mapping search dominates
-// the tail. Run is a convenience wrapper over a throwaway Session; use a
-// Session directly to share the evaluation cache across calls.
-func Run(cands []arch.Config, models []*dnn.Graph, opt Options) []CandidateResult {
-	return NewSession().Run(cands, models, opt)
 }
 
 // reduceCandidate folds one candidate's per-model mappings into its DSE

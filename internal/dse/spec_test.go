@@ -146,7 +146,7 @@ func TestSpecSweepMatchesRun(t *testing.T) {
 	if stats.Canceled {
 		t.Errorf("stats = %+v, want not canceled", stats)
 	}
-	want := Run(cands, gs, opt)
+	want := NewSession().Run(cands, gs, opt)
 	resultsEqual(t, want, got, "spec sweep")
 }
 
@@ -244,7 +244,7 @@ func TestRunContextCancelMidSweep(t *testing.T) {
 	if stats2.ResumedCells != settled {
 		t.Errorf("resumed sweep restored %d cells, want %d", stats2.ResumedCells, settled)
 	}
-	want := Run(cands, models, testOptionsLike(opt))
+	want := NewSession().Run(cands, models, testOptionsLike(opt))
 	resultsEqual(t, want, resumed, "resumed after cancel")
 }
 

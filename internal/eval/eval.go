@@ -633,12 +633,3 @@ func (e *Evaluator) Evaluate(s *core.Scheme) Result {
 	}
 	return res
 }
-
-// Cost computes the mapping objective E^beta * D^gamma (paper Sec. V-A).
-// Infeasible results cost +Inf.
-func Cost(r Result, beta, gamma float64) float64 {
-	if !r.Feasible || r.Delay <= 0 {
-		return math.Inf(1)
-	}
-	return math.Pow(r.Energy.Total(), beta) * math.Pow(r.Delay, gamma)
-}

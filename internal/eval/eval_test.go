@@ -162,23 +162,6 @@ func TestInfeasibleTinyGLB(t *testing.T) {
 	if r.Feasible {
 		t.Fatal("expected infeasible")
 	}
-	if !math.IsInf(Cost(r, 1, 1), 1) {
-		t.Error("cost of infeasible result should be +Inf")
-	}
-}
-
-func TestCostObjective(t *testing.T) {
-	cfg := arch.GArch72()
-	s, ev := tinyOn(t, &cfg, 4, 2)
-	r := ev.Evaluate(s)
-	ed := Cost(r, 1, 1)
-	if math.Abs(ed-r.Energy.Total()*r.Delay) > ed*1e-12 {
-		t.Errorf("Cost(1,1) != E*D")
-	}
-	dOnly := Cost(r, 0, 1)
-	if math.Abs(dOnly-r.Delay) > dOnly*1e-12 {
-		t.Errorf("Cost(0,1) != D")
-	}
 }
 
 func TestHigherBandwidthNeverSlower(t *testing.T) {

@@ -1,6 +1,7 @@
 package sa
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,9 +36,10 @@ func schemeJSON(t *testing.T, s *core.Scheme) string {
 }
 
 // TestSameSeedTwice verifies the incremental-evaluation machinery (group
-// memoization, consumer-aware invalidation, dirty-group best cloning) keeps
-// the annealer fully deterministic: two runs with the same seed must agree
-// bit-for-bit on costs, acceptance counters, and the returned scheme.
+// memoization, re-measuring only the groups a move changed, dirty-group best
+// cloning) keeps the annealer fully deterministic: two runs with the same seed
+// must agree bit-for-bit on costs, acceptance counters, and the returned
+// scheme.
 func TestSameSeedTwice(t *testing.T) {
 	s, cfg := annealInput(t)
 	opt := DefaultOptions()
@@ -82,39 +84,56 @@ func TestSharedEvaluatorMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestConsumerClosure checks the OP5 invalidation sets on a partitioned
-// scheme: every group is affected by itself, and groups consuming a
-// producer's ofmaps appear in the producer's closure.
-func TestConsumerClosure(t *testing.T) {
+// TestMoveRemeasuresChangedGroups holds each applied move's re-measured
+// groups to what the move changed: the mutated group gi alone for OP1-4 and
+// for an OP5 that leaves every ofmap destination in place, and for an OF move
+// gi plus the groups holding a layer that reads the moved layer's ofmaps —
+// read off the graph here, not off the annealer's tables. The schemes give
+// gi consumer groups, so a rule that re-measured every consumer group on
+// every OP5 fails.
+func TestMoveRemeasuresChangedGroups(t *testing.T) {
 	cfg := arch.GArch72()
-	g := dnn.TinyCNN()
-	// Two groups: layer 0-1 produce, layer 2.. consume across the boundary.
-	var a, b []int
-	for i := range g.Layers {
-		if i < 2 {
-			a = append(a, i)
-		} else {
-			b = append(b, i)
+	var fdKept, fdMoved int
+	for _, g := range []*dnn.Graph{dnn.TinyCNN(), dnn.TinyTransformer()} {
+		for per := 1; per <= 2; per++ {
+			s := splitScheme(t, g, &cfg, per, 2, 8)
+			opt := DefaultOptions()
+			opt.InitTemp = 1
+			a := newAnnealer(s, eval.New(&cfg), opt)
+			var got []int
+			var op core.Op
+			var gi int
+			a.afterMeasure = func(o core.Op, i, gj int) { op, gi, got = o, i, append(got, gj) }
+			for it := 0; it < 400; it++ {
+				got = got[:0]
+				a.step()
+				if len(got) == 0 {
+					continue
+				}
+				want := []int{gi}
+				if op == core.OpFD && a.mu.ChangedOF() {
+					fdMoved++
+					src := a.s.Groups[gi].MSs[a.mu.Changed()[0]].Layer
+					for gj, lms := range a.s.Groups {
+						for _, ms := range lms.MSs {
+							if gj != gi && !slices.Contains(want, gj) && slices.ContainsFunc(g.Layers[ms.Layer].Inputs,
+								func(in dnn.Input) bool { return in.Src == src }) {
+								want = append(want, gj)
+							}
+						}
+					}
+				} else if op == core.OpFD {
+					fdKept++
+				}
+				slices.Sort(want)
+				if slices.Sort(got); !slices.Equal(got, want) {
+					t.Fatalf("%s in groups of %d, iteration %d: %v move on group %d (OF moved: %v) re-measured %v, want %v",
+						g.Name, per, it, op, gi, a.mu.ChangedOF(), got, want)
+				}
+			}
 		}
 	}
-	s, err := core.StripeScheme(g, &cfg, [][]int{a, b}, []int{1, 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aff := consumerClosure(s)
-	if len(aff) != 2 {
-		t.Fatalf("groups = %d", len(aff))
-	}
-	want0 := false
-	for _, gj := range aff[0] {
-		if gj == 1 {
-			want0 = true
-		}
-	}
-	if !want0 {
-		t.Fatalf("group 1 consumes from group 0 but closure is %v", aff[0])
-	}
-	if aff[1][0] != 1 || len(aff[1]) != 1 {
-		t.Fatalf("last group should only affect itself, got %v", aff[1])
+	if fdKept == 0 || fdMoved == 0 {
+		t.Errorf("%d OP5 moves kept every ofmap destination, %d moved one: each must occur", fdKept, fdMoved)
 	}
 }

@@ -11,6 +11,7 @@ package sa
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"gemini/internal/arch"
@@ -146,13 +147,10 @@ type annealer struct {
 	// trade places, so trying a move allocates nothing.
 	spare []*core.LMS
 
-	// affected[gi] lists the groups an OF change in gi re-measures: gi and
-	// the groups that fetch data produced in gi (their DRAM read source
-	// moves). Group membership is fixed under all five operators, so the
-	// adjacency is computed once, and so is readers[gi][i]: the layers of
-	// other groups that read the ofmaps of MS i of group gi.
-	affected [][]int
-	readers  [][][]msRef
+	// readers[gi][i] lists the layers of other groups that read the ofmaps
+	// of MS i of group gi: where an OF move on it re-sources reads. Group
+	// membership is fixed under all five operators, so it is built once.
+	readers [][][]msRef
 	// deltas[gi] is group gi's delta evaluation: the per-layer pieces a miss
 	// recomputes only where the move changed them, in a current/spare pair
 	// that is settled with the move as the LMS pair is.
@@ -169,12 +167,10 @@ type annealer struct {
 
 	temp, cooling float64
 
-	// A rejected move must restore exactly the state entries measure wrote:
-	// gi alone for OP1-4, affected[gi] for OP5. Snapshotting only those
-	// entries replaces three O(n) copies per iteration with O(touched).
-	saveE, saveD []float64
-	saveF        []bool
-	giBuf        [1]int
+	// touched holds the groups a move re-measures with their state entries
+	// as the move found them, which a rejected move restores: O(touched)
+	// copies per iteration, not O(n).
+	touched []saved
 
 	// afterMeasure, when set, is called after each group a move re-measures,
 	// with the scheme as the move left it: the oracles' view of the delta
@@ -186,6 +182,13 @@ type annealer struct {
 
 // msRef names MS ms of group g.
 type msRef struct{ g, ms int }
+
+// saved is group g's state entries before a move re-measured it.
+type saved struct {
+	g             int
+	energy, delay float64
+	feas          bool
+}
 
 // workingCopy deep-copies a group LMS into core groups with room for all the
 // architecture's cores, so OP4 never has to grow one.
@@ -206,13 +209,14 @@ func newAnnealer(input *core.Scheme, ev *eval.Evaluator, opt Options) *annealer 
 	rng := rand.New(rand.NewSource(opt.Seed))
 	a := &annealer{
 		opt: opt, ev: ev, rng: rng,
-		mu:    core.Mutator{Graph: input.Graph, Drams: ev.Cfg.DRAMControllers(), Rng: rng},
-		s:     &core.Scheme{Graph: input.Graph, Batch: input.Batch, Groups: make([]*core.LMS, n)},
-		st:    state{energy: make([]float64, n), delay: make([]float64, n), feas: make([]bool, n)},
-		spare: make([]*core.LMS, n),
-		cumW:  make([]float64, n),
-		dirty: make([]bool, n),
-		temp:  opt.InitTemp, cooling: 1,
+		mu:      core.Mutator{Graph: input.Graph, Drams: ev.Cfg.DRAMControllers(), Rng: rng},
+		s:       &core.Scheme{Graph: input.Graph, Batch: input.Batch, Groups: make([]*core.LMS, n)},
+		st:      state{energy: make([]float64, n), delay: make([]float64, n), feas: make([]bool, n)},
+		spare:   make([]*core.LMS, n),
+		cumW:    make([]float64, n),
+		dirty:   make([]bool, n),
+		touched: make([]saved, 0, n),
+		temp:    opt.InitTemp, cooling: 1,
 	}
 	for gi, g := range input.Groups {
 		a.s.Groups[gi] = workingCopy(g, cores)
@@ -227,16 +231,11 @@ func newAnnealer(input *core.Scheme, ev *eval.Evaluator, opt Options) *annealer 
 	}
 	a.cur = a.st.cost(opt.Beta, opt.Gamma)
 	a.res.InitCost = a.cur
-	a.affected, a.readers = consumerClosure(a.s), ofReaders(a.s)
+	a.readers = ofReaders(a.s)
 	a.best, a.bestCost = a.s.Clone(), a.cur
 	if opt.Iterations > 1 && opt.FinalTemp > 0 && opt.InitTemp > 0 {
 		a.cooling = math.Pow(opt.FinalTemp/opt.InitTemp, 1/float64(opt.Iterations-1))
 	}
-	maxTouched := 1
-	for _, t := range a.affected {
-		maxTouched = max(maxTouched, len(t))
-	}
-	a.saveE, a.saveD, a.saveF = make([]float64, maxTouched), make([]float64, maxTouched), make([]bool, maxTouched)
 	return a
 }
 
@@ -276,17 +275,19 @@ func (a *annealer) step() {
 	}
 	a.res.Applied++
 
-	touched := a.giBuf[:]
-	touched[0] = gi
+	// A move changes the mutated group. An OF move also re-sources the
+	// layers that read the moved ofmap, and their groups are the only others
+	// it can change.
+	touched := append(a.touched[:0], saved{g: gi})
 	if op == core.OpFD {
-		// OF changes alter where consumer groups fetch data from; only
-		// the mutated group and its consumers can change.
-		touched = a.affected[gi]
 		x := a.mu.Changed()[0]
 		a.deltas[gi].ChangedFD(x)
 		if a.mu.ChangedOF() {
 			for _, r := range a.readers[gi][x] {
 				a.deltas[r.g].ChangedFD(r.ms)
+				if !slices.ContainsFunc(touched, func(t saved) bool { return t.g == r.g }) {
+					touched = append(touched, saved{g: r.g})
+				}
 			}
 		}
 	} else {
@@ -294,11 +295,12 @@ func (a *annealer) step() {
 			a.deltas[gi].Changed(x)
 		}
 	}
-	for j, gj := range touched {
-		a.saveE[j], a.saveD[j], a.saveF[j] = st.energy[gj], st.delay[gj], st.feas[gj]
-		st.record(gj, a.ev.EvaluateGroupDelta(a.deltas[gj], s))
+	for i := range touched {
+		t := &touched[i]
+		t.energy, t.delay, t.feas = st.energy[t.g], st.delay[t.g], st.feas[t.g]
+		st.record(t.g, a.ev.EvaluateGroupDelta(a.deltas[t.g], s))
 		if a.afterMeasure != nil {
-			a.afterMeasure(op, gi, gj)
+			a.afterMeasure(op, gi, t.g)
 		}
 	}
 	next := st.cost(opt.Beta, opt.Gamma)
@@ -310,8 +312,8 @@ func (a *annealer) step() {
 		rel := (next - a.cur) / a.cur
 		accept = a.rng.Float64() < math.Exp(-rel/a.temp)
 	}
-	for _, gj := range touched {
-		a.deltas[gj].Settle(accept)
+	for _, t := range touched {
+		a.deltas[t.g].Settle(accept)
 	}
 	if accept {
 		a.cur = next
@@ -334,8 +336,8 @@ func (a *annealer) step() {
 		}
 	} else {
 		s.Groups[gi] = old
-		for j, gj := range touched {
-			st.energy[gj], st.delay[gj], st.feas[gj] = a.saveE[j], a.saveD[j], a.saveF[j]
+		for _, t := range touched {
+			st.energy[t.g], st.delay[t.g], st.feas[t.g] = t.energy, t.delay, t.feas
 		}
 	}
 	a.temp *= a.cooling
@@ -360,47 +362,6 @@ func Optimize(input *core.Scheme, ev *eval.Evaluator, opt Options) Result {
 	res.Cost = a.bestCost
 	res.Eval = ev.Evaluate(a.best)
 	return res
-}
-
-// consumerClosure returns, for each group, the ascending list of groups to
-// re-measure when its flow-of-data encoding changes: the group itself plus
-// every group containing a consumer of one of its layers.
-func consumerClosure(s *core.Scheme) [][]int {
-	n := len(s.Groups)
-	layerGroup := make(map[int]int)
-	for gi, g := range s.Groups {
-		for _, ms := range g.MSs {
-			layerGroup[ms.Layer] = gi
-		}
-	}
-	adj := make([][]bool, n)
-	for gi := range adj {
-		adj[gi] = make([]bool, n)
-		adj[gi][gi] = true
-	}
-	for _, l := range s.Graph.Layers {
-		cg, ok := layerGroup[l.ID]
-		if !ok {
-			continue
-		}
-		for _, in := range l.Inputs {
-			if in.Src < 0 {
-				continue
-			}
-			if pg, ok := layerGroup[in.Src]; ok && pg != cg {
-				adj[pg][cg] = true
-			}
-		}
-	}
-	affected := make([][]int, n)
-	for gi := range adj {
-		for gj, hit := range adj[gi] {
-			if hit {
-				affected[gi] = append(affected[gi], gj)
-			}
-		}
-	}
-	return affected
 }
 
 // ofReaders returns, for each MS of each group, the layers of other groups

@@ -6,12 +6,13 @@
 # intake, error envelope and registry serve and fleet share: its own
 # registry tests plus the serve and fleet tests that drive it). The floor is a ratchet — raise it when coverage
 # genuinely improves, never lower it to make a PR pass. Measured 89.7%
-# when the gate was introduced (fleet joined at 91.3%); the floor keeps
+# when the gate was introduced (fleet joined at 91.3%) and 94.1% on two
+# runs when the floor was raised from 85.0 to 92.0; the floor keeps
 # headroom for timing-dependent paths (preemption races and lease-expiry
 # races hit different branches run to run).
 set -eu
 
-FLOOR="${COVERAGE_FLOOR:-85.0}"
+FLOOR="${COVERAGE_FLOOR:-92.0}"
 PROFILE="${COVERAGE_PROFILE:-coverage.out}"
 
 go test -count=1 -coverprofile="$PROFILE" \

@@ -6,9 +6,11 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -45,6 +47,9 @@ func parseModule(t *testing.T, tests bool) (*token.FileSet, map[string]*ast.File
 	return fset, files
 }
 
+// module is the module path, the prefix of every import of its packages.
+const module = "gemini"
+
 // interfaceMethods satisfy standard-library interfaces (error, fmt.Stringer,
 // sort.Interface, http.Handler, http.RoundTripper), so the code that calls
 // them is the standard library's.
@@ -70,24 +75,58 @@ var unreferencedAllowed = map[string]string{
 // TestInternalExportsReferenced fails on an exported function or method under
 // internal/ that no non-test Go file of the module, bench/ included, names
 // outside its own declaration: one that only tests call is test code and
-// belongs in a _test.go file. References are matched by identifier name, so
-// a name any other declaration or field shares counts as used.
+// belongs in a _test.go file. A package-level function F counts as named only
+// by a selector pkg.F whose pkg imports the declaring package, or by a bare F
+// in a file of that package; a method counts as named by any identifier
+// sharing its name.
 func TestInternalExportsReferenced(t *testing.T) {
 	fset, files := parseModule(t, false)
-	uses := map[string][]token.Pos{}
+	pkgName := map[string]string{} // module directory -> package name
+	for p, f := range files {
+		pkgName[path.Dir(p)] = f.Name.Name
+	}
+	uses := map[string][]token.Pos{} // every identifier, by name
+	refs := map[string][]token.Pos{} // "dir.F": references to F of the package in dir
 	type decl struct {
-		key  string
-		node *ast.FuncDecl
+		key, dir string
+		node     *ast.FuncDecl
 	}
 	var decls []decl
-	for path, f := range files {
+	for p, f := range files {
+		dir := path.Dir(p)
+		imports := map[string]string{} // local name -> module directory
+		for _, imp := range f.Imports {
+			ip, _ := strconv.Unquote(imp.Path.Value)
+			d, ok := strings.CutPrefix(ip, module+"/")
+			if !ok {
+				continue
+			}
+			name := pkgName[d]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = d
+		}
+		notBare := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name] = append(uses[id.Name], id.Pos())
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				notBare[n.Name] = true
+			case *ast.SelectorExpr:
+				notBare[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					k := imports[x.Name] + "." + n.Sel.Name
+					refs[k] = append(refs[k], n.Sel.Pos())
+				}
+			case *ast.Ident:
+				uses[n.Name] = append(uses[n.Name], n.Pos())
+				if k := dir + "." + n.Name; !notBare[n] {
+					refs[k] = append(refs[k], n.Pos())
+				}
 			}
 			return true
 		})
-		if !strings.HasPrefix(path, "internal/") {
+		if !strings.HasPrefix(p, "internal/") {
 			continue
 		}
 		for _, d := range f.Decls {
@@ -102,13 +141,17 @@ func TestInternalExportsReferenced(t *testing.T) {
 				}
 				key = f.Name.Name + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
 			}
-			decls = append(decls, decl{key, fd})
+			decls = append(decls, decl{key, dir, fd})
 		}
 	}
 	unreferenced := map[string]bool{}
 	for _, d := range decls {
 		outside := func(p token.Pos) bool { return p < d.node.Pos() || p >= d.node.End() }
-		if !slices.ContainsFunc(uses[d.node.Name.Name], outside) {
+		named := uses[d.node.Name.Name]
+		if d.node.Recv == nil {
+			named = refs[d.dir+"."+d.node.Name.Name]
+		}
+		if !slices.ContainsFunc(named, outside) {
 			unreferenced[d.key] = true
 			if _, ok := unreferencedAllowed[d.key]; !ok {
 				t.Errorf("%s: %s is called by tests alone; move it into them or delete it",
