@@ -156,8 +156,8 @@ func TestCacheCountsReproducible(t *testing.T) {
 	}
 	// One worker's counts: they move only if the sweep's cache lookups do.
 	one := counts(1)
-	if one.Hits != 407 || one.Misses != 515 {
-		t.Fatalf("1 worker: %d hits / %d misses, want 407 / 515", one.Hits, one.Misses)
+	if one.Hits != 362 || one.Misses != 366 {
+		t.Fatalf("1 worker: %d hits / %d misses, want 362 / 366", one.Hits, one.Misses)
 	}
 	for run := range 5 {
 		if two := counts(2); two.Hits != one.Hits || two.Misses != one.Misses {

@@ -83,11 +83,12 @@ type CacheKey struct {
 }
 
 // cacheShards keeps lock contention low when many DSE workers race on one
-// shared cache; the SA hot loop asks the cache on every iteration. With
+// shared cache; the partitioner asks it for every segment, and an annealer
+// for its starting and best schemes (its moves never ask). With
 // cacheShardLimit it also sets the capacity, 2.1 M entries: the reduced
-// 72-TOPs grid holds 0.21 M after one sweep and gains 0.12 M per further
-// seed, so a session serves over a dozen reseeded sweeps before its first
-// flush.
+// 72-TOPs grid holds 0.097 M after one sweep and gains about 0.001 M per
+// further seed (traced `go run ./bench` on zoo72_cold and zoo72_warm), so a
+// session's reseeded sweeps do not fill it.
 const cacheShards = 128
 
 // cacheShardLimit bounds each shard; a full shard is flushed wholesale (a

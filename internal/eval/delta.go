@@ -9,54 +9,44 @@ import (
 	"gemini/internal/noc"
 )
 
-// GroupDelta is one layer group's evaluation kept as per-layer pieces, so a
-// cache miss after an SA move recomputes only what the move changed — one or
-// two layers of the group's five or so — and folds the rest. A piece is what
-// the core.LayerParse steps derive for one layer (its workloads, their
-// intra-core exploration, its DRAM flows) or for one in-group edge (its
-// activation flows). The group's traffic is kept whole, per pass and load
-// once: noc.Traffic loads are exact integers in any order, so a miss takes
-// back the changed edges' multicast trees and the changed layers' DRAM flows
-// and adds their new ones, and the loads end as if routed from scratch. What
-// is not an integer sum — the per-core energies and utilization — is folded
-// again on every miss in the order summarizeAnalysis folds it, so the summary
-// equals summarizeGroup's from scratch bit for bit.
+// GroupDelta is one layer group's evaluation kept as per-layer pieces, so an
+// SA move recomputes only what it changed — one or two layers of the group's
+// five or so — and folds the rest. A piece is what the core.LayerParse steps
+// derive for one layer (its workloads, their intra-core exploration, its DRAM
+// flows) or for one in-group edge (its activation flows). The group's traffic is kept whole, per pass and load
+// once: noc.Traffic loads are exact integers in any order, so an evaluation
+// takes back the changed edges' multicast trees and the changed layers' DRAM
+// flows and adds their new ones, and the loads end as if routed from scratch.
+// What is not an integer sum — the per-core energies and utilization — is
+// folded again on every evaluation in the order summarizeAnalysis folds it, so
+// the summary equals summarizeGroup's from scratch bit for bit.
 //
 // A GroupDelta holds two states over double-buffered pieces: the current one,
-// computed for the group as the scheme has it except for the layers marked
-// stale, and a spare that a miss computes the tried move into — the current
-// state's pieces, with the stale and the changed ones recomputed into the
-// other buffer of each. Settle keeps the spare as the new current state when
-// the move is accepted, or only marks the move's layers stale when a cache
-// hit served it. A GroupDelta belongs to the evaluator that made it and to
-// one goroutine; group membership must not change.
+// computed for the group as the scheme has it, and a spare that an evaluation
+// computes the tried move into — the current state's pieces, with the changed
+// ones recomputed into the other buffer of each. Settle keeps the spare as the
+// new current state when the move is accepted. Nothing goes through the
+// evaluator's Cache: a move's summary is almost never asked for again, so it
+// is computed every time and never stored. A GroupDelta belongs to the
+// evaluator that made it and to one goroutine; group membership must not
+// change.
 type GroupDelta struct {
 	gi     int
 	depth  int
 	layers []deltaLayer // by MS index
 	edges  []deltaEdge  // every edge whose producer and consumer are in the group
 
-	st      [2]deltaState
-	cur     int     // st[cur] is the current state, st[1-cur] the spare
-	pending []uint8 // by MS index: what the move being tried changed
-	// computed reports that the move being tried missed and was computed
-	// into the spare; sum is what it computed.
-	computed bool
-	sum      groupSummary
-
-	// hash[hcur][i] is the group fingerprint's state after its head and the
-	// first i MSs of the group as the scheme has it, when hashed; keyed
-	// reports that hash[1-hcur] holds those of the move being tried, so a
-	// key hashes only from the first MS a move changed.
-	hash          [2][]uint64
-	hcur          int
-	hashed, keyed bool
-	// reads lists the group's inputs produced in another group, in the
-	// order the fingerprint's context hashes them, with where the producer
-	// is mapped: the context without searching the scheme for it.
-	reads []crossRead
+	st  [2]deltaState
+	cur int // st[cur] is the current state, st[1-cur] the spare
+	// pending is, by MS index, what the move being tried changed. Until a
+	// move is kept the current state holds no pieces, so every piece stays
+	// marked stale.
+	pending []uint8
+	kept    bool
+	sum     groupSummary // what the last evaluation computed
 
 	owner []coreOwner // by core: the fold's scratch
+	split weightSplit
 }
 
 // deltaLayer is a layer's two buffers of each kind of piece: its parse, and
@@ -83,11 +73,9 @@ type deltaEdge struct {
 
 // deltaState selects one buffer of every piece — geom and dram by MS index,
 // edge by edge index — and holds the selected pieces' traffic, per pass in tr
-// and load once in once. dirty marks, by MS index, the pieces that are stale
-// against the scheme.
+// and load once in once.
 type deltaState struct {
 	geom, dram, edge []uint8
-	dirty            []uint8
 	tr, once         *noc.Traffic
 }
 
@@ -98,16 +86,13 @@ const (
 	staleDRAM
 )
 
-// crossRead is an input read from layer src, which is MS ms of group g of the
-// scheme, or in no group when g < 0.
-type crossRead struct{ src, g, ms int }
-
 // coreOwner names the workload on a core: ms is the MS index plus one (zero
 // for a free core), pw the index into that layer's workloads.
 type coreOwner struct{ ms, pw int32 }
 
 // NewGroupDelta sets up the delta evaluation of group gi of s on this
-// evaluator, with every piece stale: the first miss computes the whole group.
+// evaluator, with every piece stale: the first evaluation computes the whole
+// group.
 func (e *Evaluator) NewGroupDelta(s *core.Scheme, gi int) *GroupDelta {
 	lms := s.Groups[gi]
 	n := len(lms.MSs)
@@ -116,8 +101,8 @@ func (e *Evaluator) NewGroupDelta(s *core.Scheme, gi int) *GroupDelta {
 		layers:  make([]deltaLayer, n),
 		pending: make([]uint8, n),
 		owner:   make([]coreOwner, e.Cfg.Cores()),
+		split:   weightSplit{resident: make([]bool, e.Cfg.Cores())},
 	}
-	d.hash = [2][]uint64{make([]uint64, n+1), make([]uint64, n+1)}
 	for c, ms := range lms.MSs {
 		for k, edge := range s.Graph.Layer(ms.Layer).Inputs {
 			if p := lms.IndexOf(edge.Src); edge.Src >= 0 && p >= 0 {
@@ -125,28 +110,14 @@ func (e *Evaluator) NewGroupDelta(s *core.Scheme, gi int) *GroupDelta {
 			}
 		}
 	}
-	for _, ms := range lms.MSs {
-		for _, edge := range s.Graph.Layer(ms.Layer).Inputs {
-			if edge.Src < 0 || lms.MSFor(edge.Src) != nil {
-				continue
-			}
-			r := crossRead{src: edge.Src, g: -1}
-			for g, other := range s.Groups {
-				if i := other.IndexOf(edge.Src); i >= 0 && r.g < 0 {
-					r.g, r.ms = g, i
-				}
-			}
-			d.reads = append(d.reads, r)
-		}
-	}
 	for i := range d.st {
 		d.st[i] = deltaState{
 			geom: make([]uint8, n), dram: make([]uint8, n), edge: make([]uint8, len(d.edges)),
-			dirty: make([]uint8, n), tr: e.Net.NewTraffic(), once: e.Net.NewTraffic(),
+			tr: e.Net.NewTraffic(), once: e.Net.NewTraffic(),
 		}
 	}
-	for i := range d.st[d.cur].dirty {
-		d.st[d.cur].dirty[i] = staleGeom
+	for i := range d.pending {
+		d.pending[i] = staleGeom
 	}
 	// The pipeline depth, the longest chain of in-group edges: layer IDs are
 	// topological, so visiting the MSs by ascending layer visits every
@@ -180,91 +151,33 @@ func (d *GroupDelta) Changed(ms int) { d.pending[ms] |= staleGeom }
 func (d *GroupDelta) ChangedFD(ms int) { d.pending[ms] |= staleDRAM }
 
 // Settle ends the move being tried on the group, which the scheme keeps if
-// accept. A kept move that missed makes the spare current; one a cache hit
-// served leaves the current state's pieces stale where the move changed them.
+// accept: a kept move makes the spare, which EvaluateGroupDelta computed it
+// into, the current state.
 func (d *GroupDelta) Settle(accept bool) {
 	if accept {
-		if d.hashed = d.keyed; d.keyed {
-			d.hcur = 1 - d.hcur
-		}
-		if d.computed {
-			d.cur = 1 - d.cur
-		} else {
-			dirty := d.st[d.cur].dirty
-			for i, p := range d.pending {
-				dirty[i] |= p
-			}
-		}
+		d.cur, d.kept = 1-d.cur, true
 	}
-	clear(d.pending)
-	d.computed, d.keyed = false, false
+	if d.kept {
+		clear(d.pending)
+	}
 }
 
-// Computed returns the summary the move being tried computed through the
-// delta path, and false when a cache hit served the move or nothing has
-// been evaluated since the last Settle.
-func (d *GroupDelta) Computed() (Summary, bool) { return d.sum, d.computed }
+// Computed returns the summary the last EvaluateGroupDelta computed.
+func (d *GroupDelta) Computed() Summary { return d.sum }
 
 // EvaluateGroupDelta is EvaluateGroup for the group d evaluates, as the
-// scheme has it under the move being tried: the same cache key and entry,
-// computed on a miss through the delta path.
+// scheme has it under the move being tried, computed through the delta path
+// without asking or filling the cache.
 func (e *Evaluator) EvaluateGroupDelta(d *GroupDelta, s *core.Scheme) (res GroupResult) {
-	var sum groupSummary
-	key := e.deltaKey(d, s)
-	if !e.cache.get(key, &sum) {
-		sum = e.summarizeDelta(d, s)
-		e.cache.put(key, &sum)
-	}
-	e.finish(&sum, s.Batch, &res)
+	e.summarizeDelta(d, s)
+	e.finish(&d.sum, s.Batch, &res)
 	return
 }
 
-// deltaKey is groupKey for the group as the move being tried leaves it,
-// hashing its MSs from the first one the move changed.
-func (e *Evaluator) deltaKey(d *GroupDelta, s *core.Scheme) CacheKey {
-	lms := s.Groups[d.gi]
-	cur, try := d.hash[d.hcur], d.hash[1-d.hcur]
-	try[0] = e.hashGroupHead(s, lms)
-	from := 0
-	if d.hashed && try[0] == cur[0] {
-		from = len(lms.MSs)
-		for i, p := range d.pending {
-			if p != 0 {
-				from = i
-				break
-			}
-		}
-		copy(try[1:from+1], cur[1:from+1])
-	}
-	h := try[from]
-	for i := from; i < len(lms.MSs); i++ {
-		h = hashMS(h, lms.MSs[i])
-		try[i+1] = h
-	}
-	// hashContext, from the producers' places.
-	for _, r := range d.reads {
-		of := core.FDImplicit
-		if r.g >= 0 {
-			of = s.Groups[r.g].MSs[r.ms].FD.OF
-		}
-		h = hashRead(h, r.src, of)
-	}
-	d.keyed = true
-	return CacheKey{Arch: e.analysisFP, Graph: s.Graph.Fingerprint(), FP: h}
-}
-
-// EvaluateDelta is EvaluateGroupDelta without the cache: every call computes
-// through the delta path.
-func (e *Evaluator) EvaluateDelta(d *GroupDelta, s *core.Scheme) (res GroupResult) {
-	sum := e.summarizeDelta(d, s)
-	e.finish(&sum, s.Batch, &res)
-	return
-}
-
-// summarizeDelta computes the group's summary into the spare state: the
-// current state's pieces and traffic, with every stale or changed piece
+// summarizeDelta computes the group's summary into the spare state, and into
+// d.sum: the current state's pieces and traffic, with every changed piece
 // recomputed and its traffic swapped.
-func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) groupSummary {
+func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) {
 	cur, sp := &d.st[d.cur], &d.st[1-d.cur]
 	copy(sp.geom, cur.geom)
 	copy(sp.dram, cur.dram)
@@ -274,8 +187,7 @@ func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) groupSummary {
 	lms := s.Groups[d.gi]
 	cp := e.coreParams()
 	for i, ms := range lms.MSs {
-		sp.dirty[i] = cur.dirty[i] | d.pending[i]
-		if sp.dirty[i]&staleGeom == 0 {
+		if d.pending[i]&staleGeom == 0 {
 			continue
 		}
 		b := 1 - cur.geom[i]
@@ -298,7 +210,7 @@ func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) groupSummary {
 	// The changed edges' multicast trees, swapped.
 	for ei := range d.edges {
 		ed := &d.edges[ei]
-		if (sp.dirty[ed.prod]|sp.dirty[ed.cons])&staleGeom == 0 {
+		if (d.pending[ed.prod]|d.pending[ed.cons])&staleGeom == 0 {
 			continue
 		}
 		b := 1 - cur.edge[ei]
@@ -326,10 +238,8 @@ func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) groupSummary {
 	// The changed layers' DRAM flows, swapped: each layer's weight slices
 	// split by the residency of its own workloads, the old parse's for what
 	// is taken back and the new one's for what is added.
-	sc := e.scratch.Get().(*evalScratch)
-	defer e.scratch.Put(sc)
 	for i, ms := range lms.MSs {
-		if sp.dirty[i] == 0 {
+		if d.pending[i] == 0 {
 			continue
 		}
 		b := 1 - cur.dram[i]
@@ -338,23 +248,20 @@ func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) groupSummary {
 		d.geom(sp, i).AppendDRAM(dl, s, lms, ms)
 		sp.dram[i] = b
 		addDRAM(sp.tr, old.Act, -1)
-		sc.layerWeights(sp, d.geom(cur, i), old.Weights, -1)
+		d.layerWeights(sp, d.geom(cur, i), old.Weights, -1)
 		addDRAM(sp.tr, dl.Act, 1)
-		sc.layerWeights(sp, d.geom(sp, i), dl.Weights, 1)
+		d.layerWeights(sp, d.geom(sp, i), dl.Weights, 1)
 	}
-	clear(sp.dirty)
-	d.computed = true
 	d.sum = e.foldDelta(d, sp, lms.BatchUnit)
-	return d.sum
 }
 
 // layerWeights routes the weight loads flows of the layer parsed as lg,
 // signed as weights routes them, into st's traffic.
-func (sc *evalScratch) layerWeights(st *deltaState, lg *layerGeom, flows []core.DRAMFlow, sign float64) {
+func (d *GroupDelta) layerWeights(st *deltaState, lg *layerGeom, flows []core.DRAMFlow, sign float64) {
 	for pi, pw := range lg.PWs {
-		sc.resident[pw.Core] = lg.res[pi].WeightsResident
+		d.split.resident[pw.Core] = lg.res[pi].WeightsResident
 	}
-	sc.weights(st.tr, st.once, flows, sign)
+	d.split.weights(st.tr, st.once, flows, sign)
 }
 
 // geom returns the parse of MS i that state st selects.

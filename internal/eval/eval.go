@@ -4,6 +4,11 @@
 // time, the most loaded NoC/D2D link, and the most loaded DRAM controller;
 // a layer group's delay accounts for pipeline fill/drain via its dependency
 // depth; energy sums per-component operation counts times unit energies.
+//
+// A group is evaluated either through the memoized pipeline (EvaluateGroup,
+// whose summaries a Cache stores) or, for a simulated-annealing move, through
+// a GroupDelta, which recomputes only what the move changed and bypasses the
+// Cache: a move's group is almost never asked for again.
 package eval
 
 import (
@@ -74,15 +79,16 @@ func AvgLayersPerGroup(s *core.Scheme) float64 {
 // in the evaluator's Cache — its own (New) or one shared across evaluators
 // (NewWithCache) — keyed by the architecture's AnalysisFingerprint, the
 // graph's structural fingerprint and a fingerprint of the group's encoding
-// (plus the cross-group flow-of-data context it reads), so SA states that
-// revisit a previously seen group configuration — on this architecture or,
-// through a shared Cache, on any bandwidth sibling of it — skip the whole
-// pipeline. The graph partitioner's stripe segments live in the same store
-// under a name instead of a content hash (SegmentKey), which spares a hit the
-// LMS it would only build to hash. A *dnn.Graph must not be mutated after schemes referencing it
-// have been evaluated (it holds its fingerprint). Params may change between
-// evaluations (it is hashed into the fingerprint) but must not be written
-// concurrently with an in-flight evaluation.
+// (plus the cross-group flow-of-data context it reads), so a group evaluated
+// again — an annealer's input scheme on a later restart, say — on this
+// architecture or, through a shared Cache, on any bandwidth sibling of it
+// skips the whole pipeline. The graph partitioner's stripe segments live in
+// the same store under a name instead of a content hash (SegmentKey), which
+// spares a hit the LMS it would only build to hash. A *dnn.Graph must not be
+// mutated after schemes referencing it have been evaluated (it holds its
+// fingerprint). Params may change between evaluations (it is hashed into the
+// fingerprint) but must not be written concurrently with an in-flight
+// evaluation.
 type Evaluator struct {
 	Cfg    *arch.Config
 	Net    *noc.Network
@@ -151,15 +157,20 @@ type segmentSummary struct {
 }
 
 // evalScratch is the reusable per-evaluation state: one pooled Traffic pair
-// (per-pass and load-once), the parsed Analysis, and the resident flags and
-// resident/streaming core lists. Pooled per evaluator so concurrent
-// evaluations do not contend.
+// (per-pass and load-once), the parsed Analysis, and the weight-split
+// scratch. Pooled per evaluator so concurrent evaluations do not contend.
 type evalScratch struct {
 	an        *core.Analysis
 	tr, wOnce *noc.Traffic
-	resident  []bool // indexed by CoreID; valid only for occupied cores
-	resBuf    []arch.CoreID
-	strBuf    []arch.CoreID
+	weightSplit
+}
+
+// weightSplit is the scratch that splits weight loads by residency: the
+// resident flags and the resident/streaming core lists.
+type weightSplit struct {
+	resident []bool // indexed by CoreID; valid only for occupied cores
+	resBuf   []arch.CoreID
+	strBuf   []arch.CoreID
 }
 
 // New builds an evaluator with default energy parameters and a cache of its
@@ -191,10 +202,10 @@ func NewWithCache(cfg *arch.Config, c *Cache) *Evaluator {
 	}
 	e.scratch.New = func() any {
 		return &evalScratch{
-			an:       new(core.Analysis),
-			tr:       e.Net.NewTraffic(),
-			wOnce:    e.Net.NewTraffic(),
-			resident: make([]bool, cfg.Cores()),
+			an:          new(core.Analysis),
+			tr:          e.Net.NewTraffic(),
+			wOnce:       e.Net.NewTraffic(),
+			weightSplit: weightSplit{resident: make([]bool, cfg.Cores())},
 		}
 	}
 	return e
@@ -433,17 +444,17 @@ func (f *coreFold) summary(tr, once *noc.Traffic) groupSummary {
 // them back out: GLB-resident slices load once per run into once, slices that
 // do not fit stream every pass into tr. resident must hold the residency of
 // every core the flows name.
-func (sc *evalScratch) weights(tr, once *noc.Traffic, flows []core.DRAMFlow, sign float64) {
+func (ws *weightSplit) weights(tr, once *noc.Traffic, flows []core.DRAMFlow, sign float64) {
 	for _, f := range flows {
-		res, str := sc.resBuf[:0], sc.strBuf[:0]
+		res, str := ws.resBuf[:0], ws.strBuf[:0]
 		for _, c := range f.Cores {
-			if sc.resident[c] {
+			if ws.resident[c] {
 				res = append(res, c)
 			} else {
 				str = append(str, c)
 			}
 		}
-		sc.resBuf, sc.strBuf = res, str
+		ws.resBuf, ws.strBuf = res, str
 		once.DRAMRead(f.Ctrl, res, sign*f.Bytes)
 		tr.DRAMRead(f.Ctrl, str, sign*f.Bytes)
 	}
@@ -557,62 +568,41 @@ func (e *Evaluator) hashParams(h uint64, batch int) uint64 {
 
 // groupFingerprint hashes everything a group's summary — and finish — depends
 // on beyond the architecture itself: the energy parameters, the batch, the
-// group's full encoding, and — for inputs produced outside the group — the
-// DRAM where the producer stored its ofmaps.
+// batch unit, the group's full encoding, and — for inputs produced outside the
+// group — the DRAM where the producer stored its ofmaps, by the resolution
+// AnalyzeInto applies (Scheme.ProducerOF; "-2" marks a producer with no
+// explicit ofmap destination anywhere in the scheme, the interleaved
+// fallback).
 func (e *Evaluator) groupFingerprint(s *core.Scheme, gi int) uint64 {
 	lms := s.Groups[gi]
-	h := e.hashGroupHead(s, lms)
+	h := fnv1a(e.hashParams(fnvOffset, s.Batch), uint64(lms.BatchUnit))
 	for _, ms := range lms.MSs {
-		h = hashMS(h, ms)
+		h = fnv1a(h, uint64(ms.Layer))
+		h = fnv1a(h, uint64(ms.Part.H))
+		h = fnv1a(h, uint64(ms.Part.W))
+		h = fnv1a(h, uint64(ms.Part.B))
+		h = fnv1a(h, uint64(ms.Part.K))
+		h = fnv1a(h, uint64(int64(ms.FD.IF)))
+		h = fnv1a(h, uint64(int64(ms.FD.WGT)))
+		h = fnv1a(h, uint64(int64(ms.FD.OF)))
+		for _, c := range ms.CG {
+			h = fnv1a(h, uint64(c))
+		}
+		h = fnv1a(h, ^uint64(0)) // CG terminator
 	}
-	return hashContext(h, s, lms)
-}
-
-// hashGroupHead starts a group fingerprint: the parameters, the batch and the
-// batch unit.
-func (e *Evaluator) hashGroupHead(s *core.Scheme, lms *core.LMS) uint64 {
-	return fnv1a(e.hashParams(fnvOffset, s.Batch), uint64(lms.BatchUnit))
-}
-
-// hashMS folds one MS of the group's encoding into a group fingerprint.
-func hashMS(h uint64, ms *core.MS) uint64 {
-	h = fnv1a(h, uint64(ms.Layer))
-	h = fnv1a(h, uint64(ms.Part.H))
-	h = fnv1a(h, uint64(ms.Part.W))
-	h = fnv1a(h, uint64(ms.Part.B))
-	h = fnv1a(h, uint64(ms.Part.K))
-	h = fnv1a(h, uint64(int64(ms.FD.IF)))
-	h = fnv1a(h, uint64(int64(ms.FD.WGT)))
-	h = fnv1a(h, uint64(int64(ms.FD.OF)))
-	for _, c := range ms.CG {
-		h = fnv1a(h, uint64(c))
-	}
-	return fnv1a(h, ^uint64(0)) // CG terminator
-}
-
-// hashContext ends a group fingerprint with the cross-group context: where
-// each outside-produced input lives, by the resolution AnalyzeInto applies
-// (Scheme.ProducerOF) — "-2" marks a producer with no explicit ofmap
-// destination anywhere in the scheme (interleaved fallback).
-func hashContext(h uint64, s *core.Scheme, lms *core.LMS) uint64 {
 	for _, ms := range lms.MSs {
 		for _, edge := range s.Graph.Layer(ms.Layer).Inputs {
 			if edge.Src < 0 || lms.MSFor(edge.Src) != nil {
 				continue
 			}
-			h = hashRead(h, edge.Src, s.ProducerOF(edge.Src))
+			of := s.ProducerOF(edge.Src)
+			if of == core.FDImplicit {
+				of = -2
+			}
+			h = fnv1a(fnv1a(h, uint64(edge.Src)), uint64(int64(of)))
 		}
 	}
 	return h
-}
-
-// hashRead folds one outside-produced input into a group fingerprint: its
-// producer and that producer's ofmap destination.
-func hashRead(h uint64, src, of int) uint64 {
-	if of == core.FDImplicit {
-		of = -2
-	}
-	return fnv1a(fnv1a(h, uint64(src)), uint64(int64(of)))
 }
 
 // Evaluate evaluates a full scheme: groups run one after another, so delays

@@ -47,9 +47,10 @@ func TestDiskV2FileLoadsCold(t *testing.T) {
 // at the default seed: 187 entries, named segments and SA content keys alike.
 // Version 3 summed byte-hops per link traversal and held its segments under
 // cut-dependent names, so the file loads as a cold cache. Repeating both
-// computes every entry again — the same 187 — and lands on the SA cost the
-// version-3 evaluator computed, and on its partition cost but for the last
-// bit (1.2625220656183211e-05 before traffic was counted in 1/d-byte units).
+// computes everything again — what the same partition and anneal store on an
+// empty cache — and lands on the SA cost the version-3 evaluator computed,
+// and on its partition cost but for the last bit (1.2625220656183211e-05
+// before traffic was counted in 1/d-byte units).
 func TestDiskV3FileLoadsCold(t *testing.T) {
 	checkParentSpillLoadsCold(t, "evalcache_v3_parent.ndjson", 1.262522065618321e-05, 1.5747418970994997e-10)
 }
@@ -58,15 +59,15 @@ func TestDiskV3FileLoadsCold(t *testing.T) {
 // partition and anneal spilled by the commit before traffic was counted in
 // 1/d-byte units. Its summaries differ from today's in the last bits under
 // the same keys, so the file loads as a cold cache, and repeating both
-// computes the same 187 entries again.
+// computes what they store on an empty cache.
 func TestDiskV4FileLoadsCold(t *testing.T) {
 	checkParentSpillLoadsCold(t, "evalcache_v4_parent.ndjson", 1.262522065618321e-05, 1.5747418970994997e-10)
 }
 
 // checkParentSpillLoadsCold loads the parent commit's spill of a TinyCNN
 // partition on G-Arch-72 at batch 4 and a 150-iteration anneal of it, wants a
-// cold cache, repeats both, and wants all 187 entries computed and the given
-// partition and SA costs.
+// cold cache, repeats both, and wants every entry computed — as many as both
+// store on an empty cache — and the given partition and SA costs.
 func checkParentSpillLoadsCold(t *testing.T, file string, partitionCost, saCost float64) {
 	t.Helper()
 	cache := eval.NewCache()
@@ -75,16 +76,21 @@ func checkParentSpillLoadsCold(t *testing.T, file string, partitionCost, saCost 
 		t.Fatalf("%s: loaded %d entries (%d resident), err %v; want a cold cache", file, n, cache.Stats().Entries, err)
 	}
 	cfg := arch.GArch72()
-	ev := eval.NewWithCache(&cfg, cache)
-	res, err := graphpart.Partition(dnn.TinyCNN(), &cfg, ev, 4, graphpart.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	run := func(cache *eval.Cache) (*graphpart.Result, sa.Result) {
+		ev := eval.NewWithCache(&cfg, cache)
+		res, err := graphpart.Partition(dnn.TinyCNN(), &cfg, ev, 4, graphpart.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := sa.DefaultOptions()
+		opt.Iterations = 150
+		return res, sa.Optimize(res.Scheme, ev, opt)
 	}
-	opt := sa.DefaultOptions()
-	opt.Iterations = 150
-	r := sa.Optimize(res.Scheme, ev, opt)
-	if st := cache.Stats(); st.Misses != 187 || st.Entries != 187 {
-		t.Errorf("partition + SA after loading %s: %+v; want the fixture's 187 entries, all computed", file, st)
+	res, r := run(cache)
+	empty := eval.NewCache()
+	run(empty)
+	if st, want := cache.Stats(), empty.Stats(); st != want || st.Misses != int64(st.Entries) {
+		t.Errorf("partition + SA after loading %s: %+v; want what they store on an empty cache, all computed: %+v", file, st, want)
 	}
 	if res.Cost != partitionCost || r.Cost != saCost {
 		t.Errorf("partition cost %v, SA cost %v; want %v and %v", res.Cost, r.Cost, partitionCost, saCost)

@@ -3,6 +3,8 @@ package sa
 import (
 	"runtime"
 	"testing"
+
+	"gemini/internal/eval"
 )
 
 // TestMovePathAllocFree pins measure, (*state).cost and (*annealer).step
@@ -10,9 +12,9 @@ import (
 // re-measurement and cost fold perform zero heap allocations, and so does a
 // whole iteration — pick, copy into the spare LMS, operator, re-measure,
 // decide, swap or restore — unless it improves on the best scheme, which takes
-// real clones. internal/eval/alloc_test.go pins the evaluator's miss path;
-// here the replayed search is served from the cache the first run filled, so
-// what is counted is the annealer's own work.
+// real clones. A move is evaluated through the delta path, which touches
+// neither the cache nor a pool, so what is counted is the annealer's work and
+// the delta path's. internal/eval/alloc_test.go pins the evaluator's pipeline.
 func TestMovePathAllocFree(t *testing.T) {
 	s, ev, _ := setup(t)
 	n := len(s.Groups)
@@ -28,10 +30,33 @@ func TestMovePathAllocFree(t *testing.T) {
 		t.Fatalf("SA move path allocates %.0f times per move, want 0", allocs)
 	}
 
+	// One seeded search, replayed over the deltas the first run grew: a
+	// replay marks every piece changed, so a group's first visit recomputes
+	// it whole, and every second replay puts each piece in the buffer the
+	// first run grew it in. The third run is counted.
 	opt := DefaultOptions()
 	opt.Iterations = 600
-	Optimize(s, ev, opt) // visit every state once, so the replay below never misses
-	a := newAnnealer(s, ev, opt)
+	var deltas []*eval.GroupDelta
+	replay := func() *annealer {
+		a := newAnnealer(s, ev, opt)
+		if deltas != nil {
+			for gj, lms := range a.s.Groups {
+				for x := range lms.MSs {
+					deltas[gj].Changed(x)
+				}
+			}
+			a.deltas = deltas
+		}
+		deltas = a.deltas
+		return a
+	}
+	for range 2 {
+		a := replay()
+		for range opt.Iterations {
+			a.step()
+		}
+	}
+	a := replay()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const warmUp = 100 // the mutator's candidate lists grow to their working size
 	for it := 0; it < warmUp; it++ {

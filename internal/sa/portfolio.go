@@ -43,7 +43,8 @@ func RestartSeed(base int64, i int) int64 {
 // MultiStart anneals the scheme restarts times (<= 1: once) with
 // deterministically derived seeds and folds the runs to the best result.
 // The restarts share the evaluator — and therefore its group-summary memo or
-// shared cache — so later restarts race over mostly warm entries. The fold
+// shared cache and its intra-core memo — so a later restart's first
+// measurement of the input scheme is served from the cache. The fold
 // is a pure deterministic reduction: lowest cost wins, ties break to the
 // lowest restart index, and NaN costs never beat non-NaN ones, so a fixed
 // (scheme, evaluator params, options, restarts) tuple always yields a

@@ -3,9 +3,9 @@
 // layer-centric encoding, driven by the five operators of internal/core.
 // Layer groups are selected with probability proportional to their
 // optimization-space size, and every applied move is evaluated through the
-// Evaluator — its cache, or on a miss its delta path, which recomputes only
-// the layers the move changed — so the search inherently minimizes costly D2D
-// traffic.
+// Evaluator's delta path, which recomputes only the layers the move changed
+// and stores nothing in the cache, so the search inherently minimizes costly
+// D2D traffic.
 package sa
 
 import (

@@ -63,9 +63,8 @@ var interfaceMethods = map[string]bool{
 // keyed "package.Func" or "package.Type.Method".
 var unreferencedAllowed = map[string]string{
 	"eval.Evaluator.EvaluateAnalysis": "test oracle: evaluates core.Analyze's sorted parse, held against EvaluateGroup",
-	"eval.Evaluator.EvaluateDelta":    "test oracle: the delta path without the cache",
 	"eval.Evaluator.SummarizeGroup":   "test oracle: the from-scratch summary delta summaries are held against",
-	"eval.GroupDelta.Computed":        "test oracle: reads the summary a move computed through the delta path",
+	"eval.GroupDelta.Computed":        "test oracle: reads the summary the last delta evaluation computed",
 	"dnn.Synth":                       "test oracle: the seeded random graphs property tests draw",
 	"dnn.DefaultSynthParams":          "test oracle: dnn.Synth's default generator bounds",
 	"sa.Result.Improvement":           "test oracle: InitCost / Cost of an annealing run",
