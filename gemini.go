@@ -23,8 +23,8 @@
 //     so routing is a lock-free table lookup, and multicast-tree dedup uses
 //     an epoch-stamped visited array instead of per-call map churn.
 //   - Group parsing (core.AnalyzeInto) and traffic accumulation reuse
-//     pooled per-evaluator scratch buffers; after warm-up an SA-path
-//     evaluation, hit or miss, touches no heap.
+//     pooled per-evaluator scratch buffers; after warm-up an SA move's
+//     evaluation touches no heap.
 //   - Evaluators memoize bandwidth-free per-group summaries in an
 //     eval.Cache, finished at the asking evaluator's bandwidths on a hit.
 //     The key is the architecture's analysis fingerprint, the graph's
@@ -35,8 +35,11 @@
 //     one of those inputs changes: mutating a group's Partition, Core
 //     Groups, or Flow of Data re-evaluates that group, and an
 //     ofmap-destination (OF) change additionally re-evaluates only the
-//     groups that fetch from it. Rejected-then-retried SA states hit the
-//     memo and skip analysis entirely.
+//     groups that fetch from it. An SA move asks no cache: eval.GroupDelta
+//     re-derives only the pieces of its groups the move changed.
+//   - The intra-core exploration of a (workload, core) pair is memoized in
+//     the same eval.Cache, so every candidate with the same cores, and every
+//     SA move on one of them, explores a workload once.
 //
 // The contract this relies on: a *Model (dnn.Graph) must not be mutated
 // after schemes referencing it have been evaluated. Memoized results are

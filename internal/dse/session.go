@@ -145,13 +145,13 @@ func (s *Session) logf(format string, args ...any) {
 // candidate of a full Table I grid (thousands) would pin significant
 // memory for the session's lifetime. A full pool is flushed wholesale,
 // like the cache shards, partition memos included: dropping warmth only
-// costs recomputation, and the shared group cache (which is what carries
-// the cross-candidate reuse) survives the flush.
+// costs recomputation, and the shared group cache and its Explore memo
+// (which carry the cross-candidate reuse) survive the flush.
 const evalPoolLimit = 256
 
 // evaluator returns the session's pool entry for an architecture — its
-// warm evaluator and partition memo — creating it (route tables, intra-core
-// memo, shared cache binding) on first use. Keyed by structural
+// warm evaluator and partition memo — creating it (route tables, binding to
+// the shared cache and its intra-core memo) on first use. Keyed by structural
 // fingerprint, so a chiplet-reuse factor-1 candidate or a re-enumerated
 // identical tuple reuses the same entry.
 func (s *Session) evaluator(cfg *arch.Config) *warmArch {

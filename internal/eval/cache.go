@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"gemini/internal/arch"
+	"gemini/internal/intracore"
 )
 
 // ConfigFingerprint hashes the structural fields of an architecture
@@ -112,13 +113,20 @@ type cacheShard struct {
 // bit-identical to recomputing; because they are bandwidth-free, a hit may
 // have been paid for by a bandwidth sibling of the asking evaluator — and a
 // cut-free segment by another chiplet cut of its core array.
+//
+// The cache also holds the intra-core Explore memo its evaluators share. An
+// Explore result is a pure function of the (workload, core) pair the memo
+// stores and compares, and depends on no cut, topology or bandwidth, so every
+// candidate with the same cores — and every SA move on one of them — reads
+// one entry. The memo is not counted in Stats and is not spilled by SaveDisk.
 type Cache struct {
 	shards                [cacheShards]cacheShard
 	hits, misses, flushes atomic.Int64
+	memo                  *intracore.Memo
 }
 
 // NewCache returns an empty cache.
-func NewCache() *Cache { return &Cache{} }
+func NewCache() *Cache { return &Cache{memo: intracore.NewMemo()} }
 
 func (c *Cache) shard(k CacheKey) *cacheShard {
 	return &c.shards[(k.Arch^k.FP)%cacheShards]

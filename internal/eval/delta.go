@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 
+	"gemini/internal/arch"
 	"gemini/internal/core"
 	"gemini/internal/intracore"
 	"gemini/internal/noc"
@@ -47,6 +48,7 @@ type GroupDelta struct {
 
 	owner []coreOwner // by core: the fold's scratch
 	split weightSplit
+	was   []bool // by core: the old parse's weight residency
 }
 
 // deltaLayer is a layer's two buffers of each kind of piece: its parse, and
@@ -102,6 +104,7 @@ func (e *Evaluator) NewGroupDelta(s *core.Scheme, gi int) *GroupDelta {
 		pending: make([]uint8, n),
 		owner:   make([]coreOwner, e.Cfg.Cores()),
 		split:   weightSplit{resident: make([]bool, e.Cfg.Cores())},
+		was:     make([]bool, e.Cfg.Cores()),
 	}
 	for c, ms := range lms.MSs {
 		for k, edge := range s.Graph.Layer(ms.Layer).Inputs {
@@ -204,7 +207,7 @@ func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) {
 		lg.Parse(s.Graph, ms, lms.BatchUnit)
 		lg.res = lg.res[:0]
 		for w := range lg.Works {
-			lg.res = append(lg.res, e.Memo.Explore(lg.Works[w], cp))
+			lg.res = append(lg.res, e.cache.memo.Explore(lg.Works[w], cp))
 		}
 	}
 	// The changed edges' multicast trees, swapped.
@@ -235,9 +238,13 @@ func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) {
 		}
 		sp.edge[ei] = b
 	}
-	// The changed layers' DRAM flows, swapped: each layer's weight slices
-	// split by the residency of its own workloads, the old parse's for what
-	// is taken back and the new one's for what is added.
+	// The changed layers' DRAM flows, swapped flow by flow as the edges'
+	// are: a flow equal to the old one at its index is left routed. Weight
+	// slices split by the residency of their own layer's workloads, the old
+	// parse's (was) for what is taken back and the new one's for what is
+	// added, so an unchanged weight flow stays only if no core of it changed
+	// residency. Flows are compared, not pending marks: a flow-of-data move
+	// keeps the parse but may re-source the weights.
 	for i, ms := range lms.MSs {
 		if d.pending[i] == 0 {
 			continue
@@ -245,23 +252,60 @@ func (e *Evaluator) summarizeDelta(d *GroupDelta, s *core.Scheme) {
 		b := 1 - cur.dram[i]
 		old, dl := &d.layers[i].dram[cur.dram[i]], &d.layers[i].dram[b]
 		dl.Reset()
-		d.geom(sp, i).AppendDRAM(dl, s, lms, ms)
+		lg := d.geom(sp, i)
+		lg.AppendDRAM(dl, s, lms, ms)
 		sp.dram[i] = b
-		addDRAM(sp.tr, old.Act, -1)
-		d.layerWeights(sp, d.geom(cur, i), old.Weights, -1)
-		addDRAM(sp.tr, dl.Act, 1)
-		d.layerWeights(sp, d.geom(sp, i), dl.Weights, 1)
+		for j := range max(len(old.Act), len(dl.Act)) {
+			if j < len(old.Act) && j < len(dl.Act) && sameLoad(&old.Act[j], &dl.Act[j]) {
+				continue
+			}
+			if j < len(old.Act) {
+				addDRAMFlow(sp.tr, &old.Act[j], -1)
+			}
+			if j < len(dl.Act) {
+				addDRAMFlow(sp.tr, &dl.Act[j], 1)
+			}
+		}
+		d.geom(cur, i).residency(d.was)
+		lg.residency(d.split.resident)
+		for j := range max(len(old.Weights), len(dl.Weights)) {
+			if j < len(old.Weights) && j < len(dl.Weights) && sameLoad(&old.Weights[j], &dl.Weights[j]) &&
+				sameResidency(d.was, d.split.resident, dl.Weights[j].Cores) {
+				continue
+			}
+			if j < len(old.Weights) {
+				d.split.weight(sp.tr, sp.once, &old.Weights[j], d.was, -1)
+			}
+			if j < len(dl.Weights) {
+				d.split.weight(sp.tr, sp.once, &dl.Weights[j], d.split.resident, 1)
+			}
+		}
 	}
 	d.sum = e.foldDelta(d, sp, lms.BatchUnit)
 }
 
-// layerWeights routes the weight loads flows of the layer parsed as lg,
-// signed as weights routes them, into st's traffic.
-func (d *GroupDelta) layerWeights(st *deltaState, lg *layerGeom, flows []core.DRAMFlow, sign float64) {
+// residency records the weight residency of lg's workloads by core.
+func (lg *layerGeom) residency(resident []bool) {
 	for pi, pw := range lg.PWs {
-		d.split.resident[pw.Core] = lg.res[pi].WeightsResident
+		resident[pw.Core] = lg.res[pi].WeightsResident
 	}
-	d.split.weights(st.tr, st.once, flows, sign)
+}
+
+// sameLoad reports whether two DRAM flows move the same bytes the same way
+// between the same controller and cores.
+func sameLoad(o, f *core.DRAMFlow) bool {
+	return o.Ctrl == f.Ctrl && o.Write == f.Write && o.Bytes == f.Bytes && slices.Equal(o.Cores, f.Cores)
+}
+
+// sameResidency reports whether every one of cores is resident under was
+// exactly when it is under is.
+func sameResidency(was, is []bool, cores []arch.CoreID) bool {
+	for _, c := range cores {
+		if was[c] != is[c] {
+			return false
+		}
+	}
+	return true
 }
 
 // geom returns the parse of MS i that state st selects.

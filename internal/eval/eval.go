@@ -92,7 +92,6 @@ func AvgLayersPerGroup(s *core.Scheme) float64 {
 type Evaluator struct {
 	Cfg    *arch.Config
 	Net    *noc.Network
-	Memo   *intracore.Memo
 	Params Params
 
 	d2dIfaces int
@@ -173,19 +172,19 @@ type weightSplit struct {
 	strBuf   []arch.CoreID
 }
 
-// New builds an evaluator with default energy parameters and a cache of its
-// own.
+// New builds an evaluator with default energy parameters and a cache, and so
+// an Explore memo, of its own.
 func New(cfg *arch.Config) *Evaluator { return NewWithCache(cfg, NewCache()) }
 
 // NewWithCache builds an evaluator with default energy parameters that reads
-// and writes group summaries in c, sharing them with every other evaluator
-// built on c (and so across DSE candidates and runs). Results served from a
-// shared cache are bit-identical to locally computed ones.
+// and writes group summaries and intra-core explorations in c, sharing them
+// with every other evaluator built on c (and so across DSE candidates and
+// runs). Results served from a shared cache are bit-identical to locally
+// computed ones.
 func NewWithCache(cfg *arch.Config, c *Cache) *Evaluator {
 	e := &Evaluator{
 		Cfg:        cfg,
 		Net:        noc.New(cfg),
-		Memo:       intracore.NewMemo(),
 		Params:     DefaultParams(),
 		cache:      c,
 		analysisFP: AnalysisFingerprint(cfg),
@@ -382,7 +381,7 @@ func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 			continue
 		}
 		w := &an.CoreWorks[c]
-		r := e.Memo.Explore(*w, cp)
+		r := e.cache.memo.Explore(*w, cp)
 		if !e.foldCore(&f, w, &r) {
 			return groupSummary{}
 		}
@@ -392,7 +391,7 @@ func (e *Evaluator) summarizeAnalysis(sc *evalScratch) groupSummary {
 	sc.tr.Reset()
 	AddActivations(sc.tr, an)
 	sc.wOnce.Reset()
-	sc.weights(sc.tr, sc.wOnce, an.WeightFlows, 1)
+	sc.weights(sc.tr, sc.wOnce, an.WeightFlows)
 	return f.summary(sc.tr, sc.wOnce)
 }
 
@@ -440,24 +439,29 @@ func (f *coreFold) summary(tr, once *noc.Traffic) groupSummary {
 	return sum
 }
 
-// weights routes weight loads, sign times their bytes, so a sign of -1 takes
-// them back out: GLB-resident slices load once per run into once, slices that
-// do not fit stream every pass into tr. resident must hold the residency of
-// every core the flows name.
-func (ws *weightSplit) weights(tr, once *noc.Traffic, flows []core.DRAMFlow, sign float64) {
-	for _, f := range flows {
-		res, str := ws.resBuf[:0], ws.strBuf[:0]
-		for _, c := range f.Cores {
-			if ws.resident[c] {
-				res = append(res, c)
-			} else {
-				str = append(str, c)
-			}
-		}
-		ws.resBuf, ws.strBuf = res, str
-		once.DRAMRead(f.Ctrl, res, sign*f.Bytes)
-		tr.DRAMRead(f.Ctrl, str, sign*f.Bytes)
+// weights routes weight loads: GLB-resident slices load once per run into
+// once, slices that do not fit stream every pass into tr. ws.resident must
+// hold the residency of every core the flows name.
+func (ws *weightSplit) weights(tr, once *noc.Traffic, flows []core.DRAMFlow) {
+	for i := range flows {
+		ws.weight(tr, once, &flows[i], ws.resident, 1)
 	}
+}
+
+// weight routes one weight load, sign times its bytes and split as weights
+// splits it by resident, so a sign of -1 takes it back out.
+func (ws *weightSplit) weight(tr, once *noc.Traffic, f *core.DRAMFlow, resident []bool, sign float64) {
+	res, str := ws.resBuf[:0], ws.strBuf[:0]
+	for _, c := range f.Cores {
+		if resident[c] {
+			res = append(res, c)
+		} else {
+			str = append(str, c)
+		}
+	}
+	ws.resBuf, ws.strBuf = res, str
+	once.DRAMRead(f.Ctrl, res, sign*f.Bytes)
+	tr.DRAMRead(f.Ctrl, str, sign*f.Bytes)
 }
 
 // AddActivations routes one pass of an analyzed group's activation traffic
@@ -467,18 +471,23 @@ func AddActivations(tr *noc.Traffic, an *core.Analysis) {
 	for _, f := range an.ActFlows {
 		tr.Multicast(f.Src, f.Dsts, f.Bytes)
 	}
-	addDRAM(tr, an.ActDRAM, 1)
+	addDRAM(tr, an.ActDRAM)
 }
 
-// addDRAM routes activation DRAM reads and writes, sign times their bytes,
-// into tr, so a sign of -1 takes them back out.
-func addDRAM(tr *noc.Traffic, flows []core.DRAMFlow, sign float64) {
-	for _, f := range flows {
-		if f.Write {
-			tr.DRAMWrite(f.Ctrl, f.Cores[0], sign*f.Bytes)
-		} else {
-			tr.DRAMRead(f.Ctrl, f.Cores, sign*f.Bytes)
-		}
+// addDRAM routes activation DRAM reads and writes into tr.
+func addDRAM(tr *noc.Traffic, flows []core.DRAMFlow) {
+	for i := range flows {
+		addDRAMFlow(tr, &flows[i], 1)
+	}
+}
+
+// addDRAMFlow routes one activation DRAM read or write, sign times its bytes,
+// into tr, so a sign of -1 takes it back out.
+func addDRAMFlow(tr *noc.Traffic, f *core.DRAMFlow, sign float64) {
+	if f.Write {
+		tr.DRAMWrite(f.Ctrl, f.Cores[0], sign*f.Bytes)
+	} else {
+		tr.DRAMRead(f.Ctrl, f.Cores, sign*f.Bytes)
 	}
 }
 

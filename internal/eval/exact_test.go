@@ -113,7 +113,7 @@ func exactDigests(e *Evaluator, an *core.Analysis) (pass, once noc.Digest) {
 	for _, f := range an.WeightFlows {
 		var res, str []arch.CoreID
 		for _, c := range f.Cores {
-			if e.Memo.Explore(an.CoreWorks[c], e.coreParams()).WeightsResident {
+			if e.cache.memo.Explore(an.CoreWorks[c], e.coreParams()).WeightsResident {
 				res = append(res, c)
 			} else {
 				str = append(str, c)

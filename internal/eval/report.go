@@ -113,7 +113,7 @@ func (e *Evaluator) Report(s *core.Scheme) (*SchemeReport, error) {
 				lr.MACs += w.MACs
 				lr.InBytesPerPass += w.InBytes
 				lr.WeightBytes += w.WBytes
-				r := e.Memo.Explore(w, cp)
+				r := e.cache.memo.Explore(w, cp)
 				cycles := r.Cycles
 				if r.VecCycles > cycles {
 					cycles = r.VecCycles
@@ -139,7 +139,7 @@ func (e *Evaluator) Report(s *core.Scheme) (*SchemeReport, error) {
 		}
 		netOnly := tr.BottleneckTime()
 		trD := e.Net.NewTraffic()
-		addDRAM(trD, an.ActDRAM, 1)
+		addDRAM(trD, an.ActDRAM)
 		dramOnly := trD.BottleneckTime()
 		grep.NetTime = netOnly
 		grep.DRAMTime = dramOnly

@@ -257,20 +257,32 @@ func vecLanes(macs int) int {
 // against the asked one. Hashing and comparing the 144-byte pair inside a Go
 // map cost more than the Explore a hit saves.
 //
-// Nearly every call is a hit, and DSE workers mapping two models on one
-// architecture share a memo, so a hit takes no lock and writes no shared
-// word: readers load the current table and its slots atomically. Writers
-// serialize on mu, publish each entry with an atomic store, and grow by
-// building a larger table and swapping it in; a reader still probing the old
-// table at worst misses a newer entry and recomputes it. (A map under a read
-// lock was measured first: the lock's reader count bounces between the
-// workers' cores — 38 ns a hit alone but 57-190 ns with two goroutines
-// hitting, where this table takes 27 ns either way.)
+// Nearly every call is a hit, and one memo serves every evaluator on an
+// eval.Cache — every candidate and worker of a DSE session — so a hit takes
+// no lock and writes no shared word: readers load the current table and its
+// slots atomically. Writers serialize on mu, publish each entry with an
+// atomic store, and grow by building a larger table and swapping it in; a
+// reader still probing the old table at worst misses a newer entry and
+// recomputes it. (A map under a read lock was measured first: the lock's
+// reader count bounces between the workers' cores — 38 ns a hit alone but
+// 57-190 ns with two goroutines hitting, where this table takes 27 ns either
+// way.) A memo holds at most memoLimit entries: an insert into a full memo
+// first swaps in an empty table.
 type Memo struct {
 	table atomic.Pointer[memoTable]
 	mu    sync.Mutex // serializes insert and grow
 	n     int        // entries in the table; guarded by mu
+	limit int        // the entry cap, memoLimit outside tests
 }
+
+// memoLimit caps a memo's entries at 0.52 M, about 0.23 KB each with their
+// slots. A memo lives as long as its eval.Cache — a whole DSE session — and
+// the pairs it meets grow with every model and core a session maps, so a
+// full memo is flushed wholesale, like a cache shard, which only costs
+// recomputation. The cap is four times what the full 72-TOPs Table I grid
+// (8,820 candidates, 30 cores) stores for ResNet-50 and the Transformer:
+// 0.131 M entries; the reduced grid stores 0.023 M.
+const memoLimit = 1 << 19
 
 // memoTable is one generation of the memo: a power-of-two slot array, kept
 // at most half full so probes stay short and always end at an empty slot.
@@ -288,9 +300,14 @@ type memoEntry struct {
 
 // NewMemo returns an empty cache.
 func NewMemo() *Memo {
-	mm := new(Memo)
-	mm.table.Store(&memoTable{slots: make([]atomic.Pointer[memoEntry], 64)})
+	mm := &Memo{limit: memoLimit}
+	mm.table.Store(newMemoTable(64))
 	return mm
+}
+
+// newMemoTable returns an empty table of size slots, a power of two.
+func newMemoTable(size int) *memoTable {
+	return &memoTable{slots: make([]atomic.Pointer[memoEntry], size)}
 }
 
 // find returns the entry stored under hash h, or nil.
@@ -356,8 +373,12 @@ func (mm *Memo) Explore(w Workload, c Core) Result {
 	if t.find(h) != nil {
 		return e.r // another goroutine stored this hash first
 	}
-	if 2*(mm.n+1) > len(t.slots) {
-		grown := &memoTable{slots: make([]atomic.Pointer[memoEntry], 2*len(t.slots))}
+	switch {
+	case mm.n >= mm.limit:
+		t, mm.n = newMemoTable(64), 0
+		mm.table.Store(t)
+	case 2*(mm.n+1) > len(t.slots):
+		grown := newMemoTable(2 * len(t.slots))
 		for i := range t.slots {
 			if old := t.slots[i].Load(); old != nil {
 				grown.place(old)

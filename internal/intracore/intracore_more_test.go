@@ -123,12 +123,9 @@ func TestMemoCollisionComputesAndDoesNotStore(t *testing.T) {
 	}
 }
 
-// TestMemoGrowsUnderConcurrentUse drives the memo through several table
-// growths from goroutines that insert overlapping workloads while others are
-// already hitting them: every answer equals Explore's, before and after the
-// entry has moved tables, and each distinct workload is stored once.
-func TestMemoGrowsUnderConcurrentUse(t *testing.T) {
-	c := Core{MACs: 1024, GLB: 1 << 20, FreqGHz: 1}
+// distinctConvs returns 600 distinct convolution workloads and what Explore
+// returns for each on c.
+func distinctConvs(c Core) ([]Workload, []Result) {
 	var ws []Workload
 	for h := 1; h <= 30; h++ {
 		for k := 1; k <= 20; k++ {
@@ -140,6 +137,16 @@ func TestMemoGrowsUnderConcurrentUse(t *testing.T) {
 	for i, w := range ws {
 		want[i] = Explore(w, c)
 	}
+	return ws, want
+}
+
+// TestMemoGrowsUnderConcurrentUse drives the memo through several table
+// growths from goroutines that insert overlapping workloads while others are
+// already hitting them: every answer equals Explore's, before and after the
+// entry has moved tables, and each distinct workload is stored once.
+func TestMemoGrowsUnderConcurrentUse(t *testing.T) {
+	c := Core{MACs: 1024, GLB: 1 << 20, FreqGHz: 1}
+	ws, want := distinctConvs(c)
 	m := NewMemo()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -160,5 +167,37 @@ func TestMemoGrowsUnderConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if memoLen(m) != len(ws) {
 		t.Errorf("memo holds %d entries for %d distinct workloads", memoLen(m), len(ws))
+	}
+}
+
+// TestMemoStaysUnderItsCap drives a memo whose cap is lowered to 100 entries
+// through 600 distinct workloads twice: it never holds more than the cap, it
+// flushes (the count falls), and every answer — fresh, repeated or asked
+// again after a flush — equals Explore's.
+func TestMemoStaysUnderItsCap(t *testing.T) {
+	c := Core{MACs: 1024, GLB: 1 << 20, FreqGHz: 1}
+	ws, want := distinctConvs(c)
+	m := NewMemo()
+	m.limit = 100
+	flushes, prev := 0, 0
+	for round := 0; round < 2; round++ {
+		for i, w := range ws {
+			for range 2 {
+				if got := m.Explore(w, c); got != want[i] {
+					t.Fatalf("round %d workload %d: %+v, want %+v", round, i, got, want[i])
+				}
+			}
+			n := memoLen(m)
+			if n > m.limit {
+				t.Fatalf("round %d workload %d: %d entries over a cap of %d", round, i, n, m.limit)
+			}
+			if n < prev {
+				flushes++
+			}
+			prev = n
+		}
+	}
+	if flushes < 2*len(ws)/m.limit-1 {
+		t.Errorf("%d flushes driving %d distinct workloads twice through a cap of %d", flushes, len(ws), m.limit)
 	}
 }

@@ -32,6 +32,8 @@ type Network struct {
 	Cfg   *arch.Config
 	Links []Link
 
+	// idx maps a (from, to) core pair to its link; only buildRoutes reads
+	// it, and New drops it once the route table is built.
 	idx map[[2]arch.CoreID]int
 
 	// class[l] is link l's boundary class; classD2D[c] reports whether this
@@ -55,6 +57,7 @@ type Network struct {
 func New(cfg *arch.Config) *Network {
 	n := newLinkGraph(cfg)
 	n.buildRoutes()
+	n.idx = nil
 	return n
 }
 

@@ -19,26 +19,33 @@ func deltaArchs() []arch.Config {
 	return []arch.Config{arch.GArch72(), mono, arch.GArchTorus()}
 }
 
+// The oracle's anneal temperatures: hot enough that worsening moves are taken
+// and undone alike, and as cold as the default schedule ends.
+const hot, cold = 1, 0.002
+
 // deltaTally counts what the delta oracle saw: applied moves by operator,
-// delta-computed summaries checked, and the OP5 summaries computed in the
-// mutated group and in a group reading a re-sourced ofmap.
+// delta-computed summaries checked, the OP5 summaries computed in the mutated
+// group and in a group reading a re-sourced ofmap, and the rejected moves that
+// re-measured a group no move had yet been kept on.
 type deltaTally struct {
-	applied                [5]int
-	checked, fdOwn, fdRead int
+	applied                              [5]int
+	checked, fdOwn, fdRead, rejectedCold int
 }
 
-// runDelta anneals s hot for iters steps and, after every group a move
-// re-measures, holds the summary the delta path computed for it against a
-// fresh evaluator's SummarizeGroup of the scheme as the move left it, with ==
-// on every field.
-func runDelta(t testing.TB, s *core.Scheme, cfg *arch.Config, seed int64, iters int, tally *deltaTally) {
+// runDelta anneals s from relative temperature temp for iters steps and,
+// after every group a move re-measures, holds the summary the delta path
+// computed for it against a fresh evaluator's SummarizeGroup of the scheme as
+// the move left it, with == on every field.
+func runDelta(t testing.TB, s *core.Scheme, cfg *arch.Config, seed int64, iters int, temp float64, tally *deltaTally) {
 	t.Helper()
 	opt := DefaultOptions()
-	opt.Seed, opt.Iterations = seed, iters
-	opt.InitTemp = 1 // hot enough that worsening moves are taken and undone alike
+	opt.Seed, opt.Iterations, opt.InitTemp = seed, iters, temp
 	ev, ref := eval.New(cfg), eval.New(cfg)
 	a := newAnnealer(s, ev, opt)
+	kept := make([]bool, len(s.Groups)) // by group: a move on it was kept
+	var measured []int
 	a.afterMeasure = func(op core.Op, gi, gj int) {
+		measured = append(measured, gj)
 		if gj == gi {
 			tally.applied[op]++
 		}
@@ -56,26 +63,38 @@ func runDelta(t testing.TB, s *core.Scheme, cfg *arch.Config, seed int64, iters 
 		}
 	}
 	for it := 0; it < iters; it++ {
+		accepted := a.res.Accepted
+		measured = measured[:0]
 		a.step()
+		for _, g := range measured {
+			if a.res.Accepted > accepted {
+				kept[g] = true
+			} else if !kept[g] {
+				tally.rejectedCold++
+			}
+		}
 	}
 }
 
 // TestDeltaMatchesFromScratch is the oracle under the annealer's delta path:
-// hot anneals of ResNet-50, the Transformer, TinyCNN and TinyTransformer on a
-// multi-chiplet mesh, a monolithic mesh and a folded torus, where every
-// summary the delta path computes from the pieces the move changed — after
-// accepted moves and rejected ones — equals summarizeGroup's from scratch bit
-// for bit. All five operators must occur, and OP5 summaries both in the
-// mutated group and in a group reading the layer whose ofmap destination
-// moved.
+// hot anneals of ResNet-50, the Transformer, TinyCNN and TinyTransformer, and
+// a cold one of TinyTransformer, on a multi-chiplet mesh, a monolithic mesh
+// and a folded torus, and one of ResNet-50 on small GLBs, where every summary
+// the delta path computes from the pieces the move changed — after accepted
+// moves and rejected ones — equals summarizeGroup's from scratch bit for bit. All five operators must occur,
+// OP5 summaries both in the mutated group and in a group reading the layer
+// whose ofmap destination moved, and, even under -short, rejected moves on
+// groups no move has been kept on, whose pieces all stay stale.
 func TestDeltaMatchesFromScratch(t *testing.T) {
 	var tally deltaTally
 	for _, cfg := range deltaArchs() {
 		for _, g := range []*dnn.Graph{dnn.TinyCNN(), dnn.TinyTransformer()} {
 			for seed := int64(1); seed <= 3; seed++ {
-				runDelta(t, splitScheme(t, g, &cfg, 3, 2, 8), &cfg, seed, 300, &tally)
+				runDelta(t, splitScheme(t, g, &cfg, 3, 2, 8), &cfg, seed, 300, hot, &tally)
 			}
 		}
+		// Cold and finely grouped: many groups have their first move rejected.
+		runDelta(t, splitScheme(t, dnn.TinyTransformer(), &cfg, 2, 2, 8), &cfg, 4, 300, cold, &tally)
 		if testing.Short() {
 			continue
 		}
@@ -84,9 +103,19 @@ func TestDeltaMatchesFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runDelta(t, part.Scheme, &cfg, 5, 600, &tally)
+			runDelta(t, part.Scheme, &cfg, 5, 600, hot, &tally)
 		}
 	}
+	// On 256 KB GLBs, where weights only just fit, a move can leave a layer's
+	// weight flow as it was while one of its cores changes residency, and the
+	// flow must be re-split. The 2 MB GLBs above never showed it.
+	small := arch.GArch72()
+	small.Name, small.GLBPerCore = "G-Arch-256KB", 256*arch.KB
+	part, err := graphpart.Partition(dnn.ResNet50(), &small, eval.New(&small), 64, graphpart.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDelta(t, part.Scheme, &small, 5, 1500, hot, &tally)
 	t.Logf("%+v", tally)
 	for op, n := range tally.applied {
 		if n == 0 {
@@ -96,6 +125,9 @@ func TestDeltaMatchesFromScratch(t *testing.T) {
 	if tally.fdOwn == 0 || tally.fdRead == 0 {
 		t.Errorf("%d OP5 summaries in the mutated group, %d in a reading group: each must occur",
 			tally.fdOwn, tally.fdRead)
+	}
+	if tally.rejectedCold == 0 {
+		t.Error("no move was rejected on a group before any move on it was kept")
 	}
 }
 
@@ -113,7 +145,7 @@ func FuzzDeltaSummary(f *testing.F) {
 			g = dnn.TinyTransformer()
 		}
 		per := 1 + int(grouping&3)
-		runDelta(t, splitScheme(t, g, &cfg, per, 2, 8), &cfg, seed, int(iters)%512, new(deltaTally))
+		runDelta(t, splitScheme(t, g, &cfg, per, 2, 8), &cfg, seed, int(iters)%512, hot, new(deltaTally))
 	})
 }
 

@@ -185,14 +185,10 @@ var mdPath = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
 
 // TestCommentMarkdownPathsExist fails on a Go comment that cites a Markdown
 // file which exists neither at that path from the module root nor from the
-// citing file's directory. cmd/linkcheck is exempt: its usage text names
-// example files.
+// citing file's directory.
 func TestCommentMarkdownPathsExist(t *testing.T) {
 	fset, files := parseModule(t, true)
 	for path, f := range files {
-		if strings.HasPrefix(path, "cmd/linkcheck/") {
-			continue
-		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				for _, md := range mdPath.FindAllString(c.Text, -1) {
