@@ -19,8 +19,9 @@
 // The Mapping Engine's hot loop — one SA iteration evaluating a mutated
 // layer group — is incremental and allocation-free at steady state:
 //
-//   - The NoC route table is fully precomputed when an evaluator is built,
-//     so routing is a lock-free table lookup, and multicast-tree dedup uses
+//   - The NoC route table is fully precomputed, once per core array and
+//     topology for every evaluator on one cache, so routing is a lock-free
+//     table lookup, and multicast-tree dedup uses
 //     an epoch-stamped visited array instead of per-call map churn.
 //   - Group parsing (core.AnalyzeInto) and traffic accumulation reuse
 //     pooled per-evaluator scratch buffers; after warm-up an SA move's

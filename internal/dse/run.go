@@ -161,9 +161,9 @@ func (e *abandonedError) Error() string {
 // mapModelEval runs the full Mapping Engine pipeline for one DNN on one
 // architecture: DP graph partition, then SA refinement of the LP SPM (a
 // portfolio of m.Restarts annealing runs). It runs on the session's pool
-// entry, so cells reuse warm evaluators (route tables), the shared group
-// cache and its intra-core memo, and computed partitions across candidates
-// and runs.
+// entry, so cells reuse warm evaluators, the shared group cache with its
+// route tables and intra-core memo, and computed partitions across
+// candidates and runs.
 // Infeasibility is reported as an error wrapping ErrInfeasible; any other
 // error is an infrastructure failure. stop, when non-nil, is polled between
 // SA restarts; if it fires, the cell is abandoned with an abandonedError.

@@ -140,18 +140,18 @@ func (s *Session) logf(format string, args ...any) {
 	}
 }
 
-// evalPoolLimit bounds the warm-evaluator pool. Each evaluator holds a
-// precomputed NoC route table and scratch pools, so retaining one per
+// evalPoolLimit bounds the warm-evaluator pool. Each evaluator holds its
+// link graph, scratch pools and partition memo, so retaining one per
 // candidate of a full Table I grid (thousands) would pin significant
 // memory for the session's lifetime. A full pool is flushed wholesale,
 // like the cache shards, partition memos included: dropping warmth only
-// costs recomputation, and the shared group cache and its Explore memo
-// (which carry the cross-candidate reuse) survive the flush.
+// costs recomputation, and the shared group cache with its route tables and
+// Explore memo (which carry the cross-candidate reuse) survive the flush.
 const evalPoolLimit = 256
 
 // evaluator returns the session's pool entry for an architecture — its
-// warm evaluator and partition memo — creating it (route tables, binding to
-// the shared cache and its intra-core memo) on first use. Keyed by structural
+// warm evaluator and partition memo — creating it (link graph, binding to
+// the shared cache, its route tables and intra-core memo) on first use. Keyed by structural
 // fingerprint, so a chiplet-reuse factor-1 candidate or a re-enumerated
 // identical tuple reuses the same entry.
 func (s *Session) evaluator(cfg *arch.Config) *warmArch {

@@ -7,6 +7,7 @@ import (
 
 	"gemini/internal/arch"
 	"gemini/internal/intracore"
+	"gemini/internal/noc"
 )
 
 // ConfigFingerprint hashes the structural fields of an architecture
@@ -86,10 +87,15 @@ type CacheKey struct {
 // cacheShards keeps lock contention low when many DSE workers race on one
 // shared cache; the partitioner asks it for every segment, and an annealer
 // for its starting and best schemes (its moves never ask). With
-// cacheShardLimit it also sets the capacity, 2.1 M entries: the reduced
-// 72-TOPs grid holds 0.097 M after one sweep and gains about 0.001 M per
-// further seed (traced `go run ./bench` on zoo72_cold and zoo72_warm), so a
-// session's reseeded sweeps do not fill it.
+// cacheShardLimit it also sets the capacity, 2.1 M entries. One pruned sweep
+// of the whole 72-TOPs grid × {resnet50, transformer} (8,820 candidates,
+// seed 1, 2 workers) stores 1,056,208 entries, half of it, with 0 flushes;
+// 42% of them are infeasible and kept as keys alone, and the sweep's heap
+// after a GC is 273 MB in use (376 MB while every entry held a summary and
+// every evaluator a route table of its own). The reduced grid stores
+// 0.097 M entries and gains about 0.001 M per further seed (traced
+// `go run ./bench` on zoo72_cold and zoo72_warm), so a session's reseeded
+// sweeps do not fill it.
 const cacheShards = 128
 
 // cacheShardLimit bounds each shard; a full shard is flushed wholesale (a
@@ -97,13 +103,77 @@ const cacheShards = 128
 // below the limit, and a flush only costs recomputation).
 const cacheShardLimit = 1 << 14
 
-// cacheShard holds both kinds of summary. A map is made by the first store
-// into it and only ever cleared, under mu; together they hold at most
-// cacheShardLimit entries.
+// cacheShard holds both kinds of summary, each in a table. The shard's tables
+// together hold at most cacheShardLimit entries, and are only ever cleared,
+// all at once, under mu.
 type cacheShard struct {
 	mu  sync.RWMutex
-	m   map[CacheKey]groupSummary
-	seg map[CacheKey]segmentSummary
+	m   table[groupSummary]
+	seg table[segmentSummary]
+}
+
+// summaryKind is a kind of summary a Cache stores.
+type summaryKind interface {
+	groupSummary | segmentSummary
+	feasible() bool
+}
+
+// table holds the summaries of one kind. An infeasible summary is the zero
+// value of its kind — summarizeAnalysis and cutFreeSummary build nothing more
+// for one — so it is kept as its key alone, in none, and a lookup that finds
+// the key there reads the zero value back; about two in five entries a sweep
+// stores are infeasible. Each map is made by the first store into it, so a
+// shard that has held no infeasible entry has no set.
+type table[S summaryKind] struct {
+	val  map[CacheKey]S
+	none map[CacheKey]struct{}
+}
+
+// get returns the summary stored under k and whether there was one.
+func (t *table[S]) get(k CacheKey) (S, bool) {
+	sum, ok := t.val[k]
+	if !ok {
+		_, ok = t.none[k]
+	}
+	return sum, ok
+}
+
+// put stores sum under k, an infeasible summary as its key alone.
+func (t *table[S]) put(k CacheKey, sum S) {
+	if !sum.feasible() {
+		if t.none == nil {
+			t.none = make(map[CacheKey]struct{})
+		}
+		t.none[k] = struct{}{}
+		delete(t.val, k)
+		return
+	}
+	if t.val == nil {
+		t.val = make(map[CacheKey]S)
+	}
+	t.val[k] = sum
+	delete(t.none, k)
+}
+
+// len counts the table's entries, key-only ones included.
+func (t *table[S]) len() int { return len(t.val) + len(t.none) }
+
+// clear empties the table.
+func (t *table[S]) clear() {
+	clear(t.val)
+	clear(t.none)
+}
+
+// routeTableLimit bounds the route tables a Cache keeps, one per core array
+// and topology; a full set is dropped wholesale, as a full shard is. A grid
+// has a few arrays (the reduced 72-TOPs grid 3), and an evaluator keeps the
+// table it was built on whatever the cache drops.
+const routeTableLimit = 64
+
+// routeKey names what a noc route table depends on.
+type routeKey struct {
+	x, y int
+	topo arch.Topology
 }
 
 // Cache is the concurrency-safe group-summary store every Evaluator reads
@@ -118,15 +188,39 @@ type cacheShard struct {
 // Explore result is a pure function of the (workload, core) pair the memo
 // stores and compares, and depends on no cut, topology or bandwidth, so every
 // candidate with the same cores — and every SA move on one of them — reads
-// one entry. The memo is not counted in Stats and is not spilled by SaveDisk.
+// one entry. Likewise its evaluators share one noc route table per core array
+// and topology, which no cut or bandwidth changes. Neither the memo nor the
+// route tables are counted in Stats or spilled by SaveDisk.
 type Cache struct {
 	shards                [cacheShards]cacheShard
 	hits, misses, flushes atomic.Int64
 	memo                  *intracore.Memo
+
+	routesMu sync.Mutex
+	routes   map[routeKey]*noc.Routes
 }
 
 // NewCache returns an empty cache.
-func NewCache() *Cache { return &Cache{memo: intracore.NewMemo()} }
+func NewCache() *Cache {
+	return &Cache{memo: intracore.NewMemo(), routes: make(map[routeKey]*noc.Routes)}
+}
+
+// routeTable returns the route table of cfg's core array and topology,
+// building it on first use.
+func (c *Cache) routeTable(cfg *arch.Config) *noc.Routes {
+	k := routeKey{cfg.CoresX, cfg.CoresY, cfg.Topology}
+	c.routesMu.Lock()
+	defer c.routesMu.Unlock()
+	r, ok := c.routes[k]
+	if !ok {
+		if len(c.routes) >= routeTableLimit {
+			clear(c.routes)
+		}
+		r = noc.NewRoutes(cfg)
+		c.routes[k] = r
+	}
+	return r
+}
 
 func (c *Cache) shard(k CacheKey) *cacheShard {
 	return &c.shards[(k.Arch^k.FP)%cacheShards]
@@ -174,11 +268,11 @@ func (c *Cache) countStore(added bool) {
 	}
 }
 
-// lookup copies the summary *m, one of s's maps, holds for k into *out and
+// lookup copies the summary t, one of s's tables, holds for k into *out and
 // reports whether there was one, counting a hit.
-func lookup[S groupSummary | segmentSummary](c *Cache, s *cacheShard, m *map[CacheKey]S, k CacheKey, out *S) bool {
+func lookup[S summaryKind](c *Cache, s *cacheShard, t *table[S], k CacheKey, out *S) bool {
 	s.mu.RLock()
-	sum, ok := (*m)[k]
+	sum, ok := t.get(k)
 	s.mu.RUnlock()
 	if ok {
 		*out = sum
@@ -187,27 +281,24 @@ func lookup[S groupSummary | segmentSummary](c *Cache, s *cacheShard, m *map[Cac
 	return ok
 }
 
-// store puts sum under k in *m, one of s's maps, making the map if need be —
-// unless replace is false and k is already there — flushing the shard first
-// if adding k would overfill it, and reports whether k was new. Replacing
-// with an equal summary is harmless (summaries are pure functions of their
-// keys) and repairs an entry a damaged spill loaded.
-func store[S groupSummary | segmentSummary](c *Cache, s *cacheShard, m *map[CacheKey]S, k CacheKey, sum S, replace bool) bool {
+// store puts sum under k in t, one of s's tables — unless replace is false
+// and k is already there — flushing the shard first if adding k would
+// overfill it, and reports whether k was new. Replacing with an equal summary
+// is harmless (summaries are pure functions of their keys) and repairs an
+// entry a damaged spill loaded.
+func store[S summaryKind](c *Cache, s *cacheShard, t *table[S], k CacheKey, sum S, replace bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if *m == nil {
-		*m = make(map[CacheKey]S)
-	}
-	_, had := (*m)[k]
+	_, had := t.get(k)
 	if had && !replace {
 		return false
 	}
-	if !had && len(s.m)+len(s.seg) >= cacheShardLimit {
-		clear(s.m)
-		clear(s.seg)
+	if !had && s.m.len()+s.seg.len() >= cacheShardLimit {
+		s.m.clear()
+		s.seg.clear()
 		c.flushes.Add(1)
 	}
-	(*m)[k] = sum
+	t.put(k, sum)
 	return !had
 }
 
@@ -235,7 +326,7 @@ func (c *Cache) Stats() CacheStats {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
-		st.Entries += len(s.m) + len(s.seg)
+		st.Entries += s.m.len() + s.seg.len()
 		s.mu.RUnlock()
 	}
 	return st

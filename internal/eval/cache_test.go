@@ -8,6 +8,7 @@ import (
 	"gemini/internal/arch"
 	"gemini/internal/core"
 	"gemini/internal/dnn"
+	"gemini/internal/noc"
 )
 
 func cacheTestScheme(t testing.TB, cfg *arch.Config) *core.Scheme {
@@ -267,5 +268,115 @@ func TestCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if st := cache.Stats(); st.Hits == 0 {
 		t.Errorf("no hits under concurrent reuse: %+v", st)
+	}
+}
+
+// TestInfeasibleEntriesKeyOnly: an infeasible summary of either kind — a
+// group asked for by content, a cut-free segment asked for by name — is kept
+// as its key alone. The first ask counts one miss and one entry; every later
+// ask hits and reads back the zero value of its kind, whatever the reader's
+// out held before.
+func TestInfeasibleEntriesKeyOnly(t *testing.T) {
+	cfg := arch.GArch72()
+	cfg.GLBPerCore = 512 // no workload fits: every group is infeasible
+	s := cacheTestScheme(t, &cfg)
+	cache := NewCache()
+	ev := NewWithCache(&cfg, cache)
+	if !ev.cutFree {
+		t.Fatal("GArch72 is one chiplet: its segments would not be cut-free")
+	}
+	groupKey, segKey := ev.groupKey(s, 0), ev.SegmentKey(s.Graph, s.Batch, 0, len(s.Graph.Layers), 1)
+	dirty := groupScalars{Feasible: true, BatchUnit: 3, MAC: 1}
+	for _, kind := range []struct {
+		name    string
+		ask     func() GroupResult
+		read    func() (found, zero bool)
+		keyOnly func() bool
+	}{
+		{"group", func() GroupResult { return ev.EvaluateGroup(s, 0) },
+			func() (bool, bool) {
+				sum := groupSummary{groupScalars: dirty, PerPass: noc.Digest{PeakNoC: 1}}
+				found := cache.get(groupKey, &sum)
+				return found, sum == groupSummary{}
+			},
+			func() bool { return keyOnly(&cache.shard(groupKey).m, groupKey) }},
+		{"segment", func() GroupResult {
+			var res GroupResult
+			if !ev.LookupGroup(segKey, s.Batch, &res) {
+				res = ev.EvaluateGroupAs(segKey, s, 0)
+			}
+			return res
+		},
+			func() (bool, bool) {
+				seg := segmentSummary{groupScalars: dirty, Links: make([]noc.ClassLoad, 2)}
+				found := cache.getSegment(segKey, &seg)
+				return found, reflect.DeepEqual(seg, segmentSummary{})
+			},
+			func() bool { return keyOnly(&cache.shard(segKey).seg, segKey) }},
+	} {
+		before := cache.Stats()
+		if r := kind.ask(); r.Feasible {
+			t.Fatalf("%s: a 512-byte GLB evaluated feasible", kind.name)
+		}
+		st := cache.Stats()
+		if st.Misses-before.Misses != 1 || st.Hits != before.Hits || st.Entries-before.Entries != 1 {
+			t.Fatalf("%s: a cold ask moved the stats %+v -> %+v, want one miss and one entry", kind.name, before, st)
+		}
+		if !kind.keyOnly() {
+			t.Errorf("%s: not stored as its key alone", kind.name)
+		}
+		for i := 0; i < 2; i++ {
+			if r := kind.ask(); r.Feasible {
+				t.Fatalf("%s: a warm ask turned feasible", kind.name)
+			}
+			if found, zero := kind.read(); !found || !zero {
+				t.Errorf("%s: read back found=%t zero=%t, want the zero value", kind.name, found, zero)
+			}
+		}
+		if end := cache.Stats(); end.Misses != st.Misses || end.Hits-st.Hits != 4 || end.Entries != st.Entries {
+			t.Errorf("%s: warm asks moved the stats %+v -> %+v, want 4 hits and nothing else", kind.name, st, end)
+		}
+	}
+}
+
+// keyOnly reports whether t holds k as its key alone.
+func keyOnly[S summaryKind](t *table[S], k CacheKey) bool {
+	_, val := t.val[k]
+	_, none := t.none[k]
+	return none && !val
+}
+
+// TestShardFlushCountsKeyOnlyEntries: the shard limit counts every entry of
+// both kinds, key-only ones included, so the store past cacheShardLimit into
+// one shard flushes it wholesale, and what it held — key-only entries too —
+// then misses.
+func TestShardFlushCountsKeyOnlyEntries(t *testing.T) {
+	c := NewCache()
+	key := func(i int) CacheKey { return CacheKey{Arch: 3, FP: uint64(i) * cacheShards} } // all in one shard
+	ok := groupScalars{Feasible: true, BatchUnit: 1}
+	for i := 0; i <= cacheShardLimit; i++ {
+		switch i % 4 {
+		case 0:
+			c.put(key(i), &groupSummary{groupScalars: ok})
+		case 1:
+			c.put(key(i), &groupSummary{})
+		case 2:
+			c.putSegment(key(i), segmentSummary{groupScalars: ok})
+		case 3:
+			c.putSegment(key(i), segmentSummary{})
+		}
+		if i == cacheShardLimit-1 {
+			if st := c.Stats(); st.Entries != cacheShardLimit || st.Flushes != 0 {
+				t.Fatalf("a full shard: %+v, want %d entries and no flush", st, cacheShardLimit)
+			}
+		}
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Flushes != 1 || st.Misses != cacheShardLimit+1 {
+		t.Fatalf("after the store past the limit: %+v, want 1 entry, 1 flush, %d misses", st, cacheShardLimit+1)
+	}
+	var sum groupSummary
+	var seg segmentSummary
+	if c.get(key(1), &sum) || c.getSegment(key(3), &seg) || c.get(key(0), &sum) || c.getSegment(key(2), &seg) {
+		t.Error("an entry survived the flush")
 	}
 }

@@ -77,11 +77,17 @@ func (c *Cache) SaveDisk(path string) error {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
-		for k, e := range s.m {
+		for k, e := range s.m.val {
 			all = append(all, kv{k: k, sum: &e})
 		}
-		for k, e := range s.seg {
+		for k := range s.m.none {
+			all = append(all, kv{k: k, sum: new(groupSummary)})
+		}
+		for k, e := range s.seg.val {
 			all = append(all, kv{k: k, seg: &e})
+		}
+		for k := range s.seg.none {
+			all = append(all, kv{k: k, seg: new(segmentSummary)})
 		}
 		s.mu.RUnlock()
 	}

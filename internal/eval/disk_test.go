@@ -3,9 +3,11 @@ package eval
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -76,6 +78,61 @@ func TestDiskRoundTripBitIdentical(t *testing.T) {
 	st := warm.Stats()
 	if st.Misses != 0 {
 		t.Errorf("disk-warmed evaluation recomputed %d groups", st.Misses)
+	}
+}
+
+// TestDiskRoundTripKeyOnly: a cache holding feasible and infeasible entries
+// of both kinds — group summaries by content, cut-free segments by name —
+// round-trips whole: LoadDisk into a fresh cache adds the saved cache's
+// Stats().Entries entries, and the loaded cache answers every key as the
+// saved one does, key-only entries with the zero value.
+func TestDiskRoundTripKeyOnly(t *testing.T) {
+	cache := NewCache()
+	for _, glb := range []int{2 * arch.MB, 512} { // 512 bytes fit no workload
+		cfg := arch.GArch72()
+		cfg.GLBPerCore = glb
+		s := perLayerScheme(t, &cfg)
+		ev := NewWithCache(&cfg, cache)
+		ev.Evaluate(s)
+		for gi := range s.Groups {
+			ev.EvaluateGroupAs(ev.SegmentKey(s.Graph, s.Batch, gi, gi+1, 1), s, gi)
+		}
+	}
+	var kinds [4]int // group, key-only group, segment, key-only segment
+	for i := range cache.shards {
+		sh := &cache.shards[i]
+		for n, l := range []int{len(sh.m.val), len(sh.m.none), len(sh.seg.val), len(sh.seg.none)} {
+			kinds[n] += l
+		}
+	}
+	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 || kinds[3] == 0 {
+		t.Fatalf("entries by kind %v: the cache must hold all four", kinds)
+	}
+
+	path := filepath.Join(t.TempDir(), "cache.ndjson")
+	if err := cache.SaveDisk(path); err != nil {
+		t.Fatal(err)
+	}
+	warm := NewCache()
+	n, err := warm.LoadDisk(path)
+	saved := cache.Stats().Entries
+	if err != nil || n != saved || warm.Stats().Entries != saved {
+		t.Fatalf("loaded %d entries (%d resident), err %v; want the saved cache's %d", n, warm.Stats().Entries, err, saved)
+	}
+	for i := range cache.shards {
+		sh := &cache.shards[i]
+		for _, k := range slices.Concat(slices.Collect(maps.Keys(sh.m.val)), slices.Collect(maps.Keys(sh.m.none))) {
+			var a, b groupSummary
+			if !cache.get(k, &a) || !warm.get(k, &b) || a != b {
+				t.Errorf("group %+v: saved %+v, loaded %+v", k, a, b)
+			}
+		}
+		for _, k := range slices.Concat(slices.Collect(maps.Keys(sh.seg.val)), slices.Collect(maps.Keys(sh.seg.none))) {
+			var a, b segmentSummary
+			if !cache.getSegment(k, &a) || !warm.getSegment(k, &b) || !reflect.DeepEqual(a, b) {
+				t.Errorf("segment %+v: saved %+v, loaded %+v", k, a, b)
+			}
+		}
 	}
 }
 

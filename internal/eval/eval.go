@@ -141,6 +141,10 @@ type groupScalars struct {
 	AvgUtil   float64 `json:"u,omitempty"`
 }
 
+// feasible reports whether the summary is feasible. An infeasible one is the
+// zero value of its kind.
+func (g groupScalars) feasible() bool { return g.Feasible }
+
 // segmentSummary is a stripe segment's summary on a multi-chiplet array with
 // the chiplet cut left out: each traffic's DRAM load and its link loads per
 // noc boundary class, per pass then load-once, instead of the two Digests.
@@ -173,18 +177,18 @@ type weightSplit struct {
 }
 
 // New builds an evaluator with default energy parameters and a cache, and so
-// an Explore memo, of its own.
+// an Explore memo and a route table, of its own.
 func New(cfg *arch.Config) *Evaluator { return NewWithCache(cfg, NewCache()) }
 
 // NewWithCache builds an evaluator with default energy parameters that reads
 // and writes group summaries and intra-core explorations in c, sharing them
 // with every other evaluator built on c (and so across DSE candidates and
-// runs). Results served from a shared cache are bit-identical to locally
-// computed ones.
+// runs), and routes on c's table for its core array and topology. Results
+// served from a shared cache are bit-identical to locally computed ones.
 func NewWithCache(cfg *arch.Config, c *Cache) *Evaluator {
 	e := &Evaluator{
 		Cfg:        cfg,
-		Net:        noc.New(cfg),
+		Net:        noc.NewOn(cfg, c.routeTable(cfg)),
 		Params:     DefaultParams(),
 		cache:      c,
 		analysisFP: AnalysisFingerprint(cfg),

@@ -49,3 +49,39 @@ func TestCacheSharesExploreMemo(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheSharesRouteTables: a cache keeps one noc route table per core
+// array and topology, so two evaluators on one Cache whose architectures
+// differ only in cut and bandwidth route on one table, an evaluator of
+// another array on the same Cache does not, and neither do two evaluators
+// with caches of their own. Results on the shared table equal a private
+// evaluator's.
+func TestCacheSharesRouteTables(t *testing.T) {
+	a := arch.GArch72()
+	b := a
+	b.Name, b.XCut, b.YCut, b.NoCBW, b.D2DBW = "G-Arch-3x2", 3, 2, 64, 8
+	wide := a
+	wide.Name, wide.CoresX = "G-Arch-12x6", 12
+	torus := a
+	torus.Name, torus.Topology = "G-Arch-torus", arch.FoldedTorus
+	cache := eval.NewCache()
+	ea, eb := eval.NewWithCache(&a, cache), eval.NewWithCache(&b, cache)
+	if !eval.SharesRoutes(ea, eb) {
+		t.Fatal("two cuts of one array on one cache hold different route tables")
+	}
+	for _, other := range []*arch.Config{&wide, &torus} {
+		if eval.SharesRoutes(ea, eval.NewWithCache(other, cache)) {
+			t.Errorf("%s shares %s's route table", other.Name, a.Name)
+		}
+	}
+	if eval.SharesRoutes(eval.New(&a), eval.New(&a)) {
+		t.Fatal("two evaluators with caches of their own share a route table")
+	}
+	s, err := core.StripeScheme(dnn.TinyCNN(), &b, [][]int{{0, 1}, {2, 3}}, []int{1, 2}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eb.Evaluate(s), eval.New(&b).Evaluate(s); !want.Feasible || !reflect.DeepEqual(got, want) {
+		t.Errorf("%s on a shared route table: %+v, want %+v", b.Name, got, want)
+	}
+}

@@ -32,10 +32,6 @@ type Network struct {
 	Cfg   *arch.Config
 	Links []Link
 
-	// idx maps a (from, to) core pair to its link; only buildRoutes reads
-	// it, and New drops it once the route table is built.
-	idx map[[2]arch.CoreID]int
-
 	// class[l] is link l's boundary class; classD2D[c] reports whether this
 	// network's cut makes class c D2D.
 	class    []uint16
@@ -46,34 +42,63 @@ type Network struct {
 	ctrls    int
 	portCore []arch.CoreID
 
-	// Full route table, precomputed at New: the XY path from src to dst is
-	// routeDat[routeOff[src*cores+dst] : routeOff[src*cores+dst+1]].
-	cores    int
-	routeOff []int32
-	routeDat []int32
+	// routes is the full route table, held by value so Route reads it
+	// without a further indirection; its slices may be shared with every
+	// other Network of the core array (NewOn).
+	routes Routes
 }
 
-// New builds the network for a validated configuration.
+// Routes is the XY route table of one core array under one topology: the
+// link IDs of the path between every ordered core pair, precomputed so Route
+// is a lock-free slice lookup on the hot path. Links are numbered by the
+// array and the topology alone (forEachLink), and dimension-ordered routing
+// reads nothing else, so one table serves every chiplet cut and every
+// bandwidth of the array. It is immutable once built.
+type Routes struct {
+	w, h int
+	topo arch.Topology
+
+	// The path from src to dst is dat[off[src*cores+dst] : off[src*cores+dst+1]].
+	cores int
+	off   []int32
+	dat   []int32
+}
+
+// New builds the network for a validated configuration, with a route table
+// of its own.
 func New(cfg *arch.Config) *Network {
 	n := newLinkGraph(cfg)
-	n.buildRoutes()
-	n.idx = nil
+	n.routes = n.buildRoutes()
+	return n
+}
+
+// NewRoutes builds the route table of cfg's core array and topology.
+func NewRoutes(cfg *arch.Config) *Routes {
+	r := New(cfg).routes
+	return &r
+}
+
+// NewOn builds the network for a validated configuration on r, a route table
+// of the same core array and topology, which the network shares rather than
+// copies. It panics on a table of another array or topology.
+func NewOn(cfg *arch.Config, r *Routes) *Network {
+	if r.w != cfg.CoresX || r.h != cfg.CoresY || r.topo != cfg.Topology {
+		panic("noc: route table of another core array or topology")
+	}
+	n := newLinkGraph(cfg)
+	n.routes = *r
 	return n
 }
 
 // newLinkGraph builds all of a Network but its route table.
 func newLinkGraph(cfg *arch.Config) *Network {
-	n := &Network{
-		Cfg: cfg,
-		idx: make(map[[2]arch.CoreID]int),
-	}
+	n := &Network{Cfg: cfg}
 	n.buildPorts(cfg.DRAMPorts())
 	w, h := cfg.CoresX, cfg.CoresY
 	torus := cfg.Topology == arch.FoldedTorus
 	xClass := n.axisClasses(w, cfg.ChipletW(), torus && w > 2)
 	yClass := n.axisClasses(h, cfg.ChipletH(), torus && h > 2)
 	addLink := func(a, b arch.CoreID, class uint16) {
-		n.idx[[2]arch.CoreID{a, b}] = len(n.Links)
 		n.Links = append(n.Links, Link{From: a, To: b, D2D: !cfg.SameChiplet(a, b)})
 		n.class = append(n.class, class)
 	}
@@ -234,39 +259,45 @@ func ChipletCuts(cfg *arch.Config) []Cut {
 	return cuts
 }
 
-// buildRoutes precomputes the XY path between every ordered core pair into a
-// single flat table, so Route is a lock-free slice lookup on the hot path.
-func (n *Network) buildRoutes() {
-	n.cores = n.Cfg.Cores()
-	n.routeOff = make([]int32, n.cores*n.cores+1)
-	n.routeDat = n.routeDat[:0]
-	for src := 0; src < n.cores; src++ {
-		for dst := 0; dst < n.cores; dst++ {
-			n.appendRoute(arch.CoreID(src), arch.CoreID(dst))
-			n.routeOff[src*n.cores+dst+1] = int32(len(n.routeDat))
+// buildRoutes precomputes the XY path between every ordered core pair of
+// the network's link graph into a single flat table.
+func (n *Network) buildRoutes() Routes {
+	cfg := n.Cfg
+	idx := make(map[[2]arch.CoreID]int32, len(n.Links))
+	for l, k := range n.Links {
+		idx[[2]arch.CoreID{k.From, k.To}] = int32(l)
+	}
+	r := Routes{w: cfg.CoresX, h: cfg.CoresY, topo: cfg.Topology, cores: cfg.Cores()}
+	r.off = make([]int32, r.cores*r.cores+1)
+	for src := 0; src < r.cores; src++ {
+		for dst := 0; dst < r.cores; dst++ {
+			r.dat = n.appendRoute(r.dat, idx, arch.CoreID(src), arch.CoreID(dst))
+			r.off[src*r.cores+dst+1] = int32(len(r.dat))
 		}
 	}
+	return r
 }
 
 // appendRoute walks the dimension-ordered path from src to dst, appending
-// each traversed link ID to the flat route table.
-func (n *Network) appendRoute(src, dst arch.CoreID) {
+// each traversed link ID, which idx gives by its (from, to) pair, to dat.
+func (n *Network) appendRoute(dat []int32, idx map[[2]arch.CoreID]int32, src, dst arch.CoreID) []int32 {
 	if src == dst {
-		return
+		return dat
 	}
 	sx, sy := n.Cfg.CoreXY(src)
 	dx, dy := n.Cfg.CoreXY(dst)
 	x, y := sx, sy
 	for x != dx {
 		nx := n.step(x, dx, n.Cfg.CoresX)
-		n.routeDat = append(n.routeDat, int32(n.idx[[2]arch.CoreID{n.Cfg.CoreAt(x, y), n.Cfg.CoreAt(nx, y)}]))
+		dat = append(dat, idx[[2]arch.CoreID{n.Cfg.CoreAt(x, y), n.Cfg.CoreAt(nx, y)}])
 		x = nx
 	}
 	for y != dy {
 		ny := n.step(y, dy, n.Cfg.CoresY)
-		n.routeDat = append(n.routeDat, int32(n.idx[[2]arch.CoreID{n.Cfg.CoreAt(x, y), n.Cfg.CoreAt(x, ny)}]))
+		dat = append(dat, idx[[2]arch.CoreID{n.Cfg.CoreAt(x, y), n.Cfg.CoreAt(x, ny)}])
 		y = ny
 	}
+	return dat
 }
 
 // LinkBW returns the bandwidth of link l in GB/s.
@@ -311,8 +342,9 @@ func (n *Network) step(cur, dst, size int) int {
 // Route returns the link IDs of the XY path from src to dst. The slice is a
 // view into the precomputed route table and must not be modified.
 func (n *Network) Route(src, dst arch.CoreID) []int32 {
-	k := int(src)*n.cores + int(dst)
-	return n.routeDat[n.routeOff[k]:n.routeOff[k+1]]
+	r := &n.routes
+	k := int(src)*r.cores + int(dst)
+	return r.dat[r.off[k]:r.off[k+1]]
 }
 
 // PortCore returns the edge router a DRAM controller uses to reach peer:
