@@ -56,6 +56,11 @@ import (
 	"gemini/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that opens connections and sends nothing
+// cannot hold them open.
+const readHeaderTimeout = 10 * time.Second
+
 // parseTenantWeights parses the -tenants flag value "name=weight,name=weight"
 // into the fair-share weight table. Empty input means every tenant weighs 1.
 func parseTenantWeights(s string) (map[string]int, error) {
@@ -121,7 +126,7 @@ func main() {
 	}
 	srv := serve.New(cfg)
 
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	log.Printf("listening on %s (slots=%d, tenants=%q, data=%q)", *addr, *slots, *tenants, *data)

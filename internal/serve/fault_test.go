@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -404,35 +405,34 @@ func TestCorruptCheckpointQuarantined(t *testing.T) {
 	}
 }
 
-// bombWriter is a ResponseWriter whose Nth write panics — a stand-in for a
-// streaming-layer bug — and which records every other write.
-type bombWriter struct {
-	header http.Header
-	bombAt int
-
-	mu     sync.Mutex
-	writes int
-	buf    bytes.Buffer
-}
-
-func (b *bombWriter) Header() http.Header { return b.header }
-func (b *bombWriter) WriteHeader(int)     {}
-func (b *bombWriter) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.writes++
-	if b.writes == b.bombAt {
-		panic("injected stream bug")
+// panicAtFirst is a Config.fault hook that panics with "injected stream
+// bug" the first time the sweep emits an event of type typ, a stand-in for
+// a bug on the stream path, and lets every other call through.
+func panicAtFirst(typ string) func(point, key string) error {
+	var fired atomic.Bool
+	return func(point, key string) error {
+		if point == "emit" && key == typ && fired.CompareAndSwap(false, true) {
+			panic("injected stream bug")
+		}
+		return nil
 	}
-	return b.buf.Write(p)
 }
 
-func (b *bombWriter) lines(t *testing.T) []Event {
+// sweepRequest builds a POST /sweep request for spec.
+func sweepRequest(t *testing.T, spec dse.Spec) *http.Request {
 	t.Helper()
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body))
+}
+
+// recordedEvents decodes the NDJSON events of a finished recorded response.
+func recordedEvents(t *testing.T, rec *httptest.ResponseRecorder) []Event {
+	t.Helper()
 	var events []Event
-	for _, line := range strings.Split(strings.TrimSpace(b.buf.String()), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
 		if line == "" {
 			continue
 		}
@@ -446,20 +446,15 @@ func (b *bombWriter) lines(t *testing.T) []Event {
 }
 
 // TestHandlerPanicEmitsTerminalErrorEvent pins the terminal backstop: a
-// panic in the handler itself (here: the very first stream write) must end
-// the stream with a typed error event and mark the sweep failed — never
-// crash the server.
+// panic in the sweep itself (here: emitting its start event) must end the
+// stream with a typed error event and mark the sweep failed — never crash
+// the server.
 func TestHandlerPanicEmitsTerminalErrorEvent(t *testing.T) {
-	s := New(Config{Logf: t.Logf})
+	s := New(Config{Logf: t.Logf, fault: panicAtFirst("start")})
 	defer s.Close()
-	body, err := json.Marshal(tinySpec("boom-handler", 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &bombWriter{header: make(http.Header), bombAt: 1}
-	s.handleSweep(w, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
-
-	events := w.lines(t)
+	rec := httptest.NewRecorder()
+	s.handleSweep(rec, sweepRequest(t, tinySpec("boom-handler", 32)))
+	events := recordedEvents(t, rec)
 	if len(events) != 1 || events[0].Type != "error" {
 		t.Fatalf("stream after handler panic: %+v", events)
 	}
@@ -479,32 +474,28 @@ func TestHandlerPanicEmitsTerminalErrorEvent(t *testing.T) {
 	}
 }
 
-// sweepWithResultPanic runs a two-candidate, one-worker sweep on s whose
-// first result event's stream write panics, and returns the events that
-// made it out. Write 1 is the start event; write 2 is the first result
-// event, sent from inside the scheduler's OnResult callback. A panic that
-// leaves the scheduler's OnResult lock held deadlocks the next result, so the
-// sweep gets 30s to finish before the helper fails.
+// sweepWithResultPanic runs a two-candidate, one-worker sweep on s, whose
+// fault hook panics on the first result event, and returns the events that
+// made it out. Result events are emitted from inside the scheduler's
+// OnResult callback. A panic that leaves the scheduler's OnResult lock held
+// deadlocks the next result, so the sweep gets 30s to finish before the
+// helper fails.
 func sweepWithResultPanic(t *testing.T, s *Server, id string) []Event {
 	t.Helper()
 	spec := tinySpec(id, 32, 64)
 	spec.Workers = 1
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &bombWriter{header: make(http.Header), bombAt: 2}
+	req, rec := sweepRequest(t, spec), httptest.NewRecorder()
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		s.handleSweep(w, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+		s.handleSweep(rec, req)
 	}()
 	select {
 	case <-finished:
 	case <-time.After(30 * time.Second):
 		t.Fatal("sweep hung after a panic in OnResult: the OnResult lock was left held")
 	}
-	events := w.lines(t)
+	events := recordedEvents(t, rec)
 	if len(events) == 0 {
 		t.Fatal("no events recorded")
 	}
@@ -512,11 +503,11 @@ func sweepWithResultPanic(t *testing.T, s *Server, id string) []Event {
 }
 
 // TestWorkerPanicLosesOneCandidateNotTheSweep: a panic while finishing one
-// candidate (here: its result event's stream write) is recovered at the
-// worker level — the sweep completes, the panic is counted, and the done
+// candidate (here: emitting its result event) is recovered at the worker
+// level — the sweep completes, the panic is counted, and the done
 // event still arrives.
 func TestWorkerPanicLosesOneCandidateNotTheSweep(t *testing.T) {
-	s := New(Config{Logf: t.Logf})
+	s := New(Config{Logf: t.Logf, fault: panicAtFirst("result")})
 	defer s.Close()
 	events := sweepWithResultPanic(t, s, "boom-result")
 	done := events[len(events)-1]
@@ -531,11 +522,10 @@ func TestWorkerPanicLosesOneCandidateNotTheSweep(t *testing.T) {
 	}
 }
 
-// TestHealthzFaultCounters: a real recovered panic — the result write above,
-// nothing injected through a fault hook — shows up on /healthz as a lifetime
-// fault count once its sweep finishes.
+// TestHealthzFaultCounters: a recovered panic — the result emit above —
+// shows up on /healthz as a lifetime fault count once its sweep finishes.
 func TestHealthzFaultCounters(t *testing.T) {
-	s := New(Config{Logf: t.Logf})
+	s := New(Config{Logf: t.Logf, fault: panicAtFirst("result")})
 	defer s.Close()
 	events := sweepWithResultPanic(t, s, "boom-healthz")
 	if done := events[len(events)-1]; done.Type != "done" || done.Stats == nil || done.Stats.Panics != 1 {

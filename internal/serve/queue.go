@@ -433,7 +433,7 @@ func (q *sweepQueue) grantLocked(j *job) {
 // on slots held by batch work: the newest-dispatched preemptible batch jobs
 // are told to checkpoint and yield until the projected free slots cover the
 // smallest blocked interactive request. Slots free asynchronously — when
-// the preempted handler acks via Yield; until then classAllowedLocked
+// the preempted sweep acks via Yield; until then classAllowedLocked
 // reserves them for the blocked demand, so they accumulate instead of
 // re-dispatching the victims. Demand that even yielding every batch sweep
 // cannot cover (slots pinned by other interactive work) preempts nothing:

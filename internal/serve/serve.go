@@ -1,18 +1,18 @@
 // Package serve is the HTTP front end of the DSE sweep engine: a long-lived
 // server owning one dse.Session, accepting JSON sweep specs and streaming
-// per-candidate results back as NDJSON while the sweep runs.
+// per-candidate results back as NDJSON while the sweep runs. A sweep runs on
+// its own goroutine and only appends events to its log; every response
+// stream follows that log, so a client that stops reading stalls nothing.
 //
 // Endpoints:
 //
-//	POST   /sweep               submit a dse.Spec; the response body is an
-//	                            NDJSON event stream (queued when the sweep
-//	                            waits, start, one result per candidate in
-//	                            completion order, preempted/resumed around
-//	                            queue preemptions, done/error)
+//	POST   /sweep               submit a dse.Spec; the response follows the
+//	                            sweep's NDJSON event log (queued when it
+//	                            waits, start, one result per candidate,
+//	                            preempted/resumed, done/error)
 //	GET    /sweeps              list every sweep the server knows about
 //	GET    /sweeps/{id}         one sweep's status, progress and final stats
-//	GET    /sweeps/{id}/stream  replay the sweep's event stream from the
-//	                            beginning, then follow it live (re-attach)
+//	GET    /sweeps/{id}/stream  follow the same log from its first event
 //	DELETE /sweeps/{id}         cancel a running or queued sweep
 //	GET    /healthz             liveness plus session-cache, incumbent and
 //	                            queue metrics
@@ -91,10 +91,11 @@ type Config struct {
 	FleetLeaseTTL time.Duration
 	// Logf, when set, receives server lifecycle and scheduling lines.
 	Logf func(format string, args ...any)
-	// fault, when set, is called before the I/O of every persistence
-	// attempt: "checkpoint-save" and "checkpoint-load" with the file's path,
-	// "history-save" with the sweep id. An error it returns or a panic it
-	// raises fails that attempt. Only this package's tests set it.
+	// fault, when set, is called before every persistence attempt's I/O:
+	// "checkpoint-save" and "checkpoint-load" with the file's path,
+	// "history-save" with the sweep id; an error it returns or a panic it
+	// raises fails that attempt. At "emit", with the type of each event a
+	// sweep logs, only a panic counts. Only this package's tests set it.
 	fault func(point, key string) error
 }
 
@@ -207,8 +208,8 @@ func New(cfg Config) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Close cancels every running sweep, refuses new work and stops the
-// checkpoint saver, waiting out a save in flight. In-flight POST handlers
-// observe the cancellation, flush the checkpoint and finish their streams;
+// checkpoint saver, waiting out a save in flight. Running sweeps observe
+// the cancellation, flush the checkpoint and log their terminal events;
 // Close does not wait for them — callers that need the drain should pair it
 // with http.Server.Shutdown.
 func (s *Server) Close() {

@@ -11,12 +11,17 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"math"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"gemini/internal/dse"
 )
@@ -225,4 +230,236 @@ func TestEventSchemaGolden(t *testing.T) {
 		b.WriteByte('\n')
 	}
 	checkGolden(t, "events.golden", b.String())
+}
+
+// smallBuffers gives a TCP connection 4 KB kernel send and receive buffers,
+// so a reader that stops reading backs its writer up after a few dozen KB.
+func smallBuffers(t *testing.T, c net.Conn) {
+	tc, ok := c.(*net.TCPConn)
+	if !ok {
+		t.Errorf("%T is not a TCP connection", c)
+		return
+	}
+	if err := tc.SetReadBuffer(4096); err != nil {
+		t.Error(err)
+	}
+	if err := tc.SetWriteBuffer(4096); err != nil {
+		t.Error(err)
+	}
+}
+
+// smallBufferListener applies smallBuffers to every connection it accepts.
+type smallBufferListener struct {
+	net.Listener
+	t *testing.T
+}
+
+func (l smallBufferListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		smallBuffers(l.t, c)
+	}
+	return c, err
+}
+
+// TestStalledClientStallsNothing: a client that POSTs a 160-candidate sweep
+// and never reads the response body holds up neither that sweep nor another
+// tenant's. The sweep's ~150 KB of NDJSON cannot drain through the small
+// socket buffers on both ends of this test's connections, yet the sweep
+// reaches done, and a second tenant's 1-cell sweep, queued behind the
+// stalled sweep's two worker slots, completes within seconds. A first sweep
+// over the same grid warms the session's partitions, so the stalled sweep
+// computes in well under a second even under -race.
+func TestStalledClientStallsNothing(t *testing.T) {
+	s := New(Config{WorkerSlots: 2})
+	hs := httptest.NewUnstartedServer(s)
+	hs.Listener = smallBufferListener{Listener: hs.Listener, t: t}
+	hs.Start()
+	t.Cleanup(func() { hs.Close(); s.Close() })
+
+	spec := tinySpec("stalled", 8, 16, 32, 64)
+	spec.Space.Cuts = []int{1, 2}
+	spec.Space.GLBsKB = []int{256, 512, 1024, 2048}
+	spec.Space.D2DRatios = []float64{0.25, 0.5}
+	spec.Space.MACs = []int{512, 1024}
+	spec.ID, spec.Seed = "warm", 1
+	if done := runSweep(t, hs.URL, spec); done[len(done)-1].Type != "done" || done[0].Candidates != 160 {
+		t.Fatalf("warm-up sweep: start %+v, end %+v", done[0], done[len(done)-1])
+	}
+
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err == nil {
+			smallBuffers(t, c)
+		}
+		return c, err
+	}}
+	defer tr.CloseIdleConnections()
+	spec.ID, spec.Seed = "stalled", 2
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, err := (&http.Client{Transport: tr}).Post(hs.URL+"/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Closing the unread body drops the connection, which ends the handler.
+	defer stalled.Body.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	other := tinySpec("other-tenant", 32)
+	other.Tenant = "other"
+	body, err = json.Marshal(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/sweep", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(req); err != nil {
+		t.Errorf("the other tenant's sweep: %v", err)
+	} else if events := readEvents(t, resp); len(events) == 0 || events[len(events)-1].Type != "done" {
+		t.Errorf("the other tenant's sweep did not finish within 5 s: %+v", events)
+	}
+
+	// A sweep still running when its unread POST misses the write deadline
+	// is canceled, so this holds only while the sweep beats that deadline.
+	deadline := time.Now().Add(streamWriteTimeout)
+	for {
+		st, _ := getStatus(t, hs.URL, "stalled")
+		switch {
+		case st.State == StateDone:
+			return
+		case st.State == StateCanceled:
+			t.Fatalf("the unread sweep was canceled with %d of %d candidates: it outlasted the %v write deadline", st.DoneCandidates, st.Candidates, streamWriteTimeout)
+		case time.Now().After(deadline):
+			t.Fatalf("the unread sweep is still %s with %d of %d candidates after %v", st.State, st.DoneCandidates, st.Candidates, streamWriteTimeout)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// deadlineWriter is a ResponseRecorder that counts the events written
+// under each write deadline.
+type deadlineWriter struct {
+	*httptest.ResponseRecorder
+
+	mu                 sync.Mutex
+	deadlines          int
+	sinceDeadline, max int
+}
+
+func (w *deadlineWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.sinceDeadline += bytes.Count(p, []byte("\n"))
+	w.max = max(w.max, w.sinceDeadline)
+	w.mu.Unlock()
+	return w.ResponseRecorder.Write(p)
+}
+
+func (w *deadlineWriter) SetWriteDeadline(time.Time) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.deadlines++
+	w.sinceDeadline = 0
+	return nil
+}
+
+// TestPostFollowerLosesNothing: the sweep's log is held for its POST
+// follower from the start, so a follower that attaches three rings behind
+// (a re-POSTed sweep's settled cells arrive in such a burst, on the sweep's
+// own goroutine) still gets every result in order, then done. The hold moves up with the follower, so once it has caught up
+// the ring trims again, and it ends with the follower. Each write deadline
+// covers at most streamChunk events, so a slow reader that keeps reading
+// is never cut off by one large batch.
+func TestPostFollowerLosesNothing(t *testing.T) {
+	const n = 3 * maxLogEvents
+	sw := &sweep{cancel: func() {}, log: newEventLog(true), st: SweepStatus{ID: "long"}}
+	for i := 1; i <= n; i++ {
+		sw.log.append(Event{Type: "result", SweepID: "long", Seq: i})
+	}
+	w := &deadlineWriter{ResponseRecorder: httptest.NewRecorder()}
+	followed := make(chan struct{})
+	go func() {
+		defer close(followed)
+		follow(context.Background(), w, sw, true)
+	}()
+	held := func() int {
+		sw.log.mu.Lock()
+		defer sw.log.mu.Unlock()
+		return sw.log.held
+	}
+	for deadline := time.Now().Add(10 * time.Second); held() != n; time.Sleep(time.Millisecond) {
+		select {
+		case <-followed:
+			t.Fatalf("the POST follower ended early: %+v", recordedEvents(t, w.ResponseRecorder))
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the POST follower is held at %d of %d events after 10 s", held(), n)
+		}
+	}
+	sw.log.append(Event{Type: "result", SweepID: "long", Seq: n + 1})
+	if base := sw.log.base; base == 0 {
+		t.Error("the log kept every event after its POST follower caught up")
+	}
+	sw.log.append(Event{Type: "done", SweepID: "long"})
+	<-followed
+
+	events := recordedEvents(t, w.ResponseRecorder)
+	if len(events) != n+2 || events[n+1].Type != "done" {
+		t.Fatalf("the POST follower got %d events ending %+v, want %d results then done", len(events), events[len(events)-1], n+1)
+	}
+	for i, ev := range events[:n+1] {
+		if ev.Type != "result" || ev.Seq != i+1 {
+			t.Fatalf("event %d is %s #%d, want result #%d", i, ev.Type, ev.Seq, i+1)
+		}
+	}
+	if w.max > streamChunk || w.deadlines < (n+2)/streamChunk {
+		t.Errorf("%d deadlines, up to %d events under one; want at most %d", w.deadlines, w.max, streamChunk)
+	}
+	if h := held(); h != math.MaxInt {
+		t.Errorf("the log is still held at %d after its POST follower ended", h)
+	}
+
+	// A log its POST follower leaves behind trims back to the ring.
+	left := newEventLog(true)
+	for i := 1; i <= n; i++ {
+		left.append(Event{Type: "result", SweepID: "long", Seq: i})
+	}
+	left.append(Event{Type: "done", SweepID: "long"})
+	left.release()
+	if len(left.events) >= maxLogEvents {
+		t.Errorf("a released log keeps %d events, want fewer than %d", len(left.events), maxLogEvents)
+	}
+}
+
+// TestStreamFellBehindEndsWithOneError: a follower attaching to a log that
+// has dropped its oldest events gets exactly one error event, pointing at
+// GET /sweeps/{id}, and its stream ends.
+func TestStreamFellBehindEndsWithOneError(t *testing.T) {
+	s, hs := newTestServer(t, Config{})
+	sw := &sweep{cancel: func() {}, log: newEventLog(false), st: SweepStatus{ID: "long", State: StateDone}}
+	for i := 1; i <= maxLogEvents; i++ {
+		sw.log.append(Event{Type: "result", SweepID: "long", Seq: i})
+	}
+	sw.log.append(Event{Type: "done", SweepID: "long"})
+	s.mu.Lock()
+	s.sweeps.Put("long", sw)
+	s.mu.Unlock()
+
+	resp, err := http.Get(hs.URL + "/sweeps/long/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := readEvents(t, resp)
+	if len(events) != 1 {
+		t.Fatalf("a follower behind the log got %d events, want 1", len(events))
+	}
+	if ev := events[0]; ev.Type != "error" || !strings.Contains(ev.Error, "GET /sweeps/long") {
+		t.Errorf("a follower behind the log got %+v, want an error event naming GET /sweeps/long", ev)
+	}
 }

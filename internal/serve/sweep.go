@@ -1,16 +1,15 @@
 // Sweep execution: one POST /sweep request's lifecycle. The handler
-// resolves the spec, registers the sweep, waits for the queue, and streams
-// typed NDJSON events while dse.Session.RunContext walks the grid on the
-// server's session, which already holds every cell the DataDir's
-// checkpoints settled. The sweep computes; it asks the server's persister
-// for a checkpoint save per streamed candidate, flushes it before it parks
-// on preemption and before its terminal event, and has its final status
-// appended to the history log.
+// resolves the spec, registers the sweep and follows its event log, while
+// the sweep's own goroutine waits for the queue and appends typed events as
+// dse.Session.RunContext walks the grid on the server's session, which
+// holds every cell the DataDir's checkpoints settled. The sweep asks the
+// server's persister for a checkpoint save per result, flushes it before it
+// parks on preemption and before its terminal event, and has its final
+// status appended to the history log.
 package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -20,6 +19,8 @@ import (
 	"sync"
 	"time"
 
+	"gemini/internal/arch"
+	"gemini/internal/dnn"
 	"gemini/internal/dse"
 	"gemini/internal/eval"
 	"gemini/internal/intake"
@@ -215,8 +216,9 @@ type sweep struct {
 	log *eventLog
 
 	mu sync.Mutex
-	// st is the sweep's status. ID, Tenant and Priority are set before the
-	// record is shared and never change; every other field is guarded by mu.
+	// st is the sweep's status. ID, Tenant, Priority, Candidates and Cells
+	// are set before the record is shared and never change; every other
+	// field is guarded by mu.
 	st SweepStatus
 }
 
@@ -280,41 +282,10 @@ func (sw *sweep) finish(state SweepState, stats *StatsSummary, best *CandidateSu
 	sw.st.FinishedAt = &now
 }
 
-// streamWriter serializes NDJSON events onto a response, flushing per line
-// and going quiet (rather than erroring the sweep) once the client is gone.
-type streamWriter struct {
-	mu      sync.Mutex
-	w       http.ResponseWriter
-	flush   func()
-	enc     *json.Encoder
-	stopped bool
-}
-
-func newStreamWriter(w http.ResponseWriter) *streamWriter {
-	sw := &streamWriter{w: w, enc: json.NewEncoder(w), flush: func() {}}
-	if f, ok := w.(http.Flusher); ok {
-		sw.flush = f.Flush
-	}
-	return sw
-}
-
-func (sw *streamWriter) send(ev Event) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	if sw.stopped {
-		return
-	}
-	if err := sw.enc.Encode(ev); err != nil {
-		sw.stopped = true
-		return
-	}
-	sw.flush()
-}
-
 // restoredSweep rebuilds a sweep record from its persisted status. The
 // cancel hook is a no-op: nothing is running.
 func restoredSweep(st SweepStatus) *sweep {
-	sw := &sweep{cancel: func() {}, log: newEventLog(), st: st}
+	sw := &sweep{cancel: func() {}, log: newEventLog(false), st: st}
 	// The live event history died with the old process; synthesize the
 	// terminal event so GET /sweeps/{id}/stream on a restored sweep returns
 	// a closed one-line stream instead of hanging.
@@ -328,6 +299,11 @@ func restoredSweep(st SweepStatus) *sweep {
 
 // --- the POST /sweep handler ---------------------------------------------
 
+// handleSweep admits a sweep, runs it on its own goroutine and serves the
+// response the way GET /sweeps/{id}/stream does: by following the sweep's
+// event log, so the sweep never waits on its client. Once the follower ends
+// (terminal event sent, client gone, or a write deadline missed) the sweep
+// is canceled, a no-op if it finished, and joined.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var spec dse.Spec
 	if !intake.Decode(w, r, intake.BodyLimit, true, "sweep spec", &spec) {
@@ -337,7 +313,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	cells := len(cands) * len(graphs)
 
 	tenant := spec.Tenant
 	if tenant == "" {
@@ -352,14 +327,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	sw := &sweep{
 		cancel: cancel,
-		log:    newEventLog(),
+		log:    newEventLog(true),
 		st: SweepStatus{
 			ID:         spec.ID,
 			State:      StateQueued,
 			Tenant:     tenant,
 			Priority:   string(priority),
 			Candidates: len(cands),
-			Cells:      cells,
+			Cells:      len(cands) * len(graphs),
 		},
 	}
 	j, aerr := s.register(sw, spec.Workers)
@@ -369,29 +344,39 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		aerr.Write(w)
 		return
 	}
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		s.runSweep(ctx, sw, j, &spec, cands, graphs)
+	}()
+	follow(r.Context(), w, sw, true)
+	cancel()
+	<-ran
+}
+
+// runSweep walks one admitted sweep from its queue wait to its terminal
+// event, then releases its worker slots and appends its history line. Its
+// events only join the sweep's log; followers write them to clients.
+func (s *Server) runSweep(ctx context.Context, sw *sweep, j *job, spec *dse.Spec, cands []arch.Config, graphs []*dnn.Graph) {
+	tenant, priority, cells := sw.st.Tenant, sw.st.Priority, sw.st.Cells
 	defer s.queue.Release(j)
 	// Server shutdown cancels the sweep like a client disconnect would.
-	stopWatch := context.AfterFunc(s.base, cancel)
+	stopWatch := context.AfterFunc(s.base, sw.cancel)
 	defer stopWatch()
 	// However the sweep ends, its final status joins the history log, so
 	// GET /sweeps survives a restart.
 	defer func() { s.persist.record(sw.status(), s.statuses) }()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Sweep-Id", spec.ID)
-	w.WriteHeader(http.StatusOK)
-	stream := newStreamWriter(w)
-	// emit records every event in the sweep's replayable log (the
-	// GET /sweeps/{id}/stream source) and sends it down the POST stream.
 	emit := func(ev Event) {
+		if s.cfg.fault != nil {
+			_ = s.cfg.fault("emit", ev.Type) // a test hook; only its panic counts
+		}
 		sw.log.append(ev)
-		stream.send(ev)
 	}
 	// Terminal backstop: the engine recovers panics at the cell and worker
 	// level, but if anything above those nets still panics, the stream must
 	// end with a typed error event — carrying whatever fault counters the
-	// sweep accumulated — not a dropped connection, and the server must keep
-	// serving its other sweeps.
+	// sweep accumulated — and the server must keep serving its other sweeps.
 	defer func() {
 		v := recover()
 		if v == nil {
@@ -413,7 +398,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-j.granted():
 	default:
-		emit(Event{Type: "queued", SweepID: spec.ID, Tenant: tenant, Priority: string(priority), Position: j.position})
+		emit(Event{Type: "queued", SweepID: spec.ID, Tenant: tenant, Priority: priority, Position: j.position})
 		select {
 		case <-j.granted():
 		case <-ctx.Done():
@@ -517,7 +502,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.persist.flush("preempt")
 		settled := s.ses.SettledCells(cands, graphs, opt)
 		sw.notePreempted()
-		emit(Event{Type: "preempted", SweepID: spec.ID, Tenant: tenant, Priority: string(priority), CheckpointCells: settled})
+		emit(Event{Type: "preempted", SweepID: spec.ID, Tenant: tenant, Priority: priority, CheckpointCells: settled})
 		s.logf("serve: sweep %s: preempted with %d settled cells", spec.ID, settled)
 		s.queue.Yield(j)
 		resumed := false
@@ -532,7 +517,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		sw.markRunning()
-		emit(Event{Type: "resumed", SweepID: spec.ID, Tenant: tenant, Priority: string(priority), CheckpointCells: settled})
+		emit(Event{Type: "resumed", SweepID: spec.ID, Tenant: tenant, Priority: priority, CheckpointCells: settled})
 	}
 	// Every settled cell is on disk before the terminal event is sent.
 	s.persist.flush("final")
