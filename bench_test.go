@@ -244,7 +244,7 @@ func BenchmarkDSESessionSweepWarm(b *testing.B) {
 }
 
 // benchRestarts measures a fresh-session sweep at the given SA portfolio
-// width; restarts after the first race over the session's warm cache.
+// width.
 func benchRestarts(b *testing.B, restarts int) {
 	cands, models, opt := sweepBench()
 	opt.Restarts = restarts
@@ -260,7 +260,9 @@ func benchRestarts(b *testing.B, restarts int) {
 func BenchmarkDSESweepRestarts1(b *testing.B) { benchRestarts(b, 1) }
 
 // BenchmarkDSESweepRestarts4 runs a 4-seed SA portfolio per (candidate,
-// model) cell; the shared cache keeps the cost well under 4x restarts=1.
+// model) cell. The restarts share the cell's graph partition and the cache's
+// intra-core memo; each anneals on group deltas of its own and asks the
+// cache for no group summary.
 func BenchmarkDSESweepRestarts4(b *testing.B) { benchRestarts(b, 4) }
 
 // --- Micro-benchmarks of the framework's hot paths. ---
@@ -637,7 +639,7 @@ func BenchmarkGroupMiss(b *testing.B) {
 	newDeltas := func(ev *eval.Evaluator) []*eval.GroupDelta {
 		deltas := make([]*eval.GroupDelta, len(part.Scheme.Groups))
 		for gj := range deltas {
-			deltas[gj] = ev.NewGroupDelta(part.Scheme, gj)
+			deltas[gj], _ = ev.NewGroupDelta(part.Scheme, gj)
 		}
 		return deltas
 	}

@@ -13,12 +13,15 @@ import (
 // TestExportedDocs is the godoc contract of the library's public packages:
 // the package clause and every exported symbol godoc shows carry a prose doc
 // comment. A grouped const or var is covered by its block's comment, or else
-// by a comment on each spec.
+// by a comment on each spec. Exactly one file of a package has a package
+// comment, starting "Package <name> ": godoc merges every comment put directly
+// above a package clause into the package doc.
 func TestExportedDocs(t *testing.T) {
 	for _, dir := range []string{"dse", "sa", "eval", "serve", "fleet", "intake", "atomicfile"} {
 		fset := token.NewFileSet()
 		paths, _ := filepath.Glob(filepath.Join("internal", dir, "*.go"))
 		var files []*ast.File
+		var pkgDocs []string // the files with a package comment
 		for _, path := range paths {
 			if strings.HasSuffix(path, "_test.go") {
 				continue
@@ -28,6 +31,15 @@ func TestExportedDocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			files = append(files, f)
+			if f.Doc != nil {
+				pkgDocs = append(pkgDocs, path)
+				if want := "Package " + f.Name.Name + " "; !strings.HasPrefix(f.Doc.Text(), want) {
+					t.Errorf("%s: package comment does not start with %q", path, want)
+				}
+			}
+		}
+		if len(pkgDocs) != 1 {
+			t.Errorf("%s: package comments in %v, want exactly one file's", dir, pkgDocs)
 		}
 		p, err := doc.NewFromFiles(fset, files, "gemini/internal/"+dir)
 		if err != nil {

@@ -23,21 +23,25 @@
 //     topology for every evaluator on one cache, so routing is a lock-free
 //     table lookup, and multicast-tree dedup uses
 //     an epoch-stamped visited array instead of per-call map churn.
-//   - Group parsing (core.AnalyzeInto) and traffic accumulation reuse
-//     pooled per-evaluator scratch buffers; after warm-up an SA move's
-//     evaluation touches no heap.
-//   - Evaluators memoize bandwidth-free per-group summaries in an
-//     eval.Cache, finished at the asking evaluator's bandwidths on a hit.
-//     The key is the architecture's analysis fingerprint, the graph's
-//     structural fingerprint (dnn.Graph.Fingerprint), and a fingerprint of
-//     the group's encoding, the batch, the energy parameters and — for
-//     inputs produced outside the group — the DRAM where each producer's
-//     ofmaps live. A group summary is therefore invalidated exactly when
-//     one of those inputs changes: mutating a group's Partition, Core
-//     Groups, or Flow of Data re-evaluates that group, and an
-//     ofmap-destination (OF) change additionally re-evaluates only the
-//     groups that fetch from it. An SA move asks no cache: eval.GroupDelta
-//     re-derives only the pieces of its groups the move changed.
+//   - The annealer evaluates through eval.GroupDelta alone: each group is
+//     computed once when a search starts, and a move re-derives only the
+//     pieces of its groups it changed. Mutating a group's Partition or Core
+//     Groups re-derives that group's changed layers and edges, a Flow of
+//     Data change their DRAM flows, and an ofmap-destination (OF) change
+//     also the DRAM flows of the layers in other groups that fetch from it.
+//     The result folds the best state's per-group evaluations. After
+//     warm-up a move touches no heap, and a search asks no cache.
+//   - Everything else — the graph partitioner's segments and one-shot
+//     evaluations such as a report's — goes through the pipeline: group
+//     parsing (core.AnalyzeInto) and traffic accumulation reuse pooled
+//     per-evaluator scratch buffers, and bandwidth-free per-group summaries
+//     are memoized in an eval.Cache, finished at the asking evaluator's
+//     bandwidths on a hit. The key is the architecture's analysis
+//     fingerprint, the graph's structural fingerprint
+//     (dnn.Graph.Fingerprint), and a fingerprint of the group's encoding,
+//     the batch, the energy parameters and — for inputs produced outside
+//     the group — the DRAM where each producer's ofmaps live, so a summary
+//     is invalidated exactly when one of those inputs changes.
 //   - The intra-core exploration of a (workload, core) pair is memoized in
 //     the same eval.Cache, so every candidate with the same cores, and every
 //     SA move on one of them, explores a workload once.

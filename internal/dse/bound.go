@@ -7,6 +7,7 @@
 // than an invariant could exceed the true optimum's objective and pruning
 // would silently discard the best candidate, so each term carries its
 // soundness argument next to the code that computes it.
+
 package dse
 
 import (

@@ -1,5 +1,6 @@
 // Failure model of the sweep engine: the typed error a panicking cell fails
 // with. See docs/architecture.md "Failure model".
+
 package dse
 
 import "fmt"

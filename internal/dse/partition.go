@@ -2,6 +2,7 @@
 // architecture, graph, batch and partitioner options, never of the SA seed,
 // iterations or restarts. A session keeps each answer with its
 // architecture's pool entry, so a reseeded sweep re-runs only the anneal.
+
 package dse
 
 import (

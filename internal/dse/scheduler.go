@@ -7,6 +7,7 @@
 // schedules, never changes results. On resumed sessions the incumbent is
 // additionally seeded from fully checkpointed candidates, so pruning is
 // active from the very first task.
+
 package dse
 
 import (

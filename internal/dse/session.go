@@ -5,6 +5,7 @@
 // overlapping sweeps (the experiments figures, a resumed CLI run,
 // chiplet-reuse factors revisiting a base) pay the cold evaluation cost
 // once.
+
 package dse
 
 import (

@@ -155,9 +155,11 @@ func TestCacheCountsReproducible(t *testing.T) {
 		return st
 	}
 	// One worker's counts: they move only if the sweep's cache lookups do.
+	// They were 362 / 366 while the annealer measured its start and its
+	// result through the cache; every lookup left is the partitioner's.
 	one := counts(1)
-	if one.Hits != 362 || one.Misses != 366 {
-		t.Fatalf("1 worker: %d hits / %d misses, want 362 / 366", one.Hits, one.Misses)
+	if one.Hits != 350 || one.Misses != 350 {
+		t.Fatalf("1 worker: %d hits / %d misses, want 350 / 350", one.Hits, one.Misses)
 	}
 	for run := range 5 {
 		if two := counts(2); two.Hits != one.Hits || two.Misses != one.Misses {

@@ -5,6 +5,7 @@
 // the mapping options, all as plain JSON. Spec.Options, Spec.Candidates and
 // Spec.Graphs resolve it into the in-memory types Session.RunContext
 // consumes, so every front end shares one validation and defaulting path.
+
 package dse
 
 import (

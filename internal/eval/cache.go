@@ -178,7 +178,7 @@ type routeKey struct {
 
 // Cache is the concurrency-safe group-summary store every Evaluator reads
 // and writes. One cache may back many evaluators — and therefore span
-// architecture candidates, models, SA restarts and whole DSE runs. Summaries
+// architecture candidates, models and whole DSE runs. Summaries
 // are pure functions of their keys, so serving from the cache is
 // bit-identical to recomputing; because they are bandwidth-free, a hit may
 // have been paid for by a bandwidth sibling of the asking evaluator — and a

@@ -37,13 +37,9 @@ type GroupDelta struct {
 	layers []deltaLayer // by MS index
 	edges  []deltaEdge  // every edge whose producer and consumer are in the group
 
-	st  [2]deltaState
-	cur int // st[cur] is the current state, st[1-cur] the spare
-	// pending is, by MS index, what the move being tried changed. Until a
-	// move is kept the current state holds no pieces, so every piece stays
-	// marked stale.
-	pending []uint8
-	kept    bool
+	st      [2]deltaState
+	cur     int          // st[cur] is the current state, st[1-cur] the spare
+	pending []uint8      // by MS index: what the move being tried changed
 	sum     groupSummary // what the last evaluation computed
 
 	owner []coreOwner // by core: the fold's scratch
@@ -93,9 +89,10 @@ const (
 type coreOwner struct{ ms, pw int32 }
 
 // NewGroupDelta sets up the delta evaluation of group gi of s on this
-// evaluator, with every piece stale: the first evaluation computes the whole
-// group.
-func (e *Evaluator) NewGroupDelta(s *core.Scheme, gi int) *GroupDelta {
+// evaluator: it computes the whole group into the current state, without
+// asking or filling the cache, and returns the group's evaluation, which is
+// EvaluateGroup's.
+func (e *Evaluator) NewGroupDelta(s *core.Scheme, gi int) (*GroupDelta, GroupResult) {
 	lms := s.Groups[gi]
 	n := len(lms.MSs)
 	d := &GroupDelta{
@@ -119,9 +116,6 @@ func (e *Evaluator) NewGroupDelta(s *core.Scheme, gi int) *GroupDelta {
 			tr: e.Net.NewTraffic(), once: e.Net.NewTraffic(),
 		}
 	}
-	for i := range d.pending {
-		d.pending[i] = staleGeom
-	}
 	// The pipeline depth, the longest chain of in-group edges: layer IDs are
 	// topological, so visiting the MSs by ascending layer visits every
 	// producer before its consumers.
@@ -140,7 +134,13 @@ func (e *Evaluator) NewGroupDelta(s *core.Scheme, gi int) *GroupDelta {
 		}
 		d.depth = max(d.depth, depth[c])
 	}
-	return d
+	// Every piece changed from the empty state: the group whole.
+	for i := range d.pending {
+		d.pending[i] = staleGeom
+	}
+	res := e.EvaluateGroupDelta(d, s)
+	d.Settle(true)
+	return d, res
 }
 
 // Changed marks MS ms of the group as changed in its Part or core group by
@@ -158,11 +158,9 @@ func (d *GroupDelta) ChangedFD(ms int) { d.pending[ms] |= staleDRAM }
 // into, the current state.
 func (d *GroupDelta) Settle(accept bool) {
 	if accept {
-		d.cur, d.kept = 1-d.cur, true
+		d.cur = 1 - d.cur
 	}
-	if d.kept {
-		clear(d.pending)
-	}
+	clear(d.pending)
 }
 
 // Computed returns the summary the last EvaluateGroupDelta computed.

@@ -12,6 +12,7 @@
 // Float fields survive the JSON round trip bit-exactly (Go encodes the
 // shortest representation that parses back to the same value), so a
 // disk-served summary is bit-identical to the recomputation it replaces.
+
 package eval
 
 import (

@@ -6,9 +6,10 @@
 // depth; energy sums per-component operation counts times unit energies.
 //
 // A group is evaluated either through the memoized pipeline (EvaluateGroup,
-// whose summaries a Cache stores) or, for a simulated-annealing move, through
-// a GroupDelta, which recomputes only what the move changed and bypasses the
-// Cache: a move's group is almost never asked for again.
+// whose summaries a Cache stores) or, in a simulated-annealing search, through
+// a GroupDelta, which computes the group once and then recomputes only what
+// each move changed, and bypasses the Cache: an annealed group is almost never
+// asked for again.
 package eval
 
 import (
@@ -80,11 +81,11 @@ func AvgLayersPerGroup(s *core.Scheme) float64 {
 // (NewWithCache) — keyed by the architecture's AnalysisFingerprint, the
 // graph's structural fingerprint and a fingerprint of the group's encoding
 // (plus the cross-group flow-of-data context it reads), so a group evaluated
-// again — an annealer's input scheme on a later restart, say — on this
-// architecture or, through a shared Cache, on any bandwidth sibling of it
-// skips the whole pipeline. The graph partitioner's stripe segments live in
-// the same store under a name instead of a content hash (SegmentKey), which
-// spares a hit the LMS it would only build to hash. A *dnn.Graph must not be
+// again on this architecture or, through a shared Cache, on any bandwidth
+// sibling of it skips the whole pipeline. The graph partitioner's stripe
+// segments live in the same store under a name instead of a content hash
+// (SegmentKey), which spares a hit the LMS it would only build to hash. A
+// *dnn.Graph must not be
 // mutated after schemes referencing it have been evaluated (it holds its
 // fingerprint). Params may change between evaluations (it is hashed into the
 // fingerprint) but must not be written concurrently with an in-flight
@@ -240,7 +241,7 @@ func (e *Evaluator) summary(s *core.Scheme, gi int, sum *groupSummary) {
 	}
 }
 
-// groupKey is the content key of group gi of s: the SA path's key.
+// groupKey is the content key of group gi of s: EvaluateGroup's key.
 func (e *Evaluator) groupKey(s *core.Scheme, gi int) CacheKey {
 	return CacheKey{Arch: e.analysisFP, Graph: s.Graph.Fingerprint(), FP: e.groupFingerprint(s, gi)}
 }
@@ -283,7 +284,7 @@ func (e *Evaluator) LookupGroup(key CacheKey, batch int, res *GroupResult) bool 
 // EvaluateGroupAs is the miss half of LookupGroup: it runs the pipeline on
 // group gi of s, stores the summary under key — which must be the SegmentKey
 // of exactly that group — and returns the finished result. On a monolithic
-// array it is the SA-path miss under the caller's key. What it stores for a
+// array it is EvaluateGroup's miss under the caller's key. What it stores for a
 // feasible segment of a multi-chiplet array is the one allocation it makes.
 func (e *Evaluator) EvaluateGroupAs(key CacheKey, s *core.Scheme, gi int) (res GroupResult) {
 	var sum groupSummary
@@ -621,9 +622,16 @@ func (e *Evaluator) groupFingerprint(s *core.Scheme, gi int) uint64 {
 // Evaluate evaluates a full scheme: groups run one after another, so delays
 // and energies sum.
 func (e *Evaluator) Evaluate(s *core.Scheme) Result {
-	res := Result{Feasible: true, Groups: make([]GroupResult, len(s.Groups))}
-	for gi := range s.Groups {
-		gr := e.EvaluateGroup(s, gi)
+	return Fold(len(s.Groups), func(gi int) GroupResult { return e.EvaluateGroup(s, gi) })
+}
+
+// Fold is the evaluation of a scheme of n groups whose group gi evaluates to
+// group(gi), asked in order: the delays and energies summed. It stops at the
+// first infeasible group, whose successors it neither asks for nor records.
+func Fold(n int, group func(gi int) GroupResult) Result {
+	res := Result{Feasible: true, Groups: make([]GroupResult, n)}
+	for gi := range n {
+		gr := group(gi)
 		res.Groups[gi] = gr
 		if !gr.Feasible {
 			res.Feasible = false

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -728,6 +729,33 @@ func TestLeaseCandidatesRange(t *testing.T) {
 	}
 	if len(got) != 2 || got[0].Name != all[0].Name || got[1].Name != all[len(all)-1].Name {
 		t.Fatalf("resolved %v, want the first and last candidates", got)
+	}
+}
+
+// TestShardOptionsCapParallelism: a lease's spec cannot raise a worker's
+// parallelism past GOMAXPROCS, however many workers it asks for, while a
+// spec that asks for fewer, and a worker's own Workers setting, are kept.
+// Only the options are resolved: no sweep runs.
+func TestShardOptionsCapParallelism(t *testing.T) {
+	spec := parseSpec(t, testSpecJSON("cap"))
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct {
+		spec, worker, want int
+	}{
+		{1 << 20, 0, procs},
+		{1, 0, 1},
+		{0, 0, 0}, // the sweep's own default, GOMAXPROCS
+		{1 << 20, 3, 3},
+		{1, 3, 3},
+	} {
+		spec.Workers = c.spec
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("spec workers %d: %v", c.spec, err)
+		}
+		cfg := WorkerConfig{Workers: c.worker}
+		if got := cfg.shardOptions(&spec).Workers; got != c.want {
+			t.Errorf("spec workers %d, worker Workers %d: shard runs %d workers, want %d", c.spec, c.worker, got, c.want)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@
 // exactly the decode path the handlers use. Objectives on the wire are
 // always achieved values, finite and positive — "no incumbent yet" travels
 // as IncumbentState.Found=false, never as +Inf, which JSON cannot carry.
+
 package fleet
 
 import (

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -30,7 +31,7 @@ type WorkerConfig struct {
 	// 500ms).
 	Poll time.Duration
 	// Workers overrides the shard spec's parallelism when > 0; 0 runs each
-	// shard at the spec's own Workers setting.
+	// shard at the spec's own Workers setting, at most GOMAXPROCS.
 	Workers int
 	// ExitWhenIdle returns from RunWorker the first time the coordinator
 	// answers 204 (no shard pending) instead of polling. Benchmarks and
@@ -51,6 +52,21 @@ func (c *WorkerConfig) name() string {
 		return c.Name
 	}
 	return fmt.Sprintf("worker-%d", os.Getpid())
+}
+
+// shardOptions resolves a leased shard's spec into the options the worker
+// runs it at. Workers, when set, is the parallelism; otherwise the spec's is,
+// capped at GOMAXPROCS: whoever submitted the spec sized it for no process
+// in particular, and a shard runs that many of its cells at once.
+func (c *WorkerConfig) shardOptions(spec *dse.Spec) dse.Options {
+	opt := spec.Options()
+	switch procs := runtime.GOMAXPROCS(0); {
+	case c.Workers > 0:
+		opt.Workers = c.Workers
+	case opt.Workers > procs:
+		opt.Workers = procs
+	}
+	return opt
 }
 
 func (c *WorkerConfig) poll() time.Duration {
@@ -157,10 +173,7 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) {
 	ex := newExchange()
 	ex.fold(lease.Incumbent.best())
 
-	opt := lease.Spec.Options()
-	if w.cfg.Workers > 0 {
-		opt.Workers = w.cfg.Workers
-	}
+	opt := w.cfg.shardOptions(&lease.Spec)
 	opt.Incumbent = ex.Best
 
 	// Each settled candidate pokes the heartbeat loop. OnResult calls are

@@ -7,9 +7,9 @@ import (
 	"gemini/internal/eval"
 )
 
-// TestMovePathAllocFree pins measure, (*state).cost and (*annealer).step
-// allocation-free: after warm-up, one SA move's
-// re-measurement and cost fold perform zero heap allocations, and so does a
+// TestMovePathAllocFree pins measure, cost and (*annealer).step
+// allocation-free: after warm-up, one group's re-measurement and the cost fold
+// perform zero heap allocations, and so does a
 // whole iteration — pick, copy into the spare LMS, operator, re-measure,
 // decide, swap or restore — unless it improves on the best scheme, which takes
 // real clones. A move is evaluated through the delta path, which touches
@@ -17,23 +17,22 @@ import (
 // the delta path's. internal/eval/alloc_test.go pins the evaluator's pipeline.
 func TestMovePathAllocFree(t *testing.T) {
 	s, ev, _ := setup(t)
-	n := len(s.Groups)
-	st := &state{energy: make([]float64, n), delay: make([]float64, n), feas: make([]bool, n)}
-	for gi := 0; gi < n; gi++ {
-		measure(ev, s, st, gi) // warm the evaluator memo and scratch pools
+	groups := make([]eval.GroupResult, len(s.Groups))
+	for gi := range groups {
+		groups[gi] = measure(ev, s, gi) // warm the evaluator memo and scratch pools
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		measure(ev, s, st, 0)
-		_ = st.cost(1, 1)
+		groups[0] = measure(ev, s, 0)
+		_ = cost(groups, 1, 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("SA move path allocates %.0f times per move, want 0", allocs)
 	}
 
 	// One seeded search, replayed over the deltas the first run grew: a
-	// replay marks every piece changed, so a group's first visit recomputes
-	// it whole, and every second replay puts each piece in the buffer the
-	// first run grew it in. The third run is counted.
+	// replay recomputes every delta whole for the input scheme, so each piece
+	// changes buffers once, and every second replay puts each piece in the
+	// buffer the first run grew it in. The third run is counted.
 	opt := DefaultOptions()
 	opt.Iterations = 600
 	var deltas []*eval.GroupDelta
@@ -44,6 +43,8 @@ func TestMovePathAllocFree(t *testing.T) {
 				for x := range lms.MSs {
 					deltas[gj].Changed(x)
 				}
+				ev.EvaluateGroupDelta(deltas[gj], a.s)
+				deltas[gj].Settle(true)
 			}
 			a.deltas = deltas
 		}

@@ -1,6 +1,7 @@
 package sa
 
 import (
+	"reflect"
 	"testing"
 
 	"gemini/internal/arch"
@@ -26,7 +27,8 @@ const hot, cold = 1, 0.002
 // deltaTally counts what the delta oracle saw: applied moves by operator,
 // delta-computed summaries checked, the OP5 summaries computed in the mutated
 // group and in a group reading a re-sourced ofmap, and the rejected moves that
-// re-measured a group no move had yet been kept on.
+// re-measured a group no move had yet been kept on, whose current state is
+// still the one NewGroupDelta computed.
 type deltaTally struct {
 	applied                              [5]int
 	checked, fdOwn, fdRead, rejectedCold int
@@ -81,10 +83,12 @@ func runDelta(t testing.TB, s *core.Scheme, cfg *arch.Config, seed int64, iters 
 // a cold one of TinyTransformer, on a multi-chiplet mesh, a monolithic mesh
 // and a folded torus, and one of ResNet-50 on small GLBs, where every summary
 // the delta path computes from the pieces the move changed — after accepted
-// moves and rejected ones — equals summarizeGroup's from scratch bit for bit. All five operators must occur,
-// OP5 summaries both in the mutated group and in a group reading the layer
-// whose ofmap destination moved, and, even under -short, rejected moves on
-// groups no move has been kept on, whose pieces all stay stale.
+// moves and rejected ones — equals summarizeGroup's from scratch bit for bit.
+// All five operators must occur, OP5 summaries both in the mutated group and
+// in a group reading the layer whose ofmap destination moved, and, even under
+// -short, rejected moves on groups no move has been kept on: a rejection must
+// leave the state NewGroupDelta computed intact for the next move to start
+// from.
 func TestDeltaMatchesFromScratch(t *testing.T) {
 	var tally deltaTally
 	for _, cfg := range deltaArchs() {
@@ -149,28 +153,67 @@ func FuzzDeltaSummary(f *testing.F) {
 	})
 }
 
-// TestAnnealStoresNoMoveSummaries: a move is evaluated through the delta path
-// alone, so an anneal stores in the shared cache only what its start measures
-// and what the final evaluation of its best scheme adds — at most one entry
-// per group beyond an anneal of zero iterations — however many moves it
-// applies.
+// TestAnnealStoresNoMoveSummaries: an anneal starts, moves and ends on its
+// group deltas alone, so on a fresh cache it asks nothing and stores nothing,
+// however many moves it applies and however many restarts it runs.
 func TestAnnealStoresNoMoveSummaries(t *testing.T) {
 	cfg := arch.GArch72()
 	s := splitScheme(t, dnn.TinyCNN(), &cfg, 3, 2, 8)
-	anneal := func(iters int) (Result, int) {
+	for _, iters := range []int{0, 600} {
 		cache := eval.NewCache()
 		opt := DefaultOptions()
 		opt.Iterations = iters
-		r := Optimize(s, eval.NewWithCache(&cfg, cache), opt)
-		return r, cache.Stats().Entries
+		p := MultiStart(s, eval.NewWithCache(&cfg, cache), opt, 2)
+		if st := cache.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+			t.Errorf("%d iterations x 2 restarts (%d moves applied): cache %+v, want no hits, misses or entries",
+				iters, p.Best.Applied, st)
+		}
+		if iters > 0 && p.Best.Applied < iters/2 {
+			t.Errorf("%d of %d moves applied: too few to tell", p.Best.Applied, iters)
+		}
 	}
-	_, base := anneal(0)
-	r, entries := anneal(600)
-	if entries > base+len(s.Groups) {
-		t.Errorf("600 iterations (%d moves applied) left %d cache entries, want at most %d from 0 iterations + %d groups",
-			r.Applied, entries, base, len(s.Groups))
-	}
-	if r.Applied < 300 {
-		t.Errorf("%d of 600 moves applied: too few to tell", r.Applied)
+}
+
+// TestAnnealResultMatchesEvaluate holds what an anneal reports against the
+// pipeline: its Eval deep-equals a fresh evaluator's Evaluate of the scheme it
+// returns, and its InitCost is the input's cost from scratch. The cases run no
+// move, a few, many, a search its Stop hook cuts short and a portfolio of
+// three restarts, on every delta oracle array, over TinyTransformer in groups
+// of two layers, so OF moves re-measure reading groups whose LMS they leave
+// alone and the best snapshot must take their evaluations too.
+func TestAnnealResultMatchesEvaluate(t *testing.T) {
+	for _, cfg := range deltaArchs() {
+		s := splitScheme(t, dnn.TinyTransformer(), &cfg, 2, 2, 8)
+		opt := DefaultOptions()
+		opt.InitTemp = hot
+		initCost := fromScratch(t, "input", s, &cfg, nil, opt)
+		cases := []struct {
+			name string
+			run  func(ev *eval.Evaluator) Result
+		}{
+			{"0 iterations", func(ev *eval.Evaluator) Result { o := opt; o.Iterations = 0; return Optimize(s, ev, o) }},
+			{"150 iterations", func(ev *eval.Evaluator) Result { o := opt; o.Iterations = 150; return Optimize(s, ev, o) }},
+			{"1500 iterations", func(ev *eval.Evaluator) Result { o := opt; o.Iterations = 1500; return Optimize(s, ev, o) }},
+			{"stopped", func(ev *eval.Evaluator) Result {
+				o, polls := opt, 0
+				o.Iterations = 1500
+				o.Stop = func() bool { polls++; return polls == 10 }
+				r := Optimize(s, ev, o)
+				if !r.Abandoned {
+					t.Error("the Stop hook did not stop the search")
+				}
+				return r
+			}},
+			{"3 restarts", func(ev *eval.Evaluator) Result { o := opt; o.Iterations = 400; return MultiStart(s, ev, o, 3).Best }},
+		}
+		for _, c := range cases {
+			r := c.run(eval.New(&cfg))
+			if want := eval.New(&cfg).Evaluate(r.Scheme); !reflect.DeepEqual(r.Eval, want) {
+				t.Errorf("%s, %s: Result.Eval\n%+v\nEvaluate of Result.Scheme\n%+v", cfg.Name, c.name, r.Eval, want)
+			}
+			if r.InitCost != initCost {
+				t.Errorf("%s, %s: InitCost %v, input from scratch %v", cfg.Name, c.name, r.InitCost, initCost)
+			}
+		}
 	}
 }

@@ -32,36 +32,41 @@ func splitScheme(t testing.TB, g *dnn.Graph, cfg *arch.Config, per, bu, batch in
 	return s
 }
 
-// fromScratch folds a fresh evaluator's EvaluateGroup over every group of s
-// the way state.cost folds the annealer's incremental entries, and holds the
-// per-group numbers against st when one is given.
-func fromScratch(t testing.TB, what string, s *core.Scheme, cfg *arch.Config, st *state, opt Options) float64 {
+// measure evaluates group gi of s from the scheme alone, through the
+// pipeline and its cache: the from-scratch seam the oracles hold the
+// annealer's delta path against.
+func measure(ev *eval.Evaluator, s *core.Scheme, gi int) eval.GroupResult {
+	return ev.EvaluateGroup(s, gi)
+}
+
+// fromScratch measures every group of s on a fresh evaluator, holds each
+// result against groups, the annealer's incremental evaluation of s, with ==
+// when one is given, and returns their cost.
+func fromScratch(t testing.TB, what string, s *core.Scheme, cfg *arch.Config, groups []eval.GroupResult, opt Options) float64 {
 	t.Helper()
 	if err := s.Validate(cfg); err != nil {
 		t.Fatalf("%s scheme invalid: %v", what, err)
 	}
 	fresh := eval.New(cfg)
-	n := len(s.Groups)
-	ref := state{energy: make([]float64, n), delay: make([]float64, n), feas: make([]bool, n)}
+	ref := make([]eval.GroupResult, len(s.Groups))
 	for gi := range s.Groups {
-		measure(fresh, s, &ref, gi)
-		if st != nil && (st.energy[gi] != ref.energy[gi] || st.delay[gi] != ref.delay[gi] || st.feas[gi] != ref.feas[gi]) {
-			t.Fatalf("%s group %d: incremental energy/delay/feasible %v/%v/%v, from scratch %v/%v/%v",
-				what, gi, st.energy[gi], st.delay[gi], st.feas[gi], ref.energy[gi], ref.delay[gi], ref.feas[gi])
+		ref[gi] = measure(fresh, s, gi)
+		if groups != nil && groups[gi] != ref[gi] {
+			t.Fatalf("%s group %d: incremental\n%+v\nfrom scratch\n%+v", what, gi, groups[gi], ref[gi])
 		}
 	}
-	return ref.cost(opt.Beta, opt.Gamma)
+	return cost(ref, opt.Beta, opt.Gamma)
 }
 
 // checkIncremental holds the annealer's incrementally maintained numbers —
-// per-group energy, delay and feasibility of the current state, its cost, and
-// the cost of the best state — against from-scratch evaluations, bit for bit.
+// the per-group evaluations of the current and of the best state, and their
+// costs — against from-scratch evaluations, bit for bit.
 func checkIncremental(t testing.TB, a *annealer, cfg *arch.Config) {
 	t.Helper()
-	if cur := fromScratch(t, "current", a.s, cfg, &a.st, a.opt); cur != a.cur {
+	if cur := fromScratch(t, "current", a.s, cfg, a.groups, a.opt); cur != a.cur {
 		t.Fatalf("current cost: incremental %v, from scratch %v", a.cur, cur)
 	}
-	if best := fromScratch(t, "best", a.best, cfg, nil, a.opt); best != a.bestCost {
+	if best := fromScratch(t, "best", a.best, cfg, a.bestGroups, a.opt); best != a.bestCost {
 		t.Fatalf("best cost: incremental %v, from scratch %v", a.bestCost, best)
 	}
 	for gi, lms := range a.s.Groups {
@@ -99,9 +104,9 @@ func runIncremental(t testing.TB, s *core.Scheme, cfg *arch.Config, seed int64, 
 // accepted OP5 moves that invalidate consumer groups and rejected moves that
 // restore saved entries among them — on multi-group TinyCNN and
 // TinyTransformer schemes and on the partitioned ResNet-50, the annealer's
-// per-group energy, delay and feasibility and its cost equal a fresh
-// evaluator's EvaluateGroup over the scheme, folded as state.cost folds it,
-// for the current and for the best state.
+// per-group evaluations and its cost equal a fresh evaluator's EvaluateGroup
+// over the scheme, folded as cost folds them, for the current and for the
+// best state.
 func TestIncrementalMatchesFromScratch(t *testing.T) {
 	cfg := arch.GArch72()
 	fd, rejected := 0, 0

@@ -42,9 +42,9 @@ func RestartSeed(base int64, i int) int64 {
 
 // MultiStart anneals the scheme restarts times (<= 1: once) with
 // deterministically derived seeds and folds the runs to the best result.
-// The restarts share the evaluator — and therefore its group-summary cache
-// and the cache's intra-core memo — so a later restart's first
-// measurement of the input scheme is served from the cache. The fold
+// The restarts share the evaluator, and so its cache's intra-core memo and
+// route table, but each computes the input scheme afresh on group deltas of
+// its own and asks the cache for no summary. The fold
 // is a pure deterministic reduction: lowest cost wins, ties break to the
 // lowest restart index, and NaN costs never beat non-NaN ones, so a fixed
 // (scheme, evaluator params, options, restarts) tuple always yields a

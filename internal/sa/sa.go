@@ -2,10 +2,11 @@
 // a simulated-annealing search over the optimization space defined by the
 // layer-centric encoding, driven by the five operators of internal/core.
 // Layer groups are selected with probability proportional to their
-// optimization-space size, and every applied move is evaluated through the
-// Evaluator's delta path, which recomputes only the layers the move changed
-// and stores nothing in the cache, so the search inherently minimizes costly
-// D2D traffic.
+// optimization-space size. The search is evaluated through the Evaluator's
+// delta path alone: each group is computed once at the start, every applied
+// move recomputes only the layers it changed, the result folds the per-group
+// evaluations of the best state, and nothing is asked of or stored in the
+// cache. The search inherently minimizes costly D2D traffic.
 package sa
 
 import (
@@ -90,41 +91,23 @@ func (r Result) Improvement() float64 {
 	return r.InitCost / r.Cost
 }
 
-type state struct {
-	energy []float64 // per-group energy (J)
-	delay  []float64 // per-group delay (s)
-	feas   []bool
-}
-
-// cost folds the per-group energy/delay into the scalar SA objective. It
-// runs once per move, on the hot path.
-func (st *state) cost(beta, gamma float64) float64 {
+// cost folds per-group evaluations into the scalar SA objective,
+// E^beta * D^gamma, +Inf if a group is infeasible. It runs once per move, on
+// the hot path.
+func cost(groups []eval.GroupResult, beta, gamma float64) float64 {
 	var e, d float64
-	for i := range st.energy {
-		if !st.feas[i] {
+	for i := range groups {
+		gr := &groups[i]
+		if !gr.Feasible {
 			return math.Inf(1)
 		}
-		e += st.energy[i]
-		d += st.delay[i]
+		e += gr.Energy.Total()
+		d += gr.Delay
 	}
 	if d <= 0 || e <= 0 {
 		return math.Inf(1)
 	}
 	return math.Pow(e, beta) * math.Pow(d, gamma)
-}
-
-// measure evaluates one group from the scheme alone and records the outcome
-// in the state's reused slices: the from-scratch seam the annealer starts from
-// and the oracles hold its moves against.
-func measure(ev *eval.Evaluator, s *core.Scheme, st *state, gi int) {
-	st.record(gi, ev.EvaluateGroup(s, gi))
-}
-
-// record stores one group's evaluation.
-func (st *state) record(gi int, gr eval.GroupResult) {
-	st.feas[gi] = gr.Feasible
-	st.energy[gi] = gr.Energy.Total()
-	st.delay[gi] = gr.Delay
 }
 
 // annealer is one SA search in progress: the current scheme with its
@@ -137,11 +120,11 @@ type annealer struct {
 	rng *rand.Rand
 	mu  core.Mutator
 
-	// s is the current state; st and cur are its per-group evaluation and
-	// folded cost, re-measured only where a move can have changed them.
-	s   *core.Scheme
-	st  state
-	cur float64
+	// s is the current state; groups and cur are its per-group evaluation
+	// and folded cost, re-measured only where a move can have changed them.
+	s      *core.Scheme
+	groups []eval.GroupResult
+	cur    float64
 	// spare[gi] is the group LMS a move on gi is tried in: the current LMS
 	// is copied into it, mutated and measured there, and on accept the two
 	// trade places, so trying a move allocates nothing.
@@ -151,25 +134,29 @@ type annealer struct {
 	// of MS i of group gi: where an OF move on it re-sources reads. Group
 	// membership is fixed under all five operators, so it is built once.
 	readers [][][]msRef
-	// deltas[gi] is group gi's delta evaluation: the per-layer pieces a miss
-	// recomputes only where the move changed them, in a current/spare pair
-	// that is settled with the move as the LMS pair is.
+	// deltas[gi] is group gi's delta evaluation: the per-layer pieces a move
+	// recomputes only where it changed them, in a current/spare pair that is
+	// settled with the move as the LMS pair is.
 	deltas []*eval.GroupDelta
 	// cumW are cumulative group-selection weights, proportional to
 	// optimization-space size: a pick is a binary search, not an O(n) scan.
 	cumW   []float64
 	totalW float64
 
-	best     *core.Scheme
-	bestCost float64
-	// dirty marks groups where s has drifted from the best snapshot.
+	// best is the best state seen, bestGroups its per-group evaluation.
+	best       *core.Scheme
+	bestGroups []eval.GroupResult
+	bestCost   float64
+	// dirty marks the groups kept moves re-measured since the best snapshot:
+	// the mutated groups, and the groups reading an ofmap one of them moved,
+	// whose LMS is unchanged but whose evaluation is not.
 	dirty []bool
 
 	temp, cooling float64
 
-	// touched holds the groups a move re-measures with their state entries
-	// as the move found them, which a rejected move restores: O(touched)
-	// copies per iteration, not O(n).
+	// touched holds the groups a move re-measures with their evaluations as
+	// the move found them, which a rejected move restores: O(touched) copies
+	// per iteration, not O(n).
 	touched []saved
 
 	// afterMeasure, when set, is called after each group a move re-measures,
@@ -183,11 +170,10 @@ type annealer struct {
 // msRef names MS ms of group g.
 type msRef struct{ g, ms int }
 
-// saved is group g's state entries before a move re-measured it.
+// saved is group g's evaluation before a move re-measured it.
 type saved struct {
-	g             int
-	energy, delay float64
-	feas          bool
+	g  int
+	gr eval.GroupResult
 }
 
 // workingCopy deep-copies a group LMS into core groups with room for all the
@@ -201,8 +187,9 @@ func workingCopy(src *core.LMS, cores int) *core.LMS {
 	return cp
 }
 
-// newAnnealer evaluates the input scheme and sets up a search over a private
-// copy of it. The input scheme is not modified.
+// newAnnealer sets up a search over a private copy of the input scheme,
+// evaluating it as it builds each group's delta. The input scheme is not
+// modified.
 func newAnnealer(input *core.Scheme, ev *eval.Evaluator, opt Options) *annealer {
 	n := len(input.Groups)
 	cores := ev.Cfg.Cores()
@@ -211,7 +198,7 @@ func newAnnealer(input *core.Scheme, ev *eval.Evaluator, opt Options) *annealer 
 		opt: opt, ev: ev, rng: rng,
 		mu:      core.Mutator{Graph: input.Graph, Drams: ev.Cfg.DRAMControllers(), Rng: rng},
 		s:       &core.Scheme{Graph: input.Graph, Batch: input.Batch, Groups: make([]*core.LMS, n)},
-		st:      state{energy: make([]float64, n), delay: make([]float64, n), feas: make([]bool, n)},
+		groups:  make([]eval.GroupResult, n),
 		spare:   make([]*core.LMS, n),
 		cumW:    make([]float64, n),
 		dirty:   make([]bool, n),
@@ -226,13 +213,12 @@ func newAnnealer(input *core.Scheme, ev *eval.Evaluator, opt Options) *annealer 
 	}
 	a.deltas = make([]*eval.GroupDelta, n)
 	for gi := range a.s.Groups {
-		measure(ev, a.s, &a.st, gi)
-		a.deltas[gi] = ev.NewGroupDelta(a.s, gi)
+		a.deltas[gi], a.groups[gi] = ev.NewGroupDelta(a.s, gi)
 	}
-	a.cur = a.st.cost(opt.Beta, opt.Gamma)
+	a.cur = cost(a.groups, opt.Beta, opt.Gamma)
 	a.res.InitCost = a.cur
 	a.readers = ofReaders(a.s)
-	a.best, a.bestCost = a.s.Clone(), a.cur
+	a.best, a.bestGroups, a.bestCost = a.s.Clone(), slices.Clone(a.groups), a.cur
 	if opt.Iterations > 1 && opt.FinalTemp > 0 && opt.InitTemp > 0 {
 		a.cooling = math.Pow(opt.FinalTemp/opt.InitTemp, 1/float64(opt.Iterations-1))
 	}
@@ -254,7 +240,7 @@ func (a *annealer) pick() int {
 // it can have changed, and accept or undo it. It allocates only when the move
 // improves on the best scheme, which is then re-snapshotted.
 func (a *annealer) step() {
-	s, st, opt := a.s, &a.st, &a.opt
+	s, opt := a.s, &a.opt
 	gi := a.pick()
 	a.res.Attempted++
 	old, cand := s.Groups[gi], a.spare[gi]
@@ -297,13 +283,13 @@ func (a *annealer) step() {
 	}
 	for i := range touched {
 		t := &touched[i]
-		t.energy, t.delay, t.feas = st.energy[t.g], st.delay[t.g], st.feas[t.g]
-		st.record(t.g, a.ev.EvaluateGroupDelta(a.deltas[t.g], s))
+		t.gr = a.groups[t.g]
+		a.groups[t.g] = a.ev.EvaluateGroupDelta(a.deltas[t.g], s)
 		if a.afterMeasure != nil {
 			a.afterMeasure(op, gi, t.g)
 		}
 	}
-	next := st.cost(opt.Beta, opt.Gamma)
+	next := cost(a.groups, opt.Beta, opt.Gamma)
 
 	accept := false
 	if next <= a.cur {
@@ -320,16 +306,19 @@ func (a *annealer) step() {
 		a.spare[gi] = old
 		a.res.Accepted++
 		a.res.OpAccepted[int(op)]++
-		a.dirty[gi] = true
+		for _, t := range touched {
+			a.dirty[t.g] = true
+		}
 		if a.cur < a.bestCost {
 			a.bestCost = a.cur
-			// Sync best with s by re-cloning only the groups that have
+			// Sync best with s by re-snapshotting only the groups that have
 			// diverged since the last snapshot. The best scheme is returned
 			// to the caller, so these are real clones: the move path's one
 			// allocation, and only on improvement.
 			for gj, d := range a.dirty {
 				if d {
 					a.best.Groups[gj] = s.Groups[gj].Clone()
+					a.bestGroups[gj] = a.groups[gj]
 					a.dirty[gj] = false
 				}
 			}
@@ -337,7 +326,7 @@ func (a *annealer) step() {
 	} else {
 		s.Groups[gi] = old
 		for _, t := range touched {
-			st.energy[t.g], st.delay[t.g], st.feas[t.g] = t.energy, t.delay, t.feas
+			a.groups[t.g] = t.gr
 		}
 	}
 	a.temp *= a.cooling
@@ -360,7 +349,7 @@ func Optimize(input *core.Scheme, ev *eval.Evaluator, opt Options) Result {
 	res := a.res
 	res.Scheme = a.best
 	res.Cost = a.bestCost
-	res.Eval = ev.Evaluate(a.best)
+	res.Eval = eval.Fold(len(a.bestGroups), func(gi int) eval.GroupResult { return a.bestGroups[gi] })
 	return res
 }
 

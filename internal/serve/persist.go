@@ -7,6 +7,7 @@
 // promises durability, and one history log per DataDir, one line appended
 // per finished sweep. The evaluation cache stays in memory: a restart
 // recomputes only what the checkpoint does not already settle.
+
 package serve
 
 import (

@@ -24,6 +24,7 @@
 // dispatch, yield and release decisions happen entirely inside locked
 // sections, in deterministic order, which is what makes the conformance
 // suite (queue_test.go) reproducible without sleeping.
+
 package serve
 
 import (

@@ -5,6 +5,7 @@
 // reading pace reaches the scheduler. The log holds every event its POST
 // follower has not yet written, so the submitting client loses nothing
 // however far it lags; only a GET follower can fall off the ring.
+
 package serve
 
 import (

@@ -6,6 +6,7 @@
 // server's persister for a checkpoint save per result, flushes it before it
 // parks on preemption and before its terminal event, and has its final
 // status appended to the history log.
+
 package serve
 
 import (

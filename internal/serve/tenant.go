@@ -1,6 +1,7 @@
 // Per-tenant queue state for the sweep queue: one FIFO of waiting jobs and
 // one deficit-round-robin credit per priority class, both indexed by class.
 // A tenantState lives only while its tenant has a job waiting or running.
+
 package serve
 
 import (
