@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -290,9 +291,10 @@ func BenchmarkSAOptimize(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateGroup measures repeated evaluation of one resnet50 layer
-// group on a shared Evaluator — the SA engine's per-iteration unit of work,
-// dominated by rejected-then-retried states that revisit identical groups.
+// BenchmarkEvaluateGroup measures EvaluateGroup over the groups of the
+// DP-partitioned resnet50 on GArch72, one group per call: a from-scratch
+// evaluation, what eval.Report and gemini-map pay per group, with the
+// Explore results the partition left in the evaluator's memo.
 func BenchmarkEvaluateGroup(b *testing.B) {
 	cfg := arch.GArch72()
 	g := dnn.ResNet50()
@@ -469,25 +471,23 @@ func BenchmarkPartitionWarm(b *testing.B) {
 	b.ReportMetric(perSegment, "allocs/segment")
 }
 
-// BenchmarkGroupMiss times what a sweep is made of — an eval.Cache miss — on
-// both paths that produce one, and asserts in-bench what keeps it cheap and
-// right. Segment path: a cold Partition of ResNet-50 on G-Arch-72 looks every
-// (j, i, bu) up once, misses every time and stores one entry per miss; and
-// the miss itself — stripe into the Striper's scratch, summarize, store —
-// run again over a stored name allocates at most the class loads of the
-// cut-free entry it stores. Group path: a seeded walk of the five operators
-// over that partition evaluates each touched group once; every result equals — bit
-// for bit — an uncached evaluation of core.Analyze's canonically sorted flows
-// (the miss path itself sums activation flows unsorted), the cache looked up
-// exactly the states the uncached loop computed with one entry per miss and no
-// flush, and the miss pipeline run again over a stored key allocates nothing.
-// What a first-time miss does allocate is what it stores — the cache entry
-// and a memo entry per workload not seen before — reported as
-// allocs/cold-segment. Delta path: the same walk through one eval.GroupDelta
-// per group, each move marked as the annealer marks it, gives the same
-// result at every state, leaves the cache untouched, and — replayed over warm
-// deltas — allocates nothing; ns/delta-miss is its time per state beside the
-// full pipeline's ns/miss.
+// BenchmarkGroupMiss times what a sweep is made of — a group computed rather
+// than looked up — on the paths that compute one, and asserts in-bench what
+// keeps it cheap and right. Segment path: a cold Partition of ResNet-50 on
+// G-Arch-72 looks every (j, i, bu) up once, misses every time and stores one
+// entry per miss; and the miss itself — stripe into the Striper's scratch,
+// summarize, store — run again over a stored name allocates at most the class
+// loads of the cut-free entry it stores. What a first-time miss does allocate
+// is what it stores — the cache entry and a memo entry per workload not seen
+// before — reported as allocs/cold-segment. Group path: a seeded walk of the
+// five operators over that partition evaluates each touched group once with
+// EvaluateGroup, from scratch; every result equals — bit for bit — an
+// evaluation of core.Analyze's canonically sorted flows (EvaluateGroup sums
+// activation flows unsorted), the walk leaves the evaluator's cache untouched,
+// and ns/miss is its time per state. Delta path: the same walk through one
+// eval.GroupDelta per group, each move marked as the annealer marks it, gives
+// the same result at every state, leaves the cache untouched, and — replayed
+// over warm deltas — allocates nothing; ns/delta-miss is its time per state.
 func BenchmarkGroupMiss(b *testing.B) {
 	cfg := arch.GArch72()
 	g := dnn.ResNet50()
@@ -560,7 +560,6 @@ func BenchmarkGroupMiss(b *testing.B) {
 		want = append(want, uncached.EvaluateAnalysis(an, s.Batch))
 	})
 
-	var st eval.CacheStats
 	var ev *eval.Evaluator
 	var last *core.Scheme
 	var lastGroup int
@@ -573,19 +572,19 @@ func BenchmarkGroupMiss(b *testing.B) {
 		k := 0
 		walk(func(s *core.Scheme, gi int, _ core.Op, _ *core.Mutator) {
 			if got := ev.EvaluateGroup(s, gi); got != want[k] {
-				b.Fatalf("state %d (group %d): cached path %+v, uncached over sorted flows %+v", k, gi, got, want[k])
+				b.Fatalf("state %d (group %d): EvaluateGroup %+v, over sorted flows %+v", k, gi, got, want[k])
 			}
 			k++
 			last, lastGroup = s, gi
 		})
 		b.StopTimer()
-		st = cache.Stats()
-		if st.Hits+st.Misses != int64(len(want)) || st.Misses != int64(st.Entries) || st.Flushes != 0 || st.Misses < st.Hits {
-			b.Fatalf("SA walk over %d states: %+v; want one lookup per state, one entry per miss, no flush, mostly misses", len(want), st)
+		if st := cache.Stats(); st != (eval.CacheStats{}) {
+			b.Fatalf("EvaluateGroup walk: %+v; want the cache untouched", st)
 		}
 		b.StartTimer()
 	}
 	b.StopTimer()
+	states := float64(len(want))
 
 	// The delta path: the walk again through one GroupDelta per group, each
 	// move marked as the annealer marks it — the MSs the operator changed, and
@@ -654,41 +653,55 @@ func BenchmarkGroupMiss(b *testing.B) {
 			b.Fatalf("delta walk: %+v; want the cache untouched", ds)
 		}
 	}
-	// Replayed over warm deltas — every piece marked changed, so each group's
-	// first visit recomputes it whole — and a warm memo, every state of the
-	// walk is computed through the delta path without allocating.
+	// Replayed over warm deltas and a warm memo, every state of the walk is
+	// computed through the delta path without allocating. A replay first
+	// re-derives every delta whole for the partition's scheme, as a search's
+	// deltas start, so each piece changes buffers once and every second
+	// replay puts each piece in the buffer the first one grew it in. The
+	// third replay is counted on one P with the collector off, after a
+	// collection whose aftermath the replay's set-up gives time to settle: the
+	// malloc count is the process's, and the runtime allocates too — its own
+	// goroutines after each collection (the unique-map cleanup, the mark
+	// workers), and a new M when restarting the world that ReadMemStats
+	// stops wakes another P.
 	deltas := newDeltas(ev)
 	replay := func() uint64 {
 		for gj, lms := range part.Scheme.Groups {
 			for x := range lms.MSs {
 				deltas[gj].Changed(x)
 			}
+			ev.EvaluateGroupDelta(deltas[gj], part.Scheme)
+			deltas[gj].Settle(true)
 		}
 		return deltaWalk(ev, deltas, true)
 	}
 	replay()
 	replay()
-	if allocs := replay(); allocs != 0 {
+	procs, gcPercent := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
+	runtime.GC()
+	allocs := replay()
+	runtime.GOMAXPROCS(procs)
+	debug.SetGCPercent(gcPercent)
+	if allocs != 0 {
 		b.Fatalf("a replay of the walk's %d delta misses allocates %d times, want 0", len(want), allocs)
 	}
 
 	// EvaluateGroupAs is the miss pipeline under a caller's key: run over one
 	// key again and again it recomputes and overwrites, so the count is the
 	// pipeline's own, without the map growth a new entry may cost. On a
-	// monolithic array it stores what a group-key miss stores, a
-	// groupSummary by value; G-Arch's array without its cut is one, and the scheme is valid
-	// on it.
+	// monolithic array it stores a groupSummary by value; G-Arch's array
+	// without its cut is one, and the scheme is valid on it.
 	mono := cfg
 	mono.XCut, mono.YCut = 1, 1
 	monoEv := eval.NewWithCache(&mono, eval.NewCache())
 	key := eval.CacheKey{Arch: 1, Graph: 2, FP: 3}
 	monoEv.EvaluateGroupAs(key, last, lastGroup)
 	if perMiss := testing.AllocsPerRun(100, func() { monoEv.EvaluateGroupAs(key, last, lastGroup) }); perMiss != 0 {
-		b.Fatalf("a group-key miss allocates %.0f times, want 0", perMiss)
+		b.Fatalf("a monolithic segment miss allocates %.0f times, want 0", perMiss)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.Misses), "ns/miss")
-	b.ReportMetric(float64(deltaTime.Nanoseconds())/float64(b.N)/float64(st.Misses), "ns/delta-miss")
-	b.ReportMetric(float64(st.Misses), "misses")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/states, "ns/miss")
+	b.ReportMetric(float64(deltaTime.Nanoseconds())/float64(b.N)/states, "ns/delta-miss")
+	b.ReportMetric(states, "states")
 	b.ReportMetric(perColdSegment, "allocs/cold-segment")
 }
 

@@ -137,21 +137,23 @@ func main() {
 	start := time.Now()
 	// The error only reports cancellation, and this context never cancels.
 	results, ss, _ := ses.RunContext(context.Background(), cands, graphs, opt)
-	fmt.Printf("explored in %v\n", time.Since(start).Round(time.Second))
+	// How the sweep ran depends on time and on how its workers interleave, so
+	// it goes to stderr, and two runs of one sweep print the same stdout.
+	log.Printf("explored in %v", time.Since(start).Round(time.Second))
 	st := ses.CacheStats()
-	fmt.Printf("shared cache: %d hits / %d misses (%.1f%% hit rate), %d entries; %d cells resumed\n",
+	log.Printf("shared cache: %d hits / %d misses (%.1f%% hit rate), %d entries; %d cells resumed",
 		st.Hits, st.Misses, 100*st.HitRate(), st.Entries, ses.ResumedCells())
-	fmt.Printf("scheduler: %d/%d candidates pruned, %d cells resumed, %d restarts abandoned by the incumbent, %d SA iterations\n",
+	log.Printf("scheduler: %d/%d candidates pruned, %d cells resumed, %d restarts abandoned by the incumbent, %d SA iterations",
 		ss.PrunedCandidates, ss.Candidates, ss.ResumedCells, ss.AbandonedRestarts, ss.SAIterations)
 	if ss.Panics > 0 {
-		fmt.Printf("faults: %d recovered panics\n", ss.Panics)
+		log.Printf("faults: %d recovered panics", ss.Panics)
 	}
 	if len(ss.Trajectory) > 0 {
-		fmt.Print("incumbent trajectory:")
+		var b strings.Builder
 		for _, step := range ss.Trajectory {
-			fmt.Printf("  %.4g (%s)", step.Obj, step.Candidate)
+			fmt.Fprintf(&b, "  %.4g (%s)", step.Obj, step.Candidate)
 		}
-		fmt.Println()
+		log.Printf("incumbent trajectory:%s", b.String())
 	}
 	fmt.Println()
 

@@ -34,14 +34,14 @@
 //   - Everything else — the graph partitioner's segments and one-shot
 //     evaluations such as a report's — goes through the pipeline: group
 //     parsing (core.AnalyzeInto) and traffic accumulation reuse pooled
-//     per-evaluator scratch buffers, and bandwidth-free per-group summaries
-//     are memoized in an eval.Cache, finished at the asking evaluator's
-//     bandwidths on a hit. The key is the architecture's analysis
-//     fingerprint, the graph's structural fingerprint
-//     (dnn.Graph.Fingerprint), and a fingerprint of the group's encoding,
-//     the batch, the energy parameters and — for inputs produced outside
-//     the group — the DRAM where each producer's ofmaps live, so a summary
-//     is invalidated exactly when one of those inputs changes.
+//     per-evaluator scratch buffers. One-shot evaluations compute every
+//     group. The partitioner's segments are memoized in an eval.Cache as
+//     bandwidth-free summaries, finished at the asking evaluator's
+//     bandwidths on a hit, under a name: the architecture's analysis
+//     fingerprint (without the chiplet cut on a multi-chiplet array), the
+//     graph's structural fingerprint (dnn.Graph.Fingerprint), and a hash of
+//     the energy parameters, the batch, the batch unit and the segment's
+//     layer range, which with the core array determine its stripe mapping.
 //   - The intra-core exploration of a (workload, core) pair is memoized in
 //     the same eval.Cache, so every candidate with the same cores, and every
 //     SA move on one of them, explores a workload once.
@@ -52,15 +52,16 @@
 // held by the graph, so a later mutation would go unseen; because the key
 // is structural rather than the pointer, a rebuilt copy of the same model
 // hits the same entries. Changing an Evaluator's Params between evaluations
-// is safe — parameters are part of the fingerprint — but not concurrently
+// is safe — parameters are part of a segment's name — but not concurrently
 // with an in-flight evaluation.
 //
 // All of this is deterministic: a fixed SA seed yields a bit-identical best
 // cost and scheme whether results come from the memo or from scratch (see
 // TestGoldenSAResNet50), and the DSE layer's (candidate, model) worker pool
 // only reorders work, never results. Hot-loop throughput is measured by
-// BenchmarkSAOptimize and BenchmarkEvaluateGroup, and layer by layer by
-// `go run ./bench`.
+// BenchmarkSAOptimize and BenchmarkGroupMiss (a group computed from scratch,
+// as a segment miss and through the annealer's delta path), and layer by
+// layer by `go run ./bench`.
 package gemini
 
 import (

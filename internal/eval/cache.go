@@ -70,14 +70,12 @@ func hashArrayRest(h uint64, cfg *arch.Config) uint64 {
 	return h
 }
 
-// CacheKey addresses one group summary in a Cache: the analysis fingerprint
-// of the architecture, the graph's dnn.Graph.Fingerprint, and either the
-// group fingerprint (encoding + batch + params + cross-group context) or, for
-// a stripe segment of the partitioner, the segment fingerprint (params +
-// batch + bu, j, i under a domain tag; see Evaluator.SegmentKey) — whose
-// first component, on a multi-chiplet array, is the cut-free fingerprint
-// instead. All three components are stable across processes, so a cache can
-// round-trip through SaveDisk/LoadDisk and keep serving.
+// CacheKey names one stripe segment of the partitioner in a Cache (see
+// Evaluator.SegmentKey): the analysis fingerprint of the architecture — on a
+// multi-chiplet array the cut-free fingerprint instead —, the graph's
+// dnn.Graph.Fingerprint, and the segment fingerprint (params + batch + bu, j,
+// i under a domain tag). All three components are stable across processes,
+// so a cache can round-trip through SaveDisk/LoadDisk and keep serving.
 type CacheKey struct {
 	Arch  uint64
 	Graph uint64
@@ -85,8 +83,7 @@ type CacheKey struct {
 }
 
 // cacheShards keeps lock contention low when many DSE workers race on one
-// shared cache; the partitioner asks it for every segment, and an annealer
-// for its starting and best schemes (its moves never ask). With
+// shared cache; the partitioner asks it for every segment. With
 // cacheShardLimit it also sets the capacity, 2.1 M entries. One pruned sweep
 // of the whole 72-TOPs grid × {resnet50, transformer} (8,820 candidates,
 // seed 1, 2 workers) stores 1,056,208 entries, half of it, with 0 flushes;
@@ -176,9 +173,9 @@ type routeKey struct {
 	topo arch.Topology
 }
 
-// Cache is the concurrency-safe group-summary store every Evaluator reads
-// and writes. One cache may back many evaluators — and therefore span
-// architecture candidates, models and whole DSE runs. Summaries
+// Cache is the concurrency-safe segment-summary store the partitioner's
+// Evaluators read and write by name. One cache may back many evaluators — and
+// therefore span architecture candidates, models and whole DSE runs. Summaries
 // are pure functions of their keys, so serving from the cache is
 // bit-identical to recomputing; because they are bandwidth-free, a hit may
 // have been paid for by a bandwidth sibling of the asking evaluator — and a

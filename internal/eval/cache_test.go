@@ -91,11 +91,90 @@ func TestAnalysisFingerprint(t *testing.T) {
 	}
 }
 
+// askSegment asks ev for the stripe segment [j,i) of g at batch unit bu as the
+// partitioner asks for it: by name, striping it and storing its summary only
+// on a miss. It returns the result and the one-group scheme the name stands
+// for.
+func askSegment(t testing.TB, ev *Evaluator, g *dnn.Graph, batch, j, i, bu int) (GroupResult, *core.Scheme) {
+	t.Helper()
+	st := core.NewStriper(ev.Cfg)
+	lms, err := st.Stripes(g, allLayers(g)[j:i], bu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &core.Scheme{Graph: g, Batch: batch, Groups: []*core.LMS{lms}}
+	key := ev.SegmentKey(g, batch, j, i, bu)
+	var res GroupResult
+	if !ev.LookupGroup(key, batch, &res) {
+		res = ev.EvaluateGroupAs(key, s, 0)
+	}
+	return res, s
+}
+
+// askLayers asks ev by name for every one-layer segment of TinyCNN at batch
+// unit 1, which fills a cache with several distinct entries, and returns the
+// results alongside what a private evaluator of ev's architecture and Params
+// computes for each segment from scratch.
+func askLayers(t testing.TB, ev *Evaluator, batch int) (got, want []GroupResult) {
+	t.Helper()
+	private := New(ev.Cfg)
+	private.Params = ev.Params
+	g := dnn.TinyCNN()
+	for l := range g.Layers {
+		res, s := askSegment(t, ev, g, batch, l, l+1, 1)
+		got = append(got, res)
+		want = append(want, private.EvaluateGroup(s, 0))
+	}
+	return got, want
+}
+
+// TestEvaluateAsksNoCache: Evaluate, EvaluateGroup and Report compute from
+// scratch. Run through evaluators that share one cache — bandwidth siblings,
+// two chiplet cuts of one array and an evaluator with changed Params — they
+// leave it without a hit, a miss or an entry, and each result equals a fresh
+// evaluator's.
+func TestEvaluateAsksNoCache(t *testing.T) {
+	a := arch.GArch72()
+	sib := a
+	sib.NoCBW, sib.D2DBW, sib.DRAMBW = 8, 2, 130 // slower everywhere, still five controllers
+	recut := a
+	recut.XCut, recut.YCut = 3, 2
+	cache := NewCache()
+	var evs []*Evaluator
+	for _, cfg := range []*arch.Config{&a, &sib, &recut, &a} {
+		evs = append(evs, NewWithCache(cfg, cache))
+	}
+	evs[3].Params.D2DModel, evs[3].Params.MACpJ = SerDes, 2*evs[3].Params.MACpJ
+	for round := 0; round < 2; round++ {
+		for _, ev := range evs {
+			fresh := New(ev.Cfg)
+			fresh.Params = ev.Params
+			s := perLayerScheme(t, ev.Cfg)
+			if got, want := ev.Evaluate(s), fresh.Evaluate(s); !want.Feasible || !reflect.DeepEqual(got, want) {
+				t.Errorf("%dx%d cut, round %d: Evaluate %+v, fresh %+v", ev.Cfg.XCut, ev.Cfg.YCut, round, got, want)
+			}
+			for gi := range s.Groups {
+				if got, want := ev.EvaluateGroup(s, gi), fresh.EvaluateGroup(s, gi); got != want {
+					t.Errorf("%dx%d cut, round %d: group %d %+v, fresh %+v", ev.Cfg.XCut, ev.Cfg.YCut, round, gi, got, want)
+				}
+			}
+			got, err := ev.Report(s)
+			want, werr := fresh.Report(s)
+			if err != nil || werr != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%dx%d cut, round %d: Report differs from a fresh evaluator's (errors %v, %v)", ev.Cfg.XCut, ev.Cfg.YCut, round, err, werr)
+			}
+		}
+	}
+	if st := cache.Stats(); st != (CacheStats{}) {
+		t.Errorf("Evaluate, EvaluateGroup and Report moved the shared cache: %+v, want it untouched", st)
+	}
+}
+
 // TestSiblingSummaryInvariance is the eval-level half of the sibling oracle
-// (internal/dse/sibling_test.go runs it over SA outputs on the real zoo): a
-// summary one evaluator computed, finished by a bandwidth sibling, equals
-// what the sibling's private evaluator computes from scratch, bit for bit,
-// under both D2D energy models — and costs the sibling no miss. A config
+// (internal/dse/sibling_test.go runs it over partitions on the real zoo): a
+// segment summary one evaluator stored, finished by a bandwidth sibling,
+// equals what the sibling's private evaluator computes from scratch, bit for
+// bit, under both D2D energy models — and costs the sibling no miss. A config
 // with another controller count shares nothing.
 func TestSiblingSummaryInvariance(t *testing.T) {
 	a := arch.GArch72()
@@ -111,98 +190,87 @@ func TestSiblingSummaryInvariance(t *testing.T) {
 			ev.Params.D2DModel = model
 			evaluators[cfg] = ev
 		}
+		delay := map[*arch.Config]float64{}
 		for _, pair := range [][2]*arch.Config{{&a, &b}, {&b, &a}} {
 			primer, asker := pair[0], pair[1]
-			s := perLayerScheme(t, asker)
-			evaluators[primer].Evaluate(s)
+			askLayers(t, evaluators[primer], 4)
 			before := cache.Stats().Misses
-			got := evaluators[asker].Evaluate(s)
+			got, want := askLayers(t, evaluators[asker], 4)
 			if m := cache.Stats().Misses - before; m != 0 {
-				t.Errorf("model %d: sibling %s recomputed %d groups primed by %s", model, asker, m, primer)
+				t.Errorf("model %d: sibling %s recomputed %d segments primed by %s", model, asker.Name, m, primer.Name)
 			}
-			private := New(asker)
-			private.Params.D2DModel = model
-			if want := private.Evaluate(s); !want.Feasible || !reflect.DeepEqual(got, want) {
-				t.Errorf("model %d: %s served by %s's summaries diverged:\n got %+v\nwant %+v", model, asker, primer, got, want)
+			for l := range want {
+				if !want[l].Feasible || got[l] != want[l] {
+					t.Errorf("model %d: %s served layer %d by %s's summary:\n got %+v\nwant %+v", model, asker.Name, l, primer.Name, got[l], want[l])
+				}
+				delay[asker] += got[l].Delay
 			}
 		}
-		if ra, rb := evaluators[&a].Evaluate(perLayerScheme(t, &a)), evaluators[&b].Evaluate(perLayerScheme(t, &b)); ra.Delay >= rb.Delay {
-			t.Errorf("model %d: the slower sibling is not slower (%v vs %v): finish ignores the bandwidths", model, ra.Delay, rb.Delay)
+		if delay[&a] >= delay[&b] {
+			t.Errorf("model %d: the slower sibling is not slower (%v vs %v): finish ignores the bandwidths", model, delay[&a], delay[&b])
 		}
 
-		s := perLayerScheme(t, &two)
 		before := cache.Stats()
-		got := evaluators[&two].Evaluate(s)
-		if st := cache.Stats(); st.Hits != before.Hits || st.Misses-before.Misses != int64(len(s.Groups)) {
+		got, want := askLayers(t, evaluators[&two], 4)
+		if st := cache.Stats(); st.Hits != before.Hits || st.Misses-before.Misses != int64(len(want)) {
 			t.Errorf("model %d: a two-controller config hit five-controller summaries: %+v -> %+v", model, before, st)
 		}
-		private := New(&two)
-		private.Params.D2DModel = model
-		if want := private.Evaluate(s); !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("model %d: two-controller result diverged", model)
 		}
 	}
 }
 
-// TestSharedCacheBitIdentical pins that serving from a shared cache is
-// indistinguishable from recomputing: an evaluator on its own cache and two
-// cache-sharing evaluators yield identical results, and two New evaluators
-// share nothing.
+// TestSharedCacheBitIdentical pins that serving a segment from a shared cache
+// is indistinguishable from computing it: an evaluator on its own cache, two
+// cache-sharing evaluators and EvaluateGroup from scratch yield identical
+// results, and two New evaluators share nothing.
 func TestSharedCacheBitIdentical(t *testing.T) {
 	cfg := arch.GArch72()
-	s := cacheTestScheme(t, &cfg)
+	g := dnn.TinyCNN()
+	n := len(g.Layers)
 
 	own := New(&cfg)
-	private := own.Evaluate(s)
-	if !reflect.DeepEqual(private, NewWithCache(&cfg, NewCache()).Evaluate(s)) {
-		t.Fatal("New and NewWithCache(fresh) disagree")
+	private, s := askSegment(t, own, g, 4, 0, n, 1)
+	if want := New(&cfg).EvaluateGroup(s, 0); !want.Feasible || private != want {
+		t.Fatalf("named segment %+v, from scratch %+v", private, want)
 	}
 	other := New(&cfg)
-	other.Evaluate(s)
+	askSegment(t, other, g, 4, 0, n, 1)
 	if a, b := own.cache.Stats(), other.cache.Stats(); own.cache == other.cache ||
 		b.Hits != 0 || b.Misses != a.Misses || b.Entries != a.Entries {
 		t.Fatalf("two New evaluators share entries: %+v vs %+v", a, b)
 	}
 
 	cache := NewCache()
-	first := NewWithCache(&cfg, cache).Evaluate(s)
-	second := NewWithCache(&cfg, cache).Evaluate(s) // all groups warm
-
-	for _, r := range []Result{first, second} {
-		if r.Feasible != private.Feasible || r.Delay != private.Delay ||
-			r.Energy != private.Energy || r.DRAMBytes != private.DRAMBytes {
-			t.Fatalf("shared-cache result diverged: %+v vs %+v", r, private)
-		}
+	first, _ := askSegment(t, NewWithCache(&cfg, cache), g, 4, 0, n, 1)
+	second, _ := askSegment(t, NewWithCache(&cfg, cache), g, 4, 0, n, 1) // warm
+	if first != private || second != private {
+		t.Fatalf("shared-cache results diverged: %+v, %+v vs %+v", first, second, private)
 	}
-
-	st := cache.Stats()
-	if st.Hits == 0 {
-		t.Error("second evaluator recorded no hits")
-	}
-	if st.Misses == 0 || st.Entries == 0 {
-		t.Errorf("cold evaluation accounting wrong: %+v", st)
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Errorf("two asks for one segment: %+v, want 1 miss, 1 hit, 1 entry", st)
 	}
 }
 
 func TestCacheStatsAccounting(t *testing.T) {
 	cfg := arch.GArch72()
-	s := cacheTestScheme(t, &cfg)
 	cache := NewCache()
 	ev := NewWithCache(&cfg, cache)
 
-	ev.Evaluate(s)
+	_, want := askLayers(t, ev, 4)
 	st := cache.Stats()
-	wantMisses := int64(len(s.Groups))
+	wantMisses := int64(len(want))
 	if st.Misses != wantMisses || st.Hits != 0 {
 		t.Fatalf("cold stats = %+v, want %d misses, 0 hits", st, wantMisses)
 	}
-	ev.Evaluate(s)
+	askLayers(t, ev, 4)
 	st = cache.Stats()
 	if st.Hits != wantMisses || st.Misses != wantMisses {
 		t.Fatalf("warm stats = %+v, want %d hits / %d misses", st, wantMisses, wantMisses)
 	}
-	if st.Entries != len(s.Groups) {
-		t.Errorf("entries = %d, want %d", st.Entries, len(s.Groups))
+	if st.Entries != len(want) {
+		t.Errorf("entries = %d, want %d", st.Entries, len(want))
 	}
 	if hr := st.HitRate(); hr != 0.5 {
 		t.Errorf("hit rate = %v, want 0.5", hr)
@@ -219,23 +287,20 @@ func TestCacheArchIsolation(t *testing.T) {
 	b.GLBPerCore = 512 // same geometry, infeasible buffers
 	b.Name = "tiny-glb"
 	cache := NewCache()
+	g := dnn.TinyCNN()
 
-	sa := cacheTestScheme(t, &a)
-	ra := NewWithCache(&a, cache).Evaluate(sa)
-	if !ra.Feasible {
+	if ra, _ := askSegment(t, NewWithCache(&a, cache), g, 4, 0, len(g.Layers), 1); !ra.Feasible {
 		t.Fatal("GArch72 should be feasible")
 	}
-	sb := cacheTestScheme(t, &b)
-	rb := NewWithCache(&b, cache).Evaluate(sb)
-	if rb.Feasible {
+	if rb, _ := askSegment(t, NewWithCache(&b, cache), g, 4, 0, len(g.Layers), 1); rb.Feasible {
 		t.Fatal("512-byte GLB served a feasible result (arch aliasing)")
 	}
 }
 
 // TestCacheConcurrent: evaluators of four cuts of one core array share a
-// cache from eight goroutines, asking for a group by content and for the same
-// group by segment name, whose cut-free entry every cut reads and any of them
-// may write. Every answer equals a private evaluator's.
+// cache from eight goroutines, asking for one group by segment name, whose
+// cut-free entry every cut reads and any of them may write. Every answer
+// equals a private evaluator's.
 func TestCacheConcurrent(t *testing.T) {
 	cache := NewCache()
 	var wg sync.WaitGroup
@@ -250,15 +315,11 @@ func TestCacheConcurrent(t *testing.T) {
 			ev := NewWithCache(&cfg, cache)
 			key := ev.SegmentKey(s.Graph, s.Batch, 0, len(s.Graph.Layers), 1)
 			for i := 0; i < 20; i++ {
-				if r := ev.Evaluate(s); !r.Feasible || r.Groups[0] != want {
-					t.Error("content path diverged under concurrency")
-					return
-				}
 				var named GroupResult
 				if !ev.LookupGroup(key, s.Batch, &named) {
 					named = ev.EvaluateGroupAs(key, s, 0)
 				}
-				if named != want {
+				if !want.Feasible || named != want {
 					t.Errorf("cut %dx%d: named path %+v under concurrency, private %+v", cfg.XCut, cfg.YCut, named, want)
 					return
 				}
@@ -272,41 +333,37 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 // TestInfeasibleEntriesKeyOnly: an infeasible summary of either kind — a
-// group asked for by content, a cut-free segment asked for by name — is kept
-// as its key alone. The first ask counts one miss and one entry; every later
-// ask hits and reads back the zero value of its kind, whatever the reader's
-// out held before.
+// monolithic array's segment, stored as a groupSummary, and a multi-chiplet
+// array's cut-free segment — is kept as its key alone. The first ask counts
+// one miss and one entry; every later ask hits and reads back the zero value
+// of its kind, whatever the reader's out held before.
 func TestInfeasibleEntriesKeyOnly(t *testing.T) {
 	cfg := arch.GArch72()
 	cfg.GLBPerCore = 512 // no workload fits: every group is infeasible
-	s := cacheTestScheme(t, &cfg)
+	mono := cfg
+	mono.XCut, mono.YCut = 1, 1
 	cache := NewCache()
-	ev := NewWithCache(&cfg, cache)
-	if !ev.cutFree {
-		t.Fatal("GArch72 is one chiplet: its segments would not be cut-free")
+	ev, monoEv := NewWithCache(&cfg, cache), NewWithCache(&mono, cache)
+	if !ev.cutFree || monoEv.cutFree {
+		t.Fatal("GArch72 must be cut-free and its array without the cut not")
 	}
-	groupKey, segKey := ev.groupKey(s, 0), ev.SegmentKey(s.Graph, s.Batch, 0, len(s.Graph.Layers), 1)
+	g := dnn.TinyCNN()
+	monoKey, segKey := monoEv.SegmentKey(g, 4, 0, len(g.Layers), 1), ev.SegmentKey(g, 4, 0, len(g.Layers), 1)
 	dirty := groupScalars{Feasible: true, BatchUnit: 3, MAC: 1}
 	for _, kind := range []struct {
 		name    string
-		ask     func() GroupResult
+		ev      *Evaluator
 		read    func() (found, zero bool)
 		keyOnly func() bool
 	}{
-		{"group", func() GroupResult { return ev.EvaluateGroup(s, 0) },
+		{"monolithic", monoEv,
 			func() (bool, bool) {
 				sum := groupSummary{groupScalars: dirty, PerPass: noc.Digest{PeakNoC: 1}}
-				found := cache.get(groupKey, &sum)
+				found := cache.get(monoKey, &sum)
 				return found, sum == groupSummary{}
 			},
-			func() bool { return keyOnly(&cache.shard(groupKey).m, groupKey) }},
-		{"segment", func() GroupResult {
-			var res GroupResult
-			if !ev.LookupGroup(segKey, s.Batch, &res) {
-				res = ev.EvaluateGroupAs(segKey, s, 0)
-			}
-			return res
-		},
+			func() bool { return keyOnly(&cache.shard(monoKey).m, monoKey) }},
+		{"cut-free", ev,
 			func() (bool, bool) {
 				seg := segmentSummary{groupScalars: dirty, Links: make([]noc.ClassLoad, 2)}
 				found := cache.getSegment(segKey, &seg)
@@ -314,8 +371,12 @@ func TestInfeasibleEntriesKeyOnly(t *testing.T) {
 			},
 			func() bool { return keyOnly(&cache.shard(segKey).seg, segKey) }},
 	} {
+		ask := func() GroupResult {
+			res, _ := askSegment(t, kind.ev, g, 4, 0, len(g.Layers), 1)
+			return res
+		}
 		before := cache.Stats()
-		if r := kind.ask(); r.Feasible {
+		if r := ask(); r.Feasible {
 			t.Fatalf("%s: a 512-byte GLB evaluated feasible", kind.name)
 		}
 		st := cache.Stats()
@@ -326,7 +387,7 @@ func TestInfeasibleEntriesKeyOnly(t *testing.T) {
 			t.Errorf("%s: not stored as its key alone", kind.name)
 		}
 		for i := 0; i < 2; i++ {
-			if r := kind.ask(); r.Feasible {
+			if r := ask(); r.Feasible {
 				t.Fatalf("%s: a warm ask turned feasible", kind.name)
 			}
 			if found, zero := kind.read(); !found || !zero {

@@ -10,9 +10,11 @@ import (
 )
 
 // TestConcurrentEvaluateGroup hammers one shared Evaluator — and therefore
-// one shared route table, scratch pool, and group memo — from many
-// goroutines. Run with -race it proves the documented "safe for concurrent
-// use" contract survives the allocation-free scratch machinery.
+// one shared route table, scratch pool, Explore memo and segment store — from
+// many goroutines, each evaluating the group from scratch and asking for it by
+// segment name. Run with -race it proves the documented "safe for concurrent
+// use" contract survives the allocation-free scratch machinery; the store
+// ends with the one segment, computed once.
 func TestConcurrentEvaluateGroup(t *testing.T) {
 	cfg := arch.GArch72()
 	g := dnn.TinyTransformer()
@@ -29,6 +31,7 @@ func TestConcurrentEvaluateGroup(t *testing.T) {
 	if !want.Feasible {
 		t.Fatal("reference evaluation infeasible")
 	}
+	key := ev.SegmentKey(g, s.Batch, 0, len(ids), 2)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -46,6 +49,14 @@ func TestConcurrentEvaluateGroup(t *testing.T) {
 					errs <- "full evaluation diverged from reference"
 					return
 				}
+				var named GroupResult
+				if !ev.LookupGroup(key, s.Batch, &named) {
+					named = ev.EvaluateGroupAs(key, s, 0)
+				}
+				if named != want {
+					errs <- "named evaluation diverged from reference"
+					return
+				}
 			}
 		}()
 	}
@@ -53,5 +64,8 @@ func TestConcurrentEvaluateGroup(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
+	}
+	if st := ev.cache.Stats(); st.Misses != 1 || st.Entries != 1 || st.Hits != 8*50-1 {
+		t.Errorf("%d named asks for one segment: %+v, want 1 miss, 1 entry and the rest hits", 8*50, st)
 	}
 }

@@ -1,6 +1,6 @@
-// Disk spill for the shared evaluation cache. Group summaries are pure
-// functions of their (analysis, graph, group-or-segment) fingerprints, so a
-// cache written by one process is valid input for any other. No front end
+// Disk spill for the shared evaluation cache. Segment summaries are pure
+// functions of their (analysis, graph, segment) fingerprints, so a cache
+// written by one process is valid input for any other. No front end
 // spills its cache: SaveDisk and LoadDisk remain only for the benchmark
 // harness's disk probe (bench/ladder.go probeDisk), which times them.
 //
@@ -33,10 +33,13 @@ type diskHeader struct {
 	Version int    `json:"version"`
 }
 
-// diskVersion 5 stores bandwidth-free summaries under the analysis key, the
-// partitioner's stripe segments by name (Evaluator.SegmentKey) — cut-free on
-// a multi-chiplet array — and every other group by content, their traffic
-// counted exactly in 1/d-byte units and each figure rounded once. A named
+// diskVersion 5 stores the partitioner's stripe segments by name
+// (Evaluator.SegmentKey) as bandwidth-free summaries — cut-free on a
+// multi-chiplet array, under the analysis key on a monolithic one —, their
+// traffic counted exactly in 1/d-byte units and each figure rounded once.
+// A version-5 file may also hold content-keyed group entries, which
+// EvaluateGroup no longer stores: they load like any entry, and nothing asks
+// for them. A named
 // entry is only as good as the stripe heuristic that built the LMS it stands
 // for: a change to what core.Striper.Stripes returns for some (graph, core array, j,
 // i, bu) must bump this version, and TestStripeEncodingPinned fails until it
@@ -52,9 +55,9 @@ const (
 	diskVersion = 5
 )
 
-// diskEntry is one cache cell on disk: a group summary or a cut-free segment
-// summary. Fingerprints are hex strings: JSON numbers are float64 and would
-// corrupt uint64 keys past 2^53.
+// diskEntry is one cache cell on disk: a monolithic segment's group summary
+// or a cut-free segment summary. Fingerprints are hex strings: JSON numbers
+// are float64 and would corrupt uint64 keys past 2^53.
 type diskEntry struct {
 	Arch    string          `json:"a"`
 	Graph   string          `json:"g"`

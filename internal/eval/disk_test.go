@@ -17,8 +17,7 @@ import (
 	"gemini/internal/dnn"
 )
 
-// perLayerScheme stripes TinyCNN with one group per layer, so evaluating it
-// fills a cache with several distinct entries.
+// perLayerScheme stripes TinyCNN with one group per layer.
 func perLayerScheme(t *testing.T, cfg *arch.Config) *core.Scheme {
 	t.Helper()
 	g := dnn.TinyCNN()
@@ -39,7 +38,7 @@ func populatedCache(t *testing.T) (*Cache, int) {
 	t.Helper()
 	cfg := arch.GArch72()
 	cache := NewCache()
-	NewWithCache(&cfg, cache).Evaluate(perLayerScheme(t, &cfg))
+	askLayers(t, NewWithCache(&cfg, cache), 4)
 	n := cache.Stats().Entries
 	if n < 3 {
 		t.Fatalf("populated cache has only %d entries; corruption cases need more", n)
@@ -53,9 +52,8 @@ func populatedCache(t *testing.T) (*Cache, int) {
 // checks — and serve them bit-identically.
 func TestDiskRoundTripBitIdentical(t *testing.T) {
 	cfg := arch.GArch72()
-	s := cacheTestScheme(t, &cfg)
 	cache := NewCache()
-	want := NewWithCache(&cfg, cache).Evaluate(s)
+	want, _ := askLayers(t, NewWithCache(&cfg, cache), 4)
 
 	path := filepath.Join(t.TempDir(), "sub", "cache.ndjson")
 	if err := cache.SaveDisk(path); err != nil {
@@ -70,10 +68,8 @@ func TestDiskRoundTripBitIdentical(t *testing.T) {
 	if saved := cache.Stats().Entries; n != saved || warm.Stats().Entries != saved {
 		t.Fatalf("loaded %d entries (%d resident), want the saved cache's %d", n, warm.Stats().Entries, saved)
 	}
-	got := NewWithCache(&cfg, warm).Evaluate(s)
-	if got.Feasible != want.Feasible || got.Delay != want.Delay ||
-		got.Energy != want.Energy || got.DRAMBytes != want.DRAMBytes {
-		t.Fatalf("disk-warmed result diverged: %+v vs %+v", got, want)
+	if got, _ := askLayers(t, NewWithCache(&cfg, warm), 4); !reflect.DeepEqual(got, want) {
+		t.Fatalf("disk-warmed results diverged: %+v vs %+v", got, want)
 	}
 	st := warm.Stats()
 	if st.Misses != 0 {
@@ -82,20 +78,17 @@ func TestDiskRoundTripBitIdentical(t *testing.T) {
 }
 
 // TestDiskRoundTripKeyOnly: a cache holding feasible and infeasible entries
-// of both kinds — group summaries by content, cut-free segments by name —
+// of both kinds — monolithic segments' group summaries and cut-free segments —
 // round-trips whole: LoadDisk into a fresh cache adds the saved cache's
 // Stats().Entries entries, and the loaded cache answers every key as the
 // saved one does, key-only entries with the zero value.
 func TestDiskRoundTripKeyOnly(t *testing.T) {
 	cache := NewCache()
 	for _, glb := range []int{2 * arch.MB, 512} { // 512 bytes fit no workload
-		cfg := arch.GArch72()
-		cfg.GLBPerCore = glb
-		s := perLayerScheme(t, &cfg)
-		ev := NewWithCache(&cfg, cache)
-		ev.Evaluate(s)
-		for gi := range s.Groups {
-			ev.EvaluateGroupAs(ev.SegmentKey(s.Graph, s.Batch, gi, gi+1, 1), s, gi)
+		for _, cut := range []int{2, 1} { // G-Arch's two chiplets, and its array as one
+			cfg := arch.GArch72()
+			cfg.GLBPerCore, cfg.XCut = glb, cut
+			askLayers(t, NewWithCache(&cfg, cache), 4)
 		}
 	}
 	var kinds [4]int // group, key-only group, segment, key-only segment
@@ -143,9 +136,8 @@ func TestDiskRoundTripKeyOnly(t *testing.T) {
 func TestDiskSaveDeterministic(t *testing.T) {
 	cache, _ := populatedCache(t)
 	cfg := arch.GArch72()
-	s := perLayerScheme(t, &cfg)
-	for s.Batch = 1; cache.Stats().Entries < 4*cacheShards; s.Batch++ {
-		NewWithCache(&cfg, cache).Evaluate(s)
+	for batch := 1; cache.Stats().Entries < 4*cacheShards; batch++ {
+		askLayers(t, NewWithCache(&cfg, cache), batch)
 	}
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
@@ -255,9 +247,9 @@ func TestDiskDamagedSegmentMisses(t *testing.T) {
 	}
 }
 
-// TestDiskV1FileLoadsCold: testdata/cache_v1.ndjson is a spill the parent
-// commit wrote from populatedCache's evaluation — finished GroupResults keyed
-// by ConfigFingerprint. Version 2 stores summaries under the analysis key, so
+// TestDiskV1FileLoadsCold: testdata/cache_v1.ndjson is a spill an old commit
+// wrote from evaluating perLayerScheme — finished GroupResults keyed by
+// ConfigFingerprint. Version 2 stores summaries under the analysis key, so
 // the old file must load as a cold cache (0 entries, no error) and never
 // serve a hit: decoded as version-2 entries its lines would be infeasible
 // summaries.
@@ -275,14 +267,13 @@ func TestDiskV1FileLoadsCold(t *testing.T) {
 		t.Fatalf("v1 file: loaded %d entries (%d resident), err=%v; want a cold cache", n, c.Stats().Entries, err)
 	}
 
-	// The same evaluation the fixture was written from: all misses.
+	// The groups the fixture was written from, asked for by name: all misses.
 	cfg := arch.GArch72()
-	s := perLayerScheme(t, &cfg)
-	got, want := NewWithCache(&cfg, c).Evaluate(s), New(&cfg).Evaluate(s)
-	if !want.Feasible || !reflect.DeepEqual(got, want) {
+	got, want := askLayers(t, NewWithCache(&cfg, c), 4)
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("evaluation after a v1 load diverged: %+v vs %+v", got, want)
 	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != int64(len(s.Groups)) {
+	if st := c.Stats(); st.Hits != 0 || st.Misses != int64(len(want)) {
 		t.Fatalf("v1 file served lookups: %+v", st)
 	}
 }
@@ -292,7 +283,6 @@ func TestDiskV1FileLoadsCold(t *testing.T) {
 // insert, and a second cache loads the latest spill.
 func TestDiskConcurrentSaveLoad(t *testing.T) {
 	cfg := arch.GArch72()
-	s := cacheTestScheme(t, &cfg)
 	cache := NewCache()
 	path := filepath.Join(t.TempDir(), "cache.ndjson")
 
@@ -303,7 +293,7 @@ func TestDiskConcurrentSaveLoad(t *testing.T) {
 			defer wg.Done()
 			ev := NewWithCache(&cfg, cache)
 			for i := 0; i < 20; i++ {
-				ev.Evaluate(s)
+				askLayers(t, ev, 1+i%4)
 			}
 		}()
 	}

@@ -5,11 +5,12 @@
 // a layer group's delay accounts for pipeline fill/drain via its dependency
 // depth; energy sums per-component operation counts times unit energies.
 //
-// A group is evaluated either through the memoized pipeline (EvaluateGroup,
-// whose summaries a Cache stores) or, in a simulated-annealing search, through
+// A group is evaluated from scratch (EvaluateGroup), by segment name through
+// a Cache that stores the graph partitioner's stripe segments (SegmentKey,
+// LookupGroup, EvaluateGroupAs), or, in a simulated-annealing search, through
 // a GroupDelta, which computes the group once and then recomputes only what
-// each move changed, and bypasses the Cache: an annealed group is almost never
-// asked for again.
+// each move changed. Only the named path reads or writes a Cache's summaries;
+// every path reads and fills its Explore memo.
 package eval
 
 import (
@@ -76,19 +77,16 @@ func AvgLayersPerGroup(s *core.Scheme) float64 {
 //
 // Evaluation is two-phase. The Analyze/explore/traffic pipeline produces a
 // bandwidth-free groupSummary; finish turns a summary into a GroupResult by
-// applying this evaluator's NoC/D2D/DRAM bandwidths. Summaries are memoized
-// in the evaluator's Cache — its own (New) or one shared across evaluators
-// (NewWithCache) — keyed by the architecture's AnalysisFingerprint, the
-// graph's structural fingerprint and a fingerprint of the group's encoding
-// (plus the cross-group flow-of-data context it reads), so a group evaluated
+// applying this evaluator's NoC/D2D/DRAM bandwidths. EvaluateGroup and
+// Evaluate run both phases every call and look up no summary. The graph
+// partitioner's stripe segments are memoized in the evaluator's Cache — its
+// own (New) or one shared across evaluators (NewWithCache) — under a name
+// (SegmentKey) rather than the segment's encoding, so a segment asked for
 // again on this architecture or, through a shared Cache, on any bandwidth
-// sibling of it skips the whole pipeline. The graph partitioner's stripe
-// segments live in the same store under a name instead of a content hash
-// (SegmentKey), which spares a hit the LMS it would only build to hash. A
-// *dnn.Graph must not be
-// mutated after schemes referencing it have been evaluated (it holds its
-// fingerprint). Params may change between evaluations (it is hashed into the
-// fingerprint) but must not be written concurrently with an in-flight
+// sibling of it skips the whole pipeline and builds no LMS. A *dnn.Graph must
+// not be mutated after schemes referencing it have been evaluated (it holds
+// its fingerprint). Params may change between evaluations (it is hashed into
+// a segment name) but must not be written concurrently with an in-flight
 // evaluation.
 type Evaluator struct {
 	Cfg    *arch.Config
@@ -98,24 +96,23 @@ type Evaluator struct {
 	d2dIfaces int
 	scratch   sync.Pool
 
-	// cache is the group-summary store; analysisFP is this evaluator's
-	// AnalysisFingerprint, computed once. On a multi-chiplet array (cutFree)
-	// stripe segments are stored as segmentSummarys under segmentFP, the
-	// analysis fingerprint without the cut; on a monolithic one, where no
-	// other cut could share them, as groupSummarys under analysisFP.
-	cache      *Cache
-	analysisFP uint64
-	segmentFP  uint64
-	cutFree    bool
+	// cache is the segment store. On a multi-chiplet array (cutFree) stripe
+	// segments are stored as segmentSummarys under segmentFP, the analysis
+	// fingerprint without the cut; on a monolithic one as groupSummarys under
+	// segmentFP, the AnalysisFingerprint (see docs/architecture.md for why
+	// the two kinds stay apart).
+	cache     *Cache
+	segmentFP uint64
+	cutFree   bool
 }
 
 // groupSummary is the bandwidth-free half of a group evaluation: everything
 // the Analyze/explore/traffic pipeline derives from the group encoding, the
 // core array, the chiplet cuts, the topology and the DRAM controller
 // placement — and nothing that depends on how fast a link or a controller
-// drains. It is what a Cache stores; finish completes it in O(1). The
-// MAC/GLB energies are summed per core under the evaluator's Params, which
-// the group fingerprint hashes.
+// drains. It is what a Cache stores for a monolithic array's segment; finish
+// completes it in O(1). The MAC/GLB energies are summed per core under the
+// evaluator's Params, which a segment name hashes.
 type groupSummary struct {
 	groupScalars
 
@@ -127,8 +124,8 @@ type groupSummary struct {
 // two ways of computing one against each other with ==.
 type Summary = groupSummary
 
-// SummarizeGroup returns the summary of group gi of s computed from scratch,
-// without the cache: the reference the delta path is held against.
+// SummarizeGroup returns the summary of group gi of s computed from scratch:
+// the reference the delta path is held against.
 func (e *Evaluator) SummarizeGroup(s *core.Scheme, gi int) Summary { return e.summarizeGroup(s, gi) }
 
 // groupScalars is what a summary holds besides its traffic.
@@ -182,19 +179,18 @@ type weightSplit struct {
 func New(cfg *arch.Config) *Evaluator { return NewWithCache(cfg, NewCache()) }
 
 // NewWithCache builds an evaluator with default energy parameters that reads
-// and writes group summaries and intra-core explorations in c, sharing them
+// and writes segment summaries and intra-core explorations in c, sharing them
 // with every other evaluator built on c (and so across DSE candidates and
 // runs), and routes on c's table for its core array and topology. Results
 // served from a shared cache are bit-identical to locally computed ones.
 func NewWithCache(cfg *arch.Config, c *Cache) *Evaluator {
 	e := &Evaluator{
-		Cfg:        cfg,
-		Net:        noc.NewOn(cfg, c.routeTable(cfg)),
-		Params:     DefaultParams(),
-		cache:      c,
-		analysisFP: AnalysisFingerprint(cfg),
-		segmentFP:  AnalysisFingerprint(cfg),
-		cutFree:    cfg.Chiplets() > 1,
+		Cfg:       cfg,
+		Net:       noc.NewOn(cfg, c.routeTable(cfg)),
+		Params:    DefaultParams(),
+		cache:     c,
+		segmentFP: AnalysisFingerprint(cfg),
+		cutFree:   cfg.Chiplets() > 1,
 	}
 	if e.cutFree {
 		e.segmentFP = cutFreeFingerprint(cfg)
@@ -219,44 +215,33 @@ func (e *Evaluator) coreParams() intracore.Core {
 	return intracore.Core{MACs: e.Cfg.MACsPerCore, GLB: e.Cfg.GLBPerCore, FreqGHz: e.Cfg.FreqGHz}
 }
 
-// EvaluateGroup evaluates one layer group of a validated scheme: the
-// memoized (or freshly computed) bandwidth-free summary, finished at this
-// evaluator's bandwidths. Summary and result travel through out-parameters
-// so the hit path copies neither.
+// EvaluateGroup evaluates one layer group of a validated scheme from scratch:
+// its bandwidth-free summary, finished at this evaluator's bandwidths. It
+// neither looks up nor stores a summary.
 func (e *Evaluator) EvaluateGroup(s *core.Scheme, gi int) (res GroupResult) {
-	var sum groupSummary
-	e.summary(s, gi, &sum)
+	sum := e.summarizeGroup(s, gi)
 	e.finish(&sum, s.Batch, &res)
 	return
-}
-
-// summary stores the group's summary in *sum, consulting the cache first: a
-// group configuration seen before (same encoding, batch, cross-group data
-// placement and energy parameters) is returned without re-analysis.
-func (e *Evaluator) summary(s *core.Scheme, gi int, sum *groupSummary) {
-	key := e.groupKey(s, gi)
-	if !e.cache.get(key, sum) {
-		*sum = e.summarizeGroup(s, gi)
-		e.cache.put(key, sum)
-	}
-}
-
-// groupKey is the content key of group gi of s: EvaluateGroup's key.
-func (e *Evaluator) groupKey(s *core.Scheme, gi int) CacheKey {
-	return CacheKey{Arch: e.analysisFP, Graph: s.Graph.Fingerprint(), FP: e.groupFingerprint(s, gi)}
 }
 
 // SegmentKey names the stripe-mapped group of layers [j,i) of g at batch unit
 // bu on this evaluator's architecture: the key LookupGroup and EvaluateGroupAs
 // take. A name is a sound key because the stripe LMS is a pure function of the
 // graph, the core array (part of the analysis fingerprint), j, i and bu, and
-// a group alone in its scheme has no cross-group context — so the summary the
-// group's content-addressed key would select is the one its name selects, and
-// a caller that already holds (j, i, bu) need not build the LMS to ask for it.
+// a group alone in its scheme has no cross-group context — so one name stands
+// for one summary, and a caller that already holds (j, i, bu) need not build
+// the LMS to ask for it.
 // On a multi-chiplet array the name leaves the cut out too: every cut of the
 // array shares one cut-free entry, resolved under the asker's cut.
 func (e *Evaluator) SegmentKey(g *dnn.Graph, batch, j, i, bu int) CacheKey {
-	h := e.hashParams(fnv1a(fnvOffset, segmentDomain), batch)
+	h := fnv1a(fnvOffset, segmentDomain)
+	p := &e.Params
+	for _, f := range [...]float64{p.MACpJ, p.VecOppJ, p.GLBpJPerByte, p.NoCHoppJPerByte,
+		p.RouterpJPerByte, p.D2DpJPerByte, p.DRAMpJPerByte, p.SerDesPJPerBit} {
+		h = fnv1a(h, math.Float64bits(f))
+	}
+	h = fnv1a(h, uint64(p.D2DModel))
+	h = fnv1a(h, uint64(batch))
 	h = fnv1a(h, uint64(bu))
 	h = fnv1a(h, uint64(j))
 	h = fnv1a(h, uint64(i))
@@ -284,21 +269,20 @@ func (e *Evaluator) LookupGroup(key CacheKey, batch int, res *GroupResult) bool 
 // EvaluateGroupAs is the miss half of LookupGroup: it runs the pipeline on
 // group gi of s, stores the summary under key — which must be the SegmentKey
 // of exactly that group — and returns the finished result. On a monolithic
-// array it is EvaluateGroup's miss under the caller's key. What it stores for a
-// feasible segment of a multi-chiplet array is the one allocation it makes.
+// array it stores the groupSummary EvaluateGroup computes. What it stores for
+// a feasible segment of a multi-chiplet array is the one allocation it makes.
 func (e *Evaluator) EvaluateGroupAs(key CacheKey, s *core.Scheme, gi int) (res GroupResult) {
+	sc := e.scratch.Get().(*evalScratch)
 	var sum groupSummary
+	if err := core.AnalyzeInto(sc.an, s, gi, e.Cfg); err == nil {
+		sum = e.summarizeAnalysis(sc)
+	}
 	if e.cutFree {
-		sc := e.scratch.Get().(*evalScratch)
-		if err := core.AnalyzeInto(sc.an, s, gi, e.Cfg); err == nil {
-			sum = e.summarizeAnalysis(sc)
-		}
 		e.cache.putSegment(key, cutFreeSummary(&sum, sc))
-		e.scratch.Put(sc)
 	} else {
-		sum = e.summarizeGroup(s, gi)
 		e.cache.put(key, &sum)
 	}
+	e.scratch.Put(sc)
 	e.finish(&sum, s.Batch, &res)
 	return
 }
@@ -345,8 +329,8 @@ func (e *Evaluator) summarizeGroup(s *core.Scheme, gi int) groupSummary {
 	return sum
 }
 
-// EvaluateAnalysis evaluates a group from its parsed form, uncached: the
-// pipeline behind a cache miss, entered after the parse. Given core.Analyze's
+// EvaluateAnalysis evaluates a group from its parsed form: the pipeline
+// EvaluateGroup runs, entered after the parse. Given core.Analyze's
 // inspection form of a group — the same parse with its activation flows
 // sorted — it returns exactly what EvaluateGroup returns for that group,
 // which is how the order-invariance of the miss path is checked from outside
@@ -548,7 +532,7 @@ func (e *Evaluator) transferEnergy(d noc.Digest) EnergyBreakdown {
 	return b
 }
 
-// FNV-1a constants for the group fingerprint.
+// FNV-1a constants for the fingerprints and segment names.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -564,63 +548,12 @@ func fnv1a(h, v uint64) uint64 {
 	return h
 }
 
-// segmentDomain is folded in ahead of a segment name, so a name and a content
-// hash start from different states and never alias by construction.
+// segmentDomain is folded in ahead of a segment name. Every name a version-5
+// spill holds starts from it, so dropping it would orphan those entries.
 const segmentDomain = 0x7365676d656e7431 // "segment1"
 
-// hashParams folds what every key kind shares into h: the energy parameters
-// (the Params field is mutable) and the batch.
-func (e *Evaluator) hashParams(h uint64, batch int) uint64 {
-	p := &e.Params
-	for _, f := range [...]float64{p.MACpJ, p.VecOppJ, p.GLBpJPerByte, p.NoCHoppJPerByte,
-		p.RouterpJPerByte, p.D2DpJPerByte, p.DRAMpJPerByte, p.SerDesPJPerBit} {
-		h = fnv1a(h, math.Float64bits(f))
-	}
-	h = fnv1a(h, uint64(p.D2DModel))
-	return fnv1a(h, uint64(batch))
-}
-
-// groupFingerprint hashes everything a group's summary — and finish — depends
-// on beyond the architecture itself: the energy parameters, the batch, the
-// batch unit, the group's full encoding, and — for inputs produced outside the
-// group — the DRAM where the producer stored its ofmaps, by the resolution
-// AnalyzeInto applies (Scheme.ProducerOF; "-2" marks a producer with no
-// explicit ofmap destination anywhere in the scheme, the interleaved
-// fallback).
-func (e *Evaluator) groupFingerprint(s *core.Scheme, gi int) uint64 {
-	lms := s.Groups[gi]
-	h := fnv1a(e.hashParams(fnvOffset, s.Batch), uint64(lms.BatchUnit))
-	for _, ms := range lms.MSs {
-		h = fnv1a(h, uint64(ms.Layer))
-		h = fnv1a(h, uint64(ms.Part.H))
-		h = fnv1a(h, uint64(ms.Part.W))
-		h = fnv1a(h, uint64(ms.Part.B))
-		h = fnv1a(h, uint64(ms.Part.K))
-		h = fnv1a(h, uint64(int64(ms.FD.IF)))
-		h = fnv1a(h, uint64(int64(ms.FD.WGT)))
-		h = fnv1a(h, uint64(int64(ms.FD.OF)))
-		for _, c := range ms.CG {
-			h = fnv1a(h, uint64(c))
-		}
-		h = fnv1a(h, ^uint64(0)) // CG terminator
-	}
-	for _, ms := range lms.MSs {
-		for _, edge := range s.Graph.Layer(ms.Layer).Inputs {
-			if edge.Src < 0 || lms.MSFor(edge.Src) != nil {
-				continue
-			}
-			of := s.ProducerOF(edge.Src)
-			if of == core.FDImplicit {
-				of = -2
-			}
-			h = fnv1a(fnv1a(h, uint64(edge.Src)), uint64(int64(of)))
-		}
-	}
-	return h
-}
-
-// Evaluate evaluates a full scheme: groups run one after another, so delays
-// and energies sum.
+// Evaluate evaluates a full scheme from scratch, as EvaluateGroup does each
+// group: groups run one after another, so delays and energies sum.
 func (e *Evaluator) Evaluate(s *core.Scheme) Result {
 	return Fold(len(s.Groups), func(gi int) GroupResult { return e.EvaluateGroup(s, gi) })
 }

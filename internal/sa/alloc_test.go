@@ -7,22 +7,28 @@ import (
 	"gemini/internal/eval"
 )
 
-// TestMovePathAllocFree pins measure, cost and (*annealer).step
-// allocation-free: after warm-up, one group's re-measurement and the cost fold
-// perform zero heap allocations, and so does a
-// whole iteration — pick, copy into the spare LMS, operator, re-measure,
-// decide, swap or restore — unless it improves on the best scheme, which takes
-// real clones. A move is evaluated through the delta path, which touches
-// neither the cache nor a pool, so what is counted is the annealer's work and
-// the delta path's. internal/eval/alloc_test.go pins the evaluator's pipeline.
+// TestMovePathAllocFree pins a group's delta re-measurement, cost and
+// (*annealer).step allocation-free: after warm-up, one group's re-measurement
+// through its GroupDelta and the cost fold perform zero heap allocations, and
+// so does a whole iteration — pick, copy into the spare LMS, operator,
+// re-measure, decide, swap or restore — unless it improves on the best
+// scheme, which takes real clones. A move is evaluated through the delta
+// path, which touches neither the cache nor a pool, so what is counted is the
+// annealer's work and the delta path's. internal/eval/alloc_test.go pins the
+// from-scratch pipeline, whose scratch pool drops Puts under -race.
 func TestMovePathAllocFree(t *testing.T) {
 	s, ev, _ := setup(t)
 	groups := make([]eval.GroupResult, len(s.Groups))
+	d, _ := ev.NewGroupDelta(s, 0)
 	for gi := range groups {
-		groups[gi] = measure(ev, s, gi) // warm the evaluator memo and scratch pools
+		groups[gi] = measure(ev, s, gi) // warm the evaluator memo
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		groups[0] = measure(ev, s, 0)
+		for x := range s.Groups[0].MSs {
+			d.Changed(x) // the whole group, into the other buffer of each piece
+		}
+		groups[0] = ev.EvaluateGroupDelta(d, s)
+		d.Settle(true)
 		_ = cost(groups, 1, 1)
 	})
 	if allocs != 0 {
