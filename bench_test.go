@@ -1002,11 +1002,12 @@ func BenchmarkDSESweepCutBound(b *testing.B) {
 // fleetBenchSpec is the fleet benchmark workload: four full-speed GArch72
 // variants (NoC 32-96 GB/s) plus four DRAM-starved twins whose
 // compulsory-traffic lower bound exceeds any full-speed candidate's
-// achieved objective. The full-speed half leads the grid in enumeration
-// order, so the modulo-sharded fleet leases real work first. The
-// coordinator folds the best each checkpoint upload carries into the fleet
-// incumbent and hands it back on every lease and checkpoint response,
-// so the starved half is pruned pre-cell — exactly the work an
+// achieved objective. The two halves are two segment groups (their DRAM
+// controller counts differ), each cut into one-candidate shards, and the
+// full-speed half leads the grid in enumeration order, so the fleet leases
+// real work first. The coordinator folds the best each checkpoint upload
+// carries into the fleet incumbent and hands it back on every lease and
+// checkpoint response, so the starved half is pruned pre-cell — exactly the work an
 // operator saves by pointing idle machines at one coordinator instead of
 // splitting the grid into independent sweeps.
 func fleetBenchSpec(b *testing.B) (dse.Spec, []arch.Config) {

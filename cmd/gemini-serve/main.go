@@ -30,11 +30,15 @@
 // skips the server entirely and runs the distributed-sweep worker loop
 // against a coordinator at URL (another gemini-serve, whose coordinator
 // lives under /fleet/). Fleet sweeps are submitted with
-// POST /fleet/sweeps {"spec": {...}, "shards": N}; the coordinator shards
-// the candidate grid across workers, fans the best incumbent back out so
-// every shard prunes against it, and merges the shard cells workers upload
-// into the server's session — persisted in the same one checkpoint under
-// -data — so fleet and local sweeps resume each other under any id.
+// POST /fleet/sweeps {"spec": {...}, "shards": N}; the coordinator cuts
+// the candidate grid into N shards along segment groups (candidates that
+// share every stripe-segment summary; a group is split only when the grid
+// has fewer groups than N, so with N at most the group count no segment is
+// computed on two workers), leases them to workers, fans the best incumbent
+// back out so every shard prunes against it, and merges the shard cells
+// workers upload into the server's session — persisted in the same one
+// checkpoint under -data — so fleet and local sweeps resume each other under
+// any id.
 // -lease-ttl tunes how fast a dead worker's shard is re-leased.
 package main
 

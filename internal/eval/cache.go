@@ -57,6 +57,19 @@ func cutFreeFingerprint(cfg *arch.Config) uint64 {
 	return hashArrayRest(h, cfg)
 }
 
+// SegmentFingerprint is the Arch half of every segment key an evaluator of
+// cfg asks the cache for (see Evaluator.SegmentKey): the cut-free fingerprint
+// on a multi-chiplet array, whose every cut shares one entry, and
+// AnalysisFingerprint on a monolithic one. Candidates with equal segment
+// fingerprints share every stripe-segment summary; the fleet keeps each such
+// segment group on one shard.
+func SegmentFingerprint(cfg *arch.Config) uint64 {
+	if cfg.Chiplets() > 1 {
+		return cutFreeFingerprint(cfg)
+	}
+	return AnalysisFingerprint(cfg)
+}
+
 // hashArrayRest folds the analysis fingerprint's fields after the core array
 // and the cut into h.
 func hashArrayRest(h uint64, cfg *arch.Config) uint64 {

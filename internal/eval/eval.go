@@ -96,11 +96,11 @@ type Evaluator struct {
 	d2dIfaces int
 	scratch   sync.Pool
 
-	// cache is the segment store. On a multi-chiplet array (cutFree) stripe
-	// segments are stored as segmentSummarys under segmentFP, the analysis
-	// fingerprint without the cut; on a monolithic one as groupSummarys under
-	// segmentFP, the AnalysisFingerprint (see docs/architecture.md for why
-	// the two kinds stay apart).
+	// cache is the segment store, and segmentFP is SegmentFingerprint(Cfg).
+	// On a multi-chiplet array (cutFree) stripe segments are stored as
+	// segmentSummarys under the analysis fingerprint without the cut; on a
+	// monolithic one as groupSummarys under the AnalysisFingerprint (see
+	// docs/architecture.md for why the two kinds stay apart).
 	cache     *Cache
 	segmentFP uint64
 	cutFree   bool
@@ -189,11 +189,8 @@ func NewWithCache(cfg *arch.Config, c *Cache) *Evaluator {
 		Net:       noc.NewOn(cfg, c.routeTable(cfg)),
 		Params:    DefaultParams(),
 		cache:     c,
-		segmentFP: AnalysisFingerprint(cfg),
+		segmentFP: SegmentFingerprint(cfg),
 		cutFree:   cfg.Chiplets() > 1,
-	}
-	if e.cutFree {
-		e.segmentFP = cutFreeFingerprint(cfg)
 	}
 	for _, l := range e.Net.Links {
 		if l.D2D {

@@ -25,6 +25,7 @@ import (
 	"gemini/internal/arch"
 	"gemini/internal/dnn"
 	"gemini/internal/dse"
+	"gemini/internal/eval"
 	"gemini/internal/intake"
 )
 
@@ -268,7 +269,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	parts := partition(len(cands), req.Shards)
+	parts := partition(cands, req.Shards)
 
 	fs := &fleetSweep{
 		id:     spec.ID,
@@ -299,15 +300,67 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	intake.WriteJSON(w, http.StatusCreated, st)
 }
 
-// partition is the fleet's one sharding rule: it cuts n enumeration indices
-// into min(shards, n) shards (shards >= 1), shard i taking every index
-// ≡ i (mod shard count) in ascending order. The shards are pairwise disjoint,
-// none is empty, and together they cover [0, n).
-func partition(n, shards int) [][]int {
-	shards = min(shards, n)
+// partition is the fleet's one sharding rule: it cuts the enumeration
+// indices of cands into min(shards, len(cands)) shards (shards >= 1) along
+// segment groups. A segment group is the candidates with one
+// eval.SegmentFingerprint, which share every stripe-segment summary, so a
+// group that stays on one shard has each of its segments computed by one
+// worker. With fewer groups than shards, groups are cut into pieces: each
+// extra piece goes to the group whose pieces are largest (the earlier group
+// in enumeration order on a tie), and a group's pieces are near-equal
+// contiguous runs of its indices. The pieces — the whole groups when there
+// are at least as many groups as shards — are then dealt out largest first
+// (equal sizes in enumeration order), each to the shard with the fewest
+// candidates so far, the lower shard on a tie; so shard i starts with the
+// i-th largest piece and the big pieces are leased first. Each shard's
+// indices are strictly ascending, none is empty, and together the shards
+// cover [0, len(cands)).
+func partition(cands []arch.Config, shards int) [][]int {
+	var groups [][]int
+	byFP := make(map[uint64]int)
+	for k := range cands {
+		fp := eval.SegmentFingerprint(&cands[k])
+		g, ok := byFP[fp]
+		if !ok {
+			g = len(groups)
+			byFP[fp] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], k)
+	}
+	shards = min(shards, len(cands))
+	cuts := make([]int, len(groups))
+	for g := range cuts {
+		cuts[g] = 1
+	}
+	for range shards - len(groups) {
+		s := 0
+		for g := range groups {
+			if len(groups[g])*cuts[s] > len(groups[s])*cuts[g] {
+				s = g
+			}
+		}
+		cuts[s]++
+	}
+	var pieces [][]int
+	for g, idx := range groups {
+		for j := range cuts[g] {
+			pieces = append(pieces, idx[j*len(idx)/cuts[g]:(j+1)*len(idx)/cuts[g]])
+		}
+	}
+	slices.SortStableFunc(pieces, func(a, b []int) int { return len(b) - len(a) })
 	parts := make([][]int, shards)
-	for k := 0; k < n; k++ {
-		parts[k%shards] = append(parts[k%shards], k)
+	for _, p := range pieces {
+		s := 0
+		for i := range parts {
+			if len(parts[i]) < len(parts[s]) {
+				s = i
+			}
+		}
+		parts[s] = append(parts[s], p...)
+	}
+	for _, p := range parts {
+		slices.Sort(p)
 	}
 	return parts
 }

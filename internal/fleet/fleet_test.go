@@ -17,7 +17,9 @@ import (
 	"testing"
 	"time"
 
+	"gemini/internal/arch"
 	"gemini/internal/dse"
+	"gemini/internal/eval"
 	"gemini/internal/intake"
 )
 
@@ -211,7 +213,7 @@ func TestLeaseAndUploadsCarryOnlyShardCells(t *testing.T) {
 		}
 		return checkpointBytes(t, ses)
 	}
-	parts := partition(len(all), 2)
+	parts := partition(all, 2)
 	shardCells := [][]byte{run(spec, parts[0]), run(spec, parts[1])}
 	firstCell := run(spec, parts[0][:1])
 	otherSweep := run(other, []int{0, 1, 2, 3})
@@ -674,38 +676,198 @@ func TestExchange(t *testing.T) {
 	}
 }
 
-// TestPartition is the sharding rule's property test: for shard counts 1, 2,
-// 3, n and n+5 (clamped to n), every shard is non-empty and strictly
-// ascending, the shards are pairwise disjoint, and together they cover
-// every enumeration index exactly once.
+// TestPartition is the sharding rule's property test, on the reduced 72-,
+// 128- and 512-TOPs grids, the full 72-TOPs grid and the test spec's
+// one-group grid, at shard counts 1, 2, 3, 16, groups, groups+5 and n+5:
+// the count is min(shards, n); every shard is non-empty and strictly
+// ascending; the shards are pairwise disjoint and cover every enumeration
+// index; two calls agree. With no more shards than groups no group is split
+// and shard i starts with the i-th largest group. With more, every shard is
+// a contiguous run of one group's indices, a group's pieces differ in size
+// by at most one, and each extra piece went to a group whose pieces were
+// then the largest.
 func TestPartition(t *testing.T) {
-	for _, n := range []int{1, 2, 7, 16} {
-		for _, shards := range []int{1, 2, 3, n, n + 5} {
-			parts := partition(n, shards)
+	spec := parseSpec(t, testSpecJSON("part"))
+	specCands, err := spec.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grids := map[string][]arch.Config{
+		"72 reduced":  dse.Space72().Reduced().Enumerate(),
+		"128 reduced": dse.Space128().Reduced().Enumerate(),
+		"512 reduced": dse.Space512().Reduced().Enumerate(),
+		"72 full":     dse.Space72().Enumerate(),
+		"test spec":   specCands,
+	}
+	for name, cands := range grids {
+		n := len(cands)
+		groupOf := make([]uint64, n)
+		members := make(map[uint64][]int)
+		for k := range cands {
+			groupOf[k] = eval.SegmentFingerprint(&cands[k])
+			members[groupOf[k]] = append(members[groupOf[k]], k)
+		}
+		var bySize []int
+		for _, m := range members {
+			bySize = append(bySize, len(m))
+		}
+		slices.Sort(bySize)
+		slices.Reverse(bySize)
+		groups := len(members)
+		for _, shards := range []int{1, 2, 3, 16, groups, groups + 5, n + 5} {
+			where := fmt.Sprintf("%s (%d candidates, %d groups): partition(%d shards)", name, n, groups, shards)
+			parts := partition(cands, shards)
 			if want := min(shards, n); len(parts) != want {
-				t.Fatalf("partition(%d, %d) cut %d shards, want %d", n, shards, len(parts), want)
+				t.Fatalf("%s cut %d shards, want %d", where, len(parts), want)
+			}
+			if again := partition(cands, shards); !slices.EqualFunc(parts, again, slices.Equal) {
+				t.Fatalf("%s differs between two calls", where)
 			}
 			seen := make([]int, n)
+			shardsOf := make(map[uint64][]int) // a group's shards
 			for s, p := range parts {
 				if len(p) == 0 {
-					t.Fatalf("partition(%d, %d) shard %d is empty", n, shards, s)
+					t.Fatalf("%s shard %d is empty", where, s)
 				}
+				largest := 0
 				for i, k := range p {
 					if i > 0 && k <= p[i-1] {
-						t.Fatalf("partition(%d, %d) shard %d not strictly ascending: %v", n, shards, s, p)
+						t.Fatalf("%s shard %d not strictly ascending: %v", where, s, p)
 					}
 					if k < 0 || k >= n {
-						t.Fatalf("partition(%d, %d) shard %d index %d out of [0, %d)", n, shards, s, k, n)
+						t.Fatalf("%s shard %d index %d out of [0, %d)", where, s, k, n)
 					}
 					seen[k]++
+					if g := shardsOf[groupOf[k]]; len(g) == 0 || g[len(g)-1] != s {
+						shardsOf[groupOf[k]] = append(g, s)
+					}
+					largest = max(largest, len(members[groupOf[k]]))
+				}
+				if len(parts) <= groups && largest != bySize[s] {
+					t.Errorf("%s shard %d's largest group holds %d candidates, want the %d-th largest's %d",
+						where, s, largest, s+1, bySize[s])
 				}
 			}
 			for k, c := range seen {
 				if c != 1 {
-					t.Fatalf("partition(%d, %d) covers index %d %d times, want once", n, shards, k, c)
+					t.Fatalf("%s covers index %d %d times, want once", where, k, c)
+				}
+			}
+			if len(parts) <= groups {
+				for _, in := range shardsOf {
+					if len(in) > 1 {
+						t.Fatalf("%s splits a segment group across shards %v", where, in)
+					}
+				}
+				continue
+			}
+			for fp, in := range shardsOf {
+				var run []int // the group's pieces, in index order
+				for _, s := range in {
+					if groupOf[parts[s][0]] != groupOf[parts[s][len(parts[s])-1]] {
+						t.Fatalf("%s shard %d mixes segment groups", where, s)
+					}
+				}
+				slices.SortFunc(in, func(a, b int) int { return parts[a][0] - parts[b][0] })
+				for _, s := range in {
+					run = append(run, parts[s]...)
+					if d := len(parts[s]) - len(parts[in[0]]); d < -1 || d > 1 {
+						t.Fatalf("%s cuts a group into pieces of %d and %d", where, len(parts[in[0]]), len(parts[s]))
+					}
+				}
+				if !slices.Equal(run, members[fp]) {
+					t.Fatalf("%s: a group's pieces are not contiguous runs of its indices", where)
+				}
+			}
+			// Each extra piece went to a group whose pieces were the largest:
+			// before its last cut, group a's pieces were no smaller than any
+			// group b's are now.
+			for a, ina := range shardsOf {
+				for b, inb := range shardsOf {
+					if ca := len(ina); ca > 1 && len(members[a])*len(inb) < len(members[b])*(ca-1) {
+						t.Fatalf("%s cut a %d-candidate group into %d pieces while a %d-candidate group got %d",
+							where, len(members[a]), ca, len(members[b]), len(inb))
+					}
 				}
 			}
 		}
+	}
+
+	// The test spec's four NoC bandwidths on one array are one segment
+	// group, cut into one-candidate runs.
+	if parts := partition(specCands, 4); !slices.EqualFunc(parts, [][]int{{0}, {1}, {2}, {3}}, slices.Equal) {
+		t.Fatalf("one-group grid of %d candidates asked for 4 shards cut into %v, want [[0] [1] [2] [3]]", len(specCands), parts)
+	}
+}
+
+// TestFleetComputesEachSegmentOnce: asked for no more shards than the grid
+// has segment groups, partition keeps each group on one shard, so no stripe
+// segment is computed on two workers. Two one-slot workers drain the reduced
+// 72-TOPs grid x tinycnn over one shard per group (12), and their sessions
+// miss the eval cache, summed, exactly as often as one session's sweep of
+// the same candidates does.
+func TestFleetComputesEachSegmentOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real sweeps")
+	}
+	spec := dse.Spec{ID: "once", Space: dse.SpaceSpec{TOPS: 72, Reduced: true},
+		Models: []string{"tinycnn"}, SAIterations: 10}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cands, err := spec.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, err := spec.Graphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := dse.NewSession()
+	if _, _, err := solo.RunContext(context.Background(), cands, graphs, spec.Options()); err != nil {
+		t.Fatal(err)
+	}
+	want := solo.CacheStats().Misses
+	groups := make(map[uint64]bool)
+	for k := range cands {
+		groups[eval.SegmentFingerprint(&cands[k])] = true
+	}
+
+	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Minute})
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+	var st SweepStatus
+	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: len(groups)}, &st); code != http.StatusCreated {
+		t.Fatalf("submit answered %d", code)
+	}
+	sessions := []*dse.Session{dse.NewSession(), dse.NewSession()}
+	errs := make([]error, len(sessions))
+	var wg sync.WaitGroup
+	for i, ses := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = RunWorker(context.Background(), WorkerConfig{
+				Coordinator: srv.URL, Name: fmt.Sprintf("w%d", i), Workers: 1, ExitWhenIdle: true, Session: ses,
+			})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	if got, _ := coord.Status("once"); got.State != "done" || got.Stats.RecomputedSettledCells != 0 {
+		t.Fatalf("sweep after drain: %+v", got)
+	}
+	var got int64
+	for _, ses := range sessions {
+		got += ses.CacheStats().Misses
+	}
+	if got != want {
+		t.Fatalf("%d shards over 2 workers missed the eval cache %d times, one session %d: a segment was computed twice",
+			st.Shards, got, want)
 	}
 }
 

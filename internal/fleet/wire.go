@@ -221,6 +221,9 @@ type SubmitRequest struct {
 	// Spec is the sweep spec; partitioning it is the coordinator's job.
 	Spec dse.Spec `json:"spec"`
 	// Shards is how many shard leases to cut the candidate grid into; it is
-	// clamped to the candidate count.
+	// clamped to the candidate count. The cut follows segment groups
+	// (candidates that share every stripe-segment summary; see partition):
+	// a shard holds whole groups, or one run of a group's candidates when the
+	// grid has fewer groups than shards.
 	Shards int `json:"shards"`
 }
