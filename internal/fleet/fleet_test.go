@@ -1032,7 +1032,10 @@ func TestWorkerUploadsCarryBest(t *testing.T) {
 // one shard at a 60 ms TTL, so the worker's heartbeat ticks every 20 ms while
 // the shard's first cell anneals for many ticks. Uploads with no best must
 // keep the lease alive before any candidate settles, and a 410 answer to a
-// heartbeat must cancel the shard, so its final upload is not Complete.
+// heartbeat must cancel the shard, so its final upload is not Complete. The
+// worker anneals on one slot: the heartbeat's upload and the fake
+// coordinator's handler share this process, and on a two-core machine two
+// annealing cells left them waiting a scheduler time slice per hop.
 func TestWorkerHeartbeat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep")
@@ -1073,7 +1076,7 @@ func TestWorkerHeartbeat(t *testing.T) {
 		defer fake.Close()
 		start := time.Now()
 		if err := RunWorker(context.Background(), WorkerConfig{
-			Coordinator: fake.URL, Name: "wb", ExitWhenIdle: true, Logf: t.Logf,
+			Coordinator: fake.URL, Name: "wb", Workers: 1, ExitWhenIdle: true, Logf: t.Logf,
 		}); err != nil {
 			t.Fatalf("worker: %v", err)
 		}
