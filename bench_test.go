@@ -217,7 +217,7 @@ func BenchmarkDSESessionSweepCold(b *testing.B) {
 // BenchmarkDSESessionSweepWarm measures the same sweep re-run on one
 // long-lived session. Seeds vary per iteration so the SA search genuinely
 // re-runs (checkpoint cells miss) — the speedup over the cold bench is the
-// session's partitions and shared evaluation cache, not result replay. It
+// session's partitions, route tables and Explore memo, not result replay. It
 // asserts in-bench that every cell of each reseeded sweep reused the
 // partition the priming sweep computed: a partition never depends on the
 // seed.

@@ -32,7 +32,7 @@ func main() {
 		opt.SAIterations = *sa
 	}
 	// One session across every figure: Fig. 6 and Fig. 7 sweep the same
-	// candidate space, so the second sweep runs on a warm shared cache.
+	// candidate space, so the second sweep restores the first's cells.
 	opt.Session = dse.NewSession()
 	defer func() {
 		st := opt.Session.CacheStats()

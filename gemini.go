@@ -243,10 +243,11 @@ func ExploreArchitectures(cands []Arch, models []*Model, opt DSEOptions) []DSERe
 func BestArchitecture(results []DSEResult) *DSEResult { return dse.Best(results) }
 
 // DSESession is a long-lived exploration session: a cross-candidate shared
-// evaluation cache, warm per-architecture evaluators, and a checkpoint of
-// completed (candidate, model) cells. Re-running overlapping sweeps through
-// one session hits warm cache entries; fixed-seed results are bit-identical
-// to standalone ExploreArchitectures calls.
+// evaluation cache, warm per-architecture evaluators with their partitions,
+// and a checkpoint of completed (candidate, model) cells. Re-running
+// overlapping sweeps through one session restores settled cells and reuses
+// partitions; fixed-seed results are bit-identical to standalone
+// ExploreArchitectures calls.
 type DSESession = dse.Session
 
 // NewDSESession returns an empty exploration session.

@@ -19,7 +19,9 @@ func TestDiskCacheCorruptSpillDegradesToCold(t *testing.T) {
 	if n, err := ses.WarmDiskCache(dir); err != nil || n != 0 {
 		t.Fatalf("corrupt spill warmed n=%d err=%v, want 0 and no error", n, err)
 	}
-	rs := ses.Run(testCands(), []*dnn.Graph{testCNN}, testOptions())
+	models := []*dnn.Graph{testCNN}
+	defer ses.Hold(testCands(), models)() // keep the entries to save
+	rs := ses.Run(testCands(), models, testOptions())
 	if Best(rs) == nil {
 		t.Fatal("sweep with corrupt spill found no feasible candidate")
 	}
@@ -40,7 +42,9 @@ func TestDiskCacheCorruptSpillDegradesToCold(t *testing.T) {
 func TestWarmDiskCacheOncePerDir(t *testing.T) {
 	dir := t.TempDir()
 	ses := NewSession()
-	ses.Run(testCands()[:1], []*dnn.Graph{testCNN}, testOptions())
+	cands, models := testCands()[:1], []*dnn.Graph{testCNN}
+	defer ses.Hold(cands, models)() // keep the entries to save
+	ses.Run(cands, models, testOptions())
 	if err := ses.cache.SaveDisk(CachePath(dir)); err != nil {
 		t.Fatal(err)
 	}

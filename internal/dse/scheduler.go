@@ -162,7 +162,8 @@ type scheduler struct {
 	prune  bool
 	inc    *incumbent
 	states []*candState
-	order  []int // candidate dispatch order
+	order  []int               // candidate dispatch order
+	groups []eval.SegmentGroup // each cell's segment group, candidate-major
 
 	seeded    float64 // checkpoint-seeded incumbent, 0 when none
 	resumed   atomic.Int64
@@ -186,8 +187,9 @@ func (sc *scheduler) notePanic(where, stack string) {
 	sc.ses.logf("dse: recovered panic in %s: %s", where, stack)
 }
 
-// newScheduler computes per-candidate bounds, fixes the dispatch order and
-// seeds the incumbent from checkpointed cells.
+// newScheduler computes per-candidate bounds, fixes the dispatch order,
+// seeds the incumbent from checkpointed cells and names every cell's segment
+// group, which run holds until dispatch has run the cell.
 func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models []*dnn.Graph, opt Options) *scheduler {
 	sc := &scheduler{
 		ses:    s,
@@ -200,6 +202,7 @@ func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models 
 		inc:    newIncumbent(opt.Incumbent),
 		states: make([]*candState, len(cands)),
 		order:  make([]int, len(cands)),
+		groups: cellGroups(cands, models),
 	}
 	sc.prune = opt.Prune && objMonotone(opt.Objective)
 	if opt.Prune && !sc.prune {
@@ -308,7 +311,8 @@ func (sc *scheduler) markPruned(ci int, best float64) {
 }
 
 // run executes the sweep and returns one CandidateResult per candidate, in
-// candidate order (unsorted).
+// candidate order (unsorted). It holds each cell's segment group in the
+// session's cache until dispatch has run the cell.
 func (sc *scheduler) run() []CandidateResult {
 	nm := len(sc.models)
 	results := make([]CandidateResult, len(sc.cands))
@@ -353,6 +357,7 @@ func (sc *scheduler) run() []CandidateResult {
 		}
 	}
 
+	sc.ses.addHolds(1, sc.groups)
 	total := len(sc.cands) * nm
 	if total == 0 {
 		for ci := range sc.cands {
@@ -388,7 +393,9 @@ func (sc *scheduler) workerCount(tasks int) int {
 // pool and barriers on completion. Workers claim cells through one atomic
 // index into the schedule, walked candidate-major, so a candidate's cells
 // complete (and its objective lands in the incumbent) as early as possible.
-// cellDone runs on the worker after each cell with its candidate index.
+// cellDone runs on the worker after each cell with its candidate index. A
+// cell's segment group hold is released once it has run — mapped, restored,
+// pruned, canceled or errored alike, since every cell is visited once.
 func (sc *scheduler) dispatch(nm int, per [][]pairOutcome, cellDone func(ci int)) {
 	total := len(sc.order) * nm
 	var next atomic.Int64
@@ -404,6 +411,7 @@ func (sc *scheduler) dispatch(nm int, per [][]pairOutcome, cellDone func(ci int)
 				}
 				ci, mi := sc.order[i/nm], i%nm
 				sc.runTaskGuarded(ci, mi, per)
+				sc.ses.addHolds(-1, sc.groups[ci*nm+mi:ci*nm+mi+1])
 				cellDone(ci)
 			}
 		}()

@@ -1,10 +1,12 @@
 // Session: the long-lived DSE sweep layer. A Session owns a cross-candidate
 // shared evaluation cache, a pool of warm per-architecture evaluators and
-// the graph partitions computed on them, a checkpoint of completed
-// (candidate, model) cells, and the bound-pruning incumbent, so repeated or
-// overlapping sweeps (the experiments figures, a resumed CLI run,
-// chiplet-reuse factors revisiting a base) pay the cold evaluation cost
-// once.
+// the graph partitions computed on them, and a checkpoint of completed
+// (candidate, model) cells, so repeated or overlapping sweeps (the
+// experiments figures, a resumed CLI run, chiplet-reuse factors revisiting a
+// base) reuse each other's partitions, intra-core explorations and settled
+// cells. Stripe-segment summaries live only as long as a running sweep may
+// ask for them: each cell holds its segment group, and a group's entries
+// leave the cache when its last hold is released.
 
 package dse
 
@@ -31,8 +33,13 @@ import (
 // Session shares evaluation state across DSE runs. All methods are safe for
 // concurrent use: the sweep service runs several Run/RunContext sweeps on
 // one session at once so they share the evaluation cache and checkpoint
-// cells (each sweep gets its own scheduler, incumbent and SweepStats). The
-// zero value is not usable — construct with NewSession.
+// cells (each sweep gets its own scheduler, incumbent and SweepStats). What
+// outlives a sweep is its cells, the warm evaluators' partitions and the
+// cache's Explore memo and route tables; its segment summaries leave the
+// cache with the last cell of their group (see Hold), so a later sweep that
+// re-runs the DP on the same candidates — under new objective exponents, say
+// — recomputes them. The zero value is not usable — construct with
+// NewSession.
 type Session struct {
 	// Logf, when set, receives scheduling decisions that must not be silent
 	// (candidate pruning, checkpoint skips). log.Printf fits.
@@ -45,6 +52,12 @@ type Session struct {
 
 	cellMu sync.Mutex
 	cells  map[string]cellRecord
+
+	// holds counts, per segment group, the unsettled cells of running sweeps
+	// and MapModel calls and the grids Hold pins; a group leaves the map,
+	// and its entries the cache, when its count falls to 0.
+	holdMu sync.Mutex
+	holds  map[eval.SegmentGroup]int
 
 	resumed atomic.Int64 // cells served from the checkpoint instead of mapped
 
@@ -60,6 +73,7 @@ func NewSession() *Session {
 		cache:    eval.NewCache(),
 		evals:    make(map[uint64]*warmArch),
 		cells:    make(map[string]cellRecord),
+		holds:    make(map[eval.SegmentGroup]int),
 		mapModel: mapModelEval,
 	}
 }
@@ -93,6 +107,59 @@ func (s *Session) ResumedCells() int64 { return s.resumed.Load() }
 
 // CacheStats reports the shared evaluation cache's accounting.
 func (s *Session) CacheStats() eval.CacheStats { return s.cache.Stats() }
+
+// segmentGroup names the cache's segment group of one (candidate, model)
+// cell: the entries the cell's partition asks for.
+func segmentGroup(cfg *arch.Config, g *dnn.Graph) eval.SegmentGroup {
+	return eval.SegmentGroup{Arch: eval.SegmentFingerprint(cfg), Graph: g.Fingerprint()}
+}
+
+// cellGroups returns the segment group of every cell of cands × models,
+// candidate-major.
+func cellGroups(cands []arch.Config, models []*dnn.Graph) []eval.SegmentGroup {
+	groups := make([]eval.SegmentGroup, 0, len(cands)*len(models))
+	for ci := range cands {
+		for _, g := range models {
+			groups = append(groups, segmentGroup(&cands[ci], g))
+		}
+	}
+	return groups
+}
+
+// Hold pins the segment groups of cands × models in the session's cache, as
+// a running sweep of that grid pins them, until release is called; release is
+// idempotent. A fleet worker holds each shard's grid until it has its next
+// lease, so the next run of a split group finds the entries the last one
+// stored.
+func (s *Session) Hold(cands []arch.Config, models []*dnn.Graph) (release func()) {
+	groups := cellGroups(cands, models)
+	s.addHolds(1, groups)
+	var once sync.Once
+	return func() { once.Do(func() { s.addHolds(-1, groups) }) }
+}
+
+// addHolds adds delta to each group's hold count, dropping the entries of a
+// group whose count falls to 0. The drop happens under holdMu, so a hold
+// taken after it sees an empty group, never one a late drop empties.
+func (s *Session) addHolds(delta int, groups []eval.SegmentGroup) {
+	s.holdMu.Lock()
+	defer s.holdMu.Unlock()
+	for _, sg := range groups {
+		if n := s.holds[sg] + delta; n > 0 {
+			s.holds[sg] = n
+			continue
+		}
+		delete(s.holds, sg)
+		s.cache.DropGroup(sg)
+	}
+}
+
+// heldGroups reports how many segment groups the session holds.
+func (s *Session) heldGroups() int {
+	s.holdMu.Lock()
+	defer s.holdMu.Unlock()
+	return len(s.holds)
+}
 
 // CheckpointCells reports how many completed (candidate, model) cells the
 // session holds (computed this run or loaded from a checkpoint).
@@ -173,9 +240,13 @@ func (s *Session) evaluator(cfg *arch.Config) *warmArch {
 // MapModel maps one model on one architecture through the session's warm
 // evaluator and checkpoint cells. It runs under the cell's panic isolation,
 // so a panicking pipeline surfaces as a CellError instead of unwinding the
-// caller.
+// caller. The cell holds its segment group while it runs, as a sweep's cell
+// does.
 func (s *Session) MapModel(cfg *arch.Config, g *dnn.Graph, opt Options) (*MapResult, error) {
 	key := cellKey(eval.ConfigFingerprint(cfg), g.Name, optsFingerprint(opt.Mapping))
+	group := []eval.SegmentGroup{segmentGroup(cfg, g)}
+	s.addHolds(1, group)
+	defer s.addHolds(-1, group)
 	out := s.runCell(cfg, g, opt.Mapping, key, nil)
 	return out.mr, out.err
 }

@@ -100,12 +100,16 @@ func TestSessionMatchesRun(t *testing.T) {
 	resultsEqual(t, NewSession().Run(cands, models, opt2), warm2, "warm cache, new seed")
 }
 
+// TestSessionCacheAccounting: while the grid is held, a sweep that re-runs
+// the DP on it asks a warm cache; once the hold is released, the grid's
+// entries leave the cache, every one counted as dropped.
 func TestSessionCacheAccounting(t *testing.T) {
 	ses := NewSession()
 	cands := testCands()
 	models := []*dnn.Graph{testCNN}
 	opt := testOptions()
 
+	release := ses.Hold(cands, models)
 	ses.Run(cands, models, opt)
 	st1 := ses.CacheStats()
 	if st1.Misses == 0 {
@@ -132,13 +136,18 @@ func TestSessionCacheAccounting(t *testing.T) {
 	if warmHits <= warmMisses {
 		t.Errorf("warm run should be hit-dominated: %d hits vs %d misses", warmHits, warmMisses)
 	}
+
+	release()
+	if st := ses.CacheStats(); st.Entries != 0 || st.Dropped != st2.Misses || st.Dropped != int64(st2.Entries) {
+		t.Errorf("released grid: %+v, want its %d entries dropped and none left", st, st2.Entries)
+	}
 }
 
 // TestCacheCountsReproducible: a fixed-seed, pruning-off sweep reports the
 // same cache hit and miss counts however its workers interleave. Two workers
 // race to fill the entries bandwidth siblings share, yet every run counts
 // what one worker, which cannot race, counts, and the misses are exactly the
-// summaries stored.
+// summaries stored — every one dropped with its group when the sweep ends.
 func TestCacheCountsReproducible(t *testing.T) {
 	cands := testCands()
 	models := []*dnn.Graph{testCNN, testTF}
@@ -149,8 +158,8 @@ func TestCacheCountsReproducible(t *testing.T) {
 		ses := NewSession()
 		ses.Run(cands, models, opt)
 		st := ses.CacheStats()
-		if st.Flushes != 0 || st.Misses != int64(st.Entries) {
-			t.Fatalf("%d workers: %+v, want no flush and one miss per stored entry", workers, st)
+		if st.Flushes != 0 || st.Misses != int64(st.Entries)+st.Dropped || st.Entries != 0 {
+			t.Fatalf("%d workers: %+v, want no flush, one miss per stored entry and every entry dropped", workers, st)
 		}
 		return st
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	mathbits "math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -95,17 +96,27 @@ type CacheKey struct {
 	FP    uint64
 }
 
+// SegmentGroup names a segment group: the Arch and Graph halves of a
+// CacheKey, that is every stripe segment of one graph on one
+// SegmentFingerprint. The cells of a sweep that share a group ask for the
+// same entries, and DropGroup removes them together.
+type SegmentGroup struct {
+	Arch, Graph uint64
+}
+
+// Group returns the segment group k belongs to.
+func (k CacheKey) Group() SegmentGroup { return SegmentGroup{Arch: k.Arch, Graph: k.Graph} }
+
 // cacheShards keeps lock contention low when many DSE workers race on one
 // shared cache; the partitioner asks it for every segment. With
-// cacheShardLimit it also sets the capacity, 2.1 M entries. One pruned sweep
-// of the whole 72-TOPs grid × {resnet50, transformer} (8,820 candidates,
-// seed 1, 2 workers) stores 1,056,208 entries, half of it, with 0 flushes;
-// 42% of them are infeasible and kept as keys alone, and the sweep's heap
-// after a GC is 273 MB in use (376 MB while every entry held a summary and
-// every evaluator a route table of its own). The reduced grid stores
-// 0.097 M entries and gains about 0.001 M per further seed (traced
-// `go run ./bench` on zoo72_cold and zoo72_warm), so a session's reseeded
-// sweeps do not fill it.
+// cacheShardLimit it also sets the capacity, 2.1 M entries, a backstop: a
+// session drops each segment group's entries once no running sweep holds
+// the group (dse.Session.Hold), so what stays resident is the working set of
+// the sweeps in flight. Without the drops, one pruned sweep of the whole
+// 72-TOPs grid × {resnet50, transformer} (8,820 candidates, seed 1, 2
+// workers) stored 1,056,208 entries, half the capacity, with 0 flushes; 42%
+// of them infeasible and kept as keys alone. The reduced grid stores 93,152
+// entries (traced `go run ./bench` on zoo72_cold).
 const cacheShards = 128
 
 // cacheShardLimit bounds each shard; a full shard is flushed wholesale (a
@@ -114,10 +125,11 @@ const cacheShards = 128
 const cacheShardLimit = 1 << 14
 
 // cacheShard holds both kinds of summary, each in a table. The shard's tables
-// together hold at most cacheShardLimit entries, and are only ever cleared,
-// all at once, under mu.
+// together hold n entries, at most cacheShardLimit; they are cleared all at
+// once, or one segment group at a time, under mu.
 type cacheShard struct {
 	mu  sync.RWMutex
+	n   int
 	m   table[groupSummary]
 	seg table[segmentSummary]
 }
@@ -128,50 +140,85 @@ type summaryKind interface {
 	feasible() bool
 }
 
-// table holds the summaries of one kind. An infeasible summary is the zero
-// value of its kind — summarizeAnalysis and cutFreeSummary build nothing more
-// for one — so it is kept as its key alone, in none, and a lookup that finds
-// the key there reads the zero value back; about two in five entries a sweep
-// stores are infeasible. Each map is made by the first store into it, so a
-// shard that has held no infeasible entry has no set.
-type table[S summaryKind] struct {
-	val  map[CacheKey]S
-	none map[CacheKey]struct{}
+// table holds the summaries of one kind by segment group, so a group's
+// entries leave a shard with one map delete. The table and each group's maps
+// are made by the first store into them.
+type table[S summaryKind] map[SegmentGroup]*groupEntries[S]
+
+// groupEntries holds one segment group's summaries of one kind in a shard,
+// by the key's FP. An infeasible summary is the zero value of its kind —
+// summarizeAnalysis and cutFreeSummary build nothing more for one — so it is
+// kept as its key alone, in none, and a lookup that finds the key there reads
+// the zero value back; about two in five entries a sweep stores are
+// infeasible.
+type groupEntries[S summaryKind] struct {
+	val  map[uint64]S
+	none map[uint64]struct{}
 }
 
 // get returns the summary stored under k and whether there was one.
-func (t *table[S]) get(k CacheKey) (S, bool) {
-	sum, ok := t.val[k]
-	if !ok {
-		_, ok = t.none[k]
+func (t table[S]) get(k CacheKey) (sum S, ok bool) {
+	e := t[k.Group()]
+	if e == nil {
+		return sum, false
+	}
+	if sum, ok = e.val[k.FP]; !ok {
+		_, ok = e.none[k.FP]
 	}
 	return sum, ok
 }
 
-// put stores sum under k, an infeasible summary as its key alone.
-func (t *table[S]) put(k CacheKey, sum S) {
+// put stores sum under k, an infeasible summary as its key alone, and
+// reports whether it made the table's entries for k's group.
+func (t *table[S]) put(k CacheKey, sum S) (made bool) {
+	if *t == nil {
+		*t = make(table[S])
+	}
+	e := (*t)[k.Group()]
+	if e == nil {
+		e = new(groupEntries[S])
+		(*t)[k.Group()] = e
+		made = true
+	}
 	if !sum.feasible() {
-		if t.none == nil {
-			t.none = make(map[CacheKey]struct{})
+		if e.none == nil {
+			e.none = make(map[uint64]struct{})
 		}
-		t.none[k] = struct{}{}
-		delete(t.val, k)
-		return
+		e.none[k.FP] = struct{}{}
+		delete(e.val, k.FP)
+		return made
 	}
-	if t.val == nil {
-		t.val = make(map[CacheKey]S)
+	if e.val == nil {
+		e.val = make(map[uint64]S)
 	}
-	t.val[k] = sum
-	delete(t.none, k)
+	e.val[k.FP] = sum
+	delete(e.none, k.FP)
+	return made
 }
 
-// len counts the table's entries, key-only ones included.
-func (t *table[S]) len() int { return len(t.val) + len(t.none) }
+// drop removes group g's entries and returns how many there were, key-only
+// ones included.
+func (t table[S]) drop(g SegmentGroup) int {
+	e := t[g]
+	if e == nil {
+		return 0
+	}
+	delete(t, g)
+	return len(e.val) + len(e.none)
+}
 
-// clear empties the table.
-func (t *table[S]) clear() {
-	clear(t.val)
-	clear(t.none)
+// each calls f with every entry of the table, a key-only one with the zero
+// value, and whether it is key-only.
+func (t table[S]) each(f func(k CacheKey, sum S, keyOnly bool)) {
+	for g, e := range t {
+		for fp, sum := range e.val {
+			f(CacheKey{Arch: g.Arch, Graph: g.Graph, FP: fp}, sum, false)
+		}
+		var zero S
+		for fp := range e.none {
+			f(CacheKey{Arch: g.Arch, Graph: g.Graph, FP: fp}, zero, true)
+		}
+	}
 }
 
 // routeTableLimit bounds the route tables a Cache keeps, one per core array
@@ -200,11 +247,20 @@ type routeKey struct {
 // candidate with the same cores — and every SA move on one of them — reads
 // one entry. Likewise its evaluators share one noc route table per core array
 // and topology, which no cut or bandwidth changes. Neither the memo nor the
-// route tables are counted in Stats or spilled by SaveDisk.
+// route tables are counted in Stats or spilled by SaveDisk, and DropGroup
+// leaves both alone.
 type Cache struct {
-	shards                [cacheShards]cacheShard
-	hits, misses, flushes atomic.Int64
-	memo                  *intracore.Memo
+	shards                         [cacheShards]cacheShard
+	hits, misses, flushes, dropped atomic.Int64
+	memo                           *intracore.Memo
+
+	// groupShards maps a segment group to the shards its entries were
+	// stored in since its last drop, so DropGroup locks only those. A store
+	// marks its shard under the shard's lock, and DropGroup takes the set
+	// before it locks a shard, so a racing store's entry is either in the
+	// shards the drop visits or marked in the group's next set.
+	groupsMu    sync.Mutex
+	groupShards map[SegmentGroup]shardSet
 
 	routesMu sync.Mutex
 	routes   map[routeKey]*noc.Routes
@@ -212,7 +268,11 @@ type Cache struct {
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{memo: intracore.NewMemo(), routes: make(map[routeKey]*noc.Routes)}
+	return &Cache{
+		memo:        intracore.NewMemo(),
+		routes:      make(map[routeKey]*noc.Routes),
+		groupShards: make(map[SegmentGroup]shardSet),
+	}
 }
 
 // routeTable returns the route table of cfg's core array and topology,
@@ -232,16 +292,30 @@ func (c *Cache) routeTable(cfg *arch.Config) *noc.Routes {
 	return r
 }
 
-func (c *Cache) shard(k CacheKey) *cacheShard {
-	return &c.shards[(k.Arch^k.FP)%cacheShards]
+func shardIndex(k CacheKey) int { return int((k.Arch ^ k.FP) % cacheShards) }
+
+func (c *Cache) shard(k CacheKey) *cacheShard { return &c.shards[shardIndex(k)] }
+
+// shardSet is a set of shard indices.
+type shardSet [cacheShards / 64]uint64
+
+// markShard records that k's shard holds entries of k's group.
+func (c *Cache) markShard(k CacheKey) {
+	i := shardIndex(k)
+	c.groupsMu.Lock()
+	set := c.groupShards[k.Group()]
+	set[i/64] |= 1 << (i % 64)
+	c.groupShards[k.Group()] = set
+	c.groupsMu.Unlock()
 }
 
 // A lookup counts as one hit or one miss, and the count does not depend on
 // how concurrent evaluators interleave: get and getSegment count only hits,
 // and the put or putSegment that follows a failed get counts the miss — or a
 // hit, when another evaluator stored the key first. So Misses is the number
-// of distinct summaries stored between flushes, and two racers asking for one
-// new key count one miss and one hit in either order.
+// of summaries stored: between flushes, the entries resident plus those
+// DropGroup removed. Two racers asking for one new key count one miss and
+// one hit in either order.
 
 // get copies the group summary stored under k into *out and reports whether
 // there was one.
@@ -303,19 +377,54 @@ func store[S summaryKind](c *Cache, s *cacheShard, t *table[S], k CacheKey, sum 
 	if had && !replace {
 		return false
 	}
-	if !had && s.m.len()+s.seg.len() >= cacheShardLimit {
-		s.m.clear()
-		s.seg.clear()
-		c.flushes.Add(1)
+	if !had {
+		if s.n >= cacheShardLimit {
+			clear(s.m)
+			clear(s.seg)
+			s.n = 0
+			c.flushes.Add(1)
+		}
+		s.n++
 	}
-	t.put(k, sum)
+	if t.put(k, sum) {
+		c.markShard(k)
+	}
 	return !had
 }
 
+// DropGroup removes segment group g's entries, of both kinds and key-only
+// ones included, and counts them in Stats' Dropped. It locks only the shards
+// g's entries were stored in and deletes g's table entries there, so its
+// cost does not grow with the other groups' entries, and dropping a group
+// with no entries costs one map lookup. A dropped entry only costs
+// recomputation: a summary is a pure function of its key.
+func (c *Cache) DropGroup(g SegmentGroup) {
+	c.groupsMu.Lock()
+	set, ok := c.groupShards[g]
+	delete(c.groupShards, g)
+	c.groupsMu.Unlock()
+	if !ok {
+		return
+	}
+	n := 0
+	for w := range set {
+		for bits := set[w]; bits != 0; bits &= bits - 1 {
+			s := &c.shards[w*64+mathbits.TrailingZeros64(bits)]
+			s.mu.Lock()
+			d := s.m.drop(g) + s.seg.drop(g)
+			s.n -= d
+			s.mu.Unlock()
+			n += d
+		}
+	}
+	c.dropped.Add(int64(n))
+}
+
 // CacheStats is a point-in-time accounting snapshot of a shared cache.
+// Dropped counts the entries DropGroup removed; Entries those resident.
 type CacheStats struct {
-	Hits, Misses, Flushes int64
-	Entries               int
+	Hits, Misses, Flushes, Dropped int64
+	Entries                        int
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
@@ -332,11 +441,12 @@ func (c *Cache) Stats() CacheStats {
 		Hits:    c.hits.Load(),
 		Misses:  c.misses.Load(),
 		Flushes: c.flushes.Load(),
+		Dropped: c.dropped.Load(),
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
-		st.Entries += s.m.len() + s.seg.len()
+		st.Entries += s.n
 		s.mu.RUnlock()
 	}
 	return st

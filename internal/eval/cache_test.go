@@ -402,8 +402,12 @@ func TestInfeasibleEntriesKeyOnly(t *testing.T) {
 
 // keyOnly reports whether t holds k as its key alone.
 func keyOnly[S summaryKind](t *table[S], k CacheKey) bool {
-	_, val := t.val[k]
-	_, none := t.none[k]
+	e := (*t)[k.Group()]
+	if e == nil {
+		return false
+	}
+	_, val := e.val[k.FP]
+	_, none := e.none[k.FP]
 	return none && !val
 }
 
@@ -439,5 +443,80 @@ func TestShardFlushCountsKeyOnlyEntries(t *testing.T) {
 	var seg segmentSummary
 	if c.get(key(1), &sum) || c.getSegment(key(3), &seg) || c.get(key(0), &sum) || c.getSegment(key(2), &seg) {
 		t.Error("an entry survived the flush")
+	}
+	// The entry stored after the flush still leaves with its group.
+	c.DropGroup(key(0).Group())
+	if st := c.Stats(); st.Entries != 0 || st.Dropped != 1 {
+		t.Fatalf("after dropping the group: %+v, want 0 entries and 1 dropped", st)
+	}
+}
+
+// TestDropGroup: DropGroup removes one segment group's entries — both kinds,
+// key-only ones included — and no other's. Stats count them as Dropped, so
+// Misses stays Entries plus Dropped; dropping the group again, or a group
+// the cache never held, drops nothing; and the dropped segments asked again
+// miss and come back equal to what they were.
+func TestDropGroup(t *testing.T) {
+	cache := NewCache()
+	type asked struct {
+		ev      *Evaluator
+		g       *dnn.Graph
+		results []GroupResult
+	}
+	var all []asked
+	for _, glb := range []int{2 * arch.MB, 512} { // 512 bytes fit no workload: key-only entries
+		for _, cut := range []int{2, 1} { // G-Arch's two chiplets (cut-free entries), and its array as one
+			cfg := arch.GArch72()
+			cfg.GLBPerCore, cfg.XCut = glb, cut
+			for _, g := range []*dnn.Graph{dnn.TinyCNN(), dnn.TinyTransformer()} {
+				ev := NewWithCache(&cfg, cache)
+				a := asked{ev: ev, g: g}
+				for l := range g.Layers {
+					res, _ := askSegment(t, ev, g, 4, l, l+1, 1)
+					a.results = append(a.results, res)
+				}
+				all = append(all, a)
+			}
+		}
+	}
+	group := func(a asked) SegmentGroup { return a.ev.SegmentKey(a.g, 4, 0, 1, 1).Group() }
+	filled := cache.Stats()
+	if filled.Dropped != 0 || filled.Misses != int64(filled.Entries) {
+		t.Fatalf("filled cache: %+v, want one resident entry per miss", filled)
+	}
+	for n, a := range all {
+		before := cache.Stats()
+		cache.DropGroup(group(a))
+		st := cache.Stats()
+		gone := len(a.g.Layers)
+		if st.Entries != before.Entries-gone || st.Dropped != before.Dropped+int64(gone) ||
+			st.Misses != before.Misses || st.Hits != before.Hits || st.Misses != int64(st.Entries)+st.Dropped {
+			t.Fatalf("drop %d: %+v -> %+v, want %d entries dropped and nothing else moved", n, before, st, gone)
+		}
+		cache.DropGroup(group(a))
+		cache.DropGroup(SegmentGroup{Arch: group(a).Arch, Graph: group(a).Graph + 1})
+		if again := cache.Stats(); again != st {
+			t.Fatalf("drop %d: a second drop and a drop of an unheld group moved the stats %+v -> %+v", n, st, again)
+		}
+		for _, b := range all[n+1:] { // the groups not yet dropped still hit
+			var res GroupResult
+			if !b.ev.LookupGroup(b.ev.SegmentKey(b.g, 4, 0, 1, 1), 4, &res) || res != b.results[0] {
+				t.Fatalf("drop %d: another group's entry went with it", n)
+			}
+		}
+	}
+	if st := cache.Stats(); st.Entries != 0 || st.Dropped != int64(filled.Entries) {
+		t.Fatalf("every group dropped: %+v, want 0 entries and %d dropped", st, filled.Entries)
+	}
+	for _, a := range all {
+		before := cache.Stats()
+		for l := range a.g.Layers {
+			if res, _ := askSegment(t, a.ev, a.g, 4, l, l+1, 1); res != a.results[l] {
+				t.Errorf("%s layer %d: recomputed %+v, want %+v as before the drop", a.g.Name, l, res, a.results[l])
+			}
+		}
+		if st := cache.Stats(); st.Misses-before.Misses != int64(len(a.g.Layers)) {
+			t.Errorf("%s: re-asking a dropped group counted %d misses, want %d", a.g.Name, st.Misses-before.Misses, len(a.g.Layers))
+		}
 	}
 }

@@ -81,18 +81,8 @@ func (c *Cache) SaveDisk(path string) error {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
-		for k, e := range s.m.val {
-			all = append(all, kv{k: k, sum: &e})
-		}
-		for k := range s.m.none {
-			all = append(all, kv{k: k, sum: new(groupSummary)})
-		}
-		for k, e := range s.seg.val {
-			all = append(all, kv{k: k, seg: &e})
-		}
-		for k := range s.seg.none {
-			all = append(all, kv{k: k, seg: new(segmentSummary)})
-		}
+		s.m.each(func(k CacheKey, sum groupSummary, _ bool) { all = append(all, kv{k: k, sum: &sum}) })
+		s.seg.each(func(k CacheKey, seg segmentSummary, _ bool) { all = append(all, kv{k: k, seg: &seg}) })
 		s.mu.RUnlock()
 	}
 	sort.Slice(all, func(a, b int) bool {

@@ -3,11 +3,9 @@ package eval
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -92,11 +90,16 @@ func TestDiskRoundTripKeyOnly(t *testing.T) {
 		}
 	}
 	var kinds [4]int // group, key-only group, segment, key-only segment
+	count := func(kind int, keyOnly bool) {
+		if keyOnly {
+			kind++
+		}
+		kinds[kind]++
+	}
 	for i := range cache.shards {
 		sh := &cache.shards[i]
-		for n, l := range []int{len(sh.m.val), len(sh.m.none), len(sh.seg.val), len(sh.seg.none)} {
-			kinds[n] += l
-		}
+		sh.m.each(func(_ CacheKey, _ groupSummary, keyOnly bool) { count(0, keyOnly) })
+		sh.seg.each(func(_ CacheKey, _ segmentSummary, keyOnly bool) { count(2, keyOnly) })
 	}
 	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 || kinds[3] == 0 {
 		t.Fatalf("entries by kind %v: the cache must hold all four", kinds)
@@ -114,18 +117,18 @@ func TestDiskRoundTripKeyOnly(t *testing.T) {
 	}
 	for i := range cache.shards {
 		sh := &cache.shards[i]
-		for _, k := range slices.Concat(slices.Collect(maps.Keys(sh.m.val)), slices.Collect(maps.Keys(sh.m.none))) {
+		sh.m.each(func(k CacheKey, _ groupSummary, _ bool) {
 			var a, b groupSummary
 			if !cache.get(k, &a) || !warm.get(k, &b) || a != b {
 				t.Errorf("group %+v: saved %+v, loaded %+v", k, a, b)
 			}
-		}
-		for _, k := range slices.Concat(slices.Collect(maps.Keys(sh.seg.val)), slices.Collect(maps.Keys(sh.seg.none))) {
+		})
+		sh.seg.each(func(k CacheKey, _ segmentSummary, _ bool) {
 			var a, b segmentSummary
 			if !cache.getSegment(k, &a) || !warm.getSegment(k, &b) || !reflect.DeepEqual(a, b) {
 				t.Errorf("segment %+v: saved %+v, loaded %+v", k, a, b)
 			}
-		}
+		})
 	}
 }
 

@@ -212,7 +212,7 @@ func TestSpaceSizesTable(t *testing.T) {
 // TestSharedSessionAcrossFigures pins the cross-figure session reuse: Fig. 6
 // and Fig. 7 sweep the same tiny space, so running them through one session
 // must produce identical results to sessionless runs while the second
-// figure's sweep lands on a warm shared cache.
+// figure's sweep reuses the first's work.
 func TestSharedSessionAcrossFigures(t *testing.T) {
 	plain := quick()
 	want6, err := Fig6(plain)
@@ -255,8 +255,7 @@ func TestSharedSessionAcrossFigures(t *testing.T) {
 	}
 
 	// Fig. 7 re-sweeps Fig. 6's 128 TOPs space under identical options, so
-	// its cells resume from the session checkpoint (and anything re-mapped
-	// rides the warm cache).
+	// its cells resume from the session checkpoint.
 	if shared.Session.ResumedCells() == 0 && afterFig7.Hits <= afterFig6.Hits {
 		t.Errorf("fig7 reused nothing: resumed=%d, hits %d -> %d",
 			shared.Session.ResumedCells(), afterFig6.Hits, afterFig7.Hits)

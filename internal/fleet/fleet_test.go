@@ -800,6 +800,88 @@ func TestPartition(t *testing.T) {
 	}
 }
 
+// segmentSpec is the reduced 72-TOPs grid x tinycnn at 10 SA iterations,
+// prune off: 12 segment groups of 2 to 30 candidates.
+func segmentSpec(t *testing.T, id string) (dse.Spec, []arch.Config) {
+	t.Helper()
+	spec := dse.Spec{ID: id, Space: dse.SpaceSpec{TOPS: 72, Reduced: true},
+		Models: []string{"tinycnn"}, SAIterations: 10}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cands, err := spec.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec, cands
+}
+
+// segmentGroups counts the segment groups of cands.
+func segmentGroups(cands []arch.Config) int {
+	groups := make(map[uint64]bool)
+	for k := range cands {
+		groups[eval.SegmentFingerprint(&cands[k])] = true
+	}
+	return len(groups)
+}
+
+// drainMisses runs spec once in one session, then submits it in shards
+// shards to a coordinator that the given number of one-slot workers drain,
+// and returns the eval-cache misses of the workers' sessions summed and of
+// the one session.
+func drainMisses(t *testing.T, spec dse.Spec, shards, workers int) (fleet, solo int64) {
+	t.Helper()
+	cands, err := spec.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, err := spec.Graphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := dse.NewSession()
+	if _, _, err := one.RunContext(context.Background(), cands, graphs, spec.Options()); err != nil {
+		t.Fatal(err)
+	}
+
+	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Minute})
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+	var st SweepStatus
+	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: shards}, &st); code != http.StatusCreated {
+		t.Fatalf("submit answered %d", code)
+	}
+	if st.Shards != shards {
+		t.Fatalf("submitted %d shards, got %d", shards, st.Shards)
+	}
+	sessions := make([]*dse.Session, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := range sessions {
+		sessions[i] = dse.NewSession()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = RunWorker(context.Background(), WorkerConfig{
+				Coordinator: srv.URL, Name: fmt.Sprintf("w%d", i), Workers: 1, ExitWhenIdle: true, Session: sessions[i],
+			})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	if got, _ := coord.Status(spec.ID); got.State != "done" || got.Stats.RecomputedSettledCells != 0 {
+		t.Fatalf("sweep after drain: %+v", got)
+	}
+	for _, ses := range sessions {
+		fleet += ses.CacheStats().Misses
+	}
+	return fleet, one.CacheStats().Misses
+}
+
 // TestFleetComputesEachSegmentOnce: asked for no more shards than the grid
 // has segment groups, partition keeps each group on one shard, so no stripe
 // segment is computed on two workers. Two one-slot workers drain the reduced
@@ -810,65 +892,82 @@ func TestFleetComputesEachSegmentOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
 	}
-	spec := dse.Spec{ID: "once", Space: dse.SpaceSpec{TOPS: 72, Reduced: true},
-		Models: []string{"tinycnn"}, SAIterations: 10}
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
+	spec, cands := segmentSpec(t, "once")
+	shards := segmentGroups(cands)
+	if got, want := drainMisses(t, spec, shards, 2); got != want {
+		t.Fatalf("%d shards over 2 workers missed the eval cache %d times, one session %d: a segment was computed twice",
+			shards, got, want)
 	}
-	cands, err := spec.Candidates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs, err := spec.Graphs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo := dse.NewSession()
-	if _, _, err := solo.RunContext(context.Background(), cands, graphs, spec.Options()); err != nil {
-		t.Fatal(err)
-	}
-	want := solo.CacheStats().Misses
-	groups := make(map[uint64]bool)
-	for k := range cands {
-		groups[eval.SegmentFingerprint(&cands[k])] = true
-	}
+}
 
-	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Minute})
+// TestWorkerHoldsSplitGroups: asked for more shards than the grid has
+// segment groups, partition cuts the largest groups into runs, each its own
+// lease. One one-slot worker drains the reduced 72-TOPs grid x tinycnn over
+// 16 shards (12 groups, the two largest cut in three), and misses the eval
+// cache exactly as often as one session's sweep does: it holds each lease's
+// groups until it has its next lease, and the coordinator hands it the next
+// run of the group it holds, so no run recomputes what the run before
+// stored.
+func TestWorkerHoldsSplitGroups(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real sweeps")
+	}
+	spec, cands := segmentSpec(t, "split")
+	shards := segmentGroups(cands) + 4
+	if got, want := drainMisses(t, spec, shards, 1); got != want {
+		t.Fatalf("%d shards on one worker missed the eval cache %d times, one session %d: a split group's run recomputed its segments",
+			shards, got, want)
+	}
+}
+
+// TestLeaseFollowsHeldGroup: the coordinator answers a worker's lease with
+// the lowest pending shard of the segment group its last lease of the sweep
+// held, and a worker with no such shard pending, or no lease yet, with the
+// lowest pending shard. On the reduced 72-TOPs grid at 16 shards, shards 2,
+// 3 and 4 are the runs of one split group.
+func TestLeaseFollowsHeldGroup(t *testing.T) {
+	spec, cands := segmentSpec(t, "affinity")
+	clock := &fakeClock{t: time.Unix(2_000_000, 0)}
+	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: 10 * time.Second, now: clock.Now})
 	srv := httptest.NewServer(coord)
 	defer srv.Close()
-	var st SweepStatus
-	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: len(groups)}, &st); code != http.StatusCreated {
+	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: 16}, nil); code != http.StatusCreated {
 		t.Fatalf("submit answered %d", code)
 	}
-	sessions := []*dse.Session{dse.NewSession(), dse.NewSession()}
-	errs := make([]error, len(sessions))
-	var wg sync.WaitGroup
-	for i, ses := range sessions {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = RunWorker(context.Background(), WorkerConfig{
-				Coordinator: srv.URL, Name: fmt.Sprintf("w%d", i), Workers: 1, ExitWhenIdle: true, Session: ses,
-			})
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
+	group := func(l Lease) uint64 { return eval.SegmentFingerprint(&cands[l.Candidates[0]]) }
+	lease := func(worker string, wantShard int) Lease {
+		t.Helper()
+		var l Lease
+		if code := postJSON(t, srv.URL+"/lease", LeaseRequest{Worker: worker}, &l); code != http.StatusOK {
+			t.Fatalf("%s: lease answered %d", worker, code)
 		}
+		if l.Shard != wantShard {
+			t.Fatalf("%s leased shard %d, want %d", worker, l.Shard, wantShard)
+		}
+		return l
 	}
-	if got, _ := coord.Status("once"); got.State != "done" || got.Stats.RecomputedSettledCells != 0 {
-		t.Fatalf("sweep after drain: %+v", got)
+	a0, b1 := lease("a", 0), lease("b", 1)
+	if group(a0) == group(b1) {
+		t.Fatal("shards 0 and 1 hold one group; the test needs two")
 	}
-	var got int64
-	for _, ses := range sessions {
-		got += ses.CacheStats().Misses
+	b2 := lease("b", 2) // group 1's shard is not pending: the lowest pending one
+	if b3 := lease("c", 3); group(b3) != group(b2) {
+		t.Fatal("shards 2 and 3 must be runs of one group")
 	}
-	if got != want {
-		t.Fatalf("%d shards over 2 workers missed the eval cache %d times, one session %d: a segment was computed twice",
-			st.Shards, got, want)
+
+	// Every lease lapses, so shards 0 to 3 are pending again. c's and b's
+	// last leases held shard 2's group: they get its runs, lowest first,
+	// ahead of shards 0 and 1. A new worker gets the lowest pending shard,
+	// and so does a, whose group has no shard pending.
+	clock.Advance(11 * time.Second)
+	lease("c", 2)
+	lease("b", 3)
+	if l := lease("b", 4); group(l) != group(b2) {
+		t.Fatal("shard 4 must be the group's third run")
 	}
+	lease("d", 0)
+	lease("a", 1)
+	lease("a", 5)
 }
 
 // TestLeaseCandidatesRange: a worker refuses a lease whose index list

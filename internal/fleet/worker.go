@@ -81,6 +81,11 @@ func (c *WorkerConfig) poll() time.Duration {
 // threaded into pruning, stream checkpoints up, repeat. It
 // returns when ctx is canceled, or — with ExitWhenIdle — when the
 // coordinator has no shard to grant.
+//
+// The worker's session holds each lease's segment groups (dse.Session.Hold)
+// until it has taken its next lease or been told there is none, so when the
+// coordinator hands it the next run of a split group, that run finds the
+// segments the last one stored instead of computing them again.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Coordinator == "" {
 		return errors.New("fleet: worker has no coordinator URL")
@@ -97,6 +102,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if w.ses == nil {
 		w.ses = dse.NewSession()
 	}
+	defer w.release()
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -114,6 +120,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			continue
 		}
 		if lease == nil {
+			w.release()
 			if cfg.ExitWhenIdle {
 				return nil
 			}
@@ -131,6 +138,16 @@ type worker struct {
 	cfg WorkerConfig
 	cl  *client
 	ses *dse.Session
+	// held releases the last lease's segment group hold, nil when none.
+	held func()
+}
+
+// release lets go of the last lease's segment groups.
+func (w *worker) release() {
+	if w.held != nil {
+		w.held()
+		w.held = nil
+	}
 }
 
 func (w *worker) logf(format string, args ...any) {
@@ -158,6 +175,11 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) {
 		w.logf("fleet worker %s: lease %s graphs: %v", w.cfg.name(), lease.LeaseID, err)
 		return
 	}
+	// Hold this lease's groups before the last lease's go, so a group the
+	// two share keeps its entries.
+	held := w.ses.Hold(cands, graphs)
+	w.release()
+	w.held = held
 	if len(lease.Checkpoint) > 0 {
 		if err := w.ses.LoadCheckpoint(bytes.NewReader(lease.Checkpoint)); err != nil {
 			w.logf("fleet worker %s: loading lease %s checkpoint: %v", w.cfg.name(), lease.LeaseID, err)

@@ -304,10 +304,15 @@ type SessionHealth struct {
 	// CacheHits / CacheMisses / CacheEntries mirror eval.CacheStats. A hit
 	// is a group evaluation served from a stored bandwidth-free summary —
 	// one this architecture computed or one a bandwidth sibling (same core
-	// array, cuts and DRAM controller count) did.
+	// array, cuts and DRAM controller count) did. Entries are resident only
+	// while a running sweep holds their segment group.
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int   `json:"cache_entries"`
+	// CacheDropped counts the entries that left the cache with their
+	// segment group once no running sweep held it; between flushes,
+	// CacheMisses is CacheEntries plus CacheDropped.
+	CacheDropped int64 `json:"cache_dropped"`
 	// CacheFlushes counts wholesale shard flushes: each dropped up to 16384
 	// entries because a shard filled. Nonzero means the working set of the
 	// session's sweeps exceeds the cache.
@@ -440,6 +445,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		CacheHits:       cs.Hits,
 		CacheMisses:     cs.Misses,
 		CacheEntries:    cs.Entries,
+		CacheDropped:    cs.Dropped,
 		CacheFlushes:    cs.Flushes,
 		CacheHitRate:    cs.HitRate(),
 		CheckpointCells: s.ses.CheckpointCells(),
