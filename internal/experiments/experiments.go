@@ -34,11 +34,12 @@ type Options struct {
 	Restarts int
 
 	// Session, when set, runs every figure's sweeps and mappings through
-	// one shared DSE session, so the figures reuse each other's warm
-	// evaluation-cache entries and settled cells (Fig. 6 and Fig. 7 sweep
-	// the same space). When nil, each figure call runs on one session of
-	// its own. The cache keys graphs by structure, so a figure building its
-	// own workload graphs costs no warmth.
+	// one shared DSE session, so the figures reuse each other's settled
+	// cells, partitions and intra-core explorations (Fig. 6 and Fig. 7
+	// sweep the same space). Stripe-segment summaries leave the session's
+	// cache with the last sweep or mapping of their group, so they are
+	// shared only within one figure call. When nil, each figure call runs
+	// on one session of its own.
 	Session *dse.Session
 }
 

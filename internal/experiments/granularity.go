@@ -6,6 +6,7 @@ import (
 
 	"gemini/internal/arch"
 	"gemini/internal/cost"
+	"gemini/internal/dnn"
 	"gemini/internal/dse"
 )
 
@@ -44,21 +45,29 @@ func ChipletGranularity(opt Options) (*GranularityResult, error) {
 	mce := cost.New()
 
 	cuts := []struct{ x, y int }{{1, 1}, {2, 1}, {2, 2}, {3, 3}, {6, 3}, {6, 6}}
-	res := &GranularityResult{Arch: base.Name}
+	var cfgs []arch.Config
 	for _, c := range cuts {
 		cfg := base
 		cfg.XCut, cfg.YCut = c.x, c.y
 		cfg.Name = cfg.String()
-		if cfg.Validate() != nil {
-			continue
+		if cfg.Validate() == nil {
+			cfgs = append(cfgs, cfg)
 		}
-		mr, err := ses.MapModel(&cfg, model, d)
+	}
+	// Every multi-chiplet cut shares one cut-free segment group: hold it
+	// across the sweep so each cut after the first finds its segments.
+	defer ses.Hold(cfgs, []*dnn.Graph{model})()
+	res := &GranularityResult{Arch: base.Name}
+	for i := range cfgs {
+		cfg := &cfgs[i]
+		chiplets := cfg.XCut * cfg.YCut
+		mr, err := ses.MapModel(cfg, model, d)
 		if err != nil {
-			return nil, fmt.Errorf("granularity: %d chiplets: %w", c.x*c.y, err)
+			return nil, fmt.Errorf("granularity: %d chiplets: %w", chiplets, err)
 		}
-		b := mce.Evaluate(&cfg)
+		b := mce.Evaluate(cfg)
 		row := GranularityRow{
-			Chiplets: c.x * c.y, XCut: c.x, YCut: c.y,
+			Chiplets: chiplets, XCut: cfg.XCut, YCut: cfg.YCut,
 			MC: b, Energy: mr.Energy, Delay: mr.Delay,
 			MCED:      b.Total() * mr.Energy * mr.Delay,
 			Yield:     b.ComputeYield,

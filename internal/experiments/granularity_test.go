@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"gemini/internal/arch"
+	"gemini/internal/dse"
 )
 
 func TestChipletGranularityQuick(t *testing.T) {
@@ -81,5 +84,37 @@ func TestCoreGranularityQuick(t *testing.T) {
 	r.Print(&sb)
 	if !strings.Contains(sb.String(), "core granularity") {
 		t.Error("print incomplete")
+	}
+}
+
+// TestChipletGranularityHoldsItsGrid: ChipletGranularity maps its cuts one
+// MapModel call at a time and holds its grid across the calls, so cuts
+// sharing a segment group compute its segments once. The cuts fall in two
+// groups (the monolithic cut and the cut-free rest), so the sweep misses
+// the cache exactly as often as mapping the 1x1 and 2x1 cuts alone.
+func TestChipletGranularityHoldsItsGrid(t *testing.T) {
+	misses := func(run func(o Options) error) int64 {
+		t.Helper()
+		o := quick()
+		o.Session = dse.NewSession()
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		return o.Session.CacheStats().Misses
+	}
+	got := misses(func(o Options) error { _, err := ChipletGranularity(o); return err })
+	want := misses(func(o Options) error {
+		for _, cut := range [][2]int{{1, 1}, {2, 1}} {
+			cfg := arch.GArch72()
+			cfg.XCut, cfg.YCut = cut[0], cut[1]
+			cfg.Name = cfg.String()
+			if _, err := o.Session.MapModel(&cfg, o.transformer(), o.dseOptions(o.batch())); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if got != want {
+		t.Errorf("ChipletGranularity missed %d times, its two segment groups alone %d", got, want)
 	}
 }

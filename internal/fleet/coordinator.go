@@ -93,9 +93,6 @@ type shardState struct {
 	// cands are the shard's enumeration indices, strictly ascending (see
 	// partition); every lease of the shard carries them.
 	cands []int
-	// group is the segment fingerprint of the shard's first candidate: the
-	// group a shard cut from a split group holds alone.
-	group uint64
 	// settledAtLease is how many of the shard's cells the session already
 	// held when the current lease was granted; the holder's reported
 	// ResumedCells must reach it or the difference is recomputed work,
@@ -114,29 +111,6 @@ type fleetSweep struct {
 	inc    IncumbentState
 	stats  SweepAggregate
 	done   bool
-	// lastGroup is the group of each worker's last lease of this sweep.
-	lastGroup map[string]uint64
-}
-
-// nextShard is the lease rule: the lowest pending shard of the group the
-// worker's last lease of fs held, else the lowest pending shard, or -1 when
-// none is pending. The worker still holds that group's entries (see
-// RunWorker), so the next run of a split group finds its segments stored.
-func (fs *fleetSweep) nextShard(worker string) int {
-	next := -1
-	g, held := fs.lastGroup[worker]
-	for i := range fs.shards {
-		if fs.shards[i].phase != shardPending {
-			continue
-		}
-		if !held || fs.shards[i].group == g {
-			return i
-		}
-		if next < 0 {
-			next = i
-		}
-	}
-	return next
 }
 
 // Active reports the sweep still has shards pending or leased. A done sweep
@@ -304,12 +278,9 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		cands:  cands,
 		graphs: graphs,
 		shards: make([]shardState, len(parts)),
-
-		lastGroup: make(map[string]uint64),
 	}
 	for i, p := range parts {
 		fs.shards[i].cands = p
-		fs.shards[i].group = eval.SegmentFingerprint(&cands[p[0]])
 	}
 
 	// A done sweep under the id is superseded: re-submitting is how a
@@ -476,24 +447,25 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		if fs.done {
 			continue
 		}
-		i := fs.nextShard(req.Worker)
-		if i < 0 {
-			continue
-		}
-		sh := &fs.shards[i]
-		lease, err := c.grantLocked(fs, i, req.Worker, now)
-		if err != nil {
+		for i := range fs.shards {
+			sh := &fs.shards[i]
+			if sh.phase != shardPending {
+				continue
+			}
+			lease, err := c.grantLocked(fs, i, req.Worker, now)
+			if err != nil {
+				c.mu.Unlock()
+				intake.WriteError(w, http.StatusInternalServerError, "granting shard: %v", err)
+				return
+			}
+			settled, cells := sh.settledAtLease, len(sh.cands)*len(fs.graphs)
 			c.mu.Unlock()
-			intake.WriteError(w, http.StatusInternalServerError, "granting shard: %v", err)
+			c.logf("fleet: sweep %s shard %d/%d leased to %s as %s (%d/%d shard cells settled)",
+				lease.SweepID, lease.Shard, lease.Shards, req.Worker, lease.LeaseID,
+				settled, cells)
+			intake.WriteJSON(w, http.StatusOK, lease)
 			return
 		}
-		settled, cells := sh.settledAtLease, len(sh.cands)*len(fs.graphs)
-		c.mu.Unlock()
-		c.logf("fleet: sweep %s shard %d/%d leased to %s as %s (%d/%d shard cells settled)",
-			lease.SweepID, lease.Shard, lease.Shards, req.Worker, lease.LeaseID,
-			settled, cells)
-		intake.WriteJSON(w, http.StatusOK, lease)
-		return
 	}
 	c.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
@@ -536,7 +508,6 @@ func (c *Coordinator) grantLocked(fs *fleetSweep, i int, worker string, now time
 	sh.phase = shardLeased
 	sh.leaseID = lease.LeaseID
 	sh.worker = worker
-	fs.lastGroup[worker] = sh.group
 	sh.expires = now.Add(ttl)
 	sh.settledAtLease = settled
 	return lease, nil

@@ -905,9 +905,9 @@ func TestFleetComputesEachSegmentOnce(t *testing.T) {
 // lease. One one-slot worker drains the reduced 72-TOPs grid x tinycnn over
 // 16 shards (12 groups, the two largest cut in three), and misses the eval
 // cache exactly as often as one session's sweep does: it holds each lease's
-// groups until it has its next lease, and the coordinator hands it the next
-// run of the group it holds, so no run recomputes what the run before
-// stored.
+// groups until it has its next lease, and a group's runs are contiguous
+// shards, so the lowest pending shard it is handed next is the group's next
+// run and no run recomputes what the run before stored.
 func TestWorkerHoldsSplitGroups(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
@@ -918,56 +918,6 @@ func TestWorkerHoldsSplitGroups(t *testing.T) {
 		t.Fatalf("%d shards on one worker missed the eval cache %d times, one session %d: a split group's run recomputed its segments",
 			shards, got, want)
 	}
-}
-
-// TestLeaseFollowsHeldGroup: the coordinator answers a worker's lease with
-// the lowest pending shard of the segment group its last lease of the sweep
-// held, and a worker with no such shard pending, or no lease yet, with the
-// lowest pending shard. On the reduced 72-TOPs grid at 16 shards, shards 2,
-// 3 and 4 are the runs of one split group.
-func TestLeaseFollowsHeldGroup(t *testing.T) {
-	spec, cands := segmentSpec(t, "affinity")
-	clock := &fakeClock{t: time.Unix(2_000_000, 0)}
-	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: 10 * time.Second, now: clock.Now})
-	srv := httptest.NewServer(coord)
-	defer srv.Close()
-	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: 16}, nil); code != http.StatusCreated {
-		t.Fatalf("submit answered %d", code)
-	}
-	group := func(l Lease) uint64 { return eval.SegmentFingerprint(&cands[l.Candidates[0]]) }
-	lease := func(worker string, wantShard int) Lease {
-		t.Helper()
-		var l Lease
-		if code := postJSON(t, srv.URL+"/lease", LeaseRequest{Worker: worker}, &l); code != http.StatusOK {
-			t.Fatalf("%s: lease answered %d", worker, code)
-		}
-		if l.Shard != wantShard {
-			t.Fatalf("%s leased shard %d, want %d", worker, l.Shard, wantShard)
-		}
-		return l
-	}
-	a0, b1 := lease("a", 0), lease("b", 1)
-	if group(a0) == group(b1) {
-		t.Fatal("shards 0 and 1 hold one group; the test needs two")
-	}
-	b2 := lease("b", 2) // group 1's shard is not pending: the lowest pending one
-	if b3 := lease("c", 3); group(b3) != group(b2) {
-		t.Fatal("shards 2 and 3 must be runs of one group")
-	}
-
-	// Every lease lapses, so shards 0 to 3 are pending again. c's and b's
-	// last leases held shard 2's group: they get its runs, lowest first,
-	// ahead of shards 0 and 1. A new worker gets the lowest pending shard,
-	// and so does a, whose group has no shard pending.
-	clock.Advance(11 * time.Second)
-	lease("c", 2)
-	lease("b", 3)
-	if l := lease("b", 4); group(l) != group(b2) {
-		t.Fatal("shard 4 must be the group's third run")
-	}
-	lease("d", 0)
-	lease("a", 1)
-	lease("a", 5)
 }
 
 // TestLeaseCandidatesRange: a worker refuses a lease whose index list
